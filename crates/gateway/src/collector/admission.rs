@@ -1,0 +1,657 @@
+//! Admission: the deliver path from sequence dedup through the WAL
+//! append to reorder → sanitize → pipeline, plus the fence gate, the
+//! group-commit sync and liveness accounting that ride on it.
+
+use super::*;
+
+/// Why a delivered frame was refused (the server sends a NACK).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectCause {
+    /// The WAL is poisoned by a storage failure; nothing can be made
+    /// durable until the process restarts on healthy storage.
+    Storage,
+    /// The WAL retention budget is exhausted and nothing below the
+    /// checkpoint cursor is reclaimable — counted load shedding.
+    WalBudget,
+    /// A newer committed owner epoch was observed (in the persisted
+    /// fence token or via the wire handshake): this collector is a
+    /// stale owner and fail-stops instead of racing its successor.
+    Fenced,
+}
+
+/// What the server should tell the client about a delivered frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeliverOutcome {
+    /// New record, now durable: ack it.
+    Accepted,
+    /// Retransmission of an already-durable record: re-ack it.
+    Duplicate,
+    /// The record could not be made durable: NACK it, never ack. The
+    /// client's retry protocol redelivers after restart/recovery.
+    Rejected(RejectCause),
+}
+
+/// Per-stage wall time accumulated by the collector's ingest path —
+/// the bench's stage breakdown. All fields are nanoseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimings {
+    /// Batch admission: dedup/budget probes plus
+    /// reorder/sanitize/pipeline for accepted readings.
+    pub admission_ns: u64,
+    /// Inside WAL write calls.
+    pub wal_append_ns: u64,
+    /// Inside WAL fsync calls.
+    pub fsync_ns: u64,
+}
+
+/// Per-batch admission accounting from [`Collector::deliver_batch`].
+///
+/// The ack-release rule of the pipelined protocol lives in the two
+/// cursor fields: `ack_up_to` is the cumulative watermark the client
+/// may be told about, but only once the WAL's synced cursor
+/// ([`Collector::synced_cursor`]) has reached `ack_cursor` — i.e. once
+/// a completed fsync covers every record this batch appended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchOutcome {
+    /// Readings newly admitted (appended to the WAL this call).
+    pub accepted: usize,
+    /// Readings that were retransmissions of already-logged records.
+    pub duplicates: usize,
+    /// Readings refused — everything from the `nack` coordinate on.
+    pub rejected: usize,
+    /// Cumulative ack watermark for the sensor after this batch:
+    /// every seq at or below it is logged.
+    pub ack_up_to: Option<u64>,
+    /// WAL cursor a completed fsync must cover before `ack_up_to` may
+    /// be released to the client.
+    pub ack_cursor: u64,
+    /// First refused seq and why (the selective-NACK coordinate; the
+    /// client retransmits from here).
+    pub nack: Option<(u64, RejectCause)>,
+}
+
+impl Collector {
+    /// Handles one delivered `Data` frame. `Accepted` and `Duplicate`
+    /// both mean "durable, send the ack"; `Rejected` means the record
+    /// could not be made durable and must be NACKed, never acked.
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError`] on non-storage failures. Storage failures are
+    /// *not* errors here: they surface as
+    /// [`DeliverOutcome::Rejected`]`(`[`RejectCause::Storage`]`)` so
+    /// the serving loop keeps running (NACKing) while the operator
+    /// reads the typed [`StorageError`] from the report.
+    pub fn deliver(
+        &mut self,
+        sensor: SensorId,
+        seq: u64,
+        time: Timestamp,
+        values: Vec<f64>,
+    ) -> Result<DeliverOutcome, GatewayError> {
+        if self.fence_breached() || self.is_retired(sensor) {
+            self.fence_rejects += 1;
+            return Ok(DeliverOutcome::Rejected(RejectCause::Fenced));
+        }
+        if self.wal.poisoned().is_some() {
+            self.storage_rejects += 1;
+            return Ok(DeliverOutcome::Rejected(RejectCause::Storage));
+        }
+        // Non-mutating dedup probe: a rejected record must leave no
+        // trace, or replay (which sees only durable records) would
+        // diverge from the live run.
+        if !self.seqs.get(&sensor).is_none_or(|t| t.is_new(seq)) {
+            self.seq_duplicates += 1;
+            return Ok(DeliverOutcome::Duplicate);
+        }
+        let record = WalRecord {
+            sensor,
+            seq,
+            time,
+            values,
+        };
+        if let Some(budget) = self.config.wal.retain_bytes {
+            let frame = Wal::framed_len(&record);
+            if self.wal.total_bytes() + frame > budget {
+                self.reclaim_for_budget(budget.saturating_sub(frame))?;
+                if self.wal.poisoned().is_some() {
+                    self.storage_rejects += 1;
+                    return Ok(DeliverOutcome::Rejected(RejectCause::Storage));
+                }
+                if self.wal.total_bytes() + frame > budget {
+                    self.budget_shed += 1;
+                    return Ok(DeliverOutcome::Rejected(RejectCause::WalBudget));
+                }
+            }
+        }
+        match self.wal.append(&record) {
+            Ok(()) => {}
+            Err(WalError::Storage(_)) => {
+                self.storage_rejects += 1;
+                return Ok(DeliverOutcome::Rejected(RejectCause::Storage));
+            }
+            Err(e) => return Err(e.into()),
+        }
+        // Only now — after the append — may the sequence number be
+        // marked seen: the record is durable (or will be truncated as
+        // a torn tail, in which case it was never acked either).
+        self.seqs.entry(sensor).or_default().observe(seq);
+        self.admit(record.raw());
+        let logged = self.wal.records_logged();
+        if self.config.checkpoint_every > 0 && logged.is_multiple_of(self.config.checkpoint_every) {
+            self.write_checkpoint(logged, self.config.wal.retain_bytes.unwrap_or(u64::MAX))?;
+        }
+        Ok(DeliverOutcome::Accepted)
+    }
+
+    /// Handles one delivered `DataBatch` frame: dedup, budget
+    /// projection, and reorder/sanitize/pipeline admission run per
+    /// reading exactly as [`Collector::deliver`] would, but the WAL
+    /// append is one contiguous extent ([`Wal::append_many`]) and the
+    /// fsync policy is charged per batch — the group-commit fast path.
+    ///
+    /// Admission stops at the first refused reading (budget exhaustion
+    /// or storage failure): the surviving prefix is logged and
+    /// admitted, the refusal coordinate comes back in
+    /// [`BatchOutcome::nack`], and the suffix is left for the client
+    /// to retransmit. Nothing in the batch may be acked until
+    /// [`Collector::synced_cursor`] reaches [`BatchOutcome::ack_cursor`].
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError`] on non-storage failures only, exactly like
+    /// [`Collector::deliver`].
+    pub fn deliver_batch(
+        &mut self,
+        sensor: SensorId,
+        first_seq: u64,
+        readings: &[(Timestamp, Vec<f64>)],
+    ) -> Result<BatchOutcome, GatewayError> {
+        let mut out = BatchOutcome {
+            accepted: 0,
+            duplicates: 0,
+            rejected: 0,
+            ack_up_to: None,
+            ack_cursor: self.wal.records_logged(),
+            nack: None,
+        };
+        if self.fence_breached() || self.is_retired(sensor) {
+            self.fence_rejects += readings.len();
+            out.rejected = readings.len();
+            out.nack = Some((first_seq, RejectCause::Fenced));
+            return Ok(out);
+        }
+        if self.wal.poisoned().is_some() {
+            self.storage_rejects += readings.len();
+            out.rejected = readings.len();
+            out.nack = Some((first_seq, RejectCause::Storage));
+            return Ok(out);
+        }
+        // Pass 1: per-reading dedup probe and cumulative budget
+        // projection, collecting the admissible fresh prefix. Probes
+        // are non-mutating — a refused reading must leave no trace.
+        let mut fresh: Vec<WalRecord> = Vec::with_capacity(readings.len());
+        let mut projected = 0u64;
+        let mut reclaimed = false;
+        let admission_start = std::time::Instant::now();
+        for (i, (time, values)) in readings.iter().enumerate() {
+            let seq = first_seq + i as u64;
+            if !self.seqs.get(&sensor).is_none_or(|t| t.is_new(seq)) {
+                self.seq_duplicates += 1;
+                out.duplicates += 1;
+                continue;
+            }
+            let record = WalRecord {
+                sensor,
+                seq,
+                time: *time,
+                values: values.clone(),
+            };
+            if let Some(budget) = self.config.wal.retain_bytes {
+                let frame = Wal::framed_len(&record);
+                if self.wal.total_bytes() + projected + frame > budget && !reclaimed {
+                    // One reclaim attempt per batch, before anything
+                    // is appended (the checkpoint it writes covers
+                    // only records already durable).
+                    self.reclaim_for_budget(budget.saturating_sub(projected + frame))?;
+                    reclaimed = true;
+                }
+                if self.wal.poisoned().is_some() {
+                    self.storage_rejects += readings.len() - i;
+                    out.rejected = readings.len() - i;
+                    out.nack = Some((seq, RejectCause::Storage));
+                    break;
+                }
+                if self.wal.total_bytes() + projected + frame > budget {
+                    self.budget_shed += readings.len() - i;
+                    out.rejected = readings.len() - i;
+                    out.nack = Some((seq, RejectCause::WalBudget));
+                    break;
+                }
+                projected += frame;
+            }
+            fresh.push(record);
+        }
+        self.admission_ns = self
+            .admission_ns
+            .saturating_add(admission_start.elapsed().as_nanos() as u64);
+        // Pass 2: one contiguous WAL extent for the whole fresh
+        // prefix, then per-reading admission. Only after the append
+        // may sequence numbers be marked seen.
+        if !fresh.is_empty() {
+            let logged_before = self.wal.records_logged();
+            match self.wal.append_many(&fresh) {
+                Ok(()) => {}
+                Err(WalError::Storage(_)) => {
+                    // Part of the extent may be on disk, but nothing
+                    // was observed or admitted: the whole batch is
+                    // unacked and the client retransmits it after
+                    // restart (dedup absorbs any durable prefix).
+                    self.storage_rejects += fresh.len();
+                    out.rejected += fresh.len();
+                    // The fresh prefix precedes any budget-refused
+                    // suffix, so its first seq is the NACK coordinate.
+                    out.nack = Some((fresh[0].seq, RejectCause::Storage));
+                    return Ok(out);
+                }
+                Err(e) => return Err(e.into()),
+            }
+            out.accepted = fresh.len();
+            let admit_start = std::time::Instant::now();
+            for record in fresh {
+                self.seqs
+                    .entry(record.sensor)
+                    .or_default()
+                    .observe(record.seq);
+                self.admit(record.raw());
+            }
+            self.admission_ns = self
+                .admission_ns
+                .saturating_add(admit_start.elapsed().as_nanos() as u64);
+            let logged = self.wal.records_logged();
+            let every = self.config.checkpoint_every;
+            if every > 0 && logged_before / every < logged / every {
+                self.write_checkpoint(logged, self.config.wal.retain_bytes.unwrap_or(u64::MAX))?;
+            }
+        }
+        out.ack_cursor = self.wal.records_logged();
+        out.ack_up_to = self.seqs.get(&sensor).and_then(|t| t.watermark());
+        Ok(out)
+    }
+
+    /// Whether a newer committed owner epoch fences this collector's
+    /// appends. Unfenced collectors (`epoch == 0`) and the
+    /// [`FenceCheck::Skip`] mutation pay nothing; fenced collectors
+    /// re-read the persisted token so a successor's rename-committed
+    /// claim is observed before the next append, with a wire-observed
+    /// epoch ([`Collector::observe_epoch`]) short-circuiting the read.
+    fn fence_breached(&mut self) -> bool {
+        if self.config.epoch == 0 || self.config.fence == FenceCheck::Skip {
+            return false;
+        }
+        if self.observed_epoch > self.config.epoch {
+            return true;
+        }
+        if let Ok(persisted) = read_fence(&self.config.wal) {
+            if persisted > self.observed_epoch {
+                self.observed_epoch = persisted;
+            }
+        }
+        self.observed_epoch > self.config.epoch
+    }
+
+    /// Records an owner epoch observed on the wire (a `Hello` or
+    /// `Heartbeat` carrying a newer epoch than ours). Once a newer
+    /// epoch is observed every delivery fail-stops with
+    /// [`RejectCause::Fenced`].
+    pub fn observe_epoch(&mut self, epoch: u64) {
+        if epoch > self.observed_epoch {
+            self.observed_epoch = epoch;
+        }
+    }
+
+    /// The owner epoch this collector was configured with (0:
+    /// unfenced).
+    pub fn epoch(&self) -> u64 {
+        self.config.epoch
+    }
+
+    /// Absolute WAL cursor covered by a completed fsync — the ack
+    /// gate for [`BatchOutcome::ack_cursor`].
+    pub fn synced_cursor(&self) -> u64 {
+        self.wal.synced_records()
+    }
+
+    /// Records appended but not yet covered by an fsync.
+    pub fn unsynced_records(&self) -> u64 {
+        self.wal.unsynced_records()
+    }
+
+    /// Server-side per-stage wall time accumulated so far (batch
+    /// admission, WAL writes, fsyncs) — the bench's ingest stage
+    /// breakdown. Transport stages (decode, ack) are counted by the
+    /// [`Server`](crate::server::Server) instead.
+    pub fn stage_timings(&self) -> StageTimings {
+        StageTimings {
+            admission_ns: self.admission_ns,
+            wal_append_ns: self.wal.append_ns(),
+            fsync_ns: self.wal.fsync_ns(),
+        }
+    }
+
+    /// Forces the group-commit fsync: after `Ok`, every logged record
+    /// is covered and every queued ack may be released. A storage
+    /// failure poisons the WAL (callers NACK from then on).
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError`] on non-storage failures only; fsync failure
+    /// is absorbed into the poisoned state like delivery does.
+    pub fn sync_wal(&mut self) -> Result<(), GatewayError> {
+        if self.wal.poisoned().is_some() || self.wal.unsynced_records() == 0 {
+            return Ok(());
+        }
+        match self.wal.sync() {
+            Ok(()) => Ok(()),
+            Err(WalError::Storage(_)) => Ok(()),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Runs one admitted record through reorder → sanitize → pipeline.
+    pub(super) fn admit(&mut self, record: RawRecord) {
+        let sensor = record.sensor;
+        let time = record.time;
+        if self.reorder.offer(record) == AdmitOutcome::Admitted {
+            let heard = self.last_heard.entry(sensor).or_insert(time);
+            if time > *heard {
+                *heard = time;
+            }
+            // A reappearing sensor clears its silence (the episode
+            // stays counted).
+            self.silent.remove(&sensor);
+        }
+        let mut released = std::mem::take(&mut self.released_scratch);
+        self.reorder.drain_ready(&mut released);
+        for raw in released.drain(..) {
+            self.ingest_released(raw);
+        }
+        self.released_scratch = released;
+        self.update_liveness(sensor);
+    }
+
+    pub(super) fn ingest_released(&mut self, raw: RawRecord) {
+        match self.sanitizer.accept(raw) {
+            Ok(record) => {
+                self.accepted += 1;
+                if let Some(reading) = record.payload.reading() {
+                    let outcomes =
+                        self.pipeline
+                            .push_values(record.time, record.sensor, reading.values());
+                    for outcome in outcomes {
+                        self.pipeline.recycle_outcome(outcome);
+                    }
+                }
+                if let Some(log) = &mut self.trace_log {
+                    log.push(record);
+                }
+            }
+            Err(e) => self.rejected.push(e),
+        }
+    }
+
+    /// Re-derives silence membership after one admission. `touched` is
+    /// the sensor the admission may have updated `last_heard` for —
+    /// while the watermark is unchanged it is the only sensor whose
+    /// silence condition can have changed, so the full scan (which
+    /// this is observably equivalent to, record for record) runs only
+    /// when the watermark advances.
+    fn update_liveness(&mut self, touched: SensorId) {
+        let Some(deadline) = self.config.silence_deadline else {
+            return;
+        };
+        let Some(watermark) = self.reorder.watermark() else {
+            return;
+        };
+        if self.liveness_watermark == Some(watermark) {
+            if let Some(&heard) = self.last_heard.get(&touched) {
+                if watermark > heard.saturating_add(deadline) && self.silent.insert(touched) {
+                    self.episodes += 1;
+                }
+            }
+            return;
+        }
+        self.liveness_watermark = Some(watermark);
+        for (&sensor, &heard) in &self.last_heard {
+            if watermark > heard.saturating_add(deadline) && self.silent.insert(sensor) {
+                self.episodes += 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{baseline, config, stream, tmpdir};
+    use super::*;
+    use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault};
+    use crate::wal::FsyncPolicy;
+    use std::fs;
+
+    #[test]
+    fn duplicate_delivery_is_reacked_not_reprocessed() {
+        let dir = tmpdir("dup");
+        let (mut c, _) = Collector::open(config(&dir)).unwrap();
+        for (s, seq, t, v) in stream(20) {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
+        }
+        // Redeliver a prefix: all duplicates, all re-acked.
+        for (s, seq, t, v) in stream(5) {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Duplicate);
+        }
+        let report = c.finish().unwrap();
+        assert_eq!(report.ingest.duplicates, 10);
+        assert_eq!(report.ingest.accepted, 40);
+        assert!(report.ingest.rejected.is_empty());
+        assert!(report.storage.is_clean());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn silence_deadline_surfaces_silent_sensor() {
+        let dir = tmpdir("silence");
+        let mut cfg = config(&dir);
+        cfg.silence_deadline = Some(900);
+        cfg.reorder.watermark_delay = 0;
+        let (mut c, _) = Collector::open(cfg).unwrap();
+        // Sensor 1 stops reporting at t=600; sensor 0 keeps going.
+        let mut seq = [0u64; 2];
+        for i in 1..=20u64 {
+            let t = 300 * i;
+            c.deliver(SensorId(0), seq[0], t, vec![20.0, 50.0]).unwrap();
+            seq[0] += 1;
+            if t <= 600 {
+                c.deliver(SensorId(1), seq[1], t, vec![21.0, 51.0]).unwrap();
+                seq[1] += 1;
+            }
+        }
+        let live = c.liveness();
+        assert_eq!(live.silent, vec![(SensorId(1), 600)]);
+        assert_eq!(live.episodes, 1);
+        // It comes back: silence clears but the episode stays counted.
+        c.deliver(SensorId(1), seq[1], 6300, vec![21.0, 51.0])
+            .unwrap();
+        let live = c.liveness();
+        assert!(live.is_live());
+        assert_eq!(live.episodes, 1);
+        let report = c.finish().unwrap();
+        assert!(report.liveness.is_live());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fsync_failure_stops_acking_and_restart_replays_bit_identically() {
+        let records = stream(40);
+        let expect = baseline("fsync-base", &records);
+
+        let dir = tmpdir("fsync-fault");
+        let plan = FaultPlan::new().with_fault(FaultSpec {
+            path: ".seg".into(),
+            op: VfsOp::Fsync,
+            nth: 30,
+            kind: StorageFault::FsyncFail,
+            count: 1,
+        });
+        let mut cfg = config(&dir);
+        cfg.wal.fsync = FsyncPolicy::Always;
+        cfg.wal.vfs = Arc::new(FaultyVfs::new(plan));
+        let (mut c, _) = Collector::open(cfg).unwrap();
+        let mut acked = 0usize;
+        let mut rejected = 0usize;
+        for (s, seq, t, v) in records.iter().cloned() {
+            match c.deliver(s, seq, t, v).unwrap() {
+                DeliverOutcome::Accepted => {
+                    assert_eq!(rejected, 0, "no ack may follow a storage failure");
+                    acked += 1;
+                }
+                DeliverOutcome::Duplicate => unreachable!("stream has no duplicates"),
+                DeliverOutcome::Rejected(cause) => {
+                    assert_eq!(cause, RejectCause::Storage);
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(acked > 0 && rejected > 0, "fault hit mid-stream");
+        let status = c.storage_status();
+        let err = status.error.expect("wal poisoned");
+        assert_eq!(err.op, VfsOp::Fsync, "typed error names the fsync");
+        assert_eq!(status.storage_rejects, rejected);
+        let report = c.finish().unwrap();
+        assert!(report.storage.error.is_some(), "report carries the error");
+
+        // Restart on healthy storage: the acked prefix replays, and
+        // redelivering the whole stream converges to the clean run.
+        let (mut c2, info) = Collector::open(config(&dir)).unwrap();
+        assert!(info.replayed >= acked as u64, "every acked record survived");
+        for (s, seq, t, v) in records.iter().cloned() {
+            assert!(matches!(
+                c2.deliver(s, seq, t, v).unwrap(),
+                DeliverOutcome::Accepted | DeliverOutcome::Duplicate
+            ));
+        }
+        let resumed = c2.finish().unwrap();
+        assert_eq!(
+            format!("{}", expect.pipeline),
+            format!("{}", resumed.pipeline)
+        );
+        assert_eq!(expect.ingest.accepted, resumed.ingest.accepted);
+        assert!(resumed.storage.is_clean());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn budget_exhaustion_sheds_with_counted_nacks() {
+        // Checkpoints never commit (rename always fails), so retention
+        // can never reclaim: once the budget fills, deliveries are
+        // NACKed as WalBudget, not silently dropped and never acked.
+        let dir = tmpdir("shed");
+        let plan = FaultPlan::new().with_fault(FaultSpec {
+            path: CHECKPOINT_FILE.into(),
+            op: VfsOp::Rename,
+            nth: 1,
+            kind: StorageFault::Enospc,
+            count: u32::MAX,
+        });
+        let frame: u64 = 21 + 8 * 2 + 8;
+        let mut cfg = config(&dir);
+        cfg.wal.retain_bytes = Some(3 * frame);
+        cfg.wal.vfs = Arc::new(FaultyVfs::new(plan));
+        let (mut c, _) = Collector::open(cfg).unwrap();
+        let mut acked = 0usize;
+        let mut shed = 0usize;
+        for (s, seq, t, v) in stream(10) {
+            match c.deliver(s, seq, t, v).unwrap() {
+                DeliverOutcome::Accepted => acked += 1,
+                DeliverOutcome::Rejected(RejectCause::WalBudget) => shed += 1,
+                other => unreachable!("unexpected outcome {other:?}"),
+            }
+        }
+        assert_eq!(acked, 3, "budget holds exactly three frames");
+        assert_eq!(shed, 17);
+        let status = c.storage_status();
+        assert_eq!(status.budget_shed, 17);
+        assert!(status.checkpoint_failures > 0, "commit failures counted");
+        assert!(status.error.is_none(), "shedding is not poisoning");
+        let report = c.finish().unwrap();
+        assert_eq!(report.storage.budget_shed, 17);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Epoch fencing, live path: a collector that *observes* a newer
+    /// epoch on the wire (Hello/Heartbeat from a newer-epoch peer)
+    /// fail-stops its deliver path with typed `Fenced` rejects and
+    /// counts them; the WAL gains no interleaved appends.
+    #[test]
+    fn wire_observed_newer_epoch_fences_deliveries() {
+        let dir = tmpdir("fence-wire");
+        let mut cfg = config(&dir);
+        cfg.epoch = 1;
+        let (mut c, _) = Collector::open(cfg).unwrap();
+        assert_eq!(
+            c.deliver(SensorId(0), 0, 300, vec![20.0, 50.0]).unwrap(),
+            DeliverOutcome::Accepted
+        );
+        c.observe_epoch(2); // a successor announced itself
+        for seq in 1..4u64 {
+            assert_eq!(
+                c.deliver(SensorId(0), seq, 300 * (seq + 1), vec![21.0, 51.0])
+                    .unwrap(),
+                DeliverOutcome::Rejected(RejectCause::Fenced)
+            );
+        }
+        let readings: Vec<(Timestamp, Vec<f64>)> =
+            vec![(1500, vec![22.0, 52.0]), (1800, vec![23.0, 53.0])];
+        let out = c.deliver_batch(SensorId(0), 4, &readings).unwrap();
+        assert_eq!(out.nack, Some((4, RejectCause::Fenced)));
+        assert_eq!(out.rejected, 2);
+        let status = c.storage_status();
+        assert_eq!(status.fence_rejects, 5);
+        assert_eq!(status.fenced_by, Some(2));
+        assert!(
+            status.is_clean(),
+            "fencing is an orderly fail-stop, not storage degradation"
+        );
+        drop(c);
+        // No interleaved appends: an unfenced reopen replays only the
+        // single record accepted before the newer epoch was observed.
+        let (_, rec) = Collector::open(config(&dir)).unwrap();
+        assert_eq!(rec.replayed, 1, "a fenced collector must not append");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `FenceCheck::Skip` is the mutation seam: with the check
+    /// disabled, a stale collector reopens and appends straight past a
+    /// newer committed epoch — exactly the split-brain the nemesis
+    /// campaign must catch (see `xtask nemesis --mutate`).
+    #[test]
+    fn fence_check_skip_admits_split_brain() {
+        let dir = tmpdir("fence-skip");
+        let mut cfg = config(&dir);
+        cfg.epoch = 2;
+        let (c, _) = Collector::open(cfg).unwrap();
+        drop(c);
+        let mut cfg = config(&dir);
+        cfg.epoch = 1;
+        cfg.fence = FenceCheck::Skip;
+        let (mut zombie, _) = Collector::open(cfg).expect("skip must admit the stale epoch");
+        zombie.observe_epoch(2);
+        assert_eq!(
+            zombie
+                .deliver(SensorId(0), 0, 300, vec![20.0, 50.0])
+                .unwrap(),
+            DeliverOutcome::Accepted,
+            "the broken build appends where the shipped one fail-stops"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}

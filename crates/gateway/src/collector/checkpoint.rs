@@ -1,0 +1,436 @@
+//! Checkpoints, retention and the fence token: the rename-committed
+//! files beside the WAL that make a cursor a restore point and an
+//! epoch a durable ownership claim.
+
+use super::*;
+
+/// Marker line opening a gateway checkpoint file.
+pub(super) const CHECKPOINT_MAGIC: &str = "sentinet-gateway-checkpoint v2";
+/// Checkpoint file name inside the WAL directory. Public so pre-warm
+/// caches (federation standbys staging the owner's latest snapshot)
+/// can read the same bytes [`Collector::open_prewarmed`] will compare.
+pub const CHECKPOINT_FILE: &str = "checkpoint.ck";
+/// Scratch name the checkpoint is written under before rename-commit.
+pub(super) const CHECKPOINT_TMP: &str = "checkpoint.tmp";
+/// Marker line opening the fence-token file.
+const FENCE_MAGIC: &str = "sentinet-fence v1";
+/// Fence-token file name inside the WAL directory: the committed
+/// owner epoch, persisted beside the WAL so a stale owner sharing the
+/// directory observes its successor.
+const FENCE_FILE: &str = "fence.tk";
+/// Scratch name the fence token is written under before rename-commit.
+const FENCE_TMP: &str = "fence.tmp";
+
+impl Collector {
+    /// WAL cursor of the last committed checkpoint (0: none yet) —
+    /// advertised in heartbeat replies so standbys can pre-warm from
+    /// the freshest snapshot.
+    pub fn checkpoint_cursor(&self) -> u64 {
+        self.last_checkpoint_cursor
+    }
+
+    /// Tries to bring the on-disk WAL under `target` bytes so one more
+    /// record fits the retention budget: seals a lone active segment
+    /// (sealed segments are the unit of reclaim), then checkpoints at
+    /// the current cursor, which reclaims every sealed segment below
+    /// it. Storage failures poison the WAL and are left for the caller
+    /// to observe.
+    pub(super) fn reclaim_for_budget(&mut self, target: u64) -> Result<(), GatewayError> {
+        if self.wal.segments().len() == 1 && self.wal.segments()[0].records > 0 {
+            match self.wal.roll_segment() {
+                Ok(()) => {}
+                Err(WalError::Storage(_)) => return Ok(()),
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.write_checkpoint(self.wal.records_logged(), target)
+            .map(|_| ())
+    }
+
+    /// Writes a restore-point checkpoint at `cursor` and reclaims WAL
+    /// segments down to `reclaim_budget` bytes. The commit order is
+    /// the crash-safety argument (`DESIGN.md` §13):
+    ///
+    /// 1. fsync the WAL — the checkpoint may only reference durable
+    ///    records;
+    /// 2. plan the reclaim and write the checkpoint *carrying the
+    ///    post-reclaim base* to a tmp file; rename-commit it;
+    /// 3. only then delete the planned segments.
+    ///
+    /// A crash (or failure) before the rename leaves the previous
+    /// checkpoint intact and deletes nothing; a crash between rename
+    /// and deletion leaves leftover segments below the committed base,
+    /// which the next open removes.
+    ///
+    /// Failures are absorbed into counters, not propagated: a failed
+    /// sync poisons the WAL (deliveries start rejecting), and a failed
+    /// commit keeps the previous checkpoint authoritative. Returns
+    /// whether the checkpoint rename-committed — the periodic cadence
+    /// ignores it, but a migration cut must fail loudly instead of
+    /// leaving a restore point that disagrees with the shipped
+    /// snapshot.
+    pub(super) fn write_checkpoint(
+        &mut self,
+        cursor: u64,
+        reclaim_budget: u64,
+    ) -> Result<bool, GatewayError> {
+        // Skip the force when the synced watermark already covers the
+        // cursor (always true under `FsyncPolicy::Never`, and after a
+        // policy fsync covered the extent) — the sync would be a no-op
+        // and its fsync pure overhead on the group-commit hot path.
+        if self.wal.unsynced_records() > 0 {
+            match self.wal.sync() {
+                Ok(()) => {}
+                Err(WalError::Storage(_)) => return Ok(false),
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let plan = self.wal.plan_reclaim(cursor, reclaim_budget);
+        let mut text = String::new();
+        text.push_str(CHECKPOINT_MAGIC);
+        text.push('\n');
+        text.push_str(&format!("cursor {cursor}\n"));
+        text.push_str(&format!("base-segment {}\n", plan.base_segment));
+        text.push_str(&format!("base {}\n", plan.base_records));
+        text.push_str(&encode_collector(&self.snapshot()));
+        let vfs = Arc::clone(&self.config.wal.vfs);
+        let dir = &self.config.wal.dir;
+        let tmp = dir.join(CHECKPOINT_TMP);
+        let path = dir.join(CHECKPOINT_FILE);
+        let committed = vfs
+            .write_file(&tmp, text.as_bytes())
+            .map_err(|e| StorageError::new(VfsOp::Write, &tmp, &e))
+            .and_then(|()| {
+                vfs.rename(&tmp, &path)
+                    .map_err(|e| StorageError::new(VfsOp::Rename, &path, &e))
+            });
+        if committed.is_err() {
+            self.checkpoint_failures += 1;
+            return Ok(false);
+        }
+        self.last_checkpoint_cursor = cursor;
+        if !plan.is_empty() {
+            match self.wal.execute_reclaim(&plan) {
+                Ok(()) => self.reclaimed_segments += plan.delete.len(),
+                Err(_) => self.reclaim_failures += 1,
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// Reads the persisted fence token through the configured
+/// [`Vfs`](crate::vfs::Vfs); a missing or unreadable token reads as
+/// epoch 0 (the directory was never fenced — or the read raced the
+/// successor's rename-commit, in which case the next read observes
+/// the committed token).
+pub(super) fn read_fence(config: &WalConfig) -> Result<u64, GatewayError> {
+    let path = config.dir.join(FENCE_FILE);
+    let bytes = match config.vfs.read(&path) {
+        Ok(b) => b,
+        Err(_) => return Ok(0),
+    };
+    let text = String::from_utf8(bytes)
+        .map_err(|_| GatewayError::CheckpointMalformed("fence token is not utf-8".into()))?;
+    let mut lines = text.lines();
+    if lines.next() != Some(FENCE_MAGIC) {
+        return Err(GatewayError::CheckpointMalformed(
+            "fence token missing magic header".into(),
+        ));
+    }
+    lines
+        .next()
+        .and_then(|l| l.strip_prefix("epoch "))
+        .and_then(|n| n.parse::<u64>().ok())
+        .ok_or_else(|| GatewayError::CheckpointMalformed("fence token bad `epoch` line".into()))
+}
+
+/// Commits `epoch` as the directory's fence token (tmp + rename, like
+/// the checkpoint), through the configured [`Vfs`](crate::vfs::Vfs).
+/// A failure here is an open-time error: without a committed token the
+/// single-writer guarantee cannot be made.
+pub(super) fn write_fence(config: &WalConfig, epoch: u64) -> Result<(), GatewayError> {
+    let text = format!("{FENCE_MAGIC}\nepoch {epoch}\n");
+    config
+        .vfs
+        .create_dir_all(&config.dir)
+        .map_err(|e| GatewayError::Io(config.dir.clone(), e))?;
+    let tmp = config.dir.join(FENCE_TMP);
+    let path = config.dir.join(FENCE_FILE);
+    config
+        .vfs
+        .write_file(&tmp, text.as_bytes())
+        .map_err(|e| GatewayError::Io(tmp.clone(), e))?;
+    config
+        .vfs
+        .rename(&tmp, &path)
+        .map_err(|e| GatewayError::Io(path, e))
+}
+
+/// Reads and parses the checkpoint file, if present, through the
+/// configured [`Vfs`](crate::vfs::Vfs).
+pub(super) fn read_checkpoint(config: &WalConfig) -> Result<Option<CheckpointData>, GatewayError> {
+    let path = config.dir.join(CHECKPOINT_FILE);
+    let bytes = match config.vfs.read(&path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(GatewayError::Io(path, e)),
+    };
+    let text = String::from_utf8(bytes)
+        .map_err(|_| GatewayError::CheckpointMalformed("checkpoint is not utf-8".into()))?;
+    let mut lines = text.splitn(5, '\n');
+    if lines.next() != Some(CHECKPOINT_MAGIC) {
+        return Err(GatewayError::CheckpointMalformed(
+            "missing magic header".into(),
+        ));
+    }
+    let mut header = |tag: &str| {
+        lines
+            .next()
+            .and_then(|l| l.strip_prefix(tag))
+            .and_then(|n| n.parse::<u64>().ok())
+            .ok_or_else(|| GatewayError::CheckpointMalformed(format!("bad `{tag}` line")))
+    };
+    let cursor = header("cursor ")?;
+    let base_segment = header("base-segment ")?;
+    let base_records = header("base ")?;
+    if base_segment == 0 {
+        return Err(GatewayError::CheckpointMalformed(
+            "base-segment must be at least 1".into(),
+        ));
+    }
+    let body = lines.next().unwrap_or("").to_string();
+    Ok(Some(CheckpointData {
+        cursor,
+        base_segment,
+        base_records,
+        body,
+    }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{baseline, config, stream, tmpdir};
+    use super::*;
+    use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault};
+    use crate::wal::FsyncPolicy;
+    use std::fs;
+
+    /// Runs `stream(4)` through a collector configured by `tweak` on a
+    /// fault-free `FaultyVfs` and returns the total fsync count.
+    fn fsyncs_for(name: &str, tweak: impl Fn(&mut GatewayConfig)) -> u64 {
+        let dir = tmpdir(name);
+        let vfs = Arc::new(FaultyVfs::new(FaultPlan::new()));
+        let mut cfg = config(&dir);
+        cfg.wal.vfs = vfs.clone();
+        tweak(&mut cfg);
+        let expect_checkpoint = cfg.checkpoint_every != 0;
+        let (mut c, _) = Collector::open(cfg).unwrap();
+        for (s, seq, t, v) in stream(4) {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
+        }
+        c.finish().unwrap();
+        assert_eq!(
+            dir.join(CHECKPOINT_FILE).exists(),
+            expect_checkpoint,
+            "checkpoint cadence must behave as configured"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+        vfs.op_count(VfsOp::Fsync)
+    }
+
+    /// The checkpoint fast path: when the synced watermark already
+    /// covers the cursor (`Wal::unsynced_records() == 0`, as under
+    /// `FsyncPolicy::Always`), `write_checkpoint` performs zero fsync
+    /// calls — a per-record checkpoint cadence costs exactly as many
+    /// fsyncs as no checkpoints at all. Under a lazy policy the same
+    /// cadence forces syncs, which pins that the counter would have
+    /// caught a regression in the fast path.
+    #[test]
+    fn checkpoint_adds_no_fsync_when_watermark_covers_cursor() {
+        let eager_every = fsyncs_for("ckpt-eager-every", |c| {
+            c.wal.fsync = FsyncPolicy::Always;
+            c.checkpoint_every = 1;
+        });
+        let eager_finish_only = fsyncs_for("ckpt-eager-finish", |c| {
+            c.wal.fsync = FsyncPolicy::Always;
+            // No checkpoints at all: the baseline fsync count.
+            c.checkpoint_every = 0;
+        });
+        assert_eq!(
+            eager_every, eager_finish_only,
+            "checkpoints on the fast path must not add fsyncs"
+        );
+
+        let lazy_every = fsyncs_for("ckpt-lazy-every", |c| {
+            c.wal.fsync = FsyncPolicy::Batch(1_000);
+            c.checkpoint_every = 1;
+        });
+        let lazy_finish_only = fsyncs_for("ckpt-lazy-finish", |c| {
+            c.wal.fsync = FsyncPolicy::Batch(1_000);
+            c.checkpoint_every = 0;
+        });
+        assert!(
+            lazy_every > lazy_finish_only,
+            "a lazy policy must show checkpoint-forced syncs \
+             ({lazy_every} vs {lazy_finish_only}); otherwise this test \
+             could not detect fast-path regressions"
+        );
+    }
+
+    #[test]
+    fn tampered_checkpoint_fails_loudly() {
+        let dir = tmpdir("tamper");
+        let (mut c, _) = Collector::open(config(&dir)).unwrap();
+        for (s, seq, t, v) in stream(40) {
+            c.deliver(s, seq, t, v).unwrap();
+        }
+        drop(c);
+        // Corrupt the checkpoint snapshot body.
+        let path = dir.join(CHECKPOINT_FILE);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, text.replace("sensor 0", "sensor 9")).unwrap();
+        assert!(matches!(
+            Collector::open(config(&dir)),
+            Err(GatewayError::CheckpointMismatch { .. })
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn retention_keeps_wal_under_budget_and_restores_byte_equal() {
+        let records = stream(150);
+        let expect = baseline("retain-base", &records);
+
+        let dir = tmpdir("retain");
+        let frame = 21 + 8 * 2 + 8; // framed_len of a 2-value record
+        let budget = 4 * 16 * frame;
+        let mut cfg = config(&dir);
+        cfg.wal.segment_max_bytes = 16 * frame;
+        cfg.wal.retain_bytes = Some(budget);
+        let (mut c, _) = Collector::open(cfg.clone()).unwrap();
+        for (s, seq, t, v) in records[..200].iter().cloned() {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
+            assert!(c.wal_footprint() <= budget, "soak holds the budget");
+        }
+        let status = c.storage_status();
+        assert!(status.reclaimed_segments > 0, "retention reclaimed");
+        assert_eq!(status.budget_shed, 0, "nothing shed under this budget");
+        drop(c); // crash
+
+        // The prefix is gone, so recovery must restore the snapshot.
+        let (mut c2, info) = Collector::open(cfg.clone()).unwrap();
+        let restored = info.restored_from.expect("restore point used");
+        assert!(restored > 0 && info.replayed < 200);
+        for (s, seq, t, v) in records[190..].iter().cloned() {
+            let out = c2.deliver(s, seq, t, v).unwrap();
+            assert!(matches!(
+                out,
+                DeliverOutcome::Accepted | DeliverOutcome::Duplicate
+            ));
+            assert!(c2.wal_footprint() <= budget);
+        }
+        let resumed = c2.finish().unwrap();
+        assert_eq!(
+            format!("{}", expect.pipeline),
+            format!("{}", resumed.pipeline),
+            "retained run byte-equal to the unretained one"
+        );
+        assert_eq!(expect.ingest.accepted, resumed.ingest.accepted);
+        assert_eq!(resumed.ingest.duplicates, 10, "overlap re-acked");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crash_between_checkpoint_commit_and_delete_recovers() {
+        let records = stream(120);
+        let expect = baseline("leftover-base", &records);
+
+        // Every segment deletion fails: on-disk state is exactly a
+        // crash between checkpoint rename-commit and the deletes.
+        let dir = tmpdir("leftover");
+        let plan = FaultPlan::new().with_fault(FaultSpec {
+            path: ".seg".into(),
+            op: VfsOp::Remove,
+            nth: 1,
+            kind: StorageFault::Enospc,
+            count: u32::MAX,
+        });
+        let frame = 21 + 8 * 2 + 8;
+        let mut cfg = config(&dir);
+        cfg.wal.segment_max_bytes = 16 * frame;
+        cfg.wal.retain_bytes = Some(4 * 16 * frame);
+        let mut faulty = cfg.clone();
+        faulty.wal.vfs = Arc::new(FaultyVfs::new(plan));
+        let (mut c, _) = Collector::open(faulty).unwrap();
+        for (s, seq, t, v) in records[..200].iter().cloned() {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
+        }
+        let status = c.storage_status();
+        assert!(status.reclaim_failures > 0, "deletes failed");
+        assert_eq!(status.reclaimed_segments, 0);
+        assert!(status.error.is_none(), "delete failure does not poison");
+        drop(c); // crash with leftover segments on disk
+
+        // Recovery deletes the leftovers below the committed base and
+        // continues bit-identically on healthy storage.
+        assert!(dir.join("wal-00000001.seg").exists(), "leftover present");
+        let (mut c2, info) = Collector::open(cfg).unwrap();
+        assert!(!dir.join("wal-00000001.seg").exists(), "leftover removed");
+        assert!(info.restored_from.is_some());
+        for (s, seq, t, v) in records[190..].iter().cloned() {
+            c2.deliver(s, seq, t, v).unwrap();
+        }
+        let resumed = c2.finish().unwrap();
+        assert_eq!(
+            format!("{}", expect.pipeline),
+            format!("{}", resumed.pipeline)
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Epoch fencing, happy path: a successor at a newer epoch commits
+    /// its fence token on open; the superseded collector then refuses
+    /// to reopen (`GatewayError::Fenced`) — the single-writer claim is
+    /// durable before the successor ever appends.
+    #[test]
+    fn stale_epoch_cannot_reopen_fenced_wal() {
+        let dir = tmpdir("fence-reopen");
+        let mut cfg = config(&dir);
+        cfg.epoch = 1;
+        let (mut c, _) = Collector::open(cfg).unwrap();
+        for (s, seq, t, v) in stream(4) {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
+        }
+        drop(c); // crash without finish; epoch-1 token stays committed
+
+        // Failover: a successor adopts the dir at epoch 2.
+        let mut cfg = config(&dir);
+        cfg.epoch = 2;
+        let (c2, rec) = Collector::open(cfg).unwrap();
+        assert_eq!(rec.replayed, 8);
+        assert_eq!(c2.epoch(), 2);
+        drop(c2);
+
+        // The partitioned-away epoch-1 owner heals and tries to come
+        // back: it must fail-stop at open, not race the successor.
+        let mut cfg = config(&dir);
+        cfg.epoch = 1;
+        match Collector::open(cfg) {
+            Err(GatewayError::Fenced {
+                persisted,
+                configured,
+            }) => {
+                assert_eq!((persisted, configured), (2, 1));
+            }
+            other => panic!("stale reopen must be fenced, got {other:?}"),
+        }
+        // An unfenced (epoch 0) open still works — standalone
+        // single-collector deployments never see fencing.
+        let (mut c3, _) = Collector::open(config(&dir)).unwrap();
+        for (s, seq, t, v) in stream(4) {
+            assert_eq!(c3.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Duplicate);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
