@@ -365,7 +365,10 @@ impl ModelStates {
         if !(config.merge_threshold >= 0.0 && config.spawn_threshold > config.merge_threshold) {
             return Err("state snapshot thresholds inverted".into());
         }
-        if config.max_states < centroids.len() {
+        // The cap bounds *active* states (that is what `update` and
+        // `spawn_if_uncovered` enforce); merged-away slots are never
+        // reclaimed, so a long run legitimately holds more slots.
+        if config.max_states < active.iter().filter(|&&a| a).count() {
             return Err("state snapshot exceeds its own max_states".into());
         }
         let restored = Self {
@@ -441,6 +444,30 @@ mod tests {
         let mut bad = good;
         bad.centroids.clear();
         bad.active.clear();
+        assert!(ModelStates::from_snapshot(bad).is_err());
+    }
+
+    /// Merged-away slots stay allocated, so merges followed by spawns
+    /// legitimately leave more slots than `max_states` while the
+    /// active count respects it. The set's own snapshot must restore.
+    #[test]
+    fn snapshot_with_more_slots_than_max_states_round_trips() {
+        let config = ClusterConfig {
+            max_states: 2,
+            ..ClusterConfig::default()
+        };
+        let mut states = ModelStates::new(vec![vec![20.0, 50.0], vec![21.0, 50.0]], config);
+        // One round merges the two neighbours, the next two spawn.
+        states.update(&[vec![20.5, 50.0]]);
+        states.update(&[vec![60.0, 50.0]]);
+        states.update(&[vec![90.0, 10.0]]);
+        assert_eq!(states.active_states().len(), 2, "cap holds on active");
+        assert_eq!(states.num_slots(), 3, "one merged-away slot remains");
+        let restored = ModelStates::from_snapshot(states.snapshot()).unwrap();
+        assert_eq!(states, restored);
+        // More *active* states than the cap is still corruption.
+        let mut bad = states.snapshot();
+        bad.active = vec![true; 3];
         assert!(ModelStates::from_snapshot(bad).is_err());
     }
 

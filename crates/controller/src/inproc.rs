@@ -18,9 +18,16 @@
 //!   each zombie with a fresh append — epoch fencing must reject it,
 //!   or the fleet split-brained.
 //! - **Pipelined mode**: links buffer readings and flush them as
-//!   coalesced `deliver_batch` calls with an explicit `sync_wal`,
-//!   mirroring the protocol-v2 credit-window shape, so one campaign
-//!   covers both delivery disciplines.
+//!   coalesced `deliver_batch` calls with an explicit `sync_wal` —
+//!   batch admission and group commit without the wire — so one
+//!   campaign covers both delivery disciplines.
+//!
+//! The link calls the [`Collector`] directly rather than through the
+//! gateway's `protocol::Core`, on purpose: its replies carry what the
+//! wire drops (the typed reject cause, the error text behind a
+//! `LinkDown`), and it has no connections, credits or frames. It
+//! shares the collector's single admission path, not the wire
+//! protocol; the socket backend is what exercises the core.
 
 use crate::chaos::{CollectorFault, DrillPlan, NetFault};
 use crate::federation::{

@@ -71,9 +71,11 @@ pub struct BatchOutcome {
 }
 
 impl Collector {
-    /// Handles one delivered `Data` frame. `Accepted` and `Duplicate`
-    /// both mean "durable, send the ack"; `Rejected` means the record
-    /// could not be made durable and must be NACKed, never acked.
+    /// Handles one delivered `Data` frame — a batch of one through the
+    /// same admission run as [`Collector::deliver_batch`]. `Accepted`
+    /// and `Duplicate` both mean "durable per the fsync policy, send
+    /// the ack"; `Rejected` means the record could not be made durable
+    /// and must be NACKed, never acked.
     ///
     /// # Errors
     ///
@@ -89,66 +91,22 @@ impl Collector {
         time: Timestamp,
         values: Vec<f64>,
     ) -> Result<DeliverOutcome, GatewayError> {
-        if self.fence_breached() || self.is_retired(sensor) {
-            self.fence_rejects += 1;
-            return Ok(DeliverOutcome::Rejected(RejectCause::Fenced));
-        }
-        if self.wal.poisoned().is_some() {
-            self.storage_rejects += 1;
-            return Ok(DeliverOutcome::Rejected(RejectCause::Storage));
-        }
-        // Non-mutating dedup probe: a rejected record must leave no
-        // trace, or replay (which sees only durable records) would
-        // diverge from the live run.
-        if !self.seqs.get(&sensor).is_none_or(|t| t.is_new(seq)) {
-            self.seq_duplicates += 1;
-            return Ok(DeliverOutcome::Duplicate);
-        }
-        let record = WalRecord {
-            sensor,
-            seq,
-            time,
-            values,
-        };
-        if let Some(budget) = self.config.wal.retain_bytes {
-            let frame = Wal::framed_len(&record);
-            if self.wal.total_bytes() + frame > budget {
-                self.reclaim_for_budget(budget.saturating_sub(frame))?;
-                if self.wal.poisoned().is_some() {
-                    self.storage_rejects += 1;
-                    return Ok(DeliverOutcome::Rejected(RejectCause::Storage));
-                }
-                if self.wal.total_bytes() + frame > budget {
-                    self.budget_shed += 1;
-                    return Ok(DeliverOutcome::Rejected(RejectCause::WalBudget));
-                }
-            }
-        }
-        match self.wal.append(&record) {
-            Ok(()) => {}
-            Err(WalError::Storage(_)) => {
-                self.storage_rejects += 1;
-                return Ok(DeliverOutcome::Rejected(RejectCause::Storage));
-            }
-            Err(e) => return Err(e.into()),
-        }
-        // Only now — after the append — may the sequence number be
-        // marked seen: the record is durable (or will be truncated as
-        // a torn tail, in which case it was never acked either).
-        self.seqs.entry(sensor).or_default().observe(seq);
-        self.admit(record.raw());
-        let logged = self.wal.records_logged();
-        if self.config.checkpoint_every > 0 && logged.is_multiple_of(self.config.checkpoint_every) {
-            self.write_checkpoint(logged, self.config.wal.retain_bytes.unwrap_or(u64::MAX))?;
-        }
-        Ok(DeliverOutcome::Accepted)
+        // Untimed: `admission_ns` is the *batch* stage of the bench
+        // breakdown, and stop-and-wait callers deliver per reading —
+        // clock reads would be a per-reading cost.
+        let out = self.deliver_run(sensor, seq, std::iter::once((time, values)), false)?;
+        Ok(match out.nack {
+            Some((_, cause)) => DeliverOutcome::Rejected(cause),
+            None if out.duplicates > 0 => DeliverOutcome::Duplicate,
+            None => DeliverOutcome::Accepted,
+        })
     }
 
     /// Handles one delivered `DataBatch` frame: dedup, budget
     /// projection, and reorder/sanitize/pipeline admission run per
-    /// reading exactly as [`Collector::deliver`] would, but the WAL
-    /// append is one contiguous extent ([`Wal::append_many`]) and the
-    /// fsync policy is charged per batch — the group-commit fast path.
+    /// reading, but the WAL append is one contiguous extent
+    /// ([`Wal::append_many`]) and the fsync policy is charged per
+    /// batch — the group-commit fast path.
     ///
     /// Admission stops at the first refused reading (budget exhaustion
     /// or storage failure): the surviving prefix is logged and
@@ -167,6 +125,25 @@ impl Collector {
         first_seq: u64,
         readings: &[(Timestamp, Vec<f64>)],
     ) -> Result<BatchOutcome, GatewayError> {
+        let run = readings
+            .iter()
+            .map(|(time, values)| (*time, values.as_slice()));
+        self.deliver_run(sensor, first_seq, run, true)
+    }
+
+    /// The one admission path: `readings` arrive under consecutive
+    /// seqs from `first_seq`. Values are taken by `Into<Vec<f64>>` so
+    /// an owned reading moves into its WAL record and a borrowed one
+    /// is cloned only once it is known to be fresh. `timed` charges
+    /// the two admission passes to [`StageTimings::admission_ns`].
+    fn deliver_run<V: Into<Vec<f64>>>(
+        &mut self,
+        sensor: SensorId,
+        first_seq: u64,
+        readings: impl ExactSizeIterator<Item = (Timestamp, V)>,
+        timed: bool,
+    ) -> Result<BatchOutcome, GatewayError> {
+        let total = readings.len();
         let mut out = BatchOutcome {
             accepted: 0,
             duplicates: 0,
@@ -176,25 +153,27 @@ impl Collector {
             nack: None,
         };
         if self.fence_breached() || self.is_retired(sensor) {
-            self.fence_rejects += readings.len();
-            out.rejected = readings.len();
+            self.fence_rejects += total;
+            out.rejected = total;
             out.nack = Some((first_seq, RejectCause::Fenced));
             return Ok(out);
         }
         if self.wal.poisoned().is_some() {
-            self.storage_rejects += readings.len();
-            out.rejected = readings.len();
+            self.storage_rejects += total;
+            out.rejected = total;
             out.nack = Some((first_seq, RejectCause::Storage));
             return Ok(out);
         }
         // Pass 1: per-reading dedup probe and cumulative budget
         // projection, collecting the admissible fresh prefix. Probes
-        // are non-mutating — a refused reading must leave no trace.
-        let mut fresh: Vec<WalRecord> = Vec::with_capacity(readings.len());
+        // are non-mutating — a refused reading must leave no trace, or
+        // replay (which sees only durable records) would diverge from
+        // the live run.
+        let mut fresh: Vec<WalRecord> = Vec::with_capacity(total);
         let mut projected = 0u64;
         let mut reclaimed = false;
-        let admission_start = std::time::Instant::now();
-        for (i, (time, values)) in readings.iter().enumerate() {
+        let pass_start = timed.then(std::time::Instant::now);
+        for (i, (time, values)) in readings.enumerate() {
             let seq = first_seq + i as u64;
             if !self.seqs.get(&sensor).is_none_or(|t| t.is_new(seq)) {
                 self.seq_duplicates += 1;
@@ -204,27 +183,27 @@ impl Collector {
             let record = WalRecord {
                 sensor,
                 seq,
-                time: *time,
-                values: values.clone(),
+                time,
+                values: values.into(),
             };
             if let Some(budget) = self.config.wal.retain_bytes {
                 let frame = Wal::framed_len(&record);
                 if self.wal.total_bytes() + projected + frame > budget && !reclaimed {
-                    // One reclaim attempt per batch, before anything
-                    // is appended (the checkpoint it writes covers
-                    // only records already durable).
+                    // One reclaim attempt per run, before anything is
+                    // appended (the checkpoint it writes covers only
+                    // records already durable).
                     self.reclaim_for_budget(budget.saturating_sub(projected + frame))?;
                     reclaimed = true;
                 }
                 if self.wal.poisoned().is_some() {
-                    self.storage_rejects += readings.len() - i;
-                    out.rejected = readings.len() - i;
+                    self.storage_rejects += total - i;
+                    out.rejected = total - i;
                     out.nack = Some((seq, RejectCause::Storage));
                     break;
                 }
                 if self.wal.total_bytes() + projected + frame > budget {
-                    self.budget_shed += readings.len() - i;
-                    out.rejected = readings.len() - i;
+                    self.budget_shed += total - i;
+                    out.rejected = total - i;
                     out.nack = Some((seq, RejectCause::WalBudget));
                     break;
                 }
@@ -232,19 +211,19 @@ impl Collector {
             }
             fresh.push(record);
         }
-        self.admission_ns = self
-            .admission_ns
-            .saturating_add(admission_start.elapsed().as_nanos() as u64);
+        self.charge_admission(pass_start);
         // Pass 2: one contiguous WAL extent for the whole fresh
         // prefix, then per-reading admission. Only after the append
-        // may sequence numbers be marked seen.
+        // may sequence numbers be marked seen: the records are durable
+        // (or will be truncated as a torn tail, in which case they
+        // were never acked either).
         if !fresh.is_empty() {
             let logged_before = self.wal.records_logged();
             match self.wal.append_many(&fresh) {
                 Ok(()) => {}
                 Err(WalError::Storage(_)) => {
                     // Part of the extent may be on disk, but nothing
-                    // was observed or admitted: the whole batch is
+                    // was observed or admitted: the whole run is
                     // unacked and the client retransmits it after
                     // restart (dedup absorbs any durable prefix).
                     self.storage_rejects += fresh.len();
@@ -257,7 +236,7 @@ impl Collector {
                 Err(e) => return Err(e.into()),
             }
             out.accepted = fresh.len();
-            let admit_start = std::time::Instant::now();
+            let pass_start = timed.then(std::time::Instant::now);
             for record in fresh {
                 self.seqs
                     .entry(record.sensor)
@@ -265,9 +244,7 @@ impl Collector {
                     .observe(record.seq);
                 self.admit(record.raw());
             }
-            self.admission_ns = self
-                .admission_ns
-                .saturating_add(admit_start.elapsed().as_nanos() as u64);
+            self.charge_admission(pass_start);
             let logged = self.wal.records_logged();
             let every = self.config.checkpoint_every;
             if every > 0 && logged_before / every < logged / every {
@@ -277,6 +254,16 @@ impl Collector {
         out.ack_cursor = self.wal.records_logged();
         out.ack_up_to = self.seqs.get(&sensor).and_then(|t| t.watermark());
         Ok(out)
+    }
+
+    /// Adds the time since `start` (when the run is timed at all) to
+    /// the admission stage.
+    fn charge_admission(&mut self, start: Option<std::time::Instant>) {
+        if let Some(start) = start {
+            self.admission_ns = self
+                .admission_ns
+                .saturating_add(start.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Whether a newer committed owner epoch fences this collector's
@@ -434,9 +421,10 @@ impl Collector {
 mod tests {
     use super::super::tests::{baseline, config, stream, tmpdir};
     use super::*;
-    use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault};
+    use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault, VfsOp};
     use crate::wal::FsyncPolicy;
     use std::fs;
+    use std::sync::Arc;
 
     #[test]
     fn duplicate_delivery_is_reacked_not_reprocessed() {

@@ -5,7 +5,7 @@
 use super::*;
 
 /// Marker line opening a gateway checkpoint file.
-pub(super) const CHECKPOINT_MAGIC: &str = "sentinet-gateway-checkpoint v2";
+const CHECKPOINT_MAGIC: &str = "sentinet-gateway-checkpoint v2";
 /// Checkpoint file name inside the WAL directory. Public so pre-warm
 /// caches (federation standbys staging the owner's latest snapshot)
 /// can read the same bytes [`Collector::open_prewarmed`] will compare.
@@ -86,25 +86,13 @@ impl Collector {
             }
         }
         let plan = self.wal.plan_reclaim(cursor, reclaim_budget);
-        let mut text = String::new();
-        text.push_str(CHECKPOINT_MAGIC);
-        text.push('\n');
-        text.push_str(&format!("cursor {cursor}\n"));
-        text.push_str(&format!("base-segment {}\n", plan.base_segment));
-        text.push_str(&format!("base {}\n", plan.base_records));
-        text.push_str(&encode_collector(&self.snapshot()));
-        let vfs = Arc::clone(&self.config.wal.vfs);
-        let dir = &self.config.wal.dir;
-        let tmp = dir.join(CHECKPOINT_TMP);
-        let path = dir.join(CHECKPOINT_FILE);
-        let committed = vfs
-            .write_file(&tmp, text.as_bytes())
-            .map_err(|e| StorageError::new(VfsOp::Write, &tmp, &e))
-            .and_then(|()| {
-                vfs.rename(&tmp, &path)
-                    .map_err(|e| StorageError::new(VfsOp::Rename, &path, &e))
-            });
-        if committed.is_err() {
+        let text = checkpoint_text(
+            cursor,
+            plan.base_segment,
+            plan.base_records,
+            &self.snapshot(),
+        );
+        if commit_sidecar(&self.config.wal, CHECKPOINT_TMP, CHECKPOINT_FILE, &text).is_err() {
             self.checkpoint_failures += 1;
             return Ok(false);
         }
@@ -119,44 +107,34 @@ impl Collector {
     }
 }
 
-/// Reads the persisted fence token through the configured
-/// [`Vfs`](crate::vfs::Vfs); a missing or unreadable token reads as
-/// epoch 0 (the directory was never fenced — or the read raced the
-/// successor's rename-commit, in which case the next read observes
-/// the committed token).
-pub(super) fn read_fence(config: &WalConfig) -> Result<u64, GatewayError> {
-    let path = config.dir.join(FENCE_FILE);
-    let bytes = match config.vfs.read(&path) {
-        Ok(b) => b,
-        Err(_) => return Ok(0),
-    };
-    let text = String::from_utf8(bytes)
-        .map_err(|_| GatewayError::CheckpointMalformed("fence token is not utf-8".into()))?;
-    let mut lines = text.lines();
-    if lines.next() != Some(FENCE_MAGIC) {
-        return Err(GatewayError::CheckpointMalformed(
-            "fence token missing magic header".into(),
-        ));
-    }
-    lines
-        .next()
-        .and_then(|l| l.strip_prefix("epoch "))
-        .and_then(|n| n.parse::<u64>().ok())
-        .ok_or_else(|| GatewayError::CheckpointMalformed("fence token bad `epoch` line".into()))
+/// The checkpoint file's bytes: magic, the three header coordinates,
+/// then the snapshot body.
+pub(super) fn checkpoint_text(
+    cursor: u64,
+    base_segment: u64,
+    base_records: u64,
+    snap: &CollectorSnapshot,
+) -> String {
+    format!(
+        "{CHECKPOINT_MAGIC}\ncursor {cursor}\nbase-segment {base_segment}\nbase {base_records}\n{}",
+        encode_collector(snap)
+    )
 }
 
-/// Commits `epoch` as the directory's fence token (tmp + rename, like
-/// the checkpoint), through the configured [`Vfs`](crate::vfs::Vfs).
-/// A failure here is an open-time error: without a committed token the
-/// single-writer guarantee cannot be made.
-pub(super) fn write_fence(config: &WalConfig, epoch: u64) -> Result<(), GatewayError> {
-    let text = format!("{FENCE_MAGIC}\nepoch {epoch}\n");
-    config
-        .vfs
-        .create_dir_all(&config.dir)
-        .map_err(|e| GatewayError::Io(config.dir.clone(), e))?;
-    let tmp = config.dir.join(FENCE_TMP);
-    let path = config.dir.join(FENCE_FILE);
+/// Rename-commits `text` as sidecar file `name` in the WAL directory
+/// through the configured [`Vfs`](crate::vfs::Vfs): one whole-file
+/// write to `tmp`, one rename over `name` — the only two storage
+/// operations of every sidecar commit (checkpoint, fence token,
+/// retired ranges, outbox), so fault plans aim at the same
+/// coordinates whichever file is being written.
+pub(super) fn commit_sidecar(
+    config: &WalConfig,
+    tmp: &str,
+    name: &str,
+    text: &str,
+) -> Result<(), GatewayError> {
+    let tmp = config.dir.join(tmp);
+    let path = config.dir.join(name);
     config
         .vfs
         .write_file(&tmp, text.as_bytes())
@@ -167,33 +145,89 @@ pub(super) fn write_fence(config: &WalConfig, epoch: u64) -> Result<(), GatewayE
         .map_err(|e| GatewayError::Io(path, e))
 }
 
-/// Reads and parses the checkpoint file, if present, through the
-/// configured [`Vfs`](crate::vfs::Vfs).
-pub(super) fn read_checkpoint(config: &WalConfig) -> Result<Option<CheckpointData>, GatewayError> {
-    let path = config.dir.join(CHECKPOINT_FILE);
+/// Reads sidecar file `name`, checks that its first line is `magic`
+/// and returns the rest. `Ok(None)` when the file does not exist.
+pub(super) fn read_sidecar(
+    config: &WalConfig,
+    name: &str,
+    magic: &str,
+) -> Result<Option<String>, GatewayError> {
+    let path = config.dir.join(name);
     let bytes = match config.vfs.read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(GatewayError::Io(path, e)),
     };
-    let text = String::from_utf8(bytes)
-        .map_err(|_| GatewayError::CheckpointMalformed("checkpoint is not utf-8".into()))?;
-    let mut lines = text.splitn(5, '\n');
-    if lines.next() != Some(CHECKPOINT_MAGIC) {
-        return Err(GatewayError::CheckpointMalformed(
-            "missing magic header".into(),
-        ));
+    let malformed = |what: &str| GatewayError::CheckpointMalformed(format!("{name} {what}"));
+    let mut text = String::from_utf8(bytes).map_err(|_| malformed("is not utf-8"))?;
+    let header = text.find('\n').unwrap_or(text.len());
+    if &text[..header] != magic {
+        return Err(malformed("missing magic header"));
     }
-    let mut header = |tag: &str| {
-        lines
-            .next()
-            .and_then(|l| l.strip_prefix(tag))
-            .and_then(|n| n.parse::<u64>().ok())
-            .ok_or_else(|| GatewayError::CheckpointMalformed(format!("bad `{tag}` line")))
+    text.drain(..(header + 1).min(text.len()));
+    Ok(Some(text))
+}
+
+/// [`read_sidecar`] for the two token files (fence, retired ranges),
+/// where *any* read failure means "never written": the read may have
+/// raced a successor's rename-commit, in which case the next read
+/// observes the committed file.
+pub(super) fn read_token(
+    config: &WalConfig,
+    name: &str,
+    magic: &str,
+) -> Result<Option<String>, GatewayError> {
+    match read_sidecar(config, name, magic) {
+        Err(GatewayError::Io(..)) => Ok(None),
+        other => other,
+    }
+}
+
+/// Parses the next of `lines` as `<tag><u64>` for sidecar `name`.
+pub(super) fn tagged_u64<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    name: &str,
+    tag: &str,
+) -> Result<u64, GatewayError> {
+    lines
+        .next()
+        .and_then(|l| l.strip_prefix(tag))
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| {
+            GatewayError::CheckpointMalformed(format!("{name} bad `{}` line", tag.trim_end()))
+        })
+}
+
+/// The persisted fence token's epoch; a missing or unreadable token
+/// reads as epoch 0 (the directory was never fenced).
+pub(super) fn read_fence(config: &WalConfig) -> Result<u64, GatewayError> {
+    match read_token(config, FENCE_FILE, FENCE_MAGIC)? {
+        Some(body) => tagged_u64(&mut body.lines(), FENCE_FILE, "epoch "),
+        None => Ok(0),
+    }
+}
+
+/// Commits `epoch` as the directory's fence token. A failure here is
+/// an open-time error: without a committed token the single-writer
+/// guarantee cannot be made.
+pub(super) fn write_fence(config: &WalConfig, epoch: u64) -> Result<(), GatewayError> {
+    config
+        .vfs
+        .create_dir_all(&config.dir)
+        .map_err(|e| GatewayError::Io(config.dir.clone(), e))?;
+    let text = format!("{FENCE_MAGIC}\nepoch {epoch}\n");
+    commit_sidecar(config, FENCE_TMP, FENCE_FILE, &text)
+}
+
+/// Reads and parses the checkpoint file, if present.
+pub(super) fn read_checkpoint(config: &WalConfig) -> Result<Option<CheckpointData>, GatewayError> {
+    let Some(text) = read_sidecar(config, CHECKPOINT_FILE, CHECKPOINT_MAGIC)? else {
+        return Ok(None);
     };
-    let cursor = header("cursor ")?;
-    let base_segment = header("base-segment ")?;
-    let base_records = header("base ")?;
+    let mut lines = text.splitn(4, '\n');
+    let cursor = tagged_u64(&mut lines, CHECKPOINT_FILE, "cursor ")?;
+    let base_segment = tagged_u64(&mut lines, CHECKPOINT_FILE, "base-segment ")?;
+    let base_records = tagged_u64(&mut lines, CHECKPOINT_FILE, "base ")?;
     if base_segment == 0 {
         return Err(GatewayError::CheckpointMalformed(
             "base-segment must be at least 1".into(),
@@ -212,9 +246,10 @@ pub(super) fn read_checkpoint(config: &WalConfig) -> Result<Option<CheckpointDat
 mod tests {
     use super::super::tests::{baseline, config, stream, tmpdir};
     use super::*;
-    use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault};
+    use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault, VfsOp};
     use crate::wal::FsyncPolicy;
     use std::fs;
+    use std::sync::Arc;
 
     /// Runs `stream(4)` through a collector configured by `tweak` on a
     /// fault-free `FaultyVfs` and returns the total fsync count.

@@ -2,6 +2,9 @@
 //! the retired-ranges and outbox files that make each step durable
 //! and idempotent.
 
+use super::checkpoint::{
+    checkpoint_text, commit_sidecar, read_sidecar, read_token, tagged_u64, CHECKPOINT_TMP,
+};
 use super::*;
 
 /// Marker line opening the retired-ranges file.
@@ -210,19 +213,8 @@ impl Collector {
                 dir.display()
             )));
         }
-        let mut text = String::new();
-        text.push_str(CHECKPOINT_MAGIC);
-        text.push('\n');
-        text.push_str(&format!("cursor {base}\n"));
-        text.push_str("base-segment 1\n");
-        text.push_str(&format!("base {base}\n"));
-        text.push_str(&encode_collector(snap));
-        let tmp = dir.join(CHECKPOINT_TMP);
-        let path = dir.join(CHECKPOINT_FILE);
-        vfs.write_file(&tmp, text.as_bytes())
-            .map_err(|e| GatewayError::Io(tmp.clone(), e))?;
-        vfs.rename(&tmp, &path)
-            .map_err(|e| GatewayError::Io(path, e))
+        let text = checkpoint_text(base, 1, base, snap);
+        commit_sidecar(&config.wal, CHECKPOINT_TMP, CHECKPOINT_FILE, &text)
     }
 
     /// Drops the staged outbox payload for `range` — called once the
@@ -230,11 +222,13 @@ impl Collector {
     /// (`MigrateDone`). Best-effort: a leftover outbox for a retired
     /// range is inert.
     pub fn clear_outbox(&self, range: std::ops::Range<u16>) {
-        let _ = self
-            .config
-            .wal
-            .vfs
-            .remove_file(&self.outbox_path((range.start, range.end)));
+        let _ = self.config.wal.vfs.remove_file(
+            &self
+                .config
+                .wal
+                .dir
+                .join(outbox_name((range.start, range.end), "ck")),
+        );
     }
 
     /// Half-open sensor ranges this collector has migrated away —
@@ -255,7 +249,7 @@ impl Collector {
     /// snapshot carries the accounting ledger (accepted count,
     /// rejection log, silence episodes), so rebasing onto a split half
     /// follows the split's keep-the-ledger-outside convention.
-    fn rebase(&mut self, snap: CollectorSnapshot) -> Result<(), GatewayError> {
+    pub(super) fn rebase(&mut self, snap: CollectorSnapshot) -> Result<(), GatewayError> {
         let pipeline = Pipeline::from_snapshot(
             self.config.pipeline.clone(),
             self.config.sample_period,
@@ -310,39 +304,18 @@ impl Collector {
         Ok(())
     }
 
-    /// Path of the staged outbox payload for one exported range.
-    fn outbox_path(&self, key: (u16, u16)) -> PathBuf {
-        self.config
-            .wal
-            .dir
-            .join(format!("outbox-{}-{}.ck", key.0, key.1))
-    }
-
     /// Reads the staged outbox payload for `key`, if a cut already
     /// committed one.
     fn read_outbox(
         &self,
         key: (u16, u16),
     ) -> Result<Option<(CollectorSnapshot, u64)>, GatewayError> {
-        let path = self.outbox_path(key);
-        let bytes = match self.config.wal.vfs.read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(GatewayError::Io(path, e)),
+        let name = outbox_name(key, "ck");
+        let Some(text) = read_sidecar(&self.config.wal, &name, OUTBOX_MAGIC)? else {
+            return Ok(None);
         };
-        let text = String::from_utf8(bytes)
-            .map_err(|_| GatewayError::CheckpointMalformed("outbox is not utf-8".into()))?;
-        let mut lines = text.splitn(3, '\n');
-        if lines.next() != Some(OUTBOX_MAGIC) {
-            return Err(GatewayError::CheckpointMalformed(
-                "outbox missing magic header".into(),
-            ));
-        }
-        let cursor = lines
-            .next()
-            .and_then(|l| l.strip_prefix("cursor "))
-            .and_then(|n| n.parse::<u64>().ok())
-            .ok_or_else(|| GatewayError::CheckpointMalformed("outbox bad `cursor` line".into()))?;
+        let mut lines = text.splitn(2, '\n');
+        let cursor = tagged_u64(&mut lines, &name, "cursor ")?;
         let snap = decode_collector(lines.next().unwrap_or(""))
             .map_err(GatewayError::CheckpointMalformed)?;
         Ok(Some((snap, cursor)))
@@ -355,22 +328,16 @@ impl Collector {
         cursor: u64,
         snap: &CollectorSnapshot,
     ) -> Result<(), GatewayError> {
-        let mut text = String::new();
-        text.push_str(OUTBOX_MAGIC);
-        text.push('\n');
-        text.push_str(&format!("cursor {cursor}\n"));
-        text.push_str(&encode_collector(snap));
-        let vfs = &self.config.wal.vfs;
-        let tmp = self
-            .config
-            .wal
-            .dir
-            .join(format!("outbox-{}-{}.tmp", key.0, key.1));
-        let path = self.outbox_path(key);
-        vfs.write_file(&tmp, text.as_bytes())
-            .map_err(|e| GatewayError::Io(tmp.clone(), e))?;
-        vfs.rename(&tmp, &path)
-            .map_err(|e| GatewayError::Io(path, e))
+        let text = format!(
+            "{OUTBOX_MAGIC}\ncursor {cursor}\n{}",
+            encode_collector(snap)
+        );
+        commit_sidecar(
+            &self.config.wal,
+            &outbox_name(key, "tmp"),
+            &outbox_name(key, "ck"),
+            &text,
+        )
     }
 
     /// Rename-commits the in-memory retired set to the retired-ranges
@@ -381,37 +348,28 @@ impl Collector {
         for (a, b) in &self.retired {
             text.push_str(&format!("range {a} {b}\n"));
         }
-        let vfs = &self.config.wal.vfs;
-        vfs.create_dir_all(&self.config.wal.dir)
-            .map_err(|e| GatewayError::Io(self.config.wal.dir.clone(), e))?;
-        let tmp = self.config.wal.dir.join(RETIRED_TMP);
-        let path = self.config.wal.dir.join(RETIRED_FILE);
-        vfs.write_file(&tmp, text.as_bytes())
-            .map_err(|e| GatewayError::Io(tmp.clone(), e))?;
-        vfs.rename(&tmp, &path)
-            .map_err(|e| GatewayError::Io(path, e))
+        let wal = &self.config.wal;
+        wal.vfs
+            .create_dir_all(&wal.dir)
+            .map_err(|e| GatewayError::Io(wal.dir.clone(), e))?;
+        commit_sidecar(wal, RETIRED_TMP, RETIRED_FILE, &text)
     }
 }
 
-/// Reads the persisted retired-ranges file through the configured
-/// [`Vfs`](crate::vfs::Vfs); a missing or unreadable file reads as
-/// empty — the directory never exported a range.
+/// File name of the staged outbox payload (`ext` = `ck`) or its
+/// scratch copy (`ext` = `tmp`) for one exported range.
+fn outbox_name(key: (u16, u16), ext: &str) -> String {
+    format!("outbox-{}-{}.{ext}", key.0, key.1)
+}
+
+/// The persisted retired ranges; a missing or unreadable file reads
+/// as empty — the directory never exported a range.
 pub(super) fn read_retired(config: &WalConfig) -> Result<Vec<(u16, u16)>, GatewayError> {
-    let path = config.dir.join(RETIRED_FILE);
-    let bytes = match config.vfs.read(&path) {
-        Ok(b) => b,
-        Err(_) => return Ok(Vec::new()),
+    let Some(body) = read_token(config, RETIRED_FILE, RETIRED_MAGIC)? else {
+        return Ok(Vec::new());
     };
-    let text = String::from_utf8(bytes)
-        .map_err(|_| GatewayError::CheckpointMalformed("retired ranges not utf-8".into()))?;
-    let mut lines = text.lines();
-    if lines.next() != Some(RETIRED_MAGIC) {
-        return Err(GatewayError::CheckpointMalformed(
-            "retired ranges missing magic header".into(),
-        ));
-    }
     let mut out = Vec::new();
-    for line in lines {
+    for line in body.lines() {
         let mut parts = line.strip_prefix("range ").unwrap_or("").split(' ');
         match (
             parts.next().and_then(|n| n.parse::<u16>().ok()),

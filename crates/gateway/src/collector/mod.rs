@@ -55,16 +55,15 @@ use crate::reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig};
 use crate::snapshot::{
     decode_collector, encode_collector, merge_snapshot, split_snapshot, CollectorSnapshot,
 };
-use crate::vfs::{StorageError, VfsOp};
+use crate::vfs::StorageError;
 use crate::wal::{Wal, WalConfig, WalError, WalRecord};
-use checkpoint::{read_checkpoint, read_fence, write_fence, CHECKPOINT_MAGIC, CHECKPOINT_TMP};
+use checkpoint::{read_checkpoint, read_fence, write_fence};
 use migration::read_retired;
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
 use sentinet_sim::{IngestReport, RawRecord, Sanitizer, SensorId, Timestamp, Trace, TraceRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Full gateway configuration.
 #[derive(Debug, Clone)]
@@ -113,7 +112,7 @@ pub struct GatewayConfig {
 /// — a partitioned-but-alive owner keeps appending to a WAL its
 /// successor now owns — so the nemesis campaign can prove it *detects*
 /// the violation (a mutation-style self-test mirroring
-/// [`AckDiscipline::Eager`](crate::harness::AckDiscipline)). Production
+/// [`AckDiscipline::Eager`](crate::protocol::AckDiscipline)). Production
 /// code must never use it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FenceCheck {
@@ -576,7 +575,10 @@ impl Collector {
             // Restore mode: the prefix below the cursor was reclaimed;
             // rebuild state from the snapshot, replay only the tail.
             let snap = decode_collector(&ck.body).map_err(GatewayError::CheckpointMalformed)?;
-            let mut collector = Self::from_snapshot(config, wal, snap)?;
+            // Counters excluded from the snapshot (retransmissions,
+            // storage health, the released-trace log) start fresh.
+            let mut collector = Self::fresh(config, wal);
+            collector.rebase(snap)?;
             collector.retired = retired;
             collector.last_checkpoint_cursor = checkpoint_cursor;
             let skip = (ck.cursor - base_records) as usize;
@@ -661,63 +663,6 @@ impl Collector {
             last_checkpoint_cursor: 0,
             admission_ns: 0,
         }
-    }
-
-    /// Rebuilds a collector from a restore-point snapshot. Counters
-    /// excluded from the snapshot (retransmissions, storage health,
-    /// the released-trace log) start fresh.
-    fn from_snapshot(
-        config: GatewayConfig,
-        wal: Wal,
-        snap: CollectorSnapshot,
-    ) -> Result<Self, GatewayError> {
-        let malformed = |e: String| GatewayError::CheckpointMalformed(e);
-        let pipeline =
-            Pipeline::from_snapshot(config.pipeline.clone(), config.sample_period, snap.pipeline)
-                .map_err(|e| malformed(e.to_string()))?;
-        let reorder = ReorderBuffer::from_snapshot(config.reorder.clone(), snap.reorder);
-        let sanitizer = Sanitizer::from_snapshot(snap.sanitizer);
-        let seqs = snap
-            .seqs
-            .into_iter()
-            .map(|(sensor, next, above)| {
-                (
-                    sensor,
-                    SeqTracker {
-                        next,
-                        above: above.into_iter().collect(),
-                    },
-                )
-            })
-            .collect();
-        let trace_log = config.record_released.then(Vec::new);
-        Ok(Self {
-            config,
-            wal,
-            pipeline,
-            sanitizer,
-            reorder,
-            seqs,
-            seq_duplicates: 0,
-            accepted: snap.accepted,
-            rejected: snap.rejected,
-            last_heard: snap.last_heard.into_iter().collect(),
-            silent: snap.silent.into_iter().collect(),
-            liveness_watermark: None,
-            episodes: snap.episodes,
-            released_scratch: Vec::new(),
-            trace_log,
-            budget_shed: 0,
-            storage_rejects: 0,
-            checkpoint_failures: 0,
-            reclaim_failures: 0,
-            reclaimed_segments: 0,
-            observed_epoch: 0,
-            fence_rejects: 0,
-            retired: Vec::new(),
-            last_checkpoint_cursor: 0,
-            admission_ns: 0,
-        })
     }
 
     /// The replay-deterministic image of this collector (everything a
@@ -857,11 +802,13 @@ impl Collector {
 
 #[cfg(test)]
 mod tests {
+    use super::checkpoint::CHECKPOINT_TMP;
     use super::*;
     use crate::vfs::{FaultPlan, FaultyVfs};
     use crate::wal::FsyncPolicy;
     use std::fs;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     pub(super) fn tmpdir(name: &str) -> PathBuf {
         let dir =

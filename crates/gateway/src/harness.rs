@@ -4,62 +4,25 @@
 //!
 //! [`Server`](crate::server::Server) is built around threads, sockets
 //! and wall-clock timeouts, none of which an exhaustive state-space
-//! explorer can schedule. [`StepServer`] is the same protocol state
-//! machine with every nondeterministic edge lifted out: the caller
-//! owns the "network" (it feeds raw frame bytes per connection and
-//! collects typed reply messages), the caller decides when the
-//! queue-dry group commit fires ([`StepServer::commit`]), and every
-//! step decodes exactly one message. Crucially it is **not** a model
-//! of the server: admission, durability and ack release run through
+//! explorer can schedule. [`StepServer`] drives the same
+//! [`protocol::Core`](crate::protocol::Core) with every
+//! nondeterministic edge lifted out: the caller owns the "network" (it
+//! feeds raw frame bytes per connection and collects typed reply
+//! messages), the caller decides when the queue-dry group commit fires
+//! ([`StepServer::commit`]), and every step decodes exactly one
+//! message. It is **not** a model of the server: the protocol is the
+//! shipped core, and admission, durability and ack release run through
 //! the real [`Collector`] (real [`SeqTracker`](crate::collector::SeqTracker)
 //! dedup, real [`Wal`](crate::wal::Wal) appends over whatever
 //! [`Vfs`](crate::vfs::Vfs) the collector was opened with, real
 //! [`FrameBuffer`] decoding), so an invariant the checker proves holds
-//! for the shipped code paths, not a re-implementation. This mirrors
-//! how the shard-schedule checker drives the real engine coordinator
-//! through `ShardBackend`.
-//!
-//! The event-loop semantics replicated here (one arm per message, in
-//! [`StepServer::step`]) are intentionally line-for-line parallel to
-//! `Server::event_loop`; a behavioral change to one must be made to
-//! both (the checker's cross-validation against the socket tests is
-//! the tripwire).
+//! for the code that runs in production. This mirrors how the
+//! shard-schedule checker drives the real engine coordinator through
+//! `ShardBackend`.
 
-use crate::collector::{Collector, DeliverOutcome, GatewayError};
-use crate::frame::{FrameBuffer, FrameError, Message, PROTOCOL_V1, PROTOCOL_VERSION};
-use sentinet_sim::SensorId;
-
-/// When a queued cumulative ack may be written to the client.
-///
-/// The shipped rule is [`AckDiscipline::Durable`]. [`AckDiscipline::Eager`]
-/// deliberately re-creates the bug the group-commit release gate
-/// exists to prevent — acking on admission, before a completed fsync
-/// covers the batch's WAL extent — so the model checker can prove it
-/// *detects* the violation (a mutation-style self-test; see
-/// `xtask/src/protocol_check.rs`). Production code must never use it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckDiscipline {
-    /// Release an `AckUpTo` only once [`Collector::synced_cursor`]
-    /// covers its WAL cursor — the shipped ack-after-durable rule.
-    Durable,
-    /// Release on admission without consulting the synced cursor (the
-    /// deliberately broken discipline the checker must catch).
-    Eager,
-}
-
-/// A queued cumulative ack awaiting fsync coverage (the harness twin
-/// of the server's `PendingAck`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedAck {
-    /// Connection the ack belongs to.
-    pub conn: usize,
-    /// Acknowledged sensor.
-    pub sensor: SensorId,
-    /// Cumulative watermark to report.
-    pub seq: u64,
-    /// WAL cursor a completed fsync must cover first.
-    pub cursor: u64,
-}
+use crate::collector::{Collector, GatewayError};
+use crate::frame::{FrameBuffer, FrameError, Message};
+use crate::protocol::{AckDiscipline, Core, QueuedAck, Reply};
 
 /// What one [`StepServer::step`] call did.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,29 +38,29 @@ pub enum StepEvent {
     BadFrame(FrameError),
 }
 
-/// The single-stepped protocol v1/v2 server core over a real
+/// The single-stepped driver of the protocol core over a real
 /// [`Collector`]. See the module docs for what it is (a seam) and is
 /// not (a model).
 pub struct StepServer {
     collector: Collector,
     conns: Vec<Option<FrameBuffer>>,
-    pending: Vec<QueuedAck>,
-    credit_window: u32,
-    discipline: AckDiscipline,
-    version_rejects: u64,
+    core: Core,
 }
 
 impl StepServer {
     /// Wraps an opened collector; `credit_window` is granted in every
     /// v2 `HelloAck`.
     pub fn new(collector: Collector, credit_window: u32, discipline: AckDiscipline) -> Self {
+        Self::with_core(collector, Core::new(credit_window, false, discipline))
+    }
+
+    /// Wraps an opened collector around an explicitly configured core
+    /// (e.g. one pinned to protocol v1).
+    pub fn with_core(collector: Collector, core: Core) -> Self {
         Self {
             collector,
             conns: Vec::new(),
-            pending: Vec::new(),
-            credit_window,
-            discipline,
-            version_rejects: 0,
+            core,
         }
     }
 
@@ -114,7 +77,7 @@ impl StepServer {
         if let Some(slot) = self.conns.get_mut(conn) {
             *slot = None;
         }
-        self.pending.retain(|p| p.conn != conn);
+        self.core.on_closed(conn);
     }
 
     /// Appends raw frame bytes to `conn`'s receive stream (the
@@ -126,8 +89,8 @@ impl StepServer {
         }
     }
 
-    /// Decodes and handles at most one message from `conn`, exactly as
-    /// one `Event::Msg` arm of the server's event loop.
+    /// Decodes at most one message from `conn` and hands it to the
+    /// core, exactly as the server does with one queued event.
     ///
     /// # Errors
     ///
@@ -146,159 +109,13 @@ impl StepServer {
             _ => return Ok(StepEvent::Idle),
         };
         let mut replies = Vec::new();
-        match msg {
-            Message::Data {
-                sensor,
-                seq,
-                time,
-                values,
-            } => {
-                // v1 stop-and-wait: deliver() made the record durable
-                // under the fsync policy before returning, so the ack
-                // needs no release gate.
-                let outcome = self.collector.deliver(sensor, seq, time, values)?;
-                let reply = match outcome {
-                    DeliverOutcome::Accepted | DeliverOutcome::Duplicate => {
-                        Message::Ack { sensor, seq }
-                    }
-                    DeliverOutcome::Rejected(_) => Message::Nack { sensor, seq },
-                };
-                replies.push((conn, reply));
-            }
-            Message::DataBatch {
-                sensor,
-                first_seq,
-                readings,
-            } => {
-                let out = self.collector.deliver_batch(sensor, first_seq, &readings)?;
-                if let Some((seq, _)) = out.nack {
-                    replies.push((conn, Message::Nack { sensor, seq }));
-                }
-                if let Some(seq) = out.ack_up_to {
-                    self.pending.push(QueuedAck {
-                        conn,
-                        sensor,
-                        seq,
-                        cursor: out.ack_cursor,
-                    });
-                    // Policy-driven fsyncs may already cover the batch;
-                    // release what can go now, pipeline the rest.
-                    self.release_ready(&mut replies);
-                }
-            }
-            Message::Fin => {
-                if !self.pending.is_empty() {
-                    self.collector.sync_wal()?;
-                    self.release_ready(&mut replies);
-                }
-                replies.push((conn, Message::FinAck));
-            }
-            Message::Hello { version, epoch } => {
-                if epoch > 0 {
-                    self.collector.observe_epoch(epoch);
-                }
-                match version {
-                    PROTOCOL_V1 => {}
-                    PROTOCOL_VERSION => {
-                        replies.push((
-                            conn,
-                            Message::HelloAck {
-                                version: PROTOCOL_VERSION,
-                                credits: self.credit_window,
-                            },
-                        ));
-                    }
-                    _ => {
-                        self.version_rejects += 1;
-                        replies.push((
-                            conn,
-                            Message::HelloReject {
-                                supported: PROTOCOL_VERSION,
-                            },
-                        ));
-                        self.disconnect(conn);
-                    }
-                }
-            }
-            Message::Heartbeat { epoch } => {
-                if epoch > 0 {
-                    self.collector.observe_epoch(epoch);
-                }
-                replies.push((
-                    conn,
-                    Message::HeartbeatAck {
-                        epoch: self.collector.epoch(),
-                        checkpoint_cursor: self.collector.checkpoint_cursor(),
-                    },
-                ));
-            }
-            Message::MigrateOffer { start, end } => {
-                // Source side of a live migration, exactly as the
-                // event loop: cut, release acks the cut's fsync
-                // covered, answer with the staged snapshot — or
-                // silence when the cut cannot be made durable.
-                let cut = self.collector.export_range(start..end);
-                if !self.pending.is_empty() {
-                    self.release_ready(&mut replies);
-                }
-                match cut {
-                    Ok((inside, cursor)) => replies.push((
-                        conn,
-                        Message::MigrateAccept {
-                            start,
-                            end,
-                            cursor,
-                            snapshot: crate::snapshot::encode_collector(&inside).into_bytes(),
-                        },
-                    )),
-                    Err(GatewayError::MigrationCut(_)) | Err(GatewayError::Wal(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            Message::MigrateAccept {
-                start,
-                end,
-                cursor,
-                snapshot,
-            } => {
-                // Destination side: adopt, confirm only once durable.
-                let adopted = String::from_utf8(snapshot)
-                    .ok()
-                    .and_then(|text| crate::snapshot::decode_collector(&text).ok())
-                    .map(|snap| self.collector.adopt_range(start..end, cursor, &snap));
-                match adopted {
-                    Some(Ok(())) => {
-                        replies.push((conn, Message::MigrateDone { start, end, cursor }));
-                    }
-                    Some(Err(GatewayError::MigrationCut(_)))
-                    | Some(Err(GatewayError::Wal(_)))
-                    | None => {}
-                    Some(Err(e)) => return Err(e),
-                }
-            }
-            Message::MigrateDone { start, end, cursor } => {
-                self.collector.clear_outbox(start..end);
-                replies.push((conn, Message::MigrateDone { start, end, cursor }));
-            }
-            Message::Ack { .. }
-            | Message::AckUpTo { .. }
-            | Message::FinAck
-            | Message::Nack { .. }
-            | Message::HelloAck { .. }
-            | Message::HelloReject { .. }
-            | Message::HeartbeatAck { .. } => {
-                // Server-bound streams should not carry replies;
-                // ignored, exactly as the event loop does.
-            }
-        }
-        Ok(StepEvent::Replies(replies))
+        self.core
+            .on_message(&mut self.collector, conn, msg, &mut replies)?;
+        Ok(StepEvent::Replies(self.route(replies)))
     }
 
-    /// The queue-dry group commit: one fsync covers every batch
-    /// admitted since the last, and the acks it unblocks are released
-    /// together. Mirrors the `TryRecvError::Empty` arm of the event
-    /// loop; the caller (the model checker's schedule) decides when
-    /// the queue counts as dry.
+    /// The queue-dry group commit; the caller (the model checker's
+    /// schedule) decides when the queue counts as dry.
     ///
     /// # Errors
     ///
@@ -306,42 +123,27 @@ impl StepServer {
     /// poisons the WAL and is absorbed, exactly like the server.
     pub fn commit(&mut self) -> Result<Vec<(usize, Message)>, GatewayError> {
         let mut replies = Vec::new();
-        if !self.pending.is_empty() {
-            self.collector.sync_wal()?;
-            self.release_ready(&mut replies);
-        }
-        Ok(replies)
+        self.core.on_queue_dry(&mut self.collector, &mut replies)?;
+        Ok(self.route(replies))
     }
 
-    /// Releases every queued ack its discipline allows, appending the
-    /// `AckUpTo` messages in queue order (the harness twin of the
-    /// server's `release_ready`).
-    fn release_ready(&mut self, replies: &mut Vec<(usize, Message)>) {
-        let synced = self.collector.synced_cursor();
-        let eager = self.discipline == AckDiscipline::Eager;
-        self.pending.retain(|p| {
-            if p.cursor > synced && !eager {
-                return true;
-            }
-            replies.push((
-                p.conn,
-                Message::AckUpTo {
-                    sensor: p.sensor,
-                    seq: p.seq,
-                },
-            ));
-            false
-        });
+    /// Hands replies to the caller's "network", dropping the
+    /// connection behind any reply that closes it.
+    fn route(&mut self, replies: Vec<Reply>) -> Vec<(usize, Message)> {
+        for reply in replies.iter().filter(|r| r.close) {
+            self.disconnect(reply.conn);
+        }
+        replies.into_iter().map(|r| (r.conn, r.message)).collect()
     }
 
     /// Acks admitted but not yet released (awaiting fsync coverage).
     pub fn pending_acks(&self) -> &[QueuedAck] {
-        &self.pending
+        self.core.pending_acks()
     }
 
     /// Hellos refused for an unknown protocol version.
     pub fn version_rejects(&self) -> u64 {
-        self.version_rejects
+        self.core.version_rejects()
     }
 
     /// The underlying collector (for invariant probes).

@@ -40,6 +40,7 @@ pub mod frame;
 pub mod harness;
 mod net;
 pub mod netsim;
+pub mod protocol;
 pub mod reorder;
 pub mod report_codec;
 pub mod server;
@@ -60,10 +61,11 @@ pub use frame::{
     FrameBuffer, FrameError, Message, MAX_BATCH_READINGS, MAX_PAYLOAD, PROTOCOL_V1,
     PROTOCOL_VERSION,
 };
-pub use harness::{AckDiscipline, QueuedAck, StepEvent, StepServer};
+pub use harness::{StepEvent, StepServer};
 pub use netsim::{
     deliver_schedule, delivery_schedule, drive_uplink, trace_to_raw, Emission, NetsimConfig,
 };
+pub use protocol::{AckDiscipline, QueuedAck};
 pub use reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats};
 pub use report_codec::{CountersError, ReportCounters, COUNTERS_MAGIC};
 pub use server::{Server, ServerConfig, ServerStats};

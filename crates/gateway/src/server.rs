@@ -11,8 +11,11 @@
 //!   reader blocks, it stops reading its socket, and the kernel's
 //!   receive window pushes back on the sender: backpressure end to
 //!   end, no queue without a limit anywhere;
-//! * the caller's thread runs [`Server::run`], draining events into
-//!   the collector and writing acks back on a cloned write half.
+//! * the caller's thread runs [`Server::run`], handing each event to
+//!   the sans-IO [`protocol::Core`](crate::protocol::Core) and writing
+//!   the replies it emits back on a cloned write half — the protocol
+//!   itself lives there, shared with the model checker's
+//!   [`StepServer`](crate::harness::StepServer).
 //!
 //! A frame-level error (bad CRC, oversized length) is
 //! connection-fatal: the stream offset can no longer be trusted, so
@@ -21,12 +24,11 @@
 //! (acked with `FinAck`) ends the run: the server shuts down its
 //! threads and the collector can be finished for a report.
 
-use crate::collector::{Collector, DeliverOutcome, GatewayError};
-use crate::frame::{encode_frame, FrameBuffer, FrameError, Message, PROTOCOL_V1, PROTOCOL_VERSION};
+use crate::collector::{Collector, GatewayError};
+use crate::frame::{encode_frame, FrameBuffer, FrameError, Message, PROTOCOL_V1};
 use crate::net::{is_timeout, Listener, Stream};
-use crate::snapshot::{decode_collector, encode_collector};
+use crate::protocol::{AckDiscipline, Core, Reply};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use sentinet_sim::SensorId;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,27 +90,16 @@ pub struct ServerStats {
     pub ack_ns: u64,
 }
 
-/// An `AckUpTo` the collector has admitted but whose WAL extent is
-/// not yet covered by a completed fsync. Released (written to the
-/// client) only once `Collector::synced_cursor` reaches `cursor` —
-/// the ack-after-durable rule, batched.
-struct PendingAck {
-    conn: u64,
-    sensor: SensorId,
-    seq: u64,
-    cursor: u64,
-}
-
 /// One event from the socket threads to the collector loop.
 enum Event {
     /// Connection `id` opened; carries the ack write half.
-    Opened(u64, Stream),
+    Opened(usize, Stream),
     /// Connection `id` decoded one message.
-    Msg(u64, Message),
+    Msg(usize, Message),
     /// Connection `id` died on a frame error.
-    BadFrame(u64, FrameError),
+    BadFrame(usize, FrameError),
     /// Connection `id` closed (EOF or I/O error).
-    Closed(u64),
+    Closed(usize),
 }
 
 /// A started gateway server. Create with [`Server::start`] (which
@@ -116,8 +107,7 @@ enum Event {
 /// [`Server::run`].
 pub struct Server {
     addr: String,
-    credit_window: u32,
-    v1_only: bool,
+    core: Core,
     shutdown: Arc<AtomicBool>,
     events: Receiver<Event>,
     decode_ns: Arc<AtomicU64>,
@@ -150,8 +140,7 @@ impl Server {
         });
         Ok(Self {
             addr,
-            credit_window: config.credit_window,
-            v1_only: config.v1_only,
+            core: Core::new(config.credit_window, config.v1_only, AckDiscipline::Durable),
             shutdown,
             events: rx,
             decode_ns,
@@ -193,6 +182,7 @@ impl Server {
             let _ = handle.join();
         }
         stats.decode_ns = self.decode_ns.load(Ordering::Relaxed);
+        stats.version_rejects = self.core.version_rejects();
         result.map(|()| stats)
     }
 
@@ -201,26 +191,18 @@ impl Server {
         collector: &mut Collector,
         stats: &mut ServerStats,
     ) -> Result<(), GatewayError> {
-        let mut writers: BTreeMap<u64, Stream> = BTreeMap::new();
-        let mut pending: Vec<PendingAck> = Vec::new();
+        let mut writers: BTreeMap<usize, Stream> = BTreeMap::new();
+        let mut replies: Vec<Reply> = Vec::new();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            // A momentarily dry queue is the flush interval: one group
-            // fsync covers every batch admitted since the last one,
-            // and the acks it unblocks are released together.
+            // A momentarily dry queue is the core's flush interval.
             let event = match self.events.try_recv() {
                 Ok(e) => e,
                 Err(TryRecvError::Empty) => {
-                    if !pending.is_empty() {
-                        collector.sync_wal()?;
-                        stats.ack_ns = stats.ack_ns.saturating_add(release_ready(
-                            collector,
-                            &mut writers,
-                            &mut pending,
-                        ));
-                    }
+                    self.core.on_queue_dry(collector, &mut replies)?;
+                    write_replies(&mut writers, &mut replies, stats);
                     match self.events.recv_timeout(Duration::from_millis(100)) {
                         Ok(e) => e,
                         Err(RecvTimeoutError::Timeout) => continue,
@@ -234,259 +216,25 @@ impl Server {
                     stats.connections += 1;
                     writers.insert(id, writer);
                 }
-                Event::Msg(
-                    id,
-                    Message::Data {
-                        sensor,
-                        seq,
-                        time,
-                        values,
-                    },
-                ) => {
-                    // Accepted and Duplicate both mean durable: ack
-                    // either way. Rejected (poisoned storage or WAL
-                    // budget shedding) must never be acked — send a
-                    // NACK so the client fails fast instead of timing
-                    // out. A failed reply write is the client's
-                    // problem — it retries and the seq dedup absorbs
-                    // the re-delivery.
-                    let outcome = collector.deliver(sensor, seq, time, values)?;
-                    let reply = match outcome {
-                        DeliverOutcome::Accepted | DeliverOutcome::Duplicate => {
-                            Message::Ack { sensor, seq }
-                        }
-                        DeliverOutcome::Rejected(_) => Message::Nack { sensor, seq },
-                    };
-                    if let Some(w) = writers.get_mut(&id) {
-                        let ack_start = std::time::Instant::now();
-                        let _ = w.write_all(&encode_frame(&reply));
-                        stats.ack_ns = stats
-                            .ack_ns
-                            .saturating_add(ack_start.elapsed().as_nanos() as u64);
+                Event::Msg(id, msg) => {
+                    // Whatever the core emitted before a fatal error
+                    // is still sent: those acks cover durable data.
+                    let fin = self.core.on_message(collector, id, msg, &mut replies);
+                    write_replies(&mut writers, &mut replies, stats);
+                    if fin? {
+                        return Ok(());
                     }
-                }
-                Event::Msg(
-                    id,
-                    Message::DataBatch {
-                        sensor,
-                        first_seq,
-                        readings,
-                    },
-                ) => {
-                    // Admission is per reading, durability per batch:
-                    // the cumulative ack is queued against the WAL
-                    // cursor the batch ended on and only released once
-                    // a completed fsync covers it. The NACK (first
-                    // refused seq) goes out immediately — refusal
-                    // needs no durability.
-                    let out = collector.deliver_batch(sensor, first_seq, &readings)?;
-                    if let Some((seq, _)) = out.nack {
-                        if let Some(w) = writers.get_mut(&id) {
-                            let ack_start = std::time::Instant::now();
-                            let _ = w.write_all(&encode_frame(&Message::Nack { sensor, seq }));
-                            stats.ack_ns = stats
-                                .ack_ns
-                                .saturating_add(ack_start.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    if let Some(seq) = out.ack_up_to {
-                        pending.push(PendingAck {
-                            conn: id,
-                            sensor,
-                            seq,
-                            cursor: out.ack_cursor,
-                        });
-                        // Policy-driven fsyncs (always, batch-N) may
-                        // already cover this batch; release what can
-                        // go now and pipeline the rest.
-                        stats.ack_ns = stats.ack_ns.saturating_add(release_ready(
-                            collector,
-                            &mut writers,
-                            &mut pending,
-                        ));
-                    }
-                }
-                Event::Msg(id, Message::Fin) => {
-                    // End of stream: flush the group commit so every
-                    // queued ack can be released before the FinAck.
-                    if !pending.is_empty() {
-                        collector.sync_wal()?;
-                        stats.ack_ns = stats.ack_ns.saturating_add(release_ready(
-                            collector,
-                            &mut writers,
-                            &mut pending,
-                        ));
-                    }
-                    if let Some(w) = writers.get_mut(&id) {
-                        let _ = w.write_all(&encode_frame(&Message::FinAck));
-                        let _ = w.flush();
-                    }
-                    return Ok(());
-                }
-                Event::Msg(id, Message::Hello { version, epoch }) => {
-                    // The hello's epoch is a fence observation: a
-                    // controller speaking for a newer owner epoch
-                    // proves a successor committed — this collector is
-                    // stale and must fail-stop before its next append.
-                    if epoch > 0 {
-                        collector.observe_epoch(epoch);
-                    }
-                    match version {
-                        PROTOCOL_V1 => {
-                            // Legacy stop-and-wait: no reply, exactly
-                            // as version 1 of the server behaved.
-                        }
-                        PROTOCOL_VERSION if !self.v1_only => {
-                            if let Some(w) = writers.get_mut(&id) {
-                                let _ = w.write_all(&encode_frame(&Message::HelloAck {
-                                    version: PROTOCOL_VERSION,
-                                    credits: self.credit_window,
-                                }));
-                            }
-                        }
-                        _ => {
-                            // Unknown version — or v2 on a server
-                            // pinned to v1 — gets a typed reject naming
-                            // the highest version this server speaks.
-                            stats.version_rejects += 1;
-                            let supported = if self.v1_only {
-                                PROTOCOL_V1
-                            } else {
-                                PROTOCOL_VERSION
-                            };
-                            if let Some(mut w) = writers.remove(&id) {
-                                let _ =
-                                    w.write_all(&encode_frame(&Message::HelloReject { supported }));
-                                let _ = w.flush();
-                                let _ = w.shutdown();
-                            }
-                        }
-                    }
-                }
-                Event::Msg(id, Message::Heartbeat { epoch }) => {
-                    // Liveness probe: reply with our epoch and the
-                    // last committed checkpoint cursor (the pre-warm
-                    // coordinate). A newer carried epoch fences us.
-                    if epoch > 0 {
-                        collector.observe_epoch(epoch);
-                    }
-                    if let Some(w) = writers.get_mut(&id) {
-                        let _ = w.write_all(&encode_frame(&Message::HeartbeatAck {
-                            epoch: collector.epoch(),
-                            checkpoint_cursor: collector.checkpoint_cursor(),
-                        }));
-                        let _ = w.flush();
-                    }
-                }
-                Event::Msg(id, Message::MigrateOffer { start, end }) => {
-                    // Source side of a live migration: cut the range
-                    // at the current cursor and stage it for
-                    // transfer. The cut fsyncs the log before
-                    // choosing its cursor, so acks queued behind the
-                    // group commit become releasable — let none of
-                    // them trail the MigrateAccept.
-                    let cut = collector.export_range(start..end);
-                    if !pending.is_empty() {
-                        stats.ack_ns = stats.ack_ns.saturating_add(release_ready(
-                            collector,
-                            &mut writers,
-                            &mut pending,
-                        ));
-                    }
-                    match cut {
-                        Ok((inside, cursor)) => {
-                            let snapshot = encode_collector(&inside).into_bytes();
-                            if let Some(w) = writers.get_mut(&id) {
-                                let _ = w.write_all(&encode_frame(&Message::MigrateAccept {
-                                    start,
-                                    end,
-                                    cursor,
-                                    snapshot,
-                                }));
-                                let _ = w.flush();
-                            }
-                        }
-                        // A cut that cannot be made durable is
-                        // answered with silence: the controller's
-                        // deadline aborts the migration while this
-                        // collector keeps serving (or fail-stops on
-                        // its poisoned WAL) — never a half-cut.
-                        Err(GatewayError::MigrationCut(_)) | Err(GatewayError::Wal(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                Event::Msg(
-                    id,
-                    Message::MigrateAccept {
-                        start,
-                        end,
-                        cursor,
-                        snapshot,
-                    },
-                ) => {
-                    // Destination side: adopt the shipped range and
-                    // confirm only once the restore point is durable.
-                    // An undecodable or unadoptable payload gets
-                    // silence — the controller's deadline aborts and
-                    // the source's staged copy stays authoritative.
-                    let adopted = String::from_utf8(snapshot)
-                        .ok()
-                        .and_then(|text| decode_collector(&text).ok())
-                        .map(|snap| collector.adopt_range(start..end, cursor, &snap));
-                    match adopted {
-                        Some(Ok(())) => {
-                            if let Some(w) = writers.get_mut(&id) {
-                                let _ = w.write_all(&encode_frame(&Message::MigrateDone {
-                                    start,
-                                    end,
-                                    cursor,
-                                }));
-                                let _ = w.flush();
-                            }
-                        }
-                        Some(Err(GatewayError::MigrationCut(_)))
-                        | Some(Err(GatewayError::Wal(_)))
-                        | None => {}
-                        Some(Err(e)) => return Err(e),
-                    }
-                }
-                Event::Msg(id, Message::MigrateDone { start, end, cursor }) => {
-                    // The range is durable at its new home, so the
-                    // staged outbox copy is no longer needed. Echoed
-                    // back as the acknowledgment.
-                    collector.clear_outbox(start..end);
-                    if let Some(w) = writers.get_mut(&id) {
-                        let _ = w.write_all(&encode_frame(&Message::MigrateDone {
-                            start,
-                            end,
-                            cursor,
-                        }));
-                        let _ = w.flush();
-                    }
-                }
-                Event::Msg(
-                    _,
-                    Message::Ack { .. }
-                    | Message::AckUpTo { .. }
-                    | Message::FinAck
-                    | Message::Nack { .. }
-                    | Message::HelloAck { .. }
-                    | Message::HelloReject { .. }
-                    | Message::HeartbeatAck { .. },
-                ) => {
-                    // Server-bound streams should not carry replies;
-                    // ignore rather than kill the connection.
                 }
                 Event::BadFrame(id, e) => {
                     stats.bad_frames += 1;
                     stats.frame_errors.push(e);
-                    pending.retain(|p| p.conn != id);
+                    self.core.on_closed(id);
                     if let Some(w) = writers.remove(&id) {
                         let _ = w.shutdown();
                     }
                 }
                 Event::Closed(id) => {
-                    pending.retain(|p| p.conn != id);
+                    self.core.on_closed(id);
                     writers.remove(&id);
                 }
             }
@@ -494,31 +242,32 @@ impl Server {
     }
 }
 
-/// Writes every queued `AckUpTo` whose WAL cursor a completed fsync
-/// now covers; the rest stay queued. Returns the wall nanoseconds
-/// spent writing (the ack stage of the bench breakdown).
-fn release_ready(
-    collector: &Collector,
-    writers: &mut BTreeMap<u64, Stream>,
-    pending: &mut Vec<PendingAck>,
-) -> u64 {
-    let synced = collector.synced_cursor();
-    let mut spent = 0u64;
-    pending.retain(|p| {
-        if p.cursor > synced {
-            return true;
+/// Writes each reply as one frame, in order, draining `replies`; a
+/// reply that closes its connection drops the writer afterwards. A
+/// failed write is the client's problem — it retries and the seq dedup
+/// absorbs the re-delivery. The wall time goes to the ack stage of the
+/// bench breakdown.
+fn write_replies(
+    writers: &mut BTreeMap<usize, Stream>,
+    replies: &mut Vec<Reply>,
+    stats: &mut ServerStats,
+) {
+    if replies.is_empty() {
+        return;
+    }
+    let start = std::time::Instant::now();
+    for reply in replies.drain(..) {
+        if let Some(w) = writers.get_mut(&reply.conn) {
+            let _ = w.write_all(&encode_frame(&reply.message));
+            if reply.close {
+                let _ = w.shutdown();
+                writers.remove(&reply.conn);
+            }
         }
-        if let Some(w) = writers.get_mut(&p.conn) {
-            let start = std::time::Instant::now();
-            let _ = w.write_all(&encode_frame(&Message::AckUpTo {
-                sensor: p.sensor,
-                seq: p.seq,
-            }));
-            spent = spent.saturating_add(start.elapsed().as_nanos() as u64);
-        }
-        false
-    });
-    spent
+    }
+    stats.ack_ns = stats
+        .ack_ns
+        .saturating_add(start.elapsed().as_nanos() as u64);
 }
 
 fn accept_loop(
@@ -529,7 +278,7 @@ fn accept_loop(
     decode_ns: Arc<AtomicU64>,
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_id = 0u64;
+    let mut next_id = 0usize;
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(stream) => {
@@ -569,7 +318,7 @@ fn accept_loop(
 }
 
 fn reader_loop(
-    id: u64,
+    id: usize,
     mut stream: Stream,
     events: Sender<Event>,
     shutdown: Arc<AtomicBool>,

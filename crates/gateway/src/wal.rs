@@ -347,6 +347,8 @@ pub struct Wal {
     /// Wall time spent inside fsync calls (bench stage breakdown).
     fsync_ns: u64,
     scratch: Vec<u8>,
+    /// Reused extent buffer (taken for the duration of an append).
+    extent: Vec<u8>,
     /// On-disk segments, oldest first; the last entry is the one open
     /// for appending.
     segments: Vec<SegmentInfo>,
@@ -479,6 +481,7 @@ impl Wal {
                 append_ns: 0,
                 fsync_ns: 0,
                 scratch: Vec::new(),
+                extent: Vec::new(),
                 segments,
                 base_records,
                 poisoned: None,
@@ -569,72 +572,15 @@ impl Wal {
         WalError::Storage(err)
     }
 
-    /// Appends one record durably (per the fsync policy).
+    /// Appends one record durably (per the fsync policy): an extent of
+    /// one through [`Wal::append_many`], so there is a single encode /
+    /// roll / fsync-policy / chaos-coordinate path.
     ///
     /// # Errors
     ///
-    /// [`WalError::Storage`] on write or fsync failure — the log is
-    /// then poisoned: the data may or may not be durable, so nothing
-    /// past this point may be acknowledged, and every later append
-    /// fails with the same error.
+    /// As [`Wal::append_many`].
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        if let Some(e) = &self.poisoned {
-            return Err(WalError::Storage(e.clone()));
-        }
-        self.scratch.clear();
-        encode_data_payload(
-            record.sensor,
-            record.seq,
-            record.time,
-            &record.values,
-            &mut self.scratch,
-        );
-        let mut framed = Vec::with_capacity(self.scratch.len() + 8);
-        frame_payload(&self.scratch, &mut framed);
-
-        let active = self.active();
-        if active.bytes > 0 && active.bytes + framed.len() as u64 > self.config.segment_max_bytes {
-            self.roll_segment()?;
-        }
-
-        if let Err(e) = self.write_timed(&framed) {
-            // The write may have torn: a prefix of the frame can be on
-            // disk. Recovery's torn-tail truncation handles it; this
-            // process must stop acking.
-            return Err(self.poison(VfsOp::Append, &e));
-        }
-        let len = framed.len() as u64;
-        let active = self.active_mut();
-        active.bytes += len;
-        active.records += 1;
-        self.records_logged += 1;
-        self.appended_this_process += 1;
-
-        match self.config.fsync {
-            FsyncPolicy::Never => {}
-            FsyncPolicy::Always => {
-                if let Err(e) = self.fsync_timed() {
-                    return Err(self.poison(VfsOp::Fsync, &e));
-                }
-                self.synced_records = self.records_logged;
-            }
-            FsyncPolicy::Batch(n) => {
-                self.pending_sync += 1;
-                if self.pending_sync >= n {
-                    if let Err(e) = self.fsync_timed() {
-                        return Err(self.poison(VfsOp::Fsync, &e));
-                    }
-                    self.pending_sync = 0;
-                    self.synced_records = self.records_logged;
-                }
-            }
-        }
-
-        if self.config.crash_after == Some(self.appended_this_process) {
-            // Chaos coordinate: die as if `kill -9`, mid-everything.
-            std::process::abort();
-        }
-        Ok(())
+        self.append_many(std::slice::from_ref(record))
     }
 
     /// Appends a batch of records as one contiguous extent — every
@@ -660,7 +606,7 @@ impl Wal {
         if let Some(e) = &self.poisoned {
             return Err(WalError::Storage(e.clone()));
         }
-        let mut extent: Vec<u8> = Vec::new();
+        let mut extent = std::mem::take(&mut self.extent);
         let mut idx = 0;
         while idx < records.len() {
             extent.clear();
@@ -733,6 +679,7 @@ impl Wal {
             }
             idx += take;
         }
+        self.extent = extent;
         Ok(())
     }
 

@@ -23,7 +23,7 @@
 //! | `net-outside-gateway` | `std::net` / `std::os::unix::net` outside `crates/gateway` |
 //! | `socket-read-timeout` | socket reads in a file that never sets a read timeout |
 //! | `io-outside-vfs` | raw filesystem mutation outside `gateway/src/vfs.rs` |
-//! | `ack-ordering` | fn writing an `Ack`/`AckUpTo` to the wire with no durability check first |
+//! | `ack-ordering` | `Ack`/`AckUpTo` built with no durability check first, or built in gateway code outside `protocol.rs` |
 //! | `partition-map-mutation` | `.commit_owner(` / `.commit_health(` / `.split_at(` / `.transfer(` outside the federation commit path |
 //! | `stale-suppression` | `sentinet-allow` comment that no longer suppresses any finding |
 //!
@@ -47,13 +47,18 @@
 //! reach it and its fsync/crash semantics would go untested.
 //!
 //! The ack-after-durable rule of the pipelined protocol gets its own
-//! dataflow pass (`ack-ordering`): a function body that constructs a
-//! `Message::Ack` or `Message::AckUpTo` and also writes to the wire
-//! (`write_all`) must check durability first — an earlier
-//! `synced_cursor`/`sync_wal` consultation or a v1 `.deliver(` call
-//! (which is durable-before-return by contract) on the same path.
-//! Anything else is the eager-ack bug the protocol model checker
-//! (`xtask protocol-check`) exists to catch. And suppression hygiene
+//! dataflow pass (`ack-ordering`). The gateway's sans-IO protocol core
+//! returns its replies and the drivers write them verbatim, so
+//! *constructing* a `Message::Ack` or `Message::AckUpTo` is emitting
+//! it: a function body that builds one must check durability first —
+//! an earlier `synced_cursor`/`sync_wal` consultation or a v1
+//! `.deliver(` call (durable-before-return by contract) on the same
+//! path. Anything else is the eager-ack bug the protocol model checker
+//! (`xtask protocol-check`) exists to catch. Inside `crates/gateway`
+//! the core (`protocol.rs`) is the only place allowed to build one at
+//! all — the wire codec (`frame.rs`, which decodes received acks) and
+//! match patterns excepted — so a second emitter cannot grow beside
+//! the one the checker explores. And suppression hygiene
 //! is enforced by `stale-suppression`: a well-formed `sentinet-allow`
 //! comment that no longer silences any actual finding is itself a
 //! finding, so fixed code sheds its stale annotations instead of
@@ -174,6 +179,13 @@ pub struct FileContext {
     /// The file is the storage abstraction (`gateway/src/vfs.rs`),
     /// the one place allowed to touch the real filesystem.
     pub vfs_file: bool,
+    /// The file is the gateway's protocol core
+    /// (`gateway/src/protocol.rs`), the one place in the gateway
+    /// allowed to construct an ack reply.
+    pub protocol_core_file: bool,
+    /// The file is the wire codec (`gateway/src/frame.rs`): decoding a
+    /// received ack constructs one, which is not an emission.
+    pub wire_codec_file: bool,
     /// Hot-path function names registered for this file.
     pub hot_functions: Vec<String>,
 }
@@ -202,6 +214,8 @@ impl FileContext {
             controller_commit_file: p.ends_with("controller/src/federation.rs"),
             supervisor_file: p.ends_with("engine/src/supervisor.rs"),
             vfs_file: p.ends_with("gateway/src/vfs.rs"),
+            protocol_core_file: p.ends_with("gateway/src/protocol.rs"),
+            wire_codec_file: p.ends_with("gateway/src/frame.rs"),
             hot_functions,
         }
     }
@@ -462,40 +476,58 @@ pub fn lint_source(path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding>
         }
     }
 
-    // Ack-ordering: a fn body that both constructs an Ack/AckUpTo and
-    // writes to the wire must consult durability first on the same
-    // path. One finding per body, anchored at the first ack needle;
-    // nested fns are claimed innermost-first so an inner violation is
-    // not double-counted through its enclosing body.
+    // Ack-ordering: a fn body that constructs an Ack/AckUpTo (match
+    // patterns are not constructions) must consult durability first on
+    // the same path, and in the gateway only the protocol core may
+    // construct one at all. One finding per body, anchored at the
+    // first construction; nested fns are claimed innermost-first so an
+    // inner violation is not double-counted through its enclosing body.
     let mut claimed_anchors: Vec<usize> = Vec::new();
-    let mut bodies = all_function_bodies(&map.masked);
+    let mut bodies = if ctx.wire_codec_file {
+        Vec::new()
+    } else {
+        all_function_bodies(&map.masked)
+    };
     bodies.sort_by_key(|&(open, close)| close - open);
     for (open, close) in bodies {
         if map.in_test_region(open) {
             continue;
         }
         let body = &map.masked[open..close];
-        let anchor = ACK_NEEDLES.iter().flat_map(|n| find_word(body, n)).min();
+        let anchor = ACK_NEEDLES
+            .iter()
+            .flat_map(|n| {
+                find_word(body, n)
+                    .into_iter()
+                    .filter(|&pos| !is_pattern(body, pos + n.len()))
+            })
+            .min();
         let Some(anchor) = anchor else {
             continue;
         };
         if claimed_anchors.contains(&(open + anchor)) {
             continue;
         }
-        if find_all(body, "write_all(").is_empty() {
+        claimed_anchors.push(open + anchor);
+        if ctx.gateway_crate && !ctx.protocol_core_file {
+            push(
+                &map,
+                open + anchor,
+                "ack-ordering",
+                "Ack/AckUpTo constructed in gateway code outside `protocol.rs`; emit acks through the protocol core so the model checker explores them".into(),
+            );
             continue;
         }
         let dominated = ACK_DOMINATORS
             .iter()
             .flat_map(|d| find_all(body, d))
             .any(|pos| pos < anchor);
-        claimed_anchors.push(open + anchor);
         if !dominated {
             push(
                 &map,
                 open + anchor,
                 "ack-ordering",
-                "Ack/AckUpTo written to the wire with no dominating `synced_cursor`/`sync_wal` check; an unsynced crash would lose acked data".into(),
+                "Ack/AckUpTo constructed with no dominating `synced_cursor`/`sync_wal` check; an unsynced crash would lose acked data".into(),
             );
         }
     }
@@ -730,6 +762,28 @@ fn is_float_literal(token: &str) -> bool {
     }
 }
 
+/// Whether the struct-literal-shaped text starting at `after` (just
+/// past an enum-variant path) is a pattern rather than a construction:
+/// its braces are followed — closing parentheses aside — by a match
+/// arrow, an or-pattern bar, a guard, or a `let`-style `=`.
+fn is_pattern(body: &str, after: usize) -> bool {
+    let rest = &body[after..];
+    let Some(open) = rest.find(|c: char| !c.is_whitespace()) else {
+        return false;
+    };
+    if !rest[open..].starts_with('{') {
+        return false;
+    }
+    let Some(close) = match_brace(rest, open) else {
+        return false;
+    };
+    let tail = rest[close + 1..].trim_start_matches(|c: char| c.is_whitespace() || c == ')');
+    tail.starts_with("=>")
+        || tail.starts_with("if ")
+        || (tail.starts_with('|') && !tail.starts_with("||"))
+        || (tail.starts_with('=') && !tail.starts_with("=="))
+}
+
 /// Brace-matched bodies of every `fn` in the masked source, named or
 /// not (trait-method declarations without bodies are skipped).
 fn all_function_bodies(masked: &str) -> Vec<(usize, usize)> {
@@ -891,21 +945,44 @@ mod tests {
 
     #[test]
     fn ack_ordering_requires_dominating_sync_check() {
-        // An ack written to the wire with no durability check upstream fires.
-        let bad = "fn reply(w: &mut W) {\n    let f = encode(Message::AckUpTo { sensor, seq });\n    w.write_all(&f).ok();\n}\n";
-        let f = run(bad);
-        assert_eq!(f.iter().filter(|f| f.lint == "ack-ordering").count(), 1);
+        let acks = |f: &[Finding]| f.iter().filter(|f| f.lint == "ack-ordering").count();
+        // The eager ack: built with no durability check upstream.
+        let bad = "fn reply(out: &mut Vec<Reply>) {\n    out.push(Message::AckUpTo { sensor, seq });\n}\n";
+        assert_eq!(acks(&run(bad)), 1);
         // A `synced_cursor` comparison before the ack dominates it: silent.
-        let synced = "fn reply(w: &mut W) {\n    if cursor > self.synced_cursor() { return; }\n    let f = encode(Message::AckUpTo { sensor, seq });\n    w.write_all(&f).ok();\n}\n";
-        assert!(run(synced).iter().all(|f| f.lint != "ack-ordering"));
-        // `.deliver(` ahead of a per-reading Ack also dominates (the
-        // collector syncs before reporting an ack cursor).
-        let delivered = "fn reply(w: &mut W) {\n    let out = self.collector.deliver(&r);\n    let f = encode(Message::Ack { sensor, seq });\n    w.write_all(&f).ok();\n}\n";
-        assert!(run(delivered).iter().all(|f| f.lint != "ack-ordering"));
-        // Constructing the message without writing it is not a release.
-        let no_write =
-            "fn queue(&mut self) {\n    self.pending.push(Message::Ack { sensor, seq });\n}\n";
-        assert!(run(no_write).iter().all(|f| f.lint != "ack-ordering"));
+        let synced = "fn reply(out: &mut Vec<Reply>) {\n    if cursor > self.synced_cursor() { return; }\n    out.push(Message::AckUpTo { sensor, seq });\n}\n";
+        assert_eq!(acks(&run(synced)), 0);
+        // `.deliver(` ahead of a per-reading Ack also dominates (v1 is
+        // durable per the fsync policy before it returns).
+        let delivered = "fn reply(out: &mut Vec<Reply>) {\n    let o = collector.deliver(s, q, t, v);\n    out.push(Message::Ack { sensor, seq });\n}\n";
+        assert_eq!(acks(&run(delivered)), 0);
+        // A check *after* the construction does not dominate it.
+        let late = "fn reply(out: &mut Vec<Reply>) {\n    out.push(Message::Ack { sensor, seq });\n    collector.sync_wal();\n}\n";
+        assert_eq!(acks(&run(late)), 1);
+        // Patterns are not constructions: a client decoding replies, an
+        // ignore arm, an `if let`, a `matches!`-style guard.
+        let patterns = "fn on_reply(m: Message) {\n    match m {\n        Message::Ack { sensor: s, seq: q } if q == 1 => {}\n        Message::AckUpTo { sensor, seq } => {}\n        Message::Ack { .. } | Message::Nack { .. } => {}\n    }\n    if let Some(Message::AckUpTo { seq, .. }) = last {}\n}\n";
+        assert_eq!(acks(&run(patterns)), 0);
+    }
+
+    #[test]
+    fn ack_construction_in_gateway_belongs_to_the_protocol_core() {
+        let acks = |f: &[Finding]| f.iter().filter(|f| f.lint == "ack-ordering").count();
+        // Dominated or not, a driver building its own ack is a finding.
+        let src = "fn reply(out: &mut Vec<Reply>) {\n    let o = collector.deliver(s, q, t, v);\n    out.push(Message::Ack { sensor, seq });\n}\n";
+        let at = |path: &str| {
+            lint_source(
+                Path::new(path),
+                src,
+                &FileContext::for_path(Path::new(path)),
+            )
+        };
+        assert_eq!(acks(&at("crates/gateway/src/server.rs")), 1);
+        assert_eq!(acks(&at("crates/gateway/src/harness.rs")), 1);
+        // The core may (still subject to the dominance rule) …
+        assert_eq!(acks(&at("crates/gateway/src/protocol.rs")), 0);
+        // … and the codec's decoder builds received acks, not replies.
+        assert_eq!(acks(&at("crates/gateway/src/frame.rs")), 0);
     }
 
     #[test]

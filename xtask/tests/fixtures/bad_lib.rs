@@ -31,9 +31,8 @@ pub fn sneaky_write(dir: &std::path::Path) {
     let _ = std::fs::write(dir.join("out"), b"x");
 }
 
-pub fn leaky_ack(w: &mut impl std::io::Write, sensor: u16, seq: u64) {
-    let frame = encode(Message::AckUpTo { sensor, seq });
-    let _ = w.write_all(&frame);
+pub fn leaky_ack(replies: &mut Vec<Message>, sensor: u16, seq: u64) {
+    replies.push(Message::AckUpTo { sensor, seq });
 }
 
 pub fn rogue_reassign(map: &mut PartitionMap) {

@@ -44,10 +44,9 @@ pub fn sneaky_write(dir: &std::path::Path) {
     let _ = std::fs::write(dir.join("out"), b"x");
 }
 
-pub fn leaky_ack(w: &mut impl std::io::Write, sensor: u16, seq: u64) {
+pub fn leaky_ack(replies: &mut Vec<Message>, sensor: u16, seq: u64) {
     // sentinet-allow(ack-ordering): fixture exercises suppression
-    let frame = encode(Message::AckUpTo { sensor, seq });
-    let _ = w.write_all(&frame);
+    replies.push(Message::AckUpTo { sensor, seq });
 }
 
 pub fn rogue_reassign(map: &mut PartitionMap) {

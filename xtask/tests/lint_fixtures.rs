@@ -34,6 +34,8 @@ fn full_ctx() -> FileContext {
         controller_commit_file: false,
         supervisor_file: false,
         vfs_file: false,
+        protocol_core_file: false,
+        wire_codec_file: false,
         hot_functions: vec!["hot".into()],
     }
 }
