@@ -32,4 +32,4 @@ mod kmeans;
 mod online;
 
 pub use kmeans::{kmeans, KMeansResult};
-pub use online::{ClusterConfig, ModelStates, StateEvent, StatesSnapshot};
+pub use online::{ClusterConfig, ModelStates, StateEvent, StatesSnapshot, UpdateScratch};

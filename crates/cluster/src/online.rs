@@ -142,6 +142,11 @@ impl ModelStates {
             .collect()
     }
 
+    /// Number of currently active states, without materialising them.
+    pub fn active_count(&self) -> usize {
+        self.active.iter().filter(|&&a| a).count()
+    }
+
     /// Attribute dimensionality.
     pub fn dims(&self) -> usize {
         self.dims
@@ -173,10 +178,19 @@ impl ModelStates {
     /// Panics if `point` has the wrong dimensionality.
     pub fn nearest(&self, point: &[f64]) -> Option<(usize, f64)> {
         assert_eq!(point.len(), self.dims, "point dimension mismatch");
-        self.active_states()
-            .into_iter()
-            .map(|i| (i, dist(&self.centroids[i], point)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+        let mut best: Option<(usize, f64)> = None;
+        for (i, centroid) in self.centroids.iter().enumerate() {
+            if !self.active[i] {
+                continue;
+            }
+            let d = dist(centroid, point);
+            // Strictly-less keeps the first of several equidistant
+            // states: the lowest slot wins an exact tie.
+            if best.is_none_or(|(_, nearest)| d.total_cmp(&nearest).is_lt()) {
+                best = Some((i, d));
+            }
+        }
+        best
     }
 
     /// Maps each observation to its nearest state — the `l_j` labels of
@@ -203,64 +217,105 @@ impl ModelStates {
     pub fn spawn_if_uncovered(&mut self, point: &[f64]) -> Option<usize> {
         // sentinet-allow(expect-used): merges always leave a survivor, so an active state exists
         let (_, d) = self.nearest(point).expect("at least one active state");
-        if d > self.config.spawn_threshold && self.active_states().len() < self.config.max_states {
-            self.centroids.push(point.to_vec());
-            self.active.push(true);
+        if d > self.config.spawn_threshold && self.active_count() < self.config.max_states {
+            let slot = self.push_slot(point);
             self.generation += 1;
             self.assert_invariants("spawn_if_uncovered");
-            Some(self.centroids.len() - 1)
+            Some(slot)
         } else {
             None
         }
+    }
+
+    /// Appends an active slot at `point`, returning its index.
+    fn push_slot(&mut self, point: &[f64]) -> usize {
+        self.centroids.push(point.to_vec());
+        self.active.push(true);
+        self.centroids.len() - 1
     }
 
     /// Performs one full update round on a window's observations:
     /// EWMA centroid update (Eq. 6), merge pass, spawn pass.
     ///
     /// Returns the structural events so callers can grow/mask their
-    /// per-state models.
+    /// per-state models. Labels the points itself and allocates its
+    /// working set; a caller that already holds the Eq. 3 labels and a
+    /// flat point buffer uses [`ModelStates::update_labeled`].
     pub fn update(&mut self, points: &[Vec<f64>]) -> Vec<StateEvent> {
+        let labels = self.assign(points);
+        let flat: Vec<f64> = points.iter().flatten().copied().collect();
+        self.update_labeled(&flat, &labels, &mut UpdateScratch::default())
+    }
+
+    /// [`ModelStates::update`] over a flat point buffer (`labels.len()
+    /// × dims()`, row-major) whose Eq. 3 labels the caller already
+    /// computed with [`ModelStates::nearest`] against *this* state set
+    /// — no state may have moved, merged or spawned since. One pass
+    /// over the points accumulates every slot's sum and count; with a
+    /// warm `scratch` nothing is allocated unless a state spawns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` is not `labels.len() × dims()` long or a
+    /// label does not name an active slot.
+    pub fn update_labeled(
+        &mut self,
+        points: &[f64],
+        labels: &[usize],
+        scratch: &mut UpdateScratch,
+    ) -> Vec<StateEvent> {
+        let dims = self.dims;
+        assert_eq!(
+            points.len(),
+            labels.len() * dims,
+            "flat points disagree with the label count"
+        );
         let mut events = Vec::new();
-        if points.is_empty() {
+        if labels.is_empty() {
             return events;
         }
         self.generation += 1;
-        let assignments = self.assign(points);
 
-        // Eq. 6: s_k ← (1-α)·s_k + α·mean(P_k) for non-empty P_k.
-        for k in self.active_states() {
-            let members: Vec<&Vec<f64>> = points
-                .iter()
-                .zip(&assignments)
-                .filter(|&(_, &a)| a == k)
-                .map(|(p, _)| p)
-                .collect();
-            if members.is_empty() {
+        // Eq. 6: s_k ← (1-α)·s_k + α·mean(P_k) for non-empty P_k. Sums
+        // run in point order from -0.0, `Iterator::sum`'s identity, so
+        // they are bit-equal to summing each slot's members separately.
+        scratch.sums.clear();
+        scratch.sums.resize(self.centroids.len() * dims, -0.0);
+        scratch.counts.clear();
+        scratch.counts.resize(self.centroids.len(), 0);
+        for (point, &k) in points.chunks_exact(dims).zip(labels) {
+            assert!(self.active[k], "label {k} names no active state");
+            scratch.counts[k] += 1;
+            for (sum, &v) in scratch.sums[k * dims..(k + 1) * dims].iter_mut().zip(point) {
+                *sum += v;
+            }
+        }
+        let alpha = self.config.alpha;
+        for (k, centroid) in self.centroids.iter_mut().enumerate() {
+            if scratch.counts[k] == 0 {
                 continue;
             }
-            let inv = 1.0 / members.len() as f64;
-            for d in 0..self.dims {
-                let mean: f64 = members.iter().map(|p| p[d]).sum::<f64>() * inv;
-                self.centroids[k][d] =
-                    (1.0 - self.config.alpha) * self.centroids[k][d] + self.config.alpha * mean;
+            let inv = 1.0 / scratch.counts[k] as f64;
+            for (c, &sum) in centroid.iter_mut().zip(&scratch.sums[k * dims..]) {
+                *c = (1.0 - alpha) * *c + alpha * (sum * inv);
             }
         }
 
         // Merge pass: collapse active states closer than the threshold.
         // The lower-indexed slot survives (stable identity).
-        let act = self.active_states();
-        for (ai, &i) in act.iter().enumerate() {
+        for i in 0..self.centroids.len() {
             if !self.active[i] {
                 continue;
             }
-            for &j in act.iter().skip(ai + 1) {
+            for j in i + 1..self.centroids.len() {
                 if !self.active[j] {
                     continue;
                 }
                 if dist(&self.centroids[i], &self.centroids[j]) < self.config.merge_threshold {
                     // Survivor moves to the midpoint.
-                    for d in 0..self.dims {
-                        self.centroids[i][d] = (self.centroids[i][d] + self.centroids[j][d]) / 2.0;
+                    let (head, tail) = self.centroids.split_at_mut(j);
+                    for (a, &b) in head[i].iter_mut().zip(&tail[0]) {
+                        *a = (*a + b) / 2.0;
                     }
                     self.active[j] = false;
                     events.push(StateEvent::Merged { from: j, into: i });
@@ -270,15 +325,11 @@ impl ModelStates {
 
         // Spawn pass: points beyond the spawn threshold from every
         // active state create new states (capped).
-        for p in points {
+        for point in points.chunks_exact(dims) {
             // sentinet-allow(expect-used): merges always leave a survivor, so an active state exists
-            let (_, d) = self.nearest(p).expect("at least one active state");
-            if d > self.config.spawn_threshold
-                && self.active_states().len() < self.config.max_states
-            {
-                self.centroids.push(p.clone());
-                self.active.push(true);
-                events.push(StateEvent::Spawned(self.centroids.len() - 1));
+            let (_, d) = self.nearest(point).expect("at least one active state");
+            if d > self.config.spawn_threshold && self.active_count() < self.config.max_states {
+                events.push(StateEvent::Spawned(self.push_slot(point)));
             }
         }
         self.assert_invariants("update");
@@ -381,6 +432,17 @@ impl ModelStates {
         restored.assert_invariants("from_snapshot");
         Ok(restored)
     }
+}
+
+/// Reusable per-slot accumulators for [`ModelStates::update_labeled`];
+/// contents are meaningless between calls.
+#[derive(Debug, Clone, Default)]
+pub struct UpdateScratch {
+    /// Per-slot attribute sums of the points labelled with the slot
+    /// (`num_slots × dims`).
+    sums: Vec<f64>,
+    /// Per-slot count of those points.
+    counts: Vec<usize>,
 }
 
 /// Plain-data image of a [`ModelStates`], produced by

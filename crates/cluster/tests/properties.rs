@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_cluster::{kmeans, ClusterConfig, ModelStates, StateEvent};
+use sentinet_cluster::{kmeans, ClusterConfig, ModelStates, StateEvent, UpdateScratch};
 
 fn cfg() -> ClusterConfig {
     ClusterConfig {
@@ -11,6 +11,141 @@ fn cfg() -> ClusterConfig {
         merge_threshold: 1.0,
         spawn_threshold: 10.0,
         max_states: 12,
+    }
+}
+
+/// The state set as it was before the flat kernels, kept as the
+/// oracle the differential tests below compare against bit for bit:
+/// `nearest` materialises the active slots and takes `min_by`, and
+/// `update` labels the points itself, rescans them once per active
+/// state for Eq. 6 and snapshots the active set for the merge pass.
+struct Oracle {
+    centroids: Vec<Vec<f64>>,
+    active: Vec<bool>,
+    config: ClusterConfig,
+    generation: u64,
+}
+
+impl Oracle {
+    fn new(initial: Vec<Vec<f64>>, config: ClusterConfig) -> Self {
+        let active = vec![true; initial.len()];
+        Self {
+            centroids: initial,
+            active,
+            config,
+            generation: 0,
+        }
+    }
+
+    fn active_states(&self) -> Vec<usize> {
+        (0..self.centroids.len())
+            .filter(|&i| self.active[i])
+            .collect()
+    }
+
+    fn dist(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).powi(2))
+            .sum::<f64>()
+            .sqrt()
+    }
+
+    fn nearest(&self, point: &[f64]) -> Option<(usize, f64)> {
+        self.active_states()
+            .into_iter()
+            .map(|i| (i, Self::dist(&self.centroids[i], point)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    fn update(&mut self, points: &[Vec<f64>]) -> Vec<StateEvent> {
+        let mut events = Vec::new();
+        if points.is_empty() {
+            return events;
+        }
+        self.generation += 1;
+        let dims = self.centroids[0].len();
+        let assignments: Vec<usize> = points.iter().map(|p| self.nearest(p).unwrap().0).collect();
+        for k in self.active_states() {
+            let members: Vec<&Vec<f64>> = points
+                .iter()
+                .zip(&assignments)
+                .filter(|&(_, &a)| a == k)
+                .map(|(p, _)| p)
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            let inv = 1.0 / members.len() as f64;
+            for d in 0..dims {
+                let mean: f64 = members.iter().map(|p| p[d]).sum::<f64>() * inv;
+                self.centroids[k][d] =
+                    (1.0 - self.config.alpha) * self.centroids[k][d] + self.config.alpha * mean;
+            }
+        }
+        let act = self.active_states();
+        for (ai, &i) in act.iter().enumerate() {
+            if !self.active[i] {
+                continue;
+            }
+            for &j in act.iter().skip(ai + 1) {
+                if !self.active[j] {
+                    continue;
+                }
+                if Self::dist(&self.centroids[i], &self.centroids[j]) < self.config.merge_threshold
+                {
+                    for d in 0..dims {
+                        self.centroids[i][d] = (self.centroids[i][d] + self.centroids[j][d]) / 2.0;
+                    }
+                    self.active[j] = false;
+                    events.push(StateEvent::Merged { from: j, into: i });
+                }
+            }
+        }
+        for p in points {
+            let (_, d) = self.nearest(p).unwrap();
+            if d > self.config.spawn_threshold
+                && self.active_states().len() < self.config.max_states
+            {
+                self.centroids.push(p.clone());
+                self.active.push(true);
+                events.push(StateEvent::Spawned(self.centroids.len() - 1));
+            }
+        }
+        events
+    }
+
+    /// Asserts `states` is this oracle, every float bit for bit.
+    fn assert_same(&self, states: &ModelStates) -> Result<(), TestCaseError> {
+        let snap = states.snapshot();
+        prop_assert_eq!(&snap.active, &self.active);
+        prop_assert_eq!(snap.generation, self.generation);
+        prop_assert_eq!(states.active_count(), self.active_states().len());
+        let bits = |cs: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            cs.iter()
+                .map(|c| c.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        prop_assert_eq!(bits(&snap.centroids), bits(&self.centroids));
+        Ok(())
+    }
+}
+
+/// A coarse grid with repeats, a signed zero and mirror-image values,
+/// so exact distance ties between two states and `-0.0` sums occur.
+fn grid(dim: usize, max_len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let cell = prop::sample::select(vec![
+        -0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 2.5, 7.0, -7.0, 40.0, -40.0,
+    ]);
+    prop::collection::vec(prop::collection::vec(cell, dim), 1..max_len)
+}
+
+fn tight() -> ClusterConfig {
+    ClusterConfig {
+        alpha: 0.3,
+        merge_threshold: 0.75,
+        spawn_threshold: 5.0,
+        max_states: 4,
     }
 }
 
@@ -102,6 +237,51 @@ proptest! {
     }
 
     #[test]
+    fn nearest_matches_the_collecting_oracle_on_ties(
+        init in grid(2, 5),
+        probes in grid(2, 30),
+    ) {
+        let s = ModelStates::new(init.clone(), ClusterConfig { max_states: 8, ..tight() });
+        let oracle = Oracle::new(init, tight());
+        for p in &probes {
+            let (got, want) = (s.nearest(p).unwrap(), oracle.nearest(p).unwrap());
+            prop_assert_eq!(got.0, want.0, "tie broke differently at {:?}", p);
+            prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+        }
+    }
+
+    /// Both entry points — `update`, which labels for itself, and
+    /// `update_labeled` fed the Eq. 3 labels — against the member-scan
+    /// oracle over several rounds: events, centroid bits, active flags
+    /// and generation. The tight config makes merges, spawns and capped
+    /// spawns share rounds.
+    #[test]
+    fn single_pass_update_matches_the_member_scan_oracle(
+        dim in 1usize..3,
+        seed_rounds in prop::collection::vec(grid(2, 12), 1..8),
+    ) {
+        let cut = |ps: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            ps.iter().map(|p| p[..dim].to_vec()).collect()
+        };
+        let init = cut(&seed_rounds[0][..seed_rounds[0].len().min(4)]);
+        let mut oracle = Oracle::new(init.clone(), tight());
+        let mut wrapped = ModelStates::new(init.clone(), tight());
+        let mut labeled = ModelStates::new(init, tight());
+        let mut scratch = UpdateScratch::default();
+        for round in &seed_rounds {
+            let pts = cut(round);
+            let want = oracle.update(&pts);
+            prop_assert_eq!(&wrapped.update(&pts), &want);
+            oracle.assert_same(&wrapped)?;
+
+            let labels: Vec<usize> = pts.iter().map(|p| labeled.nearest(p).unwrap().0).collect();
+            let flat: Vec<f64> = pts.iter().flatten().copied().collect();
+            prop_assert_eq!(&labeled.update_labeled(&flat, &labels, &mut scratch), &want);
+            oracle.assert_same(&labeled)?;
+        }
+    }
+
+    #[test]
     fn kmeans_assignments_minimize_distance(
         pts in prop::collection::vec(prop::collection::vec(-20.0f64..20.0, 2), 4..40),
         k in 1usize..4,
@@ -139,4 +319,50 @@ proptest! {
         let i4 = best(4);
         prop_assert!(i4 <= i1 + 1e-6, "inertia grew with k: {i1} -> {i4}");
     }
+}
+
+/// One round that does everything at once: `0.25` is an exact tie
+/// between slots 0 and 1, the two are within merge range, the merge
+/// frees a slot under the cap, the first far point takes it and the
+/// second is refused.
+#[test]
+fn merge_and_capped_spawn_in_one_round_match_the_oracle() {
+    let config = ClusterConfig {
+        alpha: 0.01,
+        merge_threshold: 1.0,
+        spawn_threshold: 5.0,
+        max_states: 3,
+    };
+    let init = vec![vec![0.0], vec![0.5], vec![20.0]];
+    let pts = vec![vec![0.25], vec![100.0], vec![-100.0], vec![-0.0]];
+    let mut oracle = Oracle::new(init.clone(), config.clone());
+    let mut states = ModelStates::new(init, config);
+    let labels: Vec<usize> = pts.iter().map(|p| states.nearest(p).unwrap().0).collect();
+    let flat: Vec<f64> = pts.iter().flatten().copied().collect();
+    let events = states.update_labeled(&flat, &labels, &mut UpdateScratch::default());
+    assert_eq!(events, oracle.update(&pts));
+    assert_eq!(
+        events,
+        vec![
+            StateEvent::Merged { from: 1, into: 0 },
+            StateEvent::Spawned(3)
+        ]
+    );
+    oracle.assert_same(&states).unwrap();
+}
+
+#[test]
+#[should_panic(expected = "names no active state")]
+fn update_labeled_rejects_a_merged_away_label() {
+    let mut states = ModelStates::new(
+        vec![vec![0.0], vec![0.5]],
+        ClusterConfig {
+            alpha: 0.5,
+            merge_threshold: 1.0,
+            spawn_threshold: 5.0,
+            max_states: 3,
+        },
+    );
+    states.update(&[vec![0.25]]); // merges slot 1 into slot 0
+    states.update_labeled(&[0.3], &[1], &mut UpdateScratch::default());
 }

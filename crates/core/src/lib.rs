@@ -76,6 +76,6 @@ pub use recovery::{DegradedStatus, RecoveryAction, RecoveryPlan};
 pub use report::{PipelineReport, SensorSummary, StateSummary};
 pub use runtime::{GlobalModel, SensorRuntime, SensorStep};
 pub use window::{
-    identify_states, identify_states_with, majority_vote, ObservationWindow, SensorSamples,
-    WindowScratch, WindowStates, Windower,
+    identify_states, identify_states_into, identify_states_with, majority_vote, ObservationWindow,
+    SensorSamples, WindowScratch, WindowStates, Windower,
 };

@@ -21,14 +21,20 @@
 //!
 //! The pipeline composes the [`crate::runtime`] building blocks
 //! serially; the sharded `sentinet-engine` drives the same blocks from
-//! multiple threads. The hot path is allocation-free in steady state:
-//! windows, their sample buffers, outcome alarm vectors, and the
-//! trimmed-mean working set are all recycled between windows.
+//! multiple threads. In steady state — every sensor seen, buffers warm
+//! — a reading that completes no window allocates nothing (windows and
+//! their sample buffers are recycled), and one that completes a window
+//! allocates a constant two `Vec`s (the completed window's, the
+//! outcome's) whatever the sensor count: Eqs. 2–4 and the clustering
+//! round run out of the pipeline's scratch, outcomes come from a pool
+//! when the caller hands them back. The per-sensor alarm histories grow
+//! (amortised) and a spawned state allocates its slot;
+//! `tests/steady_state_alloc.rs` counts allocator calls to hold this.
 
 use crate::classify::{AttackType, Diagnosis};
 use crate::config::PipelineConfig;
 use crate::runtime::{GlobalModel, SensorRuntime};
-use crate::window::{identify_states_with, ObservationWindow, WindowScratch, Windower};
+use crate::window::{identify_states_into, ObservationWindow, WindowScratch, Windower};
 use sentinet_cluster::{ModelStates, StateEvent};
 use sentinet_hmm::{MarkovChain, OnlineHmmEstimator};
 use sentinet_sim::{Reading, SensorId, Timestamp, Trace};
@@ -202,15 +208,14 @@ impl Pipeline {
             }
         }
 
-        let ws = identify_states_with(
-            window,
-            self.global.states()?,
-            mean?,
-            self.global.config().majority_fraction,
-        )?;
+        let states = self.global.states()?;
+        let observable = states.nearest(mean?)?.0;
+        let majority_fraction = self.global.config().majority_fraction;
+        let (correct, decisive) =
+            identify_states_into(window, states, majority_fraction, &mut self.scratch)?;
 
-        if ws.decisive {
-            self.global.record_decisive(ws.correct, ws.observable);
+        if decisive {
+            self.global.record_decisive(correct, observable);
         }
 
         // Per-sensor alarms, filtering, tracks, M_CE updates.
@@ -222,13 +227,13 @@ impl Pipeline {
         outcome.raw_alarms.clear();
         outcome.filtered_alarms.clear();
         let num_slots = self.global.num_slots();
-        if ws.decisive {
-            for (&id, &label) in ws.labels.iter() {
+        if decisive {
+            for (&id, &label) in self.scratch.sensor_ids().iter().zip(self.scratch.labels()) {
                 let sensor = self
                     .sensors
                     .entry(id)
                     .or_insert_with(|| SensorRuntime::new(self.global.config(), num_slots));
-                let step = sensor.step(window_index, label, ws.correct);
+                let step = sensor.step(window_index, label, correct);
                 if step.raw {
                     outcome.raw_alarms.push(id);
                 }
@@ -238,18 +243,20 @@ impl Pipeline {
             }
         }
 
-        // Model-state maintenance (Eqs. 5–6 + merge/spawn), then grow
-        // every estimator to the new slot count.
-        let points: Vec<Vec<f64>> = ws.representatives.into_values().collect();
-        let (cluster_events, grew) = self.global.finish_window(&points);
+        // Model-state maintenance (Eqs. 5–6 + merge/spawn) on the
+        // representatives and labels Eq. 3 left in the scratch, then
+        // grow every estimator to the new slot count.
+        let (cluster_events, grew) = self
+            .global
+            .finish_window_labeled(self.scratch.representatives(), self.scratch.labels());
         if grew {
             self.grow_sensors();
         }
 
         outcome.index = window_index;
         outcome.start = window.start;
-        outcome.observable = ws.observable;
-        outcome.correct = ws.correct;
+        outcome.observable = observable;
+        outcome.correct = correct;
         outcome.cluster_events = cluster_events;
         Some(outcome)
     }

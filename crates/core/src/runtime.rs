@@ -31,7 +31,7 @@ use crate::config::{FilterPolicy, PipelineConfig};
 use crate::window::ObservationWindow;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_cluster::{kmeans, ModelStates, StateEvent};
+use sentinet_cluster::{kmeans, ModelStates, StateEvent, UpdateScratch};
 use sentinet_filter::{AlarmFilter, KOfNFilter, Sprt, SprtAlarmFilter};
 use sentinet_hmm::structure::StructureCache;
 use sentinet_hmm::{MarkovChain, OnlineHmmEstimator, OnlineMarkovEstimator, StochasticMatrix};
@@ -266,6 +266,8 @@ pub struct GlobalModel {
     /// observable state) — the `c_i`/`o_i` sequences of §3.
     state_history: Vec<(u64, usize, usize)>,
     net_memo: RefCell<Option<NetMemo>>,
+    /// Eq. 6 accumulators, reused by every window's clustering round.
+    update_scratch: UpdateScratch,
 }
 
 impl GlobalModel {
@@ -290,6 +292,7 @@ impl GlobalModel {
             windows_processed: 0,
             state_history: Vec::new(),
             net_memo: RefCell::new(None),
+            update_scratch: UpdateScratch::default(),
         };
         if let Some(init) = model.config.initial_states.clone() {
             model.install_states(init);
@@ -419,14 +422,38 @@ impl GlobalModel {
     /// estimators, and the window counter. Returns the clustering
     /// events and whether the slot count grew — the caller must then
     /// grow every [`SensorRuntime`] to [`GlobalModel::num_slots`].
+    ///
+    /// The round labels the representatives itself; the window pass,
+    /// which already labelled them for Eq. 3, calls
+    /// [`GlobalModel::finish_window_labeled`].
     pub fn finish_window(&mut self, points: &[Vec<f64>]) -> (Vec<StateEvent>, bool) {
+        self.close_window(|states, _| states.update(points))
+    }
+
+    /// [`GlobalModel::finish_window`] over the flat representatives
+    /// (`labels.len() × dims`, row-major) and the Eq. 3 labels the
+    /// window pass computed against the current model states — the
+    /// states do not change between that labelling and this call, so
+    /// the clustering round does not label the points a second time.
+    pub fn finish_window_labeled(
+        &mut self,
+        points: &[f64],
+        labels: &[usize],
+    ) -> (Vec<StateEvent>, bool) {
+        self.close_window(|states, scratch| states.update_labeled(points, labels, scratch))
+    }
+
+    fn close_window(
+        &mut self,
+        round: impl FnOnce(&mut ModelStates, &mut UpdateScratch) -> Vec<StateEvent>,
+    ) -> (Vec<StateEvent>, bool) {
         let before = self.num_slots();
-        let events = self
+        let states = self
             .states
             .as_mut()
             // sentinet-allow(expect-used): estimators are installed at bootstrap, before any decisive window
-            .expect("bootstrapped before finishing")
-            .update(points);
+            .expect("bootstrapped before finishing");
+        let events = round(states, &mut self.update_scratch);
         self.grow_global();
         self.windows_processed += 1;
         (events, self.num_slots() != before)
@@ -557,6 +584,7 @@ impl GlobalModel {
             windows_processed: snapshot.windows_processed,
             state_history: snapshot.state_history,
             net_memo: RefCell::new(None),
+            update_scratch: UpdateScratch::default(),
         })
     }
 

@@ -18,11 +18,20 @@
 //!   group of sensors (Eq. 4), valid while a majority of sensors is
 //!   uncompromised.
 //!
-//! Storage is allocation-conscious: windows hold each sensor's samples
-//! in one flat `f64` buffer, the [`Windower`] recycles completed
-//! windows, and the aggregate statistics can run entirely out of a
-//! caller-owned [`WindowScratch`]. A pipeline in steady state performs
-//! no per-reading or per-window heap allocation.
+//! Storage is flat: a window is a `Vec` of per-sensor sample buffers
+//! sorted by sensor id (memory follows the sensors seen, not the
+//! largest id), each buffer one row-major `f64` run; the [`Windower`]
+//! recycles completed windows; and Eqs. 2–4 run out of a caller-owned
+//! [`WindowScratch`] ([`ObservationWindow::trimmed_mean_with`],
+//! [`identify_states_into`]). What that guarantees in steady state —
+//! every sensor already seen, buffers warm: a reading pushed into a
+//! recycled window allocates nothing, and the Eqs. 2–4 pass over a
+//! completed window allocates nothing. Completing a window costs the
+//! one-element `Vec` [`Windower::push`] returns it in, whatever the
+//! sensor count. `tests/steady_state_alloc.rs` counts allocator calls
+//! to keep this true. The map-typed functions ([`identify_states`],
+//! [`ObservationWindow::sensor_means`], [`majority_vote`]) wrap the
+//! same kernels and allocate their results.
 
 use crate::checkpoint::{CheckpointError, WindowerSnapshot};
 use sentinet_cluster::ModelStates;
@@ -82,6 +91,21 @@ impl SensorSamples {
         &self.data
     }
 
+    /// Appends the mean of the stored readings (`dims()` values, the
+    /// sensor's Eq. 3 representative) to `out`.
+    fn mean_into(&self, out: &mut Vec<f64>) {
+        let at = out.len();
+        out.resize(at + self.dims, 0.0);
+        let mean = &mut out[at..];
+        for values in self.iter() {
+            for (acc, &v) in mean.iter_mut().zip(values) {
+                *acc += v;
+            }
+        }
+        let n = self.len() as f64;
+        mean.iter_mut().for_each(|x| *x /= n);
+    }
+
     /// Clears stored readings, retaining capacity for reuse.
     fn clear(&mut self) {
         self.data.clear();
@@ -89,16 +113,35 @@ impl SensorSamples {
 }
 
 /// All delivered readings of one observation window, grouped by sensor.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Equality compares the delivered readings: buffers a recycled window
+/// keeps for sensors that have since gone silent do not count.
+#[derive(Debug, Clone, Default)]
 pub struct ObservationWindow {
     /// Window index `i` (0-based).
     pub index: u64,
     /// Start time of the window (inclusive).
     pub start: Timestamp,
-    /// Delivered samples per sensor. Recycled windows keep per-sensor
-    /// buffers around (cleared), so consumers must skip empty entries —
+    /// Delivered samples per sensor, sorted by ascending sensor id.
+    /// Recycled windows keep per-sensor buffers around (cleared), so
+    /// consumers must skip empty entries —
     /// [`ObservationWindow::sensors`] does.
-    readings: BTreeMap<SensorId, SensorSamples>,
+    readings: Vec<(SensorId, SensorSamples)>,
+    /// Entry the last push landed in. Traces arrive `(time, sensor)`
+    /// sorted, so the next reading belongs to this entry's successor
+    /// (or to the first entry, at the next sampling instant).
+    cursor: usize,
+}
+
+/// Entries [`ObservationWindow::push`] scans from its cursor before it
+/// falls back to a binary search: the cursor's own (a sensor repeating),
+/// its successor (the in-order case), and two more for lost packets.
+const NEAR: usize = 4;
+
+impl PartialEq for ObservationWindow {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index && self.start == other.start && self.sensors().eq(other.sensors())
+    }
 }
 
 impl ObservationWindow {
@@ -109,7 +152,36 @@ impl ObservationWindow {
     /// Panics if `values` is empty or disagrees with the sensor's prior
     /// readings in this window.
     pub fn push(&mut self, sensor: SensorId, values: &[f64]) {
-        self.readings.entry(sensor).or_default().push(values);
+        let entry = self.entry(sensor);
+        self.readings[entry].1.push(values);
+    }
+
+    /// Position of `sensor`'s entry, created if the window has never
+    /// seen the sensor. An in-order stream lands on the cursor or a
+    /// few entries after it (a lost packet skips one), or back at the
+    /// front with the next sampling instant; a scan of [`NEAR`] entries
+    /// from there finds it. Anything else pays a binary search.
+    fn entry(&mut self, sensor: SensorId) -> usize {
+        let from = match self.readings.get(self.cursor) {
+            Some((id, _)) if *id <= sensor => self.cursor,
+            _ => 0,
+        };
+        let near = self.readings[from..]
+            .iter()
+            .take(NEAR)
+            .position(|(id, _)| *id >= sensor)
+            .map(|step| from + step);
+        self.cursor = match near {
+            Some(at) if self.readings[at].0 == sensor => at,
+            _ => match self.readings.binary_search_by_key(&sensor, |(id, _)| *id) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.readings.insert(at, (sensor, SensorSamples::default()));
+                    at
+                }
+            },
+        };
+        self.cursor
     }
 
     /// Per-sensor samples with at least one delivered reading, in
@@ -118,23 +190,23 @@ impl ObservationWindow {
         self.readings
             .iter()
             .filter(|(_, s)| !s.is_empty())
-            .map(|(&id, s)| (id, s))
+            .map(|(id, s)| (*id, s))
     }
 
     /// Total delivered readings in the window.
     pub fn num_readings(&self) -> usize {
-        self.readings.values().map(SensorSamples::len).sum()
+        self.readings.iter().map(|(_, s)| s.len()).sum()
     }
 
     /// True when no sensor delivered anything.
     pub fn is_empty(&self) -> bool {
-        self.readings.values().all(SensorSamples::is_empty)
+        self.readings.iter().all(|(_, s)| s.is_empty())
     }
 
     /// Clears all samples (keeping buffers) so the window can be
     /// refilled without allocating.
     fn reset(&mut self) {
-        for s in self.readings.values_mut() {
+        for (_, s) in &mut self.readings {
             s.clear();
         }
     }
@@ -272,22 +344,18 @@ impl ObservationWindow {
     pub fn sensor_means(&self) -> BTreeMap<SensorId, Vec<f64>> {
         self.sensors()
             .map(|(id, samples)| {
-                let dims = samples.dims();
-                let mut m = vec![0.0; dims];
-                for values in samples.iter() {
-                    for (acc, &v) in m.iter_mut().zip(values) {
-                        *acc += v;
-                    }
-                }
-                m.iter_mut().for_each(|x| *x /= samples.len() as f64);
-                (id, m)
+                let mut mean = Vec::new();
+                samples.mean_into(&mut mean);
+                (id, mean)
             })
             .collect()
     }
 }
 
-/// Reusable intermediates for the window aggregate statistics. One
-/// instance per pipeline; contents are meaningless between calls.
+/// Reusable intermediates of the per-window statistics (Eqs. 2–4). One
+/// instance per pipeline. The trimmed-mean working set is meaningless
+/// between calls; the Eq. 3 results of the last
+/// [`identify_states_into`] stay readable until the next one.
 #[derive(Debug, Clone, Default)]
 pub struct WindowScratch {
     /// All window readings, flattened in canonical order.
@@ -300,12 +368,38 @@ pub struct WindowScratch {
     order: Vec<(f64, u32)>,
     /// The resulting mean — borrowed by `trimmed_mean_with`'s return.
     mean: Vec<f64>,
+    /// Sensors that reported in the identified window, ascending.
+    ids: Vec<SensorId>,
+    /// Their window-mean representatives, flat (`ids.len() × dims`).
+    representatives: Vec<f64>,
+    /// Their Eq. 3 labels.
+    labels: Vec<usize>,
+    /// Eq. 4 vote tally, indexed by model-state slot.
+    votes: Vec<usize>,
 }
 
 impl WindowScratch {
     /// Creates empty scratch buffers (they size themselves on use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The sensors that reported in the last identified window, in
+    /// ascending id order.
+    pub fn sensor_ids(&self) -> &[SensorId] {
+        &self.ids
+    }
+
+    /// The Eq. 3 label `l_j` of each of [`WindowScratch::sensor_ids`].
+    pub fn labels(&self) -> &[usize] {
+        &self.labels
+    }
+
+    /// The window-mean representative of each of
+    /// [`WindowScratch::sensor_ids`], flat and row-major — the shape
+    /// [`ModelStates::update_labeled`] takes.
+    pub fn representatives(&self) -> &[f64] {
+        &self.representatives
     }
 }
 
@@ -520,20 +614,54 @@ pub fn identify_states_with(
     majority_fraction: f64,
 ) -> Option<WindowStates> {
     let observable = states.nearest(overall)?.0;
-    let representatives = window.sensor_means();
-    let mut labels = BTreeMap::new();
-    for (&id, mean) in &representatives {
-        let l = states.nearest(mean)?.0;
-        labels.insert(id, l);
-    }
-    let (correct, decisive) = majority_vote(&labels, majority_fraction)?;
+    let mut scratch = WindowScratch::new();
+    let (correct, decisive) =
+        identify_states_into(window, states, majority_fraction, &mut scratch)?;
+    let ids = scratch.ids.iter().copied();
     Some(WindowStates {
         observable,
         correct,
-        labels,
-        representatives,
+        labels: ids.clone().zip(scratch.labels.iter().copied()).collect(),
+        representatives: ids
+            .zip(scratch.representatives.chunks_exact(states.dims()))
+            .map(|(id, mean)| (id, mean.to_vec()))
+            .collect(),
         decisive,
     })
+}
+
+/// Eqs. 3–4 out of `scratch`: every reporting sensor's window mean is
+/// labelled with its nearest model state and the labels are put to the
+/// majority vote. Returns the correct state `c_i` and whether it holds
+/// the required strict majority; the sensors, their representatives
+/// and their labels are left in `scratch` for the per-sensor stages and
+/// the clustering round. `None` for an empty window. With warm buffers
+/// nothing is allocated.
+///
+/// The observable state of Eq. 2 is one more [`ModelStates::nearest`]
+/// on the window aggregate, which the caller makes: the aggregate
+/// usually borrows this same `scratch`.
+pub fn identify_states_into(
+    window: &ObservationWindow,
+    states: &ModelStates,
+    majority_fraction: f64,
+    scratch: &mut WindowScratch,
+) -> Option<(usize, bool)> {
+    scratch.ids.clear();
+    scratch.representatives.clear();
+    scratch.labels.clear();
+    for (id, samples) in window.sensors() {
+        let at = scratch.representatives.len();
+        samples.mean_into(&mut scratch.representatives);
+        let label = states.nearest(&scratch.representatives[at..])?.0;
+        scratch.ids.push(id);
+        scratch.labels.push(label);
+    }
+    tally_votes(
+        scratch.labels.iter().copied(),
+        majority_fraction,
+        &mut scratch.votes,
+    )
 }
 
 /// Eq. 4: elects the state backed by the most sensor labels. Ties
@@ -547,14 +675,34 @@ pub fn majority_vote(
     labels: &BTreeMap<SensorId, usize>,
     majority_fraction: f64,
 ) -> Option<(usize, bool)> {
-    let mut votes: BTreeMap<usize, usize> = BTreeMap::new();
-    for &l in labels.values() {
-        *votes.entry(l).or_insert(0) += 1;
+    tally_votes(labels.values().copied(), majority_fraction, &mut Vec::new())
+}
+
+/// The Eq. 4 election over `labels`, counted in `votes` (one cell per
+/// model-state slot, grown to the highest label seen).
+fn tally_votes(
+    labels: impl Iterator<Item = usize>,
+    majority_fraction: f64,
+    votes: &mut Vec<usize>,
+) -> Option<(usize, bool)> {
+    votes.clear();
+    let mut voters = 0usize;
+    for label in labels {
+        if label >= votes.len() {
+            votes.resize(label + 1, 0);
+        }
+        votes[label] += 1;
+        voters += 1;
     }
-    let (&correct, &max_votes) = votes
-        .iter()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))?;
-    let decisive = max_votes as f64 > majority_fraction * labels.len() as f64;
+    // First strict maximum: a tie goes to the lower slot.
+    let mut winner: Option<(usize, usize)> = None;
+    for (slot, &count) in votes.iter().enumerate() {
+        if count > winner.map_or(0, |(_, most)| most) {
+            winner = Some((slot, count));
+        }
+    }
+    let (correct, most) = winner?;
+    let decisive = most as f64 > majority_fraction * voters as f64;
     Some((correct, decisive))
 }
 

@@ -3,9 +3,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_cluster::{ClusterConfig, ModelStates};
-use sentinet_core::{identify_states, ObservationWindow, Pipeline, PipelineConfig, Windower};
+use sentinet_cluster::{ClusterConfig, ModelStates, UpdateScratch};
+use sentinet_core::{
+    identify_states, identify_states_into, identify_states_with, majority_vote, ObservationWindow,
+    Pipeline, PipelineConfig, WindowScratch, WindowStates, Windower,
+};
 use sentinet_sim::{Reading, SensorId, Trace, TraceRecord};
+use std::collections::BTreeMap;
 
 fn window_from(points: &[(u16, Vec<f64>)]) -> ObservationWindow {
     let mut w = ObservationWindow::default();
@@ -15,8 +19,212 @@ fn window_from(points: &[(u16, Vec<f64>)]) -> ObservationWindow {
     w
 }
 
+/// Eqs. 2–4 as they ran before the flat kernels — a `BTreeMap` of
+/// per-sensor means, a `BTreeMap` of labels, a `BTreeMap` vote tally —
+/// kept as the oracle the differential tests compare against.
+fn oracle_identify(
+    window: &ObservationWindow,
+    states: &ModelStates,
+    overall: &[f64],
+    majority_fraction: f64,
+) -> Option<WindowStates> {
+    let observable = states.nearest(overall)?.0;
+    let representatives: BTreeMap<SensorId, Vec<f64>> = window
+        .sensors()
+        .map(|(id, samples)| {
+            let mut m = vec![0.0; samples.dims()];
+            for values in samples.iter() {
+                for (acc, &v) in m.iter_mut().zip(values) {
+                    *acc += v;
+                }
+            }
+            m.iter_mut().for_each(|x| *x /= samples.len() as f64);
+            (id, m)
+        })
+        .collect();
+    let mut labels = BTreeMap::new();
+    for (&id, mean) in &representatives {
+        labels.insert(id, states.nearest(mean)?.0);
+    }
+    let mut votes: BTreeMap<usize, usize> = BTreeMap::new();
+    for &l in labels.values() {
+        *votes.entry(l).or_insert(0) += 1;
+    }
+    let (&correct, &max_votes) = votes
+        .iter()
+        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))?;
+    let decisive = max_votes as f64 > majority_fraction * labels.len() as f64;
+    Some(WindowStates {
+        observable,
+        correct,
+        labels,
+        representatives,
+        decisive,
+    })
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Asserts the flat results in `scratch` (and the winner) are `want`.
+fn assert_flat_is(
+    got: Option<(usize, bool)>,
+    scratch: &WindowScratch,
+    want: &Option<WindowStates>,
+) -> Result<(), TestCaseError> {
+    let Some(want) = want else {
+        prop_assert_eq!(got, None);
+        return Ok(());
+    };
+    prop_assert_eq!(got, Some((want.correct, want.decisive)));
+    let ids: Vec<SensorId> = want.labels.keys().copied().collect();
+    prop_assert_eq!(scratch.sensor_ids(), &ids[..]);
+    let labels: Vec<usize> = want.labels.values().copied().collect();
+    prop_assert_eq!(scratch.labels(), &labels[..]);
+    let reps: Vec<f64> = want.representatives.values().flatten().copied().collect();
+    prop_assert_eq!(bits(scratch.representatives()), bits(&reps));
+    Ok(())
+}
+
+/// Asserts two `WindowStates` agree with representatives bit for bit
+/// (`==` on floats would let `-0.0` pass for `0.0`).
+fn assert_states_eq(got: &Option<WindowStates>, want: &Option<WindowStates>) {
+    assert_eq!(got, want);
+    if let (Some(got), Some(want)) = (got, want) {
+        for (g, w) in got
+            .representatives
+            .values()
+            .zip(want.representatives.values())
+        {
+            assert_eq!(bits(g), bits(w));
+        }
+    }
+}
+
+/// Sparse ids in no particular order, with values from a coarse grid
+/// (repeats, a signed zero, mirror images) so exact ties occur.
+fn sparse_pushes(max_len: usize) -> impl Strategy<Value = Vec<(u16, Vec<f64>)>> {
+    let id = prop::sample::select(vec![0u16, 7, 65535, 3, 1000, 8]);
+    let cell = prop::sample::select(vec![-0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 60.0]);
+    prop::collection::vec((id, prop::collection::vec(cell, 2)), 1..max_len)
+}
+
+/// Two states mirrored about the origin (every grid point on an axis
+/// ties between them) and a third off to one side.
+fn tie_states() -> ModelStates {
+    ModelStates::new(
+        vec![vec![1.0, 0.0], vec![-1.0, 0.0], vec![5.0, 5.0]],
+        ClusterConfig {
+            alpha: 0.3,
+            merge_threshold: 0.5,
+            spawn_threshold: 20.0,
+            max_states: 4,
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dense window against a plain map of the same pushes, in
+    /// whatever order they arrive.
+    #[test]
+    fn dense_window_matches_a_map_of_the_same_pushes(pushes in sparse_pushes(40)) {
+        let w = window_from(&pushes);
+        let mut oracle: BTreeMap<SensorId, Vec<f64>> = BTreeMap::new();
+        for (s, v) in &pushes {
+            oracle.entry(SensorId(*s)).or_default().extend_from_slice(v);
+        }
+        let got: Vec<(SensorId, Vec<u64>)> =
+            w.sensors().map(|(id, s)| (id, bits(s.as_flat()))).collect();
+        let want: Vec<(SensorId, Vec<u64>)> =
+            oracle.iter().map(|(&id, v)| (id, bits(v))).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(w.num_readings(), pushes.len());
+        // Arrival order does not matter to equality; id order is kept.
+        let mut sorted = pushes.clone();
+        sorted.sort_by_key(|(s, _)| *s); // stable: per-sensor order kept
+        prop_assert_eq!(&w, &window_from(&sorted));
+    }
+
+    /// Eqs. 3–4 out of one scratch reused across two windows, the
+    /// map-typed wrappers, and the clustering round fed the reused
+    /// labels — all against the map oracle and a relabelling `update`.
+    #[test]
+    fn flat_identify_and_labeled_update_match_the_map_oracle(
+        first in sparse_pushes(30),
+        second in sparse_pushes(30),
+        fraction in prop::sample::select(vec![0.5, 0.34, 0.75]),
+    ) {
+        let mut flat_states = tie_states();
+        let mut map_states = tie_states();
+        let mut scratch = WindowScratch::new();
+        let mut update_scratch = UpdateScratch::default();
+        for pushes in [&first, &second] {
+            let w = window_from(pushes);
+            let overall = w.trimmed_mean(0.1).expect("non-empty");
+            let want = oracle_identify(&w, &map_states, &overall, fraction);
+            let got = identify_states_into(&w, &flat_states, fraction, &mut scratch);
+            assert_flat_is(got, &scratch, &want)?;
+            assert_states_eq(&identify_states_with(&w, &flat_states, &overall, fraction), &want);
+            assert_states_eq(&identify_states(&w, &flat_states, 0.1, fraction), &want);
+            let want = want.expect("non-empty window, live states");
+            prop_assert_eq!(
+                majority_vote(&want.labels, fraction),
+                Some((want.correct, want.decisive))
+            );
+            let sensor_means = w.sensor_means();
+            prop_assert_eq!(&sensor_means, &want.representatives);
+
+            // Eq. 6 + merge/spawn: reusing the Eq. 3 labels is the
+            // same round as labelling again.
+            let points: Vec<Vec<f64>> = want.representatives.into_values().collect();
+            let events = flat_states.update_labeled(
+                scratch.representatives(),
+                scratch.labels(),
+                &mut update_scratch,
+            );
+            prop_assert_eq!(events, map_states.update(&points));
+            let (a, b) = (flat_states.snapshot(), map_states.snapshot());
+            prop_assert_eq!(&a, &b);
+            for (ca, cb) in a.centroids.iter().zip(&b.centroids) {
+                prop_assert_eq!(bits(ca), bits(cb));
+            }
+        }
+    }
+
+    /// A recycled window whose earlier sensors went silent equals, and
+    /// identifies as, a window that never knew them.
+    #[test]
+    fn recycled_windows_equal_fresh_ones(
+        rounds in prop::collection::vec(sparse_pushes(12), 2..6),
+    ) {
+        let mut windower = Windower::new(100);
+        let states = tie_states();
+        let mut scratch = WindowScratch::new();
+        let mut fresh_scratch = WindowScratch::new();
+        for (i, pushes) in rounds.iter().enumerate() {
+            for (s, v) in pushes {
+                for done in windower.push(100 * i as u64, SensorId(*s), v) {
+                    let mut fresh = window_from(&rounds[i - 1]);
+                    fresh.index = done.index;
+                    fresh.start = done.start;
+                    prop_assert_eq!(&done, &fresh);
+                    prop_assert_eq!(done.num_readings(), fresh.num_readings());
+                    let got = identify_states_into(&done, &states, 0.5, &mut scratch);
+                    let want = identify_states_into(&fresh, &states, 0.5, &mut fresh_scratch);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(scratch.sensor_ids(), fresh_scratch.sensor_ids());
+                    prop_assert_eq!(
+                        bits(scratch.representatives()),
+                        bits(fresh_scratch.representatives())
+                    );
+                    windower.recycle(done);
+                }
+            }
+        }
+    }
 
     #[test]
     fn trimmed_mean_within_data_hull(

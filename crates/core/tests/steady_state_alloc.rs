@@ -1,0 +1,205 @@
+//! Holds `window.rs`'s and `pipeline.rs`'s allocation claims to
+//! account: a counting `#[global_allocator]` (this test binary only)
+//! measures the steady-state window-close path and requires **zero**
+//! allocator calls for
+//!
+//! - `ModelStates::nearest` × 1000,
+//! - a reading pushed into a recycled window,
+//! - a warm-scratch Eqs. 2–4 pass (`trimmed_mean_with` +
+//!   `identify_states_into`),
+//! - a no-spawn `update_labeled`,
+//!
+//! and for a window close through `Pipeline::push_values` exactly two
+//! (the completed-window `Vec`, the outcome `Vec`) at 20 sensors and at
+//! 200.
+//!
+//! Counts are per thread, so the harness running the tests of this file
+//! side by side does not disturb them.
+
+use sentinet_cluster::{ClusterConfig, ModelStates, UpdateScratch};
+use sentinet_core::{identify_states_into, Pipeline, PipelineConfig, WindowScratch, Windower};
+use sentinet_sim::SensorId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls (alloc, alloc_zeroed, realloc) made by this thread.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down, when the counter is gone and nobody is counting.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialised thread-local `Cell` with no destructor, so touching
+// it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls this thread makes while `f` runs.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (CALLS.with(Cell::get) - before, out)
+}
+
+fn states() -> ModelStates {
+    ModelStates::new(
+        vec![
+            vec![12.0, 94.0],
+            vec![17.0, 84.0],
+            vec![24.0, 70.0],
+            vec![31.0, 56.0],
+        ],
+        ClusterConfig::default(),
+    )
+}
+
+/// A sampling instant of `sensors` sensors, every fifth one lost, each
+/// reading within a unit of `centre`.
+fn instant(sensors: u16, centre: [f64; 2]) -> impl Iterator<Item = (SensorId, [f64; 2])> {
+    (0..sensors).filter(|s| s % 5 != 4).map(move |s| {
+        let wobble = f64::from(s % 7) / 7.0;
+        (SensorId(s), [centre[0] + wobble, centre[1] - wobble])
+    })
+}
+
+#[test]
+fn the_counter_counts() {
+    let (n, v) = allocations(|| vec![1u8; 64]);
+    assert_eq!(v.len(), 64);
+    assert!(n >= 1, "a fresh Vec must show up in the count");
+}
+
+#[test]
+fn nearest_does_not_allocate() {
+    let s = states();
+    let (n, hits) = allocations(|| {
+        (0..1000)
+            .filter(|&i| s.nearest(&[10.0 + f64::from(i) / 40.0, 80.0]).is_some())
+            .count()
+    });
+    assert_eq!(hits, 1000);
+    assert_eq!(n, 0, "ModelStates::nearest allocated");
+}
+
+#[test]
+fn window_close_kernels_do_not_allocate_once_warm() {
+    let mut windower = Windower::new(3_600);
+    let mut s = states();
+    let mut scratch = WindowScratch::new();
+    let mut update_scratch = UpdateScratch::default();
+    let mut close = |windower: &mut Windower, hour: u64| {
+        let mut pushes = 0;
+        for sample in 0..12 {
+            for (id, values) in instant(100, [12.5, 93.0]) {
+                for done in windower.push(hour * 3_600 + sample * 300, id, &values) {
+                    // Eqs. 2–4 and the clustering round, as the
+                    // pipeline runs them on a completed window.
+                    let (n, _) = allocations(|| {
+                        let mean = done.trimmed_mean_with(0.1, &mut scratch).map(|m| m[0]);
+                        let vote = identify_states_into(&done, &s, 0.5, &mut scratch);
+                        assert!(mean.is_some() && vote.is_some());
+                        let events = s.update_labeled(
+                            scratch.representatives(),
+                            scratch.labels(),
+                            &mut update_scratch,
+                        );
+                        assert!(events.is_empty(), "the scenario spawns nothing");
+                    });
+                    if hour > 2 {
+                        assert_eq!(n, 0, "warm Eqs. 2–4 + update allocated (hour {hour})");
+                    }
+                    windower.recycle(done);
+                }
+                pushes += 1;
+            }
+        }
+        pushes
+    };
+    // Three windows warm every buffer: both windows in rotation have
+    // seen every sensor and the scratch has its sizes.
+    for hour in 0..3 {
+        close(&mut windower, hour);
+    }
+    // From here an hour of pushes is cursor bumps into recycled
+    // buffers; the one allocator call is the one-element Vec the
+    // completed window comes back in.
+    for hour in 3..6 {
+        let (n, pushes) = allocations(|| close(&mut windower, hour));
+        assert!(pushes > 900);
+        assert_eq!(
+            n, 1,
+            "hour {hour}: expected only the completed-window Vec, counted {n}"
+        );
+    }
+}
+
+/// Allocator calls of a `push_values` that closes a warm window of a
+/// `sensors`-sensor field in a steady environment: the median over ten
+/// closes, because every sensor's alarm history is a `Vec` of the same
+/// length and they all double in the same window.
+fn window_close_allocations(sensors: u16) -> u64 {
+    let mut p = Pipeline::new(PipelineConfig::default(), 300);
+    let mut closes = Vec::with_capacity(16);
+    for hour in 0..40u64 {
+        for sample in 0..12 {
+            for (id, values) in instant(sensors, [12.5, 93.0]) {
+                let (n, outcomes) =
+                    allocations(|| p.push_values(hour * 3_600 + sample * 300, id, &values));
+                let closed = !outcomes.is_empty();
+                for o in outcomes {
+                    p.recycle_outcome(o);
+                }
+                if hour >= 30 {
+                    if closed {
+                        closes.push(n);
+                    } else {
+                        assert_eq!(n, 0, "a reading that closes nothing allocated");
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(closes.len(), 10);
+    closes.sort_unstable();
+    closes[closes.len() / 2]
+}
+
+#[test]
+fn pipeline_window_close_allocates_a_constant_independent_of_sensor_count() {
+    // The completed-window Vec and the outcome Vec; nothing per sensor.
+    assert_eq!(window_close_allocations(20), 2);
+    assert_eq!(window_close_allocations(200), 2);
+}

@@ -619,17 +619,37 @@ pub fn window_pass(
     };
 
     let representatives = window.sensor_means();
-    let (observable, labels) = {
+    let (observable, labels, points, point_labels) = {
         let Some(states) = global.states() else {
             return Ok(None);
         };
         let Some((observable, _)) = states.nearest(mean) else {
             return Ok(None);
         };
-        match backend.label(states, &representatives)? {
-            Some(labels) => (observable, labels),
-            None => return Ok(None),
+        let Some(labels) = backend.label(states, &representatives)? else {
+            return Ok(None);
+        };
+        // The clustering round that ends the window takes the serial
+        // pipeline's flat shape: representatives in ascending sensor
+        // order with the labels the vote is about to run on (the
+        // states do not move in between). A quarantined shard's
+        // sensors have no label; their representatives still train
+        // the states, so they are labelled here.
+        let mut points = Vec::with_capacity(representatives.len() * states.dims());
+        let mut point_labels = Vec::with_capacity(representatives.len());
+        let mut voted = labels.iter().peekable();
+        for (id, mean) in &representatives {
+            let label = match voted.next_if(|(voter, _)| *voter == id) {
+                Some((_, &label)) => Some(label),
+                None => states.nearest(mean).map(|(label, _)| label),
+            };
+            let Some(label) = label else {
+                return Ok(None);
+            };
+            points.extend_from_slice(mean);
+            point_labels.push(label);
         }
+        (observable, labels, points, point_labels)
     };
     let Some((correct, decisive)) = majority_vote(&labels, majority_fraction) else {
         return Ok(None);
@@ -647,8 +667,7 @@ pub fn window_pass(
         (Vec::new(), Vec::new())
     };
 
-    let points: Vec<Vec<f64>> = representatives.into_values().collect();
-    let (cluster_events, grew) = global.finish_window(&points);
+    let (cluster_events, grew) = global.finish_window_labeled(&points, &point_labels);
     if grew {
         backend.grow(global.num_slots())?;
     }

@@ -103,7 +103,18 @@ const ACK_DOMINATORS: &[&str] = &["synced_cursor", "sync_wal", ".deliver("];
 /// suffix of the file that defines them. These are the PR-1 hot paths:
 /// the steady-state ingest/window/update code the benches measure.
 pub const HOT_PATHS: &[(&str, &[&str])] = &[
-    ("core/src/window.rs", &["push", "trimmed_mean_with"]),
+    ("cluster/src/online.rs", &["nearest", "update_labeled"]),
+    (
+        "core/src/window.rs",
+        &[
+            "push",
+            "entry",
+            "mean_into",
+            "trimmed_mean_with",
+            "identify_states_into",
+            "tally_votes",
+        ],
+    ),
     ("core/src/pipeline.rs", &["push_values"]),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
