@@ -40,8 +40,13 @@ pub struct StageTimings {
     pub admission_ns: u64,
     /// Inside WAL write calls.
     pub wal_append_ns: u64,
-    /// Inside WAL fsync calls.
+    /// Inside WAL fsync calls, wherever they ran: inline on the
+    /// admitting thread, or overlapped on the server's syncer thread.
     pub fsync_ns: u64,
+    /// The part of `fsync_ns` the admitting thread itself was blocked
+    /// for (inline fsyncs) — what the fsync costs the ingest path once
+    /// the server overlaps the rest.
+    pub sync_blocked_ns: u64,
 }
 
 /// Per-batch admission accounting from [`Collector::deliver_batch`].
@@ -94,7 +99,13 @@ impl Collector {
         // Untimed: `admission_ns` is the *batch* stage of the bench
         // breakdown, and stop-and-wait callers deliver per reading —
         // clock reads would be a per-reading cost.
-        let out = self.deliver_run(sensor, seq, std::iter::once((time, values)), false)?;
+        let out = self.deliver_run(
+            sensor,
+            seq,
+            std::iter::once((time, values)),
+            false,
+            PolicySync::Inline,
+        )?;
         Ok(match out.nack {
             Some((_, cause)) => DeliverOutcome::Rejected(cause),
             None if out.duplicates > 0 => DeliverOutcome::Duplicate,
@@ -128,20 +139,44 @@ impl Collector {
         let run = readings
             .iter()
             .map(|(time, values)| (*time, values.as_slice()));
-        self.deliver_run(sensor, first_seq, run, true)
+        self.deliver_run(sensor, first_seq, run, true, PolicySync::Inline)
+    }
+
+    /// [`Collector::deliver_batch`] for the protocol core, which owns
+    /// the decoded frame: the readings move into their WAL records
+    /// instead of being cloned, and the policy fsync is left for the
+    /// driver to overlap with later batches ([`Collector::sync_due`],
+    /// [`Collector::begin_sync`], [`Collector::complete_sync`]) — the
+    /// ack waits for [`Collector::synced_cursor`] either way.
+    pub(crate) fn deliver_batch_owned(
+        &mut self,
+        sensor: SensorId,
+        first_seq: u64,
+        readings: Vec<(Timestamp, Vec<f64>)>,
+    ) -> Result<BatchOutcome, GatewayError> {
+        self.deliver_run(
+            sensor,
+            first_seq,
+            readings.into_iter(),
+            true,
+            PolicySync::Deferred,
+        )
     }
 
     /// The one admission path: `readings` arrive under consecutive
     /// seqs from `first_seq`. Values are taken by `Into<Vec<f64>>` so
     /// an owned reading moves into its WAL record and a borrowed one
     /// is cloned only once it is known to be fresh. `timed` charges
-    /// the two admission passes to [`StageTimings::admission_ns`].
+    /// the two admission passes to [`StageTimings::admission_ns`];
+    /// `policy_sync` says whether the append runs the policy fsync
+    /// itself.
     fn deliver_run<V: Into<Vec<f64>>>(
         &mut self,
         sensor: SensorId,
         first_seq: u64,
         readings: impl ExactSizeIterator<Item = (Timestamp, V)>,
         timed: bool,
+        policy_sync: PolicySync,
     ) -> Result<BatchOutcome, GatewayError> {
         let total = readings.len();
         let mut out = BatchOutcome {
@@ -219,7 +254,7 @@ impl Collector {
         // were never acked either).
         if !fresh.is_empty() {
             let logged_before = self.wal.records_logged();
-            match self.wal.append_many(&fresh) {
+            match self.wal.append_extent(&fresh, policy_sync) {
                 Ok(()) => {}
                 Err(WalError::Storage(_)) => {
                     // Part of the extent may be on disk, but nothing
@@ -242,7 +277,7 @@ impl Collector {
                     .entry(record.sensor)
                     .or_default()
                     .observe(record.seq);
-                self.admit(record.raw());
+                self.admit(record.into_raw());
             }
             self.charge_admission(pass_start);
             let logged = self.wal.records_logged();
@@ -323,7 +358,31 @@ impl Collector {
             admission_ns: self.admission_ns,
             wal_append_ns: self.wal.append_ns(),
             fsync_ns: self.wal.fsync_ns(),
+            sync_blocked_ns: self.wal.sync_blocked_ns(),
         }
+    }
+
+    /// Whether the fsync policy wants an overlapped sync started now
+    /// (see [`Wal::sync_due`]).
+    pub(crate) fn sync_due(&self) -> bool {
+        self.wal.sync_due()
+    }
+
+    /// Whether an overlapped sync is in flight.
+    pub(crate) fn sync_in_flight(&self) -> bool {
+        self.wal.sync_in_flight()
+    }
+
+    /// Starts an overlapped sync covering every record logged so far
+    /// (see [`Wal::begin_sync`]).
+    pub(crate) fn begin_sync(&mut self) -> Option<SyncStart> {
+        self.wal.begin_sync()
+    }
+
+    /// Lands an overlapped sync's outcome: the synced cursor rises to
+    /// the ticket's cursor, or the WAL is poisoned.
+    pub(crate) fn complete_sync(&mut self, ticket: SyncTicket, done: SyncDone) {
+        self.wal.complete_sync(ticket, done);
     }
 
     /// Forces the group-commit fsync: after `Ok`, every logged record

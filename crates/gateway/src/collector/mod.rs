@@ -56,7 +56,9 @@ use crate::snapshot::{
     decode_collector, encode_collector, merge_snapshot, split_snapshot, CollectorSnapshot,
 };
 use crate::vfs::StorageError;
-use crate::wal::{Wal, WalConfig, WalError, WalRecord};
+use crate::wal::{
+    PolicySync, SyncDone, SyncStart, SyncTicket, Wal, WalConfig, WalError, WalRecord,
+};
 use checkpoint::{read_checkpoint, read_fence, write_fence};
 use migration::read_retired;
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
@@ -582,16 +584,17 @@ impl Collector {
             collector.retired = retired;
             collector.last_checkpoint_cursor = checkpoint_cursor;
             let skip = (ck.cursor - base_records) as usize;
-            for record in &records[skip..] {
+            let replayed = (records.len() - skip) as u64;
+            for record in records.into_iter().skip(skip) {
                 collector
                     .seqs
                     .entry(record.sensor)
                     .or_default()
                     .observe(record.seq);
-                collector.admit(record.raw());
+                collector.admit(record.into_raw());
             }
             let info = RecoveryInfo {
-                replayed: (records.len() - skip) as u64,
+                replayed,
                 verified_cursor: None,
                 restored_from: Some(ck.cursor),
                 prewarmed,
@@ -605,13 +608,14 @@ impl Collector {
         collector.retired = retired;
         collector.last_checkpoint_cursor = checkpoint_cursor;
         let mut verified_cursor = None;
-        for (i, record) in records.iter().enumerate() {
+        let replayed = records.len() as u64;
+        for (i, record) in records.into_iter().enumerate() {
             collector
                 .seqs
                 .entry(record.sensor)
                 .or_default()
                 .observe(record.seq);
-            collector.admit(record.raw());
+            collector.admit(record.into_raw());
             if let Some(ck) = &checkpoint {
                 if ck.cursor == (i + 1) as u64 {
                     let now = encode_collector(&collector.snapshot());
@@ -623,7 +627,7 @@ impl Collector {
             }
         }
         let info = RecoveryInfo {
-            replayed: records.len() as u64,
+            replayed,
             verified_cursor,
             restored_from: None,
             prewarmed,

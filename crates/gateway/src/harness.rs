@@ -9,9 +9,12 @@
 //! nondeterministic edge lifted out: the caller owns the "network" (it
 //! feeds raw frame bytes per connection and collects typed reply
 //! messages), the caller decides when the queue-dry group commit fires
-//! ([`StepServer::commit`]), and every step decodes exactly one
-//! message. It is **not** a model of the server: the protocol is the
-//! shipped core, and admission, durability and ack release run through
+//! ([`StepServer::commit`]) and when an overlapped sync starts and when
+//! it completes ([`StepServer::start_sync`],
+//! [`StepServer::complete_sync`] — the server's syncer thread, with the
+//! fsync itself held back until the schedule says it returned), and
+//! every step decodes exactly one message. It is **not** a model of
+//! the server: the protocol is the shipped core, and admission, durability and ack release run through
 //! the real [`Collector`] (real [`SeqTracker`](crate::collector::SeqTracker)
 //! dedup, real [`Wal`](crate::wal::Wal) appends over whatever
 //! [`Vfs`](crate::vfs::Vfs) the collector was opened with, real
@@ -23,6 +26,8 @@
 use crate::collector::{Collector, GatewayError};
 use crate::frame::{FrameBuffer, FrameError, Message};
 use crate::protocol::{AckDiscipline, Core, QueuedAck, Reply};
+use crate::vfs::VFile;
+use crate::wal::{SyncDone, SyncTicket};
 
 /// What one [`StepServer::step`] call did.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +50,10 @@ pub struct StepServer {
     collector: Collector,
     conns: Vec<Option<FrameBuffer>>,
     core: Core,
+    /// The syncer's handle on the active WAL segment.
+    sync_handle: Option<Box<dyn VFile>>,
+    /// The overlapped sync that has started and not yet completed.
+    in_flight: Option<SyncTicket>,
 }
 
 impl StepServer {
@@ -61,6 +70,8 @@ impl StepServer {
             collector,
             conns: Vec::new(),
             core,
+            sync_handle: None,
+            in_flight: None,
         }
     }
 
@@ -125,6 +136,47 @@ impl StepServer {
         let mut replies = Vec::new();
         self.core.on_queue_dry(&mut self.collector, &mut replies)?;
         Ok(self.route(replies))
+    }
+
+    /// An overlapped sync starts: the WAL cursor it will cover is
+    /// captured now, and nothing touches the disk until
+    /// [`StepServer::complete_sync`]. Returns `false` (and does
+    /// nothing) when there is nothing to cover, a sync is already in
+    /// flight, or the WAL is poisoned. The server starts one only when
+    /// the fsync policy is due; the checker may start one at any point
+    /// with unsynced records, which covers every point the policy
+    /// could pick.
+    pub fn start_sync(&mut self) -> bool {
+        let Some(start) = self.collector.begin_sync() else {
+            return false;
+        };
+        if start.handle.is_some() {
+            self.sync_handle = start.handle;
+        }
+        self.in_flight = Some(start.ticket);
+        true
+    }
+
+    /// Whether a started sync has not completed yet.
+    pub fn sync_in_flight(&self) -> bool {
+        self.in_flight.is_some()
+    }
+
+    /// The sync in flight completes: its fsync runs on the sync handle
+    /// (through whatever [`Vfs`](crate::vfs::Vfs) the collector was
+    /// opened with, so a fault plan can fail it), the outcome lands on
+    /// the WAL, and the acks it covers are released. Returns no
+    /// replies when no sync is in flight.
+    pub fn complete_sync(&mut self) -> Vec<(usize, Message)> {
+        let (Some(ticket), Some(handle)) = (self.in_flight.take(), self.sync_handle.as_mut())
+        else {
+            return Vec::new();
+        };
+        let done = SyncDone::run(handle.as_mut());
+        let mut replies = Vec::new();
+        self.core
+            .on_synced(&mut self.collector, ticket, done, &mut replies);
+        self.route(replies)
     }
 
     /// Hands replies to the caller's "network", dropping the

@@ -70,20 +70,14 @@ impl Listener {
         Ok((Listener::Tcp(listener), addr))
     }
 
-    /// Switches blocking mode of `accept`.
-    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(nonblocking),
-        }
-    }
-
-    /// Accepts one connection.
+    /// Accepts one connection, blocking until one arrives. A TCP
+    /// stream comes back with `TCP_NODELAY` set (see
+    /// [`Stream::connect`]).
     pub(crate) fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
                 Ok(Stream::Tcp(s))
             }
             #[cfg(unix)]
@@ -96,7 +90,10 @@ impl Listener {
 }
 
 impl Stream {
-    /// Connects to `spec` (same syntax as [`Listener::bind`]).
+    /// Connects to `spec` (same syntax as [`Listener::bind`]). TCP
+    /// streams get `TCP_NODELAY`: every frame is written whole, and a
+    /// small one (an ack, a heartbeat) held back by Nagle until the
+    /// peer's delayed ACK fires costs its reader ≈ 40 ms.
     pub(crate) fn connect(spec: &str) -> io::Result<Self> {
         if let Some(path) = spec.strip_prefix("unix:") {
             #[cfg(unix)]
@@ -104,7 +101,9 @@ impl Stream {
             #[cfg(not(unix))]
             return Err(unsupported(spec));
         }
-        TcpStream::connect(spec).map(Stream::Tcp)
+        let stream = TcpStream::connect(spec)?;
+        stream.set_nodelay(true)?;
+        Ok(Stream::Tcp(stream))
     }
 
     /// Bounds how long a read may block.
@@ -179,4 +178,37 @@ pub(crate) fn is_timeout(e: &io::Error) -> bool {
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tcp_streams_disable_nagle_on_both_ends() {
+        let (listener, addr) = Listener::bind("127.0.0.1:0").expect("bind");
+        let client = Stream::connect(&addr).expect("connect");
+        let accepted = listener.accept().expect("accept");
+        for (end, stream) in [("client", &client), ("accepted", &accepted)] {
+            let Stream::Tcp(tcp) = stream else {
+                panic!("{end}: a TCP endpoint yields a TCP stream");
+            };
+            assert!(tcp.nodelay().expect("nodelay"), "{end}: TCP_NODELAY unset");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_streams_connect_and_accept() {
+        let path = std::env::temp_dir().join(format!("sentinet-net-{}.sock", std::process::id()));
+        let spec = format!("unix:{}", path.display());
+        let (listener, addr) = Listener::bind(&spec).expect("bind");
+        let mut client = Stream::connect(&addr).expect("connect");
+        let mut accepted = listener.accept().expect("accept");
+        client.write_all(b"x").expect("write");
+        let mut byte = [0u8; 1];
+        accepted.read_exact(&mut byte).expect("read");
+        assert_eq!(&byte, b"x");
+        let _ = std::fs::remove_file(&path);
+    }
 }

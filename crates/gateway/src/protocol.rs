@@ -2,9 +2,9 @@
 //! v1/v2 wire protocol, shared by its two drivers.
 //!
 //! [`Core`] consumes one decoded [`Message`] for a connection id, a
-//! queue-dry tick, or a connection-closed notice, and emits an ordered
-//! list of [`Reply`]s. It owns everything protocol-shaped — the
-//! pending-ack queue and its ack-after-durable release rule, version
+//! queue-dry tick, a sync-completed notice, or a connection-closed
+//! notice, and emits an ordered list of [`Reply`]s. It owns
+//! everything protocol-shaped — the pending-ack queue and its ack-after-durable release rule, version
 //! negotiation, the epoch-fence observation on `Hello`/`Heartbeat`,
 //! the NACK rules and the three migration arms — and touches no
 //! socket, thread or clock. [`Server`](crate::server::Server) drives it
@@ -20,16 +20,20 @@
 use crate::collector::{Collector, DeliverOutcome, GatewayError};
 use crate::frame::{Message, PROTOCOL_V1, PROTOCOL_VERSION};
 use crate::snapshot::{decode_collector, encode_collector};
+use crate::wal::{SyncDone, SyncTicket};
 use sentinet_sim::SensorId;
 
 /// When a queued cumulative ack may be written to the client.
 ///
-/// The shipped rule is [`AckDiscipline::Durable`]. [`AckDiscipline::Eager`]
-/// deliberately re-creates the bug the group-commit release gate
-/// exists to prevent — acking on admission, before a completed fsync
-/// covers the batch's WAL extent — so the model checker can prove it
-/// *detects* the violation (a mutation-style self-test; see
-/// `xtask/src/protocol_check.rs`). Production code must never use it.
+/// The shipped rule is [`AckDiscipline::Durable`]. The other two
+/// deliberately re-create bugs the group-commit release gate exists to
+/// prevent, so the model checker can prove it *detects* each violation
+/// (mutation-style self-tests; see `xtask/src/protocol_check.rs`):
+/// [`AckDiscipline::Eager`] acks on admission, before a completed
+/// fsync covers the batch's WAL extent; [`AckDiscipline::LateCapture`]
+/// credits an overlapped fsync with the WAL cursor read *after* it
+/// returned, covering batches appended while it ran. Production code
+/// must never use either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckDiscipline {
     /// Release an `AckUpTo` only once [`Collector::synced_cursor`]
@@ -38,6 +42,10 @@ pub enum AckDiscipline {
     /// Release on admission without consulting the synced cursor (the
     /// deliberately broken discipline the checker must catch).
     Eager,
+    /// Release on the synced cursor, but let a completed overlapped
+    /// sync raise that cursor to the records logged *at completion*
+    /// instead of at its start (deliberately broken as well).
+    LateCapture,
 }
 
 /// An `AckUpTo` the collector has admitted but whose WAL extent is not
@@ -139,6 +147,24 @@ impl Core {
         Ok(())
     }
 
+    /// An overlapped sync completed: its outcome lands on the WAL (the
+    /// synced cursor rises to the cursor `ticket` captured before the
+    /// fsync started, or the log is poisoned) and every ack it covers
+    /// is released.
+    pub(crate) fn on_synced(
+        &mut self,
+        collector: &mut Collector,
+        mut ticket: SyncTicket,
+        done: SyncDone,
+        out: &mut Vec<Reply>,
+    ) {
+        if self.discipline == AckDiscipline::LateCapture {
+            ticket.cursor = collector.wal_records();
+        }
+        collector.complete_sync(ticket, done);
+        self.release_ready(collector, out);
+    }
+
     /// Handles one message from `conn`, appending the replies to `out`
     /// in the order they must reach the wire. Returns `true` on `Fin`:
     /// the run is over once the replies are written. Replies emitted
@@ -185,7 +211,7 @@ impl Core {
                 // cumulative ack is queued against the WAL cursor the
                 // batch ended on. The NACK (first refused seq) goes
                 // out immediately — refusal needs no durability.
-                let batch = collector.deliver_batch(sensor, first_seq, &readings)?;
+                let batch = collector.deliver_batch_owned(sensor, first_seq, readings)?;
                 if let Some((seq, _)) = batch.nack {
                     out.push(Reply::keep(conn, Message::Nack { sensor, seq }));
                 }
@@ -196,9 +222,11 @@ impl Core {
                         seq,
                         cursor: batch.ack_cursor,
                     });
-                    // Policy-driven fsyncs (always, batch-N) may
-                    // already cover this batch; release what can go
-                    // now and pipeline the rest.
+                    // A sync inside admission (segment roll,
+                    // checkpoint) may already cover this batch, as
+                    // one does a duplicate-only batch; release what
+                    // can go now. The rest waits for the driver's
+                    // overlapped policy sync or the queue-dry flush.
                     self.release_ready(collector, out);
                 }
             }

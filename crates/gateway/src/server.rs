@@ -3,8 +3,9 @@
 //! Threading model (the gateway shares the engine's thread-spawning
 //! privilege — see the `thread-spawn` lint):
 //!
-//! * an **accept thread** polls the listener non-blocking, spawning one
-//!   **reader thread** per connection;
+//! * an **accept thread** blocks in `accept`, spawning one **reader
+//!   thread** per connection ([`Server::run`]'s teardown wakes it with
+//!   a connection of its own);
 //! * each reader decodes frames incrementally (reads are bounded by a
 //!   read timeout so a dead peer can never wedge a thread) and pushes
 //!   events into one **bounded** channel — when the channel fills, the
@@ -15,7 +16,16 @@
 //!   the sans-IO [`protocol::Core`](crate::protocol::Core) and writing
 //!   the replies it emits back on a cloned write half — the protocol
 //!   itself lives there, shared with the model checker's
-//!   [`StepServer`](crate::harness::StepServer).
+//!   [`StepServer`](crate::harness::StepServer);
+//! * a **syncer thread**, started by the first policy fsync a v2 batch
+//!   makes due, runs that fsync on a second open of the active WAL
+//!   segment while the event loop admits the next batches, and posts
+//!   the outcome back on the event queue. At most one sync is in
+//!   flight; its acks are released when it completes, against the
+//!   cursor captured before it started, and the next one starts then —
+//!   so a group is as many batches as were admitted meanwhile (the
+//!   completion queues behind messages already waiting), at most the
+//!   credit window. `fsync=never` never starts it.
 //!
 //! A frame-level error (bad CRC, oversized length) is
 //! connection-fatal: the stream offset can no longer be trusted, so
@@ -28,6 +38,8 @@ use crate::collector::{Collector, GatewayError};
 use crate::frame::{encode_frame, FrameBuffer, FrameError, Message, PROTOCOL_V1};
 use crate::net::{is_timeout, Listener, Stream};
 use crate::protocol::{AckDiscipline, Core, Reply};
+use crate::vfs::VFile;
+use crate::wal::{SyncDone, SyncStart, SyncTicket};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -100,6 +112,40 @@ enum Event {
     BadFrame(usize, FrameError),
     /// Connection `id` closed (EOF or I/O error).
     Closed(usize),
+    /// The syncer thread finished the overlapped WAL fsync of `ticket`.
+    Synced(SyncTicket, SyncDone),
+}
+
+/// The syncer thread and its job queue. A job is what
+/// [`Collector::begin_sync`] returned: the ticket, plus a fresh sync
+/// handle whenever the WAL moved to a new segment.
+struct Syncer {
+    jobs: Sender<SyncStart>,
+    thread: JoinHandle<()>,
+}
+
+impl Syncer {
+    fn spawn(events: Sender<Event>) -> Self {
+        // One slot: the WAL never has a second sync in flight.
+        let (jobs, queue) = bounded::<SyncStart>(1);
+        let thread = std::thread::spawn(move || {
+            let mut handle: Option<Box<dyn VFile>> = None;
+            for job in queue.iter() {
+                if job.handle.is_some() {
+                    handle = job.handle;
+                }
+                // The first job of every segment carries its handle.
+                let done = match handle.as_mut() {
+                    Some(file) => SyncDone::run(file.as_mut()),
+                    None => SyncDone::failed("sync job without a handle"),
+                };
+                if events.send(Event::Synced(job.ticket, done)).is_err() {
+                    return;
+                }
+            }
+        });
+        Self { jobs, thread }
+    }
 }
 
 /// A started gateway server. Create with [`Server::start`] (which
@@ -110,6 +156,10 @@ pub struct Server {
     core: Core,
     shutdown: Arc<AtomicBool>,
     events: Receiver<Event>,
+    /// The event queue's sending side, for the syncer's completions;
+    /// dropped at teardown so the queue can disconnect.
+    events_tx: Option<Sender<Event>>,
+    syncer: Option<Syncer>,
     decode_ns: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -122,9 +172,9 @@ impl Server {
     /// [`io::Error`] if the endpoint cannot be bound.
     pub fn start(config: ServerConfig) -> io::Result<Self> {
         let (listener, addr) = Listener::bind(&config.bind)?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = bounded(config.queue_capacity);
+        let events_tx = tx.clone();
         let accept_shutdown = Arc::clone(&shutdown);
         let read_timeout = config.read_timeout;
         let decode_ns = Arc::new(AtomicU64::new(0));
@@ -143,6 +193,8 @@ impl Server {
             core: Core::new(config.credit_window, config.v1_only, AckDiscipline::Durable),
             shutdown,
             events: rx,
+            events_tx: Some(events_tx),
+            syncer: None,
             decode_ns,
             accept_thread: Some(accept_thread),
         })
@@ -171,14 +223,27 @@ impl Server {
     pub fn run(mut self, collector: &mut Collector) -> Result<ServerStats, GatewayError> {
         let mut stats = ServerStats::default();
         let result = self.event_loop(collector, &mut stats);
-        // Stop the socket threads and unblock any reader stuck on a
-        // full queue by draining until every sender is gone.
+        // Closing the job queue lets the syncer finish the fsync it is
+        // in and exit; its last completion is landed below.
+        let syncer_thread = self.syncer.take().map(|syncer| syncer.thread);
+        self.events_tx = None;
+        // Stop the socket threads — the accept thread is blocked in
+        // `accept`, so wake it with a connection — and unblock any
+        // reader stuck on a full queue by draining until every sender
+        // is gone.
         self.shutdown.store(true, Ordering::SeqCst);
-        while !matches!(
-            self.events.recv_timeout(Duration::from_millis(50)),
-            Err(RecvTimeoutError::Disconnected)
-        ) {}
-        if let Some(handle) = self.accept_thread.take() {
+        drop(Stream::connect(&self.addr));
+        loop {
+            match self.events.recv_timeout(Duration::from_millis(50)) {
+                // A failed fsync must still poison the WAL: the inline
+                // flush behind a `Fin` ran on another open of the file
+                // and proves nothing about this one.
+                Ok(Event::Synced(ticket, done)) => collector.complete_sync(ticket, done),
+                Ok(_) | Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        for handle in self.accept_thread.take().into_iter().chain(syncer_thread) {
             let _ = handle.join();
         }
         stats.decode_ns = self.decode_ns.load(Ordering::Relaxed);
@@ -197,12 +262,16 @@ impl Server {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            // A momentarily dry queue is the core's flush interval.
+            // A momentarily dry queue is the core's flush interval —
+            // unless a sync is in flight: its completion is the next
+            // event, and a second fsync beside it would buy nothing.
             let event = match self.events.try_recv() {
                 Ok(e) => e,
                 Err(TryRecvError::Empty) => {
-                    self.core.on_queue_dry(collector, &mut replies)?;
-                    write_replies(&mut writers, &mut replies, stats);
+                    if !collector.sync_in_flight() {
+                        self.core.on_queue_dry(collector, &mut replies)?;
+                        write_replies(&mut writers, &mut replies, stats);
+                    }
                     match self.events.recv_timeout(Duration::from_millis(100)) {
                         Ok(e) => e,
                         Err(RecvTimeoutError::Timeout) => continue,
@@ -224,6 +293,12 @@ impl Server {
                     if fin? {
                         return Ok(());
                     }
+                    self.start_due_sync(collector);
+                }
+                Event::Synced(ticket, done) => {
+                    self.core.on_synced(collector, ticket, done, &mut replies);
+                    write_replies(&mut writers, &mut replies, stats);
+                    self.start_due_sync(collector);
                 }
                 Event::BadFrame(id, e) => {
                     stats.bad_frames += 1;
@@ -238,6 +313,33 @@ impl Server {
                     writers.remove(&id);
                 }
             }
+        }
+    }
+}
+
+impl Server {
+    /// Hands the syncer thread the next overlapped fsync if the WAL's
+    /// policy wants one and none is in flight — after every admitted
+    /// message and every completion, so the next sync starts the
+    /// moment the previous one lands.
+    fn start_due_sync(&mut self, collector: &mut Collector) {
+        let Some(events) = &self.events_tx else {
+            return;
+        };
+        if !collector.sync_due() {
+            return;
+        }
+        let Some(start) = collector.begin_sync() else {
+            return;
+        };
+        let ticket = start.ticket;
+        let syncer = self
+            .syncer
+            .get_or_insert_with(|| Syncer::spawn(events.clone()));
+        if syncer.jobs.send(start).is_err() {
+            // The syncer is gone (its thread panicked): nothing will
+            // ever cover this ticket, so fail it and fail-stop.
+            collector.complete_sync(ticket, SyncDone::failed("syncer thread is gone"));
         }
     }
 }
@@ -279,8 +381,11 @@ fn accept_loop(
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
     let mut next_id = 0usize;
-    while !shutdown.load(Ordering::SeqCst) {
+    // Blocks in `accept`; teardown sets the flag and then connects, so
+    // the connection that wakes this loop is the one it discards.
+    loop {
         match listener.accept() {
+            Ok(_) if shutdown.load(Ordering::SeqCst) => break,
             Ok(stream) => {
                 let id = next_id;
                 next_id += 1;
@@ -305,9 +410,6 @@ fn accept_loop(
                         let _ = stream.shutdown();
                     }
                 }
-            }
-            Err(e) if is_timeout(&e) => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => break,
         }

@@ -157,6 +157,27 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     /// Any I/O failure.
     fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn VFile>>;
 
+    /// Opens a second handle on the file at `path` for a syncer
+    /// thread: the WAL keeps appending through its own handle while
+    /// this one's [`VFile::fsync`] flushes the same file from another
+    /// thread. It must be a separate *open* of the file, not a
+    /// duplicate of the appending descriptor — the kernel reports a
+    /// writeback error once per open file, so two descriptors that
+    /// share one would let a concurrent inline fsync swallow the error
+    /// an in-flight background fsync was about to report (or the
+    /// reverse), and one of the two would wrongly count as covered.
+    ///
+    /// The default refuses, and the WAL then syncs inline as it always
+    /// did; a [`Vfs`] opts in by implementing it.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure; [`std::io::ErrorKind::Unsupported`] by default.
+    fn open_sync(&self, path: &Path) -> std::io::Result<Box<dyn VFile>> {
+        let _ = path;
+        Err(std::io::ErrorKind::Unsupported.into())
+    }
+
     /// Reads the whole file at `path`.
     ///
     /// # Errors
@@ -232,6 +253,10 @@ impl Vfs for RealVfs {
 
     fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn VFile>> {
         Ok(Box::new(OpenOptions::new().append(true).open(path)?))
+    }
+
+    fn open_sync(&self, path: &Path) -> std::io::Result<Box<dyn VFile>> {
+        self.open_append(path)
     }
 
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
@@ -578,6 +603,18 @@ impl Vfs for FaultyVfs {
         }))
     }
 
+    /// The open itself is not an operation coordinate (a plan aimed
+    /// at `Create` counts the same opens with or without a syncer);
+    /// every fsync through the handle counts as [`VfsOp::Fsync`] on
+    /// `path`, exactly like one through the appending handle.
+    fn open_sync(&self, path: &Path) -> std::io::Result<Box<dyn VFile>> {
+        Ok(Box::new(FaultyFile {
+            inner: self.inner.open_sync(path)?,
+            path: path.to_path_buf(),
+            state: Arc::clone(&self.state),
+        }))
+    }
+
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         FaultyVfs::verdict(self.intercept(VfsOp::Read, path))?;
         self.inner.read(path)
@@ -729,6 +766,36 @@ mod tests {
         assert_eq!(vfs.read(&path).unwrap(), b"data", "read recovered");
         let kinds: Vec<VfsOp> = vfs.injected().iter().map(|(op, _, _)| *op).collect();
         assert_eq!(kinds, vec![VfsOp::Fsync, VfsOp::Rename, VfsOp::Read]);
+    }
+
+    #[test]
+    fn sync_handle_fsyncs_count_against_the_same_plan_and_path() {
+        let dir = tmpdir("sync-handle");
+        let plan = FaultPlan::new().with_fault(FaultSpec {
+            path: "h.bin".into(),
+            op: VfsOp::Fsync,
+            nth: 2,
+            kind: StorageFault::FsyncFail,
+            count: 1,
+        });
+        let vfs = FaultyVfs::new(plan);
+        let path = dir.join("h.bin");
+        let mut file = vfs.create(&path).unwrap();
+        let mut handle = vfs.open_sync(&path).unwrap();
+        assert_eq!(vfs.op_count(VfsOp::Create), 1, "the open is uncounted");
+        file.append(b"data").unwrap();
+        file.fsync()
+            .expect("fsync #1 on the path, through the file");
+        assert!(handle.fsync().is_err(), "fsync #2, through the handle");
+        handle.fsync().expect("fsync #3");
+        assert_eq!(vfs.op_count(VfsOp::Fsync), 3);
+        assert_eq!(
+            vfs.injected(),
+            vec![(VfsOp::Fsync, path.clone(), StorageFault::FsyncFail)]
+        );
+        // The handle is a second open of the same file, so bytes
+        // appended through the first are there to flush.
+        assert_eq!(vfs.read(&path).unwrap(), b"data");
     }
 
     #[test]

@@ -67,12 +67,12 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    /// The reading as the sanitizer's input type.
-    pub fn raw(&self) -> RawRecord {
+    /// The reading as the sanitizer's input type (the values move).
+    pub fn into_raw(self) -> RawRecord {
         RawRecord {
             time: self.time,
             sensor: self.sensor,
-            values: self.values.clone(),
+            values: self.values,
         }
     }
 }
@@ -330,6 +330,64 @@ impl ReclaimPlan {
     }
 }
 
+/// Who runs the fsync the policy asks for after an append.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PolicySync {
+    /// The append itself, before it returns — every direct caller.
+    Inline,
+    /// Nobody yet: the caller polls [`Wal::sync_due`] and overlaps the
+    /// fsync with later appends ([`Wal::begin_sync`]).
+    Deferred,
+}
+
+/// One overlapped group-commit fsync, from [`Wal::begin_sync`] to
+/// [`Wal::complete_sync`]. `cursor` is [`Wal::records_logged`] as it
+/// stood *before* the fsync started — the only records the fsync can
+/// be trusted to cover, however many were appended while it ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SyncTicket {
+    pub(crate) cursor: u64,
+    /// Segment the fsync runs against (names the file if it fails).
+    segment: u64,
+}
+
+/// What [`Wal::begin_sync`] hands the caller.
+pub(crate) struct SyncStart {
+    pub(crate) ticket: SyncTicket,
+    /// A sync handle on the active segment, present the first time a
+    /// sync starts after open or after a roll: it replaces the one the
+    /// caller held for the previous segment.
+    pub(crate) handle: Option<Box<dyn VFile>>,
+}
+
+/// The outcome of one overlapped fsync.
+#[derive(Debug)]
+pub(crate) struct SyncDone {
+    result: std::io::Result<()>,
+    /// Wall time inside the fsync call.
+    ns: u64,
+}
+
+impl SyncDone {
+    /// The outcome of a sync that could not be run at all.
+    pub(crate) fn failed(why: &'static str) -> Self {
+        Self {
+            result: Err(std::io::Error::other(why)),
+            ns: 0,
+        }
+    }
+
+    /// Runs the fsync on `handle` and times it.
+    pub(crate) fn run(handle: &mut dyn VFile) -> Self {
+        let start = std::time::Instant::now();
+        let result = handle.fsync();
+        Self {
+            result,
+            ns: start.elapsed().as_nanos() as u64,
+        }
+    }
+}
+
 /// An open write-ahead log, positioned for appending.
 pub struct Wal {
     config: WalConfig,
@@ -337,15 +395,22 @@ pub struct Wal {
     segment_path: PathBuf,
     appended_this_process: u64,
     records_logged: u64,
-    pending_sync: u32,
     /// Absolute record cursor covered by the last completed fsync.
     /// Records above it are appended but not yet durable; the
     /// pipelined protocol must not ack past this point.
     synced_records: u64,
+    /// Cursor of the overlapped sync in flight, if one is (at most one
+    /// ever is).
+    in_flight: Option<u64>,
+    /// Segment whose sync handle [`Wal::begin_sync`] last handed out.
+    handle_segment: Option<u64>,
     /// Wall time spent inside write calls (bench stage breakdown).
     append_ns: u64,
-    /// Wall time spent inside fsync calls (bench stage breakdown).
+    /// Wall time spent inside fsync calls, on whichever thread.
     fsync_ns: u64,
+    /// The part of `fsync_ns` the appending thread itself was blocked
+    /// for (inline fsyncs).
+    sync_blocked_ns: u64,
     scratch: Vec<u8>,
     /// Reused extent buffer (taken for the duration of an append).
     extent: Vec<u8>,
@@ -474,12 +539,14 @@ impl Wal {
                 segment_path,
                 appended_this_process: 0,
                 records_logged,
-                pending_sync: 0,
                 // Everything recovered was read back from disk, so the
                 // whole recovered prefix counts as covered.
                 synced_records: records_logged,
+                in_flight: None,
+                handle_segment: None,
                 append_ns: 0,
                 fsync_ns: 0,
+                sync_blocked_ns: 0,
                 scratch: Vec::new(),
                 extent: Vec::new(),
                 segments,
@@ -603,6 +670,16 @@ impl Wal {
     /// be acknowledged. Records of earlier extents in the same call
     /// are counted in [`Wal::records_logged`].
     pub fn append_many(&mut self, records: &[WalRecord]) -> Result<(), WalError> {
+        self.append_extent(records, PolicySync::Inline)
+    }
+
+    /// [`Wal::append_many`], with the policy fsync either run inline
+    /// or left for the caller to overlap (see [`PolicySync`]).
+    pub(crate) fn append_extent(
+        &mut self,
+        records: &[WalRecord],
+        policy_sync: PolicySync,
+    ) -> Result<(), WalError> {
         if let Some(e) = &self.poisoned {
             return Err(WalError::Storage(e.clone()));
         }
@@ -649,25 +726,8 @@ impl Wal {
             active.records += take as u64;
             self.records_logged += take as u64;
             self.appended_this_process += take as u64;
-            match self.config.fsync {
-                FsyncPolicy::Never => {}
-                FsyncPolicy::Always => {
-                    if let Err(e) = self.fsync_timed() {
-                        return Err(self.poison(VfsOp::Fsync, &e));
-                    }
-                    self.pending_sync = 0;
-                    self.synced_records = self.records_logged;
-                }
-                FsyncPolicy::Batch(n) => {
-                    self.pending_sync = self.pending_sync.saturating_add(take as u32);
-                    if self.pending_sync >= n {
-                        if let Err(e) = self.fsync_timed() {
-                            return Err(self.poison(VfsOp::Fsync, &e));
-                        }
-                        self.pending_sync = 0;
-                        self.synced_records = self.records_logged;
-                    }
-                }
+            if policy_sync == PolicySync::Inline && self.policy_sync_due() {
+                self.sync()?;
             }
             if self
                 .config
@@ -695,9 +755,92 @@ impl Wal {
         if let Err(e) = self.fsync_timed() {
             return Err(self.poison(VfsOp::Fsync, &e));
         }
-        self.pending_sync = 0;
         self.synced_records = self.records_logged;
         Ok(())
+    }
+
+    /// Whether the fsync policy wants a sync now: `always` as soon as
+    /// one record is uncovered, `batch:N` once N are. A record is
+    /// covered by a completed fsync or by the one in flight.
+    fn policy_sync_due(&self) -> bool {
+        let covered = self.synced_records.max(self.in_flight.unwrap_or(0));
+        let uncovered = self.records_logged - covered;
+        match self.config.fsync {
+            FsyncPolicy::Never => false,
+            FsyncPolicy::Always => uncovered > 0,
+            FsyncPolicy::Batch(n) => uncovered >= u64::from(n),
+        }
+    }
+
+    /// Whether a caller that defers policy fsyncs
+    /// ([`PolicySync::Deferred`]) should start one now: the policy
+    /// wants it, none is in flight, and the log is healthy.
+    pub(crate) fn sync_due(&self) -> bool {
+        self.in_flight.is_none() && self.poisoned.is_none() && self.policy_sync_due()
+    }
+
+    /// Whether an overlapped sync is in flight.
+    pub(crate) fn sync_in_flight(&self) -> bool {
+        self.in_flight.is_some()
+    }
+
+    /// Starts an overlapped sync covering every record logged so far:
+    /// captures the cursor *now*, before the fsync runs, and marks the
+    /// sync in flight. The caller runs [`SyncDone::run`] on its sync
+    /// handle — on any thread, while this log keeps appending — and
+    /// reports back through [`Wal::complete_sync`]. `None` when there
+    /// is nothing to cover, a sync is already in flight, the log is
+    /// poisoned, or the policy is `never`.
+    ///
+    /// A [`Vfs`] without [`Vfs::open_sync`] cannot overlap: the sync
+    /// runs inline instead and `None` comes back, with the watermark
+    /// already advanced (or the log poisoned).
+    pub(crate) fn begin_sync(&mut self) -> Option<SyncStart> {
+        if self.in_flight.is_some() || self.poisoned.is_some() || self.unsynced_records() == 0 {
+            return None;
+        }
+        let segment = self.active().index;
+        let handle = if self.handle_segment == Some(segment) {
+            None
+        } else {
+            match self.config.vfs.open_sync(&self.segment_path) {
+                Ok(handle) => Some(handle),
+                Err(_) => {
+                    // A failure poisons the log; callers see that.
+                    let _ = self.sync();
+                    return None;
+                }
+            }
+        };
+        self.handle_segment = Some(segment);
+        self.in_flight = Some(self.records_logged);
+        Some(SyncStart {
+            ticket: SyncTicket {
+                cursor: self.records_logged,
+                segment,
+            },
+            handle,
+        })
+    }
+
+    /// Lands the outcome of the sync [`Wal::begin_sync`] started. On
+    /// success the watermark rises to the ticket's cursor — never to
+    /// the current one — unless an inline sync (a roll, a checkpoint, a
+    /// forced flush) already carried it further. Failure poisons the
+    /// log exactly as an inline fsync failure does.
+    pub(crate) fn complete_sync(&mut self, ticket: SyncTicket, done: SyncDone) {
+        self.in_flight = None;
+        self.fsync_ns = self.fsync_ns.saturating_add(done.ns);
+        if self.poisoned.is_some() {
+            return;
+        }
+        match done.result {
+            Ok(()) => self.synced_records = self.synced_records.max(ticket.cursor),
+            Err(e) => {
+                let path = self.config.dir.join(segment_name(ticket.segment));
+                self.poisoned = Some(StorageError::new(VfsOp::Fsync, &path, &e));
+            }
+        }
     }
 
     fn active(&self) -> SegmentInfo {
@@ -720,13 +863,14 @@ impl Wal {
         result
     }
 
-    /// `file.fsync` with wall time charged to the fsync stage.
+    /// `file.fsync` with wall time charged to the fsync stage, and to
+    /// this thread's share of it.
     fn fsync_timed(&mut self) -> std::io::Result<()> {
         let start = std::time::Instant::now();
         let result = self.file.fsync();
-        self.fsync_ns = self
-            .fsync_ns
-            .saturating_add(start.elapsed().as_nanos() as u64);
+        let ns = start.elapsed().as_nanos() as u64;
+        self.fsync_ns = self.fsync_ns.saturating_add(ns);
+        self.sync_blocked_ns = self.sync_blocked_ns.saturating_add(ns);
         result
     }
 
@@ -735,9 +879,16 @@ impl Wal {
         self.append_ns
     }
 
-    /// Wall time spent inside fsync calls since open.
+    /// Wall time spent inside fsync calls since open, inline and
+    /// overlapped alike.
     pub fn fsync_ns(&self) -> u64 {
         self.fsync_ns
+    }
+
+    /// The part of [`Wal::fsync_ns`] the appending thread was blocked
+    /// for: inline fsyncs only, not the overlapped ones a syncer ran.
+    pub fn sync_blocked_ns(&self) -> u64 {
+        self.sync_blocked_ns
     }
 
     /// Seals the active segment (fsyncing it) and opens the next one.
@@ -767,7 +918,6 @@ impl Wal {
             bytes: 0,
             records: 0,
         });
-        self.pending_sync = 0;
         // The seal fsync covered the old segment; every earlier
         // segment was covered by its own seal.
         self.synced_records = self.records_logged;
@@ -964,6 +1114,173 @@ mod tests {
         // every logged record as ackable.
         assert_eq!(wal.synced_records(), 4);
         assert_eq!(wal.unsynced_records(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn recs(seqs: std::ops::Range<u64>) -> Vec<WalRecord> {
+        seqs.map(|i| rec(1, i, 300 * (i + 1), 1.0)).collect()
+    }
+
+    #[test]
+    fn overlapped_sync_covers_only_the_cursor_captured_before_it_started() {
+        let dir = tmpdir("overlap");
+        let vfs = Arc::new(FaultyVfs::new(FaultPlan::new()));
+        let mut config = WalConfig::new(&dir);
+        config.fsync = FsyncPolicy::Batch(4);
+        config.vfs = vfs.clone();
+        let (mut wal, _) = Wal::open(config, None).unwrap();
+        wal.append_extent(&recs(0..4), PolicySync::Deferred)
+            .unwrap();
+        assert_eq!(
+            vfs.op_count(VfsOp::Fsync),
+            0,
+            "a deferred append leaves the policy fsync to the caller"
+        );
+        assert!(wal.sync_due());
+        let opens = vfs.op_count(VfsOp::Create);
+        let first = wal.begin_sync().expect("a sync is due");
+        let mut handle = first
+            .handle
+            .expect("a segment's first sync carries its handle");
+        assert_eq!(
+            vfs.op_count(VfsOp::Create),
+            opens,
+            "opening the sync handle is not an operation coordinate"
+        );
+        assert_eq!(first.ticket.cursor, 4);
+        assert!(wal.begin_sync().is_none(), "at most one sync in flight");
+        // Appended while the fsync runs: this sync does not cover it,
+        // and the policy does not ask for a second one beside it.
+        wal.append_extent(&recs(4..10), PolicySync::Deferred)
+            .unwrap();
+        assert!(!wal.sync_due());
+        wal.complete_sync(first.ticket, SyncDone::run(handle.as_mut()));
+        assert_eq!(vfs.op_count(VfsOp::Fsync), 1);
+        assert_eq!(wal.synced_records(), 4, "the cursor read before the fsync");
+
+        // The next sync starts at once and reuses the handle. An inline
+        // sync that overtakes it wins; its late completion is a no-op.
+        assert!(wal.sync_due(), "six uncovered records against batch:4");
+        let second = wal.begin_sync().expect("due again");
+        assert!(second.handle.is_none(), "one handle per segment");
+        assert_eq!(second.ticket.cursor, 10);
+        wal.append(&rec(1, 10, 3300, 1.0)).unwrap();
+        assert_eq!(wal.synced_records(), 4, "one uncovered record: not due");
+        wal.sync().unwrap();
+        assert_eq!(wal.synced_records(), 11);
+        wal.complete_sync(second.ticket, SyncDone::run(handle.as_mut()));
+        assert_eq!(wal.synced_records(), 11);
+        assert!(wal.sync_blocked_ns() > 0 && wal.fsync_ns() > wal.sync_blocked_ns());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn overlapped_sync_failure_poisons_and_a_roll_hands_out_a_new_handle() {
+        let dir = tmpdir("overlap-roll");
+        let vfs = Arc::new(FaultyVfs::new(FaultPlan::new().with_fault(FaultSpec {
+            path: segment_name(2),
+            op: VfsOp::Fsync,
+            nth: 1,
+            kind: StorageFault::FsyncFail,
+            count: 1,
+        })));
+        let mut config = WalConfig::new(&dir);
+        config.fsync = FsyncPolicy::Always;
+        config.segment_max_bytes = 2 * Wal::framed_len(&rec(1, 0, 300, 1.0));
+        config.vfs = vfs.clone();
+        let (mut wal, _) = Wal::open(config, None).unwrap();
+        wal.append_extent(&recs(0..2), PolicySync::Deferred)
+            .unwrap();
+        let first = wal.begin_sync().expect("always: due");
+        let mut old_handle = first.handle.expect("handle on segment 1");
+        // The third record rolls: the seal fsyncs segment 1 inline and
+        // covers the ticket before its own fsync returns.
+        wal.append_extent(&recs(2..3), PolicySync::Deferred)
+            .unwrap();
+        assert_eq!(wal.segments().len(), 2);
+        assert_eq!(wal.synced_records(), 2);
+        wal.complete_sync(first.ticket, SyncDone::run(old_handle.as_mut()));
+        assert_eq!(wal.synced_records(), 2);
+
+        let second = wal.begin_sync().expect("record 2 is uncovered");
+        let mut new_handle = second.handle.expect("a new segment, a new handle");
+        wal.complete_sync(second.ticket, SyncDone::run(new_handle.as_mut()));
+        let err = wal.poisoned().expect("the failed fsync poisons the log");
+        assert_eq!(err.op, VfsOp::Fsync);
+        assert!(err.path.ends_with(segment_name(2)), "{err}");
+        assert_eq!(wal.synced_records(), 2, "a failed fsync covers nothing");
+        assert!(wal.begin_sync().is_none());
+        assert!(matches!(
+            wal.append_extent(&recs(3..4), PolicySync::Deferred),
+            Err(WalError::Storage(_))
+        ));
+        assert_eq!(vfs.injected().len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A [`Vfs`] that predates `open_sync` (the trait's default).
+    #[derive(Debug)]
+    struct NoSyncHandle(FaultyVfs);
+
+    impl Vfs for NoSyncHandle {
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            self.0.create_dir_all(dir)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+            self.0.list(dir)
+        }
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn VFile>> {
+            self.0.create(path)
+        }
+        fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn VFile>> {
+            self.0.open_append(path)
+        }
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.0.read(path)
+        }
+        fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.0.write_file(path, bytes)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
+            self.0.truncate(path, len)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.0.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            self.0.remove_file(path)
+        }
+        fn available_space(&self, path: &Path) -> Option<u64> {
+            self.0.available_space(path)
+        }
+    }
+
+    #[test]
+    fn without_a_sync_handle_a_due_sync_runs_inline() {
+        let dir = tmpdir("overlap-unsupported");
+        let vfs = Arc::new(NoSyncHandle(FaultyVfs::new(FaultPlan::new())));
+        let mut config = WalConfig::new(&dir);
+        config.fsync = FsyncPolicy::Always;
+        config.vfs = vfs.clone();
+        let (mut wal, _) = Wal::open(config, None).unwrap();
+        wal.append_extent(&recs(0..3), PolicySync::Deferred)
+            .unwrap();
+        assert_eq!(wal.synced_records(), 0);
+        assert!(wal.begin_sync().is_none(), "nothing to hand a syncer");
+        assert_eq!(wal.synced_records(), 3, "the sync ran inline instead");
+        assert_eq!(vfs.0.op_count(VfsOp::Fsync), 1);
+        assert!(!wal.sync_in_flight());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn never_policy_starts_no_overlapped_sync() {
+        let dir = tmpdir("overlap-never");
+        let (mut wal, _) = Wal::open(WalConfig::new(&dir), None).unwrap();
+        wal.append_extent(&recs(0..3), PolicySync::Deferred)
+            .unwrap();
+        assert!(!wal.sync_due());
+        assert!(wal.begin_sync().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 

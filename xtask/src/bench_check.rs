@@ -263,7 +263,10 @@ impl Parser<'_> {
 /// Keys the per-stage ingest breakdown must carry, in wall seconds.
 /// `other_s` is the uninstrumented remainder the bench emits so the
 /// stages account for the whole run; together they must sum to within
-/// 10% of `total_s`.
+/// 10% of `total_s`. `fsync_s` is the event loop's time blocked in
+/// inline fsyncs; the syncer thread's overlapped fsyncs
+/// (`fsync_overlapped_s`) run beside the other stages and are not a
+/// stage of the sum.
 const STAGE_KEYS: &[&str] = &[
     "decode_s",
     "admission_s",

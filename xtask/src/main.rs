@@ -1,5 +1,6 @@
 //! `cargo run -p xtask -- <command>` — workspace automation CLI.
 
+use sentinet_gateway::AckDiscipline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xtask::{bench_check, lint, model_check, protocol_check};
@@ -119,22 +120,29 @@ fn run_protocol_check() -> Result<(), String> {
         }
         Err(v) => return Err(format!("protocol-check: invariant violated\n{v}")),
     }
-    // Self-test: the checker must catch a deliberately broken ack
-    // discipline (acks released before the WAL is synced). If the
-    // mutation survives, the checker is blind and its green run above
-    // proves nothing.
-    match protocol_check::check_mutation(protocol_check::Scale::Quick) {
-        Err(v) => {
-            println!(
-                "protocol-check: eager-ack mutation caught as expected ({} in space `{}`)",
+    // Self-tests: the checker must catch each deliberately broken ack
+    // discipline (acks released before the WAL is synced; an
+    // overlapped sync credited with the cursor read after its fsync
+    // returned — six scheduled choices deep, hence the full budget). If
+    // a mutation survives, the checker is blind and its green run
+    // above proves nothing.
+    for (label, discipline) in [
+        ("eager-ack", AckDiscipline::Eager),
+        ("late-capture", AckDiscipline::LateCapture),
+    ] {
+        match protocol_check::check_mutation(protocol_check::Scale::Full, discipline) {
+            Err(v) => println!(
+                "protocol-check: {label} mutation caught as expected ({} in space `{}`)",
                 v.invariant, v.space
-            );
-            Ok(())
-        }
-        Ok(_) => {
-            Err("protocol-check: eager-ack mutation survived undetected; checker is blind".into())
+            ),
+            Ok(_) => {
+                return Err(format!(
+                    "protocol-check: {label} mutation survived undetected; checker is blind"
+                ))
+            }
         }
     }
+    Ok(())
 }
 
 fn run_bench_check(file: Option<&str>) -> Result<(), String> {

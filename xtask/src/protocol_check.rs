@@ -35,14 +35,26 @@
 //! 2. **reconnect** — a connection death (frames in flight on both
 //!    directions are lost, queued acks dropped, client requeues) at
 //!    every schedule point.
-//! 3. **crash** — at every point where the WAL holds unsynced bytes,
-//!    the process is killed and the on-disk segment truncated at every
-//!    record boundary past the fsync watermark plus a torn tear inside
-//!    each record; the collector is reopened and the episode resumes
-//!    with clients retransmitting.
+//! 3. **crash** — at every point where the WAL holds unsynced bytes
+//!    (an overlapped sync in flight included), the process is killed
+//!    and the on-disk segment truncated at every record boundary past
+//!    the fsync watermark plus a torn tear inside each record; the
+//!    collector is reopened and the episode resumes with clients
+//!    retransmitting.
 //! 4. **poison** — the first WAL fsync fails ([`StorageFault::FsyncFail`]
-//!    via the fault plan), poisoning the log; the server must NACK
-//!    from then on and never release another ack.
+//!    via the fault plan) — the inline one of a group commit or the
+//!    overlapped one, when its completion is delivered — poisoning the
+//!    log; the server must NACK from then on and never release another
+//!    ack.
+//!
+//! In every space the server's overlapped group commit is two schedule
+//! points, not one: **sync-start** captures the WAL cursor the sync
+//! will cover, **sync-complete** runs the fsync on the syncer's handle
+//! and lands the outcome. Batches admitted, connections lost, inline
+//! commits, a crash and a poisoning are all explored *between* the two.
+//! The checker keeps its own durable cursor — advanced only by what a
+//! completed fsync was started to cover — so a synced cursor that runs
+//! ahead of it is caught even though the WAL itself believes it.
 //!
 //! Checked invariants (each with the episode trace printed on
 //! violation — exploration is deterministic, so the trace plus the
@@ -51,8 +63,10 @@
 //! * **I1 credit** — a client never has more batches in flight than
 //!   the `HelloAck` granted.
 //! * **I2 ack-durability** — every released `AckUpTo` covers only
-//!   records the WAL's synced cursor already covers (this is the
-//!   invariant [`AckDiscipline::Eager`] deliberately breaks).
+//!   records a completed fsync covers, and the WAL's synced cursor
+//!   never claims more than that (this is the invariant
+//!   [`AckDiscipline::Eager`] and [`AckDiscipline::LateCapture`]
+//!   deliberately break).
 //! * **I3 ack-coherence** — every queued cumulative ack equals the
 //!   mirror `SeqTracker` watermark, and its WAL cursor equals the
 //!   records logged.
@@ -237,6 +251,10 @@ enum Action {
     Send(usize),
     /// The queue runs dry: group commit + ack release.
     Commit,
+    /// An overlapped sync starts: the cursor it covers is captured.
+    SyncStart,
+    /// The overlapped sync's fsync returns; covered acks are released.
+    SyncComplete,
     /// Client retransmits its oldest unacked batch.
     Timeout(usize),
     /// The connection dies; in-flight frames both ways are lost.
@@ -262,6 +280,11 @@ struct Episode<'a> {
     logged: Vec<(u16, u64)>,
     /// Framed byte length of each logged record (crash offsets).
     framed: Vec<u64>,
+    /// Mirror of durability: records a *completed* fsync was started
+    /// to cover. The WAL's synced cursor must never exceed it.
+    durable: usize,
+    /// Mirror-log length when the sync in flight started.
+    sync_cursor: Option<usize>,
     timeouts_left: u32,
     resets_left: u32,
     crashes_left: u32,
@@ -345,6 +368,8 @@ impl<'a> Episode<'a> {
             trackers: (0..SENSORS).map(|_| SeqTracker::default()).collect(),
             logged: Vec::new(),
             framed: Vec::new(),
+            durable: 0,
+            sync_cursor: None,
             timeouts_left: cfg.timeout_budget,
             resets_left: cfg.reset_budget,
             crashes_left: cfg.crash_budget,
@@ -421,6 +446,11 @@ impl<'a> Episode<'a> {
         if !server.pending_acks().is_empty() && !self.poisoned {
             actions.push(Action::Commit);
         }
+        if server.sync_in_flight() {
+            actions.push(Action::SyncComplete);
+        } else if server.collector().unsynced_records() > 0 && !self.poisoned {
+            actions.push(Action::SyncStart);
+        }
         if self.timeouts_left > 0 {
             for (s, client) in self.clients.iter().enumerate() {
                 if !client.inflight.is_empty() {
@@ -475,7 +505,16 @@ impl<'a> Episode<'a> {
         context: &str,
     ) -> Result<(), EpisodeError> {
         let server = self.server.as_ref().expect("server alive");
-        let synced = server.collector().synced_cursor();
+        let claimed = server.collector().synced_cursor();
+        let synced = self.durable as u64;
+        if claimed > synced {
+            return Err((
+                "I2 ack-durability",
+                format!(
+                    "{context}: the WAL's synced cursor is {claimed} but completed fsyncs cover only {synced} record(s)"
+                ),
+            ));
+        }
         let now = server.pending_acks().to_vec();
         let (mut released, added) = Self::pending_diff(prev, &now);
         for (conn, msg) in replies {
@@ -560,6 +599,8 @@ impl<'a> Episode<'a> {
             Action::Deliver(s) => self.do_deliver(s),
             Action::DeliverAck(s) => self.do_deliver_ack(s),
             Action::Commit => self.do_commit(),
+            Action::SyncStart => self.do_sync_start(),
+            Action::SyncComplete => self.do_sync_complete(),
             Action::Timeout(s) => self.do_timeout(s),
             Action::Reset(s) => self.do_reset(s),
             Action::Crash => self.do_crash(ch),
@@ -711,6 +752,8 @@ impl<'a> Episode<'a> {
                 "commit: fsync failed, wal poisoned (synced={synced})"
             ));
         } else {
+            // The inline fsync ran after every append so far.
+            self.durable = self.logged.len();
             self.trace.push(format!(
                 "commit: synced cursor -> {synced}, released {}",
                 summarize(&replies)
@@ -722,6 +765,47 @@ impl<'a> Episode<'a> {
                 "commit left queued acks behind on a healthy wal".into(),
             ));
         }
+        self.route_replies(replies)
+    }
+
+    fn do_sync_start(&mut self) -> Result<(), EpisodeError> {
+        if !self.server_mut().start_sync() {
+            return Err(harness_err(
+                "sync-start enabled but the wal refused to start a sync".into(),
+            ));
+        }
+        self.sync_cursor = Some(self.logged.len());
+        self.trace.push(format!(
+            "sync-start: will cover {} record(s)",
+            self.logged.len()
+        ));
+        Ok(())
+    }
+
+    fn do_sync_complete(&mut self) -> Result<(), EpisodeError> {
+        let cursor = self.sync_cursor.take().expect("sync-complete enabled");
+        let prev = self.server_mut().pending_acks().to_vec();
+        let replies = self.server_mut().complete_sync();
+        let server = self.server.as_ref().expect("server alive");
+        let storage_error = server.collector().storage_status().error.is_some();
+        if storage_error && !self.poisoned {
+            self.poisoned = true;
+            self.trace
+                .push("sync-complete: fsync failed, wal poisoned".into());
+        } else if self.poisoned {
+            // An inline commit failed while this sync was in flight:
+            // the log is fail-stop and this outcome changes nothing.
+            self.trace
+                .push("sync-complete: wal already poisoned".into());
+        } else {
+            // The fsync covers what was logged when it *started*.
+            self.durable = self.durable.max(cursor);
+            self.trace.push(format!(
+                "sync-complete: covers {cursor} record(s), released {}",
+                summarize(&replies)
+            ));
+        }
+        self.audit_pending(&prev, &replies, "sync-complete")?;
         self.route_replies(replies)
     }
 
@@ -764,9 +848,11 @@ impl<'a> Episode<'a> {
 
     fn do_crash(&mut self, ch: &mut Chooser<'_>) -> Result<(), EpisodeError> {
         self.crashes_left -= 1;
-        let server = self.server.take().expect("server alive");
-        let synced = server.collector().synced_cursor() as usize;
-        drop(server);
+        // The sync in flight dies with the process: whatever part of
+        // it reached the disk is one of the truncation points below.
+        drop(self.server.take());
+        self.sync_cursor = None;
+        let synced = self.durable;
         let total = self.logged.len();
         // Byte offsets of every record boundary, cum[i] = bytes of the
         // first i records.
@@ -804,6 +890,8 @@ impl<'a> Episode<'a> {
         // are gone; clients will retransmit everything unacked.
         self.logged.truncate(survivors);
         self.framed.truncate(survivors);
+        // Everything recovery reads back counts as covered.
+        self.durable = survivors;
         self.trackers = (0..SENSORS).map(|_| SeqTracker::default()).collect();
         for &(sid, seq) in &self.logged {
             self.trackers[sid as usize].observe(seq);
@@ -1080,17 +1168,26 @@ pub fn check(scale: Scale) -> Result<ProtocolReport, Box<Violation>> {
     Ok(report)
 }
 
-/// Mutation self-test: re-explores the interleave space with
-/// [`AckDiscipline::Eager`] (ack released before the covering fsync).
-/// The checker MUST catch this — a clean pass here means the checker
-/// itself is broken.
+/// Mutation self-test: re-explores the interleave space with a
+/// deliberately broken `discipline` — [`AckDiscipline::Eager`] (ack
+/// released before the covering fsync) or [`AckDiscipline::LateCapture`]
+/// (an overlapped fsync credited with the cursor read after it
+/// returned). The checker MUST catch each — a clean pass here means
+/// the checker itself is broken.
 ///
 /// # Errors
 ///
 /// The expected outcome: the I2 violation with its trace.
-pub fn check_mutation(scale: Scale) -> Result<ProtocolReport, Box<Violation>> {
+pub fn check_mutation(
+    scale: Scale,
+    discipline: AckDiscipline,
+) -> Result<ProtocolReport, Box<Violation>> {
     let cfg = SpaceCfg {
-        name: "interleave-eager",
+        name: match discipline {
+            AckDiscipline::Eager => "interleave-eager",
+            AckDiscipline::LateCapture => "interleave-late-capture",
+            AckDiscipline::Durable => "interleave",
+        },
         choice_budget: match scale {
             Scale::Quick => 3,
             Scale::Full => 6,
@@ -1099,10 +1196,10 @@ pub fn check_mutation(scale: Scale) -> Result<ProtocolReport, Box<Violation>> {
         reset_budget: 0,
         crash_budget: 0,
         poison: false,
-        discipline: AckDiscipline::Eager,
+        discipline,
     };
     let mut report = ProtocolReport::default();
-    let space = explore_space(&cfg, "eager")?;
+    let space = explore_space(&cfg, cfg.name)?;
     report.spaces.push((cfg.name, space));
     Ok(report)
 }
@@ -1128,11 +1225,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn eager_ack_mutation_is_caught_with_a_trace() {
-        let v = match check_mutation(Scale::Quick) {
+    /// The violation `discipline` must produce, with its trace.
+    fn caught(scale: Scale, discipline: AckDiscipline) -> Box<Violation> {
+        let v = match check_mutation(scale, discipline) {
             Ok(report) => panic!(
-                "checker failed to catch the eager-ack mutation across {} episodes",
+                "checker failed to catch the {discipline:?} mutation across {} episodes",
                 report.episodes()
             ),
             Err(v) => v,
@@ -1144,5 +1241,25 @@ mod tests {
             rendered.contains("counterexample trace"),
             "display must include the replayable trace:\n{rendered}"
         );
+        v
+    }
+
+    #[test]
+    fn eager_ack_mutation_is_caught_with_a_trace() {
+        caught(Scale::Quick, AckDiscipline::Eager);
+    }
+
+    #[test]
+    fn late_capture_mutation_is_caught_with_a_trace() {
+        // A batch must be admitted between a sync's start and its
+        // completion: six scheduled choices deep, so the full budget.
+        let v = caught(Scale::Full, AckDiscipline::LateCapture);
+        let at = |prefix: &str| v.trace.iter().position(|l| l.starts_with(prefix));
+        let started = at("sync-start").expect("a sync started");
+        assert!(
+            v.trace[started..].iter().any(|l| l.starts_with("deliver")),
+            "no batch admitted while the sync was in flight:\n{v}"
+        );
+        assert_eq!(at("sync-complete"), Some(v.trace.len() - 1), "{v}");
     }
 }
