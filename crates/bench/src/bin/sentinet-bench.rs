@@ -26,14 +26,15 @@
 //! durability and the recovery of pipelining are measured, not
 //! guessed. A final `ingest_stages` object breaks the pipelined
 //! `batch:64` run down by stage (decode / admission / WAL append /
-//! fsync / ack wall time, plus `other_s` for the uninstrumented
-//! remainder); the stages sum to `total_s` — the wall time of the rep
+//! fsync / checkpoint / ack wall time, plus `other_s` for the
+//! uninstrumented remainder); the stages sum to `total_s` — the wall time of the rep
 //! they came from — and `bench-check` rejects documents where they
 //! drift more than 10% apart. `fsync_s` is the time the server's event
 //! loop was *blocked* in fsync calls (forced flushes, checkpoints,
 //! segment seals); the policy fsyncs its syncer thread overlaps with
 //! admission are reported beside it as `fsync_overlapped_s`, outside
-//! the sum.
+//! the sum. `checkpoint_s` is the rest of each periodic restore point
+//! on that loop: snapshot, encode, write and rename-commit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,6 +92,8 @@ struct Stages {
     /// Syncer thread inside overlapped fsyncs (information only: it
     /// runs beside the other stages, so it is not part of the sum).
     fsync_overlapped_s: f64,
+    /// Event loop inside restore-point writes, after their WAL sync.
+    checkpoint_s: f64,
     ack_s: f64,
     other_s: f64,
     total_s: f64,
@@ -215,6 +218,7 @@ fn time_ingest(
                 + ns(timings.admission_ns)
                 + ns(timings.wal_append_ns)
                 + ns(timings.sync_blocked_ns)
+                + ns(timings.checkpoint_ns)
                 + ns(server_stats.ack_ns);
             stages = Stages {
                 decode_s: ns(server_stats.decode_ns),
@@ -222,6 +226,7 @@ fn time_ingest(
                 wal_append_s: ns(timings.wal_append_ns),
                 fsync_s: ns(timings.sync_blocked_ns),
                 fsync_overlapped_s: ns(timings.fsync_ns - timings.sync_blocked_ns),
+                checkpoint_s: ns(timings.checkpoint_ns),
                 ack_s: ns(server_stats.ack_ns),
                 other_s: (elapsed - instrumented).max(0.0),
                 total_s: elapsed,
@@ -380,7 +385,8 @@ fn main() {
          the fastest pipelined fsync=batch:64 rep (other_s = uninstrumented remainder, so \
          the stages sum to total_s, the wall time of that rep; fsync_s = event loop blocked \
          in inline fsyncs, fsync_overlapped_s = the syncer thread's policy fsyncs running \
-         beside admission, not part of the sum)\",\n",
+         beside admission, not part of the sum; checkpoint_s = event loop inside the periodic \
+         restore point after its WAL sync: snapshot, encode, write, rename)\",\n",
     );
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -428,12 +434,13 @@ fn main() {
         json,
         "  \"ingest_stages\": {{\"decode_s\": {:.6}, \"admission_s\": {:.6}, \
          \"wal_append_s\": {:.6}, \"fsync_s\": {:.6}, \"fsync_overlapped_s\": {:.6}, \
-         \"ack_s\": {:.6}, \"other_s\": {:.6}, \"total_s\": {:.6}}}",
+         \"checkpoint_s\": {:.6}, \"ack_s\": {:.6}, \"other_s\": {:.6}, \"total_s\": {:.6}}}",
         stages.decode_s,
         stages.admission_s,
         stages.wal_append_s,
         stages.fsync_s,
         stages.fsync_overlapped_s,
+        stages.checkpoint_s,
         stages.ack_s,
         stages.other_s,
         stages.total_s,

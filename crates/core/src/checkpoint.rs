@@ -142,31 +142,145 @@ impl std::error::Error for CheckpointError {}
 
 const MAGIC: &str = "sentinet-checkpoint v1";
 
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Appends `v` as the 16 lowercase hex digits of its IEEE-754 bit
+/// pattern — the one float encoding every sentinet text codec shares,
+/// so a round-trip is bit-exact for NaN payloads, signed zeros and
+/// subnormals alike. Writes straight into `out`: no intermediate
+/// `String` per float.
+///
+/// # Errors
+///
+/// Whatever `out` reports; a `String` never fails.
+pub fn push_hex<W: fmt::Write>(out: &mut W, v: f64) -> fmt::Result {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let bits = v.to_bits();
+    let mut buf = [0u8; 16];
+    for (i, digit) in buf.iter_mut().enumerate() {
+        *digit = DIGITS[(bits >> (60 - 4 * i)) as usize & 0xf];
+    }
+    write_ascii(out, &buf)
 }
 
-fn put_row(out: &mut String, tag: &str, row: &[f64]) {
-    out.push_str(tag);
-    for v in row {
-        out.push(' ');
-        out.push_str(&hex(*v));
+/// Appends `n` in decimal, as `{n}` would print it, without the
+/// formatting machinery's per-call setup — for the codecs' per-record
+/// and per-window loops, where a checkpoint writes tens of thousands
+/// of small integers.
+///
+/// # Errors
+///
+/// Whatever `out` reports; a `String` never fails.
+pub fn push_dec<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
-    out.push('\n');
+    write_ascii(out, &buf[at..])
+}
+
+/// `digits` are ASCII by construction; the check is a few words wide.
+fn write_ascii<W: fmt::Write>(out: &mut W, digits: &[u8]) -> fmt::Result {
+    match std::str::from_utf8(digits) {
+        Ok(digits) => out.write_str(digits),
+        Err(_) => Err(fmt::Error),
+    }
+}
+
+/// `tag`, then every value of `row` as ` <hex>`, then a newline.
+fn put_hex_row<W: fmt::Write>(out: &mut W, tag: fmt::Arguments<'_>, row: &[f64]) -> fmt::Result {
+    out.write_fmt(tag)?;
+    for v in row {
+        out.write_char(' ')?;
+        push_hex(out, *v)?;
+    }
+    out.write_char('\n')
+}
+
+/// `v` comma-joined (nothing at all for an empty slice).
+fn put_joined<W: fmt::Write>(out: &mut W, v: &[u64]) -> fmt::Result {
+    for (i, n) in v.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        push_dec(out, *n)?;
+    }
+    Ok(())
+}
+
+/// `Some(n)` as the number, `None` as `-`.
+fn put_opt<W: fmt::Write, T: fmt::Display>(out: &mut W, v: Option<T>) -> fmt::Result {
+    match v {
+        Some(n) => write!(out, "{n}"),
+        None => out.write_char('-'),
+    }
+}
+
+/// The `tag` header line of one estimator, then its `a`/`b`/`counts`
+/// rows, each named with the `rows` prefix: the shard codec's `mce`
+/// rows are bare (`a …`), the pipeline codec's `mco` rows are
+/// `mco-a …`.
+fn put_estimator<W: fmt::Write>(
+    out: &mut W,
+    tag: &str,
+    rows: &str,
+    m: &EstimatorState,
+) -> fmt::Result {
+    write!(out, "{tag} ")?;
+    push_hex(out, m.beta)?;
+    out.write_char(' ')?;
+    push_hex(out, m.gamma)?;
+    out.write_char(' ')?;
+    put_opt(out, m.prev_state)?;
+    writeln!(out, " {} {}", m.steps, m.generation)?;
+    for row in &m.a {
+        put_hex_row(out, format_args!("{rows}a"), row)?;
+    }
+    for row in &m.b {
+        put_hex_row(out, format_args!("{rows}b"), row)?;
+    }
+    write!(out, "{rows}counts ")?;
+    put_joined(out, &m.state_counts)?;
+    out.write_char(' ')?;
+    put_joined(out, &m.obs_counts)?;
+    out.write_char('\n')
 }
 
 /// Encodes one shard's sensors as durable checkpoint text.
 pub fn encode_shard(sensors: &[(SensorId, SensorSnapshot)]) -> String {
     let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
+    // `fmt::Write for String` never fails.
+    let _ = write_shard(&mut out, sensors);
+    out
+}
+
+/// [`encode_shard`] appended to a caller-supplied buffer, every field
+/// written in place.
+///
+/// # Errors
+///
+/// Whatever `out` reports; a `String` never fails.
+pub fn write_shard<W: fmt::Write>(
+    out: &mut W,
+    sensors: &[(SensorId, SensorSnapshot)],
+) -> fmt::Result {
+    writeln!(out, "{MAGIC}")?;
     for (id, snap) in sensors {
-        out.push_str(&format!("sensor {}\n", id.0));
+        writeln!(out, "sensor {}", id.0)?;
         match &snap.filter {
             FilterSnapshot::KOfN { k, n, window } => {
-                let bits: String = window.iter().map(|&b| if b { '1' } else { '0' }).collect();
-                let bits = if bits.is_empty() { "-".into() } else { bits };
-                out.push_str(&format!("filter kofn {k} {n} {bits}\n"));
+                write!(out, "filter kofn {k} {n} ")?;
+                if window.is_empty() {
+                    out.write_char('-')?;
+                }
+                for &bit in window {
+                    out.write_char(if bit { '1' } else { '0' })?;
+                }
+                out.write_char('\n')?;
             }
             FilterSnapshot::Sprt {
                 llr_true,
@@ -177,60 +291,36 @@ pub fn encode_shard(sensors: &[(SensorId, SensorSnapshot)]) -> String {
                 steps,
                 raised,
             } => {
-                out.push_str(&format!(
-                    "filter sprt {} {} {} {} {} {steps} {}\n",
-                    hex(*llr_true),
-                    hex(*llr_false),
-                    hex(*upper),
-                    hex(*lower),
-                    hex(*llr),
-                    u8::from(*raised),
-                ));
+                out.write_str("filter sprt")?;
+                for v in [llr_true, llr_false, upper, lower, llr] {
+                    out.write_char(' ')?;
+                    push_hex(out, *v)?;
+                }
+                writeln!(out, " {steps} {}", u8::from(*raised))?;
             }
         }
-        let m = &snap.m_ce;
-        let prev = m.prev_state.map_or("-".into(), |p| p.to_string());
-        out.push_str(&format!(
-            "mce {} {} {prev} {} {}\n",
-            hex(m.beta),
-            hex(m.gamma),
-            m.steps,
-            m.generation,
-        ));
-        for row in &m.a {
-            put_row(&mut out, "a", row);
-        }
-        for row in &m.b {
-            put_row(&mut out, "b", row);
-        }
-        let join = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        out.push_str(&format!(
-            "counts {} {}\n",
-            join(&m.state_counts),
-            join(&m.obs_counts)
-        ));
-        out.push_str(&format!("track {}\n", u8::from(snap.track_open)));
-        out.push_str("tracks");
+        put_estimator(out, "mce", "", &snap.m_ce)?;
+        writeln!(out, "track {}", u8::from(snap.track_open))?;
+        out.write_str("tracks")?;
         if snap.tracks.is_empty() {
-            out.push_str(" -");
+            out.write_str(" -")?;
         }
         for t in &snap.tracks {
-            let closed = t.closed.map_or("-".into(), |c| c.to_string());
-            out.push_str(&format!(" {}:{closed}", t.opened));
+            write!(out, " {}:", t.opened)?;
+            put_opt(out, t.closed)?;
         }
-        out.push('\n');
-        out.push_str("raw");
+        out.write_str("\nraw")?;
         if snap.raw_history.is_empty() {
-            out.push_str(" -");
+            out.write_str(" -")?;
         }
         for (w, raw) in &snap.raw_history {
-            out.push_str(&format!(" {w}:{}", u8::from(*raw)));
+            out.write_char(' ')?;
+            push_dec(out, *w)?;
+            out.write_str(if *raw { ":1" } else { ":0" })?;
         }
-        out.push('\n');
-        out.push_str(&format!("alarmed {}\n", u8::from(snap.ever_alarmed)));
-        out.push_str("end\n");
+        writeln!(out, "\nalarmed {}\nend", u8::from(snap.ever_alarmed))?;
     }
-    out
+    Ok(())
 }
 
 /// Cursor over checkpoint lines, tracking the 1-based position for
@@ -495,51 +585,18 @@ pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, Check
 
 const PIPELINE_MAGIC: &str = "sentinet-pipeline v1";
 
-fn put_hex_row(out: &mut String, tag: &str, row: &[f64]) {
-    out.push_str(tag);
-    for v in row {
-        out.push(' ');
-        out.push_str(&hex(*v));
-    }
-    out.push('\n');
-}
-
-fn join_u64(v: &[u64]) -> String {
-    v.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-}
-
-fn put_estimator(out: &mut String, tag: &str, m: &EstimatorState) {
-    let prev = m.prev_state.map_or("-".into(), |p| p.to_string());
-    out.push_str(&format!(
-        "{tag} {} {} {prev} {} {}\n",
-        hex(m.beta),
-        hex(m.gamma),
-        m.steps,
-        m.generation,
-    ));
-    for row in &m.a {
-        put_hex_row(out, &format!("{tag}-a"), row);
-    }
-    for row in &m.b {
-        put_hex_row(out, &format!("{tag}-b"), row);
-    }
-    out.push_str(&format!(
-        "{tag}-counts {} {}\n",
-        join_u64(&m.state_counts),
-        join_u64(&m.obs_counts)
-    ));
-}
-
-fn put_markov(out: &mut String, tag: &str, m: &MarkovState) {
-    let prev = m.prev.map_or("-".into(), |p| p.to_string());
-    out.push_str(&format!(
-        "{tag} {} {prev} {}\n",
-        hex(m.beta),
-        join_u64(&m.visits)
-    ));
+fn put_markov<W: fmt::Write>(out: &mut W, tag: &str, m: &MarkovState) -> fmt::Result {
+    write!(out, "{tag} ")?;
+    push_hex(out, m.beta)?;
+    out.write_char(' ')?;
+    put_opt(out, m.prev)?;
+    out.write_char(' ')?;
+    put_joined(out, &m.visits)?;
+    out.write_char('\n')?;
     for row in &m.transition {
-        put_hex_row(out, &format!("{tag}-row"), row);
+        put_hex_row(out, format_args!("{tag}-row"), row)?;
     }
+    Ok(())
 }
 
 /// Encodes a whole pipeline's restore-point snapshot as durable
@@ -549,56 +606,74 @@ fn put_markov(out: &mut String, tag: &str, m: &MarkovState) {
 /// live pipeline equals the encoding of its restored twin.
 pub fn encode_pipeline(snap: &PipelineSnapshot) -> String {
     let mut out = String::new();
-    out.push_str(PIPELINE_MAGIC);
-    out.push('\n');
+    // `fmt::Write for String` never fails.
+    let _ = write_pipeline(&mut out, snap);
+    out
+}
+
+/// [`encode_pipeline`] appended to a caller-supplied buffer — how the
+/// gateway's checkpoint embeds the pipeline without a copy.
+///
+/// # Errors
+///
+/// Whatever `out` reports; a `String` never fails.
+pub fn write_pipeline<W: fmt::Write>(out: &mut W, snap: &PipelineSnapshot) -> fmt::Result {
     let g = &snap.global;
-    out.push_str(&format!("windows {}\n", g.windows_processed));
-    out.push_str("history");
+    write!(
+        out,
+        "{PIPELINE_MAGIC}\nwindows {}\nhistory",
+        g.windows_processed
+    )?;
     if g.state_history.is_empty() {
-        out.push_str(" -");
+        out.write_str(" -")?;
     }
     for (w, c, o) in &g.state_history {
-        out.push_str(&format!(" {w}:{c}:{o}"));
+        out.write_char(' ')?;
+        push_dec(out, *w)?;
+        out.write_char(':')?;
+        push_dec(out, *c as u64)?;
+        out.write_char(':')?;
+        push_dec(out, *o as u64)?;
     }
-    out.push('\n');
-    out.push_str(&format!("bootstrap {}\n", g.bootstrap_points.len()));
+    writeln!(out, "\nbootstrap {}", g.bootstrap_points.len())?;
     for point in &g.bootstrap_points {
-        put_hex_row(&mut out, "bp", point);
+        put_hex_row(out, format_args!("bp"), point)?;
     }
     match &g.states {
-        None => out.push_str("states 0\n"),
+        None => out.write_str("states 0\n")?,
         Some(gs) => {
-            out.push_str("states 1\n");
+            out.write_str("states 1\ncluster")?;
             let s = &gs.states;
-            out.push_str(&format!(
-                "cluster {} {} {} {} {}\n",
-                hex(s.config.alpha),
-                hex(s.config.merge_threshold),
-                hex(s.config.spawn_threshold),
-                s.config.max_states,
-                s.generation,
-            ));
-            for (centroid, active) in s.centroids.iter().zip(&s.active) {
-                put_hex_row(&mut out, &format!("slot {}", u8::from(*active)), centroid);
+            for v in [
+                s.config.alpha,
+                s.config.merge_threshold,
+                s.config.spawn_threshold,
+            ] {
+                out.write_char(' ')?;
+                push_hex(out, v)?;
             }
-            put_estimator(&mut out, "mco", &gs.m_co);
-            put_markov(&mut out, "mc", &gs.m_c);
-            put_markov(&mut out, "mo", &gs.m_o);
+            writeln!(out, " {} {}", s.config.max_states, s.generation)?;
+            for (centroid, active) in s.centroids.iter().zip(&s.active) {
+                put_hex_row(out, format_args!("slot {}", u8::from(*active)), centroid)?;
+            }
+            put_estimator(out, "mco", "mco-", &gs.m_co)?;
+            put_markov(out, "mc", &gs.m_c)?;
+            put_markov(out, "mo", &gs.m_o)?;
         }
     }
     let w = &snap.windower;
-    out.push_str(&format!(
-        "windower {} {} {}\n",
+    writeln!(
+        out,
+        "windower {} {} {}",
         u8::from(w.started),
         w.index,
         w.start
-    ));
+    )?;
     for (id, dims, data) in &w.readings {
-        put_hex_row(&mut out, &format!("wsensor {} {dims}", id.0), data);
+        put_hex_row(out, format_args!("wsensor {} {dims}", id.0), data)?;
     }
-    out.push_str("sensors\n");
-    out.push_str(&encode_shard(&snap.sensors));
-    out
+    out.write_str("sensors\n")?;
+    write_shard(out, &snap.sensors)
 }
 
 /// Line cursor with single-line pushback, for the sections of the

@@ -3,11 +3,16 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_cluster::{ClusterConfig, ModelStates, UpdateScratch};
+use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch};
+use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
-    identify_states, identify_states_into, identify_states_with, majority_vote, ObservationWindow,
-    Pipeline, PipelineConfig, WindowScratch, WindowStates, Windower,
+    decode_pipeline, encode_pipeline, identify_states, identify_states_into, identify_states_with,
+    majority_vote, GlobalSnapshot, GlobalStates, ObservationWindow, Pipeline, PipelineConfig,
+    PipelineSnapshot, SensorSnapshot, TrackRecord, WindowScratch, WindowStates, Windower,
+    WindowerSnapshot,
 };
+use sentinet_filter::FilterSnapshot;
+use sentinet_hmm::{EstimatorState, MarkovState};
 use sentinet_sim::{Reading, SensorId, Trace, TraceRecord};
 use std::collections::BTreeMap;
 
@@ -363,4 +368,178 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A hand-built snapshot that takes every branch of the pipeline and
+/// shard encoders: installed states beside leftover bootstrap points,
+/// inactive slots, `-` for every optional (`prev`, an open track, an
+/// empty k-of-n window, empty track and alarm histories), an SPRT and
+/// two k-of-n filters, and floats whose bit patterns a decimal codec
+/// would lose (NaN, ±∞, −0.0, a subnormal).
+fn golden_pipeline_snapshot() -> PipelineSnapshot {
+    let estimator = |prev_state, generation| EstimatorState {
+        a: vec![vec![0.75, 0.25], vec![f64::MIN_POSITIVE, 1.0]],
+        b: vec![vec![0.5, 0.25, 0.25], vec![0.0, -0.0, 1.0]],
+        beta: 0.9,
+        gamma: 0.85,
+        prev_state,
+        state_counts: vec![17, 0],
+        obs_counts: vec![3, 14],
+        steps: 17,
+        generation,
+    };
+    let sensor = |filter, tracks: Vec<TrackRecord>, raw_history: Vec<(u64, bool)>| SensorSnapshot {
+        filter,
+        m_ce: estimator(tracks.len().checked_sub(1), 40 + raw_history.len() as u64),
+        track_open: tracks.last().is_some_and(|t| t.closed.is_none()),
+        ever_alarmed: !tracks.is_empty(),
+        tracks,
+        raw_history,
+    };
+    PipelineSnapshot {
+        global: GlobalSnapshot {
+            windows_processed: 1_344,
+            state_history: vec![(3, 2, 2), (4, 3, 2), (1_343, 0, 11)],
+            bootstrap_points: vec![vec![1.0, 2.0], vec![-0.5, 5e-324]],
+            states: Some(GlobalStates {
+                states: StatesSnapshot {
+                    centroids: vec![
+                        vec![1.5, -2.25],
+                        vec![f64::NAN, f64::INFINITY],
+                        vec![0.0, -0.0],
+                    ],
+                    active: vec![true, false, true],
+                    config: ClusterConfig::default(),
+                    generation: 4,
+                },
+                m_co: estimator(Some(1), 9),
+                m_c: MarkovState {
+                    transition: vec![vec![0.5, 0.5], vec![0.125, 0.875]],
+                    beta: 0.9,
+                    prev: Some(0),
+                    visits: vec![1_300, 44],
+                },
+                m_o: MarkovState {
+                    transition: vec![vec![1.0, 0.0], vec![0.0, 1.0]],
+                    beta: 0.9,
+                    prev: None,
+                    visits: vec![0, 0],
+                },
+            }),
+        },
+        windower: WindowerSnapshot {
+            started: true,
+            index: 1_344,
+            start: 1_344 * 3_600,
+            readings: vec![
+                (SensorId(0), 2, vec![20.5, 50.0, 21.0, 49.5]),
+                (SensorId(65_535), 1, vec![f64::NEG_INFINITY]),
+            ],
+        },
+        sensors: vec![
+            (
+                SensorId(0),
+                sensor(
+                    FilterSnapshot::KOfN {
+                        k: 6,
+                        n: 10,
+                        window: vec![true, false, true, true],
+                    },
+                    vec![
+                        TrackRecord {
+                            opened: 12,
+                            closed: Some(40),
+                        },
+                        TrackRecord {
+                            opened: 1_300,
+                            closed: None,
+                        },
+                    ],
+                    vec![(11, true), (12, true), (13, false), (1_343, true)],
+                ),
+            ),
+            (
+                SensorId(3),
+                sensor(
+                    FilterSnapshot::KOfN {
+                        k: 2,
+                        n: 4,
+                        window: Vec::new(),
+                    },
+                    Vec::new(),
+                    Vec::new(),
+                ),
+            ),
+            (
+                SensorId(65_535),
+                sensor(
+                    FilterSnapshot::Sprt {
+                        llr_true: 2.4849066497880004,
+                        llr_false: -0.8649974374866046,
+                        upper: 4.59511985013459,
+                        lower: -4.59511985013459,
+                        llr: -0.0,
+                        steps: 7,
+                        raised: true,
+                    },
+                    vec![TrackRecord {
+                        opened: 5,
+                        closed: Some(6),
+                    }],
+                    vec![(5, true)],
+                ),
+            ),
+        ],
+    }
+}
+
+/// Digests of [`golden_pipeline_snapshot`] through `encode_pipeline`
+/// and of its sensors through `encode_shard`, recorded by running this
+/// test at commit 584aad4 — the last one whose encoders built a
+/// `String` per line and per float. `report_pin.rs` pins a large real
+/// snapshot; this one pins the branches a healthy run does not take.
+const GOLDEN_DIGESTS: (u64, u64) = (12_200_159_013_245_710_496, 13_871_323_684_382_502_547);
+
+#[test]
+fn golden_snapshot_encodes_to_the_recorded_bytes() {
+    let snap = golden_pipeline_snapshot();
+    let pipeline = encode_pipeline(&snap);
+    let shard = encode_shard(&snap.sensors);
+    assert!(
+        pipeline.ends_with(&shard),
+        "the shard section closes the pipeline text"
+    );
+    for marker in [
+        "\nhistory 3:2:2 4:3:2 1343:0:11\n",
+        "\nbootstrap 2\nbp 3ff0000000000000 4000000000000000\n",
+        "\nslot 0 7ff8000000000000 7ff0000000000000\n",
+        "\nmo 3feccccccccccccd - 0,0\n",
+        "\nwsensor 65535 1 fff0000000000000\nsensors\n",
+        "\nfilter kofn 6 10 1011\n",
+        "\nfilter kofn 2 4 -\n",
+        "\ntracks 12:40 1300:-\nraw 11:1 12:1 13:0 1343:1\nalarmed 1\nend\n",
+        "\ntrack 0\ntracks -\nraw -\nalarmed 0\nend\n",
+        " 8000000000000000 7 1\n",
+    ] {
+        assert!(pipeline.contains(marker), "golden snapshot lost {marker:?}");
+    }
+    assert_eq!(
+        decode_pipeline(&pipeline).map(|s| encode_pipeline(&s)),
+        Ok(pipeline.clone())
+    );
+    assert_eq!(
+        decode_shard(&shard).map(|s| encode_shard(&s)),
+        Ok(shard.clone())
+    );
+    assert_eq!(
+        (fnv(pipeline.as_bytes()), fnv(shard.as_bytes())),
+        GOLDEN_DIGESTS,
+        "checkpoint encoding drifted from commit 584aad4"
+    );
 }

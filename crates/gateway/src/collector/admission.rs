@@ -47,6 +47,12 @@ pub struct StageTimings {
     /// for (inline fsyncs) — what the fsync costs the ingest path once
     /// the server overlaps the rest.
     pub sync_blocked_ns: u64,
+    /// Inside restore-point writes on the admitting thread, after
+    /// their WAL sync (which `sync_blocked_ns` already holds): plan the
+    /// reclaim, snapshot the collector, encode it, write and
+    /// rename-commit the file. Disjoint from `admission_ns` — the
+    /// admission clock is stopped around a budget reclaim.
+    pub checkpoint_ns: u64,
 }
 
 /// Per-batch admission accounting from [`Collector::deliver_batch`].
@@ -207,10 +213,13 @@ impl Collector {
         let mut fresh: Vec<WalRecord> = Vec::with_capacity(total);
         let mut projected = 0u64;
         let mut reclaimed = false;
-        let pass_start = timed.then(std::time::Instant::now);
+        let mut pass_start = timed.then(std::time::Instant::now);
+        // The run is one sensor's: its tracker is looked up once, and
+        // again only after the (at most one) reclaim borrowed `self`.
+        let mut tracker = self.seqs.get(&sensor);
         for (i, (time, values)) in readings.enumerate() {
             let seq = first_seq + i as u64;
-            if !self.seqs.get(&sensor).is_none_or(|t| t.is_new(seq)) {
+            if !tracker.is_none_or(|t| t.is_new(seq)) {
                 self.seq_duplicates += 1;
                 out.duplicates += 1;
                 continue;
@@ -226,9 +235,13 @@ impl Collector {
                 if self.wal.total_bytes() + projected + frame > budget && !reclaimed {
                     // One reclaim attempt per run, before anything is
                     // appended (the checkpoint it writes covers only
-                    // records already durable).
+                    // records already durable). Its fsync and
+                    // checkpoint are stages of their own.
+                    self.charge_admission(pass_start);
                     self.reclaim_for_budget(budget.saturating_sub(projected + frame))?;
                     reclaimed = true;
+                    pass_start = timed.then(std::time::Instant::now);
+                    tracker = self.seqs.get(&sensor);
                 }
                 if self.wal.poisoned().is_some() {
                     self.storage_rejects += total - i;
@@ -272,11 +285,11 @@ impl Collector {
             }
             out.accepted = fresh.len();
             let pass_start = timed.then(std::time::Instant::now);
+            let tracker = self.seqs.entry(sensor).or_default();
+            for record in &fresh {
+                tracker.observe(record.seq);
+            }
             for record in fresh {
-                self.seqs
-                    .entry(record.sensor)
-                    .or_default()
-                    .observe(record.seq);
                 self.admit(record.into_raw());
             }
             self.charge_admission(pass_start);
@@ -359,6 +372,7 @@ impl Collector {
             wal_append_ns: self.wal.append_ns(),
             fsync_ns: self.wal.fsync_ns(),
             sync_blocked_ns: self.wal.sync_blocked_ns(),
+            checkpoint_ns: self.checkpoint_ns,
         }
     }
 

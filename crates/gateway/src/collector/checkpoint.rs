@@ -85,14 +85,21 @@ impl Collector {
                 Err(e) => return Err(e.into()),
             }
         }
+        let start = std::time::Instant::now();
         let plan = self.wal.plan_reclaim(cursor, reclaim_budget);
-        let text = checkpoint_text(
+        let mut text = String::new();
+        checkpoint_text(
+            &mut text,
             cursor,
             plan.base_segment,
             plan.base_records,
             &self.snapshot(),
         );
-        if commit_sidecar(&self.config.wal, CHECKPOINT_TMP, CHECKPOINT_FILE, &text).is_err() {
+        let committed = commit_sidecar(&self.config.wal, CHECKPOINT_TMP, CHECKPOINT_FILE, &text);
+        self.checkpoint_ns = self
+            .checkpoint_ns
+            .saturating_add(start.elapsed().as_nanos() as u64);
+        if committed.is_err() {
             self.checkpoint_failures += 1;
             return Ok(false);
         }
@@ -107,18 +114,22 @@ impl Collector {
     }
 }
 
-/// The checkpoint file's bytes: magic, the three header coordinates,
-/// then the snapshot body.
+/// Appends the checkpoint file's bytes to `out`: magic, the three
+/// header coordinates, then the snapshot body — one buffer, written
+/// once, handed to [`commit_sidecar`] as is.
 pub(super) fn checkpoint_text(
+    out: &mut String,
     cursor: u64,
     base_segment: u64,
     base_records: u64,
     snap: &CollectorSnapshot,
-) -> String {
-    format!(
-        "{CHECKPOINT_MAGIC}\ncursor {cursor}\nbase-segment {base_segment}\nbase {base_records}\n{}",
-        encode_collector(snap)
-    )
+) {
+    // `fmt::Write for String` never fails.
+    let _ = writeln!(
+        out,
+        "{CHECKPOINT_MAGIC}\ncursor {cursor}\nbase-segment {base_segment}\nbase {base_records}"
+    );
+    let _ = write_collector(out, snap);
 }
 
 /// Rename-commits `text` as sidecar file `name` in the WAL directory

@@ -213,7 +213,8 @@ impl Collector {
                 dir.display()
             )));
         }
-        let text = checkpoint_text(base, 1, base, snap);
+        let mut text = String::new();
+        checkpoint_text(&mut text, base, 1, base, snap);
         commit_sidecar(&config.wal, CHECKPOINT_TMP, CHECKPOINT_FILE, &text)
     }
 
@@ -328,10 +329,9 @@ impl Collector {
         cursor: u64,
         snap: &CollectorSnapshot,
     ) -> Result<(), GatewayError> {
-        let text = format!(
-            "{OUTBOX_MAGIC}\ncursor {cursor}\n{}",
-            encode_collector(snap)
-        );
+        let mut text = format!("{OUTBOX_MAGIC}\ncursor {cursor}\n");
+        // `fmt::Write for String` never fails.
+        let _ = write_collector(&mut text, snap);
         commit_sidecar(
             &self.config.wal,
             &outbox_name(key, "tmp"),

@@ -53,7 +53,8 @@ pub use checkpoint::CHECKPOINT_FILE;
 
 use crate::reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig};
 use crate::snapshot::{
-    decode_collector, encode_collector, merge_snapshot, split_snapshot, CollectorSnapshot,
+    decode_collector, encode_collector, merge_snapshot, split_snapshot, write_collector,
+    CollectorSnapshot,
 };
 use crate::vfs::StorageError;
 use crate::wal::{
@@ -64,7 +65,7 @@ use migration::read_retired;
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
 use sentinet_sim::{IngestReport, RawRecord, Sanitizer, SensorId, Timestamp, Trace, TraceRecord};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
 /// Full gateway configuration.
@@ -460,6 +461,9 @@ pub struct Collector {
     /// Wall time spent in batch admission (dedup/budget probes plus
     /// reorder/sanitize/pipeline), for the bench stage breakdown.
     admission_ns: u64,
+    /// Wall time spent building and committing restore points, after
+    /// their WAL sync (see [`StageTimings::checkpoint_ns`]).
+    checkpoint_ns: u64,
 }
 
 impl fmt::Debug for Collector {
@@ -666,6 +670,7 @@ impl Collector {
             retired: Vec::new(),
             last_checkpoint_cursor: 0,
             admission_ns: 0,
+            checkpoint_ns: 0,
         }
     }
 

@@ -27,7 +27,9 @@
 //!   unbounded queue and never a silent drop.
 
 use sentinet_sim::{RawRecord, SensorId, Timestamp};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Reorder buffer tuning.
 #[derive(Debug, Clone)]
@@ -70,23 +72,81 @@ pub struct ReorderStats {
     pub shed: usize,
 }
 
+/// One sensor's buffered records, oldest first, with strictly
+/// increasing times (a same-slot arrival is a duplicate, never a second
+/// entry).
+#[derive(Debug)]
+struct SensorQueue {
+    sensor: SensorId,
+    records: VecDeque<(Timestamp, Vec<f64>)>,
+    last_released: Option<Timestamp>,
+}
+
+impl SensorQueue {
+    fn front_time(&self) -> Option<Timestamp> {
+        self.records.front().map(|(time, _)| *time)
+    }
+
+    /// Where a record at `time` belongs: `Err(position)` to insert at,
+    /// `Ok(position)` of the record already holding that slot. An
+    /// in-order arrival lands past the back without a search.
+    fn position(&self, time: Timestamp) -> Result<usize, usize> {
+        match self.records.back() {
+            Some((back, _)) if *back >= time => {
+                self.records.binary_search_by_key(&time, |(t, _)| *t)
+            }
+            _ => Err(self.records.len()),
+        }
+    }
+}
+
+/// Position of `sensor`'s queue in `queues` (sorted by sensor id), or
+/// where to insert one. Arrivals repeat a sensor (a batch) or step to
+/// the next one (trace order), and releases walk the sensors in order,
+/// so the last hit or its successor usually answers; anything else pays
+/// a binary search.
+fn locate(queues: &[SensorQueue], cursor: &mut usize, sensor: SensorId) -> Result<usize, usize> {
+    for at in [*cursor, *cursor + 1] {
+        if queues.get(at).is_some_and(|q| q.sensor == sensor) {
+            *cursor = at;
+            return Ok(at);
+        }
+    }
+    let found = queues.binary_search_by_key(&sensor, |q| q.sensor);
+    if let Ok(at) = found {
+        *cursor = at;
+    }
+    found
+}
+
 /// The buffer itself. Feed with [`offer`](ReorderBuffer::offer), drain
 /// with [`drain_ready`](ReorderBuffer::drain_ready), and
 /// [`flush`](ReorderBuffer::flush) at end of stream.
+///
+/// Records wait in one time-ordered queue per sensor; a min-heap of
+/// the queues' fronts yields the global `(time, sensor)` release order.
+/// An in-order arrival is a `push_back`, a release is a `pop_front`
+/// plus one heap sift, and neither allocates once the queues have
+/// grown to their working size.
 #[derive(Debug)]
 pub struct ReorderBuffer {
     config: ReorderConfig,
-    buffer: BTreeMap<(Timestamp, SensorId), Vec<f64>>,
-    buffered_per_sensor: BTreeMap<SensorId, usize>,
-    last_released: BTreeMap<SensorId, Timestamp>,
+    /// Every sensor ever offered, sorted by sensor id.
+    queues: Vec<SensorQueue>,
+    /// Last queue [`locate`] landed on.
+    cursor: usize,
+    /// Queue fronts, earliest `(time, sensor)` on top: at least one
+    /// entry per non-empty queue naming its current front. Entries are
+    /// never removed when a front changes under them (a shed, or a
+    /// straggler landing ahead of it); one that no longer matches its
+    /// queue's front is discarded when it surfaces.
+    fronts: BinaryHeap<Reverse<(Timestamp, SensorId)>>,
     watermark: Option<Timestamp>,
     stats: ReorderStats,
 }
 
 /// Plain-data image of a [`ReorderBuffer`], for checkpointing the
-/// transport layer alongside the pipeline it feeds. The per-sensor
-/// buffered counts are derivable from `buffer` and are rebuilt on
-/// restore.
+/// transport layer alongside the pipeline it feeds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReorderSnapshot {
     /// Buffered records as `(time, sensor, values)`, in release order.
@@ -104,9 +164,9 @@ impl ReorderBuffer {
     pub fn new(config: ReorderConfig) -> Self {
         Self {
             config,
-            buffer: BTreeMap::new(),
-            buffered_per_sensor: BTreeMap::new(),
-            last_released: BTreeMap::new(),
+            queues: Vec::new(),
+            cursor: 0,
+            fronts: BinaryHeap::new(),
             watermark: None,
             stats: ReorderStats::default(),
         }
@@ -131,35 +191,32 @@ impl ReorderBuffer {
             sensor,
             values,
         } = record;
-        if let Some(w) = self.watermark {
-            if time < w {
-                self.stats.late += 1;
-                return AdmitOutcome::Late;
-            }
+        if self.watermark.is_some_and(|w| time < w) {
+            self.stats.late += 1;
+            return AdmitOutcome::Late;
         }
-        if let Some(&released) = self.last_released.get(&sensor) {
-            if time <= released {
-                self.stats.late += 1;
-                return AdmitOutcome::Late;
-            }
+        let at = self.queue_of(sensor);
+        let queue = &mut self.queues[at];
+        if queue.last_released.is_some_and(|released| time <= released) {
+            self.stats.late += 1;
+            return AdmitOutcome::Late;
         }
-        if self.buffer.contains_key(&(time, sensor)) {
+        let Err(mut position) = queue.position(time) else {
             self.stats.duplicates += 1;
             return AdmitOutcome::Duplicate;
-        }
-
-        let buffered = self.buffered_per_sensor.entry(sensor).or_insert(0);
-        if *buffered >= self.config.per_sensor_capacity {
+        };
+        let front_before = queue.front_time();
+        if queue.records.len() >= self.config.per_sensor_capacity
+            && queue.records.pop_front().is_some()
+        {
             // Shed this sensor's oldest buffered record to make room.
-            let oldest = self.buffer.keys().find(|(_, s)| *s == sensor).copied();
-            if let Some(key) = oldest {
-                self.buffer.remove(&key);
-                *buffered -= 1;
-                self.stats.shed += 1;
-            }
+            self.stats.shed += 1;
+            position = position.saturating_sub(1);
         }
-        *buffered += 1;
-        self.buffer.insert((time, sensor), values);
+        queue.records.insert(position, (time, values));
+        if queue.front_time() != front_before {
+            self.note_front(at);
+        }
 
         let horizon = time.saturating_sub(self.config.watermark_delay);
         if self.watermark.is_none_or(|w| horizon > w) {
@@ -182,13 +239,20 @@ impl ReorderBuffer {
 
     /// Captures the buffer's contents and accounting for checkpointing.
     pub fn snapshot(&self) -> ReorderSnapshot {
+        let mut buffer: Vec<(Timestamp, SensorId, Vec<f64>)> = self
+            .queues
+            .iter()
+            .flat_map(|q| q.records.iter().map(|(t, v)| (*t, q.sensor, v.clone())))
+            .collect();
+        // One sorted run per sensor: the stable sort merges runs.
+        buffer.sort_by_key(|(t, s, _)| (*t, *s));
         ReorderSnapshot {
-            buffer: self
-                .buffer
+            buffer,
+            last_released: self
+                .queues
                 .iter()
-                .map(|(&(t, s), v)| (t, s, v.clone()))
+                .filter_map(|q| q.last_released.map(|t| (q.sensor, t)))
                 .collect(),
-            last_released: self.last_released.iter().map(|(&s, &t)| (s, t)).collect(),
             watermark: self.watermark,
             stats: self.stats,
         }
@@ -198,37 +262,97 @@ impl ReorderBuffer {
     /// admit/release decisions continue exactly as the captured
     /// instance's would.
     pub fn from_snapshot(config: ReorderConfig, snapshot: ReorderSnapshot) -> Self {
-        let mut buffered_per_sensor: BTreeMap<SensorId, usize> = BTreeMap::new();
-        let mut buffer = BTreeMap::new();
-        for (t, s, v) in snapshot.buffer {
-            *buffered_per_sensor.entry(s).or_insert(0) += 1;
-            buffer.insert((t, s), v);
+        let mut restored = Self::new(config);
+        restored.watermark = snapshot.watermark;
+        restored.stats = snapshot.stats;
+        for (time, sensor, values) in snapshot.buffer {
+            let at = restored.queue_of(sensor);
+            let queue = &mut restored.queues[at];
+            match queue.position(time) {
+                Err(position) => queue.records.insert(position, (time, values)),
+                Ok(position) => queue.records[position].1 = values,
+            }
         }
-        Self {
-            config,
-            buffer,
-            buffered_per_sensor,
-            last_released: snapshot.last_released.into_iter().collect(),
-            watermark: snapshot.watermark,
-            stats: snapshot.stats,
+        for (sensor, time) in snapshot.last_released {
+            let at = restored.queue_of(sensor);
+            restored.queues[at].last_released = Some(time);
+        }
+        restored.rebuild_fronts();
+        restored
+    }
+
+    /// Position of `sensor`'s queue, created empty on first sight.
+    fn queue_of(&mut self, sensor: SensorId) -> usize {
+        match locate(&self.queues, &mut self.cursor, sensor) {
+            Ok(at) => at,
+            Err(at) => {
+                self.queues.insert(
+                    at,
+                    SensorQueue {
+                        sensor,
+                        records: VecDeque::new(),
+                        last_released: None,
+                    },
+                );
+                self.cursor = at;
+                at
+            }
         }
     }
 
+    /// Records that queue `at` has a new front. The entry for its old
+    /// front stays behind as a stale one; they are bounded by
+    /// rebuilding the heap once it outgrows the queues it indexes (a
+    /// buffer that sheds forever under a watermark that never moves
+    /// would otherwise grow it without limit).
+    fn note_front(&mut self, at: usize) {
+        let queue = &self.queues[at];
+        if let Some(time) = queue.front_time() {
+            self.fronts.push(Reverse((time, queue.sensor)));
+        }
+        if self.fronts.len() > 2 * self.queues.len() + 16 {
+            self.rebuild_fronts();
+        }
+    }
+
+    fn rebuild_fronts(&mut self) {
+        self.fronts.clear();
+        self.fronts.extend(
+            self.queues
+                .iter()
+                .filter_map(|q| q.front_time().map(|time| Reverse((time, q.sensor)))),
+        );
+    }
+
     fn release_through(&mut self, limit: Timestamp, out: &mut Vec<RawRecord>) {
-        while let Some((&(time, sensor), _)) = self.buffer.iter().next() {
+        while let Some(mut top) = self.fronts.peek_mut() {
+            let Reverse((time, sensor)) = *top;
             if time > limit {
                 break;
             }
-            if let Some(values) = self.buffer.remove(&(time, sensor)) {
-                if let Some(count) = self.buffered_per_sensor.get_mut(&sensor) {
-                    *count = count.saturating_sub(1);
-                }
-                self.last_released.insert(sensor, time);
+            let live = locate(&self.queues, &mut self.cursor, sensor)
+                .ok()
+                .map(|at| &mut self.queues[at])
+                .filter(|q| q.front_time() == Some(time));
+            let Some(queue) = live else {
+                PeekMut::pop(top);
+                continue;
+            };
+            if let Some((time, values)) = queue.records.pop_front() {
+                queue.last_released = Some(time);
                 out.push(RawRecord {
                     time,
                     sensor,
                     values,
                 });
+            }
+            // The successor takes the released front's place in one
+            // sift instead of a pop and a push.
+            match queue.front_time() {
+                Some(next) => *top = Reverse((next, sensor)),
+                None => {
+                    PeekMut::pop(top);
+                }
             }
         }
     }
@@ -237,6 +361,7 @@ impl ReorderBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn raw(time: u64, sensor: u16, v: f64) -> RawRecord {
         RawRecord {

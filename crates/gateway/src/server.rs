@@ -438,12 +438,14 @@ fn reader_loop(
                 return;
             }
             Ok(n) => {
-                let decode_start = std::time::Instant::now();
+                let mut decode_start = std::time::Instant::now();
                 fb.feed(&buf[..n]);
                 loop {
-                    // The decode clock covers framing + parse only;
+                    // The decode clock covers framing + parse only:
                     // it stops before the (possibly blocking) queue
-                    // send so backpressure is not billed as decoding.
+                    // send and restarts after it, so a read carrying
+                    // several frames bills each frame's decode once
+                    // and backpressure never.
                     let next = fb.next_message();
                     decode_ns
                         .fetch_add(decode_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -454,6 +456,7 @@ fn reader_loop(
                             if events.send(Event::Msg(id, msg)).is_err() {
                                 return;
                             }
+                            decode_start = std::time::Instant::now();
                         }
                         Ok(None) => break,
                         Err(e) => {
@@ -481,4 +484,51 @@ pub fn hello_frame() -> Vec<u8> {
         version: PROTOCOL_V1,
         epoch: 0,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two frames arrive in one `read` while the event queue is full,
+    /// so both sends stall until the test drains it. The decode clock
+    /// must hold the two decodes only: before the fix it billed frame
+    /// 1's decode twice and every stall before the last decode.
+    #[test]
+    fn decode_clock_excludes_queue_stalls() {
+        const STALL: Duration = Duration::from_millis(120);
+        let (listener, addr) = Listener::bind("127.0.0.1:0").unwrap();
+        let mut client = Stream::connect(&addr).unwrap();
+        let mut wire = hello_frame();
+        wire.extend(hello_frame());
+        client.write_all(&wire).unwrap();
+        let served = listener.accept().unwrap();
+        served
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+
+        let (tx, rx) = bounded::<Event>(1);
+        // One placeholder event: the queue is full.
+        assert!(tx.send(Event::Closed(usize::MAX)).is_ok());
+        let decode_ns = Arc::new(AtomicU64::new(0));
+        let reader = {
+            let decode_ns = Arc::clone(&decode_ns);
+            let shutdown = Arc::new(AtomicBool::new(false));
+            std::thread::spawn(move || reader_loop(7, served, tx, shutdown, decode_ns))
+        };
+        std::thread::sleep(STALL);
+        assert!(matches!(rx.recv().unwrap(), Event::Closed(usize::MAX)));
+        for _ in 0..2 {
+            assert!(matches!(rx.recv().unwrap(), Event::Msg(7, _)));
+        }
+        drop(client);
+        assert!(matches!(rx.recv().unwrap(), Event::Closed(7)));
+        reader.join().unwrap();
+
+        let billed = Duration::from_nanos(decode_ns.load(Ordering::Relaxed));
+        assert!(
+            billed < STALL / 4,
+            "decode clock billed {billed:?} for two hello frames; the stall was {STALL:?}"
+        );
+    }
 }

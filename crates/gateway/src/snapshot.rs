@@ -3,7 +3,7 @@
 //! A v2 gateway checkpoint carries a [`CollectorSnapshot`] — the
 //! complete replay-deterministic state of the collector at a WAL
 //! cursor: the detection pipeline (via
-//! [`sentinet_core::checkpoint::encode_pipeline`]), the reorder
+//! [`sentinet_core::checkpoint::write_pipeline`]), the reorder
 //! buffer, the sanitizer, per-sensor sequence dedup state, and the
 //! ingest/liveness accounting. Restoring it yields a collector that
 //! continues bit-identically, which is what lets checkpoint-gated
@@ -24,9 +24,10 @@
 //! restored twin.
 
 use crate::reorder::{ReorderSnapshot, ReorderStats};
-use sentinet_core::checkpoint::{decode_pipeline, encode_pipeline};
+use sentinet_core::checkpoint::{decode_pipeline, push_dec, push_hex, write_pipeline};
 use sentinet_core::{PipelineSnapshot, WindowerSnapshot};
 use sentinet_sim::{IngestError, SanitizerSnapshot, SensorId, Timestamp};
+use std::fmt;
 
 const MAGIC: &str = "sentinet-collector v1";
 
@@ -54,25 +55,25 @@ pub struct CollectorSnapshot {
     pub episodes: usize,
 }
 
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn put_pairs(out: &mut String, tag: &str, pairs: &[(SensorId, u64)]) {
-    out.push_str(tag);
+/// `tag`, then ` sensor:value` per pair (` -` for none), then a newline.
+fn put_pairs<W: fmt::Write>(out: &mut W, tag: &str, pairs: &[(SensorId, u64)]) -> fmt::Result {
+    out.write_str(tag)?;
     if pairs.is_empty() {
-        out.push_str(" -");
+        out.write_str(" -")?;
     }
     for (s, t) in pairs {
-        out.push_str(&format!(" {}:{t}", s.0));
+        out.write_char(' ')?;
+        push_dec(out, u64::from(s.0))?;
+        out.write_char(':')?;
+        push_dec(out, *t)?;
     }
-    out.push('\n');
+    out.write_char('\n')
 }
 
-fn put_ingest_error(out: &mut String, e: &IngestError) {
+fn put_ingest_error<W: fmt::Write>(out: &mut W, e: &IngestError) -> fmt::Result {
     match e {
         IngestError::EmptyReading { time, sensor } => {
-            out.push_str(&format!("rej empty {time} {}\n", sensor.0));
+            writeln!(out, "rej empty {time} {}", sensor.0)
         }
         IngestError::NonFinite {
             time,
@@ -80,93 +81,98 @@ fn put_ingest_error(out: &mut String, e: &IngestError) {
             index,
             value,
         } => {
-            out.push_str(&format!(
-                "rej nonfinite {time} {} {index} {}\n",
-                sensor.0,
-                hex(*value)
-            ));
+            write!(out, "rej nonfinite {time} {} {index} ", sensor.0)?;
+            push_hex(out, *value)?;
+            out.write_char('\n')
         }
         IngestError::DuplicateTimestamp { time, sensor } => {
-            out.push_str(&format!("rej dup {time} {}\n", sensor.0));
+            writeln!(out, "rej dup {time} {}", sensor.0)
         }
         IngestError::OutOfOrder {
             time,
             sensor,
             latest,
-        } => {
-            out.push_str(&format!("rej ooo {time} {} {latest}\n", sensor.0));
-        }
+        } => writeln!(out, "rej ooo {time} {} {latest}", sensor.0),
         IngestError::DimensionMismatch {
             time,
             sensor,
             expected,
             actual,
-        } => {
-            out.push_str(&format!(
-                "rej dim {time} {} {expected} {actual}\n",
-                sensor.0
-            ));
-        }
+        } => writeln!(out, "rej dim {time} {} {expected} {actual}", sensor.0),
     }
 }
 
 /// Encodes a collector snapshot as durable checkpoint text.
 pub fn encode_collector(snap: &CollectorSnapshot) -> String {
     let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
+    // `fmt::Write for String` never fails.
+    let _ = write_collector(&mut out, snap);
+    out
+}
+
+/// [`encode_collector`] appended to a caller-supplied buffer: the
+/// checkpoint file's header, this body and the pipeline section inside
+/// it are written in one pass into one allocation, each float's hex
+/// digits placed directly ([`push_hex`]).
+///
+/// # Errors
+///
+/// Whatever `out` reports; a `String` never fails.
+pub fn write_collector<W: fmt::Write>(out: &mut W, snap: &CollectorSnapshot) -> fmt::Result {
+    write!(out, "{MAGIC}\nsanitizer ")?;
     match snap.sanitizer.dims {
-        Some(d) => out.push_str(&format!("sanitizer {d}\n")),
-        None => out.push_str("sanitizer -\n"),
+        Some(d) => writeln!(out, "{d}")?,
+        None => out.write_str("-\n")?,
     }
-    put_pairs(&mut out, "slatest", &snap.sanitizer.latest);
+    put_pairs(out, "slatest", &snap.sanitizer.latest)?;
     let ReorderStats {
         duplicates,
         late,
         shed,
     } = snap.reorder.stats;
     match snap.reorder.watermark {
-        Some(w) => out.push_str(&format!("reorder {w} {duplicates} {late} {shed}\n")),
-        None => out.push_str(&format!("reorder - {duplicates} {late} {shed}\n")),
+        Some(w) => writeln!(out, "reorder {w} {duplicates} {late} {shed}")?,
+        None => writeln!(out, "reorder - {duplicates} {late} {shed}")?,
     }
     for (time, sensor, values) in &snap.reorder.buffer {
-        out.push_str(&format!("rbuf {time} {}", sensor.0));
+        out.write_str("rbuf ")?;
+        push_dec(out, *time)?;
+        out.write_char(' ')?;
+        push_dec(out, u64::from(sensor.0))?;
         for v in values {
-            out.push(' ');
-            out.push_str(&hex(*v));
+            out.write_char(' ')?;
+            push_hex(out, *v)?;
         }
-        out.push('\n');
+        out.write_char('\n')?;
     }
-    put_pairs(&mut out, "rrel", &snap.reorder.last_released);
+    put_pairs(out, "rrel", &snap.reorder.last_released)?;
     for (sensor, next, above) in &snap.seqs {
-        let above = if above.is_empty() {
-            "-".to_string()
-        } else {
-            above
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        out.push_str(&format!("seq {} {next} {above}\n", sensor.0));
+        write!(out, "seq {} {next} ", sensor.0)?;
+        if above.is_empty() {
+            out.write_char('-')?;
+        }
+        for (i, seq) in above.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            push_dec(out, *seq)?;
+        }
+        out.write_char('\n')?;
     }
-    out.push_str(&format!("accepted {}\n", snap.accepted));
+    writeln!(out, "accepted {}", snap.accepted)?;
     for e in &snap.rejected {
-        put_ingest_error(&mut out, e);
+        put_ingest_error(out, e)?;
     }
-    put_pairs(&mut out, "heard", &snap.last_heard);
-    out.push_str("silent");
+    put_pairs(out, "heard", &snap.last_heard)?;
+    out.write_str("silent")?;
     if snap.silent.is_empty() {
-        out.push_str(" -");
+        out.write_str(" -")?;
     }
     for s in &snap.silent {
-        out.push_str(&format!(" {}", s.0));
+        write!(out, " {}", s.0)?;
     }
-    out.push('\n');
-    out.push_str(&format!("episodes {}\n", snap.episodes));
-    out.push_str("pipeline\n");
-    out.push_str(&encode_pipeline(&snap.pipeline));
-    out
+    writeln!(out, "\nepisodes {}\npipeline", snap.episodes)?;
+    write_pipeline(out, &snap.pipeline)
 }
 
 /// Splits `snap` into the state for sensors inside the half-open

@@ -80,6 +80,12 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 const SAMPLE_PERIOD: u64 = 300;
+/// Readings the reorder buffer holds back behind its watermark: deep
+/// enough that a node-based buffer would be allocating and freeing
+/// nodes as the stream passes through it (the `BTreeMap` this replaced
+/// measured 1.33 per reading here), under the default per-sensor
+/// capacity of 64 so nothing is shed.
+const HELD: u64 = 48;
 
 /// The wire bytes of one frame of `n` consecutive readings of sensor 0.
 fn frame(first_seq: u64, n: u64) -> Vec<u8> {
@@ -109,7 +115,7 @@ fn an_admitted_v2_reading_keeps_the_allocation_its_decode_made() {
     // admission).
     config.wal.fsync = FsyncPolicy::Batch(64);
     config.checkpoint_every = 0;
-    config.reorder.watermark_delay = 2 * SAMPLE_PERIOD;
+    config.reorder.watermark_delay = HELD * SAMPLE_PERIOD;
     let (collector, _) = Collector::open(config).expect("open");
     let mut server = StepServer::new(collector, 4, AckDiscipline::Durable);
     let conn = server.connect();
@@ -149,16 +155,18 @@ fn an_admitted_v2_reading_keeps_the_allocation_its_decode_made() {
     let long = admit(&mut server, 192);
     let per_reading = (long - short) as f64 / 96.0;
     // 1 for the decode's `Vec<f64>`, 2/12 for the hourly window close,
-    // and what the per-sensor histories grow by, amortised. The cloning
-    // path measured 3.2 here.
+    // and what the per-sensor histories grow by, amortised: 1.19 as
+    // measured, held to that plus 10 %. The reorder queues add nothing
+    // (a record moves in and out of a ring that is already at its
+    // working size). The cloning path measured 3.2 here.
     assert!(
-        per_reading < 1.5,
+        per_reading < 1.31,
         "{per_reading:.3} allocations per admitted reading (96: {short}, 192: {long})"
     );
     assert_eq!(
-        server.collector().ingest_report().accepted as u64 + 2,
+        server.collector().ingest_report().accepted as u64 + HELD,
         next_seq,
-        "every reading but the two the watermark still holds was admitted"
+        "every reading but the ones the watermark still holds was admitted"
     );
     fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,7 @@
 //! silent reinterpretation.
 
 use proptest::prelude::*;
-use sentinet_core::{Pipeline, PipelineConfig};
+use sentinet_core::{FilterPolicy, Pipeline, PipelineConfig};
 use sentinet_gateway::snapshot::{decode_collector, encode_collector};
 use sentinet_gateway::{
     merge_snapshot, split_snapshot, CollectorSnapshot, ReorderSnapshot, ReorderStats,
@@ -286,4 +286,156 @@ proptest! {
         prop_assert_eq!(outside.episodes, snap.episodes);
         prop_assert_eq!(outside.rejected.len(), snap.rejected.len());
     }
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A pipeline driven far enough to bootstrap its model states, under
+/// `filter`: three sensors cycling through four well-separated
+/// regimes, sensor 2 disagreeing often enough to open tracks.
+fn driven_pipeline(filter: FilterPolicy) -> Pipeline {
+    let config = PipelineConfig {
+        filter,
+        ..PipelineConfig::default()
+    };
+    let mut pipeline = Pipeline::new(config, 300);
+    for i in 0..600u64 {
+        let regime = (i / 12) % 4;
+        for s in 0..3u16 {
+            let wild = s == 2 && (i / 12) % 3 == 0;
+            let v =
+                10.0 + 15.0 * regime as f64 + f64::from(s) / 4.0 + if wild { 40.0 } else { 0.0 };
+            for outcome in pipeline.push_values(300 * (i + 1), SensorId(s), &[v, 90.0 - v]) {
+                pipeline.recycle_outcome(outcome);
+            }
+        }
+    }
+    pipeline
+}
+
+/// Digests of [`golden_snapshot`]'s encoding with one silent sensor and
+/// with none, recorded by running this test at parent commit 584aad4 —
+/// before the encoder stopped building a `String` per line and per
+/// float.
+const GOLDEN_DIGESTS: (u64, u64) = (11_117_180_414_752_147_282, 15_094_321_448_796_720_983);
+
+/// A fixed snapshot that takes every branch of the collector encoder:
+/// no watermark (`reorder -`), non-finite and signed-zero floats in the
+/// reorder buffer and the in-progress window, empty and non-empty
+/// `above`, every `rej` variant, and a bootstrapped pipeline whose
+/// sensors carry a k-of-n filter (0 and 2) and an SPRT filter (1).
+fn golden_snapshot(silent: Vec<SensorId>) -> CollectorSnapshot {
+    let mut pipeline = driven_pipeline(FilterPolicy::default()).snapshot();
+    let sprt = driven_pipeline(FilterPolicy::Sprt {
+        p0: 0.05,
+        p1: 0.6,
+        alpha: 0.01,
+        beta: 0.01,
+    })
+    .snapshot();
+    pipeline.sensors[1] = sprt.sensors[1].clone();
+    pipeline.windower.readings.push((
+        SensorId(9),
+        2,
+        vec![f64::NAN, -0.0, f64::NEG_INFINITY, f64::MIN_POSITIVE],
+    ));
+    CollectorSnapshot {
+        pipeline,
+        reorder: ReorderSnapshot {
+            buffer: vec![
+                (180_300, SensorId(0), vec![21.5, f64::INFINITY]),
+                (180_300, SensorId(2), vec![f64::NAN, -0.0]),
+                (180_600, SensorId(1), vec![1e300, 5e-324, -3.25]),
+            ],
+            last_released: vec![(SensorId(0), 180_000), (SensorId(2), 179_700)],
+            watermark: None,
+            stats: ReorderStats {
+                duplicates: 3,
+                late: 14,
+                shed: 159,
+            },
+        },
+        sanitizer: SanitizerSnapshot {
+            latest: vec![(SensorId(0), 180_000), (SensorId(1), 180_000)],
+            dims: Some(2),
+        },
+        seqs: vec![
+            (SensorId(0), 601, vec![]),
+            (SensorId(1), 600, vec![602, 603, 700]),
+            (SensorId(65_535), 0, vec![u64::MAX]),
+        ],
+        accepted: 1_799,
+        rejected: vec![
+            IngestError::EmptyReading {
+                time: 600,
+                sensor: SensorId(2),
+            },
+            IngestError::NonFinite {
+                time: 900,
+                sensor: SensorId(0),
+                index: 1,
+                value: f64::NEG_INFINITY,
+            },
+            IngestError::DuplicateTimestamp {
+                time: 1_200,
+                sensor: SensorId(1),
+            },
+            IngestError::OutOfOrder {
+                time: 300,
+                sensor: SensorId(1),
+                latest: 1_200,
+            },
+            IngestError::DimensionMismatch {
+                time: 1_500,
+                sensor: SensorId(2),
+                expected: 2,
+                actual: 3,
+            },
+        ],
+        last_heard: vec![(SensorId(0), 180_300), (SensorId(1), 180_600)],
+        silent,
+        episodes: 2,
+    }
+}
+
+/// Encoder byte-identity across the allocation-free rewrite is pinned,
+/// not assumed: the round-trip properties above would pass for any
+/// self-consistent codec, this digest only for the parent's bytes.
+#[test]
+fn golden_snapshot_encodes_to_the_parent_commits_bytes() {
+    let text = encode_collector(&golden_snapshot(vec![SensorId(2)]));
+    for marker in [
+        "\nsanitizer 2\n",
+        "\nreorder - 3 14 159\n",
+        "\nrbuf 180300 2 7ff8000000000000 8000000000000000\n",
+        "\nseq 0 601 -\n",
+        "\nseq 1 600 602,603,700\n",
+        "\nrej empty ",
+        "\nrej nonfinite 900 0 1 fff0000000000000\n",
+        "\nrej dup ",
+        "\nrej ooo ",
+        "\nrej dim ",
+        "\nsilent 2\n",
+        "\nstates 1\n",
+        "\nwsensor 9 2 7ff8000000000000 ",
+        "\nfilter kofn 6 10 ",
+        "\nfilter sprt ",
+    ] {
+        assert!(text.contains(marker), "golden snapshot lost {marker:?}");
+    }
+    let quiet = encode_collector(&golden_snapshot(Vec::new()));
+    assert!(quiet.contains("\nsilent -\n"));
+    assert_eq!(
+        decode_collector(&text).map(|snap| encode_collector(&snap)),
+        Ok(text.clone())
+    );
+    assert_eq!(
+        (fnv(text.as_bytes()), fnv(quiet.as_bytes())),
+        GOLDEN_DIGESTS,
+        "collector encoding drifted from commit 584aad4"
+    );
 }

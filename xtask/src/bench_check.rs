@@ -266,12 +266,14 @@ impl Parser<'_> {
 /// 10% of `total_s`. `fsync_s` is the event loop's time blocked in
 /// inline fsyncs; the syncer thread's overlapped fsyncs
 /// (`fsync_overlapped_s`) run beside the other stages and are not a
-/// stage of the sum.
+/// stage of the sum. `checkpoint_s` is the event loop's time inside
+/// restore-point writes after their WAL sync.
 const STAGE_KEYS: &[&str] = &[
     "decode_s",
     "admission_s",
     "wal_append_s",
     "fsync_s",
+    "checkpoint_s",
     "ack_s",
     "other_s",
 ];
@@ -573,8 +575,8 @@ mod tests {
         doc(rows).replace(
             "\"results\": [",
             "\"ingest_stages\": {\"decode_s\": 0.01, \"admission_s\": 0.02, \
-             \"wal_append_s\": 0.003, \"fsync_s\": 0.1, \"ack_s\": 0.004, \
-             \"other_s\": 0.063, \"total_s\": 0.2}, \"results\": [",
+             \"wal_append_s\": 0.003, \"fsync_s\": 0.1, \"checkpoint_s\": 0.04, \
+             \"ack_s\": 0.004, \"other_s\": 0.023, \"total_s\": 0.2}, \"results\": [",
         )
     }
 

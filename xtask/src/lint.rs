@@ -1,6 +1,6 @@
 //! The project lint engine.
 //!
-//! Eighteen textual lints over the workspace's library crates, built
+//! Nineteen textual lints over the workspace's library crates, built
 //! on the masked source view of [`crate::lexer`] — no rustc plugin,
 //! fully offline. Findings are suppressed inline with
 //! `// sentinet-allow(lint-name): reason` on the same line or on the
@@ -25,6 +25,7 @@
 //! | `io-outside-vfs` | raw filesystem mutation outside `gateway/src/vfs.rs` |
 //! | `ack-ordering` | `Ack`/`AckUpTo` built with no durability check first, or built in gateway code outside `protocol.rs` |
 //! | `partition-map-mutation` | `.commit_owner(` / `.commit_health(` / `.split_at(` / `.transfer(` outside the federation commit path |
+//! | `codec-alloc` | `push_str(&format!(…))` or a non-`pub` `fn … -> String` helper in a checkpoint codec file |
 //! | `stale-suppression` | `sentinet-allow` comment that no longer suppresses any finding |
 //!
 //! Test code (`#[cfg(test)] mod`s and `#[test]` fns) is exempt from
@@ -58,8 +59,18 @@
 //! the core (`protocol.rs`) is the only place allowed to build one at
 //! all — the wire codec (`frame.rs`, which decodes received acks) and
 //! match patterns excepted — so a second emitter cannot grow beside
-//! the one the checker explores. And suppression hygiene
-//! is enforced by `stale-suppression`: a well-formed `sentinet-allow`
+//! the one the checker explores. The restore-point encoders
+//! (`core/src/checkpoint.rs`, `gateway/src/snapshot.rs`,
+//! `gateway/src/collector/checkpoint.rs`) run on the gateway's event
+//! loop once per checkpoint and write hundreds of kilobytes, so they
+//! append to one caller-supplied buffer (`codec-alloc`): a
+//! `push_str(&format!(…))` allocates a `String` per line, and a
+//! private helper returning `String` (the old `hex(v) -> String`)
+//! allocates one per field — both are what `push_hex`/`push_dec` and
+//! `write!` into the buffer replaced. The `pub fn encode_* -> String`
+//! entry points, which allocate the one buffer, are not helpers. And
+//! suppression hygiene is enforced by `stale-suppression`: a
+//! well-formed `sentinet-allow`
 //! comment that no longer silences any actual finding is itself a
 //! finding, so fixed code sheds its stale annotations instead of
 //! carrying holes a future regression could slip through.
@@ -87,7 +98,15 @@ pub const LINTS: &[&str] = &[
     "io-outside-vfs",
     "ack-ordering",
     "partition-map-mutation",
+    "codec-alloc",
     "stale-suppression",
+];
+
+/// Files holding the restore-point text encoders (`codec-alloc`).
+const CODEC_FILES: &[&str] = &[
+    "core/src/checkpoint.rs",
+    "gateway/src/snapshot.rs",
+    "gateway/src/collector/checkpoint.rs",
 ];
 
 /// Needles whose word-bounded occurrence in a fn body marks an ack
@@ -197,6 +216,9 @@ pub struct FileContext {
     /// The file is the wire codec (`gateway/src/frame.rs`): decoding a
     /// received ack constructs one, which is not an emission.
     pub wire_codec_file: bool,
+    /// The file holds a restore-point text encoder, which must append
+    /// to its caller's buffer instead of allocating per line or field.
+    pub codec_file: bool,
     /// Hot-path function names registered for this file.
     pub hot_functions: Vec<String>,
 }
@@ -227,6 +249,7 @@ impl FileContext {
             vfs_file: p.ends_with("gateway/src/vfs.rs"),
             protocol_core_file: p.ends_with("gateway/src/protocol.rs"),
             wire_codec_file: p.ends_with("gateway/src/frame.rs"),
+            codec_file: CODEC_FILES.iter().any(|suffix| p.ends_with(suffix)),
             hot_functions,
         }
     }
@@ -572,6 +595,33 @@ pub fn lint_source(path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding>
         }
     }
 
+    // Restore-point encoders append to one caller-supplied buffer: no
+    // `String` per line (`push_str(&format!(`) and none per field (a
+    // helper returning `String`). The `pub fn` entry points that
+    // allocate the buffer itself are exempt.
+    if ctx.codec_file {
+        for offset in find_all(&map.masked, "push_str(&format!(") {
+            if !map.in_test_region(offset) {
+                push(
+                    &map,
+                    offset,
+                    "codec-alloc",
+                    "`push_str(&format!(…))` in a checkpoint codec allocates a String per line; `write!` into the buffer".into(),
+                );
+            }
+        }
+        for offset in find_string_helpers(&map.masked) {
+            if !map.in_test_region(offset) {
+                push(
+                    &map,
+                    offset,
+                    "codec-alloc",
+                    "helper returning `String` in a checkpoint codec allocates per call; append to the caller's buffer (`push_hex`, `push_dec`, `write!`)".into(),
+                );
+            }
+        }
+    }
+
     // Malformed or unknown suppressions are findings themselves, so a
     // typo cannot silently disable a lint.
     for sup in &map.suppressions {
@@ -690,6 +740,25 @@ fn find_word(hay: &str, word: &str) -> Vec<usize> {
             let after = hay.as_bytes().get(pos + word.len());
             let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
             !matches!(before, Some(b) if ident(b)) && !matches!(after, Some(&b) if ident(b))
+        })
+        .collect()
+}
+
+/// Offsets of `fn` keywords whose signature returns exactly `String`
+/// and which are not plain `pub fn` — the codec files' public
+/// `encode_* -> String` entry points own the one buffer; anything
+/// narrower is a helper.
+fn find_string_helpers(masked: &str) -> Vec<usize> {
+    find_word(masked, "fn")
+        .into_iter()
+        .filter(|&pos| {
+            let rest = &masked[pos..];
+            let sig = &rest[..rest.find(['{', ';']).unwrap_or(rest.len())];
+            let returns_string = sig
+                .rsplit_once("->")
+                .is_some_and(|(_, ret)| ret.split_whitespace().eq(["String"]));
+            let line_start = masked[..pos].rfind('\n').map_or(0, |nl| nl + 1);
+            returns_string && masked[line_start..pos].trim() != "pub"
         })
         .collect()
 }
@@ -1035,6 +1104,29 @@ mod tests {
         // The definitions themselves (no leading dot) are not calls.
         let defs = "impl PartitionMap {\n    pub fn commit_owner(&mut self, p: PartitionId, epoch: u64) {}\n}\n";
         assert!(run(defs).iter().all(|f| f.lint != "partition-map-mutation"));
+    }
+
+    #[test]
+    fn codec_alloc_flags_per_line_and_per_field_strings_in_codec_files_only() {
+        let src = "fn hex(v: f64) -> String { todo(v) }\n\
+                   pub(super) fn text(n: u64) -> String { todo(n) }\n\
+                   pub fn encode(s: &Snap) -> String {\n    let mut out = String::new();\n    out.push_str(&format!(\"n {}\\n\", s.n));\n    out\n}\n\
+                   pub fn write<W: fmt::Write>(out: &mut W) -> fmt::Result { Ok(()) }\n\
+                   fn parse(s: &str) -> Result<String, String> { todo(s) }\n";
+        let codec = FileContext {
+            codec_file: true,
+            ..ctx()
+        };
+        let f = lint_source(Path::new("checkpoint.rs"), src, &codec);
+        let lines: Vec<usize> = f
+            .iter()
+            .filter(|x| x.lint == "codec-alloc")
+            .map(|x| x.line)
+            .collect();
+        assert_eq!(lines, vec![1, 2, 5], "{f:?}");
+        assert!(run(src).iter().all(|x| x.lint != "codec-alloc"));
+        assert!(FileContext::for_path(Path::new("crates/gateway/src/snapshot.rs")).codec_file);
+        assert!(!FileContext::for_path(Path::new("crates/gateway/src/wal.rs")).codec_file);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Seeded-bad fixture: with a lib-root context registering `hot` as a
-//! hot-path function, every one of the eighteen lints fires exactly
+//! hot-path function, every one of the nineteen lints fires exactly
 //! once. (This file is test data — it is never compiled.)
 
 pub fn violations(maybe: Option<u32>, x: f64) -> u32 {
@@ -37,6 +37,10 @@ pub fn leaky_ack(replies: &mut Vec<Message>, sensor: u16, seq: u64) {
 
 pub fn rogue_reassign(map: &mut PartitionMap) {
     map.commit_owner(0, 2);
+}
+
+pub fn chatty_codec(out: &mut String, n: u64) {
+    out.push_str(&format!("n {n}\n"));
 }
 
 // sentinet-allow(float-eq): stale — the comparison this excused was rewritten

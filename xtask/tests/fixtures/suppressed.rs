@@ -54,6 +54,11 @@ pub fn rogue_reassign(map: &mut PartitionMap) {
     map.commit_owner(0, 2);
 }
 
+pub fn chatty_codec(out: &mut String, n: u64) {
+    // sentinet-allow(codec-alloc): fixture exercises suppression
+    out.push_str(&format!("n {n}\n"));
+}
+
 // sentinet-allow(stale-suppression): fixture exercises suppression
 // sentinet-allow(float-eq): intentionally stale for the fixture
 pub fn formerly_fuzzy(x: f64) -> f64 {

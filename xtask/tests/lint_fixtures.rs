@@ -36,6 +36,7 @@ fn full_ctx() -> FileContext {
         vfs_file: false,
         protocol_core_file: false,
         wire_codec_file: false,
+        codec_file: true,
         hot_functions: vec!["hot".into()],
     }
 }
@@ -53,6 +54,7 @@ fn bad_fixture_fires_every_lint_exactly_once() {
 #[test]
 fn suppressed_fixture_is_silent() {
     let ctx = FileContext {
+        codec_file: true,
         hot_functions: vec!["hot".into()],
         ..FileContext::default()
     };
