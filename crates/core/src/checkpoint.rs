@@ -9,13 +9,20 @@
 //! a restore), and the track/alarm history — so it crosses thread
 //! boundaries freely and can be serialized.
 //!
-//! The durable wire format is the hand-rolled text codec below
-//! ([`encode_shard`]/[`decode_shard`]): floating-point fields are
-//! written as the hexadecimal IEEE-754 bit pattern (`f64::to_bits`), so
-//! a round-trip is bit-exact — the property the engine's kill-anywhere
-//! determinism proof rests on. The `serde` derives on the snapshot
-//! types are the workspace's usual offline marker stubs (see
-//! `vendor/README.md`); they document intent but do no serialization.
+//! The durable format is the line-based text of `DESIGN.md` §12.5, and
+//! this module holds the one kit every such text in the workspace is
+//! written and read with: the writer primitives ([`push_hex`],
+//! [`push_dec`], [`put_opt`], [`put_joined`]) and the streaming
+//! [`Reader`] with its [`Fields`]. Floats travel as the hexadecimal
+//! IEEE-754 bit pattern, so a round-trip is bit-exact — the property
+//! the engine's kill-anywhere determinism proof rests on — and the
+//! reader accepts only what the writers emit, so whatever decodes
+//! re-encodes to the bytes read. [`encode_shard`]/[`decode_shard`] and
+//! [`encode_pipeline`]/[`decode_pipeline`] are the two codecs defined
+//! here; the pipeline text ends in a shard section, read by the same
+//! reader. The `serde` derives on the snapshot types are the
+//! workspace's usual offline marker stubs (see `vendor/README.md`);
+//! they document intent but do no serialization.
 
 use crate::runtime::TrackRecord;
 use sentinet_cluster::StatesSnapshot;
@@ -202,7 +209,11 @@ fn put_hex_row<W: fmt::Write>(out: &mut W, tag: fmt::Arguments<'_>, row: &[f64])
 }
 
 /// `v` comma-joined (nothing at all for an empty slice).
-fn put_joined<W: fmt::Write>(out: &mut W, v: &[u64]) -> fmt::Result {
+///
+/// # Errors
+///
+/// Whatever `out` reports; a `String` never fails.
+pub fn put_joined<W: fmt::Write>(out: &mut W, v: &[u64]) -> fmt::Result {
     for (i, n) in v.iter().enumerate() {
         if i > 0 {
             out.write_char(',')?;
@@ -213,7 +224,11 @@ fn put_joined<W: fmt::Write>(out: &mut W, v: &[u64]) -> fmt::Result {
 }
 
 /// `Some(n)` as the number, `None` as `-`.
-fn put_opt<W: fmt::Write, T: fmt::Display>(out: &mut W, v: Option<T>) -> fmt::Result {
+///
+/// # Errors
+///
+/// Whatever `out` reports; a `String` never fails.
+pub fn put_opt<W: fmt::Write, T: fmt::Display>(out: &mut W, v: Option<T>) -> fmt::Result {
     match v {
         Some(n) => write!(out, "{n}"),
         None => out.write_char('-'),
@@ -323,59 +338,310 @@ pub fn write_shard<W: fmt::Write>(
     Ok(())
 }
 
-/// Cursor over checkpoint lines, tracking the 1-based position for
-/// error reporting.
-struct Lines<'a> {
-    iter: std::iter::Enumerate<std::str::Lines<'a>>,
-    pos: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            iter: text.lines().enumerate(),
-            pos: 0,
-        }
-    }
-
-    fn next(&mut self) -> Option<&'a str> {
-        let (i, line) = self.iter.next()?;
-        self.pos = i + 1;
-        Some(line)
-    }
-
-    fn fail<T>(&self, reason: impl Into<String>) -> Result<T, CheckpointError> {
-        Err(CheckpointError::Malformed {
-            line: self.pos,
-            reason: reason.into(),
-        })
-    }
-}
-
-fn parse_hex(lines: &Lines<'_>, s: &str) -> Result<f64, CheckpointError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| CheckpointError::Malformed {
-            line: lines.pos,
-            reason: format!("bad hex float `{s}`: {e}"),
-        })
-}
-
-fn parse_num<T: std::str::FromStr>(lines: &Lines<'_>, s: &str) -> Result<T, CheckpointError>
-where
-    T::Err: fmt::Display,
-{
-    s.parse().map_err(|e| CheckpointError::Malformed {
-        line: lines.pos,
-        reason: format!("bad number `{s}`: {e}"),
+fn malformed<T>(line: usize, reason: impl Into<String>) -> Result<T, CheckpointError> {
+    Err(CheckpointError::Malformed {
+        line,
+        reason: reason.into(),
     })
 }
 
-fn parse_counts(lines: &Lines<'_>, s: &str) -> Result<Vec<u64>, CheckpointError> {
-    if s.is_empty() {
-        return lines.fail("empty count vector");
+/// The one line reader every durable text format decodes through —
+/// shard, pipeline and collector snapshots, the gateway's sidecar files
+/// and the report counters (grammar: `DESIGN.md` §12.5). It streams over
+/// `\n`-separated lines, counting them from 1 in the text handed to the
+/// outermost decoder, so a nested section reports absolute positions,
+/// and it accepts exactly what the writers above emit: whatever decodes
+/// re-encodes to the bytes read. Every failure, here and in
+/// [`Fields`], is a [`CheckpointError::Malformed`] naming the line.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the first line of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            rest: text,
+            line: 0,
+        }
     }
-    s.split(',').map(|c| parse_num(lines, c)).collect()
+
+    /// The unread remainder of the text.
+    pub fn rest(&self) -> &'a str {
+        self.rest
+    }
+
+    /// The next line, not consumed.
+    pub fn peek(&self) -> Option<&'a str> {
+        let end = self.rest.find('\n').unwrap_or(self.rest.len());
+        (!self.rest.is_empty()).then(|| &self.rest[..end])
+    }
+
+    /// Consumes the next line, whose fields are `rest`.
+    fn take(&mut self, line: &str, rest: Option<&'a str>) -> Fields<'a> {
+        self.rest = self.rest.get(line.len() + 1..).unwrap_or("");
+        self.line += 1;
+        Fields {
+            rest,
+            sep: b' ',
+            line: self.line,
+        }
+    }
+
+    /// Fails at the last consumed line.
+    pub fn fail<T>(&self, reason: impl Into<String>) -> Result<T, CheckpointError> {
+        malformed(self.line, reason)
+    }
+
+    /// Fails at the next line, which is not the `wanted` one — or at
+    /// the last, when the text ended before it.
+    fn unexpected<T>(&self, wanted: &str) -> Result<T, CheckpointError> {
+        match self.peek() {
+            Some(line) => malformed(self.line + 1, format!("expected {wanted}, got `{line}`")),
+            None => self.fail(format!("truncated: missing {wanted}")),
+        }
+    }
+
+    /// Consumes a line that must read exactly `literal`: a magic
+    /// header, a section marker, a terminator.
+    pub fn marker(&mut self, literal: &str) -> Result<(), CheckpointError> {
+        match self.peek() {
+            Some(line) if line == literal => {
+                self.take(line, None);
+                Ok(())
+            }
+            _ => self.unexpected(&format!("`{literal}`")),
+        }
+    }
+
+    /// Consumes the next line whole, as space-separated fields.
+    pub fn fields(&mut self) -> Option<Fields<'a>> {
+        let line = self.peek()?;
+        Some(self.take(line, Some(line)))
+    }
+
+    /// Consumes the next line if its first field is `tag`, yielding
+    /// the fields after it — the lookahead that ends a run of rows.
+    pub fn tagged_if(&mut self, tag: &str) -> Option<Fields<'a>> {
+        let line = self.peek()?;
+        let rest = line.strip_prefix(tag)?;
+        let rest = match rest.strip_prefix(' ') {
+            Some(fields) => Some(fields),
+            None if rest.is_empty() => None,
+            None => return None,
+        };
+        Some(self.take(line, rest))
+    }
+
+    /// Consumes a line that must open with `tag`.
+    pub fn tagged(&mut self, tag: &str) -> Result<Fields<'a>, CheckpointError> {
+        match self.tagged_if(tag) {
+            Some(fields) => Ok(fields),
+            None => self.unexpected(&format!("`{tag}` line")),
+        }
+    }
+
+    /// Consumes a `tag <field>` line holding the one field `read`
+    /// parses: `r.single("cursor", Fields::num)`.
+    pub fn single<T>(
+        &mut self,
+        tag: &str,
+        read: impl FnOnce(&mut Fields<'a>) -> Result<T, CheckpointError>,
+    ) -> Result<T, CheckpointError> {
+        let mut fields = self.tagged(tag)?;
+        let value = read(&mut fields)?;
+        fields.end()?;
+        Ok(value)
+    }
+
+    /// Consumes every consecutive `tag <hex>…` line, one row each.
+    pub fn rows(&mut self, tag: &str) -> Result<Vec<Vec<f64>>, CheckpointError> {
+        let mut rows = Vec::new();
+        while let Some(fields) = self.tagged_if(tag) {
+            rows.push(fields.hex_row()?);
+        }
+        Ok(rows)
+    }
+
+    /// Consumes a `tag item item…` line (`tag -` when there are none),
+    /// each item's `:`-separated parts read by `item`: `3:7 10:-`.
+    pub fn list<T>(
+        &mut self,
+        tag: &str,
+        mut item: impl FnMut(&mut Fields<'a>) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let fields = self.tagged(tag)?;
+        let mut items = Vec::new();
+        match fields.rest {
+            None => return fields.fail("missing list (`-` for empty)"),
+            Some("-") => {}
+            Some(list) => {
+                for parts in list.split(' ') {
+                    let mut parts = Fields {
+                        rest: Some(parts),
+                        sep: b':',
+                        line: fields.line,
+                    };
+                    items.push(item(&mut parts)?);
+                    parts.end()?;
+                }
+            }
+        }
+        Ok(items)
+    }
+
+    /// Requires that every line has been consumed.
+    pub fn finish(&self) -> Result<(), CheckpointError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => self.unexpected("end of text"),
+        }
+    }
+}
+
+/// The fields of one line — or, inside [`Reader::list`], the parts of
+/// one `a:b` item — taken left to right. Every parser is strict: a
+/// number is canonical decimal, a float is 16 lowercase hex digits, a
+/// flag is `0` or `1`, `-` stands for none or empty only where the
+/// method says so, and separators are single.
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    rest: Option<&'a str>,
+    sep: u8,
+    line: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// Fails at this line.
+    pub fn fail<T>(&self, reason: impl Into<String>) -> Result<T, CheckpointError> {
+        malformed(self.line, reason)
+    }
+
+    /// The next field, verbatim.
+    pub fn token(&mut self) -> Result<&'a str, CheckpointError> {
+        let Some(rest) = self.rest else {
+            return self.fail("missing field");
+        };
+        // A byte loop: fields are short, and the separators are ASCII,
+        // so the cut is always a character boundary.
+        let (token, rest) = match rest.bytes().position(|b| b == self.sep) {
+            Some(at) => (&rest[..at], Some(&rest[at + 1..])),
+            None => (rest, None),
+        };
+        self.rest = rest;
+        Ok(token)
+    }
+
+    /// Requires that every field has been taken.
+    pub fn end(&self) -> Result<(), CheckpointError> {
+        match self.rest {
+            None => Ok(()),
+            Some(extra) => self.fail(format!("unexpected trailing `{extra}`")),
+        }
+    }
+
+    fn parse_num<T: std::str::FromStr>(&self, s: &str) -> Result<T, CheckpointError> {
+        let canonical = s == "0" || (!s.starts_with('0') && s.bytes().all(|b| b.is_ascii_digit()));
+        match s.parse() {
+            Ok(n) if canonical => Ok(n),
+            _ => self.fail(format!("bad number `{s}`")),
+        }
+    }
+
+    /// The next field as an unsigned decimal exactly as [`push_dec`]
+    /// writes it: no sign, no leading zeros, in range for `T`.
+    pub fn num<T: std::str::FromStr>(&mut self) -> Result<T, CheckpointError> {
+        let token = self.token()?;
+        self.parse_num(token)
+    }
+
+    /// The next field as [`Fields::num`], or `None` for `-`.
+    pub fn opt<T: std::str::FromStr>(&mut self) -> Result<Option<T>, CheckpointError> {
+        match self.token()? {
+            "-" => Ok(None),
+            token => self.parse_num(token).map(Some),
+        }
+    }
+
+    /// The next field as a comma-joined vector of at least one number.
+    pub fn nums<T: std::str::FromStr>(&mut self) -> Result<Vec<T>, CheckpointError> {
+        let token = self.token()?;
+        token.split(',').map(|n| self.parse_num(n)).collect()
+    }
+
+    /// The closing field as [`Fields::nums`], or empty for `-`.
+    pub fn opt_nums<T: std::str::FromStr>(&mut self) -> Result<Vec<T>, CheckpointError> {
+        match self.rest {
+            Some("-") => self.token().map(|_| Vec::new()),
+            _ => self.nums(),
+        }
+    }
+
+    /// The next field as a float exactly as [`push_hex`] writes it.
+    pub fn hex(&mut self) -> Result<f64, CheckpointError> {
+        let s = self.token()?;
+        // `from_str_radix` also takes upper case and a sign; the fixed
+        // width makes ruling those out one branch-free pass.
+        let canonical = <&[u8; 16]>::try_from(s.as_bytes()).is_ok_and(|digits| {
+            digits
+                .iter()
+                .fold(true, |ok, b| ok & !(b.is_ascii_uppercase() | (*b == b'+')))
+        });
+        match u64::from_str_radix(s, 16) {
+            Ok(bits) if canonical => Ok(f64::from_bits(bits)),
+            _ => self.fail(format!("bad hex float `{s}`")),
+        }
+    }
+
+    /// Every remaining field as a float.
+    pub fn hex_row(mut self) -> Result<Vec<f64>, CheckpointError> {
+        let mut row = Vec::new();
+        while self.rest.is_some() {
+            row.push(self.hex()?);
+        }
+        Ok(row)
+    }
+
+    /// The next field as a flag: `0` or `1`, nothing else.
+    pub fn flag(&mut self) -> Result<bool, CheckpointError> {
+        match self.token()? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            other => self.fail(format!("bad flag `{other}` (expected 0 or 1)")),
+        }
+    }
+}
+
+/// One estimator block: the `tag` header line, then `a`, `b` and
+/// `counts` rows named with the `rows` prefix — [`put_estimator`]'s
+/// inverse.
+fn parse_estimator(
+    r: &mut Reader<'_>,
+    tag: &str,
+    rows: &str,
+) -> Result<EstimatorState, CheckpointError> {
+    let mut f = r.tagged(tag)?;
+    let (beta, gamma, prev_state) = (f.hex()?, f.hex()?, f.opt()?);
+    let (steps, generation) = (f.num()?, f.num()?);
+    f.end()?;
+    let a = r.rows(&format!("{rows}a"))?;
+    let b = r.rows(&format!("{rows}b"))?;
+    let mut f = r.tagged(&format!("{rows}counts"))?;
+    let (state_counts, obs_counts) = (f.nums()?, f.nums()?);
+    f.end()?;
+    Ok(EstimatorState {
+        a,
+        b,
+        beta,
+        gamma,
+        prev_state,
+        state_counts,
+        obs_counts,
+        steps,
+        generation,
+    })
 }
 
 /// Decodes checkpoint text produced by [`encode_shard`].
@@ -386,199 +652,65 @@ fn parse_counts(lines: &Lines<'_>, s: &str) -> Result<Vec<u64>, CheckpointError>
 /// offending line. Semantic validation (stochastic rows etc.) happens
 /// when the snapshot is restored into a runtime.
 pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
-    let mut lines = Lines::new(text);
-    match lines.next() {
-        Some(MAGIC) => {}
-        Some(other) => return lines.fail(format!("bad magic `{other}`")),
-        None => return lines.fail("empty checkpoint"),
-    }
+    let mut r = Reader::new(text);
+    let sensors = read_shard(&mut r)?;
+    r.finish()?;
+    Ok(sensors)
+}
+
+/// [`decode_shard`] from wherever `r` stands — the closing section of
+/// a pipeline snapshot — up to the first line that opens no sensor.
+fn read_shard(r: &mut Reader<'_>) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
+    r.marker(MAGIC)?;
     let mut sensors = Vec::new();
-    while let Some(line) = lines.next() {
-        if line.is_empty() {
-            continue;
-        }
-        let Some(id) = line.strip_prefix("sensor ") else {
-            return lines.fail(format!("expected `sensor <id>`, got `{line}`"));
-        };
-        let id = SensorId(parse_num(&lines, id)?);
-
-        // Filter line.
-        let Some(filter_line) = lines.next() else {
-            return lines.fail("truncated: missing filter line");
-        };
-        let filter = if let Some(rest) = filter_line.strip_prefix("filter kofn ") {
-            let parts: Vec<&str> = rest.split(' ').collect();
-            if parts.len() != 3 {
-                return lines.fail("filter kofn needs `k n bits`");
-            }
-            let window = if parts[2] == "-" {
-                Vec::new()
-            } else {
-                parts[2]
-                    .chars()
-                    .map(|c| match c {
-                        '0' => Ok(false),
-                        '1' => Ok(true),
-                        other => Err(CheckpointError::Malformed {
-                            line: lines.pos,
-                            reason: format!("bad window bit `{other}`"),
-                        }),
-                    })
-                    .collect::<Result<_, _>>()?
-            };
-            FilterSnapshot::KOfN {
-                k: parse_num(&lines, parts[0])?,
-                n: parse_num(&lines, parts[1])?,
-                window,
-            }
-        } else if let Some(rest) = filter_line.strip_prefix("filter sprt ") {
-            let parts: Vec<&str> = rest.split(' ').collect();
-            if parts.len() != 7 {
-                return lines.fail("filter sprt needs 7 fields");
-            }
-            FilterSnapshot::Sprt {
-                llr_true: parse_hex(&lines, parts[0])?,
-                llr_false: parse_hex(&lines, parts[1])?,
-                upper: parse_hex(&lines, parts[2])?,
-                lower: parse_hex(&lines, parts[3])?,
-                llr: parse_hex(&lines, parts[4])?,
-                steps: parse_num(&lines, parts[5])?,
-                raised: parts[6] == "1",
-            }
-        } else {
-            return lines.fail(format!("expected filter line, got `{filter_line}`"));
-        };
-
-        // Estimator header.
-        let Some(mce_line) = lines.next() else {
-            return lines.fail("truncated: missing mce line");
-        };
-        let Some(rest) = mce_line.strip_prefix("mce ") else {
-            return lines.fail(format!("expected mce line, got `{mce_line}`"));
-        };
-        let parts: Vec<&str> = rest.split(' ').collect();
-        if parts.len() != 5 {
-            return lines.fail("mce needs `beta gamma prev steps generation`");
-        }
-        let beta = parse_hex(&lines, parts[0])?;
-        let gamma = parse_hex(&lines, parts[1])?;
-        let prev_state = if parts[2] == "-" {
-            None
-        } else {
-            Some(parse_num(&lines, parts[2])?)
-        };
-        let steps = parse_num(&lines, parts[3])?;
-        let generation = parse_num(&lines, parts[4])?;
-
-        // Matrix rows, then counts.
-        let mut a: Vec<Vec<f64>> = Vec::new();
-        let mut b: Vec<Vec<f64>> = Vec::new();
-        let (state_counts, obs_counts) = loop {
-            let Some(row_line) = lines.next() else {
-                return lines.fail("truncated: missing counts line");
-            };
-            if let Some(rest) = row_line.strip_prefix("a ") {
-                let row = rest
-                    .split(' ')
-                    .map(|s| parse_hex(&lines, s))
-                    .collect::<Result<Vec<f64>, _>>()?;
-                a.push(row);
-            } else if let Some(rest) = row_line.strip_prefix("b ") {
-                let row = rest
-                    .split(' ')
-                    .map(|s| parse_hex(&lines, s))
-                    .collect::<Result<Vec<f64>, _>>()?;
-                b.push(row);
-            } else if let Some(rest) = row_line.strip_prefix("counts ") {
-                let parts: Vec<&str> = rest.split(' ').collect();
-                if parts.len() != 2 {
-                    return lines.fail("counts needs two vectors");
-                }
-                break (
-                    parse_counts(&lines, parts[0])?,
-                    parse_counts(&lines, parts[1])?,
-                );
-            } else {
-                return lines.fail(format!("expected a/b/counts line, got `{row_line}`"));
-            }
-        };
-
-        // Track flag, tracks, raw history, alarmed flag, end marker.
-        let track_open = match lines.next() {
-            Some("track 0") => false,
-            Some("track 1") => true,
-            _ => return lines.fail("expected `track 0|1`"),
-        };
-        let Some(tracks_line) = lines.next() else {
-            return lines.fail("truncated: missing tracks line");
-        };
-        let Some(rest) = tracks_line.strip_prefix("tracks") else {
-            return lines.fail(format!("expected tracks line, got `{tracks_line}`"));
-        };
-        let mut tracks = Vec::new();
-        for item in rest.split_whitespace() {
-            if item == "-" {
-                continue;
-            }
-            let Some((opened, closed)) = item.split_once(':') else {
-                return lines.fail(format!("bad track `{item}`"));
-            };
-            tracks.push(TrackRecord {
-                opened: parse_num(&lines, opened)?,
-                closed: if closed == "-" {
-                    None
-                } else {
-                    Some(parse_num(&lines, closed)?)
+    while let Some(mut f) = r.tagged_if("sensor") {
+        let id = SensorId(f.num()?);
+        f.end()?;
+        let mut f = r.tagged("filter")?;
+        let filter = match f.token()? {
+            "kofn" => FilterSnapshot::KOfN {
+                k: f.num()?,
+                n: f.num()?,
+                window: match f.token()? {
+                    "-" => Vec::new(),
+                    "" => return f.fail("empty filter window (`-` for none)"),
+                    bits => bits
+                        .bytes()
+                        .map(|bit| match bit {
+                            b'0' => Ok(false),
+                            b'1' => Ok(true),
+                            _ => f.fail(format!("bad filter window `{bits}`")),
+                        })
+                        .collect::<Result<_, _>>()?,
                 },
-            });
-        }
-        let Some(raw_line) = lines.next() else {
-            return lines.fail("truncated: missing raw line");
-        };
-        let Some(rest) = raw_line.strip_prefix("raw") else {
-            return lines.fail(format!("expected raw line, got `{raw_line}`"));
-        };
-        let mut raw_history = Vec::new();
-        for item in rest.split_whitespace() {
-            if item == "-" {
-                continue;
-            }
-            let Some((w, r)) = item.split_once(':') else {
-                return lines.fail(format!("bad raw entry `{item}`"));
-            };
-            raw_history.push((parse_num(&lines, w)?, r == "1"));
-        }
-        let ever_alarmed = match lines.next() {
-            Some("alarmed 0") => false,
-            Some("alarmed 1") => true,
-            _ => return lines.fail("expected `alarmed 0|1`"),
-        };
-        match lines.next() {
-            Some("end") => {}
-            _ => return lines.fail("expected `end`"),
-        }
-
-        sensors.push((
-            id,
-            SensorSnapshot {
-                filter,
-                m_ce: EstimatorState {
-                    a,
-                    b,
-                    beta,
-                    gamma,
-                    prev_state,
-                    state_counts,
-                    obs_counts,
-                    steps,
-                    generation,
-                },
-                track_open,
-                tracks,
-                raw_history,
-                ever_alarmed,
             },
-        ));
+            "sprt" => FilterSnapshot::Sprt {
+                llr_true: f.hex()?,
+                llr_false: f.hex()?,
+                upper: f.hex()?,
+                lower: f.hex()?,
+                llr: f.hex()?,
+                steps: f.num()?,
+                raised: f.flag()?,
+            },
+            other => return f.fail(format!("unknown filter kind `{other}`")),
+        };
+        f.end()?;
+        let snapshot = SensorSnapshot {
+            filter,
+            m_ce: parse_estimator(r, "mce", "")?,
+            track_open: r.single("track", Fields::flag)?,
+            tracks: r.list("tracks", |t| {
+                Ok(TrackRecord {
+                    opened: t.num()?,
+                    closed: t.opt()?,
+                })
+            })?,
+            raw_history: r.list("raw", |w| Ok((w.num()?, w.flag()?)))?,
+            ever_alarmed: r.single("alarmed", Fields::flag)?,
+        };
+        r.marker("end")?;
+        sensors.push((id, snapshot));
     }
     Ok(sensors)
 }
@@ -676,153 +808,12 @@ pub fn write_pipeline<W: fmt::Write>(out: &mut W, snap: &PipelineSnapshot) -> fm
     write_shard(out, &snap.sensors)
 }
 
-/// Line cursor with single-line pushback, for the sections of the
-/// pipeline codec whose row counts are discovered by lookahead.
-struct Cursor<'a> {
-    lines: Vec<&'a str>,
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            lines: text.lines().collect(),
-            pos: 0,
-        }
-    }
-
-    fn next(&mut self) -> Option<&'a str> {
-        let line = self.lines.get(self.pos).copied();
-        if line.is_some() {
-            self.pos += 1;
-        }
-        line
-    }
-
-    fn peek(&self) -> Option<&'a str> {
-        self.lines.get(self.pos).copied()
-    }
-
-    fn fail<T>(&self, reason: impl Into<String>) -> Result<T, CheckpointError> {
-        Err(CheckpointError::Malformed {
-            line: self.pos,
-            reason: reason.into(),
-        })
-    }
-
-    fn hexf(&self, s: &str) -> Result<f64, CheckpointError> {
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|e| CheckpointError::Malformed {
-                line: self.pos,
-                reason: format!("bad hex float `{s}`: {e}"),
-            })
-    }
-
-    fn num<T: std::str::FromStr>(&self, s: &str) -> Result<T, CheckpointError>
-    where
-        T::Err: fmt::Display,
-    {
-        s.parse().map_err(|e| CheckpointError::Malformed {
-            line: self.pos,
-            reason: format!("bad number `{s}`: {e}"),
-        })
-    }
-
-    fn hex_row(&self, rest: &str) -> Result<Vec<f64>, CheckpointError> {
-        rest.split_whitespace().map(|s| self.hexf(s)).collect()
-    }
-
-    fn u64s(&self, s: &str) -> Result<Vec<u64>, CheckpointError> {
-        if s.is_empty() {
-            return Err(CheckpointError::Malformed {
-                line: self.pos,
-                reason: "empty count vector".into(),
-            });
-        }
-        s.split(',').map(|c| self.num(c)).collect()
-    }
-
-    /// Consumes `<tag>-<suffix> …` rows while they match.
-    fn rows(&mut self, prefix: &str) -> Result<Vec<Vec<f64>>, CheckpointError> {
-        let mut rows = Vec::new();
-        while let Some(line) = self.peek() {
-            let Some(rest) = line.strip_prefix(prefix) else {
-                break;
-            };
-            self.pos += 1;
-            rows.push(self.hex_row(rest)?);
-        }
-        Ok(rows)
-    }
-}
-
-fn parse_estimator(cur: &mut Cursor<'_>, tag: &str) -> Result<EstimatorState, CheckpointError> {
-    let Some(line) = cur.next() else {
-        return cur.fail(format!("truncated: missing {tag} line"));
-    };
-    let Some(rest) = line.strip_prefix(&format!("{tag} ")) else {
-        return cur.fail(format!("expected {tag} line, got `{line}`"));
-    };
-    let parts: Vec<&str> = rest.split(' ').collect();
-    if parts.len() != 5 {
-        return cur.fail(format!("{tag} needs `beta gamma prev steps generation`"));
-    }
-    let beta = cur.hexf(parts[0])?;
-    let gamma = cur.hexf(parts[1])?;
-    let prev_state = if parts[2] == "-" {
-        None
-    } else {
-        Some(cur.num(parts[2])?)
-    };
-    let steps = cur.num(parts[3])?;
-    let generation = cur.num(parts[4])?;
-    let a = cur.rows(&format!("{tag}-a "))?;
-    let b = cur.rows(&format!("{tag}-b "))?;
-    let Some(counts_line) = cur.next() else {
-        return cur.fail(format!("truncated: missing {tag}-counts line"));
-    };
-    let Some(rest) = counts_line.strip_prefix(&format!("{tag}-counts ")) else {
-        return cur.fail(format!("expected {tag}-counts line, got `{counts_line}`"));
-    };
-    let parts: Vec<&str> = rest.split(' ').collect();
-    if parts.len() != 2 {
-        return cur.fail(format!("{tag}-counts needs two vectors"));
-    }
-    Ok(EstimatorState {
-        a,
-        b,
-        beta,
-        gamma,
-        prev_state,
-        state_counts: cur.u64s(parts[0])?,
-        obs_counts: cur.u64s(parts[1])?,
-        steps,
-        generation,
-    })
-}
-
-fn parse_markov(cur: &mut Cursor<'_>, tag: &str) -> Result<MarkovState, CheckpointError> {
-    let Some(line) = cur.next() else {
-        return cur.fail(format!("truncated: missing {tag} line"));
-    };
-    let Some(rest) = line.strip_prefix(&format!("{tag} ")) else {
-        return cur.fail(format!("expected {tag} line, got `{line}`"));
-    };
-    let parts: Vec<&str> = rest.split(' ').collect();
-    if parts.len() != 3 {
-        return cur.fail(format!("{tag} needs `beta prev visits`"));
-    }
-    let beta = cur.hexf(parts[0])?;
-    let prev = if parts[1] == "-" {
-        None
-    } else {
-        Some(cur.num(parts[1])?)
-    };
-    let visits = cur.u64s(parts[2])?;
-    let transition = cur.rows(&format!("{tag}-row "))?;
+fn parse_markov(r: &mut Reader<'_>, tag: &str) -> Result<MarkovState, CheckpointError> {
+    let mut f = r.tagged(tag)?;
+    let (beta, prev, visits) = (f.hex()?, f.opt()?, f.nums()?);
+    f.end()?;
     Ok(MarkovState {
-        transition,
+        transition: r.rows(&format!("{tag}-row"))?,
         beta,
         prev,
         visits,
@@ -837,138 +828,78 @@ fn parse_markov(cur: &mut Cursor<'_>, tag: &str) -> Result<MarkovState, Checkpoi
 /// validation (stochastic rows, structural invariants) happens when the
 /// snapshot is restored into a pipeline.
 pub fn decode_pipeline(text: &str) -> Result<PipelineSnapshot, CheckpointError> {
-    let Some((head, shard_text)) = text.split_once("\nsensors\n") else {
-        return Err(CheckpointError::Malformed {
-            line: 1,
-            reason: "missing `sensors` section".into(),
-        });
-    };
-    let mut cur = Cursor::new(head);
-    match cur.next() {
-        Some(PIPELINE_MAGIC) => {}
-        Some(other) => return cur.fail(format!("bad pipeline magic `{other}`")),
-        None => return cur.fail("empty pipeline snapshot"),
-    }
+    let mut r = Reader::new(text);
+    let snap = read_pipeline(&mut r)?;
+    r.finish()?;
+    Ok(snap)
+}
 
-    let windows_processed = match cur.next().and_then(|l| l.strip_prefix("windows ")) {
-        Some(n) => cur.num(n)?,
-        None => return cur.fail("expected `windows <n>`"),
-    };
-    let Some(history_line) = cur.next().and_then(|l| l.strip_prefix("history")) else {
-        return cur.fail("expected history line");
-    };
-    let mut state_history = Vec::new();
-    for item in history_line.split_whitespace() {
-        if item == "-" {
-            continue;
-        }
-        let mut it = item.split(':');
-        let (Some(w), Some(c), Some(o), None) = (it.next(), it.next(), it.next(), it.next()) else {
-            return cur.fail(format!("bad history entry `{item}`"));
+/// [`decode_pipeline`] from wherever `r` stands — the closing section
+/// of a collector snapshot.
+///
+/// # Errors
+///
+/// As [`decode_pipeline`], with lines counted from the start of `r`'s
+/// text.
+pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointError> {
+    r.marker(PIPELINE_MAGIC)?;
+    let windows_processed = r.single("windows", Fields::num)?;
+    let state_history = r.list("history", |h| Ok((h.num()?, h.num()?, h.num()?)))?;
+    // The declared count is checked against the rows actually read,
+    // never used to size anything.
+    let declared: usize = r.single("bootstrap", Fields::num)?;
+    let bootstrap_points = r.rows("bp")?;
+    if bootstrap_points.len() != declared {
+        return r.fail(format!(
+            "bootstrap declares {declared} points, {} follow",
+            bootstrap_points.len()
+        ));
+    }
+    let states = if r.single("states", Fields::flag)? {
+        let mut f = r.tagged("cluster")?;
+        let config = sentinet_cluster::ClusterConfig {
+            alpha: f.hex()?,
+            merge_threshold: f.hex()?,
+            spawn_threshold: f.hex()?,
+            max_states: f.num()?,
         };
-        state_history.push((cur.num(w)?, cur.num(c)?, cur.num(o)?));
-    }
-    let bootstrap_count: usize = match cur.next().and_then(|l| l.strip_prefix("bootstrap ")) {
-        Some(n) => cur.num(n)?,
-        None => return cur.fail("expected `bootstrap <n>`"),
-    };
-    let mut bootstrap_points = Vec::with_capacity(bootstrap_count);
-    for _ in 0..bootstrap_count {
-        match cur.next().and_then(|l| l.strip_prefix("bp ")) {
-            Some(rest) => bootstrap_points.push(cur.hex_row(rest)?),
-            None => return cur.fail("truncated bootstrap points"),
+        let generation = f.num()?;
+        f.end()?;
+        let (mut centroids, mut active) = (Vec::new(), Vec::new());
+        while let Some(mut f) = r.tagged_if("slot") {
+            active.push(f.flag()?);
+            centroids.push(f.hex_row()?);
         }
-    }
-
-    let states = match cur.next() {
-        Some("states 0") => None,
-        Some("states 1") => {
-            let Some(rest) = cur.next().and_then(|l| l.strip_prefix("cluster ")) else {
-                return cur.fail("expected cluster line");
-            };
-            let parts: Vec<&str> = rest.split(' ').collect();
-            if parts.len() != 5 {
-                return cur.fail("cluster needs `alpha merge spawn max generation`");
-            }
-            let config = sentinet_cluster::ClusterConfig {
-                alpha: cur.hexf(parts[0])?,
-                merge_threshold: cur.hexf(parts[1])?,
-                spawn_threshold: cur.hexf(parts[2])?,
-                max_states: cur.num(parts[3])?,
-            };
-            let generation = cur.num(parts[4])?;
-            let mut centroids = Vec::new();
-            let mut active = Vec::new();
-            while let Some(line) = cur.peek() {
-                let Some(rest) = line.strip_prefix("slot ") else {
-                    break;
-                };
-                cur.pos += 1;
-                let (flag, row) = match rest.split_once(' ') {
-                    Some((f, r)) => (f, r),
-                    None => (rest, ""),
-                };
-                active.push(match flag {
-                    "0" => false,
-                    "1" => true,
-                    other => return cur.fail(format!("bad slot flag `{other}`")),
-                });
-                centroids.push(cur.hex_row(row)?);
-            }
-            let m_co = parse_estimator(&mut cur, "mco")?;
-            let m_c = parse_markov(&mut cur, "mc")?;
-            let m_o = parse_markov(&mut cur, "mo")?;
-            Some(GlobalStates {
-                states: StatesSnapshot {
-                    centroids,
-                    active,
-                    config,
-                    generation,
-                },
-                m_co,
-                m_c,
-                m_o,
-            })
-        }
-        _ => return cur.fail("expected `states 0|1`"),
+        Some(GlobalStates {
+            states: StatesSnapshot {
+                centroids,
+                active,
+                config,
+                generation,
+            },
+            m_co: parse_estimator(r, "mco", "mco-")?,
+            m_c: parse_markov(r, "mc")?,
+            m_o: parse_markov(r, "mo")?,
+        })
+    } else {
+        None
     };
-
-    let Some(rest) = cur.next().and_then(|l| l.strip_prefix("windower ")) else {
-        return cur.fail("expected windower line");
-    };
-    let parts: Vec<&str> = rest.split(' ').collect();
-    if parts.len() != 3 {
-        return cur.fail("windower needs `started index start`");
-    }
-    let started = match parts[0] {
-        "0" => false,
-        "1" => true,
-        other => return cur.fail(format!("bad windower started flag `{other}`")),
-    };
-    let index = cur.num(parts[1])?;
-    let start = cur.num(parts[2])?;
+    let mut f = r.tagged("windower")?;
+    let (started, index, start) = (f.flag()?, f.num()?, f.num()?);
+    f.end()?;
     let mut readings = Vec::new();
-    while let Some(line) = cur.next() {
-        let Some(rest) = line.strip_prefix("wsensor ") else {
-            return cur.fail(format!("expected wsensor line, got `{line}`"));
-        };
-        let mut it = rest.splitn(3, ' ');
-        let (Some(id), Some(dims)) = (it.next(), it.next()) else {
-            return cur.fail("wsensor needs `id dims values…`");
-        };
-        let id = SensorId(cur.num(id)?);
-        let dims: usize = cur.num(dims)?;
-        let data = cur.hex_row(it.next().unwrap_or(""))?;
+    while let Some(mut f) = r.tagged_if("wsensor") {
+        let (id, dims) = (SensorId(f.num()?), f.num::<usize>()?);
+        let data = f.hex_row()?;
         if dims == 0 || !data.len().is_multiple_of(dims) {
-            return cur.fail(format!(
+            return r.fail(format!(
                 "wsensor data length {} not a multiple of dims {dims}",
                 data.len()
             ));
         }
         readings.push((id, dims, data));
     }
-
-    let sensors = decode_shard(shard_text)?;
+    r.marker("sensors")?;
     Ok(PipelineSnapshot {
         global: GlobalSnapshot {
             windows_processed,
@@ -982,7 +913,7 @@ pub fn decode_pipeline(text: &str) -> Result<PipelineSnapshot, CheckpointError> 
             start,
             readings,
         },
-        sensors,
+        sensors: read_shard(r)?,
     })
 }
 
@@ -1113,6 +1044,124 @@ mod tests {
             CheckpointError::Malformed { line, .. } => assert!(line > 1),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// 1-based number of the first line of `text` that is `line`.
+    fn line_of(text: &str, line: &str) -> usize {
+        1 + text
+            .split('\n')
+            .position(|l| l == line)
+            .unwrap_or_else(|| panic!("no line `{line}`"))
+    }
+
+    fn malformed_line<T: fmt::Debug>(outcome: Result<T, CheckpointError>) -> usize {
+        match outcome {
+            Err(CheckpointError::Malformed { line, .. }) => line,
+            other => panic!("expected a malformed-line error, got {other:?}"),
+        }
+    }
+
+    /// The declared bootstrap count is untrusted input: it used to size
+    /// a `Vec::with_capacity` and panic with `capacity overflow`.
+    #[test]
+    fn inflated_bootstrap_count_is_malformed_not_a_panic() {
+        let text = encode_pipeline(&sample_pipeline_snapshot(true));
+        let inflated = text.replace("\nbootstrap 2\n", "\nbootstrap 18446744073709551615\n");
+        let last_point = line_of(&text, "bootstrap 2") + 2;
+        assert_eq!(malformed_line(decode_pipeline(&inflated)), last_point);
+        let short = text.replace("\nbootstrap 2\n", "\nbootstrap 1\n");
+        assert_eq!(malformed_line(decode_pipeline(&short)), last_point);
+    }
+
+    /// One reader runs through every nested section, so the reported
+    /// line is the line in the text that was handed in — at the shard
+    /// level and one level up, where the shard section used to restart
+    /// at 1.
+    #[test]
+    fn nested_sections_report_absolute_lines() {
+        let snap = sample_pipeline_snapshot(true);
+        let shard = encode_shard(&snap.sensors).replace("sensor 3", "sensor x");
+        assert_eq!(
+            malformed_line(decode_shard(&shard)),
+            line_of(&shard, "sensor x")
+        );
+        let pipeline = encode_pipeline(&snap).replace("sensor 3", "sensor x");
+        let at = line_of(&pipeline, "sensor x");
+        assert!(at > line_of(&pipeline, "sensors") + 2, "inside the section");
+        assert_eq!(malformed_line(decode_pipeline(&pipeline)), at);
+    }
+
+    /// Every flag is `0` or `1`; the SPRT `raised` field and the raw
+    /// history used to read any other token as `false`.
+    #[test]
+    fn flags_are_strictly_zero_or_one() {
+        let config = PipelineConfig {
+            filter: FilterPolicy::Sprt {
+                p0: 0.05,
+                p1: 0.6,
+                alpha: 0.01,
+                beta: 0.01,
+            },
+            ..PipelineConfig::default()
+        };
+        let text = encode_shard(&[(SensorId(0), runtime_with_history(&config).snapshot())]);
+        assert!(decode_shard(&text).is_ok());
+        let raw = text.replace("\nraw 0:0 ", "\nraw 0:3 ");
+        assert_eq!(malformed_line(decode_shard(&raw)), line_of(&raw, "end") - 2);
+        let filter = text.lines().nth(2).expect("filter line");
+        assert!(filter.starts_with("filter sprt "));
+        let raised = text.replace(filter, &format!("{}3", &filter[..filter.len() - 1]));
+        assert_eq!(malformed_line(decode_shard(&raised)), 3);
+        for (flag, bad) in [("track 1", "track 2"), ("alarmed 1", "alarmed yes")] {
+            let bad = text.replace(flag, bad);
+            assert!(text.contains(flag), "{flag}");
+            assert!(decode_shard(&bad).is_err(), "{flag}");
+        }
+    }
+
+    /// Filter bounds a live filter asserts are semantic errors when
+    /// they come from a restore point (`k` scaled past `n` used to
+    /// panic in `KOfNFilter::from_parts` at collector open).
+    #[test]
+    fn out_of_bounds_filter_parts_are_invalid_not_a_panic() {
+        let config = PipelineConfig::default();
+        let text = encode_shard(&[(SensorId(0), SensorRuntime::new(&config, 2).snapshot())]);
+        let scaled = text.replace("filter kofn 6 10 ", "filter kofn 60 10 ");
+        let decoded = decode_shard(&scaled).expect("syntactically fine");
+        assert!(matches!(
+            SensorRuntime::from_snapshot(decoded[0].1.clone()),
+            Err(CheckpointError::Invalid(_))
+        ));
+    }
+
+    /// The reader's field parsers accept the writers' output and
+    /// nothing else.
+    #[test]
+    fn fields_accept_only_canonical_forms() {
+        let mut r =
+            Reader::new("n 7 07 +7 -\nh 3ff0000000000000 3FF0000000000000 3ff0\nv 1,2 - 1,,2\n");
+        let mut f = r.tagged("n").expect("tag");
+        assert_eq!(f.num::<u8>(), Ok(7));
+        assert!(f.num::<u8>().is_err(), "leading zero");
+        assert!(f.num::<u8>().is_err(), "sign");
+        assert_eq!(f.opt::<u8>(), Ok(None));
+        assert!(f.token().is_err(), "exhausted");
+        let mut f = r.tagged("h").expect("tag");
+        assert_eq!(f.hex(), Ok(1.0));
+        assert!(f.hex().is_err(), "upper case");
+        assert!(f.hex().is_err(), "short");
+        let mut f = r.tagged("v").expect("tag");
+        assert_eq!(f.nums::<u64>(), Ok(vec![1, 2]));
+        assert!(f.nums::<u64>().is_err(), "`-` is not a vector here");
+        assert!(f.nums::<u64>().is_err(), "empty element");
+        assert_eq!(r.tagged_if("v").map(|_| ()), None);
+        assert_eq!(r.finish(), Ok(()));
+        let mut r = Reader::new("list 1:2 3:-\nlist -\nlist\nlist  1:2\n");
+        let pair = |p: &mut Fields<'_>| Ok((p.num::<u8>()?, p.opt::<u8>()?));
+        assert_eq!(r.list("list", pair), Ok(vec![(1, Some(2)), (3, None)]));
+        assert_eq!(r.list("list", pair), Ok(vec![]));
+        assert_eq!(malformed_line(r.list("list", pair)), 3);
+        assert_eq!(malformed_line(r.list("list", pair)), 4);
     }
 
     #[test]

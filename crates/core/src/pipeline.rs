@@ -300,6 +300,11 @@ impl Pipeline {
         self.global.observable_model()
     }
 
+    /// Builds the operator-facing snapshot of the pipeline's findings.
+    pub fn report(&self) -> crate::PipelineReport {
+        crate::PipelineReport::build(&self.global, &self.sensors, None)
+    }
+
     /// Sensors seen so far.
     pub fn sensor_ids(&self) -> Vec<SensorId> {
         self.sensors.keys().copied().collect()

@@ -164,15 +164,24 @@ pub struct RecoveryPlan {
 impl RecoveryPlan {
     /// Builds the plan from a pipeline's current diagnoses.
     pub fn from_pipeline(pipeline: &crate::Pipeline) -> Self {
-        let actions = pipeline
-            .sensor_ids()
-            .into_iter()
-            .map(|id| {
-                let d = pipeline.classify(id);
-                (id, RecoveryAction::for_diagnosis(&d))
-            })
+        Self::from_report(&pipeline.report())
+    }
+
+    /// Builds the plan a report's diagnoses call for; sensors the
+    /// report lists as quarantined are forced to
+    /// [`RecoveryAction::MaskAndService`] (see
+    /// [`RecoveryPlan::mask_quarantined`]).
+    pub fn from_report(report: &crate::PipelineReport) -> Self {
+        let actions = report
+            .sensors
+            .iter()
+            .map(|s| (s.sensor, RecoveryAction::for_diagnosis(&s.diagnosis)))
             .collect();
-        Self { actions }
+        let mut plan = Self { actions };
+        if let Some(degraded) = &report.degraded {
+            plan.mask_quarantined(degraded);
+        }
+        plan
     }
 
     /// The action for one sensor ([`RecoveryAction::None`] if unseen).

@@ -8,9 +8,11 @@
 //! without poking at individual accessors.
 
 use crate::classify::{AttackType, Diagnosis};
-use crate::pipeline::{Pipeline, TrackRecord};
+use crate::recovery::DegradedStatus;
+use crate::runtime::{GlobalModel, SensorRuntime};
 use sentinet_sim::SensorId;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One model state in the report.
@@ -52,7 +54,7 @@ pub struct PipelineReport {
     /// when shards were quarantined. Always `None` for the serial
     /// pipeline and for sharded runs that recovered fully, so healthy
     /// reports stay comparable across execution modes.
-    pub degraded: Option<crate::recovery::DegradedStatus>,
+    pub degraded: Option<DegradedStatus>,
 }
 
 impl PipelineReport {
@@ -107,12 +109,19 @@ impl fmt::Display for PipelineReport {
     }
 }
 
-impl Pipeline {
-    /// Builds the operator-facing snapshot of the pipeline's findings.
-    pub fn report(&self) -> PipelineReport {
-        let key_states = match (self.model_states(), self.correct_model()) {
+impl PipelineReport {
+    /// Builds the report of what `global` believes about `sensors` —
+    /// the one place a run's findings are gathered, whichever execution
+    /// mode produced the models ([`Pipeline::report`](crate::Pipeline::report),
+    /// the sharded engine's `EngineRun::report`).
+    pub fn build(
+        global: &GlobalModel,
+        sensors: &BTreeMap<SensorId, SensorRuntime>,
+        degraded: Option<DegradedStatus>,
+    ) -> Self {
+        let key_states = match (global.states(), global.correct_model()) {
             (Some(states), Some(m_c)) => m_c
-                .key_states(self.config().key_state_occupancy)
+                .key_states(global.config().key_state_occupancy)
                 .into_iter()
                 .filter_map(|slot| {
                     states.centroid_any(slot).map(|c| StateSummary {
@@ -124,35 +133,29 @@ impl Pipeline {
                 .collect(),
             _ => Vec::new(),
         };
-        let sensors = self
-            .sensor_ids()
-            .into_iter()
-            .map(|id| {
-                let hist = self.raw_alarm_history(id).unwrap_or(&[]);
+        let sensors = sensors
+            .iter()
+            .map(|(&sensor, rt)| {
+                let hist = rt.raw_history();
                 let raw_alarm_rate = if hist.is_empty() {
                     0.0
                 } else {
                     hist.iter().filter(|(_, r)| *r).count() as f64 / hist.len() as f64
                 };
                 SensorSummary {
-                    sensor: id,
-                    diagnosis: self.classify(id),
+                    sensor,
+                    diagnosis: global.classify(Some(rt)),
                     raw_alarm_rate,
-                    tracks: self
-                        .tracks(id)
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|t: &TrackRecord| (t.opened, t.closed))
-                        .collect(),
+                    tracks: rt.tracks().iter().map(|t| (t.opened, t.closed)).collect(),
                 }
             })
             .collect();
-        PipelineReport {
-            windows_processed: self.windows_processed(),
+        Self {
+            windows_processed: global.windows_processed(),
             key_states,
-            network_attack: self.network_attack(),
+            network_attack: global.network_attack(),
             sensors,
-            degraded: None,
+            degraded,
         }
     }
 }
@@ -161,6 +164,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use crate::pipeline::Pipeline;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sentinet_sim::{gdi, simulate};

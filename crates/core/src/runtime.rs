@@ -181,14 +181,16 @@ impl SensorRuntime {
     /// # Errors
     ///
     /// [`crate::checkpoint::CheckpointError::Invalid`] if the embedded
-    /// estimator state fails re-validation (corrupt checkpoint).
+    /// estimator state or alarm-filter bounds fail re-validation
+    /// (corrupt checkpoint).
     pub fn from_snapshot(
         snapshot: crate::checkpoint::SensorSnapshot,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let m_ce = OnlineHmmEstimator::import_state(snapshot.m_ce)
-            .map_err(|e| crate::checkpoint::CheckpointError::Invalid(e.to_string()))?;
+        let invalid = crate::checkpoint::CheckpointError::Invalid;
+        let m_ce =
+            OnlineHmmEstimator::import_state(snapshot.m_ce).map_err(|e| invalid(e.to_string()))?;
         Ok(Self {
-            filter: snapshot.filter.restore(),
+            filter: snapshot.filter.restore().map_err(invalid)?,
             m_ce,
             track_open: snapshot.track_open,
             tracks: snapshot.tracks,

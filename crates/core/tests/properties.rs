@@ -1,20 +1,28 @@
 //! Property-based tests for the core pipeline's invariants.
 
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use proptest::prelude::*;
+use proptest::TestRng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use seeded::{check_total_and_exact, mutate, PeakAlloc, Replay};
 use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch};
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
     decode_pipeline, encode_pipeline, identify_states, identify_states_into, identify_states_with,
-    majority_vote, GlobalSnapshot, GlobalStates, ObservationWindow, Pipeline, PipelineConfig,
-    PipelineSnapshot, SensorSnapshot, TrackRecord, WindowScratch, WindowStates, Windower,
-    WindowerSnapshot,
+    majority_vote, CheckpointError, GlobalSnapshot, GlobalStates, ObservationWindow, Pipeline,
+    PipelineConfig, PipelineSnapshot, SensorSnapshot, TrackRecord, WindowScratch, WindowStates,
+    Windower, WindowerSnapshot,
 };
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState};
 use sentinet_sim::{Reading, SensorId, Trace, TraceRecord};
 use std::collections::BTreeMap;
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
 
 fn window_from(points: &[(u16, Vec<f64>)]) -> ObservationWindow {
     let mut w = ObservationWindow::default();
@@ -542,4 +550,66 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
         GOLDEN_DIGESTS,
         "checkpoint encoding drifted from commit 584aad4"
     );
+}
+
+fn is_malformed(e: &CheckpointError) -> bool {
+    matches!(e, CheckpointError::Malformed { .. })
+}
+
+fn shard_total_and_exact(input: &[u8]) -> Result<(), String> {
+    check_total_and_exact(input, decode_shard, |s| encode_shard(s), is_malformed)
+}
+
+fn pipeline_total_and_exact(input: &[u8]) -> Result<(), String> {
+    check_total_and_exact(input, decode_pipeline, encode_pipeline, is_malformed)
+}
+
+/// Decoder totality for the shard and pipeline codecs (ROADMAP 4c):
+/// torn, bit-flipped, count-inflated and arbitrary input is rejected
+/// with a typed `Malformed` or decodes to exactly what it says.
+#[test]
+fn damaged_checkpoint_text_is_rejected_or_reencodes_exactly() {
+    let snap = golden_pipeline_snapshot();
+    let (shard, pipeline) = (encode_shard(&snap.sensors), encode_pipeline(&snap));
+    let replay = Replay {
+        var: "TEXT_TOTALITY_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "damaged_checkpoint_text_is_rejected_or_reencodes_exactly",
+    };
+    replay.for_each_seed(4_000, |seed| {
+        let mut rng = TestRng::new(seed);
+        let (what, damaged) = mutate(&mut rng, &shard);
+        shard_total_and_exact(&damaged).map_err(|why| format!("shard {what}: {why}"))?;
+        let (what, damaged) = mutate(&mut rng, &pipeline);
+        pipeline_total_and_exact(&damaged).map_err(|why| format!("pipeline {what}: {why}"))
+    });
+}
+
+/// Every single-bit flip of the golden texts, exhaustively: the seeded
+/// property above samples this space, and a codec that reads `raw 5:3`
+/// as "not raised", `07` as 7 or `3FF0…` as 1.0 survives a sample.
+#[test]
+fn every_single_bit_flip_is_rejected_or_reencodes_exactly() {
+    let snap = golden_pipeline_snapshot();
+    type Check = fn(&[u8]) -> Result<(), String>;
+    for (name, text, total_and_exact) in [
+        (
+            "shard",
+            encode_shard(&snap.sensors),
+            shard_total_and_exact as Check,
+        ),
+        ("pipeline", encode_pipeline(&snap), pipeline_total_and_exact),
+    ] {
+        for at in 0..text.len() {
+            for bit in 0..8 {
+                let mut damaged = text.clone().into_bytes();
+                damaged[at] ^= 1 << bit;
+                if let Err(why) = total_and_exact(&damaged) {
+                    let line = text[..at].matches('\n').count() + 1;
+                    panic!("{name}: bit {bit} of byte {at} (line {line}) flipped: {why}");
+                }
+            }
+        }
+    }
 }

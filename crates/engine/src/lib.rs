@@ -72,8 +72,7 @@ use sentinet_cluster::ModelStates;
 use sentinet_core::classify::{AttackType, Diagnosis};
 use sentinet_core::{
     majority_vote, DegradedStatus, GlobalModel, ObservationWindow, PipelineConfig, PipelineReport,
-    RecoveryAction, RecoveryPlan, SensorRuntime, SensorSummary, StateSummary, TrackRecord,
-    WindowOutcome, WindowScratch, Windower,
+    RecoveryPlan, SensorRuntime, TrackRecord, WindowOutcome, WindowScratch, Windower,
 };
 use sentinet_hmm::OnlineHmmEstimator;
 use sentinet_sim::{SensorId, Trace};
@@ -793,66 +792,16 @@ impl EngineRun {
     /// [`sentinet_core::Pipeline::report`] on the same trace — plus
     /// the degraded-mode status when shards were quarantined.
     pub fn report(&self) -> PipelineReport {
-        let key_states = match (self.global.states(), self.global.correct_model()) {
-            (Some(states), Some(m_c)) => m_c
-                .key_states(self.global.config().key_state_occupancy)
-                .into_iter()
-                .filter_map(|slot| {
-                    states.centroid_any(slot).map(|c| StateSummary {
-                        slot,
-                        centroid: c.to_vec(),
-                        occupancy: m_c.occupancy()[slot],
-                    })
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let sensors = self
-            .sensors
-            .iter()
-            .map(|(&id, rt)| {
-                let hist = rt.raw_history();
-                let raw_alarm_rate = if hist.is_empty() {
-                    0.0
-                } else {
-                    hist.iter().filter(|(_, r)| *r).count() as f64 / hist.len() as f64
-                };
-                SensorSummary {
-                    sensor: id,
-                    diagnosis: self.global.classify(Some(rt)),
-                    raw_alarm_rate,
-                    tracks: rt.tracks().iter().map(|t| (t.opened, t.closed)).collect(),
-                }
-            })
-            .collect();
-        PipelineReport {
-            windows_processed: self.global.windows_processed(),
-            key_states,
-            network_attack: self.network_attack(),
-            sensors,
-            degraded: self.degraded.clone(),
-        }
+        PipelineReport::build(&self.global, &self.sensors, self.degraded.clone())
     }
 
     /// Builds the recovery plan from the run's diagnoses, identical to
     /// [`sentinet_core::RecoveryPlan::from_pipeline`] on the same
     /// trace — except that quarantined sensors are forced to
-    /// [`RecoveryAction::MaskAndService`]: their shard stopped
+    /// [`sentinet_core::RecoveryAction::MaskAndService`]: their shard stopped
     /// contributing mid-run, so they need servicing regardless of what
     /// their stale data says.
     pub fn recovery_plan(&self) -> RecoveryPlan {
-        let actions = self
-            .sensors
-            .iter()
-            .map(|(&id, rt)| {
-                let d = self.global.classify(Some(rt));
-                (id, RecoveryAction::for_diagnosis(&d))
-            })
-            .collect();
-        let mut plan = RecoveryPlan { actions };
-        if let Some(degraded) = &self.degraded {
-            plan.mask_quarantined(degraded);
-        }
-        plan
+        RecoveryPlan::from_report(&self.report())
     }
 }

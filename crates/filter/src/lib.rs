@@ -104,9 +104,24 @@ pub enum FilterSnapshot {
 
 impl FilterSnapshot {
     /// Rebuilds the filter this snapshot was taken from.
-    pub fn restore(self) -> Box<dyn AlarmFilter> {
-        match self {
-            FilterSnapshot::KOfN { k, n, window } => Box::new(KOfNFilter::from_parts(k, n, window)),
+    ///
+    /// # Errors
+    ///
+    /// A description of the violated bound when a k-of-n snapshot — read
+    /// back from a checkpoint, so untrusted — does not satisfy
+    /// `1 <= k <= n` and `window.len() <= n`.
+    pub fn restore(self) -> Result<Box<dyn AlarmFilter>, String> {
+        Ok(match self {
+            FilterSnapshot::KOfN { k, n, window } => {
+                if k < 1 || k > n || window.len() > n {
+                    return Err(format!(
+                        "k-of-n filter needs 1 <= k <= n and at most n window bits \
+                         (got k={k}, n={n}, {} bits)",
+                        window.len()
+                    ));
+                }
+                Box::new(KOfNFilter::from_parts(k, n, window))
+            }
             FilterSnapshot::Sprt {
                 llr_true,
                 llr_false,
@@ -119,7 +134,7 @@ impl FilterSnapshot {
                 sprt: Sprt::from_parts(llr_true, llr_false, upper, lower, llr, steps),
                 raised,
             }),
-        }
+        })
     }
 }
 
@@ -252,12 +267,26 @@ mod tests {
             for i in 0..7 {
                 original.push(i % 3 == 0);
             }
-            let mut restored = original.snapshot().restore();
+            let mut restored = original.snapshot().restore().expect("valid snapshot");
             assert_eq!(restored.is_raised(), original.is_raised());
             for &raw in &continuation {
                 assert_eq!(original.push(raw), restored.push(raw));
             }
             assert_eq!(original.snapshot(), restored.snapshot());
+        }
+    }
+
+    /// A snapshot is read back from disk: bounds a live filter asserts
+    /// are errors there, not panics.
+    #[test]
+    fn restore_rejects_out_of_bounds_kofn_parts() {
+        for (k, n, bits) in [(0, 4, 0), (5, 4, 0), (2, 4, 5)] {
+            let snapshot = FilterSnapshot::KOfN {
+                k,
+                n,
+                window: vec![true; bits],
+            };
+            assert!(snapshot.restore().is_err(), "k={k} n={n} bits={bits}");
         }
     }
 }

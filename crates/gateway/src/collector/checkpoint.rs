@@ -3,6 +3,7 @@
 //! epoch a durable ownership claim.
 
 use super::*;
+use sentinet_core::checkpoint::{CheckpointError, Fields, Reader};
 
 /// Marker line opening a gateway checkpoint file.
 const CHECKPOINT_MAGIC: &str = "sentinet-gateway-checkpoint v2";
@@ -156,66 +157,50 @@ pub(super) fn commit_sidecar(
         .map_err(|e| GatewayError::Io(path, e))
 }
 
-/// Reads sidecar file `name`, checks that its first line is `magic`
-/// and returns the rest. `Ok(None)` when the file does not exist.
-pub(super) fn read_sidecar(
-    config: &WalConfig,
-    name: &str,
-    magic: &str,
-) -> Result<Option<String>, GatewayError> {
+/// Reads sidecar file `name` whole. `Ok(None)` when the file does not
+/// exist.
+pub(super) fn read_sidecar(config: &WalConfig, name: &str) -> Result<Option<String>, GatewayError> {
     let path = config.dir.join(name);
-    let bytes = match config.vfs.read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(GatewayError::Io(path, e)),
-    };
-    let malformed = |what: &str| GatewayError::CheckpointMalformed(format!("{name} {what}"));
-    let mut text = String::from_utf8(bytes).map_err(|_| malformed("is not utf-8"))?;
-    let header = text.find('\n').unwrap_or(text.len());
-    if &text[..header] != magic {
-        return Err(malformed("missing magic header"));
+    match config.vfs.read(&path) {
+        Ok(bytes) => String::from_utf8(bytes)
+            .map(Some)
+            .map_err(|_| GatewayError::CheckpointMalformed(format!("{name} is not utf-8"))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(GatewayError::Io(path, e)),
     }
-    text.drain(..(header + 1).min(text.len()));
-    Ok(Some(text))
 }
 
 /// [`read_sidecar`] for the two token files (fence, retired ranges),
 /// where *any* read failure means "never written": the read may have
 /// raced a successor's rename-commit, in which case the next read
 /// observes the committed file.
-pub(super) fn read_token(
-    config: &WalConfig,
-    name: &str,
-    magic: &str,
-) -> Result<Option<String>, GatewayError> {
-    match read_sidecar(config, name, magic) {
+pub(super) fn read_token(config: &WalConfig, name: &str) -> Result<Option<String>, GatewayError> {
+    match read_sidecar(config, name) {
         Err(GatewayError::Io(..)) => Ok(None),
         other => other,
     }
 }
 
-/// Parses the next of `lines` as `<tag><u64>` for sidecar `name`.
-pub(super) fn tagged_u64<'a>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    name: &str,
-    tag: &str,
-) -> Result<u64, GatewayError> {
-    lines
-        .next()
-        .and_then(|l| l.strip_prefix(tag))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| {
-            GatewayError::CheckpointMalformed(format!("{name} bad `{}` line", tag.trim_end()))
-        })
+/// Names the sidecar file a reader error came from.
+pub(super) fn malformed(name: &str) -> impl Fn(CheckpointError) -> GatewayError + '_ {
+    move |e| GatewayError::CheckpointMalformed(format!("{name}: {e}"))
 }
 
 /// The persisted fence token's epoch; a missing or unreadable token
 /// reads as epoch 0 (the directory was never fenced).
 pub(super) fn read_fence(config: &WalConfig) -> Result<u64, GatewayError> {
-    match read_token(config, FENCE_FILE, FENCE_MAGIC)? {
-        Some(body) => tagged_u64(&mut body.lines(), FENCE_FILE, "epoch "),
+    match read_token(config, FENCE_FILE)? {
+        Some(text) => parse_fence(&text).map_err(malformed(FENCE_FILE)),
         None => Ok(0),
     }
+}
+
+fn parse_fence(text: &str) -> Result<u64, CheckpointError> {
+    let mut r = Reader::new(text);
+    r.marker(FENCE_MAGIC)?;
+    let epoch = r.single("epoch", Fields::num)?;
+    r.finish()?;
+    Ok(epoch)
 }
 
 /// Commits `epoch` as the directory's fence token. A failure here is
@@ -232,25 +217,28 @@ pub(super) fn write_fence(config: &WalConfig, epoch: u64) -> Result<(), GatewayE
 
 /// Reads and parses the checkpoint file, if present.
 pub(super) fn read_checkpoint(config: &WalConfig) -> Result<Option<CheckpointData>, GatewayError> {
-    let Some(text) = read_sidecar(config, CHECKPOINT_FILE, CHECKPOINT_MAGIC)? else {
-        return Ok(None);
-    };
-    let mut lines = text.splitn(4, '\n');
-    let cursor = tagged_u64(&mut lines, CHECKPOINT_FILE, "cursor ")?;
-    let base_segment = tagged_u64(&mut lines, CHECKPOINT_FILE, "base-segment ")?;
-    let base_records = tagged_u64(&mut lines, CHECKPOINT_FILE, "base ")?;
-    if base_segment == 0 {
-        return Err(GatewayError::CheckpointMalformed(
-            "base-segment must be at least 1".into(),
-        ));
+    match read_sidecar(config, CHECKPOINT_FILE)? {
+        Some(text) => parse_checkpoint(&text)
+            .map(Some)
+            .map_err(malformed(CHECKPOINT_FILE)),
+        None => Ok(None),
     }
-    let body = lines.next().unwrap_or("").to_string();
-    Ok(Some(CheckpointData {
+}
+
+fn parse_checkpoint(text: &str) -> Result<CheckpointData, CheckpointError> {
+    let mut r = Reader::new(text);
+    r.marker(CHECKPOINT_MAGIC)?;
+    let cursor = r.single("cursor", Fields::num)?;
+    let base_segment = r.single("base-segment", Fields::num)?;
+    if base_segment == 0 {
+        return r.fail("base-segment must be at least 1");
+    }
+    Ok(CheckpointData {
         cursor,
         base_segment,
-        base_records,
-        body,
-    }))
+        base_records: r.single("base", Fields::num)?,
+        body: r.rest().to_string(),
+    })
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 //! and idempotent.
 
 use super::checkpoint::{
-    checkpoint_text, commit_sidecar, read_sidecar, read_token, tagged_u64, CHECKPOINT_TMP,
+    checkpoint_text, commit_sidecar, malformed, read_sidecar, read_token, CHECKPOINT_TMP,
 };
 use super::*;
+use crate::snapshot::read_collector;
+use sentinet_core::checkpoint::{CheckpointError, Fields, Reader};
 
 /// Marker line opening the retired-ranges file.
 const RETIRED_MAGIC: &str = "sentinet-retired v1";
@@ -312,14 +314,10 @@ impl Collector {
         key: (u16, u16),
     ) -> Result<Option<(CollectorSnapshot, u64)>, GatewayError> {
         let name = outbox_name(key, "ck");
-        let Some(text) = read_sidecar(&self.config.wal, &name, OUTBOX_MAGIC)? else {
-            return Ok(None);
-        };
-        let mut lines = text.splitn(2, '\n');
-        let cursor = tagged_u64(&mut lines, &name, "cursor ")?;
-        let snap = decode_collector(lines.next().unwrap_or(""))
-            .map_err(GatewayError::CheckpointMalformed)?;
-        Ok(Some((snap, cursor)))
+        match read_sidecar(&self.config.wal, &name)? {
+            Some(text) => parse_outbox(&text).map(Some).map_err(malformed(&name)),
+            None => Ok(None),
+        }
     }
 
     /// Rename-commits the staged outbox payload for `key`.
@@ -346,7 +344,8 @@ impl Collector {
         let mut text = String::from(RETIRED_MAGIC);
         text.push('\n');
         for (a, b) in &self.retired {
-            text.push_str(&format!("range {a} {b}\n"));
+            // `fmt::Write for String` never fails.
+            let _ = writeln!(text, "range {a} {b}");
         }
         let wal = &self.config.wal;
         wal.vfs
@@ -358,6 +357,7 @@ impl Collector {
 
 /// File name of the staged outbox payload (`ext` = `ck`) or its
 /// scratch copy (`ext` = `tmp`) for one exported range.
+// sentinet-allow(codec-alloc): a file name built once per cut, not codec text
 fn outbox_name(key: (u16, u16), ext: &str) -> String {
     format!("outbox-{}-{}.{ext}", key.0, key.1)
 }
@@ -365,26 +365,35 @@ fn outbox_name(key: (u16, u16), ext: &str) -> String {
 /// The persisted retired ranges; a missing or unreadable file reads
 /// as empty — the directory never exported a range.
 pub(super) fn read_retired(config: &WalConfig) -> Result<Vec<(u16, u16)>, GatewayError> {
-    let Some(body) = read_token(config, RETIRED_FILE, RETIRED_MAGIC)? else {
-        return Ok(Vec::new());
-    };
-    let mut out = Vec::new();
-    for line in body.lines() {
-        let mut parts = line.strip_prefix("range ").unwrap_or("").split(' ');
-        match (
-            parts.next().and_then(|n| n.parse::<u16>().ok()),
-            parts.next().and_then(|n| n.parse::<u16>().ok()),
-            parts.next(),
-        ) {
-            (Some(a), Some(b), None) if a < b => out.push((a, b)),
-            _ => {
-                return Err(GatewayError::CheckpointMalformed(format!(
-                    "retired ranges bad line `{line}`"
-                )))
-            }
-        }
+    match read_token(config, RETIRED_FILE)? {
+        Some(text) => parse_retired(&text).map_err(malformed(RETIRED_FILE)),
+        None => Ok(Vec::new()),
     }
-    Ok(out)
+}
+
+fn parse_retired(text: &str) -> Result<Vec<(u16, u16)>, CheckpointError> {
+    let mut r = Reader::new(text);
+    r.marker(RETIRED_MAGIC)?;
+    let mut ranges = Vec::new();
+    while let Some(mut f) = r.tagged_if("range") {
+        let (a, b) = (f.num()?, f.num()?);
+        f.end()?;
+        if a >= b {
+            return f.fail(format!("empty range [{a}, {b})"));
+        }
+        ranges.push((a, b));
+    }
+    r.finish()?;
+    Ok(ranges)
+}
+
+fn parse_outbox(text: &str) -> Result<(CollectorSnapshot, u64), CheckpointError> {
+    let mut r = Reader::new(text);
+    r.marker(OUTBOX_MAGIC)?;
+    let cursor = r.single("cursor", Fields::num)?;
+    let snap = read_collector(&mut r)?;
+    r.finish()?;
+    Ok((snap, cursor))
 }
 
 #[cfg(test)]

@@ -580,7 +580,8 @@ impl Collector {
         if let Some(ck) = checkpoint.as_ref().filter(|c| c.base_records > 0) {
             // Restore mode: the prefix below the cursor was reclaimed;
             // rebuild state from the snapshot, replay only the tail.
-            let snap = decode_collector(&ck.body).map_err(GatewayError::CheckpointMalformed)?;
+            let snap =
+                decode_collector(&ck.body).map_err(checkpoint::malformed(CHECKPOINT_FILE))?;
             // Counters excluded from the snapshot (retransmissions,
             // storage health, the released-trace log) start fresh.
             let mut collector = Self::fresh(config, wal);
@@ -795,10 +796,11 @@ impl Collector {
         let ingest = self.ingest_report();
         let liveness = self.liveness();
         let storage = self.storage_status();
-        let plan = RecoveryPlan::from_pipeline(&self.pipeline);
+        let pipeline = self.pipeline.report();
+        let plan = RecoveryPlan::from_report(&pipeline);
         let released = self.trace_log.take().map(Trace::from_records);
         Ok(GatewayReport {
-            pipeline: self.pipeline.report(),
+            pipeline,
             ingest,
             liveness,
             storage,

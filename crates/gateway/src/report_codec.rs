@@ -11,8 +11,8 @@
 //! struct field cannot drift the wire format unnoticed.
 
 use crate::collector::GatewayReport;
-use std::collections::BTreeMap;
-use std::fmt;
+use sentinet_core::checkpoint::{CheckpointError, Reader};
+use std::fmt::{self, Write as _};
 
 /// Magic first line of the encoding.
 pub const COUNTERS_MAGIC: &str = "sentinet-report-counters v1";
@@ -84,34 +84,39 @@ pub struct ReportCounters {
     pub migrations_aborted: u64,
 }
 
-/// Every wire name, in encoding order. Decoding requires exactly this
-/// set (any order); encoding emits them in this order.
-const FIELDS: &[&str] = &[
-    "accepted",
-    "sanitizer-rejects",
-    "duplicates",
-    "late",
-    "shed",
-    "budget-shed",
-    "storage-rejects",
-    "checkpoint-failures",
-    "reclaim-failures",
-    "reclaimed-segments",
-    "poisoned",
-    "silent-sensors",
-    "silence-episodes",
-    "version-rejects",
-    "frames-sent",
-    "retransmits",
-    "timeouts",
-    "nacks",
-    "reconnects",
-    "uplink-acked",
-    "fence-rejects",
-    "flaps",
-    "migrations-started",
-    "migrations-completed",
-    "migrations-aborted",
+/// Where a counter lives in the struct.
+type Slot = fn(&mut ReportCounters) -> &mut u64;
+
+/// Every wire name with its field, in encoding order: the one list
+/// `encode`, `decode` and `merge` walk. Decoding requires exactly this
+/// set of names (any order). A new counter is a struct field plus one
+/// row here.
+const TABLE: &[(&str, Slot)] = &[
+    ("accepted", |c| &mut c.accepted),
+    ("sanitizer-rejects", |c| &mut c.sanitizer_rejects),
+    ("duplicates", |c| &mut c.duplicates),
+    ("late", |c| &mut c.late),
+    ("shed", |c| &mut c.shed),
+    ("budget-shed", |c| &mut c.budget_shed),
+    ("storage-rejects", |c| &mut c.storage_rejects),
+    ("checkpoint-failures", |c| &mut c.checkpoint_failures),
+    ("reclaim-failures", |c| &mut c.reclaim_failures),
+    ("reclaimed-segments", |c| &mut c.reclaimed_segments),
+    ("poisoned", |c| &mut c.poisoned),
+    ("silent-sensors", |c| &mut c.silent_sensors),
+    ("silence-episodes", |c| &mut c.silence_episodes),
+    ("version-rejects", |c| &mut c.version_rejects),
+    ("frames-sent", |c| &mut c.frames_sent),
+    ("retransmits", |c| &mut c.retransmits),
+    ("timeouts", |c| &mut c.timeouts),
+    ("nacks", |c| &mut c.nacks),
+    ("reconnects", |c| &mut c.reconnects),
+    ("uplink-acked", |c| &mut c.uplink_acked),
+    ("fence-rejects", |c| &mut c.fence_rejects),
+    ("flaps", |c| &mut c.flaps),
+    ("migrations-started", |c| &mut c.migrations_started),
+    ("migrations-completed", |c| &mut c.migrations_completed),
+    ("migrations-aborted", |c| &mut c.migrations_aborted),
 ];
 
 /// A counters decode failure (typed, loud — never a silent default).
@@ -161,90 +166,23 @@ impl ReportCounters {
         }
     }
 
-    /// The named value, by wire name.
-    fn get(&self, name: &str) -> u64 {
-        match name {
-            "accepted" => self.accepted,
-            "sanitizer-rejects" => self.sanitizer_rejects,
-            "duplicates" => self.duplicates,
-            "late" => self.late,
-            "shed" => self.shed,
-            "budget-shed" => self.budget_shed,
-            "storage-rejects" => self.storage_rejects,
-            "checkpoint-failures" => self.checkpoint_failures,
-            "reclaim-failures" => self.reclaim_failures,
-            "reclaimed-segments" => self.reclaimed_segments,
-            "poisoned" => self.poisoned,
-            "silent-sensors" => self.silent_sensors,
-            "silence-episodes" => self.silence_episodes,
-            "version-rejects" => self.version_rejects,
-            "frames-sent" => self.frames_sent,
-            "retransmits" => self.retransmits,
-            "timeouts" => self.timeouts,
-            "nacks" => self.nacks,
-            "reconnects" => self.reconnects,
-            "uplink-acked" => self.uplink_acked,
-            "fence-rejects" => self.fence_rejects,
-            "flaps" => self.flaps,
-            "migrations-started" => self.migrations_started,
-            "migrations-completed" => self.migrations_completed,
-            "migrations-aborted" => self.migrations_aborted,
-            _ => 0,
-        }
-    }
-
-    /// Sets the named value, by wire name; `false` for unknown names.
-    fn set(&mut self, name: &str, value: u64) -> bool {
-        let slot = match name {
-            "accepted" => &mut self.accepted,
-            "sanitizer-rejects" => &mut self.sanitizer_rejects,
-            "duplicates" => &mut self.duplicates,
-            "late" => &mut self.late,
-            "shed" => &mut self.shed,
-            "budget-shed" => &mut self.budget_shed,
-            "storage-rejects" => &mut self.storage_rejects,
-            "checkpoint-failures" => &mut self.checkpoint_failures,
-            "reclaim-failures" => &mut self.reclaim_failures,
-            "reclaimed-segments" => &mut self.reclaimed_segments,
-            "poisoned" => &mut self.poisoned,
-            "silent-sensors" => &mut self.silent_sensors,
-            "silence-episodes" => &mut self.silence_episodes,
-            "version-rejects" => &mut self.version_rejects,
-            "frames-sent" => &mut self.frames_sent,
-            "retransmits" => &mut self.retransmits,
-            "timeouts" => &mut self.timeouts,
-            "nacks" => &mut self.nacks,
-            "reconnects" => &mut self.reconnects,
-            "uplink-acked" => &mut self.uplink_acked,
-            "fence-rejects" => &mut self.fence_rejects,
-            "flaps" => &mut self.flaps,
-            "migrations-started" => &mut self.migrations_started,
-            "migrations-completed" => &mut self.migrations_completed,
-            "migrations-aborted" => &mut self.migrations_aborted,
-            _ => return false,
-        };
-        *slot = value;
-        true
-    }
-
     /// Adds `other` into `self`, saturating — the fleet roll-up.
     pub fn merge(&mut self, other: &Self) {
-        for name in FIELDS {
-            let sum = self.get(name).saturating_add(other.get(name));
-            self.set(name, sum);
+        let mut other = *other;
+        for (_, slot) in TABLE {
+            let sum = slot(self).saturating_add(*slot(&mut other));
+            *slot(self) = sum;
         }
     }
 
     /// Encodes as the stable named-line text format.
     pub fn encode(&self) -> String {
-        let mut out = String::with_capacity(FIELDS.len() * 24);
-        out.push_str(COUNTERS_MAGIC);
-        out.push('\n');
-        for name in FIELDS {
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(&self.get(name).to_string());
-            out.push('\n');
+        // Slots hand out `&mut`, so read through a copy.
+        let (mut out, mut values) = (String::new(), *self);
+        // `fmt::Write for String` never fails.
+        let _ = writeln!(out, "{COUNTERS_MAGIC}");
+        for (name, slot) in TABLE {
+            let _ = writeln!(out, "{name} {}", slot(&mut values));
         }
         out
     }
@@ -257,47 +195,43 @@ impl ReportCounters {
     /// name, a malformed value, or a missing field — every failure
     /// names the offending line.
     pub fn decode(text: &str) -> Result<Self, CountersError> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(l) if l == COUNTERS_MAGIC => {}
-            other => {
-                return Err(CountersError(format!(
-                    "bad magic line {other:?} (expected {COUNTERS_MAGIC:?})"
-                )))
-            }
+        let mut r = Reader::new(text);
+        let magic = r.peek();
+        if r.marker(COUNTERS_MAGIC).is_err() {
+            return Err(CountersError(format!(
+                "bad magic line {magic:?} (expected {COUNTERS_MAGIC:?})"
+            )));
         }
-        let mut seen: BTreeMap<String, u64> = BTreeMap::new();
-        for (i, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
+        Self::read(&mut r).map_err(|e| match e {
+            CheckpointError::Malformed { line, reason } => {
+                CountersError(format!("line {line}: {reason}"))
             }
-            let (name, value) = line
-                .split_once(' ')
-                .ok_or_else(|| CountersError(format!("line {}: no `name value` pair", i + 2)))?;
-            if !FIELDS.contains(&name) {
-                return Err(CountersError(format!(
-                    "line {}: unknown counter `{name}`",
-                    i + 2
-                )));
-            }
-            let value: u64 = value.parse().map_err(|e| {
-                CountersError(format!("line {}: bad value for `{name}`: {e}", i + 2))
-            })?;
-            if seen.insert(name.to_string(), value).is_some() {
-                return Err(CountersError(format!(
-                    "line {}: duplicate counter `{name}`",
-                    i + 2
-                )));
-            }
-        }
+            CheckpointError::Invalid(reason) => CountersError(reason),
+        })
+    }
+
+    /// The counter lines after the magic header.
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let mut out = Self::default();
-        for name in FIELDS {
-            let value = *seen
-                .get(*name)
-                .ok_or_else(|| CountersError(format!("missing counter `{name}`")))?;
-            out.set(name, value);
+        let mut seen = [false; TABLE.len()];
+        while let Some(mut f) = r.fields() {
+            let name = f.token()?;
+            let Some(at) = TABLE.iter().position(|(known, _)| *known == name) else {
+                return f.fail(format!("unknown counter `{name}`"));
+            };
+            if std::mem::replace(&mut seen[at], true) {
+                return f.fail(format!("duplicate counter `{name}`"));
+            }
+            let Ok(value) = f.num() else {
+                return f.fail(format!("bad value for `{name}`"));
+            };
+            f.end()?;
+            *TABLE[at].1(&mut out) = value;
         }
-        Ok(out)
+        match seen.iter().position(|seen| !seen) {
+            Some(at) => r.fail(format!("missing counter `{}`", TABLE[at].0)),
+            None => Ok(out),
+        }
     }
 }
 

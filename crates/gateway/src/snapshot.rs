@@ -18,13 +18,18 @@
 //! restart tests pin this: duplicate counts differ across a restart,
 //! reports otherwise match bit-exactly).
 //!
-//! The codec follows the workspace convention: hand-rolled line-based
-//! text, floats as IEEE-754 bit patterns (`{:016x}`), so a round-trip
-//! is bit-exact and encoding a live collector equals encoding its
-//! restored twin.
+//! The text is the grammar of `DESIGN.md` §12.5, written and read with
+//! the kit in [`sentinet_core::checkpoint`]: the collector's own lines,
+//! then a `pipeline` marker and the pipeline section, decoded by one
+//! [`Reader`] from top to bottom so errors name absolute lines. The
+//! round-trip is bit-exact and encoding a live collector equals
+//! encoding its restored twin.
 
 use crate::reorder::{ReorderSnapshot, ReorderStats};
-use sentinet_core::checkpoint::{decode_pipeline, push_dec, push_hex, write_pipeline};
+use sentinet_core::checkpoint::{
+    push_dec, push_hex, put_joined, put_opt, read_pipeline, write_pipeline, CheckpointError,
+    Fields, Reader,
+};
 use sentinet_core::{PipelineSnapshot, WindowerSnapshot};
 use sentinet_sim::{IngestError, SanitizerSnapshot, SensorId, Timestamp};
 use std::fmt;
@@ -120,20 +125,17 @@ pub fn encode_collector(snap: &CollectorSnapshot) -> String {
 /// Whatever `out` reports; a `String` never fails.
 pub fn write_collector<W: fmt::Write>(out: &mut W, snap: &CollectorSnapshot) -> fmt::Result {
     write!(out, "{MAGIC}\nsanitizer ")?;
-    match snap.sanitizer.dims {
-        Some(d) => writeln!(out, "{d}")?,
-        None => out.write_str("-\n")?,
-    }
+    put_opt(out, snap.sanitizer.dims)?;
+    out.write_char('\n')?;
     put_pairs(out, "slatest", &snap.sanitizer.latest)?;
     let ReorderStats {
         duplicates,
         late,
         shed,
     } = snap.reorder.stats;
-    match snap.reorder.watermark {
-        Some(w) => writeln!(out, "reorder {w} {duplicates} {late} {shed}")?,
-        None => writeln!(out, "reorder - {duplicates} {late} {shed}")?,
-    }
+    out.write_str("reorder ")?;
+    put_opt(out, snap.reorder.watermark)?;
+    writeln!(out, " {duplicates} {late} {shed}")?;
     for (time, sensor, values) in &snap.reorder.buffer {
         out.write_str("rbuf ")?;
         push_dec(out, *time)?;
@@ -151,12 +153,7 @@ pub fn write_collector<W: fmt::Write>(out: &mut W, snap: &CollectorSnapshot) -> 
         if above.is_empty() {
             out.write_char('-')?;
         }
-        for (i, seq) in above.iter().enumerate() {
-            if i > 0 {
-                out.write_char(',')?;
-            }
-            push_dec(out, *seq)?;
-        }
+        put_joined(out, above)?;
         out.write_char('\n')?;
     }
     writeln!(out, "accepted {}", snap.accepted)?;
@@ -271,6 +268,7 @@ pub fn merge_snapshot(
     inside: &CollectorSnapshot,
 ) -> CollectorSnapshot {
     fn merge_by<T: Clone, K: Ord>(a: &[T], b: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
+        // sentinet-allow(codec-alloc): sized by two slices already in memory, not by decoded input
         let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
@@ -334,207 +332,90 @@ pub fn merge_snapshot(
     }
 }
 
-/// Line cursor over the head section, with single-line pushback for
-/// the variable-length groups.
-struct Cursor<'a> {
-    lines: Vec<&'a str>,
-    pos: usize,
+/// One `sensor:value` item of a pair list.
+fn read_pair(p: &mut Fields<'_>) -> Result<(SensorId, u64), CheckpointError> {
+    Ok((SensorId(p.num()?), p.num()?))
 }
 
-impl<'a> Cursor<'a> {
-    fn next(&mut self) -> Option<&'a str> {
-        let line = self.lines.get(self.pos).copied();
-        if line.is_some() {
-            self.pos += 1;
-        }
-        line
-    }
-
-    fn fail<T>(&self, reason: impl Into<String>) -> Result<T, String> {
-        Err(format!(
-            "collector snapshot line {}: {}",
-            self.pos,
-            reason.into()
-        ))
-    }
-
-    fn num<T: std::str::FromStr>(&self, s: &str) -> Result<T, String> {
-        s.parse()
-            .map_err(|_| format!("collector snapshot line {}: bad number `{s}`", self.pos))
-    }
-
-    fn hexf(&self, s: &str) -> Result<f64, String> {
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|_| format!("collector snapshot line {}: bad hex float `{s}`", self.pos))
-    }
-
-    fn pairs(&mut self, tag: &str) -> Result<Vec<(SensorId, u64)>, String> {
-        let Some(rest) = self.next().and_then(|l| l.strip_prefix(tag)) else {
-            return self.fail(format!("expected {tag} line"));
-        };
-        let mut out = Vec::new();
-        for item in rest.split_whitespace() {
-            if item == "-" {
-                continue;
-            }
-            let Some((s, t)) = item.split_once(':') else {
-                return self.fail(format!("bad pair `{item}`"));
-            };
-            out.push((SensorId(self.num(s)?), self.num(t)?));
-        }
-        Ok(out)
-    }
-
-    /// Consumes consecutive lines starting with `prefix`.
-    fn group(&mut self, prefix: &str) -> Vec<&'a str> {
-        let mut rows = Vec::new();
-        while let Some(line) = self.lines.get(self.pos) {
-            let Some(rest) = line.strip_prefix(prefix) else {
-                break;
-            };
-            self.pos += 1;
-            rows.push(rest);
-        }
-        rows
-    }
-}
-
-fn parse_ingest_error(cur: &Cursor<'_>, rest: &str) -> Result<IngestError, String> {
-    let parts: Vec<&str> = rest.split(' ').collect();
-    let arity_err = || format!("collector snapshot line {}: bad rej arity", cur.pos);
-    match parts.first().copied() {
-        Some("empty") if parts.len() == 3 => Ok(IngestError::EmptyReading {
-            time: cur.num(parts[1])?,
-            sensor: SensorId(cur.num(parts[2])?),
-        }),
-        Some("nonfinite") if parts.len() == 5 => Ok(IngestError::NonFinite {
-            time: cur.num(parts[1])?,
-            sensor: SensorId(cur.num(parts[2])?),
-            index: cur.num(parts[3])?,
-            value: cur.hexf(parts[4])?,
-        }),
-        Some("dup") if parts.len() == 3 => Ok(IngestError::DuplicateTimestamp {
-            time: cur.num(parts[1])?,
-            sensor: SensorId(cur.num(parts[2])?),
-        }),
-        Some("ooo") if parts.len() == 4 => Ok(IngestError::OutOfOrder {
-            time: cur.num(parts[1])?,
-            sensor: SensorId(cur.num(parts[2])?),
-            latest: cur.num(parts[3])?,
-        }),
-        Some("dim") if parts.len() == 5 => Ok(IngestError::DimensionMismatch {
-            time: cur.num(parts[1])?,
-            sensor: SensorId(cur.num(parts[2])?),
-            expected: cur.num(parts[3])?,
-            actual: cur.num(parts[4])?,
-        }),
-        Some(other) if !matches!(other, "empty" | "nonfinite" | "dup" | "ooo" | "dim") => {
-            Err(format!(
-                "collector snapshot line {}: unknown rejection kind `{other}`",
-                cur.pos
-            ))
-        }
-        _ => Err(arity_err()),
-    }
+/// The fields of one `rej` line, after the tag.
+fn read_ingest_error(mut f: Fields<'_>) -> Result<IngestError, CheckpointError> {
+    let kind = f.token()?;
+    let (time, sensor) = (f.num()?, SensorId(f.num()?));
+    let error = match kind {
+        "empty" => IngestError::EmptyReading { time, sensor },
+        "nonfinite" => IngestError::NonFinite {
+            time,
+            sensor,
+            index: f.num()?,
+            value: f.hex()?,
+        },
+        "dup" => IngestError::DuplicateTimestamp { time, sensor },
+        "ooo" => IngestError::OutOfOrder {
+            time,
+            sensor,
+            latest: f.num()?,
+        },
+        "dim" => IngestError::DimensionMismatch {
+            time,
+            sensor,
+            expected: f.num()?,
+            actual: f.num()?,
+        },
+        other => return f.fail(format!("unknown rejection kind `{other}`")),
+    };
+    f.end()?;
+    Ok(error)
 }
 
 /// Decodes checkpoint text produced by [`encode_collector`].
 ///
 /// # Errors
 ///
-/// A human-readable description of the first syntax problem.
-pub fn decode_collector(text: &str) -> Result<CollectorSnapshot, String> {
-    let Some((head, pipeline_text)) = text.split_once("\npipeline\n") else {
-        return Err("collector snapshot: missing pipeline section".into());
-    };
-    let mut cur = Cursor {
-        lines: head.lines().collect(),
-        pos: 0,
-    };
-    match cur.next() {
-        Some(MAGIC) => {}
-        Some(other) => return cur.fail(format!("bad magic `{other}`")),
-        None => return cur.fail("empty snapshot"),
-    }
-    let dims = match cur.next().and_then(|l| l.strip_prefix("sanitizer ")) {
-        Some("-") => None,
-        Some(d) => Some(cur.num(d)?),
-        None => return cur.fail("expected sanitizer line"),
-    };
-    let latest = cur.pairs("slatest")?;
-    let Some(rest) = cur.next().and_then(|l| l.strip_prefix("reorder ")) else {
-        return cur.fail("expected reorder line");
-    };
-    let parts: Vec<&str> = rest.split(' ').collect();
-    if parts.len() != 4 {
-        return cur.fail("reorder needs `watermark duplicates late shed`");
-    }
-    let watermark = if parts[0] == "-" {
-        None
-    } else {
-        Some(cur.num(parts[0])?)
-    };
+/// [`CheckpointError::Malformed`] naming the first offending line,
+/// counted from the top of `text` through the nested pipeline and
+/// shard sections.
+pub fn decode_collector(text: &str) -> Result<CollectorSnapshot, CheckpointError> {
+    let mut r = Reader::new(text);
+    let snap = read_collector(&mut r)?;
+    r.finish()?;
+    Ok(snap)
+}
+
+/// [`decode_collector`] from wherever `r` stands — the body of an
+/// outbox file, after its header lines.
+pub(crate) fn read_collector(r: &mut Reader<'_>) -> Result<CollectorSnapshot, CheckpointError> {
+    r.marker(MAGIC)?;
+    let dims = r.single("sanitizer", Fields::opt)?;
+    let latest = r.list("slatest", read_pair)?;
+    let mut f = r.tagged("reorder")?;
+    let watermark = f.opt()?;
     let stats = ReorderStats {
-        duplicates: cur.num(parts[1])?,
-        late: cur.num(parts[2])?,
-        shed: cur.num(parts[3])?,
+        duplicates: f.num()?,
+        late: f.num()?,
+        shed: f.num()?,
     };
+    f.end()?;
     let mut buffer = Vec::new();
-    for row in cur.group("rbuf ") {
-        let mut it = row.split(' ');
-        let (Some(t), Some(s)) = (it.next(), it.next()) else {
-            return cur.fail("rbuf needs `time sensor values…`");
-        };
-        let values: Vec<f64> = it.map(|v| cur.hexf(v)).collect::<Result<_, _>>()?;
-        buffer.push((cur.num(t)?, SensorId(cur.num(s)?), values));
+    while let Some(mut f) = r.tagged_if("rbuf") {
+        buffer.push((f.num()?, SensorId(f.num()?), f.hex_row()?));
     }
-    let last_released = cur.pairs("rrel")?;
+    let last_released = r.list("rrel", read_pair)?;
     let mut seqs = Vec::new();
-    for row in cur.group("seq ") {
-        let parts: Vec<&str> = row.split(' ').collect();
-        if parts.len() != 3 {
-            return cur.fail("seq needs `sensor next above`");
-        }
-        let above = if parts[2] == "-" {
-            Vec::new()
-        } else {
-            parts[2]
-                .split(',')
-                .map(|n| cur.num(n))
-                .collect::<Result<_, _>>()?
-        };
-        seqs.push((SensorId(cur.num(parts[0])?), cur.num(parts[1])?, above));
+    while let Some(mut f) = r.tagged_if("seq") {
+        seqs.push((SensorId(f.num()?), f.num()?, f.opt_nums()?));
+        f.end()?;
     }
-    let accepted = match cur.next().and_then(|l| l.strip_prefix("accepted ")) {
-        Some(n) => cur.num(n)?,
-        None => return cur.fail("expected accepted line"),
-    };
+    let accepted = r.single("accepted", Fields::num)?;
     let mut rejected = Vec::new();
-    for row in cur.group("rej ") {
-        rejected.push(parse_ingest_error(&cur, row)?);
+    while let Some(f) = r.tagged_if("rej") {
+        rejected.push(read_ingest_error(f)?);
     }
-    let last_heard = cur.pairs("heard")?;
-    let Some(rest) = cur.next().and_then(|l| l.strip_prefix("silent")) else {
-        return cur.fail("expected silent line");
-    };
-    let mut silent = Vec::new();
-    for item in rest.split_whitespace() {
-        if item == "-" {
-            continue;
-        }
-        silent.push(SensorId(cur.num(item)?));
-    }
-    let episodes = match cur.next().and_then(|l| l.strip_prefix("episodes ")) {
-        Some(n) => cur.num(n)?,
-        None => return cur.fail("expected episodes line"),
-    };
-    if let Some(extra) = cur.next() {
-        return cur.fail(format!("unexpected trailing line `{extra}`"));
-    }
-    let pipeline = decode_pipeline(pipeline_text).map_err(|e| e.to_string())?;
+    let last_heard = r.list("heard", read_pair)?;
+    let silent = r.list("silent", |s| Ok(SensorId(s.num()?)))?;
+    let episodes = r.single("episodes", Fields::num)?;
+    r.marker("pipeline")?;
     Ok(CollectorSnapshot {
-        pipeline,
+        pipeline: read_pipeline(r)?,
         reorder: ReorderSnapshot {
             buffer,
             last_released,
@@ -650,6 +531,31 @@ mod tests {
         assert!(decode_collector(&text.replace("rej dup", "rej dupp")).is_err());
         assert!(decode_collector(&text.replace("episodes 1", "episodes x")).is_err());
         let err = decode_collector(&text.replace("accepted ", "acepted ")).expect_err("corrupt");
-        assert!(err.contains("line"), "{err}");
+        assert!(matches!(err, CheckpointError::Malformed { line, .. } if line > 1));
+    }
+
+    /// The collector level of the nesting: a bad line inside the
+    /// pipeline section, and one inside the shard section inside it,
+    /// are both reported where they stand in the collector text — as a
+    /// typed error, where a `String` used to carry a section-relative
+    /// number.
+    #[test]
+    fn nested_sections_report_absolute_lines() {
+        let text = encode_collector(&sample());
+        let line_of = |text: &str, line: &str| {
+            1 + text
+                .split('\n')
+                .position(|l| l == line)
+                .expect("line present")
+        };
+        for (good, bad) in [("windows 1", "windows x"), ("sensor 1", "sensor x")] {
+            let damaged = text.replace(&format!("\n{good}\n"), &format!("\n{bad}\n"));
+            let at = line_of(&damaged, bad);
+            assert!(at > line_of(&damaged, "pipeline"), "{good} is nested");
+            match decode_collector(&damaged) {
+                Err(CheckpointError::Malformed { line, .. }) => assert_eq!(line, at, "{good}"),
+                other => panic!("{good}: expected a malformed-line error, got {other:?}"),
+            }
+        }
     }
 }

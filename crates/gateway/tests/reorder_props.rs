@@ -19,15 +19,24 @@
 //! step and prints the one command that replays it with every
 //! operation logged.
 
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use proptest::TestRng;
+use seeded::Replay;
 use sentinet_gateway::{AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats};
 use sentinet_sim::{RawRecord, SensorId, Timestamp};
 use std::collections::BTreeMap;
 
 /// Cases per run; the acceptance bar is 10 000.
 const CASES: u64 = 10_000;
-/// Environment variable naming one seed for [`replay_seed_from_env`].
-const REPLAY_VAR: &str = "REORDER_PROPS_SEED";
+/// `REORDER_PROPS_SEED` names one seed for [`replay_seed_from_env`].
+const REPLAY: Replay = Replay {
+    var: "REORDER_PROPS_SEED",
+    package: "sentinet-gateway",
+    target: "--test reorder_props",
+    test: "replay_seed_from_env",
+};
 /// Stream seconds between sampling instants.
 const PERIOD: u64 = 300;
 
@@ -377,19 +386,14 @@ fn run_case(seed: u64, log: bool) -> Result<(ReorderStats, usize), String> {
     Ok((pair.flat.stats(), pair.restores_with_backlog))
 }
 
-fn replay_line(seed: u64) -> String {
-    format!(
-        "{REPLAY_VAR}={seed} cargo test -p sentinet-gateway --test reorder_props \
-         replay_seed_from_env -- --nocapture"
-    )
-}
-
 #[test]
 fn flat_queues_match_the_tree_model_step_for_step() {
     // What the generator reached, summed over the cases: a green run
     // that never shed or restored would prove nothing.
     let mut reached = ReorderStats::default();
     let mut restores_with_backlog = 0;
+    // The replay variable belongs to `replay_seed_from_env`; this test
+    // always runs every case.
     for seed in 0..CASES {
         match run_case(seed, false) {
             Ok((stats, restores)) => {
@@ -400,7 +404,7 @@ fn flat_queues_match_the_tree_model_step_for_step() {
             }
             Err(why) => panic!(
                 "reorder differential failed at seed {seed}, {why}\nreplay: {}",
-                replay_line(seed)
+                REPLAY.line(seed)
             ),
         }
     }
@@ -414,10 +418,9 @@ fn flat_queues_match_the_tree_model_step_for_step() {
 /// operation logged to stderr; does nothing when it is unset.
 #[test]
 fn replay_seed_from_env() {
-    let Ok(seed) = std::env::var(REPLAY_VAR) else {
+    let Some(seed) = REPLAY.seed_from_env() else {
         return;
     };
-    let seed: u64 = seed.parse().expect("REORDER_PROPS_SEED must be a u64");
     if let Err(why) = run_case(seed, true) {
         panic!("seed {seed}: {why}");
     }

@@ -7,13 +7,22 @@
 //! re-encodes to exactly the mutated bytes. Never a panic, never a
 //! silent reinterpretation.
 
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use proptest::prelude::*;
-use sentinet_core::{FilterPolicy, Pipeline, PipelineConfig};
+use proptest::TestRng;
+use seeded::{check_total_and_exact, mutate, PeakAlloc, Replay};
+use sentinet_core::{CheckpointError, FilterPolicy, Pipeline, PipelineConfig};
 use sentinet_gateway::snapshot::{decode_collector, encode_collector};
 use sentinet_gateway::{
-    merge_snapshot, split_snapshot, CollectorSnapshot, ReorderSnapshot, ReorderStats,
+    merge_snapshot, split_snapshot, Collector, CollectorSnapshot, GatewayConfig, GatewayError,
+    ReorderSnapshot, ReorderStats, ReportCounters,
 };
 use sentinet_sim::{IngestError, SanitizerSnapshot, SensorId};
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
 
 /// Value pool for readings: includes NaN, ±∞, -0.0 and subnormals so
 /// "bit-exact" is exercised where `PartialEq` on floats breaks down.
@@ -77,18 +86,13 @@ fn pairs() -> impl Strategy<Value = Vec<(SensorId, u64)>> {
 
 /// Arbitrary snapshots: the pipeline section is produced by driving a
 /// real [`Pipeline`] with a generated reading schedule (its snapshot
-/// type is opaque by design), the rest is generated field by field.
+/// type is opaque by design) — under either alarm filter, from a few
+/// ticks (nothing bootstrapped, empty histories) to enough for model
+/// states, raw-alarm histories and tracks — the rest is generated field
+/// by field.
 fn snapshots() -> impl Strategy<Value = CollectorSnapshot> {
-    let pipeline = (1u64..40, 1u16..4).prop_map(|(ticks, sensors)| {
-        let mut pipeline = Pipeline::new(PipelineConfig::default(), 300);
-        for i in 0..ticks {
-            for s in 0..sensors {
-                let v = 20.0 + (i % 5) as f64 + f64::from(s);
-                pipeline.push_values(300 * (i + 1), SensorId(s), &[v, v + 30.0]);
-            }
-        }
-        pipeline.snapshot()
-    });
+    let pipeline = (1u64..700, any::<bool>())
+        .prop_map(|(ticks, sprt)| driven_pipeline(filter_policy(sprt), ticks).snapshot());
     let reorder = (
         prop::collection::vec((0u64..100_000, 0u16..6, values()), 0..4),
         pairs(),
@@ -186,7 +190,7 @@ proptest! {
         // truncated checkpoint can never smuggle in the full state.
         match decode_collector(torn) {
             Ok(decoded) => prop_assert_eq!(encode_collector(&decoded), torn),
-            Err(e) => prop_assert!(!e.is_empty(), "rejection must carry a diagnostic"),
+            Err(e) => prop_assert!(matches!(e, CheckpointError::Malformed { .. }), "{e}"),
         }
     }
 
@@ -209,7 +213,7 @@ proptest! {
             // that whatever decodes re-encodes to the mutated text —
             // the codec never invents state beyond the bytes it read.
             Ok(decoded) => prop_assert_eq!(encode_collector(&decoded), mutated),
-            Err(e) => prop_assert!(!e.is_empty(), "rejection must carry a diagnostic"),
+            Err(e) => prop_assert!(matches!(e, CheckpointError::Malformed { .. }), "{e}"),
         }
     }
 }
@@ -294,16 +298,30 @@ fn fnv(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A pipeline driven far enough to bootstrap its model states, under
-/// `filter`: three sensors cycling through four well-separated
-/// regimes, sensor 2 disagreeing often enough to open tracks.
-fn driven_pipeline(filter: FilterPolicy) -> Pipeline {
+fn filter_policy(sprt: bool) -> FilterPolicy {
+    if sprt {
+        FilterPolicy::Sprt {
+            p0: 0.05,
+            p1: 0.6,
+            alpha: 0.01,
+            beta: 0.01,
+        }
+    } else {
+        FilterPolicy::default()
+    }
+}
+
+/// A pipeline driven for `ticks` sampling instants under `filter` —
+/// 600 are enough to bootstrap its model states: three sensors cycling
+/// through four well-separated regimes, sensor 2 disagreeing often
+/// enough to open tracks.
+fn driven_pipeline(filter: FilterPolicy, ticks: u64) -> Pipeline {
     let config = PipelineConfig {
         filter,
         ..PipelineConfig::default()
     };
     let mut pipeline = Pipeline::new(config, 300);
-    for i in 0..600u64 {
+    for i in 0..ticks {
         let regime = (i / 12) % 4;
         for s in 0..3u16 {
             let wild = s == 2 && (i / 12) % 3 == 0;
@@ -329,14 +347,8 @@ const GOLDEN_DIGESTS: (u64, u64) = (11_117_180_414_752_147_282, 15_094_321_448_7
 /// `above`, every `rej` variant, and a bootstrapped pipeline whose
 /// sensors carry a k-of-n filter (0 and 2) and an SPRT filter (1).
 fn golden_snapshot(silent: Vec<SensorId>) -> CollectorSnapshot {
-    let mut pipeline = driven_pipeline(FilterPolicy::default()).snapshot();
-    let sprt = driven_pipeline(FilterPolicy::Sprt {
-        p0: 0.05,
-        p1: 0.6,
-        alpha: 0.01,
-        beta: 0.01,
-    })
-    .snapshot();
+    let mut pipeline = driven_pipeline(filter_policy(false), 600).snapshot();
+    let sprt = driven_pipeline(filter_policy(true), 600).snapshot();
     pipeline.sensors[1] = sprt.sensors[1].clone();
     pipeline.windower.readings.push((
         SensorId(9),
@@ -438,4 +450,132 @@ fn golden_snapshot_encodes_to_the_parent_commits_bytes() {
         GOLDEN_DIGESTS,
         "collector encoding drifted from commit 584aad4"
     );
+}
+
+/// How to replay one seed of a totality property below.
+fn totality(test: &'static str) -> Replay {
+    Replay {
+        var: "TEXT_TOTALITY_SEED",
+        package: "sentinet-gateway",
+        target: "--test snapshot_props",
+        test,
+    }
+}
+
+/// Decoder totality for the collector snapshot (ROADMAP 4c): torn,
+/// bit-flipped, count-inflated or arbitrary input yields a typed error
+/// or a snapshot that re-encodes to the input — never a panic, never
+/// an allocation sized by a number the input states.
+#[test]
+fn damaged_collector_text_is_rejected_or_reencodes_exactly() {
+    let valid = encode_collector(&golden_snapshot(vec![SensorId(2)]));
+    totality("damaged_collector_text_is_rejected_or_reencodes_exactly").for_each_seed(
+        1_500,
+        |seed| {
+            let (what, bytes) = mutate(&mut TestRng::new(seed), &valid);
+            check_total_and_exact(&bytes, decode_collector, encode_collector, |e| {
+                matches!(e, CheckpointError::Malformed { .. })
+            })
+            .map_err(|why| format!("{what}: {why}"))
+        },
+    );
+}
+
+/// The same for the report counters' `name value` text.
+#[test]
+fn damaged_counters_text_is_rejected_or_reencodes_exactly() {
+    let valid = ReportCounters {
+        accepted: 240,
+        late: u64::MAX,
+        migrations_aborted: 7,
+        ..ReportCounters::default()
+    }
+    .encode();
+    totality("damaged_counters_text_is_rejected_or_reencodes_exactly").for_each_seed(
+        3_000,
+        |seed| {
+            let (what, bytes) = mutate(&mut TestRng::new(seed), &valid);
+            check_total_and_exact(
+                &bytes,
+                ReportCounters::decode,
+                ReportCounters::encode,
+                |e| e.to_string().starts_with("report counters: "),
+            )
+            .map_err(|why| format!("{what}: {why}"))
+        },
+    );
+}
+
+/// The four sidecar readers (`checkpoint.ck`, `fence.tk`, `retired.tk`,
+/// `outbox-1-2.ck`), reached the way production reaches them: a WAL
+/// directory left by a fenced collector that exported a range, one
+/// file damaged, then [`Collector::open`] and a re-driven
+/// [`Collector::export_range`]. Either may refuse with a typed
+/// [`GatewayError`]; neither may panic.
+#[test]
+fn damaged_sidecar_files_fail_typed() {
+    let root = std::env::temp_dir().join(format!("sentinet-sidecars-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = |dir: &std::path::Path| {
+        let mut config = GatewayConfig::new(dir);
+        config.reorder.watermark_delay = 600;
+        config.pipeline.window_samples = 2;
+        config.checkpoint_every = 8;
+        config.epoch = 1;
+        config
+    };
+    let pristine = root.join("pristine");
+    let (mut collector, _) = Collector::open(config(&pristine)).expect("fresh directory");
+    for i in 0..20u64 {
+        for s in 0..2u16 {
+            let values = vec![20.0 + (i % 5) as f64, 50.0 + f64::from(s)];
+            collector
+                .deliver(SensorId(s), i, 300 * (i + 1), values)
+                .expect("healthy storage");
+        }
+    }
+    collector.export_range(1..2).expect("cut commits");
+    drop(collector);
+    let sidecars = ["checkpoint.ck", "fence.tk", "retired.tk", "outbox-1-2.ck"];
+    let files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&pristine)
+        .expect("wal directory")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path
+                .file_name()
+                .expect("file")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).expect("readable file"))
+        })
+        .collect();
+    for name in sidecars {
+        assert!(files.iter().any(|(n, _)| n == name), "setup left no {name}");
+    }
+
+    totality("damaged_sidecar_files_fail_typed").for_each_seed(3_000, |seed| {
+        let mut rng = TestRng::new(seed);
+        let target = sidecars[rng.usize_in(0, sidecars.len())];
+        let dir = root.join(format!("case-{seed}"));
+        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        let mut what = String::new();
+        for (name, bytes) in &files {
+            let bytes = if name == target {
+                let text = String::from_utf8_lossy(bytes);
+                let (how, damaged) = mutate(&mut rng, &text);
+                what = format!("{target} {how}");
+                damaged
+            } else {
+                bytes.clone()
+            };
+            std::fs::write(dir.join(name), bytes).map_err(|e| e.to_string())?;
+        }
+        // Typed either way; a panic is caught and reported by the loop.
+        let reopened: Result<_, GatewayError> = Collector::open(config(&dir));
+        if let Ok((mut collector, _)) = reopened {
+            let _: Result<_, GatewayError> = collector.export_range(1..2);
+        }
+        std::fs::remove_dir_all(&dir).map_err(|e| format!("{what}: {e}"))
+    });
+    let _ = std::fs::remove_dir_all(&root);
 }

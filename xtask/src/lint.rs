@@ -25,7 +25,7 @@
 //! | `io-outside-vfs` | raw filesystem mutation outside `gateway/src/vfs.rs` |
 //! | `ack-ordering` | `Ack`/`AckUpTo` built with no durability check first, or built in gateway code outside `protocol.rs` |
 //! | `partition-map-mutation` | `.commit_owner(` / `.commit_health(` / `.split_at(` / `.transfer(` outside the federation commit path |
-//! | `codec-alloc` | `push_str(&format!(…))` or a non-`pub` `fn … -> String` helper in a checkpoint codec file |
+//! | `codec-alloc` | in a text codec file: `push_str(&format!(…))`, a non-`pub` `fn … -> String` helper, or — outside the one `Reader`/`Fields` kit — `.lines()`, `from_str_radix`, a non-literal `with_capacity` |
 //! | `stale-suppression` | `sentinet-allow` comment that no longer suppresses any finding |
 //!
 //! Test code (`#[cfg(test)] mod`s and `#[test]` fns) is exempt from
@@ -68,8 +68,15 @@
 //! private helper returning `String` (the old `hex(v) -> String`)
 //! allocates one per field — both are what `push_hex`/`push_dec` and
 //! `write!` into the buffer replaced. The `pub fn encode_* -> String`
-//! entry points, which allocate the one buffer, are not helpers. And
-//! suppression hygiene is enforced by `stale-suppression`: a
+//! entry points, which allocate the one buffer, are not helpers. The
+//! decode side of the same files (plus `gateway/src/report_codec.rs`
+//! and `gateway/src/collector/migration.rs`) reads untrusted bytes
+//! through the one line reader in `core/src/checkpoint.rs`, so outside
+//! its `impl Reader`/`impl Fields` blocks the lint also flags a second
+//! line splitter (`.lines()`), a second hex-float parser
+//! (`from_str_radix`) and a `with_capacity` whose argument is not a
+//! literal — the shape of the `bootstrap <n>` capacity-overflow panic.
+//! And suppression hygiene is enforced by `stale-suppression`: a
 //! well-formed `sentinet-allow`
 //! comment that no longer silences any actual finding is itself a
 //! finding, so fixed code sheds its stale annotations instead of
@@ -102,11 +109,13 @@ pub const LINTS: &[&str] = &[
     "stale-suppression",
 ];
 
-/// Files holding the restore-point text encoders (`codec-alloc`).
+/// Files holding the durable text codecs (`codec-alloc`).
 const CODEC_FILES: &[&str] = &[
     "core/src/checkpoint.rs",
     "gateway/src/snapshot.rs",
+    "gateway/src/report_codec.rs",
     "gateway/src/collector/checkpoint.rs",
+    "gateway/src/collector/migration.rs",
 ];
 
 /// Needles whose word-bounded occurrence in a fn body marks an ack
@@ -216,8 +225,9 @@ pub struct FileContext {
     /// The file is the wire codec (`gateway/src/frame.rs`): decoding a
     /// received ack constructs one, which is not an emission.
     pub wire_codec_file: bool,
-    /// The file holds a restore-point text encoder, which must append
-    /// to its caller's buffer instead of allocating per line or field.
+    /// The file holds a durable text codec: its encoder appends to the
+    /// caller's buffer instead of allocating per line or field, and its
+    /// decoder reads through the one line reader.
     pub codec_file: bool,
     /// Hot-path function names registered for this file.
     pub hot_functions: Vec<String>,
@@ -595,29 +605,46 @@ pub fn lint_source(path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding>
         }
     }
 
-    // Restore-point encoders append to one caller-supplied buffer: no
-    // `String` per line (`push_str(&format!(`) and none per field (a
-    // helper returning `String`). The `pub fn` entry points that
-    // allocate the buffer itself are exempt.
+    // Text codecs append to one caller-supplied buffer: no `String` per
+    // line (`push_str(&format!(`) and none per field (a helper
+    // returning `String`); the `pub fn` entry points that allocate the
+    // buffer itself are exempt. And they decode through the one reader:
+    // outside its own `impl` blocks, no second line splitter or
+    // hex-float parser, and no allocation sized by a computed value.
     if ctx.codec_file {
-        for offset in find_all(&map.masked, "push_str(&format!(") {
+        let reader = reader_kit(&map.masked);
+        let mut flag = |offset: usize, message: String| {
             if !map.in_test_region(offset) {
-                push(
-                    &map,
-                    offset,
-                    "codec-alloc",
-                    "`push_str(&format!(…))` in a checkpoint codec allocates a String per line; `write!` into the buffer".into(),
-                );
+                push(&map, offset, "codec-alloc", message);
             }
+        };
+        for offset in find_all(&map.masked, "push_str(&format!(") {
+            flag(offset, "`push_str(&format!(…))` in a text codec allocates a String per line; `write!` into the buffer".into());
         }
         for offset in find_string_helpers(&map.masked) {
-            if !map.in_test_region(offset) {
-                push(
-                    &map,
-                    offset,
-                    "codec-alloc",
-                    "helper returning `String` in a checkpoint codec allocates per call; append to the caller's buffer (`push_hex`, `push_dec`, `write!`)".into(),
-                );
+            flag(offset, "helper returning `String` in a text codec allocates per call; append to the caller's buffer (`push_hex`, `push_dec`, `write!`)".into());
+        }
+        let outside_reader = |offset: &usize| {
+            !reader
+                .iter()
+                .any(|(open, close)| (open..close).contains(&offset))
+        };
+        for needle in [".lines()", "from_str_radix"] {
+            for offset in find_all(&map.masked, needle)
+                .into_iter()
+                .filter(outside_reader)
+            {
+                flag(offset, format!("`{needle}` in a text codec outside the line reader; decode through `core::checkpoint::Reader`"));
+            }
+        }
+        for offset in find_all(&map.masked, "with_capacity(")
+            .into_iter()
+            .filter(outside_reader)
+        {
+            let arg = &map.masked[offset + "with_capacity(".len()..];
+            let arg = &arg[..arg.find(')').unwrap_or(arg.len())];
+            if !arg.bytes().all(|b| b.is_ascii_digit() || b == b'_') {
+                flag(offset, format!("`with_capacity({arg})` in a text codec: a decoder must not size an allocation from its input; grow as rows are read"));
             }
         }
     }
@@ -759,6 +786,22 @@ fn find_string_helpers(masked: &str) -> Vec<usize> {
                 .is_some_and(|(_, ret)| ret.split_whitespace().eq(["String"]));
             let line_start = masked[..pos].rfind('\n').map_or(0, |nl| nl + 1);
             returns_string && masked[line_start..pos].trim() != "pub"
+        })
+        .collect()
+}
+
+/// Brace-matched `impl` blocks of the one line reader (`Reader` and
+/// its `Fields`), the only place a text codec file may split lines or
+/// parse hex floats.
+fn reader_kit(masked: &str) -> Vec<(usize, usize)> {
+    find_word(masked, "impl")
+        .into_iter()
+        .filter_map(|pos| {
+            let open = pos + masked[pos..].find('{')?;
+            let header = &masked[pos..open];
+            let is_kit = ["Reader<", "Fields<"].iter().any(|t| header.contains(t));
+            let close = match_brace(masked, open)?;
+            is_kit.then_some((open, close + 1))
         })
         .collect()
 }
@@ -1126,7 +1169,37 @@ mod tests {
         assert_eq!(lines, vec![1, 2, 5], "{f:?}");
         assert!(run(src).iter().all(|x| x.lint != "codec-alloc"));
         assert!(FileContext::for_path(Path::new("crates/gateway/src/snapshot.rs")).codec_file);
+        assert!(FileContext::for_path(Path::new("crates/gateway/src/report_codec.rs")).codec_file);
+        assert!(
+            FileContext::for_path(Path::new("crates/gateway/src/collector/migration.rs"))
+                .codec_file
+        );
         assert!(!FileContext::for_path(Path::new("crates/gateway/src/wal.rs")).codec_file);
+    }
+
+    /// The decode side: a second line splitter, a second hex parser and
+    /// an allocation sized by a parsed count must each fail in a codec
+    /// file — and only outside the reader kit, only outside tests.
+    #[test]
+    fn codec_alloc_flags_decoders_that_bypass_the_reader() {
+        let src = "impl<'a> Reader<'a> {\n    fn hex(s: &str) { u64::from_str_radix(s, 16); }\n}\n\
+                   fn decode(text: &str) {\n    for line in text.lines() {}\n\
+                   \x20   let bits = u64::from_str_radix(line, 16);\n\
+                   \x20   let points = Vec::with_capacity(count);\n\
+                   \x20   let header = String::with_capacity(64);\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t(text: &str) { text.lines(); Vec::<u8>::with_capacity(n); }\n}\n";
+        let codec = FileContext {
+            codec_file: true,
+            ..ctx()
+        };
+        let f = lint_source(Path::new("snapshot.rs"), src, &codec);
+        let lines: Vec<usize> = f
+            .iter()
+            .filter(|x| x.lint == "codec-alloc")
+            .map(|x| x.line)
+            .collect();
+        assert_eq!(lines, vec![5, 6, 7], "{f:?}");
+        assert!(run(src).iter().all(|x| x.lint != "codec-alloc"));
     }
 
     #[test]
