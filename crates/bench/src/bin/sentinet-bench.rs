@@ -374,7 +374,8 @@ fn main() {
     let _ = writeln!(json, "  \"reps\": {REPS},");
     json.push_str(
         "  \"note\": \"best-of-reps wall time per cell; serial = sentinet_core::Pipeline, \
-         engine = sentinet_engine::Engine (bit-for-bit equivalent output); shard speedup \
+         engine = sentinet_engine::Engine (bit-for-bit equivalent output; at 1 shard it runs \
+         the serial Pipeline itself); shard speedup \
          over serial requires host_cpus > 1; ingest = durable gateway over loopback TCP \
          (WAL append before each ack) at the named fsync policy; batch = off for the \
          stop-and-wait v1 uplink, <batch>x<window> for the pipelined v2 uplink (DataBatch \

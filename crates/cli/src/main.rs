@@ -1,6 +1,6 @@
 //! `sentinet` — command-line front end.
 //!
-//! Two subcommands close the loop for a downstream user:
+//! Five subcommands close the loop for a downstream user:
 //!
 //! - `sentinet simulate out.csv --fault 6:stuck=15,1` generates a
 //!   GDI-like trace CSV with optional fault/attack injections;
@@ -12,7 +12,11 @@
 //!   and a killed process resumes to a bit-identical report;
 //! - `sentinet replay-wal --wal-dir w` rebuilds that report offline
 //!   from the log alone (optionally cross-checking the sharded
-//!   engine).
+//!   engine);
+//! - `sentinet federate trace.csv --wal-root r` partitions the sensors
+//!   over several `serve` children behind a controller that fails a
+//!   dead one over to a standby, and prints the merged fleet diagnosis
+//!   (or runs a seeded nemesis campaign against an in-process fleet).
 
 mod args;
 

@@ -71,11 +71,11 @@ pub use checkpoint::{
 };
 pub use classify::{AttackType, Diagnosis, ErrorType, NetworkEvidence, SensorEvidence};
 pub use config::{FilterPolicy, PipelineConfig};
-pub use pipeline::{Pipeline, TrackRecord, WindowOutcome, BOT_SYMBOL};
+pub use pipeline::{Coordinator, Pipeline, TrackRecord, WindowOutcome, BOT_SYMBOL};
 pub use recovery::{DegradedStatus, RecoveryAction, RecoveryPlan};
 pub use report::{PipelineReport, SensorSummary, StateSummary};
-pub use runtime::{GlobalModel, SensorRuntime, SensorStep};
+pub use runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages, SensorStep};
 pub use window::{
-    identify_states, identify_states_into, identify_states_with, majority_vote, ObservationWindow,
-    SensorSamples, WindowScratch, WindowStates, Windower,
+    identify_states, identify_states_into, identify_states_with, ObservationWindow, SensorSamples,
+    WindowScratch, WindowStates, Windower,
 };

@@ -19,22 +19,28 @@
 //!    models `M_C` and `M_O`;
 //! 8. **Classification** on demand via [`Pipeline::classify`].
 //!
-//! The pipeline composes the [`crate::runtime`] building blocks
-//! serially; the sharded `sentinet-engine` drives the same blocks from
-//! multiple threads. In steady state — every sensor seen, buffers warm
-//! — a reading that completes no window allocates nothing (windows and
-//! their sample buffers are recycled), and one that completes a window
-//! allocates a constant two `Vec`s (the completed window's, the
-//! outcome's) whatever the sensor count: Eqs. 2–4 and the clustering
-//! round run out of the pipeline's scratch, outcomes come from a pool
-//! when the caller hands them back. The per-sensor alarm histories grow
-//! (amortised) and a spawned state allocates its slot;
-//! `tests/steady_state_alloc.rs` counts allocator calls to hold this.
+//! The stage order is written once, in the [`Coordinator`]'s window
+//! pass, over the one seam that differs between execution modes: who
+//! runs the per-sensor stages ([`SensorStages`]: label, step, grow). A
+//! [`Pipeline`] is a coordinator plus the in-process [`SensorMap`] that
+//! runs them infallibly; the sharded `sentinet-engine` puts its
+//! supervised worker pool behind the same seam and the `xtask` model
+//! checker a schedule-controlled one, so all three run this pass.
+//!
+//! In steady state — every sensor seen, buffers warm — a reading that
+//! completes no window allocates nothing (windows and their sample
+//! buffers are recycled), and one that completes a window allocates a
+//! constant two `Vec`s (the completed window's, the outcome's) whatever
+//! the sensor count: Eqs. 2–4 and the clustering round run out of the
+//! coordinator's scratch, outcomes come from a pool when the caller
+//! hands them back. The per-sensor alarm histories grow (amortised) and
+//! a spawned state allocates its slot; `tests/steady_state_alloc.rs`
+//! counts allocator calls to hold this.
 
 use crate::classify::{AttackType, Diagnosis};
 use crate::config::PipelineConfig;
-use crate::runtime::{GlobalModel, SensorRuntime};
-use crate::window::{identify_states_into, ObservationWindow, WindowScratch, Windower};
+use crate::runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages};
+use crate::window::{ObservationWindow, WindowScratch, Windower};
 use sentinet_cluster::{ModelStates, StateEvent};
 use sentinet_hmm::{MarkovChain, OnlineHmmEstimator};
 use sentinet_sim::{Reading, SensorId, Timestamp, Trace};
@@ -46,7 +52,7 @@ pub use crate::runtime::{TrackRecord, BOT_SYMBOL};
 const MAX_SPARE_OUTCOMES: usize = 64;
 
 /// Summary of one processed observation window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowOutcome {
     /// Window index (0-based since stream start).
     pub index: u64,
@@ -64,17 +70,158 @@ pub struct WindowOutcome {
     pub cluster_events: Vec<StateEvent>,
 }
 
-impl WindowOutcome {
-    fn blank() -> Self {
+/// The collector's side of Fig. 1: the window pass and all it keeps
+/// between windows — global model, windower, scratch, outcome pool —
+/// except the sensors, which live behind [`SensorStages`]. A
+/// [`Pipeline`] pairs one with a [`SensorMap`]; a run whose sensors
+/// live elsewhere drives one directly and can hand it to
+/// [`Pipeline::from_parts`] once the sensors come home.
+#[derive(Debug)]
+pub struct Coordinator {
+    global: GlobalModel,
+    windower: Windower,
+    scratch: WindowScratch,
+    spare_outcomes: Vec<WindowOutcome>,
+}
+
+impl Coordinator {
+    /// Creates a coordinator; `config` and `sample_period` as in
+    /// [`Pipeline::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see
+    /// [`PipelineConfig::validate`]) or `sample_period == 0`.
+    pub fn new(config: PipelineConfig, sample_period: u64) -> Self {
+        assert!(sample_period > 0, "sample period must be positive");
+        let windower = Windower::new(config.window_samples as u64 * sample_period);
+        Self::resume(GlobalModel::new(config), windower)
+    }
+
+    fn resume(global: GlobalModel, windower: Windower) -> Self {
         Self {
-            index: 0,
-            start: 0,
-            observable: 0,
-            correct: 0,
-            raw_alarms: Vec::new(),
-            filtered_alarms: Vec::new(),
-            cluster_events: Vec::new(),
+            global,
+            windower,
+            scratch: WindowScratch::new(),
+            spare_outcomes: Vec::new(),
         }
+    }
+
+    /// The global model (states, `M_CO`, histories).
+    pub fn global(&self) -> &GlobalModel {
+        &self.global
+    }
+
+    /// Processes an entire trace (delivered records only — lost and
+    /// malformed packets never reach the collector's analysis, as in
+    /// the paper) with `stages` running the per-sensor half, and
+    /// flushes the final partial window.
+    ///
+    /// # Errors
+    ///
+    /// The first error of a stage; the run cannot continue past it.
+    pub fn process_trace<S: SensorStages>(
+        &mut self,
+        stages: &mut S,
+        trace: &Trace,
+    ) -> Result<Vec<WindowOutcome>, S::Error> {
+        let mut outcomes = Vec::new();
+        for (time, sensor, reading) in trace.delivered() {
+            outcomes.extend(self.push_values(stages, time, sensor, reading.values())?);
+        }
+        outcomes.extend(self.finalize(stages)?);
+        Ok(outcomes)
+    }
+
+    fn push_values<S: SensorStages>(
+        &mut self,
+        stages: &mut S,
+        time: Timestamp,
+        sensor: SensorId,
+        values: &[f64],
+    ) -> Result<Vec<WindowOutcome>, S::Error> {
+        let mut outcomes = Vec::new();
+        for window in self.windower.push(time, sensor, values) {
+            outcomes.extend(self.analyze_window(stages, &window)?);
+            self.windower.recycle(window);
+        }
+        Ok(outcomes)
+    }
+
+    fn finalize<S: SensorStages>(
+        &mut self,
+        stages: &mut S,
+    ) -> Result<Option<WindowOutcome>, S::Error> {
+        let Some(window) = self.windower.finish() else {
+            return Ok(None);
+        };
+        let outcome = self.analyze_window(stages, &window)?;
+        self.windower.recycle(window);
+        Ok(outcome)
+    }
+
+    /// One window through the Fig. 1 stage order. `Ok(None)` means the
+    /// window was dropped: consumed by the bootstrap, empty, or without
+    /// a single vote.
+    fn analyze_window<S: SensorStages>(
+        &mut self,
+        stages: &mut S,
+        window: &ObservationWindow,
+    ) -> Result<Option<WindowOutcome>, S::Error> {
+        if !self.global.absorb_bootstrap(window) {
+            return Ok(None);
+        }
+
+        // Eq. 2: the window aggregate, a model state to name it, and
+        // the observable state.
+        let trim = self.global.config().observable_trim;
+        let mean = window.trimmed_mean_with(trim, &mut self.scratch);
+        if self.global.cover_window_mean(mean) {
+            stages.grow(self.global.num_slots())?;
+        }
+        let (Some(mean), Some(states)) = (mean, self.global.states()) else {
+            return Ok(None);
+        };
+        let Some((observable, _)) = states.nearest(mean) else {
+            return Ok(None);
+        };
+
+        // Eq. 3 is a per-sensor stage; Eq. 4 is the barrier every later
+        // stage waits on.
+        let (ids, representatives, votes) = self.scratch.represent(window);
+        stages.label(states, ids, representatives, votes)?;
+        let majority_fraction = self.global.config().majority_fraction;
+        let Some((correct, decisive)) = self.scratch.elect(states, majority_fraction) else {
+            return Ok(None);
+        };
+        if decisive {
+            self.global.record_decisive(correct, observable);
+        }
+
+        // Per-sensor alarms, filtering, tracks, M_CE updates.
+        let mut outcome = self.spare_outcomes.pop().unwrap_or_default();
+        outcome.raw_alarms.clear();
+        outcome.filtered_alarms.clear();
+        outcome.index = self.global.windows_processed();
+        outcome.start = window.start;
+        outcome.observable = observable;
+        outcome.correct = correct;
+        if decisive {
+            let num_slots = self.global.num_slots();
+            stages.step(num_slots, self.scratch.voted(), &mut outcome)?;
+        }
+
+        // Model-state maintenance (Eqs. 5–6 + merge/spawn) on the
+        // representatives and labels Eq. 3 left in the scratch, then
+        // grow every estimator to the new slot count.
+        let (cluster_events, grew) = self
+            .global
+            .finish_window_labeled(self.scratch.representatives(), self.scratch.labels());
+        if grew {
+            stages.grow(self.global.num_slots())?;
+        }
+        outcome.cluster_events = cluster_events;
+        Ok(Some(outcome))
     }
 }
 
@@ -95,11 +242,8 @@ impl WindowOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Pipeline {
-    global: GlobalModel,
-    windower: Windower,
-    sensors: BTreeMap<SensorId, SensorRuntime>,
-    scratch: WindowScratch,
-    spare_outcomes: Vec<WindowOutcome>,
+    coordinator: Coordinator,
+    sensors: SensorMap,
 }
 
 impl Pipeline {
@@ -112,14 +256,19 @@ impl Pipeline {
     /// Panics if the configuration is invalid (see
     /// [`PipelineConfig::validate`]) or `sample_period == 0`.
     pub fn new(config: PipelineConfig, sample_period: u64) -> Self {
-        assert!(sample_period > 0, "sample period must be positive");
-        let windower = Windower::new(config.window_samples as u64 * sample_period);
+        Self::from_parts(Coordinator::new(config, sample_period), BTreeMap::new())
+    }
+
+    /// The pipeline a run ends as when its sensors lived elsewhere:
+    /// the `coordinator` that drove it and the `sensors` it stepped.
+    pub fn from_parts(
+        coordinator: Coordinator,
+        runtimes: BTreeMap<SensorId, SensorRuntime>,
+    ) -> Self {
+        let config = coordinator.global.config().clone();
         Self {
-            global: GlobalModel::new(config),
-            windower,
-            sensors: BTreeMap::new(),
-            scratch: WindowScratch::new(),
-            spare_outcomes: Vec::new(),
+            coordinator,
+            sensors: SensorMap { config, runtimes },
         }
     }
 
@@ -151,163 +300,83 @@ impl Pipeline {
         sensor: SensorId,
         values: &[f64],
     ) -> Vec<WindowOutcome> {
-        let completed = self.windower.push(time, sensor, values);
-        completed
-            .into_iter()
-            .filter_map(|w| self.process_window(w))
-            .collect()
+        let Ok(outcomes) = self
+            .coordinator
+            .push_values(&mut self.sensors, time, sensor, values);
+        outcomes
     }
 
     /// Processes an entire trace (delivered records only — lost and
     /// malformed packets never reach the collector's analysis, as in
     /// the paper) and flushes the final partial window.
     pub fn process_trace(&mut self, trace: &Trace) -> Vec<WindowOutcome> {
-        let mut outcomes = Vec::new();
-        for (time, sensor, reading) in trace.delivered() {
-            outcomes.extend(self.push_reading(time, sensor, reading));
-        }
-        outcomes.extend(self.finalize());
+        let Ok(outcomes) = self.coordinator.process_trace(&mut self.sensors, trace);
         outcomes
     }
 
     /// Flushes the in-progress window at end of stream.
     pub fn finalize(&mut self) -> Vec<WindowOutcome> {
-        match self.windower.finish() {
-            Some(w) => self.process_window(w).into_iter().collect(),
-            None => Vec::new(),
-        }
+        let Ok(outcome) = self.coordinator.finalize(&mut self.sensors);
+        Vec::from_iter(outcome)
     }
 
     /// Returns a consumed outcome to the pipeline's pool so its alarm
     /// vectors are reused by later windows (optional; capped).
     pub fn recycle_outcome(&mut self, outcome: WindowOutcome) {
-        if self.spare_outcomes.len() < MAX_SPARE_OUTCOMES {
-            self.spare_outcomes.push(outcome);
+        let spare = &mut self.coordinator.spare_outcomes;
+        if spare.len() < MAX_SPARE_OUTCOMES {
+            spare.push(outcome);
         }
     }
 
-    fn process_window(&mut self, window: ObservationWindow) -> Option<WindowOutcome> {
-        let outcome = self.analyze_window(&window);
-        self.windower.recycle(window);
-        outcome
+    fn global(&self) -> &GlobalModel {
+        &self.coordinator.global
     }
 
-    fn analyze_window(&mut self, window: &ObservationWindow) -> Option<WindowOutcome> {
-        if !self.global.absorb_bootstrap(window) {
-            return None;
-        }
-
-        let trim = self.global.config().observable_trim;
-        let mean = window.trimmed_mean_with(trim, &mut self.scratch);
-        if self.global.cover_window_mean(mean) {
-            // Field-disjoint from `mean`'s scratch borrow, so inline
-            // rather than calling `grow_sensors` (&mut self).
-            let slots = self.global.num_slots();
-            for s in self.sensors.values_mut() {
-                s.grow(slots);
-            }
-        }
-
-        let states = self.global.states()?;
-        let observable = states.nearest(mean?)?.0;
-        let majority_fraction = self.global.config().majority_fraction;
-        let (correct, decisive) =
-            identify_states_into(window, states, majority_fraction, &mut self.scratch)?;
-
-        if decisive {
-            self.global.record_decisive(correct, observable);
-        }
-
-        // Per-sensor alarms, filtering, tracks, M_CE updates.
-        let window_index = self.global.windows_processed();
-        let mut outcome = self
-            .spare_outcomes
-            .pop()
-            .unwrap_or_else(WindowOutcome::blank);
-        outcome.raw_alarms.clear();
-        outcome.filtered_alarms.clear();
-        let num_slots = self.global.num_slots();
-        if decisive {
-            for (&id, &label) in self.scratch.sensor_ids().iter().zip(self.scratch.labels()) {
-                let sensor = self
-                    .sensors
-                    .entry(id)
-                    .or_insert_with(|| SensorRuntime::new(self.global.config(), num_slots));
-                let step = sensor.step(window_index, label, correct);
-                if step.raw {
-                    outcome.raw_alarms.push(id);
-                }
-                if step.filtered {
-                    outcome.filtered_alarms.push(id);
-                }
-            }
-        }
-
-        // Model-state maintenance (Eqs. 5–6 + merge/spawn) on the
-        // representatives and labels Eq. 3 left in the scratch, then
-        // grow every estimator to the new slot count.
-        let (cluster_events, grew) = self
-            .global
-            .finish_window_labeled(self.scratch.representatives(), self.scratch.labels());
-        if grew {
-            self.grow_sensors();
-        }
-
-        outcome.index = window_index;
-        outcome.start = window.start;
-        outcome.observable = observable;
-        outcome.correct = correct;
-        outcome.cluster_events = cluster_events;
-        Some(outcome)
-    }
-
-    fn grow_sensors(&mut self) {
-        let slots = self.global.num_slots();
-        for s in self.sensors.values_mut() {
-            s.grow(slots);
-        }
+    fn sensor(&self, sensor: SensorId) -> Option<&SensorRuntime> {
+        self.sensors.runtimes.get(&sensor)
     }
 
     /// Number of windows fully processed (post-bootstrap).
     pub fn windows_processed(&self) -> u64 {
-        self.global.windows_processed()
+        self.global().windows_processed()
     }
 
     /// The current model states, once bootstrapped.
     pub fn model_states(&self) -> Option<&ModelStates> {
-        self.global.states()
+        self.global().states()
     }
 
     /// The global `M_CO` estimator, once bootstrapped.
     pub fn m_co(&self) -> Option<&OnlineHmmEstimator> {
-        self.global.m_co()
+        self.global().m_co()
     }
 
     /// The per-sensor `M_CE` estimator.
     pub fn m_ce(&self, sensor: SensorId) -> Option<&OnlineHmmEstimator> {
-        self.sensors.get(&sensor).map(SensorRuntime::m_ce)
+        self.sensor(sensor).map(SensorRuntime::m_ce)
     }
 
     /// The error/attack-free Markov model `M_C` of the environment —
     /// the pipeline's user-facing deliverable (paper Fig. 7).
     pub fn correct_model(&self) -> Option<MarkovChain> {
-        self.global.correct_model()
+        self.global().correct_model()
     }
 
     /// The Markov model `M_O` of the observable states (useful for the
     /// random-noise discussion of §3.4).
     pub fn observable_model(&self) -> Option<MarkovChain> {
-        self.global.observable_model()
+        self.global().observable_model()
     }
 
     /// Builds the operator-facing snapshot of the pipeline's findings.
     pub fn report(&self) -> crate::PipelineReport {
-        crate::PipelineReport::build(&self.global, &self.sensors, None)
+        crate::PipelineReport::build(self.global(), &self.sensors.runtimes)
     }
 
     /// Sensors seen so far.
     pub fn sensor_ids(&self) -> Vec<SensorId> {
-        self.sensors.keys().copied().collect()
+        self.sensors.runtimes.keys().copied().collect()
     }
 
     /// Per-sensor runtime snapshots in sensor-id order, in the format
@@ -316,10 +385,7 @@ impl Pipeline {
     /// pipeline state at a known ingest cursor and verify a replayed
     /// run reproduces it bit-exactly.
     pub fn sensor_snapshots(&self) -> Vec<(SensorId, crate::checkpoint::SensorSnapshot)> {
-        self.sensors
-            .iter()
-            .map(|(id, rt)| (*id, rt.snapshot()))
-            .collect()
+        self.sensors.snapshots()
     }
 
     /// Captures the complete pipeline state — global model, in-progress
@@ -332,8 +398,8 @@ impl Pipeline {
     /// proof.
     pub fn snapshot(&self) -> crate::checkpoint::PipelineSnapshot {
         crate::checkpoint::PipelineSnapshot {
-            global: self.global.snapshot(),
-            windower: self.windower.snapshot(),
+            global: self.global().snapshot(),
+            windower: self.coordinator.windower.snapshot(),
             sensors: self.sensor_snapshots(),
         }
     }
@@ -358,35 +424,27 @@ impl Pipeline {
         assert!(sample_period > 0, "sample period must be positive");
         let duration = config.window_samples as u64 * sample_period;
         let windower = Windower::from_snapshot(duration, &snapshot.windower)?;
-        let global = GlobalModel::from_snapshot(config, snapshot.global)?;
-        let mut sensors = BTreeMap::new();
-        for (id, snap) in snapshot.sensors {
-            sensors.insert(id, SensorRuntime::from_snapshot(snap)?);
-        }
+        let global = GlobalModel::from_snapshot(config.clone(), snapshot.global)?;
         Ok(Self {
-            global,
-            windower,
-            sensors,
-            scratch: WindowScratch::new(),
-            spare_outcomes: Vec::new(),
+            coordinator: Coordinator::resume(global, windower),
+            sensors: SensorMap::restore(config, snapshot.sensors)?,
         })
     }
 
     /// The raw-alarm history of a sensor as `(window, raw)` pairs
     /// (paper Fig. 12).
     pub fn raw_alarm_history(&self, sensor: SensorId) -> Option<&[(u64, bool)]> {
-        self.sensors.get(&sensor).map(SensorRuntime::raw_history)
+        self.sensor(sensor).map(SensorRuntime::raw_history)
     }
 
     /// The error/attack tracks opened for a sensor.
     pub fn tracks(&self, sensor: SensorId) -> Option<&[TrackRecord]> {
-        self.sensors.get(&sensor).map(SensorRuntime::tracks)
+        self.sensor(sensor).map(SensorRuntime::tracks)
     }
 
     /// Whether a filtered alarm was ever raised for the sensor.
     pub fn ever_alarmed(&self, sensor: SensorId) -> bool {
-        self.sensors
-            .get(&sensor)
+        self.sensor(sensor)
             .map(SensorRuntime::ever_alarmed)
             .unwrap_or(false)
     }
@@ -396,7 +454,7 @@ impl Pipeline {
     /// model generations — repeated calls after unchanged windows are
     /// O(1).
     pub fn network_attack(&self) -> Option<AttackType> {
-        self.global.network_attack()
+        self.global().network_attack()
     }
 
     /// Classifies one sensor per the paper's Fig. 5 tree.
@@ -408,29 +466,28 @@ impl Pipeline {
     /// verdict is memoized on the estimator generations — repeated
     /// calls after unchanged windows are O(1).
     pub fn classify(&self, sensor: SensorId) -> Diagnosis {
-        self.global.classify(self.sensors.get(&sensor))
+        self.global().classify(self.sensor(sensor))
     }
 
     /// Classifies one sensor and reports the confidence of the verdict
     /// — the normalized margin by which the deciding structural
     /// statistic cleared its threshold (see [`crate::confidence`]).
     pub fn classify_with_confidence(&self, sensor: SensorId) -> (Diagnosis, f64) {
-        self.global
-            .classify_with_confidence(self.sensors.get(&sensor))
+        self.global().classify_with_confidence(self.sensor(sensor))
     }
 
     /// Classifies every sensor seen so far.
     pub fn classify_all(&self) -> BTreeMap<SensorId, Diagnosis> {
-        self.sensors
-            .iter()
-            .map(|(&id, rt)| (id, self.global.classify(Some(rt))))
+        let sensors = self.sensors.runtimes.iter();
+        sensors
+            .map(|(&id, rt)| (id, self.global().classify(Some(rt))))
             .collect()
     }
 
     /// The `(window, correct, observable)` state sequence of every
     /// decisive window — the paper's `c_i` and `o_i` series.
     pub fn state_history(&self) -> &[(u64, usize, usize)] {
-        self.global.state_history()
+        self.global().state_history()
     }
 
     /// The error signature of one sensor: for each hidden state with
@@ -438,7 +495,7 @@ impl Pipeline {
     /// `M_CE` row. Symbols are `slot + 1` indices (0 = ⊥), matching
     /// [`BOT_SYMBOL`].
     fn error_signature(&self, sensor: SensorId) -> BTreeMap<usize, usize> {
-        let Some(state) = self.sensors.get(&sensor) else {
+        let Some(state) = self.sensor(sensor) else {
             return BTreeMap::new();
         };
         let b = state.m_ce().observation();
@@ -447,7 +504,7 @@ impl Pipeline {
             .observation_evidence()
             .iter()
             .enumerate()
-            .filter(|(_, &c)| c >= self.global.config().min_state_evidence)
+            .filter(|(_, &c)| c >= self.global().config().min_state_evidence)
             .filter(|(i, _)| b[(*i, BOT_SYMBOL)] <= 0.5)
             .filter_map(|(i, _)| {
                 let row = b.row(i);
@@ -519,12 +576,12 @@ impl Pipeline {
     /// observed sequence zero probability (possible after structural
     /// growth mid-stream).
     pub fn smoothed_correct_states(&self) -> Option<Vec<usize>> {
-        self.global.smoothed_correct_states()
+        self.global().smoothed_correct_states()
     }
 
     /// The pipeline configuration.
     pub fn config(&self) -> &PipelineConfig {
-        self.global.config()
+        self.global().config()
     }
 }
 
@@ -534,6 +591,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sentinet_sim::{gdi, simulate};
+    use std::convert::Infallible;
 
     fn quiet_day_trace() -> (Trace, u64) {
         let mut cfg = gdi::day_config();
@@ -750,6 +808,102 @@ mod tests {
         assert_eq!(p.network_attack(), p.network_attack());
     }
 
+    /// In-process stages that keep `abstainers` out of the label
+    /// stage, the way a quarantined shard keeps its sensors out.
+    struct Abstaining {
+        sensors: SensorMap,
+        abstainers: Vec<SensorId>,
+    }
+
+    impl SensorStages for Abstaining {
+        type Error = Infallible;
+
+        fn label(
+            &mut self,
+            states: &ModelStates,
+            ids: &[SensorId],
+            representatives: &[f64],
+            votes: &mut [Option<usize>],
+        ) -> Result<(), Infallible> {
+            self.sensors.label(states, ids, representatives, votes)?;
+            for (id, vote) in ids.iter().zip(votes) {
+                if self.abstainers.contains(id) {
+                    *vote = None;
+                }
+            }
+            Ok(())
+        }
+
+        fn step(
+            &mut self,
+            num_slots: usize,
+            voted: impl Iterator<Item = (SensorId, usize)>,
+            outcome: &mut WindowOutcome,
+        ) -> Result<(), Infallible> {
+            self.sensors.step(num_slots, voted, outcome)
+        }
+
+        fn grow(&mut self, num_slots: usize) -> Result<(), Infallible> {
+            self.sensors.grow(num_slots)
+        }
+    }
+
+    #[test]
+    fn abstainers_sit_out_the_vote_but_still_train_the_states() {
+        // Sensors 0 and 1 sit on state 0; 2, 3 and 4 near state 1, off
+        // its centroid so that their readings move it.
+        let config = PipelineConfig {
+            window_samples: 2,
+            initial_states: Some(vec![vec![0.0], vec![10.0]]),
+            majority_fraction: 0.5,
+            observable_trim: 0.0,
+            ..PipelineConfig::default()
+        };
+        let mut trace = Trace::new();
+        for time in 0..2 {
+            for (sensor, value) in [0.0, 0.0, 9.0, 9.0, 13.0].into_iter().enumerate() {
+                trace.push(sentinet_sim::TraceRecord {
+                    time,
+                    sensor: SensorId(sensor as u16),
+                    payload: sentinet_sim::Payload::Delivered(Reading::new(vec![value])),
+                });
+            }
+        }
+
+        // Everybody votes: state 1 wins three to two.
+        let mut everybody = Pipeline::new(config.clone(), 1);
+        let all = everybody.process_trace(&trace);
+        assert_eq!((all.len(), all[0].correct), (1, 1));
+        assert_eq!(all[0].raw_alarms, [SensorId(0), SensorId(1)]);
+
+        // Sensors 3 and 4 abstain: state 0 wins two to one among the
+        // voters, and only the voters are stepped against it.
+        let mut coordinator = Coordinator::new(config.clone(), 1);
+        let mut stages = Abstaining {
+            sensors: SensorMap::new(config),
+            abstainers: vec![SensorId(3), SensorId(4)],
+        };
+        let Ok(outcomes) = coordinator.process_trace(&mut stages, &trace);
+        assert_eq!((outcomes.len(), outcomes[0].correct), (1, 0));
+        assert_eq!(outcomes[0].raw_alarms, [SensorId(2)]);
+        let voted: Vec<(SensorId, usize)> = coordinator.scratch.voted().collect();
+        assert_eq!(
+            voted,
+            [(SensorId(0), 0), (SensorId(1), 0), (SensorId(2), 1)]
+        );
+        let stepped: Vec<SensorId> = stages.sensors.runtimes.keys().copied().collect();
+        assert_eq!(stepped, [SensorId(0), SensorId(1), SensorId(2)]);
+
+        // The clustering round still saw all five representatives,
+        // the abstainers' under the coordinator's own label: the model
+        // states moved exactly as they did when everybody voted.
+        assert_eq!(coordinator.scratch.labels(), [0, 0, 1, 1, 1]);
+        assert_eq!(coordinator.scratch.representatives().len(), 5);
+        assert_eq!(coordinator.global().states(), everybody.model_states());
+        let moved = everybody.model_states().unwrap().centroid(1).unwrap()[0];
+        assert!(moved > 10.0, "state 1 trained on 9, 9 and 13: {moved}");
+    }
+
     #[test]
     fn recycled_outcomes_do_not_leak_old_alarms() {
         let (trace, period) = quiet_day_trace();
@@ -757,10 +911,11 @@ mod tests {
         let expected = baseline.process_trace(&trace);
 
         let mut pooled = Pipeline::new(PipelineConfig::default(), period);
-        let mut seeded = WindowOutcome::blank();
-        seeded.raw_alarms = vec![SensorId(7); 4];
-        seeded.filtered_alarms = vec![SensorId(9); 4];
-        pooled.recycle_outcome(seeded);
+        pooled.recycle_outcome(WindowOutcome {
+            raw_alarms: vec![SensorId(7); 4],
+            filtered_alarms: vec![SensorId(9); 4],
+            ..WindowOutcome::default()
+        });
         let mut got = Vec::new();
         for (time, sensor, reading) in trace.delivered() {
             for outcome in pooled.push_reading(time, sensor, reading) {

@@ -110,15 +110,10 @@ impl fmt::Display for PipelineReport {
 }
 
 impl PipelineReport {
-    /// Builds the report of what `global` believes about `sensors` —
-    /// the one place a run's findings are gathered, whichever execution
-    /// mode produced the models ([`Pipeline::report`](crate::Pipeline::report),
-    /// the sharded engine's `EngineRun::report`).
-    pub fn build(
-        global: &GlobalModel,
-        sensors: &BTreeMap<SensorId, SensorRuntime>,
-        degraded: Option<DegradedStatus>,
-    ) -> Self {
+    /// Builds the report of what `global` believes about `sensors`. A
+    /// run that quarantined sensors sets `degraded` on the result (the
+    /// sharded engine's `EngineRun::report`).
+    pub(crate) fn build(global: &GlobalModel, sensors: &BTreeMap<SensorId, SensorRuntime>) -> Self {
         let key_states = match (global.states(), global.correct_model()) {
             (Some(states), Some(m_c)) => m_c
                 .key_states(global.config().key_state_occupancy)
@@ -155,7 +150,7 @@ impl PipelineReport {
             key_states,
             network_attack: global.network_attack(),
             sensors,
-            degraded,
+            degraded: None,
         }
     }
 }

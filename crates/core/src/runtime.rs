@@ -11,11 +11,13 @@
 //!   network-level classification — which needs *all* sensors' votes
 //!   and must run on a single coordinator ([`GlobalModel`]).
 //!
-//! [`Pipeline`](crate::Pipeline) composes the two serially; the sharded
-//! engine (`sentinet-engine`) runs `SensorRuntime`s on worker threads
-//! and the `GlobalModel` on its coordinator. Both drive this exact code
-//! in the same order, which is what makes the engine's output
-//! bit-for-bit identical to the serial pipeline's.
+//! One window pass ([`Coordinator`](crate::Coordinator)) drives the
+//! `GlobalModel` and hands the per-sensor half to whoever holds the
+//! sensors: [`Pipeline`](crate::Pipeline) keeps them in a [`SensorMap`]
+//! of its own, the sharded engine (`sentinet-engine`) in one
+//! `SensorMap` per worker thread. Every sensor is stepped by this exact
+//! code in the same order either way, which is what makes the engine's
+//! output bit-for-bit identical to the serial pipeline's.
 //!
 //! Classification queries are memoized: structural analyses are cached
 //! behind the estimators' update generations (see
@@ -28,14 +30,18 @@ use crate::classify::{
     SensorEvidence,
 };
 use crate::config::{FilterPolicy, PipelineConfig};
-use crate::window::ObservationWindow;
+use crate::pipeline::WindowOutcome;
+use crate::window::{label_nearest, ObservationWindow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_cluster::{kmeans, ModelStates, StateEvent, UpdateScratch};
 use sentinet_filter::{AlarmFilter, KOfNFilter, Sprt, SprtAlarmFilter};
 use sentinet_hmm::structure::StructureCache;
 use sentinet_hmm::{MarkovChain, OnlineHmmEstimator, OnlineMarkovEstimator, StochasticMatrix};
+use sentinet_sim::SensorId;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Symbol index reserved for the fictitious ⊥ state of `M_CE`
 /// (the sensor agrees with the correct state while its track is open).
@@ -240,6 +246,147 @@ fn make_m_ce(config: &PipelineConfig, num_slots: usize) -> OnlineHmmEstimator {
         .expect("validated learning factors")
 }
 
+/// Who runs the per-sensor stages of a window — Eq. 3 labelling, the
+/// decisive-window step (alarm, filter, track, `M_CE`), estimator
+/// growth — for the window pass of a
+/// [`Coordinator`](crate::Coordinator): a [`SensorMap`] in process, the
+/// sharded engine's worker pool across threads.
+///
+/// # Errors
+///
+/// A stage fails with whatever kept it from running where the sensors
+/// live; in process nothing can ([`Infallible`]).
+pub trait SensorStages {
+    /// How handing a stage to someone else can fail.
+    type Error;
+
+    /// Eq. 3 over the window's sensors — `ids` ascending, row `i` of
+    /// `representatives` (row-major) the window mean of `ids[i]`:
+    /// casts `votes[i] = Some(label)` for every sensor that votes, the
+    /// label naming the model state nearest its representative. A
+    /// sensor whose cell stays `None` abstains: Eq. 4 does not count it
+    /// and it is not stepped, but its representative still trains
+    /// Eqs. 5–6 under the label the pass gives it.
+    fn label(
+        &mut self,
+        states: &ModelStates,
+        ids: &[SensorId],
+        representatives: &[f64],
+        votes: &mut [Option<usize>],
+    ) -> Result<(), Self::Error>;
+
+    /// The per-sensor step of the decisive window `outcome` describes
+    /// so far — window `outcome.index`, elected state `outcome.correct`
+    /// — for the sensors that `voted` (with their labels, ascending):
+    /// a sensor seen for the first time is sized to `num_slots`
+    /// model-state slots, every sensor takes its
+    /// [`SensorRuntime::step`], and those whose raw or filtered alarm
+    /// is up are appended to `outcome.raw_alarms` /
+    /// `outcome.filtered_alarms`, ascending.
+    fn step(
+        &mut self,
+        num_slots: usize,
+        voted: impl Iterator<Item = (SensorId, usize)>,
+        outcome: &mut WindowOutcome,
+    ) -> Result<(), Self::Error>;
+
+    /// Grows every sensor's estimators to `num_slots` model-state
+    /// slots.
+    fn grow(&mut self, num_slots: usize) -> Result<(), Self::Error>;
+}
+
+/// The sensors one thread owns, by id, and the per-sensor stages over
+/// them: the serial pipeline holds every sensor in one map, a shard
+/// worker of the engine holds its share in another.
+#[derive(Debug)]
+pub struct SensorMap {
+    pub(crate) config: PipelineConfig,
+    pub(crate) runtimes: BTreeMap<SensorId, SensorRuntime>,
+}
+
+impl SensorMap {
+    /// Creates an empty map; a sensor appears at its first step.
+    pub fn new(config: PipelineConfig) -> Self {
+        let runtimes = BTreeMap::new();
+        Self { config, runtimes }
+    }
+
+    /// Rebuilds a map from the checkpoints [`SensorMap::snapshots`]
+    /// took.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::checkpoint::CheckpointError`] if any snapshot is
+    /// internally inconsistent (see [`SensorRuntime::from_snapshot`]).
+    pub fn restore(
+        config: PipelineConfig,
+        snapshots: Vec<(SensorId, crate::checkpoint::SensorSnapshot)>,
+    ) -> Result<Self, crate::checkpoint::CheckpointError> {
+        let mut runtimes = BTreeMap::new();
+        for (id, snapshot) in snapshots {
+            runtimes.insert(id, SensorRuntime::from_snapshot(snapshot)?);
+        }
+        Ok(Self { config, runtimes })
+    }
+
+    /// Checkpoints every sensor, in ascending sensor order.
+    pub fn snapshots(&self) -> Vec<(SensorId, crate::checkpoint::SensorSnapshot)> {
+        self.runtimes
+            .iter()
+            .map(|(&id, rt)| (id, rt.snapshot()))
+            .collect()
+    }
+
+    /// Hands the sensors over, leaving the map empty.
+    pub fn take(&mut self) -> BTreeMap<SensorId, SensorRuntime> {
+        std::mem::take(&mut self.runtimes)
+    }
+}
+
+impl SensorStages for SensorMap {
+    type Error = Infallible;
+
+    fn label(
+        &mut self,
+        states: &ModelStates,
+        _ids: &[SensorId],
+        representatives: &[f64],
+        votes: &mut [Option<usize>],
+    ) -> Result<(), Infallible> {
+        label_nearest(states, representatives, votes);
+        Ok(())
+    }
+
+    fn step(
+        &mut self,
+        num_slots: usize,
+        voted: impl Iterator<Item = (SensorId, usize)>,
+        outcome: &mut WindowOutcome,
+    ) -> Result<(), Infallible> {
+        for (id, label) in voted {
+            let sensor = self
+                .runtimes
+                .entry(id)
+                .or_insert_with(|| SensorRuntime::new(&self.config, num_slots));
+            let step = sensor.step(outcome.index, label, outcome.correct);
+            if step.raw {
+                outcome.raw_alarms.push(id);
+            }
+            if step.filtered {
+                outcome.filtered_alarms.push(id);
+            }
+        }
+        Ok(())
+    }
+
+    fn grow(&mut self, num_slots: usize) -> Result<(), Infallible> {
+        for sensor in self.runtimes.values_mut() {
+            sensor.grow(num_slots);
+        }
+        Ok(())
+    }
+}
+
 /// Memoized network-level products, keyed on the `(M_CO, model states)`
 /// generation pair.
 #[derive(Debug)]
@@ -419,43 +566,27 @@ impl GlobalModel {
             .expect("state in range");
     }
 
-    /// Ends the window: one clustering round over the sensor
-    /// representatives (Eqs. 5–6 + merge/spawn), growth of the global
-    /// estimators, and the window counter. Returns the clustering
-    /// events and whether the slot count grew — the caller must then
-    /// grow every [`SensorRuntime`] to [`GlobalModel::num_slots`].
-    ///
-    /// The round labels the representatives itself; the window pass,
-    /// which already labelled them for Eq. 3, calls
-    /// [`GlobalModel::finish_window_labeled`].
-    pub fn finish_window(&mut self, points: &[Vec<f64>]) -> (Vec<StateEvent>, bool) {
-        self.close_window(|states, _| states.update(points))
-    }
-
-    /// [`GlobalModel::finish_window`] over the flat representatives
-    /// (`labels.len() × dims`, row-major) and the Eq. 3 labels the
-    /// window pass computed against the current model states — the
-    /// states do not change between that labelling and this call, so
-    /// the clustering round does not label the points a second time.
+    /// Ends the window: one clustering round (Eqs. 5–6 + merge/spawn)
+    /// over the flat sensor representatives (`labels.len() × dims`,
+    /// row-major), growth of the global estimators, and the window
+    /// counter. `labels` are the Eq. 3 labels the window pass computed
+    /// against the current model states — the states do not change
+    /// between that labelling and this call, so the round does not
+    /// label the points a second time. Returns the clustering events
+    /// and whether the slot count grew — the caller must then grow
+    /// every [`SensorRuntime`] to [`GlobalModel::num_slots`].
     pub fn finish_window_labeled(
         &mut self,
         points: &[f64],
         labels: &[usize],
     ) -> (Vec<StateEvent>, bool) {
-        self.close_window(|states, scratch| states.update_labeled(points, labels, scratch))
-    }
-
-    fn close_window(
-        &mut self,
-        round: impl FnOnce(&mut ModelStates, &mut UpdateScratch) -> Vec<StateEvent>,
-    ) -> (Vec<StateEvent>, bool) {
         let before = self.num_slots();
-        let states = self
+        let events = self
             .states
             .as_mut()
             // sentinet-allow(expect-used): estimators are installed at bootstrap, before any decisive window
-            .expect("bootstrapped before finishing");
-        let events = round(states, &mut self.update_scratch);
+            .expect("bootstrapped before finishing")
+            .update_labeled(points, labels, &mut self.update_scratch);
         self.grow_global();
         self.windows_processed += 1;
         (events, self.num_slots() != before)

@@ -30,8 +30,8 @@
 //! one-element `Vec` [`Windower::push`] returns it in, whatever the
 //! sensor count. `tests/steady_state_alloc.rs` counts allocator calls
 //! to keep this true. The map-typed functions ([`identify_states`],
-//! [`ObservationWindow::sensor_means`], [`majority_vote`]) wrap the
-//! same kernels and allocate their results.
+//! [`ObservationWindow::sensor_means`]) wrap the same kernels and
+//! allocate their results.
 
 use crate::checkpoint::{CheckpointError, WindowerSnapshot};
 use sentinet_cluster::ModelStates;
@@ -372,10 +372,12 @@ pub struct WindowScratch {
     ids: Vec<SensorId>,
     /// Their window-mean representatives, flat (`ids.len() × dims`).
     representatives: Vec<f64>,
-    /// Their Eq. 3 labels.
+    /// The label each of them voted with; `None` for one that abstained.
+    votes: Vec<Option<usize>>,
+    /// Their Eq. 3 labels, abstainers' included.
     labels: Vec<usize>,
     /// Eq. 4 vote tally, indexed by model-state slot.
-    votes: Vec<usize>,
+    tally: Vec<usize>,
 }
 
 impl WindowScratch {
@@ -395,11 +397,77 @@ impl WindowScratch {
         &self.labels
     }
 
+    /// The sensors that put their label to the Eq. 4 vote, with that
+    /// label, ascending.
+    pub(crate) fn voted(&self) -> impl Iterator<Item = (SensorId, usize)> + '_ {
+        let cast = self.ids.iter().zip(&self.votes);
+        cast.filter_map(|(&id, &vote)| Some((id, vote?)))
+    }
+
     /// The window-mean representative of each of
     /// [`WindowScratch::sensor_ids`], flat and row-major — the shape
     /// [`ModelStates::update_labeled`] takes.
     pub fn representatives(&self) -> &[f64] {
         &self.representatives
+    }
+
+    /// Loads `window`'s reporting sensors and their window-mean
+    /// representatives and returns what the label stage works on:
+    /// those two to read, and one vote per sensor to cast, none cast
+    /// yet.
+    pub(crate) fn represent(
+        &mut self,
+        window: &ObservationWindow,
+    ) -> (&[SensorId], &[f64], &mut [Option<usize>]) {
+        self.ids.clear();
+        self.representatives.clear();
+        for (id, samples) in window.sensors() {
+            self.ids.push(id);
+            samples.mean_into(&mut self.representatives);
+        }
+        self.votes.clear();
+        self.votes.resize(self.ids.len(), None);
+        (&self.ids, &self.representatives, &mut self.votes)
+    }
+
+    /// Eq. 4 over the votes cast, then a label for every sensor: a
+    /// voter keeps its vote, a sensor that abstained gets its nearest
+    /// state, so its representative still trains Eqs. 5–6 without
+    /// having been counted. Returns the correct state `c_i` and whether
+    /// it holds the required strict majority; `None` when nobody voted
+    /// or a representative lies outside every active state.
+    pub(crate) fn elect(
+        &mut self,
+        states: &ModelStates,
+        majority_fraction: f64,
+    ) -> Option<(usize, bool)> {
+        self.labels.clear();
+        let means = self.representatives.chunks_exact(states.dims());
+        for (vote, mean) in self.votes.iter().zip(means) {
+            let label = match vote {
+                Some(label) => *label,
+                None => states.nearest(mean)?.0,
+            };
+            self.labels.push(label);
+        }
+        tally_votes(
+            self.votes.iter().flatten().copied(),
+            majority_fraction,
+            &mut self.tally,
+        )
+    }
+}
+
+/// Eq. 3 over flat representatives (`votes.len() × dims`, row-major):
+/// every sensor votes for the model state nearest its window mean.
+pub(crate) fn label_nearest(
+    states: &ModelStates,
+    representatives: &[f64],
+    votes: &mut [Option<usize>],
+) {
+    let means = representatives.chunks_exact(states.dims());
+    for (vote, mean) in votes.iter_mut().zip(means) {
+        *vote = states.nearest(mean).map(|(label, _)| label);
     }
 }
 
@@ -647,39 +715,16 @@ pub fn identify_states_into(
     majority_fraction: f64,
     scratch: &mut WindowScratch,
 ) -> Option<(usize, bool)> {
-    scratch.ids.clear();
-    scratch.representatives.clear();
-    scratch.labels.clear();
-    for (id, samples) in window.sensors() {
-        let at = scratch.representatives.len();
-        samples.mean_into(&mut scratch.representatives);
-        let label = states.nearest(&scratch.representatives[at..])?.0;
-        scratch.ids.push(id);
-        scratch.labels.push(label);
-    }
-    tally_votes(
-        scratch.labels.iter().copied(),
-        majority_fraction,
-        &mut scratch.votes,
-    )
+    let (_, representatives, votes) = scratch.represent(window);
+    label_nearest(states, representatives, votes);
+    scratch.elect(states, majority_fraction)
 }
 
-/// Eq. 4: elects the state backed by the most sensor labels. Ties
-/// break toward the lower state index (deterministic). Returns the
-/// winner and whether it holds the required strict majority; `None`
-/// when no sensor voted.
-///
-/// Shared by [`identify_states_with`] and the sharded engine's
-/// coordinator so both vote identically.
-pub fn majority_vote(
-    labels: &BTreeMap<SensorId, usize>,
-    majority_fraction: f64,
-) -> Option<(usize, bool)> {
-    tally_votes(labels.values().copied(), majority_fraction, &mut Vec::new())
-}
-
-/// The Eq. 4 election over `labels`, counted in `votes` (one cell per
-/// model-state slot, grown to the highest label seen).
+/// Eq. 4: elects the state backed by the most sensor `labels`, counted
+/// in `votes` (one cell per model-state slot, grown to the highest
+/// label seen). Ties break toward the lower state index
+/// (deterministic). Returns the winner and whether it holds the
+/// required strict majority; `None` when no sensor voted.
 fn tally_votes(
     labels: impl Iterator<Item = usize>,
     majority_fraction: f64,

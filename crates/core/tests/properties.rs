@@ -12,9 +12,9 @@ use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
     decode_pipeline, encode_pipeline, identify_states, identify_states_into, identify_states_with,
-    majority_vote, CheckpointError, GlobalSnapshot, GlobalStates, ObservationWindow, Pipeline,
-    PipelineConfig, PipelineSnapshot, SensorSnapshot, TrackRecord, WindowScratch, WindowStates,
-    Windower, WindowerSnapshot,
+    CheckpointError, GlobalSnapshot, GlobalStates, ObservationWindow, Pipeline, PipelineConfig,
+    PipelineSnapshot, SensorSnapshot, TrackRecord, WindowScratch, WindowStates, Windower,
+    WindowerSnapshot,
 };
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState};
@@ -183,10 +183,6 @@ proptest! {
             assert_states_eq(&identify_states_with(&w, &flat_states, &overall, fraction), &want);
             assert_states_eq(&identify_states(&w, &flat_states, 0.1, fraction), &want);
             let want = want.expect("non-empty window, live states");
-            prop_assert_eq!(
-                majority_vote(&want.labels, fraction),
-                Some((want.correct, want.decisive))
-            );
             let sensor_means = w.sensor_means();
             prop_assert_eq!(&sensor_means, &want.representatives);
 

@@ -19,60 +19,13 @@
 use sentinet_cluster::{ClusterConfig, ModelStates, UpdateScratch};
 use sentinet_core::{identify_states_into, Pipeline, PipelineConfig, WindowScratch, Windower};
 use sentinet_sim::SensorId;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocator calls (alloc, alloc_zeroed, realloc) made by this thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn note() {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down, when the counter is gone and nobody is counting.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// const-initialised thread-local `Cell` with no destructor, so touching
-// it neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller's obligations are passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Allocator calls this thread makes while `f` runs.
-fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = CALLS.with(Cell::get);
-    let out = f();
-    (CALLS.with(Cell::get) - before, out)
-}
 
 fn states() -> ModelStates {
     ModelStates::new(

@@ -1,24 +1,25 @@
 //! `sentinet-engine` — sharded multi-collector execution of the
 //! detection pipeline.
 //!
-//! The serial [`sentinet_core::Pipeline`] interleaves two kinds of
-//! per-window work:
+//! The collector procedure's per-window work is of two kinds:
 //!
-//! - **per-sensor stages** — alarm filter update, `M_CE` online
-//!   estimation, error/attack track management — which touch only one
-//!   sensor's state ([`sentinet_core::SensorRuntime`]);
+//! - **per-sensor stages** — Eq. 3 labelling, alarm filter update,
+//!   `M_CE` online estimation, error/attack track management — which
+//!   touch only one sensor's state ([`sentinet_core::SensorRuntime`]);
 //! - **global stages** — clustering, observable/correct state
 //!   identification, `M_CO`/`M_C`/`M_O` estimation, majority voting —
 //!   which need every sensor's vote ([`sentinet_core::GlobalModel`]).
 //!
-//! The [`Engine`] shards the per-sensor stages across `num_shards`
-//! worker threads (sensor *s* lives on shard `s mod num_shards` for
-//! its whole life) while a single coordinator runs the global stages.
-//! Per window the coordinator hands each shard a batched **label** job
-//! (model-state snapshot + that shard's sensor representatives) and,
-//! on decisive windows, a batched **step** job; explicit **grow** jobs
-//! keep worker-side estimators sized to the coordinator's model-state
-//! slots.
+//! The stage order itself is `sentinet-core`'s: one window pass
+//! ([`sentinet_core::Coordinator`]) runs the global stages and hands
+//! the per-sensor ones to a [`sentinet_core::SensorStages`]. The serial
+//! [`sentinet_core::Pipeline`] answers with a sensor map of its own;
+//! the [`Engine`] answers with `num_shards` worker threads (sensor *s*
+//! lives on shard `s mod num_shards` for its whole life). Per window
+//! the pass hands each shard a batched **label** job (model-state
+//! snapshot + that shard's sensor representatives) and, on decisive
+//! windows, a batched **step** job; explicit **grow** jobs keep
+//! worker-side estimators sized to the coordinator's model-state slots.
 //!
 //! The majority vote itself cannot be sharded: Eq. 4 elects the state
 //! backed by the most sensors *across the whole network*, and every
@@ -27,10 +28,11 @@
 //! parallel label stage and the parallel step stage.
 //!
 //! Because every per-sensor float operation happens in the same order
-//! on exactly one thread, and the global stages run unchanged on the
-//! coordinator, the engine's output is **bit-for-bit identical** to
-//! the serial pipeline at any shard count; `num_shards = 1` runs
-//! inline without spawning threads at all.
+//! on exactly one thread, and the global stages are the same code on
+//! the coordinating thread, the engine's output is **bit-for-bit
+//! identical** to the serial pipeline at any shard count; at
+//! `num_shards = 1` with no chaos plan the engine *is* the serial
+//! pipeline.
 //!
 //! Multi-shard runs are **supervised** (see [`supervisor`]): each
 //! worker is checkpointed every window, a crashed worker is restored
@@ -44,10 +46,10 @@
 //! checker's fault schedules.
 //!
 //! The worker/coordinator message protocol is public in [`protocol`],
-//! and the coordinator loop is generic over [`ShardBackend`], so the
-//! `xtask` shard-schedule model checker can drive the *same* stage
-//! code under every worker/coordinator interleaving and assert the
-//! majority-vote barrier yields bit-identical outcomes.
+//! fan-out and reply folds included, so the `xtask` shard-schedule
+//! model checker can put the same jobs through the same workers under
+//! every worker/coordinator interleaving and assert the majority-vote
+//! barrier yields bit-identical outcomes.
 //!
 //! # Examples
 //!
@@ -69,12 +71,10 @@
 #![forbid(unsafe_code)]
 
 use sentinet_cluster::ModelStates;
-use sentinet_core::classify::{AttackType, Diagnosis};
 use sentinet_core::{
-    majority_vote, DegradedStatus, GlobalModel, ObservationWindow, PipelineConfig, PipelineReport,
-    RecoveryPlan, SensorRuntime, TrackRecord, WindowOutcome, WindowScratch, Windower,
+    Coordinator, DegradedStatus, Pipeline, PipelineConfig, PipelineReport, RecoveryPlan, SensorMap,
+    SensorRuntime, SensorStages, WindowOutcome,
 };
-use sentinet_hmm::OnlineHmmEstimator;
 use sentinet_sim::{SensorId, Trace};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -89,10 +89,11 @@ pub mod protocol {
     //! The worker/coordinator message protocol of the sharded engine.
     //!
     //! One [`ShardWorker`] lives on each worker thread and owns the
-    //! [`SensorRuntime`]s of its shard. The coordinator sends [`Job`]s,
-    //! the worker answers with [`Reply`]s, and the coordinator folds
-    //! arrival-ordered replies back into the serial pipeline's shapes
-    //! via [`collect_labels`] / [`collect_steps`].
+    //! [`SensorRuntime`]s of its shard. The coordinator splits a
+    //! window's sensors into per-shard [`Job`]s ([`label_jobs`] /
+    //! [`step_jobs`]), the worker answers with [`Reply`]s, and the
+    //! coordinator folds arrival-ordered replies back into the window
+    //! pass's flat shapes via [`collect_labels`] / [`collect_steps`].
     //!
     //! Everything here is deterministic given a delivery order, which
     //! is exactly what the `xtask` model checker exploits: it replays
@@ -100,7 +101,7 @@ pub mod protocol {
     //! the fold is order-insensitive.
 
     use super::*;
-    use sentinet_core::{CheckpointError, SensorSnapshot};
+    use sentinet_core::SensorSnapshot;
 
     /// Work dispatched from the coordinator to one shard.
     ///
@@ -167,49 +168,13 @@ pub mod protocol {
     /// worker threads and by the `xtask` schedule explorer.
     #[derive(Debug)]
     pub struct ShardWorker {
-        config: PipelineConfig,
-        sensors: BTreeMap<SensorId, SensorRuntime>,
+        /// The shard's sensors (they appear on their first
+        /// [`Job::Step`]); a restarted worker starts from
+        /// [`SensorMap::restore`] of its last [`Reply::Snapshot`].
+        pub sensors: SensorMap,
     }
 
     impl ShardWorker {
-        /// Creates a worker with no sensors yet (they appear on their
-        /// first [`Job::Step`]).
-        pub fn new(config: PipelineConfig) -> Self {
-            Self {
-                config,
-                sensors: BTreeMap::new(),
-            }
-        }
-
-        /// Rebuilds a worker from checkpointed sensor state, as taken
-        /// by [`ShardWorker::snapshot`] — the supervisor's restart
-        /// path.
-        ///
-        /// # Errors
-        ///
-        /// [`CheckpointError`] if any snapshot is internally
-        /// inconsistent (see
-        /// [`SensorRuntime::from_snapshot`](sentinet_core::SensorRuntime::from_snapshot)).
-        pub fn from_snapshot(
-            config: PipelineConfig,
-            snapshots: Vec<(SensorId, SensorSnapshot)>,
-        ) -> Result<Self, CheckpointError> {
-            let mut sensors = BTreeMap::new();
-            for (id, snap) in snapshots {
-                sensors.insert(id, SensorRuntime::from_snapshot(snap)?);
-            }
-            Ok(Self { config, sensors })
-        }
-
-        /// Checkpoints every sensor the shard owns, in ascending
-        /// sensor order.
-        pub fn snapshot(&self) -> Vec<(SensorId, SensorSnapshot)> {
-            self.sensors
-                .iter()
-                .map(|(&id, rt)| (id, rt.snapshot()))
-                .collect()
-        }
-
         /// Executes one job. [`Job::Grow`] has no reply; every other
         /// job answers with exactly one [`Reply`]. After [`Job::Finish`]
         /// the worker is empty and should not be reused.
@@ -228,97 +193,137 @@ pub mod protocol {
                     num_slots,
                     labels,
                 } => {
-                    let mut raw = Vec::new();
-                    let mut filtered = Vec::new();
-                    for (id, label) in labels {
-                        let sensor = self
-                            .sensors
-                            .entry(id)
-                            .or_insert_with(|| SensorRuntime::new(&self.config, num_slots));
-                        let step = sensor.step(window_index, label, correct);
-                        if step.raw {
-                            raw.push(id);
-                        }
-                        if step.filtered {
-                            filtered.push(id);
-                        }
-                    }
-                    Some(Reply::Stepped { raw, filtered })
+                    let mut stepped = WindowOutcome {
+                        index: window_index,
+                        correct,
+                        ..WindowOutcome::default()
+                    };
+                    let Ok(()) = self
+                        .sensors
+                        .step(num_slots, labels.into_iter(), &mut stepped);
+                    Some(Reply::Stepped {
+                        raw: stepped.raw_alarms,
+                        filtered: stepped.filtered_alarms,
+                    })
                 }
                 Job::Grow { num_slots } => {
-                    for s in self.sensors.values_mut() {
-                        s.grow(num_slots);
-                    }
+                    let Ok(()) = self.sensors.grow(num_slots);
                     None
                 }
-                Job::Snapshot => Some(Reply::Snapshot(self.snapshot())),
-                Job::Finish => Some(Reply::Done(std::mem::take(&mut self.sensors))),
+                Job::Snapshot => Some(Reply::Snapshot(self.sensors.snapshots())),
+                Job::Finish => Some(Reply::Done(self.sensors.take())),
             }
-        }
-
-        /// The shard's sensors (for post-run inspection).
-        pub fn sensors(&self) -> &BTreeMap<SensorId, SensorRuntime> {
-            &self.sensors
-        }
-
-        /// Consumes the worker, returning its sensors.
-        pub fn into_sensors(self) -> BTreeMap<SensorId, SensorRuntime> {
-            self.sensors
         }
     }
 
-    /// Folds label replies (in arrival order) into the serial
-    /// pipeline's label map. Returns `None` if any sensor fell outside
-    /// every active model state — the serial pipeline then drops the
-    /// whole window, so the engine must too — or if a reply is not a
-    /// [`Reply::Labels`] (protocol corruption; unreachable with the
-    /// engine's own workers).
+    /// Splits a window's sensors by owning shard: batch `k` holds shard
+    /// `k`'s share of `items`, in the order given.
+    fn fan_out<T>(
+        items: impl Iterator<Item = (SensorId, T)>,
+        num_shards: usize,
+    ) -> Vec<Vec<(SensorId, T)>> {
+        let mut batches: Vec<_> = (0..num_shards).map(|_| Vec::new()).collect();
+        for (id, item) in items {
+            batches[shard_of(id, num_shards)].push((id, item));
+        }
+        batches
+    }
+
+    /// The label stage of one window as one [`Job::Label`] per shard
+    /// (`ids` ascending, `representatives` their row-major window
+    /// means), each carrying its own snapshot of `states`.
+    pub fn label_jobs(
+        states: &ModelStates,
+        ids: &[SensorId],
+        representatives: &[f64],
+        num_shards: usize,
+    ) -> Vec<Job> {
+        let means = representatives.chunks_exact(states.dims());
+        fan_out(
+            ids.iter().copied().zip(means.map(<[f64]>::to_vec)),
+            num_shards,
+        )
+        .into_iter()
+        .map(|means| Job::Label {
+            states: states.clone(),
+            means,
+        })
+        .collect()
+    }
+
+    /// The step stage of the decisive window `outcome` (its index and
+    /// elected state) as one [`Job::Step`] per shard over the sensors
+    /// that `voted` (with their labels, ascending).
+    pub fn step_jobs(
+        num_slots: usize,
+        voted: impl Iterator<Item = (SensorId, usize)>,
+        outcome: &WindowOutcome,
+        num_shards: usize,
+    ) -> Vec<Job> {
+        fan_out(voted, num_shards)
+            .into_iter()
+            .map(|labels| Job::Step {
+                window_index: outcome.index,
+                correct: outcome.correct,
+                num_slots,
+                labels,
+            })
+            .collect()
+    }
+
+    /// Folds label replies (in arrival order) into the window's votes:
+    /// `votes[i]` is the label a reply gives `ids[i]`. A sensor no
+    /// reply labels — its shard is quarantined, or it falls outside
+    /// every active model state — keeps the vote it came with. Replies
+    /// that are not [`Reply::Labels`] are ignored (protocol corruption;
+    /// unreachable with the engine's own workers).
     ///
-    /// The fold is insensitive to arrival order: labels land in a
-    /// [`BTreeMap`] keyed by sensor. The model checker asserts this
-    /// under every schedule.
-    pub fn collect_labels(replies: Vec<Reply>) -> Option<BTreeMap<SensorId, usize>> {
-        let mut labels = BTreeMap::new();
+    /// The fold is insensitive to arrival order: every label lands in
+    /// its own sensor's cell. The model checker asserts this under
+    /// every schedule.
+    pub fn collect_labels(
+        replies: impl IntoIterator<Item = Reply>,
+        ids: &[SensorId],
+        votes: &mut [Option<usize>],
+    ) {
         for reply in replies {
             let Reply::Labels(batch) = reply else {
                 debug_assert!(false, "label barrier answered with a non-label reply");
-                return None;
+                continue;
             };
             for (id, label) in batch {
-                labels.insert(id, label?);
+                if let Ok(at) = ids.binary_search(&id) {
+                    votes[at] = label;
+                }
             }
         }
-        Some(labels)
     }
 
-    /// Folds step replies (in arrival order) into ascending-sensor
-    /// alarm lists — the serial pipeline's iteration order. The final
-    /// sort is what makes the fold arrival-order-insensitive; replies
-    /// that are not [`Reply::Stepped`] are ignored (protocol
-    /// corruption; unreachable with the engine's own workers).
-    pub fn collect_steps(replies: Vec<Reply>) -> (Vec<SensorId>, Vec<SensorId>) {
-        let mut raw_alarms = Vec::new();
-        let mut filtered_alarms = Vec::new();
+    /// Folds step replies (in arrival order) into `outcome`'s
+    /// ascending-sensor alarm lists — the serial pipeline's iteration
+    /// order. The final sort is what makes the fold
+    /// arrival-order-insensitive; replies that are not
+    /// [`Reply::Stepped`] are ignored (protocol corruption; unreachable
+    /// with the engine's own workers).
+    pub fn collect_steps(replies: impl IntoIterator<Item = Reply>, outcome: &mut WindowOutcome) {
         for reply in replies {
             let Reply::Stepped { raw, filtered } = reply else {
                 debug_assert!(false, "step barrier answered with a non-step reply");
                 continue;
             };
-            raw_alarms.extend(raw);
-            filtered_alarms.extend(filtered);
+            outcome.raw_alarms.extend(raw);
+            outcome.filtered_alarms.extend(filtered);
         }
-        raw_alarms.sort_unstable();
-        filtered_alarms.sort_unstable();
-        (raw_alarms, filtered_alarms)
+        outcome.raw_alarms.sort_unstable();
+        outcome.filtered_alarms.sort_unstable();
     }
 }
 
 /// A failure of the shard protocol that the supervisor could not hide.
 ///
 /// With the supervised backend these are edge conditions — worker
-/// crashes are absorbed by restart/quarantine — but the coordinator
-/// loop is typed to surface them instead of silently answering neutral
-/// values as the pre-supervisor engine did.
+/// crashes are absorbed by restart/quarantine — but the window pass is
+/// typed to surface them instead of silently answering neutral values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
     /// A worker vanished and could not be restored or quarantined.
@@ -350,114 +355,13 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// How the coordinator executes per-sensor work. The engine ships two
-/// implementations — inline (serial, `num_shards = 1`) and the
-/// supervised thread pool — and the `xtask` model checker adds a
-/// schedule-exploring third, all driven by the same [`window_pass`]
-/// coordinator code.
-pub trait ShardBackend {
-    /// Labels every representative; `Ok(None)` if any sensor falls
-    /// outside all active model states (the serial pipeline then drops
-    /// the whole window, so the engine must too).
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] if a shard's worker failed beyond recovery.
-    fn label(
-        &mut self,
-        states: &ModelStates,
-        representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError>;
-
-    /// Runs the per-sensor step of a decisive window; returns the raw
-    /// and filtered alarm lists in ascending sensor order (the serial
-    /// pipeline's iteration order).
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] if a shard's worker failed beyond recovery.
-    fn step(
-        &mut self,
-        window_index: u64,
-        correct: usize,
-        num_slots: usize,
-        labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError>;
-
-    /// Resizes every shard's estimators after model-state growth.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] if a shard's worker failed beyond recovery.
-    fn grow(&mut self, num_slots: usize) -> Result<(), ShardError>;
-}
-
-/// The single-shard backend: per-sensor stages run inline on the
-/// coordinator's thread, no channels, no allocation beyond the sensor
-/// map itself. This is the engine's no-chaos hot path.
-struct InlineBackend {
-    config: PipelineConfig,
-    sensors: BTreeMap<SensorId, SensorRuntime>,
-}
-
-impl ShardBackend for InlineBackend {
-    fn label(
-        &mut self,
-        states: &ModelStates,
-        representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError> {
-        let mut labels = BTreeMap::new();
-        for (&id, mean) in representatives {
-            match states.nearest(mean) {
-                Some((label, _)) => {
-                    labels.insert(id, label);
-                }
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(labels))
-    }
-
-    fn step(
-        &mut self,
-        window_index: u64,
-        correct: usize,
-        num_slots: usize,
-        labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError> {
-        let mut raw_alarms = Vec::new();
-        let mut filtered_alarms = Vec::new();
-        for (&id, &label) in labels {
-            let sensor = self
-                .sensors
-                .entry(id)
-                .or_insert_with(|| SensorRuntime::new(&self.config, num_slots));
-            let step = sensor.step(window_index, label, correct);
-            if step.raw {
-                raw_alarms.push(id);
-            }
-            if step.filtered {
-                filtered_alarms.push(id);
-            }
-        }
-        Ok((raw_alarms, filtered_alarms))
-    }
-
-    fn grow(&mut self, num_slots: usize) -> Result<(), ShardError> {
-        for s in self.sensors.values_mut() {
-            s.grow(num_slots);
-        }
-        Ok(())
-    }
-}
-
 /// Sharded multi-collector engine over one trace.
 ///
 /// Construct once, then [`Engine::process_trace`] per trace. The
 /// engine is the batch counterpart to the streaming
 /// [`sentinet_core::Pipeline`]: it owns the shard pool for the
-/// duration of a trace and returns an [`EngineRun`] exposing the same
-/// post-run queries.
+/// duration of a trace and returns an [`EngineRun`] holding the
+/// pipeline the run ended as.
 #[derive(Debug, Clone)]
 pub struct Engine {
     config: PipelineConfig,
@@ -470,7 +374,7 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine; `sample_period` as in
     /// [`sentinet_core::Pipeline::new`], `num_shards ≥ 1` worker
-    /// shards (1 = inline serial execution, no threads).
+    /// shards (1 = the serial pipeline, no threads).
     ///
     /// # Panics
     ///
@@ -520,174 +424,33 @@ impl Engine {
     /// surface as [`EngineRun::degraded`], not as an error.
     pub fn process_trace(&self, trace: &Trace) -> Result<EngineRun, ShardError> {
         if self.num_shards == 1 && self.chaos.is_empty() {
-            let mut backend = InlineBackend {
-                config: self.config.clone(),
-                sensors: BTreeMap::new(),
-            };
-            let (global, outcomes) =
-                drive_trace(&self.config, self.sample_period, trace, &mut backend)?;
-            Ok(EngineRun {
-                global,
-                sensors: backend.sensors,
+            let mut pipeline = Pipeline::new(self.config.clone(), self.sample_period);
+            let outcomes = pipeline.process_trace(trace);
+            return Ok(EngineRun {
+                pipeline,
                 outcomes,
                 degraded: None,
                 shard_restarts: Vec::new(),
-            })
-        } else {
-            let mut backend = supervisor::SupervisedBackend::launch(
-                self.config.clone(),
-                self.supervisor.clone(),
-                self.chaos.clone(),
-                self.num_shards,
-            );
-            let (global, outcomes) =
-                drive_trace(&self.config, self.sample_period, trace, &mut backend)?;
-            let harvest = backend.finish()?;
-            Ok(EngineRun {
-                global,
-                sensors: harvest.sensors,
-                outcomes,
-                degraded: harvest.degraded,
-                shard_restarts: harvest.shard_restarts,
-            })
+            });
         }
+        let mut coordinator = Coordinator::new(self.config.clone(), self.sample_period);
+        let mut backend = supervisor::SupervisedBackend::launch(
+            self.config.clone(),
+            self.supervisor.clone(),
+            self.chaos.clone(),
+            self.num_shards,
+        );
+        let outcomes = coordinator.process_trace(&mut backend, trace)?;
+        backend.harvest(coordinator, outcomes)
     }
 }
 
-/// The coordinator loop: windowing plus the global stages, with
-/// per-sensor stages delegated to `backend`. This is the exact loop
-/// [`Engine::process_trace`] runs; it is public so the `xtask`
-/// schedule explorer can drive it with a schedule-controlled backend.
-///
-/// # Errors
-///
-/// Propagates the backend's [`ShardError`]s.
-pub fn drive_trace(
-    config: &PipelineConfig,
-    sample_period: u64,
-    trace: &Trace,
-    backend: &mut impl ShardBackend,
-) -> Result<(GlobalModel, Vec<WindowOutcome>), ShardError> {
-    let mut global = GlobalModel::new(config.clone());
-    let mut windower = Windower::new(config.window_samples as u64 * sample_period);
-    let mut scratch = WindowScratch::new();
-    let mut outcomes = Vec::new();
-    for (time, sensor, reading) in trace.delivered() {
-        for window in windower.push(time, sensor, reading.values()) {
-            if let Some(o) = window_pass(&mut global, backend, &mut scratch, &window)? {
-                outcomes.push(o);
-            }
-            windower.recycle(window);
-        }
-    }
-    if let Some(window) = windower.finish() {
-        if let Some(o) = window_pass(&mut global, backend, &mut scratch, &window)? {
-            outcomes.push(o);
-        }
-    }
-    Ok((global, outcomes))
-}
-
-/// One window through the same stage order as the serial pipeline's
-/// `analyze_window`: bootstrap absorption, observable-state coverage,
-/// the parallel label stage, the majority-vote barrier, the parallel
-/// step stage, and model-state maintenance. `Ok(None)` means the
-/// window was dropped (bootstrap, indecisive vote, uncovered mean) —
-/// exactly when the serial pipeline drops it.
-///
-/// # Errors
-///
-/// Propagates the backend's [`ShardError`]s.
-pub fn window_pass(
-    global: &mut GlobalModel,
-    backend: &mut impl ShardBackend,
-    scratch: &mut WindowScratch,
-    window: &ObservationWindow,
-) -> Result<Option<WindowOutcome>, ShardError> {
-    if !global.absorb_bootstrap(window) {
-        return Ok(None);
-    }
-    let trim = global.config().observable_trim;
-    let majority_fraction = global.config().majority_fraction;
-    let mean = window.trimmed_mean_with(trim, scratch);
-    if global.cover_window_mean(mean) {
-        backend.grow(global.num_slots())?;
-    }
-    let Some(mean) = mean else {
-        return Ok(None);
-    };
-
-    let representatives = window.sensor_means();
-    let (observable, labels, points, point_labels) = {
-        let Some(states) = global.states() else {
-            return Ok(None);
-        };
-        let Some((observable, _)) = states.nearest(mean) else {
-            return Ok(None);
-        };
-        let Some(labels) = backend.label(states, &representatives)? else {
-            return Ok(None);
-        };
-        // The clustering round that ends the window takes the serial
-        // pipeline's flat shape: representatives in ascending sensor
-        // order with the labels the vote is about to run on (the
-        // states do not move in between). A quarantined shard's
-        // sensors have no label; their representatives still train
-        // the states, so they are labelled here.
-        let mut points = Vec::with_capacity(representatives.len() * states.dims());
-        let mut point_labels = Vec::with_capacity(representatives.len());
-        let mut voted = labels.iter().peekable();
-        for (id, mean) in &representatives {
-            let label = match voted.next_if(|(voter, _)| *voter == id) {
-                Some((_, &label)) => Some(label),
-                None => states.nearest(mean).map(|(label, _)| label),
-            };
-            let Some(label) = label else {
-                return Ok(None);
-            };
-            points.extend_from_slice(mean);
-            point_labels.push(label);
-        }
-        (observable, labels, points, point_labels)
-    };
-    let Some((correct, decisive)) = majority_vote(&labels, majority_fraction) else {
-        return Ok(None);
-    };
-
-    if decisive {
-        global.record_decisive(correct, observable);
-    }
-
-    let window_index = global.windows_processed();
-    let num_slots = global.num_slots();
-    let (raw_alarms, filtered_alarms) = if decisive {
-        backend.step(window_index, correct, num_slots, &labels)?
-    } else {
-        (Vec::new(), Vec::new())
-    };
-
-    let (cluster_events, grew) = global.finish_window_labeled(&points, &point_labels);
-    if grew {
-        backend.grow(global.num_slots())?;
-    }
-
-    Ok(Some(WindowOutcome {
-        index: window_index,
-        start: window.start,
-        observable,
-        correct,
-        raw_alarms,
-        filtered_alarms,
-        cluster_events,
-    }))
-}
-
-/// A completed engine run: every window outcome plus the final models,
-/// answering the same post-run queries as the serial pipeline.
+/// A completed engine run: every window outcome, the pipeline the run
+/// ended as — final models and sensors, answering every post-run query
+/// of the serial pipeline — and what the supervisor had to do.
 #[derive(Debug)]
 pub struct EngineRun {
-    global: GlobalModel,
-    sensors: BTreeMap<SensorId, SensorRuntime>,
+    pipeline: Pipeline,
     outcomes: Vec<WindowOutcome>,
     degraded: Option<DegradedStatus>,
     shard_restarts: Vec<(usize, u32)>,
@@ -699,19 +462,16 @@ impl EngineRun {
         &self.outcomes
     }
 
-    /// Consumes the run, returning the outcomes.
-    pub fn into_outcomes(self) -> Vec<WindowOutcome> {
-        self.outcomes
-    }
-
-    /// The global model (states, `M_CO`, histories).
-    pub fn global(&self) -> &GlobalModel {
-        &self.global
+    /// The run's final state as a serial pipeline. Its own
+    /// [`Pipeline::report`] knows nothing of quarantined shards;
+    /// [`EngineRun::report`] does.
+    pub fn pipeline(&self) -> &Pipeline {
+        &self.pipeline
     }
 
     /// Number of windows fully processed (post-bootstrap).
     pub fn windows_processed(&self) -> u64 {
-        self.global.windows_processed()
+        self.pipeline.windows_processed()
     }
 
     /// `Some` iff the supervisor quarantined at least one shard: the
@@ -730,69 +490,14 @@ impl EngineRun {
         &self.shard_restarts
     }
 
-    /// Sensors seen so far.
-    pub fn sensor_ids(&self) -> Vec<SensorId> {
-        self.sensors.keys().copied().collect()
-    }
-
-    /// The per-sensor `M_CE` estimator.
-    pub fn m_ce(&self, sensor: SensorId) -> Option<&OnlineHmmEstimator> {
-        self.sensors.get(&sensor).map(SensorRuntime::m_ce)
-    }
-
-    /// The raw-alarm history of a sensor as `(window, raw)` pairs.
-    pub fn raw_alarm_history(&self, sensor: SensorId) -> Option<&[(u64, bool)]> {
-        self.sensors.get(&sensor).map(SensorRuntime::raw_history)
-    }
-
-    /// The error/attack tracks opened for a sensor.
-    pub fn tracks(&self, sensor: SensorId) -> Option<&[TrackRecord]> {
-        self.sensors.get(&sensor).map(SensorRuntime::tracks)
-    }
-
-    /// Whether a filtered alarm was ever raised for the sensor.
-    pub fn ever_alarmed(&self, sensor: SensorId) -> bool {
-        self.sensors
-            .get(&sensor)
-            .map(SensorRuntime::ever_alarmed)
-            .unwrap_or(false)
-    }
-
-    /// Memoized network-level verdict (see
-    /// [`sentinet_core::Pipeline::network_attack`]).
-    pub fn network_attack(&self) -> Option<AttackType> {
-        self.global.network_attack()
-    }
-
-    /// Classifies one sensor (see [`sentinet_core::Pipeline::classify`]).
-    pub fn classify(&self, sensor: SensorId) -> Diagnosis {
-        self.global.classify(self.sensors.get(&sensor))
-    }
-
-    /// Classifies one sensor with the verdict's confidence.
-    pub fn classify_with_confidence(&self, sensor: SensorId) -> (Diagnosis, f64) {
-        self.global
-            .classify_with_confidence(self.sensors.get(&sensor))
-    }
-
-    /// Classifies every sensor seen so far.
-    pub fn classify_all(&self) -> BTreeMap<SensorId, Diagnosis> {
-        self.sensors
-            .iter()
-            .map(|(&id, rt)| (id, self.global.classify(Some(rt))))
-            .collect()
-    }
-
-    /// The `(window, correct, observable)` decisive-window history.
-    pub fn state_history(&self) -> &[(u64, usize, usize)] {
-        self.global.state_history()
-    }
-
     /// Builds the operator-facing snapshot, identical in content to
     /// [`sentinet_core::Pipeline::report`] on the same trace — plus
     /// the degraded-mode status when shards were quarantined.
     pub fn report(&self) -> PipelineReport {
-        PipelineReport::build(&self.global, &self.sensors, self.degraded.clone())
+        PipelineReport {
+            degraded: self.degraded.clone(),
+            ..self.pipeline.report()
+        }
     }
 
     /// Builds the recovery plan from the run's diagnoses, identical to

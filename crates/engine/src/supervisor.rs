@@ -24,7 +24,7 @@
 //! - **Quarantine.** More than [`SupervisorConfig::max_shard_restarts`]
 //!   crashes between two successful checkpoints quarantines the shard:
 //!   its sensors stop being labelled/stepped (and thus voting), the
-//!   run continues degraded, and the final [`Harvest`] restores the
+//!   run continues degraded, and the final harvest restores the
 //!   quarantined sensors read-only from their last checkpoint and
 //!   reports them in a [`DegradedStatus`].
 //!
@@ -35,11 +35,16 @@
 //! [`Job::Snapshot`]: crate::protocol::Job::Snapshot
 
 use crate::chaos::{ChaosPlan, FaultKind, FaultPoint};
-use crate::protocol::{collect_labels, collect_steps, shard_of, Job, Reply, ShardWorker};
-use crate::{ShardBackend, ShardError};
+use crate::protocol::{
+    collect_labels, collect_steps, label_jobs, step_jobs, Job, Reply, ShardWorker,
+};
+use crate::{EngineRun, ShardError};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use sentinet_cluster::ModelStates;
-use sentinet_core::{DegradedStatus, PipelineConfig, SensorRuntime, SensorSnapshot};
+use sentinet_core::{
+    Coordinator, DegradedStatus, Pipeline, PipelineConfig, SensorMap, SensorRuntime,
+    SensorSnapshot, SensorStages, WindowOutcome,
+};
 use sentinet_sim::SensorId;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -112,13 +117,11 @@ fn supervised_worker(
     replies: Sender<Envelope>,
 ) {
     let send = |note: Note| replies.send(Envelope { shard, epoch, note }).is_ok();
-    let mut worker = match ShardWorker::from_snapshot(config, checkpoint) {
-        Ok(worker) => worker,
-        Err(_) => {
-            send(Note::Crashed);
-            return;
-        }
+    let Ok(sensors) = SensorMap::restore(config, checkpoint) else {
+        send(Note::Crashed);
+        return;
     };
+    let mut worker = ShardWorker { sensors };
     let mut armed: Option<FaultKind> = None;
     for msg in jobs.iter() {
         let (job, replay) = match msg {
@@ -181,20 +184,9 @@ struct ShardSlot {
     crashes: u32,
 }
 
-/// What a supervised run hands back after the finish barrier.
-pub(crate) struct Harvest {
-    /// Every sensor, live shards' current state plus quarantined
-    /// shards' last-checkpoint state.
-    pub(crate) sensors: BTreeMap<SensorId, SensorRuntime>,
-    /// `Some` iff at least one shard was quarantined.
-    pub(crate) degraded: Option<DegradedStatus>,
-    /// `(shard, respawn count)` for every shard restarted at least once.
-    pub(crate) shard_restarts: Vec<(usize, u32)>,
-}
-
-/// The supervised [`ShardBackend`]: a pool of restartable workers
-/// behind bounded channels, driven through the same `window_pass`
-/// coordinator loop as the inline backend.
+/// The supervised [`SensorStages`]: a pool of restartable workers
+/// behind bounded channels, driven by the same window pass
+/// ([`sentinet_core::Coordinator`]) as the serial pipeline's sensor map.
 pub(crate) struct SupervisedBackend {
     config: PipelineConfig,
     tunables: SupervisorConfig,
@@ -334,23 +326,20 @@ impl SupervisedBackend {
         }
     }
 
-    /// One synchronous exchange with every shard given a job. Crashed
-    /// shards are recovered and their in-flight job re-delivered;
-    /// shards that exhaust their budget drop out of the barrier.
-    /// Returns `(shard, reply)` pairs in arrival order.
+    /// One synchronous exchange with every live shard, `jobs[k]` going
+    /// to shard `k` (a quarantined shard's job is dropped unsent).
+    /// Crashed shards are recovered and their in-flight job
+    /// re-delivered; shards that exhaust their budget drop out of the
+    /// barrier. Returns `(shard, reply)` pairs in arrival order.
     fn barrier(
         &mut self,
-        jobs: Vec<Option<Job>>,
+        jobs: Vec<Job>,
         point: Option<FaultPoint>,
     ) -> Result<Vec<(usize, Reply)>, ShardError> {
         let num = self.slots.len();
         let mut pending = vec![false; num];
         for (shard, job) in jobs.iter().enumerate() {
-            if let Some(job) = job {
-                if self.is_live(shard) {
-                    pending[shard] = self.dispatch(shard, job, point);
-                }
-            }
+            pending[shard] = self.dispatch(shard, job, point);
         }
         let mut replies = Vec::new();
         while pending.iter().any(|&p| p) {
@@ -366,10 +355,8 @@ impl SupervisedBackend {
                         Note::Crashed => {
                             self.recover(env.shard);
                             if pending[env.shard] {
-                                pending[env.shard] = match &jobs[env.shard] {
-                                    Some(job) => self.dispatch(env.shard, job, point),
-                                    None => false,
-                                };
+                                pending[env.shard] =
+                                    self.dispatch(env.shard, &jobs[env.shard], point);
                             }
                         }
                         Note::Reply(reply) => {
@@ -379,10 +366,9 @@ impl SupervisedBackend {
                                 // log it for post-crash replay. (Label
                                 // and Snapshot are pure; Grow is logged
                                 // at send; Finish ends the shard.)
-                                if matches!(jobs[env.shard], Some(Job::Step { .. })) {
-                                    if let Some(job) = &jobs[env.shard] {
-                                        self.slots[env.shard].log.push(job.clone());
-                                    }
+                                if matches!(jobs[env.shard], Job::Step { .. }) {
+                                    let job = jobs[env.shard].clone();
+                                    self.slots[env.shard].log.push(job);
                                 }
                                 replies.push((env.shard, reply));
                             }
@@ -397,10 +383,7 @@ impl SupervisedBackend {
                             continue;
                         }
                         self.recover(shard);
-                        pending[shard] = match &jobs[shard] {
-                            Some(job) => self.dispatch(shard, job, point),
-                            None => false,
-                        };
+                        pending[shard] = self.dispatch(shard, &jobs[shard], point);
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -415,11 +398,7 @@ impl SupervisedBackend {
     /// The per-window checkpoint barrier: snapshot every live shard,
     /// clear its replay log, and reset its consecutive-crash budget.
     fn refresh_checkpoints(&mut self) -> Result<(), ShardError> {
-        let jobs: Vec<Option<Job>> = self
-            .slots
-            .iter()
-            .map(|slot| slot.jobs.is_some().then_some(Job::Snapshot))
-            .collect();
+        let jobs = vec![Job::Snapshot; self.slots.len()];
         for (shard, reply) in self.barrier(jobs, None)? {
             let Reply::Snapshot(checkpoint) = reply else {
                 return Err(ShardError::Protocol {
@@ -435,15 +414,16 @@ impl SupervisedBackend {
         Ok(())
     }
 
-    /// Collects every shard's sensors: live shards via the finish
-    /// barrier, quarantined shards read-only from their last
-    /// checkpoint. Also assembles the degraded status.
-    pub(crate) fn finish(mut self) -> Result<Harvest, ShardError> {
-        let jobs: Vec<Option<Job>> = self
-            .slots
-            .iter()
-            .map(|slot| slot.jobs.is_some().then_some(Job::Finish))
-            .collect();
+    /// Ends the run `coordinator` drove through this pool: collects
+    /// every shard's sensors — live shards via the finish barrier,
+    /// quarantined shards read-only from their last checkpoint — into
+    /// the pipeline the run ends as, and assembles the degraded status.
+    pub(crate) fn harvest(
+        mut self,
+        coordinator: Coordinator,
+        outcomes: Vec<WindowOutcome>,
+    ) -> Result<EngineRun, ShardError> {
+        let jobs = vec![Job::Finish; self.slots.len()];
         let mut sensors = BTreeMap::new();
         for (shard, reply) in self.barrier(jobs, None)? {
             let Reply::Done(batch) = reply else {
@@ -482,74 +462,46 @@ impl SupervisedBackend {
                 shard_restarts: shard_restarts.clone(),
             })
         };
-        Ok(Harvest {
-            sensors,
+        Ok(EngineRun {
+            pipeline: Pipeline::from_parts(coordinator, sensors),
+            outcomes,
             degraded,
             shard_restarts,
         })
     }
 }
 
-impl ShardBackend for SupervisedBackend {
+impl SensorStages for SupervisedBackend {
+    type Error = ShardError;
+
     fn label(
         &mut self,
         states: &ModelStates,
-        representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError> {
+        ids: &[SensorId],
+        representatives: &[f64],
+        votes: &mut [Option<usize>],
+    ) -> Result<(), ShardError> {
         self.current_window = self.label_barriers;
         self.label_barriers += 1;
         self.refresh_checkpoints()?;
-        let num = self.slots.len();
-        let mut batches: Vec<Vec<(SensorId, Vec<f64>)>> = vec![Vec::new(); num];
-        for (&id, mean) in representatives {
-            batches[shard_of(id, num)].push((id, mean.clone()));
-        }
-        // Quarantined shards get no job: their sensors drop out of the
-        // label map and therefore out of the majority vote.
-        let jobs: Vec<Option<Job>> = batches
-            .into_iter()
-            .enumerate()
-            .map(|(shard, means)| {
-                self.is_live(shard).then(|| Job::Label {
-                    states: states.clone(),
-                    means,
-                })
-            })
-            .collect();
+        // A quarantined shard's job goes unsent, so its sensors cast
+        // no vote: they abstain from the majority.
+        let jobs = label_jobs(states, ids, representatives, self.slots.len());
         let replies = self.barrier(jobs, Some(FaultPoint::Label))?;
-        Ok(collect_labels(
-            replies.into_iter().map(|(_, reply)| reply).collect(),
-        ))
+        collect_labels(replies.into_iter().map(|(_, reply)| reply), ids, votes);
+        Ok(())
     }
 
     fn step(
         &mut self,
-        window_index: u64,
-        correct: usize,
         num_slots: usize,
-        labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError> {
-        let num = self.slots.len();
-        let mut batches: Vec<Vec<(SensorId, usize)>> = vec![Vec::new(); num];
-        for (&id, &label) in labels {
-            batches[shard_of(id, num)].push((id, label));
-        }
-        let jobs: Vec<Option<Job>> = batches
-            .into_iter()
-            .enumerate()
-            .map(|(shard, labels)| {
-                self.is_live(shard).then_some(Job::Step {
-                    window_index,
-                    correct,
-                    num_slots,
-                    labels,
-                })
-            })
-            .collect();
+        voted: impl Iterator<Item = (SensorId, usize)>,
+        outcome: &mut WindowOutcome,
+    ) -> Result<(), ShardError> {
+        let jobs = step_jobs(num_slots, voted, outcome, self.slots.len());
         let replies = self.barrier(jobs, Some(FaultPoint::Step))?;
-        Ok(collect_steps(
-            replies.into_iter().map(|(_, reply)| reply).collect(),
-        ))
+        collect_steps(replies.into_iter().map(|(_, reply)| reply), outcome);
+        Ok(())
     }
 
     fn grow(&mut self, num_slots: usize) -> Result<(), ShardError> {
@@ -557,17 +509,10 @@ impl ShardBackend for SupervisedBackend {
         // crash before the worker applied it is recovered by replaying
         // from the pre-grow checkpoint, where the logged grow runs
         // exactly once.
+        let job = Job::Grow { num_slots };
         for shard in 0..self.slots.len() {
-            loop {
-                let Some(tx) = self.slots[shard].jobs.clone() else {
-                    break; // quarantined
-                };
-                if tx.send(WorkerMsg::Run(Job::Grow { num_slots })).is_err() {
-                    self.recover(shard);
-                    continue;
-                }
-                self.slots[shard].log.push(Job::Grow { num_slots });
-                break;
+            if self.dispatch(shard, &job, None) {
+                self.slots[shard].log.push(job.clone());
             }
         }
         Ok(())

@@ -76,6 +76,7 @@ fn assert_recovers_bit_identically(
         .with_supervisor(fast_supervisor())
         .with_chaos(plan.clone());
     let run = engine.process_trace(trace).expect("supervised run");
+    let recovered = run.pipeline();
 
     assert!(
         run.degraded().is_none(),
@@ -86,16 +87,19 @@ fn assert_recovers_bit_identically(
         serial_outcomes.as_slice(),
         "{plan:?}: outcomes diverged"
     );
-    assert_eq!(run.state_history(), pipeline.state_history());
-    assert_eq!(run.classify_all(), pipeline.classify_all());
-    assert_eq!(run.network_attack(), pipeline.network_attack());
+    assert_eq!(recovered.state_history(), pipeline.state_history());
+    assert_eq!(recovered.classify_all(), pipeline.classify_all());
+    assert_eq!(recovered.network_attack(), pipeline.network_attack());
     for id in pipeline.sensor_ids() {
-        assert_eq!(run.raw_alarm_history(id), pipeline.raw_alarm_history(id));
-        assert_eq!(run.tracks(id), pipeline.tracks(id));
-        assert_eq!(run.ever_alarmed(id), pipeline.ever_alarmed(id));
+        assert_eq!(
+            recovered.raw_alarm_history(id),
+            pipeline.raw_alarm_history(id)
+        );
+        assert_eq!(recovered.tracks(id), pipeline.tracks(id));
+        assert_eq!(recovered.ever_alarmed(id), pipeline.ever_alarmed(id));
         assert_eq!(
             pipeline.m_ce(id).unwrap(),
-            run.m_ce(id).unwrap(),
+            recovered.m_ce(id).unwrap(),
             "{plan:?}: M_CE diverged for {id}"
         );
     }
@@ -190,7 +194,7 @@ fn seeded_plans_are_replayable() {
     let a = engine(plan.clone()).process_trace(&trace).expect("run a");
     let b = engine(plan).process_trace(&trace).expect("run b");
     assert_eq!(a.outcomes(), b.outcomes());
-    assert_eq!(a.classify_all(), b.classify_all());
+    assert_eq!(a.pipeline().classify_all(), b.pipeline().classify_all());
     assert_eq!(a.shard_restarts(), b.shard_restarts());
     assert_eq!(a.report(), b.report());
 }
@@ -231,7 +235,7 @@ fn exhausting_the_restart_budget_quarantines_instead_of_aborting() {
     assert!(run.windows_processed() > 5);
     // Quarantined sensors still answer post-run queries from their
     // last checkpoint...
-    assert!(run.m_ce(SensorId(1)).is_some());
+    assert!(run.pipeline().m_ce(SensorId(1)).is_some());
     // ...the report carries the degraded status...
     assert_eq!(run.report().degraded.as_ref(), Some(degraded));
     // ...and the recovery plan forces them into servicing.

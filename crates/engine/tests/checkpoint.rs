@@ -5,61 +5,78 @@
 //! like the original.
 
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
-use sentinet_core::{Pipeline, PipelineConfig, SensorRuntime};
-use sentinet_engine::protocol::{collect_labels, collect_steps, Job, Reply, ShardWorker};
-use sentinet_engine::{drive_trace, ShardBackend, ShardError};
+use sentinet_core::{
+    Coordinator, Pipeline, PipelineConfig, SensorMap, SensorRuntime, SensorStages, WindowOutcome,
+};
+use sentinet_engine::protocol::{
+    collect_labels, collect_steps, label_jobs, step_jobs, Job, Reply, ShardWorker,
+};
 use sentinet_inject::{inject_faults, FaultInjection, FaultModel};
 use sentinet_sim::{gdi, simulate, SensorId, Trace, DAY_S};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// A trivially faithful one-worker backend: every job runs in-process,
-/// so the resulting `GlobalModel` and sensors are reachable directly.
+/// so the worker's sensors are reachable directly.
 struct LocalBackend {
     worker: ShardWorker,
 }
 
-impl ShardBackend for LocalBackend {
+impl LocalBackend {
+    fn run(&mut self, jobs: Vec<Job>) -> Vec<Reply> {
+        jobs.into_iter()
+            .filter_map(|job| self.worker.handle(job))
+            .collect()
+    }
+}
+
+impl SensorStages for LocalBackend {
+    type Error = Infallible;
+
     fn label(
         &mut self,
         states: &sentinet_cluster::ModelStates,
-        representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError> {
-        let means = representatives
-            .iter()
-            .map(|(&id, mean)| (id, mean.clone()))
-            .collect();
-        let reply = self
-            .worker
-            .handle(Job::Label {
-                states: states.clone(),
-                means,
-            })
-            .expect("label replies");
-        Ok(collect_labels(vec![reply]))
+        ids: &[SensorId],
+        representatives: &[f64],
+        votes: &mut [Option<usize>],
+    ) -> Result<(), Infallible> {
+        let replies = self.run(label_jobs(states, ids, representatives, 1));
+        assert_eq!(replies.len(), 1, "label replies");
+        collect_labels(replies, ids, votes);
+        Ok(())
     }
 
     fn step(
         &mut self,
-        window_index: u64,
-        correct: usize,
         num_slots: usize,
-        labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError> {
-        let reply = self
-            .worker
-            .handle(Job::Step {
-                window_index,
-                correct,
-                num_slots,
-                labels: labels.iter().map(|(&id, &l)| (id, l)).collect(),
-            })
-            .expect("step replies");
-        Ok(collect_steps(vec![reply]))
+        voted: impl Iterator<Item = (SensorId, usize)>,
+        outcome: &mut WindowOutcome,
+    ) -> Result<(), Infallible> {
+        let replies = self.run(step_jobs(num_slots, voted, outcome, 1));
+        assert_eq!(replies.len(), 1, "step replies");
+        collect_steps(replies, outcome);
+        Ok(())
     }
 
-    fn grow(&mut self, num_slots: usize) -> Result<(), ShardError> {
-        assert!(self.worker.handle(Job::Grow { num_slots }).is_none());
+    fn grow(&mut self, num_slots: usize) -> Result<(), Infallible> {
+        assert!(self.run(vec![Job::Grow { num_slots }]).is_empty());
         Ok(())
+    }
+}
+
+fn local_worker(config: &PipelineConfig) -> ShardWorker {
+    ShardWorker {
+        sensors: SensorMap::new(config.clone()),
+    }
+}
+
+/// A worker restarted from checkpointed sensors, as the supervisor's.
+fn restored(
+    config: PipelineConfig,
+    snapshots: Vec<(SensorId, sentinet_core::SensorSnapshot)>,
+) -> ShardWorker {
+    ShardWorker {
+        sensors: SensorMap::restore(config, snapshots).expect("snapshots are valid"),
     }
 }
 
@@ -93,17 +110,19 @@ fn restore_preserves_classification_and_alarm_outputs() {
     pipeline.process_trace(&trace);
 
     let mut backend = LocalBackend {
-        worker: ShardWorker::new(config.clone()),
+        worker: local_worker(&config),
     };
-    let (global, _) = drive_trace(&config, period, &trace, &mut backend).expect("local backend");
+    let mut coordinator = Coordinator::new(config.clone(), period);
+    let Ok(_) = coordinator.process_trace(&mut backend, &trace);
+    let global = coordinator.global();
 
-    let shard = backend.worker.snapshot();
+    let shard = backend.worker.sensors.snapshots();
     let decoded = decode_shard(&encode_shard(&shard)).expect("codec round trip");
     assert_eq!(decoded, shard, "codec changed the snapshot");
 
-    let restored_worker = ShardWorker::from_snapshot(config, decoded).expect("snapshots are valid");
-    let originals = backend.worker.into_sensors();
-    let restored = restored_worker.into_sensors();
+    let mut restored_worker = restored(config, decoded);
+    let originals = backend.worker.sensors.take();
+    let restored = restored_worker.sensors.take();
     assert_eq!(
         originals.keys().collect::<Vec<_>>(),
         restored.keys().collect::<Vec<_>>()
@@ -139,17 +158,19 @@ fn restored_worker_continues_bit_identically_mid_run() {
     let config = PipelineConfig::default();
 
     let mut backend = LocalBackend {
-        worker: ShardWorker::new(config.clone()),
+        worker: local_worker(&config),
     };
-    drive_trace(&config, period, &trace, &mut backend).expect("local backend");
+    let Ok(_) = Coordinator::new(config.clone(), period).process_trace(&mut backend, &trace);
 
     // Restore mid-state, then step both workers through the same
     // additional windows: every reply must match.
-    let decoded = decode_shard(&encode_shard(&backend.worker.snapshot())).expect("round trip");
-    let mut twin = ShardWorker::from_snapshot(config, decoded).expect("valid snapshots");
+    let decoded =
+        decode_shard(&encode_shard(&backend.worker.sensors.snapshots())).expect("round trip");
+    let mut twin = restored(config, decoded);
     let ids: Vec<SensorId> = backend
         .worker
-        .snapshot()
+        .sensors
+        .snapshots()
         .iter()
         .map(|(id, _)| *id)
         .collect();
@@ -181,7 +202,7 @@ fn restored_worker_continues_bit_identically_mid_run() {
         }
     }
     let (a, b): (BTreeMap<_, SensorRuntime>, BTreeMap<_, SensorRuntime>) =
-        (backend.worker.into_sensors(), twin.into_sensors());
+        (backend.worker.sensors.take(), twin.sensors.take());
     for (id, original) in &a {
         assert_eq!(original.m_ce(), b[id].m_ce(), "{id}: M_CE diverged");
         assert_eq!(original.tracks(), b[id].tracks(), "{id}: tracks diverged");

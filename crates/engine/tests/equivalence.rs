@@ -70,6 +70,7 @@ fn assert_equivalent(trace: &Trace, sample_period: u64, num_shards: usize) {
 
     let engine = Engine::new(PipelineConfig::default(), sample_period, num_shards);
     let run = engine.process_trace(trace).expect("healthy run");
+    let sharded = run.pipeline();
 
     assert!(run.degraded().is_none(), "no faults, no degradation");
     assert!(run.shard_restarts().is_empty(), "no faults, no restarts");
@@ -79,22 +80,22 @@ fn assert_equivalent(trace: &Trace, sample_period: u64, num_shards: usize) {
         "window outcomes diverged at {num_shards} shards"
     );
     assert_eq!(run.windows_processed(), pipeline.windows_processed());
-    assert_eq!(run.state_history(), pipeline.state_history());
-    assert_eq!(run.sensor_ids(), pipeline.sensor_ids());
-    assert_eq!(run.network_attack(), pipeline.network_attack());
-    assert_eq!(run.classify_all(), pipeline.classify_all());
+    assert_eq!(sharded.state_history(), pipeline.state_history());
+    assert_eq!(sharded.sensor_ids(), pipeline.sensor_ids());
+    assert_eq!(sharded.network_attack(), pipeline.network_attack());
+    assert_eq!(sharded.classify_all(), pipeline.classify_all());
     for id in pipeline.sensor_ids() {
-        assert_eq!(run.ever_alarmed(id), pipeline.ever_alarmed(id), "{id}");
-        assert_eq!(run.tracks(id), pipeline.tracks(id), "{id}");
+        assert_eq!(sharded.ever_alarmed(id), pipeline.ever_alarmed(id), "{id}");
+        assert_eq!(sharded.tracks(id), pipeline.tracks(id), "{id}");
         assert_eq!(
-            run.raw_alarm_history(id),
+            sharded.raw_alarm_history(id),
             pipeline.raw_alarm_history(id),
             "{id}"
         );
-        let (serial_m_ce, engine_m_ce) = (pipeline.m_ce(id).unwrap(), run.m_ce(id).unwrap());
+        let (serial_m_ce, engine_m_ce) = (pipeline.m_ce(id).unwrap(), sharded.m_ce(id).unwrap());
         assert_eq!(serial_m_ce, engine_m_ce, "M_CE diverged for {id}");
         let (sd, sc) = pipeline.classify_with_confidence(id);
-        let (ed, ec) = run.classify_with_confidence(id);
+        let (ed, ec) = sharded.classify_with_confidence(id);
         assert_eq!(sd, ed, "{id}");
         assert_eq!(sc.to_bits(), ec.to_bits(), "confidence diverged for {id}");
     }
@@ -131,7 +132,7 @@ fn engine_runs_are_deterministic_across_repeats() {
     let a = engine.process_trace(&trace).expect("healthy run");
     let b = engine.process_trace(&trace).expect("healthy run");
     assert_eq!(a.outcomes(), b.outcomes());
-    assert_eq!(a.classify_all(), b.classify_all());
+    assert_eq!(a.pipeline().classify_all(), b.pipeline().classify_all());
 }
 
 #[test]

@@ -20,8 +20,8 @@
 //! [`Vfs`](crate::vfs::Vfs) the collector was opened with, real
 //! [`FrameBuffer`] decoding), so an invariant the checker proves holds
 //! for the code that runs in production. This mirrors how the
-//! shard-schedule checker drives the real engine coordinator through
-//! `ShardBackend`.
+//! shard-schedule checker drives the real window pass through
+//! `SensorStages`.
 
 use crate::collector::{Collector, GatewayError};
 use crate::frame::{FrameBuffer, FrameError, Message};

@@ -139,11 +139,16 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "entry",
             "mean_into",
             "trimmed_mean_with",
+            "represent",
+            "label_nearest",
+            "voted",
+            "elect",
             "identify_states_into",
             "tally_votes",
         ],
     ),
-    ("core/src/pipeline.rs", &["push_values"]),
+    ("core/src/pipeline.rs", &["push_values", "analyze_window"]),
+    ("core/src/runtime.rs", &["label", "step", "grow"]),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
 ];

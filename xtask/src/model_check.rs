@@ -8,12 +8,13 @@
 //! schedules the OS happens to produce.
 //!
 //! This module closes that gap loom-style: it drives the *real*
-//! coordinator loop ([`sentinet_engine::drive_trace`]) with a
-//! [`ShardBackend`] whose shards are in-process [`ShardWorker`]s fed
-//! through the vendored crossbeam channels, and where every place the
-//! real engine leaves an order to the scheduler — which shard executes
-//! its pending job first, hence in which order replies arrive at the
-//! coordinator — becomes an explicit choice point. A depth-first
+//! window pass ([`sentinet_core::Coordinator`], the serial pipeline's
+//! own) with a [`SensorStages`] whose shards are in-process
+//! [`ShardWorker`]s fed the engine's own fan-out through the vendored
+//! crossbeam channels, and where every place the real engine leaves an
+//! order to the scheduler — which shard executes its pending job
+//! first, hence in which order replies arrive at the coordinator —
+//! becomes an explicit choice point. A depth-first
 //! [`Schedule`] enumerates every complete assignment of choices (the
 //! trace is replayed from scratch per schedule; all state is
 //! reconstructed, so the exploration is exhaustive and deterministic)
@@ -21,7 +22,7 @@
 //! and `M_CE` estimators must equal the serial pipeline's exactly.
 //!
 //! The scenario is the smallest one that exercises every barrier: 2
-//! shards, 3 sensors (sensor 2 alone on shard 1), 3 windows, with
+//! shards, 3 sensors (sensor 1 alone on shard 1), 3 windows, with
 //! sensor 2 turning faulty after the first window so the decisive-step
 //! path (alarms, `M_CE` updates) runs under exploration too.
 //!
@@ -33,14 +34,16 @@
 //! must quarantine the shard's sensors instead of aborting.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use sentinet_core::{Pipeline, PipelineConfig};
-use sentinet_engine::protocol::{collect_labels, collect_steps, shard_of, Job, Reply, ShardWorker};
-use sentinet_engine::{
-    drive_trace, ChaosPlan, Engine, FaultKind, FaultPoint, FaultSpec, ShardBackend, ShardError,
-    SupervisorConfig,
+use sentinet_cluster::ModelStates;
+use sentinet_core::{
+    Coordinator, Pipeline, PipelineConfig, SensorMap, SensorStages, WindowOutcome,
 };
+use sentinet_engine::protocol::{
+    collect_labels, collect_steps, label_jobs, step_jobs, Job, Reply, ShardWorker,
+};
+use sentinet_engine::{ChaosPlan, Engine, FaultKind, FaultPoint, FaultSpec, SupervisorConfig};
 use sentinet_sim::{Payload, Reading, SensorId, Trace, TraceRecord};
-use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::time::Duration;
 
 const NUM_SHARDS: usize = 2;
@@ -120,9 +123,10 @@ impl Schedule {
     }
 }
 
-/// A schedule-controlled [`ShardBackend`]: jobs flow through real
+/// A schedule-controlled [`SensorStages`]: jobs flow through real
 /// crossbeam channels to in-process [`ShardWorker`]s, and the schedule
-/// picks which shard runs next at every barrier.
+/// picks which shard runs next at every barrier. It never loses a
+/// worker, so no stage can fail.
 struct ExplorerBackend<'a> {
     workers: Vec<ShardWorker>,
     job_ports: Vec<(Sender<Job>, Receiver<Job>)>,
@@ -136,7 +140,8 @@ impl<'a> ExplorerBackend<'a> {
         let (reply_tx, reply_rx) = unbounded();
         Self {
             workers: (0..NUM_SHARDS)
-                .map(|_| ShardWorker::new(config.clone()))
+                .map(|_| SensorMap::new(config.clone()))
+                .map(|sensors| ShardWorker { sensors })
                 .collect(),
             job_ports: (0..NUM_SHARDS).map(|_| unbounded()).collect(),
             reply_tx,
@@ -145,10 +150,15 @@ impl<'a> ExplorerBackend<'a> {
         }
     }
 
-    /// Runs every queued job, one shard at a time in schedule-chosen
-    /// order; replies land on the shared reply channel in that order,
-    /// exactly as a real arrival order would.
-    fn run_pending(&mut self, mut pending: Vec<usize>) {
+    /// One barrier: queues `jobs[k]` for shard `k`, then runs the
+    /// queued jobs one shard at a time in schedule-chosen order.
+    /// Replies land on the shared reply channel in that order, exactly
+    /// as a real arrival order would, and are returned in it.
+    fn barrier(&mut self, jobs: Vec<Job>) -> Vec<Reply> {
+        for ((tx, _), job) in self.job_ports.iter().zip(jobs) {
+            tx.send(job).expect("job receiver alive");
+        }
+        let mut pending: Vec<usize> = (0..NUM_SHARDS).collect();
         while !pending.is_empty() {
             let pick = self.schedule.choose(pending.len());
             let shard = pending.remove(pick);
@@ -160,74 +170,38 @@ impl<'a> ExplorerBackend<'a> {
                 self.reply_tx.send(reply).expect("reply receiver alive");
             }
         }
-    }
-
-    fn arrivals(&self, n: usize) -> Vec<Reply> {
-        (0..n)
-            .map(|_| self.reply_rx.recv().expect("one reply per shard"))
-            .collect()
-    }
-
-    fn into_sensors(self) -> BTreeMap<SensorId, sentinet_core::SensorRuntime> {
-        let mut all = BTreeMap::new();
-        for w in self.workers {
-            all.extend(w.into_sensors());
-        }
-        all
+        std::iter::from_fn(|| self.reply_rx.try_recv().ok()).collect()
     }
 }
 
-impl ShardBackend for ExplorerBackend<'_> {
+impl SensorStages for ExplorerBackend<'_> {
+    type Error = Infallible;
+
     fn label(
         &mut self,
-        states: &sentinet_cluster::ModelStates,
-        representatives: &BTreeMap<SensorId, Vec<f64>>,
-    ) -> Result<Option<BTreeMap<SensorId, usize>>, ShardError> {
-        let mut batches: Vec<Vec<(SensorId, Vec<f64>)>> = vec![Vec::new(); NUM_SHARDS];
-        for (&id, mean) in representatives {
-            batches[shard_of(id, NUM_SHARDS)].push((id, mean.clone()));
-        }
-        for ((tx, _), means) in self.job_ports.iter().zip(batches) {
-            tx.send(Job::Label {
-                states: states.clone(),
-                means,
-            })
-            .expect("job receiver alive");
-        }
-        self.run_pending((0..NUM_SHARDS).collect());
-        Ok(collect_labels(self.arrivals(NUM_SHARDS)))
+        states: &ModelStates,
+        ids: &[SensorId],
+        representatives: &[f64],
+        votes: &mut [Option<usize>],
+    ) -> Result<(), Infallible> {
+        let replies = self.barrier(label_jobs(states, ids, representatives, NUM_SHARDS));
+        collect_labels(replies, ids, votes);
+        Ok(())
     }
 
     fn step(
         &mut self,
-        window_index: u64,
-        correct: usize,
         num_slots: usize,
-        labels: &BTreeMap<SensorId, usize>,
-    ) -> Result<(Vec<SensorId>, Vec<SensorId>), ShardError> {
-        let mut batches: Vec<Vec<(SensorId, usize)>> = vec![Vec::new(); NUM_SHARDS];
-        for (&id, &label) in labels {
-            batches[shard_of(id, NUM_SHARDS)].push((id, label));
-        }
-        for ((tx, _), labels) in self.job_ports.iter().zip(batches) {
-            tx.send(Job::Step {
-                window_index,
-                correct,
-                num_slots,
-                labels,
-            })
-            .expect("job receiver alive");
-        }
-        self.run_pending((0..NUM_SHARDS).collect());
-        Ok(collect_steps(self.arrivals(NUM_SHARDS)))
+        voted: impl Iterator<Item = (SensorId, usize)>,
+        outcome: &mut WindowOutcome,
+    ) -> Result<(), Infallible> {
+        let replies = self.barrier(step_jobs(num_slots, voted, outcome, NUM_SHARDS));
+        collect_steps(replies, outcome);
+        Ok(())
     }
 
-    fn grow(&mut self, num_slots: usize) -> Result<(), ShardError> {
-        for (tx, _) in &self.job_ports {
-            tx.send(Job::Grow { num_slots })
-                .expect("job receiver alive");
-        }
-        self.run_pending((0..NUM_SHARDS).collect());
+    fn grow(&mut self, num_slots: usize) -> Result<(), Infallible> {
+        self.barrier(vec![Job::Grow { num_slots }; NUM_SHARDS]);
         Ok(())
     }
 }
@@ -262,6 +236,33 @@ fn check_trace() -> Trace {
     Trace::from_records(records)
 }
 
+/// Holds a sharded run to the serial one: window outcomes, then every
+/// sensor's raw-alarm history and `M_CE` estimator, compared exactly.
+fn check_identical(
+    outcomes: &[WindowOutcome],
+    sharded: &Pipeline,
+    serial_outcomes: &[WindowOutcome],
+    serial: &Pipeline,
+) -> Result<(), String> {
+    if outcomes != serial_outcomes {
+        return Err(format!(
+            "outcomes differ from serial run\nserial: {serial_outcomes:?}\nsharded: {outcomes:?}"
+        ));
+    }
+    for id in (0..NUM_SENSORS).map(SensorId) {
+        if sharded.m_ce(id).is_none() {
+            return Err(format!("{id} missing"));
+        }
+        if sharded.raw_alarm_history(id) != serial.raw_alarm_history(id) {
+            return Err(format!("{id} raw-alarm history diverged"));
+        }
+        if sharded.m_ce(id) != serial.m_ce(id) {
+            return Err(format!("{id} M_CE estimator diverged"));
+        }
+    }
+    Ok(())
+}
+
 /// Explores every schedule and checks bit-identical equivalence with
 /// the serial pipeline. Returns the exploration report, or the first
 /// divergence found.
@@ -286,35 +287,13 @@ pub fn explore() -> Result<ExploreReport, String> {
     let mut schedule = Schedule::new();
     let mut schedules = 0usize;
     loop {
+        let mut coordinator = Coordinator::new(config.clone(), SAMPLE_PERIOD);
         let mut backend = ExplorerBackend::new(&config, &mut schedule);
-        let (_, outcomes) = drive_trace(&config, SAMPLE_PERIOD, &trace, &mut backend)
-            .expect("the explorer backend never loses a worker");
-        let sensors = backend.into_sensors();
-
-        if outcomes != serial_outcomes {
-            return Err(format!(
-                "schedule {:?} diverged: outcomes differ from serial run\nserial: {serial_outcomes:?}\nsharded: {outcomes:?}",
-                schedule.choices
-            ));
-        }
-        for s in 0..NUM_SENSORS {
-            let id = SensorId(s);
-            let rt = sensors
-                .get(&id)
-                .ok_or_else(|| format!("schedule {:?}: sensor {s} missing", schedule.choices))?;
-            if Some(rt.raw_history()) != pipeline.raw_alarm_history(id) {
-                return Err(format!(
-                    "schedule {:?}: sensor {s} raw-alarm history diverged",
-                    schedule.choices
-                ));
-            }
-            if Some(rt.m_ce()) != pipeline.m_ce(id) {
-                return Err(format!(
-                    "schedule {:?}: sensor {s} M_CE estimator diverged",
-                    schedule.choices
-                ));
-            }
-        }
+        let Ok(outcomes) = coordinator.process_trace(&mut backend, &trace);
+        let sensors = backend.workers.iter_mut().flat_map(|w| w.sensors.take());
+        let sharded = Pipeline::from_parts(coordinator, sensors.collect());
+        check_identical(&outcomes, &sharded, &serial_outcomes, &pipeline)
+            .map_err(|what| format!("schedule {:?}: {what}", schedule.choices))?;
 
         schedules += 1;
         if !schedule.advance() {
@@ -411,25 +390,8 @@ pub fn explore_faults() -> Result<FaultReport, String> {
                 "fault plan {plan:?}: quarantined within budget — recovery failed"
             ));
         }
-        if run.outcomes() != serial_outcomes.as_slice() {
-            return Err(format!(
-                "fault plan {plan:?}: outcomes diverged after recovery\nserial: {serial_outcomes:?}\nsharded: {:?}",
-                run.outcomes()
-            ));
-        }
-        for s in 0..NUM_SENSORS {
-            let id = SensorId(s);
-            if run.raw_alarm_history(id) != pipeline.raw_alarm_history(id) {
-                return Err(format!(
-                    "fault plan {plan:?}: sensor {s} raw-alarm history diverged"
-                ));
-            }
-            if run.m_ce(id) != pipeline.m_ce(id) {
-                return Err(format!(
-                    "fault plan {plan:?}: sensor {s} M_CE estimator diverged"
-                ));
-            }
-        }
+        check_identical(run.outcomes(), run.pipeline(), &serial_outcomes, &pipeline)
+            .map_err(|what| format!("fault plan {plan:?}: {what}"))?;
         schedules += 1;
     }
 
