@@ -140,8 +140,12 @@ impl Coordinator {
         sensor: SensorId,
         values: &[f64],
     ) -> Result<Vec<WindowOutcome>, S::Error> {
+        let completed = self.windower.push(time, sensor, values);
+        if completed.is_empty() {
+            return Ok(Vec::new());
+        }
         let mut outcomes = Vec::new();
-        for window in self.windower.push(time, sensor, values) {
+        for window in completed {
             outcomes.extend(self.analyze_window(stages, &window)?);
             self.windower.recycle(window);
         }

@@ -42,6 +42,7 @@ use sentinet_sim::SensorId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
+use std::ops::Bound;
 
 /// Symbol index reserved for the fictitious ⊥ state of `M_CE`
 /// (the sensor agrees with the correct state while its track is open).
@@ -363,18 +364,26 @@ impl SensorStages for SensorMap {
         voted: impl Iterator<Item = (SensorId, usize)>,
         outcome: &mut WindowOutcome,
     ) -> Result<(), Infallible> {
+        // `voted` and the map both ascend by sensor id: walk them
+        // together. Only a sensor's first appearance pays for a lookup,
+        // and it is stepped in its turn, so the alarm lists ascend.
+        let mut known = self.runtimes.range_mut(..).peekable();
         for (id, label) in voted {
+            while known.next_if(|(k, _)| **k < id).is_some() {}
+            if let Some((_, sensor)) = known.next_if(|(k, _)| **k == id) {
+                step_sensor(sensor, id, label, outcome);
+                continue;
+            }
+            let config = &self.config;
             let sensor = self
                 .runtimes
                 .entry(id)
-                .or_insert_with(|| SensorRuntime::new(&self.config, num_slots));
-            let step = sensor.step(outcome.index, label, outcome.correct);
-            if step.raw {
-                outcome.raw_alarms.push(id);
-            }
-            if step.filtered {
-                outcome.filtered_alarms.push(id);
-            }
+                .or_insert_with(|| SensorRuntime::new(config, num_slots));
+            step_sensor(sensor, id, label, outcome);
+            known = self
+                .runtimes
+                .range_mut((Bound::Excluded(id), Bound::Unbounded))
+                .peekable();
         }
         Ok(())
     }
@@ -384,6 +393,23 @@ impl SensorStages for SensorMap {
             sensor.grow(num_slots);
         }
         Ok(())
+    }
+}
+
+/// One sensor's [`SensorRuntime::step`] for the window `outcome`
+/// describes, its alarms appended to `outcome`'s lists.
+fn step_sensor(
+    sensor: &mut SensorRuntime,
+    id: SensorId,
+    label: usize,
+    outcome: &mut WindowOutcome,
+) {
+    let step = sensor.step(outcome.index, label, outcome.correct);
+    if step.raw {
+        outcome.raw_alarms.push(id);
+    }
+    if step.filtered {
+        outcome.filtered_alarms.push(id);
     }
 }
 

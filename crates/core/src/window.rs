@@ -298,7 +298,7 @@ impl ObservationWindow {
             scratch.column.clear();
             scratch
                 .column
-                .extend(scratch.flat.iter().skip(d).step_by(dims));
+                .extend(scratch.flat.chunks_exact(dims).map(|point| point[d]));
             let mid = scratch.column.len() / 2;
             let (_, &mut med, _) = scratch
                 .column
@@ -308,28 +308,30 @@ impl ObservationWindow {
         // Distance from the median per reading; keep the nearest `keep`.
         // Tie-breaking on the arrival index reproduces the stable order
         // a full stable sort over distances would yield.
-        scratch.order.clear();
+        scratch.keys.clear();
         for (i, point) in scratch.flat.chunks_exact(dims).enumerate() {
             let d2: f64 = point
                 .iter()
                 .zip(&scratch.median)
                 .map(|(x, m)| (x - m) * (x - m))
                 .sum();
-            scratch.order.push((d2.sqrt(), i as u32));
+            scratch.keys.push(order_key(d2.sqrt(), i as u32));
         }
         let keep = ((n as f64) * (1.0 - trim)).ceil().max(1.0) as usize;
         let keep = keep.min(n);
-        let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
         if keep < n {
-            scratch.order.select_nth_unstable_by(keep, cmp);
+            scratch.keys.select_nth_unstable(keep);
         }
         // Summation order matters for float reproducibility: sum the
         // kept readings in (distance, arrival) order, as the previous
-        // sort-based implementation did.
-        let kept = &mut scratch.order[..keep];
-        kept.sort_unstable_by(cmp);
-        for &(_, i) in kept.iter() {
-            let point = &scratch.flat[i as usize * dims..(i as usize + 1) * dims];
+        // sort-based implementation did. This sort is the one
+        // O(n log n) term of a window close and cannot be traded for a
+        // selection alone.
+        let kept = &mut scratch.keys[..keep];
+        kept.sort_unstable();
+        for &key in kept.iter() {
+            let i = key as u32 as usize;
+            let point = &scratch.flat[i * dims..(i + 1) * dims];
             for (m, &v) in scratch.mean.iter_mut().zip(point) {
                 *m += v;
             }
@@ -352,6 +354,19 @@ impl ObservationWindow {
     }
 }
 
+/// The place of a reading in the (distance, arrival) order as one
+/// integer: comparing two keys is `a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))`
+/// on the `(distance, arrival)` pairs, for every `f64` there is. The
+/// high 64 bits are the distance's bit pattern mapped so that unsigned
+/// order is [`f64::total_cmp`] order (sign bit flipped for positives,
+/// every bit for negatives); the arrival index sits in the low 32.
+#[inline]
+fn order_key(distance: f64, arrival: u32) -> u128 {
+    let bits = distance.to_bits();
+    let flip = (((bits as i64) >> 63) as u64) | (1 << 63);
+    (u128::from(bits ^ flip) << 32) | u128::from(arrival)
+}
+
 /// Reusable intermediates of the per-window statistics (Eqs. 2–4). One
 /// instance per pipeline. The trimmed-mean working set is meaningless
 /// between calls; the Eq. 3 results of the last
@@ -364,8 +379,9 @@ pub struct WindowScratch {
     column: Vec<f64>,
     /// Coordinate-wise median of the window readings.
     median: Vec<f64>,
-    /// (distance-from-median, arrival index) per reading.
-    order: Vec<(f64, u32)>,
+    /// One [`order_key`] per reading: distance from the median, then
+    /// arrival index.
+    keys: Vec<u128>,
     /// The resulting mean — borrowed by `trimmed_mean_with`'s return.
     mean: Vec<f64>,
     /// Sensors that reported in the identified window, ascending.
@@ -540,6 +556,14 @@ impl Windower {
         sensor: SensorId,
         values: &[f64],
     ) -> Vec<ObservationWindow> {
+        // Nearly every reading lands in the open window: no division,
+        // nothing to roll, nothing to return. One that precedes the
+        // window falls through to the assert below.
+        let into_open = time.checked_sub(self.current.start);
+        if self.started && into_open.is_some_and(|t| t < self.window_duration) {
+            self.current.push(sensor, values);
+            return Vec::new();
+        }
         let target_index = time / self.window_duration;
         if !self.started {
             self.started = true;
@@ -592,7 +616,9 @@ impl Windower {
     /// # Errors
     ///
     /// [`CheckpointError::Invalid`] when a sensor's flat sample buffer
-    /// disagrees with its recorded dimensionality.
+    /// disagrees with its recorded dimensionality, or a started
+    /// window's start is not its index times `window_duration`
+    /// ([`Windower::push`] places readings by the start it is given).
     ///
     /// # Panics
     ///
@@ -602,6 +628,12 @@ impl Windower {
         snapshot: &WindowerSnapshot,
     ) -> Result<Self, CheckpointError> {
         let mut w = Self::new(window_duration);
+        if snapshot.started && snapshot.index.checked_mul(window_duration) != Some(snapshot.start) {
+            return Err(CheckpointError::Invalid(format!(
+                "windower window {} does not start at {}",
+                snapshot.index, snapshot.start
+            )));
+        }
         w.started = snapshot.started;
         w.current.index = snapshot.index;
         w.current.start = snapshot.start;
@@ -872,9 +904,13 @@ mod tests {
             snap
         );
 
-        // Corrupt dims are rejected.
+        // Corrupt dims are rejected, and so is a window that does not
+        // start where its index says.
         let mut bad = w.snapshot();
         bad.readings[0].1 = 3;
+        assert!(Windower::from_snapshot(100, &bad).is_err());
+        let mut bad = w.snapshot();
+        bad.start += 1;
         assert!(Windower::from_snapshot(100, &bad).is_err());
     }
 
@@ -947,6 +983,35 @@ mod tests {
                 assert_eq!(g.to_bits(), e.to_bits(), "trim {trim}");
             }
         }
+    }
+
+    #[test]
+    fn order_keys_compare_like_total_cmp_then_arrival() {
+        let distances = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE / 2.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &a in &distances {
+            for &b in &distances {
+                for (i, j) in [(0, 0), (0, 1), (1, 0), (7, u32::MAX)] {
+                    assert_eq!(
+                        order_key(a, i).cmp(&order_key(b, j)),
+                        a.total_cmp(&b).then(i.cmp(&j)),
+                        "({a}, {i}) against ({b}, {j})"
+                    );
+                }
+            }
+        }
+        assert_eq!(order_key(2.5, 41) as u32, 41, "the low half is the arrival");
     }
 
     #[test]

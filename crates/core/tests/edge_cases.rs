@@ -69,27 +69,66 @@ fn single_sensor_network_never_alarms_itself() {
     assert!(outcomes.iter().all(|o| o.raw_alarms.is_empty()));
 }
 
+/// FNV-1a, for pinning a run's bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 #[test]
 fn sensor_joining_late_is_tracked() {
-    // Sensor 5 only starts reporting halfway through the stream.
+    // Ten sensors report from the start; 1 and 4 go wrong a quarter of
+    // the way in, so the model state they sit in exists by the time two
+    // more sensors first report, halfway through: 5, clean, and 2,
+    // which sits in that wrong state from its first reading. Sensors
+    // with lower and higher ids than both are known by then.
+    const OFF: [f64; 2] = [35.0, 40.0];
+    let (quarter, half) = (21_600, 43_200);
     let mut records = Vec::new();
     for t in (0..86_400).step_by(300) {
-        for s in 0..5u16 {
-            records.push(record(t, s, vec![20.0 + s as f64 * 0.01, 70.0]));
+        for s in [0u16, 1, 3, 4, 6, 7, 8, 9, 10, 11] {
+            let wrong = (s == 1 || s == 4) && t >= quarter;
+            let honest = vec![20.0 + s as f64 * 0.01, 70.0];
+            records.push(record(t, s, if wrong { OFF.to_vec() } else { honest }));
         }
-        if t >= 43_200 {
+        if t >= half {
+            records.push(record(t, 2, OFF.to_vec()));
             records.push(record(t, 5, vec![20.0, 70.0]));
         }
     }
     let trace = Trace::from_records(records);
     let mut p = Pipeline::new(PipelineConfig::default(), 300);
-    p.process_trace(&trace);
+    let outcomes = p.process_trace(&trace);
     assert!(p.sensor_ids().contains(&SensorId(5)));
     assert_eq!(p.classify(SensorId(5)), Diagnosis::ErrorFree);
     // Its history only covers the second half.
     let h5 = p.raw_alarm_history(SensorId(5)).unwrap().len();
     let h0 = p.raw_alarm_history(SensorId(0)).unwrap().len();
     assert!(h5 < h0, "late sensor has shorter history: {h5} vs {h0}");
+
+    // The newcomer raises its raw alarm in the window it appears in,
+    // between the known sensors', and its filtered alarm in its turn.
+    let wrong = [SensorId(1), SensorId(2), SensorId(4)];
+    let joined = outcomes.iter().find(|o| o.start == half).unwrap();
+    assert_eq!(joined.raw_alarms, wrong);
+    assert_eq!(joined.filtered_alarms, [SensorId(1), SensorId(4)]);
+    assert_eq!(outcomes.last().unwrap().filtered_alarms, wrong);
+    assert!(p.raw_alarm_history(SensorId(2)).unwrap()[0].1);
+    let ascending = |ids: &[SensorId]| ids.windows(2).all(|w| w[0] < w[1]);
+    for o in &outcomes {
+        assert!(ascending(&o.raw_alarms), "raw {:?}", o.raw_alarms);
+        assert!(ascending(&o.filtered_alarms), "{:?}", o.filtered_alarms);
+    }
+    // The state the run ends in — every sensor's raw history, tracks
+    // and `M_CE` — as recorded at 62a0109 by this same test, where every
+    // sensor of every window was looked up by id.
+    let state = sentinet_core::encode_pipeline(&p.snapshot());
+    assert_eq!(
+        fnv(state.as_bytes()),
+        0x9a28_f64b_1bc1_53b3,
+        "a mid-stream joiner changed the run"
+    );
 }
 
 #[test]

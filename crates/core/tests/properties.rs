@@ -548,6 +548,104 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
     );
 }
 
+/// Eq. 2's robust mean as it ordered readings before the integer keys:
+/// `(distance, arrival)` pairs under a `total_cmp().then()` comparator,
+/// selected and then sorted. Kept as the oracle `trimmed_mean_with` is
+/// held to bit for bit (ROADMAP 4e).
+fn oracle_trimmed_mean(window: &ObservationWindow, trim: f64) -> Option<Vec<f64>> {
+    let points: Vec<&[f64]> = window.sensors().flat_map(|(_, s)| s.iter()).collect();
+    let (n, dims) = (points.len(), points.first()?.len());
+    let mut mean = vec![0.0; dims];
+    let median: Vec<f64> = (0..dims)
+        .map(|d| {
+            let mut column: Vec<f64> = points.iter().map(|p| p[d]).collect();
+            let (_, &mut med, _) = column.select_nth_unstable_by(n / 2, |a, b| a.total_cmp(b));
+            med
+        })
+        .collect();
+    let mut order: Vec<(f64, u32)> = Vec::new();
+    for (i, point) in points.iter().enumerate() {
+        let d2: f64 = point
+            .iter()
+            .zip(&median)
+            .map(|(x, m)| (x - m) * (x - m))
+            .sum();
+        order.push((d2.sqrt(), i as u32));
+    }
+    let keep = (((n as f64) * (1.0 - trim)).ceil().max(1.0) as usize).min(n);
+    let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    if keep < n {
+        order.select_nth_unstable_by(keep, cmp);
+    }
+    let kept = &mut order[..keep];
+    kept.sort_unstable_by(cmp);
+    for &(_, i) in kept.iter() {
+        for (m, &v) in mean.iter_mut().zip(points[i as usize]) {
+            *m += v;
+        }
+    }
+    mean.iter_mut().for_each(|m| *m /= keep as f64);
+    Some(mean)
+}
+
+/// A seeded window for the Eq. 2 differential: one sensor or many, one
+/// reading or hundreds, values quantised to a coarse grid (duplicates
+/// and mirror images, so distances tie exactly), continuous, or mixed
+/// with signed zeros and outliers whose squared distance overflows.
+fn tie_heavy_window(rng: &mut TestRng) -> ObservationWindow {
+    let dims = rng.usize_in(1, 4);
+    let sensors = [1, 1, 2, 7, 40][rng.usize_in(0, 5)];
+    let per_sensor = [1, 1, 3, 12][rng.usize_in(0, 4)];
+    let style = rng.usize_in(0, 3);
+    let mut w = ObservationWindow::default();
+    for _ in 0..per_sensor {
+        for sensor in 0..sensors {
+            let values: Vec<f64> = (0..dims)
+                .map(|_| match (style, rng.usize_in(0, 16)) {
+                    (_, 0) => -0.0,
+                    (_, 1) => 0.0,
+                    (2, 2) => 1e200,
+                    (2, 3) => -1e200,
+                    (0, _) => rng.usize_in(0, 9) as f64 * 0.5 - 2.0,
+                    _ => rng.next_f64() * 40.0 - 20.0,
+                })
+                .collect();
+            w.push(SensorId(sensor * 3), &values);
+        }
+    }
+    w
+}
+
+/// The integer-keyed ordering of `trimmed_mean_with` against the
+/// comparator it replaced: same kept set, same summation order, so the
+/// same bits — under exact distance ties, `±0.0`, one reading, one
+/// sensor, nothing trimmed (`keep == n`) and nearly half trimmed.
+#[test]
+fn trimmed_mean_matches_the_comparator_oracle_bit_for_bit() {
+    let replay = Replay {
+        var: "TRIMMED_MEAN_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "trimmed_mean_matches_the_comparator_oracle_bit_for_bit",
+    };
+    replay.for_each_seed(3_000, |seed| {
+        let mut rng = TestRng::new(seed);
+        let w = tie_heavy_window(&mut rng);
+        let mut scratch = WindowScratch::new();
+        for trim in [0.01, 0.15, 0.49] {
+            let want = oracle_trimmed_mean(&w, trim).map(|m| bits(&m));
+            let got = w.trimmed_mean_with(trim, &mut scratch).map(bits);
+            if got != want {
+                return Err(format!(
+                    "trim {trim}, {} readings: got {got:x?}, oracle {want:x?}",
+                    w.num_readings()
+                ));
+            }
+        }
+        Ok(())
+    });
+}
+
 fn is_malformed(e: &CheckpointError) -> bool {
     matches!(e, CheckpointError::Malformed { .. })
 }

@@ -9,15 +9,20 @@
 //!   `identify_states_into`),
 //! - a no-spawn `update_labeled`,
 //!
-//! and for a window close through `Pipeline::push_values` exactly two
+//! for a window close through `Pipeline::push_values` exactly two
 //! (the completed-window `Vec`, the outcome `Vec`) at 20 sensors and at
-//! 200.
+//! 200, and for a spawned model state a number of calls per sensor that
+//! does not grow with the states it already has: eight spawns in a row
+//! within 16 calls a sensor.
 //!
 //! Counts are per thread, so the harness running the tests of this file
 //! side by side does not disturb them.
 
 use sentinet_cluster::{ClusterConfig, ModelStates, UpdateScratch};
-use sentinet_core::{identify_states_into, Pipeline, PipelineConfig, WindowScratch, Windower};
+use sentinet_core::{
+    identify_states_into, Pipeline, PipelineConfig, SensorMap, SensorStages, WindowOutcome,
+    WindowScratch, Windower,
+};
 use sentinet_sim::SensorId;
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -155,4 +160,37 @@ fn pipeline_window_close_allocates_a_constant_independent_of_sensor_count() {
     // The completed-window Vec and the outcome Vec; nothing per sensor.
     assert_eq!(window_close_allocations(20), 2);
     assert_eq!(window_close_allocations(200), 2);
+}
+
+#[test]
+fn a_spawn_grows_each_sensor_in_place() {
+    // Eight single-slot spawns in a row, as a new regime or an attack
+    // produces them. Each grows both matrices of every sensor's `M_CE`
+    // by a row and a column, and its two count vectors by a cell: four
+    // buffers whose growth is amortised, so the whole run stays within
+    // 16 allocator calls a sensor wherever it starts. Reallocating both
+    // matrices per spawn costs six calls a sensor a spawn, 50 or so in
+    // all.
+    const SENSORS: u16 = 200;
+    const SPAWNS: usize = 8;
+    for slots in [4, 6, 8, 13] {
+        let mut sensors = SensorMap::new(PipelineConfig::default());
+        let mut outcome = WindowOutcome::default();
+        let voted = (0..SENSORS).map(|s| (SensorId(s), 0));
+        let Ok(()) = sensors.step(slots, voted, &mut outcome);
+        let (n, ()) = allocations(|| {
+            for grown in 1..=SPAWNS {
+                let Ok(()) = sensors.grow(slots + grown);
+            }
+        });
+        let per_sensor = n as f64 / f64::from(SENSORS);
+        assert!(
+            per_sensor <= 16.0,
+            "{SPAWNS} spawns from {slots} slots: {per_sensor} allocator calls per sensor"
+        );
+        // And they grew: every sensor steps in the newest state.
+        let voted = (0..SENSORS).map(|s| (SensorId(s), slots + SPAWNS - 1));
+        let Ok(()) = sensors.step(slots + SPAWNS, voted, &mut outcome);
+        assert_eq!(sensors.snapshots().len(), usize::from(SENSORS));
+    }
 }

@@ -11,7 +11,7 @@ use sentinet_inject::{
     first_k_sensors, inject_attacks, inject_faults, AttackInjection, AttackModel, FaultInjection,
     FaultModel,
 };
-use sentinet_sim::{gdi, simulate, SensorId, Trace, DAY_S};
+use sentinet_sim::{gdi, simulate, Payload, Reading, SensorId, Trace, DAY_S};
 
 fn clean_scenario(seed: u64, days: u64) -> (Trace, u64) {
     let mut cfg = gdi::month_config();
@@ -38,6 +38,23 @@ fn stuck_at_scenario(seed: u64) -> (Trace, u64) {
         &mut rng,
     );
     (faulty, cfg.sample_period)
+}
+
+/// The stuck-at scenario with sensor 4 unheard of for the first two
+/// days and stuck where sensor 6 is from its first reading on: a
+/// sensor whose first step raises a raw alarm, with lower and higher
+/// ids — sensor 6, alarming, among them — long known to the workers.
+fn late_joiner_scenario(seed: u64) -> (Trace, u64) {
+    let (trace, period) = stuck_at_scenario(seed);
+    let joiner = SensorId(4);
+    let mut records = trace.into_records();
+    records.retain(|r| r.sensor != joiner || r.time >= 2 * DAY_S);
+    for r in records.iter_mut().filter(|r| r.sensor == joiner) {
+        if let Payload::Delivered(reading) = &mut r.payload {
+            *reading = Reading::new(vec![15.0, 1.0]);
+        }
+    }
+    (Trace::from_records(records), period)
 }
 
 fn creation_scenario(seed: u64) -> (Trace, u64) {
@@ -113,6 +130,19 @@ fn clean_trace_is_shard_invariant() {
 fn stuck_at_trace_is_shard_invariant() {
     let (trace, period) = stuck_at_scenario(20);
     for shards in [1, 2, 4] {
+        assert_equivalent(&trace, period, shards);
+    }
+}
+
+#[test]
+fn mid_stream_joiner_is_shard_invariant() {
+    let (trace, period) = late_joiner_scenario(20);
+    let mut serial = Pipeline::new(PipelineConfig::default(), period);
+    let outcomes = serial.process_trace(&trace);
+    let joined = outcomes.iter().find(|o| o.start == 2 * DAY_S).unwrap();
+    assert_eq!(joined.raw_alarms, [SensorId(4), SensorId(6)]);
+    assert_eq!(joined.filtered_alarms, [SensorId(6)]);
+    for shards in [2, 3] {
         assert_equivalent(&trace, period, shards);
     }
 }

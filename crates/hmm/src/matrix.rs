@@ -5,6 +5,30 @@
 //! [`StochasticMatrix`] enforces this invariant at construction and
 //! preserves it under the online exponential updates used by the paper
 //! (§3.2), which are closed over the probability simplex.
+//!
+//! # Layout
+//!
+//! Storage is row-major with a row *stride* that may exceed the column
+//! count: row `i` occupies `data[i·stride .. i·stride + cols]` and the
+//! `stride − cols` cells behind it are padding. The stride is not
+//! stored: it is the column count rounded up to a multiple of
+//! `STRIDE_QUANTUM`. Adding a column ([`StochasticMatrix::grow`], once
+//! per spawned model state and per sensor) is therefore a bump of `cols`
+//! into the padding, and adding a row is an append that `Vec` growth
+//! amortises; every row is copied only when the columns outgrow the
+//! stride, once per `STRIDE_QUANTUM` columns.
+//!
+//! Padding invariant: every padding cell is `+0.0`, always. A column
+//! bump exposes padding as the new column, which must read as the zero
+//! a reallocating grow would have written; `reinforce` and every other
+//! writer touch the logical cells only. The `check-invariants` feature
+//! asserts it after each mutation.
+//!
+//! Nothing outside this module can observe the stride: accessors return
+//! logical rows, `export_state`/`from_rows` speak `Vec<Vec<f64>>`, and
+//! equality is written by hand over the logical rows, so a matrix
+//! rebuilt from a checkpoint is `==` to the grown matrix it was taken
+//! from whatever spare capacity either holds.
 
 use crate::error::{HmmError, Result};
 use serde::{Deserialize, Serialize};
@@ -13,6 +37,16 @@ use std::ops::Index;
 
 /// Tolerance used when validating that a distribution sums to one.
 pub const STOCHASTIC_TOL: f64 = 1e-9;
+
+/// Row strides are multiples of this many cells (see the module
+/// header): at most `STRIDE_QUANTUM − 1` padding cells a row, one full
+/// copy per `STRIDE_QUANTUM` added columns.
+const STRIDE_QUANTUM: usize = 8;
+
+/// The stride a matrix of `cols` columns is stored with.
+fn stride_for(cols: usize) -> usize {
+    cols.next_multiple_of(STRIDE_QUANTUM)
+}
 
 /// Validates that `v` is a probability distribution: entries within
 /// `[-tol, 1 + tol]` and summing to one within `tol`.
@@ -55,12 +89,22 @@ pub fn validate_distribution(v: &[f64], what: &str, tol: f64) -> Result<()> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StochasticMatrix {
     rows: usize,
     cols: usize,
-    /// Row-major storage; invariant: each row sums to 1 within tolerance.
+    /// Row-major storage, `rows × stride()`; invariants: each row sums
+    /// to 1 within tolerance over its first `cols` cells, the rest of
+    /// it is `+0.0`.
     data: Vec<f64>,
+}
+
+/// Equality of the logical matrices: same shape, same entries (see the
+/// module header for why the storage does not take part).
+impl PartialEq for StochasticMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.cols == other.cols && self.iter_rows().eq(other.iter_rows())
+    }
 }
 
 impl StochasticMatrix {
@@ -86,18 +130,26 @@ impl StochasticMatrix {
             }
             validate_distribution(r, &format!("matrix row {i}"), STOCHASTIC_TOL)?;
         }
-        let data = rows.into_iter().flatten().collect();
-        Ok(Self {
-            rows: 0, // fixed below
-            cols,
-            data,
+        let mut m = Self::zeroed(rows.len(), cols);
+        for (cells, r) in m.data.chunks_exact_mut(stride_for(cols)).zip(&rows) {
+            cells[..cols].copy_from_slice(r);
         }
-        .with_rows_computed())
+        Ok(m)
     }
 
-    fn with_rows_computed(mut self) -> Self {
-        self.rows = self.data.len() / self.cols;
-        self
+    /// `rows × cols` cells of `+0.0` at the stride of `cols`: storage
+    /// for a constructor to fill, not yet a stochastic matrix.
+    fn zeroed(rows: usize, cols: usize) -> Self {
+        Self {
+            rows,
+            cols,
+            data: vec![0.0; rows * stride_for(cols)],
+        }
+    }
+
+    /// Cells from one row's start to the next.
+    fn stride(&self) -> usize {
+        stride_for(self.cols)
     }
 
     /// Creates an identity matrix of size `n`, the initialization the
@@ -107,18 +159,7 @@ impl StochasticMatrix {
     ///
     /// Returns [`HmmError::EmptyModel`] if `n == 0`.
     pub fn identity(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(HmmError::EmptyModel);
-        }
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            data[i * n + i] = 1.0;
-        }
-        Ok(Self {
-            rows: n,
-            cols: n,
-            data,
-        })
+        Self::diagonal_like(n, n)
     }
 
     /// Creates a `rows × cols` matrix with every row uniform.
@@ -130,11 +171,11 @@ impl StochasticMatrix {
         if rows == 0 || cols == 0 {
             return Err(HmmError::EmptyModel);
         }
-        Ok(Self {
-            rows,
-            cols,
-            data: vec![1.0 / cols as f64; rows * cols],
-        })
+        let mut m = Self::zeroed(rows, cols);
+        for cells in m.data.chunks_exact_mut(stride_for(cols)) {
+            cells[..cols].fill(1.0 / cols as f64);
+        }
+        Ok(m)
     }
 
     /// Creates a rectangular matrix whose row `i` puts all mass on
@@ -150,11 +191,11 @@ impl StochasticMatrix {
         if rows == 0 || cols == 0 {
             return Err(HmmError::EmptyModel);
         }
-        let mut data = vec![0.0; rows * cols];
-        for i in 0..rows {
-            data[i * cols + i.min(cols - 1)] = 1.0;
+        let mut m = Self::zeroed(rows, cols);
+        for (i, cells) in m.data.chunks_exact_mut(stride_for(cols)).enumerate() {
+            cells[i.min(cols - 1)] = 1.0;
         }
-        Ok(Self { rows, cols, data })
+        Ok(m)
     }
 
     /// Number of rows (distributions).
@@ -174,7 +215,7 @@ impl StochasticMatrix {
     /// Panics if `i >= self.num_rows()`.
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        &self.data[i * self.stride()..][..self.cols]
     }
 
     /// Returns column `j` as an owned vector.
@@ -184,14 +225,15 @@ impl StochasticMatrix {
     /// Panics if `j >= self.num_cols()`.
     pub fn col(&self, j: usize) -> Vec<f64> {
         assert!(j < self.cols, "col {j} out of range ({} cols)", self.cols);
-        (0..self.rows)
-            .map(|i| self.data[i * self.cols + j])
-            .collect()
+        let stride = self.stride();
+        (0..self.rows).map(|i| self.data[i * stride + j]).collect()
     }
 
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols)
+        self.data
+            .chunks_exact(self.stride())
+            .map(|cells| &cells[..self.cols])
     }
 
     /// Applies the paper's exponential "move mass toward outcome `k`"
@@ -228,7 +270,8 @@ impl StochasticMatrix {
                 range: "(0, 1)",
             });
         }
-        let row = &mut self.data[i * self.cols..(i + 1) * self.cols];
+        let at = i * self.stride();
+        let row = &mut self.data[at..at + self.cols];
         for (j, x) in row.iter_mut().enumerate() {
             *x = (1.0 - eta) * *x + if j == k { eta } else { 0.0 };
         }
@@ -237,12 +280,19 @@ impl StochasticMatrix {
     }
 
     /// Asserts the row-stochastic invariant (finite entries, every row
-    /// summing to one within [`STOCHASTIC_TOL`]) after a mutation.
+    /// summing to one within [`STOCHASTIC_TOL`]) and the padding
+    /// invariant (every cell behind a row is `+0.0`) after a mutation.
     /// Compiles to nothing unless the `check-invariants` feature is on;
     /// `xtask analyze` runs the test suite with it enabled.
     #[cfg(feature = "check-invariants")]
     fn assert_invariants(&self, context: &str) {
-        for (i, r) in self.iter_rows().enumerate() {
+        debug_assert_eq!(
+            self.data.len(),
+            self.rows * self.stride(),
+            "{context}: storage"
+        );
+        for (i, cells) in self.data.chunks_exact(self.stride()).enumerate() {
+            let (r, padding) = (&cells[..self.cols], &cells[self.cols..]);
             debug_assert!(
                 r.iter().all(|x| x.is_finite()),
                 "{context}: row {i} contains a non-finite entry: {r:?}"
@@ -252,6 +302,10 @@ impl StochasticMatrix {
                 (sum - 1.0).abs() <= STOCHASTIC_TOL,
                 "{context}: row {i} sums to {sum} (drift {:e})",
                 (sum - 1.0).abs()
+            );
+            debug_assert!(
+                padding.iter().all(|x| x.to_bits() == 0),
+                "{context}: row {i} has a non-zero padding cell: {padding:?}"
             );
         }
     }
@@ -265,33 +319,48 @@ impl StochasticMatrix {
     /// column when a column is added, or uniformly otherwise.
     ///
     /// Used when the online clustering module spawns a new model state:
-    /// the HMMs tracking the environment must grow accordingly.
+    /// the HMMs tracking the environment must grow accordingly. Columns
+    /// are added in place while they fit the row stride and rows are
+    /// appended, so a one-state grow costs one row, amortised; every
+    /// row moves only when the columns outgrow the stride (see the
+    /// module header).
     pub fn grow(&mut self, add_rows: usize, add_cols: usize) {
-        if add_cols > 0 {
-            let new_cols = self.cols + add_cols;
-            let mut data = vec![0.0; self.rows * new_cols];
-            for i in 0..self.rows {
-                data[i * new_cols..i * new_cols + self.cols]
-                    .copy_from_slice(&self.data[i * self.cols..(i + 1) * self.cols]);
-            }
-            self.data = data;
-            self.cols = new_cols;
+        let cols = self.cols + add_cols;
+        if cols > self.stride() {
+            self.restride(cols, self.rows + add_rows);
         }
+        // Within the stride the new columns are padding until now, and
+        // padding is zero.
+        self.cols = cols;
+        let stride = self.stride();
         for r in 0..add_rows {
-            let mut row = vec![0.0; self.cols];
+            let at = self.data.len();
+            self.data.resize(at + stride, 0.0);
+            let row = &mut self.data[at..at + cols];
             if add_cols > 0 {
                 // New rows concentrate on the first newly added column:
                 // a freshly spawned state has only been seen emitting its
                 // own symbol.
-                row[self.cols - add_cols + r.min(add_cols - 1)] = 1.0;
+                row[cols - add_cols + r.min(add_cols - 1)] = 1.0;
             } else {
-                let u = 1.0 / self.cols as f64;
-                row.iter_mut().for_each(|x| *x = u);
+                row.fill(1.0 / cols as f64);
             }
-            self.data.extend_from_slice(&row);
             self.rows += 1;
         }
         self.assert_invariants("grow");
+    }
+
+    /// Moves the rows to the stride of `cols` columns, in storage with
+    /// room for `rows` of them. The caller sets `self.cols` next: until
+    /// then the storage and the column count disagree.
+    fn restride(&mut self, cols: usize, rows: usize) {
+        let stride = stride_for(cols);
+        let mut data = Vec::with_capacity(rows * stride);
+        for r in self.iter_rows() {
+            data.extend_from_slice(r);
+            data.resize(data.len() + stride - r.len(), 0.0);
+        }
+        self.data = data;
     }
 
     /// Computes the Gram matrix of the rows: `G[i][j] = Σ_k m[i][k]·m[j][k]`.
@@ -394,7 +463,7 @@ impl Index<(usize, usize)> for StochasticMatrix {
             i < self.rows && j < self.cols,
             "index ({i},{j}) out of range"
         );
-        &self.data[i * self.cols + j]
+        &self.data[i * self.stride() + j]
     }
 }
 
@@ -559,6 +628,35 @@ mod tests {
         assert_eq!(m.num_rows(), 3);
         assert!((m[(2, 0)] - 0.5).abs() < 1e-12);
         m.check(1e-12).unwrap();
+    }
+
+    #[test]
+    fn grow_across_the_stride_keeps_entries_and_equality() {
+        // 6 → 19 columns crosses the stride twice (8, 16); the grown
+        // matrix must read exactly like one built at its final shape.
+        let mut m = StochasticMatrix::uniform(6, 6).unwrap();
+        m.reinforce(2, 5, 0.25).unwrap();
+        let before: Vec<Vec<f64>> = m.iter_rows().map(<[f64]>::to_vec).collect();
+        for _ in 0..13 {
+            m.grow(1, 1);
+        }
+        assert_eq!((m.num_rows(), m.num_cols()), (19, 19));
+        for (i, old) in before.iter().enumerate() {
+            assert_eq!(&m.row(i)[..6], &old[..]);
+            assert!(m.row(i)[6..].iter().all(|x| x.to_bits() == 0));
+        }
+        for i in 6..19 {
+            assert_eq!(m[(i, i)], 1.0);
+            assert_eq!(m.col(i)[i], 1.0);
+        }
+        let rebuilt =
+            StochasticMatrix::from_rows(m.iter_rows().map(<[f64]>::to_vec).collect()).unwrap();
+        assert_eq!(rebuilt, m);
+        let mut other = rebuilt.clone();
+        other.reinforce(18, 0, 0.5).unwrap();
+        assert_ne!(other, m);
+        m.reinforce(18, 0, 0.5).unwrap();
+        assert_eq!(other, m);
     }
 
     #[test]

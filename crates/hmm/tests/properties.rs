@@ -2,7 +2,12 @@
 
 #![allow(clippy::needless_range_loop)]
 
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use proptest::prelude::*;
+use proptest::TestRng;
+use seeded::Replay;
 use sentinet_hmm::structure::{OrthoTolerance, OrthogonalityReport};
 use sentinet_hmm::{
     baum_welch, BaumWelchConfig, Hmm, MarkovChain, OnlineHmmEstimator, OnlineMarkovEstimator,
@@ -237,4 +242,100 @@ proptest! {
         prop_assert!(dab >= 0.0);
         prop_assert!(aligned_b_distance(&a, &a) < 1e-12);
     }
+}
+
+/// `est` after `import_state(export_state())`: the same estimator in
+/// storage laid out from scratch for its current shape.
+fn rebuilt(est: &OnlineHmmEstimator) -> Result<OnlineHmmEstimator, String> {
+    OnlineHmmEstimator::import_state(est.export_state()).map_err(|e| format!("import: {e}"))
+}
+
+/// Nothing observable depends on how a matrix came by its shape: an
+/// estimator that lives through a seeded interleaving of `grow` and
+/// `observe` and a twin rebuilt from its exported state after every
+/// step — so never holding a grown matrix's spare columns or rows —
+/// stay `==` and export the same state throughout.
+#[test]
+fn grown_and_restored_estimators_stay_equal() {
+    let replay = Replay {
+        var: "MATRIX_LAYOUT_SEED",
+        package: "sentinet-hmm",
+        target: "--test properties",
+        test: "grown_and_restored_estimators_stay_equal",
+    };
+    replay.for_each_seed(400, |seed| {
+        let mut rng = TestRng::new(seed);
+        let states = rng.usize_in(1, 10);
+        let symbols = states + rng.usize_in(0, 3);
+        let mut live =
+            OnlineHmmEstimator::new(states, symbols, 0.9, 0.7).map_err(|e| e.to_string())?;
+        let mut twin = rebuilt(&live)?;
+        for step in 0..rng.usize_in(1, 80) {
+            if rng.usize_in(0, 3) == 0 {
+                let to = (
+                    live.num_states() + rng.usize_in(0, 4),
+                    live.num_symbols() + rng.usize_in(0, 4),
+                );
+                live.grow(to.0, to.1);
+                twin.grow(to.0, to.1);
+            } else {
+                let (state, symbol) = (
+                    rng.usize_in(0, live.num_states()),
+                    rng.usize_in(0, live.num_symbols()),
+                );
+                live.observe(state, symbol).map_err(|e| e.to_string())?;
+                twin.observe(state, symbol).map_err(|e| e.to_string())?;
+            }
+            // The twin took the step in storage rebuilt after the last
+            // one, and is rebuilt again before it is compared.
+            twin = rebuilt(&twin)?;
+            if live != twin {
+                return Err(format!("step {step}: the twins differ"));
+            }
+            if live.export_state() != twin.export_state() {
+                return Err(format!("step {step}: the twins export different states"));
+            }
+        }
+        Ok(())
+    });
+}
+
+/// `k` spawns taken one at a time leave what one grow by `k` leaves,
+/// except the generation, which counts the grows.
+#[test]
+fn single_slot_grows_equal_one_grow_by_k() {
+    let replay = Replay {
+        var: "MATRIX_GROW_SEED",
+        package: "sentinet-hmm",
+        target: "--test properties",
+        test: "single_slot_grows_equal_one_grow_by_k",
+    };
+    replay.for_each_seed(200, |seed| {
+        let mut rng = TestRng::new(seed);
+        let slots = rng.usize_in(1, 14);
+        let k = rng.usize_in(1, 24);
+        // The shape of an `M_CE`: one symbol more than states.
+        let pristine =
+            OnlineHmmEstimator::new(slots, slots + 1, 0.9, 0.9).map_err(|e| e.to_string())?;
+        let (mut stepwise, mut at_once) = (pristine.clone(), pristine);
+        for grown in 1..=k {
+            stepwise.grow(slots + grown, slots + grown + 1);
+        }
+        at_once.grow(slots + k, slots + k + 1);
+        if (stepwise.generation(), at_once.generation()) != (k as u64, 1) {
+            return Err(format!(
+                "generations {} and {} after {k} grows and one",
+                stepwise.generation(),
+                at_once.generation()
+            ));
+        }
+        let mut state = stepwise.export_state();
+        state.generation = at_once.generation();
+        if state != at_once.export_state() {
+            return Err(format!(
+                "{k} grows from {slots} slots differ from one grow by {k}"
+            ));
+        }
+        Ok(())
+    });
 }

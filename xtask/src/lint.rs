@@ -139,6 +139,7 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "entry",
             "mean_into",
             "trimmed_mean_with",
+            "order_key",
             "represent",
             "label_nearest",
             "voted",
@@ -148,7 +149,10 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
     ("core/src/pipeline.rs", &["push_values", "analyze_window"]),
-    ("core/src/runtime.rs", &["label", "step", "grow"]),
+    (
+        "core/src/runtime.rs",
+        &["label", "step", "step_sensor", "grow"],
+    ),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
 ];
