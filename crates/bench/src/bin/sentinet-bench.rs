@@ -25,8 +25,8 @@
 //! budget (checkpoint-gated segment reclaim), so both the cost of
 //! durability and the recovery of pipelining are measured, not
 //! guessed. A final `ingest_stages` object breaks the pipelined
-//! `batch:64` run down by stage (decode / admission / WAL append /
-//! fsync / checkpoint / ack wall time, plus `other_s` for the
+//! `batch:64` run down by stage (decode / admission / WAL encode /
+//! WAL append / fsync / checkpoint / ack wall time, plus `other_s` for the
 //! uninstrumented remainder); the stages sum to `total_s` — the wall time of the rep
 //! they came from — and `bench-check` rejects documents where they
 //! drift more than 10% apart. `fsync_s` is the time the server's event
@@ -35,6 +35,8 @@
 //! admission are reported beside it as `fsync_overlapped_s`, outside
 //! the sum. `checkpoint_s` is the rest of each periodic restore point
 //! on that loop: snapshot, encode, write and rename-commit.
+//! `wal_encode_s` is cutting each batch's WAL extent into frames and
+//! encoding them, CRC included; `wal_append_s` is the write calls.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,6 +88,9 @@ struct Row {
 struct Stages {
     decode_s: f64,
     admission_s: f64,
+    /// Cutting and encoding WAL extents (CRC included), before the
+    /// write call.
+    wal_encode_s: f64,
     wal_append_s: f64,
     /// Event loop blocked inside inline fsyncs (additive).
     fsync_s: f64,
@@ -216,6 +221,7 @@ fn time_ingest(
             let ns = |n: u64| n as f64 / 1e9;
             let instrumented = ns(server_stats.decode_ns)
                 + ns(timings.admission_ns)
+                + ns(timings.wal_encode_ns)
                 + ns(timings.wal_append_ns)
                 + ns(timings.sync_blocked_ns)
                 + ns(timings.checkpoint_ns)
@@ -223,6 +229,7 @@ fn time_ingest(
             stages = Stages {
                 decode_s: ns(server_stats.decode_ns),
                 admission_s: ns(timings.admission_ns),
+                wal_encode_s: ns(timings.wal_encode_ns),
                 wal_append_s: ns(timings.wal_append_ns),
                 fsync_s: ns(timings.sync_blocked_ns),
                 fsync_overlapped_s: ns(timings.fsync_ns - timings.sync_blocked_ns),
@@ -387,7 +394,9 @@ fn main() {
          the stages sum to total_s, the wall time of that rep; fsync_s = event loop blocked \
          in inline fsyncs, fsync_overlapped_s = the syncer thread's policy fsyncs running \
          beside admission, not part of the sum; checkpoint_s = event loop inside the periodic \
-         restore point after its WAL sync: snapshot, encode, write, rename)\",\n",
+         restore point after its WAL sync: snapshot, encode, write, rename; wal_encode_s = \
+         cutting each batch's WAL extent into frames and encoding them, CRC included, \
+         wal_append_s = the write calls)\",\n",
     );
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -434,10 +443,12 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"ingest_stages\": {{\"decode_s\": {:.6}, \"admission_s\": {:.6}, \
-         \"wal_append_s\": {:.6}, \"fsync_s\": {:.6}, \"fsync_overlapped_s\": {:.6}, \
+         \"wal_encode_s\": {:.6}, \"wal_append_s\": {:.6}, \"fsync_s\": {:.6}, \
+         \"fsync_overlapped_s\": {:.6}, \
          \"checkpoint_s\": {:.6}, \"ack_s\": {:.6}, \"other_s\": {:.6}, \"total_s\": {:.6}}}",
         stages.decode_s,
         stages.admission_s,
+        stages.wal_encode_s,
         stages.wal_append_s,
         stages.fsync_s,
         stages.fsync_overlapped_s,

@@ -248,6 +248,12 @@ fn finish_gateway_report(report: &GatewayReport, quiet: bool) {
             storage.fence_rejects
         );
     }
+    if storage.unframable_rejects > 0 {
+        eprintln!(
+            "warning: {} reading(s) NACKed as too wide for a wal frame",
+            storage.unframable_rejects
+        );
+    }
     if storage.reclaimed_segments > 0 {
         eprintln!(
             "retention: reclaimed {} checkpointed segment(s)",

@@ -17,6 +17,11 @@ pub enum RejectCause {
     /// fence token or via the wire handshake): this collector is a
     /// stale owner and fail-stops instead of racing its successor.
     Fenced,
+    /// The reading does not fit a WAL frame ([`Wal::framable`]): it
+    /// carries more values than the frame's count field can state.
+    /// Logging it would write a record no reopen could decode, so it
+    /// is refused before the append — and would be again on retry.
+    Unframable,
 }
 
 /// What the server should tell the client about a delivered frame.
@@ -38,6 +43,9 @@ pub struct StageTimings {
     /// Batch admission: dedup/budget probes plus
     /// reorder/sanitize/pipeline for accepted readings.
     pub admission_ns: u64,
+    /// Cutting the batch's WAL extent into frames and encoding them,
+    /// CRC included — what an append costs before its write call.
+    pub wal_encode_ns: u64,
     /// Inside WAL write calls.
     pub wal_append_ns: u64,
     /// Inside WAL fsync calls, wherever they ran: inline on the
@@ -211,7 +219,10 @@ impl Collector {
         // replay (which sees only durable records) would diverge from
         // the live run.
         let mut fresh: Vec<WalRecord> = Vec::with_capacity(total);
-        let mut projected = 0u64;
+        // The budget is projected by the planner the append itself
+        // runs, over the same readings: a run costs what its frame
+        // will, not the sum of its readings logged alone.
+        let mut plan = self.wal.planner();
         let mut reclaimed = false;
         let mut pass_start = timed.then(std::time::Instant::now);
         // The run is one sensor's: its tracker is looked up once, and
@@ -230,18 +241,31 @@ impl Collector {
                 time,
                 values: values.into(),
             };
+            if !Wal::framable(record.values.len()) {
+                self.unframable_rejects += total - i;
+                out.rejected = total - i;
+                out.nack = Some((seq, RejectCause::Unframable));
+                break;
+            }
             if let Some(budget) = self.config.wal.retain_bytes {
-                let frame = Wal::framed_len(&record);
-                if self.wal.total_bytes() + projected + frame > budget && !reclaimed {
+                let mut next = plan.with(sensor, seq, record.values.len());
+                if self.wal.total_bytes() + next.bytes() > budget && !reclaimed {
                     // One reclaim attempt per run, before anything is
                     // appended (the checkpoint it writes covers only
                     // records already durable). Its fsync and
                     // checkpoint are stages of their own.
                     self.charge_admission(pass_start);
-                    self.reclaim_for_budget(budget.saturating_sub(projected + frame))?;
+                    self.reclaim_for_budget(budget.saturating_sub(next.bytes()))?;
                     reclaimed = true;
                     pass_start = timed.then(std::time::Instant::now);
                     tracker = self.seqs.get(&sensor);
+                    // The reclaim may have sealed the active segment:
+                    // cut the prefix again against the log as it is now.
+                    plan = self.wal.planner();
+                    for r in &fresh {
+                        plan.push(r.sensor, r.seq, r.values.len());
+                    }
+                    next = plan.with(sensor, seq, record.values.len());
                 }
                 if self.wal.poisoned().is_some() {
                     self.storage_rejects += total - i;
@@ -249,13 +273,13 @@ impl Collector {
                     out.nack = Some((seq, RejectCause::Storage));
                     break;
                 }
-                if self.wal.total_bytes() + projected + frame > budget {
+                if self.wal.total_bytes() + next.bytes() > budget {
                     self.budget_shed += total - i;
                     out.rejected = total - i;
                     out.nack = Some((seq, RejectCause::WalBudget));
                     break;
                 }
-                projected += frame;
+                plan = next;
             }
             fresh.push(record);
         }
@@ -369,6 +393,7 @@ impl Collector {
     pub fn stage_timings(&self) -> StageTimings {
         StageTimings {
             admission_ns: self.admission_ns,
+            wal_encode_ns: self.wal.encode_ns(),
             wal_append_ns: self.wal.append_ns(),
             fsync_ns: self.wal.fsync_ns(),
             sync_blocked_ns: self.wal.sync_blocked_ns(),
@@ -645,6 +670,93 @@ mod tests {
         assert!(status.error.is_none(), "shedding is not poisoning");
         let report = c.finish().unwrap();
         assert_eq!(report.storage.budget_shed, 17);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A reading wider than a frame's `u16` value count used to be
+    /// accepted, logged with the count wrapped, and then taken for a
+    /// torn tail on reopen — truncating it *and every acked record
+    /// behind it*. It is refused up front instead, with its own cause.
+    #[test]
+    fn an_unframable_reading_is_refused_before_it_can_poison_the_tail() {
+        let dir = tmpdir("unframable");
+        let (mut c, _) = Collector::open(config(&dir)).unwrap();
+        assert_eq!(
+            c.deliver(SensorId(0), 0, 300, vec![1.0; 70_000]).unwrap(),
+            DeliverOutcome::Rejected(RejectCause::Unframable)
+        );
+        assert_eq!(c.wal_records(), 0, "refused before the append");
+        // The widest reading a frame can state is fine, and so is
+        // whatever is delivered after the refusal.
+        let widest = vec![2.0; usize::from(u16::MAX)];
+        assert_eq!(
+            c.deliver(SensorId(0), 0, 300, widest.clone()).unwrap(),
+            DeliverOutcome::Accepted
+        );
+        assert_eq!(
+            c.deliver(SensorId(1), 0, 300, vec![20.0, 50.0]).unwrap(),
+            DeliverOutcome::Accepted
+        );
+        let status = c.storage_status();
+        assert_eq!(status.unframable_rejects, 1);
+        assert!(status.is_clean(), "nothing is wrong with the disk");
+        drop(c);
+        let (wal, records) = Wal::open(config(&dir).wal, None).unwrap();
+        assert_eq!(
+            wal.records_logged(),
+            2,
+            "both acked records survive a reopen"
+        );
+        assert_eq!(records[0].values, widest);
+        drop(wal);
+        let (_, info) = Collector::open(config(&dir)).unwrap();
+        assert_eq!(info.replayed, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The same width in the middle of a batch: the fresh prefix in
+    /// front of it is logged and acked, the NACK names the reading, and
+    /// the suffix is the client's to retransmit.
+    #[test]
+    fn an_unframable_reading_mid_batch_keeps_the_prefix() {
+        let dir = tmpdir("unframable-batch");
+        let (mut c, _) = Collector::open(config(&dir)).unwrap();
+        let readings: Vec<(Timestamp, Vec<f64>)> = vec![
+            (300, vec![20.0, 50.0]),
+            (600, vec![1.0; 70_000]),
+            (900, vec![21.0, 51.0]),
+        ];
+        let out = c.deliver_batch(SensorId(3), 0, &readings).unwrap();
+        assert_eq!((out.accepted, out.rejected), (1, 2));
+        assert_eq!(out.nack, Some((1, RejectCause::Unframable)));
+        assert_eq!(out.ack_up_to, Some(0), "the prefix is acked");
+        assert_eq!(out.ack_cursor, 1);
+        assert_eq!(c.storage_status().unframable_rejects, 2);
+        let report = c.finish().unwrap();
+        assert_eq!(report.storage.unframable_rejects, 2);
+        let (_, info) = Collector::open(config(&dir)).unwrap();
+        assert_eq!(info.replayed, 1, "the logged prefix replays");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The retention budget is projected by the planner the append
+    /// runs: a batch is priced as the frame it will be, so a budget
+    /// that could not hold the readings framed one by one admits them.
+    #[test]
+    fn the_budget_prices_a_batch_as_its_frame() {
+        let dir = tmpdir("budget-frame");
+        let mut cfg = config(&dir);
+        // Eight two-value readings: 8 * 45 = 360 bytes logged alone,
+        // 21 + 8 * 26 = 229 as one frame.
+        cfg.wal.retain_bytes = Some(229);
+        cfg.checkpoint_every = 0;
+        let (mut c, _) = Collector::open(cfg).unwrap();
+        let readings: Vec<(Timestamp, Vec<f64>)> =
+            (1..=9u64).map(|i| (300 * i, vec![20.0, 50.0])).collect();
+        let out = c.deliver_batch(SensorId(0), 0, &readings).unwrap();
+        assert_eq!((out.accepted, out.rejected), (8, 1));
+        assert_eq!(out.nack, Some((8, RejectCause::WalBudget)));
+        assert_eq!(c.wal_footprint(), 229, "projected bytes are written bytes");
         fs::remove_dir_all(&dir).unwrap();
     }
 

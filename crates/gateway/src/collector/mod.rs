@@ -379,6 +379,12 @@ pub struct StorageStatus {
     pub fence_rejects: usize,
     /// The newer epoch that fenced this collector, if any.
     pub fenced_by: Option<u64>,
+    /// Deliveries NACKed because the reading cannot be framed (more
+    /// values than a frame's count field states). A property of the
+    /// reading, not of the disk — like fencing it leaves
+    /// [`StorageStatus::is_clean`] alone — and local to this report:
+    /// the fleet counters (`report_codec`) do not carry it.
+    pub unframable_rejects: usize,
 }
 
 impl StorageStatus {
@@ -450,6 +456,7 @@ pub struct Collector {
     /// handshake). Above `config.epoch` ⇒ this collector is fenced.
     observed_epoch: u64,
     fence_rejects: usize,
+    unframable_rejects: usize,
     /// Half-open sensor ranges migrated away from this collector
     /// ([`Collector::export_range`]); deliveries inside any of them
     /// NACK with [`RejectCause::Fenced`]. Mirrors the persisted
@@ -668,6 +675,7 @@ impl Collector {
             reclaimed_segments: 0,
             observed_epoch: 0,
             fence_rejects: 0,
+            unframable_rejects: 0,
             retired: Vec::new(),
             last_checkpoint_cursor: 0,
             admission_ns: 0,
@@ -746,6 +754,7 @@ impl Collector {
             fence_rejects: self.fence_rejects,
             fenced_by: (self.config.epoch > 0 && self.observed_epoch > self.config.epoch)
                 .then_some(self.observed_epoch),
+            unframable_rejects: self.unframable_rejects,
         }
     }
 

@@ -1,7 +1,8 @@
 //! Length-prefixed, CRC-framed wire protocol.
 //!
-//! Every frame on the socket (and every record in the WAL, which
-//! reuses the same payload codec) has the shape
+//! Every frame on the socket (and every frame in the WAL, which logs
+//! `Data` and `DataBatch` payloads exactly as they travel) has the
+//! shape
 //!
 //! ```text
 //! [u32 payload_len LE] [payload bytes] [u32 crc32(payload) LE]
@@ -55,7 +56,10 @@ const TAG_MIGRATE_ACCEPT: u8 = 14;
 const TAG_MIGRATE_DONE: u8 = 15;
 
 /// Hard cap on readings per [`Message::DataBatch`] frame (the frame
-/// must also fit [`MAX_PAYLOAD`]).
+/// must also fit [`MAX_PAYLOAD`]). Enforced where frames enter:
+/// [`decode_payload`] refuses a longer batch with
+/// [`FrameError::BatchTooLong`], and neither the pipelined client nor
+/// the WAL writer ever builds one.
 pub const MAX_BATCH_READINGS: usize = 4096;
 
 /// One protocol message.
@@ -227,6 +231,12 @@ pub enum FrameError {
         /// Bytes present.
         len: usize,
     },
+    /// A `DataBatch` payload claims more than [`MAX_BATCH_READINGS`]
+    /// readings.
+    BatchTooLong {
+        /// The claimed reading count.
+        count: usize,
+    },
     /// The stream ended in the middle of a frame.
     Truncated,
 }
@@ -246,6 +256,12 @@ impl fmt::Display for FrameError {
             FrameError::UnknownTag(tag) => write!(f, "unknown message tag {tag}"),
             FrameError::ShortPayload { tag, len } => {
                 write!(f, "payload too short ({len} bytes) for tag {tag}")
+            }
+            FrameError::BatchTooLong { count } => {
+                write!(
+                    f,
+                    "batch of {count} readings exceeds cap {MAX_BATCH_READINGS}"
+                )
             }
             FrameError::Truncated => write!(f, "stream ended mid-frame"),
         }
@@ -305,11 +321,60 @@ impl<'a> Cursor<'a> {
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
+
+    /// A `u16` count followed by that many IEEE-754 bit patterns. The
+    /// bytes are claimed before the vector is sized, so a count the
+    /// payload cannot back allocates nothing.
+    fn values(&mut self) -> Result<Vec<f64>, FrameError> {
+        let n = self.u16()? as usize;
+        let bits = self.take(8 * n)?;
+        Ok(bits
+            .chunks_exact(8)
+            .map(|b| {
+                f64::from_bits(u64::from_le_bytes([
+                    b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+                ]))
+            })
+            .collect())
+    }
+
+    /// The fixed head of a `DataBatch` payload: sensor, first sequence
+    /// number and reading count, the count held to
+    /// [`MAX_BATCH_READINGS`].
+    fn batch_head(&mut self) -> Result<(SensorId, u64, usize), FrameError> {
+        let sensor = SensorId(self.u16()?);
+        let first_seq = self.u64()?;
+        let count = self.u16()? as usize;
+        if count > MAX_BATCH_READINGS {
+            return Err(FrameError::BatchTooLong { count });
+        }
+        Ok((sensor, first_seq, count))
+    }
+
+    /// Fails unless the whole payload was consumed.
+    fn end(&self) -> Result<(), FrameError> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(FrameError::ShortPayload {
+                tag: self.tag,
+                len: self.bytes.len() + 1,
+            })
+        }
+    }
+}
+
+/// Splits the tag byte off a payload.
+fn open_payload(payload: &[u8]) -> Result<Cursor<'_>, FrameError> {
+    match payload.split_first() {
+        Some((&tag, bytes)) => Ok(Cursor { bytes, pos: 0, tag }),
+        None => Err(FrameError::ShortPayload { tag: 0, len: 0 }),
+    }
 }
 
 /// Appends the payload of a `Data` message (tag included) to `out`.
-/// The WAL reuses exactly this encoding for its records, so wire and
-/// log bytes can share one decoder.
+/// The WAL logs a lone reading as exactly this payload, so wire and
+/// log bytes share one codec.
 pub fn encode_data_payload(
     sensor: SensorId,
     seq: u64,
@@ -324,6 +389,30 @@ pub fn encode_data_payload(
     put_u16(out, values.len() as u16);
     for v in values {
         put_u64(out, v.to_bits());
+    }
+}
+
+/// Appends the payload of a `DataBatch` message (tag included) to
+/// `out`: reading `i` of `readings` travels under `first_seq + i`. The
+/// WAL logs a run of consecutive readings as exactly this payload.
+/// Callers keep the run within [`MAX_BATCH_READINGS`] and every value
+/// count within `u16`.
+pub fn encode_batch_payload<'a>(
+    sensor: SensorId,
+    first_seq: u64,
+    readings: impl ExactSizeIterator<Item = (Timestamp, &'a [f64])>,
+    out: &mut Vec<u8>,
+) {
+    out.push(TAG_DATA_BATCH);
+    put_u16(out, sensor.0);
+    put_u64(out, first_seq);
+    put_u16(out, readings.len() as u16);
+    for (time, values) in readings {
+        put_u64(out, time);
+        put_u16(out, values.len() as u16);
+        for v in values {
+            put_u64(out, v.to_bits());
+        }
     }
 }
 
@@ -361,19 +450,14 @@ pub fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
             sensor,
             first_seq,
             readings,
-        } => {
-            out.push(TAG_DATA_BATCH);
-            put_u16(out, sensor.0);
-            put_u64(out, *first_seq);
-            put_u16(out, readings.len() as u16);
-            for (time, values) in readings {
-                put_u64(out, *time);
-                put_u16(out, values.len() as u16);
-                for v in values {
-                    put_u64(out, v.to_bits());
-                }
-            }
-        }
+        } => encode_batch_payload(
+            *sensor,
+            *first_seq,
+            readings
+                .iter()
+                .map(|(time, values)| (*time, values.as_slice())),
+            out,
+        ),
         Message::AckUpTo { sensor, seq } => {
             out.push(TAG_ACK_UP_TO);
             put_u16(out, sensor.0);
@@ -432,41 +516,28 @@ pub fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// [`FrameError::UnknownTag`] / [`FrameError::ShortPayload`] on a
-/// malformed payload.
+/// malformed payload, [`FrameError::BatchTooLong`] on a batch above
+/// [`MAX_BATCH_READINGS`].
 pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
-    let (&tag, rest) = match payload.split_first() {
-        Some(split) => split,
-        None => return Err(FrameError::ShortPayload { tag: 0, len: 0 }),
-    };
-    let mut cur = Cursor {
-        bytes: rest,
-        pos: 0,
-        tag,
-    };
-    let msg = match tag {
+    let mut cur = open_payload(payload)?;
+    let msg = match cur.tag {
         TAG_HELLO => {
             let version = cur.u32()?;
             // The epoch is an optional trailing field (pre-fencing
             // peers never send it); absent decodes as 0 = unfenced.
-            let epoch = if cur.pos < rest.len() { cur.u64()? } else { 0 };
+            let epoch = if cur.pos < cur.bytes.len() {
+                cur.u64()?
+            } else {
+                0
+            };
             Message::Hello { version, epoch }
         }
-        TAG_DATA => {
-            let sensor = SensorId(cur.u16()?);
-            let seq = cur.u64()?;
-            let time = cur.u64()?;
-            let n = cur.u16()? as usize;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(f64::from_bits(cur.u64()?));
-            }
-            Message::Data {
-                sensor,
-                seq,
-                time,
-                values,
-            }
-        }
+        TAG_DATA => Message::Data {
+            sensor: SensorId(cur.u16()?),
+            seq: cur.u64()?,
+            time: cur.u64()?,
+            values: cur.values()?,
+        },
         TAG_ACK => Message::Ack {
             sensor: SensorId(cur.u16()?),
             seq: cur.u64()?,
@@ -478,18 +549,12 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
             seq: cur.u64()?,
         },
         TAG_DATA_BATCH => {
-            let sensor = SensorId(cur.u16()?);
-            let first_seq = cur.u64()?;
-            let count = cur.u16()? as usize;
-            let mut readings = Vec::with_capacity(count.min(MAX_BATCH_READINGS));
+            let (sensor, first_seq, count) = cur.batch_head()?;
+            // Every reading takes at least its time and value count,
+            // so a `count` the payload cannot back reserves nothing.
+            let mut readings = Vec::with_capacity(count.min(cur.bytes.len() / 10));
             for _ in 0..count {
-                let time = cur.u64()?;
-                let n = cur.u16()? as usize;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(f64::from_bits(cur.u64()?));
-                }
-                readings.push((time, values));
+                readings.push((cur.u64()?, cur.values()?));
             }
             Message::DataBatch {
                 sensor,
@@ -537,21 +602,77 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
         },
         other => return Err(FrameError::UnknownTag(other)),
     };
-    if cur.pos != rest.len() {
-        return Err(FrameError::ShortPayload {
-            tag,
-            len: payload.len(),
-        });
-    }
+    cur.end()?;
     Ok(msg)
+}
+
+/// Decodes the readings of a `Data` or `DataBatch` payload straight
+/// into `each(sensor, seq, time, values)`, in sequence order, without
+/// building a [`Message`] — how the WAL scan turns either kind of log
+/// frame into per-reading records. `Ok(false)` is a well-formed
+/// payload of any other kind (nothing was emitted).
+///
+/// # Errors
+///
+/// As [`decode_payload`]. Readings emitted before the error are the
+/// caller's to discard.
+pub fn decode_readings(
+    payload: &[u8],
+    mut each: impl FnMut(SensorId, u64, Timestamp, Vec<f64>),
+) -> Result<bool, FrameError> {
+    let mut cur = open_payload(payload)?;
+    match cur.tag {
+        TAG_DATA => {
+            let sensor = SensorId(cur.u16()?);
+            let (seq, time) = (cur.u64()?, cur.u64()?);
+            each(sensor, seq, time, cur.values()?);
+        }
+        TAG_DATA_BATCH => {
+            let (sensor, first_seq, count) = cur.batch_head()?;
+            for i in 0..count as u64 {
+                let time = cur.u64()?;
+                each(sensor, first_seq.wrapping_add(i), time, cur.values()?);
+            }
+        }
+        _ => return decode_payload(payload).map(|_| false),
+    }
+    cur.end()?;
+    Ok(true)
+}
+
+/// How many readings a payload *states* it carries, from its tag and
+/// — for a batch — its count field alone: one for `Data`, the count
+/// for `DataBatch`, none otherwise. Nothing is validated; this sizes a
+/// buffer ahead of a decode that checks every byte.
+pub fn stated_readings(payload: &[u8]) -> usize {
+    match payload {
+        [TAG_DATA, ..] => 1,
+        // Sensor (2) and first seq (8) precede the count.
+        [TAG_DATA_BATCH, head @ ..] => match head.get(10..12) {
+            Some(&[c0, c1]) => usize::from(u16::from_le_bytes([c0, c1])),
+            _ => 0,
+        },
+        _ => 0,
+    }
 }
 
 /// Wraps already-encoded payload bytes in the frame envelope
 /// (`len` prefix + CRC trailer), appending to `out`.
 pub fn frame_payload(payload: &[u8], out: &mut Vec<u8>) {
-    put_u32(out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    put_u32(out, crc32(payload));
+    frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame to `out` whose payload is whatever `encode`
+/// appends: the length prefix is patched and the CRC trailer computed
+/// once the payload is in place, so it is written exactly once.
+pub fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    encode(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[at + 4..]);
+    put_u32(out, crc);
 }
 
 /// Encodes `msg` as one complete frame (envelope included).
@@ -869,6 +990,151 @@ mod tests {
             fb.next_message(),
             Err(FrameError::ShortPayload { .. })
         ));
+    }
+
+    /// A batch of `count` one-value readings as raw payload bytes —
+    /// `encode_payload` is not asked, so the count can be anything.
+    fn batch_payload(count: u16) -> Vec<u8> {
+        let mut payload = vec![TAG_DATA_BATCH];
+        put_u16(&mut payload, 3);
+        put_u64(&mut payload, 0);
+        put_u16(&mut payload, count);
+        for i in 0..u64::from(count) {
+            put_u64(&mut payload, 300 * (i + 1));
+            put_u16(&mut payload, 1);
+            put_u64(&mut payload, 20.5f64.to_bits());
+        }
+        payload
+    }
+
+    #[test]
+    fn batch_reading_cap_is_enforced_where_frames_enter() {
+        let at_cap = batch_payload(MAX_BATCH_READINGS as u16);
+        match decode_payload(&at_cap) {
+            Ok(Message::DataBatch { readings, .. }) => {
+                assert_eq!(readings.len(), MAX_BATCH_READINGS)
+            }
+            other => panic!("a batch at the cap must decode, got {other:?}"),
+        }
+        let over = batch_payload(MAX_BATCH_READINGS as u16 + 1);
+        assert!(over.len() <= MAX_PAYLOAD, "only the count is over a cap");
+        let too_long = FrameError::BatchTooLong {
+            count: MAX_BATCH_READINGS + 1,
+        };
+        assert_eq!(decode_payload(&over), Err(too_long.clone()));
+        assert_eq!(
+            decode_readings(&over, |_, _, _, _| {}),
+            Err(too_long.clone())
+        );
+        // Through the stream decoder the error is the connection's end:
+        // the frame is never consumed, so every later pop fails too.
+        let mut fb = FrameBuffer::new();
+        frame_payload(&over, &mut fb.buf);
+        fb.feed(&encode_frame(&Message::Fin));
+        assert_eq!(fb.next_message(), Err(too_long.clone()));
+        assert_eq!(fb.next_message(), Err(too_long));
+    }
+
+    #[test]
+    fn decode_readings_yields_what_decode_payload_does() {
+        let batch = Message::DataBatch {
+            sensor: SensorId(4),
+            first_seq: 100,
+            readings: vec![
+                (300, vec![20.5, 55.0]),
+                (600, vec![]),
+                (900, vec![f64::NAN]),
+            ],
+        };
+        let single = data(4, 7, 300, vec![1.0, -0.0]);
+        for msg in [&batch, &single] {
+            let mut payload = Vec::new();
+            encode_payload(msg, &mut payload);
+            let mut got = Vec::new();
+            let carried = decode_readings(&payload, |sensor, seq, time, values| {
+                got.push((sensor, seq, time, values))
+            });
+            assert_eq!(carried, Ok(true));
+            let want: Vec<(SensorId, u64, Timestamp, Vec<f64>)> = match msg {
+                Message::DataBatch {
+                    sensor,
+                    first_seq,
+                    readings,
+                } => readings
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (t, v))| (*sensor, first_seq + i as u64, *t, v.clone()))
+                    .collect(),
+                Message::Data {
+                    sensor,
+                    seq,
+                    time,
+                    values,
+                } => vec![(*sensor, *seq, *time, values.clone())],
+                _ => unreachable!(),
+            };
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "NaN-safe compare");
+            // A torn payload fails the same way through both decoders.
+            let torn = &payload[..payload.len() - 3];
+            assert_eq!(
+                decode_readings(torn, |_, _, _, _| {}).unwrap_err(),
+                decode_payload(torn).unwrap_err()
+            );
+        }
+        // Anything else carries no readings — or is malformed.
+        let mut payload = Vec::new();
+        encode_payload(&Message::Fin, &mut payload);
+        assert_eq!(
+            decode_readings(&payload, |_, _, _, _| panic!("no readings")),
+            Ok(false)
+        );
+        assert_eq!(
+            decode_readings(&[99, 0], |_, _, _, _| {}),
+            Err(FrameError::UnknownTag(99))
+        );
+    }
+
+    #[test]
+    fn a_value_count_the_payload_cannot_back_is_a_short_payload() {
+        let mut payload = Vec::new();
+        encode_payload(&data(1, 2, 300, vec![1.5]), &mut payload);
+        let count_at = 1 + 2 + 8 + 8;
+        payload[count_at..count_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_payload(&payload),
+            Err(FrameError::ShortPayload { tag: TAG_DATA, .. })
+        ));
+    }
+
+    #[test]
+    fn stated_readings_reads_the_head_and_nothing_else() {
+        let mut payload = Vec::new();
+        encode_payload(&data(1, 2, 300, vec![1.5]), &mut payload);
+        assert_eq!(stated_readings(&payload), 1);
+        assert_eq!(stated_readings(&batch_payload(40)), 40);
+        assert_eq!(
+            stated_readings(&batch_payload(40)[..12]),
+            0,
+            "count cut off"
+        );
+        assert_eq!(stated_readings(&batch_payload(u16::MAX)[..13]), 65_535);
+        payload.clear();
+        encode_payload(&Message::Fin, &mut payload);
+        assert_eq!(stated_readings(&payload), 0);
+        assert_eq!(stated_readings(&[]), 0);
+    }
+
+    #[test]
+    fn frame_with_matches_frame_payload() {
+        let mut payload = Vec::new();
+        encode_payload(&data(2, 5, 900, vec![1.0, 2.0]), &mut payload);
+        let mut copied = vec![0xEE];
+        frame_payload(&payload, &mut copied);
+        let mut in_place = vec![0xEE];
+        frame_with(&mut in_place, |out| {
+            encode_data_payload(SensorId(2), 5, 900, &[1.0, 2.0], out)
+        });
+        assert_eq!(in_place, copied);
     }
 
     #[test]

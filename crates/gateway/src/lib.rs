@@ -75,4 +75,7 @@ pub use snapshot::{
 pub use vfs::{
     FaultPlan, FaultSpec, FaultyVfs, RealVfs, StorageError, StorageFault, VFile, Vfs, VfsOp,
 };
-pub use wal::{FsyncPolicy, ReclaimPlan, SegmentInfo, Wal, WalConfig, WalError, WalRecord};
+pub use wal::{
+    FsyncPolicy, Placement, ReclaimPlan, RunPlanner, SegmentInfo, Wal, WalConfig, WalError,
+    WalRecord,
+};

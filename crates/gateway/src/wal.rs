@@ -5,19 +5,31 @@
 //! the log through the identical accept path and resumes bit-exactly.
 //!
 //! On-disk layout: a directory of segments named `wal-00000001.seg`,
-//! `wal-00000002.seg`, … — each a concatenation of records in the same
-//! `[u32 len][payload][u32 crc]` framing as the wire protocol (the
-//! payload is exactly a `Data` frame payload, so wire and log share one
-//! codec). A segment rolls once it would exceed the configured size.
+//! `wal-00000002.seg`, … — each a concatenation of frames in the same
+//! `[u32 len][payload][u32 crc]` envelope as the wire protocol, holding
+//! one of the wire's two data payloads: a *run* of an appended extent
+//! (one sensor, consecutive sequence numbers, two readings or more) is
+//! one `DataBatch` payload, a lone reading is one `Data` payload. Wire
+//! and log share one codec; a batch is logged as the frame it arrived
+//! in, and every byte a stop-and-wait client causes is what it always
+//! was. [`RunPlanner`] decides where runs are cut. A frame never spans
+//! a segment; a segment rolls once the next frame would push it past
+//! the configured size. Everything the log counts — cursors,
+//! [`SegmentInfo::records`], reclaim plans — is in readings, and a
+//! cursor need not fall on a frame boundary.
 //!
 //! Opening scans all segments in order. A decode failure in the *last*
 //! segment is treated as a torn tail — the segment is truncated at the
-//! failure offset and everything before it is recovered exactly. (A
-//! mid-file bit flip in the last segment is indistinguishable from a
-//! torn tail by construction, so later records are discarded with it;
-//! the client retry protocol re-delivers anything that lost its ack.)
-//! A decode failure in an *earlier* segment cannot be a torn tail and
-//! is reported as corruption instead of being silently dropped.
+//! start of the frame that failed and every frame before it is
+//! recovered exactly. Recovery is therefore frame-granular: a tear
+//! inside a batch frame loses the whole frame. No acknowledged reading
+//! can be in it, because an ack is released only by an fsync started
+//! after the whole extent was appended. (A mid-file bit flip in the
+//! last segment is indistinguishable from a torn tail by construction,
+//! so later frames are discarded with it; the client retry protocol
+//! re-delivers anything that lost its ack.) A decode failure in an
+//! *earlier* segment cannot be a torn tail and is reported as
+//! corruption instead of being silently dropped.
 //!
 //! Durability against power loss is governed by [`FsyncPolicy`]. Note
 //! that a `kill -9` does not lose page-cache writes — only the machine
@@ -43,7 +55,8 @@
 //!   that crashed between checkpoint commit and segment deletion.
 
 use crate::frame::{
-    decode_payload, encode_data_payload, frame_payload, FrameError, Message, MAX_PAYLOAD,
+    decode_readings, encode_batch_payload, encode_data_payload, frame_with, stated_readings,
+    FrameError, MAX_BATCH_READINGS, MAX_PAYLOAD,
 };
 use crate::vfs::{RealVfs, StorageError, VFile, Vfs, VfsOp};
 use sentinet_sim::{RawRecord, SensorId, Timestamp};
@@ -169,12 +182,23 @@ pub enum WalError {
         /// What went wrong there.
         reason: FrameError,
     },
-    /// A decoded record was not a `Data` payload.
+    /// A decoded frame was neither a `Data` nor a `DataBatch` payload.
     ForeignRecord {
         /// The segment holding it.
         segment: PathBuf,
         /// Byte offset of the record.
         offset: u64,
+    },
+    /// A record handed to an append cannot be framed (see
+    /// [`Wal::framable`]): logging it would write a frame no reader
+    /// decodes. Nothing of it was written; the log stays healthy.
+    Unframable {
+        /// Sensor of the refused record.
+        sensor: SensorId,
+        /// Sequence number of the refused record.
+        seq: u64,
+        /// How many values it carries.
+        values: usize,
     },
     /// The log directory starts at a segment index above the expected
     /// base — a retained log opened without its checkpoint.
@@ -207,6 +231,14 @@ impl fmt::Display for WalError {
                 "non-data record in {} at byte {offset}",
                 segment.display()
             ),
+            WalError::Unframable {
+                sensor,
+                seq,
+                values,
+            } => write!(
+                f,
+                "record ({sensor}, seq {seq}) with {values} values does not fit a wal frame"
+            ),
             WalError::MissingPrefix {
                 first_segment,
                 expected,
@@ -238,10 +270,12 @@ enum SegmentScan {
     Failed(u64, FrameError),
 }
 
-/// Decodes records from `bytes`, pushing onto `out`. Returns where the
-/// scan stopped. `ForeignRecord` (a syntactically valid non-Data
-/// payload) is real corruption even in the last segment, so it is
-/// returned as a hard error directly.
+/// Decodes the frames in `bytes`, pushing one record per reading onto
+/// `out` — a batch frame goes straight to its records, no intermediate
+/// message. Returns where the scan stopped; a frame that fails leaves
+/// none of its readings behind. `ForeignRecord` (a syntactically valid
+/// payload that carries no readings) is real corruption even in the
+/// last segment, so it is returned as a hard error directly.
 fn scan_segment(
     segment: &Path,
     bytes: &[u8],
@@ -273,29 +307,52 @@ fn scan_segment(
                 FrameError::BadCrc { computed, carried },
             ));
         }
-        match decode_payload(payload) {
-            Ok(Message::Data {
+        let frame_start = out.len();
+        let decoded = decode_readings(payload, |sensor, seq, time, values| {
+            out.push(WalRecord {
                 sensor,
                 seq,
                 time,
                 values,
-            }) => out.push(WalRecord {
-                sensor,
-                seq,
-                time,
-                values,
-            }),
-            Ok(_) => {
+            })
+        });
+        match decoded {
+            Ok(true) => {}
+            Ok(false) => {
                 return Err(WalError::ForeignRecord {
                     segment: segment.to_path_buf(),
                     offset: pos as u64,
                 })
             }
-            Err(reason) => return Ok(SegmentScan::Failed(pos as u64, reason)),
+            Err(reason) => {
+                out.truncate(frame_start);
+                return Ok(SegmentScan::Failed(pos as u64, reason));
+            }
         }
         pos += 4 + len + 4;
     }
     Ok(SegmentScan::Clean)
+}
+
+/// How many readings the frames in `bytes` state they hold, read off
+/// the envelopes and payload heads alone — no CRC, no decode — so the
+/// scan sizes its output once instead of doubling into it (the
+/// doubling, not the records, used to set a reopen's peak memory).
+/// Nothing here is trusted further than that: the walk stops at the
+/// first frame that does not fit, and the answer is held to what
+/// `bytes` could possibly back (a reading takes ten bytes at least).
+fn count_readings(bytes: &[u8]) -> usize {
+    let mut count = 0usize;
+    let mut pos = 0usize;
+    while let Some([l0, l1, l2, l3]) = bytes.get(pos..).and_then(|rest| rest.first_chunk()) {
+        let len = u32::from_le_bytes([*l0, *l1, *l2, *l3]) as usize;
+        let Some(payload) = bytes[pos + 4..].get(..len) else {
+            break;
+        };
+        count += stated_readings(payload);
+        pos += 8 + len;
+    }
+    count.min(bytes.len() / 10)
 }
 
 /// Bookkeeping for one on-disk segment.
@@ -327,6 +384,155 @@ impl ReclaimPlan {
     /// Whether the plan deletes anything.
     pub fn is_empty(&self) -> bool {
         self.delete.is_empty()
+    }
+}
+
+/// The fixed head of a `Data` payload: tag, sensor, seq, time, value
+/// count.
+const DATA_PAYLOAD_HEAD: u64 = 21;
+/// What a lone reading costs on disk besides its values: the envelope
+/// (length prefix + CRC trailer) and that head.
+const DATA_FRAME_HEAD: u64 = 8 + DATA_PAYLOAD_HEAD;
+/// The fixed head of a `DataBatch` payload: tag, sensor, first seq,
+/// reading count.
+const BATCH_PAYLOAD_HEAD: u64 = 13;
+/// What each reading of a batch costs besides its values: time and
+/// value count.
+const BATCH_READING_HEAD: u64 = 10;
+
+/// Where [`RunPlanner::push`] put a reading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// It extends the open frame.
+    Joined,
+    /// The open frame (if any) is complete; the reading opens the next
+    /// one in the same segment.
+    Opened,
+    /// As [`Placement::Opened`], but the active segment has no room
+    /// for the new frame: it is sealed first.
+    Rolled,
+    /// It lies past the `crash_after` coordinate: the process aborts
+    /// before writing it, and it costs no bytes.
+    Unwritten,
+}
+
+/// Cuts an extent into frames — the one place that decides how
+/// readings appended in order land on disk. Fed one reading at a time
+/// (each [`Wal::framable`]), it extends the open frame while the
+/// reading continues the run — same sensor, next sequence number —
+/// and the frame stays within [`MAX_BATCH_READINGS`], [`MAX_PAYLOAD`]
+/// and the room left in the active segment; otherwise it closes the
+/// frame and opens the next, after a roll when even a lone reading no
+/// longer fits (an empty segment takes any single frame). A run of one
+/// is a `Data` frame, a longer one a `DataBatch` frame.
+///
+/// [`Wal::append_many`] writes exactly the frames the planner cuts,
+/// and admission's retention-budget projection pushes the same
+/// readings through a copy of it, so the bytes projected are the bytes
+/// written. The state is a few words and `Copy`: a caller probes "what
+/// if this reading were appended too" on a copy ([`RunPlanner::with`])
+/// and keeps it or not.
+#[derive(Debug, Clone, Copy)]
+pub struct RunPlanner {
+    segment_max: u64,
+    /// Bytes in the active segment below the open frame.
+    filled: u64,
+    /// Readings the process may still write before the `crash_after`
+    /// abort.
+    until_abort: Option<u64>,
+    /// Bytes of every frame closed so far.
+    closed: u64,
+    /// Sensor of the open frame.
+    sensor: SensorId,
+    /// The sequence number that would extend the open frame.
+    next_seq: Option<u64>,
+    /// Readings in the open frame (0: none is open).
+    count: usize,
+    /// Batch-layout bytes of those readings.
+    body: u64,
+}
+
+impl RunPlanner {
+    /// Places the next reading of the extent.
+    pub fn push(&mut self, sensor: SensorId, seq: u64, values: usize) -> Placement {
+        match &mut self.until_abort {
+            Some(0) => return Placement::Unwritten,
+            Some(left) => *left -= 1,
+            None => {}
+        }
+        let reading = BATCH_READING_HEAD + 8 * values as u64;
+        let payload = BATCH_PAYLOAD_HEAD + self.body + reading;
+        if self.count > 0
+            && sensor == self.sensor
+            && self.next_seq == Some(seq)
+            && self.count < MAX_BATCH_READINGS
+            && payload <= MAX_PAYLOAD as u64
+            && self.filled + 8 + payload <= self.segment_max
+        {
+            self.count += 1;
+            self.body += reading;
+            self.next_seq = seq.checked_add(1);
+            return Placement::Joined;
+        }
+        let open = self.open_bytes();
+        self.closed += open;
+        self.filled += open;
+        let alone = DATA_FRAME_HEAD + 8 * values as u64;
+        let rolled = self.filled > 0 && self.filled + alone > self.segment_max;
+        if rolled {
+            self.filled = 0;
+        }
+        self.sensor = sensor;
+        self.next_seq = seq.checked_add(1);
+        self.count = 1;
+        self.body = reading;
+        if rolled {
+            Placement::Rolled
+        } else {
+            Placement::Opened
+        }
+    }
+
+    /// The plan with one more reading placed — the probe a budget
+    /// check makes before it commits to the reading.
+    pub fn with(mut self, sensor: SensorId, seq: u64, values: usize) -> Self {
+        self.push(sensor, seq, values);
+        self
+    }
+
+    /// On-disk bytes of the open frame as it stands.
+    fn open_bytes(&self) -> u64 {
+        match self.count {
+            0 => 0,
+            // A `Data` frame: the reading's time and value count sit in
+            // the payload head instead of a per-reading head.
+            1 => DATA_FRAME_HEAD - BATCH_READING_HEAD + self.body,
+            _ => 8 + BATCH_PAYLOAD_HEAD + self.body,
+        }
+    }
+
+    /// On-disk bytes of every reading placed so far: what appending
+    /// exactly those readings writes.
+    pub fn bytes(&self) -> u64 {
+        self.closed + self.open_bytes()
+    }
+}
+
+/// Frames one run the planner cut, appending to `out`.
+fn encode_run(run: &[WalRecord], out: &mut Vec<u8>) {
+    match run {
+        [] => {}
+        [r] => frame_with(out, |out| {
+            encode_data_payload(r.sensor, r.seq, r.time, &r.values, out)
+        }),
+        [first, ..] => frame_with(out, |out| {
+            encode_batch_payload(
+                first.sensor,
+                first.seq,
+                run.iter().map(|r| (r.time, r.values.as_slice())),
+                out,
+            )
+        }),
     }
 }
 
@@ -404,14 +610,16 @@ pub struct Wal {
     in_flight: Option<u64>,
     /// Segment whose sync handle [`Wal::begin_sync`] last handed out.
     handle_segment: Option<u64>,
-    /// Wall time spent inside write calls (bench stage breakdown).
+    /// Wall time spent cutting and encoding extents, CRC included
+    /// (bench stage breakdown).
+    encode_ns: u64,
+    /// Wall time spent inside write calls.
     append_ns: u64,
     /// Wall time spent inside fsync calls, on whichever thread.
     fsync_ns: u64,
     /// The part of `fsync_ns` the appending thread itself was blocked
     /// for (inline fsyncs).
     sync_blocked_ns: u64,
-    scratch: Vec<u8>,
     /// Reused extent buffer (taken for the duration of an append).
     extent: Vec<u8>,
     /// On-disk segments, oldest first; the last entry is the one open
@@ -501,6 +709,7 @@ impl Wal {
         for (i, &idx) in indices.iter().enumerate() {
             let path = config.dir.join(segment_name(idx));
             let bytes = vfs.read(&path).map_err(|e| io_err(&path, e))?;
+            records.reserve(count_readings(&bytes));
             let before = records.len() as u64;
             let seg_bytes = match scan_segment(&path, &bytes, &mut records)? {
                 SegmentScan::Clean => bytes.len() as u64,
@@ -544,10 +753,10 @@ impl Wal {
                 synced_records: records_logged,
                 in_flight: None,
                 handle_segment: None,
+                encode_ns: 0,
                 append_ns: 0,
                 fsync_ns: 0,
                 sync_blocked_ns: 0,
-                scratch: Vec::new(),
                 extent: Vec::new(),
                 segments,
                 base_records,
@@ -625,12 +834,38 @@ impl Wal {
         self.poisoned.as_ref()
     }
 
-    /// Exact on-disk footprint of `record` (frame header + payload +
-    /// CRC trailer), for budget projection before appending.
+    /// Exact on-disk footprint of `record` logged on its own (frame
+    /// header + `Data` payload + CRC trailer). Inside a run of an
+    /// extent it costs less; [`RunPlanner`] prices those.
     pub fn framed_len(record: &WalRecord) -> u64 {
-        // Data payload: tag(1) + sensor(2) + seq(8) + time(8) +
-        // count(2) + 8 bytes per value; framing adds len(4) + crc(4).
-        21 + 8 * record.values.len() as u64 + 8
+        DATA_FRAME_HEAD + 8 * record.values.len() as u64
+    }
+
+    /// Whether a reading with `values` values fits a frame at all: the
+    /// value count travels as a `u16`, and the payload must fit
+    /// [`MAX_PAYLOAD`]. An unframable reading is refused before it is
+    /// logged, never written as a frame nobody can read back.
+    pub fn framable(values: usize) -> bool {
+        values <= usize::from(u16::MAX) && DATA_PAYLOAD_HEAD as usize + 8 * values <= MAX_PAYLOAD
+    }
+
+    /// A planner positioned where the next append would start: the
+    /// active segment as it is filled now, the `crash_after` coordinate
+    /// as far away as it is now.
+    pub fn planner(&self) -> RunPlanner {
+        RunPlanner {
+            segment_max: self.config.segment_max_bytes,
+            filled: self.active().bytes,
+            until_abort: self
+                .config
+                .crash_after
+                .map(|at| at.saturating_sub(self.appended_this_process).max(1)),
+            closed: 0,
+            sensor: SensorId(0),
+            next_seq: None,
+            count: 0,
+            body: 0,
+        }
     }
 
     fn poison(&mut self, op: VfsOp, e: &std::io::Error) -> WalError {
@@ -650,25 +885,28 @@ impl Wal {
         self.append_many(std::slice::from_ref(record))
     }
 
-    /// Appends a batch of records as one contiguous extent — every
-    /// record keeps its individual CRC frame (the on-disk format is
-    /// unchanged, so recovery stays record-granular), but the extent
-    /// reaches the file in a single write and the fsync policy is
-    /// charged once per extent rather than once per record. This is
+    /// Appends a batch of records as one contiguous extent, framed the
+    /// way [`RunPlanner`] cuts it: each run of one sensor's consecutive
+    /// sequence numbers is one CRC-framed `DataBatch` payload, a lone
+    /// record one `Data` payload. The part of the extent that fits the
+    /// active segment reaches the file in a single write and the fsync
+    /// policy is charged once per write rather than once per record —
     /// the group-commit fast path: one fsync covers every record
     /// admitted in the flush interval.
     ///
-    /// An extent never spans a segment roll, and the `crash_after`
-    /// chaos coordinate still fires with exactly that many records
-    /// appended — the extent is split at the coordinate so mid-batch
-    /// aborts land where per-record appends would put them.
+    /// A frame never spans a segment roll, and the `crash_after` chaos
+    /// coordinate still fires with exactly that many records appended
+    /// — a frame is cut at the coordinate so mid-batch aborts land
+    /// where per-record appends would put them.
     ///
     /// # Errors
     ///
     /// [`WalError::Storage`] on write or fsync failure; the log is
-    /// poisoned and records at or past the failed extent must never
-    /// be acknowledged. Records of earlier extents in the same call
-    /// are counted in [`Wal::records_logged`].
+    /// poisoned and records at or past the failed write must never be
+    /// acknowledged. [`WalError::Unframable`] if a record does not fit
+    /// a frame; nothing at or past it is written. Either way, records
+    /// of earlier writes in the same call are counted in
+    /// [`Wal::records_logged`].
     pub fn append_many(&mut self, records: &[WalRecord]) -> Result<(), WalError> {
         self.append_extent(records, PolicySync::Inline)
     }
@@ -683,63 +921,100 @@ impl Wal {
         if let Some(e) = &self.poisoned {
             return Err(WalError::Storage(e.clone()));
         }
+        // Nothing at or past a record no frame can hold is written.
+        let refused = records.iter().position(|r| !Self::framable(r.values.len()));
+        let all = records;
+        let mut records = &all[..refused.unwrap_or(all.len())];
         let mut extent = std::mem::take(&mut self.extent);
-        let mut idx = 0;
-        while idx < records.len() {
-            extent.clear();
-            let mut take = 0usize;
-            let base = self.active().bytes;
-            // Records left before the chaos abort coordinate.
-            let cap = self
-                .config
-                .crash_after
-                .map(|at| at.saturating_sub(self.appended_this_process).max(1) as usize);
-            while idx + take < records.len() {
-                if cap.is_some_and(|c| take >= c) {
-                    break;
-                }
-                let r = &records[idx + take];
-                self.scratch.clear();
-                encode_data_payload(r.sensor, r.seq, r.time, &r.values, &mut self.scratch);
-                let framed = self.scratch.len() as u64 + 8;
-                let filled = base + extent.len() as u64;
-                if filled > 0 && filled + framed > self.config.segment_max_bytes {
-                    break;
-                }
-                frame_payload(&self.scratch, &mut extent);
-                take += 1;
-            }
-            if take == 0 {
-                // The active segment is full: seal it, retry the record
-                // against the fresh one.
-                self.roll_segment()?;
+        extent.clear();
+        let mut plan = self.planner();
+        let mut clock = std::time::Instant::now();
+        // `records[..written]` are in the file, `records[written..framed]`
+        // framed in `extent`, `records[framed..i]` the open frame.
+        let (mut written, mut framed) = (0, 0);
+        for (i, r) in records.iter().enumerate() {
+            let placement = plan.push(r.sensor, r.seq, r.values.len());
+            if placement == Placement::Joined {
                 continue;
             }
-            if let Err(e) = self.write_timed(&extent) {
-                // The extent may have torn mid-record; recovery's
-                // torn-tail truncation keeps the clean record prefix.
-                return Err(self.poison(VfsOp::Append, &e));
+            encode_run(&records[framed..i], &mut extent);
+            framed = i;
+            match placement {
+                Placement::Rolled => {
+                    // The extent so far fills the active segment: write
+                    // it, seal, and carry on in the fresh one.
+                    self.write_extent(&mut extent, framed - written, policy_sync, clock)?;
+                    written = framed;
+                    self.roll_segment()?;
+                    clock = std::time::Instant::now();
+                }
+                Placement::Unwritten => {
+                    // The write below reaches the chaos coordinate.
+                    records = &records[..i];
+                    break;
+                }
+                Placement::Joined | Placement::Opened => {}
             }
-            let len = extent.len() as u64;
-            let active = self.active_mut();
-            active.bytes += len;
-            active.records += take as u64;
-            self.records_logged += take as u64;
-            self.appended_this_process += take as u64;
-            if policy_sync == PolicySync::Inline && self.policy_sync_due() {
-                self.sync()?;
-            }
-            if self
-                .config
-                .crash_after
-                .is_some_and(|at| self.appended_this_process >= at)
-            {
-                // Chaos coordinate: die as if `kill -9`, mid-everything.
-                std::process::abort();
-            }
-            idx += take;
         }
+        encode_run(&records[framed..], &mut extent);
+        self.write_extent(&mut extent, records.len() - written, policy_sync, clock)?;
         self.extent = extent;
+        match refused.map(|i| &all[i]) {
+            None => Ok(()),
+            Some(r) => Err(WalError::Unframable {
+                sensor: r.sensor,
+                seq: r.seq,
+                values: r.values.len(),
+            }),
+        }
+    }
+
+    /// Writes the `count` records framed in `extent` to the active
+    /// segment in one call, then settles what follows a write: the
+    /// bookkeeping, the inline policy fsync, the chaos abort. `encoding`
+    /// is when the caller started cutting and encoding the extent; the
+    /// time since is its encode stage.
+    fn write_extent(
+        &mut self,
+        extent: &mut Vec<u8>,
+        count: usize,
+        policy_sync: PolicySync,
+        encoding: std::time::Instant,
+    ) -> Result<(), WalError> {
+        let start = std::time::Instant::now();
+        self.encode_ns = self
+            .encode_ns
+            .saturating_add((start - encoding).as_nanos() as u64);
+        if count == 0 {
+            return Ok(());
+        }
+        let result = self.file.append(extent);
+        self.append_ns = self
+            .append_ns
+            .saturating_add(start.elapsed().as_nanos() as u64);
+        if let Err(e) = result {
+            // The write may have torn mid-frame; recovery's torn-tail
+            // truncation keeps the clean frame prefix.
+            return Err(self.poison(VfsOp::Append, &e));
+        }
+        let len = extent.len() as u64;
+        extent.clear();
+        let active = self.active_mut();
+        active.bytes += len;
+        active.records += count as u64;
+        self.records_logged += count as u64;
+        self.appended_this_process += count as u64;
+        if policy_sync == PolicySync::Inline && self.policy_sync_due() {
+            self.sync()?;
+        }
+        if self
+            .config
+            .crash_after
+            .is_some_and(|at| self.appended_this_process >= at)
+        {
+            // Chaos coordinate: die as if `kill -9`, mid-everything.
+            std::process::abort();
+        }
         Ok(())
     }
 
@@ -853,16 +1128,6 @@ impl Wal {
         self.segments.last_mut().expect("active segment")
     }
 
-    /// `file.append` with wall time charged to the append stage.
-    fn write_timed(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        let start = std::time::Instant::now();
-        let result = self.file.append(bytes);
-        self.append_ns = self
-            .append_ns
-            .saturating_add(start.elapsed().as_nanos() as u64);
-        result
-    }
-
     /// `file.fsync` with wall time charged to the fsync stage, and to
     /// this thread's share of it.
     fn fsync_timed(&mut self) -> std::io::Result<()> {
@@ -872,6 +1137,13 @@ impl Wal {
         self.fsync_ns = self.fsync_ns.saturating_add(ns);
         self.sync_blocked_ns = self.sync_blocked_ns.saturating_add(ns);
         result
+    }
+
+    /// Wall time spent cutting extents into frames and encoding them
+    /// (CRC included) since open — what an append costs before its
+    /// write call.
+    pub fn encode_ns(&self) -> u64 {
+        self.encode_ns
     }
 
     /// Wall time spent inside write calls since open.
@@ -1029,6 +1301,9 @@ mod tests {
 
     #[test]
     fn append_many_matches_per_record_appends_byte_for_byte() {
+        // No two neighbours share a sensor, so every run is a run of
+        // one: the extent is the `Data` frames per-record appends
+        // write, and any log an older binary wrote stays readable.
         let records: Vec<WalRecord> = (0..30)
             .map(|i| rec((i % 3) as u16, i, 300 * (i + 1), i as f64))
             .collect();
@@ -1052,19 +1327,167 @@ mod tests {
         fs::remove_dir_all(&dir_batch).unwrap();
     }
 
+    /// Three consecutive two-value readings of sensor 1 from `first`:
+    /// one extent, one 99-byte `DataBatch` frame (21 + 3 * 26).
+    fn run3(first: u64) -> Vec<WalRecord> {
+        (first..first + 3)
+            .map(|i| rec(1, i, 300 * (i + 1), i as f64))
+            .collect()
+    }
+    const RUN3_FRAME: u64 = 99;
+
     #[test]
-    fn append_many_rolls_segments_like_per_record_appends() {
+    fn a_run_is_one_batch_frame_and_a_lone_record_one_data_frame() {
+        let dir = tmpdir("frame-kinds");
+        let (mut wal, _) = Wal::open(WalConfig::new(&dir), None).unwrap();
+        let mut records = run3(0);
+        records.push(rec(2, 0, 300, 7.0)); // another sensor: alone
+        records.push(rec(1, 4, 1500, 8.0)); // a seq gap on both sides: alone
+        records.extend(run3(6)); // and a run again
+        wal.append_many(&records).unwrap();
+        assert_eq!(wal.records_logged(), 8);
+        assert_eq!(wal.total_bytes(), 2 * RUN3_FRAME + 2 * 45);
+        drop(wal);
+        let bytes = fs::read(dir.join(segment_name(1))).unwrap();
+        // Log frames are wire frames, byte for byte.
+        let mut wire = Vec::new();
+        for (run, tag) in [
+            (&records[..3], 7),
+            (&records[3..4], 2),
+            (&records[4..5], 2),
+            (&records[5..], 7),
+        ] {
+            assert_eq!(bytes[wire.len() + 4], tag);
+            let msg = match run {
+                [r] => crate::frame::Message::Data {
+                    sensor: r.sensor,
+                    seq: r.seq,
+                    time: r.time,
+                    values: r.values.clone(),
+                },
+                _ => crate::frame::Message::DataBatch {
+                    sensor: run[0].sensor,
+                    first_seq: run[0].seq,
+                    readings: run.iter().map(|r| (r.time, r.values.clone())).collect(),
+                },
+            };
+            wire.extend(crate::frame::encode_frame(&msg));
+        }
+        assert_eq!(bytes, wire);
+        let (_, recovered) = Wal::open(WalConfig::new(&dir), None).unwrap();
+        assert_eq!(recovered, records);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_scan_sizes_its_output_from_the_frame_heads() {
+        let dir = tmpdir("presized");
+        let (mut wal, _) = Wal::open(WalConfig::new(&dir), None).unwrap();
+        let mut records: Vec<WalRecord> = (0..900).map(|i| rec(1, i, 300 * (i + 1), 0.5)).collect();
+        records.extend((0..100).map(|i| rec((i % 2) as u16 + 2, i / 2, 300, 0.5)));
+        wal.append_many(&records).unwrap();
+        drop(wal);
+        let bytes = fs::read(dir.join(segment_name(1))).unwrap();
+        assert_eq!(count_readings(&bytes), 1000);
+        // A tear inside a payload ends the walk at that frame; garbage
+        // counts for no more than the bytes could back.
+        assert_eq!(count_readings(&bytes[..bytes.len() - 10]), 999);
+        assert_eq!(count_readings(&bytes[..100]), 0, "inside the batch frame");
+        assert!(count_readings(&[0xFF; 64]) <= 6);
+        let (_, recovered) = Wal::open(WalConfig::new(&dir), None).unwrap();
+        assert_eq!(recovered, records);
+        assert_eq!(recovered.capacity(), 1000, "sized once, not doubled into");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_roll_never_splits_a_frame() {
+        // One 40-record run against segments far smaller than its
+        // frame: the run is cut where each segment fills, every
+        // segment scans clean on its own (no frame straddles a roll),
+        // and none exceeds the cap.
         let records: Vec<WalRecord> = (0..40).map(|i| rec(2, i, 300 * (i + 1), 0.5)).collect();
         let dir = tmpdir("many-roll");
         let mut config = WalConfig::new(&dir);
-        config.segment_max_bytes = 64;
-        {
+        config.segment_max_bytes = 200;
+        let segments = {
             let (mut wal, _) = Wal::open(config.clone(), None).unwrap();
             wal.append_many(&records).unwrap();
-            assert!(wal.segments().len() > 1);
+            wal.segments().to_vec()
+        };
+        // 21 + 6 * 26 = 177 <= 200 < 203: six records a frame, a frame
+        // a segment.
+        assert_eq!(segments.len(), 7);
+        assert!(segments[..6]
+            .iter()
+            .all(|s| (s.records, s.bytes) == (6, 177)));
+        assert_eq!((segments[6].records, segments[6].bytes), (4, 125));
+        for seg in &segments {
+            let path = dir.join(segment_name(seg.index));
+            let mut out = Vec::new();
+            let scan = scan_segment(&path, &fs::read(&path).unwrap(), &mut out).unwrap();
+            assert!(matches!(scan, SegmentScan::Clean), "segment {}", seg.index);
+            assert_eq!(out.len() as u64, seg.records);
         }
-        let (_, recovered) = Wal::open(config, None).unwrap();
+        let (wal, recovered) = Wal::open(config, None).unwrap();
         assert_eq!(recovered, records);
+        assert_eq!(wal.segments(), segments);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_overlong_lone_frame_still_enters_an_empty_segment() {
+        let dir = tmpdir("overlong");
+        let mut config = WalConfig::new(&dir);
+        config.segment_max_bytes = 40; // below any record's 45 bytes
+        let (mut wal, _) = Wal::open(config.clone(), None).unwrap();
+        wal.append_many(&run3(0)).unwrap();
+        assert_eq!(
+            wal.segments()
+                .iter()
+                .map(|s| (s.index, s.records, s.bytes))
+                .collect::<Vec<_>>(),
+            vec![(1, 1, 45), (2, 1, 45), (3, 1, 45)]
+        );
+        drop(wal);
+        let (_, recovered) = Wal::open(config, None).unwrap();
+        assert_eq!(recovered, run3(0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unframable_record_is_refused_not_written_wrapped() {
+        let dir = tmpdir("unframable");
+        let (mut wal, _) = Wal::open(WalConfig::new(&dir), None).unwrap();
+        let mut records = run3(0);
+        records.push(WalRecord {
+            sensor: SensorId(1),
+            seq: 3,
+            time: 1200,
+            values: vec![0.0; 70_000],
+        });
+        records.push(rec(1, 4, 1500, 1.0));
+        let err = wal.append_many(&records).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WalError::Unframable {
+                    seq: 3,
+                    values: 70_000,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(
+            wal.poisoned().is_none(),
+            "a refusal is not a storage failure"
+        );
+        assert_eq!(wal.records_logged(), 3, "the records before it are logged");
+        wal.append(&rec(1, 4, 1500, 1.0)).unwrap();
+        drop(wal);
+        let (_, recovered) = Wal::open(WalConfig::new(&dir), None).unwrap();
+        assert_eq!(recovered.len(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1357,45 +1780,44 @@ mod tests {
     #[test]
     fn torn_tail_at_exact_roll_boundary_recovers() {
         let dir = tmpdir("torn-boundary");
-        let frame = Wal::framed_len(&rec(1, 0, 300, 1.0));
         let mut config = WalConfig::new(&dir);
-        // Exactly two frames per segment: record 5 opens segment 3 at
-        // byte 0, right on the roll boundary.
-        config.segment_max_bytes = 2 * frame;
-        let originals: Vec<WalRecord> =
-            (0..5).map(|i| rec(1, i, 300 * (i + 1), i as f64)).collect();
+        // Exactly two batch frames per segment: the fifth run opens
+        // segment 3 at byte 0, right on the roll boundary.
+        config.segment_max_bytes = 2 * RUN3_FRAME;
+        let originals: Vec<WalRecord> = (0..5).flat_map(|run| run3(3 * run)).collect();
         {
             let (mut wal, _) = Wal::open(config.clone(), None).unwrap();
-            for r in &originals {
-                wal.append(r).unwrap();
+            for run in originals.chunks(3) {
+                wal.append_many(run).unwrap();
             }
             assert_eq!(
                 wal.segments()
                     .iter()
                     .map(|s| (s.index, s.records))
                     .collect::<Vec<_>>(),
-                vec![(1, 2), (2, 2), (3, 1)]
+                vec![(1, 6), (2, 6), (3, 3)]
             );
         }
         assert_eq!(
             fs::metadata(dir.join(segment_name(1))).unwrap().len(),
-            2 * frame,
+            2 * RUN3_FRAME,
             "sealed segment filled to the exact boundary"
         );
-        // Tear the frame that straddles the boundary: segment 3's only
-        // record loses its tail.
+        // Tear the frame that sits on the boundary: segment 3's only
+        // frame loses its tail, and all three of its records with it.
         let seg3 = dir.join(segment_name(3));
         let f = fs::OpenOptions::new().write(true).open(&seg3).unwrap();
-        f.set_len(frame - 5).unwrap();
+        f.set_len(RUN3_FRAME - 5).unwrap();
         drop(f);
         let (wal, recovered) = Wal::open(config.clone(), None).unwrap();
-        assert_eq!(recovered, originals[..4], "boundary prefix intact");
+        assert_eq!(recovered, originals[..12], "boundary prefix intact");
+        assert_eq!(wal.records_logged(), 12);
         assert_eq!(fs::metadata(&seg3).unwrap().len(), 0, "tail truncated");
         drop(wal);
-        // The re-delivered record 5 lands back in segment 3 and the
-        // log recovers to the original contents.
+        // The re-delivered run lands back in segment 3 and the log
+        // recovers to the original contents.
         let (mut wal, _) = Wal::open(config.clone(), None).unwrap();
-        wal.append(&originals[4]).unwrap();
+        wal.append_many(&originals[12..]).unwrap();
         drop(wal);
         let (_, recovered) = Wal::open(config, None).unwrap();
         assert_eq!(recovered, originals);
@@ -1490,43 +1912,47 @@ mod tests {
     #[test]
     fn reclaim_deletes_only_sealed_segments_below_cursor() {
         let dir = tmpdir("reclaim");
-        let frame = Wal::framed_len(&rec(1, 0, 300, 1.0));
         let mut config = WalConfig::new(&dir);
-        config.segment_max_bytes = 2 * frame;
+        config.segment_max_bytes = 2 * RUN3_FRAME;
         let (mut wal, _) = Wal::open(config.clone(), None).unwrap();
-        for i in 0..7 {
-            wal.append(&rec(1, i, 300 * (i + 1), i as f64)).unwrap();
+        for run in 0..7 {
+            wal.append_many(&run3(3 * run)).unwrap();
         }
-        // Segments: 1:[0,1] 2:[2,3] 3:[4,5] 4:[6].
+        // Segments: 1:[0,6) 2:[6,12) 3:[12,18) 4:[18,21), two frames
+        // of three records in each sealed one.
         assert_eq!(wal.segments().len(), 4);
 
-        // Cursor at 3 only frees segment 1, whatever the budget.
-        let plan = wal.plan_reclaim(3, 0);
-        assert_eq!(plan.delete, vec![1]);
-        assert_eq!((plan.base_segment, plan.base_records), (2, 2));
+        // A cursor inside segment 2 — inside its first frame, even:
+        // cursors count records, not frames — only frees segment 1,
+        // whatever the budget.
+        for cursor in [6, 8, 11] {
+            let plan = wal.plan_reclaim(cursor, 0);
+            assert_eq!(plan.delete, vec![1], "cursor {cursor}");
+            assert_eq!((plan.base_segment, plan.base_records), (2, 6));
+        }
 
-        // Cursor at 7 with a two-segment budget frees 1 and 2; the
+        // Cursor at 21 with a two-segment budget frees 1 and 2; the
         // active segment is untouchable even with budget 0.
-        let plan = wal.plan_reclaim(7, 3 * frame);
+        let plan = wal.plan_reclaim(21, 3 * RUN3_FRAME);
         assert_eq!(plan.delete, vec![1, 2]);
-        let all = wal.plan_reclaim(7, 0);
+        let all = wal.plan_reclaim(21, 0);
         assert_eq!(all.delete, vec![1, 2, 3]);
-        assert_eq!((all.base_segment, all.base_records), (4, 6));
+        assert_eq!((all.base_segment, all.base_records), (4, 18));
 
         wal.execute_reclaim(&plan).unwrap();
-        assert_eq!(wal.base_records(), 4);
-        assert_eq!(wal.total_bytes(), 3 * frame);
+        assert_eq!(wal.base_records(), 12);
+        assert_eq!(wal.total_bytes(), 3 * RUN3_FRAME);
         assert!(!dir.join(segment_name(1)).exists());
         assert!(!dir.join(segment_name(2)).exists());
 
         // Reopen against the committed base: tail records only,
         // absolute cursor preserved.
         drop(wal);
-        let (wal, recovered) = Wal::open(config.clone(), Some((3, 4))).unwrap();
-        assert_eq!(recovered.len(), 3);
-        assert_eq!(recovered[0].seq, 4);
-        assert_eq!(wal.records_logged(), 7);
-        assert_eq!(wal.base_records(), 4);
+        let (wal, recovered) = Wal::open(config.clone(), Some((3, 12))).unwrap();
+        assert_eq!(recovered.len(), 9);
+        assert_eq!(recovered[0].seq, 12);
+        assert_eq!(wal.records_logged(), 21);
+        assert_eq!(wal.base_records(), 12);
 
         // Opening the retained log without its checkpoint is loud.
         drop(wal);
@@ -1543,21 +1969,21 @@ mod tests {
     #[test]
     fn open_deletes_leftover_segments_below_base() {
         let dir = tmpdir("leftover");
-        let frame = Wal::framed_len(&rec(1, 0, 300, 1.0));
         let mut config = WalConfig::new(&dir);
-        config.segment_max_bytes = 2 * frame;
+        config.segment_max_bytes = 2 * RUN3_FRAME;
         let (mut wal, _) = Wal::open(config.clone(), None).unwrap();
-        for i in 0..5 {
-            wal.append(&rec(1, i, 300 * (i + 1), i as f64)).unwrap();
+        for run in 0..5 {
+            wal.append_many(&run3(3 * run)).unwrap();
         }
         drop(wal);
         // Simulate a crash between checkpoint commit (base = segment
-        // 2, record 2) and segment deletion: segment 1 is still there.
+        // 2, record 6) and segment deletion: segment 1 is still there.
         assert!(dir.join(segment_name(1)).exists());
-        let (wal, recovered) = Wal::open(config, Some((2, 2))).unwrap();
+        let (wal, recovered) = Wal::open(config, Some((2, 6))).unwrap();
         assert!(!dir.join(segment_name(1)).exists(), "leftover deleted");
-        assert_eq!(recovered.len(), 3);
-        assert_eq!(wal.records_logged(), 5);
+        assert_eq!(recovered.len(), 9);
+        assert_eq!(recovered[0].seq, 6);
+        assert_eq!(wal.records_logged(), 15);
         fs::remove_dir_all(&dir).unwrap();
     }
 

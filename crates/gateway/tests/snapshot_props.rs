@@ -561,8 +561,7 @@ fn damaged_sidecar_files_fail_typed() {
         let mut what = String::new();
         for (name, bytes) in &files {
             let bytes = if name == target {
-                let text = String::from_utf8_lossy(bytes);
-                let (how, damaged) = mutate(&mut rng, &text);
+                let (how, damaged) = mutate(&mut rng, bytes);
                 what = format!("{target} {how}");
                 damaged
             } else {

@@ -6,8 +6,8 @@
 //! so these suites are plain seeded loops: case `n` depends on nothing
 //! but `n`, a failure names its seed and prints the one command that
 //! replays exactly that case. On top of the loop sit the mutators the
-//! text-decoder totality properties share, and an allocator that
-//! records the largest single request a decode makes.
+//! decoder totality properties share — text and binary alike — and an
+//! allocator that records the largest single request a decode makes.
 
 #![allow(dead_code)]
 
@@ -72,13 +72,13 @@ impl Replay {
     }
 }
 
-/// One damaged variant of `valid` durable text, and what was done to
-/// it: torn at a byte, one bit flipped, one decimal field scaled by a
-/// power of ten (a length or count grown past anything real), or
-/// replaced from some point on — possibly from the start — by
-/// arbitrary bytes.
-pub fn mutate(rng: &mut TestRng, valid: &str) -> (String, Vec<u8>) {
-    let mut bytes = valid.as_bytes().to_vec();
+/// One damaged variant of `valid` durable bytes (text or binary), and
+/// what was done to it: torn at a byte, one bit flipped, one decimal
+/// field scaled by a power of ten (a length or count grown past
+/// anything real; binary input rarely has one), or replaced from some
+/// point on — possibly from the start — by arbitrary bytes.
+pub fn mutate(rng: &mut TestRng, valid: impl AsRef<[u8]>) -> (String, Vec<u8>) {
+    let mut bytes = valid.as_ref().to_vec();
     let at = rng.usize_in(0, bytes.len());
     match rng.usize_in(0, 4) {
         0 => {
@@ -185,25 +185,31 @@ pub fn peak_request<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (PEAK.with(Cell::get), out)
 }
 
-/// What a total text decoder may do with `input`, damaged or not:
-/// return a value or a typed error. Never panic (the seeded loop
+/// What a total decoder may do with `input_len` bytes of input,
+/// damaged or not: return — a value or a typed error, which is all
+/// `decode`'s type lets it return. Never panic (the seeded loop
 /// catches that), and never make an allocation sized by a number the
 /// input merely states — every request stays within a small multiple
 /// of the input's own length.
+pub fn check_total_bytes<T>(input_len: usize, decode: impl FnOnce() -> T) -> Result<T, String> {
+    let (peak, outcome) = peak_request(decode);
+    let bound = 64 * input_len + 4096;
+    if peak > bound {
+        return Err(format!(
+            "a {peak}-byte allocation for {input_len} bytes of input (bound {bound})"
+        ));
+    }
+    Ok(outcome)
+}
+
+/// [`check_total_bytes`] for a text decoder: `input` reaches it the
+/// way a sidecar reader would hand it over, lossily decoded.
 pub fn check_total<T, E: std::fmt::Debug>(
     input: &[u8],
     decode: impl FnOnce(&str) -> Result<T, E>,
 ) -> Result<Result<T, E>, String> {
     let text = String::from_utf8_lossy(input);
-    let (peak, outcome) = peak_request(|| decode(&text));
-    let bound = 64 * text.len() + 4096;
-    if peak > bound {
-        return Err(format!(
-            "a {peak}-byte allocation for {} bytes of input (bound {bound})",
-            text.len()
-        ));
-    }
-    Ok(outcome)
+    check_total_bytes(text.len(), || decode(&text))
 }
 
 /// [`check_total`], and exactness on top: `decode` either rejects

@@ -267,10 +267,13 @@ impl Parser<'_> {
 /// inline fsyncs; the syncer thread's overlapped fsyncs
 /// (`fsync_overlapped_s`) run beside the other stages and are not a
 /// stage of the sum. `checkpoint_s` is the event loop's time inside
-/// restore-point writes after their WAL sync.
+/// restore-point writes after their WAL sync. `wal_encode_s` is
+/// cutting WAL extents into frames and encoding them (CRC included),
+/// `wal_append_s` the write calls that follow.
 const STAGE_KEYS: &[&str] = &[
     "decode_s",
     "admission_s",
+    "wal_encode_s",
     "wal_append_s",
     "fsync_s",
     "checkpoint_s",
@@ -575,8 +578,9 @@ mod tests {
         doc(rows).replace(
             "\"results\": [",
             "\"ingest_stages\": {\"decode_s\": 0.01, \"admission_s\": 0.02, \
-             \"wal_append_s\": 0.003, \"fsync_s\": 0.1, \"checkpoint_s\": 0.04, \
-             \"ack_s\": 0.004, \"other_s\": 0.023, \"total_s\": 0.2}, \"results\": [",
+             \"wal_encode_s\": 0.007, \"wal_append_s\": 0.003, \"fsync_s\": 0.1, \
+             \"checkpoint_s\": 0.04, \"ack_s\": 0.004, \"other_s\": 0.016, \
+             \"total_s\": 0.2}, \"results\": [",
         )
     }
 

@@ -155,6 +155,13 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
     ),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
+    // The WAL's per-reading write path: where an extent's frames are
+    // cut, and the two encoders that fill them.
+    (
+        "gateway/src/frame.rs",
+        &["encode_data_payload", "encode_batch_payload", "frame_with"],
+    ),
+    ("gateway/src/wal.rs", &["push", "encode_run"]),
 ];
 
 /// Allocation markers searched inside hot-path function bodies.

@@ -37,9 +37,10 @@
 //!    every schedule point.
 //! 3. **crash** — at every point where the WAL holds unsynced bytes
 //!    (an overlapped sync in flight included), the process is killed
-//!    and the on-disk segment truncated at every record boundary past
-//!    the fsync watermark plus a torn tear inside each record; the
-//!    collector is reopened and the episode resumes with clients
+//!    and the on-disk segment truncated at every frame boundary past
+//!    the fsync watermark plus a torn tear inside each frame (a batch
+//!    is logged as one frame, so a tear costs every reading in it);
+//!    the collector is reopened and the episode resumes with clients
 //!    retransmitting.
 //! 4. **poison** — the first WAL fsync fails ([`StorageFault::FsyncFail`]
 //!    via the fault plan) — the inline one of a group commit or the
@@ -71,10 +72,14 @@
 //!   mirror `SeqTracker` watermark, and its WAL cursor equals the
 //!   records logged.
 //! * **I4 crash-durability** — after a crash + truncation anywhere at
-//!   or past the fsync watermark, replay recovers exactly the
-//!   surviving log prefix: nothing a client was acked is lost, and no
+//!   or past the fsync watermark, replay recovers exactly the readings
+//!   of the frames that survived whole: nothing a client was acked is
+//!   lost (the watermark never falls inside a frame), and no
 //!   `(sensor, seq)` is ever logged twice (retransmissions of the torn
-//!   tail are absorbed by dedup).
+//!   tail are absorbed by dedup). The mirror sizes each frame with the
+//!   wire codec — a run of fresh consecutive readings is one
+//!   `DataBatch` frame, a lone one a `Data` frame — so the real log
+//!   is also held to "logged as it travels", byte for byte.
 //! * **I5 poisoned-never-acks** — after storage poisons the WAL, no
 //!   further ack is released (subsumed by I2, asserted directly too).
 //! * **Completion** — every fault-free episode ends with every reading
@@ -86,8 +91,7 @@ use crate::model_check::Schedule;
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
     AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs, FsyncPolicy, GatewayConfig, Message,
-    QueuedAck, SeqTracker, StepEvent, StepServer, StorageFault, VfsOp, Wal, WalRecord,
-    PROTOCOL_VERSION,
+    QueuedAck, SeqTracker, StepEvent, StepServer, StorageFault, VfsOp, Wal, PROTOCOL_VERSION,
 };
 use sentinet_sim::SensorId;
 use std::collections::{BTreeSet, VecDeque};
@@ -278,8 +282,9 @@ struct Episode<'a> {
     trackers: Vec<SeqTracker>,
     /// Mirror of the WAL append order.
     logged: Vec<(u16, u64)>,
-    /// Framed byte length of each logged record (crash offsets).
-    framed: Vec<u64>,
+    /// Mirror of the WAL's frames, in log order: how many records each
+    /// holds and its byte length (crash offsets).
+    frames: Vec<(usize, u64)>,
     /// Mirror of durability: records a *completed* fsync was started
     /// to cover. The WAL's synced cursor must never exceed it.
     durable: usize,
@@ -367,7 +372,7 @@ impl<'a> Episode<'a> {
             s2c: (0..SENSORS).map(|_| VecDeque::new()).collect(),
             trackers: (0..SENSORS).map(|_| SeqTracker::default()).collect(),
             logged: Vec::new(),
-            framed: Vec::new(),
+            frames: Vec::new(),
             durable: 0,
             sync_cursor: None,
             timeouts_left: cfg.timeout_budget,
@@ -630,26 +635,56 @@ impl<'a> Episode<'a> {
         Ok(())
     }
 
+    /// Closes the mirror's open run — the readings just below `end` —
+    /// as one frame, sized by the wire codec.
+    fn log_frame(&mut self, sensor: SensorId, end: u64, run: &mut Vec<(u64, Vec<f64>)>) {
+        let first_seq = end - run.len() as u64;
+        let message = match run.len() {
+            0 => return,
+            1 => {
+                let (time, values) = run.remove(0);
+                Message::Data {
+                    sensor,
+                    seq: first_seq,
+                    time,
+                    values,
+                }
+            }
+            _ => Message::DataBatch {
+                sensor,
+                first_seq,
+                readings: std::mem::take(run),
+            },
+        };
+        let records = (end - first_seq) as usize;
+        self.frames
+            .push((records, encode_frame(&message).len() as u64));
+    }
+
     fn do_deliver(&mut self, s: usize) -> Result<(), EpisodeError> {
         let batch = self.c2s[s].pop_front().expect("deliver enabled");
         let sensor = self.clients[s].sensor;
         // Advance the mirror spec exactly as deliver_batch will: each
-        // unseen seq is appended then observed; the poisoned WAL
-        // appends nothing.
+        // unseen seq is appended then observed, and each run of unseen
+        // consecutive seqs is logged as the one frame the wire codec
+        // gives it; the poisoned WAL appends nothing.
         if !self.poisoned {
-            for (i, (time, values)) in batch.readings.iter().enumerate() {
+            let mut run: Vec<(u64, Vec<f64>)> = Vec::new();
+            for (i, reading) in batch.readings.iter().enumerate() {
                 let seq = batch.first_seq + i as u64;
                 if self.trackers[s].is_new(seq) {
                     self.trackers[s].observe(seq);
                     self.logged.push((sensor.0, seq));
-                    self.framed.push(Wal::framed_len(&WalRecord {
-                        sensor,
-                        seq,
-                        time: *time,
-                        values: values.clone(),
-                    }));
+                    run.push(reading.clone());
+                    continue;
                 }
+                self.log_frame(sensor, seq, &mut run);
             }
+            self.log_frame(
+                sensor,
+                batch.first_seq + batch.readings.len() as u64,
+                &mut run,
+            );
         }
         let conn = self.clients[s].conn;
         let bytes = encode_frame(&Message::DataBatch {
@@ -854,25 +889,30 @@ impl<'a> Episode<'a> {
         self.sync_cursor = None;
         let synced = self.durable;
         let total = self.logged.len();
-        // Byte offsets of every record boundary, cum[i] = bytes of the
-        // first i records.
-        let mut cum = Vec::with_capacity(total + 1);
-        let mut acc = 0u64;
-        cum.push(0u64);
-        for len in &self.framed {
-            acc += len;
-            cum.push(acc);
-        }
         // Candidate truncation points: the fsync watermark itself,
-        // every later record boundary, a torn tear inside each
-        // unsynced record, and "nothing lost" (all appends reached the
-        // platter before the power cut).
+        // every later frame boundary, a torn tear inside each unsynced
+        // frame, and "nothing lost" (all appends reached the platter
+        // before the power cut). `(byte offset, records that survive,
+        // torn)`; a tear leaves what the frames before it hold.
         let mut candidates: Vec<(u64, usize, bool)> = Vec::new();
-        for (k, len) in self.framed.iter().enumerate().skip(synced) {
-            candidates.push((cum[k], k, false));
-            candidates.push((cum[k] + len / 2, k, true));
+        let (mut offset, mut records) = (0u64, 0usize);
+        for &(held, len) in &self.frames {
+            if records >= synced {
+                candidates.push((offset, records, false));
+                candidates.push((offset + len / 2, records, true));
+            } else if records + held > synced {
+                return Err((
+                    "I4 crash-durability",
+                    format!(
+                        "the fsync watermark {synced} falls inside the frame holding records {records}..{}: a tear there would lose covered data",
+                        records + held
+                    ),
+                ));
+            }
+            offset += len;
+            records += held;
         }
-        candidates.push((cum[total], total, false));
+        candidates.push((offset, total, false));
         let (offset, survivors, torn) = candidates[ch.pick(candidates.len())];
         let seg = self.gw_cfg.wal.dir.join("wal-00000001.seg");
         let file = std::fs::OpenOptions::new()
@@ -889,7 +929,11 @@ impl<'a> Episode<'a> {
         // The process died: wires and the mirror's unsurvived suffix
         // are gone; clients will retransmit everything unacked.
         self.logged.truncate(survivors);
-        self.framed.truncate(survivors);
+        let mut kept = 0;
+        self.frames.retain(|&(held, _)| {
+            kept += held;
+            kept <= survivors
+        });
         // Everything recovery reads back counts as covered.
         self.durable = survivors;
         self.trackers = (0..SENSORS).map(|_| SeqTracker::default()).collect();
@@ -910,7 +954,7 @@ impl<'a> Episode<'a> {
             return Err((
                 "I4 crash-durability",
                 format!(
-                    "replay recovered {} records but {survivors} complete records survived the crash",
+                    "replay recovered {} records but the frames that survived the crash whole hold {survivors}",
                     recovery.replayed
                 ),
             ));
