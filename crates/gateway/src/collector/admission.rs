@@ -18,9 +18,11 @@ pub enum RejectCause {
     /// stale owner and fail-stops instead of racing its successor.
     Fenced,
     /// The reading does not fit a WAL frame ([`Wal::framable`]): it
-    /// carries more values than the frame's count field can state.
-    /// Logging it would write a record no reopen could decode, so it
-    /// is refused before the append — and would be again on retry.
+    /// carries more values than the frame's count field can state —
+    /// or its sequence number is `u64::MAX`, which has no successor
+    /// for the dedup tracker to step to. Logging it would write a
+    /// record no reopen could decode (or count), so it is refused
+    /// before the append — and would be again on retry.
     Unframable,
 }
 
@@ -55,12 +57,17 @@ pub struct StageTimings {
     /// for (inline fsyncs) — what the fsync costs the ingest path once
     /// the server overlaps the rest.
     pub sync_blocked_ns: u64,
-    /// Inside restore-point writes on the admitting thread, after
-    /// their WAL sync (which `sync_blocked_ns` already holds): plan the
-    /// reclaim, snapshot the collector, encode it, write and
-    /// rename-commit the file. Disjoint from `admission_ns` — the
-    /// admission clock is stopped around a budget reclaim.
+    /// Inside restore points on the admitting thread, after their WAL
+    /// sync (which `sync_blocked_ns` already holds): plan the reclaim
+    /// and snapshot the collector — and, for a synchronous writer,
+    /// encode, write and rename-commit the file. Disjoint from
+    /// `admission_ns` — the admission clock is stopped around a budget
+    /// reclaim.
     pub checkpoint_ns: u64,
+    /// Inside the restore-point commits the server's syncer thread ran
+    /// beside admission: encode, tmp write (its fsync included),
+    /// rename. Counted when the restore point lands.
+    pub checkpoint_overlapped_ns: u64,
 }
 
 /// Per-batch admission accounting from [`Collector::deliver_batch`].
@@ -229,7 +236,16 @@ impl Collector {
         // again only after the (at most one) reclaim borrowed `self`.
         let mut tracker = self.seqs.get(&sensor);
         for (i, (time, values)) in readings.enumerate() {
-            let seq = first_seq + i as u64;
+            // Saturating: a batch that runs off the end of the seq
+            // space is refused at `u64::MAX`, the first seq without a
+            // successor, with the prefix in front of it kept.
+            let seq = first_seq.saturating_add(i as u64);
+            if seq == u64::MAX {
+                self.unframable_rejects += total - i;
+                out.rejected = total - i;
+                out.nack = Some((seq, RejectCause::Unframable));
+                break;
+            }
             if !tracker.is_none_or(|t| t.is_new(seq)) {
                 self.seq_duplicates += 1;
                 out.duplicates += 1;
@@ -320,7 +336,17 @@ impl Collector {
             let logged = self.wal.records_logged();
             let every = self.config.checkpoint_every;
             if every > 0 && logged_before / every < logged / every {
-                self.write_checkpoint(logged, self.config.wal.retain_bytes.unwrap_or(u64::MAX))?;
+                let budget = self.config.wal.retain_bytes.unwrap_or(u64::MAX);
+                if policy_sync == PolicySync::Inline {
+                    self.write_checkpoint(logged, budget)?;
+                } else {
+                    // Staged only: its commit rides the driver's next
+                    // overlapped sync, as the policy fsync does. (Its
+                    // plan is empty — admission has just held the log
+                    // to the budget, and a plan deletes only while the
+                    // log is over it: reclaim is the budget tick's.)
+                    self.restore_staged = Some(self.stage_restore_point(logged, budget));
+                }
             }
         }
         out.ack_cursor = self.wal.records_logged();
@@ -398,13 +424,19 @@ impl Collector {
             fsync_ns: self.wal.fsync_ns(),
             sync_blocked_ns: self.wal.sync_blocked_ns(),
             checkpoint_ns: self.checkpoint_ns,
+            checkpoint_overlapped_ns: self.checkpoint_overlapped_ns,
         }
     }
 
-    /// Whether the fsync policy wants an overlapped sync started now
-    /// (see [`Wal::sync_due`]).
-    pub(crate) fn sync_due(&self) -> bool {
+    /// Whether an overlapped sync should be started now: the fsync
+    /// policy wants one (see [`Wal::sync_due`]), or a staged restore
+    /// point is waiting for one to ride and the syncer is free.
+    pub fn sync_due(&self) -> bool {
         self.wal.sync_due()
+            || (self.restore_staged.is_some()
+                && self.restore_in_flight.is_none()
+                && !self.wal.sync_in_flight()
+                && self.wal.poisoned().is_none())
     }
 
     /// Whether an overlapped sync is in flight.
@@ -413,9 +445,25 @@ impl Collector {
     }
 
     /// Starts an overlapped sync covering every record logged so far
-    /// (see [`Wal::begin_sync`]).
+    /// (see [`Wal::begin_sync`]) and attaches the staged restore point,
+    /// unless one is still in flight. With nothing left to sync the
+    /// restore point goes alone: a completed fsync covers its cursor.
     pub(crate) fn begin_sync(&mut self) -> Option<SyncStart> {
-        self.wal.begin_sync()
+        let mut start = self.wal.begin_sync();
+        let idle = !self.wal.sync_in_flight() && self.wal.poisoned().is_none();
+        if (start.is_some() || idle) && self.restore_in_flight.is_none() {
+            if let Some(rp) = self.restore_staged.take() {
+                start.get_or_insert_with(SyncStart::default).restore = Some(Arc::clone(&rp));
+                self.restore_in_flight = Some(rp);
+            }
+        }
+        start
+    }
+
+    /// Where this collector's WAL and its sidecar files live — what a
+    /// [`RestorePoint`] commit step is run against.
+    pub(crate) fn wal_config(&self) -> &WalConfig {
+        &self.config.wal
     }
 
     /// Lands an overlapped sync's outcome: the synced cursor rises to
@@ -736,6 +784,54 @@ mod tests {
         assert_eq!(report.storage.unframable_rejects, 2);
         let (_, info) = Collector::open(config(&dir)).unwrap();
         assert_eq!(info.replayed, 1, "the logged prefix replays");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batch within its length of `u64::MAX` used to overflow
+    /// `first_seq + i` (a panic in a debug build, seqs wrapped to 0…
+    /// in release). It is refused at `u64::MAX` — the first seq the
+    /// tracker has no successor for — before the append, and the fresh
+    /// reading in front of it is logged and acked.
+    #[test]
+    fn a_batch_running_off_the_seq_space_keeps_its_prefix() {
+        let dir = tmpdir("seq-overflow");
+        let (mut c, _) = Collector::open(config(&dir)).unwrap();
+        let readings: Vec<(Timestamp, Vec<f64>)> = (1..=3u64)
+            .map(|i| (300 * i, vec![20.0 + i as f64, 50.0]))
+            .collect();
+        let out = c
+            .deliver_batch(SensorId(0), u64::MAX - 1, &readings)
+            .unwrap();
+        assert_eq!((out.accepted, out.rejected), (1, 2));
+        assert_eq!(out.nack, Some((u64::MAX, RejectCause::Unframable)));
+        assert_eq!(out.ack_cursor, 1, "the prefix is logged");
+        assert_eq!(c.wal_records(), 1, "nothing at or past the refusal is");
+        assert_eq!(c.storage_status().unframable_rejects, 2);
+        drop(c);
+        let (_, records) = Wal::open(config(&dir).wal, None).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].seq, u64::MAX - 1, "under its own seq");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The same refusal for a lone stop-and-wait `deliver`, and the
+    /// tracker stays total if such a seq ever reaches it (a log written
+    /// by an older binary).
+    #[test]
+    fn the_last_seq_is_refused_before_the_append() {
+        let dir = tmpdir("seq-max");
+        let (mut c, _) = Collector::open(config(&dir)).unwrap();
+        assert_eq!(
+            c.deliver(SensorId(0), u64::MAX, 300, vec![20.0, 50.0])
+                .unwrap(),
+            DeliverOutcome::Rejected(RejectCause::Unframable)
+        );
+        assert_eq!(c.wal_records(), 0);
+        assert!(c.storage_status().is_clean());
+        let mut t = SeqTracker::default();
+        for seq in [u64::MAX, u64::MAX - 1] {
+            assert!(t.observe(seq) && !t.is_new(seq));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

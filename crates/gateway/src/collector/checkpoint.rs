@@ -1,9 +1,21 @@
 //! Checkpoints, retention and the fence token: the rename-committed
 //! files beside the WAL that make a cursor a restore point and an
 //! epoch a durable ownership claim.
+//!
+//! A restore point is one job in three parts — *stage* (reclaim plan
+//! and snapshot value, on the admitting thread), *commit* (encode, tmp
+//! write, rename, wherever the covering WAL fsync ran), *land* (the
+//! advertised cursor moves, segments are deleted, failures counted,
+//! on the admitting thread again). [`Collector::write_checkpoint`]
+//! runs the three back to back for every synchronous caller; the
+//! server stages at the `checkpoint_every` tick and lets its syncer
+//! thread commit behind the next overlapped sync.
 
 use super::*;
+use crate::snapshot::read_collector;
+use crate::wal::ReclaimPlan;
 use sentinet_core::checkpoint::{CheckpointError, Fields, Reader};
+use std::sync::{Arc, Mutex};
 
 /// Marker line opening a gateway checkpoint file.
 const CHECKPOINT_MAGIC: &str = "sentinet-gateway-checkpoint v2";
@@ -49,19 +61,27 @@ impl Collector {
     }
 
     /// Writes a restore-point checkpoint at `cursor` and reclaims WAL
-    /// segments down to `reclaim_budget` bytes. The commit order is
-    /// the crash-safety argument (`DESIGN.md` §13):
+    /// segments down to `reclaim_budget` bytes: the three parts of a
+    /// restore point — stage, commit, land — back to back on the
+    /// calling thread. The order is the crash-safety argument
+    /// (`DESIGN.md` §13.4):
     ///
     /// 1. fsync the WAL — the checkpoint may only reference durable
     ///    records;
-    /// 2. plan the reclaim and write the checkpoint *carrying the
-    ///    post-reclaim base* to a tmp file; rename-commit it;
+    /// 2. write the checkpoint *carrying the planned post-reclaim
+    ///    base* to a tmp file; rename-commit it;
     /// 3. only then delete the planned segments.
     ///
     /// A crash (or failure) before the rename leaves the previous
     /// checkpoint intact and deletes nothing; a crash between rename
     /// and deletion leaves leftover segments below the committed base,
     /// which the next open removes.
+    ///
+    /// At most one restore point exists between stage and landing, so
+    /// the one the syncer holds is landed first and one merely staged
+    /// is dropped: a pre-cut snapshot renamed after a migration rebase,
+    /// or an older base renamed over a newer one whose reclaim already
+    /// ran, could not be recovered from.
     ///
     /// Failures are absorbed into counters, not propagated: a failed
     /// sync poisons the WAL (deliveries start rejecting), and a failed
@@ -75,43 +95,184 @@ impl Collector {
         cursor: u64,
         reclaim_budget: u64,
     ) -> Result<bool, GatewayError> {
+        self.restore_staged = None;
+        self.flush_restore_points()?;
+        let rp = self.stage_restore_point(cursor, reclaim_budget);
+        self.commit_now(rp)
+    }
+
+    /// Stage: the only part of a restore point that needs the live
+    /// state — the reclaim plan and the snapshot *value* at exactly
+    /// `cursor`, on the admitting thread. No IO.
+    pub(super) fn stage_restore_point(&mut self, cursor: u64, budget: u64) -> Arc<RestorePoint> {
+        let start = std::time::Instant::now();
+        let rp = Arc::new(RestorePoint {
+            cursor,
+            plan: self.wal.plan_reclaim(cursor, budget),
+            commit: Mutex::new(Commit {
+                snapshot: Some(self.snapshot()),
+                committed: None,
+                overlapped_ns: 0,
+            }),
+        });
+        self.charge_checkpoint(start);
+        rp
+    }
+
+    /// Commit and land `rp` on the calling thread, whatever is left of
+    /// it: the covering WAL sync unless the commit already ran, the
+    /// remaining commit steps (waiting out one the syncer is in), the
+    /// landing.
+    fn commit_now(&mut self, rp: Arc<RestorePoint>) -> Result<bool, GatewayError> {
         // Skip the force when the synced watermark already covers the
         // cursor (always true under `FsyncPolicy::Never`, and after a
         // policy fsync covered the extent) — the sync would be a no-op
         // and its fsync pure overhead on the group-commit hot path.
-        if self.wal.unsynced_records() > 0 {
+        let mut start = std::time::Instant::now();
+        if rp.committed().is_none() && self.wal.unsynced_records() > 0 {
+            self.charge_checkpoint(start);
             match self.wal.sync() {
                 Ok(()) => {}
                 Err(WalError::Storage(_)) => return Ok(false),
                 Err(e) => return Err(e.into()),
             }
+            start = std::time::Instant::now();
         }
-        let start = std::time::Instant::now();
-        let plan = self.wal.plan_reclaim(cursor, reclaim_budget);
-        let mut text = String::new();
-        checkpoint_text(
-            &mut text,
-            cursor,
-            plan.base_segment,
-            plan.base_records,
-            &self.snapshot(),
-        );
-        let committed = commit_sidecar(&self.config.wal, CHECKPOINT_TMP, CHECKPOINT_FILE, &text);
+        while !rp.step(&self.config.wal, false) {}
+        self.charge_checkpoint(start);
+        Ok(self.land(&rp))
+    }
+
+    /// Adds the time since `start` to this thread's restore-point
+    /// stage — waiting for a step the syncer is in included.
+    fn charge_checkpoint(&mut self, start: std::time::Instant) {
         self.checkpoint_ns = self
             .checkpoint_ns
             .saturating_add(start.elapsed().as_nanos() as u64);
-        if committed.is_err() {
+    }
+
+    /// Land: the commit has its outcome. The cursor heartbeats
+    /// advertise moves and the planned segments are deleted — strictly
+    /// after the rename — or the failure is counted.
+    fn land(&mut self, rp: &RestorePoint) -> bool {
+        let (committed, overlapped_ns) = rp.result();
+        self.checkpoint_overlapped_ns = self.checkpoint_overlapped_ns.saturating_add(overlapped_ns);
+        if committed != Some(true) {
             self.checkpoint_failures += 1;
-            return Ok(false);
+            return false;
         }
-        self.last_checkpoint_cursor = cursor;
-        if !plan.is_empty() {
-            match self.wal.execute_reclaim(&plan) {
-                Ok(()) => self.reclaimed_segments += plan.delete.len(),
+        self.last_checkpoint_cursor = rp.cursor;
+        if !rp.plan.is_empty() {
+            match self.wal.execute_reclaim(&rp.plan) {
+                Ok(()) => self.reclaimed_segments += rp.plan.delete.len(),
                 Err(_) => self.reclaim_failures += 1,
             }
         }
-        Ok(true)
+        true
+    }
+
+    /// The second completion of a sync that carried a restore point:
+    /// lands the one in flight if its commit has an outcome (a
+    /// synchronous writer may have landed it already).
+    pub(crate) fn land_restore_point(&mut self) {
+        let done = |rp: &mut Arc<RestorePoint>| rp.committed().is_some();
+        if let Some(rp) = self.restore_in_flight.take_if(done) {
+            self.land(&rp);
+        }
+    }
+
+    /// Lands the restore point in flight — running what the syncer has
+    /// not got to — and then runs the staged one, on the calling
+    /// thread: what `Fin`, a clean shutdown and [`Collector::finish`]
+    /// do, so that a finished run leaves the last tick's
+    /// `checkpoint.ck` and no `checkpoint.tmp`.
+    ///
+    /// # Errors
+    ///
+    /// [`GatewayError`] on non-storage failures only.
+    pub(crate) fn flush_restore_points(&mut self) -> Result<(), GatewayError> {
+        if let Some(rp) = self.restore_in_flight.take() {
+            self.commit_now(rp)?;
+        }
+        if let Some(rp) = self.restore_staged.take() {
+            self.commit_now(rp)?;
+        }
+        Ok(())
+    }
+}
+
+/// A restore point between its stage and its landing, shared between
+/// the collector that staged it and the syncer that commits it —
+/// encode, write `checkpoint.tmp`, rename it over `checkpoint.ck` —
+/// once the covering WAL fsync has succeeded. Every commit step runs
+/// under the lock and is skipped once there is an outcome, so a
+/// synchronous writer that needs it landed *now* waits out the step in
+/// progress and runs the rest itself, and nobody renames twice.
+pub(crate) struct RestorePoint {
+    cursor: u64,
+    /// The reclaim to run once the rename has landed; its base is the
+    /// one the checkpoint names.
+    plan: ReclaimPlan,
+    commit: Mutex<Commit>,
+}
+
+struct Commit {
+    /// Taken by the write step; the rename step finds it gone.
+    snapshot: Option<CollectorSnapshot>,
+    /// Whether the rename happened; `None` until there is an outcome.
+    committed: Option<bool>,
+    /// Wall time of the steps run beside admission.
+    overlapped_ns: u64,
+}
+
+impl RestorePoint {
+    /// Runs the next commit step, if any is left — build the text and
+    /// write the tmp file, then rename it: the two storage operations
+    /// of every sidecar commit — and returns whether the commit has
+    /// its outcome. `overlapped` charges the time to
+    /// [`StageTimings::checkpoint_overlapped_ns`]. A lock poisoned by a
+    /// panicking step reads as a failed commit.
+    pub(crate) fn step(&self, wal: &WalConfig, overlapped: bool) -> bool {
+        let Ok(mut commit) = self.commit.lock() else {
+            return true;
+        };
+        if commit.committed.is_some() {
+            return true;
+        }
+        let start = std::time::Instant::now();
+        let tmp = wal.dir.join(CHECKPOINT_TMP);
+        commit.committed = match commit.snapshot.take() {
+            Some(snap) => {
+                let (base_segment, base_records) = (self.plan.base_segment, self.plan.base_records);
+                let mut text = String::new();
+                checkpoint_text(&mut text, self.cursor, base_segment, base_records, &snap);
+                let written = wal.vfs.write_file(&tmp, text.as_bytes());
+                written.err().map(|_| false)
+            }
+            None => Some(wal.vfs.rename(&tmp, &wal.dir.join(CHECKPOINT_FILE)).is_ok()),
+        };
+        if overlapped {
+            commit.overlapped_ns += start.elapsed().as_nanos() as u64;
+        }
+        commit.committed.is_some()
+    }
+
+    /// Whether the write step has run (for the step harness).
+    pub(crate) fn written(&self) -> bool {
+        self.commit.lock().map_or(true, |c| c.snapshot.is_none())
+    }
+
+    /// Whether the rename happened; `None` while there is no outcome.
+    pub(crate) fn committed(&self) -> Option<bool> {
+        self.result().0
+    }
+
+    /// [`RestorePoint::committed`] and the time the overlapped steps
+    /// took.
+    fn result(&self) -> (Option<bool>, u64) {
+        self.commit
+            .lock()
+            .map_or((Some(false), 0), |c| (c.committed, c.overlapped_ns))
     }
 }
 
@@ -218,27 +379,49 @@ pub(super) fn write_fence(config: &WalConfig, epoch: u64) -> Result<(), GatewayE
 /// Reads and parses the checkpoint file, if present.
 pub(super) fn read_checkpoint(config: &WalConfig) -> Result<Option<CheckpointData>, GatewayError> {
     match read_sidecar(config, CHECKPOINT_FILE)? {
-        Some(text) => parse_checkpoint(&text)
+        Some(text) => parse_checkpoint(text)
             .map(Some)
             .map_err(malformed(CHECKPOINT_FILE)),
         None => Ok(None),
     }
 }
 
-fn parse_checkpoint(text: &str) -> Result<CheckpointData, CheckpointError> {
-    let mut r = Reader::new(text);
+fn parse_checkpoint(text: String) -> Result<CheckpointData, CheckpointError> {
+    let mut r = Reader::new(&text);
     r.marker(CHECKPOINT_MAGIC)?;
     let cursor = r.single("cursor", Fields::num)?;
     let base_segment = r.single("base-segment", Fields::num)?;
     if base_segment == 0 {
         return r.fail("base-segment must be at least 1");
     }
+    let base_records = r.single("base", Fields::num)?;
+    let body_at = text.len() - r.rest().len();
     Ok(CheckpointData {
         cursor,
         base_segment,
-        base_records: r.single("base", Fields::num)?,
-        body: r.rest().to_string(),
+        base_records,
+        text,
+        body_at,
     })
+}
+
+impl CheckpointData {
+    /// The snapshot body as written.
+    pub(super) fn body(&self) -> &str {
+        &self.text[self.body_at..]
+    }
+
+    /// Decodes the snapshot body with a reader that has walked the
+    /// header first, so a malformed line is numbered as the file's.
+    pub(super) fn snapshot(&self) -> Result<CollectorSnapshot, CheckpointError> {
+        let mut r = Reader::new(&self.text);
+        while r.rest().len() > self.text.len() - self.body_at {
+            r.fields();
+        }
+        let snap = read_collector(&mut r)?;
+        r.finish()?;
+        Ok(snap)
+    }
 }
 
 #[cfg(test)]
@@ -420,6 +603,38 @@ mod tests {
             format!("{}", expect.pipeline),
             format!("{}", resumed.pipeline)
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A malformed restore point is reported at the file's line, not
+    /// at the line of the snapshot body behind the four header lines.
+    #[test]
+    fn a_malformed_restore_point_names_the_files_line() {
+        let dir = tmpdir("ckpt-line");
+        let frame = 21 + 8 * 2 + 8;
+        let mut cfg = config(&dir);
+        cfg.wal.segment_max_bytes = 16 * frame;
+        cfg.wal.retain_bytes = Some(4 * 16 * frame);
+        let (mut c, _) = Collector::open(cfg.clone()).unwrap();
+        for (s, seq, t, v) in stream(100) {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
+        }
+        assert!(c.storage_status().reclaimed_segments > 0, "a restore point");
+        drop(c);
+        let path = dir.join(CHECKPOINT_FILE);
+        let text = fs::read_to_string(&path).unwrap();
+        let line = 1 + text
+            .lines()
+            .position(|l| l.starts_with("reorder "))
+            .expect("the body's reorder line");
+        assert!(line > 5, "behind the header and the body's marker");
+        fs::write(&path, text.replacen("\nreorder ", "\nreorder x", 1)).unwrap();
+        match Collector::open(cfg) {
+            Err(GatewayError::CheckpointMalformed(why)) => {
+                assert!(why.contains(&format!("at line {line}:")), "{why}")
+            }
+            other => panic!("expected a malformed restore point, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

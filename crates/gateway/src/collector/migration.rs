@@ -464,6 +464,32 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The outbox body is decoded by the reader that read its two
+    /// header lines, so a malformed line carries the file's number.
+    #[test]
+    fn a_malformed_outbox_names_the_files_line() {
+        let dir = tmpdir("migrate-outbox-line");
+        let (mut c, _) = Collector::open(config(&dir)).unwrap();
+        for (s, seq, t, v) in stream(20) {
+            c.deliver(s, seq, t, v).unwrap();
+        }
+        c.export_range(1..2).unwrap();
+        let path = dir.join(outbox_name((1, 2), "ck"));
+        let text = fs::read_to_string(&path).unwrap();
+        let line = 1 + text
+            .lines()
+            .position(|l| l.starts_with("reorder "))
+            .expect("the body's reorder line");
+        fs::write(&path, text.replacen("\nreorder ", "\nreorder x", 1)).unwrap();
+        match c.export_range(1..2) {
+            Err(GatewayError::CheckpointMalformed(why)) => {
+                assert!(why.contains(&format!("at line {line}:")), "{why}")
+            }
+            other => panic!("expected a malformed outbox, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Re-driving an interrupted cut returns the staged payload: the
     /// second call yields byte-identical snapshot and cursor, and the
     /// live state is unchanged.

@@ -49,12 +49,12 @@ mod checkpoint;
 mod migration;
 
 pub use admission::{BatchOutcome, DeliverOutcome, RejectCause, StageTimings};
+pub(crate) use checkpoint::RestorePoint;
 pub use checkpoint::CHECKPOINT_FILE;
 
 use crate::reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig};
 use crate::snapshot::{
-    decode_collector, encode_collector, merge_snapshot, split_snapshot, write_collector,
-    CollectorSnapshot,
+    encode_collector, merge_snapshot, split_snapshot, write_collector, CollectorSnapshot,
 };
 use crate::vfs::StorageError;
 use crate::wal::{
@@ -67,6 +67,7 @@ use sentinet_sim::{IngestReport, RawRecord, Sanitizer, SensorId, Timestamp, Trac
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Full gateway configuration.
 #[derive(Debug, Clone)]
@@ -284,9 +285,11 @@ impl SeqTracker {
         if !self.is_new(seq) {
             return false;
         }
-        if seq == self.next {
+        // `u64::MAX` has no successor: `next` stops below it, and the
+        // seq itself (which admission refuses) would wait in `above`.
+        if seq == self.next && seq < u64::MAX {
             self.next += 1;
-            while self.above.remove(&self.next) {
+            while self.next < u64::MAX && self.above.remove(&self.next) {
                 self.next += 1;
             }
         } else {
@@ -380,10 +383,10 @@ pub struct StorageStatus {
     /// The newer epoch that fenced this collector, if any.
     pub fenced_by: Option<u64>,
     /// Deliveries NACKed because the reading cannot be framed (more
-    /// values than a frame's count field states). A property of the
-    /// reading, not of the disk — like fencing it leaves
-    /// [`StorageStatus::is_clean`] alone — and local to this report:
-    /// the fleet counters (`report_codec`) do not carry it.
+    /// values than a frame's count field states, or seq `u64::MAX`). A
+    /// property of the reading, not of the disk — like fencing it
+    /// leaves [`StorageStatus::is_clean`] alone — and local to this
+    /// report: the fleet counters (`report_codec`) do not carry it.
     pub unframable_rejects: usize,
 }
 
@@ -468,9 +471,18 @@ pub struct Collector {
     /// Wall time spent in batch admission (dedup/budget probes plus
     /// reorder/sanitize/pipeline), for the bench stage breakdown.
     admission_ns: u64,
-    /// Wall time spent building and committing restore points, after
-    /// their WAL sync (see [`StageTimings::checkpoint_ns`]).
+    /// Wall time this thread spent staging and committing restore
+    /// points, after their WAL sync (see [`StageTimings::checkpoint_ns`]).
     checkpoint_ns: u64,
+    /// Wall time the syncer spent committing restore points (see
+    /// [`StageTimings::checkpoint_overlapped_ns`]).
+    checkpoint_overlapped_ns: u64,
+    /// The restore point staged at the last `checkpoint_every` tick of
+    /// a deferred-sync delivery, waiting to ride the next overlapped
+    /// sync. A newer tick supersedes it.
+    restore_staged: Option<Arc<RestorePoint>>,
+    /// The one restore point handed to the syncer and not yet landed.
+    restore_in_flight: Option<Arc<RestorePoint>>,
 }
 
 impl fmt::Debug for Collector {
@@ -482,13 +494,15 @@ impl fmt::Debug for Collector {
     }
 }
 
-/// A parsed checkpoint file: header coordinates plus the snapshot
-/// body (kept as text so full-log replay can verify it byte-exactly).
+/// A parsed checkpoint file: header coordinates plus the file's text,
+/// whose tail from `body_at` is the snapshot body (kept as text so
+/// full-log replay can verify it byte-exactly).
 struct CheckpointData {
     cursor: u64,
     base_segment: u64,
     base_records: u64,
-    body: String,
+    text: String,
+    body_at: usize,
 }
 
 impl Collector {
@@ -587,8 +601,9 @@ impl Collector {
         if let Some(ck) = checkpoint.as_ref().filter(|c| c.base_records > 0) {
             // Restore mode: the prefix below the cursor was reclaimed;
             // rebuild state from the snapshot, replay only the tail.
-            let snap =
-                decode_collector(&ck.body).map_err(checkpoint::malformed(CHECKPOINT_FILE))?;
+            let snap = ck
+                .snapshot()
+                .map_err(checkpoint::malformed(CHECKPOINT_FILE))?;
             // Counters excluded from the snapshot (retransmissions,
             // storage health, the released-trace log) start fresh.
             let mut collector = Self::fresh(config, wal);
@@ -631,7 +646,7 @@ impl Collector {
             if let Some(ck) = &checkpoint {
                 if ck.cursor == (i + 1) as u64 {
                     let now = encode_collector(&collector.snapshot());
-                    if now != ck.body {
+                    if now != ck.body() {
                         return Err(GatewayError::CheckpointMismatch { cursor: ck.cursor });
                     }
                     verified_cursor = Some(ck.cursor);
@@ -680,6 +695,9 @@ impl Collector {
             last_checkpoint_cursor: 0,
             admission_ns: 0,
             checkpoint_ns: 0,
+            checkpoint_overlapped_ns: 0,
+            restore_staged: None,
+            restore_in_flight: None,
         }
     }
 
@@ -779,7 +797,8 @@ impl Collector {
     }
 
     /// End of stream: flushes the reorder buffer and the final window,
-    /// syncs the WAL, and produces the run's report.
+    /// lands or runs any restore point still on its way, syncs the
+    /// WAL, and produces the run's report.
     ///
     /// Never fails on storage: a poisoned WAL (including a final sync
     /// that fails) is reported through [`GatewayReport::storage`]
@@ -797,6 +816,7 @@ impl Collector {
         for outcome in self.pipeline.finalize() {
             self.pipeline.recycle_outcome(outcome);
         }
+        self.flush_restore_points()?;
         if self.wal.poisoned().is_none() {
             // A failure here poisons the WAL; it is surfaced via the
             // storage status rather than aborting the report.

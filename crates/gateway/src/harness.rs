@@ -12,8 +12,10 @@
 //! ([`StepServer::commit`]) and when an overlapped sync starts and when
 //! it completes ([`StepServer::start_sync`],
 //! [`StepServer::complete_sync`] — the server's syncer thread, with the
-//! fsync itself held back until the schedule says it returned), and
-//! every step decodes exactly one message. It is **not** a model of
+//! fsync itself held back until the schedule says it returned), when
+//! the restore point that rode it is written, renamed and landed
+//! ([`StepServer::step_restore`]), and every step decodes exactly one
+//! message. It is **not** a model of
 //! the server: the protocol is the shipped core, and admission, durability and ack release run through
 //! the real [`Collector`] (real [`SeqTracker`](crate::collector::SeqTracker)
 //! dedup, real [`Wal`](crate::wal::Wal) appends over whatever
@@ -23,11 +25,12 @@
 //! shard-schedule checker drives the real window pass through
 //! `SensorStages`.
 
-use crate::collector::{Collector, GatewayError};
+use crate::collector::{Collector, GatewayError, RestorePoint};
 use crate::frame::{FrameBuffer, FrameError, Message};
 use crate::protocol::{AckDiscipline, Core, QueuedAck, Reply};
 use crate::vfs::VFile;
 use crate::wal::{SyncDone, SyncTicket};
+use std::sync::Arc;
 
 /// What one [`StepServer::step`] call did.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +46,19 @@ pub enum StepEvent {
     BadFrame(FrameError),
 }
 
+/// The step of a dispatched restore point that
+/// [`StepServer::step_restore`] runs next, in the order the syncer
+/// thread and the event loop take them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestoreStep {
+    /// The syncer encodes the checkpoint and writes `checkpoint.tmp`.
+    Write,
+    /// The syncer renames it over `checkpoint.ck`.
+    Rename,
+    /// The event loop lands it on the collector.
+    Land,
+}
+
 /// The single-stepped driver of the protocol core over a real
 /// [`Collector`]. See the module docs for what it is (a seam) and is
 /// not (a model).
@@ -54,6 +70,11 @@ pub struct StepServer {
     sync_handle: Option<Box<dyn VFile>>,
     /// The overlapped sync that has started and not yet completed.
     in_flight: Option<SyncTicket>,
+    /// The restore point the last started sync carried, until landed.
+    restore: Option<Arc<RestorePoint>>,
+    /// Mutation seam: whether a restore point's commit waits for its
+    /// covering fsync (see [`StepServer::commit_restore_unsynced`]).
+    restore_waits: bool,
 }
 
 impl StepServer {
@@ -72,6 +93,8 @@ impl StepServer {
             core,
             sync_handle: None,
             in_flight: None,
+            restore: None,
+            restore_waits: true,
         }
     }
 
@@ -145,16 +168,71 @@ impl StepServer {
     /// flight, or the WAL is poisoned. The server starts one only when
     /// the fsync policy is due; the checker may start one at any point
     /// with unsynced records, which covers every point the policy
-    /// could pick.
+    /// could pick. A staged restore point rides the sync as its tail
+    /// (or goes alone when nothing is unsynced); like the one syncer
+    /// thread, the harness takes no new job while a commit is unrun.
     pub fn start_sync(&mut self) -> bool {
+        if matches!(
+            self.restore_step_ready(),
+            Some(RestoreStep::Write | RestoreStep::Rename)
+        ) {
+            return false;
+        }
         let Some(start) = self.collector.begin_sync() else {
             return false;
         };
         if start.handle.is_some() {
             self.sync_handle = start.handle;
         }
-        self.in_flight = Some(start.ticket);
+        self.in_flight = start.ticket;
+        if start.restore.is_some() {
+            self.restore = start.restore;
+        }
         true
+    }
+
+    /// What [`StepServer::step_restore`] would do: `None` — nothing
+    /// (no restore point dispatched, or its covering fsync has not
+    /// completed).
+    pub fn restore_step_ready(&self) -> Option<RestoreStep> {
+        let rp = self.restore.as_ref()?;
+        if rp.committed().is_some() {
+            return Some(RestoreStep::Land);
+        }
+        if self.in_flight.is_some() && self.restore_waits {
+            return None;
+        }
+        Some(if rp.written() {
+            RestoreStep::Rename
+        } else {
+            RestoreStep::Write
+        })
+    }
+
+    /// The dispatched restore point's next step, one of the three the
+    /// syncer thread and the event loop run in this order: write the
+    /// tmp file, rename it over the checkpoint, land it on the
+    /// collector. A synchronous writer may have run the rest already,
+    /// in which case the step left is the (empty) landing.
+    pub fn step_restore(&mut self) {
+        match (self.restore_step_ready(), &self.restore) {
+            (Some(RestoreStep::Land), _) => {
+                self.collector.land_restore_point();
+                self.restore = None;
+            }
+            (Some(_), Some(rp)) => {
+                rp.step(self.collector.wal_config(), true);
+            }
+            _ => {}
+        }
+    }
+
+    /// Mutation seam for the model checker's self-test: from now on a
+    /// restore point is committed without waiting for the fsync that
+    /// covers its cursor. Lives here so that no production
+    /// configuration can select it.
+    pub fn commit_restore_unsynced(&mut self) {
+        self.restore_waits = false;
     }
 
     /// Whether a started sync has not completed yet.
@@ -173,6 +251,10 @@ impl StepServer {
             return Vec::new();
         };
         let done = SyncDone::run(handle.as_mut());
+        if !done.is_ok() {
+            // Nothing is committed past a cursor whose fsync failed.
+            self.restore = None;
+        }
         let mut replies = Vec::new();
         self.core
             .on_synced(&mut self.collector, ticket, done, &mut replies);

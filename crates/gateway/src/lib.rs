@@ -61,7 +61,7 @@ pub use frame::{
     FrameBuffer, FrameError, Message, MAX_BATCH_READINGS, MAX_PAYLOAD, PROTOCOL_V1,
     PROTOCOL_VERSION,
 };
-pub use harness::{StepEvent, StepServer};
+pub use harness::{RestoreStep, StepEvent, StepServer};
 pub use netsim::{
     deliver_schedule, delivery_schedule, drive_uplink, trace_to_raw, Emission, NetsimConfig,
 };

@@ -222,18 +222,20 @@ impl Core {
                         seq,
                         cursor: batch.ack_cursor,
                     });
-                    // A sync inside admission (segment roll,
-                    // checkpoint) may already cover this batch, as
-                    // one does a duplicate-only batch; release what
-                    // can go now. The rest waits for the driver's
+                    // A sync inside admission (segment roll, budget
+                    // reclaim) may already cover this batch, as one
+                    // does a duplicate-only batch; release what can go
+                    // now. The rest waits for the driver's
                     // overlapped policy sync or the queue-dry flush.
                     self.release_ready(collector, out);
                 }
             }
             Message::Fin => {
                 // End of stream: flush the group commit so every
-                // queued ack is released before the FinAck.
+                // queued ack is released before the FinAck, and leave
+                // no restore point half-way behind it.
                 self.on_queue_dry(collector, out)?;
+                collector.flush_restore_points()?;
                 out.push(Reply::keep(conn, Message::FinAck));
                 return Ok(true);
             }

@@ -25,7 +25,13 @@
 //!   cursor captured before it started, and the next one starts then —
 //!   so a group is as many batches as were admitted meanwhile (the
 //!   completion queues behind messages already waiting), at most the
-//!   credit window. `fsync=never` never starts it.
+//!   credit window. A restore point staged at a `checkpoint_every`
+//!   tick rides the next sync as its tail: the syncer reports the
+//!   fsync first — no ack waits on a commit — and only if it succeeded
+//!   encodes, writes and renames the checkpoint, then posts a second
+//!   completion on which the loop lands it (cursor advertised,
+//!   segments reclaimed). The loop itself only takes the snapshot.
+//!   Under `fsync=never` the tail is the thread's only work.
 //!
 //! A frame-level error (bad CRC, oversized length) is
 //! connection-fatal: the stream offset can no longer be trusted, so
@@ -39,7 +45,7 @@ use crate::frame::{encode_frame, FrameBuffer, FrameError, Message, PROTOCOL_V1};
 use crate::net::{is_timeout, Listener, Stream};
 use crate::protocol::{AckDiscipline, Core, Reply};
 use crate::vfs::VFile;
-use crate::wal::{SyncDone, SyncStart, SyncTicket};
+use crate::wal::{SyncDone, SyncStart, SyncTicket, WalConfig};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -114,18 +120,22 @@ enum Event {
     Closed(usize),
     /// The syncer thread finished the overlapped WAL fsync of `ticket`.
     Synced(SyncTicket, SyncDone),
+    /// The syncer thread ran the commit of the restore point that rode
+    /// a sync; the collector holds the outcome.
+    RestorePoint,
 }
 
 /// The syncer thread and its job queue. A job is what
-/// [`Collector::begin_sync`] returned: the ticket, plus a fresh sync
-/// handle whenever the WAL moved to a new segment.
+/// [`Collector::begin_sync`] returned: the ticket, a fresh sync handle
+/// whenever the WAL moved to a new segment, and the restore point
+/// riding the sync, if one was staged.
 struct Syncer {
     jobs: Sender<SyncStart>,
     thread: JoinHandle<()>,
 }
 
 impl Syncer {
-    fn spawn(events: Sender<Event>) -> Self {
+    fn spawn(events: Sender<Event>, wal: WalConfig) -> Self {
         // One slot: the WAL never has a second sync in flight.
         let (jobs, queue) = bounded::<SyncStart>(1);
         let thread = std::thread::spawn(move || {
@@ -134,13 +144,25 @@ impl Syncer {
                 if job.handle.is_some() {
                     handle = job.handle;
                 }
-                // The first job of every segment carries its handle.
-                let done = match handle.as_mut() {
-                    Some(file) => SyncDone::run(file.as_mut()),
-                    None => SyncDone::failed("sync job without a handle"),
-                };
-                if events.send(Event::Synced(job.ticket, done)).is_err() {
-                    return;
+                let mut covered = true;
+                if let Some(ticket) = job.ticket {
+                    // The first job of every segment carries its handle.
+                    let done = match handle.as_mut() {
+                        Some(file) => SyncDone::run(file.as_mut()),
+                        None => SyncDone::failed("sync job without a handle"),
+                    };
+                    covered = done.is_ok();
+                    if events.send(Event::Synced(ticket, done)).is_err() {
+                        return;
+                    }
+                }
+                // The acks went first; nothing is committed past a
+                // cursor whose fsync failed.
+                if let (true, Some(restore)) = (covered, job.restore) {
+                    while !restore.step(&wal, true) {}
+                    if events.send(Event::RestorePoint).is_err() {
+                        return;
+                    }
                 }
             }
         });
@@ -246,6 +268,9 @@ impl Server {
         for handle in self.accept_thread.take().into_iter().chain(syncer_thread) {
             let _ = handle.join();
         }
+        // A run that ended without a `Fin` still leaves no restore
+        // point half-way.
+        let result = result.and_then(|()| collector.flush_restore_points());
         stats.decode_ns = self.decode_ns.load(Ordering::Relaxed);
         stats.version_rejects = self.core.version_rejects();
         result.map(|()| stats)
@@ -300,6 +325,10 @@ impl Server {
                     write_replies(&mut writers, &mut replies, stats);
                     self.start_due_sync(collector);
                 }
+                Event::RestorePoint => {
+                    collector.land_restore_point();
+                    self.start_due_sync(collector);
+                }
                 Event::BadFrame(id, e) => {
                     stats.bad_frames += 1;
                     stats.frame_errors.push(e);
@@ -319,9 +348,10 @@ impl Server {
 
 impl Server {
     /// Hands the syncer thread the next overlapped fsync if the WAL's
-    /// policy wants one and none is in flight — after every admitted
-    /// message and every completion, so the next sync starts the
-    /// moment the previous one lands.
+    /// policy wants one (or a staged restore point is waiting for one)
+    /// and none is in flight — after every admitted message and every
+    /// completion, so the next sync starts the moment the previous one
+    /// lands.
     fn start_due_sync(&mut self, collector: &mut Collector) {
         let Some(events) = &self.events_tx else {
             return;
@@ -335,8 +365,8 @@ impl Server {
         let ticket = start.ticket;
         let syncer = self
             .syncer
-            .get_or_insert_with(|| Syncer::spawn(events.clone()));
-        if syncer.jobs.send(start).is_err() {
+            .get_or_insert_with(|| Syncer::spawn(events.clone(), collector.wal_config().clone()));
+        if let (Err(_), Some(ticket)) = (syncer.jobs.send(start), ticket) {
             // The syncer is gone (its thread panicked): nothing will
             // ever cover this ticket, so fail it and fail-stop.
             collector.complete_sync(ticket, SyncDone::failed("syncer thread is gone"));

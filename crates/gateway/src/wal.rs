@@ -54,6 +54,7 @@
 //!   coordinates, deleting any lower-indexed leftovers from a reclaim
 //!   that crashed between checkpoint commit and segment deletion.
 
+use crate::collector::RestorePoint;
 use crate::frame::{
     decode_readings, encode_batch_payload, encode_data_payload, frame_with, stated_readings,
     FrameError, MAX_BATCH_READINGS, MAX_PAYLOAD,
@@ -557,13 +558,20 @@ pub(crate) struct SyncTicket {
     segment: u64,
 }
 
-/// What [`Wal::begin_sync`] hands the caller.
+/// One job for whoever runs overlapped syncs: what [`Wal::begin_sync`]
+/// hands the caller, plus the restore point the collector attaches.
+#[derive(Default)]
 pub(crate) struct SyncStart {
-    pub(crate) ticket: SyncTicket,
+    /// The fsync to run. `None` only on a job the collector made for a
+    /// restore point whose cursor a completed fsync already covers.
+    pub(crate) ticket: Option<SyncTicket>,
     /// A sync handle on the active segment, present the first time a
     /// sync starts after open or after a roll: it replaces the one the
     /// caller held for the previous segment.
     pub(crate) handle: Option<Box<dyn VFile>>,
+    /// A staged restore point riding this sync: committed after the
+    /// fsync has been reported, and only if it succeeded.
+    pub(crate) restore: Option<Arc<RestorePoint>>,
 }
 
 /// The outcome of one overlapped fsync.
@@ -581,6 +589,11 @@ impl SyncDone {
             result: Err(std::io::Error::other(why)),
             ns: 0,
         }
+    }
+
+    /// Whether the fsync succeeded.
+    pub(crate) fn is_ok(&self) -> bool {
+        self.result.is_ok()
     }
 
     /// Runs the fsync on `handle` and times it.
@@ -1090,11 +1103,12 @@ impl Wal {
         self.handle_segment = Some(segment);
         self.in_flight = Some(self.records_logged);
         Some(SyncStart {
-            ticket: SyncTicket {
+            ticket: Some(SyncTicket {
                 cursor: self.records_logged,
                 segment,
-            },
+            }),
             handle,
+            restore: None,
         })
     }
 
@@ -1570,14 +1584,15 @@ mod tests {
             opens,
             "opening the sync handle is not an operation coordinate"
         );
-        assert_eq!(first.ticket.cursor, 4);
+        let ticket = first.ticket.expect("a wal sync always has its ticket");
+        assert_eq!(ticket.cursor, 4);
         assert!(wal.begin_sync().is_none(), "at most one sync in flight");
         // Appended while the fsync runs: this sync does not cover it,
         // and the policy does not ask for a second one beside it.
         wal.append_extent(&recs(4..10), PolicySync::Deferred)
             .unwrap();
         assert!(!wal.sync_due());
-        wal.complete_sync(first.ticket, SyncDone::run(handle.as_mut()));
+        wal.complete_sync(ticket, SyncDone::run(handle.as_mut()));
         assert_eq!(vfs.op_count(VfsOp::Fsync), 1);
         assert_eq!(wal.synced_records(), 4, "the cursor read before the fsync");
 
@@ -1586,12 +1601,13 @@ mod tests {
         assert!(wal.sync_due(), "six uncovered records against batch:4");
         let second = wal.begin_sync().expect("due again");
         assert!(second.handle.is_none(), "one handle per segment");
-        assert_eq!(second.ticket.cursor, 10);
+        let ticket = second.ticket.expect("ticket");
+        assert_eq!(ticket.cursor, 10);
         wal.append(&rec(1, 10, 3300, 1.0)).unwrap();
         assert_eq!(wal.synced_records(), 4, "one uncovered record: not due");
         wal.sync().unwrap();
         assert_eq!(wal.synced_records(), 11);
-        wal.complete_sync(second.ticket, SyncDone::run(handle.as_mut()));
+        wal.complete_sync(ticket, SyncDone::run(handle.as_mut()));
         assert_eq!(wal.synced_records(), 11);
         assert!(wal.sync_blocked_ns() > 0 && wal.fsync_ns() > wal.sync_blocked_ns());
         fs::remove_dir_all(&dir).unwrap();
@@ -1622,12 +1638,18 @@ mod tests {
             .unwrap();
         assert_eq!(wal.segments().len(), 2);
         assert_eq!(wal.synced_records(), 2);
-        wal.complete_sync(first.ticket, SyncDone::run(old_handle.as_mut()));
+        wal.complete_sync(
+            first.ticket.expect("ticket"),
+            SyncDone::run(old_handle.as_mut()),
+        );
         assert_eq!(wal.synced_records(), 2);
 
         let second = wal.begin_sync().expect("record 2 is uncovered");
         let mut new_handle = second.handle.expect("a new segment, a new handle");
-        wal.complete_sync(second.ticket, SyncDone::run(new_handle.as_mut()));
+        wal.complete_sync(
+            second.ticket.expect("ticket"),
+            SyncDone::run(new_handle.as_mut()),
+        );
         let err = wal.poisoned().expect("the failed fsync poisons the log");
         assert_eq!(err.op, VfsOp::Fsync);
         assert!(err.path.ends_with(segment_name(2)), "{err}");

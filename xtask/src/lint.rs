@@ -162,6 +162,11 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         &["encode_data_payload", "encode_batch_payload", "frame_with"],
     ),
     ("gateway/src/wal.rs", &["push", "encode_run"]),
+    // The one part of a restore point the event loop still runs.
+    (
+        "gateway/src/collector/checkpoint.rs",
+        &["stage_restore_point"],
+    ),
 ];
 
 /// Allocation markers searched inside hot-path function bodies.

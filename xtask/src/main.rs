@@ -3,6 +3,7 @@
 use sentinet_gateway::AckDiscipline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use xtask::protocol_check::RestoreMutation;
 use xtask::{bench_check, lint, model_check, protocol_check};
 
 const USAGE: &str = "\
@@ -135,6 +136,26 @@ fn run_protocol_check() -> Result<(), String> {
                 "protocol-check: {label} mutation caught as expected ({} in space `{}`)",
                 v.invariant, v.space
             ),
+            Ok(_) => {
+                return Err(format!(
+                    "protocol-check: {label} mutation survived undetected; checker is blind"
+                ))
+            }
+        }
+    }
+    // The restore space's own self-tests: I6 must reject a restore
+    // point committed before its covering fsync, and the disk a
+    // delete-before-rename reclaim could leave behind.
+    for (label, mutation) in [
+        ("commit-before-sync", RestoreMutation::CommitBeforeSync),
+        ("delete-before-rename", RestoreMutation::DeleteBeforeRename),
+    ] {
+        match protocol_check::check_restore_mutation(protocol_check::Scale::Full, mutation) {
+            Err(v) if v.invariant == "I6 restore-durability" => println!(
+                "protocol-check: {label} mutation caught as expected ({} in space `{}`)",
+                v.invariant, v.space
+            ),
+            Err(v) => return Err(format!("protocol-check: {label}: wrong violation\n{v}")),
             Ok(_) => {
                 return Err(format!(
                     "protocol-check: {label} mutation survived undetected; checker is blind"

@@ -25,7 +25,7 @@
 //! arithmetic and is cross-checked against every cumulative ack the
 //! server queues.
 //!
-//! Four bounded sub-spaces are explored exhaustively (every schedule
+//! Five bounded sub-spaces are explored exhaustively (every schedule
 //! up to the per-episode choice budget; remaining choices resolve to
 //! the first enabled action, so every episode still runs to
 //! completion):
@@ -47,6 +47,18 @@
 //!    overlapped one, when its completion is delivered — poisoning the
 //!    log; the server must NACK from then on and never release another
 //!    ack.
+//! 5. **restore** — a restore point every batch, two frames a segment
+//!    and a four-frame retention budget. The restore point a batch
+//!    stages rides the next sync as its tail, and the job's steps are
+//!    schedule points of their own: **sync-start** with the tail
+//!    attached, **sync-complete** (the covering fsync), then
+//!    **restore-step** three times — `checkpoint.tmp` written, renamed
+//!    over `checkpoint.ck`, landed on the collector. Batches, a
+//!    reconnect, inline commits, the budget tick (a synchronous writer
+//!    that lands the job wherever it stands and then reclaims segments
+//!    under a restore point of its own) and a crash are explored
+//!    between every two of them; the crash also decides whether a
+//!    written-but-unrenamed `checkpoint.tmp` survives.
 //!
 //! In every space the server's overlapped group commit is two schedule
 //! points, not one: **sync-start** captures the WAL cursor the sync
@@ -82,6 +94,17 @@
 //!   is also held to "logged as it travels", byte for byte.
 //! * **I5 poisoned-never-acks** — after storage poisons the WAL, no
 //!   further ack is released (subsumed by I2, asserted directly too).
+//! * **I6 restore-durability** — whatever a crash leaves behind,
+//!   `Collector::open` succeeds — never `CheckpointAhead`,
+//!   `CheckpointMissing`, `CheckpointMismatch` or a missing segment at
+//!   or above the committed base — and rebuilds exactly the mirror
+//!   log: its length and every sensor's set of seen sequence numbers.
+//!   Two mutants must trip it: the step seam committing a restore
+//!   point before its covering fsync
+//!   ([`StepServer::commit_restore_unsynced`]), and a crash model that
+//!   admits the disk a delete-before-rename implementation could leave
+//!   (the last reclaim's segments gone, `checkpoint.ck` one version
+//!   behind).
 //! * **Completion** — every fault-free episode ends with every reading
 //!   durable, every batch acked, and the final on-disk log containing
 //!   each reading exactly once (verified by re-opening the real WAL
@@ -91,7 +114,8 @@ use crate::model_check::Schedule;
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
     AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs, FsyncPolicy, GatewayConfig, Message,
-    QueuedAck, SeqTracker, StepEvent, StepServer, StorageFault, VfsOp, Wal, PROTOCOL_VERSION,
+    QueuedAck, RestoreStep, SeqTracker, StepEvent, StepServer, StorageFault, VfsOp, Wal,
+    PROTOCOL_VERSION,
 };
 use sentinet_sim::SensorId;
 use std::collections::{BTreeSet, VecDeque};
@@ -125,6 +149,11 @@ struct SpaceCfg {
     /// Nondeterministic choices resolved by the schedule per episode;
     /// choices past the budget take the first enabled action.
     choice_budget: usize,
+    /// Where the budgeted window starts, in branch points from the
+    /// start of the episode: the space is explored once per entry,
+    /// each time with every earlier choice taking the first enabled
+    /// action. `&[0]` is the one window at the start.
+    windows: &'static [usize],
     /// Retransmit-timeout actions allowed per episode.
     timeout_budget: u32,
     /// Connection-death actions allowed per episode.
@@ -133,7 +162,24 @@ struct SpaceCfg {
     crash_budget: u32,
     /// Fail the first WAL fsync (poisoning the log).
     poison: bool,
+    /// Restore points, small segments and a retention budget on.
+    restore: bool,
+    /// The deliberately broken restore-point order to catch, if any.
+    mutation: Option<RestoreMutation>,
     discipline: AckDiscipline,
+}
+
+/// The two restore-point orders I6 must reject (self-tests; neither
+/// is reachable through any production configuration).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestoreMutation {
+    /// The step seam writes and renames a restore point before the
+    /// fsync covering its cursor has completed.
+    CommitBeforeSync,
+    /// Segments are deleted before the checkpoint naming the new base
+    /// is renamed: emulated in the crash model, by killing the process
+    /// inside a reclaim with `checkpoint.ck` as it was before it.
+    DeleteBeforeRename,
 }
 
 /// A violated invariant plus everything needed to reproduce it: the
@@ -199,21 +245,26 @@ impl ProtocolReport {
     }
 }
 
-/// Budgeted facade over [`Schedule`]: the first `budget` branch points
-/// of an episode are schedule-controlled (exhaustively explored); the
-/// rest take the first enabled action so the episode always completes.
+/// Budgeted facade over [`Schedule`]: after the first `skip` branch
+/// points of an episode, the next `budget` are schedule-controlled
+/// (exhaustively explored); the rest take the first enabled action so
+/// the episode always completes.
 struct Chooser<'a> {
     schedule: &'a mut Schedule,
+    skip: usize,
     budget: usize,
     used: usize,
 }
 
 impl Chooser<'_> {
     fn pick(&mut self, width: usize) -> usize {
-        if width <= 1 || self.used >= self.budget {
+        if width <= 1 || self.used >= self.skip + self.budget {
             return 0;
         }
         self.used += 1;
+        if self.used <= self.skip {
+            return 0;
+        }
         self.schedule.choose(width)
     }
 }
@@ -259,6 +310,9 @@ enum Action {
     SyncStart,
     /// The overlapped sync's fsync returns; covered acks are released.
     SyncComplete,
+    /// The dispatched restore point's next step: tmp written, renamed,
+    /// landed.
+    RestoreStep,
     /// Client retransmits its oldest unacked batch.
     Timeout(usize),
     /// The connection dies; in-flight frames both ways are lost.
@@ -272,6 +326,8 @@ type EpisodeError = (&'static str, String);
 struct Episode<'a> {
     cfg: &'a SpaceCfg,
     gw_cfg: GatewayConfig,
+    /// The storage under `gw_cfg`, for its operation counters.
+    vfs: Arc<FaultyVfs>,
     server: Option<StepServer>,
     clients: Vec<Client>,
     /// In-order client→server wire, one per sensor (TCP semantics).
@@ -299,9 +355,9 @@ struct Episode<'a> {
     transitions: u64,
 }
 
-fn gateway_config(dir: &Path, poison: bool) -> GatewayConfig {
+fn gateway_config(dir: &Path, space: &SpaceCfg) -> (GatewayConfig, Arc<FaultyVfs>) {
     let mut plan = FaultPlan::new();
-    if poison {
+    if space.poison {
         plan = plan.with_fault(FaultSpec {
             path: ".seg".into(),
             op: VfsOp::Fsync,
@@ -320,8 +376,23 @@ fn gateway_config(dir: &Path, poison: bool) -> GatewayConfig {
     // every crash window) stays observable.
     cfg.wal.fsync = FsyncPolicy::Batch(1_000_000);
     cfg.wal.segment_max_bytes = 1 << 30;
-    cfg.wal.vfs = Arc::new(FaultyVfs::new(plan));
-    cfg
+    if space.restore {
+        // Every batch is one frame of this size: two to a segment, a
+        // budget of four, so the fifth frame of an episode meets a
+        // budget tick with a segment to reclaim.
+        let frame = encode_frame(&Message::DataBatch {
+            sensor: SensorId(0),
+            first_seq: 0,
+            readings: vec![(300, vec![0.0]); READINGS_PER_BATCH as usize],
+        })
+        .len() as u64;
+        cfg.checkpoint_every = READINGS_PER_BATCH;
+        cfg.wal.segment_max_bytes = 2 * frame;
+        cfg.wal.retain_bytes = Some(4 * frame);
+    }
+    let vfs = Arc::new(FaultyVfs::new(plan));
+    cfg.wal.vfs = vfs.clone();
+    (cfg, vfs)
 }
 
 fn harness_err(detail: String) -> EpisodeError {
@@ -331,10 +402,10 @@ fn harness_err(detail: String) -> EpisodeError {
 impl<'a> Episode<'a> {
     fn new(cfg: &'a SpaceCfg, dir: &Path) -> Result<Self, EpisodeError> {
         let _ = std::fs::remove_dir_all(dir);
-        let gw_cfg = gateway_config(dir, cfg.poison);
+        let (gw_cfg, vfs) = gateway_config(dir, cfg);
         let (collector, _) = Collector::open(gw_cfg.clone())
             .map_err(|e| harness_err(format!("fresh open failed: {e}")))?;
-        let server = StepServer::new(collector, CREDITS, cfg.discipline);
+        let server = Self::serve(cfg, collector);
         let clients = (0..SENSORS)
             .map(|s| {
                 let mut to_send = VecDeque::new();
@@ -366,6 +437,7 @@ impl<'a> Episode<'a> {
         let mut ep = Self {
             cfg,
             gw_cfg,
+            vfs,
             server: Some(server),
             clients,
             c2s: (0..SENSORS).map(|_| VecDeque::new()).collect(),
@@ -386,6 +458,14 @@ impl<'a> Episode<'a> {
             ep.handshake(s)?;
         }
         Ok(ep)
+    }
+
+    fn serve(cfg: &SpaceCfg, collector: Collector) -> StepServer {
+        let mut server = StepServer::new(collector, CREDITS, cfg.discipline);
+        if cfg.mutation == Some(RestoreMutation::CommitBeforeSync) {
+            server.commit_restore_unsynced();
+        }
+        server
     }
 
     fn server_mut(&mut self) -> &mut StepServer {
@@ -426,9 +506,14 @@ impl<'a> Episode<'a> {
 
     /// Enabled actions in deterministic priority order; index 0 is the
     /// past-budget default, so draining (acks, wires, sends) comes
-    /// before the adversarial moves.
+    /// before the adversarial moves. In the restore space the syncer's
+    /// work comes before even that: left alone, every batch's restore
+    /// point is committed and landed before the next batch is sent.
     fn enabled(&self) -> Vec<Action> {
         let mut actions = Vec::new();
+        if self.cfg.restore {
+            self.push_syncer_actions(&mut actions);
+        }
         for s in 0..SENSORS {
             if !self.s2c[s].is_empty() {
                 actions.push(Action::DeliverAck(s));
@@ -451,10 +536,8 @@ impl<'a> Episode<'a> {
         if !server.pending_acks().is_empty() && !self.poisoned {
             actions.push(Action::Commit);
         }
-        if server.sync_in_flight() {
-            actions.push(Action::SyncComplete);
-        } else if server.collector().unsynced_records() > 0 && !self.poisoned {
-            actions.push(Action::SyncStart);
+        if !self.cfg.restore {
+            self.push_syncer_actions(&mut actions);
         }
         if self.timeouts_left > 0 {
             for (s, client) in self.clients.iter().enumerate() {
@@ -471,10 +554,33 @@ impl<'a> Episode<'a> {
                 }
             }
         }
-        if self.crashes_left > 0 && server.collector().unsynced_records() > 0 {
+        if self.crashes_left > 0
+            && (server.collector().unsynced_records() > 0 || server.restore_step_ready().is_some())
+        {
             actions.push(Action::Crash);
         }
         actions
+    }
+
+    /// The syncer thread's schedule points: the sync in flight
+    /// completes or the next one starts, and the dispatched restore
+    /// point takes its next step.
+    fn push_syncer_actions(&self, actions: &mut Vec<Action>) {
+        let server = self.server.as_ref().expect("server alive");
+        if server.restore_step_ready().is_some() {
+            actions.push(Action::RestoreStep);
+        }
+        if server.sync_in_flight() {
+            actions.push(Action::SyncComplete);
+        } else if (server.collector().unsynced_records() > 0 || server.collector().sync_due())
+            && !matches!(
+                server.restore_step_ready(),
+                Some(RestoreStep::Write | RestoreStep::Rename)
+            )
+            && !self.poisoned
+        {
+            actions.push(Action::SyncStart);
+        }
     }
 
     fn sensor_of_conn(&self, conn: usize) -> Option<usize> {
@@ -606,6 +712,7 @@ impl<'a> Episode<'a> {
             Action::Commit => self.do_commit(),
             Action::SyncStart => self.do_sync_start(),
             Action::SyncComplete => self.do_sync_complete(),
+            Action::RestoreStep => self.do_restore_step(),
             Action::Timeout(s) => self.do_timeout(s),
             Action::Reset(s) => self.do_reset(s),
             Action::Crash => self.do_crash(ch),
@@ -664,6 +771,7 @@ impl<'a> Episode<'a> {
     fn do_deliver(&mut self, s: usize) -> Result<(), EpisodeError> {
         let batch = self.c2s[s].pop_front().expect("deliver enabled");
         let sensor = self.clients[s].sensor;
+        let logged_before = self.logged.len();
         // Advance the mirror spec exactly as deliver_batch will: each
         // unseen seq is appended then observed, and each run of unseen
         // consecutive seqs is logged as the one frame the wire codec
@@ -693,11 +801,24 @@ impl<'a> Episode<'a> {
             readings: batch.readings.clone(),
         });
         let prev = self.server_mut().pending_acks().to_vec();
+        let fsyncs = self.vfs.op_count(VfsOp::Fsync);
+        let before = self.disk_before_reclaim();
         self.server_mut().feed(conn, &bytes);
         let event = self
             .server_mut()
             .step(conn)
             .map_err(|e| harness_err(format!("deliver step failed: {e}")))?;
+        if self.vfs.op_count(VfsOp::Fsync) > fsyncs {
+            // A segment seal or a budget tick: either fsync ran before
+            // the step's one frame was appended and covers the rest.
+            self.durable = self.durable.max(logged_before);
+        }
+        if let Some((segments, checkpoint)) = before {
+            let now = self.segments_on_disk();
+            if segments.iter().any(|name| !now.contains(name)) {
+                return self.crash_inside_reclaim(checkpoint);
+            }
+        }
         let replies = match event {
             StepEvent::Replies(replies) => replies,
             other => {
@@ -809,12 +930,98 @@ impl<'a> Episode<'a> {
                 "sync-start enabled but the wal refused to start a sync".into(),
             ));
         }
+        if !self.server_mut().sync_in_flight() {
+            self.trace
+                .push("sync-start: a restore point alone, its cursor already covered".into());
+            return Ok(());
+        }
         self.sync_cursor = Some(self.logged.len());
         self.trace.push(format!(
             "sync-start: will cover {} record(s)",
             self.logged.len()
         ));
         Ok(())
+    }
+
+    fn do_restore_step(&mut self) -> Result<(), EpisodeError> {
+        let step = self.server_mut().restore_step_ready();
+        self.server_mut().step_restore();
+        let cursor = self.server_mut().collector().checkpoint_cursor();
+        self.trace.push(format!(
+            "restore-step: {} (advertised cursor {cursor})",
+            match step {
+                Some(RestoreStep::Write) => "checkpoint.tmp written",
+                Some(RestoreStep::Rename) => "renamed over checkpoint.ck",
+                Some(RestoreStep::Land) => "landed",
+                None => return Err(harness_err("restore-step enabled with none ready".into())),
+            }
+        ));
+        if step != Some(RestoreStep::Rename) {
+            return Ok(());
+        }
+        // Just renamed: the restore point on disk must not reference a
+        // record no completed fsync covers — a crash now could lose it.
+        let text = std::fs::read_to_string(self.gw_cfg.wal.dir.join("checkpoint.ck"))
+            .map_err(|e| harness_err(format!("reading the renamed checkpoint failed: {e}")))?;
+        let renamed: Option<usize> = text
+            .lines()
+            .nth(1)
+            .and_then(|line| line.strip_prefix("cursor ")?.parse().ok());
+        match renamed {
+            Some(at) if at <= self.durable => Ok(()),
+            Some(at) => Err((
+                "I6 restore-durability",
+                format!(
+                    "renamed a restore point at cursor {at} while completed fsyncs cover only {} record(s)",
+                    self.durable
+                ),
+            )),
+            None => Err(harness_err("checkpoint.ck has no cursor line".into())),
+        }
+    }
+
+    /// The `wal-*.seg` files on disk, sorted.
+    fn segments_on_disk(&self) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&self.gw_cfg.wal.dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|entry| entry.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".seg"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Under [`RestoreMutation::DeleteBeforeRename`], the segments and
+    /// the `checkpoint.ck` bytes a step is about to start from.
+    fn disk_before_reclaim(&self) -> Option<(Vec<String>, Option<Vec<u8>>)> {
+        (self.cfg.mutation == Some(RestoreMutation::DeleteBeforeRename)).then(|| {
+            let checkpoint = std::fs::read(self.gw_cfg.wal.dir.join("checkpoint.ck")).ok();
+            (self.segments_on_disk(), checkpoint)
+        })
+    }
+
+    /// The mutant's crash: the step just taken deleted segments, and a
+    /// delete-before-rename implementation dies right there — with
+    /// `checkpoint.ck` still as it was before the step.
+    fn crash_inside_reclaim(&mut self, checkpoint: Option<Vec<u8>>) -> Result<(), EpisodeError> {
+        drop(self.server.take());
+        let path = self.gw_cfg.wal.dir.join("checkpoint.ck");
+        let restored = match checkpoint {
+            Some(bytes) => std::fs::write(&path, bytes),
+            None => std::fs::remove_file(&path),
+        };
+        restored.map_err(|e| harness_err(format!("rolling checkpoint.ck back failed: {e}")))?;
+        self.trace.push(
+            "crash: inside the reclaim, segments deleted, checkpoint.ck not yet renamed".into(),
+        );
+        match Collector::open(self.gw_cfg.clone()) {
+            Err(e) => Err(("I6 restore-durability", format!("reopen failed: {e}"))),
+            Ok(_) => Err(harness_err(
+                "the delete-before-rename crash state reopened cleanly".into(),
+            )),
+        }
     }
 
     fn do_sync_complete(&mut self) -> Result<(), EpisodeError> {
@@ -889,13 +1096,25 @@ impl<'a> Episode<'a> {
         self.sync_cursor = None;
         let synced = self.durable;
         let total = self.logged.len();
+        // Only the active segment can lose bytes — a seal fsyncs the
+        // segment it closes — so the unsynced frames are its tail.
+        let active = self
+            .segments_on_disk()
+            .pop()
+            .map(|name| self.gw_cfg.wal.dir.join(name))
+            .ok_or_else(|| harness_err("crash: no wal segment on disk".into()))?;
+        let active_len = std::fs::metadata(&active)
+            .map_err(|e| harness_err(format!("crash: stat of the active segment failed: {e}")))?
+            .len();
+        let logged_bytes: u64 = self.frames.iter().map(|&(_, len)| len).sum();
         // Candidate truncation points: the fsync watermark itself,
         // every later frame boundary, a torn tear inside each unsynced
         // frame, and "nothing lost" (all appends reached the platter
-        // before the power cut). `(byte offset, records that survive,
-        // torn)`; a tear leaves what the frames before it hold.
+        // before the power cut). `(byte offset in the active segment,
+        // records that survive, torn)`; a tear leaves what the frames
+        // before it hold.
         let mut candidates: Vec<(u64, usize, bool)> = Vec::new();
-        let (mut offset, mut records) = (0u64, 0usize);
+        let (mut offset, mut records) = (active_len.wrapping_sub(logged_bytes), 0usize);
         for &(held, len) in &self.frames {
             if records >= synced {
                 candidates.push((offset, records, false));
@@ -909,15 +1128,28 @@ impl<'a> Episode<'a> {
                     ),
                 ));
             }
-            offset += len;
+            offset = offset.wrapping_add(len);
             records += held;
         }
         candidates.push((offset, total, false));
         let (offset, survivors, torn) = candidates[ch.pick(candidates.len())];
-        let seg = self.gw_cfg.wal.dir.join("wal-00000001.seg");
+        if offset > active_len {
+            return Err(harness_err(format!(
+                "crash: unsynced frames reach back past the active segment ({offset} of {active_len} bytes)"
+            )));
+        }
+        // A restore point killed between its tmp write and its rename
+        // leaves the tmp file behind — or not, if the directory entry
+        // never reached the disk.
+        let tmp = self.gw_cfg.wal.dir.join("checkpoint.tmp");
+        if tmp.exists() && ch.pick(2) == 1 {
+            std::fs::remove_file(&tmp)
+                .map_err(|e| harness_err(format!("crash: dropping checkpoint.tmp failed: {e}")))?;
+            self.trace.push("crash: checkpoint.tmp is lost".into());
+        }
         let file = std::fs::OpenOptions::new()
             .write(true)
-            .open(&seg)
+            .open(&active)
             .map_err(|e| harness_err(format!("crash truncation open failed: {e}")))?;
         file.set_len(offset)
             .map_err(|e| harness_err(format!("crash truncation failed: {e}")))?;
@@ -946,11 +1178,17 @@ impl<'a> Episode<'a> {
         }
         let (collector, recovery) = Collector::open(self.gw_cfg.clone()).map_err(|e| {
             (
-                "I4 crash-durability",
+                if self.cfg.restore {
+                    "I6 restore-durability"
+                } else {
+                    "I4 crash-durability"
+                },
                 format!("recovery after truncation to {offset} bytes failed: {e}"),
             )
         })?;
-        if recovery.replayed != survivors as u64 {
+        if self.cfg.restore {
+            self.audit_restored(&collector)?;
+        } else if recovery.replayed != survivors as u64 {
             return Err((
                 "I4 crash-durability",
                 format!(
@@ -970,7 +1208,7 @@ impl<'a> Episode<'a> {
         }
         self.trace
             .push(format!("recover: replayed {} record(s)", recovery.replayed));
-        self.server = Some(StepServer::new(collector, CREDITS, self.cfg.discipline));
+        self.server = Some(Self::serve(self.cfg, collector));
         for s in 0..SENSORS {
             // Nothing a client was acked may have fallen out of the log.
             if let Some(acked) = self.clients[s].acked {
@@ -989,6 +1227,41 @@ impl<'a> Episode<'a> {
                 client.to_send.push_front(batch);
             }
             self.handshake(s)?;
+        }
+        Ok(())
+    }
+
+    /// I6: a collector reopened over a reclaimed log holds exactly the
+    /// mirror log — as many records, and for every sensor the same set
+    /// of seen sequence numbers (so nothing is lost, and nothing is
+    /// logged twice: the count is the sum of the sets).
+    fn audit_restored(&self, collector: &Collector) -> Result<(), EpisodeError> {
+        if collector.wal_records() != self.logged.len() as u64 {
+            return Err((
+                "I6 restore-durability",
+                format!(
+                    "the reopened collector counts {} records, the mirror log holds {}",
+                    collector.wal_records(),
+                    self.logged.len()
+                ),
+            ));
+        }
+        let seqs = collector.snapshot().seqs;
+        for (s, tracker) in self.trackers.iter().enumerate() {
+            let restored = seqs.iter().find(|(sensor, ..)| sensor.0 as usize == s);
+            for seq in 0..TOTAL_SEQS {
+                let seen =
+                    restored.is_some_and(|(_, next, above)| seq < *next || above.contains(&seq));
+                if seen == tracker.is_new(seq) {
+                    return Err((
+                        "I6 restore-durability",
+                        format!(
+                            "sensor{s} seq {seq}: the reopened collector has {}seen it, the mirror log says otherwise",
+                            if seen { "" } else { "not " }
+                        ),
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -1033,9 +1306,16 @@ impl<'a> Episode<'a> {
                 ));
             }
         }
+        drop(self.server.take());
+        if self.cfg.restore {
+            // Retention has reclaimed the log's prefix: the oracle is
+            // the collector a reopen rebuilds.
+            let (collector, _) = Collector::open(self.gw_cfg.clone())
+                .map_err(|e| ("I6 restore-durability", format!("final reopen failed: {e}")))?;
+            return self.audit_restored(&collector);
+        }
         // Final oracle: reopen the real log from disk and compare it
         // record-for-record against the mirror.
-        drop(self.server.take());
         let (wal, records) = Wal::open(self.gw_cfg.wal.clone(), None)
             .map_err(|e| harness_err(format!("final wal reopen failed: {e}")))?;
         drop(wal);
@@ -1113,15 +1393,28 @@ fn scratch_dir(tag: &str, space: &str) -> PathBuf {
 }
 
 fn explore_space(cfg: &SpaceCfg, tag: &str) -> Result<SpaceReport, Box<Violation>> {
+    let mut report = SpaceReport::default();
+    for &skip in cfg.windows {
+        explore_window(cfg, tag, skip, &mut report)?;
+    }
+    Ok(report)
+}
+
+fn explore_window(
+    cfg: &SpaceCfg,
+    tag: &str,
+    skip: usize,
+    report: &mut SpaceReport,
+) -> Result<(), Box<Violation>> {
     let dir = scratch_dir(tag, cfg.name);
     let mut schedule = Schedule::new();
-    let mut report = SpaceReport::default();
     let result = loop {
         let episode = Episode::new(cfg, &dir);
         let outcome = match episode {
             Ok(mut ep) => {
                 let mut ch = Chooser {
                     schedule: &mut schedule,
+                    skip,
                     budget: cfg.choice_budget,
                     used: 0,
                 };
@@ -1145,7 +1438,7 @@ fn explore_space(cfg: &SpaceCfg, tag: &str) -> Result<SpaceReport, Box<Violation
             }));
         }
         if !schedule.advance() {
-            break Ok(report);
+            break Ok(());
         }
     };
     let _ = std::fs::remove_dir_all(&dir);
@@ -1161,40 +1454,79 @@ fn spaces(scale: Scale) -> Vec<SpaceCfg> {
         SpaceCfg {
             name: "interleave",
             choice_budget: interleave,
+            windows: &[0],
             timeout_budget: 1,
             reset_budget: 0,
             crash_budget: 0,
             poison: false,
+            restore: false,
+            mutation: None,
             discipline: AckDiscipline::Durable,
         },
         SpaceCfg {
             name: "reconnect",
             choice_budget: reconnect,
+            windows: &[0],
             timeout_budget: 0,
             reset_budget: 1,
             crash_budget: 0,
             poison: false,
+            restore: false,
+            mutation: None,
             discipline: AckDiscipline::Durable,
         },
         SpaceCfg {
             name: "crash",
             choice_budget: crash,
+            windows: &[0],
             timeout_budget: 0,
             reset_budget: 0,
             crash_budget: 1,
             poison: false,
+            restore: false,
+            mutation: None,
             discipline: AckDiscipline::Durable,
         },
         SpaceCfg {
             name: "poison",
             choice_budget: poison,
+            windows: &[0],
             timeout_budget: 0,
             reset_budget: 0,
             crash_budget: 0,
             poison: true,
+            restore: false,
+            mutation: None,
             discipline: AckDiscipline::Durable,
         },
+        restore_space("restore", scale, None),
     ]
+}
+
+fn restore_space(name: &'static str, scale: Scale, mutation: Option<RestoreMutation>) -> SpaceCfg {
+    SpaceCfg {
+        name,
+        choice_budget: match scale {
+            Scale::Quick => 3,
+            Scale::Full => 5,
+        },
+        // The job's steps run first by default (see `enabled`), so the
+        // unexplored prefix of each window is a stream whose every
+        // batch has had its restore point landed; the windows slide
+        // over it, overlapping, to put a crash, a batch, a reconnect
+        // and a commit between every two steps of every job.
+        windows: match scale {
+            Scale::Quick => &[0, 4],
+            Scale::Full => &[0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39],
+        },
+        timeout_budget: 0,
+        reset_budget: 1,
+        crash_budget: 1,
+        poison: false,
+        restore: true,
+        mutation,
+        discipline: AckDiscipline::Durable,
+    }
 }
 
 /// Explores every sub-space under the shipped (durable) ack
@@ -1236,14 +1568,39 @@ pub fn check_mutation(
             Scale::Quick => 3,
             Scale::Full => 6,
         },
+        windows: &[0],
         timeout_budget: 1,
         reset_budget: 0,
         crash_budget: 0,
         poison: false,
+        restore: false,
+        mutation: None,
         discipline,
     };
+    explore_alone(&cfg)
+}
+
+/// Mutation self-test of I6: re-explores the restore space under a
+/// deliberately broken restore-point order. The checker MUST catch
+/// each.
+///
+/// # Errors
+///
+/// The expected outcome: the I6 violation with its trace.
+pub fn check_restore_mutation(
+    scale: Scale,
+    mutation: RestoreMutation,
+) -> Result<ProtocolReport, Box<Violation>> {
+    let name = match mutation {
+        RestoreMutation::CommitBeforeSync => "restore-commit-before-sync",
+        RestoreMutation::DeleteBeforeRename => "restore-delete-before-rename",
+    };
+    explore_alone(&restore_space(name, scale, Some(mutation)))
+}
+
+fn explore_alone(cfg: &SpaceCfg) -> Result<ProtocolReport, Box<Violation>> {
     let mut report = ProtocolReport::default();
-    let space = explore_space(&cfg, cfg.name)?;
+    let space = explore_space(cfg, cfg.name)?;
     report.spaces.push((cfg.name, space));
     Ok(report)
 }
@@ -1258,7 +1615,7 @@ mod tests {
             Ok(report) => report,
             Err(v) => panic!("unexpected violation:\n{v}"),
         };
-        assert_eq!(report.spaces.len(), 4);
+        assert_eq!(report.spaces.len(), 5);
         assert!(
             report.episodes() > 50,
             "quick exploration too shallow: {} episodes",
@@ -1291,6 +1648,23 @@ mod tests {
     #[test]
     fn eager_ack_mutation_is_caught_with_a_trace() {
         caught(Scale::Quick, AckDiscipline::Eager);
+    }
+
+    #[test]
+    fn both_restore_point_mutations_trip_i6() {
+        for mutation in [
+            RestoreMutation::CommitBeforeSync,
+            RestoreMutation::DeleteBeforeRename,
+        ] {
+            let v = match check_restore_mutation(Scale::Quick, mutation) {
+                Ok(report) => panic!(
+                    "checker failed to catch {mutation:?} across {} episodes",
+                    report.episodes()
+                ),
+                Err(v) => v,
+            };
+            assert_eq!(v.invariant, "I6 restore-durability", "{v}");
+        }
     }
 
     #[test]
