@@ -27,7 +27,10 @@
 //! the network simulator can inject duplicates and reordering through
 //! the real client path.
 
-use crate::frame::{encode_frame, FrameBuffer, Message, PROTOCOL_V1, PROTOCOL_VERSION};
+use crate::frame::{
+    encode_batch_payload, encode_frame, frame_with, FrameBuffer, Message, ReadingArena,
+    PROTOCOL_V1, PROTOCOL_VERSION,
+};
 use crate::net::{is_timeout, Stream};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -502,8 +505,8 @@ impl PipelinedConfig {
 }
 
 /// A sensor's open (not yet sealed) batch: the first sequence number
-/// plus the readings buffered so far.
-type OpenBatch = (u64, Vec<(Timestamp, Vec<f64>)>);
+/// plus the readings buffered so far, in an arena every batch refills.
+type OpenBatch = (u64, ReadingArena);
 
 /// One sealed batch: the encoded frame plus the coordinates needed to
 /// retire it against cumulative acks (and to retransmit it verbatim).
@@ -607,11 +610,11 @@ impl PipelinedUplink {
         let (first, readings) = self
             .buffers
             .entry(sensor)
-            .or_insert_with(|| (seq, Vec::new()));
+            .or_insert_with(|| (seq, ReadingArena::default()));
         if readings.is_empty() {
             *first = seq;
         }
-        readings.push((time, values.to_vec()));
+        readings.push(time, values);
         if readings.len() >= batch_size {
             self.seal(sensor);
             self.pump(false)?;
@@ -682,21 +685,22 @@ impl PipelinedUplink {
         })
     }
 
-    /// Moves the sensor's open buffer into the send queue as one
-    /// encoded `DataBatch` frame.
+    /// Encodes the sensor's open batch straight into its one
+    /// `DataBatch` frame buffer and queues that, emptying the arena.
     fn seal(&mut self, sensor: SensorId) {
-        let Some((first_seq, readings)) = self.buffers.remove(&sensor) else {
+        let Some((first_seq, readings)) = self.buffers.get_mut(&sensor) else {
             return;
         };
         if readings.is_empty() {
             return;
         }
-        let len = readings.len();
-        let frame = encode_frame(&Message::DataBatch {
-            sensor,
-            first_seq,
-            readings,
+        let (first_seq, len) = (*first_seq, readings.len());
+        // Sized once: envelope, batch head, ten bytes a reading, values.
+        let mut frame = Vec::with_capacity(8 + 13 + 10 * len + 8 * readings.values.len());
+        frame_with(&mut frame, |out| {
+            encode_batch_payload(sensor, first_seq, readings.iter(), out)
         });
+        readings.truncate(0);
         self.queue.push_back(Batch {
             sensor,
             first_seq,

@@ -1,6 +1,11 @@
 //! Admission: the deliver path from sequence dedup through the WAL
 //! append to reorder → sanitize → pipeline, plus the fence gate, the
 //! group-commit sync and liveness accounting that ride on it.
+//!
+//! Admission owns no reading: a run arrives as `(Timestamp, &[f64])`
+//! borrowed from the arena it was decoded into, the fresh prefix is
+//! borrowed [`WalRecord`]s the WAL encoder reads, the reorder buffer
+//! copies each admitted slice into a vector it recycles.
 
 use super::*;
 
@@ -123,7 +128,7 @@ impl Collector {
         let out = self.deliver_run(
             sensor,
             seq,
-            std::iter::once((time, values)),
+            std::iter::once((time, values.as_slice())),
             false,
             PolicySync::Inline,
         )?;
@@ -163,39 +168,32 @@ impl Collector {
         self.deliver_run(sensor, first_seq, run, true, PolicySync::Inline)
     }
 
-    /// [`Collector::deliver_batch`] for the protocol core, which owns
-    /// the decoded frame: the readings move into their WAL records
-    /// instead of being cloned, and the policy fsync is left for the
-    /// driver to overlap with later batches ([`Collector::sync_due`],
-    /// [`Collector::begin_sync`], [`Collector::complete_sync`]) — the
-    /// ack waits for [`Collector::synced_cursor`] either way.
-    pub(crate) fn deliver_batch_owned(
+    /// [`Collector::deliver_batch`] for the protocol core, on the arena
+    /// the frame was decoded into — and with the policy fsync left for
+    /// the driver to overlap with later batches
+    /// ([`Collector::sync_due`], [`Collector::begin_sync`],
+    /// [`Collector::complete_sync`]); the ack waits for
+    /// [`Collector::synced_cursor`] either way.
+    pub(crate) fn deliver_arena(
         &mut self,
         sensor: SensorId,
         first_seq: u64,
-        readings: Vec<(Timestamp, Vec<f64>)>,
+        readings: &ReadingArena,
     ) -> Result<BatchOutcome, GatewayError> {
-        self.deliver_run(
-            sensor,
-            first_seq,
-            readings.into_iter(),
-            true,
-            PolicySync::Deferred,
-        )
+        let run = readings.iter();
+        self.deliver_run(sensor, first_seq, run, true, PolicySync::Deferred)
     }
 
     /// The one admission path: `readings` arrive under consecutive
-    /// seqs from `first_seq`. Values are taken by `Into<Vec<f64>>` so
-    /// an owned reading moves into its WAL record and a borrowed one
-    /// is cloned only once it is known to be fresh. `timed` charges
-    /// the two admission passes to [`StageTimings::admission_ns`];
-    /// `policy_sync` says whether the append runs the policy fsync
-    /// itself.
-    fn deliver_run<V: Into<Vec<f64>>>(
+    /// seqs from `first_seq`, borrowed — nothing here owns or copies a
+    /// reading's values. `timed` charges the two admission passes to
+    /// [`StageTimings::admission_ns`]; `policy_sync` says whether the
+    /// append runs the policy fsync itself.
+    fn deliver_run<'a>(
         &mut self,
         sensor: SensorId,
         first_seq: u64,
-        readings: impl ExactSizeIterator<Item = (Timestamp, V)>,
+        readings: impl ExactSizeIterator<Item = (Timestamp, &'a [f64])>,
         timed: bool,
         policy_sync: PolicySync,
     ) -> Result<BatchOutcome, GatewayError> {
@@ -225,7 +223,7 @@ impl Collector {
         // are non-mutating — a refused reading must leave no trace, or
         // replay (which sees only durable records) would diverge from
         // the live run.
-        let mut fresh: Vec<WalRecord> = Vec::with_capacity(total);
+        let mut fresh: Vec<WalRecord<&[f64]>> = Vec::with_capacity(total);
         // The budget is projected by the planner the append itself
         // runs, over the same readings: a run costs what its frame
         // will, not the sum of its readings logged alone.
@@ -255,7 +253,7 @@ impl Collector {
                 sensor,
                 seq,
                 time,
-                values: values.into(),
+                values,
             };
             if !Wal::framable(record.values.len()) {
                 self.unframable_rejects += total - i;
@@ -329,8 +327,8 @@ impl Collector {
             for record in &fresh {
                 tracker.observe(record.seq);
             }
-            for record in fresh {
-                self.admit(record.into_raw());
+            for record in &fresh {
+                self.admit(sensor, record.time, record.values);
             }
             self.charge_admission(pass_start);
             let logged = self.wal.records_logged();
@@ -492,10 +490,8 @@ impl Collector {
     }
 
     /// Runs one admitted record through reorder → sanitize → pipeline.
-    pub(super) fn admit(&mut self, record: RawRecord) {
-        let sensor = record.sensor;
-        let time = record.time;
-        if self.reorder.offer(record) == AdmitOutcome::Admitted {
+    pub(super) fn admit(&mut self, sensor: SensorId, time: Timestamp, values: &[f64]) {
+        if self.reorder.offer_at(time, sensor, values) == AdmitOutcome::Admitted {
             let heard = self.last_heard.entry(sensor).or_insert(time);
             if time > *heard {
                 *heard = time;
@@ -504,33 +500,34 @@ impl Collector {
             // stays counted).
             self.silent.remove(&sensor);
         }
-        let mut released = std::mem::take(&mut self.released_scratch);
-        self.reorder.drain_ready(&mut released);
-        for raw in released.drain(..) {
+        while let Some(raw) = self.reorder.pop_ready() {
             self.ingest_released(raw);
         }
-        self.released_scratch = released;
         self.update_liveness(sensor);
     }
 
+    /// Sanitizes one released record where it lies and pushes it into
+    /// the window; its vector goes back to the reorder buffer, or into
+    /// the released-trace log.
     pub(super) fn ingest_released(&mut self, raw: RawRecord) {
-        match self.sanitizer.accept(raw) {
-            Ok(record) => {
+        match self.sanitizer.check(raw.time, raw.sensor, &raw.values) {
+            Ok(()) => {
                 self.accepted += 1;
-                if let Some(reading) = record.payload.reading() {
-                    let outcomes =
-                        self.pipeline
-                            .push_values(record.time, record.sensor, reading.values());
-                    for outcome in outcomes {
-                        self.pipeline.recycle_outcome(outcome);
-                    }
+                for outcome in self.pipeline.push_values(raw.time, raw.sensor, &raw.values) {
+                    self.pipeline.recycle_outcome(outcome);
                 }
                 if let Some(log) = &mut self.trace_log {
-                    log.push(record);
+                    log.push(TraceRecord {
+                        time: raw.time,
+                        sensor: raw.sensor,
+                        payload: Payload::Delivered(Reading::new(raw.values)),
+                    });
+                    return;
                 }
             }
             Err(e) => self.rejected.push(e),
         }
+        self.reorder.recycle(raw.values);
     }
 
     /// Re-derives silence membership after one admission. `touched` is
@@ -755,7 +752,7 @@ mod tests {
             2,
             "both acked records survive a reopen"
         );
-        assert_eq!(records[0].values, widest);
+        assert_eq!(records.to_records()[0].values, widest);
         drop(wal);
         let (_, info) = Collector::open(config(&dir)).unwrap();
         assert_eq!(info.replayed, 2);
@@ -810,7 +807,11 @@ mod tests {
         drop(c);
         let (_, records) = Wal::open(config(&dir).wal, None).unwrap();
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].seq, u64::MAX - 1, "under its own seq");
+        assert_eq!(
+            records.to_records()[0].seq,
+            u64::MAX - 1,
+            "under its own seq"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

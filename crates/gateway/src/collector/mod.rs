@@ -52,6 +52,7 @@ pub use admission::{BatchOutcome, DeliverOutcome, RejectCause, StageTimings};
 pub(crate) use checkpoint::RestorePoint;
 pub use checkpoint::CHECKPOINT_FILE;
 
+use crate::frame::ReadingArena;
 use crate::reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig};
 use crate::snapshot::{
     encode_collector, merge_snapshot, split_snapshot, write_collector, CollectorSnapshot,
@@ -63,7 +64,9 @@ use crate::wal::{
 use checkpoint::{read_checkpoint, read_fence, write_fence};
 use migration::read_retired;
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
-use sentinet_sim::{IngestReport, RawRecord, Sanitizer, SensorId, Timestamp, Trace, TraceRecord};
+use sentinet_sim::{
+    IngestReport, Payload, RawRecord, Reading, Sanitizer, SensorId, Timestamp, Trace, TraceRecord,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
@@ -448,7 +451,6 @@ pub struct Collector {
     /// change silence state, so the per-record scan collapses to O(1).
     liveness_watermark: Option<Timestamp>,
     episodes: usize,
-    released_scratch: Vec<RawRecord>,
     trace_log: Option<Vec<TraceRecord>>,
     budget_shed: usize,
     storage_rejects: usize,
@@ -612,13 +614,8 @@ impl Collector {
             collector.last_checkpoint_cursor = checkpoint_cursor;
             let skip = (ck.cursor - base_records) as usize;
             let replayed = (records.len() - skip) as u64;
-            for record in records.into_iter().skip(skip) {
-                collector
-                    .seqs
-                    .entry(record.sensor)
-                    .or_default()
-                    .observe(record.seq);
-                collector.admit(record.into_raw());
+            for record in records.iter().skip(skip) {
+                collector.replay(record);
             }
             let info = RecoveryInfo {
                 replayed,
@@ -636,13 +633,8 @@ impl Collector {
         collector.last_checkpoint_cursor = checkpoint_cursor;
         let mut verified_cursor = None;
         let replayed = records.len() as u64;
-        for (i, record) in records.into_iter().enumerate() {
-            collector
-                .seqs
-                .entry(record.sensor)
-                .or_default()
-                .observe(record.seq);
-            collector.admit(record.into_raw());
+        for (i, record) in records.iter().enumerate() {
+            collector.replay(record);
             if let Some(ck) = &checkpoint {
                 if ck.cursor == (i + 1) as u64 {
                     let now = encode_collector(&collector.snapshot());
@@ -660,6 +652,16 @@ impl Collector {
             prewarmed,
         };
         Ok((collector, info))
+    }
+
+    /// Replays one logged record: seen by the dedup tracker, then
+    /// admitted exactly as the live path admitted it.
+    fn replay(&mut self, record: WalRecord<&[f64]>) {
+        self.seqs
+            .entry(record.sensor)
+            .or_default()
+            .observe(record.seq);
+        self.admit(record.sensor, record.time, record.values);
     }
 
     /// A collector with empty state over an opened WAL.
@@ -681,7 +683,6 @@ impl Collector {
             silent: BTreeSet::new(),
             liveness_watermark: None,
             episodes: 0,
-            released_scratch: Vec::new(),
             trace_log,
             budget_shed: 0,
             storage_rejects: 0,
@@ -808,9 +809,7 @@ impl Collector {
     ///
     /// [`GatewayError`] on non-storage failures only.
     pub fn finish(mut self) -> Result<GatewayReport, GatewayError> {
-        let mut released = std::mem::take(&mut self.released_scratch);
-        self.reorder.flush(&mut released);
-        for raw in released.drain(..) {
+        while let Some(raw) = self.reorder.pop_through(Timestamp::MAX) {
             self.ingest_released(raw);
         }
         for outcome in self.pipeline.finalize() {

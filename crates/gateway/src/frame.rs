@@ -16,10 +16,16 @@
 //!
 //! Decoding is incremental: a [`FrameBuffer`] is fed raw socket bytes
 //! as they arrive (reads use short timeouts, never blocking forever)
-//! and yields complete messages. A CRC mismatch or an oversized length
+//! and yields complete frames. A CRC mismatch or an oversized length
 //! prefix is connection-fatal — after corruption the stream offset can
 //! no longer be trusted, so the peer closes and the client's retry
 //! loop re-delivers anything unacknowledged on a fresh connection.
+//!
+//! A run of readings lives in one [`ReadingArena`] from the client's
+//! open batch to the window and from the log back in; one decoder
+//! (`Cursor::run`) fills it for the server's reader, the WAL scan and
+//! [`decode_payload`] alike. [`Message::DataBatch`]'s vectors are what
+//! tests and the benchmark build frames from.
 
 use crate::crc::crc32;
 use sentinet_sim::{SensorId, Timestamp};
@@ -207,6 +213,84 @@ pub enum Message {
     },
 }
 
+/// A run of readings in one values arena: each reading's time and the
+/// end of its values in one flat vector. Value counts may differ from
+/// reading to reading — hostile batches carry such.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReadingArena {
+    /// Per reading, in order: its time and where its values end.
+    pub(crate) marks: Vec<(Timestamp, usize)>,
+    pub(crate) values: Vec<f64>,
+}
+
+impl ReadingArena {
+    /// Readings held.
+    pub fn len(&self) -> usize {
+        self.marks.len()
+    }
+
+    /// Whether no reading is held.
+    pub fn is_empty(&self) -> bool {
+        self.marks.is_empty()
+    }
+
+    /// Makes room for `readings` more readings of `values` values in all.
+    pub fn reserve(&mut self, readings: usize, values: usize) {
+        self.marks.reserve(readings);
+        self.values.reserve(values);
+    }
+
+    /// Appends one reading.
+    pub fn push(&mut self, time: Timestamp, values: &[f64]) {
+        self.values.extend_from_slice(values);
+        self.marks.push((time, self.values.len()));
+    }
+
+    /// The readings, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Timestamp, &[f64])> + Clone {
+        let mut start = 0;
+        self.marks.iter().map(move |&(time, end)| {
+            let values = &self.values[start..end];
+            start = end;
+            (time, values)
+        })
+    }
+
+    /// Drops every reading from `len` on; the room is kept.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.marks.len() {
+            let end = len.checked_sub(1).map_or(0, |last| self.marks[last].1);
+            self.values.truncate(end);
+            self.marks.truncate(len);
+        }
+    }
+}
+
+/// One decoded frame as a server's reader hands it on.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Frame {
+    /// A [`Message::DataBatch`] — sensor, first sequence number — whose
+    /// readings stay in the arena they were decoded into.
+    Batch(SensorId, u64, ReadingArena),
+    /// Any other message.
+    Message(Message),
+}
+
+impl Frame {
+    /// The frame as a [`Message`], a batch's readings copied out of the
+    /// arena into a vector each.
+    pub fn into_message(self) -> Message {
+        match self {
+            Frame::Batch(sensor, first_seq, readings) => Message::DataBatch {
+                sensor,
+                first_seq,
+                readings: readings.iter().map(|(t, v)| (t, v.to_vec())).collect(),
+            },
+            Frame::Message(message) => message,
+        }
+    }
+}
+
 /// A frame- or payload-level decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
@@ -322,33 +406,50 @@ impl<'a> Cursor<'a> {
         ]))
     }
 
-    /// A `u16` count followed by that many IEEE-754 bit patterns. The
-    /// bytes are claimed before the vector is sized, so a count the
-    /// payload cannot back allocates nothing.
-    fn values(&mut self) -> Result<Vec<f64>, FrameError> {
+    /// A `u16` count and the bytes of that many IEEE-754 bit patterns.
+    /// The bytes are claimed before anything is sized by the count, so
+    /// a count the payload cannot back allocates nothing.
+    fn value_bits(&mut self) -> Result<impl Iterator<Item = f64> + 'a, FrameError> {
         let n = self.u16()? as usize;
         let bits = self.take(8 * n)?;
-        Ok(bits
-            .chunks_exact(8)
-            .map(|b| {
-                f64::from_bits(u64::from_le_bytes([
-                    b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-                ]))
-            })
-            .collect())
+        Ok(bits.chunks_exact(8).map(|b| {
+            f64::from_bits(u64::from_le_bytes([
+                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+            ]))
+        }))
     }
 
-    /// The fixed head of a `DataBatch` payload: sensor, first sequence
-    /// number and reading count, the count held to
-    /// [`MAX_BATCH_READINGS`].
-    fn batch_head(&mut self) -> Result<(SensorId, u64, usize), FrameError> {
-        let sensor = SensorId(self.u16()?);
-        let first_seq = self.u64()?;
-        let count = self.u16()? as usize;
+    /// One reading — time, value count, values — onto the end of
+    /// `arena`: the per-reading step of every data decode.
+    fn reading(&mut self, arena: &mut ReadingArena) -> Result<(), FrameError> {
+        let time = self.u64()?;
+        arena.values.extend(self.value_bits()?);
+        arena.marks.push((time, arena.values.len()));
+        Ok(())
+    }
+
+    /// The one data decoder: sensor and first sequence number, then the
+    /// readings — one for `Data`, for `DataBatch` the count the head
+    /// states, held to [`MAX_BATCH_READINGS`] — onto the end of
+    /// `arena`. Room is made once, for what the rest of the payload can
+    /// back: ten bytes a reading, and what is left over is values.
+    /// Readings decoded before an error are the caller's to discard.
+    fn run(&mut self, arena: &mut ReadingArena) -> Result<(SensorId, u64), FrameError> {
+        let run = (SensorId(self.u16()?), self.u64()?);
+        let count = match self.tag {
+            TAG_DATA => 1,
+            _ => self.u16()? as usize,
+        };
         if count > MAX_BATCH_READINGS {
             return Err(FrameError::BatchTooLong { count });
         }
-        Ok((sensor, first_seq, count))
+        if let Some(values) = (self.bytes.len() - self.pos).checked_sub(10 * count) {
+            arena.reserve(count, values / 8);
+        }
+        for _ in 0..count {
+            self.reading(arena)?;
+        }
+        Ok(run)
     }
 
     /// Fails unless the whole payload was consumed.
@@ -511,14 +612,20 @@ pub fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one payload (tag byte first) into a [`Message`].
+/// [`decode_frame`] as a [`Message`] (a batch copied out of its arena),
+/// failing as it does.
+pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
+    decode_frame(payload).map(Frame::into_message)
+}
+
+/// Decodes one payload (tag byte first) into a [`Frame`].
 ///
 /// # Errors
 ///
 /// [`FrameError::UnknownTag`] / [`FrameError::ShortPayload`] on a
 /// malformed payload, [`FrameError::BatchTooLong`] on a batch above
 /// [`MAX_BATCH_READINGS`].
-pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
+pub fn decode_frame(payload: &[u8]) -> Result<Frame, FrameError> {
     let mut cur = open_payload(payload)?;
     let msg = match cur.tag {
         TAG_HELLO => {
@@ -536,7 +643,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
             sensor: SensorId(cur.u16()?),
             seq: cur.u64()?,
             time: cur.u64()?,
-            values: cur.values()?,
+            values: cur.value_bits()?.collect(),
         },
         TAG_ACK => Message::Ack {
             sensor: SensorId(cur.u16()?),
@@ -549,18 +656,10 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
             seq: cur.u64()?,
         },
         TAG_DATA_BATCH => {
-            let (sensor, first_seq, count) = cur.batch_head()?;
-            // Every reading takes at least its time and value count,
-            // so a `count` the payload cannot back reserves nothing.
-            let mut readings = Vec::with_capacity(count.min(cur.bytes.len() / 10));
-            for _ in 0..count {
-                readings.push((cur.u64()?, cur.values()?));
-            }
-            Message::DataBatch {
-                sensor,
-                first_seq,
-                readings,
-            }
+            let mut readings = ReadingArena::default();
+            let (sensor, first_seq) = cur.run(&mut readings)?;
+            cur.end()?;
+            return Ok(Frame::Batch(sensor, first_seq, readings));
         }
         TAG_ACK_UP_TO => Message::AckUpTo {
             sensor: SensorId(cur.u16()?),
@@ -603,41 +702,31 @@ pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
         other => return Err(FrameError::UnknownTag(other)),
     };
     cur.end()?;
-    Ok(msg)
+    Ok(Frame::Message(msg))
 }
 
-/// Decodes the readings of a `Data` or `DataBatch` payload straight
-/// into `each(sensor, seq, time, values)`, in sequence order, without
-/// building a [`Message`] — how the WAL scan turns either kind of log
-/// frame into per-reading records. `Ok(false)` is a well-formed
-/// payload of any other kind (nothing was emitted).
+/// Decodes the readings of a `Data` or `DataBatch` payload onto the
+/// end of `arena` and returns the run's sensor and first sequence
+/// number — how the WAL scan reads either kind of log frame. `Ok(None)`
+/// is a well-formed payload of any other kind.
 ///
 /// # Errors
 ///
-/// As [`decode_payload`]. Readings emitted before the error are the
-/// caller's to discard.
+/// As [`decode_frame`]; `arena` is left as it was.
 pub fn decode_readings(
     payload: &[u8],
-    mut each: impl FnMut(SensorId, u64, Timestamp, Vec<f64>),
-) -> Result<bool, FrameError> {
+    arena: &mut ReadingArena,
+) -> Result<Option<(SensorId, u64)>, FrameError> {
     let mut cur = open_payload(payload)?;
-    match cur.tag {
-        TAG_DATA => {
-            let sensor = SensorId(cur.u16()?);
-            let (seq, time) = (cur.u64()?, cur.u64()?);
-            each(sensor, seq, time, cur.values()?);
-        }
-        TAG_DATA_BATCH => {
-            let (sensor, first_seq, count) = cur.batch_head()?;
-            for i in 0..count as u64 {
-                let time = cur.u64()?;
-                each(sensor, first_seq.wrapping_add(i), time, cur.values()?);
-            }
-        }
-        _ => return decode_payload(payload).map(|_| false),
+    if !matches!(cur.tag, TAG_DATA | TAG_DATA_BATCH) {
+        return decode_frame(payload).map(|_| None);
     }
-    cur.end()?;
-    Ok(true)
+    let before = arena.len();
+    let run = cur.run(arena).and_then(|run| cur.end().map(|()| run));
+    if run.is_err() {
+        arena.truncate(before);
+    }
+    run.map(Some)
 }
 
 /// How many readings a payload *states* it carries, from its tag and
@@ -677,10 +766,8 @@ pub fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
 
 /// Encodes `msg` as one complete frame (envelope included).
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let mut payload = Vec::new();
-    encode_payload(msg, &mut payload);
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    frame_payload(&payload, &mut out);
+    let mut out = Vec::new();
+    frame_with(&mut out, |out| encode_payload(msg, out));
     out
 }
 
@@ -715,14 +802,20 @@ impl FrameBuffer {
         self.buf.len() - self.start
     }
 
-    /// Pops the next complete message, `Ok(None)` if more bytes are
+    /// [`FrameBuffer::next_frame`] as a [`Message`] (a batch copied out
+    /// of its arena), failing as it does.
+    pub fn next_message(&mut self) -> Result<Option<Message>, FrameError> {
+        Ok(self.next_frame()?.map(Frame::into_message))
+    }
+
+    /// Pops the next complete frame, `Ok(None)` if more bytes are
     /// needed.
     ///
     /// # Errors
     ///
     /// Any [`FrameError`]; after an error the stream offset is
     /// untrustworthy and the connection should be closed.
-    pub fn next_message(&mut self) -> Result<Option<Message>, FrameError> {
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
             return Ok(None);
@@ -745,9 +838,9 @@ impl FrameBuffer {
         if computed != carried {
             return Err(FrameError::BadCrc { computed, carried });
         }
-        let msg = decode_payload(payload)?;
+        let frame = decode_frame(payload)?;
         self.start += 4 + len + 4;
-        Ok(Some(msg))
+        Ok(Some(frame))
     }
 }
 
@@ -1022,8 +1115,9 @@ mod tests {
             count: MAX_BATCH_READINGS + 1,
         };
         assert_eq!(decode_payload(&over), Err(too_long.clone()));
+        assert_eq!(decode_frame(&over), Err(too_long.clone()));
         assert_eq!(
-            decode_readings(&over, |_, _, _, _| {}),
+            decode_readings(&over, &mut ReadingArena::default()),
             Err(too_long.clone())
         );
         // Through the stream decoder the error is the connection's end:
@@ -1035,8 +1129,79 @@ mod tests {
         assert_eq!(fb.next_message(), Err(too_long));
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn decode_readings_yields_what_decode_payload_does() {
+    fn an_arena_round_trips_every_reading_shape_bit_exactly() {
+        let widest: Vec<f64> = (0..u16::MAX).map(f64::from).collect();
+        let readings: Vec<(Timestamp, Vec<f64>)> = vec![
+            (300, vec![]),
+            (600, vec![1.5]),
+            (900, vec![f64::NAN, f64::NEG_INFINITY, -0.0]),
+            (1200, widest),
+            (1500, vec![f64::from_bits(0x7FF8_0000_0000_0001)]),
+        ];
+        let mut arena = ReadingArena::default();
+        for (time, values) in &readings {
+            arena.push(*time, values);
+        }
+        assert_eq!(arena.len(), readings.len());
+        assert_eq!(arena.values.len(), 1 + 3 + 65_535 + 1);
+        let mut frame = Vec::new();
+        frame_with(&mut frame, |out| {
+            encode_batch_payload(SensorId(4), 100, arena.iter(), out)
+        });
+        let msg = Message::DataBatch {
+            sensor: SensorId(4),
+            first_seq: 100,
+            readings: readings.clone(),
+        };
+        assert_eq!(frame, encode_frame(&msg), "an arena encodes as its vectors");
+        let mut fb = FrameBuffer::new();
+        fb.feed(&frame);
+        let Some(Frame::Batch(sensor, first_seq, decoded)) = fb.next_frame().unwrap() else {
+            panic!("expected a batch");
+        };
+        assert_eq!((sensor, first_seq), (SensorId(4), 100));
+        assert_eq!(decoded.len(), readings.len());
+        for (i, ((time, values), (want_time, want))) in decoded.iter().zip(&readings).enumerate() {
+            assert_eq!(time, *want_time);
+            assert_eq!(bits(values), bits(want), "reading {i}");
+        }
+        // Through the `Message` adapter: the same readings, owned.
+        fb.feed(&frame);
+        assert_eq!(
+            format!("{:?}", fb.next_message().unwrap().unwrap()),
+            format!("{msg:?}"),
+            "NaN-safe compare"
+        );
+    }
+
+    #[test]
+    fn an_arena_truncates_at_reading_boundaries() {
+        let mut arena = ReadingArena::default();
+        for (time, values) in [(300, &[1.0, 2.0][..]), (600, &[]), (900, &[3.0])] {
+            arena.push(time, values);
+        }
+        arena.truncate(5);
+        assert_eq!(arena.len(), 3, "truncating past the end keeps everything");
+        arena.truncate(2);
+        assert_eq!((arena.len(), arena.values.len()), (2, 2));
+        arena.push(1200, &[4.0]);
+        let got: Vec<_> = arena.iter().collect();
+        assert_eq!(
+            got,
+            vec![(300, &[1.0, 2.0][..]), (600, &[][..]), (1200, &[4.0][..])]
+        );
+        arena.truncate(0);
+        assert!(arena.is_empty() && arena.values.is_empty());
+        assert_eq!(arena.iter().len(), 0);
+    }
+
+    #[test]
+    fn decode_readings_appends_what_decode_frame_yields() {
         let batch = Message::DataBatch {
             sensor: SensorId(4),
             first_seq: 100,
@@ -1047,51 +1212,70 @@ mod tests {
             ],
         };
         let single = data(4, 7, 300, vec![1.0, -0.0]);
+        // A scan's arena already holds earlier frames' readings.
+        let mut arena = ReadingArena::default();
+        arena.push(1, &[9.0]);
         for msg in [&batch, &single] {
             let mut payload = Vec::new();
             encode_payload(msg, &mut payload);
-            let mut got = Vec::new();
-            let carried = decode_readings(&payload, |sensor, seq, time, values| {
-                got.push((sensor, seq, time, values))
-            });
-            assert_eq!(carried, Ok(true));
-            let want: Vec<(SensorId, u64, Timestamp, Vec<f64>)> = match msg {
+            let before = arena.len();
+            let run = decode_readings(&payload, &mut arena).unwrap();
+            let got: Vec<(Timestamp, Vec<f64>)> = arena
+                .iter()
+                .skip(before)
+                .map(|(t, v)| (t, v.to_vec()))
+                .collect();
+            let (want_run, want) = match msg {
                 Message::DataBatch {
                     sensor,
                     first_seq,
                     readings,
-                } => readings
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (t, v))| (*sensor, first_seq + i as u64, *t, v.clone()))
-                    .collect(),
+                } => ((*sensor, *first_seq), readings.clone()),
                 Message::Data {
                     sensor,
                     seq,
                     time,
                     values,
-                } => vec![(*sensor, *seq, *time, values.clone())],
+                } => ((*sensor, *seq), vec![(*time, values.clone())]),
                 _ => unreachable!(),
             };
+            assert_eq!(run, Some(want_run));
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "NaN-safe compare");
-            // A torn payload fails the same way through both decoders.
-            let torn = &payload[..payload.len() - 3];
-            assert_eq!(
-                decode_readings(torn, |_, _, _, _| {}).unwrap_err(),
-                decode_payload(torn).unwrap_err()
-            );
+            // A payload torn mid-way — or carrying a byte too many —
+            // fails as it does through the frame decoder, and leaves
+            // none of its readings behind.
+            let kept = arena.clone();
+            let mut long = payload.clone();
+            long.push(0);
+            for bad in [&payload[..payload.len() - 3], &long[..]] {
+                assert_eq!(
+                    decode_readings(bad, &mut arena).unwrap_err(),
+                    decode_frame(bad).unwrap_err()
+                );
+                assert_eq!(format!("{arena:?}"), format!("{kept:?}"));
+            }
         }
         // Anything else carries no readings — or is malformed.
+        let kept = arena.clone();
         let mut payload = Vec::new();
         encode_payload(&Message::Fin, &mut payload);
+        assert_eq!(decode_readings(&payload, &mut arena), Ok(None));
         assert_eq!(
-            decode_readings(&payload, |_, _, _, _| panic!("no readings")),
-            Ok(false)
-        );
-        assert_eq!(
-            decode_readings(&[99, 0], |_, _, _, _| {}),
+            decode_readings(&[99, 0], &mut arena),
             Err(FrameError::UnknownTag(99))
         );
+        assert_eq!(format!("{arena:?}"), format!("{kept:?}"));
+    }
+
+    #[test]
+    fn a_batch_reserves_only_what_its_payload_can_back() {
+        // 40 readings stated, none present: nothing is reserved.
+        let mut arena = ReadingArena::default();
+        assert!(decode_readings(&batch_payload(40)[..13], &mut arena).is_err());
+        assert_eq!((arena.marks.capacity(), arena.values.capacity()), (0, 0));
+        // An honest batch is sized once, exactly.
+        decode_readings(&batch_payload(40), &mut arena).unwrap();
+        assert_eq!((arena.marks.capacity(), arena.values.capacity()), (40, 40));
     }
 
     #[test]

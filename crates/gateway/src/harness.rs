@@ -26,7 +26,7 @@
 //! `SensorStages`.
 
 use crate::collector::{Collector, GatewayError, RestorePoint};
-use crate::frame::{FrameBuffer, FrameError, Message};
+use crate::frame::{Frame, FrameBuffer, FrameError, Message};
 use crate::protocol::{AckDiscipline, Core, QueuedAck, Reply};
 use crate::vfs::VFile;
 use crate::wal::{SyncDone, SyncTicket};
@@ -131,9 +131,9 @@ impl StepServer {
     /// [`GatewayError`] on non-storage collector failures, exactly as
     /// [`Server::run`](crate::server::Server::run) would abort.
     pub fn step(&mut self, conn: usize) -> Result<StepEvent, GatewayError> {
-        let msg = match self.conns.get_mut(conn) {
-            Some(Some(fb)) => match fb.next_message() {
-                Ok(Some(msg)) => msg,
+        let frame = match self.conns.get_mut(conn) {
+            Some(Some(fb)) => match fb.next_frame() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => return Ok(StepEvent::Idle),
                 Err(e) => {
                     self.disconnect(conn);
@@ -143,8 +143,15 @@ impl StepServer {
             _ => return Ok(StepEvent::Idle),
         };
         let mut replies = Vec::new();
-        self.core
-            .on_message(&mut self.collector, conn, msg, &mut replies)?;
+        let (core, collector) = (&mut self.core, &mut self.collector);
+        match frame {
+            Frame::Batch(sensor, seq, arena) => {
+                core.on_batch(collector, conn, sensor, seq, &arena, &mut replies)?
+            }
+            Frame::Message(msg) => {
+                core.on_message(collector, conn, msg, &mut replies)?;
+            }
+        }
         Ok(StepEvent::Replies(self.route(replies)))
     }
 

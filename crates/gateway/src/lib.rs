@@ -58,15 +58,17 @@ pub use collector::{
     StorageStatus, CHECKPOINT_FILE,
 };
 pub use frame::{
-    FrameBuffer, FrameError, Message, MAX_BATCH_READINGS, MAX_PAYLOAD, PROTOCOL_V1,
-    PROTOCOL_VERSION,
+    Frame, FrameBuffer, FrameError, Message, ReadingArena, MAX_BATCH_READINGS, MAX_PAYLOAD,
+    PROTOCOL_V1, PROTOCOL_VERSION,
 };
 pub use harness::{RestoreStep, StepEvent, StepServer};
 pub use netsim::{
     deliver_schedule, delivery_schedule, drive_uplink, trace_to_raw, Emission, NetsimConfig,
 };
 pub use protocol::{AckDiscipline, QueuedAck};
-pub use reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats};
+pub use reorder::{
+    AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats, MAX_SPARE_VALUES,
+};
 pub use report_codec::{CountersError, ReportCounters, COUNTERS_MAGIC};
 pub use server::{Server, ServerConfig, ServerStats};
 pub use snapshot::{
@@ -76,6 +78,6 @@ pub use vfs::{
     FaultPlan, FaultSpec, FaultyVfs, RealVfs, StorageError, StorageFault, VFile, Vfs, VfsOp,
 };
 pub use wal::{
-    FsyncPolicy, Placement, ReclaimPlan, RunPlanner, SegmentInfo, Wal, WalConfig, WalError,
+    FsyncPolicy, Placement, ReclaimPlan, RunPlanner, SegmentInfo, Wal, WalConfig, WalError, WalLog,
     WalRecord,
 };

@@ -1,7 +1,8 @@
 //! The sans-IO protocol core: the one implementation of the gateway's
 //! v1/v2 wire protocol, shared by its two drivers.
 //!
-//! [`Core`] consumes one decoded [`Message`] for a connection id, a
+//! [`Core`] consumes one decoded [`Message`] (a batch in the arena it
+//! was decoded into: [`Core::on_batch`]) for a connection id, a
 //! queue-dry tick, a sync-completed notice, or a connection-closed
 //! notice, and emits an ordered list of [`Reply`]s. It owns
 //! everything protocol-shaped — the pending-ack queue and its ack-after-durable release rule, version
@@ -18,7 +19,7 @@
 //! `Ack`/`AckUpTo` (the `ack-ordering` lint enforces it).
 
 use crate::collector::{Collector, DeliverOutcome, GatewayError};
-use crate::frame::{Message, PROTOCOL_V1, PROTOCOL_VERSION};
+use crate::frame::{Message, ReadingArena, PROTOCOL_V1, PROTOCOL_VERSION};
 use crate::snapshot::{decode_collector, encode_collector};
 use crate::wal::{SyncDone, SyncTicket};
 use sentinet_sim::SensorId;
@@ -202,33 +203,15 @@ impl Core {
                 };
                 out.push(Reply::keep(conn, reply));
             }
+            // A batch that did not come through a reader's arena.
             Message::DataBatch {
                 sensor,
                 first_seq,
                 readings,
             } => {
-                // Admission is per reading, durability per batch: the
-                // cumulative ack is queued against the WAL cursor the
-                // batch ended on. The NACK (first refused seq) goes
-                // out immediately — refusal needs no durability.
-                let batch = collector.deliver_batch_owned(sensor, first_seq, readings)?;
-                if let Some((seq, _)) = batch.nack {
-                    out.push(Reply::keep(conn, Message::Nack { sensor, seq }));
-                }
-                if let Some(seq) = batch.ack_up_to {
-                    self.pending.push(QueuedAck {
-                        conn,
-                        sensor,
-                        seq,
-                        cursor: batch.ack_cursor,
-                    });
-                    // A sync inside admission (segment roll, budget
-                    // reclaim) may already cover this batch, as one
-                    // does a duplicate-only batch; release what can go
-                    // now. The rest waits for the driver's
-                    // overlapped policy sync or the queue-dry flush.
-                    self.release_ready(collector, out);
-                }
+                let mut arena = ReadingArena::default();
+                readings.iter().for_each(|(t, v)| arena.push(*t, v));
+                self.on_batch(collector, conn, sensor, first_seq, &arena, out)?;
             }
             Message::Fin => {
                 // End of stream: flush the group commit so every
@@ -368,6 +351,42 @@ impl Core {
             }
         }
         Ok(false)
+    }
+
+    /// Handles one `DataBatch` frame from `conn`, its readings in the
+    /// arena they were decoded into. Admission is per reading,
+    /// durability per batch: the cumulative ack is queued against the
+    /// WAL cursor the batch ended on. The NACK (first refused seq) goes
+    /// out immediately — refusal needs no durability. Fails as
+    /// [`Core::on_message`] does.
+    pub fn on_batch(
+        &mut self,
+        collector: &mut Collector,
+        conn: usize,
+        sensor: SensorId,
+        first_seq: u64,
+        readings: &ReadingArena,
+        out: &mut Vec<Reply>,
+    ) -> Result<(), GatewayError> {
+        let batch = collector.deliver_arena(sensor, first_seq, readings)?;
+        if let Some((seq, _)) = batch.nack {
+            out.push(Reply::keep(conn, Message::Nack { sensor, seq }));
+        }
+        if let Some(seq) = batch.ack_up_to {
+            self.pending.push(QueuedAck {
+                conn,
+                sensor,
+                seq,
+                cursor: batch.ack_cursor,
+            });
+            // A sync inside admission (segment roll, budget reclaim)
+            // may already cover this batch, as one does a
+            // duplicate-only batch; release what can go now. The rest
+            // waits for the driver's overlapped policy sync or the
+            // queue-dry flush.
+            self.release_ready(collector, out);
+        }
+        Ok(())
     }
 
     /// Emits every queued `AckUpTo` whose WAL cursor a completed fsync

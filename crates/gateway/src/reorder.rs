@@ -25,11 +25,22 @@
 //!   overflow **sheds** that sensor's oldest buffered record
 //!   (counted) — explicit drop-oldest load shedding, never an
 //!   unbounded queue and never a silent drop.
+//!
+//! An admitted slice ([`ReorderBuffer::offer_at`]) is copied into a
+//! vector recycled from an earlier release; a released record takes its
+//! vector along and its consumer hands it back ([`ReorderBuffer::recycle`])
+//! or keeps it. What that can pin is bounded: buffered + spare vectors
+//! never exceed the peak number buffered, and no spare has room for more
+//! than [`MAX_SPARE_VALUES`] (a hostile 65 535-value reading's half
+//! megabyte is freed when it leaves). Spares are not state: never snapshotted.
 
 use sentinet_sim::{RawRecord, SensorId, Timestamp};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// The most values a vector kept for reuse may have room for.
+pub const MAX_SPARE_VALUES: usize = 64;
 
 /// Reorder buffer tuning.
 #[derive(Debug, Clone)]
@@ -127,7 +138,7 @@ fn locate(queues: &[SensorQueue], cursor: &mut usize, sensor: SensorId) -> Resul
 /// the queues' fronts yields the global `(time, sensor)` release order.
 /// An in-order arrival is a `push_back`, a release is a `pop_front`
 /// plus one heap sift, and neither allocates once the queues have
-/// grown to their working size.
+/// grown to their working size and released vectors come back.
 #[derive(Debug)]
 pub struct ReorderBuffer {
     config: ReorderConfig,
@@ -143,6 +154,11 @@ pub struct ReorderBuffer {
     fronts: BinaryHeap<Reverse<(Timestamp, SensorId)>>,
     watermark: Option<Timestamp>,
     stats: ReorderStats,
+    /// Records buffered now, and the most that ever were.
+    buffered: usize,
+    peak: usize,
+    /// Emptied vectors of released records, for the next admissions.
+    spare: Vec<Vec<f64>>,
 }
 
 /// Plain-data image of a [`ReorderBuffer`], for checkpointing the
@@ -169,6 +185,9 @@ impl ReorderBuffer {
             fronts: BinaryHeap::new(),
             watermark: None,
             stats: ReorderStats::default(),
+            buffered: 0,
+            peak: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -182,15 +201,15 @@ impl ReorderBuffer {
         self.stats
     }
 
-    /// Offers one deduplicated record. On `Admitted` the record is
-    /// buffered; call [`drain_ready`](ReorderBuffer::drain_ready) to
-    /// collect whatever the (possibly advanced) watermark now frees.
+    /// [`ReorderBuffer::offer_at`] on an owned record.
     pub fn offer(&mut self, record: RawRecord) -> AdmitOutcome {
-        let RawRecord {
-            time,
-            sensor,
-            values,
-        } = record;
+        self.offer_at(record.time, record.sensor, &record.values)
+    }
+
+    /// Offers one deduplicated record. On `Admitted` the values are
+    /// copied into the buffer; call [`pop_ready`](Self::pop_ready) to
+    /// collect whatever the (possibly advanced) watermark now frees.
+    pub fn offer_at(&mut self, time: Timestamp, sensor: SensorId, values: &[f64]) -> AdmitOutcome {
         if self.watermark.is_some_and(|w| time < w) {
             self.stats.late += 1;
             return AdmitOutcome::Late;
@@ -206,14 +225,21 @@ impl ReorderBuffer {
             return AdmitOutcome::Duplicate;
         };
         let front_before = queue.front_time();
-        if queue.records.len() >= self.config.per_sensor_capacity
-            && queue.records.pop_front().is_some()
-        {
-            // Shed this sensor's oldest buffered record to make room.
-            self.stats.shed += 1;
-            position = position.saturating_sub(1);
+        if queue.records.len() >= self.config.per_sensor_capacity {
+            if let Some((_, oldest)) = queue.records.pop_front() {
+                // Shed this sensor's oldest buffered record to make room.
+                self.stats.shed += 1;
+                position = position.saturating_sub(1);
+                self.buffered -= 1;
+                self.recycle(oldest);
+            }
         }
-        queue.records.insert(position, (time, values));
+        let mut kept = self.spare.pop().unwrap_or_default();
+        kept.extend_from_slice(values);
+        self.buffered += 1;
+        self.peak = self.peak.max(self.buffered);
+        let queue = &mut self.queues[at];
+        queue.records.insert(position, (time, kept));
         if queue.front_time() != front_before {
             self.note_front(at);
         }
@@ -225,16 +251,35 @@ impl ReorderBuffer {
         AdmitOutcome::Admitted
     }
 
+    /// The next buffered record at or below the watermark, in
+    /// `(time, sensor)` order; `None` once nothing more is ready.
+    pub fn pop_ready(&mut self) -> Option<RawRecord> {
+        self.pop_through(self.watermark?)
+    }
+
+    /// Takes back a released record's vector for a later admission to
+    /// fill — or drops it, past the bound the module header states.
+    pub fn recycle(&mut self, mut values: Vec<f64>) {
+        if values.capacity() <= MAX_SPARE_VALUES && self.buffered + self.spare.len() < self.peak {
+            values.clear();
+            self.spare.push(values);
+        }
+    }
+
+    /// Capacities of the vectors parked for reuse.
+    pub fn spare_capacities(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.spare.iter().map(Vec::capacity)
+    }
+
     /// Moves every buffered record at or below the watermark into
     /// `out`, in `(time, sensor)` order.
     pub fn drain_ready(&mut self, out: &mut Vec<RawRecord>) {
-        let Some(w) = self.watermark else { return };
-        self.release_through(w, out);
+        out.extend(std::iter::from_fn(|| self.pop_ready()));
     }
 
     /// End of stream: releases everything still buffered, in order.
     pub fn flush(&mut self, out: &mut Vec<RawRecord>) {
-        self.release_through(Timestamp::MAX, out);
+        out.extend(std::iter::from_fn(|| self.pop_through(Timestamp::MAX)));
     }
 
     /// Captures the buffer's contents and accounting for checkpointing.
@@ -260,23 +305,40 @@ impl ReorderBuffer {
 
     /// Rebuilds a buffer from a snapshot taken under the same config;
     /// admit/release decisions continue exactly as the captured
-    /// instance's would.
+    /// instance's would. The parts are untrusted: a record that cannot
+    /// stay is dropped, counted, by the rule an offer would have used —
+    /// late at or behind its sensor's release mark (the newest, if
+    /// marked twice), duplicate in a taken slot, shed over capacity.
     pub fn from_snapshot(config: ReorderConfig, snapshot: ReorderSnapshot) -> Self {
         let mut restored = Self::new(config);
         restored.watermark = snapshot.watermark;
         restored.stats = snapshot.stats;
+        for (sensor, time) in snapshot.last_released {
+            let at = restored.queue_of(sensor);
+            let mark = &mut restored.queues[at].last_released;
+            *mark = (*mark).max(Some(time));
+        }
         for (time, sensor, values) in snapshot.buffer {
             let at = restored.queue_of(sensor);
             let queue = &mut restored.queues[at];
+            if queue.last_released.is_some_and(|released| time <= released) {
+                restored.stats.late += 1;
+                continue;
+            }
             match queue.position(time) {
                 Err(position) => queue.records.insert(position, (time, values)),
-                Ok(position) => queue.records[position].1 = values,
+                Ok(_) => restored.stats.duplicates += 1,
             }
         }
-        for (sensor, time) in snapshot.last_released {
-            let at = restored.queue_of(sensor);
-            restored.queues[at].last_released = Some(time);
+        // A live queue holds its capacity — or one record, at zero.
+        let capacity = restored.config.per_sensor_capacity.max(1);
+        for queue in &mut restored.queues {
+            let over = queue.records.len().saturating_sub(capacity);
+            queue.records.drain(..over);
+            restored.stats.shed += over;
+            restored.buffered += queue.records.len();
         }
+        restored.peak = restored.buffered;
         restored.rebuild_fronts();
         restored
     }
@@ -324,7 +386,9 @@ impl ReorderBuffer {
         );
     }
 
-    fn release_through(&mut self, limit: Timestamp, out: &mut Vec<RawRecord>) {
+    /// Releases the earliest buffered record if its time is at or
+    /// below `limit` (`Timestamp::MAX`: end of stream).
+    pub fn pop_through(&mut self, limit: Timestamp) -> Option<RawRecord> {
         while let Some(mut top) = self.fronts.peek_mut() {
             let Reverse((time, sensor)) = *top;
             if time > limit {
@@ -334,18 +398,12 @@ impl ReorderBuffer {
                 .ok()
                 .map(|at| &mut self.queues[at])
                 .filter(|q| q.front_time() == Some(time));
-            let Some(queue) = live else {
+            let Some((values, queue)) = live.and_then(|q| Some((q.records.pop_front()?.1, q)))
+            else {
                 PeekMut::pop(top);
                 continue;
             };
-            if let Some((time, values)) = queue.records.pop_front() {
-                queue.last_released = Some(time);
-                out.push(RawRecord {
-                    time,
-                    sensor,
-                    values,
-                });
-            }
+            queue.last_released = Some(time);
             // The successor takes the released front's place in one
             // sift instead of a pop and a push.
             match queue.front_time() {
@@ -354,7 +412,14 @@ impl ReorderBuffer {
                     PeekMut::pop(top);
                 }
             }
+            self.buffered -= 1;
+            return Some(RawRecord {
+                time,
+                sensor,
+                values,
+            });
         }
+        None
     }
 }
 
@@ -470,6 +535,101 @@ mod tests {
         restored.flush(&mut b);
         assert_eq!(a, b);
         assert_eq!(rb.stats(), restored.stats());
+    }
+
+    /// What `from_snapshot` used to take on trust (ROADMAP 6c): a
+    /// record behind its sensor's release mark was released after it,
+    /// stepping the sensor's stream backwards and re-opening every slot
+    /// in between; a slot listed twice silently lost one record; a
+    /// queue over capacity stayed over it; a sensor marked twice kept
+    /// whichever mark came last.
+    #[test]
+    fn a_restored_buffer_drops_what_an_offer_would_have_and_counts_it() {
+        let snapshot = ReorderSnapshot {
+            buffer: vec![
+                (1500, SensorId(1), vec![5.0]),
+                (900, SensorId(1), vec![1.0]),  // behind the mark
+                (1200, SensorId(1), vec![2.0]), // at the mark
+                (1800, SensorId(2), vec![3.0]),
+                (1800, SensorId(2), vec![99.0]), // the slot again
+                (2100, SensorId(3), vec![6.0]),
+                (2400, SensorId(3), vec![7.0]),
+                (1900, SensorId(3), vec![8.0]), // three of a capacity of two
+            ],
+            last_released: vec![(SensorId(1), 1200), (SensorId(1), 600)],
+            watermark: Some(1000),
+            stats: ReorderStats {
+                duplicates: 10,
+                late: 20,
+                shed: 30,
+            },
+        };
+        let mut rb = ReorderBuffer::from_snapshot(cfg(600, 2), snapshot);
+        assert_eq!(
+            rb.stats(),
+            ReorderStats {
+                duplicates: 11,
+                late: 22,
+                shed: 31,
+            }
+        );
+        assert_eq!(
+            rb.offer(raw(1000, 1, 0.0)),
+            AdmitOutcome::Late,
+            "the newest mark holds"
+        );
+        let mut out = Vec::new();
+        rb.flush(&mut out);
+        let released: Vec<(u64, u16, f64)> = out
+            .iter()
+            .map(|r| (r.time, r.sensor.0, r.values[0]))
+            .collect();
+        assert_eq!(
+            released,
+            vec![
+                (1500, 1, 5.0),
+                (1800, 2, 3.0),
+                (2100, 3, 6.0),
+                (2400, 3, 7.0)
+            ],
+            "in order, first arrivals, newest kept"
+        );
+    }
+
+    #[test]
+    fn an_admitted_slice_is_copied_into_a_recycled_vector() {
+        let mut rb = ReorderBuffer::new(cfg(0, 16));
+        assert_eq!(
+            rb.offer_at(300, SensorId(1), &[1.0, 2.0]),
+            AdmitOutcome::Admitted
+        );
+        let first = rb.pop_ready().expect("at the watermark");
+        assert_eq!(
+            (first.time, first.values.as_slice()),
+            (300, &[1.0, 2.0][..])
+        );
+        assert!(rb.pop_ready().is_none());
+        let parked = first.values.as_ptr();
+        rb.recycle(first.values);
+        assert_eq!(rb.spare_capacities().len(), 1);
+        // Refused records copy nothing and take no spare …
+        assert_eq!(rb.offer_at(300, SensorId(1), &[9.0]), AdmitOutcome::Late);
+        assert_eq!(rb.spare_capacities().len(), 1);
+        // … the next admitted one reuses the vector.
+        assert_eq!(
+            rb.offer_at(600, SensorId(1), &[3.0, 4.0]),
+            AdmitOutcome::Admitted
+        );
+        assert_eq!(rb.spare_capacities().len(), 0);
+        let second = rb.pop_through(u64::MAX).expect("buffered");
+        assert_eq!(second.values, vec![3.0, 4.0]);
+        assert_eq!(second.values.as_ptr(), parked, "no new allocation");
+        // A shed record's vector is kept for the record that shed it.
+        let mut rb = ReorderBuffer::new(cfg(u64::MAX, 1));
+        rb.offer_at(300, SensorId(1), &[1.0]);
+        rb.offer_at(600, SensorId(1), &[2.0]);
+        assert_eq!(rb.stats().shed, 1);
+        assert_eq!(rb.pop_through(u64::MAX).map(|r| r.values), Some(vec![2.0]));
     }
 
     #[test]

@@ -41,12 +41,15 @@
 //! threads and the collector can be finished for a report.
 
 use crate::collector::{Collector, GatewayError};
-use crate::frame::{encode_frame, FrameBuffer, FrameError, Message, PROTOCOL_V1};
+use crate::frame::{
+    encode_frame, Frame, FrameBuffer, FrameError, Message, ReadingArena, PROTOCOL_V1,
+};
 use crate::net::{is_timeout, Listener, Stream};
 use crate::protocol::{AckDiscipline, Core, Reply};
 use crate::vfs::VFile;
 use crate::wal::{SyncDone, SyncStart, SyncTicket, WalConfig};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use sentinet_sim::SensorId;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -114,6 +117,9 @@ enum Event {
     Opened(usize, Stream),
     /// Connection `id` decoded one message.
     Msg(usize, Message),
+    /// Connection `id` decoded one `DataBatch` frame — sensor, first
+    /// sequence number — into an arena that is now the loop's.
+    Batch(usize, SensorId, u64, ReadingArena),
     /// Connection `id` died on a frame error.
     BadFrame(usize, FrameError),
     /// Connection `id` closed (EOF or I/O error).
@@ -320,6 +326,14 @@ impl Server {
                     }
                     self.start_due_sync(collector);
                 }
+                Event::Batch(id, sensor, seq, arena) => {
+                    let done = self
+                        .core
+                        .on_batch(collector, id, sensor, seq, &arena, &mut replies);
+                    write_replies(&mut writers, &mut replies, stats);
+                    done?;
+                    self.start_due_sync(collector);
+                }
                 Event::Synced(ticket, done) => {
                     self.core.on_synced(collector, ticket, done, &mut replies);
                     write_replies(&mut writers, &mut replies, stats);
@@ -476,14 +490,18 @@ fn reader_loop(
                     // send and restarts after it, so a read carrying
                     // several frames bills each frame's decode once
                     // and backpressure never.
-                    let next = fb.next_message();
+                    let next = fb.next_frame();
                     decode_ns
                         .fetch_add(decode_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     match next {
-                        Ok(Some(msg)) => {
+                        Ok(Some(frame)) => {
+                            let event = match frame {
+                                Frame::Batch(s, seq, arena) => Event::Batch(id, s, seq, arena),
+                                Frame::Message(msg) => Event::Msg(id, msg),
+                            };
                             // Blocking send on the bounded queue is the
                             // backpressure point.
-                            if events.send(Event::Msg(id, msg)).is_err() {
+                            if events.send(event).is_err() {
                                 return;
                             }
                             decode_start = std::time::Instant::now();

@@ -18,7 +18,9 @@
 //! [`SegmentInfo::records`], reclaim plans — is in readings, and a
 //! cursor need not fall on a frame boundary.
 //!
-//! Opening scans all segments in order. A decode failure in the *last*
+//! Opening scans all segments in order into one [`WalLog`], a values
+//! arena replay reads borrowed records out of just as an append reads
+//! them out of a decoded batch's. A decode failure in the *last*
 //! segment is treated as a torn tail — the segment is truncated at the
 //! start of the frame that failed and every frame before it is
 //! recovered exactly. Recovery is therefore frame-granular: a tear
@@ -57,19 +59,20 @@
 use crate::collector::RestorePoint;
 use crate::frame::{
     decode_readings, encode_batch_payload, encode_data_payload, frame_with, stated_readings,
-    FrameError, MAX_BATCH_READINGS, MAX_PAYLOAD,
+    FrameError, ReadingArena, MAX_BATCH_READINGS, MAX_PAYLOAD,
 };
 use crate::vfs::{RealVfs, StorageError, VFile, Vfs, VfsOp};
-use sentinet_sim::{RawRecord, SensorId, Timestamp};
+use sentinet_sim::{SensorId, Timestamp};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// One durable record: an admitted sensor reading plus the sequence
 /// number it arrived under (kept so replay can rebuild the
-/// deduplication state and recognise post-restart retries).
+/// deduplication state and recognise post-restart retries). `V` holds
+/// the values: owned, or `&[f64]` for a record borrowed from an arena.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WalRecord {
+pub struct WalRecord<V = Vec<f64>> {
     /// Reporting sensor.
     pub sensor: SensorId,
     /// Per-sensor sequence number the record arrived under.
@@ -77,17 +80,48 @@ pub struct WalRecord {
     /// Sample timestamp.
     pub time: Timestamp,
     /// Attribute values, preserved bit-exactly.
-    pub values: Vec<f64>,
+    pub values: V,
 }
 
-impl WalRecord {
-    /// The reading as the sanitizer's input type (the values move).
-    pub fn into_raw(self) -> RawRecord {
-        RawRecord {
-            time: self.time,
-            sensor: self.sensor,
-            values: self.values,
-        }
+/// What a reopen scanned: every on-disk reading in log order, its
+/// sensor and sequence number beside one values arena.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WalLog {
+    keys: Vec<(SensorId, u64)>,
+    readings: ReadingArena,
+}
+
+impl WalLog {
+    /// Readings recovered.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether nothing was recovered.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The records, in log order, borrowed from the arena.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = WalRecord<&[f64]>> {
+        let records = self.keys.iter().zip(self.readings.iter());
+        records.map(|(&(sensor, seq), (time, values))| WalRecord {
+            sensor,
+            seq,
+            time,
+            values,
+        })
+    }
+
+    /// The records as owned values, for tests and tools.
+    pub fn to_records(&self) -> Vec<WalRecord> {
+        let owned = |r: WalRecord<&[f64]>| WalRecord {
+            sensor: r.sensor,
+            seq: r.seq,
+            time: r.time,
+            values: r.values.to_vec(),
+        };
+        self.iter().map(owned).collect()
     }
 }
 
@@ -271,17 +305,13 @@ enum SegmentScan {
     Failed(u64, FrameError),
 }
 
-/// Decodes the frames in `bytes`, pushing one record per reading onto
-/// `out` — a batch frame goes straight to its records, no intermediate
-/// message. Returns where the scan stopped; a frame that fails leaves
-/// none of its readings behind. `ForeignRecord` (a syntactically valid
-/// payload that carries no readings) is real corruption even in the
-/// last segment, so it is returned as a hard error directly.
-fn scan_segment(
-    segment: &Path,
-    bytes: &[u8],
-    out: &mut Vec<WalRecord>,
-) -> Result<SegmentScan, WalError> {
+/// Decodes the frames in `bytes` onto the end of `out` — a frame's
+/// readings go straight from its payload into the log's arena. Returns
+/// where the scan stopped; a frame that fails leaves none of its
+/// readings behind. `ForeignRecord` (a syntactically valid payload that
+/// carries no readings) is real corruption even in the last segment,
+/// so it is returned as a hard error directly.
+fn scan_segment(segment: &Path, bytes: &[u8], out: &mut WalLog) -> Result<SegmentScan, WalError> {
     let mut pos = 0usize;
     while pos < bytes.len() {
         let rest = &bytes[pos..];
@@ -308,27 +338,19 @@ fn scan_segment(
                 FrameError::BadCrc { computed, carried },
             ));
         }
-        let frame_start = out.len();
-        let decoded = decode_readings(payload, |sensor, seq, time, values| {
-            out.push(WalRecord {
-                sensor,
-                seq,
-                time,
-                values,
-            })
-        });
-        match decoded {
-            Ok(true) => {}
-            Ok(false) => {
+        match decode_readings(payload, &mut out.readings) {
+            Ok(Some((sensor, first_seq))) => {
+                let count = (out.readings.len() - out.keys.len()) as u64;
+                out.keys
+                    .extend((0..count).map(|i| (sensor, first_seq.wrapping_add(i))));
+            }
+            Ok(None) => {
                 return Err(WalError::ForeignRecord {
                     segment: segment.to_path_buf(),
                     offset: pos as u64,
                 })
             }
-            Err(reason) => {
-                out.truncate(frame_start);
-                return Ok(SegmentScan::Failed(pos as u64, reason));
-            }
+            Err(reason) => return Ok(SegmentScan::Failed(pos as u64, reason)),
         }
         pos += 4 + len + 4;
     }
@@ -520,17 +542,17 @@ impl RunPlanner {
 }
 
 /// Frames one run the planner cut, appending to `out`.
-fn encode_run(run: &[WalRecord], out: &mut Vec<u8>) {
+fn encode_run<V: AsRef<[f64]>>(run: &[WalRecord<V>], out: &mut Vec<u8>) {
     match run {
         [] => {}
         [r] => frame_with(out, |out| {
-            encode_data_payload(r.sensor, r.seq, r.time, &r.values, out)
+            encode_data_payload(r.sensor, r.seq, r.time, r.values.as_ref(), out)
         }),
         [first, ..] => frame_with(out, |out| {
             encode_batch_payload(
                 first.sensor,
                 first.seq,
-                run.iter().map(|r| (r.time, r.values.as_slice())),
+                run.iter().map(|r| (r.time, r.values.as_ref())),
                 out,
             )
         }),
@@ -665,8 +687,8 @@ impl Wal {
     /// reclaimed; `None` means the log is expected from genesis
     /// (segment 1, record 0). Segments below the base are deleted —
     /// they are leftovers of a reclaim that crashed between checkpoint
-    /// commit and segment deletion. The returned records are the
-    /// on-disk ones; their absolute indices start at the base.
+    /// commit and segment deletion. The returned log holds the
+    /// on-disk records; their absolute indices start at the base.
     ///
     /// # Errors
     ///
@@ -675,10 +697,7 @@ impl Wal {
     /// [`WalError::MissingPrefix`] if the directory's first segment is
     /// above the expected base (a retained log opened without its
     /// checkpoint).
-    pub fn open(
-        config: WalConfig,
-        base: Option<(u64, u64)>,
-    ) -> Result<(Self, Vec<WalRecord>), WalError> {
+    pub fn open(config: WalConfig, base: Option<(u64, u64)>) -> Result<(Self, WalLog), WalError> {
         let vfs = Arc::clone(&config.vfs);
         vfs.create_dir_all(&config.dir)
             .map_err(|e| io_err(&config.dir, e))?;
@@ -716,13 +735,17 @@ impl Wal {
             drop(vfs.create(&path).map_err(|e| io_err(&path, e))?);
         }
 
-        let mut records = Vec::new();
+        let mut records = WalLog::default();
         let mut segments = Vec::with_capacity(indices.len());
         let last = indices.len() - 1;
         for (i, &idx) in indices.iter().enumerate() {
             let path = config.dir.join(segment_name(idx));
             let bytes = vfs.read(&path).map_err(|e| io_err(&path, e))?;
-            records.reserve(count_readings(&bytes));
+            // Ten bytes a reading; what is left bounds the values.
+            let stated = count_readings(&bytes);
+            records.keys.reserve(stated);
+            let values = (bytes.len() - 10 * stated) / 8;
+            records.readings.reserve(stated, values);
             let before = records.len() as u64;
             let seg_bytes = match scan_segment(&path, &bytes, &mut records)? {
                 SegmentScan::Clean => bytes.len() as u64,
@@ -926,16 +949,18 @@ impl Wal {
 
     /// [`Wal::append_many`], with the policy fsync either run inline
     /// or left for the caller to overlap (see [`PolicySync`]).
-    pub(crate) fn append_extent(
+    pub(crate) fn append_extent<V: AsRef<[f64]>>(
         &mut self,
-        records: &[WalRecord],
+        records: &[WalRecord<V>],
         policy_sync: PolicySync,
     ) -> Result<(), WalError> {
         if let Some(e) = &self.poisoned {
             return Err(WalError::Storage(e.clone()));
         }
         // Nothing at or past a record no frame can hold is written.
-        let refused = records.iter().position(|r| !Self::framable(r.values.len()));
+        let refused = records
+            .iter()
+            .position(|r| !Self::framable(r.values.as_ref().len()));
         let all = records;
         let mut records = &all[..refused.unwrap_or(all.len())];
         let mut extent = std::mem::take(&mut self.extent);
@@ -946,7 +971,7 @@ impl Wal {
         // framed in `extent`, `records[framed..i]` the open frame.
         let (mut written, mut framed) = (0, 0);
         for (i, r) in records.iter().enumerate() {
-            let placement = plan.push(r.sensor, r.seq, r.values.len());
+            let placement = plan.push(r.sensor, r.seq, r.values.as_ref().len());
             if placement == Placement::Joined {
                 continue;
             }
@@ -977,7 +1002,7 @@ impl Wal {
             Some(r) => Err(WalError::Unframable {
                 sensor: r.sensor,
                 seq: r.seq,
-                values: r.values.len(),
+                values: r.values.as_ref().len(),
             }),
         }
     }
@@ -1307,7 +1332,7 @@ mod tests {
             assert_eq!(wal.total_bytes(), 50 * Wal::framed_len(&originals[0]));
         }
         let (wal, recovered) = Wal::open(WalConfig::new(&dir), None).unwrap();
-        assert_eq!(recovered, originals);
+        assert_eq!(recovered.to_records(), originals);
         assert_eq!(wal.records_logged(), 50);
         assert_eq!(wal.base_records(), 0);
         fs::remove_dir_all(&dir).unwrap();
@@ -1389,7 +1414,7 @@ mod tests {
         }
         assert_eq!(bytes, wire);
         let (_, recovered) = Wal::open(WalConfig::new(&dir), None).unwrap();
-        assert_eq!(recovered, records);
+        assert_eq!(recovered.to_records(), records);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1409,8 +1434,18 @@ mod tests {
         assert_eq!(count_readings(&bytes[..100]), 0, "inside the batch frame");
         assert!(count_readings(&[0xFF; 64]) <= 6);
         let (_, recovered) = Wal::open(WalConfig::new(&dir), None).unwrap();
-        assert_eq!(recovered, records);
-        assert_eq!(recovered.capacity(), 1000, "sized once, not doubled into");
+        assert_eq!(recovered.to_records(), records);
+        // 900 readings in batch frames of 256 at most, 100 alone: what
+        // the values may take is bounded by the bytes left after every
+        // reading's ten, frame heads included.
+        assert_eq!(
+            recovered.keys.capacity(),
+            1000,
+            "sized once, not doubled into"
+        );
+        let values = recovered.readings.values.capacity();
+        assert_eq!(recovered.readings.marks.capacity(), 1000);
+        assert!((2000..2000 + 1000 / 4).contains(&values), "{values}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1438,13 +1473,13 @@ mod tests {
         assert_eq!((segments[6].records, segments[6].bytes), (4, 125));
         for seg in &segments {
             let path = dir.join(segment_name(seg.index));
-            let mut out = Vec::new();
+            let mut out = WalLog::default();
             let scan = scan_segment(&path, &fs::read(&path).unwrap(), &mut out).unwrap();
             assert!(matches!(scan, SegmentScan::Clean), "segment {}", seg.index);
             assert_eq!(out.len() as u64, seg.records);
         }
         let (wal, recovered) = Wal::open(config, None).unwrap();
-        assert_eq!(recovered, records);
+        assert_eq!(recovered.to_records(), records);
         assert_eq!(wal.segments(), segments);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1465,7 +1500,7 @@ mod tests {
         );
         drop(wal);
         let (_, recovered) = Wal::open(config, None).unwrap();
-        assert_eq!(recovered, run3(0));
+        assert_eq!(recovered.to_records(), run3(0));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1770,7 +1805,7 @@ mod tests {
         let segs = fs::read_dir(&dir).unwrap().count();
         assert!(segs > 1, "expected multiple segments, got {segs}");
         let (_, recovered) = Wal::open(config, None).unwrap();
-        assert_eq!(recovered, originals);
+        assert_eq!(recovered.to_records(), originals);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1832,7 +1867,11 @@ mod tests {
         f.set_len(RUN3_FRAME - 5).unwrap();
         drop(f);
         let (wal, recovered) = Wal::open(config.clone(), None).unwrap();
-        assert_eq!(recovered, originals[..12], "boundary prefix intact");
+        assert_eq!(
+            recovered.to_records(),
+            originals[..12],
+            "boundary prefix intact"
+        );
         assert_eq!(wal.records_logged(), 12);
         assert_eq!(fs::metadata(&seg3).unwrap().len(), 0, "tail truncated");
         drop(wal);
@@ -1842,7 +1881,7 @@ mod tests {
         wal.append_many(&originals[12..]).unwrap();
         drop(wal);
         let (_, recovered) = Wal::open(config, None).unwrap();
-        assert_eq!(recovered, originals);
+        assert_eq!(recovered.to_records(), originals);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1972,7 +2011,7 @@ mod tests {
         drop(wal);
         let (wal, recovered) = Wal::open(config.clone(), Some((3, 12))).unwrap();
         assert_eq!(recovered.len(), 9);
-        assert_eq!(recovered[0].seq, 12);
+        assert_eq!(recovered.to_records()[0].seq, 12);
         assert_eq!(wal.records_logged(), 21);
         assert_eq!(wal.base_records(), 12);
 
@@ -2004,7 +2043,7 @@ mod tests {
         let (wal, recovered) = Wal::open(config, Some((2, 6))).unwrap();
         assert!(!dir.join(segment_name(1)).exists(), "leftover deleted");
         assert_eq!(recovered.len(), 9);
-        assert_eq!(recovered[0].seq, 6);
+        assert_eq!(recovered.to_records()[0].seq, 6);
         assert_eq!(wal.records_logged(), 15);
         fs::remove_dir_all(&dir).unwrap();
     }

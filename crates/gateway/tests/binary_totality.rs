@@ -1,6 +1,9 @@
 //! Decoder totality for the two binary formats (ROADMAP 4c, the half
 //! the text suites left): the frame stream a socket hands
-//! [`FrameBuffer`] and the segment files a disk hands [`Wal::open`].
+//! [`FrameBuffer`] — through both of its entry points, the reader's
+//! [`FrameBuffer::next_frame`] (a batch stays in its arena) and
+//! [`FrameBuffer::next_message`], which must agree frame for frame and
+//! error for error — and the segment files a disk hands [`Wal::open`].
 //! Arbitrary bytes, truncations and every single-bit flip of a valid
 //! input give a value or a typed error — never a panic, never an
 //! allocation sized by a length the input merely states (a batch
@@ -19,7 +22,7 @@ use proptest::TestRng;
 use seeded::{check_total_bytes, mutate, PeakAlloc, Replay};
 use sentinet_gateway::frame::{encode_frame, frame_payload};
 use sentinet_gateway::{
-    AckDiscipline, Collector, FrameBuffer, FrameError, FsyncPolicy, GatewayConfig, Message,
+    AckDiscipline, Collector, Frame, FrameBuffer, FrameError, FsyncPolicy, GatewayConfig, Message,
     StepEvent, StepServer, Wal, WalConfig, WalError, WalRecord, MAX_BATCH_READINGS,
     PROTOCOL_VERSION,
 };
@@ -101,6 +104,40 @@ fn drain(bytes: &[u8]) -> (Vec<Message>, Result<(), FrameError>) {
     }
 }
 
+/// [`drain`] through the reader's entry point: batches stay in the
+/// arenas they were decoded into.
+fn drain_frames(bytes: &[u8]) -> (Vec<Frame>, Result<(), FrameError>) {
+    let mut fb = FrameBuffer::new();
+    fb.feed(bytes);
+    let mut popped = Vec::new();
+    loop {
+        match fb.next_frame() {
+            Ok(Some(frame)) => popped.push(frame),
+            Ok(None) => return (popped, Ok(())),
+            Err(e) => return (popped, Err(e)),
+        }
+    }
+}
+
+/// Drains `bytes` through both entry points, each under the allocation
+/// bound for its input, and holds them to one answer: the same frames,
+/// the same end.
+fn drain_both(bytes: &[u8]) -> Result<(Vec<Message>, Result<(), FrameError>), String> {
+    let (frames, frames_end) = check_total_bytes(bytes.len(), || drain_frames(bytes))
+        .map_err(|why| format!("next_frame: {why}"))?;
+    let (popped, end) = check_total_bytes(bytes.len(), || drain(bytes))
+        .map_err(|why| format!("next_message: {why}"))?;
+    let from_arenas: Vec<Message> = frames.into_iter().map(Frame::into_message).collect();
+    if !same(&from_arenas, &popped) || frames_end != end {
+        return Err(format!(
+            "next_frame popped {} frame(s) ending {frames_end:?}, next_message {} ending {end:?}",
+            from_arenas.len(),
+            popped.len()
+        ));
+    }
+    Ok((popped, end))
+}
+
 /// `NaN`-proof message equality.
 fn same(a: &[Message], b: &[Message]) -> bool {
     format!("{a:?}") == format!("{b:?}")
@@ -110,13 +147,13 @@ fn same(a: &[Message], b: &[Message]) -> bool {
 fn damaged_frame_streams_decode_to_a_value_or_a_typed_error() {
     let messages = stream();
     let valid: Vec<u8> = messages.iter().flat_map(encode_frame).collect();
-    let (clean, end) = drain(&valid);
+    let (clean, end) = drain_both(&valid).expect("a valid stream");
     assert!(same(&clean, &messages) && end.is_ok());
     replay("damaged_frame_streams_decode_to_a_value_or_a_typed_error").for_each_seed(
         3_000,
         |seed| {
             let (what, bytes) = mutate(&mut TestRng::new(seed), &valid);
-            check_total_bytes(bytes.len(), || drain(&bytes))
+            drain_both(&bytes)
                 .map(|_| ())
                 .map_err(|why| format!("{what}: {why}"))
         },
@@ -136,7 +173,7 @@ fn every_bit_flip_of_a_frame_stream_stops_at_the_damaged_frame() {
             let (byte, bit) = ((bit / 8) as usize, bit % 8);
             let mut bytes = valid.clone();
             bytes[byte] ^= 1 << bit;
-            let (popped, end) = check_total_bytes(bytes.len(), || drain(&bytes))?;
+            let (popped, end) = drain_both(&bytes)?;
             let victim = bounds
                 .iter()
                 .position(|&(frame_end, _)| byte < frame_end)
@@ -253,8 +290,8 @@ fn forged_length_fields_allocate_nothing_the_input_cannot_back() {
             frame_payload(&forged, &mut frame);
             let what = format!("u16 at payload byte {at} forged {honest} -> {claim}");
 
-            let (popped, end) = check_total_bytes(frame.len(), || drain(&frame))
-                .unwrap_or_else(|why| panic!("FrameBuffer, {what}: {why}"));
+            let (popped, end) =
+                drain_both(&frame).unwrap_or_else(|why| panic!("FrameBuffer, {what}: {why}"));
             assert!(
                 (popped.len() == 1 && end.is_ok()) == (claim == honest),
                 "FrameBuffer, {what}: {popped:?} then {end:?}"
@@ -322,9 +359,10 @@ fn open_segments(
             .map_err(|e| e.to_string())?;
     }
     let input = segments.iter().map(|s| s.len()).sum();
-    check_total_bytes(input, || {
-        Wal::open(WalConfig::new(dir), None).map(|(_, records)| records)
-    })
+    // The scan is what is held to the bound; the owned records the
+    // callers compare are made outside it.
+    let opened = check_total_bytes(input, || Wal::open(WalConfig::new(dir), None))?;
+    Ok(opened.map(|(_, log)| log.to_records()))
 }
 
 /// [`open_segments`] on the fixture with segment `damaged` replaced.

@@ -14,6 +14,20 @@
 //! outcome, the released stream, `stats()`, `watermark()` and
 //! `snapshot()`.
 //!
+//! The shipped buffer copies admitted values into vectors recycled
+//! from earlier releases; the property hands every released vector
+//! back, so the differential runs with recycling on — and, since the
+//! model has no such thing, shows that nothing observable depends on
+//! it. Three properties of recycling itself follow: spare lists are not
+//! state (equal snapshots, equal `encode_collector` bytes), they never
+//! outgrow what was buffered, and no oversized vector is ever parked.
+//!
+//! Last, [`hostile_parts_restore_to_a_buffer_that_keeps_its_promises`]
+//! audits `ReorderBuffer::from_snapshot` and `Sanitizer::from_snapshot`
+//! (ROADMAP 6c): arbitrary snapshot parts, then arbitrary traffic, and
+//! the released stream must still be strictly increasing per sensor
+//! with every drop counted.
+//!
 //! The vendored `proptest` stand-in neither shrinks nor reports seeds,
 //! so the cases are a plain seeded loop: a failure names its seed and
 //! step and prints the one command that replays it with every
@@ -24,8 +38,12 @@ mod seeded;
 
 use proptest::TestRng;
 use seeded::Replay;
-use sentinet_gateway::{AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats};
-use sentinet_sim::{RawRecord, SensorId, Timestamp};
+use sentinet_core::{Pipeline, PipelineConfig};
+use sentinet_gateway::{
+    encode_collector, AdmitOutcome, CollectorSnapshot, ReorderBuffer, ReorderConfig,
+    ReorderSnapshot, ReorderStats, MAX_SPARE_VALUES,
+};
+use sentinet_sim::{RawRecord, Sanitizer, SanitizerSnapshot, SensorId, Timestamp};
 use std::collections::BTreeMap;
 
 /// Cases per run; the acceptance bar is 10 000.
@@ -278,6 +296,10 @@ impl Pair {
         if expect != got {
             return Err(format!("{what}: released {expect:?} (model) vs {got:?}"));
         }
+        // The collector hands every consumed vector back.
+        for record in got {
+            self.flat.recycle(record.values);
+        }
         self.check_state(what)
     }
 
@@ -424,4 +446,326 @@ fn replay_seed_from_env() {
     if let Err(why) = run_case(seed, true) {
         panic!("seed {seed}: {why}");
     }
+}
+
+fn raw(time: Timestamp, sensor: u16, values: Vec<f64>) -> RawRecord {
+    RawRecord {
+        time,
+        sensor: SensorId(sensor),
+        values,
+    }
+}
+
+/// A collector snapshot that is empty but for its reorder buffer.
+fn around(reorder: ReorderSnapshot) -> CollectorSnapshot {
+    CollectorSnapshot {
+        pipeline: Pipeline::new(PipelineConfig::default(), PERIOD).snapshot(),
+        reorder,
+        sanitizer: SanitizerSnapshot::default(),
+        seqs: Vec::new(),
+        accepted: 0,
+        rejected: Vec::new(),
+        last_heard: Vec::new(),
+        silent: Vec::new(),
+        episodes: 0,
+    }
+}
+
+/// Two buffers fed the same stream, one getting its released vectors
+/// back and one not: the spare list is the only difference between
+/// them, and neither a snapshot nor a restore point's bytes show it.
+#[test]
+fn spare_lists_are_not_state() {
+    let config = ReorderConfig {
+        watermark_delay: 4 * PERIOD,
+        per_sensor_capacity: 64,
+    };
+    let mut recycling = ReorderBuffer::new(config.clone());
+    let mut plain = ReorderBuffer::new(config.clone());
+    let mut rng = TestRng::new(7);
+    for i in 0..400u64 {
+        let sensor = rng.usize_in(0, 4) as u16;
+        let time = PERIOD * (i / 4 + rng.usize_in(0, 4) as u64);
+        let record = raw(time, sensor, vec![i as f64, -(i as f64)]);
+        assert_eq!(recycling.offer(record.clone()), plain.offer(record));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        recycling.drain_ready(&mut a);
+        plain.drain_ready(&mut b);
+        assert_eq!(a, b, "step {i}");
+        for released in a {
+            recycling.recycle(released.values);
+        }
+        let (a, b) = (recycling.snapshot(), plain.snapshot());
+        assert_eq!(a, b, "step {i}");
+        assert_eq!(encode_collector(&around(a)), encode_collector(&around(b)));
+    }
+    assert!(recycling.spare_capacities().len() > 0, "the test recycled");
+    assert_eq!(plain.spare_capacities().len(), 0);
+    // A restored buffer starts without spares, whoever it came from.
+    let restored = ReorderBuffer::from_snapshot(config, recycling.snapshot());
+    assert_eq!(restored.spare_capacities().len(), 0);
+}
+
+/// What recycling can pin: never more spare vectors than the buffer
+/// has held records at once — whatever is handed to `recycle`, the
+/// buffer's own or not — and none with room for more than
+/// [`MAX_SPARE_VALUES`].
+#[test]
+fn the_spare_list_is_bounded_in_count_and_capacity() {
+    let mut buffer = ReorderBuffer::new(ReorderConfig {
+        watermark_delay: 8 * PERIOD,
+        per_sensor_capacity: 64,
+    });
+    // A burst of the widest readings a frame can state, among normal
+    // ones: all buffered, all released (the sanitizer's to refuse).
+    let wide = vec![1.0; usize::from(u16::MAX)];
+    let mut peak = 0;
+    let mut released = Vec::new();
+    for i in 0..60u64 {
+        let values = if (10..30).contains(&i) {
+            wide.clone()
+        } else {
+            vec![i as f64, 2.0]
+        };
+        assert_eq!(
+            buffer.offer(raw(PERIOD * i, 0, values)),
+            AdmitOutcome::Admitted
+        );
+        peak = peak.max(buffer.snapshot().buffer.len());
+        buffer.drain_ready(&mut released);
+        for record in released.drain(..) {
+            buffer.recycle(record.values);
+            assert!(
+                buffer.spare_capacities().all(|c| c <= MAX_SPARE_VALUES),
+                "an oversized vector was parked at step {i}"
+            );
+        }
+    }
+    buffer.flush(&mut released);
+    assert_eq!(peak, 9, "the watermark holds eight periods back");
+    for record in released.drain(..) {
+        buffer.recycle(record.values);
+    }
+    let spares = buffer.spare_capacities().len();
+    assert!(spares > 0 && spares <= peak, "{spares} spare, {peak} peak");
+    // Vectors from anywhere else do not grow the list past the bound.
+    for _ in 0..100 {
+        buffer.recycle(Vec::with_capacity(2));
+    }
+    assert!(buffer.spare_capacities().len() <= peak);
+    assert!(buffer.spare_capacities().all(|c| c <= MAX_SPARE_VALUES));
+}
+
+/// `HOSTILE_PARTS_SEED` names one seed of the from-snapshot audit.
+const HOSTILE: Replay = Replay {
+    var: "HOSTILE_PARTS_SEED",
+    package: "sentinet-gateway",
+    target: "--test reorder_props",
+    test: "hostile_parts_restore_to_a_buffer_that_keeps_its_promises",
+};
+
+/// Values no well-behaved sensor sends: empty, one to three, the widest
+/// a frame can state (rarely — half a megabyte each), non-finite.
+fn hostile_values(rng: &mut TestRng) -> Vec<f64> {
+    let dims = match rng.usize_in(0, 60) {
+        0 => usize::from(u16::MAX),
+        1..=5 => 0,
+        n => 1 + n % 3,
+    };
+    let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    (0..dims)
+        .map(|d| match rng.usize_in(0, 12) {
+            0 => pick(rng, &odd),
+            _ => d as f64 + rng.usize_in(0, 1000) as f64 / 8.0,
+        })
+        .collect()
+}
+
+/// One seeded case of the audit: arbitrary snapshot parts for both
+/// `from_snapshot`s, then arbitrary offers and releases.
+fn hostile_case(seed: u64) -> Result<(), String> {
+    let mut rng = TestRng::new(seed);
+    let config = ReorderConfig {
+        watermark_delay: pick(&mut rng, &[0, PERIOD, 5 * PERIOD, u64::MAX]),
+        per_sensor_capacity: pick(&mut rng, &[0, 1, 3, 64]),
+    };
+    let sensors = [SensorId(0), SensorId(1), SensorId(7), SensorId(65_535)];
+    let span = 60u64;
+    let time = |rng: &mut TestRng| PERIOD * rng.usize_in(0, span as usize) as u64;
+
+    // The reorder parts: unsorted, slots listed twice, sensors marked
+    // twice, records on both sides of the watermark and of their
+    // sensor's mark, more of a sensor than its capacity.
+    let mut buffer: Vec<(Timestamp, SensorId, Vec<f64>)> = Vec::new();
+    for _ in 0..rng.usize_in(0, 50) {
+        let slot = match buffer.len() {
+            n if n > 0 && rng.usize_in(0, 5) == 0 => {
+                let (t, s, _) = &buffer[rng.usize_in(0, n)];
+                (*t, *s)
+            }
+            _ => (time(&mut rng), pick(&mut rng, &sensors)),
+        };
+        buffer.push((slot.0, slot.1, hostile_values(&mut rng)));
+    }
+    let last_released: Vec<(SensorId, Timestamp)> = (0..rng.usize_in(0, 7))
+        .map(|_| (pick(&mut rng, &sensors), time(&mut rng)))
+        .collect();
+    let watermark = match rng.usize_in(0, 8) {
+        0 => None,
+        1 => Some(u64::MAX),
+        _ => Some(time(&mut rng)),
+    };
+    let stats = ReorderStats {
+        duplicates: rng.usize_in(0, 9),
+        late: rng.usize_in(0, 9),
+        shed: rng.usize_in(0, 9),
+    };
+    let parts = ReorderSnapshot {
+        buffer,
+        last_released,
+        watermark,
+        stats,
+    };
+    // The sanitizer parts: sensors listed twice, times ahead of every
+    // buffered record, a dimensionality of 0 or of 65 535.
+    let latest: Vec<(SensorId, Timestamp)> = (0..rng.usize_in(0, 7))
+        .map(|_| {
+            let ahead = PERIOD * span * rng.usize_in(0, 2) as u64;
+            (pick(&mut rng, &sensors), time(&mut rng) + ahead)
+        })
+        .collect();
+    let dims = pick(
+        &mut rng,
+        &[None, Some(0), Some(1), Some(2), Some(3), Some(65_535)],
+    );
+
+    // What the restored pair must never step behind.
+    let mut mark: BTreeMap<SensorId, Timestamp> = BTreeMap::new();
+    for &(s, t) in &parts.last_released {
+        let m = mark.entry(s).or_insert(t);
+        *m = t.max(*m);
+    }
+    let mut accepted_mark: BTreeMap<SensorId, Timestamp> = BTreeMap::new();
+    for &(s, t) in &latest {
+        let m = accepted_mark.entry(s).or_insert(t);
+        *m = t.max(*m);
+    }
+
+    let mut entered = parts.buffer.len();
+    let mut left = 0usize;
+    let mut restored = ReorderBuffer::from_snapshot(config.clone(), parts);
+    let mut sanitizer = Sanitizer::from_snapshot(SanitizerSnapshot { latest, dims });
+    let mut dims = dims.filter(|&d| d > 0);
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+
+    let capacity = config.per_sensor_capacity.max(1);
+    let mut released = Vec::new();
+    let steps = rng.usize_in(10, 80);
+    for step in 0..=steps {
+        let what = match (step == steps, rng.usize_in(0, 10)) {
+            (true, _) | (_, 0) => {
+                restored.flush(&mut released);
+                "flush"
+            }
+            (_, 1..=3) => {
+                restored.drain_ready(&mut released);
+                "drain_ready"
+            }
+            _ => {
+                let late = PERIOD * span / 2 * rng.usize_in(0, 3) as u64;
+                let record = RawRecord {
+                    time: time(&mut rng) + late,
+                    sensor: pick(&mut rng, &sensors),
+                    values: hostile_values(&mut rng),
+                };
+                restored.offer(record);
+                entered += 1;
+                "offer"
+            }
+        };
+        let at = |why: String| format!("step {step} ({what}): {why}");
+        // One call releases in `(time, sensor)` order …
+        if !released
+            .windows(2)
+            .all(|w| (w[0].time, w[0].sensor) < (w[1].time, w[1].sensor))
+        {
+            return Err(at("one call released out of order".into()));
+        }
+        for record in released.drain(..) {
+            left += 1;
+            // … and over all calls each sensor only moves forward, from
+            // the newest mark the snapshot gave it.
+            let (sensor, time) = (record.sensor, record.time);
+            if let Some(&before) = mark.get(&sensor) {
+                if time <= before {
+                    return Err(at(format!(
+                        "sensor {} released t={time} at or behind t={before}",
+                        sensor.0
+                    )));
+                }
+            }
+            mark.insert(sensor, time);
+            // The sanitizer behind it: whatever it accepts is well
+            // formed, of one dimensionality, and newer than anything
+            // it accepted (or was told it had accepted) before.
+            let values = record.values.clone();
+            match sanitizer.accept(record) {
+                Ok(_) => {
+                    accepted += 1;
+                    let newer = accepted_mark.get(&sensor).is_none_or(|&m| time > m);
+                    let shaped = !values.is_empty()
+                        && values.iter().all(|v| v.is_finite())
+                        && *dims.get_or_insert(values.len()) == values.len();
+                    if !newer || !shaped {
+                        return Err(at(format!(
+                            "sanitizer accepted sensor {} t={time} with {} value(s)",
+                            sensor.0,
+                            values.len()
+                        )));
+                    }
+                    accepted_mark.insert(sensor, time);
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        // Every record that entered is buffered, released, or counted
+        // as dropped; no queue is over what a live one can reach.
+        let now = restored.snapshot();
+        let dropped = (now.stats.duplicates + now.stats.late + now.stats.shed)
+            - (stats.duplicates + stats.late + stats.shed);
+        if entered != now.buffer.len() + left + dropped {
+            return Err(at(format!(
+                "{entered} entered, {} buffered + {left} released + {dropped} dropped",
+                now.buffer.len()
+            )));
+        }
+        let mut per_sensor: BTreeMap<SensorId, usize> = BTreeMap::new();
+        for (_, s, _) in &now.buffer {
+            *per_sensor.entry(*s).or_insert(0) += 1;
+        }
+        if let Some((s, n)) = per_sensor.iter().find(|(_, &n)| n > capacity) {
+            return Err(at(format!("sensor {} buffers {n} over {capacity}", s.0)));
+        }
+    }
+    if left != accepted + rejected {
+        return Err(format!(
+            "{left} released, {accepted} accepted + {rejected} rejected"
+        ));
+    }
+    // A sanitizer restored from hostile parts is not wedged: a
+    // well-formed record newer than everything is accepted.
+    let fresh = RawRecord {
+        time: u64::MAX,
+        sensor: SensorId(3),
+        values: vec![1.0; dims.unwrap_or(2)],
+    };
+    sanitizer
+        .accept(fresh)
+        .map(|_| ())
+        .map_err(|e| format!("a well-formed record was refused: {e}"))
+}
+
+#[test]
+fn hostile_parts_restore_to_a_buffer_that_keeps_its_promises() {
+    HOSTILE.for_each_seed(4_000, hostile_case);
 }

@@ -126,7 +126,7 @@ proptest! {
         let (dir, _, _) = write_wal("roundtrip", &records);
         let (_, recovered) = Wal::open(WalConfig::new(&dir), None).expect("reopen");
         prop_assert_eq!(recovered.len(), records.len());
-        for (r, o) in recovered.iter().zip(&records) {
+        for (r, o) in recovered.to_records().iter().zip(&records) {
             prop_assert!(same_record(r, o), "roundtrip corrupted a record");
         }
         fs::remove_dir_all(&dir).ok();
@@ -152,7 +152,7 @@ proptest! {
                 "cut at {} must lose exactly the final record",
                 cut
             );
-            assert_prefix(&recovered, &records);
+            assert_prefix(&recovered.to_records(), &records);
             // The truncated log must keep accepting appends.
             drop(wal);
             fs::remove_dir_all(&dir).ok();
@@ -182,7 +182,7 @@ proptest! {
                     "flip at byte {} (record {}) survived: recovered {}",
                     pos, victim, recovered.len()
                 );
-                assert_prefix(&recovered, &records);
+                assert_prefix(&recovered.to_records(), &records);
             }
             Err(_) => {
                 // Refusing to open is also safe — just never silent
@@ -325,7 +325,7 @@ fn planned_bytes_are_written_bytes_are_directory_bytes() {
             }
         }
         let (wal, recovered) = Wal::open(config, None).map_err(|e| e.to_string())?;
-        assert_same(&recovered, &all)?;
+        assert_same(&recovered.to_records(), &all)?;
         if wal.records_logged() != logged || wal.segments() != segments {
             return Err(format!(
                 "reopened bookkeeping {:?} differs from the writer's {segments:?}",
@@ -415,7 +415,7 @@ fn a_tear_at_every_byte_costs_exactly_the_frames_it_touches() {
                 Wal::open(config.clone(), None).map_err(|e| format!("cut at {cut}: {e}"))?;
             let whole: Vec<&(usize, usize)> = ends.iter().take_while(|f| f.0 <= cut).collect();
             let kept = sealed + whole.iter().map(|f| f.1).sum::<usize>();
-            assert_same(&recovered, &records[..kept])
+            assert_same(&recovered.to_records(), &records[..kept])
                 .map_err(|why| format!("cut at {cut}: {why}"))?;
             let clean = whole.last().map_or(0, |f| f.0) as u64;
             if fs::metadata(&path).map_err(|e| e.to_string())?.len() != clean {
@@ -428,7 +428,8 @@ fn a_tear_at_every_byte_costs_exactly_the_frames_it_touches() {
                 .map_err(|e| e.to_string())?;
             drop(wal);
             let (_, again) = Wal::open(config.clone(), None).map_err(|e| e.to_string())?;
-            assert_same(&again, &records).map_err(|why| format!("after cut at {cut}: {why}"))?;
+            assert_same(&again.to_records(), &records)
+                .map_err(|why| format!("after cut at {cut}: {why}"))?;
             // Back to the template for the next cut (the redelivery may
             // have rolled into a later segment).
             for extra in last.index + 1.. {
@@ -470,7 +471,7 @@ fn a_run_longer_than_any_frame_is_cut_at_the_cap() {
         .all(|&n| n == MAX_BATCH_READINGS));
     let (wal, recovered) = Wal::open(WalConfig::new(&dir), None).expect("reopen");
     assert_eq!(wal.records_logged(), 70_000);
-    assert_same(&recovered, &records).unwrap();
+    assert_same(&recovered.to_records(), &records).unwrap();
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -531,7 +532,7 @@ fn a_log_of_per_record_frames_reopens_and_continues() {
     let old = tmpdir("compat-old");
     fs::create_dir_all(&old).unwrap();
     let mut segment = Vec::new();
-    for r in &records {
+    for r in &records.to_records() {
         let frame = encode_frame(&Message::Data {
             sensor: r.sensor,
             seq: r.seq,

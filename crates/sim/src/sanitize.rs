@@ -184,28 +184,48 @@ impl Sanitizer {
     }
 
     /// Rebuilds a sanitizer from a snapshot; accept/reject decisions
-    /// continue exactly as the captured instance's would.
+    /// continue exactly as the captured instance's would. The parts
+    /// are untrusted: a sensor listed twice keeps its newest time, and
+    /// a dimensionality of zero — which no accepted record sets, and
+    /// which would refuse every later one — counts as not established.
     pub fn from_snapshot(snapshot: SanitizerSnapshot) -> Self {
+        let mut latest = snapshot.latest;
+        latest.sort_unstable(); // of one sensor's times, the last in wins
         Self {
-            latest: snapshot.latest.into_iter().collect(),
-            dims: snapshot.dims,
+            latest: latest.into_iter().collect(),
+            dims: snapshot.dims.filter(|&dims| dims > 0),
         }
     }
 
-    /// Validates one delivered record. On success the record is
-    /// remembered as the sensor's latest and a well-formed
-    /// [`TraceRecord`] is returned; on failure the sensor's history is
-    /// unchanged.
+    /// [`Sanitizer::check`] on an owned record, which on success
+    /// becomes a well-formed [`TraceRecord`].
     ///
     /// # Errors
     ///
     /// Any [`IngestError`] variant; see the enum for the catalogue.
     pub fn accept(&mut self, raw: RawRecord) -> Result<TraceRecord, IngestError> {
-        let RawRecord {
-            time,
-            sensor,
-            values,
-        } = raw;
+        self.check(raw.time, raw.sensor, &raw.values)?;
+        Ok(TraceRecord {
+            time: raw.time,
+            sensor: raw.sensor,
+            payload: Payload::Delivered(Reading::new(raw.values)),
+        })
+    }
+
+    /// Validates one delivered record where it lies: the empty,
+    /// non-finite, dimension and order checks, once each. On success
+    /// the record is remembered as the sensor's latest; on failure the
+    /// sensor's history is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Any [`IngestError`] variant; see the enum for the catalogue.
+    pub fn check(
+        &mut self,
+        time: Timestamp,
+        sensor: SensorId,
+        values: &[f64],
+    ) -> Result<(), IngestError> {
         if values.is_empty() {
             return Err(IngestError::EmptyReading { time, sensor });
         }
@@ -242,11 +262,7 @@ impl Sanitizer {
         }
         self.dims.get_or_insert(values.len());
         self.latest.insert(sensor, time);
-        Ok(TraceRecord {
-            time,
-            sensor,
-            payload: Payload::Delivered(Reading::new(values)),
-        })
+        Ok(())
     }
 }
 
@@ -388,6 +404,51 @@ mod tests {
             Err(IngestError::DimensionMismatch { .. })
         ));
         assert!(restored.accept(raw(900, 0, vec![5.0, 6.0])).is_ok());
+    }
+
+    /// What `from_snapshot` used to take on trust (ROADMAP 6c): a
+    /// dimensionality of zero — which no accepted record establishes —
+    /// refused every record from then on, and a sensor listed twice
+    /// kept whichever time came last, so an already accepted time
+    /// could be accepted again.
+    #[test]
+    fn hostile_snapshot_parts_neither_wedge_nor_rewind_the_sanitizer() {
+        let mut restored = Sanitizer::from_snapshot(SanitizerSnapshot {
+            latest: vec![(SensorId(0), 900), (SensorId(0), 300)],
+            dims: Some(0),
+        });
+        assert_eq!(
+            restored.snapshot(),
+            SanitizerSnapshot {
+                latest: vec![(SensorId(0), 900)],
+                dims: None,
+            }
+        );
+        assert!(matches!(
+            restored.accept(raw(600, 0, vec![1.0, 2.0])),
+            Err(IngestError::OutOfOrder { latest: 900, .. })
+        ));
+        assert!(restored.accept(raw(1200, 0, vec![1.0, 2.0])).is_ok());
+        assert_eq!(restored.snapshot().dims, Some(2));
+    }
+
+    #[test]
+    fn check_is_accept_without_the_owned_record() {
+        let (mut by_slice, mut by_value) = (Sanitizer::new(), Sanitizer::new());
+        for (time, sensor, values) in [
+            (300, 0, vec![1.0, 2.0]),
+            (300, 0, vec![1.0, 2.0]),
+            (600, 0, vec![f64::NAN, 2.0]),
+            (600, 1, vec![]),
+            (600, 1, vec![1.0]),
+            (200, 0, vec![1.0, 2.0]),
+            (900, 1, vec![3.0, 4.0]),
+        ] {
+            let checked = by_slice.check(time, SensorId(sensor), &values);
+            let accepted = by_value.accept(raw(time, sensor, values)).map(|_| ());
+            assert_eq!(format!("{checked:?}"), format!("{accepted:?}"));
+            assert_eq!(by_slice.snapshot(), by_value.snapshot());
+        }
     }
 
     #[test]

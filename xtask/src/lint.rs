@@ -156,12 +156,34 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
     // The WAL's per-reading write path: where an extent's frames are
-    // cut, and the two encoders that fill them.
+    // cut, and the two encoders that fill them — and the per-reading
+    // read path: the arena's push (`push` is also the planner's in
+    // `wal.rs`) and the decoders' per-reading step.
     (
         "gateway/src/frame.rs",
-        &["encode_data_payload", "encode_batch_payload", "frame_with"],
+        &[
+            "encode_data_payload",
+            "encode_batch_payload",
+            "frame_with",
+            "push",
+            "value_bits",
+            "reading",
+        ],
     ),
     ("gateway/src/wal.rs", &["push", "encode_run"]),
+    // A reading's way from a batch's arena to the window: the borrowed
+    // offer and the release, admission around them, the slice check —
+    // and, on the client, the push into the open batch.
+    (
+        "gateway/src/reorder.rs",
+        &["offer", "offer_at", "pop_through", "recycle"],
+    ),
+    (
+        "gateway/src/collector/admission.rs",
+        &["admit", "ingest_released"],
+    ),
+    ("sim/src/sanitize.rs", &["check"]),
+    ("gateway/src/client.rs", &["send"]),
     // The one part of a restore point the event loop still runs.
     (
         "gateway/src/collector/checkpoint.rs",
