@@ -1,14 +1,26 @@
-//! Hand-rolled argument parsing (no external CLI crate on the approved
-//! dependency list; the grammar is small enough that a table-driven
-//! parser stays clearer than a framework).
+//! Argument parsing: one flag table per subcommand, one loop over them.
+//!
+//! A row is a flag's name, its value placeholder (empty for a switch)
+//! and a setter that parses the value, range-checks it and writes it
+//! into the configuration value the library already takes — so a
+//! default is stated once, by the library, and `main` hands the parsed
+//! configs on without copying a field. The rows that shape durable
+//! state and the report are one shared group ([`SHAPE`]) with one range
+//! check and one renderer back to argv. `help`'s synopsis is generated
+//! from the same tables. Hand-rolled: no CLI crate is on the approved
+//! dependency list.
 
-use sentinet_gateway::FsyncPolicy;
+use sentinet_controller::{FederationConfig, ProcessConfig, WireProtocol};
+use sentinet_engine::SupervisorConfig;
+use sentinet_gateway::{FsyncPolicy, GatewayConfig, ServerConfig, UplinkConfig};
 use sentinet_inject::{AttackModel, FaultModel};
 use sentinet_sim::SensorId;
 use std::fmt;
+use std::str::FromStr;
+use std::time::Duration;
 
 /// A parsed CLI invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Command {
     /// Generate a synthetic trace CSV.
     Simulate(SimulateArgs),
@@ -19,7 +31,7 @@ pub enum Command {
     /// Replay a write-ahead log offline into a report.
     ReplayWal(ReplayWalArgs),
     /// Drive a trace through a federated collector fleet.
-    Federate(FederateArgs),
+    Federate(Box<FederateArgs>),
     /// Print usage.
     Help,
 }
@@ -42,278 +54,649 @@ pub struct SimulateArgs {
 }
 
 /// Arguments of `sentinet analyze`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct AnalyzeArgs {
     /// Input CSV path.
     pub input: String,
-    /// Sensor sampling period in seconds.
-    pub period: u64,
-    /// Observation window size in samples.
-    pub window: u32,
-    /// Observable-mean trim fraction.
-    pub trim: f64,
+    /// Where the shared flags land; `analyze` takes the paper's three
+    /// and reads only `sample_period` and `pipeline`.
+    pub shape: GatewayConfig,
     /// Worker shards for the sharded engine (1 = serial pipeline).
     pub shards: usize,
-    /// Chaos-testing seed: inject a seeded fault plan (worker panics,
-    /// dropped/delayed replies) into the supervised engine. `None`
-    /// disables chaos.
+    /// Seed of a replayable fault plan (worker panics, dropped/delayed
+    /// replies) injected into the supervised engine.
     pub chaos_seed: Option<u64>,
-    /// Restart budget per shard per window before quarantine.
-    pub max_shard_restarts: u32,
+    /// Supervision of the sharded engine (`--max-shard-restarts`).
+    pub supervisor: SupervisorConfig,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
 
 /// Arguments of `sentinet serve`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ServeArgs {
-    /// Write-ahead log directory (created if missing).
-    pub wal_dir: String,
-    /// Endpoint to bind: `HOST:PORT` or `unix:/path`.
-    pub bind: String,
-    /// Sensor sampling period in seconds.
-    pub period: u64,
-    /// Observation window size in samples.
-    pub window: u32,
-    /// Observable-mean trim fraction.
-    pub trim: f64,
-    /// WAL fsync policy.
-    pub fsync: FsyncPolicy,
-    /// Reorder watermark delay in stream seconds.
-    pub watermark: u64,
-    /// Silence deadline in stream seconds (`None` disables liveness).
-    pub silence_deadline: Option<u64>,
-    /// Checkpoint every N WAL records (0 disables).
-    pub checkpoint_every: u64,
-    /// WAL disk budget in bytes: checkpointed segments are reclaimed
-    /// to stay under it, and ingest sheds (NACKs) when nothing is
-    /// reclaimable (`None` retains everything).
-    pub wal_retain_bytes: Option<u64>,
-    /// WAL segment roll size in bytes (`None` keeps the default).
-    /// Retention reclaims whole sealed segments, so the budget's
-    /// granularity is one segment.
-    pub wal_segment_bytes: Option<u64>,
-    /// Chaos hook: abort the process after appending N WAL records.
-    pub crash_after: Option<u64>,
-    /// Batches a pipelined (protocol v2) client may keep in flight.
-    pub credit_window: u32,
-    /// Pin the server to protocol v1: v2 `Hello`s get a typed
-    /// `HelloReject { supported: 1 }` instead of a credit grant.
-    pub v1_only: bool,
-    /// Owner epoch this collector serves under (0 = unfenced). A
-    /// fence token is persisted beside the WAL; a collector started
-    /// with a stale epoch fail-stops, and clients announcing a newer
-    /// epoch fence the running collector into typed NACKs.
-    pub epoch: u64,
+    /// The collector: WAL, pipeline shape, liveness, retention, epoch.
+    pub gateway: GatewayConfig,
+    /// The socket server: endpoint, credit window, protocol pin.
+    pub server: ServerConfig,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
 
 /// Arguments of `sentinet replay-wal`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ReplayWalArgs {
-    /// Write-ahead log directory to replay.
-    pub wal_dir: String,
-    /// Sensor sampling period in seconds.
-    pub period: u64,
-    /// Observation window size in samples.
-    pub window: u32,
-    /// Observable-mean trim fraction.
-    pub trim: f64,
-    /// Reorder watermark delay in stream seconds.
-    pub watermark: u64,
-    /// Re-run the released stream through the sharded engine with this
-    /// many shards and verify bit-identical reports (1 skips).
+    /// The collector the log is reopened under; it reproduces the live
+    /// run only under the shared flags the log was served with.
+    pub gateway: GatewayConfig,
+    /// Shards of the engine cross-check over the released stream (1 skips).
     pub shards: usize,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
 
 /// Arguments of `sentinet federate`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FederateArgs {
     /// Input CSV path.
     pub input: String,
-    /// Root directory for the per-partition WAL directories.
-    pub wal_root: String,
     /// Collector partitions the sensor range is split over.
     pub partitions: usize,
-    /// Standby collectors available for failover adoption.
-    pub standbys: usize,
-    /// Drive the pipelined v2 uplink instead of stop-and-wait v1.
-    pub v2: bool,
-    /// Sensor sampling period in seconds.
-    pub period: u64,
-    /// Observation window size in samples.
-    pub window: u32,
-    /// Observable-mean trim fraction.
-    pub trim: f64,
-    /// WAL fsync policy handed to every collector (validated text,
-    /// forwarded verbatim to the spawned `serve` children).
-    pub fsync: String,
-    /// Reorder watermark delay in stream seconds.
-    pub watermark: u64,
-    /// Checkpoint every N WAL records (0 disables).
-    pub checkpoint_every: u64,
-    /// Controller silence deadline in stream seconds: a suspect
-    /// partition whose acks trail the stream clock by more than this
-    /// is declared dead and failed over.
-    pub silence_deadline: u64,
-    /// Drills: SIGKILL each listed partition's collector after it has
-    /// been handed N readings (comma-separated `P:N` specs).
-    pub kill: Vec<(usize, u64)>,
-    /// Live migration: split partition P at sensor S once P has routed
-    /// N readings (`P:S[@N]`, N defaults to 0 — split on the first
-    /// reading).
+    /// The process backend. Its `replay` is the fleet's one collector
+    /// configuration: the shared flags, `--fsync` and
+    /// `--checkpoint-every` land there, the children's `serve_flags` are
+    /// rendered from it and the final merge reopens each log under it.
+    /// `binary` is `main`'s to fill in.
+    pub process: ProcessConfig,
+    /// The controller: its own `--silence-deadline` (when a suspect
+    /// partition is declared dead; not forwarded) and handoff attempts.
+    pub federation: FederationConfig,
+    /// `--split P:S[@N]`: partition, sensor, readings routed first.
     pub split: Option<(usize, u16, usize)>,
-    /// Live migration: move partition P's whole range into its
-    /// adjacent partition once P has routed N readings (`P@N`).
+    /// `--rebalance P@N`: partition, readings routed first.
     pub rebalance: Option<(usize, usize)>,
-    /// Run the seeded nemesis campaign (in-process fault composition)
-    /// instead of the file-driven federation when set.
+    /// Run the seeded in-process nemesis campaign instead of the trace.
     pub nemesis_seed: Option<u64>,
     /// Run the live-migration schedule inside every nemesis episode.
     pub nemesis_migration: bool,
     /// Episodes per nemesis campaign.
     pub episodes: u32,
-    /// Standby adoption attempts before a partition orphans.
-    pub handoff_attempts: u32,
-    /// Uplink ack deadline in milliseconds.
-    pub ack_timeout_ms: u64,
-    /// Uplink attempts per frame before the link is declared down.
-    pub max_attempts: u32,
-    /// First uplink backoff delay in milliseconds.
-    pub backoff_base_ms: u64,
-    /// Uplink backoff ceiling in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Uplink backoff jitter ceiling as a percentage (0 = fully
-    /// deterministic, the drill setting).
-    pub jitter_pct: u32,
-    /// Readings per pipelined v2 batch.
-    pub batch_size: usize,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
 
-/// Parses a `--kill` drill spec `PARTITION:AFTER`.
-pub fn parse_kill(spec: &str) -> Result<(usize, u64), ParseError> {
-    let (p, after) = spec
-        .split_once(':')
-        .ok_or_else(|| ParseError(format!("kill spec {spec:?} needs PARTITION:AFTER")))?;
-    let p: usize = p
-        .parse()
-        .map_err(|e| ParseError(format!("bad kill partition {p:?}: {e}")))?;
-    let after: u64 = after
-        .parse()
-        .map_err(|e| ParseError(format!("bad kill coordinate {after:?}: {e}")))?;
-    Ok((p, after))
+/// A parse failure: the user-facing message.
+pub type ParseError = String;
+
+/// What a setter (and everything under it) returns.
+type Set = Result<(), ParseError>;
+
+/// What `help`, the dispatcher's callers and the table-driven tests
+/// need of a row.
+#[derive(Clone, Copy)]
+struct FlagSpec {
+    /// `--name`.
+    name: &'static str,
+    /// Value placeholder in the synopsis; empty for a switch.
+    metavar: &'static str,
+    /// The subcommand is refused without it.
+    required: bool,
 }
 
-/// Parses a comma-separated `--kill` list `P:N[,P:N...]`, rejecting
-/// duplicate partitions (two SIGKILL coordinates for one collector
-/// would race each other and make the drill ambiguous).
-pub fn parse_kills(spec: &str) -> Result<Vec<(usize, u64)>, ParseError> {
-    let kills: Vec<(usize, u64)> = spec.split(',').map(parse_kill).collect::<Result<_, _>>()?;
-    let mut seen = std::collections::BTreeSet::new();
-    for (p, _) in &kills {
-        if !seen.insert(*p) {
-            return Err(ParseError(format!(
-                "kill list {spec:?} names partition {p} twice"
-            )));
+/// Parses a flag's value (empty for a switch), range-checks it and
+/// writes it into the target; the loop prefixes `bad <flag>: `.
+type Setter<T> = fn(&mut T, &str) -> Set;
+
+/// One row of a flag table over the target `T`.
+struct Flag<T> {
+    spec: FlagSpec,
+    set: Setter<T>,
+}
+
+impl<T> Flag<T> {
+    const fn new(name: &'static str, metavar: &'static str, set: Setter<T>) -> Self {
+        let spec = FlagSpec {
+            name,
+            metavar,
+            required: false,
+        };
+        Self { spec, set }
+    }
+
+    const fn required(name: &'static str, metavar: &'static str, set: Setter<T>) -> Self {
+        let mut row = Self::new(name, metavar, set);
+        row.spec.required = true;
+        row
+    }
+
+    /// Takes this flag's value off `it` (none for a switch) and sets it.
+    fn apply(&self, target: &mut T, it: &mut dyn Iterator<Item = &str>) -> Set {
+        let FlagSpec { name, metavar, .. } = self.spec;
+        let value = match metavar {
+            "" => "",
+            _ => it.next().ok_or_else(|| format!("{name} needs a value"))?,
+        };
+        (self.set)(target, value).map_err(|e| format!("bad {name}: {e}"))
+    }
+}
+
+/// Parses `v` into `slot`.
+fn num<N: FromStr>(v: &str, slot: &mut N) -> Set
+where
+    N::Err: fmt::Display,
+{
+    *slot = v.parse().map_err(|e: N::Err| e.to_string())?;
+    Ok(())
+}
+
+/// [`num`], refusing zero.
+fn positive<N: FromStr + Default + PartialEq>(v: &str, slot: &mut N) -> Set
+where
+    N::Err: fmt::Display,
+{
+    num(v, slot)?;
+    if *slot == N::default() {
+        return Err("must be positive".into());
+    }
+    Ok(())
+}
+
+/// [`num`] where zero turns the feature off.
+fn unless_zero(v: &str, slot: &mut Option<u64>) -> Set {
+    let mut n = 0;
+    num(v, &mut n)?;
+    *slot = (n > 0).then_some(n);
+    Ok(())
+}
+
+/// [`num`] in milliseconds.
+fn millis(v: &str, slot: &mut Duration) -> Set {
+    let mut ms = 0;
+    num(v, &mut ms)?;
+    *slot = Duration::from_millis(ms);
+    Ok(())
+}
+
+/// Stores an already parsed value, or passes its error on.
+fn put<V>(slot: &mut V, value: Result<V, ParseError>) -> Set {
+    *slot = value?;
+    Ok(())
+}
+
+/// A path or an endpoint: any text.
+fn text<S: From<String>>(v: &str, slot: &mut S) -> Set {
+    *slot = v.to_string().into();
+    Ok(())
+}
+
+fn fsync(v: &str, slot: &mut FsyncPolicy) -> Set {
+    put(slot, FsyncPolicy::parse(v))
+}
+
+/// A switch.
+fn on(slot: &mut bool) -> Set {
+    *slot = true;
+    Ok(())
+}
+
+/// The flags that shape durable state and the report: a log replays to
+/// the live run's classification only under the values it was served
+/// with, so every subcommand that takes them takes these rows, and a
+/// fleet's children get them from [`shape_argv`]. Ordered so that each
+/// subcommand takes a prefix: the paper's sampling period, window `w`
+/// and Eq. 2 trim (`analyze`), then the reorder watermark (`federate`,
+/// whose `--silence-deadline` is the controller's), then the
+/// collector's silence deadline (`serve`, `replay-wal`).
+static SHAPE: [Flag<GatewayConfig>; 5] = [
+    Flag::new("--period", "SECS", |c, v| num(v, &mut c.sample_period)),
+    Flag::new("--window", "SAMPLES", |c, v| {
+        num(v, &mut c.pipeline.window_samples)
+    }),
+    Flag::new("--trim", "FRACTION", |c, v| {
+        num(v, &mut c.pipeline.observable_trim)
+    }),
+    Flag::new("--watermark", "SECS", |c, v| {
+        num(v, &mut c.reorder.watermark_delay)
+    }),
+    Flag::new("--silence-deadline", "SECS", |c, v| {
+        unless_zero(v, &mut c.silence_deadline)
+    }),
+];
+
+/// The shared group's one range check.
+fn check_shape(c: &GatewayConfig) -> Set {
+    let (window, trim) = (c.pipeline.window_samples, c.pipeline.observable_trim);
+    if c.sample_period == 0 || window == 0 || !(0.0..0.5).contains(&trim) {
+        return Err("--period/--window must be positive, --trim in [0, 0.5)".into());
+    }
+    Ok(())
+}
+
+/// Renders the shared group back to the argv that parses to it (values
+/// in [`SHAPE`]'s row order).
+fn shape_argv(c: &GatewayConfig) -> Vec<String> {
+    let values = [
+        c.sample_period.to_string(),
+        c.pipeline.window_samples.to_string(),
+        c.pipeline.observable_trim.to_string(),
+        c.reorder.watermark_delay.to_string(),
+        c.silence_deadline.unwrap_or(0).to_string(),
+    ];
+    let rows = SHAPE.iter().zip(values);
+    rows.flat_map(|(row, value)| [row.spec.name.to_string(), value])
+        .collect()
+}
+
+/// The library's collector, but fsynced as `serve` ships it
+/// (`batch:64`; the library's own default suits tests).
+fn durable_collector() -> GatewayConfig {
+    let mut config = GatewayConfig::new("");
+    config.wal.fsync = FsyncPolicy::Batch(64);
+    config
+}
+
+/// A leading operand: as the synopsis shows it, and as "needs …" calls it.
+type Operand = Option<(&'static str, &'static str)>;
+
+/// How many leading [`SHAPE`] rows a subcommand takes, and where they land.
+type Shared<T> = Option<(usize, fn(&mut T) -> &mut GatewayConfig)>;
+
+/// A subcommand: where its flags land and what it checks once they have.
+trait Args: Sized + 'static {
+    const NAME: &'static str;
+    const OPERAND: Operand = None;
+    const SHARED: Shared<Self> = None;
+    /// Its own rows.
+    const FLAGS: &'static [Flag<Self>];
+    /// Its [`Command`] variant.
+    const COMMAND: fn(Self) -> Command;
+
+    /// The defaults, around the operand (empty when it takes none).
+    fn new(operand: String) -> Self;
+
+    /// Cross-flag checks, given the flags that were seen.
+    fn check(&mut self, _seen: &[&str]) -> Set {
+        Ok(())
+    }
+}
+
+impl Args for SimulateArgs {
+    const COMMAND: fn(Self) -> Command = Command::Simulate;
+    const NAME: &'static str = "simulate";
+    const OPERAND: Operand = Some(("<out.csv>", "an output path"));
+    const FLAGS: &'static [Flag<Self>] = &[
+        Flag::new("--days", "N", |a, v| positive(v, &mut a.days)),
+        Flag::new("--seed", "S", |a, v| num(v, &mut a.seed)),
+        Flag::new("--sensors", "K", |a, v| positive(v, &mut a.sensors)),
+        Flag::new("--fault", "SENSOR:MODEL", |a, v| {
+            put(&mut a.fault, parse_fault(v).map(Some))
+        }),
+        Flag::new("--attack", "COUNT:MODEL", |a, v| {
+            put(&mut a.attack, parse_attack(v).map(Some))
+        }),
+    ];
+
+    fn new(output: String) -> Self {
+        Self {
+            output,
+            days: 7,
+            seed: 1,
+            sensors: 10,
+            fault: None,
+            attack: None,
         }
     }
-    Ok(kills)
 }
 
-/// Parses a `--split` migration spec `PARTITION:SENSOR[@AFTER]`:
-/// split partition P at sensor S once P has routed AFTER readings
-/// (AFTER defaults to 0 — split on the first reading).
-pub fn parse_split(spec: &str) -> Result<(usize, u16, usize), ParseError> {
-    let (head, after) = match spec.split_once('@') {
-        Some((head, after)) => (
-            head,
-            after
-                .parse()
-                .map_err(|e| ParseError(format!("bad split trigger {after:?}: {e}")))?,
-        ),
-        None => (spec, 0),
-    };
-    let (p, sensor) = head.split_once(':').ok_or_else(|| {
-        ParseError(format!(
-            "split spec {spec:?} needs PARTITION:SENSOR[@AFTER]"
-        ))
-    })?;
-    let p: usize = p
-        .parse()
-        .map_err(|e| ParseError(format!("bad split partition {p:?}: {e}")))?;
-    let sensor: u16 = sensor
-        .parse()
-        .map_err(|e| ParseError(format!("bad split sensor {sensor:?}: {e}")))?;
-    Ok((p, sensor, after))
-}
+impl Args for AnalyzeArgs {
+    const COMMAND: fn(Self) -> Command = Command::Analyze;
+    const NAME: &'static str = "analyze";
+    const OPERAND: Operand = Some(("<trace.csv>", "an input path"));
+    const SHARED: Shared<Self> = Some((3, |a| &mut a.shape));
+    const FLAGS: &'static [Flag<Self>] = &[
+        Flag::new("--shards", "N", |a, v| positive(v, &mut a.shards)),
+        Flag::new("--chaos-seed", "S", |a, v| num(v, a.chaos_seed.insert(0))),
+        Flag::new("--max-shard-restarts", "N", |a, v| {
+            num(v, &mut a.supervisor.max_shard_restarts)
+        }),
+        Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
+    ];
 
-/// Parses a `--rebalance` migration spec `PARTITION@AFTER`: move
-/// partition P's whole range into its adjacent partition once P has
-/// routed AFTER readings.
-pub fn parse_rebalance(spec: &str) -> Result<(usize, usize), ParseError> {
-    let (p, after) = spec
-        .split_once('@')
-        .ok_or_else(|| ParseError(format!("rebalance spec {spec:?} needs PARTITION@AFTER")))?;
-    let p: usize = p
-        .parse()
-        .map_err(|e| ParseError(format!("bad rebalance partition {p:?}: {e}")))?;
-    let after: usize = after
-        .parse()
-        .map_err(|e| ParseError(format!("bad rebalance trigger {after:?}: {e}")))?;
-    Ok((p, after))
-}
-
-/// Parse failure with a user-facing message.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseError(pub String);
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+    fn new(input: String) -> Self {
+        Self {
+            input,
+            shape: GatewayConfig::new(""),
+            shards: 1,
+            chaos_seed: None,
+            supervisor: SupervisorConfig::default(),
+            quiet: false,
+        }
     }
 }
 
-impl std::error::Error for ParseError {}
+impl Args for ServeArgs {
+    const COMMAND: fn(Self) -> Command = Command::Serve;
+    const NAME: &'static str = "serve";
+    const SHARED: Shared<Self> = Some((5, |a| &mut a.gateway));
+    const FLAGS: &'static [Flag<Self>] = &[
+        Flag::required("--wal-dir", "DIR", |a, v| text(v, &mut a.gateway.wal.dir)),
+        Flag::new("--bind", "HOST:PORT|unix:/path", |a, v| {
+            text(v, &mut a.server.bind)
+        }),
+        Flag::new("--fsync", "never|batch:N|always", |a, v| {
+            fsync(v, &mut a.gateway.wal.fsync)
+        }),
+        Flag::new("--checkpoint-every", "N", |a, v| {
+            num(v, &mut a.gateway.checkpoint_every)
+        }),
+        Flag::new("--wal-retain-bytes", "N", |a, v| {
+            positive(v, a.gateway.wal.retain_bytes.insert(0))
+        }),
+        Flag::new("--wal-segment-bytes", "N", |a, v| {
+            positive(v, &mut a.gateway.wal.segment_max_bytes)
+        }),
+        Flag::new("--crash-after", "N", |a, v| {
+            num(v, a.gateway.wal.crash_after.insert(0))
+        }),
+        Flag::new("--credit-window", "N", |a, v| {
+            positive(v, &mut a.server.credit_window)
+        }),
+        Flag::new("--v1-only", "", |a, _| on(&mut a.server.v1_only)),
+        Flag::new("--epoch", "N", |a, v| num(v, &mut a.gateway.epoch)),
+        Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
+    ];
 
-/// Usage text.
-pub const USAGE: &str = "\
-sentinet — detect and distinguish errors vs attacks in sensor traces
+    fn new(_: String) -> Self {
+        Self {
+            gateway: durable_collector(),
+            server: ServerConfig::default(),
+            quiet: false,
+        }
+    }
+}
 
-USAGE:
-  sentinet simulate <out.csv> [--days N] [--seed S] [--sensors K]
-                    [--fault SENSOR:MODEL] [--attack COUNT:MODEL]
-  sentinet analyze <trace.csv> [--period SECS] [--window SAMPLES]
-                    [--trim FRACTION] [--shards N] [--quiet]
-                    [--chaos-seed S] [--max-shard-restarts N]
-  sentinet serve --wal-dir DIR [--bind HOST:PORT|unix:/path]
-                    [--period SECS] [--window SAMPLES] [--trim FRACTION]
-                    [--fsync never|batch:N|always] [--watermark SECS]
-                    [--silence-deadline SECS] [--checkpoint-every N]
-                    [--wal-retain-bytes N] [--wal-segment-bytes N]
-                    [--crash-after N] [--credit-window N] [--v1-only]
-                    [--epoch N] [--quiet]
-  sentinet replay-wal --wal-dir DIR [--period SECS] [--window SAMPLES]
-                    [--trim FRACTION] [--watermark SECS] [--shards N]
-                    [--quiet]
-  sentinet federate <trace.csv> --wal-root DIR [--partitions N]
-                    [--standbys N] [--protocol v1|v2] [--period SECS]
-                    [--window SAMPLES] [--trim FRACTION]
-                    [--fsync never|batch:N|always] [--watermark SECS]
-                    [--checkpoint-every N] [--silence-deadline SECS]
-                    [--kill P:N[,P:N...]] [--handoff-attempts N]
-                    [--split P:S[@N]] [--rebalance P@N]
-                    [--ack-timeout-ms N] [--max-attempts N]
-                    [--backoff-base-ms N] [--backoff-cap-ms N]
-                    [--jitter-pct N] [--batch-size N] [--quiet]
-                    [--nemesis-seed S [--episodes N]
-                     [--nemesis-migration]]
-  sentinet help
+impl Args for ReplayWalArgs {
+    const COMMAND: fn(Self) -> Command = Command::ReplayWal;
+    const NAME: &'static str = "replay-wal";
+    const SHARED: Shared<Self> = Some((5, |a| &mut a.gateway));
+    const FLAGS: &'static [Flag<Self>] = &[
+        Flag::required("--wal-dir", "DIR", |a, v| text(v, &mut a.gateway.wal.dir)),
+        Flag::new("--shards", "N", |a, v| positive(v, &mut a.shards)),
+        Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
+    ];
 
+    fn new(_: String) -> Self {
+        Self {
+            gateway: GatewayConfig::new(""),
+            shards: 1,
+            quiet: false,
+        }
+    }
+}
+
+impl Args for FederateArgs {
+    const COMMAND: fn(Self) -> Command = |a| Command::Federate(Box::new(a));
+    const NAME: &'static str = "federate";
+    const OPERAND: Operand = Some(("<trace.csv>", "an input path"));
+    const SHARED: Shared<Self> = Some((4, |a| &mut a.process.replay));
+    const FLAGS: &'static [Flag<Self>] = &[
+        Flag::required("--wal-root", "DIR", |a, v| text(v, &mut a.process.wal_root)),
+        Flag::new("--partitions", "N", |a, v| positive(v, &mut a.partitions)),
+        Flag::new("--standbys", "N", |a, v| num(v, &mut a.process.standbys)),
+        Flag::new("--protocol", "v1|v2", |a, v| {
+            put(&mut a.process.protocol, parse_protocol(v))
+        }),
+        Flag::new("--fsync", "never|batch:N|always", |a, v| {
+            fsync(v, &mut a.process.replay.wal.fsync)
+        }),
+        Flag::new("--checkpoint-every", "N", |a, v| {
+            num(v, &mut a.process.replay.checkpoint_every)
+        }),
+        Flag::new("--silence-deadline", "SECS", |a, v| {
+            positive(v, &mut a.federation.silence_deadline)
+        }),
+        Flag::new("--kill", "P:N[,P:N...]", |a, v| {
+            parse_kills(v, &mut a.process.kills)
+        }),
+        Flag::new("--handoff-attempts", "N", |a, v| {
+            positive(v, &mut a.federation.handoff.max_attempts)
+        }),
+        Flag::new("--split", "P:S[@N]", |a, v| {
+            put(&mut a.split, parse_split(v).map(Some))
+        }),
+        Flag::new("--rebalance", "P@N", |a, v| {
+            put(&mut a.rebalance, parse_rebalance(v).map(Some))
+        }),
+        Flag::new("--ack-timeout-ms", "N", |a, v| {
+            millis(v, &mut a.process.uplink.ack_timeout)
+        }),
+        Flag::new("--max-attempts", "N", |a, v| {
+            positive(v, &mut a.process.uplink.max_attempts)
+        }),
+        Flag::new("--backoff-base-ms", "N", |a, v| {
+            millis(v, &mut a.process.uplink.backoff_base)
+        }),
+        Flag::new("--backoff-cap-ms", "N", |a, v| {
+            millis(v, &mut a.process.uplink.backoff_cap)
+        }),
+        Flag::new("--jitter-pct", "N", |a, v| {
+            num(v, &mut a.process.uplink.jitter_pct)
+        }),
+        Flag::new("--batch-size", "N", |a, v| {
+            positive(v, &mut a.process.batch_size)
+        }),
+        Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
+        Flag::new("--nemesis-seed", "S", |a, v| {
+            num(v, a.nemesis_seed.insert(0))
+        }),
+        Flag::new("--episodes", "N", |a, v| positive(v, &mut a.episodes)),
+        Flag::new("--nemesis-migration", "", |a, _| {
+            on(&mut a.nemesis_migration)
+        }),
+    ];
+
+    fn new(input: String) -> Self {
+        Self {
+            input,
+            partitions: 2,
+            process: ProcessConfig {
+                binary: Default::default(),
+                wal_root: Default::default(),
+                standbys: 1,
+                protocol: WireProtocol::V1,
+                serve_flags: Vec::new(),
+                uplink: UplinkConfig::new(""),
+                batch_size: 8,
+                kills: Vec::new(),
+                replay: durable_collector(),
+            },
+            federation: FederationConfig::default(),
+            split: None,
+            rebalance: None,
+            nemesis_seed: None,
+            nemesis_migration: false,
+            episodes: 50,
+            quiet: false,
+        }
+    }
+
+    fn check(&mut self, seen: &[&str]) -> Set {
+        let partitions = self.partitions;
+        let in_range = |flag: &str, p: usize, limit: usize| {
+            if p < limit {
+                return Ok(());
+            }
+            Err(format!("{flag} partition {p} out of range (0..{limit})"))
+        };
+        for &(p, _) in &self.process.kills {
+            in_range("--kill", p, partitions)?;
+        }
+        if let Some((p, _, _)) = self.split {
+            in_range("--split", p, partitions)?;
+        }
+        if let Some((p, _)) = self.rebalance {
+            // A rebalance may name the partition a split creates,
+            // whose id is the pre-split partition count.
+            in_range(
+                "--rebalance",
+                p,
+                partitions + usize::from(self.split.is_some()),
+            )?;
+        }
+        if self.nemesis_seed.is_none() {
+            if let Some(flag) = ["--nemesis-migration", "--episodes"]
+                .iter()
+                .find(|flag| seen.contains(flag))
+            {
+                return Err(format!("{flag} needs --nemesis-seed"));
+            }
+        }
+        // The children serve under exactly the collector configuration
+        // the merge replays their logs with.
+        let replay = &self.process.replay;
+        self.process.serve_flags = shape_argv(replay);
+        self.process.serve_flags.extend([
+            "--fsync".to_string(),
+            replay.wal.fsync.to_string(),
+            "--checkpoint-every".to_string(),
+            replay.checkpoint_every.to_string(),
+        ]);
+        Ok(())
+    }
+}
+
+/// The leading [`SHAPE`] rows `T` takes.
+fn shared_rows<T: Args>() -> &'static [Flag<GatewayConfig>] {
+    &SHAPE[..T::SHARED.map_or(0, |(n, _)| n)]
+}
+
+/// One pass over one subcommand's arguments: the operand, then flags
+/// looked up in its own table and its share of [`SHAPE`].
+fn parse_as<T: Args>(it: &mut dyn Iterator<Item = &str>) -> Result<Command, ParseError> {
+    let operand = match T::OPERAND {
+        Some((_, what)) => it
+            .next()
+            .ok_or_else(|| format!("{} needs {what}", T::NAME))?,
+        None => "",
+    };
+    let mut target = T::new(operand.to_string());
+    let mut seen = Vec::new();
+    while let Some(arg) = it.next() {
+        if let Some(row) = T::FLAGS.iter().find(|row| row.spec.name == arg) {
+            row.apply(&mut target, it)?;
+        } else if let (Some(row), Some((_, shape))) = (
+            shared_rows::<T>().iter().find(|row| row.spec.name == arg),
+            T::SHARED,
+        ) {
+            row.apply(shape(&mut target), it)?;
+        } else {
+            return Err(format!("unknown flag {arg:?}"));
+        }
+        seen.push(arg);
+    }
+    if let Some(row) = T::FLAGS
+        .iter()
+        .find(|row| row.spec.required && !seen.contains(&row.spec.name))
+    {
+        return Err(format!("{} needs {}", T::NAME, row.spec.name));
+    }
+    if let Some((_, shape)) = T::SHARED {
+        check_shape(shape(&mut target))?;
+    }
+    target.check(&seen)?;
+    Ok(T::COMMAND(target))
+}
+
+/// A subcommand as the dispatcher, `help` and the table-driven tests
+/// see it.
+struct Subcommand {
+    /// Its name.
+    name: &'static str,
+    /// Its operand's placeholder, when it takes one.
+    operand: Option<&'static str>,
+    /// Its rows, required ones first, then shared, then its own.
+    flags: Vec<FlagSpec>,
+    parse: fn(&mut dyn Iterator<Item = &str>) -> Result<Command, ParseError>,
+}
+
+fn subcommand<T: Args>() -> Subcommand {
+    let mut flags: Vec<FlagSpec> = shared_rows::<T>().iter().map(|row| row.spec).collect();
+    flags.extend(T::FLAGS.iter().map(|row| row.spec));
+    flags.sort_by_key(|spec| !spec.required);
+    Subcommand {
+        name: T::NAME,
+        operand: T::OPERAND.map(|(placeholder, _)| placeholder),
+        flags,
+        parse: parse_as::<T>,
+    }
+}
+
+/// Every subcommand, in `help`'s order.
+fn subcommands() -> [Subcommand; 5] {
+    [
+        subcommand::<SimulateArgs>(),
+        subcommand::<AnalyzeArgs>(),
+        subcommand::<ServeArgs>(),
+        subcommand::<ReplayWalArgs>(),
+        subcommand::<FederateArgs>(),
+    ]
+}
+
+/// Parses a full argument list (excluding the program name).
+pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, ParseError> {
+    let mut it = args.into_iter();
+    let name = match it.next() {
+        None | Some("help" | "--help" | "-h") => return Ok(Command::Help),
+        Some(name) => name,
+    };
+    let subcommands = subcommands();
+    match subcommands.iter().find(|sub| sub.name == name) {
+        Some(sub) => (sub.parse)(&mut it),
+        None => {
+            let names: Vec<&str> = subcommands.iter().map(|sub| sub.name).collect();
+            Err(format!(
+                "unknown command {name:?} ({}|help)",
+                names.join("|")
+            ))
+        }
+    }
+}
+
+/// Usage text: the synopsis, generated from the tables and wrapped the
+/// way it used to be written, then the prose.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "sentinet — detect and distinguish errors vs attacks in sensor traces\n\nUSAGE:\n",
+    );
+    for sub in subcommands() {
+        let mut line = format!("  sentinet {}", sub.name);
+        let operand = sub.operand.map(str::to_string);
+        let flags = sub.flags.iter().map(|spec| {
+            let token = format!("{} {}", spec.name, spec.metavar);
+            match spec.required {
+                true => token,
+                false => format!("[{}]", token.trim_end()),
+            }
+        });
+        for token in operand.into_iter().chain(flags) {
+            if line.len() + 1 + token.len() > 73 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(19);
+            }
+            line.push(' ');
+            line.push_str(&token);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str("  sentinet help\n\n");
+    out.push_str(PROSE);
+    out
+}
+
+/// The sections of `help` that are prose, not table.
+const PROSE: &str = "\
 LIVE INGEST (serve / replay-wal):
   serve binds a socket, prints `listening on ADDR` on stdout, and runs
   the durable collector until a client sends Fin: every accepted frame
@@ -386,585 +769,136 @@ ATTACK MODELS (simulate --attack):
   3:change=-15,0      3 sensors shift the observed state by (−15, 0)
 ";
 
-fn parse_pair(s: &str, what: &str) -> Result<Vec<f64>, ParseError> {
-    let vals: Result<Vec<f64>, _> = s.split(',').map(str::parse).collect();
-    vals.map_err(|e| ParseError(format!("bad {what} values {s:?}: {e}")))
+/// Parses one field of a spec, naming it when it is bad.
+fn field<N: FromStr>(text: &str, what: &str) -> Result<N, ParseError>
+where
+    N::Err: fmt::Display,
+{
+    text.parse()
+        .map_err(|e| format!("bad {what} {text:?}: {e}"))
+}
+
+/// Splits a spec at `sep`, or says what shape it needs.
+fn halves<'a>(spec: &'a str, sep: char, shape: &str) -> Result<(&'a str, &'a str), ParseError> {
+    spec.split_once(sep)
+        .ok_or_else(|| format!("spec {spec:?} needs {shape}"))
+}
+
+fn parse_protocol(name: &str) -> Result<WireProtocol, ParseError> {
+    match name {
+        "v1" => Ok(WireProtocol::V1),
+        "v2" => Ok(WireProtocol::V2),
+        other => Err(format!("unknown protocol {other:?} (v1|v2)")),
+    }
+}
+
+/// Parses a comma-separated `--kill` list `P:N[,P:N...]` onto `kills`,
+/// rejecting a partition named twice — in one list or across repeated
+/// flags (two SIGKILL coordinates for one collector would race each
+/// other and make the drill ambiguous).
+fn parse_kills(spec: &str, kills: &mut Vec<(usize, u64)>) -> Set {
+    for one in spec.split(',') {
+        let (p, after) = halves(one, ':', "PARTITION:AFTER")?;
+        let p = field(p, "kill partition")?;
+        if kills.iter().any(|&(seen, _)| seen == p) {
+            return Err(format!("kill list {spec:?} names partition {p} twice"));
+        }
+        kills.push((p, field(after, "kill coordinate")?));
+    }
+    Ok(())
+}
+
+/// Parses a `--split` spec `PARTITION:SENSOR[@AFTER]`: split partition
+/// P at sensor S once P has routed AFTER readings (0 when omitted —
+/// split on the first reading).
+fn parse_split(spec: &str) -> Result<(usize, u16, usize), ParseError> {
+    let (head, after) = spec.split_once('@').unwrap_or((spec, "0"));
+    let (p, sensor) = halves(head, ':', "PARTITION:SENSOR[@AFTER]")?;
+    Ok((
+        field(p, "split partition")?,
+        field(sensor, "split sensor")?,
+        field(after, "split trigger")?,
+    ))
+}
+
+/// Parses a `--rebalance` spec `PARTITION@AFTER`: move partition P's
+/// whole range into its adjacent partition once P has routed AFTER
+/// readings.
+fn parse_rebalance(spec: &str) -> Result<(usize, usize), ParseError> {
+    let (p, after) = halves(spec, '@', "PARTITION@AFTER")?;
+    Ok((
+        field(p, "rebalance partition")?,
+        field(after, "rebalance trigger")?,
+    ))
+}
+
+/// Splits `WHO:MODEL=ARGS` into who, the model's name and its
+/// comma-separated values.
+fn parse_model<N: FromStr>(spec: &str, shape: &str) -> Result<(N, String, Vec<f64>), ParseError>
+where
+    N::Err: fmt::Display,
+{
+    let (who, rest) = halves(spec, ':', shape)?;
+    let (model, args) = rest.split_once('=').unwrap_or((rest, ""));
+    let values: Result<Vec<f64>, _> = args.split(',').map(str::parse).collect();
+    let values = values.map_err(|e| format!("bad {model} values {args:?}: {e}"))?;
+    Ok((field(who, "sensor")?, model.to_string(), values))
 }
 
 /// Parses `SENSOR:MODEL=ARGS` into a fault injection spec.
-pub fn parse_fault(spec: &str) -> Result<(SensorId, FaultModel), ParseError> {
-    let (sensor, rest) = spec
-        .split_once(':')
-        .ok_or_else(|| ParseError(format!("fault spec {spec:?} needs SENSOR:MODEL")))?;
-    let sensor: u16 = sensor
-        .parse()
-        .map_err(|e| ParseError(format!("bad sensor id {sensor:?}: {e}")))?;
-    let (model, args) = rest.split_once('=').unwrap_or((rest, ""));
-    let model = match model {
-        "stuck" => FaultModel::StuckAt {
-            value: parse_pair(args, "stuck")?,
-        },
-        "calib" => FaultModel::Calibration {
-            gain: parse_pair(args, "calibration")?,
-        },
-        "add" => FaultModel::Additive {
-            offset: parse_pair(args, "additive")?,
-        },
-        "noise" => FaultModel::RandomNoise {
-            std: parse_pair(args, "noise")?,
-        },
-        "outage" => FaultModel::Outage {
-            drop_prob: args
-                .parse()
-                .map_err(|e| ParseError(format!("bad outage probability {args:?}: {e}")))?,
+fn parse_fault(spec: &str) -> Result<(SensorId, FaultModel), ParseError> {
+    let (sensor, model, values) = parse_model(spec, "SENSOR:MODEL")?;
+    let model = match model.as_str() {
+        "stuck" => FaultModel::StuckAt { value: values },
+        "calib" => FaultModel::Calibration { gain: values },
+        "add" => FaultModel::Additive { offset: values },
+        "noise" => FaultModel::RandomNoise { std: values },
+        "outage" => match values[..] {
+            [drop_prob] => FaultModel::Outage { drop_prob },
+            _ => return Err(format!("outage takes one probability, got {values:?}")),
         },
         other => {
-            return Err(ParseError(format!(
+            return Err(format!(
                 "unknown fault model {other:?} (stuck|calib|add|noise|outage)"
-            )))
+            ))
         }
     };
     Ok((SensorId(sensor), model))
 }
 
 /// Parses `COUNT:MODEL=ARGS` into an attack injection spec.
-pub fn parse_attack(spec: &str) -> Result<(u16, AttackModel), ParseError> {
-    let (count, rest) = spec
-        .split_once(':')
-        .ok_or_else(|| ParseError(format!("attack spec {spec:?} needs COUNT:MODEL")))?;
-    let count: u16 = count
-        .parse()
-        .map_err(|e| ParseError(format!("bad sensor count {count:?}: {e}")))?;
+fn parse_attack(spec: &str) -> Result<(u16, AttackModel), ParseError> {
+    let (count, model, values) = parse_model(spec, "COUNT:MODEL")?;
     if count == 0 {
-        return Err(ParseError("attack needs at least one sensor".into()));
+        return Err("attack needs at least one sensor".into());
     }
-    let (model, args) = rest.split_once('=').unwrap_or((rest, ""));
-    let model = match model {
-        "delete" => AttackModel::DynamicDeletion {
-            freeze_at: parse_pair(args, "deletion")?,
-        },
-        "create" => AttackModel::DynamicCreation {
-            target: parse_pair(args, "creation")?,
-        },
-        "change" => AttackModel::DynamicChange {
-            offset: parse_pair(args, "change")?,
-        },
+    let model = match model.as_str() {
+        "delete" => AttackModel::DynamicDeletion { freeze_at: values },
+        "create" => AttackModel::DynamicCreation { target: values },
+        "change" => AttackModel::DynamicChange { offset: values },
         other => {
-            return Err(ParseError(format!(
+            return Err(format!(
                 "unknown attack model {other:?} (delete|create|change)"
-            )))
+            ))
         }
     };
     Ok((count, model))
 }
 
-fn take_value<'a, I: Iterator<Item = &'a str>>(
-    flag: &str,
-    it: &mut I,
-) -> Result<&'a str, ParseError> {
-    it.next()
-        .ok_or_else(|| ParseError(format!("{flag} needs a value")))
-}
-
-/// Parses a full argument list (excluding the program name).
-pub fn parse<'a, I: IntoIterator<Item = &'a str>>(args: I) -> Result<Command, ParseError> {
-    let mut it = args.into_iter();
-    match it.next() {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("simulate") => {
-            let output = take_value("simulate", &mut it)
-                .map_err(|_| ParseError("simulate needs an output path".into()))?
-                .to_string();
-            let mut parsed = SimulateArgs {
-                output,
-                days: 7,
-                seed: 1,
-                sensors: 10,
-                fault: None,
-                attack: None,
-            };
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--days" => {
-                        parsed.days = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --days: {e}")))?
-                    }
-                    "--seed" => {
-                        parsed.seed = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --seed: {e}")))?
-                    }
-                    "--sensors" => {
-                        parsed.sensors = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --sensors: {e}")))?
-                    }
-                    "--fault" => parsed.fault = Some(parse_fault(take_value(flag, &mut it)?)?),
-                    "--attack" => parsed.attack = Some(parse_attack(take_value(flag, &mut it)?)?),
-                    other => return Err(ParseError(format!("unknown flag {other:?}"))),
-                }
-            }
-            if parsed.days == 0 || parsed.sensors == 0 {
-                return Err(ParseError("--days and --sensors must be positive".into()));
-            }
-            Ok(Command::Simulate(parsed))
-        }
-        Some("analyze") => {
-            let input = take_value("analyze", &mut it)
-                .map_err(|_| ParseError("analyze needs an input path".into()))?
-                .to_string();
-            let mut parsed = AnalyzeArgs {
-                input,
-                period: 300,
-                window: 12,
-                trim: 0.15,
-                shards: 1,
-                chaos_seed: None,
-                max_shard_restarts: 3,
-                quiet: false,
-            };
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--period" => {
-                        parsed.period = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --period: {e}")))?
-                    }
-                    "--window" => {
-                        parsed.window = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --window: {e}")))?
-                    }
-                    "--trim" => {
-                        parsed.trim = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --trim: {e}")))?
-                    }
-                    "--shards" => {
-                        parsed.shards = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --shards: {e}")))?
-                    }
-                    "--chaos-seed" => {
-                        parsed.chaos_seed = Some(
-                            take_value(flag, &mut it)?
-                                .parse()
-                                .map_err(|e| ParseError(format!("bad --chaos-seed: {e}")))?,
-                        )
-                    }
-                    "--max-shard-restarts" => {
-                        parsed.max_shard_restarts = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --max-shard-restarts: {e}")))?
-                    }
-                    "--quiet" => parsed.quiet = true,
-                    other => return Err(ParseError(format!("unknown flag {other:?}"))),
-                }
-            }
-            if parsed.period == 0 || parsed.window == 0 || !(0.0..0.5).contains(&parsed.trim) {
-                return Err(ParseError(
-                    "--period/--window must be positive, --trim in [0, 0.5)".into(),
-                ));
-            }
-            if parsed.shards == 0 {
-                return Err(ParseError("--shards must be at least 1".into()));
-            }
-            Ok(Command::Analyze(parsed))
-        }
-        Some("serve") => {
-            let mut wal_dir = None;
-            let mut parsed = ServeArgs {
-                wal_dir: String::new(),
-                bind: "127.0.0.1:0".into(),
-                period: 300,
-                window: 12,
-                trim: 0.15,
-                fsync: FsyncPolicy::Batch(64),
-                watermark: 1800,
-                silence_deadline: Some(3600),
-                checkpoint_every: 256,
-                wal_retain_bytes: None,
-                wal_segment_bytes: None,
-                crash_after: None,
-                credit_window: 32,
-                v1_only: false,
-                epoch: 0,
-                quiet: false,
-            };
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--wal-dir" => wal_dir = Some(take_value(flag, &mut it)?.to_string()),
-                    "--bind" => parsed.bind = take_value(flag, &mut it)?.to_string(),
-                    "--period" => {
-                        parsed.period = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --period: {e}")))?
-                    }
-                    "--window" => {
-                        parsed.window = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --window: {e}")))?
-                    }
-                    "--trim" => {
-                        parsed.trim = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --trim: {e}")))?
-                    }
-                    "--fsync" => {
-                        parsed.fsync = FsyncPolicy::parse(take_value(flag, &mut it)?)
-                            .map_err(|e| ParseError(format!("bad --fsync: {e}")))?
-                    }
-                    "--watermark" => {
-                        parsed.watermark = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --watermark: {e}")))?
-                    }
-                    "--silence-deadline" => {
-                        let secs: u64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --silence-deadline: {e}")))?;
-                        parsed.silence_deadline = (secs > 0).then_some(secs);
-                    }
-                    "--checkpoint-every" => {
-                        parsed.checkpoint_every = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --checkpoint-every: {e}")))?
-                    }
-                    "--wal-retain-bytes" => {
-                        let bytes: u64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --wal-retain-bytes: {e}")))?;
-                        if bytes == 0 {
-                            return Err(ParseError("--wal-retain-bytes must be positive".into()));
-                        }
-                        parsed.wal_retain_bytes = Some(bytes);
-                    }
-                    "--wal-segment-bytes" => {
-                        let bytes: u64 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --wal-segment-bytes: {e}")))?;
-                        if bytes == 0 {
-                            return Err(ParseError("--wal-segment-bytes must be positive".into()));
-                        }
-                        parsed.wal_segment_bytes = Some(bytes);
-                    }
-                    "--crash-after" => {
-                        parsed.crash_after = Some(
-                            take_value(flag, &mut it)?
-                                .parse()
-                                .map_err(|e| ParseError(format!("bad --crash-after: {e}")))?,
-                        )
-                    }
-                    "--credit-window" => {
-                        let credits: u32 = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --credit-window: {e}")))?;
-                        if credits == 0 {
-                            return Err(ParseError("--credit-window must be positive".into()));
-                        }
-                        parsed.credit_window = credits;
-                    }
-                    "--v1-only" => parsed.v1_only = true,
-                    "--epoch" => {
-                        parsed.epoch = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --epoch: {e}")))?
-                    }
-                    "--quiet" => parsed.quiet = true,
-                    other => return Err(ParseError(format!("unknown flag {other:?}"))),
-                }
-            }
-            parsed.wal_dir = wal_dir.ok_or_else(|| ParseError("serve needs --wal-dir".into()))?;
-            if parsed.period == 0 || parsed.window == 0 || !(0.0..0.5).contains(&parsed.trim) {
-                return Err(ParseError(
-                    "--period/--window must be positive, --trim in [0, 0.5)".into(),
-                ));
-            }
-            Ok(Command::Serve(parsed))
-        }
-        Some("replay-wal") => {
-            let mut wal_dir = None;
-            let mut parsed = ReplayWalArgs {
-                wal_dir: String::new(),
-                period: 300,
-                window: 12,
-                trim: 0.15,
-                watermark: 1800,
-                shards: 1,
-                quiet: false,
-            };
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--wal-dir" => wal_dir = Some(take_value(flag, &mut it)?.to_string()),
-                    "--period" => {
-                        parsed.period = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --period: {e}")))?
-                    }
-                    "--window" => {
-                        parsed.window = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --window: {e}")))?
-                    }
-                    "--trim" => {
-                        parsed.trim = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --trim: {e}")))?
-                    }
-                    "--watermark" => {
-                        parsed.watermark = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --watermark: {e}")))?
-                    }
-                    "--shards" => {
-                        parsed.shards = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --shards: {e}")))?
-                    }
-                    "--quiet" => parsed.quiet = true,
-                    other => return Err(ParseError(format!("unknown flag {other:?}"))),
-                }
-            }
-            parsed.wal_dir =
-                wal_dir.ok_or_else(|| ParseError("replay-wal needs --wal-dir".into()))?;
-            if parsed.period == 0 || parsed.window == 0 || !(0.0..0.5).contains(&parsed.trim) {
-                return Err(ParseError(
-                    "--period/--window must be positive, --trim in [0, 0.5)".into(),
-                ));
-            }
-            if parsed.shards == 0 {
-                return Err(ParseError("--shards must be at least 1".into()));
-            }
-            Ok(Command::ReplayWal(parsed))
-        }
-        Some("federate") => {
-            let input = take_value("federate", &mut it)
-                .map_err(|_| ParseError("federate needs an input path".into()))?
-                .to_string();
-            let mut wal_root = None;
-            let mut parsed = FederateArgs {
-                input,
-                wal_root: String::new(),
-                partitions: 2,
-                standbys: 1,
-                v2: false,
-                period: 300,
-                window: 12,
-                trim: 0.15,
-                fsync: "batch:64".into(),
-                watermark: 1800,
-                checkpoint_every: 256,
-                silence_deadline: 3600,
-                kill: Vec::new(),
-                split: None,
-                rebalance: None,
-                nemesis_seed: None,
-                episodes: 50,
-                nemesis_migration: false,
-                handoff_attempts: 4,
-                ack_timeout_ms: 500,
-                max_attempts: 8,
-                backoff_base_ms: 25,
-                backoff_cap_ms: 2000,
-                jitter_pct: 50,
-                batch_size: 8,
-                quiet: false,
-            };
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--wal-root" => wal_root = Some(take_value(flag, &mut it)?.to_string()),
-                    "--partitions" => {
-                        parsed.partitions = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --partitions: {e}")))?
-                    }
-                    "--standbys" => {
-                        parsed.standbys = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --standbys: {e}")))?
-                    }
-                    "--protocol" => {
-                        parsed.v2 = match take_value(flag, &mut it)? {
-                            "v1" => false,
-                            "v2" => true,
-                            other => {
-                                return Err(ParseError(format!(
-                                    "unknown protocol {other:?} (v1|v2)"
-                                )))
-                            }
-                        }
-                    }
-                    "--period" => {
-                        parsed.period = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --period: {e}")))?
-                    }
-                    "--window" => {
-                        parsed.window = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --window: {e}")))?
-                    }
-                    "--trim" => {
-                        parsed.trim = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --trim: {e}")))?
-                    }
-                    "--fsync" => {
-                        let text = take_value(flag, &mut it)?;
-                        FsyncPolicy::parse(text)
-                            .map_err(|e| ParseError(format!("bad --fsync: {e}")))?;
-                        parsed.fsync = text.to_string();
-                    }
-                    "--watermark" => {
-                        parsed.watermark = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --watermark: {e}")))?
-                    }
-                    "--checkpoint-every" => {
-                        parsed.checkpoint_every = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --checkpoint-every: {e}")))?
-                    }
-                    "--silence-deadline" => {
-                        parsed.silence_deadline = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --silence-deadline: {e}")))?
-                    }
-                    "--kill" => parsed.kill = parse_kills(take_value(flag, &mut it)?)?,
-                    "--split" => parsed.split = Some(parse_split(take_value(flag, &mut it)?)?),
-                    "--rebalance" => {
-                        parsed.rebalance = Some(parse_rebalance(take_value(flag, &mut it)?)?)
-                    }
-                    "--nemesis-migration" => parsed.nemesis_migration = true,
-                    "--nemesis-seed" => {
-                        parsed.nemesis_seed = Some(
-                            take_value(flag, &mut it)?
-                                .parse()
-                                .map_err(|e| ParseError(format!("bad --nemesis-seed: {e}")))?,
-                        )
-                    }
-                    "--episodes" => {
-                        parsed.episodes = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --episodes: {e}")))?
-                    }
-                    "--handoff-attempts" => {
-                        parsed.handoff_attempts = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --handoff-attempts: {e}")))?
-                    }
-                    "--ack-timeout-ms" => {
-                        parsed.ack_timeout_ms = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --ack-timeout-ms: {e}")))?
-                    }
-                    "--max-attempts" => {
-                        parsed.max_attempts = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --max-attempts: {e}")))?
-                    }
-                    "--backoff-base-ms" => {
-                        parsed.backoff_base_ms = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --backoff-base-ms: {e}")))?
-                    }
-                    "--backoff-cap-ms" => {
-                        parsed.backoff_cap_ms = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --backoff-cap-ms: {e}")))?
-                    }
-                    "--jitter-pct" => {
-                        parsed.jitter_pct = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --jitter-pct: {e}")))?
-                    }
-                    "--batch-size" => {
-                        let n: usize = take_value(flag, &mut it)?
-                            .parse()
-                            .map_err(|e| ParseError(format!("bad --batch-size: {e}")))?;
-                        if n == 0 {
-                            return Err(ParseError("--batch-size must be positive".into()));
-                        }
-                        parsed.batch_size = n;
-                    }
-                    "--quiet" => parsed.quiet = true,
-                    other => return Err(ParseError(format!("unknown flag {other:?}"))),
-                }
-            }
-            parsed.wal_root =
-                wal_root.ok_or_else(|| ParseError("federate needs --wal-root".into()))?;
-            if parsed.period == 0 || parsed.window == 0 || !(0.0..0.5).contains(&parsed.trim) {
-                return Err(ParseError(
-                    "--period/--window must be positive, --trim in [0, 0.5)".into(),
-                ));
-            }
-            if parsed.partitions == 0 {
-                return Err(ParseError("--partitions must be at least 1".into()));
-            }
-            if parsed.silence_deadline == 0 {
-                return Err(ParseError(
-                    "--silence-deadline must be positive (the controller cannot \
-                     declare death without a deadline)"
-                        .into(),
-                ));
-            }
-            if parsed.handoff_attempts == 0 || parsed.max_attempts == 0 {
-                return Err(ParseError(
-                    "--handoff-attempts and --max-attempts must be at least 1".into(),
-                ));
-            }
-            for &(p, _) in &parsed.kill {
-                if p >= parsed.partitions {
-                    return Err(ParseError(format!(
-                        "--kill partition {p} out of range (0..{})",
-                        parsed.partitions
-                    )));
-                }
-            }
-            if parsed.episodes == 0 {
-                return Err(ParseError("--episodes must be at least 1".into()));
-            }
-            if parsed.nemesis_migration && parsed.nemesis_seed.is_none() {
-                return Err(ParseError(
-                    "--nemesis-migration needs --nemesis-seed".into(),
-                ));
-            }
-            if let Some((p, _, _)) = parsed.split {
-                if p >= parsed.partitions {
-                    return Err(ParseError(format!(
-                        "--split partition {p} out of range (0..{})",
-                        parsed.partitions
-                    )));
-                }
-            }
-            if let Some((p, _)) = parsed.rebalance {
-                // A rebalance may name the partition a split creates,
-                // whose id is the pre-split partition count.
-                let limit = parsed.partitions + usize::from(parsed.split.is_some());
-                if p >= limit {
-                    return Err(ParseError(format!(
-                        "--rebalance partition {p} out of range (0..{limit})"
-                    )));
-                }
-            }
-            Ok(Command::Federate(parsed))
-        }
-        Some(other) => Err(ParseError(format!(
-            "unknown command {other:?} (simulate|analyze|serve|replay-wal|federate|help)"
-        ))),
-    }
-}
+#[cfg(test)]
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn help_variants() {
-        assert_eq!(parse([]).unwrap(), Command::Help);
-        assert_eq!(parse(["help"]).unwrap(), Command::Help);
-        assert_eq!(parse(["--help"]).unwrap(), Command::Help);
+        assert!(matches!(parse([]).unwrap(), Command::Help));
+        assert!(matches!(parse(["help"]).unwrap(), Command::Help));
+        assert!(matches!(parse(["--help"]).unwrap(), Command::Help));
     }
 
     #[test]
@@ -1032,9 +966,9 @@ mod tests {
         .unwrap()
         {
             Command::Analyze(a) => {
-                assert_eq!(a.period, 60);
-                assert_eq!(a.window, 15);
-                assert!((a.trim - 0.1).abs() < 1e-12);
+                assert_eq!(a.shape.sample_period, 60);
+                assert_eq!(a.shape.pipeline.window_samples, 15);
+                assert!((a.shape.pipeline.observable_trim - 0.1).abs() < 1e-12);
                 assert_eq!(a.shards, 4);
                 assert!(a.quiet);
             }
@@ -1047,7 +981,7 @@ mod tests {
         match parse(["analyze", "t.csv"]).unwrap() {
             Command::Analyze(a) => {
                 assert_eq!(a.chaos_seed, None);
-                assert_eq!(a.max_shard_restarts, 3);
+                assert_eq!(a.supervisor.max_shard_restarts, 3);
             }
             other => panic!("{other:?}"),
         }
@@ -1063,7 +997,7 @@ mod tests {
         {
             Command::Analyze(a) => {
                 assert_eq!(a.chaos_seed, Some(99));
-                assert_eq!(a.max_shard_restarts, 5);
+                assert_eq!(a.supervisor.max_shard_restarts, 5);
             }
             other => panic!("{other:?}"),
         }
@@ -1085,16 +1019,20 @@ mod tests {
     fn serve_defaults_and_flags() {
         match parse(["serve", "--wal-dir", "/tmp/wal"]).unwrap() {
             Command::Serve(a) => {
-                assert_eq!(a.wal_dir, "/tmp/wal");
-                assert_eq!(a.bind, "127.0.0.1:0");
-                assert_eq!(a.fsync, FsyncPolicy::Batch(64));
-                assert_eq!(a.watermark, 1800);
-                assert_eq!(a.silence_deadline, Some(3600));
-                assert_eq!(a.wal_retain_bytes, None);
-                assert_eq!(a.wal_segment_bytes, None);
-                assert_eq!(a.crash_after, None);
-                assert_eq!(a.credit_window, 32);
-                assert!(!a.v1_only);
+                assert_eq!(a.gateway.wal.dir, Path::new("/tmp/wal"));
+                assert_eq!(a.server.bind, "127.0.0.1:0");
+                assert_eq!(a.gateway.wal.fsync, FsyncPolicy::Batch(64));
+                assert_eq!(a.gateway.reorder.watermark_delay, 1800);
+                assert_eq!(a.gateway.silence_deadline, Some(3600));
+                assert_eq!(a.gateway.wal.retain_bytes, None);
+                // No flag, so the library's roll size stands.
+                assert_eq!(
+                    a.gateway.wal.segment_max_bytes,
+                    GatewayConfig::new("").wal.segment_max_bytes
+                );
+                assert_eq!(a.gateway.wal.crash_after, None);
+                assert_eq!(a.server.credit_window, 32);
+                assert!(!a.server.v1_only);
             }
             other => panic!("{other:?}"),
         }
@@ -1124,22 +1062,22 @@ mod tests {
         .unwrap()
         {
             Command::Serve(a) => {
-                assert_eq!(a.bind, "unix:/tmp/s.sock");
-                assert_eq!(a.fsync, FsyncPolicy::Never);
-                assert_eq!(a.watermark, 600);
-                assert_eq!(a.silence_deadline, None);
-                assert_eq!(a.wal_retain_bytes, Some(65536));
-                assert_eq!(a.wal_segment_bytes, Some(4096));
-                assert_eq!(a.crash_after, Some(40));
-                assert_eq!(a.credit_window, 8);
-                assert!(a.v1_only);
-                assert_eq!(a.epoch, 0);
+                assert_eq!(a.server.bind, "unix:/tmp/s.sock");
+                assert_eq!(a.gateway.wal.fsync, FsyncPolicy::Never);
+                assert_eq!(a.gateway.reorder.watermark_delay, 600);
+                assert_eq!(a.gateway.silence_deadline, None);
+                assert_eq!(a.gateway.wal.retain_bytes, Some(65536));
+                assert_eq!(a.gateway.wal.segment_max_bytes, 4096);
+                assert_eq!(a.gateway.wal.crash_after, Some(40));
+                assert_eq!(a.server.credit_window, 8);
+                assert!(a.server.v1_only);
+                assert_eq!(a.gateway.epoch, 0);
                 assert!(a.quiet);
             }
             other => panic!("{other:?}"),
         }
         match parse(["serve", "--wal-dir", "w", "--epoch", "3"]).unwrap() {
-            Command::Serve(a) => assert_eq!(a.epoch, 3),
+            Command::Serve(a) => assert_eq!(a.gateway.epoch, 3),
             other => panic!("{other:?}"),
         }
         assert!(parse(["serve", "--wal-dir", "w", "--epoch", "x"])
@@ -1170,9 +1108,9 @@ mod tests {
     fn replay_wal_flags() {
         match parse(["replay-wal", "--wal-dir", "w", "--shards", "4"]).unwrap() {
             Command::ReplayWal(a) => {
-                assert_eq!(a.wal_dir, "w");
+                assert_eq!(a.gateway.wal.dir, Path::new("w"));
                 assert_eq!(a.shards, 4);
-                assert_eq!(a.watermark, 1800);
+                assert_eq!(a.gateway.reorder.watermark_delay, 1800);
             }
             other => panic!("{other:?}"),
         }
@@ -1191,17 +1129,17 @@ mod tests {
         match parse(["federate", "t.csv", "--wal-root", "/tmp/fleet"]).unwrap() {
             Command::Federate(a) => {
                 assert_eq!(a.input, "t.csv");
-                assert_eq!(a.wal_root, "/tmp/fleet");
+                assert_eq!(a.process.wal_root, Path::new("/tmp/fleet"));
                 assert_eq!(a.partitions, 2);
-                assert_eq!(a.standbys, 1);
-                assert!(!a.v2);
-                assert_eq!(a.fsync, "batch:64");
-                assert_eq!(a.silence_deadline, 3600);
-                assert_eq!(a.kill, vec![]);
+                assert_eq!(a.process.standbys, 1);
+                assert_eq!(a.process.protocol, WireProtocol::V1);
+                assert_eq!(a.process.replay.wal.fsync.to_string(), "batch:64");
+                assert_eq!(a.federation.silence_deadline, 3600);
+                assert_eq!(a.process.kills, vec![]);
                 assert_eq!(a.nemesis_seed, None);
                 assert_eq!(a.episodes, 50);
-                assert_eq!(a.handoff_attempts, 4);
-                assert_eq!(a.jitter_pct, 50);
+                assert_eq!(a.federation.handoff.max_attempts, 4);
+                assert_eq!(a.process.uplink.jitter_pct, 50);
             }
             other => panic!("{other:?}"),
         }
@@ -1242,18 +1180,18 @@ mod tests {
         {
             Command::Federate(a) => {
                 assert_eq!(a.partitions, 3);
-                assert_eq!(a.standbys, 0);
-                assert!(a.v2);
-                assert_eq!(a.fsync, "never");
-                assert_eq!(a.silence_deadline, 900);
-                assert_eq!(a.kill, vec![(1, 40)]);
-                assert_eq!(a.handoff_attempts, 2);
-                assert_eq!(a.ack_timeout_ms, 200);
-                assert_eq!(a.max_attempts, 3);
-                assert_eq!(a.backoff_base_ms, 5);
-                assert_eq!(a.backoff_cap_ms, 50);
-                assert_eq!(a.jitter_pct, 0);
-                assert_eq!(a.batch_size, 16);
+                assert_eq!(a.process.standbys, 0);
+                assert_eq!(a.process.protocol, WireProtocol::V2);
+                assert_eq!(a.process.replay.wal.fsync.to_string(), "never");
+                assert_eq!(a.federation.silence_deadline, 900);
+                assert_eq!(a.process.kills, vec![(1, 40)]);
+                assert_eq!(a.federation.handoff.max_attempts, 2);
+                assert_eq!(a.process.uplink.ack_timeout.as_millis(), 200);
+                assert_eq!(a.process.uplink.max_attempts, 3);
+                assert_eq!(a.process.uplink.backoff_base.as_millis(), 5);
+                assert_eq!(a.process.uplink.backoff_cap.as_millis(), 50);
+                assert_eq!(a.process.uplink.jitter_pct, 0);
+                assert_eq!(a.process.batch_size, 16);
                 assert!(a.quiet);
             }
             other => panic!("{other:?}"),
@@ -1274,7 +1212,7 @@ mod tests {
         ])
         .unwrap()
         {
-            Command::Federate(a) => assert_eq!(a.kill, vec![(0, 20), (2, 40)]),
+            Command::Federate(a) => assert_eq!(a.process.kills, vec![(0, 20), (2, 40)]),
             other => panic!("{other:?}"),
         }
         assert!(parse([
@@ -1484,5 +1422,305 @@ mod tests {
         assert!(e.to_string().contains("unknown command"));
         let e = parse(["analyze", "x", "--trim", "0.9"]).unwrap_err();
         assert!(e.to_string().contains("trim"));
+    }
+
+    #[test]
+    fn nemesis_only_flags_need_the_seed() {
+        for flag in [&["--episodes", "9"][..], &["--nemesis-migration"]] {
+            let mut args = vec!["federate", "t.csv", "--wal-root", "w"];
+            args.extend(flag);
+            let e = parse(args.iter().copied()).unwrap_err();
+            assert_eq!(e, format!("{} needs --nemesis-seed", flag[0]));
+            args.extend(["--nemesis-seed", "1"]);
+            parse(args).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_repeated_kill_appends_to_the_list() {
+        let fleet = ["federate", "t.csv", "--wal-root", "w", "--partitions", "3"];
+        let kills = |rest: &[&'static str]| parse(fleet.iter().chain(rest).copied());
+        match kills(&["--kill", "0:20", "--kill", "2:40,1:7"]).unwrap() {
+            Command::Federate(a) => assert_eq!(a.process.kills, vec![(0, 20), (2, 40), (1, 7)]),
+            other => panic!("{other:?}"),
+        }
+        let e = kills(&["--kill", "0:20", "--kill", "1:5,0:40"]).unwrap_err();
+        assert!(e.contains("names partition 0 twice"), "{e}");
+    }
+
+    #[test]
+    fn replay_wal_takes_the_collectors_silence_deadline() {
+        let deadline = |rest: &[&'static str]| match parse(
+            ["replay-wal", "--wal-dir", "w"].iter().chain(rest).copied(),
+        )
+        .unwrap()
+        {
+            Command::ReplayWal(a) => a.gateway.silence_deadline,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(deadline(&[]), Some(3600));
+        assert_eq!(deadline(&["--silence-deadline", "600"]), Some(600));
+        assert_eq!(deadline(&["--silence-deadline", "0"]), None);
+    }
+
+    const ROUND_TRIP: seeded::Replay = seeded::Replay {
+        var: "FLAG_TABLE_SEED",
+        package: "sentinet-cli",
+        target: "--bin sentinet",
+        test: "table_shared_flags_round_trip",
+    };
+
+    /// The five shared values of a parsed collector, trim by its bits.
+    fn shape_of(c: &GatewayConfig) -> (u64, u32, u64, u64, Option<u64>) {
+        let trim = c.pipeline.observable_trim.to_bits();
+        let window = c.pipeline.window_samples;
+        let watermark = c.reorder.watermark_delay;
+        (c.sample_period, window, trim, watermark, c.silence_deadline)
+    }
+
+    /// Whatever shape a collector has, `shape_argv` renders it to flags
+    /// that parse back to it — under `serve`, under `replay-wal`, and
+    /// through `federate` into the children's flags and the template
+    /// their logs are replayed with.
+    #[test]
+    fn table_shared_flags_round_trip() {
+        ROUND_TRIP.for_each_seed(500, |seed| {
+            let mut rng = proptest::TestRng::new(seed);
+            let mut shape = GatewayConfig::new("w");
+            shape.sample_period = 1 + rng.next_u64() % 100_000;
+            shape.pipeline.window_samples = 1 + rng.usize_in(0, 1000) as u32;
+            shape.pipeline.observable_trim = rng.next_f64() * 0.5;
+            shape.reorder.watermark_delay = rng.next_u64() >> rng.usize_in(0, 64);
+            shape.silence_deadline = match rng.usize_in(0, 4) {
+                0 => None,
+                _ => Some(1 + rng.next_u64() % 1_000_000),
+            };
+            let argv = shape_argv(&shape);
+            let parsed = |head: &[&'static str], flags: &[String]| {
+                let flags = flags.iter().map(String::as_str);
+                parse(head.iter().copied().chain(flags)).map_err(|e| format!("{head:?}: {e}"))
+            };
+            let Command::Serve(serve) = parsed(&["serve", "--wal-dir", "w"], &argv)? else {
+                return Err("serve parsed to another command".into());
+            };
+            let Command::ReplayWal(replay) = parsed(&["replay-wal", "--wal-dir", "w"], &argv)?
+            else {
+                return Err("replay-wal parsed to another command".into());
+            };
+            for (who, got) in [("serve", &serve.gateway), ("replay-wal", &replay.gateway)] {
+                if shape_of(got) != shape_of(&shape) || shape_argv(got) != argv {
+                    return Err(format!("{who} parsed {argv:?} to {:?}", shape_of(got)));
+                }
+            }
+            // federate takes the first four; its children get all five.
+            let head = ["federate", "t.csv", "--wal-root", "w"];
+            let Command::Federate(fleet) = parsed(&head, &argv[..8])? else {
+                return Err("federate parsed to another command".into());
+            };
+            let template = &fleet.process.replay;
+            let Command::Serve(child) =
+                parsed(&["serve", "--wal-dir", "w"], &fleet.process.serve_flags)?
+            else {
+                return Err("the children's flags parsed to another command".into());
+            };
+            let mut expected = shape_of(&shape);
+            expected.4 = GatewayConfig::new("").silence_deadline;
+            if shape_of(template) != expected || shape_of(&child.gateway) != expected {
+                return Err(format!(
+                    "federate {argv:?}: template {:?}, children {:?}",
+                    shape_of(template),
+                    shape_of(&child.gateway)
+                ));
+            }
+            let (fsync, every) = (&template.wal.fsync, template.checkpoint_every);
+            if child.gateway.wal.fsync != *fsync || child.gateway.checkpoint_every != every {
+                return Err(
+                    "the children's fsync or checkpoint cadence is not the template's".into(),
+                );
+            }
+            Ok(())
+        });
+    }
+
+    /// The rows whose value is free text: a path or an endpoint.
+    const FREE_TEXT: [&str; 3] = ["--wal-dir", "--bind", "--wal-root"];
+
+    /// Every row of every table fails the same three ways: a value flag
+    /// at the end of the line, a value its setter refuses, and a name no
+    /// table holds. Driven from the tables, so a new row is covered
+    /// without a new test.
+    #[test]
+    fn table_rows_report_the_three_error_shapes() {
+        for sub in subcommands() {
+            let mut head = vec![sub.name];
+            head.extend(sub.operand.map(|_| "operand"));
+            let error = |rest: &[&'static str]| {
+                parse(head.iter().chain(rest).copied())
+                    .err()
+                    .unwrap_or_else(|| panic!("{} {rest:?} parsed", sub.name))
+            };
+            assert_eq!(
+                error(&["--no-such-flag"]),
+                "unknown flag \"--no-such-flag\""
+            );
+            assert!(!sub.flags.is_empty());
+            for FlagSpec { name, metavar, .. } in sub.flags.iter().copied() {
+                if metavar.is_empty() {
+                    // A switch takes no value: the next word is a flag.
+                    assert_eq!(error(&[name, "\u{1}"]), "unknown flag \"\\u{1}\"");
+                    continue;
+                }
+                assert_eq!(error(&[name]), format!("{name} needs a value"));
+                let refused = error(&[name, "\u{1}", "--no-such-flag"]);
+                let free_text = FREE_TEXT.contains(&name);
+                assert_eq!(
+                    refused.starts_with(&format!("bad {name}: ")),
+                    !free_text,
+                    "{} {name}: {refused}",
+                    sub.name
+                );
+                assert!(free_text || refused.len() > format!("bad {name}: ").len());
+            }
+        }
+    }
+
+    /// The synopsis block as it was written by hand before the tables
+    /// generated it.
+    const HAND_WRITTEN_SYNOPSIS: &str = "\
+  sentinet simulate <out.csv> [--days N] [--seed S] [--sensors K]
+                    [--fault SENSOR:MODEL] [--attack COUNT:MODEL]
+  sentinet analyze <trace.csv> [--period SECS] [--window SAMPLES]
+                    [--trim FRACTION] [--shards N] [--quiet]
+                    [--chaos-seed S] [--max-shard-restarts N]
+  sentinet serve --wal-dir DIR [--bind HOST:PORT|unix:/path]
+                    [--period SECS] [--window SAMPLES] [--trim FRACTION]
+                    [--fsync never|batch:N|always] [--watermark SECS]
+                    [--silence-deadline SECS] [--checkpoint-every N]
+                    [--wal-retain-bytes N] [--wal-segment-bytes N]
+                    [--crash-after N] [--credit-window N] [--v1-only]
+                    [--epoch N] [--quiet]
+  sentinet replay-wal --wal-dir DIR [--period SECS] [--window SAMPLES]
+                    [--trim FRACTION] [--watermark SECS] [--shards N]
+                    [--quiet]
+  sentinet federate <trace.csv> --wal-root DIR [--partitions N]
+                    [--standbys N] [--protocol v1|v2] [--period SECS]
+                    [--window SAMPLES] [--trim FRACTION]
+                    [--fsync never|batch:N|always] [--watermark SECS]
+                    [--checkpoint-every N] [--silence-deadline SECS]
+                    [--kill P:N[,P:N...]] [--handoff-attempts N]
+                    [--split P:S[@N]] [--rebalance P@N]
+                    [--ack-timeout-ms N] [--max-attempts N]
+                    [--backoff-base-ms N] [--backoff-cap-ms N]
+                    [--jitter-pct N] [--batch-size N] [--quiet]
+                    [--nemesis-seed S [--episodes N]
+                     [--nemesis-migration]]
+  sentinet help
+";
+
+    /// `--flag METAVAR` pairs per subcommand of a synopsis block, sorted.
+    fn synopsis_flags(synopsis: &str) -> Vec<(String, Vec<(String, String)>)> {
+        let mut subs: Vec<(String, Vec<(String, String)>)> = Vec::new();
+        let mut words = synopsis.split_whitespace().peekable();
+        while let Some(word) = words.next() {
+            if word == "sentinet" {
+                subs.push((words.next().unwrap().to_string(), Vec::new()));
+            }
+            let Some(flag) = word.trim_start_matches('[').strip_prefix("--") else {
+                continue;
+            };
+            let name = flag.trim_end_matches(']');
+            let metavar = match name == flag {
+                // A switch closes its bracket at once.
+                false => "",
+                true => words.next().unwrap(),
+            };
+            // The brackets a metavar does not open close the groups around it.
+            let open = metavar.matches('[').count();
+            let close = metavar.matches(']').count().saturating_sub(open);
+            let metavar = &metavar[..metavar.len() - close];
+            let flags = &mut subs.last_mut().unwrap().1;
+            flags.push((format!("--{name}"), metavar.to_string()));
+        }
+        for (_, flags) in &mut subs {
+            flags.sort();
+        }
+        subs
+    }
+
+    /// `help` names exactly the flags the hand-written synopsis named,
+    /// metavars included, plus `replay-wal`'s `--silence-deadline` —
+    /// and both agree with the tables.
+    #[test]
+    fn table_synopsis_names_the_parents_flags() {
+        let mut expected = synopsis_flags(HAND_WRITTEN_SYNOPSIS);
+        let replay_wal = expected.iter_mut().find(|(name, _)| name == "replay-wal");
+        let flags = &mut replay_wal.unwrap().1;
+        flags.push(("--silence-deadline".into(), "SECS".into()));
+        flags.sort();
+
+        let usage = usage();
+        let (synopsis, prose) = usage
+            .split_once("\n\n")
+            .unwrap()
+            .1
+            .split_once("\n\n")
+            .unwrap();
+        assert_eq!(prose, PROSE);
+        assert!(synopsis.lines().all(|line| line.len() <= 73), "{synopsis}");
+        assert_eq!(synopsis_flags(synopsis), expected);
+
+        let mut tables: Vec<(String, Vec<(String, String)>)> = subcommands()
+            .iter()
+            .map(|sub| {
+                let flag = |spec: &FlagSpec| (spec.name.to_string(), spec.metavar.to_string());
+                let mut flags: Vec<_> = sub.flags.iter().map(flag).collect();
+                flags.sort();
+                (sub.name.to_string(), flags)
+            })
+            .collect();
+        tables.push(("help".into(), Vec::new()));
+        assert_eq!(tables, expected);
+    }
+
+    /// README.md cannot name a flag that does not exist: every fenced
+    /// `$ sentinet …` line (or `$ cargo run … -p sentinet-cli -- …`)
+    /// parses, and every `--flag` in the prose is a row of some table.
+    /// A line that runs cargo is read from its ` -- ` on, where the
+    /// program's own arguments start.
+    #[test]
+    fn readme_names_only_flags_that_exist() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<&str> = subcommands()
+            .iter()
+            .flat_map(|sub| sub.flags.iter().map(|spec| spec.name).collect::<Vec<_>>())
+            .collect();
+        let (mut fenced, mut parsed) = (false, 0);
+        for (at, line) in readme.lines().enumerate() {
+            fenced ^= line.starts_with("```");
+            let ours = match line.split_once("cargo ") {
+                Some((_, cargo)) => cargo.split_once(" -- ").map_or("", |(_, args)| args),
+                None => line,
+            };
+            let word = |c: char| c.is_ascii_alphanumeric() || c == '-';
+            for flag in ours.split(|c| !word(c)).filter(|w| w.starts_with("--")) {
+                let named = flag.chars().nth(2).is_some_and(|c| c.is_ascii_lowercase());
+                assert!(
+                    !named || rows.contains(&flag),
+                    "README.md:{}: no table has a row {flag}",
+                    at + 1
+                );
+            }
+            let command = ours.split("  #").next().unwrap_or(ours);
+            let command = match line.contains("-p sentinet-cli -- ") {
+                true => Some(command),
+                false => command.strip_prefix("$ sentinet "),
+            };
+            if let (true, Some(command)) = (fenced && line.starts_with("$ "), command) {
+                let parsed_ok = parse(command.split_whitespace());
+                assert!(parsed_ok.is_ok(), "README.md:{}: {parsed_ok:?}", at + 1);
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 6, "only {parsed} README command lines were found");
     }
 }

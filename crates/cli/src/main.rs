@@ -20,18 +20,13 @@
 
 mod args;
 
-use args::{AnalyzeArgs, Command, FederateArgs, ReplayWalArgs, ServeArgs, SimulateArgs, USAGE};
+use args::{AnalyzeArgs, Command, FederateArgs, ReplayWalArgs, ServeArgs, SimulateArgs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_controller::{
-    run_campaign, Federation, FederationConfig, NemesisConfig, PartitionMap, ProcessBackend,
-    ProcessConfig, WireProtocol,
-};
-use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
+use sentinet_controller::{run_campaign, Federation, NemesisConfig, PartitionMap, ProcessBackend};
+use sentinet_core::{Pipeline, PipelineReport, RecoveryPlan};
 use sentinet_engine::{ChaosPlan, Engine, SupervisorConfig};
-use sentinet_gateway::{
-    Collector, GatewayConfig, GatewayReport, Server, ServerConfig, UplinkConfig,
-};
+use sentinet_gateway::{Collector, GatewayReport, Server};
 use sentinet_inject::{inject_attacks, inject_faults, AttackInjection, FaultInjection};
 use sentinet_sim::{gdi, read_trace_sanitized, simulate, write_trace, SensorId, DAY_S};
 use std::fs::File;
@@ -43,20 +38,20 @@ fn main() -> ExitCode {
     let parsed = match args::parse(argv.iter().map(String::as_str)) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", args::usage());
             return ExitCode::from(2);
         }
     };
     let result = match parsed {
         Command::Help => {
-            print!("{USAGE}");
+            print!("{}", args::usage());
             Ok(())
         }
         Command::Simulate(a) => run_simulate(a),
         Command::Analyze(a) => run_analyze(a),
         Command::Serve(a) => run_serve(a),
         Command::ReplayWal(a) => run_replay_wal(a),
-        Command::Federate(a) => run_federate(a),
+        Command::Federate(a) => run_federate(*a),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -140,26 +135,19 @@ fn run_analyze(a: AnalyzeArgs) -> Result<(), Box<dyn std::error::Error>> {
     if trace.is_empty() {
         return Err("trace contains no records".into());
     }
-    let config = PipelineConfig {
-        window_samples: a.window,
-        observable_trim: a.trim,
-        ..Default::default()
-    };
+    let (config, period) = (a.shape.pipeline, a.shape.sample_period);
+    let window_duration = u64::from(config.window_samples) * period;
     // Both paths produce identical reports (the engine is bit-for-bit
     // equivalent to the pipeline); --shards > 1 fans the per-sensor
     // stages out to supervised worker threads, and --chaos-seed forces
     // the supervised engine so the fault plan has workers to kill.
     let (report, plan) = if a.shards > 1 || a.chaos_seed.is_some() {
-        let mut engine =
-            Engine::new(config, a.period, a.shards).with_supervisor(SupervisorConfig {
-                max_shard_restarts: a.max_shard_restarts,
-                ..SupervisorConfig::default()
-            });
+        let mut engine = Engine::new(config, period, a.shards).with_supervisor(a.supervisor);
         if let Some(seed) = a.chaos_seed {
             let windows = trace
                 .records()
                 .last()
-                .map(|r| r.time / (u64::from(a.window) * a.period))
+                .map(|r| r.time / window_duration)
                 .unwrap_or(1)
                 .max(1);
             let chaos = ChaosPlan::seeded(seed, a.shards, windows, 4);
@@ -180,33 +168,12 @@ fn run_analyze(a: AnalyzeArgs) -> Result<(), Box<dyn std::error::Error>> {
         }
         (run.report(), run.recovery_plan())
     } else {
-        let mut pipeline = Pipeline::new(config, a.period);
+        let mut pipeline = Pipeline::new(config, period);
         pipeline.process_trace(&trace);
         (pipeline.report(), RecoveryPlan::from_pipeline(&pipeline))
     };
     print_pipeline_report(&report, &plan, a.quiet);
     Ok(())
-}
-
-/// Builds the gateway configuration shared by `serve` and
-/// `replay-wal`; both must agree on every knob that shapes the report,
-/// or a replayed log would not reproduce the live run.
-fn gateway_config(
-    wal_dir: &str,
-    period: u64,
-    window: u32,
-    trim: f64,
-    watermark: u64,
-) -> GatewayConfig {
-    let mut config = GatewayConfig::new(wal_dir);
-    config.pipeline = PipelineConfig {
-        window_samples: window,
-        observable_trim: trim,
-        ..Default::default()
-    };
-    config.sample_period = period;
-    config.reorder.watermark_delay = watermark;
-    config
 }
 
 /// Prints a finished gateway run (diagnosis stdout, accounting stderr)
@@ -284,17 +251,7 @@ fn print_pipeline_report(report: &PipelineReport, plan: &RecoveryPlan, quiet: bo
 }
 
 fn run_serve(a: ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let mut config = gateway_config(&a.wal_dir, a.period, a.window, a.trim, a.watermark);
-    config.wal.fsync = a.fsync;
-    config.wal.crash_after = a.crash_after;
-    config.silence_deadline = a.silence_deadline;
-    config.checkpoint_every = a.checkpoint_every;
-    config.wal.retain_bytes = a.wal_retain_bytes;
-    if let Some(bytes) = a.wal_segment_bytes {
-        config.wal.segment_max_bytes = bytes;
-    }
-    config.epoch = a.epoch;
-    let (mut collector, info) = Collector::open(config)?;
+    let (mut collector, info) = Collector::open(a.gateway)?;
     if info.replayed > 0 || info.restored_from.is_some() {
         eprintln!(
             "recovered {} record(s) from the wal{}",
@@ -306,12 +263,7 @@ fn run_serve(a: ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
             }
         );
     }
-    let server = Server::start(ServerConfig {
-        bind: a.bind.clone(),
-        credit_window: a.credit_window,
-        v1_only: a.v1_only,
-        ..ServerConfig::default()
-    })?;
+    let server = Server::start(a.server)?;
     // Scripts (and the crash-recovery tests) parse this line to learn
     // the resolved ephemeral port; stdout is line-buffered, so it is
     // visible before the first client connects.
@@ -329,11 +281,11 @@ fn run_serve(a: ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_federate(a: FederateArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn run_federate(mut a: FederateArgs) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(seed) = a.nemesis_seed {
         // Nemesis mode ignores the trace: every episode generates its
         // own deterministic stream and fault plan from the seed.
-        let mut config = NemesisConfig::new(seed, a.episodes, &a.wal_root);
+        let mut config = NemesisConfig::new(seed, a.episodes, &a.process.wal_root);
         if a.nemesis_migration {
             config = config.with_migration();
         }
@@ -373,48 +325,10 @@ fn run_federate(a: FederateArgs) -> Result<(), Box<dyn std::error::Error>> {
         .into());
     }
 
-    let mut uplink = UplinkConfig::new("");
-    uplink.ack_timeout = std::time::Duration::from_millis(a.ack_timeout_ms);
-    uplink.max_attempts = a.max_attempts;
-    uplink.backoff_base = std::time::Duration::from_millis(a.backoff_base_ms);
-    uplink.backoff_cap = std::time::Duration::from_millis(a.backoff_cap_ms);
-    uplink.jitter_pct = a.jitter_pct;
-    let backend = ProcessBackend::new(ProcessConfig {
-        binary: std::env::current_exe()?,
-        wal_root: a.wal_root.clone().into(),
-        standbys: a.standbys,
-        protocol: if a.v2 {
-            WireProtocol::V2
-        } else {
-            WireProtocol::V1
-        },
-        serve_flags: vec![
-            "--period".into(),
-            a.period.to_string(),
-            "--window".into(),
-            a.window.to_string(),
-            "--trim".into(),
-            a.trim.to_string(),
-            "--fsync".into(),
-            a.fsync.clone(),
-            "--watermark".into(),
-            a.watermark.to_string(),
-            "--checkpoint-every".into(),
-            a.checkpoint_every.to_string(),
-        ],
-        uplink,
-        batch_size: a.batch_size,
-        kills: a.kill.into_iter().collect(),
-        replay: gateway_config(&a.wal_root, a.period, a.window, a.trim, a.watermark),
-    });
-
+    a.process.binary = std::env::current_exe()?;
+    let backend = ProcessBackend::new(a.process);
     let map = PartitionMap::split_even(num_sensors, a.partitions)?;
-    let mut config = FederationConfig {
-        silence_deadline: a.silence_deadline,
-        ..FederationConfig::default()
-    };
-    config.handoff.max_attempts = a.handoff_attempts;
-    let mut fed = Federation::new(map, config, backend)?;
+    let mut fed = Federation::new(map, a.federation, backend)?;
     if let Some((p, sensor, after)) = a.split {
         fed.schedule_split(p, SensorId(sensor), after)?;
     }
@@ -448,10 +362,11 @@ fn run_federate(a: FederateArgs) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run_replay_wal(a: ReplayWalArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let mut config = gateway_config(&a.wal_dir, a.period, a.window, a.trim, a.watermark);
+    let mut config = a.gateway;
     // Offline replay must not rewrite the log's checkpoints.
     config.checkpoint_every = 0;
     config.record_released = a.shards > 1;
+    let (pipeline, period) = (config.pipeline.clone(), config.sample_period);
     let (collector, info) = Collector::open(config)?;
     if let Some(cursor) = info.restored_from {
         if a.shards > 1 {
@@ -472,16 +387,8 @@ fn run_replay_wal(a: ReplayWalArgs) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(trace) = &report.released {
         // Cross-check: the sharded engine over the released stream
         // must reproduce the collector's report bit for bit.
-        let engine = Engine::new(
-            PipelineConfig {
-                window_samples: a.window,
-                observable_trim: a.trim,
-                ..Default::default()
-            },
-            a.period,
-            a.shards,
-        )
-        .with_supervisor(SupervisorConfig::default());
+        let engine =
+            Engine::new(pipeline, period, a.shards).with_supervisor(SupervisorConfig::default());
         let run = engine.process_trace(trace)?;
         if format!("{}", run.report()) != format!("{}", report.pipeline) {
             return Err(format!(

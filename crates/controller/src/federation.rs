@@ -1031,6 +1031,46 @@ impl<B: PartitionBackend> Federation<B> {
         moved
     }
 
+    /// Counts and records a migration that did not complete.
+    fn abort_migration(
+        &mut self,
+        source: PartitionId,
+        dest: PartitionId,
+        range: SensorRange,
+        reason: &str,
+    ) {
+        self.migrations_aborted += 1;
+        self.events.push(FederationEvent::MigrationAborted {
+            source,
+            dest,
+            range,
+            at: self.clock,
+            reason: reason.into(),
+        });
+    }
+
+    /// The abort past the durable cut: no destination adopted the
+    /// payload, so `orphaned` — the partition holding the moved range
+    /// — orphans first; its readings NACK and are counted.
+    fn orphan_and_abort(
+        &mut self,
+        orphaned: PartitionId,
+        attempts: u32,
+        source: PartitionId,
+        dest: PartitionId,
+        range: SensorRange,
+    ) {
+        self.map.commit_health(orphaned, PartitionHealth::Orphaned);
+        self.events.push(FederationEvent::Orphaned {
+            partition: orphaned,
+            at: self.clock,
+            attempts,
+            nacked: 0,
+        });
+        let reason = "destination exhausted every adopt attempt after the cut";
+        self.abort_migration(source, dest, range, reason);
+    }
+
     /// Runs a triggered split migration: quiesce the moving sub-range
     /// on the source, cut a durable checkpoint-v2 snapshot at a WAL
     /// cursor, start a fresh collector for the new partition and ship
@@ -1054,27 +1094,18 @@ impl<B: PartitionBackend> Federation<B> {
         });
         self.migrations_started += 1;
         if !self.settle(p, "unacked backlog at migration drain") {
-            self.migrations_aborted += 1;
-            self.events.push(FederationEvent::MigrationAborted {
-                source: p,
-                dest: dest_would_be,
-                range: moved_range,
-                at: self.clock,
-                reason: "source could not drain its backlog".into(),
-            });
+            self.abort_migration(
+                p,
+                dest_would_be,
+                moved_range,
+                "source could not drain its backlog",
+            );
             return;
         }
         let q = match self.map.split_at(p, at) {
             Ok(q) => q,
             Err(e) => {
-                self.migrations_aborted += 1;
-                self.events.push(FederationEvent::MigrationAborted {
-                    source: p,
-                    dest: dest_would_be,
-                    range: moved_range,
-                    at: self.clock,
-                    reason: e.to_string(),
-                });
+                self.abort_migration(p, dest_would_be, moved_range, &e.to_string());
                 return;
             }
         };
@@ -1093,14 +1124,7 @@ impl<B: PartitionBackend> Federation<B> {
             for (s, n) in moved_seqs {
                 state.seq_next.insert(s, n);
             }
-            self.migrations_aborted += 1;
-            self.events.push(FederationEvent::MigrationAborted {
-                source: p,
-                dest: q,
-                range: moved_range,
-                at: self.clock,
-                reason: "source exhausted every cut attempt".into(),
-            });
+            self.abort_migration(p, q, moved_range, "source exhausted every cut attempt");
             return;
         };
         for (s, n) in moved_seqs {
@@ -1144,21 +1168,7 @@ impl<B: PartitionBackend> Federation<B> {
         let Some((link, epoch)) = adopted else {
             // Roll-forward failed past the durable cut: the moved
             // range orphans — its readings NACK and are counted.
-            self.map.commit_health(q, PartitionHealth::Orphaned);
-            self.events.push(FederationEvent::Orphaned {
-                partition: q,
-                at: self.clock,
-                attempts,
-                nacked: 0,
-            });
-            self.migrations_aborted += 1;
-            self.events.push(FederationEvent::MigrationAborted {
-                source: p,
-                dest: q,
-                range: moved_range,
-                at: self.clock,
-                reason: "destination exhausted every adopt attempt after the cut".into(),
-            });
+            self.orphan_and_abort(q, attempts, p, q, moved_range);
             return;
         };
         self.map.commit_owner(q, epoch);
@@ -1196,14 +1206,7 @@ impl<B: PartitionBackend> Federation<B> {
                 (0..self.map.len()).find(|&d| d != p && self.map.range(d).start == range.end)
             });
         let Some(d) = dest else {
-            self.migrations_aborted += 1;
-            self.events.push(FederationEvent::MigrationAborted {
-                source: p,
-                dest: p,
-                range,
-                at: self.clock,
-                reason: "no adjacent partition to rebalance into".into(),
-            });
+            self.abort_migration(p, p, range, "no adjacent partition to rebalance into");
             return;
         };
         self.events.push(FederationEvent::MigrationStarted {
@@ -1217,14 +1220,12 @@ impl<B: PartitionBackend> Federation<B> {
             || !self.settle(p, "unacked backlog at migration drain")
             || !self.settle(d, "unacked backlog at migration drain")
         {
-            self.migrations_aborted += 1;
-            self.events.push(FederationEvent::MigrationAborted {
-                source: p,
-                dest: d,
+            self.abort_migration(
+                p,
+                d,
                 range,
-                at: self.clock,
-                reason: "source or destination could not drain its backlog".into(),
-            });
+                "source or destination could not drain its backlog",
+            );
             return;
         }
         let moved_seqs = self.prune_routed(p, range);
@@ -1233,14 +1234,7 @@ impl<B: PartitionBackend> Federation<B> {
             for (s, n) in moved_seqs {
                 state.seq_next.insert(s, n);
             }
-            self.migrations_aborted += 1;
-            self.events.push(FederationEvent::MigrationAborted {
-                source: p,
-                dest: d,
-                range,
-                at: self.clock,
-                reason: "source exhausted every cut attempt".into(),
-            });
+            self.abort_migration(p, d, range, "source exhausted every cut attempt");
             return;
         };
         for (s, n) in moved_seqs {
@@ -1274,21 +1268,7 @@ impl<B: PartitionBackend> Federation<B> {
             // Past the durable cut with no adopter: the moved range
             // orphans at the source — NACKed and counted, not lost
             // (the staged outbox still holds the payload).
-            self.map.commit_health(p, PartitionHealth::Orphaned);
-            self.events.push(FederationEvent::Orphaned {
-                partition: p,
-                at: self.clock,
-                attempts,
-                nacked: 0,
-            });
-            self.migrations_aborted += 1;
-            self.events.push(FederationEvent::MigrationAborted {
-                source: p,
-                dest: d,
-                range,
-                at: self.clock,
-                reason: "destination exhausted every adopt attempt after the cut".into(),
-            });
+            self.orphan_and_abort(p, attempts, p, d, range);
             return;
         }
         // sentinet-allow(unwrap-used): adjacency was how `d` was
