@@ -2,12 +2,15 @@
 //! append to reorder → sanitize → pipeline, plus the fence gate, the
 //! group-commit sync and liveness accounting that ride on it.
 //!
-//! Admission owns no reading: a run arrives as `(Timestamp, &[f64])`
-//! borrowed from the arena it was decoded into, the fresh prefix is
-//! borrowed [`WalRecord`]s the WAL encoder reads, the reorder buffer
-//! copies each admitted slice into a vector it recycles.
+//! The unit of work is the run: its readings arrive borrowed from the
+//! arena they were decoded into, the WAL encoder reads the fresh prefix
+//! in place, and the reorder buffer takes it as one run, copying onto
+//! its slabs and lending released slices to the sanitizer and window.
+//! The dedup tracker and liveness see the run once. A stop-and-wait
+//! `deliver` is a run of one, and recovery replays the log by runs.
 
 use super::*;
+use std::collections::btree_map::Entry;
 
 /// Why a delivered frame was refused (the server sends a NACK).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,12 +327,15 @@ impl Collector {
             out.accepted = fresh.len();
             let pass_start = timed.then(std::time::Instant::now);
             let tracker = self.seqs.entry(sensor).or_default();
-            for record in &fresh {
-                tracker.observe(record.seq);
+            let (first, count) = (fresh[0].seq, fresh.len() as u64);
+            if fresh[fresh.len() - 1].seq - first + 1 == count {
+                tracker.observe_run(first, count);
+            } else {
+                for record in &fresh {
+                    tracker.observe(record.seq);
+                }
             }
-            for record in &fresh {
-                self.admit(sensor, record.time, record.values);
-            }
+            self.admit_run(sensor, fresh.iter().map(|r| (r.time, r.values)));
             self.charge_admission(pass_start);
             let logged = self.wal.records_logged();
             let every = self.config.checkpoint_every;
@@ -489,72 +495,128 @@ impl Collector {
         }
     }
 
-    /// Runs one admitted record through reorder → sanitize → pipeline.
-    pub(super) fn admit(&mut self, sensor: SensorId, time: Timestamp, values: &[f64]) {
-        if self.reorder.offer_at(time, sensor, values) == AdmitOutcome::Admitted {
-            let heard = self.last_heard.entry(sensor).or_insert(time);
-            if time > *heard {
-                *heard = time;
+    /// Runs one sensor's logged run through reorder → sanitize →
+    /// pipeline, the released readings borrowed from the reorder slabs,
+    /// and brings liveness up to date once. That leaves the state an
+    /// admission, drain and liveness update a reading would: once one
+    /// of its readings is admitted the sensor cannot fall silent within
+    /// the run, and the others' silence only grows with the watermark.
+    /// A refused reading leading the run updates first, as it would
+    /// alone: after a restore, that may silence the run's own sensor.
+    pub(super) fn admit_run<'a>(
+        &mut self,
+        sensor: SensorId,
+        run: impl IntoIterator<Item = (Timestamp, &'a [f64])>,
+    ) {
+        let before = self.reorder.watermark();
+        let (mut led_by_refusal, mut newest) = (None, None);
+        let down = &mut self.down;
+        let mut release = |time, sensor, values: &[f64]| down.take(time, sensor, values);
+        let outcome = |time, outcome| {
+            let admitted = outcome == AdmitOutcome::Admitted;
+            led_by_refusal.get_or_insert(!admitted);
+            if admitted {
+                newest = newest.max(Some(time));
             }
-            // A reappearing sensor clears its silence (the episode
-            // stays counted).
-            self.silent.remove(&sensor);
+        };
+        self.reorder.offer_run(sensor, run, outcome, &mut release);
+        self.reorder.release_ready(&mut release);
+        if led_by_refusal == Some(true) {
+            self.liveness.update(before);
         }
-        while let Some(raw) = self.reorder.pop_ready() {
-            self.ingest_released(raw);
+        if let Some(time) = newest {
+            self.liveness.heard(sensor, time);
         }
-        self.update_liveness(sensor);
+        if led_by_refusal.is_some() {
+            self.liveness.update(self.reorder.watermark());
+        }
     }
+}
 
-    /// Sanitizes one released record where it lies and pushes it into
-    /// the window; its vector goes back to the reorder buffer, or into
-    /// the released-trace log.
-    pub(super) fn ingest_released(&mut self, raw: RawRecord) {
-        match self.sanitizer.check(raw.time, raw.sensor, &raw.values) {
+impl Downstream {
+    /// Sanitizes one released reading where it lies and pushes it into
+    /// the window (and the released-trace log, when one is kept).
+    pub(super) fn take(&mut self, time: Timestamp, sensor: SensorId, values: &[f64]) {
+        match self.sanitizer.check(time, sensor, values) {
             Ok(()) => {
                 self.accepted += 1;
-                for outcome in self.pipeline.push_values(raw.time, raw.sensor, &raw.values) {
+                for outcome in self.pipeline.push_values(time, sensor, values) {
                     self.pipeline.recycle_outcome(outcome);
                 }
                 if let Some(log) = &mut self.trace_log {
-                    log.push(TraceRecord {
-                        time: raw.time,
-                        sensor: raw.sensor,
-                        payload: Payload::Delivered(Reading::new(raw.values)),
-                    });
-                    return;
+                    log.push(released(time, sensor, values));
                 }
             }
             Err(e) => self.rejected.push(e),
         }
-        self.reorder.recycle(raw.values);
+    }
+}
+
+/// A released reading as the trace log keeps it (an owned copy: the
+/// log is for replaying the stream elsewhere, not the ingest path).
+fn released(time: Timestamp, sensor: SensorId, values: &[f64]) -> TraceRecord {
+    TraceRecord {
+        time,
+        sensor,
+        payload: Payload::Delivered(Reading::new(values.to_vec())),
+    }
+}
+
+impl Liveness {
+    /// Liveness under `deadline` from a snapshot's parts, every heard
+    /// sensor queued (a sensor listed twice keeps the time listed last).
+    pub(super) fn restore(
+        deadline: Option<Timestamp>,
+        heard: Vec<(SensorId, Timestamp)>,
+        silent: Vec<SensorId>,
+        episodes: usize,
+    ) -> Self {
+        let heard: BTreeMap<_, _> = heard.into_iter().collect();
+        let due = heard.iter().filter(|_| deadline.is_some());
+        Self {
+            deadline,
+            due: due.map(|(&s, &t)| Reverse((t, s))).collect(),
+            heard,
+            silent: silent.into_iter().collect(),
+            episodes,
+        }
     }
 
-    /// Re-derives silence membership after one admission. `touched` is
-    /// the sensor the admission may have updated `last_heard` for —
-    /// while the watermark is unchanged it is the only sensor whose
-    /// silence condition can have changed, so the full scan (which
-    /// this is observably equivalent to, record for record) runs only
-    /// when the watermark advances.
-    fn update_liveness(&mut self, touched: SensorId) {
-        let Some(deadline) = self.config.silence_deadline else {
-            return;
-        };
-        let Some(watermark) = self.reorder.watermark() else {
-            return;
-        };
-        if self.liveness_watermark == Some(watermark) {
-            if let Some(&heard) = self.last_heard.get(&touched) {
-                if watermark > heard.saturating_add(deadline) && self.silent.insert(touched) {
-                    self.episodes += 1;
-                }
+    /// `sensor` was admitted at `time`: heard then at the latest, and
+    /// no longer silent (the episode stays counted). A sensor new or
+    /// silent until now is queued at its latest time.
+    fn heard(&mut self, sensor: SensorId, time: Timestamp) {
+        let (latest, new) = match self.heard.entry(sensor) {
+            Entry::Vacant(entry) => (*entry.insert(time), true),
+            Entry::Occupied(mut entry) => {
+                let last = entry.get_mut();
+                *last = time.max(*last);
+                (*last, false)
             }
-            return;
+        };
+        if (self.silent.remove(&sensor) || new) && self.deadline.is_some() {
+            self.due.push(Reverse((latest, sensor)));
         }
-        self.liveness_watermark = Some(watermark);
-        for (&sensor, &heard) in &self.last_heard {
-            if watermark > heard.saturating_add(deadline) && self.silent.insert(sensor) {
-                self.episodes += 1;
+    }
+
+    /// Declares silent, counting an episode each, the sensors last heard
+    /// more than the deadline before `watermark`. Only the queued times
+    /// the watermark has carried past the deadline are visited: a
+    /// sensor heard since is queued again at its latest time, one not
+    /// is silenced.
+    fn update(&mut self, watermark: Option<Timestamp>) {
+        let (Some(deadline), Some(watermark)) = (self.deadline, watermark) else {
+            return;
+        };
+        let limit = watermark.saturating_sub(deadline);
+        while let Some(&Reverse((queued, sensor))) = self.due.peek() {
+            if queued >= limit {
+                break;
+            }
+            self.due.pop();
+            match self.heard.get(&sensor) {
+                Some(&latest) if latest >= limit => self.due.push(Reverse((latest, sensor))),
+                _ => self.episodes += usize::from(self.silent.insert(sensor)),
             }
         }
     }
@@ -566,6 +628,7 @@ mod tests {
     use super::*;
     use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault, VfsOp};
     use crate::wal::FsyncPolicy;
+    use proptest::TestRng;
     use std::fs;
     use std::sync::Arc;
 
@@ -897,6 +960,122 @@ mod tests {
         let (_, rec) = Collector::open(config(&dir)).unwrap();
         assert_eq!(rec.replayed, 1, "a fenced collector must not append");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The silence scan [`Liveness`] replaced, verbatim but for its
+    /// owner: every heard sensor probed whenever the watermark moves.
+    #[derive(Default)]
+    struct FullScan {
+        last_heard: BTreeMap<SensorId, Timestamp>,
+        silent: BTreeSet<SensorId>,
+        liveness_watermark: Option<Timestamp>,
+        episodes: usize,
+    }
+
+    impl FullScan {
+        fn heard(&mut self, sensor: SensorId, time: Timestamp) {
+            let heard = self.last_heard.entry(sensor).or_insert(time);
+            if time > *heard {
+                *heard = time;
+            }
+            self.silent.remove(&sensor);
+        }
+
+        fn update_liveness(
+            &mut self,
+            deadline: Timestamp,
+            watermark: Timestamp,
+            touched: SensorId,
+        ) {
+            if self.liveness_watermark == Some(watermark) {
+                if let Some(&heard) = self.last_heard.get(&touched) {
+                    if watermark > heard.saturating_add(deadline) && self.silent.insert(touched) {
+                        self.episodes += 1;
+                    }
+                }
+                return;
+            }
+            self.liveness_watermark = Some(watermark);
+            for (&sensor, &heard) in &self.last_heard {
+                if watermark > heard.saturating_add(deadline) && self.silent.insert(sensor) {
+                    self.episodes += 1;
+                }
+            }
+        }
+    }
+
+    /// [`Liveness`] against the full scan on seeded admissions,
+    /// refusals, watermark advances (small, and far past every
+    /// deadline) and restores — from its own parts or from parts a
+    /// scan would not have left (a silent sensor dropped, a live one
+    /// listed silent): after every step, the same silent sensors, last
+    /// heard times and episode count. (The crate forbids `unsafe`, so
+    /// `tests/support/seeded.rs` stays outside; a failure names its
+    /// seed all the same.)
+    #[test]
+    fn an_ordered_visit_declares_what_a_full_scan_declares() {
+        const PERIOD: u64 = 300;
+        let case = |seed: u64| -> Result<(), String> {
+            let mut rng = TestRng::new(seed);
+            let deadline = PERIOD * rng.usize_in(0, 6) as u64;
+            let sensors = rng.usize_in(1, 40) as u16;
+            let mut ordered = Liveness::restore(Some(deadline), Vec::new(), Vec::new(), 0);
+            let mut oracle = FullScan::default();
+            let mut watermark = rng.usize_in(0, 20) as u64 * PERIOD;
+            for step in 0..rng.usize_in(10, 200) {
+                let touched = SensorId(rng.usize_in(0, usize::from(sensors)) as u16);
+                match rng.usize_in(0, 12) {
+                    0 => {
+                        let mut silent: Vec<SensorId> = ordered.silent.iter().copied().collect();
+                        match rng.usize_in(0, 3) {
+                            0 if !silent.is_empty() => {
+                                silent.remove(rng.usize_in(0, silent.len()));
+                            }
+                            1 => silent.push(touched),
+                            _ => {}
+                        }
+                        silent.sort();
+                        silent.dedup();
+                        let heard: Vec<_> = ordered.heard.iter().map(|(&s, &t)| (s, t)).collect();
+                        oracle = FullScan {
+                            last_heard: heard.iter().copied().collect(),
+                            silent: silent.iter().copied().collect(),
+                            liveness_watermark: None,
+                            episodes: ordered.episodes,
+                        };
+                        ordered =
+                            Liveness::restore(Some(deadline), heard, silent, ordered.episodes);
+                    }
+                    1..=6 => {
+                        let time = watermark + PERIOD * rng.usize_in(0, 4) as u64;
+                        ordered.heard(touched, time);
+                        oracle.heard(touched, time);
+                    }
+                    _ => {}
+                }
+                watermark += match rng.usize_in(0, 10) {
+                    0 => deadline + PERIOD * rng.usize_in(1, 30) as u64,
+                    1..=5 => PERIOD * rng.usize_in(0, 2) as u64,
+                    _ => 0,
+                };
+                ordered.update(Some(watermark));
+                oracle.update_liveness(deadline, watermark, touched);
+                if (&ordered.silent, ordered.episodes, &ordered.heard)
+                    != (&oracle.silent, oracle.episodes, &oracle.last_heard)
+                {
+                    return Err(format!(
+                        "step {step}: silent {:?} / {} episode(s), full scan {:?} / {}",
+                        ordered.silent, ordered.episodes, oracle.silent, oracle.episodes
+                    ));
+                }
+            }
+            Ok(())
+        };
+        for seed in 0..1_000 {
+            if let Err(why) = case(seed) {
+                panic!("liveness differential failed at seed {seed}, {why}");
+            }
+        }
     }
 
     /// `FenceCheck::Skip` is the mutation seam: with the check

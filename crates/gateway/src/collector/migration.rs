@@ -163,8 +163,8 @@ impl Collector {
     ) -> Result<(), GatewayError> {
         let pristine = self.wal.records_logged() == self.wal.base_records()
             && self.seqs.is_empty()
-            && self.accepted == 0
-            && self.rejected.is_empty();
+            && self.down.accepted == 0
+            && self.down.rejected.is_empty();
         if !pristine {
             return self.import_range(range, inside);
         }
@@ -259,9 +259,9 @@ impl Collector {
             snap.pipeline,
         )
         .map_err(|e| GatewayError::CheckpointMalformed(e.to_string()))?;
-        self.pipeline = pipeline;
+        self.down.pipeline = pipeline;
         self.reorder = ReorderBuffer::from_snapshot(self.config.reorder.clone(), snap.reorder);
-        self.sanitizer = Sanitizer::from_snapshot(snap.sanitizer);
+        self.down.sanitizer = Sanitizer::from_snapshot(snap.sanitizer);
         self.seqs = snap
             .seqs
             .into_iter()
@@ -275,12 +275,10 @@ impl Collector {
                 )
             })
             .collect();
-        self.accepted = snap.accepted;
-        self.rejected = snap.rejected;
-        self.last_heard = snap.last_heard.into_iter().collect();
-        self.silent = snap.silent.into_iter().collect();
-        self.episodes = snap.episodes;
-        self.liveness_watermark = None;
+        self.down.accepted = snap.accepted;
+        self.down.rejected = snap.rejected;
+        let deadline = self.config.silence_deadline;
+        self.liveness = Liveness::restore(deadline, snap.last_heard, snap.silent, snap.episodes);
         Ok(())
     }
 

@@ -59,15 +59,16 @@ use crate::snapshot::{
 };
 use crate::vfs::StorageError;
 use crate::wal::{
-    PolicySync, SyncDone, SyncStart, SyncTicket, Wal, WalConfig, WalError, WalRecord,
+    PolicySync, SyncDone, SyncStart, SyncTicket, Wal, WalConfig, WalError, WalLog, WalRecord,
 };
 use checkpoint::{read_checkpoint, read_fence, write_fence};
 use migration::read_retired;
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
 use sentinet_sim::{
-    IngestReport, Payload, RawRecord, Reading, Sanitizer, SensorId, Timestamp, Trace, TraceRecord,
+    IngestError, IngestReport, Payload, Reading, Sanitizer, SensorId, Timestamp, Trace, TraceRecord,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -301,6 +302,17 @@ impl SeqTracker {
         true
     }
 
+    /// Records the `count` consecutive seqs from `first` — in one step
+    /// when they continue the watermark with nothing seen above it.
+    fn observe_run(&mut self, first: u64, count: u64) {
+        match first.checked_add(count) {
+            Some(end) if first == self.next && self.above.is_empty() => self.next = end,
+            _ => (0..count).for_each(|i| {
+                self.observe(first + i);
+            }),
+        }
+    }
+
     /// Highest seq such that every seq at or below it has been seen —
     /// the cumulative-ack watermark (`None` before anything arrived).
     pub fn watermark(&self) -> Option<u64> {
@@ -436,22 +448,11 @@ pub struct GatewayReport {
 pub struct Collector {
     config: GatewayConfig,
     wal: Wal,
-    pipeline: Pipeline,
-    sanitizer: Sanitizer,
     reorder: ReorderBuffer,
+    down: Downstream,
     seqs: BTreeMap<SensorId, SeqTracker>,
     seq_duplicates: usize,
-    accepted: usize,
-    rejected: Vec<sentinet_sim::IngestError>,
-    last_heard: BTreeMap<SensorId, Timestamp>,
-    silent: BTreeSet<SensorId>,
-    /// Reorder watermark the last full silence scan ran at. Purely a
-    /// scan-skipping cache (never snapshotted): while the watermark is
-    /// unchanged only the sensor touched by the current admission can
-    /// change silence state, so the per-record scan collapses to O(1).
-    liveness_watermark: Option<Timestamp>,
-    episodes: usize,
-    trace_log: Option<Vec<TraceRecord>>,
+    liveness: Liveness,
     budget_shed: usize,
     storage_rejects: usize,
     checkpoint_failures: usize,
@@ -491,9 +492,32 @@ impl fmt::Debug for Collector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Collector")
             .field("wal", &self.wal)
-            .field("accepted", &self.accepted)
+            .field("accepted", &self.down.accepted)
             .finish()
     }
+}
+
+/// Everything behind the reorder buffer — sanitizer, window pipeline,
+/// what they accepted and refused: the consumer of the released stream.
+struct Downstream {
+    sanitizer: Sanitizer,
+    pipeline: Pipeline,
+    accepted: usize,
+    rejected: Vec<IngestError>,
+    trace_log: Option<Vec<TraceRecord>>,
+}
+
+/// Silence accounting: when each sensor was last heard, who is silent,
+/// how many silences were declared — and, under a deadline, a queue
+/// that lets a watermark advance visit only the sensors it may silence.
+struct Liveness {
+    deadline: Option<Timestamp>,
+    heard: BTreeMap<SensorId, Timestamp>,
+    /// A time for every heard sensor not silent, earliest on top, none
+    /// above its sensor's latest heard time.
+    due: BinaryHeap<Reverse<(Timestamp, SensorId)>>,
+    silent: BTreeSet<SensorId>,
+    episodes: usize,
 }
 
 /// A parsed checkpoint file: header coordinates plus the file's text,
@@ -614,8 +638,8 @@ impl Collector {
             collector.last_checkpoint_cursor = checkpoint_cursor;
             let skip = (ck.cursor - base_records) as usize;
             let replayed = (records.len() - skip) as u64;
-            for record in records.iter().skip(skip) {
-                collector.replay(record);
+            for run in records.runs(skip, None) {
+                collector.replay(&records, run);
             }
             let info = RecoveryInfo {
                 replayed,
@@ -633,16 +657,16 @@ impl Collector {
         collector.last_checkpoint_cursor = checkpoint_cursor;
         let mut verified_cursor = None;
         let replayed = records.len() as u64;
-        for (i, record) in records.iter().enumerate() {
-            collector.replay(record);
-            if let Some(ck) = &checkpoint {
-                if ck.cursor == (i + 1) as u64 {
-                    let now = encode_collector(&collector.snapshot());
-                    if now != ck.body() {
-                        return Err(GatewayError::CheckpointMismatch { cursor: ck.cursor });
-                    }
-                    verified_cursor = Some(ck.cursor);
+        let cut = checkpoint.as_ref().map(|ck| ck.cursor as usize);
+        for run in records.runs(0, cut) {
+            let end = run.end as u64;
+            collector.replay(&records, run);
+            if let Some(ck) = checkpoint.as_ref().filter(|ck| ck.cursor == end) {
+                let now = encode_collector(&collector.snapshot());
+                if now != ck.body() {
+                    return Err(GatewayError::CheckpointMismatch { cursor: ck.cursor });
                 }
+                verified_cursor = Some(ck.cursor);
             }
         }
         let info = RecoveryInfo {
@@ -654,36 +678,33 @@ impl Collector {
         Ok((collector, info))
     }
 
-    /// Replays one logged record: seen by the dedup tracker, then
-    /// admitted exactly as the live path admitted it.
-    fn replay(&mut self, record: WalRecord<&[f64]>) {
-        self.seqs
-            .entry(record.sensor)
-            .or_default()
-            .observe(record.seq);
-        self.admit(record.sensor, record.time, record.values);
+    /// Replays one logged run: seen by the dedup tracker, then admitted
+    /// through the live path's run admission.
+    fn replay(&mut self, log: &WalLog, run: std::ops::Range<usize>) {
+        let (sensor, first_seq) = log.keys[run.start];
+        let tracker = self.seqs.entry(sensor).or_default();
+        tracker.observe_run(first_seq, run.len() as u64);
+        self.admit_run(sensor, log.readings.range(run));
     }
 
     /// A collector with empty state over an opened WAL.
     fn fresh(config: GatewayConfig, wal: Wal) -> Self {
-        let pipeline = Pipeline::new(config.pipeline.clone(), config.sample_period);
-        let reorder = ReorderBuffer::new(config.reorder.clone());
-        let trace_log = config.record_released.then(Vec::new);
-        Self {
-            config,
-            wal,
-            pipeline,
+        let deadline = config.silence_deadline;
+        let down = Downstream {
             sanitizer: Sanitizer::new(),
-            reorder,
-            seqs: BTreeMap::new(),
-            seq_duplicates: 0,
+            pipeline: Pipeline::new(config.pipeline.clone(), config.sample_period),
             accepted: 0,
             rejected: Vec::new(),
-            last_heard: BTreeMap::new(),
-            silent: BTreeSet::new(),
-            liveness_watermark: None,
-            episodes: 0,
-            trace_log,
+            trace_log: config.record_released.then(Vec::new),
+        };
+        Self {
+            reorder: ReorderBuffer::new(config.reorder.clone()),
+            config,
+            wal,
+            down,
+            seqs: BTreeMap::new(),
+            seq_duplicates: 0,
+            liveness: Liveness::restore(deadline, Vec::new(), Vec::new(), 0),
             budget_shed: 0,
             storage_rejects: 0,
             checkpoint_failures: 0,
@@ -713,19 +734,19 @@ impl Collector {
     /// path.
     pub fn snapshot(&self) -> CollectorSnapshot {
         CollectorSnapshot {
-            pipeline: self.pipeline.snapshot(),
+            pipeline: self.down.pipeline.snapshot(),
             reorder: self.reorder.snapshot(),
-            sanitizer: self.sanitizer.snapshot(),
+            sanitizer: self.down.sanitizer.snapshot(),
             seqs: self
                 .seqs
                 .iter()
                 .map(|(&s, t)| (s, t.next, t.above.iter().copied().collect()))
                 .collect(),
-            accepted: self.accepted,
-            rejected: self.rejected.clone(),
-            last_heard: self.last_heard.iter().map(|(&s, &t)| (s, t)).collect(),
-            silent: self.silent.iter().copied().collect(),
-            episodes: self.episodes,
+            accepted: self.down.accepted,
+            rejected: self.down.rejected.clone(),
+            last_heard: self.liveness.heard.iter().map(|(&s, &t)| (s, t)).collect(),
+            silent: self.liveness.silent.iter().copied().collect(),
+            episodes: self.liveness.episodes,
         }
     }
 
@@ -733,15 +754,15 @@ impl Collector {
     /// accepted) stream as a [`Trace`], for re-running through the
     /// sharded engine. Call before any records are delivered.
     pub fn record_released_trace(&mut self) {
-        self.trace_log = Some(Vec::new());
+        self.down.trace_log = Some(Vec::new());
     }
 
     /// Ingest accounting so far (transport counters merged in).
     pub fn ingest_report(&self) -> IngestReport {
         let stats = self.reorder.stats();
         IngestReport {
-            accepted: self.accepted,
-            rejected: self.rejected.clone(),
+            accepted: self.down.accepted,
+            rejected: self.down.rejected.clone(),
             duplicates: self.seq_duplicates + stats.duplicates,
             late: stats.late,
             shed: stats.shed,
@@ -750,13 +771,13 @@ impl Collector {
 
     /// Current silence accounting.
     pub fn liveness(&self) -> LivenessStatus {
+        let Liveness { heard, silent, .. } = &self.liveness;
         LivenessStatus {
-            silent: self
-                .silent
+            silent: silent
                 .iter()
-                .map(|s| (*s, self.last_heard.get(s).copied().unwrap_or(0)))
+                .map(|s| (*s, heard.get(s).copied().unwrap_or(0)))
                 .collect(),
-            episodes: self.episodes,
+            episodes: self.liveness.episodes,
         }
     }
 
@@ -780,7 +801,8 @@ impl Collector {
     /// The released trace recorded since
     /// [`record_released_trace`](Collector::record_released_trace).
     pub fn released_trace(&self) -> Option<Trace> {
-        self.trace_log
+        self.down
+            .trace_log
             .as_ref()
             .map(|records| Trace::from_records(records.clone()))
     }
@@ -809,11 +831,11 @@ impl Collector {
     ///
     /// [`GatewayError`] on non-storage failures only.
     pub fn finish(mut self) -> Result<GatewayReport, GatewayError> {
-        while let Some(raw) = self.reorder.pop_through(Timestamp::MAX) {
-            self.ingest_released(raw);
-        }
-        for outcome in self.pipeline.finalize() {
-            self.pipeline.recycle_outcome(outcome);
+        let down = &mut self.down;
+        self.reorder
+            .release_all(|time, sensor, values| down.take(time, sensor, values));
+        for outcome in self.down.pipeline.finalize() {
+            self.down.pipeline.recycle_outcome(outcome);
         }
         self.flush_restore_points()?;
         if self.wal.poisoned().is_none() {
@@ -824,9 +846,9 @@ impl Collector {
         let ingest = self.ingest_report();
         let liveness = self.liveness();
         let storage = self.storage_status();
-        let pipeline = self.pipeline.report();
+        let pipeline = self.down.pipeline.report();
         let plan = RecoveryPlan::from_report(&pipeline);
-        let released = self.trace_log.take().map(Trace::from_records);
+        let released = self.down.trace_log.take().map(Trace::from_records);
         Ok(GatewayReport {
             pipeline,
             ingest,

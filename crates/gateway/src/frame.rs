@@ -213,17 +213,18 @@ pub enum Message {
     },
 }
 
-/// A run of readings in one values arena: each reading's time and the
-/// end of its values in one flat vector. Value counts may differ from
-/// reading to reading — hostile batches carry such.
+/// A run of readings in one values arena: each reading's key — its
+/// time; time and sensor in a reorder buffer's image — and the end of
+/// its values in one flat vector. Value counts may differ from reading
+/// to reading — hostile batches carry such.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReadingArena {
-    /// Per reading, in order: its time and where its values end.
-    pub(crate) marks: Vec<(Timestamp, usize)>,
+pub struct ReadingArena<K = Timestamp> {
+    /// Per reading, in order: its key and where its values end.
+    pub(crate) marks: Vec<(K, usize)>,
     pub(crate) values: Vec<f64>,
 }
 
-impl ReadingArena {
+impl<K: Copy> ReadingArena<K> {
     /// Readings held.
     pub fn len(&self) -> usize {
         self.marks.len()
@@ -241,28 +242,59 @@ impl ReadingArena {
     }
 
     /// Appends one reading.
-    pub fn push(&mut self, time: Timestamp, values: &[f64]) {
+    pub fn push(&mut self, key: K, values: &[f64]) {
         self.values.extend_from_slice(values);
-        self.marks.push((time, self.values.len()));
+        self.marks.push((key, self.values.len()));
     }
 
     /// The readings, in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Timestamp, &[f64])> + Clone {
-        let mut start = 0;
-        self.marks.iter().map(move |&(time, end)| {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (K, &[f64])> + Clone {
+        self.range(0..self.len())
+    }
+
+    /// The readings at indices `range`, in order.
+    pub fn range(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl ExactSizeIterator<Item = (K, &[f64])> + Clone {
+        let mut start = self.start(range.start);
+        self.marks[range].iter().map(move |&(key, end)| {
             let values = &self.values[start..end];
             start = end;
-            (time, values)
+            (key, values)
         })
     }
 
     /// Drops every reading from `len` on; the room is kept.
     pub fn truncate(&mut self, len: usize) {
         if len < self.marks.len() {
-            let end = len.checked_sub(1).map_or(0, |last| self.marks[last].1);
-            self.values.truncate(end);
+            self.values.truncate(self.start(len));
             self.marks.truncate(len);
         }
+    }
+
+    /// Where reading `at`'s values start.
+    pub(crate) fn start(&self, at: usize) -> usize {
+        at.checked_sub(1).map_or(0, |last| self.marks[last].1)
+    }
+}
+
+impl<'a, K: Copy> Extend<(K, &'a [f64])> for ReadingArena<K> {
+    fn extend<I: IntoIterator<Item = (K, &'a [f64])>>(&mut self, readings: I) {
+        for (key, values) in readings {
+            self.push(key, values);
+        }
+    }
+}
+
+impl<'a, K: Copy> FromIterator<(K, &'a [f64])> for ReadingArena<K> {
+    fn from_iter<I: IntoIterator<Item = (K, &'a [f64])>>(readings: I) -> Self {
+        let mut arena = Self {
+            marks: Vec::new(),
+            values: Vec::new(),
+        };
+        arena.extend(readings);
+        arena
     }
 }
 

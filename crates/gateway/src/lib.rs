@@ -67,7 +67,7 @@ pub use netsim::{
 };
 pub use protocol::{AckDiscipline, QueuedAck};
 pub use reorder::{
-    AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats, MAX_SPARE_VALUES,
+    AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats, RETAINED_VALUES,
 };
 pub use report_codec::{CountersError, ReportCounters, COUNTERS_MAGIC};
 pub use server::{Server, ServerConfig, ServerStats};

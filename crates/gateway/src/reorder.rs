@@ -26,21 +26,31 @@
 //!   (counted) — explicit drop-oldest load shedding, never an
 //!   unbounded queue and never a silent drop.
 //!
-//! An admitted slice ([`ReorderBuffer::offer_at`]) is copied into a
-//! vector recycled from an earlier release; a released record takes its
-//! vector along and its consumer hands it back ([`ReorderBuffer::recycle`])
-//! or keeps it. What that can pin is bounded: buffered + spare vectors
-//! never exceed the peak number buffered, and no spare has room for more
-//! than [`MAX_SPARE_VALUES`] (a hostile 65 535-value reading's half
-//! megabyte is freed when it leaves). Spares are not state: never snapshotted.
+//! A sensor's queue is a slab: a [`ReadingArena`] whose live records
+//! start at a head index. An admission copies its slice onto the end (a
+//! straggler is spliced in); a release lends the slice to its consumer
+//! and steps the head. A slab compacts once its dead front outgrows its
+//! live part, and then keeps room for at most `max(`[`RETAINED_VALUES`]`,
+//! 2 × live values)` values, so a drained burst of 65 535-value readings
+//! pins nothing. Room is never snapshotted.
+//!
+//! [`ReorderBuffer::offer_run`] releases between a run's readings what
+//! each one freed, so a run is its readings offered one at a time with
+//! a drain after each. Releasing only at the end would shed, at
+//! capacity, a record the drain had released, and count a repeat of a
+//! released slot as a duplicate instead of late. `offer`, `drain_ready`
+//! and `flush` are owned-record adapters.
 
+use crate::frame::ReadingArena;
 use sentinet_sim::{RawRecord, SensorId, Timestamp};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// The most values a vector kept for reuse may have room for.
-pub const MAX_SPARE_VALUES: usize = 64;
+/// Values a compacted slab keeps room for beyond twice its live ones.
+pub const RETAINED_VALUES: usize = 1024;
+/// Dead records a slab carries before it may compact.
+const COMPACT_MIN: usize = 32;
 
 /// Reorder buffer tuning.
 #[derive(Debug, Clone)]
@@ -83,30 +93,66 @@ pub struct ReorderStats {
     pub shed: usize,
 }
 
-/// One sensor's buffered records, oldest first, with strictly
-/// increasing times (a same-slot arrival is a duplicate, never a second
-/// entry).
-#[derive(Debug)]
+/// One sensor's buffered records, oldest first from `head`, with
+/// strictly increasing times (a same-slot arrival is a duplicate,
+/// never a second entry).
+#[derive(Debug, Default)]
 struct SensorQueue {
     sensor: SensorId,
-    records: VecDeque<(Timestamp, Vec<f64>)>,
+    slab: ReadingArena,
+    head: usize,
     last_released: Option<Timestamp>,
 }
 
 impl SensorQueue {
-    fn front_time(&self) -> Option<Timestamp> {
-        self.records.front().map(|(time, _)| *time)
+    fn live(&self) -> &[(Timestamp, usize)] {
+        &self.slab.marks[self.head..]
     }
 
-    /// Where a record at `time` belongs: `Err(position)` to insert at,
-    /// `Ok(position)` of the record already holding that slot. An
-    /// in-order arrival lands past the back without a search.
+    fn front_time(&self) -> Option<Timestamp> {
+        self.live().first().map(|&(time, _)| time)
+    }
+
+    /// Where a record at `time` belongs among the live records:
+    /// `Err(position)` to insert at, `Ok(position)` of the record
+    /// already holding that slot. An in-order arrival lands past the
+    /// back without a search.
     fn position(&self, time: Timestamp) -> Result<usize, usize> {
-        match self.records.back() {
-            Some((back, _)) if *back >= time => {
-                self.records.binary_search_by_key(&time, |(t, _)| *t)
-            }
-            _ => Err(self.records.len()),
+        let live = self.live();
+        match live.last() {
+            Some(&(back, _)) if back >= time => live.binary_search_by_key(&time, |&(t, _)| t),
+            _ => Err(live.len()),
+        }
+    }
+
+    /// Copies a record in at live `position`: onto the slab's end, or
+    /// spliced in front of the records it precedes.
+    fn insert(&mut self, position: usize, time: Timestamp, values: &[f64]) {
+        let (at, slab) = (self.head + position, &mut self.slab);
+        if at == slab.len() {
+            return slab.push(time, values);
+        }
+        let start = slab.start(at);
+        slab.values.splice(start..start, values.iter().copied());
+        slab.marks.insert(at, (time, start));
+        slab.marks[at..]
+            .iter_mut()
+            .for_each(|(_, end)| *end += values.len());
+    }
+
+    /// Drops the oldest record (released or shed); compacts the slab
+    /// as the module header states.
+    fn pop_front(&mut self) {
+        self.head = (self.head + 1).min(self.slab.len());
+        let live = self.slab.len() - self.head;
+        if live == 0 || self.head >= live.max(COMPACT_MIN) {
+            let dead = self.slab.start(self.head);
+            self.slab.marks.drain(..self.head);
+            self.slab.values.drain(..dead);
+            self.slab.marks.iter_mut().for_each(|(_, end)| *end -= dead);
+            self.head = 0;
+            let room = RETAINED_VALUES.max(2 * self.slab.values.len());
+            self.slab.values.shrink_to(room);
         }
     }
 }
@@ -130,15 +176,15 @@ fn locate(queues: &[SensorQueue], cursor: &mut usize, sensor: SensorId) -> Resul
     found
 }
 
-/// The buffer itself. Feed with [`offer`](ReorderBuffer::offer), drain
-/// with [`drain_ready`](ReorderBuffer::drain_ready), and
-/// [`flush`](ReorderBuffer::flush) at end of stream.
+/// The buffer itself. Feed with [`offer_run`](ReorderBuffer::offer_run),
+/// drain with [`release_ready`](ReorderBuffer::release_ready), and
+/// [`release_all`](ReorderBuffer::release_all) at end of stream.
 ///
-/// Records wait in one time-ordered queue per sensor; a min-heap of
-/// the queues' fronts yields the global `(time, sensor)` release order.
-/// An in-order arrival is a `push_back`, a release is a `pop_front`
-/// plus one heap sift, and neither allocates once the queues have
-/// grown to their working size and released vectors come back.
+/// Records wait in one time-ordered slab per sensor; a min-heap of
+/// the slabs' fronts yields the global `(time, sensor)` release order.
+/// An in-order arrival is an append, a release a head step plus one
+/// heap sift, and neither allocates once the slabs have grown to their
+/// working size.
 #[derive(Debug)]
 pub struct ReorderBuffer {
     config: ReorderConfig,
@@ -154,19 +200,14 @@ pub struct ReorderBuffer {
     fronts: BinaryHeap<Reverse<(Timestamp, SensorId)>>,
     watermark: Option<Timestamp>,
     stats: ReorderStats,
-    /// Records buffered now, and the most that ever were.
-    buffered: usize,
-    peak: usize,
-    /// Emptied vectors of released records, for the next admissions.
-    spare: Vec<Vec<f64>>,
 }
 
 /// Plain-data image of a [`ReorderBuffer`], for checkpointing the
 /// transport layer alongside the pipeline it feeds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReorderSnapshot {
-    /// Buffered records as `(time, sensor, values)`, in release order.
-    pub buffer: Vec<(Timestamp, SensorId, Vec<f64>)>,
+    /// Buffered records keyed `(time, sensor)`, in release order.
+    pub buffer: ReadingArena<(Timestamp, SensorId)>,
     /// Per-sensor last released timestamp.
     pub last_released: Vec<(SensorId, Timestamp)>,
     /// The release watermark, if any record has been admitted.
@@ -185,9 +226,6 @@ impl ReorderBuffer {
             fronts: BinaryHeap::new(),
             watermark: None,
             stats: ReorderStats::default(),
-            buffered: 0,
-            peak: 0,
-            spare: Vec::new(),
         }
     }
 
@@ -201,98 +239,81 @@ impl ReorderBuffer {
         self.stats
     }
 
-    /// [`ReorderBuffer::offer_at`] on an owned record.
-    pub fn offer(&mut self, record: RawRecord) -> AdmitOutcome {
-        self.offer_at(record.time, record.sensor, &record.values)
+    /// Room each sensor's slab holds for values, live or not.
+    pub fn retained_values(&self) -> impl Iterator<Item = usize> + '_ {
+        self.queues.iter().map(|q| q.slab.values.capacity())
     }
 
-    /// Offers one deduplicated record. On `Admitted` the values are
-    /// copied into the buffer; call [`pop_ready`](Self::pop_ready) to
-    /// collect whatever the (possibly advanced) watermark now frees.
-    pub fn offer_at(&mut self, time: Timestamp, sensor: SensorId, values: &[f64]) -> AdmitOutcome {
-        if self.watermark.is_some_and(|w| time < w) {
-            self.stats.late += 1;
-            return AdmitOutcome::Late;
-        }
+    /// Offers `sensor`'s `run` in arrival order, telling `outcome` what
+    /// became of each reading and handing `release`, before each
+    /// reading after the first, whatever the one before freed. Follow
+    /// it with [`release_ready`](Self::release_ready) for what the last
+    /// one freed; the module header says why releases interleave.
+    pub fn offer_run<'v>(
+        &mut self,
+        sensor: SensorId,
+        run: impl IntoIterator<Item = (Timestamp, &'v [f64])>,
+        mut outcome: impl FnMut(Timestamp, AdmitOutcome),
+        mut release: impl FnMut(Timestamp, SensorId, &[f64]),
+    ) {
         let at = self.queue_of(sensor);
-        let queue = &mut self.queues[at];
-        if queue.last_released.is_some_and(|released| time <= released) {
-            self.stats.late += 1;
-            return AdmitOutcome::Late;
-        }
-        let Err(mut position) = queue.position(time) else {
-            self.stats.duplicates += 1;
-            return AdmitOutcome::Duplicate;
-        };
-        let front_before = queue.front_time();
-        if queue.records.len() >= self.config.per_sensor_capacity {
-            if let Some((_, oldest)) = queue.records.pop_front() {
-                // Shed this sensor's oldest buffered record to make room.
-                self.stats.shed += 1;
-                position = position.saturating_sub(1);
-                self.buffered -= 1;
-                self.recycle(oldest);
+        for (i, (time, values)) in run.into_iter().enumerate() {
+            if i > 0 {
+                self.release_ready(&mut release);
             }
-        }
-        let mut kept = self.spare.pop().unwrap_or_default();
-        kept.extend_from_slice(values);
-        self.buffered += 1;
-        self.peak = self.peak.max(self.buffered);
-        let queue = &mut self.queues[at];
-        queue.records.insert(position, (time, kept));
-        if queue.front_time() != front_before {
-            self.note_front(at);
-        }
-
-        let horizon = time.saturating_sub(self.config.watermark_delay);
-        if self.watermark.is_none_or(|w| horizon > w) {
-            self.watermark = Some(horizon);
-        }
-        AdmitOutcome::Admitted
-    }
-
-    /// The next buffered record at or below the watermark, in
-    /// `(time, sensor)` order; `None` once nothing more is ready.
-    pub fn pop_ready(&mut self) -> Option<RawRecord> {
-        self.pop_through(self.watermark?)
-    }
-
-    /// Takes back a released record's vector for a later admission to
-    /// fill — or drops it, past the bound the module header states.
-    pub fn recycle(&mut self, mut values: Vec<f64>) {
-        if values.capacity() <= MAX_SPARE_VALUES && self.buffered + self.spare.len() < self.peak {
-            values.clear();
-            self.spare.push(values);
+            outcome(time, self.admit(at, time, values));
         }
     }
 
-    /// Capacities of the vectors parked for reuse.
-    pub fn spare_capacities(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
-        self.spare.iter().map(Vec::capacity)
+    /// Hands `release` every buffered record at or below the
+    /// watermark, in `(time, sensor)` order, its values borrowed from
+    /// the slab.
+    pub fn release_ready(&mut self, release: impl FnMut(Timestamp, SensorId, &[f64])) {
+        if let Some(watermark) = self.watermark {
+            self.release_through(watermark, release);
+        }
     }
 
-    /// Moves every buffered record at or below the watermark into
-    /// `out`, in `(time, sensor)` order.
+    /// End of stream: hands `release` everything still buffered, in
+    /// order.
+    pub fn release_all(&mut self, release: impl FnMut(Timestamp, SensorId, &[f64])) {
+        self.release_through(Timestamp::MAX, release);
+    }
+
+    /// [`offer_run`](Self::offer_run) of one owned record.
+    pub fn offer(&mut self, record: RawRecord) -> AdmitOutcome {
+        let mut admitted = AdmitOutcome::Late;
+        let run = [(record.time, record.values.as_slice())];
+        self.offer_run(record.sensor, run, |_, o| admitted = o, |_, _, _| {});
+        admitted
+    }
+
+    /// [`release_ready`](Self::release_ready) into owned records.
     pub fn drain_ready(&mut self, out: &mut Vec<RawRecord>) {
-        out.extend(std::iter::from_fn(|| self.pop_ready()));
+        self.release_ready(|time, sensor, values| out.push(owned(time, sensor, values)));
     }
 
-    /// End of stream: releases everything still buffered, in order.
+    /// [`release_all`](Self::release_all) into owned records.
     pub fn flush(&mut self, out: &mut Vec<RawRecord>) {
-        out.extend(std::iter::from_fn(|| self.pop_through(Timestamp::MAX)));
+        self.release_all(|time, sensor, values| out.push(owned(time, sensor, values)));
     }
 
-    /// Captures the buffer's contents and accounting for checkpointing.
+    /// Captures the buffer's contents and accounting for checkpointing:
+    /// the slabs' live records in release order, copied flat.
     pub fn snapshot(&self) -> ReorderSnapshot {
-        let mut buffer: Vec<(Timestamp, SensorId, Vec<f64>)> = self
-            .queues
-            .iter()
-            .flat_map(|q| q.records.iter().map(|(t, v)| (*t, q.sensor, v.clone())))
-            .collect();
-        // One sorted run per sensor: the stable sort merges runs.
-        buffer.sort_by_key(|(t, s, _)| (*t, *s));
+        let live = self.queues.iter().map(|q| q.live().len()).sum();
+        let mut buffer = Vec::with_capacity(live);
+        for q in &self.queues {
+            let records = q.slab.range(q.head..q.slab.len());
+            buffer.extend(records.map(|(time, values)| ((time, q.sensor), values)));
+        }
+        // One sorted run per slab: the stable sort merges runs.
+        buffer.sort_by_key(|&(key, _)| key);
+        let mut flat = ReadingArena::default();
+        flat.reserve(live, buffer.iter().map(|(_, values)| values.len()).sum());
+        flat.extend(buffer);
         ReorderSnapshot {
-            buffer,
+            buffer: flat,
             last_released: self
                 .queues
                 .iter()
@@ -318,7 +339,7 @@ impl ReorderBuffer {
             let mark = &mut restored.queues[at].last_released;
             *mark = (*mark).max(Some(time));
         }
-        for (time, sensor, values) in snapshot.buffer {
+        for ((time, sensor), values) in snapshot.buffer.iter() {
             let at = restored.queue_of(sensor);
             let queue = &mut restored.queues[at];
             if queue.last_released.is_some_and(|released| time <= released) {
@@ -326,21 +347,53 @@ impl ReorderBuffer {
                 continue;
             }
             match queue.position(time) {
-                Err(position) => queue.records.insert(position, (time, values)),
+                Err(position) => queue.insert(position, time, values),
                 Ok(_) => restored.stats.duplicates += 1,
             }
         }
         // A live queue holds its capacity — or one record, at zero.
         let capacity = restored.config.per_sensor_capacity.max(1);
         for queue in &mut restored.queues {
-            let over = queue.records.len().saturating_sub(capacity);
-            queue.records.drain(..over);
+            let over = queue.live().len().saturating_sub(capacity);
+            (0..over).for_each(|_| queue.pop_front());
             restored.stats.shed += over;
-            restored.buffered += queue.records.len();
         }
-        restored.peak = restored.buffered;
         restored.rebuild_fronts();
         restored
+    }
+
+    /// Offers one reading to queue `at`.
+    fn admit(&mut self, at: usize, time: Timestamp, values: &[f64]) -> AdmitOutcome {
+        if self.watermark.is_some_and(|w| time < w) {
+            self.stats.late += 1;
+            return AdmitOutcome::Late;
+        }
+        let queue = &mut self.queues[at];
+        if queue.last_released.is_some_and(|released| time <= released) {
+            self.stats.late += 1;
+            return AdmitOutcome::Late;
+        }
+        let Err(mut position) = queue.position(time) else {
+            self.stats.duplicates += 1;
+            return AdmitOutcome::Duplicate;
+        };
+        let front_before = queue.front_time();
+        if front_before.is_some() && queue.live().len() >= self.config.per_sensor_capacity {
+            // Shed this sensor's oldest buffered record to make room.
+            queue.pop_front();
+            self.stats.shed += 1;
+            position = position.saturating_sub(1);
+        }
+        queue.insert(position, time, values);
+        if queue.front_time() != front_before {
+            self.note_front(at);
+        }
+
+        let horizon = time.saturating_sub(self.config.watermark_delay);
+        if self.watermark.is_none_or(|w| horizon > w) {
+            self.watermark = Some(horizon);
+        }
+        AdmitOutcome::Admitted
     }
 
     /// Position of `sensor`'s queue, created empty on first sight.
@@ -348,14 +401,11 @@ impl ReorderBuffer {
         match locate(&self.queues, &mut self.cursor, sensor) {
             Ok(at) => at,
             Err(at) => {
-                self.queues.insert(
-                    at,
-                    SensorQueue {
-                        sensor,
-                        records: VecDeque::new(),
-                        last_released: None,
-                    },
-                );
+                let queue = SensorQueue {
+                    sensor,
+                    ..SensorQueue::default()
+                };
+                self.queues.insert(at, queue);
                 self.cursor = at;
                 at
             }
@@ -386,9 +436,13 @@ impl ReorderBuffer {
         );
     }
 
-    /// Releases the earliest buffered record if its time is at or
-    /// below `limit` (`Timestamp::MAX`: end of stream).
-    pub fn pop_through(&mut self, limit: Timestamp) -> Option<RawRecord> {
+    /// Releases, earliest first, every buffered record whose time is
+    /// at or below `limit` (`Timestamp::MAX`: end of stream).
+    fn release_through(
+        &mut self,
+        limit: Timestamp,
+        mut release: impl FnMut(Timestamp, SensorId, &[f64]),
+    ) {
         while let Some(mut top) = self.fronts.peek_mut() {
             let Reverse((time, sensor)) = *top;
             if time > limit {
@@ -398,11 +452,13 @@ impl ReorderBuffer {
                 .ok()
                 .map(|at| &mut self.queues[at])
                 .filter(|q| q.front_time() == Some(time));
-            let Some((values, queue)) = live.and_then(|q| Some((q.records.pop_front()?.1, q)))
-            else {
+            let Some(queue) = live else {
                 PeekMut::pop(top);
                 continue;
             };
+            let (start, end) = (queue.slab.start(queue.head), queue.live()[0].1);
+            release(time, sensor, &queue.slab.values[start..end]);
+            queue.pop_front();
             queue.last_released = Some(time);
             // The successor takes the released front's place in one
             // sift instead of a pop and a push.
@@ -412,14 +468,16 @@ impl ReorderBuffer {
                     PeekMut::pop(top);
                 }
             }
-            self.buffered -= 1;
-            return Some(RawRecord {
-                time,
-                sensor,
-                values,
-            });
         }
-        None
+    }
+}
+
+/// A released record as an owned one, for the adapters.
+fn owned(time: Timestamp, sensor: SensorId, values: &[f64]) -> RawRecord {
+    RawRecord {
+        time,
+        sensor,
+        values: values.to_vec(),
     }
 }
 
@@ -546,7 +604,7 @@ mod tests {
     #[test]
     fn a_restored_buffer_drops_what_an_offer_would_have_and_counts_it() {
         let snapshot = ReorderSnapshot {
-            buffer: vec![
+            buffer: [
                 (1500, SensorId(1), vec![5.0]),
                 (900, SensorId(1), vec![1.0]),  // behind the mark
                 (1200, SensorId(1), vec![2.0]), // at the mark
@@ -555,7 +613,10 @@ mod tests {
                 (2100, SensorId(3), vec![6.0]),
                 (2400, SensorId(3), vec![7.0]),
                 (1900, SensorId(3), vec![8.0]), // three of a capacity of two
-            ],
+            ]
+            .iter()
+            .map(|(t, s, v)| ((*t, *s), v.as_slice()))
+            .collect(),
             last_released: vec![(SensorId(1), 1200), (SensorId(1), 600)],
             watermark: Some(1000),
             stats: ReorderStats {
@@ -596,40 +657,85 @@ mod tests {
         );
     }
 
+    /// A run releases between its readings what each one freed: the
+    /// same outcomes and the same stream as one offer and one drain a
+    /// reading — here the watermark passes the run's own head.
     #[test]
-    fn an_admitted_slice_is_copied_into_a_recycled_vector() {
-        let mut rb = ReorderBuffer::new(cfg(0, 16));
+    fn a_run_releases_between_its_readings() {
+        let run: Vec<(u64, Vec<f64>)> = [300u64, 600, 600, 900, 1200, 600]
+            .iter()
+            .map(|&t| (t, vec![t as f64, -(t as f64)]))
+            .collect();
+        let mut one = ReorderBuffer::new(cfg(300, 2));
+        let mut expect = Vec::new();
+        let outcomes: Vec<AdmitOutcome> = run
+            .iter()
+            .map(|(t, v)| {
+                let got = one.offer(RawRecord {
+                    time: *t,
+                    sensor: SensorId(4),
+                    values: v.clone(),
+                });
+                one.drain_ready(&mut expect);
+                got
+            })
+            .collect();
+        let mut by_run = ReorderBuffer::new(cfg(300, 2));
+        let (mut seen, mut got) = (Vec::new(), Vec::new());
+        let mut release = |time, sensor, values: &[f64]| got.push(owned(time, sensor, values));
+        let slices = run.iter().map(|(t, v)| (*t, v.as_slice()));
+        by_run.offer_run(SensorId(4), slices, |_, o| seen.push(o), &mut release);
+        by_run.release_ready(&mut release);
+        assert_eq!(seen, outcomes);
+        assert_eq!(got, expect);
+        assert_eq!(by_run.snapshot(), one.snapshot());
         assert_eq!(
-            rb.offer_at(300, SensorId(1), &[1.0, 2.0]),
-            AdmitOutcome::Admitted
+            outcomes[5],
+            AdmitOutcome::Late,
+            "600 was released before it came again"
         );
-        let first = rb.pop_ready().expect("at the watermark");
+    }
+
+    /// A slab takes stragglers of any width where they belong and
+    /// gives its room back once a wide burst has drained.
+    #[test]
+    fn a_slab_splices_stragglers_and_sheds_its_room() {
+        let mut rb = ReorderBuffer::new(cfg(u64::MAX, 1_000));
+        for (t, width) in [(900u64, 1), (300, 3), (1500, 0), (600, 2), (1200, 1)] {
+            let values: Vec<f64> = (0..width).map(|i| (t + i) as f64).collect();
+            let run = [(t, values.as_slice())];
+            rb.offer_run(
+                SensorId(1),
+                run,
+                |_, o| assert_eq!(o, AdmitOutcome::Admitted),
+                |_, _, _| {},
+            );
+        }
+        let mut out = Vec::new();
+        rb.flush(&mut out);
+        let released: Vec<(u64, Vec<f64>)> = out.into_iter().map(|r| (r.time, r.values)).collect();
         assert_eq!(
-            (first.time, first.values.as_slice()),
-            (300, &[1.0, 2.0][..])
+            released,
+            vec![
+                (300, vec![300.0, 301.0, 302.0]),
+                (600, vec![600.0, 601.0]),
+                (900, vec![900.0]),
+                (1200, vec![1200.0]),
+                (1500, vec![]),
+            ]
         );
-        assert!(rb.pop_ready().is_none());
-        let parked = first.values.as_ptr();
-        rb.recycle(first.values);
-        assert_eq!(rb.spare_capacities().len(), 1);
-        // Refused records copy nothing and take no spare …
-        assert_eq!(rb.offer_at(300, SensorId(1), &[9.0]), AdmitOutcome::Late);
-        assert_eq!(rb.spare_capacities().len(), 1);
-        // … the next admitted one reuses the vector.
-        assert_eq!(
-            rb.offer_at(600, SensorId(1), &[3.0, 4.0]),
-            AdmitOutcome::Admitted
-        );
-        assert_eq!(rb.spare_capacities().len(), 0);
-        let second = rb.pop_through(u64::MAX).expect("buffered");
-        assert_eq!(second.values, vec![3.0, 4.0]);
-        assert_eq!(second.values.as_ptr(), parked, "no new allocation");
-        // A shed record's vector is kept for the record that shed it.
-        let mut rb = ReorderBuffer::new(cfg(u64::MAX, 1));
-        rb.offer_at(300, SensorId(1), &[1.0]);
-        rb.offer_at(600, SensorId(1), &[2.0]);
-        assert_eq!(rb.stats().shed, 1);
-        assert_eq!(rb.pop_through(u64::MAX).map(|r| r.values), Some(vec![2.0]));
+        let wide = vec![1.0; usize::from(u16::MAX)];
+        for i in 0..40u64 {
+            rb.offer_run(
+                SensorId(1),
+                [(2000 + i, wide.as_slice())],
+                |_, _| {},
+                |_, _, _| {},
+            );
+        }
+        assert!(rb.retained_values().max() > Some(RETAINED_VALUES));
+        rb.release_all(|_, _, _| {});
+        assert!(rb.retained_values().all(|room| room <= RETAINED_VALUES));
     }
 
     #[test]

@@ -42,7 +42,8 @@
 
 use crate::collector::{Collector, GatewayError};
 use crate::frame::{
-    encode_frame, Frame, FrameBuffer, FrameError, Message, ReadingArena, PROTOCOL_V1,
+    encode_frame, encode_payload, frame_with, Frame, FrameBuffer, FrameError, Message,
+    ReadingArena, PROTOCOL_V1,
 };
 use crate::net::{is_timeout, Listener, Stream};
 use crate::protocol::{AckDiscipline, Core, Reply};
@@ -289,6 +290,7 @@ impl Server {
     ) -> Result<(), GatewayError> {
         let mut writers: BTreeMap<usize, Stream> = BTreeMap::new();
         let mut replies: Vec<Reply> = Vec::new();
+        let mut drain = Drain::default();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
@@ -301,7 +303,7 @@ impl Server {
                 Err(TryRecvError::Empty) => {
                     if !collector.sync_in_flight() {
                         self.core.on_queue_dry(collector, &mut replies)?;
-                        write_replies(&mut writers, &mut replies, stats);
+                        write_replies(&mut writers, &mut replies, &mut drain, stats);
                     }
                     match self.events.recv_timeout(Duration::from_millis(100)) {
                         Ok(e) => e,
@@ -320,7 +322,7 @@ impl Server {
                     // Whatever the core emitted before a fatal error
                     // is still sent: those acks cover durable data.
                     let fin = self.core.on_message(collector, id, msg, &mut replies);
-                    write_replies(&mut writers, &mut replies, stats);
+                    write_replies(&mut writers, &mut replies, &mut drain, stats);
                     if fin? {
                         return Ok(());
                     }
@@ -330,13 +332,13 @@ impl Server {
                     let done = self
                         .core
                         .on_batch(collector, id, sensor, seq, &arena, &mut replies);
-                    write_replies(&mut writers, &mut replies, stats);
+                    write_replies(&mut writers, &mut replies, &mut drain, stats);
                     done?;
                     self.start_due_sync(collector);
                 }
                 Event::Synced(ticket, done) => {
                     self.core.on_synced(collector, ticket, done, &mut replies);
-                    write_replies(&mut writers, &mut replies, stats);
+                    write_replies(&mut writers, &mut replies, &mut drain, stats);
                     self.start_due_sync(collector);
                 }
                 Event::RestorePoint => {
@@ -388,28 +390,67 @@ impl Server {
     }
 }
 
-/// Writes each reply as one frame, in order, draining `replies`; a
-/// reply that closes its connection drops the writer afterwards. A
+/// A reply drain encoded: each connection's frames back to back in one
+/// buffer, reused from drain to drain.
+#[derive(Debug, Default)]
+struct Drain {
+    bytes: Vec<u8>,
+    /// Per connection, in `bytes` order: where its frames end, and
+    /// whether the last of them closes it.
+    runs: Vec<(usize, usize, bool)>,
+    order: Vec<usize>,
+}
+
+impl Drain {
+    /// Encodes `replies`, each connection's in their order, up to and
+    /// including the one that closes it: nothing follows a closing
+    /// frame. No IO — [`write_replies`] writes each run once.
+    fn encode(&mut self, replies: &[Reply]) {
+        self.bytes.clear();
+        self.runs.clear();
+        self.order.clear();
+        self.order.extend(0..replies.len());
+        self.order.sort_unstable_by_key(|&i| (replies[i].conn, i));
+        for reply in self.order.iter().map(|&i| &replies[i]) {
+            if let Some(&(_, _, closed)) = self.runs.last().filter(|run| run.0 == reply.conn) {
+                if closed {
+                    continue;
+                }
+                self.runs.pop();
+            }
+            frame_with(&mut self.bytes, |out| encode_payload(&reply.message, out));
+            self.runs.push((reply.conn, self.bytes.len(), reply.close));
+        }
+    }
+}
+
+/// Writes a drain of `replies` with one write a connection, emptying
+/// `replies`; a connection whose run closes it is dropped afterwards. A
 /// failed write is the client's problem — it retries and the seq dedup
 /// absorbs the re-delivery. The wall time goes to the ack stage of the
 /// bench breakdown.
 fn write_replies(
     writers: &mut BTreeMap<usize, Stream>,
     replies: &mut Vec<Reply>,
+    drain: &mut Drain,
     stats: &mut ServerStats,
 ) {
     if replies.is_empty() {
         return;
     }
     let start = std::time::Instant::now();
-    for reply in replies.drain(..) {
-        if let Some(w) = writers.get_mut(&reply.conn) {
-            let _ = w.write_all(&encode_frame(&reply.message));
-            if reply.close {
+    drain.encode(replies);
+    replies.clear();
+    let mut from = 0;
+    for &(conn, end, close) in &drain.runs {
+        if let Some(w) = writers.get_mut(&conn) {
+            let _ = w.write_all(&drain.bytes[from..end]);
+            if close {
                 let _ = w.shutdown();
-                writers.remove(&reply.conn);
+                writers.remove(&conn);
             }
         }
+        from = end;
     }
     stats.ack_ns = stats
         .ack_ns
@@ -578,5 +619,67 @@ mod tests {
             billed < STALL / 4,
             "decode clock billed {billed:?} for two hello frames; the stall was {STALL:?}"
         );
+    }
+
+    /// A drain is each connection's frames end to end — exactly what
+    /// one `encode_frame` a reply would have written there, in order —
+    /// and nothing for a connection after the frame that closes it.
+    #[test]
+    fn a_drain_is_one_run_of_frames_a_connection() {
+        let ack = |sensor, seq| Message::AckUpTo {
+            sensor: SensorId(sensor),
+            seq,
+        };
+        let reply = |conn, message, close| Reply {
+            conn,
+            message,
+            close,
+        };
+        let replies = vec![
+            reply(7, ack(1, 10), false),
+            reply(3, ack(2, 4), false),
+            reply(7, ack(1, 11), false),
+            reply(3, Message::HelloReject { supported: 1 }, true),
+            reply(
+                7,
+                Message::Nack {
+                    sensor: SensorId(1),
+                    seq: 12,
+                },
+                false,
+            ),
+            reply(3, ack(2, 5), false),
+            reply(7, ack(5, 0), false),
+            reply(3, Message::FinAck, false),
+            reply(7, Message::FinAck, false),
+        ];
+        let mut drain = Drain::default();
+        // Twice: the second drain reuses the first one's buffers.
+        for _ in 0..2 {
+            drain.encode(&replies);
+            let mut expect: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
+            let mut closed = Vec::new();
+            for r in &replies {
+                if !closed.contains(&r.conn) {
+                    expect
+                        .entry(r.conn)
+                        .or_default()
+                        .extend(encode_frame(&r.message));
+                }
+                if r.close {
+                    closed.push(r.conn);
+                }
+            }
+            let mut got: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
+            let mut from = 0;
+            for &(conn, end, _) in &drain.runs {
+                got.insert(conn, drain.bytes[from..end].to_vec());
+                from = end;
+            }
+            assert_eq!(got, expect);
+            assert_eq!(drain.runs.len(), 2, "one write a connection");
+            let closes: Vec<(usize, bool)> = drain.runs.iter().map(|r| (r.0, r.2)).collect();
+            assert_eq!(closes, vec![(3, true), (7, false)]);
+        }
     }
 }

@@ -25,6 +25,7 @@
 //! round-trip is bit-exact and encoding a live collector equals
 //! encoding its restored twin.
 
+use crate::frame::ReadingArena;
 use crate::reorder::{ReorderSnapshot, ReorderStats};
 use sentinet_core::checkpoint::{
     push_dec, push_hex, put_joined, put_opt, read_pipeline, write_pipeline, CheckpointError,
@@ -136,9 +137,9 @@ pub fn write_collector<W: fmt::Write>(out: &mut W, snap: &CollectorSnapshot) -> 
     out.write_str("reorder ")?;
     put_opt(out, snap.reorder.watermark)?;
     writeln!(out, " {duplicates} {late} {shed}")?;
-    for (time, sensor, values) in &snap.reorder.buffer {
+    for ((time, sensor), values) in snap.reorder.buffer.iter() {
         out.write_str("rbuf ")?;
-        push_dec(out, *time)?;
+        push_dec(out, time)?;
         out.write_char(' ')?;
         push_dec(out, u64::from(sensor.0))?;
         for v in values {
@@ -207,7 +208,11 @@ pub fn split_snapshot(
     let (p_in, p_out) = part(&snap.pipeline.sensors, |(s, _)| inside(*s));
     let (w_in, w_out) = part(&snap.pipeline.windower.readings, |(s, _, _)| inside(*s));
     let (sl_in, sl_out) = part(&snap.sanitizer.latest, |(s, _)| inside(*s));
-    let (rb_in, rb_out) = part(&snap.reorder.buffer, |(_, s, _)| inside(*s));
+    let (rb_in, rb_out): (ReadingArena<_>, _) = snap
+        .reorder
+        .buffer
+        .iter()
+        .partition(|((_, s), _)| inside(*s));
     let (rr_in, rr_out) = part(&snap.reorder.last_released, |(s, _)| inside(*s));
     let (sq_in, sq_out) = part(&snap.seqs, |(s, _, _)| inside(*s));
     let (lh_in, lh_out) = part(&snap.last_heard, |(s, _)| inside(*s));
@@ -285,6 +290,7 @@ pub fn merge_snapshot(
         out
     }
     let (o, n) = (outside, inside);
+    let buffers: [Vec<_>; 2] = [o, n].map(|s| s.reorder.buffer.iter().collect());
     CollectorSnapshot {
         pipeline: PipelineSnapshot {
             global: o.pipeline.global.clone(),
@@ -301,7 +307,9 @@ pub fn merge_snapshot(
             sensors: merge_by(&o.pipeline.sensors, &n.pipeline.sensors, |(s, _)| *s),
         },
         reorder: ReorderSnapshot {
-            buffer: merge_by(&o.reorder.buffer, &n.reorder.buffer, |(t, s, _)| (*t, *s)),
+            buffer: merge_by(&buffers[0], &buffers[1], |&(key, _)| key)
+                .into_iter()
+                .collect(),
             last_released: merge_by(
                 &o.reorder.last_released,
                 &n.reorder.last_released,
@@ -395,9 +403,10 @@ pub(crate) fn read_collector(r: &mut Reader<'_>) -> Result<CollectorSnapshot, Ch
         shed: f.num()?,
     };
     f.end()?;
-    let mut buffer = Vec::new();
+    let mut buffer = ReadingArena::default();
     while let Some(mut f) = r.tagged_if("rbuf") {
-        buffer.push((f.num()?, SensorId(f.num()?), f.hex_row()?));
+        let key = (f.num()?, SensorId(f.num()?));
+        buffer.push(key, &f.hex_row()?);
     }
     let last_released = r.list("rrel", read_pair)?;
     let mut seqs = Vec::new();
@@ -448,7 +457,9 @@ mod tests {
         CollectorSnapshot {
             pipeline: pipeline.snapshot(),
             reorder: ReorderSnapshot {
-                buffer: vec![(9300, SensorId(1), vec![24.5, 54.5])],
+                buffer: [((9300, SensorId(1)), &[24.5, 54.5][..])]
+                    .into_iter()
+                    .collect(),
                 last_released: vec![(SensorId(0), 9000), (SensorId(1), 9000)],
                 watermark: Some(8700),
                 stats: ReorderStats {

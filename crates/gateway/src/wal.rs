@@ -64,6 +64,7 @@ use crate::frame::{
 use crate::vfs::{RealVfs, StorageError, VFile, Vfs, VfsOp};
 use sentinet_sim::{SensorId, Timestamp};
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -87,8 +88,8 @@ pub struct WalRecord<V = Vec<f64>> {
 /// sensor and sequence number beside one values arena.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WalLog {
-    keys: Vec<(SensorId, u64)>,
-    readings: ReadingArena,
+    pub(crate) keys: Vec<(SensorId, u64)>,
+    pub(crate) readings: ReadingArena,
 }
 
 impl WalLog {
@@ -110,6 +111,24 @@ impl WalLog {
             seq,
             time,
             values,
+        })
+    }
+
+    /// Index ranges of the records from `from` on, a run each — one
+    /// sensor's consecutive seqs, as a batch frame logs them — cut also
+    /// at `cut`.
+    pub(crate) fn runs(
+        &self,
+        from: usize,
+        cut: Option<usize>,
+    ) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut start = from;
+        std::iter::from_fn(move || {
+            let &(sensor, first) = self.keys.get(start)?;
+            let run = self.keys[start..].iter().zip(first..=u64::MAX);
+            let len = run.take_while(|&(&k, seq)| k == (sensor, seq)).count();
+            let end = (start + len).min(cut.filter(|&c| c > start).unwrap_or(usize::MAX));
+            Some(std::mem::replace(&mut start, end)..end)
         })
     }
 

@@ -8,16 +8,21 @@
 //!
 //! A frame is decoded into one values arena (two allocations, sized
 //! from what the payload can back); admission borrows slices of it for
-//! the dedup pass, the WAL encoder and the reorder buffer, which copies
-//! each admitted slice into a vector recycled from an earlier release;
-//! the sanitizer and the window read that vector in place and it goes
-//! back to the buffer. So a frame of N readings costs a handful of
+//! the dedup pass and the WAL encoder, and hands the fresh prefix to
+//! the reorder buffer as one run. The buffer copies each admitted slice
+//! onto its sensor's slab — grown once, then reused as the head moves —
+//! and lends each released one to the sanitizer and the window, which
+//! read it where it lies. So a frame of N readings costs a handful of
 //! allocations for itself and, per reading, only what the windows it
 //! closes and the per-sensor histories cost — measured here as the
 //! slope between a 96-reading and a 192-reading frame, which cancels
 //! the per-frame part. (One `Vec<f64>` a reading, moved rather than
 //! cloned from decode to window, measured 1.19; cloning at each
 //! hand-off, 3.2.)
+//!
+//! The restore point's stage — the collector's snapshot value, taken on
+//! the event loop — copies the slabs flat: its allocator calls do not
+//! grow with the readings the buffer holds.
 //!
 //! Counts are per thread, so the harness running the tests of this file
 //! side by side does not disturb them.
@@ -27,7 +32,7 @@ use sentinet_gateway::{
     AckDiscipline, Collector, FsyncPolicy, GatewayConfig, Message, StepEvent, StepServer,
     PROTOCOL_VERSION,
 };
-use sentinet_sim::SensorId;
+use sentinet_sim::{SensorId, Timestamp};
 use std::fs;
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -133,4 +138,47 @@ fn an_admitted_v2_reading_allocates_nothing_of_its_own() {
         "every reading but the ones the watermark still holds was admitted"
     );
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A restore point's stage with N and with 2N readings held in the
+/// reorder buffer: the same allocator calls, give or take a doubling
+/// of the flat buffers — where a vector a buffered reading cost N more.
+#[test]
+fn staging_a_restore_point_costs_the_same_for_twice_the_backlog() {
+    let stage_with = |held: u64| -> u64 {
+        let dir = std::env::temp_dir().join(format!(
+            "sentinet-stage-alloc-{held}-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let mut config = GatewayConfig::new(&dir);
+        config.sample_period = SAMPLE_PERIOD;
+        config.wal.fsync = FsyncPolicy::Never;
+        config.checkpoint_every = 0;
+        config.reorder.watermark_delay = held * SAMPLE_PERIOD;
+        config.reorder.per_sensor_capacity = 4 * held as usize;
+        let (mut collector, _) = Collector::open(config).expect("open");
+        // Two days of two sensors, then as many more readings as are
+        // held: both pipelines end having released the same two days.
+        for sensor in [SensorId(0), SensorId(1)] {
+            let readings: Vec<(Timestamp, Vec<f64>)> = (0..576 + held)
+                .map(|i| (SAMPLE_PERIOD * (i + 1), vec![14.0 + (i % 7) as f64, 80.0]))
+                .collect();
+            collector
+                .deliver_batch(sensor, 0, &readings)
+                .expect("deliver");
+        }
+        let (calls, snapshot) = allocations(|| collector.snapshot());
+        assert_eq!(snapshot.reorder.buffer.len() as u64, 2 * held);
+        drop(collector);
+        fs::remove_dir_all(&dir).ok();
+        calls
+    };
+    let (n, twice) = (stage_with(HELD), stage_with(2 * HELD));
+    assert!(
+        n.abs_diff(twice) <= 2,
+        "{n} allocator calls with {} readings held, {twice} with {}",
+        2 * HELD,
+        4 * HELD
+    );
 }

@@ -14,13 +14,16 @@
 //! outcome, the released stream, `stats()`, `watermark()` and
 //! `snapshot()`.
 //!
-//! The shipped buffer copies admitted values into vectors recycled
-//! from earlier releases; the property hands every released vector
-//! back, so the differential runs with recycling on — and, since the
-//! model has no such thing, shows that nothing observable depends on
-//! it. Three properties of recycling itself follow: spare lists are not
-//! state (equal snapshots, equal `encode_collector` bytes), they never
-//! outgrow what was buffered, and no oversized vector is ever parked.
+//! The shipped buffer keeps each sensor's records in a slab and takes
+//! one sensor's readings a run at a time. The run-shaped property
+//! [`runs_release_what_one_at_a_time_releases`] offers the model the
+//! same readings one at a time, draining after each, and compares every
+//! reading's outcome and every release; two unit tests pin the traps a
+//! run offer that released only at its end would fall into. Two
+//! properties of the slabs follow: the room they keep is not state
+//! (equal snapshots, equal `encode_collector` bytes), and a drained
+//! burst of the widest readings leaves no more room than
+//! `reorder.rs`'s header states.
 //!
 //! Last, [`hostile_parts_restore_to_a_buffer_that_keeps_its_promises`]
 //! audits `ReorderBuffer::from_snapshot` and `Sanitizer::from_snapshot`
@@ -41,7 +44,7 @@ use seeded::Replay;
 use sentinet_core::{Pipeline, PipelineConfig};
 use sentinet_gateway::{
     encode_collector, AdmitOutcome, CollectorSnapshot, ReorderBuffer, ReorderConfig,
-    ReorderSnapshot, ReorderStats, MAX_SPARE_VALUES,
+    ReorderSnapshot, ReorderStats, RETAINED_VALUES,
 };
 use sentinet_sim::{RawRecord, Sanitizer, SanitizerSnapshot, SensorId, Timestamp};
 use std::collections::BTreeMap;
@@ -156,7 +159,7 @@ impl ModelReorder {
             buffer: self
                 .buffer
                 .iter()
-                .map(|(&(t, s), v)| (t, s, v.clone()))
+                .map(|(&key, v)| (key, v.as_slice()))
                 .collect(),
             last_released: self.last_released.iter().map(|(&s, &t)| (s, t)).collect(),
             watermark: self.watermark,
@@ -170,9 +173,9 @@ impl ModelReorder {
     fn from_snapshot(config: ReorderConfig, snapshot: ReorderSnapshot) -> Self {
         let mut buffered_per_sensor: BTreeMap<SensorId, usize> = BTreeMap::new();
         let mut buffer = BTreeMap::new();
-        for (t, s, v) in snapshot.buffer {
+        for ((t, s), v) in snapshot.buffer.iter() {
             *buffered_per_sensor.entry(s).or_insert(0) += 1;
-            buffer.insert((t, s), v);
+            buffer.insert((t, s), v.to_vec());
         }
         Self {
             config,
@@ -296,10 +299,6 @@ impl Pair {
         if expect != got {
             return Err(format!("{what}: released {expect:?} (model) vs {got:?}"));
         }
-        // The collector hands every consumed vector back.
-        for record in got {
-            self.flat.recycle(record.values);
-        }
         self.check_state(what)
     }
 
@@ -381,8 +380,8 @@ fn run_case(seed: u64, log: bool) -> Result<(ReorderStats, usize), String> {
                     .snapshot()
                     .buffer
                     .iter()
-                    .find(|(_, s, _)| *s == sensor)
-                    .map(|(t, _, _)| *t);
+                    .find(|((_, s), _)| *s == sensor)
+                    .map(|((t, _), _)| t);
                 match oldest {
                     Some(t) => pair.offer(t.saturating_sub(1), sensor, dims),
                     None => Ok(()),
@@ -471,57 +470,55 @@ fn around(reorder: ReorderSnapshot) -> CollectorSnapshot {
     }
 }
 
-/// Two buffers fed the same stream, one getting its released vectors
-/// back and one not: the spare list is the only difference between
-/// them, and neither a snapshot nor a restore point's bytes show it.
+/// A buffer and a twin restored from its image before every offer:
+/// the same state in slabs cut to fit, while the live one's still hold
+/// the room a wide burst grew. Neither the outcomes, the releases, a
+/// snapshot nor a restore point's bytes show the difference.
 #[test]
-fn spare_lists_are_not_state() {
+fn slab_room_is_not_state() {
     let config = ReorderConfig {
         watermark_delay: 4 * PERIOD,
         per_sensor_capacity: 64,
     };
-    let mut recycling = ReorderBuffer::new(config.clone());
-    let mut plain = ReorderBuffer::new(config.clone());
+    let mut live = ReorderBuffer::new(config.clone());
     let mut rng = TestRng::new(7);
+    let mut differed = false;
     for i in 0..400u64 {
         let sensor = rng.usize_in(0, 4) as u16;
         let time = PERIOD * (i / 4 + rng.usize_in(0, 4) as u64);
-        let record = raw(time, sensor, vec![i as f64, -(i as f64)]);
-        assert_eq!(recycling.offer(record.clone()), plain.offer(record));
+        let width = if (100..110).contains(&i) { 1_500 } else { 2 };
+        let record = raw(time, sensor, vec![i as f64; width]);
+        let mut twin = ReorderBuffer::from_snapshot(config.clone(), live.snapshot());
+        differed |= twin.retained_values().sum::<usize>() < live.retained_values().sum::<usize>();
+        assert_eq!(live.offer(record.clone()), twin.offer(record));
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        recycling.drain_ready(&mut a);
-        plain.drain_ready(&mut b);
+        live.drain_ready(&mut a);
+        twin.drain_ready(&mut b);
         assert_eq!(a, b, "step {i}");
-        for released in a {
-            recycling.recycle(released.values);
+        let (a, b) = (live.snapshot(), twin.snapshot());
+        assert_eq!(a, b, "step {i}");
+        if i % 8 == 0 {
+            assert_eq!(encode_collector(&around(a)), encode_collector(&around(b)));
         }
-        let (a, b) = (recycling.snapshot(), plain.snapshot());
-        assert_eq!(a, b, "step {i}");
-        assert_eq!(encode_collector(&around(a)), encode_collector(&around(b)));
     }
-    assert!(recycling.spare_capacities().len() > 0, "the test recycled");
-    assert_eq!(plain.spare_capacities().len(), 0);
-    // A restored buffer starts without spares, whoever it came from.
-    let restored = ReorderBuffer::from_snapshot(config, recycling.snapshot());
-    assert_eq!(restored.spare_capacities().len(), 0);
+    assert!(differed, "the live slabs held more room than their twins'");
 }
 
-/// What recycling can pin: never more spare vectors than the buffer
-/// has held records at once — whatever is handed to `recycle`, the
-/// buffer's own or not — and none with room for more than
-/// [`MAX_SPARE_VALUES`].
+/// What a slab can pin: once a burst of the widest readings a frame
+/// can state has drained, no sensor's slab keeps room for more than
+/// [`RETAINED_VALUES`] values beyond twice its live ones — whether the
+/// burst left behind it in the queue or emptied it.
 #[test]
-fn the_spare_list_is_bounded_in_count_and_capacity() {
+fn a_drained_burst_leaves_the_stated_room() {
     let mut buffer = ReorderBuffer::new(ReorderConfig {
         watermark_delay: 8 * PERIOD,
         per_sensor_capacity: 64,
     });
-    // A burst of the widest readings a frame can state, among normal
-    // ones: all buffered, all released (the sanitizer's to refuse).
+    // All buffered, all released (the sanitizer's to refuse).
     let wide = vec![1.0; usize::from(u16::MAX)];
-    let mut peak = 0;
     let mut released = Vec::new();
-    for i in 0..60u64 {
+    let mut peak = 0;
+    for i in 0..80u64 {
         let values = if (10..30).contains(&i) {
             wide.clone()
         } else {
@@ -531,29 +528,196 @@ fn the_spare_list_is_bounded_in_count_and_capacity() {
             buffer.offer(raw(PERIOD * i, 0, values)),
             AdmitOutcome::Admitted
         );
-        peak = peak.max(buffer.snapshot().buffer.len());
         buffer.drain_ready(&mut released);
-        for record in released.drain(..) {
-            buffer.recycle(record.values);
-            assert!(
-                buffer.spare_capacities().all(|c| c <= MAX_SPARE_VALUES),
-                "an oversized vector was parked at step {i}"
-            );
-        }
+        peak = peak.max(buffer.retained_values().sum::<usize>());
     }
+    assert!(peak > 20 * wide.len(), "the burst was buffered whole");
+    assert!(released.iter().any(|r| r.values.len() == wide.len()));
+    let live: usize = buffer.snapshot().buffer.iter().map(|(_, v)| v.len()).sum();
+    assert!(live > 0, "normal readings still behind the watermark");
+    let room: Vec<usize> = buffer.retained_values().collect();
+    assert!(
+        room.iter().all(|&r| r <= RETAINED_VALUES.max(2 * live)),
+        "{room:?}"
+    );
     buffer.flush(&mut released);
-    assert_eq!(peak, 9, "the watermark holds eight periods back");
-    for record in released.drain(..) {
-        buffer.recycle(record.values);
+    assert!(buffer.retained_values().all(|r| r <= RETAINED_VALUES));
+}
+
+/// `REORDER_RUNS_SEED` names one seed of the run-shaped differential.
+const RUNS: Replay = Replay {
+    var: "REORDER_RUNS_SEED",
+    package: "sentinet-gateway",
+    target: "--test reorder_props",
+    test: "runs_release_what_one_at_a_time_releases",
+};
+
+/// Offers `run` of `sensor` to the model one reading at a time with a
+/// drain after each, and to `shipped` as one run and one drain; the two
+/// must agree reading for reading.
+fn offer_both(
+    model: &mut ModelReorder,
+    shipped: &mut ReorderBuffer,
+    sensor: SensorId,
+    run: &[(Timestamp, Vec<f64>)],
+) -> Result<(), String> {
+    let (mut expect_outcomes, mut expect) = (Vec::new(), Vec::new());
+    for (time, values) in run {
+        expect_outcomes.push(model.offer(raw(*time, sensor.0, values.clone())));
+        model.drain_ready(&mut expect);
     }
-    let spares = buffer.spare_capacities().len();
-    assert!(spares > 0 && spares <= peak, "{spares} spare, {peak} peak");
-    // Vectors from anywhere else do not grow the list past the bound.
-    for _ in 0..100 {
-        buffer.recycle(Vec::with_capacity(2));
+    let (mut outcomes, mut got) = (Vec::new(), Vec::new());
+    let mut release = |time, sensor, values: &[f64]| {
+        got.push(RawRecord {
+            time,
+            sensor,
+            values: values.to_vec(),
+        })
+    };
+    let readings = run.iter().map(|(t, v)| (*t, v.as_slice()));
+    shipped.offer_run(sensor, readings, |_, o| outcomes.push(o), &mut release);
+    shipped.release_ready(&mut release);
+    if outcomes != expect_outcomes {
+        return Err(format!(
+            "outcomes {expect_outcomes:?} (model) vs {outcomes:?}"
+        ));
     }
-    assert!(buffer.spare_capacities().len() <= peak);
-    assert!(buffer.spare_capacities().all(|c| c <= MAX_SPARE_VALUES));
+    if got != expect {
+        return Err(format!("released {expect:?} (model) vs {got:?}"));
+    }
+    let (m, f) = (model.snapshot(), shipped.snapshot());
+    if (model.stats(), model.watermark(), &m) != (shipped.stats(), shipped.watermark(), &f) {
+        return Err(format!(
+            "state {:?} {:?} {m:?} (model) vs {:?} {:?} {f:?}",
+            model.stats(),
+            model.watermark(),
+            shipped.stats(),
+            shipped.watermark()
+        ));
+    }
+    Ok(())
+}
+
+/// One seeded case: runs of one to 300 readings of one sensor — in
+/// order with gaps, with same-slot repeats, stragglers and readings
+/// exactly at the watermark the run itself has raised inside them —
+/// from several sensors, with crosswise snapshot/restore between runs.
+fn run_shaped_case(seed: u64) -> Result<(), String> {
+    let mut rng = TestRng::new(seed);
+    let config = ReorderConfig {
+        watermark_delay: pick(&mut rng, &[0, PERIOD, 5 * PERIOD, 20 * PERIOD, u64::MAX]),
+        per_sensor_capacity: pick(&mut rng, &[0, 1, 3, 64]),
+    };
+    let mut sensors = vec![SensorId(300), SensorId(0), SensorId(65_535), SensorId(7)];
+    sensors.truncate(rng.usize_in(1, sensors.len() + 1));
+    let mut model = ModelReorder::new(config.clone());
+    let mut shipped = ReorderBuffer::new(config.clone());
+    let (mut clock, mut value) = (100 * PERIOD, 0.0);
+    let mut shed_mid_run = false;
+    for step in 0..rng.usize_in(2, 12) {
+        if rng.usize_in(0, 5) == 0 {
+            let (m, f) = (model.snapshot(), shipped.snapshot());
+            model = ModelReorder::from_snapshot(config.clone(), f);
+            shipped = ReorderBuffer::from_snapshot(config.clone(), m);
+        }
+        let sensor = pick(&mut rng, &sensors);
+        let len = match rng.usize_in(0, 4) {
+            0 => 1,
+            1 => rng.usize_in(2, 10),
+            2 => rng.usize_in(10, 64),
+            _ => rng.usize_in(64, 301),
+        };
+        // The watermark the model will have reached by each reading: a
+        // refused reading never raises it.
+        let mut horizon = model.watermark();
+        let mut run: Vec<(Timestamp, Vec<f64>)> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let time = match rng.usize_in(0, 12) {
+                0..=5 => {
+                    clock += PERIOD * rng.usize_in(1, 3) as u64;
+                    clock
+                }
+                6 | 7 if !run.is_empty() => run[rng.usize_in(0, run.len())].0,
+                8 => clock.saturating_sub(PERIOD * rng.usize_in(1, 8) as u64),
+                9 => horizon.unwrap_or(clock),
+                _ => clock,
+            };
+            horizon = horizon.max(Some(time.saturating_sub(config.watermark_delay)));
+            value += 1.0;
+            let dims = rng.usize_in(1, 4);
+            run.push((time, (0..dims).map(|d| value + d as f64 / 8.0).collect()));
+        }
+        let shed = shipped.stats().shed;
+        offer_both(&mut model, &mut shipped, sensor, &run)
+            .map_err(|why| format!("run {step} ({len} of sensor {}): {why}", sensor.0))?;
+        shed_mid_run |= len > 1 && shipped.stats().shed > shed;
+    }
+    let (mut expect, mut got) = (Vec::new(), Vec::new());
+    model.flush(&mut expect);
+    shipped.release_all(|time, sensor, values| got.push(raw(time, sensor.0, values.to_vec())));
+    if expect != got {
+        return Err(format!("final flush: {expect:?} (model) vs {got:?}"));
+    }
+    // Every case need not shed; the suite as a whole must.
+    if shed_mid_run {
+        SHED_MID_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+    Ok(())
+}
+
+/// Cases whose runs shed part-way.
+static SHED_MID_RUN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+#[test]
+fn runs_release_what_one_at_a_time_releases() {
+    RUNS.for_each_seed(400, run_shaped_case);
+    if RUNS.seed_from_env().is_none() {
+        let shed = SHED_MID_RUN.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(shed > 40, "only {shed} case(s) shed inside a run");
+    }
+}
+
+/// The first trap: a run offered whole before anything is released
+/// sheds, at capacity, a record the one-at-a-time path released before
+/// the run's next reading arrived.
+#[test]
+fn a_run_never_sheds_what_a_drain_released_first() {
+    let config = ReorderConfig {
+        watermark_delay: 0,
+        per_sensor_capacity: 1,
+    };
+    let run = [(300, vec![1.0]), (600, vec![2.0]), (900, vec![3.0])];
+    let mut model = ModelReorder::new(config.clone());
+    let mut shipped = ReorderBuffer::new(config);
+    offer_both(&mut model, &mut shipped, SensorId(2), &run).unwrap();
+    assert_eq!(
+        model.stats().shed,
+        0,
+        "each reading left before the next came"
+    );
+    assert_eq!(shipped.stats(), ReorderStats::default());
+}
+
+/// The second trap: a reading in a slot the run released a reading
+/// earlier is late one at a time; a run that has not released yet
+/// would find the slot still taken and count a duplicate.
+#[test]
+fn a_repeat_of_a_released_slot_is_late_not_duplicate() {
+    let config = ReorderConfig {
+        watermark_delay: 0,
+        per_sensor_capacity: 64,
+    };
+    let run = [(300, vec![1.0]), (300, vec![9.0]), (600, vec![2.0])];
+    let mut model = ModelReorder::new(config.clone());
+    let mut shipped = ReorderBuffer::new(config);
+    offer_both(&mut model, &mut shipped, SensorId(2), &run).unwrap();
+    let expect = ReorderStats {
+        duplicates: 0,
+        late: 1,
+        shed: 0,
+    };
+    assert_eq!(model.stats(), expect);
+    assert_eq!(shipped.stats(), expect);
 }
 
 /// `HOSTILE_PARTS_SEED` names one seed of the from-snapshot audit.
@@ -621,7 +785,10 @@ fn hostile_case(seed: u64) -> Result<(), String> {
         shed: rng.usize_in(0, 9),
     };
     let parts = ReorderSnapshot {
-        buffer,
+        buffer: buffer
+            .iter()
+            .map(|(t, s, v)| ((*t, *s), v.as_slice()))
+            .collect(),
         last_released,
         watermark,
         stats,
@@ -740,8 +907,8 @@ fn hostile_case(seed: u64) -> Result<(), String> {
             )));
         }
         let mut per_sensor: BTreeMap<SensorId, usize> = BTreeMap::new();
-        for (_, s, _) in &now.buffer {
-            *per_sensor.entry(*s).or_insert(0) += 1;
+        for ((_, s), _) in now.buffer.iter() {
+            *per_sensor.entry(s).or_insert(0) += 1;
         }
         if let Some((s, n)) = per_sensor.iter().find(|(_, &n)| n > capacity) {
             return Err(at(format!("sensor {} buffers {n} over {capacity}", s.0)));

@@ -102,8 +102,8 @@ fn snapshots() -> impl Strategy<Value = CollectorSnapshot> {
         .prop_map(
             |(buffer, last_released, (has_mark, mark), (duplicates, late, shed))| ReorderSnapshot {
                 buffer: buffer
-                    .into_iter()
-                    .map(|(t, s, vs)| (t, SensorId(s), vs))
+                    .iter()
+                    .map(|(t, s, vs)| ((*t, SensorId(*s)), vs.as_slice()))
                     .collect(),
                 last_released,
                 watermark: (has_mark == 1).then_some(mark),
@@ -235,8 +235,10 @@ fn canonicalize(mut snap: CollectorSnapshot) -> CollectorSnapshot {
     by_sensor(&mut snap.last_heard, |(s, _)| s.0);
     snap.silent.sort();
     snap.silent.dedup();
-    snap.reorder.buffer.sort_by_key(|(t, s, _)| (*t, s.0));
-    snap.reorder.buffer.dedup_by_key(|(t, s, _)| (*t, s.0));
+    let mut buffer: Vec<_> = snap.reorder.buffer.iter().collect();
+    buffer.sort_by_key(|((t, s), _)| (*t, s.0));
+    buffer.dedup_by_key(|((t, s), _)| (*t, s.0));
+    snap.reorder.buffer = buffer.into_iter().collect();
     snap
 }
 
@@ -276,7 +278,7 @@ proptest! {
             prop_assert!(half.last_heard.iter().all(|(s, _)| ok(*s)));
             prop_assert!(half.silent.iter().all(|s| ok(*s)));
             prop_assert!(half.sanitizer.latest.iter().all(|(s, _)| ok(*s)));
-            prop_assert!(half.reorder.buffer.iter().all(|(_, s, _)| ok(*s)));
+            prop_assert!(half.reorder.buffer.iter().all(|((_, s), _)| ok(s)));
             prop_assert!(half.reorder.last_released.iter().all(|(s, _)| ok(*s)));
             prop_assert!(half.pipeline.sensors.iter().all(|(s, _)| ok(*s)));
             prop_assert_eq!(&half.pipeline.global, &snap.pipeline.global);
@@ -358,11 +360,14 @@ fn golden_snapshot(silent: Vec<SensorId>) -> CollectorSnapshot {
     CollectorSnapshot {
         pipeline,
         reorder: ReorderSnapshot {
-            buffer: vec![
+            buffer: [
                 (180_300, SensorId(0), vec![21.5, f64::INFINITY]),
                 (180_300, SensorId(2), vec![f64::NAN, -0.0]),
                 (180_600, SensorId(1), vec![1e300, 5e-324, -3.25]),
-            ],
+            ]
+            .iter()
+            .map(|(t, s, v)| ((*t, *s), v.as_slice()))
+            .collect(),
             last_released: vec![(SensorId(0), 180_000), (SensorId(2), 179_700)],
             watermark: None,
             stats: ReorderStats {

@@ -171,19 +171,28 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
     ("gateway/src/wal.rs", &["push", "encode_run"]),
-    // A reading's way from a batch's arena to the window: the borrowed
-    // offer and the release, admission around them, the slice check —
-    // and, on the client, the push into the open batch.
+    // A run's way from a batch's arena to the window: the run offer and
+    // its per-reading step, the slab's insert, release and compaction,
+    // the run admit around them with its liveness update, the released
+    // reading's sanitize-and-push, the slice check — on the client, the
+    // push into the open batch — and the reply drain's encoder.
     (
         "gateway/src/reorder.rs",
-        &["offer", "offer_at", "pop_through", "recycle"],
+        &[
+            "offer_run",
+            "admit",
+            "insert",
+            "pop_front",
+            "release_through",
+        ],
     ),
     (
         "gateway/src/collector/admission.rs",
-        &["admit", "ingest_released"],
+        &["admit_run", "take", "heard", "update"],
     ),
     ("sim/src/sanitize.rs", &["check"]),
     ("gateway/src/client.rs", &["send"]),
+    ("gateway/src/server.rs", &["encode"]),
     // The one part of a restore point the event loop still runs.
     (
         "gateway/src/collector/checkpoint.rs",
