@@ -11,7 +11,6 @@
 //! dependency list.
 
 use sentinet_controller::{FederationConfig, ProcessConfig, WireProtocol};
-use sentinet_engine::SupervisorConfig;
 use sentinet_gateway::{FsyncPolicy, GatewayConfig, ServerConfig, UplinkConfig};
 use sentinet_inject::{AttackModel, FaultModel};
 use sentinet_sim::SensorId;
@@ -61,13 +60,6 @@ pub struct AnalyzeArgs {
     /// Where the shared flags land; `analyze` takes the paper's three
     /// and reads only `sample_period` and `pipeline`.
     pub shape: GatewayConfig,
-    /// Worker shards for the sharded engine (1 = serial pipeline).
-    pub shards: usize,
-    /// Seed of a replayable fault plan (worker panics, dropped/delayed
-    /// replies) injected into the supervised engine.
-    pub chaos_seed: Option<u64>,
-    /// Supervision of the sharded engine (`--max-shard-restarts`).
-    pub supervisor: SupervisorConfig,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
@@ -89,8 +81,6 @@ pub struct ReplayWalArgs {
     /// The collector the log is reopened under; it reproduces the live
     /// run only under the shared flags the log was served with.
     pub gateway: GatewayConfig,
-    /// Shards of the engine cross-check over the released stream (1 skips).
-    pub shards: usize,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
@@ -353,22 +343,12 @@ impl Args for AnalyzeArgs {
     const NAME: &'static str = "analyze";
     const OPERAND: Operand = Some(("<trace.csv>", "an input path"));
     const SHARED: Shared<Self> = Some((3, |a| &mut a.shape));
-    const FLAGS: &'static [Flag<Self>] = &[
-        Flag::new("--shards", "N", |a, v| positive(v, &mut a.shards)),
-        Flag::new("--chaos-seed", "S", |a, v| num(v, a.chaos_seed.insert(0))),
-        Flag::new("--max-shard-restarts", "N", |a, v| {
-            num(v, &mut a.supervisor.max_shard_restarts)
-        }),
-        Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
-    ];
+    const FLAGS: &'static [Flag<Self>] = &[Flag::new("--quiet", "", |a, _| on(&mut a.quiet))];
 
     fn new(input: String) -> Self {
         Self {
             input,
             shape: GatewayConfig::new(""),
-            shards: 1,
-            chaos_seed: None,
-            supervisor: SupervisorConfig::default(),
             quiet: false,
         }
     }
@@ -421,14 +401,12 @@ impl Args for ReplayWalArgs {
     const SHARED: Shared<Self> = Some((5, |a| &mut a.gateway));
     const FLAGS: &'static [Flag<Self>] = &[
         Flag::required("--wal-dir", "DIR", |a, v| text(v, &mut a.gateway.wal.dir)),
-        Flag::new("--shards", "N", |a, v| positive(v, &mut a.shards)),
         Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
     ];
 
     fn new(_: String) -> Self {
         Self {
             gateway: GatewayConfig::new(""),
-            shards: 1,
             quiet: false,
         }
     }
@@ -702,9 +680,7 @@ LIVE INGEST (serve / replay-wal):
   the durable collector until a client sends Fin: every accepted frame
   is WAL-appended before it is acked, so `kill -9` at any point (try
   --crash-after N) resumes to a bit-identical report on restart.
-  replay-wal rebuilds the report offline from a WAL directory;
-  --shards N > 1 additionally re-runs the released stream through the
-  supervised engine and verifies the reports match bit for bit.
+  replay-wal rebuilds the report offline from a WAL directory.
   --silence-deadline 0 disables liveness tracking.
   --wal-retain-bytes N bounds the WAL on disk: segments wholly covered
   by a durable checkpoint are deleted after the checkpoint commits, and
@@ -748,13 +724,6 @@ FEDERATION (federate):
   fence token persists beside the WAL, a stale restart fail-stops,
   and a client announcing a newer epoch turns the running collector
   into a zombie that NACKs every append with a typed rejection.
-
-CHAOS TESTING (analyze):
-  --chaos-seed S           inject a seeded, replayable fault plan
-                           (worker panics, dropped/delayed replies)
-                           into the supervised sharded engine
-  --max-shard-restarts N   per-window crash budget before a shard is
-                           quarantined (default 3)
 
 FAULT MODELS (simulate --fault):
   6:stuck=15,1        sensor 6 stuck at (15, 1)
@@ -960,8 +929,7 @@ mod tests {
     #[test]
     fn analyze_flags() {
         match parse([
-            "analyze", "t.csv", "--period", "60", "--window", "15", "--trim", "0.1", "--shards",
-            "4", "--quiet",
+            "analyze", "t.csv", "--period", "60", "--window", "15", "--trim", "0.1", "--quiet",
         ])
         .unwrap()
         {
@@ -969,50 +937,31 @@ mod tests {
                 assert_eq!(a.shape.sample_period, 60);
                 assert_eq!(a.shape.pipeline.window_samples, 15);
                 assert!((a.shape.pipeline.observable_trim - 0.1).abs() < 1e-12);
-                assert_eq!(a.shards, 4);
                 assert!(a.quiet);
             }
             other => panic!("{other:?}"),
         }
     }
 
+    /// The sharded engine's flags are refused, not ignored: a script
+    /// that still passes one learns why instead of getting serial output.
     #[test]
-    fn analyze_chaos_flags() {
-        match parse(["analyze", "t.csv"]).unwrap() {
-            Command::Analyze(a) => {
-                assert_eq!(a.chaos_seed, None);
-                assert_eq!(a.supervisor.max_shard_restarts, 3);
-            }
-            other => panic!("{other:?}"),
+    fn sharded_engine_flags_are_unknown() {
+        for (args, flag) in [
+            (&["analyze", "t.csv", "--shards", "2"][..], "--shards"),
+            (&["analyze", "t.csv", "--chaos-seed", "7"], "--chaos-seed"),
+            (
+                &["analyze", "t.csv", "--max-shard-restarts", "3"],
+                "--max-shard-restarts",
+            ),
+            (
+                &["replay-wal", "--wal-dir", "w", "--shards", "2"],
+                "--shards",
+            ),
+        ] {
+            let e = parse(args.iter().copied()).unwrap_err();
+            assert_eq!(e, format!("unknown flag {flag:?}"));
         }
-        match parse([
-            "analyze",
-            "t.csv",
-            "--chaos-seed",
-            "99",
-            "--max-shard-restarts",
-            "5",
-        ])
-        .unwrap()
-        {
-            Command::Analyze(a) => {
-                assert_eq!(a.chaos_seed, Some(99));
-                assert_eq!(a.supervisor.max_shard_restarts, 5);
-            }
-            other => panic!("{other:?}"),
-        }
-        let e = parse(["analyze", "t.csv", "--chaos-seed", "x"]).unwrap_err();
-        assert!(e.to_string().contains("chaos-seed"));
-    }
-
-    #[test]
-    fn analyze_shards_default_and_validation() {
-        match parse(["analyze", "t.csv"]).unwrap() {
-            Command::Analyze(a) => assert_eq!(a.shards, 1),
-            other => panic!("{other:?}"),
-        }
-        let e = parse(["analyze", "t.csv", "--shards", "0"]).unwrap_err();
-        assert!(e.to_string().contains("shards"));
     }
 
     #[test]
@@ -1106,10 +1055,9 @@ mod tests {
 
     #[test]
     fn replay_wal_flags() {
-        match parse(["replay-wal", "--wal-dir", "w", "--shards", "4"]).unwrap() {
+        match parse(["replay-wal", "--wal-dir", "w"]).unwrap() {
             Command::ReplayWal(a) => {
                 assert_eq!(a.gateway.wal.dir, Path::new("w"));
-                assert_eq!(a.shards, 4);
                 assert_eq!(a.gateway.reorder.watermark_delay, 1800);
             }
             other => panic!("{other:?}"),
@@ -1118,10 +1066,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("wal-dir"));
-        assert!(parse(["replay-wal", "--wal-dir", "w", "--shards", "0"])
-            .unwrap_err()
-            .to_string()
-            .contains("shards"));
     }
 
     #[test]
@@ -1648,11 +1592,15 @@ mod tests {
     }
 
     /// `help` names exactly the flags the hand-written synopsis named,
-    /// metavars included, plus `replay-wal`'s `--silence-deadline` —
-    /// and both agree with the tables.
+    /// metavars included, plus `replay-wal`'s `--silence-deadline` and
+    /// less the sharded engine's flags — and both agree with the tables.
     #[test]
     fn table_synopsis_names_the_parents_flags() {
         let mut expected = synopsis_flags(HAND_WRITTEN_SYNOPSIS);
+        let gone = ["--shards", "--chaos-seed", "--max-shard-restarts"];
+        for (_, flags) in &mut expected {
+            flags.retain(|(name, _)| !gone.contains(&name.as_str()));
+        }
         let replay_wal = expected.iter_mut().find(|(name, _)| name == "replay-wal");
         let flags = &mut replay_wal.unwrap().1;
         flags.push(("--silence-deadline".into(), "SECS".into()));

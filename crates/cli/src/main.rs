@@ -11,8 +11,7 @@
 //!   frames arrive over a socket, are WAL-appended before being acked,
 //!   and a killed process resumes to a bit-identical report;
 //! - `sentinet replay-wal --wal-dir w` rebuilds that report offline
-//!   from the log alone (optionally cross-checking the sharded
-//!   engine);
+//!   from the log alone;
 //! - `sentinet federate trace.csv --wal-root r` partitions the sensors
 //!   over several `serve` children behind a controller that fails a
 //!   dead one over to a standby, and prints the merged fleet diagnosis
@@ -25,7 +24,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_controller::{run_campaign, Federation, NemesisConfig, PartitionMap, ProcessBackend};
 use sentinet_core::{Pipeline, PipelineReport, RecoveryPlan};
-use sentinet_engine::{ChaosPlan, Engine, SupervisorConfig};
 use sentinet_gateway::{Collector, GatewayReport, Server};
 use sentinet_inject::{inject_attacks, inject_faults, AttackInjection, FaultInjection};
 use sentinet_sim::{gdi, read_trace_sanitized, simulate, write_trace, SensorId, DAY_S};
@@ -135,44 +133,10 @@ fn run_analyze(a: AnalyzeArgs) -> Result<(), Box<dyn std::error::Error>> {
     if trace.is_empty() {
         return Err("trace contains no records".into());
     }
-    let (config, period) = (a.shape.pipeline, a.shape.sample_period);
-    let window_duration = u64::from(config.window_samples) * period;
-    // Both paths produce identical reports (the engine is bit-for-bit
-    // equivalent to the pipeline); --shards > 1 fans the per-sensor
-    // stages out to supervised worker threads, and --chaos-seed forces
-    // the supervised engine so the fault plan has workers to kill.
-    let (report, plan) = if a.shards > 1 || a.chaos_seed.is_some() {
-        let mut engine = Engine::new(config, period, a.shards).with_supervisor(a.supervisor);
-        if let Some(seed) = a.chaos_seed {
-            let windows = trace
-                .records()
-                .last()
-                .map(|r| r.time / window_duration)
-                .unwrap_or(1)
-                .max(1);
-            let chaos = ChaosPlan::seeded(seed, a.shards, windows, 4);
-            eprintln!(
-                "chaos: injecting {} fault(s) from seed {seed}",
-                chaos.faults.len()
-            );
-            engine = engine.with_chaos(chaos);
-        }
-        let run = engine.process_trace(&trace)?;
-        if let Some(degraded) = run.degraded() {
-            eprintln!("warning: {degraded}");
-        } else if !run.shard_restarts().is_empty() {
-            eprintln!(
-                "chaos: all crashes recovered exactly (restarts: {:?})",
-                run.shard_restarts()
-            );
-        }
-        (run.report(), run.recovery_plan())
-    } else {
-        let mut pipeline = Pipeline::new(config, period);
-        pipeline.process_trace(&trace);
-        (pipeline.report(), RecoveryPlan::from_pipeline(&pipeline))
-    };
-    print_pipeline_report(&report, &plan, a.quiet);
+    let mut pipeline = Pipeline::new(a.shape.pipeline, a.shape.sample_period);
+    pipeline.process_trace(&trace);
+    let plan = RecoveryPlan::from_pipeline(&pipeline);
+    print_pipeline_report(&pipeline.report(), &plan, a.quiet);
     Ok(())
 }
 
@@ -365,43 +329,12 @@ fn run_replay_wal(a: ReplayWalArgs) -> Result<(), Box<dyn std::error::Error>> {
     let mut config = a.gateway;
     // Offline replay must not rewrite the log's checkpoints.
     config.checkpoint_every = 0;
-    config.record_released = a.shards > 1;
-    let (pipeline, period) = (config.pipeline.clone(), config.sample_period);
     let (collector, info) = Collector::open(config)?;
     if let Some(cursor) = info.restored_from {
-        if a.shards > 1 {
-            // Retention deleted the checkpointed prefix, so the
-            // released stream starts mid-run and the engine would
-            // (correctly) diverge from the restored collector.
-            return Err(format!(
-                "wal was reclaimed under a retention budget (checkpoint at cursor \
-                 {cursor}); the released stream is incomplete, so the --shards \
-                 cross-check cannot run — re-run with --shards 1"
-            )
-            .into());
-        }
         eprintln!("restored from checkpoint at cursor {cursor}");
     }
     eprintln!("replayed {} record(s) from the wal", info.replayed);
     let report = collector.finish()?;
-    if let Some(trace) = &report.released {
-        // Cross-check: the sharded engine over the released stream
-        // must reproduce the collector's report bit for bit.
-        let engine =
-            Engine::new(pipeline, period, a.shards).with_supervisor(SupervisorConfig::default());
-        let run = engine.process_trace(trace)?;
-        if format!("{}", run.report()) != format!("{}", report.pipeline) {
-            return Err(format!(
-                "engine replay with {} shards diverged from the collector's report",
-                a.shards
-            )
-            .into());
-        }
-        eprintln!(
-            "engine replay with {} shard(s): bit-identical report",
-            a.shards
-        );
-    }
     finish_gateway_report(&report, a.quiet);
     Ok(())
 }

@@ -3,8 +3,8 @@
 //! chaos abort hook (`--crash-after`) and via a raw SIGKILL — restart
 //! it on the same WAL directory, re-deliver the stream through the
 //! retrying uplink, and require the final report byte-identical to an
-//! uninterrupted run. `replay-wal` over the survivor's log (with a
-//! sharded-engine cross-check) must print the same report again.
+//! uninterrupted run. `replay-wal` over the survivor's log must print
+//! the same report again.
 //!
 //! Two environment knobs let CI sweep the same assertions across the
 //! durability and protocol matrix without touching their strength:
@@ -193,7 +193,7 @@ fn resume_run(dir: &std::path::Path) -> String {
     rest
 }
 
-fn replay_wal(dir: &std::path::Path, shards: &str) -> String {
+fn replay_wal(dir: &std::path::Path) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_sentinet"))
         .args([
             "replay-wal",
@@ -201,8 +201,6 @@ fn replay_wal(dir: &std::path::Path, shards: &str) -> String {
             dir.to_str().unwrap(),
             "--watermark",
             &watermark(),
-            "--shards",
-            shards,
         ])
         .output()
         .expect("spawn replay-wal");
@@ -235,9 +233,8 @@ fn crash_after_abort_resumes_bit_identically() {
         "resumed report differs from uninterrupted run"
     );
 
-    // The WAL alone reproduces the same report, and the sharded engine
-    // agrees with it bit for bit.
-    let replayed = replay_wal(&dir, "2");
+    // The WAL alone reproduces the same report.
+    let replayed = replay_wal(&dir);
     assert_eq!(replayed, baseline, "replay-wal report differs");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -262,7 +259,7 @@ fn sigkill_mid_stream_resumes_bit_identically() {
         resumed, baseline,
         "resumed report differs from uninterrupted run"
     );
-    let replayed = replay_wal(&dir, "1");
+    let replayed = replay_wal(&dir);
     assert_eq!(replayed, baseline, "replay-wal report differs");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,5 @@
-//! Deterministic collector-fault drills, in the mould of
-//! `engine::chaos::ChaosPlan` and the storage `FaultPlan`: a plan is
-//! plain replayable data naming which collector to break, when, and
+//! Deterministic collector-fault drills, in the mould of the storage
+//! `FaultPlan`: a plan is plain replayable data naming which collector to break, when, and
 //! how. The same plan replayed over the same trace produces the same
 //! federation events, which is what lets the drill tests assert exact
 //! failover behaviour.

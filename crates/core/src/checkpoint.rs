@@ -1,9 +1,8 @@
 //! Checkpoint snapshots of per-sensor pipeline state.
 //!
-//! The sharded engine's supervisor checkpoints every
-//! [`SensorRuntime`](crate::SensorRuntime) at each window boundary so a
-//! crashed shard can be respawned and replayed without losing model
-//! state. A [`SensorSnapshot`] is plain data — the alarm filter's
+//! A restore point carries every [`SensorRuntime`](crate::SensorRuntime)
+//! so a restarted collector resumes without losing model state. A
+//! [`SensorSnapshot`] is plain data — the alarm filter's
 //! [`FilterSnapshot`], the `M_CE` [`EstimatorState`] (which carries the
 //! estimator's generation counter, keeping memo caches coherent across
 //! a restore), and the track/alarm history — so it crosses thread

@@ -72,7 +72,7 @@ pub use checkpoint::{
 pub use classify::{AttackType, Diagnosis, ErrorType, NetworkEvidence, SensorEvidence};
 pub use config::{FilterPolicy, PipelineConfig};
 pub use pipeline::{Coordinator, Pipeline, TrackRecord, WindowOutcome, BOT_SYMBOL};
-pub use recovery::{DegradedStatus, RecoveryAction, RecoveryPlan};
+pub use recovery::{RecoveryAction, RecoveryPlan};
 pub use report::{PipelineReport, SensorSummary, StateSummary};
 pub use runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages, SensorStep};
 pub use window::{

@@ -23,9 +23,8 @@
 //! pass, over the one seam that differs between execution modes: who
 //! runs the per-sensor stages ([`SensorStages`]: label, step, grow). A
 //! [`Pipeline`] is a coordinator plus the in-process [`SensorMap`] that
-//! runs them infallibly; the sharded `sentinet-engine` puts its
-//! supervised worker pool behind the same seam and the `xtask` model
-//! checker a schedule-controlled one, so all three run this pass.
+//! runs them infallibly; `sentinet-engine` puts one sensor map per
+//! scoped thread behind the same seam, so both run this pass.
 //!
 //! In steady state — every sensor seen, buffers warm — a reading that
 //! completes no window allocates nothing (windows and their sample
@@ -813,7 +812,7 @@ mod tests {
     }
 
     /// In-process stages that keep `abstainers` out of the label
-    /// stage, the way a quarantined shard keeps its sensors out.
+    /// stage.
     struct Abstaining {
         sensors: SensorMap,
         abstainers: Vec<SensorId>,

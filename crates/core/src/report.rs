@@ -8,7 +8,6 @@
 //! without poking at individual accessors.
 
 use crate::classify::{AttackType, Diagnosis};
-use crate::recovery::DegradedStatus;
 use crate::runtime::{GlobalModel, SensorRuntime};
 use sentinet_sim::SensorId;
 use serde::{Deserialize, Serialize};
@@ -50,11 +49,6 @@ pub struct PipelineReport {
     pub network_attack: Option<AttackType>,
     /// Per-sensor summaries, ordered by sensor id.
     pub sensors: Vec<SensorSummary>,
-    /// Degraded-mode report from a supervised sharded run: `Some` only
-    /// when shards were quarantined. Always `None` for the serial
-    /// pipeline and for sharded runs that recovered fully, so healthy
-    /// reports stay comparable across execution modes.
-    pub degraded: Option<DegradedStatus>,
 }
 
 impl PipelineReport {
@@ -92,9 +86,6 @@ impl fmt::Display for PipelineReport {
             )?,
             None => writeln!(f, "network attack signature: none")?,
         }
-        if let Some(degraded) = &self.degraded {
-            writeln!(f, "{degraded}")?;
-        }
         for s in &self.sensors {
             writeln!(
                 f,
@@ -110,9 +101,7 @@ impl fmt::Display for PipelineReport {
 }
 
 impl PipelineReport {
-    /// Builds the report of what `global` believes about `sensors`. A
-    /// run that quarantined sensors sets `degraded` on the result (the
-    /// sharded engine's `EngineRun::report`).
+    /// Builds the report of what `global` believes about `sensors`.
     pub(crate) fn build(global: &GlobalModel, sensors: &BTreeMap<SensorId, SensorRuntime>) -> Self {
         let key_states = match (global.states(), global.correct_model()) {
             (Some(states), Some(m_c)) => m_c
@@ -150,7 +139,6 @@ impl PipelineReport {
             key_states,
             network_attack: global.network_attack(),
             sensors,
-            degraded: None,
         }
     }
 }

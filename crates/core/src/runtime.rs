@@ -14,10 +14,10 @@
 //! One window pass ([`Coordinator`](crate::Coordinator)) drives the
 //! `GlobalModel` and hands the per-sensor half to whoever holds the
 //! sensors: [`Pipeline`](crate::Pipeline) keeps them in a [`SensorMap`]
-//! of its own, the sharded engine (`sentinet-engine`) in one
-//! `SensorMap` per worker thread. Every sensor is stepped by this exact
-//! code in the same order either way, which is what makes the engine's
-//! output bit-for-bit identical to the serial pipeline's.
+//! of its own, `sentinet-engine` in one `SensorMap` per scoped thread.
+//! Every sensor is stepped by this exact code in the same order either
+//! way, which is what makes the engine's output bit-for-bit identical
+//! to the serial pipeline's.
 //!
 //! Classification queries are memoized: structural analyses are cached
 //! behind the estimators' update generations (see
@@ -251,7 +251,7 @@ fn make_m_ce(config: &PipelineConfig, num_slots: usize) -> OnlineHmmEstimator {
 /// decisive-window step (alarm, filter, track, `M_CE`), estimator
 /// growth — for the window pass of a
 /// [`Coordinator`](crate::Coordinator): a [`SensorMap`] in process, the
-/// sharded engine's worker pool across threads.
+/// engine's shards across scoped threads.
 ///
 /// # Errors
 ///
@@ -297,8 +297,8 @@ pub trait SensorStages {
 }
 
 /// The sensors one thread owns, by id, and the per-sensor stages over
-/// them: the serial pipeline holds every sensor in one map, a shard
-/// worker of the engine holds its share in another.
+/// them: the serial pipeline holds every sensor in one map, a shard of
+/// the engine its share in another.
 #[derive(Debug)]
 pub struct SensorMap {
     pub(crate) config: PipelineConfig,

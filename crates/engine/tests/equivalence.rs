@@ -89,8 +89,6 @@ fn assert_equivalent(trace: &Trace, sample_period: u64, num_shards: usize) {
     let run = engine.process_trace(trace).expect("healthy run");
     let sharded = run.pipeline();
 
-    assert!(run.degraded().is_none(), "no faults, no degradation");
-    assert!(run.shard_restarts().is_empty(), "no faults, no restarts");
     assert_eq!(
         run.outcomes(),
         serial_outcomes.as_slice(),

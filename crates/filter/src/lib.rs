@@ -64,9 +64,8 @@ pub trait AlarmFilter: std::fmt::Debug + Send {
     fn snapshot(&self) -> FilterSnapshot;
 }
 
-/// Plain-data image of an [`AlarmFilter`]'s state, used by the engine
-/// supervisor to checkpoint and restore per-sensor runtimes across
-/// shard crashes.
+/// Plain-data image of an [`AlarmFilter`]'s state, used to checkpoint
+/// and restore per-sensor runtimes.
 ///
 /// All floating-point fields are stored verbatim (log-domain for SPRT),
 /// so `restore` reproduces the source filter bit-for-bit.

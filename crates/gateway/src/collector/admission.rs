@@ -535,7 +535,7 @@ impl Collector {
 
 impl Downstream {
     /// Sanitizes one released reading where it lies and pushes it into
-    /// the window (and the released-trace log, when one is kept).
+    /// the window.
     pub(super) fn take(&mut self, time: Timestamp, sensor: SensorId, values: &[f64]) {
         match self.sanitizer.check(time, sensor, values) {
             Ok(()) => {
@@ -543,22 +543,9 @@ impl Downstream {
                 for outcome in self.pipeline.push_values(time, sensor, values) {
                     self.pipeline.recycle_outcome(outcome);
                 }
-                if let Some(log) = &mut self.trace_log {
-                    log.push(released(time, sensor, values));
-                }
             }
             Err(e) => self.rejected.push(e),
         }
-    }
-}
-
-/// A released reading as the trace log keeps it (an owned copy: the
-/// log is for replaying the stream elsewhere, not the ingest path).
-fn released(time: Timestamp, sensor: SensorId, values: &[f64]) -> TraceRecord {
-    TraceRecord {
-        time,
-        sensor,
-        payload: Payload::Delivered(Reading::new(values.to_vec())),
     }
 }
 

@@ -64,9 +64,7 @@ use crate::wal::{
 use checkpoint::{read_checkpoint, read_fence, write_fence};
 use migration::read_retired;
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
-use sentinet_sim::{
-    IngestError, IngestReport, Payload, Reading, Sanitizer, SensorId, Timestamp, Trace, TraceRecord,
-};
+use sentinet_sim::{IngestError, IngestReport, Sanitizer, SensorId, Timestamp};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt::{self, Write as _};
@@ -89,11 +87,6 @@ pub struct GatewayConfig {
     pub silence_deadline: Option<Timestamp>,
     /// Write a checkpoint every N WAL records (0 disables).
     pub checkpoint_every: u64,
-    /// Record the released stream as a [`Trace`] from the very first
-    /// record — including recovery replay, which happens inside
-    /// [`Collector::open`] before [`record_released_trace`]
-    /// (`Collector::record_released_trace`) could be called.
-    pub record_released: bool,
     /// Owner epoch this collector claims over its WAL directory. `0`
     /// disables fencing entirely (standalone collectors pay nothing).
     /// With a non-zero epoch, [`Collector::open`] refuses a directory
@@ -165,7 +158,6 @@ impl GatewayConfig {
             reorder: ReorderConfig::default(),
             silence_deadline: Some(3600),
             checkpoint_every: 256,
-            record_released: false,
             epoch: 0,
             fence: FenceCheck::Enforced,
             cut: CutCheck::Enforced,
@@ -338,8 +330,7 @@ pub struct RecoveryInfo {
     pub prewarmed: bool,
 }
 
-/// Current silence accounting (the gateway's degraded-mode surface,
-/// alongside the engine's `DegradedStatus`).
+/// Current silence accounting (the gateway's degraded-mode surface).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LivenessStatus {
     /// Sensors currently past their silence deadline, with the stream
@@ -430,11 +421,6 @@ pub struct GatewayReport {
     pub storage: StorageStatus,
     /// Recommended per-sensor recovery actions.
     pub plan: RecoveryPlan,
-    /// The complete released stream (present when recording was on —
-    /// see [`GatewayConfig::record_released`]). Unlike
-    /// [`Collector::released_trace`] mid-run, this includes the
-    /// records the final flush released.
-    pub released: Option<Trace>,
     /// Client-side transport counters (attempts, retransmits,
     /// timeouts, NACKs, reconnects), filled in by harnesses that own
     /// the uplink end of the run — `None` for server-only runs. Kept
@@ -504,7 +490,6 @@ struct Downstream {
     pipeline: Pipeline,
     accepted: usize,
     rejected: Vec<IngestError>,
-    trace_log: Option<Vec<TraceRecord>>,
 }
 
 /// Silence accounting: when each sensor was last heard, who is silent,
@@ -695,7 +680,6 @@ impl Collector {
             pipeline: Pipeline::new(config.pipeline.clone(), config.sample_period),
             accepted: 0,
             rejected: Vec::new(),
-            trace_log: config.record_released.then(Vec::new),
         };
         Self {
             reorder: ReorderBuffer::new(config.reorder.clone()),
@@ -750,13 +734,6 @@ impl Collector {
         }
     }
 
-    /// Starts recording the released (post-reorder, pre-sanitize
-    /// accepted) stream as a [`Trace`], for re-running through the
-    /// sharded engine. Call before any records are delivered.
-    pub fn record_released_trace(&mut self) {
-        self.down.trace_log = Some(Vec::new());
-    }
-
     /// Ingest accounting so far (transport counters merged in).
     pub fn ingest_report(&self) -> IngestReport {
         let stats = self.reorder.stats();
@@ -796,15 +773,6 @@ impl Collector {
                 .then_some(self.observed_epoch),
             unframable_rejects: self.unframable_rejects,
         }
-    }
-
-    /// The released trace recorded since
-    /// [`record_released_trace`](Collector::record_released_trace).
-    pub fn released_trace(&self) -> Option<Trace> {
-        self.down
-            .trace_log
-            .as_ref()
-            .map(|records| Trace::from_records(records.clone()))
     }
 
     /// Absolute WAL cursor: records ever logged, including any
@@ -848,14 +816,12 @@ impl Collector {
         let storage = self.storage_status();
         let pipeline = self.down.pipeline.report();
         let plan = RecoveryPlan::from_report(&pipeline);
-        let released = self.down.trace_log.take().map(Trace::from_records);
         Ok(GatewayReport {
             pipeline,
             ingest,
             liveness,
             storage,
             plan,
-            released,
             uplink: None,
         })
     }

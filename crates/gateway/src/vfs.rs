@@ -4,10 +4,9 @@
 //! file — flows through the [`Vfs`]/[`VFile`] trait pair. Production
 //! uses [`RealVfs`], a zero-cost veneer over `std::fs`. Tests use
 //! [`FaultyVfs`], which injects faults at *operation coordinates*: the
-//! nth append/fsync/rename/… touching a named path, mirroring the
-//! shard/window/point coordinates of `sentinet_engine`'s chaos plans.
-//! A fault plan is data, so a failing schedule found by the seeded
-//! sweep can be replayed exactly.
+//! nth append/fsync/rename/… touching a named path. A fault plan is
+//! data, so a failing schedule found by the seeded sweep can be
+//! replayed exactly.
 //!
 //! The fault catalogue covers the storage pathologies the recovery
 //! design must survive (§13 of `DESIGN.md`):
@@ -333,11 +332,11 @@ pub struct FaultSpec {
     pub count: u32,
 }
 
-/// A deterministic schedule of storage faults, mirroring
-/// `sentinet_engine`'s chaos plans: a plan is plain data, built
-/// explicitly with [`FaultPlan::with_fault`] or drawn from a seed with
-/// [`FaultPlan::seeded`], and injected by wrapping the real storage in
-/// a [`FaultyVfs`].
+/// A deterministic schedule of storage faults: a plan is plain data,
+/// built explicitly with [`FaultPlan::with_fault`] or drawn from a seed
+/// with [`FaultPlan::seeded`], and injected by wrapping the real
+/// storage in a [`FaultyVfs`]. Every spec counts every operation that
+/// matches it; when several fire on one operation, the first answers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The scheduled faults.
@@ -426,24 +425,26 @@ struct PlanState {
 }
 
 impl PlanState {
-    /// Registers one `op` on `path`; returns the fault to inject, if
-    /// any spec's coordinates match.
+    /// Registers one `op` on `path` with every spec it matches; returns
+    /// the fault of the first spec whose coordinates fire, if any.
     fn intercept(&mut self, op: VfsOp, path: &Path) -> Option<StorageFault> {
         *self.op_counts.entry(op).or_insert(0) += 1;
+        let mut fault = None;
         for (i, spec) in self.plan.faults.iter().enumerate() {
             if spec.op != op || !path.to_string_lossy().ends_with(&spec.path) {
                 continue;
             }
             self.seen[i] += 1;
-            let occurrence = self.seen[i];
             let window = spec.nth..spec.nth + u64::from(spec.count);
-            if window.contains(&occurrence) && self.fired[i] < spec.count {
+            if fault.is_none() && window.contains(&self.seen[i]) && self.fired[i] < spec.count {
                 self.fired[i] += 1;
-                self.injected.push((op, path.to_path_buf(), spec.kind));
-                return Some(spec.kind);
+                fault = Some(spec.kind);
             }
         }
-        None
+        if let Some(kind) = fault {
+            self.injected.push((op, path.to_path_buf(), kind));
+        }
+        fault
     }
 }
 
@@ -709,6 +710,31 @@ mod tests {
         for _ in 0..8 {
             g.append(b"z").unwrap();
         }
+    }
+
+    /// A spec counts the operations an earlier spec answered for: two
+    /// specs on one path and op, `nth` 1 and 2, fire on occurrences 1
+    /// and 2 — not 1 and 3.
+    #[test]
+    fn every_matching_spec_counts_the_occurrence() {
+        let dir = tmpdir("overlap");
+        let spec = |nth, kind| FaultSpec {
+            path: "o.bin".into(),
+            op: VfsOp::Append,
+            nth,
+            kind,
+            count: 1,
+        };
+        let plan = FaultPlan::new()
+            .with_fault(spec(1, StorageFault::Enospc))
+            .with_fault(spec(2, StorageFault::ReadErr));
+        let vfs = FaultyVfs::new(plan);
+        let mut f = vfs.create(dir.join("o.bin").as_path()).unwrap();
+        assert_eq!(f.append(b"1").unwrap_err().raw_os_error(), Some(28));
+        assert_eq!(f.append(b"2").unwrap_err().raw_os_error(), Some(5));
+        assert!(f.append(b"3").is_ok(), "append #3 clean");
+        let kinds: Vec<StorageFault> = vfs.injected().into_iter().map(|(_, _, k)| k).collect();
+        assert_eq!(kinds, [StorageFault::Enospc, StorageFault::ReadErr]);
     }
 
     #[test]

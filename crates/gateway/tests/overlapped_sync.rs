@@ -426,11 +426,11 @@ fn a_commit_failing_on_the_syncer_keeps_the_previous_restore_point(name: &str, f
 #[test]
 fn a_torn_tmp_write_on_the_syncer_keeps_the_previous_restore_point() {
     let torn = StorageFault::TornWrite { bytes: 40 };
-    // The plan's first spec answers for writes one and two, so the
-    // third is the first this spec gets to see.
+    // The plan's first spec slows writes one and two; this one tears
+    // the third.
     a_commit_failing_on_the_syncer_keeps_the_previous_restore_point(
         "restore-torn",
-        fault(TMP, VfsOp::Write, 1, torn, 1),
+        fault(TMP, VfsOp::Write, 3, torn, 1),
     );
 }
 

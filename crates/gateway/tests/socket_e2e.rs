@@ -2,13 +2,12 @@
 //! side, a retrying `SensorUplink` on the other, over loopback TCP and
 //! Unix sockets. A seeded lossy delivery schedule driven through the
 //! wire must land on the same bit-identical report as in-process
-//! in-order delivery, wire-level corruption (via the engine's chaos
-//! frame corrupter) must be rejected without polluting the pipeline,
-//! and the whole path must survive a long soak.
+//! in-order delivery, wire-level corruption ([`corrupt_frames`]) must
+//! be rejected without polluting the pipeline, and the whole path must
+//! survive a long soak.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sentinet_engine::corrupt_frames;
+use rand::{Rng, SeedableRng};
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::server::hello_frame;
 use sentinet_gateway::{
@@ -36,6 +35,87 @@ fn gdi_records(days: u64, sensors: u16, seed: u64) -> Vec<RawRecord> {
     cfg.num_sensors = sensors;
     let mut rng = StdRng::seed_from_u64(seed);
     trace_to_raw(&simulate(&cfg, &mut rng))
+}
+
+/// Wire-level corruption over already-encoded frames (opaque byte
+/// vectors: this knows nothing of the codec). Roughly `rate` of the
+/// frames are attacked, deterministically from `seed`, with one of:
+///
+/// * **truncated frame** — the tail is cut mid-record (a torn write
+///   or dropped carrier), leaving 1..len-1 bytes;
+/// * **flipped CRC byte** — one bit of the 4-byte CRC trailer flips,
+///   so the payload parses but the checksum must reject it;
+/// * **duplicated frame** — the frame is delivered twice back to
+///   back (a retransmission whose ack was lost).
+///
+/// Truncation and CRC flips *replace* the clean frame (the damage
+/// models a frame that never arrives intact). Empty frames pass
+/// through untouched.
+fn corrupt_frames(frames: &[Vec<u8>], seed: u64, rate: f64) -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::with_capacity(frames.len());
+    for frame in frames {
+        let corrupt = rng.gen::<f64>() < rate;
+        let pick = rng.gen_range(0usize..3);
+        if !corrupt || frame.is_empty() {
+            out.push(frame.clone());
+            continue;
+        }
+        match pick {
+            0 => {
+                // Torn tail: keep a strict, nonempty prefix (1-byte
+                // frames pass through — there is nothing to tear).
+                let keep = if frame.len() < 2 {
+                    frame.len()
+                } else {
+                    1 + rng.gen_range(0..frame.len() - 1)
+                };
+                out.push(frame[..keep].to_vec());
+            }
+            1 => {
+                // Flip one bit of the CRC trailer (last 4 bytes).
+                let mut bad = frame.clone();
+                let tail = bad.len().saturating_sub(4);
+                let at = tail + rng.gen_range(0..bad.len() - tail);
+                let bit = rng.gen_range(0u32..8);
+                bad[at] ^= 1 << bit;
+                out.push(bad);
+            }
+            _ => {
+                out.push(frame.clone());
+                out.push(frame.clone());
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn corrupt_frames_is_deterministic_and_hits_every_mode() {
+    let frames: Vec<Vec<u8>> = (0..200u32)
+        .map(|i| i.to_le_bytes().iter().cycle().take(24).copied().collect())
+        .collect();
+    let a = corrupt_frames(&frames, 11, 0.5);
+    let b = corrupt_frames(&frames, 11, 0.5);
+    assert_eq!(a, b, "same seed, same corruption");
+    assert_eq!(corrupt_frames(&frames, 11, 0.0), frames, "zero rate");
+
+    let clean: std::collections::BTreeSet<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+    let truncated = a.iter().filter(|f| f.len() < 24 && !f.is_empty()).count();
+    let flipped = a
+        .iter()
+        .filter(|f| f.len() == 24 && !clean.contains(f.as_slice()))
+        .count();
+    assert!(truncated > 0, "no torn frames injected");
+    assert!(flipped > 0, "no CRC flips injected");
+    assert!(a.len() > frames.len(), "no duplicate frames injected");
+    // Flips touch only the 4-byte CRC trailer.
+    for f in a.iter().filter(|f| f.len() == 24) {
+        if let Some(orig) = frames.iter().find(|o| o[..20] == f[..20]) {
+            let diff = orig.iter().zip(f.iter()).filter(|(x, y)| x != y).count();
+            assert!(diff <= 1, "at most one flipped byte");
+        }
+    }
 }
 
 fn in_order_report(name: &str, records: &[RawRecord]) -> GatewayReport {
@@ -308,7 +388,7 @@ fn v1_only_server_rejects_v2_hello_with_exact_wire_bytes() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The engine's frame corrupter feeds the gateway's decoder directly:
+/// The frame corrupter feeds the gateway's decoder directly:
 /// a duplicated frame decodes twice, a torn frame stays pending (never
 /// a phantom message), and a flipped CRC byte is rejected loudly.
 #[test]

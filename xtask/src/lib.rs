@@ -6,10 +6,9 @@
 //!   RNG, crate-header hygiene, hot-path allocation, stray thread
 //!   spawns), suppressible inline with
 //!   `// sentinet-allow(lint-name): reason`;
-//! - [`model_check`] — a loom-style exhaustive schedule explorer that
-//!   replays the sharded engine's coordinator loop under every
-//!   worker/coordinator interleaving and asserts bit-identical
-//!   equivalence with the serial pipeline;
+//! - [`protocol_check`] — a loom-style exhaustive explorer of the
+//!   pipelined uplink's interleavings against the durability
+//!   invariants;
 //! - [`bench_check`] — schema validation for `BENCH_engine.json`;
 //! - the `analyze` command additionally re-runs the numeric test
 //!   suites with the `check-invariants` feature, turning every HMM
@@ -24,5 +23,4 @@
 pub mod bench_check;
 pub mod lexer;
 pub mod lint;
-pub mod model_check;
 pub mod protocol_check;

@@ -18,8 +18,8 @@
 //! | `missing-deny-docs` | `lib.rs` without `#![deny(missing_docs)]` |
 //! | `hot-path-alloc` | allocation markers in registered hot functions |
 //! | `thread-spawn` | `thread::spawn` outside `crates/engine` / `crates/gateway` |
-//! | `resume-unwind` | `resume_unwind` outside the engine supervisor |
-//! | `unbounded-channel` | `unbounded` channels outside the engine supervisor |
+//! | `resume-unwind` | `resume_unwind` anywhere |
+//! | `unbounded-channel` | `unbounded` channels anywhere |
 //! | `net-outside-gateway` | `std::net` / `std::os::unix::net` outside `crates/gateway` |
 //! | `socket-read-timeout` | socket reads in a file that never sets a read timeout |
 //! | `io-outside-vfs` | raw filesystem mutation outside `gateway/src/vfs.rs` |
@@ -33,19 +33,19 @@
 //! exempt from the panic-family, `dbg-used` and header lints (they are
 //! terminal programs where aborting and printing are the interface).
 //! `assert!`/`debug_assert!` are deliberately allowed: validated
-//! preconditions are part of the API contract. Crash recovery is the
-//! engine supervisor's monopoly: everywhere else, a worker panic must
-//! surface as a typed `ShardError` (never be re-raised) and channels
-//! must be bounded so a stuck consumer back-pressures instead of
-//! buffering without limit. Live network I/O is likewise the gateway's
-//! monopoly: raw sockets elsewhere would bypass its framing, dedup,
-//! WAL, and backpressure, and any file naming a socket stream type
-//! that reads from it must configure a read timeout so a dead peer
-//! cannot wedge a thread forever. Durable file mutation is the storage
-//! layer's monopoly (`io-outside-vfs`): a raw `File::create`,
-//! `OpenOptions`, or `std::fs` write outside `gateway::vfs` would
-//! bypass the injectable `Vfs` seam, so disk-fault chaos could never
-//! reach it and its fsync/crash semantics would go untested.
+//! preconditions are part of the API contract. A caught panic is never
+//! re-raised by hand (`resume_unwind`): a crash surfaces as a typed
+//! error or as the panic itself. Channels must be bounded so a stuck
+//! consumer back-pressures instead of buffering without limit. Live
+//! network I/O is the gateway's monopoly: raw sockets elsewhere would
+//! bypass its framing, dedup, WAL, and backpressure, and any file
+//! naming a socket stream type that reads from it must configure a
+//! read timeout so a dead peer cannot wedge a thread forever. Durable
+//! file mutation is the storage layer's monopoly (`io-outside-vfs`): a
+//! raw `File::create`, `OpenOptions`, or `std::fs` write outside
+//! `gateway::vfs` would bypass the injectable `Vfs` seam, so disk-fault
+//! chaos could never reach it and its fsync/crash semantics would go
+//! untested.
 //!
 //! The ack-after-durable rule of the pipelined protocol gets its own
 //! dataflow pass (`ack-ordering`). The gateway's sans-IO protocol core
@@ -264,9 +264,6 @@ pub struct FileContext {
     /// (`controller/src/federation.rs`), the one place allowed to
     /// mutate partition-map ownership or health.
     pub controller_commit_file: bool,
-    /// The file is the engine supervisor (may resume unwinds and own
-    /// unbounded channels as part of crash recovery).
-    pub supervisor_file: bool,
     /// The file is the storage abstraction (`gateway/src/vfs.rs`),
     /// the one place allowed to touch the real filesystem.
     pub vfs_file: bool,
@@ -307,7 +304,6 @@ impl FileContext {
             gateway_crate: crate_name == "gateway",
             controller_crate: crate_name == "controller",
             controller_commit_file: p.ends_with("controller/src/federation.rs"),
-            supervisor_file: p.ends_with("engine/src/supervisor.rs"),
             vfs_file: p.ends_with("gateway/src/vfs.rs"),
             protocol_core_file: p.ends_with("gateway/src/protocol.rs"),
             wire_codec_file: p.ends_with("gateway/src/frame.rs"),
@@ -546,29 +542,27 @@ pub fn lint_source(path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding>
         }
     }
 
-    // Crash recovery is the supervisor's monopoly: panics must surface
-    // as typed errors (not be re-raised) and channels must be bounded
-    // so a stuck consumer back-pressures instead of buffering forever.
-    if !ctx.supervisor_file {
-        for offset in find_word(&map.masked, "resume_unwind") {
-            if !map.in_test_region(offset) {
-                push(
-                    &map,
-                    offset,
-                    "resume-unwind",
-                    "`resume_unwind` outside the engine supervisor; surface the crash as a typed ShardError instead".into(),
-                );
-            }
+    // Panics surface as typed errors or as themselves, never re-raised
+    // by hand, and channels are bounded so a stuck consumer
+    // back-pressures instead of buffering forever.
+    for offset in find_word(&map.masked, "resume_unwind") {
+        if !map.in_test_region(offset) {
+            push(
+                &map,
+                offset,
+                "resume-unwind",
+                "`resume_unwind` re-raises a caught panic; surface the crash as a typed error instead".into(),
+            );
         }
-        for offset in find_word(&map.masked, "unbounded") {
-            if !map.in_test_region(offset) {
-                push(
-                    &map,
-                    offset,
-                    "unbounded-channel",
-                    "unbounded channel outside the engine supervisor; use `bounded` with an explicit capacity".into(),
-                );
-            }
+    }
+    for offset in find_word(&map.masked, "unbounded") {
+        if !map.in_test_region(offset) {
+            push(
+                &map,
+                offset,
+                "unbounded-channel",
+                "unbounded channel; use `bounded` with an explicit capacity".into(),
+            );
         }
     }
 
@@ -1090,18 +1084,20 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_monopoly_lints_fire_elsewhere_only() {
+    fn unwind_and_channel_lints_fire_in_the_engine_too() {
         let src = "fn a(p: P) { let (tx, rx) = unbounded(); std::panic::resume_unwind(p); }\n";
-        let f = run(src);
-        assert_eq!(f.iter().filter(|f| f.lint == "resume-unwind").count(), 1);
-        assert_eq!(
-            f.iter().filter(|f| f.lint == "unbounded-channel").count(),
-            1
-        );
-        let mut c = ctx();
-        c.supervisor_file = true;
-        let f = lint_source(Path::new("crates/engine/src/supervisor.rs"), src, &c);
-        assert!(f.is_empty(), "{f:?}");
+        for path in ["test.rs", "crates/engine/src/lib.rs"] {
+            let f = lint_source(
+                Path::new(path),
+                src,
+                &FileContext::for_path(Path::new(path)),
+            );
+            assert_eq!(f.iter().filter(|f| f.lint == "resume-unwind").count(), 1);
+            assert_eq!(
+                f.iter().filter(|f| f.lint == "unbounded-channel").count(),
+                1
+            );
+        }
     }
 
     #[test]

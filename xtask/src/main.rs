@@ -4,21 +4,17 @@ use sentinet_gateway::AckDiscipline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xtask::protocol_check::RestoreMutation;
-use xtask::{bench_check, lint, model_check, protocol_check};
+use xtask::{bench_check, lint, protocol_check};
 
 const USAGE: &str = "\
 Usage: cargo run -p xtask -- <command>
 
 Commands:
-  analyze [--skip-invariants]  run lints, the shard-schedule model checker,
-                               the protocol/durability checker and (unless
-                               skipped) the test suite under the
-                               check-invariants feature
+  analyze [--skip-invariants]  run lints, the protocol/durability checker
+                               and (unless skipped) the test suite under
+                               the check-invariants feature
   lint [PATH...]               run the lint engine over the workspace, or
                                over the given files only
-  model-check                  exhaustively explore shard schedules and
-                               fault (crash/drop) schedules and assert
-                               serial equivalence after recovery
   protocol-check               exhaustively explore v2 uplink interleavings
                                (loss, reorder, reconnect, crash, poisoned
                                WAL) against the durability invariants
@@ -74,26 +70,6 @@ fn run_lint(paths: &[String]) -> Result<(), String> {
         findings
     };
     report_findings(&findings)
-}
-
-fn run_model_check() -> Result<(), String> {
-    let report = model_check::explore().map_err(|e| format!("model-check: {e}"))?;
-    println!(
-        "model-check: {} schedules explored over {} windows × {} sensors, all bit-identical to serial",
-        report.schedules, report.windows, report.sensors
-    );
-    if report.schedules < 24 {
-        return Err(format!(
-            "model-check: only {} schedules explored (expected ≥ 24); scenario too small",
-            report.schedules
-        ));
-    }
-    let faults = model_check::explore_faults().map_err(|e| format!("model-check: {e}"))?;
-    println!(
-        "model-check: {} fault schedules recovered bit-identically ({} quarantine check(s))",
-        faults.schedules, faults.quarantines
-    );
-    Ok(())
 }
 
 fn run_protocol_check() -> Result<(), String> {
@@ -325,7 +301,6 @@ fn main() -> ExitCode {
             let mut failures = Vec::new();
             for step in [
                 run_lint(&[]),
-                run_model_check(),
                 run_protocol_check(),
                 run_bench_check(None),
                 if skip_invariants {
@@ -347,7 +322,6 @@ fn main() -> ExitCode {
             }
         }
         Some("lint") => run_lint(&args[1..]),
-        Some("model-check") => run_model_check(),
         Some("protocol-check") => run_protocol_check(),
         Some("bench-check") => run_bench_check(args.get(1).map(String::as_str)),
         Some("nemesis") => run_nemesis(&args[1..]),

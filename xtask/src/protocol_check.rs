@@ -5,11 +5,10 @@
 //! state machine — credit windows, cumulative `AckUpTo` acks, a
 //! group-commit WAL whose fsync watermark gates ack release — and its
 //! correctness is otherwise covered only by *sampled* proptests. This
-//! module closes the gap the way the shard-schedule checker
-//! ([`crate::model_check`]) does for the engine: every place the real
-//! system leaves an order to the scheduler becomes an explicit choice
-//! point of a depth-first [`Schedule`], and every complete assignment
-//! of choices is executed against the **real** implementation.
+//! module closes the gap loom-style: every place the real system leaves
+//! an order to the scheduler becomes an explicit choice point of a
+//! depth-first [`Schedule`], and every complete assignment of choices
+//! is executed against the **real** implementation.
 //!
 //! Nothing protocol-critical is re-implemented. Episodes drive
 //! [`StepServer`] — the gateway's injectable step seam — so batch
@@ -110,7 +109,6 @@
 //!   each reading exactly once (verified by re-opening the real WAL
 //!   and walking its records).
 
-use crate::model_check::Schedule;
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
     AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs, FsyncPolicy, GatewayConfig, Message,
@@ -121,6 +119,66 @@ use sentinet_sim::SensorId;
 use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// A DFS cursor over schedule space. Each run consumes choices left to
+/// right; unseen choice points default to 0 and are recorded with
+/// their width so [`Schedule::advance`] can enumerate the next leaf.
+#[derive(Debug, Default)]
+pub struct Schedule {
+    choices: Vec<usize>,
+    widths: Vec<usize>,
+    cursor: usize,
+}
+
+impl Schedule {
+    /// Starts at the all-zeros schedule.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rewinds the cursor for the next replay of the same schedule.
+    pub fn reset(&mut self) {
+        self.cursor = 0;
+    }
+
+    /// Takes the next choice among `n` alternatives.
+    pub fn choose(&mut self, n: usize) -> usize {
+        assert!(n > 0, "empty choice");
+        if self.cursor == self.choices.len() {
+            self.choices.push(0);
+            self.widths.push(n);
+        }
+        assert_eq!(
+            self.widths[self.cursor], n,
+            "nondeterministic choice width at point {} — replay diverged",
+            self.cursor
+        );
+        let c = self.choices[self.cursor];
+        self.cursor += 1;
+        c
+    }
+
+    /// The choices taken so far (a complete replayable coordinate of
+    /// the current schedule — violation reports embed it).
+    pub fn choices(&self) -> &[usize] {
+        &self.choices
+    }
+
+    /// Advances to the next unexplored schedule; false when the space
+    /// is exhausted.
+    pub fn advance(&mut self) -> bool {
+        while let Some(last) = self.choices.len().checked_sub(1) {
+            if self.choices[last] + 1 < self.widths[last] {
+                self.choices[last] += 1;
+                self.reset();
+                return true;
+            }
+            self.choices.pop();
+            self.widths.pop();
+        }
+        false
+    }
+}
 
 /// Sensors per episode.
 const SENSORS: usize = 2;
@@ -1608,6 +1666,40 @@ fn explore_alone(cfg: &SpaceCfg) -> Result<ProtocolReport, Box<Violation>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn schedule_enumerates_cross_product() {
+        // Two binary choice points → 4 complete schedules.
+        let mut s = Schedule::new();
+        let mut seen = Vec::new();
+        loop {
+            let a = s.choose(2);
+            let b = s.choose(2);
+            seen.push((a, b));
+            if !s.advance() {
+                break;
+            }
+        }
+        assert_eq!(seen, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn schedule_handles_varying_widths() {
+        let mut s = Schedule::new();
+        let mut count = 0;
+        loop {
+            let a = s.choose(3);
+            if a == 0 {
+                s.choose(2);
+            }
+            count += 1;
+            if !s.advance() {
+                break;
+            }
+        }
+        // a=0 explores 2 sub-branches, a=1 and a=2 one each.
+        assert_eq!(count, 4);
+    }
 
     #[test]
     fn durable_discipline_passes_quick_exploration() {

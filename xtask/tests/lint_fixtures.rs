@@ -32,7 +32,6 @@ fn full_ctx() -> FileContext {
         gateway_crate: false,
         controller_crate: false,
         controller_commit_file: false,
-        supervisor_file: false,
         vfs_file: false,
         protocol_core_file: false,
         wire_codec_file: false,
