@@ -33,6 +33,30 @@ fn unknown_command_exits_2_with_usage() {
     assert!(err.contains("USAGE"));
 }
 
+/// The sharded engine's flags are gone from the binary: a script that
+/// still passes one stops with a usage error naming the flag.
+#[test]
+fn sharded_engine_flags_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (&["analyze", "t.csv", "--shards", "2"][..], "--shards"),
+        (&["analyze", "t.csv", "--chaos-seed", "7"], "--chaos-seed"),
+        (
+            &["analyze", "t.csv", "--max-shard-restarts", "3"],
+            "--max-shard-restarts",
+        ),
+        (
+            &["replay-wal", "--wal-dir", "w", "--shards", "2"],
+            "--shards",
+        ),
+    ] {
+        let out = sentinet().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag:?}")), "{err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
 #[test]
 fn clean_roundtrip_reports_error_free() {
     let path = tmp("clean.csv");

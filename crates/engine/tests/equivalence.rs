@@ -168,3 +168,122 @@ fn shard_count_larger_than_sensor_count_is_fine() {
     let (trace, period) = clean_scenario(5, 2);
     assert_equivalent(&trace, period, 8);
 }
+
+fn faulty_scenario(seed: u64, days: u64, fault: FaultInjection) -> (Trace, u64) {
+    let mut cfg = gdi::month_config();
+    cfg.duration = days * DAY_S;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let clean = simulate(&cfg, &mut rng);
+    let faulty = inject_faults(&clean, &[fault], &cfg.ranges, &mut rng);
+    (faulty, cfg.sample_period)
+}
+
+/// `trace` with every sensor renamed by `rename`.
+fn renamed(trace: Trace, rename: impl Fn(SensorId) -> SensorId) -> Trace {
+    let mut records = trace.into_records();
+    for r in &mut records {
+        r.sensor = rename(r.sensor);
+    }
+    Trace::from_records(records)
+}
+
+#[test]
+fn calibration_fault_trace_is_shard_invariant() {
+    let fault = FaultInjection::from_onset(
+        SensorId(7),
+        FaultModel::Calibration {
+            gain: vec![1.0, 1.1],
+        },
+        DAY_S,
+    );
+    let (trace, period) = faulty_scenario(12, 4, fault);
+    for shards in [2, 3] {
+        assert_equivalent(&trace, period, shards);
+    }
+}
+
+/// A sensor that drops half its packets is missing from some windows'
+/// votes: the shards' step batches then differ from window to window.
+#[test]
+fn outage_trace_is_shard_invariant() {
+    let fault =
+        FaultInjection::from_onset(SensorId(3), FaultModel::Outage { drop_prob: 0.5 }, DAY_S);
+    let (trace, period) = faulty_scenario(13, 3, fault);
+    for shards in [2, 3] {
+        assert_equivalent(&trace, period, shards);
+    }
+}
+
+#[test]
+fn deletion_attack_trace_is_shard_invariant() {
+    let mut cfg = gdi::month_config();
+    cfg.duration = 5 * DAY_S;
+    let clean = simulate(&cfg, &mut StdRng::seed_from_u64(9));
+    let attack = AttackInjection {
+        sensors: first_k_sensors(3),
+        model: AttackModel::DynamicDeletion {
+            freeze_at: vec![12.0, 94.0],
+        },
+        start: 2 * DAY_S,
+        end: None,
+    };
+    let attacked = inject_attacks(&clean, &[attack], &cfg.ranges);
+    for shards in [2, 4] {
+        assert_equivalent(&attacked, cfg.sample_period, shards);
+    }
+}
+
+/// Sensor ids that are all multiples of the shard count land on shard
+/// 0 alone; the other shards still label their chunk and step nothing.
+#[test]
+fn sensors_all_on_one_shard_are_shard_invariant() {
+    let (trace, period) = stuck_at_scenario(21);
+    let trace = renamed(trace, |id| SensorId(id.0 * 4));
+    for shards in [2, 4] {
+        assert_equivalent(&trace, period, shards);
+    }
+}
+
+#[test]
+fn single_sensor_trace_is_shard_invariant() {
+    let (trace, period) = clean_scenario(8, 2);
+    let mut records = trace.into_records();
+    records.retain(|r| r.sensor == SensorId(5));
+    let trace = Trace::from_records(records);
+    for shards in [2, 3] {
+        assert_equivalent(&trace, period, shards);
+    }
+}
+
+/// Alternating creation and deletion phases keep adding model states,
+/// so every shard's estimators must grow in step mid-run.
+#[test]
+fn mixed_attack_trace_is_shard_invariant() {
+    let mut cfg = gdi::month_config();
+    cfg.duration = 5 * DAY_S;
+    cfg.environment = sentinet_sim::EnvironmentModel::Constant(vec![12.0, 95.0]);
+    let clean = simulate(&cfg, &mut StdRng::seed_from_u64(14));
+    let attack = AttackInjection {
+        sensors: first_k_sensors(3),
+        model: AttackModel::Mixed {
+            creation_target: vec![25.0, 69.0],
+            freeze_at: vec![12.0, 95.0],
+            phase_period: 12 * 3600,
+        },
+        start: 2 * DAY_S,
+        end: None,
+    };
+    let attacked = inject_attacks(&clean, &[attack], &cfg.ranges);
+    let outcomes =
+        Pipeline::new(PipelineConfig::default(), cfg.sample_period).process_trace(&attacked);
+    assert!(
+        outcomes.iter().any(|o| o.start >= 2 * DAY_S
+            && o.cluster_events
+                .iter()
+                .any(|e| matches!(e, sentinet_cluster::StateEvent::Spawned(_)))),
+        "the attack spawns a state mid-run"
+    );
+    for shards in [2, 3] {
+        assert_equivalent(&attacked, cfg.sample_period, shards);
+    }
+}

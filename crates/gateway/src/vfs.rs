@@ -737,6 +737,113 @@ mod tests {
         assert_eq!(kinds, [StorageFault::Enospc, StorageFault::ReadErr]);
     }
 
+    /// When two specs fire on one operation the first answers, and the
+    /// occurrence still counts toward the second's window: a `count: 2`
+    /// spec that overlaps an earlier one fires once, not twice.
+    #[test]
+    fn simultaneous_firings_answer_with_the_first_spec() {
+        let dir = tmpdir("simultaneous");
+        let spec = |kind, count| FaultSpec {
+            path: "p.bin".into(),
+            op: VfsOp::Append,
+            nth: 1,
+            kind,
+            count,
+        };
+        let plan = FaultPlan::new()
+            .with_fault(spec(StorageFault::Enospc, 1))
+            .with_fault(spec(StorageFault::ReadErr, 2));
+        let vfs = FaultyVfs::new(plan);
+        let mut f = vfs.create(dir.join("p.bin").as_path()).unwrap();
+        assert_eq!(f.append(b"1").unwrap_err().raw_os_error(), Some(28));
+        assert_eq!(f.append(b"2").unwrap_err().raw_os_error(), Some(5));
+        assert!(f.append(b"3").is_ok(), "both windows are past");
+        let kinds: Vec<StorageFault> = vfs.injected().into_iter().map(|(_, _, k)| k).collect();
+        assert_eq!(kinds, [StorageFault::Enospc, StorageFault::ReadErr]);
+    }
+
+    #[test]
+    fn empty_suffix_matches_every_path() {
+        let dir = tmpdir("any-path");
+        let plan = FaultPlan::new().with_fault(FaultSpec {
+            path: String::new(),
+            op: VfsOp::Create,
+            nth: 2,
+            kind: StorageFault::Enospc,
+            count: 1,
+        });
+        let vfs = FaultyVfs::new(plan);
+        vfs.create(dir.join("a.bin").as_path())
+            .expect("create #1 clean");
+        let err = vfs
+            .create(dir.join("b.ck").as_path())
+            .err()
+            .expect("create #2 faulted");
+        assert_eq!(err.raw_os_error(), Some(28));
+        vfs.create(dir.join("c.seg").as_path())
+            .expect("create #3 clean");
+        assert_eq!(
+            vfs.injected(),
+            vec![(VfsOp::Create, dir.join("b.ck"), StorageFault::Enospc)]
+        );
+    }
+
+    /// Listing a directory is a read of it, truncation a write, and
+    /// reopening for append a create: each counts under that op.
+    #[test]
+    fn listing_truncation_and_reopening_count_under_their_ops() {
+        let dir = tmpdir("op-map");
+        let dir_name = dir.file_name().unwrap().to_string_lossy().into_owned();
+        let spec = |path: &str, op, nth, kind| FaultSpec {
+            path: path.into(),
+            op,
+            nth,
+            kind,
+            count: 1,
+        };
+        let plan = FaultPlan::new()
+            .with_fault(spec(&dir_name, VfsOp::Read, 1, StorageFault::ReadErr))
+            .with_fault(spec("t.bin", VfsOp::Write, 1, StorageFault::Enospc))
+            .with_fault(spec("t.bin", VfsOp::Create, 2, StorageFault::Enospc));
+        let vfs = FaultyVfs::new(plan);
+        let path = dir.join("t.bin");
+        let mut f = vfs.create(&path).unwrap();
+        f.append(b"abc").unwrap();
+        drop(f);
+        assert_eq!(vfs.list(&dir).unwrap_err().raw_os_error(), Some(5));
+        assert_eq!(vfs.list(&dir).unwrap(), vec!["t.bin".to_string()]);
+        assert_eq!(vfs.truncate(&path, 1).unwrap_err().raw_os_error(), Some(28));
+        assert_eq!(
+            vfs.read(&path).unwrap(),
+            b"abc",
+            "a failed truncate cuts nothing"
+        );
+        let err = vfs.open_append(&path).err().expect("reopen faulted");
+        assert_eq!(err.raw_os_error(), Some(28));
+        assert_eq!(vfs.op_count(VfsOp::Read), 3);
+        assert_eq!(vfs.op_count(VfsOp::Write), 1);
+        assert_eq!(vfs.op_count(VfsOp::Create), 2);
+    }
+
+    #[test]
+    fn seeded_plans_stay_within_their_bounds() {
+        let paths = ["wal-00000001.seg", "checkpoint.ck"];
+        let plan = FaultPlan::seeded(7, &paths, 64);
+        assert_eq!(plan.faults.len(), 64);
+        for f in &plan.faults {
+            assert!(paths.contains(&f.path.as_str()), "{f:?}");
+            assert!((1..20).contains(&f.nth), "{f:?}");
+            assert!((1..3).contains(&f.count), "{f:?}");
+            match f.kind {
+                StorageFault::TornWrite { bytes } => assert!(bytes < 32, "{f:?}"),
+                StorageFault::Slow { ms } => assert!((1..10).contains(&ms), "{f:?}"),
+                StorageFault::Enospc | StorageFault::FsyncFail | StorageFault::ReadErr => {}
+            }
+        }
+        let anywhere = FaultPlan::seeded(7, &[], 8);
+        assert!(anywhere.faults.iter().all(|f| f.path.is_empty()));
+    }
+
     #[test]
     fn torn_write_persists_exactly_the_prefix() {
         let dir = tmpdir("torn");

@@ -1101,6 +1101,18 @@ mod tests {
     }
 
     #[test]
+    fn unwind_and_channel_lints_skip_test_regions() {
+        let src = "fn a() {}\n#[cfg(test)]\nmod t { fn b(p: P) { let (tx, rx) = unbounded(); std::panic::resume_unwind(p); } }\n";
+        let path = Path::new("crates/engine/src/lib.rs");
+        let f = lint_source(path, src, &FileContext::for_path(path));
+        assert!(
+            f.iter()
+                .all(|f| f.lint != "resume-unwind" && f.lint != "unbounded-channel"),
+            "{f:?}"
+        );
+    }
+
+    #[test]
     fn raw_fs_mutation_flagged_outside_vfs() {
         let src = "fn a(p: &Path) { std::fs::write(p, b\"x\").ok(); let f = File::create(p); }\n";
         let f = run(src);

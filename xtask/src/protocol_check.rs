@@ -1702,6 +1702,29 @@ mod tests {
     }
 
     #[test]
+    fn schedule_choices_name_the_current_leaf_and_replay_it() {
+        let mut s = Schedule::new();
+        s.choose(2);
+        s.choose(3);
+        assert!(s.advance());
+        assert!(s.advance());
+        // The third leaf of a 2×3 space, replayable from its coordinate.
+        assert_eq!(s.choices(), [0, 2]);
+        assert_eq!((s.choose(2), s.choose(3)), (0, 2));
+        s.reset();
+        assert_eq!((s.choose(2), s.choose(3)), (0, 2), "reset replays the leaf");
+    }
+
+    #[test]
+    #[should_panic(expected = "replay diverged")]
+    fn schedule_refuses_a_replay_with_another_width() {
+        let mut s = Schedule::new();
+        s.choose(2);
+        s.reset();
+        s.choose(3);
+    }
+
+    #[test]
     fn durable_discipline_passes_quick_exploration() {
         let report = match check(Scale::Quick) {
             Ok(report) => report,
