@@ -13,8 +13,8 @@
 //! The engine is slower than the pipeline; scaling out and crash
 //! isolation are the federation tier's. [`Engine::new`],
 //! [`Engine::process_trace`] and [`EngineRun`] keep their shapes only
-//! because the benchmark (`benchmark/`) and `sentinet-bench` measure
-//! them; once those stop, the crate goes.
+//! because the benchmark (`benchmark/`), this crate's only dependent,
+//! measures them; once it stops, the crate goes.
 //!
 //! # Examples
 //!

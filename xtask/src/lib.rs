@@ -9,7 +9,6 @@
 //! - [`protocol_check`] — a loom-style exhaustive explorer of the
 //!   pipelined uplink's interleavings against the durability
 //!   invariants;
-//! - [`bench_check`] — schema validation for `BENCH_engine.json`;
 //! - the `analyze` command additionally re-runs the numeric test
 //!   suites with the `check-invariants` feature, turning every HMM
 //!   matrix mutation and cluster update into a checked invariant.
@@ -20,7 +19,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench_check;
 pub mod lexer;
 pub mod lint;
 pub mod protocol_check;

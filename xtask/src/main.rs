@@ -4,7 +4,7 @@ use sentinet_gateway::AckDiscipline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xtask::protocol_check::RestoreMutation;
-use xtask::{bench_check, lint, protocol_check};
+use xtask::{lint, protocol_check};
 
 const USAGE: &str = "\
 Usage: cargo run -p xtask -- <command>
@@ -18,7 +18,6 @@ Commands:
   protocol-check               exhaustively explore v2 uplink interleavings
                                (loss, reorder, reconnect, crash, poisoned
                                WAL) against the durability invariants
-  bench-check [FILE]           validate BENCH_engine.json (default) or FILE
   nemesis [--seed S] [--episodes N]
                                run the seeded nemesis campaign (default
                                seed 12648430, 200 episodes) composing
@@ -140,24 +139,6 @@ fn run_protocol_check() -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn run_bench_check(file: Option<&str>) -> Result<(), String> {
-    let path = match file {
-        Some(f) => PathBuf::from(f),
-        None => repo_root().join("BENCH_engine.json"),
-    };
-    let input = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let problems = bench_check::validate(&input);
-    for p in &problems {
-        eprintln!("{}: {p}", path.display());
-    }
-    if problems.is_empty() {
-        println!("bench-check: {} valid", path.display());
-        Ok(())
-    } else {
-        Err(format!("bench-check: {} problem(s)", problems.len()))
-    }
 }
 
 /// The nemesis campaign runner: a pinned-seed randomized campaign over
@@ -302,7 +283,6 @@ fn main() -> ExitCode {
             for step in [
                 run_lint(&[]),
                 run_protocol_check(),
-                run_bench_check(None),
                 if skip_invariants {
                     Ok(())
                 } else {
@@ -323,7 +303,6 @@ fn main() -> ExitCode {
         }
         Some("lint") => run_lint(&args[1..]),
         Some("protocol-check") => run_protocol_check(),
-        Some("bench-check") => run_bench_check(args.get(1).map(String::as_str)),
         Some("nemesis") => run_nemesis(&args[1..]),
         _ => {
             eprint!("{USAGE}");

@@ -1,4 +1,4 @@
-//! Fixture tests for the lint engine and the bench-report validator.
+//! Fixture tests for the lint engine.
 //!
 //! The `.rs` files under `tests/fixtures/` are test data, never
 //! compiled: `bad_lib.rs` makes every lint fire exactly once,
@@ -9,7 +9,6 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use xtask::bench_check;
 use xtask::lint::{self, FileContext, LINTS};
 
 fn fixture(name: &str) -> PathBuf {
@@ -65,19 +64,6 @@ fn suppressed_fixture_is_silent() {
 fn clean_fixture_passes_as_lib_root() {
     let findings = lint::lint_source(&fixture("clean_lib.rs"), &read("clean_lib.rs"), &full_ctx());
     assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn bad_bench_fixture_reports_each_schema_violation() {
-    let problems = bench_check::validate(&read("bad_bench.json"));
-    let has = |needle: &str| problems.iter().any(|p| p.contains(needle));
-    assert!(has("host_cpus"), "{problems:?}");
-    assert!(has("monotone"), "{problems:?}");
-    assert!(has("mode"), "{problems:?}");
-    assert!(has("`windows_per_sec`"), "{problems:?}");
-    assert!(has("`speedup_vs_serial`"), "{problems:?}");
-    assert!(has("`fsync`"), "{problems:?}");
-    assert!(has("`retention`"), "{problems:?}");
 }
 
 #[test]
@@ -142,14 +128,4 @@ fn lint_binary_exits_zero_on_clean_fixture() {
         .status()
         .expect("xtask binary runs");
     assert!(status.success());
-}
-
-#[test]
-fn bench_check_binary_exits_nonzero_on_bad_report() {
-    let status = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("bench-check")
-        .arg(fixture("bad_bench.json"))
-        .status()
-        .expect("xtask binary runs");
-    assert!(!status.success());
 }
