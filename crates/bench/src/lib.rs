@@ -279,4 +279,40 @@ mod tests {
         assert!(!active_rows(&p).is_empty());
         assert!(state_label(&p, 0).starts_with('('));
     }
+
+    #[test]
+    fn state_label_names_the_slot_before_a_model_exists() {
+        let (_, cfg) = clean_scenario(1, 3);
+        let p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
+        assert_eq!(state_label(&p, 4), "s4");
+        assert!(active_rows(&p).is_empty());
+    }
+
+    #[test]
+    fn visible_columns_keep_mass_in_the_given_rows_only() {
+        let b = sentinet_hmm::StochasticMatrix::from_rows(vec![
+            vec![0.9, 0.1, 0.0],
+            vec![0.0, 0.5, 0.5],
+        ])
+        .unwrap();
+        assert_eq!(visible_columns(&b, &[0], 0.05), [0, 1]);
+        assert_eq!(visible_columns(&b, &[1], 0.05), [1, 2]);
+        assert_eq!(visible_columns(&b, &[0, 1], 0.2), [0, 1, 2]);
+        assert!(visible_columns(&b, &[], 0.0).is_empty());
+    }
+
+    #[test]
+    fn stuck_at_scenario_alters_sensor_six_only() {
+        // Onset after day 1 and a two-day drift: stuck from day 3 on.
+        let (clean, _) = clean_scenario(4, 5);
+        let (stuck, _) = stuck_at_scenario(4, 5);
+        for sensor in clean.sensors() {
+            let differs = clean.sensor_series(sensor) != stuck.sensor_series(sensor);
+            assert_eq!(differs, sensor == SensorId(6), "sensor {sensor:?}");
+        }
+        let series = stuck.sensor_series(SensorId(6));
+        let mut late = series.iter().filter(|(t, _)| *t >= 3 * DAY_S);
+        assert!(late.clone().count() > 0);
+        assert!(late.all(|(_, r)| r.values() == [15.0, 1.0]));
+    }
 }

@@ -103,36 +103,102 @@ fn problems(command: &str, members: &Members) -> Vec<String> {
     missing.chain(orphans).collect()
 }
 
-#[test]
-fn every_documented_cargo_command_names_real_targets() {
+fn check(command: &str) -> Vec<String> {
+    problems(command, &workspace())
+}
+
+/// Every problem in one doc, each as `doc:line: problem: command`.
+fn stale(doc: &str) -> Vec<String> {
     let members = workspace();
-    // The checker itself first: declared and discovered targets are
-    // seen, missing ones are named, placeholders pass.
+    let text = std::fs::read_to_string(root().join(doc)).expect("doc readable");
+    let mut stale = Vec::new();
+    for (line, command) in commands(&text) {
+        let found = problems(command, &members).into_iter();
+        stale.extend(found.map(|p| format!("{doc}:{line}: {p}: {}", command.trim())));
+    }
+    stale
+}
+
+#[test]
+fn declared_targets_are_seen() {
+    let members = workspace();
     let has = |package: &str, target: &str| members[package].contains(target);
     assert!(has("sentinet-cli", "bin sentinet") && !has("sentinet-cli", "bin sentinet-cli"));
-    assert!(has("sentinet-bench", "bin inspect") && has("sentinet-bench", "bench exp_table1"));
+    assert!(has("sentinet-bench", "bench exp_table1"));
+}
+
+#[test]
+fn discovered_targets_are_seen() {
+    let members = workspace();
+    let has = |package: &str, target: &str| members[package].contains(target);
+    assert!(has("sentinet-bench", "bin inspect") && !has("sentinet-bench", "bin sentinet-bench"));
     assert!(has("sentinet-core", "example quickstart") && has("xtask", "test doc_commands"));
-    let check = |command| problems(command, &members);
+    assert!(has("xtask", "bin xtask"));
+}
+
+#[test]
+fn missing_package_and_orphan_target_are_named() {
     let stale = check("cargo run -p sentinet-bench --bin gone -p nope -- --bin x");
     let gone = "no `bin gone` target in sentinet-bench, nope";
     assert_eq!(stale, ["no package `nope`", gone]);
+}
+
+#[test]
+fn each_target_kind_is_checked() {
+    for kind in ["bin", "bench", "test", "example"] {
+        let stale = check(&format!("cargo test -p xtask --{kind} gone"));
+        assert_eq!(stale, [format!("no `{kind} gone` target in xtask")]);
+    }
+}
+
+#[test]
+fn placeholders_pass() {
     assert!(check("cargo bench -p sentinet-bench --bench <name>").is_empty());
+    assert!(check("cargo run -p {pkg} --bin $BIN").is_empty());
+    assert!(check("cargo test -p xtask --test '*'").is_empty());
+}
+
+#[test]
+fn shell_operators_and_comments_end_the_cargo_arguments() {
+    assert!(check("cargo test -p xtask && cargo run --bin gone").is_empty());
+    assert!(check("cargo test -p xtask | tee --bin gone").is_empty());
+    assert!(check("cargo test -p xtask # --bin gone").is_empty());
+    assert_eq!(check("cargo test -p gone ; true"), ["no package `gone`"]);
+}
+
+#[test]
+fn a_target_without_a_package_is_not_checked() {
+    assert!(check("cargo run --bin gone").is_empty());
+}
+
+#[test]
+fn inline_spans_wrap_and_other_commands_end_at_the_line() {
     let doc = "`cargo run -p a\n--bin b`\n```\ncargo build\ncargo test # c\n```";
     let found = [(1, "cargo run -p a\n--bin b"), (5, "cargo test # c")];
     assert_eq!(commands(doc), found);
+    assert!(commands("cargo build -p a --bin b\ncargo check\ncargo").is_empty());
+}
 
-    let mut stale = Vec::new();
-    for doc in [
-        "README.md",
-        "EXPERIMENTS.md",
-        "DESIGN.md",
-        ".claude/skills/verify/SKILL.md",
-    ] {
-        let text = std::fs::read_to_string(root().join(doc)).expect("doc readable");
-        for (line, command) in commands(&text) {
-            let found = problems(command, &members).into_iter();
-            stale.extend(found.map(|p| format!("{doc}:{line}: {p}: {}", command.trim())));
-        }
-    }
+#[test]
+fn readme_commands_name_real_targets() {
+    let stale = stale("README.md");
+    assert!(stale.is_empty(), "stale:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn experiments_commands_name_real_targets() {
+    let stale = stale("EXPERIMENTS.md");
+    assert!(stale.is_empty(), "stale:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn design_commands_name_real_targets() {
+    let stale = stale("DESIGN.md");
+    assert!(stale.is_empty(), "stale:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn verify_recipe_commands_name_real_targets() {
+    let stale = stale(".claude/skills/verify/SKILL.md");
     assert!(stale.is_empty(), "stale:\n{}", stale.join("\n"));
 }
