@@ -16,6 +16,9 @@
 
 use sentinet_hmm::{baum_welch, BaumWelchConfig, Hmm, HmmError};
 
+/// Baum–Welch iterations a training restart may take to converge.
+const TRAIN_ITERS: usize = 1_000;
+
 /// Likelihood-threshold anomaly detector over discrete symbol windows.
 ///
 /// # Examples
@@ -67,7 +70,10 @@ impl HmmDetector {
     }
 
     /// Trains `λ` on attack-free sequences with Baum–Welch, keeping the
-    /// best of three random restarts.
+    /// best of three random restarts, each run until it converges (at
+    /// most 1 000 iterations): from a random start EM can crawl along
+    /// the plateau where both states emit alike for hundreds of
+    /// iterations, and a restart cut off there is a model of nothing.
     ///
     /// # Errors
     ///
@@ -78,10 +84,14 @@ impl HmmDetector {
         clean_sequences: &[Vec<usize>],
         rng: &mut R,
     ) -> Result<(), HmmError> {
+        let config = BaumWelchConfig {
+            max_iters: TRAIN_ITERS,
+            ..BaumWelchConfig::default()
+        };
         let mut best: Option<(f64, Hmm)> = None;
         for _ in 0..3 {
             let init = Hmm::random(self.num_states, self.num_symbols, rng)?;
-            let trained = baum_welch(&init, clean_sequences, &BaumWelchConfig::default())?;
+            let trained = baum_welch(&init, clean_sequences, &config)?;
             let ll: f64 = clean_sequences
                 .iter()
                 .map(|s| trained.hmm.log_likelihood(s).unwrap_or(f64::NEG_INFINITY))
@@ -198,6 +208,27 @@ mod tests {
         // A rapid-switching window violates the learned dwell structure.
         let hostile: Vec<usize> = (0..80).map(|t| t % 2).collect();
         assert!(det.is_anomalous(&hostile).unwrap());
+    }
+
+    /// At this seed all three random starts crawl along the plateau
+    /// where both states emit alike: cut off after 100 iterations the
+    /// best of them explained its training data 70 nats worse than the
+    /// generator did, and scored every-other-symbol-flipped windows as
+    /// *more* likely than clean ones. Run to convergence, one leaves it.
+    #[test]
+    fn training_leaves_the_plateau_where_both_states_emit_alike() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let a = StochasticMatrix::from_rows(vec![vec![0.9, 0.1], vec![0.1, 0.9]]).unwrap();
+        let b = StochasticMatrix::from_rows(vec![vec![0.95, 0.05], vec![0.05, 0.95]]).unwrap();
+        let src = Hmm::new(a, b, vec![0.5, 0.5]).unwrap();
+        let train: Vec<Vec<usize>> = (0..4)
+            .map(|_| src.sample(100, &mut rng).unwrap().1)
+            .collect();
+        let mut det = HmmDetector::new(2, 2);
+        det.train(&train, &mut rng).unwrap();
+        let ll = |m: &Hmm| -> f64 { train.iter().map(|s| m.log_likelihood(s).unwrap()).sum() };
+        let (trained, truth) = (ll(det.model().unwrap()), ll(&src));
+        assert!(trained >= truth, "trained {trained} < generator {truth}");
     }
 
     #[test]

@@ -77,10 +77,10 @@ fn main() {
         (Truth::Mixed, mixed_scenario),
     ];
 
-    // Each (scenario, seed) run is independent: fan out on a crossbeam
+    // Each (scenario, seed) run is independent: fan out on a thread
     // scope and fold the tallies afterwards.
     let mut matrix = vec![vec![0usize; LABELS.len()]; scenarios.len()];
-    let cells: Vec<(usize, usize)> = crossbeam::thread::scope(|scope| {
+    let cells: Vec<(usize, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = scenarios
             .iter()
             .enumerate()
@@ -88,7 +88,7 @@ fn main() {
                 seeds.iter().map(move |&seed| (row, truth, build, seed))
             })
             .map(|(row, truth, build, seed)| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let (trace, cfg) = build(days, seed);
                     let p = run_pipeline(&trace, &cfg);
                     (row, verdict_index(&p, truth))
@@ -99,8 +99,7 @@ fn main() {
             .into_iter()
             .map(|h| h.join().expect("scenario worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope");
+    });
     for (row, col) in cells {
         matrix[row][col] += 1;
     }

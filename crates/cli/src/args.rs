@@ -1429,7 +1429,7 @@ mod tests {
     #[test]
     fn table_shared_flags_round_trip() {
         ROUND_TRIP.for_each_seed(500, |seed| {
-            let mut rng = proptest::TestRng::new(seed);
+            let mut rng = seeded::TestRng::new(seed);
             let mut shape = GatewayConfig::new("w");
             shape.sample_period = 1 + rng.next_u64() % 100_000;
             shape.pipeline.window_samples = 1 + rng.usize_in(0, 1000) as u32;

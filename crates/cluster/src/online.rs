@@ -16,10 +16,8 @@
 //! consistent; spawning appends a new slot and the caller grows its
 //! HMMs. [`StateEvent`] reports what happened.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the online clustering module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Learning factor `α ∈ (0, 1)` of Eq. 6 (paper default 0.10).
     pub alpha: f64,
@@ -50,7 +48,7 @@ impl Default for ClusterConfig {
 }
 
 /// A structural change to the state set during an update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateEvent {
     /// A new state slot was created (index of the new slot).
     Spawned(usize),
@@ -77,7 +75,7 @@ pub enum StateEvent {
 /// let (l, _) = states.nearest(&[13.0, 93.0]).unwrap();
 /// assert_eq!(l, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelStates {
     centroids: Vec<Vec<f64>>,
     active: Vec<bool>,
@@ -448,7 +446,7 @@ pub struct UpdateScratch {
 /// Plain-data image of a [`ModelStates`], produced by
 /// [`ModelStates::snapshot`] for checkpoint/restore. Centroids are
 /// stored verbatim, so a round-trip is bit-exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StatesSnapshot {
     /// Every slot's centroid (active and merged-away).
     pub centroids: Vec<Vec<f64>>,

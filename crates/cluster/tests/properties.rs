@@ -1,8 +1,11 @@
 //! Property-based tests for the clustering substrate.
 
-use proptest::prelude::*;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use seeded::TestRng;
 use sentinet_cluster::{kmeans, ClusterConfig, ModelStates, StateEvent, UpdateScratch};
 
 fn cfg() -> ClusterConfig {
@@ -116,28 +119,27 @@ impl Oracle {
     }
 
     /// Asserts `states` is this oracle, every float bit for bit.
-    fn assert_same(&self, states: &ModelStates) -> Result<(), TestCaseError> {
+    fn assert_same(&self, states: &ModelStates) {
         let snap = states.snapshot();
-        prop_assert_eq!(&snap.active, &self.active);
-        prop_assert_eq!(snap.generation, self.generation);
-        prop_assert_eq!(states.active_count(), self.active_states().len());
+        assert_eq!(&snap.active, &self.active);
+        assert_eq!(snap.generation, self.generation);
+        assert_eq!(states.active_count(), self.active_states().len());
         let bits = |cs: &[Vec<f64>]| -> Vec<Vec<u64>> {
             cs.iter()
                 .map(|c| c.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
-        prop_assert_eq!(bits(&snap.centroids), bits(&self.centroids));
-        Ok(())
+        assert_eq!(bits(&snap.centroids), bits(&self.centroids));
     }
 }
 
 /// A coarse grid with repeats, a signed zero and mirror-image values,
 /// so exact distance ties between two states and `-0.0` sums occur.
-fn grid(dim: usize, max_len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
-    let cell = prop::sample::select(vec![
+fn grid(rng: &mut TestRng, dim: usize, max_len: usize) -> Vec<Vec<f64>> {
+    const CELLS: [f64; 13] = [
         -0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 2.5, 7.0, -7.0, 40.0, -40.0,
-    ]);
-    prop::collection::vec(prop::collection::vec(cell, dim), 1..max_len)
+    ];
+    rng.vec(1..max_len, |r| r.vec(dim, |r| r.pick(&CELLS)))
 }
 
 fn tight() -> ClusterConfig {
@@ -149,62 +151,59 @@ fn tight() -> ClusterConfig {
     }
 }
 
-fn points(dim: usize, max_len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(-50.0f64..50.0, dim), 1..max_len)
+fn points(rng: &mut TestRng, dim: usize, max_len: usize) -> Vec<Vec<f64>> {
+    rng.vec(1..max_len, |r| r.vec(dim, |r| r.range(-50.0..50.0)))
 }
 
-proptest! {
-    #[test]
-    fn assignments_are_nearest_active_state(pts in points(2, 20)) {
+seeded::properties! {
+    var: "CLUSTER_PROPS_SEED", package: "sentinet-cluster", target: "--test properties", cases: 48;
+
+    fn assignments_are_nearest_active_state(rng) {
+        let pts = points(rng, 2, 20);
         let s = ModelStates::new(vec![vec![0.0, 0.0], vec![20.0, 20.0]], cfg());
         let labels = s.assign(&pts);
         for (p, &l) in pts.iter().zip(&labels) {
             let (nearest, d) = s.nearest(p).unwrap();
-            prop_assert_eq!(l, nearest);
+            assert_eq!(l, nearest);
             // No active state is strictly closer.
             for a in s.active_states() {
                 let c = s.centroid(a).unwrap();
                 let da: f64 = p.iter().zip(c).map(|(x, y)| (x - y).powi(2)).sum::<f64>().sqrt();
-                prop_assert!(da >= d - 1e-12);
+                assert!(da >= d - 1e-12);
             }
         }
     }
 
-    #[test]
-    fn update_never_loses_all_states(
-        rounds in prop::collection::vec(points(2, 8), 1..10),
-    ) {
+    fn update_never_loses_all_states(rng) {
         let mut s = ModelStates::new(vec![vec![0.0, 0.0]], cfg());
-        for pts in rounds {
+        for pts in rng.vec(1..10, |r| points(r, 2, 8)) {
             s.update(&pts);
-            prop_assert!(!s.active_states().is_empty());
-            prop_assert!(s.active_states().len() <= 12);
+            assert!(!s.active_states().is_empty());
+            assert!(s.active_states().len() <= 12);
         }
     }
 
-    #[test]
-    fn events_are_consistent_with_state_set(pts in points(2, 20)) {
+    fn events_are_consistent_with_state_set(rng) {
+        let pts = points(rng, 2, 20);
         let mut s = ModelStates::new(vec![vec![0.0, 0.0], vec![30.0, 30.0]], cfg());
         let before = s.num_slots();
         let events = s.update(&pts);
         for e in &events {
             match e {
                 StateEvent::Spawned(i) => {
-                    prop_assert!(*i >= before || s.centroid(*i).is_some());
-                    prop_assert!(s.centroid(*i).is_some(), "spawned slot must be active");
+                    assert!(*i >= before || s.centroid(*i).is_some());
+                    assert!(s.centroid(*i).is_some(), "spawned slot must be active");
                 }
                 StateEvent::Merged { from, into } => {
-                    prop_assert!(s.centroid(*from).is_none(), "merged-from slot inactive");
-                    prop_assert!(s.centroid(*into).is_some(), "merge survivor active");
+                    assert!(s.centroid(*from).is_none(), "merged-from slot inactive");
+                    assert!(s.centroid(*into).is_some(), "merge survivor active");
                 }
             }
         }
     }
 
-    #[test]
-    fn centroids_stay_in_data_hull_after_updates(
-        pts in prop::collection::vec(prop::collection::vec(-10.0f64..10.0, 1), 2..30),
-    ) {
+    fn centroids_stay_in_data_hull_after_updates(rng) {
+        let pts = rng.vec(2..30, |r| vec![r.range(-10.0..10.0)]);
         // Feeding data confined to [-10, 10] can never push a centroid
         // outside the convex hull of {initial centroid} ∪ data.
         let mut s = ModelStates::new(vec![vec![0.0]], ClusterConfig {
@@ -218,35 +217,30 @@ proptest! {
         }
         for a in s.active_states() {
             let c = s.centroid(a).unwrap()[0];
-            prop_assert!((-10.0..=10.0).contains(&c), "centroid {c}");
+            assert!((-10.0..=10.0).contains(&c), "centroid {c}");
         }
     }
 
-    #[test]
-    fn spawn_if_uncovered_respects_threshold(
-        x in -100.0f64..100.0,
-    ) {
+    fn spawn_if_uncovered_respects_threshold(rng) {
+        let x = rng.range(-100.0..100.0);
         let mut s = ModelStates::new(vec![vec![0.0]], cfg());
         let spawned = s.spawn_if_uncovered(&[x]);
         if x.abs() > 10.0 {
-            prop_assert!(spawned.is_some());
-            prop_assert_eq!(s.centroid(spawned.unwrap()).unwrap(), &[x]);
+            assert!(spawned.is_some());
+            assert_eq!(s.centroid(spawned.unwrap()).unwrap(), &[x]);
         } else {
-            prop_assert!(spawned.is_none());
+            assert!(spawned.is_none());
         }
     }
 
-    #[test]
-    fn nearest_matches_the_collecting_oracle_on_ties(
-        init in grid(2, 5),
-        probes in grid(2, 30),
-    ) {
+    fn nearest_matches_the_collecting_oracle_on_ties(rng) {
+        let (init, probes) = (grid(rng, 2, 5), grid(rng, 2, 30));
         let s = ModelStates::new(init.clone(), ClusterConfig { max_states: 8, ..tight() });
         let oracle = Oracle::new(init, tight());
         for p in &probes {
             let (got, want) = (s.nearest(p).unwrap(), oracle.nearest(p).unwrap());
-            prop_assert_eq!(got.0, want.0, "tie broke differently at {:?}", p);
-            prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+            assert_eq!(got.0, want.0, "tie broke differently at {p:?}");
+            assert_eq!(got.1.to_bits(), want.1.to_bits());
         }
     }
 
@@ -255,11 +249,9 @@ proptest! {
     /// oracle over several rounds: events, centroid bits, active flags
     /// and generation. The tight config makes merges, spawns and capped
     /// spawns share rounds.
-    #[test]
-    fn single_pass_update_matches_the_member_scan_oracle(
-        dim in 1usize..3,
-        seed_rounds in prop::collection::vec(grid(2, 12), 1..8),
-    ) {
+    fn single_pass_update_matches_the_member_scan_oracle(rng) {
+        let dim = rng.range(1usize..3);
+        let seed_rounds = rng.vec(1..8, |r| grid(r, 2, 12));
         let cut = |ps: &[Vec<f64>]| -> Vec<Vec<f64>> {
             ps.iter().map(|p| p[..dim].to_vec()).collect()
         };
@@ -271,40 +263,38 @@ proptest! {
         for round in &seed_rounds {
             let pts = cut(round);
             let want = oracle.update(&pts);
-            prop_assert_eq!(&wrapped.update(&pts), &want);
-            oracle.assert_same(&wrapped)?;
+            assert_eq!(&wrapped.update(&pts), &want);
+            oracle.assert_same(&wrapped);
 
             let labels: Vec<usize> = pts.iter().map(|p| labeled.nearest(p).unwrap().0).collect();
             let flat: Vec<f64> = pts.iter().flatten().copied().collect();
-            prop_assert_eq!(&labeled.update_labeled(&flat, &labels, &mut scratch), &want);
-            oracle.assert_same(&labeled)?;
+            assert_eq!(&labeled.update_labeled(&flat, &labels, &mut scratch), &want);
+            oracle.assert_same(&labeled);
         }
     }
 
-    #[test]
-    fn kmeans_assignments_minimize_distance(
-        pts in prop::collection::vec(prop::collection::vec(-20.0f64..20.0, 2), 4..40),
-        k in 1usize..4,
-        seed in 0u64..100,
-    ) {
-        prop_assume!(k <= pts.len());
+    fn kmeans_assignments_minimize_distance(rng) {
+        let pts = rng.vec(4..40, |r| r.vec(2, |r| r.range(-20.0..20.0)));
+        let k = rng.range(1usize..4);
+        let seed = rng.range(0u64..100);
+        if k > pts.len() {
+            return Ok(());
+        }
         let res = kmeans(&pts, k, 50, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(res.assignments.len(), pts.len());
-        prop_assert_eq!(res.centroids.len(), k);
+        assert_eq!(res.assignments.len(), pts.len());
+        assert_eq!(res.centroids.len(), k);
         for (p, &a) in pts.iter().zip(&res.assignments) {
             let da: f64 = p.iter().zip(&res.centroids[a]).map(|(x, y)| (x - y).powi(2)).sum();
             for c in &res.centroids {
                 let dc: f64 = p.iter().zip(c).map(|(x, y)| (x - y).powi(2)).sum();
-                prop_assert!(da <= dc + 1e-9, "assignment not nearest");
+                assert!(da <= dc + 1e-9, "assignment not nearest");
             }
         }
     }
 
-    #[test]
-    fn kmeans_inertia_nonincreasing_in_k(
-        pts in prop::collection::vec(prop::collection::vec(-20.0f64..20.0, 2), 8..30),
-        seed in 0u64..50,
-    ) {
+    fn kmeans_inertia_nonincreasing_in_k(rng) {
+        let pts = rng.vec(8..30, |r| r.vec(2, |r| r.range(-20.0..20.0)));
+        let seed = rng.range(0u64..50);
         // More clusters cannot fit worse than best-of-restarts fewer
         // clusters (statistically; we use the best of 3 restarts each).
         let best = |k: usize| -> f64 {
@@ -317,7 +307,7 @@ proptest! {
         };
         let i1 = best(1);
         let i4 = best(4);
-        prop_assert!(i4 <= i1 + 1e-6, "inertia grew with k: {i1} -> {i4}");
+        assert!(i4 <= i1 + 1e-6, "inertia grew with k: {i1} -> {i4}");
     }
 }
 
@@ -348,7 +338,7 @@ fn merge_and_capped_spawn_in_one_round_match_the_oracle() {
             StateEvent::Spawned(3)
         ]
     );
-    oracle.assert_same(&states).unwrap();
+    oracle.assert_same(&states);
 }
 
 #[test]

@@ -103,31 +103,25 @@ pub trait PartitionLink {
 
     /// One liveness/pre-warm probe: the owner's committed fence epoch
     /// and last checkpointed WAL cursor, or `None` when the owner is
-    /// unreachable (a missed beat, never an error). The default (no
-    /// heartbeat channel) reports nothing.
-    fn heartbeat(&mut self) -> Option<(u64, u64)> {
-        None
-    }
+    /// unreachable (a missed beat, never an error).
+    fn heartbeat(&mut self) -> Option<(u64, u64)>;
 
     /// Source half of a live range migration (`MigrateOffer` →
     /// `MigrateAccept` on the wire): the owner durably retires
     /// `start..end`, stages the split-off snapshot, and returns the
     /// cut's WAL cursor with the encoded snapshot payload. Safe to
     /// retry — an interrupted cut resumes from its staged outbox.
-    /// The default has no migration channel.
     ///
     /// # Errors
     ///
     /// [`LinkDown`] when the owner is unreachable or the cut cannot
     /// be made durable.
-    fn migrate_cut(&mut self, _start: u16, _end: u16) -> Result<(u64, Vec<u8>), LinkDown> {
-        Err(LinkDown("link has no migration channel".into()))
-    }
+    fn migrate_cut(&mut self, start: u16, end: u16) -> Result<(u64, Vec<u8>), LinkDown>;
 
     /// Destination half of a live range migration (`MigrateAccept` →
     /// `MigrateDone` on the wire): the owner durably adopts the
     /// shipped snapshot for `start..end` at the source's cut
-    /// `cursor`. The default has no migration channel.
+    /// `cursor`.
     ///
     /// # Errors
     ///
@@ -135,13 +129,11 @@ pub trait PartitionLink {
     /// cannot be made durable.
     fn migrate_adopt(
         &mut self,
-        _start: u16,
-        _end: u16,
-        _cursor: u64,
-        _snapshot: &[u8],
-    ) -> Result<(), LinkDown> {
-        Err(LinkDown("link has no migration channel".into()))
-    }
+        start: u16,
+        end: u16,
+        cursor: u64,
+        snapshot: &[u8],
+    ) -> Result<(), LinkDown>;
 
     /// Tells the source its shipped payload is durably adopted, so
     /// the staged outbox copy may be dropped (`MigrateDone` on the
@@ -150,9 +142,7 @@ pub trait PartitionLink {
     /// # Errors
     ///
     /// [`LinkDown`] when the owner is unreachable.
-    fn migrate_done(&mut self, _start: u16, _end: u16, _cursor: u64) -> Result<(), LinkDown> {
-        Err(LinkDown("link has no migration channel".into()))
-    }
+    fn migrate_done(&mut self, start: u16, end: u16, cursor: u64) -> Result<(), LinkDown>;
 }
 
 /// Starts, fences, closes and merges partition owners. Implementations
@@ -344,27 +334,15 @@ pub fn replay_report(
     Ok((report, info))
 }
 
-/// Accumulated wire counters for one partition, across every epoch's
-/// link.
-#[derive(Debug, Default, Clone, Copy)]
-struct WireTotals {
-    frames_sent: u64,
-    retransmits: u64,
-    timeouts: u64,
-    nacks: u64,
-    reconnects: u64,
-    acked: u64,
-}
-
-impl WireTotals {
-    fn add(&mut self, s: UplinkStats) {
-        self.frames_sent += s.frames_sent;
-        self.retransmits += s.retransmits;
-        self.timeouts += s.timeouts;
-        self.nacks += s.nacks;
-        self.reconnects += s.reconnects;
-        self.acked += s.acked;
-    }
+/// Adds a retired link's wire counters to its partition's total across
+/// every epoch.
+fn add_wire(total: &mut UplinkStats, s: UplinkStats) {
+    total.frames_sent += s.frames_sent;
+    total.retransmits += s.retransmits;
+    total.timeouts += s.timeouts;
+    total.nacks += s.nacks;
+    total.reconnects += s.reconnects;
+    total.acked += s.acked;
 }
 
 /// What a scheduled live migration moves.
@@ -430,7 +408,8 @@ struct PartitionState<L> {
     orphan_nacks: u64,
     failovers: u32,
     redelivered: u64,
-    wire: WireTotals,
+    /// Wire counters of every epoch's retired link.
+    wire: UplinkStats,
 }
 
 impl<L> PartitionState<L> {
@@ -450,7 +429,7 @@ impl<L> PartitionState<L> {
             orphan_nacks: 0,
             failovers: 0,
             redelivered: 0,
-            wire: WireTotals::default(),
+            wire: UplinkStats::default(),
         }
     }
 }
@@ -791,7 +770,7 @@ impl<B: PartitionBackend> Federation<B> {
         state.sent = state.acked;
         state.unflushed = 0;
         if let Some(link) = state.link.take() {
-            state.wire.add(link.stats());
+            add_wire(&mut state.wire, link.stats());
             self.backend.fence(p, link);
         }
     }
@@ -875,7 +854,7 @@ impl<B: PartitionBackend> Federation<B> {
                     state.sent = state.acked;
                     state.unflushed = 0;
                     if let Some(link) = state.link.take() {
-                        state.wire.add(link.stats());
+                        add_wire(&mut state.wire, link.stats());
                         self.backend.fence(p, link);
                     }
                 }
@@ -953,7 +932,7 @@ impl<B: PartitionBackend> Federation<B> {
         state.unflushed = 0;
         let last = state.progress;
         if let Some(link) = state.link.take() {
-            state.wire.add(link.stats());
+            add_wire(&mut state.wire, link.stats());
             self.backend.fence(p, link);
         }
         self.events.push(FederationEvent::Dead {
@@ -1302,7 +1281,7 @@ impl<B: PartitionBackend> Federation<B> {
             self.settle(p, "unacked backlog at end of stream");
             let state = &mut self.states[p];
             if let Some(link) = state.link.take() {
-                state.wire.add(link.stats());
+                add_wire(&mut state.wire, link.stats());
                 if self.map.health(p) == PartitionHealth::Ok {
                     if let Err(e) = self.backend.finish(p, link) {
                         self.events.push(FederationEvent::FinishFailed {
@@ -1359,5 +1338,36 @@ impl<B: PartitionBackend> Federation<B> {
             counters,
             events: self.events,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_partitions_wire_counters_sum_every_retired_link_field_by_field() {
+        let link = |n| UplinkStats {
+            frames_sent: n,
+            retransmits: n + 1,
+            timeouts: n + 2,
+            nacks: n + 3,
+            reconnects: n + 4,
+            acked: n + 5,
+        };
+        let mut total = UplinkStats::default();
+        add_wire(&mut total, link(10));
+        add_wire(&mut total, link(100));
+        assert_eq!(
+            total,
+            UplinkStats {
+                frames_sent: 110,
+                retransmits: 112,
+                timeouts: 114,
+                nacks: 116,
+                reconnects: 118,
+                acked: 120,
+            }
+        );
     }
 }

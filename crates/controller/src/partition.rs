@@ -339,6 +339,10 @@ impl PartitionMap {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -462,91 +466,85 @@ mod tests {
     }
 
     mod props {
+        use super::super::seeded;
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
+        seeded::properties! {
+            var: "PARTITION_PROPS_SEED", package: "sentinet-controller", target: "--lib", cases: 48;
+
             /// Every sensor in `[0, num_sensors)` is owned by exactly
             /// one partition, and nothing beyond the range is owned;
             /// asking for more partitions than sensors (or zero of
             /// either) is a typed error, never a map with zero-width
             /// ranges.
-            #[test]
-            fn split_even_covers_and_is_disjoint(
-                num_sensors in 0u16..200,
-                partitions in 0usize..40,
-            ) {
+            fn split_even_covers_and_is_disjoint(rng) {
+                let num_sensors = rng.range(0u16..200);
+                let partitions = rng.range(0usize..40);
                 match PartitionMap::split_even(num_sensors, partitions) {
                     Ok(map) => {
-                        prop_assert!(partitions >= 1 && partitions <= usize::from(num_sensors));
-                        prop_assert_eq!(map.len(), partitions);
+                        assert!(partitions >= 1 && partitions <= usize::from(num_sensors));
+                        assert_eq!(map.len(), partitions);
                         for s in 0..num_sensors {
                             let owners = (0..map.len())
                                 .filter(|&p| map.range(p).contains(SensorId(s)))
                                 .count();
-                            prop_assert_eq!(owners, 1, "sensor {} owned {} times", s, owners);
-                            prop_assert!(map.partition_of(SensorId(s)).is_some());
+                            assert_eq!(owners, 1, "sensor {} owned {} times", s, owners);
+                            assert!(map.partition_of(SensorId(s)).is_some());
                         }
-                        prop_assert_eq!(map.partition_of(SensorId(num_sensors)), None);
-                        prop_assert_eq!(map.partition_of(SensorId(u16::MAX)), None);
+                        assert_eq!(map.partition_of(SensorId(num_sensors)), None);
+                        assert_eq!(map.partition_of(SensorId(u16::MAX)), None);
                         for p in 0..map.len() {
-                            prop_assert!(!map.range(p).is_empty(), "no silent empty ranges");
+                            assert!(!map.range(p).is_empty(), "no silent empty ranges");
                         }
                     }
-                    Err(PartitionMapError::NoPartitions) => prop_assert_eq!(partitions, 0),
+                    Err(PartitionMapError::NoPartitions) => assert_eq!(partitions, 0),
                     Err(PartitionMapError::DegenerateSplit { num_sensors: n, partitions: p }) => {
-                        prop_assert_eq!((n, p), (num_sensors, partitions));
-                        prop_assert!(p > usize::from(n));
+                        assert_eq!((n, p), (num_sensors, partitions));
+                        assert!(p > usize::from(n));
                     }
-                    Err(other) => prop_assert!(false, "unexpected error {:?}", other),
+                    Err(other) => panic!("unexpected error {other:?}"),
                 }
             }
 
             /// Ranges tile the sensor space contiguously in partition
             /// order and widths never differ by more than one.
-            #[test]
-            fn split_even_ranges_are_contiguous_and_balanced(
-                num_sensors in 1u16..200,
-                partitions in 1usize..40,
-            ) {
-                let partitions = partitions.min(usize::from(num_sensors));
+            fn split_even_ranges_are_contiguous_and_balanced(rng) {
+                let num_sensors = rng.range(1u16..200);
+                let partitions = rng.range(1usize..40).min(usize::from(num_sensors));
                 let map = PartitionMap::split_even(num_sensors, partitions)
                     .expect("clamped to a non-degenerate shape");
                 let mut expected_start = 0u16;
                 let mut widths = Vec::new();
                 for p in 0..map.len() {
                     let r = map.range(p);
-                    prop_assert_eq!(r.start, expected_start, "gap or overlap at partition {}", p);
-                    prop_assert!(r.end > r.start);
+                    assert_eq!(r.start, expected_start, "gap or overlap at partition {}", p);
+                    assert!(r.end > r.start);
                     expected_start = r.end;
                     widths.push(r.len());
                 }
-                prop_assert_eq!(expected_start, num_sensors, "ranges must cover the full space");
+                assert_eq!(expected_start, num_sensors, "ranges must cover the full space");
                 let min = widths.iter().copied().min().unwrap_or(0);
                 let max = widths.iter().copied().max().unwrap_or(0);
-                prop_assert!(max - min <= 1, "uneven split: widths {:?}", widths);
+                assert!(max - min <= 1, "uneven split: widths {:?}", widths);
             }
 
             /// Any interleaving of valid `split_at` and undo
             /// `transfer` operations preserves cover-every-sensor-
             /// exactly-once, and invalid operations leave the map
             /// untouched.
-            #[test]
-            fn split_and_transfer_preserve_the_cover(
-                num_sensors in 2u16..64,
-                partitions in 1usize..6,
-                ops in proptest::collection::vec((0usize..8, 0u16..64, 0u8..2), 0..12),
-            ) {
-                let partitions = partitions.min(usize::from(num_sensors));
+            fn split_and_transfer_preserve_the_cover(rng) {
+                let num_sensors = rng.range(2u16..64);
+                let partitions = rng.range(1usize..6).min(usize::from(num_sensors));
+                let ops = rng.vec(0..12, |r| (r.range(0usize..8), r.range(0u16..64), r.bool()));
                 let mut map = PartitionMap::split_even(num_sensors, partitions)
                     .expect("clamped to a non-degenerate shape");
                 for (p, s, undo) in ops {
                     let p = p % map.len();
                     if let Ok(new) = map.split_at(p, SensorId(s)) {
-                        prop_assert_eq!(new, map.len() - 1, "split appends");
-                        if undo == 1 {
+                        assert_eq!(new, map.len() - 1, "split appends");
+                        if undo {
                             map.transfer(new, p).expect("a fresh split is adjacent to its source");
-                            prop_assert!(map.range(new).is_empty());
+                            assert!(map.range(new).is_empty());
                         }
                     }
                     // Valid or rejected, the cover must hold.
@@ -554,9 +552,9 @@ mod tests {
                         let owners = (0..map.len())
                             .filter(|&q| map.range(q).contains(SensorId(sensor)))
                             .count();
-                        prop_assert_eq!(owners, 1, "sensor {} owned {} times", sensor, owners);
+                        assert_eq!(owners, 1, "sensor {} owned {} times", sensor, owners);
                     }
-                    prop_assert_eq!(map.partition_of(SensorId(num_sensors)), None);
+                    assert_eq!(map.partition_of(SensorId(num_sensors)), None);
                 }
             }
         }

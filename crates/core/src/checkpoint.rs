@@ -19,21 +19,19 @@
 //! re-encodes to the bytes read. [`encode_shard`]/[`decode_shard`] and
 //! [`encode_pipeline`]/[`decode_pipeline`] are the two codecs defined
 //! here; the pipeline text ends in a shard section, read by the same
-//! reader. The `serde` derives on the snapshot types are the
-//! workspace's usual offline marker stubs (see `vendor/README.md`);
-//! they document intent but do no serialization.
+//! reader. These codecs are the only serialization the snapshot types
+//! have.
 
 use crate::runtime::TrackRecord;
 use sentinet_cluster::StatesSnapshot;
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState};
 use sentinet_sim::SensorId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Plain-data image of one [`SensorRuntime`](crate::SensorRuntime),
 /// produced by [`SensorRuntime::snapshot`](crate::SensorRuntime::snapshot).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorSnapshot {
     /// Alarm-filter state.
     pub filter: FilterSnapshot,
@@ -54,7 +52,7 @@ pub struct SensorSnapshot {
 /// at least one delivered reading appear, so a live windower (whose
 /// recycled windows keep cleared per-sensor buffers around) and a
 /// restored one encode identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowerSnapshot {
     /// Whether any reading has ever arrived.
     pub started: bool,
@@ -69,7 +67,7 @@ pub struct WindowerSnapshot {
 
 /// The bootstrapped portion of a [`GlobalSnapshot`]: the model states
 /// and the three estimators that are installed together at bootstrap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalStates {
     /// The evolving model-state set.
     pub states: StatesSnapshot,
@@ -89,7 +87,7 @@ pub struct GlobalStates {
 /// bootstrap it is still virgin (re-seeding from `config.seed` restores
 /// it exactly); after bootstrap it is never drawn from again, so its
 /// position is irrelevant to all future behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalSnapshot {
     /// Decisive windows processed so far.
     pub windows_processed: u64,
@@ -109,7 +107,7 @@ pub struct GlobalSnapshot {
 /// yields a pipeline whose behaviour is bit-identical from this point
 /// on — this is what turns the gateway checkpoint from a verification
 /// fingerprint into a restore point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSnapshot {
     /// The coordinator-side global model.
     pub global: GlobalSnapshot,

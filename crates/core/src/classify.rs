@@ -33,11 +33,10 @@ use sentinet_hmm::structure::{
 /// of estimation noise.
 pub const CREATION_SPREAD_FLOOR: f64 = 0.15;
 use sentinet_hmm::StochasticMatrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The specific accidental-error type (paper §3.3 fault model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ErrorType {
     /// Sensor constantly reports one model state (the stuck state's
     /// slot index is attached).
@@ -62,7 +61,7 @@ pub enum ErrorType {
 }
 
 /// The specific attack type (paper §3.3 attack model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttackType {
     /// The adversary fabricated spurious environment state(s): the
     /// observable-state columns that absorb mass from a shared hidden
@@ -89,7 +88,7 @@ pub enum AttackType {
 }
 
 /// Overall diagnosis for one sensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Diagnosis {
     /// No filtered alarm was ever raised for the sensor.
     ErrorFree,

@@ -2,10 +2,9 @@
 
 use sentinet_cluster::ClusterConfig;
 use sentinet_hmm::structure::OrthoTolerance;
-use serde::{Deserialize, Serialize};
 
 /// Alarm-filter policy selection for the pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FilterPolicy {
     /// The paper's simple k-of-n filter.
     KOfN {
@@ -38,7 +37,7 @@ impl Default for FilterPolicy {
 /// Defaults reproduce the paper's Table 1: `K = 10` sensors (implied by
 /// the trace), `M = 6` initial model states, `w = 12` samples per
 /// observation window, `α = 0.10`, `β = 0.90`, `γ = 0.90`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Samples per observation window (`w` in Table 1).
     pub window_samples: u32,

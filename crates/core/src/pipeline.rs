@@ -115,21 +115,17 @@ impl Coordinator {
     /// malformed packets never reach the collector's analysis, as in
     /// the paper) with `stages` running the per-sensor half, and
     /// flushes the final partial window.
-    ///
-    /// # Errors
-    ///
-    /// The first error of a stage; the run cannot continue past it.
     pub fn process_trace<S: SensorStages>(
         &mut self,
         stages: &mut S,
         trace: &Trace,
-    ) -> Result<Vec<WindowOutcome>, S::Error> {
+    ) -> Vec<WindowOutcome> {
         let mut outcomes = Vec::new();
         for (time, sensor, reading) in trace.delivered() {
-            outcomes.extend(self.push_values(stages, time, sensor, reading.values())?);
+            outcomes.extend(self.push_values(stages, time, sensor, reading.values()));
         }
-        outcomes.extend(self.finalize(stages)?);
-        Ok(outcomes)
+        outcomes.extend(self.finalize(stages));
+        outcomes
     }
 
     fn push_values<S: SensorStages>(
@@ -138,41 +134,36 @@ impl Coordinator {
         time: Timestamp,
         sensor: SensorId,
         values: &[f64],
-    ) -> Result<Vec<WindowOutcome>, S::Error> {
+    ) -> Vec<WindowOutcome> {
         let completed = self.windower.push(time, sensor, values);
         if completed.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let mut outcomes = Vec::new();
         for window in completed {
-            outcomes.extend(self.analyze_window(stages, &window)?);
+            outcomes.extend(self.analyze_window(stages, &window));
             self.windower.recycle(window);
         }
-        Ok(outcomes)
+        outcomes
     }
 
-    fn finalize<S: SensorStages>(
-        &mut self,
-        stages: &mut S,
-    ) -> Result<Option<WindowOutcome>, S::Error> {
-        let Some(window) = self.windower.finish() else {
-            return Ok(None);
-        };
-        let outcome = self.analyze_window(stages, &window)?;
+    fn finalize<S: SensorStages>(&mut self, stages: &mut S) -> Option<WindowOutcome> {
+        let window = self.windower.finish()?;
+        let outcome = self.analyze_window(stages, &window);
         self.windower.recycle(window);
-        Ok(outcome)
+        outcome
     }
 
-    /// One window through the Fig. 1 stage order. `Ok(None)` means the
+    /// One window through the Fig. 1 stage order. `None` means the
     /// window was dropped: consumed by the bootstrap, empty, or without
     /// a single vote.
     fn analyze_window<S: SensorStages>(
         &mut self,
         stages: &mut S,
         window: &ObservationWindow,
-    ) -> Result<Option<WindowOutcome>, S::Error> {
+    ) -> Option<WindowOutcome> {
         if !self.global.absorb_bootstrap(window) {
-            return Ok(None);
+            return None;
         }
 
         // Eq. 2: the window aggregate, a model state to name it, and
@@ -180,23 +171,19 @@ impl Coordinator {
         let trim = self.global.config().observable_trim;
         let mean = window.trimmed_mean_with(trim, &mut self.scratch);
         if self.global.cover_window_mean(mean) {
-            stages.grow(self.global.num_slots())?;
+            stages.grow(self.global.num_slots());
         }
         let (Some(mean), Some(states)) = (mean, self.global.states()) else {
-            return Ok(None);
+            return None;
         };
-        let Some((observable, _)) = states.nearest(mean) else {
-            return Ok(None);
-        };
+        let (observable, _) = states.nearest(mean)?;
 
         // Eq. 3 is a per-sensor stage; Eq. 4 is the barrier every later
         // stage waits on.
         let (ids, representatives, votes) = self.scratch.represent(window);
-        stages.label(states, ids, representatives, votes)?;
+        stages.label(states, ids, representatives, votes);
         let majority_fraction = self.global.config().majority_fraction;
-        let Some((correct, decisive)) = self.scratch.elect(states, majority_fraction) else {
-            return Ok(None);
-        };
+        let (correct, decisive) = self.scratch.elect(states, majority_fraction)?;
         if decisive {
             self.global.record_decisive(correct, observable);
         }
@@ -211,7 +198,7 @@ impl Coordinator {
         outcome.correct = correct;
         if decisive {
             let num_slots = self.global.num_slots();
-            stages.step(num_slots, self.scratch.voted(), &mut outcome)?;
+            stages.step(num_slots, self.scratch.voted(), &mut outcome);
         }
 
         // Model-state maintenance (Eqs. 5–6 + merge/spawn) on the
@@ -221,10 +208,10 @@ impl Coordinator {
             .global
             .finish_window_labeled(self.scratch.representatives(), self.scratch.labels());
         if grew {
-            stages.grow(self.global.num_slots())?;
+            stages.grow(self.global.num_slots());
         }
         outcome.cluster_events = cluster_events;
-        Ok(Some(outcome))
+        Some(outcome)
     }
 }
 
@@ -303,24 +290,20 @@ impl Pipeline {
         sensor: SensorId,
         values: &[f64],
     ) -> Vec<WindowOutcome> {
-        let Ok(outcomes) = self
-            .coordinator
-            .push_values(&mut self.sensors, time, sensor, values);
-        outcomes
+        self.coordinator
+            .push_values(&mut self.sensors, time, sensor, values)
     }
 
     /// Processes an entire trace (delivered records only — lost and
     /// malformed packets never reach the collector's analysis, as in
     /// the paper) and flushes the final partial window.
     pub fn process_trace(&mut self, trace: &Trace) -> Vec<WindowOutcome> {
-        let Ok(outcomes) = self.coordinator.process_trace(&mut self.sensors, trace);
-        outcomes
+        self.coordinator.process_trace(&mut self.sensors, trace)
     }
 
     /// Flushes the in-progress window at end of stream.
     pub fn finalize(&mut self) -> Vec<WindowOutcome> {
-        let Ok(outcome) = self.coordinator.finalize(&mut self.sensors);
-        Vec::from_iter(outcome)
+        Vec::from_iter(self.coordinator.finalize(&mut self.sensors))
     }
 
     /// Returns a consumed outcome to the pipeline's pool so its alarm
@@ -594,7 +577,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sentinet_sim::{gdi, simulate};
-    use std::convert::Infallible;
 
     fn quiet_day_trace() -> (Trace, u64) {
         let mut cfg = gdi::day_config();
@@ -819,22 +801,19 @@ mod tests {
     }
 
     impl SensorStages for Abstaining {
-        type Error = Infallible;
-
         fn label(
             &mut self,
             states: &ModelStates,
             ids: &[SensorId],
             representatives: &[f64],
             votes: &mut [Option<usize>],
-        ) -> Result<(), Infallible> {
-            self.sensors.label(states, ids, representatives, votes)?;
+        ) {
+            self.sensors.label(states, ids, representatives, votes);
             for (id, vote) in ids.iter().zip(votes) {
                 if self.abstainers.contains(id) {
                     *vote = None;
                 }
             }
-            Ok(())
         }
 
         fn step(
@@ -842,12 +821,12 @@ mod tests {
             num_slots: usize,
             voted: impl Iterator<Item = (SensorId, usize)>,
             outcome: &mut WindowOutcome,
-        ) -> Result<(), Infallible> {
-            self.sensors.step(num_slots, voted, outcome)
+        ) {
+            self.sensors.step(num_slots, voted, outcome);
         }
 
-        fn grow(&mut self, num_slots: usize) -> Result<(), Infallible> {
-            self.sensors.grow(num_slots)
+        fn grow(&mut self, num_slots: usize) {
+            self.sensors.grow(num_slots);
         }
     }
 
@@ -886,7 +865,7 @@ mod tests {
             sensors: SensorMap::new(config),
             abstainers: vec![SensorId(3), SensorId(4)],
         };
-        let Ok(outcomes) = coordinator.process_trace(&mut stages, &trace);
+        let outcomes = coordinator.process_trace(&mut stages, &trace);
         assert_eq!((outcomes.len(), outcomes[0].correct), (1, 0));
         assert_eq!(outcomes[0].raw_alarms, [SensorId(2)]);
         let voted: Vec<(SensorId, usize)> = coordinator.scratch.voted().collect();

@@ -10,11 +10,10 @@
 
 use crate::classify::{AttackType, Diagnosis, ErrorType};
 use sentinet_sim::{Reading, SensorId};
-use serde::{Deserialize, Serialize};
 
 /// The action a deployment should take for one diagnosed sensor (or,
 /// for attacks, for the network).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryAction {
     /// Nothing to do.
     None,
@@ -118,7 +117,7 @@ impl RecoveryAction {
 
 /// A full recovery plan: one action per sensor, derived from a
 /// pipeline's diagnoses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPlan {
     /// Actions by sensor, ordered by sensor id.
     pub actions: Vec<(SensorId, RecoveryAction)>,

@@ -10,12 +10,11 @@
 use crate::classify::{AttackType, Diagnosis};
 use crate::runtime::{GlobalModel, SensorRuntime};
 use sentinet_sim::SensorId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One model state in the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateSummary {
     /// Slot index.
     pub slot: usize,
@@ -26,7 +25,7 @@ pub struct StateSummary {
 }
 
 /// One sensor's entry in the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorSummary {
     /// The sensor.
     pub sensor: SensorId,
@@ -39,7 +38,7 @@ pub struct SensorSummary {
 }
 
 /// Snapshot of everything the pipeline currently believes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Windows fully processed.
     pub windows_processed: u64,

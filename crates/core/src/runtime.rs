@@ -41,7 +41,6 @@ use sentinet_hmm::{MarkovChain, OnlineHmmEstimator, OnlineMarkovEstimator, Stoch
 use sentinet_sim::SensorId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::ops::Bound;
 
 /// Symbol index reserved for the fictitious ⊥ state of `M_CE`
@@ -252,15 +251,7 @@ fn make_m_ce(config: &PipelineConfig, num_slots: usize) -> OnlineHmmEstimator {
 /// growth — for the window pass of a
 /// [`Coordinator`](crate::Coordinator): a [`SensorMap`] in process, the
 /// engine's shards across scoped threads.
-///
-/// # Errors
-///
-/// A stage fails with whatever kept it from running where the sensors
-/// live; in process nothing can ([`Infallible`]).
 pub trait SensorStages {
-    /// How handing a stage to someone else can fail.
-    type Error;
-
     /// Eq. 3 over the window's sensors — `ids` ascending, row `i` of
     /// `representatives` (row-major) the window mean of `ids[i]`:
     /// casts `votes[i] = Some(label)` for every sensor that votes, the
@@ -274,7 +265,7 @@ pub trait SensorStages {
         ids: &[SensorId],
         representatives: &[f64],
         votes: &mut [Option<usize>],
-    ) -> Result<(), Self::Error>;
+    );
 
     /// The per-sensor step of the decisive window `outcome` describes
     /// so far — window `outcome.index`, elected state `outcome.correct`
@@ -289,11 +280,11 @@ pub trait SensorStages {
         num_slots: usize,
         voted: impl Iterator<Item = (SensorId, usize)>,
         outcome: &mut WindowOutcome,
-    ) -> Result<(), Self::Error>;
+    );
 
     /// Grows every sensor's estimators to `num_slots` model-state
     /// slots.
-    fn grow(&mut self, num_slots: usize) -> Result<(), Self::Error>;
+    fn grow(&mut self, num_slots: usize);
 }
 
 /// The sensors one thread owns, by id, and the per-sensor stages over
@@ -345,17 +336,14 @@ impl SensorMap {
 }
 
 impl SensorStages for SensorMap {
-    type Error = Infallible;
-
     fn label(
         &mut self,
         states: &ModelStates,
         _ids: &[SensorId],
         representatives: &[f64],
         votes: &mut [Option<usize>],
-    ) -> Result<(), Infallible> {
+    ) {
         label_nearest(states, representatives, votes);
-        Ok(())
     }
 
     fn step(
@@ -363,7 +351,7 @@ impl SensorStages for SensorMap {
         num_slots: usize,
         voted: impl Iterator<Item = (SensorId, usize)>,
         outcome: &mut WindowOutcome,
-    ) -> Result<(), Infallible> {
+    ) {
         // `voted` and the map both ascend by sensor id: walk them
         // together. Only a sensor's first appearance pays for a lookup,
         // and it is stepped in its turn, so the alarm lists ascend.
@@ -385,14 +373,12 @@ impl SensorStages for SensorMap {
                 .range_mut((Bound::Excluded(id), Bound::Unbounded))
                 .peekable();
         }
-        Ok(())
     }
 
-    fn grow(&mut self, num_slots: usize) -> Result<(), Infallible> {
+    fn grow(&mut self, num_slots: usize) {
         for sensor in self.runtimes.values_mut() {
             sensor.grow(num_slots);
         }
-        Ok(())
     }
 }
 

@@ -220,6 +220,22 @@ fn window_larger_than_trace_still_finalizes() {
 }
 
 #[test]
+fn the_open_window_is_flushed_once() {
+    let cfg = gdi::day_config();
+    let trace = simulate(&cfg, &mut StdRng::seed_from_u64(3));
+    let mut p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
+    let mut outcomes = Vec::new();
+    for (time, sensor, reading) in trace.delivered() {
+        outcomes.extend(p.push_values(time, sensor, reading.values()));
+    }
+    let last = outcomes.last().expect("closed windows").index;
+    let flushed = p.finalize();
+    assert_eq!(flushed.len(), 1, "the window still open");
+    assert_eq!(flushed[0].index, last + 1);
+    assert!(p.finalize().is_empty(), "nothing is left open");
+}
+
+#[test]
 fn alternating_fast_environment_degrades_gracefully() {
     // Environment flips every sample — far faster than the window; the
     // paper requires Θ(t) ≈ constant per window, so quality degrades

@@ -2,12 +2,12 @@
 
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
+#[path = "../../../tests/support/totality.rs"]
+mod totality;
 
-use proptest::prelude::*;
-use proptest::TestRng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seeded::{check_total_and_exact, mutate, PeakAlloc, Replay};
+use seeded::{mutate, Replay, TestRng};
 use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch};
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
@@ -20,6 +20,7 @@ use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState};
 use sentinet_sim::{Reading, SensorId, Trace, TraceRecord};
 use std::collections::BTreeMap;
+use totality::{check_total_and_exact, PeakAlloc};
 
 #[global_allocator]
 static ALLOCATOR: PeakAlloc = PeakAlloc;
@@ -85,19 +86,18 @@ fn assert_flat_is(
     got: Option<(usize, bool)>,
     scratch: &WindowScratch,
     want: &Option<WindowStates>,
-) -> Result<(), TestCaseError> {
+) {
     let Some(want) = want else {
-        prop_assert_eq!(got, None);
-        return Ok(());
+        assert_eq!(got, None);
+        return;
     };
-    prop_assert_eq!(got, Some((want.correct, want.decisive)));
+    assert_eq!(got, Some((want.correct, want.decisive)));
     let ids: Vec<SensorId> = want.labels.keys().copied().collect();
-    prop_assert_eq!(scratch.sensor_ids(), &ids[..]);
+    assert_eq!(scratch.sensor_ids(), &ids[..]);
     let labels: Vec<usize> = want.labels.values().copied().collect();
-    prop_assert_eq!(scratch.labels(), &labels[..]);
+    assert_eq!(scratch.labels(), &labels[..]);
     let reps: Vec<f64> = want.representatives.values().flatten().copied().collect();
-    prop_assert_eq!(bits(scratch.representatives()), bits(&reps));
-    Ok(())
+    assert_eq!(bits(scratch.representatives()), bits(&reps));
 }
 
 /// Asserts two `WindowStates` agree with representatives bit for bit
@@ -117,10 +117,10 @@ fn assert_states_eq(got: &Option<WindowStates>, want: &Option<WindowStates>) {
 
 /// Sparse ids in no particular order, with values from a coarse grid
 /// (repeats, a signed zero, mirror images) so exact ties occur.
-fn sparse_pushes(max_len: usize) -> impl Strategy<Value = Vec<(u16, Vec<f64>)>> {
-    let id = prop::sample::select(vec![0u16, 7, 65535, 3, 1000, 8]);
-    let cell = prop::sample::select(vec![-0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 60.0]);
-    prop::collection::vec((id, prop::collection::vec(cell, 2)), 1..max_len)
+fn sparse_pushes(rng: &mut TestRng, max_len: usize) -> Vec<(u16, Vec<f64>)> {
+    const IDS: [u16; 6] = [0, 7, 65535, 3, 1000, 8];
+    const CELLS: [f64; 9] = [-0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 60.0];
+    rng.vec(1..max_len, |r| (r.pick(&IDS), r.vec(2, |r| r.pick(&CELLS))))
 }
 
 /// Two states mirrored about the origin (every grid point on an axis
@@ -137,13 +137,13 @@ fn tie_states() -> ModelStates {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+seeded::properties! {
+    var: "CORE_PROPS_SEED", package: "sentinet-core", target: "--test properties", cases: 64;
 
     /// The dense window against a plain map of the same pushes, in
     /// whatever order they arrive.
-    #[test]
-    fn dense_window_matches_a_map_of_the_same_pushes(pushes in sparse_pushes(40)) {
+    fn dense_window_matches_a_map_of_the_same_pushes(rng) {
+        let pushes = sparse_pushes(rng, 40);
         let w = window_from(&pushes);
         let mut oracle: BTreeMap<SensorId, Vec<f64>> = BTreeMap::new();
         for (s, v) in &pushes {
@@ -153,23 +153,20 @@ proptest! {
             w.sensors().map(|(id, s)| (id, bits(s.as_flat()))).collect();
         let want: Vec<(SensorId, Vec<u64>)> =
             oracle.iter().map(|(&id, v)| (id, bits(v))).collect();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(w.num_readings(), pushes.len());
+        assert_eq!(got, want);
+        assert_eq!(w.num_readings(), pushes.len());
         // Arrival order does not matter to equality; id order is kept.
         let mut sorted = pushes.clone();
         sorted.sort_by_key(|(s, _)| *s); // stable: per-sensor order kept
-        prop_assert_eq!(&w, &window_from(&sorted));
+        assert_eq!(&w, &window_from(&sorted));
     }
 
     /// Eqs. 3–4 out of one scratch reused across two windows, the
     /// map-typed wrappers, and the clustering round fed the reused
     /// labels — all against the map oracle and a relabelling `update`.
-    #[test]
-    fn flat_identify_and_labeled_update_match_the_map_oracle(
-        first in sparse_pushes(30),
-        second in sparse_pushes(30),
-        fraction in prop::sample::select(vec![0.5, 0.34, 0.75]),
-    ) {
+    fn flat_identify_and_labeled_update_match_the_map_oracle(rng) {
+        let (first, second) = (sparse_pushes(rng, 30), sparse_pushes(rng, 30));
+        let fraction = rng.pick(&[0.5, 0.34, 0.75]);
         let mut flat_states = tie_states();
         let mut map_states = tie_states();
         let mut scratch = WindowScratch::new();
@@ -179,12 +176,12 @@ proptest! {
             let overall = w.trimmed_mean(0.1).expect("non-empty");
             let want = oracle_identify(&w, &map_states, &overall, fraction);
             let got = identify_states_into(&w, &flat_states, fraction, &mut scratch);
-            assert_flat_is(got, &scratch, &want)?;
+            assert_flat_is(got, &scratch, &want);
             assert_states_eq(&identify_states_with(&w, &flat_states, &overall, fraction), &want);
             assert_states_eq(&identify_states(&w, &flat_states, 0.1, fraction), &want);
             let want = want.expect("non-empty window, live states");
             let sensor_means = w.sensor_means();
-            prop_assert_eq!(&sensor_means, &want.representatives);
+            assert_eq!(&sensor_means, &want.representatives);
 
             // Eq. 6 + merge/spawn: reusing the Eq. 3 labels is the
             // same round as labelling again.
@@ -194,21 +191,19 @@ proptest! {
                 scratch.labels(),
                 &mut update_scratch,
             );
-            prop_assert_eq!(events, map_states.update(&points));
+            assert_eq!(events, map_states.update(&points));
             let (a, b) = (flat_states.snapshot(), map_states.snapshot());
-            prop_assert_eq!(&a, &b);
+            assert_eq!(&a, &b);
             for (ca, cb) in a.centroids.iter().zip(&b.centroids) {
-                prop_assert_eq!(bits(ca), bits(cb));
+                assert_eq!(bits(ca), bits(cb));
             }
         }
     }
 
     /// A recycled window whose earlier sensors went silent equals, and
     /// identifies as, a window that never knew them.
-    #[test]
-    fn recycled_windows_equal_fresh_ones(
-        rounds in prop::collection::vec(sparse_pushes(12), 2..6),
-    ) {
+    fn recycled_windows_equal_fresh_ones(rng) {
+        let rounds = rng.vec(2..6, |r| sparse_pushes(r, 12));
         let mut windower = Windower::new(100);
         let states = tie_states();
         let mut scratch = WindowScratch::new();
@@ -219,13 +214,13 @@ proptest! {
                     let mut fresh = window_from(&rounds[i - 1]);
                     fresh.index = done.index;
                     fresh.start = done.start;
-                    prop_assert_eq!(&done, &fresh);
-                    prop_assert_eq!(done.num_readings(), fresh.num_readings());
+                    assert_eq!(&done, &fresh);
+                    assert_eq!(done.num_readings(), fresh.num_readings());
                     let got = identify_states_into(&done, &states, 0.5, &mut scratch);
                     let want = identify_states_into(&fresh, &states, 0.5, &mut fresh_scratch);
-                    prop_assert_eq!(got, want);
-                    prop_assert_eq!(scratch.sensor_ids(), fresh_scratch.sensor_ids());
-                    prop_assert_eq!(
+                    assert_eq!(got, want);
+                    assert_eq!(scratch.sensor_ids(), fresh_scratch.sensor_ids());
+                    assert_eq!(
                         bits(scratch.representatives()),
                         bits(fresh_scratch.representatives())
                     );
@@ -235,42 +230,32 @@ proptest! {
         }
     }
 
-    #[test]
-    fn trimmed_mean_within_data_hull(
-        pts in prop::collection::vec((0u16..5, prop::collection::vec(-50.0f64..50.0, 1)), 1..40),
-        trim in 0.0f64..0.45,
-    ) {
+    fn trimmed_mean_within_data_hull(rng) {
+        let pts = rng.vec(1..40, |r| (r.range(0u16..5), vec![r.range(-50.0..50.0)]));
         let w = window_from(&pts);
-        let mean = w.trimmed_mean(trim).expect("non-empty");
+        let mean = w.trimmed_mean(rng.range(0.0..0.45)).expect("non-empty");
         let lo = pts.iter().map(|(_, v)| v[0]).fold(f64::INFINITY, f64::min);
         let hi = pts.iter().map(|(_, v)| v[0]).fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(mean[0] >= lo - 1e-9 && mean[0] <= hi + 1e-9);
+        assert!(mean[0] >= lo - 1e-9 && mean[0] <= hi + 1e-9);
     }
 
-    #[test]
-    fn trim_zero_equals_plain_mean(
-        pts in prop::collection::vec((0u16..5, prop::collection::vec(-50.0f64..50.0, 2)), 1..30),
-    ) {
+    fn trim_zero_equals_plain_mean(rng) {
+        let pts = rng.vec(1..30, |r| (r.range(0u16..5), r.vec(2, |r| r.range(-50.0..50.0))));
         let w = window_from(&pts);
-        prop_assert_eq!(w.trimmed_mean(0.0), w.overall_mean());
+        assert_eq!(w.trimmed_mean(0.0), w.overall_mean());
     }
 
-    #[test]
-    fn trimmed_mean_ignores_single_wild_outlier(
-        honest in prop::collection::vec((0u16..4, Just(vec![10.0, 10.0])), 8..20),
-        outlier in 100.0f64..1_000.0,
-    ) {
-        let mut pts = honest;
+    fn trimmed_mean_ignores_single_wild_outlier(rng) {
+        let mut pts = rng.vec(8..20, |r| (r.range(0u16..4), vec![10.0, 10.0]));
+        let outlier = rng.range(100.0..1_000.0);
         pts.push((4, vec![outlier, outlier]));
         let w = window_from(&pts);
         let mean = w.trimmed_mean(0.2).expect("non-empty");
-        prop_assert!((mean[0] - 10.0).abs() < 1e-9, "outlier leaked: {mean:?}");
+        assert!((mean[0] - 10.0).abs() < 1e-9, "outlier leaked: {mean:?}");
     }
 
-    #[test]
-    fn identify_states_correct_backed_by_majority_when_decisive(
-        pts in prop::collection::vec((0u16..6, prop::collection::vec(-30.0f64..30.0, 1)), 2..24),
-    ) {
+    fn identify_states_correct_backed_by_majority_when_decisive(rng) {
+        let pts = rng.vec(2..24, |r| (r.range(0u16..6), vec![r.range(-30.0..30.0)]));
         let states = ModelStates::new(
             vec![vec![-20.0], vec![0.0], vec![20.0]],
             ClusterConfig {
@@ -288,18 +273,15 @@ proptest! {
                 *votes.entry(*l).or_insert(0usize) += 1;
             }
             let max = votes.values().max().copied().unwrap_or(0);
-            prop_assert_eq!(votes.get(&ws.correct).copied().unwrap_or(0), max);
+            assert_eq!(votes.get(&ws.correct).copied().unwrap_or(0), max);
             if ws.decisive {
-                prop_assert!(2 * max > ws.labels.len());
+                assert!(2 * max > ws.labels.len());
             }
         }
     }
 
-    #[test]
-    fn windower_partitions_all_readings(
-        times in prop::collection::vec(0u64..50_000, 1..100),
-    ) {
-        let mut sorted = times;
+    fn windower_partitions_all_readings(rng) {
+        let mut sorted = rng.vec(1..100, |r| r.range(0u64..50_000));
         sorted.sort_unstable();
         let mut w = Windower::new(3_600);
         let mut seen = 0usize;
@@ -308,14 +290,11 @@ proptest! {
             seen += done.iter().map(|d| d.num_readings()).sum::<usize>();
         }
         seen += w.finish().map(|d| d.num_readings()).unwrap_or(0);
-        prop_assert_eq!(seen, sorted.len());
+        assert_eq!(seen, sorted.len());
     }
 
-    #[test]
-    fn windower_windows_are_time_disjoint(
-        times in prop::collection::vec(0u64..100_000, 2..100),
-    ) {
-        let mut sorted = times;
+    fn windower_windows_are_time_disjoint(rng) {
+        let mut sorted = rng.vec(2..100, |r| r.range(0u64..100_000));
         sorted.sort_unstable();
         let mut w = Windower::new(1_000);
         let mut indices = Vec::new();
@@ -329,25 +308,18 @@ proptest! {
         }
         // Strictly increasing window indices — no window emitted twice.
         for pair in indices.windows(2) {
-            prop_assert!(pair[0] < pair[1]);
+            assert!(pair[0] < pair[1]);
         }
     }
 
-    #[test]
-    fn pipeline_never_panics_on_arbitrary_small_traces(
-        recs in prop::collection::vec(
-            (0u64..20_000, 0u16..4, prop::collection::vec(-30.0f64..30.0, 2)),
-            0..60,
-        ),
-    ) {
-        let records: Vec<TraceRecord> = recs
-            .into_iter()
-            .map(|(t, s, v)| TraceRecord {
-                time: t,
-                sensor: SensorId(s),
-                payload: sentinet_sim::Payload::Delivered(Reading::new(v)),
-            })
-            .collect();
+    fn pipeline_never_panics_on_arbitrary_small_traces(rng) {
+        let records = rng.vec(0..60, |r| TraceRecord {
+            time: r.range(0u64..20_000),
+            sensor: SensorId(r.range(0u16..4)),
+            payload: sentinet_sim::Payload::Delivered(Reading::new(
+                r.vec(2, |r| r.range(-30.0..30.0)),
+            )),
+        });
         let trace = Trace::from_records(records);
         let mut p = Pipeline::new(PipelineConfig::default(), 300);
         let _ = p.process_trace(&trace);
@@ -358,19 +330,16 @@ proptest! {
         let _ = p.network_attack();
     }
 
-    #[test]
-    fn pipeline_is_deterministic(
-        seed in 0u64..50,
-    ) {
+    fn pipeline_is_deterministic(rng) {
         let mut cfg = sentinet_sim::gdi::day_config();
         cfg.duration = 6 * 3600;
-        let trace = sentinet_sim::simulate(&cfg, &mut StdRng::seed_from_u64(seed));
+        let trace = sentinet_sim::simulate(&cfg, &mut StdRng::seed_from_u64(rng.range(0u64..50)));
         let run = || {
             let mut p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
             let outcomes = p.process_trace(&trace);
             (outcomes, p.classify_all())
         };
-        prop_assert_eq!(run(), run());
+        assert_eq!(run(), run());
     }
 }
 

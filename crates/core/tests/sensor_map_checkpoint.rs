@@ -37,7 +37,7 @@ fn scenario() -> (Trace, u64) {
 fn run(config: &PipelineConfig, trace: &Trace, period: u64) -> (Coordinator, SensorMap) {
     let mut sensors = SensorMap::new(config.clone());
     let mut coordinator = Coordinator::new(config.clone(), period);
-    let Ok(_) = coordinator.process_trace(&mut sensors, trace);
+    coordinator.process_trace(&mut sensors, trace);
     (coordinator, sensors)
 }
 
@@ -114,8 +114,8 @@ fn restored_sensor_map_continues_bit_identically_mid_run() {
             ..WindowOutcome::default()
         };
         let (mut a, mut b) = (window.clone(), window);
-        let Ok(()) = sensors.step(2, labels.iter().copied(), &mut a);
-        let Ok(()) = twin.step(2, labels.into_iter(), &mut b);
+        sensors.step(2, labels.iter().copied(), &mut a);
+        twin.step(2, labels.into_iter(), &mut b);
         assert_eq!(
             a.raw_alarms, b.raw_alarms,
             "window {w}: raw alarms diverged"

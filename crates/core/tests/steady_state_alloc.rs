@@ -177,10 +177,10 @@ fn a_spawn_grows_each_sensor_in_place() {
         let mut sensors = SensorMap::new(PipelineConfig::default());
         let mut outcome = WindowOutcome::default();
         let voted = (0..SENSORS).map(|s| (SensorId(s), 0));
-        let Ok(()) = sensors.step(slots, voted, &mut outcome);
+        sensors.step(slots, voted, &mut outcome);
         let (n, ()) = allocations(|| {
             for grown in 1..=SPAWNS {
-                let Ok(()) = sensors.grow(slots + grown);
+                sensors.grow(slots + grown);
             }
         });
         let per_sensor = n as f64 / f64::from(SENSORS);
@@ -190,7 +190,7 @@ fn a_spawn_grows_each_sensor_in_place() {
         );
         // And they grew: every sensor steps in the newest state.
         let voted = (0..SENSORS).map(|s| (SensorId(s), slots + SPAWNS - 1));
-        let Ok(()) = sensors.step(slots + SPAWNS, voted, &mut outcome);
+        sensors.step(slots + SPAWNS, voted, &mut outcome);
         assert_eq!(sensors.snapshots().len(), usize::from(SENSORS));
     }
 }

@@ -70,7 +70,7 @@ impl Engine {
     }
 
     /// Processes a whole trace. Never fails: a shard's panic is the
-    /// caller's.
+    /// caller's. (The `Result` stays for the benchmark, which maps it.)
     pub fn process_trace(&self, trace: &Trace) -> Result<EngineRun, Infallible> {
         if self.num_shards == 1 {
             let mut pipeline = Pipeline::new(self.config.clone(), self.sample_period);
@@ -80,7 +80,7 @@ impl Engine {
         let mut coordinator = Coordinator::new(self.config.clone(), self.sample_period);
         let maps = (0..self.num_shards).map(|_| SensorMap::new(self.config.clone()));
         let mut shards = Shards(maps.collect());
-        let Ok(outcomes) = coordinator.process_trace(&mut shards, trace);
+        let outcomes = coordinator.process_trace(&mut shards, trace);
         let sensors = shards.0.iter_mut().flat_map(SensorMap::take).collect();
         let pipeline = Pipeline::from_parts(coordinator, sensors);
         Ok(EngineRun { pipeline, outcomes })
@@ -121,15 +121,13 @@ impl EngineRun {
 struct Shards(Vec<SensorMap>);
 
 impl SensorStages for Shards {
-    type Error = Infallible;
-
     fn label(
         &mut self,
         states: &ModelStates,
         ids: &[SensorId],
         representatives: &[f64],
         votes: &mut [Option<usize>],
-    ) -> Result<(), Infallible> {
+    ) {
         // Eq. 3 reads nothing but a sensor's representative, so a shard
         // may label sensors it does not own: one contiguous chunk each.
         let per_shard = ids.len().div_ceil(self.0.len()).max(1);
@@ -140,7 +138,6 @@ impl SensorStages for Shards {
                 scope.spawn(move || shard.label(states, ids, reps, votes));
             }
         });
-        Ok(())
     }
 
     fn step(
@@ -148,7 +145,7 @@ impl SensorStages for Shards {
         num_slots: usize,
         voted: impl Iterator<Item = (SensorId, usize)>,
         outcome: &mut WindowOutcome,
-    ) -> Result<(), Infallible> {
+    ) {
         let n = self.0.len();
         let mut batches = vec![Vec::new(); n];
         for (id, label) in voted {
@@ -171,13 +168,11 @@ impl SensorStages for Shards {
         }
         outcome.raw_alarms.sort_unstable();
         outcome.filtered_alarms.sort_unstable();
-        Ok(())
     }
 
-    fn grow(&mut self, num_slots: usize) -> Result<(), Infallible> {
+    fn grow(&mut self, num_slots: usize) {
         for shard in &mut self.0 {
-            let Ok(()) = shard.grow(num_slots);
+            shard.grow(num_slots);
         }
-        Ok(())
     }
 }

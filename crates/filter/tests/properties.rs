@@ -1,50 +1,45 @@
 //! Property-based tests for the alarm-filtering substrate.
 
-use proptest::prelude::*;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use sentinet_filter::{
     AlarmFilter, Cusum, EwmaChart, KOfNFilter, Sprt, SprtAlarmFilter, SprtDecision,
 };
 
-proptest! {
-    #[test]
-    fn kofn_matches_naive_window_count(
-        k in 1usize..6,
-        extra in 0usize..5,
-        stream in prop::collection::vec(any::<bool>(), 1..200),
-    ) {
-        let n = k + extra;
+seeded::properties! {
+    var: "FILTER_PROPS_SEED", package: "sentinet-filter", target: "--test properties", cases: 48;
+
+    fn kofn_matches_naive_window_count(rng) {
+        let k = rng.range(1usize..6);
+        let n = k + rng.range(0usize..5);
+        let stream = rng.vec(1..200, |r| r.bool());
         let mut f = KOfNFilter::new(k, n);
         for (i, &raw) in stream.iter().enumerate() {
             let got = f.push(raw);
             let lo = i.saturating_sub(n - 1);
             let expect = stream[lo..=i].iter().filter(|&&b| b).count() >= k;
-            prop_assert_eq!(got, expect, "step {}", i);
+            assert_eq!(got, expect, "step {i}");
         }
     }
 
-    #[test]
-    fn kofn_all_true_raises_and_all_false_clears(
-        k in 1usize..6,
-        extra in 0usize..5,
-    ) {
-        let n = k + extra;
+    fn kofn_all_true_raises_and_all_false_clears(rng) {
+        let k = rng.range(1usize..6);
+        let n = k + rng.range(0usize..5);
         let mut f = KOfNFilter::new(k, n);
         for _ in 0..n {
             f.push(true);
         }
-        prop_assert!(f.is_raised());
+        assert!(f.is_raised());
         for _ in 0..n {
             f.push(false);
         }
-        prop_assert!(!f.is_raised());
+        assert!(!f.is_raised());
     }
 
-    #[test]
-    fn sprt_eventually_decides_on_constant_streams(
-        p0 in 0.01f64..0.3,
-        gap in 0.2f64..0.6,
-    ) {
-        let p1 = (p0 + gap).min(0.95);
+    fn sprt_eventually_decides_on_constant_streams(rng) {
+        let p0 = rng.range(0.01..0.3);
+        let p1 = (p0 + rng.range(0.2..0.6)).min(0.95);
         let mut t = Sprt::new(p0, p1, 0.01, 0.01);
         let mut decided = false;
         for _ in 0..10_000 {
@@ -53,7 +48,7 @@ proptest! {
                 break;
             }
         }
-        prop_assert!(decided, "constant alarms must accept H1");
+        assert!(decided, "constant alarms must accept H1");
         let mut t = Sprt::new(p0, p1, 0.01, 0.01);
         let mut decided = false;
         for _ in 0..10_000 {
@@ -62,14 +57,12 @@ proptest! {
                 break;
             }
         }
-        prop_assert!(decided, "constant silence must accept H0");
+        assert!(decided, "constant silence must accept H0");
     }
 
-    #[test]
-    fn sprt_llr_is_sum_of_increments(
-        p0 in 0.05f64..0.3,
-        stream in prop::collection::vec(any::<bool>(), 1..50),
-    ) {
+    fn sprt_llr_is_sum_of_increments(rng) {
+        let p0 = rng.range(0.05..0.3);
+        let stream = rng.vec(1..50, |r| r.bool());
         let p1 = 0.7;
         let mut t = Sprt::new(p0, p1, 0.001, 0.001);
         let mut manual = 0.0;
@@ -84,28 +77,24 @@ proptest! {
             };
             t.push(raw);
         }
-        prop_assert!((t.log_likelihood_ratio() - manual).abs() < 1e-9);
+        assert!((t.log_likelihood_ratio() - manual).abs() < 1e-9);
     }
 
-    #[test]
-    fn cusum_sums_always_nonnegative_and_reset_works(
-        xs in prop::collection::vec(-10.0f64..10.0, 1..100),
-    ) {
+    fn cusum_sums_always_nonnegative_and_reset_works(rng) {
+        let xs = rng.vec(1..100, |r| r.range(-10.0..10.0));
         let mut c = Cusum::new(0.0, 0.5, 5.0);
         for &x in &xs {
             c.push(x);
-            prop_assert!(c.upper_sum() >= 0.0);
-            prop_assert!(c.lower_sum() >= 0.0);
+            assert!(c.upper_sum() >= 0.0);
+            assert!(c.lower_sum() >= 0.0);
         }
         c.reset();
-        prop_assert!(!c.is_alarmed());
-        prop_assert_eq!(c.upper_sum(), 0.0);
+        assert!(!c.is_alarmed());
+        assert_eq!(c.upper_sum(), 0.0);
     }
 
-    #[test]
-    fn cusum_detects_any_persistent_shift_beyond_allowance(
-        shift in prop::sample::select(vec![-5.0f64, -2.0, 2.0, 5.0]),
-    ) {
+    fn cusum_detects_any_persistent_shift_beyond_allowance(rng) {
+        let shift = rng.pick(&[-5.0, -2.0, 2.0, 5.0]);
         let mut c = Cusum::new(0.0, 1.0, 4.0);
         let mut alarmed = false;
         for _ in 0..100 {
@@ -114,41 +103,36 @@ proptest! {
                 break;
             }
         }
-        prop_assert!(alarmed, "shift {shift} undetected");
+        assert!(alarmed, "shift {shift} undetected");
     }
 
-    #[test]
-    fn ewma_statistic_is_convex_combination(
-        lambda in 0.05f64..1.0,
-        xs in prop::collection::vec(-5.0f64..5.0, 1..100),
-    ) {
+    fn ewma_statistic_is_convex_combination(rng) {
+        let lambda = rng.range(0.05..1.0);
+        let xs = rng.vec(1..100, |r| r.range(-5.0..5.0));
         let mut e = EwmaChart::new(0.0, 1.0, lambda, 3.0);
         let (mut lo, mut hi) = (0.0f64, 0.0f64);
         for &x in &xs {
             e.push(x);
             lo = lo.min(x);
             hi = hi.max(x);
-            prop_assert!(e.statistic() >= lo - 1e-12 && e.statistic() <= hi + 1e-12);
+            assert!(e.statistic() >= lo - 1e-12 && e.statistic() <= hi + 1e-12);
         }
     }
 
-    #[test]
-    fn sprt_alarm_filter_is_monotone_on_extremes(
-        warmup in prop::collection::vec(any::<bool>(), 0..30),
-    ) {
+    fn sprt_alarm_filter_is_monotone_on_extremes(rng) {
         // Whatever the prefix, sustained alarms raise and sustained
         // silence clears.
         let mut f = SprtAlarmFilter::balanced();
-        for raw in warmup {
+        for raw in rng.vec(0..30, |r| r.bool()) {
             f.push(raw);
         }
         for _ in 0..200 {
             f.push(true);
         }
-        prop_assert!(f.is_raised());
+        assert!(f.is_raised());
         for _ in 0..500 {
             f.push(false);
         }
-        prop_assert!(!f.is_raised());
+        assert!(!f.is_raised());
     }
 }

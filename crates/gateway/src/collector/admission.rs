@@ -610,12 +610,16 @@ impl Liveness {
 }
 
 #[cfg(test)]
+#[path = "../../../../tests/support/seeded.rs"]
+mod seeded;
+
+#[cfg(test)]
 mod tests {
     use super::super::tests::{baseline, config, stream, tmpdir};
+    use super::seeded::{Replay, TestRng};
     use super::*;
     use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault, VfsOp};
     use crate::wal::FsyncPolicy;
-    use proptest::TestRng;
     use std::fs;
     use std::sync::Arc;
 
@@ -996,9 +1000,7 @@ mod tests {
     /// deadline) and restores — from its own parts or from parts a
     /// scan would not have left (a silent sensor dropped, a live one
     /// listed silent): after every step, the same silent sensors, last
-    /// heard times and episode count. (The crate forbids `unsafe`, so
-    /// `tests/support/seeded.rs` stays outside; a failure names its
-    /// seed all the same.)
+    /// heard times and episode count.
     #[test]
     fn an_ordered_visit_declares_what_a_full_scan_declares() {
         const PERIOD: u64 = 300;
@@ -1058,11 +1060,13 @@ mod tests {
             }
             Ok(())
         };
-        for seed in 0..1_000 {
-            if let Err(why) = case(seed) {
-                panic!("liveness differential failed at seed {seed}, {why}");
-            }
-        }
+        let replay = Replay {
+            var: "LIVENESS_SEED",
+            package: "sentinet-gateway",
+            target: "--lib",
+            test: "an_ordered_visit_declares_what_a_full_scan_declares",
+        };
+        replay.for_each_seed(1_000, case);
     }
 
     /// `FenceCheck::Skip` is the mutation seam: with the check

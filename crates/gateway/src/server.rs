@@ -49,11 +49,11 @@ use crate::net::{is_timeout, Listener, Stream};
 use crate::protocol::{AckDiscipline, Core, Reply};
 use crate::vfs::VFile;
 use crate::wal::{SyncDone, SyncStart, SyncTicket, WalConfig};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use sentinet_sim::SensorId;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -66,8 +66,6 @@ pub struct ServerConfig {
     /// Per-read socket timeout (also the shutdown poll interval for
     /// reader threads).
     pub read_timeout: Duration,
-    /// Capacity of the bounded ingest event queue.
-    pub queue_capacity: usize,
     /// Batches a v2 connection may keep in flight (granted in the
     /// `HelloAck`).
     pub credit_window: u32,
@@ -83,7 +81,6 @@ impl Default for ServerConfig {
         Self {
             bind: "127.0.0.1:0".into(),
             read_timeout: Duration::from_millis(200),
-            queue_capacity: 1024,
             credit_window: 32,
             v1_only: false,
         }
@@ -132,19 +129,22 @@ enum Event {
     RestorePoint,
 }
 
+/// Capacity of the bounded ingest event queue.
+const EVENT_QUEUE: usize = 1024;
+
 /// The syncer thread and its job queue. A job is what
 /// [`Collector::begin_sync`] returned: the ticket, a fresh sync handle
 /// whenever the WAL moved to a new segment, and the restore point
 /// riding the sync, if one was staged.
 struct Syncer {
-    jobs: Sender<SyncStart>,
+    jobs: SyncSender<SyncStart>,
     thread: JoinHandle<()>,
 }
 
 impl Syncer {
-    fn spawn(events: Sender<Event>, wal: WalConfig) -> Self {
+    fn spawn(events: SyncSender<Event>, wal: WalConfig) -> Self {
         // One slot: the WAL never has a second sync in flight.
-        let (jobs, queue) = bounded::<SyncStart>(1);
+        let (jobs, queue) = sync_channel::<SyncStart>(1);
         let thread = std::thread::spawn(move || {
             let mut handle: Option<Box<dyn VFile>> = None;
             for job in queue.iter() {
@@ -187,7 +187,7 @@ pub struct Server {
     events: Receiver<Event>,
     /// The event queue's sending side, for the syncer's completions;
     /// dropped at teardown so the queue can disconnect.
-    events_tx: Option<Sender<Event>>,
+    events_tx: Option<SyncSender<Event>>,
     syncer: Option<Syncer>,
     decode_ns: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
@@ -202,7 +202,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> io::Result<Self> {
         let (listener, addr) = Listener::bind(&config.bind)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = bounded(config.queue_capacity);
+        let (tx, rx) = sync_channel(EVENT_QUEUE);
         let events_tx = tx.clone();
         let accept_shutdown = Arc::clone(&shutdown);
         let read_timeout = config.read_timeout;
@@ -459,7 +459,7 @@ fn write_replies(
 
 fn accept_loop(
     listener: Listener,
-    events: Sender<Event>,
+    events: SyncSender<Event>,
     shutdown: Arc<AtomicBool>,
     read_timeout: Duration,
     decode_ns: Arc<AtomicU64>,
@@ -507,7 +507,7 @@ fn accept_loop(
 fn reader_loop(
     id: usize,
     mut stream: Stream,
-    events: Sender<Event>,
+    events: SyncSender<Event>,
     shutdown: Arc<AtomicBool>,
     decode_ns: Arc<AtomicU64>,
 ) {
@@ -596,7 +596,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
 
-        let (tx, rx) = bounded::<Event>(1);
+        let (tx, rx) = sync_channel::<Event>(1);
         // One placeholder event: the queue is full.
         assert!(tx.send(Event::Closed(usize::MAX)).is_ok());
         let decode_ns = Arc::new(AtomicU64::new(0));

@@ -193,7 +193,7 @@ pub fn write_collector<W: fmt::Write>(out: &mut W, snap: &CollectorSnapshot) -> 
 ///   collector.
 ///
 /// [`merge_snapshot`] inverts the split bit-exactly (pinned by the
-/// sub-range filter proptests), which is what the migration engine's
+/// sub-range filter properties), which is what the migration engine's
 /// cut-coverage check leans on: a cut that cannot be re-merged into
 /// the original snapshot byte-for-byte is refused before anything
 /// ships.

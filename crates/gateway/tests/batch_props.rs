@@ -7,7 +7,10 @@
 //! any suffix of the WAL beyond the last completed fsync can never
 //! lose a record the ack-release rule would have acked.
 
-use proptest::prelude::*;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
+use seeded::{TestRng, BIT_EXACT_POOL};
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{Collector, FrameBuffer, FsyncPolicy, GatewayConfig, Message};
 use sentinet_sim::{SensorId, Timestamp};
@@ -30,36 +33,19 @@ fn tmpdir(name: &str) -> PathBuf {
 /// One generated batch: sensor, starting seq, and its readings.
 type GenBatch = (u16, u64, Vec<(Timestamp, Vec<f64>)>);
 
-/// Arbitrary batches over a few sensors; values include NaN, ±∞ and
-/// subnormals so "bit-exact" means exactly that.
-fn gen_batches(max_batches: usize) -> impl Strategy<Value = Vec<GenBatch>> {
-    prop::collection::vec(
-        (
-            0u16..4,
-            0u64..1_000,
-            prop::collection::vec(
-                (
-                    0u64..100_000,
-                    prop::collection::vec(
-                        prop::sample::select(vec![
-                            0.0,
-                            -0.0,
-                            21.5,
-                            -3.25,
-                            1e300,
-                            f64::MIN_POSITIVE,
-                            f64::NAN,
-                            f64::INFINITY,
-                            f64::NEG_INFINITY,
-                        ]),
-                        1..4,
-                    ),
-                ),
-                1..40,
-            ),
-        ),
-        1..=max_batches,
-    )
+/// One to `max_batches` arbitrary batches over a few sensors, values
+/// from [`BIT_EXACT_POOL`].
+fn gen_batches(rng: &mut TestRng, max_batches: usize) -> Vec<GenBatch> {
+    rng.vec(1..max_batches + 1, |r| {
+        let (sensor, first_seq) = (r.range(0u16..4), r.range(0u64..1_000));
+        let readings = r.vec(1..40, |r| {
+            (
+                r.range(0u64..100_000),
+                r.vec(1..4, |r| r.pick(&BIT_EXACT_POOL)),
+            )
+        });
+        (sensor, first_seq, readings)
+    })
 }
 
 fn to_message((sensor, first_seq, readings): &GenBatch) -> Message {
@@ -97,19 +83,17 @@ fn same_batch(a: &Message, b: &Message) -> bool {
         })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+seeded::properties! {
+    var: "BATCH_PROPS_SEED", package: "sentinet-gateway", target: "--test batch_props", cases: 48;
 
     /// Every chunking of the concatenated frame stream — including
     /// duplicate frames back to back — decodes to the identical
     /// message sequence.
-    fn data_batch_roundtrips_through_torn_stream(
-        batches in gen_batches(6),
-        chunk_sizes in prop::collection::vec(1usize..9, 1..64),
-        duplicate_first in any::<bool>(),
-    ) {
+    fn data_batch_roundtrips_through_torn_stream(rng) {
+        let batches = gen_batches(rng, 6);
+        let chunk_sizes = rng.vec(1..64, |r| r.range(1usize..9));
         let mut messages: Vec<Message> = batches.iter().map(to_message).collect();
-        if duplicate_first {
+        if rng.bool() {
             // The wire does not dedup: a retransmitted batch decodes
             // again, identically (dedup is the collector's job).
             messages.push(messages[0].clone());
@@ -128,21 +112,18 @@ proptest! {
                 decoded.push(msg);
             }
         }
-        prop_assert_eq!(decoded.len(), messages.len());
+        assert_eq!(decoded.len(), messages.len());
         for (d, m) in decoded.iter().zip(&messages) {
-            prop_assert!(same_batch(d, m), "torn reassembly corrupted a batch");
+            assert!(same_batch(d, m), "torn reassembly corrupted a batch");
         }
     }
 
     /// A single flipped bit anywhere in an encoded frame must never
     /// decode to a message: the CRC (or the length header it guards)
     /// refuses it.
-    fn flipped_bit_never_decodes(
-        batch in gen_batches(1),
-        bit in any::<u64>(),
-    ) {
-        let frame = encode_frame(&to_message(&batch[0]));
-        let flip = bit as usize % (frame.len() * 8);
+    fn flipped_bit_never_decodes(rng) {
+        let frame = encode_frame(&to_message(&gen_batches(rng, 1)[0]));
+        let flip = rng.next_u64() as usize % (frame.len() * 8);
         let mut corrupt = frame.clone();
         corrupt[flip / 8] ^= 1 << (flip % 8);
 
@@ -151,13 +132,14 @@ proptest! {
         match fb.next_message() {
             Err(_) => {}        // CRC mismatch or poisoned header: detected.
             Ok(None) => {}      // Length flip made the frame incomplete.
-            Ok(Some(_)) => prop_assert!(false, "bit {flip} smuggled a frame through"),
+            Ok(Some(_)) => panic!("bit {flip} smuggled a frame through"),
         }
     }
 
     /// Redelivering a batch is fully absorbed: all duplicates, no new
     /// acceptance, no WAL growth, and the same cumulative ack.
-    fn duplicate_batches_are_absorbed(batches in gen_batches(4)) {
+    fn duplicate_batches_are_absorbed(rng) {
+        let batches = gen_batches(rng, 4);
         let dir = tmpdir("dup");
         let mut config = GatewayConfig::new(&dir);
         config.checkpoint_every = 0;
@@ -170,11 +152,11 @@ proptest! {
             let redo = collector
                 .deliver_batch(SensorId(*sensor), *first_seq, readings)
                 .expect("redeliver");
-            prop_assert_eq!(redo.accepted, 0, "duplicate batch re-admitted");
-            prop_assert_eq!(redo.duplicates, first.accepted + first.duplicates);
-            prop_assert_eq!(collector.wal_records(), cursor, "duplicate grew the WAL");
-            prop_assert_eq!(redo.ack_up_to, first.ack_up_to);
-            prop_assert!(redo.nack.is_none());
+            assert_eq!(redo.accepted, 0, "duplicate batch re-admitted");
+            assert_eq!(redo.duplicates, first.accepted + first.duplicates);
+            assert_eq!(collector.wal_records(), cursor, "duplicate grew the WAL");
+            assert_eq!(redo.ack_up_to, first.ack_up_to);
+            assert!(redo.nack.is_none());
         }
         fs::remove_dir_all(&dir).ok();
     }
@@ -184,15 +166,14 @@ proptest! {
     /// that tears off any unsynced WAL suffix — cut the segment at any
     /// byte at or past the last fsync's high-water mark — must recover
     /// every record the server could have acked.
-    fn crash_never_loses_acked_records(
-        batches in gen_batches(6),
-        fsync_every in 1u64..64,
-        cut_choice in any::<u64>(),
-    ) {
+    fn crash_never_loses_acked_records(rng) {
+        let batches = gen_batches(rng, 6);
+        let fsync_every = rng.range(1u32..64);
+        let cut_choice = rng.next_u64();
         let dir = tmpdir("crash");
         let mut config = GatewayConfig::new(&dir);
         config.checkpoint_every = 0;
-        config.wal.fsync = FsyncPolicy::Batch(fsync_every as u32);
+        config.wal.fsync = FsyncPolicy::Batch(fsync_every);
         let (mut collector, _) = Collector::open(config).expect("open collector");
         let segment = dir.join("wal-00000001.seg");
 
@@ -216,7 +197,7 @@ proptest! {
             }
         }
         let synced = collector.synced_cursor();
-        prop_assert!(acked_records <= synced, "ack released past the fsync watermark");
+        assert!(acked_records <= synced, "ack released past the fsync watermark");
 
         // Crash: drop the collector with no flush, then lose an
         // arbitrary unsynced suffix.
@@ -229,7 +210,7 @@ proptest! {
         let mut config = GatewayConfig::new(&dir);
         config.checkpoint_every = 0;
         let (recovered, info) = Collector::open(config).expect("reopen after crash");
-        prop_assert!(
+        assert!(
             info.replayed >= acked_records,
             "crash lost acked records: {} recovered < {} acked",
             info.replayed,

@@ -17,9 +17,10 @@
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
 mod support;
+#[path = "../../../tests/support/totality.rs"]
+mod totality;
 
-use proptest::TestRng;
-use seeded::{check_total_bytes, mutate, PeakAlloc, Replay};
+use seeded::{mutate, Replay, TestRng};
 use sentinet_gateway::frame::{encode_frame, frame_payload};
 use sentinet_gateway::{
     AckDiscipline, Collector, Frame, FrameBuffer, FrameError, FsyncPolicy, GatewayConfig, Message,
@@ -29,6 +30,7 @@ use sentinet_gateway::{
 use sentinet_sim::SensorId;
 use std::path::{Path, PathBuf};
 use support::frame_ends;
+use totality::{check_total_bytes, PeakAlloc};
 
 #[global_allocator]
 static ALLOCATOR: PeakAlloc = PeakAlloc;

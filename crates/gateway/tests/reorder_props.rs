@@ -31,16 +31,14 @@
 //! the released stream must still be strictly increasing per sensor
 //! with every drop counted.
 //!
-//! The vendored `proptest` stand-in neither shrinks nor reports seeds,
-//! so the cases are a plain seeded loop: a failure names its seed and
-//! step and prints the one command that replays it with every
-//! operation logged.
+//! The cases are a plain seeded loop (`tests/support/seeded.rs`): a
+//! failure names its seed and step and prints the one command that
+//! replays it with every operation logged.
 
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
 
-use proptest::TestRng;
-use seeded::Replay;
+use seeded::{Replay, TestRng};
 use sentinet_core::{Pipeline, PipelineConfig};
 use sentinet_gateway::{
     encode_collector, AdmitOutcome, CollectorSnapshot, ReorderBuffer, ReorderConfig,
@@ -319,18 +317,14 @@ impl Pair {
     }
 }
 
-fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
-    items[rng.usize_in(0, items.len())]
-}
-
 /// One seeded case: a config, then a stream of operations, every one
 /// of them compared. `Err` carries the step and the disagreement; `Ok`
 /// the final drop accounting and how many restores had a backlog.
 fn run_case(seed: u64, log: bool) -> Result<(ReorderStats, usize), String> {
     let mut rng = TestRng::new(seed);
     let config = ReorderConfig {
-        watermark_delay: pick(&mut rng, &[0, PERIOD, 5 * PERIOD, 20 * PERIOD, u64::MAX]),
-        per_sensor_capacity: pick(&mut rng, &[0, 1, 3, 64]),
+        watermark_delay: rng.pick(&[0, PERIOD, 5 * PERIOD, 20 * PERIOD, u64::MAX]),
+        per_sensor_capacity: rng.pick(&[0, 1, 3, 64]),
     };
     // Scattered ids, so queues are created out of sensor order.
     let mut sensors: Vec<SensorId> = [300u16, 0, 65_535, 7, 1]
@@ -338,7 +332,7 @@ fn run_case(seed: u64, log: bool) -> Result<(ReorderStats, usize), String> {
         .map(|&s| SensorId(s))
         .collect();
     sensors.truncate(rng.usize_in(1, sensors.len() + 1));
-    let jitter = pick(&mut rng, &[0u64, 2, 6, 30]);
+    let jitter = rng.pick(&[0u64, 2, 6, 30]);
     if log {
         eprintln!(
             "seed {seed}: {config:?}, {} sensor(s), jitter {jitter}",
@@ -349,7 +343,7 @@ fn run_case(seed: u64, log: bool) -> Result<(ReorderStats, usize), String> {
     let mut clock = 100 * PERIOD;
     let steps = rng.usize_in(20, 140);
     for step in 0..steps {
-        let sensor = pick(&mut rng, &sensors);
+        let sensor = rng.pick(&sensors);
         let dims = rng.usize_in(1, 4);
         let outcome = match rng.usize_in(0, 100) {
             // The common case: near the clock, jittered both ways, so
@@ -366,7 +360,7 @@ fn run_case(seed: u64, log: bool) -> Result<(ReorderStats, usize), String> {
             // A slot offered before: buffered (duplicate), released
             // (behind `last_released`) or shed (admitted afresh).
             70..=79 if !pair.offered.is_empty() => {
-                let (time, sensor) = pick(&mut rng, &pair.offered);
+                let (time, sensor) = rng.pick(&pair.offered);
                 pair.offer(time, sensor, dims)
             }
             // Far behind everything: late by the watermark.
@@ -605,8 +599,8 @@ fn offer_both(
 fn run_shaped_case(seed: u64) -> Result<(), String> {
     let mut rng = TestRng::new(seed);
     let config = ReorderConfig {
-        watermark_delay: pick(&mut rng, &[0, PERIOD, 5 * PERIOD, 20 * PERIOD, u64::MAX]),
-        per_sensor_capacity: pick(&mut rng, &[0, 1, 3, 64]),
+        watermark_delay: rng.pick(&[0, PERIOD, 5 * PERIOD, 20 * PERIOD, u64::MAX]),
+        per_sensor_capacity: rng.pick(&[0, 1, 3, 64]),
     };
     let mut sensors = vec![SensorId(300), SensorId(0), SensorId(65_535), SensorId(7)];
     sensors.truncate(rng.usize_in(1, sensors.len() + 1));
@@ -620,7 +614,7 @@ fn run_shaped_case(seed: u64) -> Result<(), String> {
             model = ModelReorder::from_snapshot(config.clone(), f);
             shipped = ReorderBuffer::from_snapshot(config.clone(), m);
         }
-        let sensor = pick(&mut rng, &sensors);
+        let sensor = rng.pick(&sensors);
         let len = match rng.usize_in(0, 4) {
             0 => 1,
             1 => rng.usize_in(2, 10),
@@ -739,7 +733,7 @@ fn hostile_values(rng: &mut TestRng) -> Vec<f64> {
     let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
     (0..dims)
         .map(|d| match rng.usize_in(0, 12) {
-            0 => pick(rng, &odd),
+            0 => rng.pick(&odd),
             _ => d as f64 + rng.usize_in(0, 1000) as f64 / 8.0,
         })
         .collect()
@@ -750,8 +744,8 @@ fn hostile_values(rng: &mut TestRng) -> Vec<f64> {
 fn hostile_case(seed: u64) -> Result<(), String> {
     let mut rng = TestRng::new(seed);
     let config = ReorderConfig {
-        watermark_delay: pick(&mut rng, &[0, PERIOD, 5 * PERIOD, u64::MAX]),
-        per_sensor_capacity: pick(&mut rng, &[0, 1, 3, 64]),
+        watermark_delay: rng.pick(&[0, PERIOD, 5 * PERIOD, u64::MAX]),
+        per_sensor_capacity: rng.pick(&[0, 1, 3, 64]),
     };
     let sensors = [SensorId(0), SensorId(1), SensorId(7), SensorId(65_535)];
     let span = 60u64;
@@ -767,12 +761,12 @@ fn hostile_case(seed: u64) -> Result<(), String> {
                 let (t, s, _) = &buffer[rng.usize_in(0, n)];
                 (*t, *s)
             }
-            _ => (time(&mut rng), pick(&mut rng, &sensors)),
+            _ => (time(&mut rng), rng.pick(&sensors)),
         };
         buffer.push((slot.0, slot.1, hostile_values(&mut rng)));
     }
     let last_released: Vec<(SensorId, Timestamp)> = (0..rng.usize_in(0, 7))
-        .map(|_| (pick(&mut rng, &sensors), time(&mut rng)))
+        .map(|_| (rng.pick(&sensors), time(&mut rng)))
         .collect();
     let watermark = match rng.usize_in(0, 8) {
         0 => None,
@@ -798,13 +792,10 @@ fn hostile_case(seed: u64) -> Result<(), String> {
     let latest: Vec<(SensorId, Timestamp)> = (0..rng.usize_in(0, 7))
         .map(|_| {
             let ahead = PERIOD * span * rng.usize_in(0, 2) as u64;
-            (pick(&mut rng, &sensors), time(&mut rng) + ahead)
+            (rng.pick(&sensors), time(&mut rng) + ahead)
         })
         .collect();
-    let dims = pick(
-        &mut rng,
-        &[None, Some(0), Some(1), Some(2), Some(3), Some(65_535)],
-    );
+    let dims = rng.pick(&[None, Some(0), Some(1), Some(2), Some(3), Some(65_535)]);
 
     // What the restored pair must never step behind.
     let mut mark: BTreeMap<SensorId, Timestamp> = BTreeMap::new();
@@ -842,7 +833,7 @@ fn hostile_case(seed: u64) -> Result<(), String> {
                 let late = PERIOD * span / 2 * rng.usize_in(0, 3) as u64;
                 let record = RawRecord {
                     time: time(&mut rng) + late,
-                    sensor: pick(&mut rng, &sensors),
+                    sensor: rng.pick(&sensors),
                     values: hostile_values(&mut rng),
                 };
                 restored.offer(record);

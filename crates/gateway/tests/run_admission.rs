@@ -13,8 +13,7 @@
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
 
-use proptest::TestRng;
-use seeded::Replay;
+use seeded::{Replay, TestRng};
 use sentinet_gateway::{encode_collector, Collector, FsyncPolicy, GatewayConfig, GatewayReport};
 use sentinet_sim::{SensorId, Timestamp};
 use std::fs;

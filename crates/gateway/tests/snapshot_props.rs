@@ -9,10 +9,10 @@
 
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
+#[path = "../../../tests/support/totality.rs"]
+mod totality;
 
-use proptest::prelude::*;
-use proptest::TestRng;
-use seeded::{check_total_and_exact, mutate, PeakAlloc, Replay};
+use seeded::{mutate, Replay, TestRng, BIT_EXACT_POOL};
 use sentinet_core::{CheckpointError, FilterPolicy, Pipeline, PipelineConfig};
 use sentinet_gateway::snapshot::{decode_collector, encode_collector};
 use sentinet_gateway::{
@@ -20,68 +20,56 @@ use sentinet_gateway::{
     ReorderSnapshot, ReorderStats, ReportCounters,
 };
 use sentinet_sim::{IngestError, SanitizerSnapshot, SensorId};
+use totality::{check_total_and_exact, PeakAlloc};
 
 #[global_allocator]
 static ALLOCATOR: PeakAlloc = PeakAlloc;
 
-/// Value pool for readings: includes NaN, ±∞, -0.0 and subnormals so
-/// "bit-exact" is exercised where `PartialEq` on floats breaks down.
-fn values() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(
-        prop::sample::select(vec![
-            0.0,
-            -0.0,
-            21.5,
-            -3.25,
-            1e300,
-            f64::MIN_POSITIVE,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ]),
-        1..4,
-    )
+/// One to three reading values from [`BIT_EXACT_POOL`].
+fn values(rng: &mut TestRng) -> Vec<f64> {
+    rng.vec(1..4, |r| r.pick(&BIT_EXACT_POOL))
 }
 
 /// One arbitrary sanitizer rejection, covering every variant.
-fn ingest_errors() -> impl Strategy<Value = IngestError> {
-    (
-        0u8..5,
-        0u64..10_000,
-        0u16..6,
-        0usize..4,
-        values(),
-        0u64..10_000,
-    )
-        .prop_map(|(kind, time, sensor, index, vs, latest)| {
-            let sensor = SensorId(sensor);
-            match kind {
-                0 => IngestError::EmptyReading { time, sensor },
-                1 => IngestError::NonFinite {
-                    time,
-                    sensor,
-                    index,
-                    value: vs[0],
-                },
-                2 => IngestError::DuplicateTimestamp { time, sensor },
-                3 => IngestError::OutOfOrder {
-                    time,
-                    sensor,
-                    latest,
-                },
-                _ => IngestError::DimensionMismatch {
-                    time,
-                    sensor,
-                    expected: index % 3 + 1,
-                    actual: (index + 1) % 3 + 1,
-                },
-            }
-        })
+fn ingest_error(rng: &mut TestRng) -> IngestError {
+    let (kind, time, sensor) = (
+        rng.range(0u8..5),
+        rng.range(0u64..10_000),
+        rng.range(0u16..6),
+    );
+    let (index, value, latest) = (
+        rng.range(0usize..4),
+        values(rng)[0],
+        rng.range(0u64..10_000),
+    );
+    let sensor = SensorId(sensor);
+    match kind {
+        0 => IngestError::EmptyReading { time, sensor },
+        1 => IngestError::NonFinite {
+            time,
+            sensor,
+            index,
+            value,
+        },
+        2 => IngestError::DuplicateTimestamp { time, sensor },
+        3 => IngestError::OutOfOrder {
+            time,
+            sensor,
+            latest,
+        },
+        _ => IngestError::DimensionMismatch {
+            time,
+            sensor,
+            expected: index % 3 + 1,
+            actual: (index + 1) % 3 + 1,
+        },
+    }
 }
 
-fn pairs() -> impl Strategy<Value = Vec<(SensorId, u64)>> {
-    prop::collection::vec((0u16..6, 0u64..100_000), 0..4)
-        .prop_map(|v| v.into_iter().map(|(s, t)| (SensorId(s), t)).collect())
+fn pairs(rng: &mut TestRng) -> Vec<(SensorId, u64)> {
+    rng.vec(0..4, |r| {
+        (SensorId(r.range(0u16..6)), r.range(0u64..100_000))
+    })
 }
 
 /// Arbitrary snapshots: the pipeline section is produced by driving a
@@ -90,119 +78,80 @@ fn pairs() -> impl Strategy<Value = Vec<(SensorId, u64)>> {
 /// ticks (nothing bootstrapped, empty histories) to enough for model
 /// states, raw-alarm histories and tracks — the rest is generated field
 /// by field.
-fn snapshots() -> impl Strategy<Value = CollectorSnapshot> {
-    let pipeline = (1u64..700, any::<bool>())
-        .prop_map(|(ticks, sprt)| driven_pipeline(filter_policy(sprt), ticks).snapshot());
-    let reorder = (
-        prop::collection::vec((0u64..100_000, 0u16..6, values()), 0..4),
-        pairs(),
-        (0u8..2, 0u64..100_000),
-        (0usize..9, 0usize..9, 0usize..9),
-    )
-        .prop_map(
-            |(buffer, last_released, (has_mark, mark), (duplicates, late, shed))| ReorderSnapshot {
-                buffer: buffer
-                    .iter()
-                    .map(|(t, s, vs)| ((*t, SensorId(*s)), vs.as_slice()))
-                    .collect(),
-                last_released,
-                watermark: (has_mark == 1).then_some(mark),
-                stats: ReorderStats {
-                    duplicates,
-                    late,
-                    shed,
-                },
-            },
-        );
-    let sanitizer = (pairs(), 0usize..5).prop_map(|(latest, dims)| SanitizerSnapshot {
-        latest,
-        dims: (dims > 0).then_some(dims),
-    });
-    let seqs = prop::collection::vec(
+fn snapshot(rng: &mut TestRng) -> CollectorSnapshot {
+    let ticks = rng.range(1u64..700);
+    let pipeline = driven_pipeline(filter_policy(rng.bool()), ticks).snapshot();
+    let buffer = rng.vec(0..4, |r| {
         (
-            0u16..6,
-            0u64..1_000,
-            prop::collection::vec(0u64..1_000, 0..3),
-        ),
-        0..4,
-    )
-    .prop_map(|v| {
-        v.into_iter()
-            .map(|(s, next, above)| (SensorId(s), next, above))
-            .collect::<Vec<_>>()
+            r.range(0u64..100_000),
+            SensorId(r.range(0u16..6)),
+            values(r),
+        )
     });
-    let liveness = (pairs(), prop::collection::vec(0u16..6, 0..3), 0usize..20).prop_map(
-        |(last_heard, silent, episodes)| {
-            (
-                last_heard,
-                silent.into_iter().map(SensorId).collect::<Vec<_>>(),
-                episodes,
-            )
+    let reorder = ReorderSnapshot {
+        buffer: buffer
+            .iter()
+            .map(|(t, s, vs)| ((*t, *s), vs.as_slice()))
+            .collect(),
+        last_released: pairs(rng),
+        watermark: rng.bool().then_some(rng.range(0u64..100_000)),
+        stats: ReorderStats {
+            duplicates: rng.range(0usize..9),
+            late: rng.range(0usize..9),
+            shed: rng.range(0usize..9),
         },
-    );
-    (
+    };
+    let latest = pairs(rng);
+    let dims = rng.range(0usize..5);
+    CollectorSnapshot {
         pipeline,
         reorder,
-        sanitizer,
-        seqs,
-        (0usize..10_000, prop::collection::vec(ingest_errors(), 0..4)),
-        liveness,
-    )
-        .prop_map(
-            |(pipeline, reorder, sanitizer, seqs, (accepted, rejected), liveness)| {
-                let (last_heard, silent, episodes) = liveness;
-                CollectorSnapshot {
-                    pipeline,
-                    reorder,
-                    sanitizer,
-                    seqs,
-                    accepted,
-                    rejected,
-                    last_heard,
-                    silent,
-                    episodes,
-                }
-            },
-        )
+        sanitizer: SanitizerSnapshot {
+            latest,
+            dims: (dims > 0).then_some(dims),
+        },
+        seqs: rng.vec(0..4, |r| {
+            let (sensor, next) = (SensorId(r.range(0u16..6)), r.range(0u64..1_000));
+            (sensor, next, r.vec(0..3, |r| r.range(0u64..1_000)))
+        }),
+        accepted: rng.range(0usize..10_000),
+        rejected: rng.vec(0..4, ingest_error),
+        last_heard: pairs(rng),
+        silent: rng.vec(0..3, |r| SensorId(r.range(0u16..6))),
+        episodes: rng.range(0usize..20),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+seeded::properties! {
+    var: "SNAPSHOT_PROPS_SEED", package: "sentinet-gateway", target: "--test snapshot_props",
+    cases: 48;
 
-    fn roundtrip_is_bit_exact(snap in snapshots()) {
-        let text = encode_collector(&snap);
+    fn roundtrip_is_bit_exact(rng) {
+        let text = encode_collector(&snapshot(rng));
         let decoded = decode_collector(&text).expect("round trip");
         // Compare through the encoder: float fields may hold NaN, so
         // `PartialEq` on the structs would be vacuously false there
         // while the bit-pattern text is exact either way.
-        prop_assert_eq!(encode_collector(&decoded), text);
+        assert_eq!(encode_collector(&decoded), text);
     }
 
-    fn truncation_is_rejected_loudly_or_reencodes_exactly(
-        snap in snapshots(),
-        cut in 0usize..1_000_000,
-    ) {
-        let text = encode_collector(&snap);
-        let cut = cut % text.len();
+    fn truncation_is_rejected_loudly_or_reencodes_exactly(rng) {
+        let text = encode_collector(&snapshot(rng));
+        let cut = rng.range(0usize..1_000_000) % text.len();
         let torn = &text[..cut];
         // Must not panic. A prefix that still parses must mean exactly
         // what it says — re-encoding reproduces the torn bytes — so a
         // truncated checkpoint can never smuggle in the full state.
         match decode_collector(torn) {
-            Ok(decoded) => prop_assert_eq!(encode_collector(&decoded), torn),
-            Err(e) => prop_assert!(matches!(e, CheckpointError::Malformed { .. }), "{e}"),
+            Ok(decoded) => assert_eq!(encode_collector(&decoded), torn),
+            Err(e) => assert!(matches!(e, CheckpointError::Malformed { .. }), "{e}"),
         }
     }
 
-    fn single_bit_flip_never_panics_or_reinterprets(
-        snap in snapshots(),
-        pos in 0usize..1_000_000,
-        bit in 0u8..8,
-    ) {
-        let text = encode_collector(&snap);
-        let mut bytes = text.into_bytes();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= 1 << bit;
+    fn single_bit_flip_never_panics_or_reinterprets(rng) {
+        let mut bytes = encode_collector(&snapshot(rng)).into_bytes();
+        let pos = rng.range(0usize..1_000_000) % bytes.len();
+        bytes[pos] ^= 1 << rng.range(0u8..8);
         // The flip may produce invalid UTF-8; the decoder only sees
         // &str, so lossy conversion models what a reader would pass in.
         let mutated = String::from_utf8_lossy(&bytes).into_owned();
@@ -212,8 +161,8 @@ proptest! {
             // different but self-consistent snapshot. The invariant is
             // that whatever decodes re-encodes to the mutated text —
             // the codec never invents state beyond the bytes it read.
-            Ok(decoded) => prop_assert_eq!(encode_collector(&decoded), mutated),
-            Err(e) => prop_assert!(matches!(e, CheckpointError::Malformed { .. }), "{e}"),
+            Ok(decoded) => assert_eq!(encode_collector(&decoded), mutated),
+            Err(e) => assert!(matches!(e, CheckpointError::Malformed { .. }), "{e}"),
         }
     }
 }
@@ -242,55 +191,50 @@ fn canonicalize(mut snap: CollectorSnapshot) -> CollectorSnapshot {
     snap
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+seeded::properties! {
+    var: "SNAPSHOT_PROPS_SEED", package: "sentinet-gateway", target: "--test snapshot_props",
+    cases: 48;
 
     /// The migration-cut contract: filtering a snapshot to `[a, b)`
     /// and re-merging with its complement is byte-identical to the
     /// original — no sensor state is lost, duplicated or reordered by
     /// a cut, whatever the range.
-    fn sub_range_split_then_merge_is_byte_identical(
-        snap in snapshots(),
-        a in 0u16..8,
-        len in 0u16..8,
-    ) {
-        let snap = canonicalize(snap);
+    fn sub_range_split_then_merge_is_byte_identical(rng) {
+        let snap = canonicalize(snapshot(rng));
+        let (a, len) = (rng.range(0u16..8), rng.range(0u16..8));
         let text = encode_collector(&snap);
         let (inside, outside) = split_snapshot(&snap, a..a + len);
-        prop_assert_eq!(encode_collector(&merge_snapshot(&outside, &inside)), text);
+        assert_eq!(encode_collector(&merge_snapshot(&outside, &inside)), text);
     }
 
     /// Each half owns exactly its side of the cut: per-sensor state
     /// partitions with nothing shared, the accounting ledger stays
     /// whole on the outside half, and the lineage fields (global
     /// model, watermark, window coordinates) ride along into both.
-    fn sub_range_split_partitions_per_sensor_state(
-        snap in snapshots(),
-        a in 0u16..8,
-        len in 0u16..8,
-    ) {
-        let snap = canonicalize(snap);
-        let range = a..a + len;
+    fn sub_range_split_partitions_per_sensor_state(rng) {
+        let snap = canonicalize(snapshot(rng));
+        let a = rng.range(0u16..8);
+        let range = a..a + rng.range(0u16..8);
         let (inside, outside) = split_snapshot(&snap, range.clone());
         for (half, want_inside) in [(&inside, true), (&outside, false)] {
             let ok = |s: SensorId| range.contains(&s.0) == want_inside;
-            prop_assert!(half.seqs.iter().all(|(s, _, _)| ok(*s)));
-            prop_assert!(half.last_heard.iter().all(|(s, _)| ok(*s)));
-            prop_assert!(half.silent.iter().all(|s| ok(*s)));
-            prop_assert!(half.sanitizer.latest.iter().all(|(s, _)| ok(*s)));
-            prop_assert!(half.reorder.buffer.iter().all(|((_, s), _)| ok(s)));
-            prop_assert!(half.reorder.last_released.iter().all(|(s, _)| ok(*s)));
-            prop_assert!(half.pipeline.sensors.iter().all(|(s, _)| ok(*s)));
-            prop_assert_eq!(&half.pipeline.global, &snap.pipeline.global);
-            prop_assert_eq!(half.reorder.watermark, snap.reorder.watermark);
-            prop_assert_eq!(half.sanitizer.dims, snap.sanitizer.dims);
+            assert!(half.seqs.iter().all(|(s, _, _)| ok(*s)));
+            assert!(half.last_heard.iter().all(|(s, _)| ok(*s)));
+            assert!(half.silent.iter().all(|s| ok(*s)));
+            assert!(half.sanitizer.latest.iter().all(|(s, _)| ok(*s)));
+            assert!(half.reorder.buffer.iter().all(|((_, s), _)| ok(s)));
+            assert!(half.reorder.last_released.iter().all(|(s, _)| ok(*s)));
+            assert!(half.pipeline.sensors.iter().all(|(s, _)| ok(*s)));
+            assert_eq!(&half.pipeline.global, &snap.pipeline.global);
+            assert_eq!(half.reorder.watermark, snap.reorder.watermark);
+            assert_eq!(half.sanitizer.dims, snap.sanitizer.dims);
         }
-        prop_assert_eq!(inside.accepted, 0);
-        prop_assert_eq!(inside.episodes, 0);
-        prop_assert!(inside.rejected.is_empty());
-        prop_assert_eq!(outside.accepted, snap.accepted);
-        prop_assert_eq!(outside.episodes, snap.episodes);
-        prop_assert_eq!(outside.rejected.len(), snap.rejected.len());
+        assert_eq!(inside.accepted, 0);
+        assert_eq!(inside.episodes, 0);
+        assert!(inside.rejected.is_empty());
+        assert_eq!(outside.accepted, snap.accepted);
+        assert_eq!(outside.episodes, snap.episodes);
+        assert_eq!(outside.rejected.len(), snap.rejected.len());
     }
 }
 

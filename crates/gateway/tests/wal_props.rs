@@ -17,9 +17,7 @@
 mod seeded;
 mod support;
 
-use proptest::prelude::*;
-use proptest::TestRng;
-use seeded::Replay;
+use seeded::{Replay, TestRng, BIT_EXACT_POOL};
 use sentinet_gateway::frame::{encode_frame, frame_payload};
 use sentinet_gateway::{
     Collector, GatewayConfig, Message, Placement, RunPlanner, Wal, WalConfig, WalRecord,
@@ -65,40 +63,14 @@ fn assert_prefix(recovered: &[WalRecord], original: &[WalRecord]) {
     }
 }
 
-/// Arbitrary batches over a few sensors; values include NaN, ±∞ and
-/// subnormals so "bit-exact" means exactly that.
-fn batches() -> impl Strategy<Value = Vec<WalRecord>> {
-    prop::collection::vec(
-        (
-            0u16..4,
-            0u64..1_000,
-            0u64..100_000,
-            prop::collection::vec(
-                prop::sample::select(vec![
-                    0.0,
-                    -0.0,
-                    21.5,
-                    -3.25,
-                    1e300,
-                    f64::MIN_POSITIVE,
-                    f64::NAN,
-                    f64::INFINITY,
-                    f64::NEG_INFINITY,
-                ]),
-                1..4,
-            ),
-        ),
-        1..24,
-    )
-    .prop_map(|rows| {
-        rows.into_iter()
-            .map(|(sensor, seq, time, values)| WalRecord {
-                sensor: SensorId(sensor),
-                seq,
-                time,
-                values,
-            })
-            .collect()
+/// Arbitrary batches over a few sensors, values from
+/// [`BIT_EXACT_POOL`].
+fn batch(rng: &mut TestRng) -> Vec<WalRecord> {
+    rng.vec(1..24, |r| WalRecord {
+        sensor: SensorId(r.range(0u16..4)),
+        seq: r.range(0u64..1_000),
+        time: r.range(0u64..100_000),
+        values: r.vec(1..4, |r| r.pick(&BIT_EXACT_POOL)),
     })
 }
 
@@ -119,20 +91,22 @@ fn write_wal(name: &str, records: &[WalRecord]) -> (PathBuf, PathBuf, Vec<u64>) 
     (dir, segment, sizes)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+seeded::properties! {
+    var: "WAL_PROPS_SEED", package: "sentinet-gateway", target: "--test wal_props", cases: 48;
 
-    fn roundtrip_is_bit_exact(records in batches()) {
+    fn roundtrip_is_bit_exact(rng) {
+        let records = batch(rng);
         let (dir, _, _) = write_wal("roundtrip", &records);
         let (_, recovered) = Wal::open(WalConfig::new(&dir), None).expect("reopen");
-        prop_assert_eq!(recovered.len(), records.len());
+        assert_eq!(recovered.len(), records.len());
         for (r, o) in recovered.to_records().iter().zip(&records) {
-            prop_assert!(same_record(r, o), "roundtrip corrupted a record");
+            assert!(same_record(r, o), "roundtrip corrupted a record");
         }
         fs::remove_dir_all(&dir).ok();
     }
 
-    fn torn_tail_at_every_offset_recovers_prefix(records in batches()) {
+    fn torn_tail_at_every_offset_recovers_prefix(rng) {
+        let records = batch(rng);
         // Reference write to learn where the final record begins/ends.
         let (dir, segment, sizes) = write_wal("torn-ref", &records);
         let last_start = if sizes.len() >= 2 { sizes[sizes.len() - 2] } else { 0 };
@@ -146,7 +120,7 @@ proptest! {
             fs::write(dir.join("wal-00000001.seg"), &template[..cut as usize])
                 .expect("write truncated segment");
             let (wal, recovered) = Wal::open(WalConfig::new(&dir), None).expect("torn tail must open");
-            prop_assert_eq!(
+            assert_eq!(
                 recovered.len(),
                 records.len() - 1,
                 "cut at {} must lose exactly the final record",
@@ -159,15 +133,12 @@ proptest! {
         }
     }
 
-    fn single_bit_flip_never_corrupts_recovery(
-        records in batches(),
-        pos in 0usize..1_000_000,
-        bit in 0u8..8,
-    ) {
+    fn single_bit_flip_never_corrupts_recovery(rng) {
+        let records = batch(rng);
         let (dir, segment, sizes) = write_wal("flip", &records);
         let mut bytes = fs::read(&segment).expect("read segment");
-        let pos = pos % bytes.len();
-        bytes[pos] ^= 1 << bit;
+        let pos = rng.range(0usize..1_000_000) % bytes.len();
+        bytes[pos] ^= 1 << rng.range(0u8..8);
         fs::write(&segment, &bytes).expect("write flipped segment");
 
         // The flipped byte lives inside this record index.
@@ -177,7 +148,7 @@ proptest! {
             Ok((_, recovered)) => {
                 // Treated as a torn tail: everything from the damaged
                 // frame on is dropped, nothing before it is altered.
-                prop_assert!(
+                assert!(
                     recovered.len() <= victim,
                     "flip at byte {} (record {}) survived: recovered {}",
                     pos, victim, recovered.len()

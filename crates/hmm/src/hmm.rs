@@ -9,7 +9,6 @@
 use crate::error::{HmmError, Result};
 use crate::matrix::{validate_distribution, StochasticMatrix, STOCHASTIC_TOL};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A discrete Hidden Markov Model `λ = (A, B, π)`.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hmm {
     a: StochasticMatrix,
     b: StochasticMatrix,

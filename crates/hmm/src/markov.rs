@@ -8,7 +8,6 @@
 
 use crate::error::{HmmError, Result};
 use crate::matrix::StochasticMatrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A first-order Markov chain over `M` states.
@@ -26,7 +25,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovChain {
     transition: StochasticMatrix,
     /// Empirical state occupancy (visit frequency).
@@ -220,7 +219,7 @@ impl fmt::Display for MarkovChain {
 /// Online Markov chain estimator mirroring the paper's transition update
 /// (same `β`-exponential rule as the HMM's **A**, applied on every step
 /// including self-transitions so the chain also learns dwell times).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineMarkovEstimator {
     transition: StochasticMatrix,
     beta: f64,
@@ -377,7 +376,7 @@ impl OnlineMarkovEstimator {
 /// [`OnlineMarkovEstimator::export_state`] for checkpoint/restore.
 /// Matrix rows are stored verbatim (row-major `Vec<Vec<f64>>`), so a
 /// round-trip is bit-exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovState {
     /// Rows of the transition matrix (square).
     pub transition: Vec<Vec<f64>>,

@@ -31,7 +31,6 @@
 //! from whatever spare capacity either holds.
 
 use crate::error::{HmmError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
@@ -89,7 +88,7 @@ pub fn validate_distribution(v: &[f64], what: &str, tol: f64) -> Result<()> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StochasticMatrix {
     rows: usize,
     cols: usize,

@@ -24,7 +24,6 @@
 use crate::error::{HmmError, Result};
 use crate::hmm::Hmm;
 use crate::matrix::StochasticMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Online estimator for an HMM driven by (hidden state, symbol) pairs.
 ///
@@ -44,7 +43,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineHmmEstimator {
     a: StochasticMatrix,
     b: StochasticMatrix,
@@ -353,7 +352,7 @@ impl OnlineHmmEstimator {
 /// [`OnlineHmmEstimator::export_state`] for checkpoint/restore. Matrix
 /// rows are stored verbatim (row-major `Vec<Vec<f64>>`), so a
 /// round-trip is bit-exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorState {
     /// Rows of the transition matrix **A** (square).
     pub a: Vec<Vec<f64>>,

@@ -22,7 +22,6 @@
 use crate::error::{HmmError, Result};
 use crate::hmm::Hmm;
 use crate::matrix::StochasticMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Recursive EM estimator over an observation stream.
 ///
@@ -44,7 +43,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineEmEstimator {
     a: StochasticMatrix,
     b: StochasticMatrix,

@@ -24,7 +24,6 @@
 //! as violations.
 
 use crate::matrix::StochasticMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Tolerances for the orthogonality tests.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// paper publishes classifies the way the paper classifies it; see the
 /// module docs for why the paper's stated `0.1`/`0.8` don't satisfy its
 /// own data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrthoTolerance {
     /// Maximum allowed off-diagonal Gram entry.
     pub max_offdiag: f64,
@@ -51,7 +50,7 @@ impl Default for OrthoTolerance {
 
 /// A pair of rows or columns that violate orthogonality, with the Gram
 /// mass they share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonOrthogonalPair {
     /// First index of the pair (row or column depending on context).
     pub first: usize,
@@ -63,7 +62,7 @@ pub struct NonOrthogonalPair {
 }
 
 /// Result of the row/column orthogonality analysis of a **B** matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrthogonalityReport {
     /// Whether all row pairs are orthogonal and all row norms ≈ 1.
     pub rows_orthogonal: bool,
@@ -326,7 +325,7 @@ pub fn one_to_one_association(
 
 /// Summary statistics (mean, variance) of a slice — used for the
 /// ratio/difference constancy tests on associated state attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeanVar {
     /// Arithmetic mean.
     pub mean: f64,

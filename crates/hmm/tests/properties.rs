@@ -5,79 +5,69 @@
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
 
-use proptest::prelude::*;
-use proptest::TestRng;
-use seeded::Replay;
+use seeded::{Replay, TestRng};
 use sentinet_hmm::structure::{OrthoTolerance, OrthogonalityReport};
 use sentinet_hmm::{
     baum_welch, BaumWelchConfig, Hmm, MarkovChain, OnlineHmmEstimator, OnlineMarkovEstimator,
     StochasticMatrix,
 };
 
-/// A strategy producing a random probability distribution of length `n`.
-fn distribution(n: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(0.01f64..1.0, n).prop_map(|mut v| {
-        let s: f64 = v.iter().sum();
-        v.iter_mut().for_each(|x| *x /= s);
-        v
-    })
+/// A random probability distribution of length `n`.
+fn distribution(rng: &mut TestRng, n: usize) -> Vec<f64> {
+    let mut v = rng.vec(n, |r| r.range(0.01..1.0));
+    let s: f64 = v.iter().sum();
+    v.iter_mut().for_each(|x| *x /= s);
+    v
 }
 
-/// A strategy producing a random `rows × cols` stochastic matrix.
-fn stochastic(rows: usize, cols: usize) -> impl Strategy<Value = StochasticMatrix> {
-    prop::collection::vec(distribution(cols), rows)
-        .prop_map(|rs| StochasticMatrix::from_rows(rs).expect("rows are normalized"))
+/// A random `rows × cols` stochastic matrix.
+fn stochastic(rng: &mut TestRng, rows: usize, cols: usize) -> StochasticMatrix {
+    StochasticMatrix::from_rows(rng.vec(rows, |r| distribution(r, cols)))
+        .expect("rows are normalized")
 }
 
-/// A strategy producing a random HMM with `m` states and `n` symbols.
-fn hmm(m: usize, n: usize) -> impl Strategy<Value = Hmm> {
-    (stochastic(m, m), stochastic(m, n), distribution(m))
-        .prop_map(|(a, b, pi)| Hmm::new(a, b, pi).expect("dimensions agree"))
+/// A random HMM with `m` states and `n` symbols.
+fn hmm(rng: &mut TestRng, m: usize, n: usize) -> Hmm {
+    let (a, b) = (stochastic(rng, m, m), stochastic(rng, m, n));
+    Hmm::new(a, b, distribution(rng, m)).expect("dimensions agree")
 }
 
-proptest! {
-    #[test]
-    fn reinforce_preserves_stochasticity(
-        m in stochastic(4, 5),
-        updates in prop::collection::vec((0usize..4, 0usize..5, 0.01f64..0.99), 1..200),
-    ) {
-        let mut m = m;
-        for (i, k, eta) in updates {
+seeded::properties! {
+    var: "HMM_PROPS_SEED", package: "sentinet-hmm", target: "--test properties", cases: 48;
+
+    fn reinforce_preserves_stochasticity(rng) {
+        let mut m = stochastic(rng, 4, 5);
+        for _ in 0..rng.range(1usize..200) {
+            let (i, k, eta) = (rng.range(0usize..4), rng.range(0usize..5), rng.range(0.01..0.99));
             m.reinforce(i, k, eta).unwrap();
         }
-        prop_assert!(m.check(1e-7).is_ok());
+        assert!(m.check(1e-7).is_ok());
     }
 
-    #[test]
-    fn posteriors_are_distributions(
-        h in hmm(3, 4),
-        obs in prop::collection::vec(0usize..4, 1..60),
-    ) {
+    fn posteriors_are_distributions(rng) {
+        let h = hmm(rng, 3, 4);
+        let obs = rng.vec(1..60, |r| r.range(0usize..4));
         let gamma = h.posteriors(&obs).unwrap();
         for row in gamma {
             let s: f64 = row.iter().sum();
-            prop_assert!((s - 1.0).abs() < 1e-8, "posterior sum {s}");
-            prop_assert!(row.iter().all(|&g| (-1e-12..=1.0 + 1e-9).contains(&g)));
+            assert!((s - 1.0).abs() < 1e-8, "posterior sum {s}");
+            assert!(row.iter().all(|&g| (-1e-12..=1.0 + 1e-9).contains(&g)));
         }
     }
 
-    #[test]
-    fn viterbi_bounded_by_total_likelihood(
-        h in hmm(3, 3),
-        obs in prop::collection::vec(0usize..3, 1..40),
-    ) {
+    fn viterbi_bounded_by_total_likelihood(rng) {
+        let h = hmm(rng, 3, 3);
+        let obs = rng.vec(1..40, |r| r.range(0usize..3));
         let vit = h.viterbi(&obs).unwrap();
         let ll = h.log_likelihood(&obs).unwrap();
-        prop_assert!(vit.log_prob <= ll + 1e-9, "viterbi {} > total {}", vit.log_prob, ll);
-        prop_assert_eq!(vit.states.len(), obs.len());
-        prop_assert!(vit.states.iter().all(|&s| s < 3));
+        assert!(vit.log_prob <= ll + 1e-9, "viterbi {} > total {}", vit.log_prob, ll);
+        assert_eq!(vit.states.len(), obs.len());
+        assert!(vit.states.iter().all(|&s| s < 3));
     }
 
-    #[test]
-    fn forward_likelihood_matches_posterior_renormalization(
-        h in hmm(2, 3),
-        obs in prop::collection::vec(0usize..3, 2..30),
-    ) {
+    fn forward_likelihood_matches_posterior_renormalization(rng) {
+        let h = hmm(rng, 2, 3);
+        let obs = rng.vec(2..30, |r| r.range(0usize..3));
         // Forward and backward likelihoods must agree:
         // Σ_i π_i b_i(o_0) β̂_0(i) == 1 under Rabiner scaling.
         let fwd = h.forward(&obs).unwrap();
@@ -86,78 +76,63 @@ proptest! {
         for i in 0..h.num_states() {
             s += h.initial()[i] * h.observation()[(i, obs[0])] * beta[0][i];
         }
-        prop_assert!((s - 1.0).abs() < 1e-8, "backward identity {s}");
+        assert!((s - 1.0).abs() < 1e-8, "backward identity {s}");
     }
 
-    #[test]
-    fn baum_welch_never_decreases_likelihood(
-        h in hmm(2, 2),
-        obs in prop::collection::vec(0usize..2, 10..50),
-    ) {
+    fn baum_welch_never_decreases_likelihood(rng) {
+        let h = hmm(rng, 2, 2);
+        let obs = rng.vec(10..50, |r| r.range(0usize..2));
         let cfg = BaumWelchConfig { max_iters: 5, tol: 0.0, smoothing: 1e-9 };
         let trained = baum_welch(&h, &[obs], &cfg).unwrap();
         for w in trained.log_likelihoods.windows(2) {
-            prop_assert!(w[1] >= w[0] - 1e-6, "EM decreased: {} -> {}", w[0], w[1]);
+            assert!(w[1] >= w[0] - 1e-6, "EM decreased: {} -> {}", w[0], w[1]);
         }
     }
 
-    #[test]
-    fn online_hmm_stays_stochastic(
-        pairs in prop::collection::vec((0usize..4, 0usize..5), 1..300),
-        beta in 0.05f64..0.95,
-        gamma in 0.05f64..0.95,
-    ) {
+    fn online_hmm_stays_stochastic(rng) {
+        let pairs = rng.vec(1..300, |r| (r.range(0usize..4), r.range(0usize..5)));
+        let (beta, gamma) = (rng.range(0.05..0.95), rng.range(0.05..0.95));
         let mut est = OnlineHmmEstimator::new(4, 5, beta, gamma).unwrap();
         for (s, y) in pairs {
             est.observe(s, y).unwrap();
         }
-        prop_assert!(est.transition().check(1e-6).is_ok());
-        prop_assert!(est.observation().check(1e-6).is_ok());
+        assert!(est.transition().check(1e-6).is_ok());
+        assert!(est.observation().check(1e-6).is_ok());
         let occ: f64 = est.occupancy().iter().sum();
-        prop_assert!((occ - 1.0).abs() < 1e-9);
+        assert!((occ - 1.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn online_markov_snapshot_is_valid(
-        states in prop::collection::vec(0usize..3, 1..200),
-        beta in 0.05f64..0.95,
-    ) {
-        let mut est = OnlineMarkovEstimator::new(3, beta).unwrap();
+    fn online_markov_snapshot_is_valid(rng) {
+        let states = rng.vec(1..200, |r| r.range(0usize..3));
+        let mut est = OnlineMarkovEstimator::new(3, rng.range(0.05..0.95)).unwrap();
         for s in states {
             est.observe(s).unwrap();
         }
         let chain = est.to_chain().unwrap();
-        prop_assert!(chain.transition().check(1e-6).is_ok());
+        assert!(chain.transition().check(1e-6).is_ok());
         let pi = chain.stationary(1e-10, 10_000);
-        prop_assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-6);
+        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn markov_from_sequence_occupancy_matches_counts(
-        seq in prop::collection::vec(0usize..4, 1..100),
-    ) {
+    fn markov_from_sequence_occupancy_matches_counts(rng) {
+        let seq = rng.vec(1..100, |r| r.range(0usize..4));
         let mc = MarkovChain::from_sequence(4, &seq).unwrap();
         for s in 0..4 {
             let expect = seq.iter().filter(|&&x| x == s).count() as f64 / seq.len() as f64;
-            prop_assert!((mc.occupancy()[s] - expect).abs() < 1e-12);
+            assert!((mc.occupancy()[s] - expect).abs() < 1e-12);
         }
     }
 
-    #[test]
-    fn drop_columns_preserves_stochasticity(
-        b in stochastic(4, 6),
-        drop in prop::collection::vec(0usize..6, 1..3),
-    ) {
+    fn drop_columns_preserves_stochasticity(rng) {
+        let b = stochastic(rng, 4, 6);
+        let drop = rng.vec(1..3, |r| r.range(0usize..6));
         if let Ok(d) = b.drop_columns(&drop) {
-            prop_assert!(d.check(1e-9).is_ok());
-            prop_assert!(d.num_cols() >= 6 - drop.len());
+            assert!(d.check(1e-9).is_ok());
+            assert!(d.num_cols() >= 6 - drop.len());
         }
     }
 
-    #[test]
-    fn sampled_sequences_score_higher_under_generator(
-        seed in 0u64..5000,
-    ) {
+    fn sampled_sequences_score_higher_under_generator(rng) {
         // A sequence drawn from a strongly structured model should
         // almost always be more likely under that model than under a
         // mirrored (label-swapped emission) model.
@@ -167,30 +142,25 @@ proptest! {
         let b_mirror = StochasticMatrix::from_rows(vec![vec![0.05, 0.95], vec![0.95, 0.05]]).unwrap();
         let gen = Hmm::new(a.clone(), b, vec![0.5, 0.5]).unwrap();
         let other = Hmm::new(a, b_mirror, vec![0.5, 0.5]).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (_, obs) = gen.sample(100, &mut rng).unwrap();
+        let mut sampler = StdRng::seed_from_u64(rng.range(0u64..5000));
+        let (_, obs) = gen.sample(100, &mut sampler).unwrap();
         let l_gen = gen.log_likelihood(&obs).unwrap();
         let l_other = other.log_likelihood(&obs).unwrap();
         // Identical A and symmetric B ⇒ same marginals, so a tie is
         // possible but a deficit of this size is not.
-        prop_assert!(l_gen > l_other - 1e-9 || (l_gen - l_other).abs() < 20.0);
+        assert!(l_gen > l_other - 1e-9 || (l_gen - l_other).abs() < 20.0);
     }
 
-    #[test]
-    fn orthogonality_of_permutation_matrices(
-        perm_seed in 0usize..24,
-    ) {
+    fn orthogonality_of_permutation_matrices(rng) {
         // Any permutation matrix is exactly orthogonal in rows and cols.
         let mut idx = [0usize, 1, 2, 3];
-        // Generate the perm_seed-th permutation of 4 elements.
+        // Generate the k-th permutation of 4 elements.
         let mut pool: Vec<usize> = idx.to_vec();
-        let mut k = perm_seed;
-        for i in 0..4 {
-            let f = (3 - i..4).product::<usize>().max(1) / (4 - i).max(1);
-            let _ = f;
+        let mut k = rng.range(0usize..24);
+        for slot in &mut idx {
             let pick = k % pool.len();
-            k /= pool.len().max(1);
-            idx[i] = pool.remove(pick);
+            k /= pool.len();
+            *slot = pool.remove(pick);
         }
         let rows: Vec<Vec<f64>> = idx
             .iter()
@@ -202,48 +172,38 @@ proptest! {
             .collect();
         let b = StochasticMatrix::from_rows(rows).unwrap();
         let rep = OrthogonalityReport::analyze(&b, OrthoTolerance::default(), None);
-        prop_assert!(rep.is_orthogonal());
+        assert!(rep.is_orthogonal());
     }
-}
 
-proptest! {
-    #[test]
-    fn online_em_stays_stochastic_under_arbitrary_streams(
-        obs in prop::collection::vec(0usize..4, 1..300),
-        eta in 0.001f64..0.5,
-        seed in 0u64..100,
-    ) {
+    fn online_em_stays_stochastic_under_arbitrary_streams(rng) {
         use rand::{rngs::StdRng, SeedableRng};
         use sentinet_hmm::OnlineEmEstimator;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let init = Hmm::random(3, 4, &mut rng).unwrap();
+        let obs = rng.vec(1..300, |r| r.range(0usize..4));
+        let eta = rng.range(0.001..0.5);
+        let init = Hmm::random(3, 4, &mut StdRng::seed_from_u64(rng.range(0u64..100))).unwrap();
         let mut em = OnlineEmEstimator::new(init, eta).unwrap();
         for &y in &obs {
             em.observe(y).unwrap();
         }
-        prop_assert!(em.transition().check(1e-6).is_ok());
-        prop_assert!(em.observation().check(1e-6).is_ok());
+        assert!(em.transition().check(1e-6).is_ok());
+        assert!(em.observation().check(1e-6).is_ok());
         let fs: f64 = em.filter().iter().sum();
-        prop_assert!((fs - 1.0).abs() < 1e-7, "filter sum {fs}");
+        assert!((fs - 1.0).abs() < 1e-7, "filter sum {fs}");
         // Predictive distribution over symbols is a distribution.
         let total: f64 = (0..4).map(|k| em.predictive_prob(k).unwrap()).sum();
-        prop_assert!((total - 1.0).abs() < 1e-7, "predictive sum {total}");
+        assert!((total - 1.0).abs() < 1e-7, "predictive sum {total}");
     }
 
-    #[test]
-    fn aligned_b_distance_is_a_pseudometric(
-        a in stochastic(3, 3),
-        b in stochastic(3, 3),
-    ) {
+    fn aligned_b_distance_is_a_pseudometric(rng) {
         use sentinet_hmm::structure::aligned_b_distance;
+        let (a, b) = (stochastic(rng, 3, 3), stochastic(rng, 3, 3));
         let dab = aligned_b_distance(&a, &b);
         let dba = aligned_b_distance(&b, &a);
-        prop_assert!((dab - dba).abs() < 1e-9, "symmetry {dab} vs {dba}");
-        prop_assert!(dab >= 0.0);
-        prop_assert!(aligned_b_distance(&a, &a) < 1e-12);
+        assert!((dab - dba).abs() < 1e-9, "symmetry {dab} vs {dba}");
+        assert!(dab >= 0.0);
+        assert!(aligned_b_distance(&a, &a) < 1e-12);
     }
 }
-
 /// `est` after `import_state(export_state())`: the same estimator in
 /// storage laid out from scratch for its current shape.
 fn rebuilt(est: &OnlineHmmEstimator) -> Result<OnlineHmmEstimator, String> {

@@ -21,11 +21,10 @@
 //! which is why its deletion example cannot hold humidity exactly.
 
 use sentinet_sim::{AttributeRange, Payload, Reading, SensorId, Timestamp, Trace};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An attack strategy executed by the compromised sensors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttackModel {
     /// Force the observed mean to `target` (introducing a spurious
     /// environment state).
@@ -59,7 +58,7 @@ pub enum AttackModel {
 
 /// An attack campaign: which sensors are compromised, what they do,
 /// and when.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackInjection {
     /// Compromised sensors.
     pub sensors: Vec<SensorId>,

@@ -8,10 +8,9 @@
 
 use rand::Rng;
 use sentinet_sim::{AttributeRange, Gaussian, Payload, Reading, SensorId, Timestamp, Trace};
-use serde::{Deserialize, Serialize};
 
 /// A fault model to apply to a sensor's readings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultModel {
     /// The sensor constantly reports `value` (Stuck-at-Value Error).
     StuckAt {
@@ -54,7 +53,7 @@ pub enum FaultModel {
 }
 
 /// A fault applied to one sensor over a time window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultInjection {
     /// The faulty sensor.
     pub sensor: SensorId,

@@ -1,6 +1,8 @@
 //! Property-based tests for the fault/attack injectors.
 
-use proptest::prelude::*;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_inject::{
@@ -35,15 +37,13 @@ fn structure_fingerprint(t: &Trace) -> Vec<(u64, u16, bool)> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+seeded::properties! {
+    var: "INJECT_PROPS_SEED", package: "sentinet-inject", target: "--test properties", cases: 32;
 
-    #[test]
-    fn fault_injection_preserves_trace_structure(
-        seed in 0u64..500,
-        loss in 0.0f64..0.4,
-        sensor in 0u16..6,
-    ) {
+    fn fault_injection_preserves_trace_structure(rng) {
+        let seed = rng.range(0u64..500);
+        let loss = rng.range(0.0..0.4);
+        let sensor = rng.range(0u16..6);
         let cfg = base_config(4 * 3600, loss);
         let clean = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
         let out = inject_faults(
@@ -57,15 +57,13 @@ proptest! {
             &mut StdRng::seed_from_u64(seed),
         );
         // Same record count, same timing, same delivery pattern.
-        prop_assert_eq!(structure_fingerprint(&clean), structure_fingerprint(&out));
+        assert_eq!(structure_fingerprint(&clean), structure_fingerprint(&out));
     }
 
-    #[test]
-    fn faulty_readings_always_in_admissible_range(
-        seed in 0u64..200,
-        gain in 0.1f64..5.0,
-        offset in -200.0f64..200.0,
-    ) {
+    fn faulty_readings_always_in_admissible_range(rng) {
+        let seed = rng.range(0u64..200);
+        let gain = rng.range(0.1..5.0);
+        let offset = rng.range(-200.0..200.0);
         let cfg = base_config(2 * 3600, 0.0);
         let clean = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
         let out = inject_faults(
@@ -91,16 +89,14 @@ proptest! {
             &mut StdRng::seed_from_u64(seed + 1),
         );
         for (_, _, r) in out.delivered() {
-            prop_assert!((-40.0..=60.0).contains(&r.values()[0]), "{r}");
-            prop_assert!((0.0..=100.0).contains(&r.values()[1]), "{r}");
+            assert!((-40.0..=60.0).contains(&r.values()[0]), "{r}");
+            assert!((0.0..=100.0).contains(&r.values()[1]), "{r}");
         }
     }
 
-    #[test]
-    fn uninjected_sensors_bitwise_identical(
-        seed in 0u64..200,
-        target in 0u16..6,
-    ) {
+    fn uninjected_sensors_bitwise_identical(rng) {
+        let seed = rng.range(0u64..200);
+        let target = rng.range(0u16..6);
         let cfg = base_config(2 * 3600, 0.1);
         let clean = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
         let out = inject_faults(
@@ -115,7 +111,7 @@ proptest! {
         );
         for s in 0..6u16 {
             if s != target {
-                prop_assert_eq!(
+                assert_eq!(
                     clean.sensor_series(SensorId(s)),
                     out.sensor_series(SensorId(s))
                 );
@@ -123,13 +119,10 @@ proptest! {
         }
     }
 
-    #[test]
-    fn attack_injection_preserves_structure_and_ranges(
-        seed in 0u64..200,
-        m in 1u16..4,
-        tx in -30.0f64..50.0,
-        hy in 5.0f64..95.0,
-    ) {
+    fn attack_injection_preserves_structure_and_ranges(rng) {
+        let seed = rng.range(0u64..200);
+        let m = rng.range(1u16..4);
+        let (tx, hy) = (rng.range(-30.0..50.0), rng.range(5.0..95.0));
         let cfg = base_config(4 * 3600, 0.1);
         let clean = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
         let out = inject_attacks(
@@ -141,24 +134,22 @@ proptest! {
             )],
             &cfg.ranges,
         );
-        prop_assert_eq!(structure_fingerprint(&clean), structure_fingerprint(&out));
+        assert_eq!(structure_fingerprint(&clean), structure_fingerprint(&out));
         for (_, _, r) in out.delivered() {
-            prop_assert!((-40.0..=60.0).contains(&r.values()[0]));
-            prop_assert!((0.0..=100.0).contains(&r.values()[1]));
+            assert!((-40.0..=60.0).contains(&r.values()[0]));
+            assert!((0.0..=100.0).contains(&r.values()[1]));
         }
         // Honest sensors untouched.
         for s in m..6 {
-            prop_assert_eq!(
+            assert_eq!(
                 clean.sensor_series(SensorId(s)),
                 out.sensor_series(SensorId(s))
             );
         }
     }
 
-    #[test]
-    fn deletion_attack_moves_mean_toward_freeze(
-        seed in 0u64..100,
-    ) {
+    fn deletion_attack_moves_mean_toward_freeze(rng) {
+        let seed = rng.range(0u64..100);
         // With unclamped goals the forged mean should land near the
         // freeze value during the attack window.
         let mut cfg = base_config(4 * 3600, 0.0);
@@ -184,14 +175,12 @@ proptest! {
             .filter_map(|r| r.payload.reading())
             .collect();
         let mean_t: f64 = vals.iter().map(|r| r.values()[0]).sum::<f64>() / vals.len() as f64;
-        prop_assert!((mean_t - 20.0).abs() < 0.5, "mean {mean_t}");
+        assert!((mean_t - 20.0).abs() < 0.5, "mean {mean_t}");
     }
 
-    #[test]
-    fn attack_respects_time_window(
-        seed in 0u64..100,
-        start_h in 1u64..3,
-    ) {
+    fn attack_respects_time_window(rng) {
+        let seed = rng.range(0u64..100);
+        let start_h = rng.range(1u64..3);
         let cfg = base_config(4 * 3600, 0.0);
         let clean = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
         let start = start_h * 3600;
@@ -214,15 +203,13 @@ proptest! {
                     .find(|(tt, _)| *tt == t)
                     .map(|(_, rr)| rr.clone())
                     .expect("record exists in clean trace");
-                prop_assert_eq!(r.clone(), orig);
+                assert_eq!(r.clone(), orig);
             }
         }
     }
 
-    #[test]
-    fn lost_packets_never_resurrected(
-        seed in 0u64..200,
-    ) {
+    fn lost_packets_never_resurrected(rng) {
+        let seed = rng.range(0u64..200);
         let cfg = base_config(2 * 3600, 0.5);
         let clean = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
         let out = inject_attacks(
@@ -235,7 +222,7 @@ proptest! {
             &cfg.ranges,
         );
         for (a, b) in clean.records().iter().zip(out.records()) {
-            prop_assert_eq!(
+            assert_eq!(
                 matches!(a.payload, Payload::Lost),
                 matches!(b.payload, Payload::Lost)
             );

@@ -8,7 +8,6 @@
 //! (12, 94), (17, 84), (24, 70), (31, 56) — which lie exactly on the
 //! line `H = 118 − 2·T` (a fact we exploit for calibration).
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// Seconds in a simulated day.
@@ -28,7 +27,7 @@ pub const DAY_S: u64 = 86_400;
 /// let theta = env.value(6 * 3600); // 6 AM
 /// assert_eq!(theta.len(), 2);      // temperature, humidity
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EnvironmentModel {
     /// Constant environment — every attribute fixed. Useful in unit
     /// tests and as a building block of attack scenarios.
@@ -47,7 +46,7 @@ pub enum EnvironmentModel {
 /// `T(t) = T_min + (T_max − T_min)·(1 − cos(2π·(t − t_peak_offset)/day))/2`
 /// and humidity is `H = h_intercept + h_slope·T`, clamped to
 /// `[0, 100]` — the coupling observed in the paper's Fig. 6/7 states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalParams {
     /// Daily minimum temperature (°C), reached at night.
     pub t_min: f64,

@@ -10,11 +10,10 @@ use crate::environment::EnvironmentModel;
 use crate::stats::{clamp, Gaussian};
 use crate::types::{Payload, Reading, SensorId, Timestamp, Trace, TraceRecord};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Admissible range of one attribute; readings are clamped into it
 /// (e.g. relative humidity lives in `[0, 100]`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttributeRange {
     /// Lower admissible bound.
     pub lo: f64,
@@ -44,7 +43,7 @@ impl AttributeRange {
 /// probability is the config's base `loss_prob`; in Bad it is
 /// `loss_bad`. Real mote radios lose packets in bursts (fading,
 /// collisions, dying hardware), not independently.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstLoss {
     /// Per-sample probability of a Good → Bad transition.
     pub p_enter_bad: f64,
@@ -80,7 +79,7 @@ impl BurstLoss {
 }
 
 /// Full simulation scenario configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Number of sensors `K` reporting to the collector.
     pub num_sensors: u16,

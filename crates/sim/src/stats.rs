@@ -6,7 +6,6 @@
 //! tested Box–Muller transform.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A normal distribution `N(mean, std²)` sampled via Box–Muller.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let x = g.sample(&mut rng);
 /// assert!((x - 10.0).abs() < 20.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gaussian {
     mean: f64,
     std: f64,

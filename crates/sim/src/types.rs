@@ -1,12 +1,9 @@
 //! Core data types shared across the simulator and the detector.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a sensor node (mote) in the deployment.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SensorId(pub u16);
 
 impl fmt::Display for SensorId {
@@ -28,7 +25,7 @@ pub type Timestamp = u64;
 ///
 /// For the Great Duck Island reproduction, `values = [temperature °C,
 /// relative humidity %]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reading {
     values: Vec<f64>,
 }
@@ -96,7 +93,7 @@ impl fmt::Display for Reading {
 
 /// One record of a collected trace: the message `⟨t, p⟩` a sensor sent
 /// to the collector, or evidence that the packet was lost/corrupted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Sampling time.
     pub time: Timestamp,
@@ -110,7 +107,7 @@ pub struct TraceRecord {
 }
 
 /// Delivery outcome of a sensor message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Reading delivered intact.
     Delivered(Reading),
@@ -136,7 +133,7 @@ impl Payload {
 }
 
 /// An entire collected trace, ordered by time then sensor id.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     records: Vec<TraceRecord>,
 }

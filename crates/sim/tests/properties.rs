@@ -1,78 +1,76 @@
 //! Property-based tests for the simulation substrate.
 
-use proptest::prelude::*;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use seeded::TestRng;
 use sentinet_sim::{
     read_trace, simulate, write_trace, AttributeRange, DiurnalParams, EnvironmentModel, Gaussian,
     SimConfig, DAY_S,
 };
 
-fn any_config() -> impl Strategy<Value = SimConfig> {
-    (
-        1u16..8,
-        1u64..4,     // hours of duration
-        0.0f64..0.5, // loss
-        0.0f64..0.3, // malformed
-        0.0f64..3.0, // noise
-    )
-        .prop_map(|(sensors, hours, loss, malformed, noise)| SimConfig {
-            num_sensors: sensors,
-            sample_period: 300,
-            duration: hours * 3600,
-            noise_std: vec![noise, noise],
-            ranges: vec![
-                AttributeRange::new(-40.0, 60.0),
-                AttributeRange::new(0.0, 100.0),
-            ],
-            loss_prob: loss,
-            burst: None,
-            malformed_prob: malformed,
-            environment: EnvironmentModel::gdi(),
-        })
+fn any_config(rng: &mut TestRng) -> SimConfig {
+    let noise = rng.range(0.0..3.0);
+    SimConfig {
+        num_sensors: rng.range(1u16..8),
+        sample_period: 300,
+        duration: rng.range(1u64..4) * 3600,
+        noise_std: vec![noise, noise],
+        ranges: vec![
+            AttributeRange::new(-40.0, 60.0),
+            AttributeRange::new(0.0, 100.0),
+        ],
+        loss_prob: rng.range(0.0..0.5),
+        burst: None,
+        malformed_prob: rng.range(0.0..0.3),
+        environment: EnvironmentModel::gdi(),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+seeded::properties! {
+    var: "SIM_PROPS_SEED", package: "sentinet-sim", target: "--test properties", cases: 48;
 
-    #[test]
-    fn trace_is_sorted_and_complete(cfg in any_config(), seed in 0u64..1000) {
+    fn trace_is_sorted_and_complete(rng) {
+        let cfg = any_config(rng);
+        let seed = rng.range(0u64..1000);
         let trace = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
         // One record per (instant, sensor), sorted.
         let expected = cfg.num_samples() * cfg.num_sensors as u64;
-        prop_assert_eq!(trace.len() as u64, expected);
+        assert_eq!(trace.len() as u64, expected);
         for pair in trace.records().windows(2) {
-            prop_assert!((pair[0].time, pair[0].sensor) < (pair[1].time, pair[1].sensor));
+            assert!((pair[0].time, pair[0].sensor) < (pair[1].time, pair[1].sensor));
         }
     }
 
-    #[test]
-    fn csv_roundtrip_is_lossless(cfg in any_config(), seed in 0u64..1000) {
+    fn csv_roundtrip_is_lossless(rng) {
+        let cfg = any_config(rng);
+        let seed = rng.range(0u64..1000);
         let trace = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
         let mut buf = Vec::new();
         write_trace(&trace, 2, &mut buf).unwrap();
         let parsed = read_trace(&buf[..]).unwrap();
-        prop_assert_eq!(trace, parsed);
+        assert_eq!(trace, parsed);
     }
 
-    #[test]
-    fn csv_parser_never_panics_on_garbage(lines in prop::collection::vec(".{0,40}", 0..20)) {
+    fn csv_parser_never_panics_on_garbage(rng) {
         let mut text = String::from("time,sensor,status,v0\n");
-        for l in &lines {
-            text.push_str(l);
+        // Up to 19 lines of up to 40 printable ASCII characters.
+        for _ in 0..rng.range(0usize..20) {
+            for _ in 0..rng.range(0usize..41) {
+                text.push(char::from(32 + rng.range(0u8..95)));
+            }
             text.push('\n');
         }
         // Must return Ok or Err, never panic.
         let _ = read_trace(text.as_bytes());
     }
 
-    #[test]
-    fn diurnal_values_bounded(
-        t in 0u64..(40 * DAY_S),
-        t_min in -10.0f64..15.0,
-        spread in 1.0f64..30.0,
-        seasonal in 0.0f64..3.0,
-    ) {
+    fn diurnal_values_bounded(rng) {
+        let t = rng.range(0..40 * DAY_S);
+        let (t_min, spread) = (rng.range(-10.0..15.0), rng.range(1.0..30.0));
+        let seasonal = rng.range(0.0..3.0);
         let p = DiurnalParams {
             t_min,
             t_max: t_min + spread,
@@ -81,26 +79,22 @@ proptest! {
         };
         let env = EnvironmentModel::Diurnal(p);
         let v = env.value(t);
-        prop_assert!(v[0] >= t_min - seasonal - 1e-9);
-        prop_assert!(v[0] <= t_min + spread + seasonal + 1e-9);
-        prop_assert!((0.0..=100.0).contains(&v[1]));
+        assert!(v[0] >= t_min - seasonal - 1e-9);
+        assert!(v[0] <= t_min + spread + seasonal + 1e-9);
+        assert!((0.0..=100.0).contains(&v[1]));
     }
 
-    #[test]
-    fn gaussian_sampling_matches_parameters(
-        mean in -50.0f64..50.0,
-        std in 0.0f64..5.0,
-        seed in 0u64..200,
-    ) {
+    fn gaussian_sampling_matches_parameters(rng) {
+        let (mean, std) = (rng.range(-50.0..50.0), rng.range(0.0..5.0));
         let g = Gaussian::new(mean, std);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sampler = StdRng::seed_from_u64(rng.range(0u64..200));
         let n = 3_000;
-        let xs: Vec<f64> = (0..n).map(|_| g.sample(&mut rng)).collect();
+        let xs: Vec<f64> = (0..n).map(|_| g.sample(&mut sampler)).collect();
         let m = xs.iter().sum::<f64>() / n as f64;
-        prop_assert!((m - mean).abs() < 0.2 + std * 0.12, "mean {m} vs {mean}");
+        assert!((m - mean).abs() < 0.2 + std * 0.12, "mean {m} vs {mean}");
         if std > 0.5 {
             let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / n as f64;
-            prop_assert!(
+            assert!(
                 (var.sqrt() - std).abs() < 0.35 * std,
                 "std {} vs {std}",
                 var.sqrt()
@@ -108,11 +102,9 @@ proptest! {
         }
     }
 
-    #[test]
-    fn loss_rate_tracks_configured_probability(
-        loss in 0.0f64..0.5,
-        seed in 0u64..100,
-    ) {
+    fn loss_rate_tracks_configured_probability(rng) {
+        let loss = rng.range(0.0..0.5);
+        let seed = rng.range(0u64..100);
         let cfg = SimConfig {
             num_sensors: 5,
             sample_period: 300,
@@ -131,14 +123,12 @@ proptest! {
         let rate = trace.loss_rate();
         // 1440 Bernoulli trials: allow 5σ slack.
         let sigma = (loss * (1.0 - loss) / 1440.0).sqrt();
-        prop_assert!((rate - loss).abs() < 5.0 * sigma + 1e-9, "rate {rate} vs {loss}");
+        assert!((rate - loss).abs() < 5.0 * sigma + 1e-9, "rate {rate} vs {loss}");
     }
 
-    #[test]
-    fn piecewise_respects_segments(
-        values in prop::collection::vec(-10.0f64..10.0, 1..6),
-        probe in 0u64..10_000,
-    ) {
+    fn piecewise_respects_segments(rng) {
+        let values = rng.vec(1..6, |r| r.range(-10.0..10.0));
+        let probe = rng.range(0u64..10_000);
         let segs: Vec<(u64, Vec<f64>)> = values
             .iter()
             .enumerate()
@@ -152,6 +142,6 @@ proptest! {
             .find(|(start, _)| *start <= probe)
             .map(|(_, v)| v[0])
             .unwrap_or(segs[0].1[0]);
-        prop_assert_eq!(got, expect);
+        assert_eq!(got, expect);
     }
 }

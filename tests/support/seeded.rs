@@ -1,20 +1,134 @@
 //! Shared support for the seeded property suites, included by path
 //! (`#[path = "…/tests/support/seeded.rs"] mod seeded;`) from each
-//! suite that needs it.
+//! suite that needs it — unit-test modules too: it is safe code, so a
+//! crate that forbids `unsafe` can take it.
 //!
-//! The vendored `proptest` stand-in neither shrinks nor reports seeds,
-//! so these suites are plain seeded loops: case `n` depends on nothing
-//! but `n`, a failure names its seed and prints the one command that
-//! replays exactly that case. On top of the loop sit the mutators the
-//! decoder totality properties share — text and binary alike — and an
-//! allocator that records the largest single request a decode makes.
+//! A suite is a plain seeded loop: case `n` depends on nothing but `n`,
+//! and a failure names its seed and prints the one command that replays
+//! exactly that case. [`TestRng`] draws a case's inputs from its seed,
+//! [`properties!`] declares one `#[test]` a property over the loop, and
+//! [`mutate`] is the damage the decoder totality properties share —
+//! text and binary alike (their allocator and checks are
+//! `totality.rs`).
 
 #![allow(dead_code)]
 
-use proptest::TestRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Deterministic SplitMix64 generator driving the case inputs.
+#[derive(Debug, Clone)]
+pub struct TestRng {
+    state: u64,
+}
+
+impl TestRng {
+    /// A generator seeded directly.
+    pub fn new(seed: u64) -> Self {
+        TestRng { state: seed }
+    }
+
+    /// The next pseudo-random `u64`.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A uniform draw from `[lo, hi)` (`hi > lo`).
+    pub fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
+        assert!(lo < hi, "empty size range");
+        lo + (self.next_u64() % (hi - lo) as u64) as usize
+    }
+
+    /// A uniform draw from the non-empty `range`.
+    pub fn range<T: Uniform>(&mut self, range: Range<T>) -> T {
+        T::draw(self, range)
+    }
+
+    /// A fair coin.
+    pub fn bool(&mut self) -> bool {
+        self.next_u64() & 1 == 1
+    }
+
+    /// One of `items`, uniformly.
+    pub fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+        items[self.usize_in(0, items.len())].clone()
+    }
+
+    /// `len` values of `draw`: exactly `len`, or as many as a draw from
+    /// a range `len`.
+    pub fn vec<T>(&mut self, len: impl Len, mut draw: impl FnMut(&mut Self) -> T) -> Vec<T> {
+        let len = len.draw(self);
+        (0..len).map(|_| draw(self)).collect()
+    }
+}
+
+/// What [`TestRng::range`] draws: the unsigned integers and `f64`.
+pub trait Uniform: Sized {
+    /// A uniform draw from the non-empty `range`.
+    fn draw(rng: &mut TestRng, range: Range<Self>) -> Self;
+}
+
+macro_rules! uniform_unsigned {
+    ($($t:ty),*) => {$(
+        impl Uniform for $t {
+            fn draw(rng: &mut TestRng, range: Range<$t>) -> $t {
+                assert!(range.start < range.end, "empty range");
+                range.start + (rng.next_u64() % (range.end - range.start) as u64) as $t
+            }
+        }
+    )*};
+}
+
+uniform_unsigned!(u8, u16, u32, u64, usize);
+
+impl Uniform for f64 {
+    fn draw(rng: &mut TestRng, range: Range<f64>) -> f64 {
+        assert!(range.start < range.end, "empty range");
+        range.start + rng.next_f64() * (range.end - range.start)
+    }
+}
+
+/// A length [`TestRng::vec`] takes: a count, or a range to draw one from.
+pub trait Len {
+    /// The length.
+    fn draw(self, rng: &mut TestRng) -> usize;
+}
+
+impl Len for usize {
+    fn draw(self, _: &mut TestRng) -> usize {
+        self
+    }
+}
+
+impl Len for Range<usize> {
+    fn draw(self, rng: &mut TestRng) -> usize {
+        rng.range(self)
+    }
+}
+
+/// Values for codec properties: signed zeros, NaN, ±∞, the smallest
+/// normal and a huge value beside two ordinary ones, so "bit-exact"
+/// means exactly that where `PartialEq` on floats breaks down.
+pub const BIT_EXACT_POOL: [f64; 9] = [
+    0.0,
+    -0.0,
+    21.5,
+    -3.25,
+    1e300,
+    f64::MIN_POSITIVE,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
 
 /// How to re-run one seed of a suite.
 pub struct Replay {
@@ -71,6 +185,40 @@ impl Replay {
         }
     }
 }
+
+/// Declares seeded properties, one `#[test]` each: `fn name(rng) {
+/// body }` runs `body` for seeds `0..cases` through
+/// [`Replay::for_each_seed`], `rng` a `&mut` [`TestRng`] seeded with the
+/// case's seed, and replays a seed as `var=N cargo test -p package
+/// target name`. A body fails a case with `assert!`/`assert_eq!` (or
+/// `?` on a `Result<_, String>`) and skips one with `return Ok(())`.
+/// The including module names this file `seeded`.
+#[allow(unused_macros)]
+macro_rules! properties {
+    (
+        var: $var:literal, package: $package:literal, target: $target:literal, cases: $cases:expr;
+        $($(#[$meta:meta])* fn $name:ident($rng:ident) $body:block)*
+    ) => {$(
+        $(#[$meta])*
+        #[test]
+        fn $name() {
+            let replay = seeded::Replay {
+                var: $var,
+                package: $package,
+                target: $target,
+                test: stringify!($name),
+            };
+            replay.for_each_seed($cases, |seed| {
+                let $rng = &mut seeded::TestRng::new(seed);
+                $body
+                Ok(())
+            });
+        }
+    )*};
+}
+
+#[allow(unused_imports)]
+pub(crate) use properties;
 
 /// One damaged variant of `valid` durable bytes (text or binary), and
 /// what was done to it: torn at a byte, one bit flipped, one decimal
@@ -129,110 +277,5 @@ pub fn mutate(rng: &mut TestRng, valid: impl AsRef<[u8]>) -> (String, Vec<u8>) {
                 bytes,
             )
         }
-    }
-}
-
-thread_local! {
-    /// Largest single allocation request this thread has made since
-    /// [`peak_request`] last reset it.
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-/// A `#[global_allocator]` that forwards to [`System`] and records, per
-/// thread, the largest single request.
-pub struct PeakAlloc;
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down, when the cell is gone and nobody is measuring.
-    let _ = PEAK.try_with(|peak| peak.set(peak.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the record is a
-// const-initialised thread-local `Cell` with no destructor, so touching
-// it neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's obligations are passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: as `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-/// The largest single allocation request this thread makes while `f`
-/// runs (0 unless the test binary installs [`PeakAlloc`]).
-pub fn peak_request<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    PEAK.with(|peak| peak.set(0));
-    let out = f();
-    (PEAK.with(Cell::get), out)
-}
-
-/// What a total decoder may do with `input_len` bytes of input,
-/// damaged or not: return — a value or a typed error, which is all
-/// `decode`'s type lets it return. Never panic (the seeded loop
-/// catches that), and never make an allocation sized by a number the
-/// input merely states — every request stays within a small multiple
-/// of the input's own length.
-pub fn check_total_bytes<T>(input_len: usize, decode: impl FnOnce() -> T) -> Result<T, String> {
-    let (peak, outcome) = peak_request(decode);
-    let bound = 64 * input_len + 4096;
-    if peak > bound {
-        return Err(format!(
-            "a {peak}-byte allocation for {input_len} bytes of input (bound {bound})"
-        ));
-    }
-    Ok(outcome)
-}
-
-/// [`check_total_bytes`] for a text decoder: `input` reaches it the
-/// way a sidecar reader would hand it over, lossily decoded.
-pub fn check_total<T, E: std::fmt::Debug>(
-    input: &[u8],
-    decode: impl FnOnce(&str) -> Result<T, E>,
-) -> Result<Result<T, E>, String> {
-    let text = String::from_utf8_lossy(input);
-    check_total_bytes(text.len(), || decode(&text))
-}
-
-/// [`check_total`], and exactness on top: `decode` either rejects
-/// `input` with an error `typed` recognises, or yields a value whose
-/// `encode` is the input again — up to the newline closing the last
-/// line, which a line reader cannot tell from the end of the text. A
-/// codec held to this never invents state beyond the bytes it read.
-pub fn check_total_and_exact<T, E: std::fmt::Debug>(
-    input: &[u8],
-    decode: impl FnOnce(&str) -> Result<T, E>,
-    encode: impl FnOnce(&T) -> String,
-    typed: impl FnOnce(&E) -> bool,
-) -> Result<(), String> {
-    let unterminated = |text: &str| text.strip_suffix('\n').unwrap_or(text).to_string();
-    match check_total(input, decode)? {
-        Ok(decoded) => {
-            if unterminated(&encode(&decoded)) == unterminated(&String::from_utf8_lossy(input)) {
-                Ok(())
-            } else {
-                Err("decoded to other bytes than it read".into())
-            }
-        }
-        Err(e) if typed(&e) => Ok(()),
-        Err(e) => Err(format!("untyped rejection {e:?}")),
     }
 }

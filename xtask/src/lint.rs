@@ -19,7 +19,7 @@
 //! | `hot-path-alloc` | allocation markers in registered hot functions |
 //! | `thread-spawn` | `thread::spawn` outside `crates/engine` / `crates/gateway` |
 //! | `resume-unwind` | `resume_unwind` anywhere |
-//! | `unbounded-channel` | `unbounded` channels anywhere |
+//! | `unbounded-channel` | `unbounded` / `mpsc::channel` channels anywhere |
 //! | `net-outside-gateway` | `std::net` / `std::os::unix::net` outside `crates/gateway` |
 //! | `socket-read-timeout` | socket reads in a file that never sets a read timeout |
 //! | `io-outside-vfs` | raw filesystem mutation outside `gateway/src/vfs.rs` |
@@ -555,14 +555,16 @@ pub fn lint_source(path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding>
             );
         }
     }
-    for offset in find_word(&map.masked, "unbounded") {
-        if !map.in_test_region(offset) {
-            push(
-                &map,
-                offset,
-                "unbounded-channel",
-                "unbounded channel; use `bounded` with an explicit capacity".into(),
-            );
+    for word in ["unbounded", "mpsc::channel"] {
+        for offset in find_word(&map.masked, word) {
+            if !map.in_test_region(offset) {
+                push(
+                    &map,
+                    offset,
+                    "unbounded-channel",
+                    format!("`{word}` is an unbounded channel; use `sync_channel` with an explicit capacity"),
+                );
+            }
         }
     }
 
@@ -1098,6 +1100,26 @@ mod tests {
                 1
             );
         }
+    }
+
+    #[test]
+    fn std_unbounded_channels_are_flagged_and_bounded_ones_are_not() {
+        let path = Path::new("crates/gateway/src/server.rs");
+        let channels = |src: &str| {
+            let f = lint_source(path, src, &FileContext::for_path(path));
+            f.iter().filter(|f| f.lint == "unbounded-channel").count()
+        };
+        assert_eq!(
+            channels("fn a() { let (tx, rx) = std::sync::mpsc::channel(); }\n"),
+            1
+        );
+        assert_eq!(
+            channels("fn a() { let (tx, rx) = std::sync::mpsc::sync_channel(8); }\n"),
+            0
+        );
+        let in_test =
+            "fn a() {}\n#[cfg(test)]\nmod t { fn b() { let (tx, rx) = mpsc::channel(); } }\n";
+        assert_eq!(channels(in_test), 0);
     }
 
     #[test]

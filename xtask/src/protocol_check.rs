@@ -4,7 +4,7 @@
 //! The pipelined protocol replaced stop-and-wait with a concurrent
 //! state machine — credit windows, cumulative `AckUpTo` acks, a
 //! group-commit WAL whose fsync watermark gates ack release — and its
-//! correctness is otherwise covered only by *sampled* proptests. This
+//! correctness is otherwise covered only by *sampled* properties. This
 //! module closes the gap loom-style: every place the real system leaves
 //! an order to the scheduler becomes an explicit choice point of a
 //! depth-first [`Schedule`], and every complete assignment of choices
