@@ -437,7 +437,7 @@ impl Args for FederateArgs {
             parse_kills(v, &mut a.process.kills)
         }),
         Flag::new("--handoff-attempts", "N", |a, v| {
-            positive(v, &mut a.federation.handoff.max_attempts)
+            positive(v, &mut a.federation.handoff_attempts)
         }),
         Flag::new("--split", "P:S[@N]", |a, v| {
             put(&mut a.split, parse_split(v).map(Some))
@@ -1082,7 +1082,7 @@ mod tests {
                 assert_eq!(a.process.kills, vec![]);
                 assert_eq!(a.nemesis_seed, None);
                 assert_eq!(a.episodes, 50);
-                assert_eq!(a.federation.handoff.max_attempts, 4);
+                assert_eq!(a.federation.handoff_attempts, 4);
                 assert_eq!(a.process.uplink.jitter_pct, 50);
             }
             other => panic!("{other:?}"),
@@ -1129,7 +1129,7 @@ mod tests {
                 assert_eq!(a.process.replay.wal.fsync.to_string(), "never");
                 assert_eq!(a.federation.silence_deadline, 900);
                 assert_eq!(a.process.kills, vec![(1, 40)]);
-                assert_eq!(a.federation.handoff.max_attempts, 2);
+                assert_eq!(a.federation.handoff_attempts, 2);
                 assert_eq!(a.process.uplink.ack_timeout.as_millis(), 200);
                 assert_eq!(a.process.uplink.max_attempts, 3);
                 assert_eq!(a.process.uplink.backoff_base.as_millis(), 5);

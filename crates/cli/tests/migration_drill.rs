@@ -8,9 +8,14 @@
 //! same migration schedule. The mirror drill kills the rebalance
 //! destination at the adopt step.
 //!
+//! A moved sensor's sequence numbers continue from the source's, so
+//! the v2 uplink must carry the routed numbers: a v2 migration admits
+//! every reading and prints what the v1 run of the same schedule
+//! prints.
+//!
 //! `SENTINET_TEST_FSYNC` sweeps the children's fsync policy as in the
-//! other federation drills; the protocol is pinned to v2 here because
-//! the drill's point is a handoff racing live pipelined ingest.
+//! other federation drills; the kill drills pin the protocol to v2
+//! because their point is a handoff racing live pipelined ingest.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -55,9 +60,10 @@ fn simulate_trace(dir: &Path) -> String {
     trace
 }
 
-/// Runs `federate` over three v2 partitions with the drill-tuned
-/// uplink (fast timeouts, deterministic backoff, v2 watermark).
-fn federate(trace: &str, wal_root: &Path, extra: &[&str]) -> Output {
+/// Runs `federate` over three partitions speaking `protocol` with the
+/// drill-tuned uplink (fast timeouts, deterministic backoff, v2
+/// watermark).
+fn federate(trace: &str, wal_root: &Path, protocol: &str, extra: &[&str]) -> Output {
     let wal_root = wal_root.to_str().expect("utf8 path");
     let mut args = vec![
         "federate",
@@ -67,7 +73,7 @@ fn federate(trace: &str, wal_root: &Path, extra: &[&str]) -> Output {
         "--partitions",
         "3",
         "--protocol",
-        "v2",
+        protocol,
         "--checkpoint-every",
         "16",
         "--watermark",
@@ -119,7 +125,7 @@ fn sigkill_at_the_cut_of_a_live_v2_split_matches_the_baseline() {
     // (~tick 50 of 576) it splits at sensor 3, the upper half moving
     // to a freshly spawned partition 3 — squarely mid-stream.
     let schedule = ["--split", "1:3@100"];
-    let base = federate(&trace, &root.join("base"), &schedule);
+    let base = federate(&trace, &root.join("base"), "v2", &schedule);
     assert!(
         base.status.success(),
         "baseline migration run failed: {}",
@@ -138,6 +144,7 @@ fn sigkill_at_the_cut_of_a_live_v2_split_matches_the_baseline() {
     let drill = federate(
         &trace,
         &root.join("drill"),
+        "v2",
         &["--split", "1:3@100", "--kill", "1:100"],
     );
     assert!(
@@ -178,7 +185,7 @@ fn sigkill_at_the_adopt_of_a_live_rebalance_matches_the_baseline() {
     // Partition 1's whole range rebalances into left-adjacent
     // partition 0 once it has routed 100 readings.
     let schedule = ["--rebalance", "1@100"];
-    let base = federate(&trace, &root.join("base"), &schedule);
+    let base = federate(&trace, &root.join("base"), "v2", &schedule);
     assert!(
         base.status.success(),
         "baseline rebalance run failed: {}",
@@ -199,6 +206,7 @@ fn sigkill_at_the_adopt_of_a_live_rebalance_matches_the_baseline() {
     let drill = federate(
         &trace,
         &root.join("drill"),
+        "v2",
         &["--rebalance", "1@100", "--kill", "0:100"],
     );
     assert!(
@@ -223,4 +231,32 @@ fn sigkill_at_the_adopt_of_a_live_rebalance_matches_the_baseline() {
         events.contains("migration of sensors 2..4 from partition 1 to 0 completed"),
         "the drilled rebalance never completed:\n{events}"
     );
+}
+
+#[test]
+fn a_v2_migration_admits_and_prints_what_v1_does() {
+    let root = tmpdir("v2-admits");
+    let trace = simulate_trace(&root);
+    for (name, schedule) in [
+        ("split", ["--split", "1:3@100"]),
+        ("rebalance", ["--rebalance", "1@100"]),
+    ] {
+        let v1 = federate(&trace, &root.join(format!("{name}-v1")), "v1", &schedule);
+        let v2 = federate(&trace, &root.join(format!("{name}-v2")), "v2", &schedule);
+        for (protocol, out) in [("v1", &v1), ("v2", &v2)] {
+            let stderr = stderr_of(out);
+            assert!(out.status.success(), "{name} {protocol} failed: {stderr}");
+            // Every reading of the trace; none deduplicated away as
+            // already seen by the adopting collector.
+            assert!(
+                stderr.contains("fleet counters: 2853 accepted,"),
+                "{name} {protocol} lost readings in the handoff:\n{stderr}"
+            );
+        }
+        assert_eq!(
+            stdout_of(&v1),
+            stdout_of(&v2),
+            "{name}: the v2 migration must reach v1's diagnosis"
+        );
+    }
 }

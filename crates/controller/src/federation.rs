@@ -28,11 +28,10 @@
 
 use crate::partition::{PartitionHealth, PartitionId, PartitionMap, SensorRange};
 use crate::report::{FederationEvent, FleetReport, PartitionStatus};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sentinet_gateway::{backoff_delay, GatewayConfig, GatewayReport, RecoveryInfo};
 use sentinet_gateway::{Collector, ReportCounters, UplinkStats};
+use sentinet_gateway::{GatewayConfig, GatewayReport, RecoveryInfo};
 use sentinet_sim::{SensorId, Timestamp};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::time::Duration;
@@ -188,34 +187,15 @@ pub trait PartitionBackend {
     fn prewarm(&mut self, _p: PartitionId, _checkpoint_cursor: u64) {}
 }
 
-/// Retry policy for standby adoption: capped exponential backoff with
-/// optional seeded jitter (defaults keep it deterministic and fast —
-/// drills compress time; production deployments raise the caps).
-#[derive(Debug, Clone)]
-pub struct HandoffPolicy {
-    /// Adoption attempts before orphaning the partition.
-    pub max_attempts: u32,
-    /// First retry delay.
-    pub backoff_base: Duration,
-    /// Delay ceiling.
-    pub backoff_cap: Duration,
-    /// Jitter ceiling as a percentage of the delay (0 = none).
-    pub jitter_pct: u32,
-    /// Seed for the jitter RNG.
-    pub jitter_seed: u64,
-}
+/// First handoff retry delay; each further retry doubles it, up to
+/// [`BACKOFF_CAP`]. Both stay small: drills compress time.
+const BACKOFF_BASE: Duration = Duration::from_millis(5);
 
-impl Default for HandoffPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(100),
-            jitter_pct: 0,
-            jitter_seed: 11,
-        }
-    }
-}
+/// Handoff retry delay ceiling.
+const BACKOFF_CAP: Duration = Duration::from_millis(100);
+
+/// Consecutive storage NACKs before a partition turns suspect.
+const STORAGE_STRIKES: u32 = 3;
 
 /// Federation tuning.
 #[derive(Debug, Clone)]
@@ -224,8 +204,6 @@ pub struct FederationConfig {
     /// time trails the controller clock by more than this (stream
     /// seconds — one sensor sampling period is 300).
     pub silence_deadline: Timestamp,
-    /// Consecutive storage NACKs before a partition turns suspect.
-    pub storage_strikes: u32,
     /// Flush pipelined links every N routed readings per partition.
     pub flush_every: usize,
     /// Suspicion hysteresis: consecutive missed deliveries (link
@@ -239,19 +217,19 @@ pub struct FederationConfig {
     /// checkpoint cursor to [`PartitionBackend::prewarm`] so standbys
     /// stage the latest snapshot before any failover needs it.
     pub heartbeat_every: usize,
-    /// Standby adoption retry policy.
-    pub handoff: HandoffPolicy,
+    /// Attempts at each handoff step (a standby start, a migration cut
+    /// or adopt) before the partition orphans or the migration aborts.
+    pub handoff_attempts: u32,
 }
 
 impl Default for FederationConfig {
     fn default() -> Self {
         Self {
             silence_deadline: 3600,
-            storage_strikes: 3,
             flush_every: 32,
             suspect_after: 1,
             heartbeat_every: 0,
-            handoff: HandoffPolicy::default(),
+            handoff_attempts: 4,
         }
     }
 }
@@ -373,6 +351,14 @@ struct PendingMigration {
     after_routed: usize,
 }
 
+/// A sensor range on the move between two partitions.
+#[derive(Debug, Clone, Copy)]
+struct RangeMove {
+    source: PartitionId,
+    dest: PartitionId,
+    range: SensorRange,
+}
+
 /// One reading in a partition's routed log, with its controller-
 /// assigned per-sensor sequence number (a property of the log, never
 /// reassigned across epochs — redelivery replays the same numbers).
@@ -394,7 +380,7 @@ struct PartitionState<L> {
     /// Pipelined-but-unflushed readings on the current link.
     unflushed: usize,
     /// Next per-sensor sequence number for new routed readings.
-    seq_next: std::collections::BTreeMap<SensorId, u64>,
+    seq_next: BTreeMap<SensorId, u64>,
     /// Stream time of the last durable reading.
     progress: Option<Timestamp>,
     strikes: u32,
@@ -412,7 +398,7 @@ struct PartitionState<L> {
     wire: UplinkStats,
 }
 
-impl<L> PartitionState<L> {
+impl<L: PartitionLink> PartitionState<L> {
     fn new() -> Self {
         Self {
             link: None,
@@ -420,7 +406,7 @@ impl<L> PartitionState<L> {
             sent: 0,
             acked: 0,
             unflushed: 0,
-            seq_next: std::collections::BTreeMap::new(),
+            seq_next: BTreeMap::new(),
             progress: None,
             strikes: 0,
             miss_streak: 0,
@@ -430,6 +416,27 @@ impl<L> PartitionState<L> {
             failovers: 0,
             redelivered: 0,
             wire: UplinkStats::default(),
+        }
+    }
+
+    /// Drains the link's pipelined window, if anything sent is still
+    /// unflushed; on success everything sent is durable.
+    fn flush(&mut self) -> Result<(), String> {
+        if let Some(link) = self.link.as_mut().filter(|_| self.acked < self.sent) {
+            link.flush().map_err(|e| e.to_string())?;
+            self.acked = self.sent;
+            self.unflushed = 0;
+            self.progress = Some(self.routed[self.acked - 1].time);
+        }
+        Ok(())
+    }
+
+    /// The link delivered again: a miss streak short of the suspicion
+    /// threshold healed in place — a flap, not a failover.
+    fn heal(&mut self) {
+        if self.miss_streak > 0 {
+            self.miss_streak = 0;
+            self.flaps += 1;
         }
     }
 }
@@ -443,7 +450,6 @@ pub struct Federation<B: PartitionBackend> {
     /// Max routed stream time — the liveness clock.
     clock: Timestamp,
     events: Vec<FederationEvent>,
-    rng: StdRng,
     /// Scheduled migrations not yet triggered.
     pending_migrations: Vec<PendingMigration>,
     migrations_started: u64,
@@ -464,7 +470,6 @@ impl<B: PartitionBackend> Federation<B> {
         config: FederationConfig,
         backend: B,
     ) -> Result<Self, FederationError> {
-        let seed = config.handoff.jitter_seed;
         let mut fed = Self {
             map,
             config,
@@ -472,7 +477,6 @@ impl<B: PartitionBackend> Federation<B> {
             states: Vec::new(),
             clock: 0,
             events: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
             pending_migrations: Vec::new(),
             migrations_started: 0,
             migrations_completed: 0,
@@ -537,33 +541,22 @@ impl<B: PartitionBackend> Federation<B> {
             .partition_of(sensor)
             .ok_or(FederationError::Unroutable { sensor })?;
         let state = &mut self.states[p];
-        let seq = {
-            let next = state.seq_next.entry(sensor).or_insert(0);
-            let seq = *next;
-            *next += 1;
-            seq
-        };
+        let next = state.seq_next.entry(sensor).or_insert(0);
+        *next += 1;
         state.routed.push(Routed {
             sensor,
-            seq,
+            seq: *next - 1,
             time,
             values: values.to_vec(),
         });
         match self.map.health(p) {
-            PartitionHealth::Ok => {
-                if let Err(reason) = self.drive(p) {
-                    self.miss(p, reason);
-                } else {
-                    let state = &mut self.states[p];
-                    if state.miss_streak > 0 {
-                        // The link healed short of the suspicion
-                        // threshold: a flap, not a failover.
-                        state.miss_streak = 0;
-                        state.flaps += 1;
-                    }
+            PartitionHealth::Ok => match self.drive(p) {
+                Err(reason) => self.miss(p, reason),
+                Ok(()) => {
+                    self.states[p].heal();
                     self.heartbeat(p);
                 }
-            }
+            },
             PartitionHealth::Orphaned => self.states[p].orphan_nacks += 1,
             // Suspect readings buffer; Dead/HandingOff never outlive
             // the failover call that commits them.
@@ -591,18 +584,18 @@ impl<B: PartitionBackend> Federation<B> {
         at: SensorId,
         after_routed: usize,
     ) -> Result<(), FederationError> {
-        if p >= self.map.len() {
-            return Err(FederationError::Migration {
+        let bad = |detail| {
+            Err(FederationError::Migration {
                 partition: p,
-                detail: format!("no such partition (map holds {})", self.map.len()),
-            });
+                detail,
+            })
+        };
+        if p >= self.map.len() {
+            return bad(format!("no such partition (map holds {})", self.map.len()));
         }
         let range = self.map.range(p);
         if at.0 <= range.start || at.0 >= range.end {
-            return Err(FederationError::Migration {
-                partition: p,
-                detail: format!("split point {at} not strictly inside {range}"),
-            });
+            return bad(format!("split point {at} not strictly inside {range}"));
         }
         self.pending_migrations.push(PendingMigration {
             source: p,
@@ -659,18 +652,16 @@ impl<B: PartitionBackend> Federation<B> {
     /// the next route.
     fn drive(&mut self, p: PartitionId) -> Result<(), String> {
         let flush_every = self.config.flush_every.max(1);
-        let strikes_cap = self.config.storage_strikes.max(1);
         let state = &mut self.states[p];
-        let Some(link) = state.link.as_mut() else {
+        if state.link.is_none() {
             return Err("no link to a partition marked ok".into());
-        };
-        while state.sent < state.routed.len() {
-            let r = &state.routed[state.sent];
+        }
+        while let (Some(r), Some(link)) = (state.routed.get(state.sent), state.link.as_mut()) {
             match link.send(r.sensor, r.seq, r.time, &r.values) {
                 Ok(LinkReply::Acked) => {
+                    state.progress = Some(r.time);
                     state.sent += 1;
                     state.acked = state.sent;
-                    state.progress = Some(r.time);
                     state.strikes = 0;
                 }
                 Ok(LinkReply::Pipelined) => {
@@ -678,15 +669,12 @@ impl<B: PartitionBackend> Federation<B> {
                     state.unflushed += 1;
                     state.strikes = 0;
                     if state.unflushed >= flush_every {
-                        link.flush().map_err(|e| e.to_string())?;
-                        state.acked = state.sent;
-                        state.unflushed = 0;
-                        state.progress = Some(state.routed[state.acked - 1].time);
+                        state.flush()?;
                     }
                 }
                 Ok(LinkReply::Nacked) => {
                     state.strikes += 1;
-                    if state.strikes >= strikes_cap {
+                    if state.strikes >= STORAGE_STRIKES {
                         return Err(format!(
                             "storage NACK streak ({} consecutive)",
                             state.strikes
@@ -702,31 +690,14 @@ impl<B: PartitionBackend> Federation<B> {
         Ok(())
     }
 
-    /// Like [`Self::drive`], then drains any pipelined window so the
-    /// whole backlog is durable.
-    fn drive_and_flush(&mut self, p: PartitionId) -> Result<(), String> {
-        self.drive(p)?;
-        let state = &mut self.states[p];
-        if state.acked < state.sent {
-            if let Some(link) = state.link.as_mut() {
-                link.flush().map_err(|e| e.to_string())?;
-                state.acked = state.sent;
-                state.unflushed = 0;
-                state.progress = Some(state.routed[state.acked - 1].time);
-            }
-        }
-        Ok(())
-    }
-
     /// Records one missed delivery on `p`: commits `Ok → Suspect`
     /// only once [`FederationConfig::suspect_after`] consecutive
     /// misses accumulate (hysteresis — a single torn connection no
     /// longer triggers fencing churn).
     fn miss(&mut self, p: PartitionId, reason: String) {
-        let threshold = self.config.suspect_after.max(1);
         let state = &mut self.states[p];
         state.miss_streak += 1;
-        if state.miss_streak >= threshold {
+        if state.miss_streak >= self.config.suspect_after.max(1) {
             state.miss_streak = 0;
             self.suspect(p, reason);
         }
@@ -747,15 +718,25 @@ impl<B: PartitionBackend> Federation<B> {
             return;
         }
         state.since_heartbeat = 0;
-        if let Some(link) = state.link.as_mut() {
-            if let Some((_epoch, cursor)) = link.heartbeat() {
-                self.backend.prewarm(p, cursor);
-            }
+        if let Some((_epoch, cursor)) = state.link.as_mut().and_then(|link| link.heartbeat()) {
+            self.backend.prewarm(p, cursor);
         }
     }
 
-    /// Commits `Ok → Suspect` and fences the link. Anything the link
-    /// pipelined but never flushed is no longer known durable.
+    /// Retires `p`'s link: anything it pipelined but never flushed is
+    /// no longer known durable, its wire counters join the partition's
+    /// total, and the backend fences it.
+    fn retire_link(&mut self, p: PartitionId) {
+        let state = &mut self.states[p];
+        state.sent = state.acked;
+        state.unflushed = 0;
+        if let Some(link) = state.link.take() {
+            add_wire(&mut state.wire, link.stats());
+            self.backend.fence(p, link);
+        }
+    }
+
+    /// Commits `Ok → Suspect` and retires the link.
     fn suspect(&mut self, p: PartitionId, reason: String) {
         if self.map.health(p) != PartitionHealth::Ok {
             return;
@@ -766,65 +747,76 @@ impl<B: PartitionBackend> Federation<B> {
             at: self.clock,
             reason,
         });
-        let state = &mut self.states[p];
-        state.sent = state.acked;
-        state.unflushed = 0;
-        if let Some(link) = state.link.take() {
-            add_wire(&mut state.wire, link.stats());
-            self.backend.fence(p, link);
-        }
+        self.retire_link(p);
+    }
+
+    /// Declares `p` dead, with its last durable time on the record,
+    /// and fails it over.
+    fn declare_dead(&mut self, p: PartitionId) {
+        self.events.push(FederationEvent::Dead {
+            partition: p,
+            at: self.clock,
+            last_acked: self.states[p].progress,
+            deadline: self.config.silence_deadline,
+        });
+        self.map.commit_health(p, PartitionHealth::Dead);
+        self.failover(p);
     }
 
     /// Declares suspect partitions dead once the clock outruns their
-    /// progress by more than the silence deadline, and fails them
-    /// over.
+    /// progress by more than the silence deadline.
     fn check_liveness(&mut self) {
         for p in 0..self.map.len() {
-            if self.map.health(p) != PartitionHealth::Suspect {
-                continue;
-            }
-            let last = self.states[p].progress;
-            let silent_for = self.clock.saturating_sub(last.unwrap_or(0));
-            if silent_for > self.config.silence_deadline {
-                self.events.push(FederationEvent::Dead {
-                    partition: p,
-                    at: self.clock,
-                    last_acked: last,
-                    deadline: self.config.silence_deadline,
-                });
-                self.map.commit_health(p, PartitionHealth::Dead);
-                self.failover(p);
+            let silent_for = self
+                .clock
+                .saturating_sub(self.states[p].progress.unwrap_or(0));
+            if self.map.health(p) == PartitionHealth::Suspect
+                && silent_for > self.config.silence_deadline
+            {
+                self.declare_dead(p);
             }
         }
     }
 
+    /// One rung of a start ladder: the capped exponential backoff
+    /// before every retry, the `HandoffAttempt` record, then the
+    /// backend start of `p` at `epoch`. `None` when the start failed.
+    fn start_rung(&mut self, p: PartitionId, attempt: u32, epoch: u64) -> Option<B::Link> {
+        if attempt > 1 {
+            let doubled = BACKOFF_BASE.saturating_mul(1 << (attempt - 2).min(20));
+            std::thread::sleep(doubled.min(BACKOFF_CAP));
+        }
+        self.events.push(FederationEvent::HandoffAttempt {
+            partition: p,
+            attempt,
+            epoch,
+        });
+        self.backend.start(p, epoch).ok()
+    }
+
+    /// Commits `p` `Orphaned` after `attempts` failed handoff attempts,
+    /// with `nacked` unacked readings NACKed on the spot.
+    fn orphan(&mut self, p: PartitionId, attempts: u32, nacked: u64) {
+        self.map.commit_health(p, PartitionHealth::Orphaned);
+        self.events.push(FederationEvent::Orphaned {
+            partition: p,
+            at: self.clock,
+            attempts,
+            nacked,
+        });
+    }
+
     /// Adopts partition `p` on a standby: `Dead → HandingOff`, then
-    /// retry `backend.start` under capped exponential backoff,
+    /// climb the start ladder one epoch past the committed owner,
     /// redelivering the whole routed log on each adopted link (dedup
     /// absorbs the durable prefix). Exhaustion commits `Orphaned`.
     fn failover(&mut self, p: PartitionId) {
         self.map.commit_health(p, PartitionHealth::HandingOff);
-        let policy = self.config.handoff.clone();
-        for attempt in 1..=policy.max_attempts.max(1) {
-            if attempt > 1 {
-                let delay = backoff_delay(
-                    &mut self.rng,
-                    policy.backoff_base,
-                    policy.backoff_cap,
-                    policy.jitter_pct,
-                    attempt - 1,
-                );
-                std::thread::sleep(delay);
-            }
+        let attempts = self.config.handoff_attempts.max(1);
+        for attempt in 1..=attempts {
             let epoch = self.map.epoch(p) + 1;
-            self.events.push(FederationEvent::HandoffAttempt {
-                partition: p,
-                attempt,
-                epoch,
-            });
-            let link = match self.backend.start(p, epoch) {
-                Ok(link) => link,
-                Err(_) => continue,
+            let Some(link) = self.start_rung(p, attempt, epoch) else {
+                continue;
             };
             self.map.commit_owner(p, epoch);
             let state = &mut self.states[p];
@@ -834,42 +826,27 @@ impl<B: PartitionBackend> Federation<B> {
             state.unflushed = 0;
             state.strikes = 0;
             let backlog = state.routed.len() as u64;
-            match self.drive(p) {
-                Ok(()) => {
-                    let state = &mut self.states[p];
-                    state.redelivered += backlog;
-                    state.failovers += 1;
-                    self.map.commit_health(p, PartitionHealth::Ok);
-                    self.events.push(FederationEvent::FailedOver {
-                        partition: p,
-                        at: self.clock,
-                        epoch,
-                        redelivered: backlog,
-                    });
-                    return;
-                }
-                Err(_) => {
-                    let state = &mut self.states[p];
-                    state.redelivered += state.sent as u64;
-                    state.sent = state.acked;
-                    state.unflushed = 0;
-                    if let Some(link) = state.link.take() {
-                        add_wire(&mut state.wire, link.stats());
-                        self.backend.fence(p, link);
-                    }
-                }
+            if self.drive(p).is_ok() {
+                let state = &mut self.states[p];
+                state.redelivered += backlog;
+                state.failovers += 1;
+                self.map.commit_health(p, PartitionHealth::Ok);
+                self.events.push(FederationEvent::FailedOver {
+                    partition: p,
+                    at: self.clock,
+                    epoch,
+                    redelivered: backlog,
+                });
+                return;
             }
+            let state = &mut self.states[p];
+            state.redelivered += state.sent as u64;
+            self.retire_link(p);
         }
-        self.map.commit_health(p, PartitionHealth::Orphaned);
         let state = &mut self.states[p];
         let unacked = (state.routed.len() - state.acked) as u64;
         state.orphan_nacks += unacked;
-        self.events.push(FederationEvent::Orphaned {
-            partition: p,
-            at: self.clock,
-            attempts: policy.max_attempts.max(1),
-            nacked: unacked,
-        });
+        self.orphan(p, attempts, unacked);
     }
 
     /// Settles partition `p` until its whole routed log is durably
@@ -885,7 +862,9 @@ impl<B: PartitionBackend> Federation<B> {
         loop {
             match self.map.health(p) {
                 PartitionHealth::Ok => {
-                    if let Err(reason) = self.drive_and_flush(p) {
+                    // Drive, then drain any pipelined window so the
+                    // whole backlog is durable.
+                    if let Err(reason) = self.drive(p).and_then(|()| self.states[p].flush()) {
                         // Hysteresis applies here too: the loop
                         // re-drives until the streak either heals or
                         // trips the threshold, so `miss` cannot stall.
@@ -898,51 +877,23 @@ impl<B: PartitionBackend> Federation<B> {
                         self.miss(p, stall_reason.to_string());
                         continue;
                     }
-                    let state = &mut self.states[p];
-                    if state.miss_streak > 0 {
-                        state.miss_streak = 0;
-                        state.flaps += 1;
-                    }
+                    self.states[p].heal();
                     return true;
                 }
-                PartitionHealth::Suspect => {
-                    let last = self.states[p].progress;
-                    self.events.push(FederationEvent::Dead {
-                        partition: p,
-                        at: self.clock,
-                        last_acked: last,
-                        deadline: self.config.silence_deadline,
-                    });
-                    self.map.commit_health(p, PartitionHealth::Dead);
-                    self.failover(p);
-                }
-                PartitionHealth::Orphaned => return false,
-                // failover() never returns in these states.
-                PartitionHealth::Dead | PartitionHealth::HandingOff => return false,
+                PartitionHealth::Suspect => self.declare_dead(p),
+                // Orphaned is terminal; failover() never returns in
+                // Dead or HandingOff.
+                _ => return false,
             }
         }
     }
 
-    /// Fences `p`'s current link and drives a fresh failover — the
+    /// Retires `p`'s current link and drives a fresh failover — the
     /// in-migration recovery step when a cut or adopt call dies under
     /// an injected fault. Returns whether `p` came back `Ok`.
     fn revive(&mut self, p: PartitionId) -> bool {
-        let state = &mut self.states[p];
-        state.sent = state.acked;
-        state.unflushed = 0;
-        let last = state.progress;
-        if let Some(link) = state.link.take() {
-            add_wire(&mut state.wire, link.stats());
-            self.backend.fence(p, link);
-        }
-        self.events.push(FederationEvent::Dead {
-            partition: p,
-            at: self.clock,
-            last_acked: last,
-            deadline: self.config.silence_deadline,
-        });
-        self.map.commit_health(p, PartitionHealth::Dead);
-        self.failover(p);
+        self.retire_link(p);
+        self.declare_dead(p);
         self.map.health(p) == PartitionHealth::Ok
     }
 
@@ -954,10 +905,8 @@ impl<B: PartitionBackend> Federation<B> {
     /// success.
     fn cut_range(&mut self, p: PartitionId, range: SensorRange) -> Option<(u64, Vec<u8>)> {
         self.map.commit_health(p, PartitionHealth::HandingOff);
-        let attempts = self.config.handoff.max_attempts.max(1);
-        for _ in 0..attempts {
-            let state = &mut self.states[p];
-            let Some(link) = state.link.as_mut() else {
+        for _ in 0..self.config.handoff_attempts.max(1) {
+            let Some(link) = self.states[p].link.as_mut() else {
                 break;
             };
             match link.migrate_cut(range.start, range.end) {
@@ -983,46 +932,42 @@ impl<B: PartitionBackend> Federation<B> {
         None
     }
 
-    /// Removes every routed reading for `range` from `p`'s log, along
-    /// with the range's sequence allocators (returned for the new
-    /// owner). The drain that precedes every cut guarantees the
-    /// removed entries are durably acked, and the cut retires the
-    /// range on the source — leaving them in the log would make a
-    /// later failover redeliver readings the source now NACKs as
-    /// fenced, wedging the partition in a NACK-streak loop.
-    fn prune_routed(&mut self, p: PartitionId, range: SensorRange) -> Vec<(SensorId, u64)> {
-        let state = &mut self.states[p];
-        state
-            .routed
-            .retain(|r| !(range.start <= r.sensor.0 && r.sensor.0 < range.end));
+    /// Removes every routed reading of the moving range from the
+    /// source's log, then cuts the range there. The drain that precedes
+    /// every cut guarantees the removed entries are durably acked, and
+    /// the cut retires the range on the source — leaving them in the
+    /// log would make a later failover redeliver readings the source
+    /// now NACKs as fenced, wedging the partition in a NACK-streak loop.
+    ///
+    /// The range's sequence counters go to the destination with a
+    /// landed cut: a moved sensor's numbers continue where the source's
+    /// stopped. A failed cut hands them back and records the abort.
+    fn cut_over(&mut self, m: RangeMove) -> Option<(u64, Vec<u8>)> {
+        let state = &mut self.states[m.source];
+        state.routed.retain(|r| !m.range.contains(r.sensor));
         state.sent = state.routed.len();
         state.acked = state.routed.len();
         state.unflushed = 0;
-        let moved: Vec<(SensorId, u64)> = state
+        let mut moved = state.seq_next.split_off(&SensorId(m.range.start));
+        state
             .seq_next
-            .iter()
-            .filter(|(s, _)| range.start <= s.0 && s.0 < range.end)
-            .map(|(s, n)| (*s, *n))
-            .collect();
-        for (s, _) in &moved {
-            state.seq_next.remove(s);
+            .append(&mut moved.split_off(&SensorId(m.range.end)));
+        let staged = self.cut_range(m.source, m.range);
+        let owner = if staged.is_some() { m.dest } else { m.source };
+        self.states[owner].seq_next.append(&mut moved);
+        if staged.is_none() {
+            self.abort_migration(m, "source exhausted every cut attempt");
         }
-        moved
+        staged
     }
 
     /// Counts and records a migration that did not complete.
-    fn abort_migration(
-        &mut self,
-        source: PartitionId,
-        dest: PartitionId,
-        range: SensorRange,
-        reason: &str,
-    ) {
+    fn abort_migration(&mut self, m: RangeMove, reason: &str) {
         self.migrations_aborted += 1;
         self.events.push(FederationEvent::MigrationAborted {
-            source,
-            dest,
-            range,
+            source: m.source,
+            dest: m.dest,
+            range: m.range,
             at: self.clock,
             reason: reason.into(),
         });
@@ -1031,23 +976,50 @@ impl<B: PartitionBackend> Federation<B> {
     /// The abort past the durable cut: no destination adopted the
     /// payload, so `orphaned` — the partition holding the moved range
     /// — orphans first; its readings NACK and are counted.
-    fn orphan_and_abort(
-        &mut self,
-        orphaned: PartitionId,
-        attempts: u32,
-        source: PartitionId,
-        dest: PartitionId,
-        range: SensorRange,
-    ) {
-        self.map.commit_health(orphaned, PartitionHealth::Orphaned);
-        self.events.push(FederationEvent::Orphaned {
-            partition: orphaned,
+    fn orphan_and_abort(&mut self, m: RangeMove, orphaned: PartitionId, attempts: u32) {
+        self.orphan(orphaned, attempts, 0);
+        self.abort_migration(m, "destination exhausted every adopt attempt after the cut");
+    }
+
+    /// Opens a migration: records `MigrationStarted`, then settles each
+    /// partition in `drain` (`None`: there is nothing to move). Returns
+    /// whether the cut may go ahead; if not, the abort is recorded with
+    /// `why`.
+    fn open_migration(&mut self, m: RangeMove, drain: Option<&[PartitionId]>, why: &str) -> bool {
+        self.events.push(FederationEvent::MigrationStarted {
+            source: m.source,
+            dest: m.dest,
+            range: m.range,
             at: self.clock,
-            attempts,
-            nacked: 0,
         });
-        let reason = "destination exhausted every adopt attempt after the cut";
-        self.abort_migration(source, dest, range, reason);
+        self.migrations_started += 1;
+        let drained = drain.is_some_and(|parts| {
+            parts
+                .iter()
+                .all(|&q| self.settle(q, "unacked backlog at migration drain"))
+        });
+        if !drained {
+            self.abort_migration(m, why);
+        }
+        drained
+    }
+
+    /// Closes a committed migration: tells the source its staged
+    /// outbox copy may go (best-effort — the destination holds the
+    /// payload durably), then counts and records the completion.
+    fn close_migration(&mut self, m: RangeMove, cursor: u64, epoch: u64) {
+        if let Some(link) = self.states[m.source].link.as_mut() {
+            let _ = link.migrate_done(m.range.start, m.range.end, cursor);
+        }
+        self.migrations_completed += 1;
+        self.events.push(FederationEvent::MigrationCompleted {
+            source: m.source,
+            dest: m.dest,
+            range: m.range,
+            at: self.clock,
+            cursor,
+            epoch,
+        });
     }
 
     /// Runs a triggered split migration: quiesce the moving sub-range
@@ -1059,39 +1031,23 @@ impl<B: PartitionBackend> Federation<B> {
     /// after it roll forward or orphan the moved range — acked
     /// readings are never silently dropped either way.
     fn run_split(&mut self, p: PartitionId, at: SensorId) {
-        let range = self.map.range(p);
-        let moved_range = SensorRange {
-            start: at.0,
-            end: range.end,
-        };
-        let dest_would_be = self.map.len();
-        self.events.push(FederationEvent::MigrationStarted {
+        let end = self.map.range(p).end;
+        // `split_at` appends: the new partition's id is today's length.
+        let m = RangeMove {
             source: p,
-            dest: dest_would_be,
-            range: moved_range,
-            at: self.clock,
-        });
-        self.migrations_started += 1;
-        if !self.settle(p, "unacked backlog at migration drain") {
-            self.abort_migration(
-                p,
-                dest_would_be,
-                moved_range,
-                "source could not drain its backlog",
-            );
+            dest: self.map.len(),
+            range: SensorRange { start: at.0, end },
+        };
+        if !self.open_migration(m, Some(&[p]), "source could not drain its backlog") {
             return;
         }
         let q = match self.map.split_at(p, at) {
             Ok(q) => q,
-            Err(e) => {
-                self.abort_migration(p, dest_would_be, moved_range, &e.to_string());
-                return;
-            }
+            Err(e) => return self.abort_migration(m, &e.to_string()),
         };
         self.states.push(PartitionState::new());
         self.map.commit_health(q, PartitionHealth::HandingOff);
-        let moved_seqs = self.prune_routed(p, moved_range);
-        let Some((cursor, snapshot)) = self.cut_range(p, moved_range) else {
+        let Some((cursor, snapshot)) = self.cut_over(m) else {
             // Pre-adopt abort: give the range back to the source.
             // If a cut attempt partially committed before the source
             // orphaned, the range NACKs there — counted, never silent.
@@ -1099,74 +1055,33 @@ impl<B: PartitionBackend> Federation<B> {
             // so the halves are adjacent by construction.
             self.map.transfer(q, p).unwrap();
             self.map.commit_health(q, PartitionHealth::Ok);
-            let state = &mut self.states[p];
-            for (s, n) in moved_seqs {
-                state.seq_next.insert(s, n);
-            }
-            self.abort_migration(p, q, moved_range, "source exhausted every cut attempt");
             return;
         };
-        for (s, n) in moved_seqs {
-            self.states[q].seq_next.insert(s, n);
-        }
         // Fresh-destination ladder: attempt k starts the new owner at
         // epoch k, so a half-adopted attempt can never race its
         // successor for the new partition's WAL directory.
-        let policy = self.config.handoff.clone();
-        let attempts = policy.max_attempts.max(1);
-        let mut adopted = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                let delay = backoff_delay(
-                    &mut self.rng,
-                    policy.backoff_base,
-                    policy.backoff_cap,
-                    policy.jitter_pct,
-                    attempt - 1,
-                );
-                std::thread::sleep(delay);
-            }
+        let attempts = self.config.handoff_attempts.max(1);
+        let adopted = (1..=attempts).find_map(|attempt| {
             let epoch = u64::from(attempt);
-            self.events.push(FederationEvent::HandoffAttempt {
-                partition: q,
-                attempt,
-                epoch,
-            });
-            let mut link = match self.backend.start(q, epoch) {
-                Ok(link) => link,
-                Err(_) => continue,
-            };
-            match link.migrate_adopt(moved_range.start, moved_range.end, cursor, &snapshot) {
-                Ok(()) => {
-                    adopted = Some((link, epoch));
-                    break;
+            let mut link = self.start_rung(q, attempt, epoch)?;
+            match link.migrate_adopt(at.0, end, cursor, &snapshot) {
+                Ok(()) => Some((link, epoch)),
+                Err(_) => {
+                    self.backend.fence(q, link);
+                    None
                 }
-                Err(_) => self.backend.fence(q, link),
             }
-        }
+        });
         let Some((link, epoch)) = adopted else {
             // Roll-forward failed past the durable cut: the moved
             // range orphans — its readings NACK and are counted.
-            self.orphan_and_abort(q, attempts, p, q, moved_range);
+            self.orphan_and_abort(m, q, attempts);
             return;
         };
         self.map.commit_owner(q, epoch);
         self.states[q].link = Some(link);
         self.map.commit_health(q, PartitionHealth::Ok);
-        if let Some(link) = self.states[p].link.as_mut() {
-            // Best-effort: the destination holds the payload durably,
-            // so the source's staged outbox copy may be dropped.
-            let _ = link.migrate_done(moved_range.start, moved_range.end, cursor);
-        }
-        self.migrations_completed += 1;
-        self.events.push(FederationEvent::MigrationCompleted {
-            source: p,
-            dest: q,
-            range: moved_range,
-            at: self.clock,
-            cursor,
-            epoch,
-        });
+        self.close_migration(m, cursor, epoch);
     }
 
     /// Runs a triggered rebalance migration: move the source's whole
@@ -1184,45 +1099,28 @@ impl<B: PartitionBackend> Federation<B> {
             .or_else(|| {
                 (0..self.map.len()).find(|&d| d != p && self.map.range(d).start == range.end)
             });
-        let Some(d) = dest else {
-            self.abort_migration(p, p, range, "no adjacent partition to rebalance into");
-            return;
-        };
-        self.events.push(FederationEvent::MigrationStarted {
+        let m = RangeMove {
             source: p,
-            dest: d,
+            dest: dest.unwrap_or(p), // no neighbour: the abort names p twice
             range,
-            at: self.clock,
-        });
-        self.migrations_started += 1;
-        if range.is_empty()
-            || !self.settle(p, "unacked backlog at migration drain")
-            || !self.settle(d, "unacked backlog at migration drain")
-        {
-            self.abort_migration(
-                p,
-                d,
-                range,
-                "source or destination could not drain its backlog",
-            );
-            return;
-        }
-        let moved_seqs = self.prune_routed(p, range);
-        let Some((cursor, snapshot)) = self.cut_range(p, range) else {
-            let state = &mut self.states[p];
-            for (s, n) in moved_seqs {
-                state.seq_next.insert(s, n);
-            }
-            self.abort_migration(p, d, range, "source exhausted every cut attempt");
+        };
+        let Some(d) = dest else {
+            self.abort_migration(m, "no adjacent partition to rebalance into");
             return;
         };
-        for (s, n) in moved_seqs {
-            self.states[d].seq_next.insert(s, n);
+        let both = [p, d];
+        let drain = (!range.is_empty()).then_some(&both[..]);
+        let why = "source or destination could not drain its backlog";
+        if !self.open_migration(m, drain, why) {
+            return;
         }
+        let Some((cursor, snapshot)) = self.cut_over(m) else {
+            return;
+        };
         // Live-destination ladder: the adopt merges into d's running
         // collector; a failure revives d through the ordinary
         // failover machine (escalating its epoch) and retries.
-        let attempts = self.config.handoff.max_attempts.max(1);
+        let attempts = self.config.handoff_attempts.max(1);
         let mut adopted = false;
         for _ in 0..attempts {
             if self.map.health(d) != PartitionHealth::Ok {
@@ -1247,24 +1145,13 @@ impl<B: PartitionBackend> Federation<B> {
             // Past the durable cut with no adopter: the moved range
             // orphans at the source — NACKed and counted, not lost
             // (the staged outbox still holds the payload).
-            self.orphan_and_abort(p, attempts, p, d, range);
+            self.orphan_and_abort(m, p, attempts);
             return;
         }
         // sentinet-allow(unwrap-used): adjacency was how `d` was
         // chosen, and neither range moved since.
         self.map.transfer(p, d).unwrap();
-        if let Some(link) = self.states[p].link.as_mut() {
-            let _ = link.migrate_done(range.start, range.end, cursor);
-        }
-        self.migrations_completed += 1;
-        self.events.push(FederationEvent::MigrationCompleted {
-            source: p,
-            dest: d,
-            range,
-            at: self.clock,
-            cursor,
-            epoch: self.map.epoch(d),
-        });
+        self.close_migration(m, cursor, self.map.epoch(d));
     }
 
     /// Ends the stream: settles every partition (draining backlogs,

@@ -218,41 +218,57 @@ impl InProcessLink {
         }
     }
 
-    /// Fires a pending drilled kill/hang once its admitted-records
-    /// coordinate has been reached. Sends and migration steps share
-    /// this check, so a fault armed between two sends lands on
-    /// whichever protocol step runs next — including a cut or adopt.
-    fn fire_armed(&mut self) -> Result<(), LinkDown> {
-        if let Some((at, fault)) = self.armed {
-            if self.delivered >= at {
-                self.armed = None;
-                match fault {
-                    // Process death: in-memory state gone, WAL stays.
-                    CollectorFault::Kill => self.collector = None,
-                    // Wedged: alive but mute until fenced.
-                    CollectorFault::Hang => self.wedged = true,
-                    CollectorFault::Poison => {}
-                }
-                return Err(LinkDown(format!(
-                    "drill {fault:?} after {at} admitted reading(s)"
-                )));
+    /// The gate every link step passes, in order:
+    /// 1. a pending drilled kill/hang fires once its admitted-records
+    ///    coordinate is reached (`drilled` steps only), so a fault armed
+    ///    between two sends lands on whichever step runs next — a cut
+    ///    or adopt included;
+    /// 2. a wedged collector refuses;
+    /// 3. the step consumes one unit of any open shaping window and is
+    ///    counted;
+    /// 4. a `Partition` window loses the request (`lost` names it);
+    /// 5. a gone collector refuses.
+    ///
+    /// Returns the step's shaping and the live collector.
+    fn gate(
+        &mut self,
+        drilled: bool,
+        lost: &str,
+    ) -> Result<(Option<NetFault>, &mut Collector), LinkDown> {
+        let delivered = self.delivered;
+        if let Some((at, fault)) = self.armed.filter(|&(at, _)| drilled && delivered >= at) {
+            self.armed = None;
+            match fault {
+                // Process death: in-memory state gone, WAL stays.
+                CollectorFault::Kill => self.collector = None,
+                // Wedged: alive but mute until fenced.
+                CollectorFault::Hang => self.wedged = true,
+                CollectorFault::Poison => {}
             }
+            return Err(LinkDown(format!(
+                "drill {fault:?} after {at} admitted reading(s)"
+            )));
         }
-        Ok(())
-    }
-
-    /// The net fault shaping this send, if any window is open. Each
-    /// shaped send consumes one unit of its window's span.
-    fn shaping(&mut self) -> Option<NetFault> {
+        if self.wedged {
+            return Err(LinkDown("collector is wedged".into()));
+        }
         let handled = self.handled;
-        self.net.iter_mut().find_map(|d| {
+        let shaped = self.net.iter_mut().find_map(|d| {
             if handled >= d.after && d.remaining > 0 {
                 d.remaining -= 1;
                 Some(d.fault)
             } else {
                 None
             }
-        })
+        });
+        self.handled += 1;
+        if shaped == Some(NetFault::Partition) {
+            return Err(LinkDown(format!("net partition: {lost} lost")));
+        }
+        match self.collector.as_mut() {
+            Some(collector) => Ok((shaped, collector)),
+            None => Err(LinkDown("collector process is gone".into())),
+        }
     }
 }
 
@@ -264,20 +280,10 @@ impl PartitionLink for InProcessLink {
         time: Timestamp,
         values: &[f64],
     ) -> Result<LinkReply, LinkDown> {
-        self.fire_armed()?;
-        if self.wedged {
-            return Err(LinkDown("collector is wedged".into()));
-        }
-        let shaped = self.shaping();
-        self.handled += 1;
-        if shaped == Some(NetFault::Partition) {
-            // The send is lost in the network; the collector itself
-            // stays alive — the canonical zombie-writer setup.
-            return Err(LinkDown("net partition: send lost".into()));
-        }
-        if self.collector.is_none() {
-            return Err(LinkDown("collector process is gone".into()));
-        }
+        // A partition window loses the send in the network; the
+        // collector itself stays alive — the canonical zombie-writer
+        // setup.
+        let (shaped, _) = self.gate(true, "send")?;
         if self.pipelined {
             match shaped {
                 // No per-reading ack exists to lose or duplicate in
@@ -399,18 +405,7 @@ impl PartitionLink for InProcessLink {
         // as to sends: a kill armed between two sends lands here, a
         // partition window swallows the offer before the cut runs —
         // request lost, never half-cut.
-        self.fire_armed()?;
-        if self.wedged {
-            return Err(LinkDown("collector is wedged".into()));
-        }
-        let shaped = self.shaping();
-        self.handled += 1;
-        if shaped == Some(NetFault::Partition) {
-            return Err(LinkDown("net partition: migrate offer lost".into()));
-        }
-        let Some(collector) = self.collector.as_mut() else {
-            return Err(LinkDown("collector process is gone".into()));
-        };
+        let (_, collector) = self.gate(true, "migrate offer")?;
         match collector.export_range(start..end) {
             Ok((inside, cursor)) => Ok((cursor, encode_collector(&inside).into_bytes())),
             Err(e) => Err(LinkDown(e.to_string())),
@@ -424,18 +419,7 @@ impl PartitionLink for InProcessLink {
         cursor: u64,
         snapshot: &[u8],
     ) -> Result<(), LinkDown> {
-        self.fire_armed()?;
-        if self.wedged {
-            return Err(LinkDown("collector is wedged".into()));
-        }
-        let shaped = self.shaping();
-        self.handled += 1;
-        if shaped == Some(NetFault::Partition) {
-            return Err(LinkDown("net partition: migrate accept lost".into()));
-        }
-        let Some(collector) = self.collector.as_mut() else {
-            return Err(LinkDown("collector process is gone".into()));
-        };
+        let (_, collector) = self.gate(true, "migrate accept")?;
         let text = String::from_utf8(snapshot.to_vec()).map_err(|e| LinkDown(e.to_string()))?;
         let snap = decode_collector(&text).map_err(|e| LinkDown(e.to_string()))?;
         collector
@@ -444,17 +428,9 @@ impl PartitionLink for InProcessLink {
     }
 
     fn migrate_done(&mut self, start: u16, end: u16, _cursor: u64) -> Result<(), LinkDown> {
-        if self.wedged {
-            return Err(LinkDown("collector is wedged".into()));
-        }
-        let shaped = self.shaping();
-        self.handled += 1;
-        if shaped == Some(NetFault::Partition) {
-            return Err(LinkDown("net partition: migrate done lost".into()));
-        }
-        let Some(collector) = self.collector.as_ref() else {
-            return Err(LinkDown("collector process is gone".into()));
-        };
+        // The best-effort cleanup never fires an armed drill: that
+        // waits for the next send, cut or adopt.
+        let (_, collector) = self.gate(false, "migrate done")?;
         collector.clear_outbox(start..end);
         Ok(())
     }

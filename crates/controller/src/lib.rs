@@ -47,8 +47,8 @@ pub mod report;
 
 pub use chaos::{CollectorFault, DrillFault, DrillPlan, NetDrill, NetFault};
 pub use federation::{
-    replay_report, BackendError, Federation, FederationConfig, FederationError, HandoffPolicy,
-    LinkDown, LinkReply, MigrationKind, PartitionBackend, PartitionLink,
+    replay_report, BackendError, Federation, FederationConfig, FederationError, LinkDown,
+    LinkReply, MigrationKind, PartitionBackend, PartitionLink,
 };
 pub use inproc::{InProcessBackend, InProcessLink, Zombie};
 pub use nemesis::{run_campaign, CampaignSummary, NemesisConfig, NemesisFailure, NemesisViolation};

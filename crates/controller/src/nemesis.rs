@@ -37,7 +37,7 @@
 
 use crate::chaos::{CollectorFault, DrillFault, DrillPlan, NetDrill, NetFault};
 use crate::federation::{replay_report, Federation, FederationConfig};
-use crate::inproc::InProcessBackend;
+use crate::inproc::{InProcessBackend, Zombie};
 use crate::partition::{PartitionHealth, PartitionMap, SensorRange};
 use crate::report::FederationEvent;
 use rand::rngs::StdRng;
@@ -437,6 +437,26 @@ fn schedule_migrations(fed: &mut Federation<InProcessBackend>, config: &NemesisC
     fed.schedule_rebalance(config.partitions, (per_partition / 6) as usize);
 }
 
+/// Pokes a fenced old owner with one fresh append. `Ok(true)`: epoch
+/// fencing rejected it. `Ok(false)`: refused for another reason — a
+/// poisoned or shedding zombie cannot append either, a safe (if
+/// accidental) stop. An admitted append is a split-brain.
+fn probe(
+    z: &mut Zombie,
+    owner_epoch: u64,
+    (sensor, seq, time, values): (SensorId, u64, u64, Vec<f64>),
+) -> Result<bool, NemesisViolation> {
+    match z.collector.deliver(sensor, seq, time, values) {
+        Ok(DeliverOutcome::Rejected(cause)) => Ok(cause == RejectCause::Fenced),
+        Err(_) => Ok(false),
+        Ok(_) => Err(NemesisViolation::SplitBrain {
+            partition: z.partition,
+            zombie_epoch: z.epoch,
+            owner_epoch,
+        }),
+    }
+}
+
 /// First line where `baseline` and `got` differ, for a failure
 /// message that triages without dumping two full reports.
 fn first_diff(baseline: &str, got: &str) -> String {
@@ -615,27 +635,9 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
             let range = fleet.partitions[z.partition].range;
             let seq = config.ticks + 1000 + i as u64;
             let time = 300 * (config.ticks + 50);
-            match z
-                .collector
-                .deliver(SensorId(range.start), seq, time, vec![21.0, 55.0])
-            {
-                Ok(DeliverOutcome::Rejected(RejectCause::Fenced)) => {
-                    summary.fence_probe_rejects += 1;
-                }
-                // A poisoned or shedding zombie cannot append either;
-                // that is a safe (if accidental) stop.
-                Ok(DeliverOutcome::Rejected(_)) | Err(_) => {}
-                Ok(_) => {
-                    return Err(fail(
-                        episode,
-                        ep_seed,
-                        NemesisViolation::SplitBrain {
-                            partition: z.partition,
-                            zombie_epoch: z.epoch,
-                            owner_epoch,
-                        },
-                    ));
-                }
+            let reading = (SensorId(range.start), seq, time, vec![21.0, 55.0]);
+            if probe(&mut z, owner_epoch, reading).map_err(|v| fail(episode, ep_seed, v))? {
+                summary.fence_probe_rejects += 1;
             }
             // The cut probe: if this zombie exported or adopted a
             // migrated range while it owned the partition, a sensor
@@ -649,25 +651,9 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
                 summary.cut_probes += 1;
                 let seq = config.ticks + 2000 + i as u64 * 16 + j as u64;
                 let time = 300 * (config.ticks + 60);
-                match z
-                    .collector
-                    .deliver(SensorId(moved_range.start), seq, time, vec![22.0, 57.0])
-                {
-                    Ok(DeliverOutcome::Rejected(RejectCause::Fenced)) => {
-                        summary.cut_probe_rejects += 1;
-                    }
-                    Ok(DeliverOutcome::Rejected(_)) | Err(_) => {}
-                    Ok(_) => {
-                        return Err(fail(
-                            episode,
-                            ep_seed,
-                            NemesisViolation::SplitBrain {
-                                partition: z.partition,
-                                zombie_epoch: z.epoch,
-                                owner_epoch,
-                            },
-                        ));
-                    }
+                let reading = (SensorId(moved_range.start), seq, time, vec![22.0, 57.0]);
+                if probe(&mut z, owner_epoch, reading).map_err(|v| fail(episode, ep_seed, v))? {
+                    summary.cut_probe_rejects += 1;
                 }
             }
             probed.push(z.partition);

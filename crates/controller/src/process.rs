@@ -100,6 +100,20 @@ pub struct ProcessLink {
     handed: u64,
 }
 
+impl ProcessLink {
+    /// Counts one step handed to the child. The SIGKILL drill fires on
+    /// the step its coordinate reaches, a send or a migration step
+    /// alike.
+    fn hand_step(&mut self) {
+        if self.kill_after == Some(self.handed) {
+            self.kill_after = None;
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+        self.handed += 1;
+    }
+}
+
 impl PartitionLink for ProcessLink {
     fn send(
         &mut self,
@@ -108,25 +122,16 @@ impl PartitionLink for ProcessLink {
         time: Timestamp,
         values: &[f64],
     ) -> Result<LinkReply, LinkDown> {
-        if self.kill_after == Some(self.handed) {
-            self.kill_after = None;
-            // The drill: SIGKILL the owner mid-stream. The send below
-            // (or a later flush) exhausts its retries against the
-            // dead endpoint and reports the link down.
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-        }
-        self.handed += 1;
+        // The send below (or a later flush) exhausts its retries
+        // against a drilled dead endpoint and reports the link down.
+        self.hand_step();
         match &mut self.uplink {
             ChildUplink::V1(uplink) => match uplink.send_at(sensor, seq, time, values) {
                 Ok(()) => Ok(LinkReply::Acked),
                 Err(e) => Err(LinkDown(e.to_string())),
             },
-            ChildUplink::V2(uplink) => match uplink.send(sensor, time, values) {
-                // A fresh v2 uplink numbers each sensor from 0 in
-                // send order — identical to the controller's routed-
-                // log numbering, so `seq` needs no plumbing here.
-                Ok(_) => Ok(LinkReply::Pipelined),
+            ChildUplink::V2(uplink) => match uplink.send_at(sensor, seq, time, values) {
+                Ok(()) => Ok(LinkReply::Pipelined),
                 Err(e) => Err(LinkDown(e.to_string())),
             },
         }
@@ -154,15 +159,9 @@ impl PartitionLink for ProcessLink {
     }
 
     fn migrate_cut(&mut self, start: u16, end: u16) -> Result<(u64, Vec<u8>), LinkDown> {
-        // The SIGKILL drill fires on migration steps exactly as on
-        // sends: a coordinate reached between two sends lands on the
-        // cut — the kill-source-mid-handoff drill.
-        if self.kill_after == Some(self.handed) {
-            self.kill_after = None;
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-        }
-        self.handed += 1;
+        // A kill coordinate reached between two sends lands on the cut
+        // — the kill-source-mid-handoff drill.
+        self.hand_step();
         // Like the heartbeat, migration steps ride dedicated probe
         // connections: the data socket may be mid-batch, and a dead
         // child simply times the probe out.
@@ -179,12 +178,7 @@ impl PartitionLink for ProcessLink {
     ) -> Result<(), LinkDown> {
         // A kill coordinate of 0 on a freshly adopted destination
         // fires here — the kill-destination-mid-adopt drill.
-        if self.kill_after == Some(self.handed) {
-            self.kill_after = None;
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-        }
-        self.handed += 1;
+        self.hand_step();
         probe_migrate_adopt(
             &self.addr,
             start,

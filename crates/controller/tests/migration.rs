@@ -14,7 +14,8 @@
 
 use sentinet_controller::{
     CollectorFault, DrillFault, DrillPlan, Federation, FederationConfig, FederationError,
-    FederationEvent, InProcessBackend, PartitionHealth, PartitionMap, SensorRange,
+    FederationEvent, InProcessBackend, NetDrill, NetFault, PartitionHealth, PartitionMap,
+    SensorRange,
 };
 use sentinet_gateway::GatewayConfig;
 use sentinet_sim::SensorId;
@@ -158,6 +159,51 @@ fn kill_source_at_the_cut_matches_the_uninterrupted_migration_run() {
         })
     };
     assert_eq!(cursor_of(&fleet), cursor_of(&base));
+    assert!(!fleet.degraded());
+}
+
+#[test]
+fn a_lost_first_adopt_climbs_the_fresh_ladder_to_epoch_2() {
+    let split = |fed: &mut Federation<InProcessBackend>| {
+        fed.schedule_split(0, SensorId(1), 30).expect("valid split");
+    };
+    let base = run_fleet(&tmproot("ladder-base"), 1, DrillPlan::new(), split);
+    // Partition 2 is the split's new partition: a one-step network
+    // partition on its epoch-1 link loses the very first adopt.
+    let drill = DrillPlan::new().with_net(NetDrill {
+        partition: 2,
+        after_records: 0,
+        span: 1,
+        fault: NetFault::Partition,
+    });
+    let fleet = run_fleet(&tmproot("ladder-lost-adopt"), 1, drill, split);
+
+    let rungs: Vec<(u32, u64)> = fleet
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            FederationEvent::HandoffAttempt {
+                partition: 2,
+                attempt,
+                epoch,
+            } => Some((*attempt, *epoch)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rungs, [(1, 1), (2, 2)], "attempt k starts epoch k");
+    let completed_at = fleet.events.iter().find_map(|e| match e {
+        FederationEvent::MigrationCompleted { dest: 2, epoch, .. } => Some(*epoch),
+        _ => None,
+    });
+    assert_eq!(completed_at, Some(2), "the second rung adopted");
+    assert_eq!(fleet.partitions[2].epoch, 2);
+    assert_eq!(fleet.counters.migrations_completed, 1);
+    assert_eq!(fleet.counters.migrations_aborted, 0);
+    assert_eq!(
+        fleet.render_diagnosis(),
+        base.render_diagnosis(),
+        "a lost adopt + retry must reproduce the undrilled migration diagnosis"
+    );
     assert!(!fleet.degraded());
 }
 

@@ -25,7 +25,9 @@
 //!
 //! [`SensorUplink::send_at`] exposes the raw `(seq, …)` coordinate so
 //! the network simulator can inject duplicates and reordering through
-//! the real client path.
+//! the real client path; [`PipelinedUplink::send_at`] lets the
+//! federation tier carry its routed sequence numbers, which continue
+//! across a migration, over a fresh v2 uplink.
 
 use crate::frame::{
     encode_batch_payload, encode_frame, frame_with, FrameBuffer, Message, ReadingArena,
@@ -259,13 +261,15 @@ impl SensorUplink {
                 self.backoff(attempt);
             }
             if self.attempt(&frame, |msg| match msg {
-                Message::Ack { sensor: s, seq: q } if *s == sensor && *q == seq => Reply::Acked,
+                Message::Ack { sensor: s, seq: q } if (s, q) == (sensor, seq) => Some(Reply::Acked),
                 // A NACK means the server is alive but refused the
                 // record (poisoned storage or budget shedding): fail
                 // the attempt now instead of waiting out the ack
                 // deadline, and let backoff pace the re-offer.
-                Message::Nack { sensor: s, seq: q } if *s == sensor && *q == seq => Reply::Nacked,
-                _ => Reply::Unrelated,
+                Message::Nack { sensor: s, seq: q } if (s, q) == (sensor, seq) => {
+                    Some(Reply::Nacked)
+                }
+                _ => None,
             }) {
                 return Ok(());
             }
@@ -288,7 +292,7 @@ impl SensorUplink {
         let frame = encode_frame(&Message::Heartbeat {
             epoch: self.config.epoch,
         });
-        let reply = std::cell::Cell::new(None);
+        let mut reply = None;
         for attempt in 0..self.config.max_attempts {
             if attempt > 0 {
                 self.backoff(attempt);
@@ -298,12 +302,12 @@ impl SensorUplink {
                     epoch,
                     checkpoint_cursor,
                 } => {
-                    reply.set(Some((*epoch, *checkpoint_cursor)));
-                    Reply::Acked
+                    reply = Some((epoch, checkpoint_cursor));
+                    Some(Reply::Acked)
                 }
-                _ => Reply::Unrelated,
+                _ => None,
             }) {
-                return reply.get();
+                return reply;
             }
         }
         None
@@ -321,10 +325,7 @@ impl SensorUplink {
             if attempt > 0 {
                 self.backoff(attempt);
             }
-            if self.attempt(&frame, |msg| match msg {
-                Message::FinAck => Reply::Acked,
-                _ => Reply::Unrelated,
-            }) {
+            if self.attempt(&frame, fin_ack) {
                 if let Some((stream, _)) = self.conn.take() {
                     let _ = stream.shutdown();
                 }
@@ -340,7 +341,7 @@ impl SensorUplink {
     /// message `classify` marks as the ack or nack. Returns `false` on
     /// nack or timeout (keeping the connection) or I/O error (dropping
     /// it so the next attempt redials).
-    fn attempt(&mut self, frame: &[u8], classify: impl Fn(&Message) -> Reply) -> bool {
+    fn attempt(&mut self, frame: &[u8], classify: impl FnMut(Message) -> Option<Reply>) -> bool {
         if !self.ensure_connected() {
             return false;
         }
@@ -352,28 +353,28 @@ impl SensorUplink {
             &mut stream,
             &mut fb,
             frame,
-            &classify,
+            classify,
             self.config.ack_timeout,
         ) {
-            Attempt::Acked => {
+            Ok(Reply::Acked) => {
                 self.stats.acked += 1;
                 self.conn = Some((stream, fb));
                 true
             }
-            Attempt::Timeout => {
+            Err(NoReply::Timeout) => {
                 // The server is slow: keep the connection, the
                 // retransmit rides the same stream.
                 self.stats.timeouts += 1;
                 self.conn = Some((stream, fb));
                 false
             }
-            Attempt::Nacked => {
+            Ok(Reply::Nacked) => {
                 // Alive but refusing; same connection, paced re-offer.
                 self.stats.nacks += 1;
                 self.conn = Some((stream, fb));
                 false
             }
-            Attempt::Broken => {
+            Err(NoReply::Broken) => {
                 let _ = stream.shutdown();
                 false
             }
@@ -384,15 +385,6 @@ impl SensorUplink {
         if self.conn.is_some() {
             return true;
         }
-        let Ok(stream) = Stream::connect(&self.config.connect) else {
-            return false;
-        };
-        // Read in short slices so the ack deadline stays responsive.
-        let per_read = (self.config.ack_timeout / 4).max(Duration::from_millis(10));
-        if stream.set_read_timeout(Some(per_read)).is_err() {
-            return false;
-        }
-        let mut stream = stream;
         // The stop-and-wait client speaks v1 on the wire forever: its
         // bytes (and its per-frame ack discipline) must stay exactly
         // what v1 servers and the crash-recovery tests pinned down.
@@ -400,9 +392,9 @@ impl SensorUplink {
             version: PROTOCOL_V1,
             epoch: self.config.epoch,
         });
-        if stream.write_all(&hello).is_err() {
+        let Some(stream) = dial(&self.config.connect, self.config.ack_timeout, &hello) else {
             return false;
-        }
+        };
         if self.ever_connected {
             self.stats.reconnects += 1;
         }
@@ -419,64 +411,44 @@ impl SensorUplink {
     }
 }
 
-/// Capped exponential backoff delay: `min(cap, base · 2^(attempt−1))`
-/// plus up to `jitter_pct`% of that, drawn from the seeded `rng`.
-///
-/// Public so the controller tier can reuse the exact same retry
-/// arithmetic for failover/handoff attempts — one backoff policy
-/// across the whole transport stack, every knob configurable.
-pub fn backoff_delay(
-    rng: &mut StdRng,
-    base: Duration,
-    cap: Duration,
-    jitter_pct: u32,
-    attempt: u32,
-) -> Duration {
-    let base = base.as_millis() as u64;
-    let cap = cap.as_millis() as u64;
-    let exp = base.saturating_mul(1u64 << attempt.saturating_sub(1).min(20));
-    let delay = exp.min(cap);
-    let ceiling = delay.saturating_mul(u64::from(jitter_pct.min(100))) / 100;
+/// Sleeps the uplink's capped exponential backoff, `min(cap, base ·
+/// 2^(attempt−1))`, plus up to `jitter_pct`% of that drawn from the
+/// seeded `rng` — shared by both clients.
+fn backoff_sleep(rng: &mut StdRng, config: &UplinkConfig, attempt: u32) {
+    let base = config.backoff_base.as_millis() as u64;
+    let cap = config.backoff_cap.as_millis() as u64;
+    let delay = base
+        .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
+        .min(cap);
+    let ceiling = delay.saturating_mul(u64::from(config.jitter_pct.min(100))) / 100;
     let jitter = if ceiling > 0 {
         rng.gen_range(0..ceiling + 1)
     } else {
         0
     };
-    Duration::from_millis(delay + jitter)
+    std::thread::sleep(Duration::from_millis(delay + jitter));
 }
 
-/// Sleeps for [`backoff_delay`] under the uplink's backoff knobs —
-/// shared by both clients.
-fn backoff_sleep(rng: &mut StdRng, config: &UplinkConfig, attempt: u32) {
-    std::thread::sleep(backoff_delay(
-        rng,
-        config.backoff_base,
-        config.backoff_cap,
-        config.jitter_pct,
-        attempt,
-    ));
-}
-
-/// How one received message relates to the frame in flight.
+/// What the reply to the frame in flight said.
 enum Reply {
     /// The matching ack: the frame is durable.
     Acked,
-    /// The matching NACK: the server refused the frame.
+    /// The matching NACK: the server refused the frame (connection
+    /// still healthy).
     Nacked,
-    /// Something else (e.g. a stale ack from an earlier retransmit).
-    Unrelated,
 }
 
-/// Result of one write-and-await-ack attempt.
-enum Attempt {
-    /// The expected ack arrived.
-    Acked,
-    /// The server NACKed the frame (connection still healthy).
-    Nacked,
-    /// The deadline passed without a reply (connection still healthy).
+/// Why no reply matched.
+enum NoReply {
+    /// The deadline passed (connection still healthy).
     Timeout,
     /// The connection failed (I/O error, EOF, or a frame error).
     Broken,
+}
+
+/// Classifies a `FinAck` as the ack of a `Fin`.
+fn fin_ack(msg: Message) -> Option<Reply> {
+    matches!(msg, Message::FinAck).then_some(Reply::Acked)
 }
 
 /// Pipelined-uplink tuning on top of the shared transport knobs.
@@ -622,6 +594,30 @@ impl PipelinedUplink {
         Ok(seq)
     }
 
+    /// [`Self::send`] under an explicit sequence number. A `seq` that
+    /// does not continue the sensor's open batch seals that batch
+    /// first, so each batch stays one consecutive run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::send`].
+    pub fn send_at(
+        &mut self,
+        sensor: SensorId,
+        seq: u64,
+        time: Timestamp,
+        values: &[f64],
+    ) -> Result<(), UplinkError> {
+        if self
+            .next_seq
+            .insert(sensor, seq)
+            .is_some_and(|next| next != seq)
+        {
+            self.seal(sensor);
+        }
+        self.send(sensor, time, values).map(drop)
+    }
+
     /// Seals every buffered reading and blocks until every in-flight
     /// batch is acknowledged.
     ///
@@ -657,25 +653,16 @@ impl PipelinedUplink {
             let Some((mut stream, mut fb)) = self.conn.take() else {
                 continue;
             };
-            let classify = |msg: &Message| match msg {
-                Message::FinAck => Reply::Acked,
-                _ => Reply::Unrelated,
-            };
-            match attempt_on(
-                &mut stream,
-                &mut fb,
-                &frame,
-                &classify,
-                self.config.transport.ack_timeout,
-            ) {
-                Attempt::Acked => {
+            let timeout = self.config.transport.ack_timeout;
+            match attempt_on(&mut stream, &mut fb, &frame, fin_ack, timeout) {
+                Ok(Reply::Acked) => {
                     let _ = stream.shutdown();
                     return Ok(self.stats);
                 }
-                Attempt::Timeout | Attempt::Nacked => {
+                Ok(Reply::Nacked) | Err(NoReply::Timeout) => {
                     self.conn = Some((stream, fb));
                 }
-                Attempt::Broken => {
+                Err(NoReply::Broken) => {
                     let _ = stream.shutdown();
                 }
             }
@@ -887,69 +874,47 @@ impl PipelinedUplink {
             return Ok(());
         }
         let transport = self.config.transport.clone();
+        let hello = encode_frame(&Message::Hello {
+            version: PROTOCOL_VERSION,
+            epoch: transport.epoch,
+        });
         for attempt in 0..transport.max_attempts {
             if attempt > 0 {
                 backoff_sleep(&mut self.rng, &transport, attempt);
             }
-            let Ok(stream) = Stream::connect(&transport.connect) else {
+            let Some(mut stream) = dial(&transport.connect, transport.ack_timeout, &hello) else {
                 continue;
             };
-            let per_read = (transport.ack_timeout / 4).max(Duration::from_millis(10));
-            if stream.set_read_timeout(Some(per_read)).is_err() {
-                continue;
-            }
-            let mut stream = stream;
-            let hello = encode_frame(&Message::Hello {
-                version: PROTOCOL_VERSION,
-                epoch: transport.epoch,
-            });
-            if stream
-                .write_all(&hello)
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
-                continue;
-            }
             let mut fb = FrameBuffer::new();
-            let deadline = Instant::now() + transport.ack_timeout;
-            let mut buf = [0u8; 4096];
-            'wait: loop {
-                loop {
-                    match fb.next_message() {
-                        Ok(Some(Message::HelloAck { credits, .. })) => {
-                            self.credits = (credits as usize).min(self.config.max_inflight).max(1);
-                            if self.ever_connected {
-                                self.stats.reconnects += 1;
-                            }
-                            self.ever_connected = true;
-                            // Whatever the dead connection had in
-                            // flight is unconfirmed: send it again,
-                            // oldest first; dedup absorbs duplicates.
-                            while let Some(b) = self.inflight.pop_back() {
-                                self.stats.retransmits += 1;
-                                self.queue.push_front(b);
-                            }
-                            self.conn = Some((stream, fb));
-                            return Ok(());
-                        }
-                        Ok(Some(Message::HelloReject { supported })) => {
-                            return Err(UplinkError::VersionRejected { supported })
-                        }
-                        Ok(Some(_)) => {}
-                        Ok(None) => break,
-                        Err(_) => break 'wait,
+            let granted = await_reply(
+                &mut stream,
+                &mut fb,
+                transport.ack_timeout,
+                |msg| match msg {
+                    Message::HelloAck { credits, .. } => Some(Ok(credits)),
+                    Message::HelloReject { supported } => {
+                        Some(Err(UplinkError::VersionRejected { supported }))
                     }
-                }
-                if Instant::now() >= deadline {
-                    break 'wait;
-                }
-                match stream.read(&mut buf) {
-                    Ok(0) => break 'wait,
-                    Ok(n) => fb.feed(&buf[..n]),
-                    Err(e) if is_timeout(&e) => {}
-                    Err(_) => break 'wait,
-                }
+                    _ => None,
+                },
+            );
+            let Ok(granted) = granted else {
+                continue;
+            };
+            self.credits = (granted? as usize).min(self.config.max_inflight).max(1);
+            if self.ever_connected {
+                self.stats.reconnects += 1;
             }
+            self.ever_connected = true;
+            // Whatever the dead connection had in flight is
+            // unconfirmed: send it again, oldest first; dedup absorbs
+            // duplicates.
+            while let Some(b) = self.inflight.pop_back() {
+                self.stats.retransmits += 1;
+                self.queue.push_front(b);
+            }
+            self.conn = Some((stream, fb));
+            return Ok(());
         }
         Err(UplinkError::ConnectExhausted {
             attempts: transport.max_attempts,
@@ -957,95 +922,41 @@ impl PipelinedUplink {
     }
 }
 
-/// One-shot heartbeat over a dedicated connection: dial `connect`,
-/// send a `Heartbeat` carrying `epoch`, wait up to `timeout` for the
+/// One-shot heartbeat over a dedicated connection: send a `Heartbeat`
+/// carrying `epoch` to `connect`, wait up to `timeout` for the
 /// `HeartbeatAck`, and return the server's `(fence epoch, checkpoint
 /// cursor)`. `None` on any connect, I/O, or deadline failure — the
 /// caller's liveness machine treats that as a missed beat, never an
-/// error. Kept separate from both uplinks so the federation's
-/// heartbeat channel cannot perturb the data path's retransmit state.
+/// error.
 pub fn probe_heartbeat(connect: &str, epoch: u64, timeout: Duration) -> Option<(u64, u64)> {
-    let stream = Stream::connect(connect).ok()?;
-    let per_read = (timeout / 4).max(Duration::from_millis(10));
-    stream.set_read_timeout(Some(per_read)).ok()?;
-    let mut stream = stream;
-    stream
-        .write_all(&encode_frame(&Message::Heartbeat { epoch }))
-        .and_then(|()| stream.flush())
-        .ok()?;
-    let mut fb = FrameBuffer::new();
-    let deadline = Instant::now() + timeout;
-    let mut buf = [0u8; 1024];
-    loop {
-        loop {
-            match fb.next_message() {
-                Ok(Some(Message::HeartbeatAck {
-                    epoch,
-                    checkpoint_cursor,
-                })) => return Some((epoch, checkpoint_cursor)),
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(_) => return None,
-            }
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return None,
-            Ok(n) => fb.feed(&buf[..n]),
-            Err(e) if is_timeout(&e) => {}
-            Err(_) => return None,
-        }
-    }
+    exchange(
+        connect,
+        &Message::Heartbeat { epoch },
+        timeout,
+        |msg| match msg {
+            Message::HeartbeatAck {
+                epoch,
+                checkpoint_cursor,
+            } => Some((epoch, checkpoint_cursor)),
+            _ => None,
+        },
+    )
 }
 
-/// One-shot migration exchange over a dedicated connection: dial
-/// `connect`, send `request`, and wait up to `timeout` for the first
-/// reply `matches` accepts. `None` on any connect, I/O, or deadline
-/// failure — the migration driver treats that as a failed step (abort
-/// or retry), never an error. Like [`probe_heartbeat`], deliberately
-/// separate from the data uplinks so migration control traffic cannot
-/// perturb retransmit state.
-fn migrate_exchange<T>(
+/// One-shot exchange over a dedicated connection: dial `connect`, send
+/// `request`, and wait up to `timeout` for the first reply `matches`
+/// accepts. `None` on any connect, I/O, or deadline failure — a missed
+/// beat or a failed migration step (abort or retry), never an error.
+/// Deliberately separate from the data uplinks, so control traffic
+/// cannot perturb their retransmit state.
+fn exchange<T>(
     connect: &str,
     request: &Message,
     timeout: Duration,
-    matches: impl Fn(Message) -> Option<T>,
+    matches: impl FnMut(Message) -> Option<T>,
 ) -> Option<T> {
-    let stream = Stream::connect(connect).ok()?;
-    let per_read = (timeout / 4).max(Duration::from_millis(10));
-    stream.set_read_timeout(Some(per_read)).ok()?;
-    let mut stream = stream;
-    stream
-        .write_all(&encode_frame(request))
-        .and_then(|()| stream.flush())
-        .ok()?;
-    let mut fb = FrameBuffer::new();
-    let deadline = Instant::now() + timeout;
-    let mut buf = [0u8; 4096];
-    loop {
-        loop {
-            match fb.next_message() {
-                Ok(Some(msg)) => {
-                    if let Some(out) = matches(msg) {
-                        return Some(out);
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return None,
-            }
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return None,
-            Ok(n) => fb.feed(&buf[..n]),
-            Err(e) if is_timeout(&e) => {}
-            Err(_) => return None,
-        }
-    }
+    let mut stream = dial(connect, timeout, &encode_frame(request))?;
+    await_reply(&mut stream, &mut FrameBuffer::new(), timeout, matches).ok()
 }
 
 /// Orders the collector at `connect` to cut the sensor range
@@ -1060,7 +971,7 @@ pub fn probe_migrate_cut(
     end: u16,
     timeout: Duration,
 ) -> Option<(u64, Vec<u8>)> {
-    migrate_exchange(
+    exchange(
         connect,
         &Message::MigrateOffer { start, end },
         timeout,
@@ -1089,7 +1000,7 @@ pub fn probe_migrate_adopt(
     snapshot: Vec<u8>,
     timeout: Duration,
 ) -> Option<()> {
-    migrate_exchange(
+    exchange(
         connect,
         &Message::MigrateAccept {
             start,
@@ -1121,7 +1032,7 @@ pub fn probe_migrate_done(
     cursor: u64,
     timeout: Duration,
 ) -> Option<()> {
-    migrate_exchange(
+    exchange(
         connect,
         &Message::MigrateDone { start, end, cursor },
         timeout,
@@ -1136,45 +1047,59 @@ pub fn probe_migrate_done(
     )
 }
 
+/// Dials `connect`, sets a per-read timeout short enough to keep a
+/// `timeout` deadline responsive, and writes the opening frame. `None`
+/// on any failure.
+fn dial(connect: &str, timeout: Duration, first: &[u8]) -> Option<Stream> {
+    let mut stream = Stream::connect(connect).ok()?;
+    let per_read = (timeout / 4).max(Duration::from_millis(10));
+    stream.set_read_timeout(Some(per_read)).ok()?;
+    stream.write_all(first).and_then(|()| stream.flush()).ok()?;
+    Some(stream)
+}
+
+/// Reads replies until `matches` accepts one (returning what it made
+/// of it), the `timeout` deadline passes, or the connection fails.
+/// Buffered replies come first: an ack may have arrived alongside one
+/// for an earlier retransmit.
+fn await_reply<T>(
+    stream: &mut Stream,
+    fb: &mut FrameBuffer,
+    timeout: Duration,
+    mut matches: impl FnMut(Message) -> Option<T>,
+) -> Result<T, NoReply> {
+    let deadline = Instant::now() + timeout;
+    let mut buf = [0u8; 4096];
+    loop {
+        while let Some(msg) = fb.next_message().map_err(|_| NoReply::Broken)? {
+            if let Some(out) = matches(msg) {
+                return Ok(out);
+            }
+        }
+        if Instant::now() >= deadline {
+            return Err(NoReply::Timeout);
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return Err(NoReply::Broken),
+            Ok(n) => fb.feed(&buf[..n]),
+            Err(e) if is_timeout(&e) => {}
+            Err(_) => return Err(NoReply::Broken),
+        }
+    }
+}
+
+/// Writes `frame`, then awaits the reply `classify` recognises as its
+/// ack or NACK.
 fn attempt_on(
     stream: &mut Stream,
     fb: &mut FrameBuffer,
     frame: &[u8],
-    classify: &impl Fn(&Message) -> Reply,
+    classify: impl FnMut(Message) -> Option<Reply>,
     ack_timeout: Duration,
-) -> Attempt {
-    if stream
+) -> Result<Reply, NoReply> {
+    stream
         .write_all(frame)
         .and_then(|()| stream.flush())
-        .is_err()
-    {
-        return Attempt::Broken;
-    }
-    let deadline = Instant::now() + ack_timeout;
-    let mut buf = [0u8; 4096];
-    loop {
-        // Drain anything already buffered first — the ack may have
-        // arrived alongside one for an earlier retransmit.
-        loop {
-            match fb.next_message() {
-                Ok(Some(msg)) => match classify(&msg) {
-                    Reply::Acked => return Attempt::Acked,
-                    Reply::Nacked => return Attempt::Nacked,
-                    // Stale ack from an earlier frame: skip it.
-                    Reply::Unrelated => {}
-                },
-                Ok(None) => break,
-                Err(_) => return Attempt::Broken,
-            }
-        }
-        if Instant::now() >= deadline {
-            return Attempt::Timeout;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Attempt::Broken,
-            Ok(n) => fb.feed(&buf[..n]),
-            Err(e) if is_timeout(&e) => continue,
-            Err(_) => return Attempt::Broken,
-        }
-    }
+        .map_err(|_| NoReply::Broken)?;
+    await_reply(stream, fb, ack_timeout, classify)
 }

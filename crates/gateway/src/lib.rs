@@ -49,8 +49,8 @@ pub mod vfs;
 pub mod wal;
 
 pub use client::{
-    backoff_delay, probe_heartbeat, probe_migrate_adopt, probe_migrate_cut, probe_migrate_done,
-    PipelinedConfig, PipelinedUplink, SensorUplink, UplinkConfig, UplinkError, UplinkStats,
+    probe_heartbeat, probe_migrate_adopt, probe_migrate_cut, probe_migrate_done, PipelinedConfig,
+    PipelinedUplink, SensorUplink, UplinkConfig, UplinkError, UplinkStats,
 };
 pub use collector::{
     BatchOutcome, Collector, CutCheck, DeliverOutcome, FenceCheck, GatewayConfig, GatewayError,

@@ -276,6 +276,43 @@ fn pipelined_uplink_matches_in_order_delivery_across_fsync_policies() {
     }
 }
 
+/// `PipelinedUplink::send_at` carries explicit sequence numbers: a gap
+/// seals the open batch, so each batch stays one consecutive run. The
+/// collector already holds the gap's readings (an earlier owner
+/// delivered them), so its cumulative ack covers both runs.
+#[test]
+fn a_sequence_gap_in_send_at_seals_the_open_batch() {
+    let dir = tmpdir("send-at-gap");
+    let (mut collector, _) = Collector::open(GatewayConfig::new(&dir)).expect("open");
+    let reading = |seq: u64| (SensorId(1), seq, 300 * (seq + 1), vec![20.0, 45.0]);
+    for (sensor, seq, time, values) in (3..=5).map(reading) {
+        collector
+            .deliver(sensor, seq, time, values)
+            .expect("deliver");
+    }
+    let server = Server::start(ServerConfig::default()).expect("bind server");
+    let addr = server.addr().to_string();
+    let client = std::thread::spawn(move || {
+        let mut config = PipelinedConfig::new(addr);
+        config.batch_size = 8;
+        let mut uplink = PipelinedUplink::new(config);
+        for (sensor, seq, time, values) in [0, 1, 2, 6, 7, 8].map(reading) {
+            uplink.send_at(sensor, seq, time, &values).expect("send_at");
+        }
+        uplink.finish().expect("fin/finack")
+    });
+    let stats = server.run(&mut collector).expect("serve");
+    let uplink = client.join().expect("client thread");
+    assert_eq!(stats.bad_frames, 0, "{:?}", stats.frame_errors);
+    assert_eq!(uplink.frames_sent, 2, "one batch a run: {uplink:?}");
+    assert_eq!(uplink.acked, 2, "the server acked both runs: {uplink:?}");
+    assert_eq!(uplink.retransmits, 0, "{uplink:?}");
+    let report = collector.finish().expect("finish");
+    fs::remove_dir_all(&dir).ok();
+    assert_eq!(report.ingest.accepted, 9);
+    assert_eq!(report.ingest.duplicates, 0);
+}
+
 /// A client announcing an unknown protocol version gets a typed
 /// `HelloReject` and is dropped; the server counts it as a version
 /// reject, not corrupt-frame noise, and keeps serving other clients.

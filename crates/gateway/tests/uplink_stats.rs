@@ -3,14 +3,17 @@
 //! (drop the connection here, swallow an ack there), and the
 //! `SensorUplink`'s [`UplinkStats`] must come out exactly right —
 //! every retransmit, reconnect and timeout attributed, nothing
-//! swallowed by the retry loop.
+//! swallowed by the retry loop. The one-shot probes face the same
+//! kind of scripted peer and must give up within their timeout.
 
 use sentinet_gateway::frame::encode_frame;
-use sentinet_gateway::{FrameBuffer, Message, SensorUplink, UplinkConfig};
+use sentinet_gateway::{
+    probe_heartbeat, probe_migrate_cut, FrameBuffer, Message, SensorUplink, UplinkConfig,
+};
 use sentinet_sim::SensorId;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What the scripted server does after reading one `Data` frame,
 /// keyed by the global (retransmissions included) data-frame count.
@@ -126,6 +129,49 @@ fn three_scripted_disconnects_are_counted_exactly() {
 
     uplink.finish().expect("fin/finack");
     assert_eq!(server.join().expect("server thread"), 13);
+}
+
+/// Accepts `conns` connections one after another; on each, reads the
+/// request, writes `reply` (nothing, for a silent peer) and holds the
+/// connection open until the client hangs up.
+fn scripted_peer(reply: &'static [u8], conns: usize) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let peer = std::thread::spawn(move || {
+        for stream in listener.incoming().take(conns) {
+            let mut stream = stream.expect("accept");
+            let mut buf = [0u8; 4096];
+            let _ = stream.read(&mut buf);
+            let _ = stream.write_all(reply);
+            while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
+        }
+    });
+    (addr, peer)
+}
+
+/// The one-shot probes never hang on a peer that will not answer: a
+/// silent peer costs them their timeout, a garbled reply (a length
+/// prefix past any frame) ends them early, and both come back `None`.
+#[test]
+fn probes_give_up_on_a_silent_or_garbled_peer_within_their_timeout() {
+    let timeout = Duration::from_millis(300);
+    let slack = Duration::from_secs(2);
+    for (name, reply) in [("silent", &b""[..]), ("garbled", &[0xFF; 16][..])] {
+        let (addr, peer) = scripted_peer(reply, 2);
+        let start = Instant::now();
+        assert_eq!(probe_heartbeat(&addr, 1, timeout), None, "{name}");
+        let heartbeat = start.elapsed();
+        let start = Instant::now();
+        assert_eq!(probe_migrate_cut(&addr, 0, 2, timeout), None, "{name}");
+        let cut = start.elapsed();
+        for took in [heartbeat, cut] {
+            assert!(took < timeout + slack, "{name}: took {took:?}");
+            if name == "silent" {
+                assert!(took >= timeout, "{name}: gave up early, {took:?}");
+            }
+        }
+        peer.join().expect("peer thread");
+    }
 }
 
 #[test]
