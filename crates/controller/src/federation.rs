@@ -422,11 +422,13 @@ impl<L: PartitionLink> PartitionState<L> {
     /// Drains the link's pipelined window, if anything sent is still
     /// unflushed; on success everything sent is durable.
     fn flush(&mut self) -> Result<(), String> {
-        if let Some(link) = self.link.as_mut().filter(|_| self.acked < self.sent) {
-            link.flush().map_err(|e| e.to_string())?;
-            self.acked = self.sent;
-            self.unflushed = 0;
-            self.progress = Some(self.routed[self.acked - 1].time);
+        if self.acked < self.sent {
+            if let Some(link) = self.link.as_mut() {
+                link.flush().map_err(|e| e.to_string())?;
+                self.acked = self.sent;
+                self.unflushed = 0;
+                self.progress = Some(self.routed[self.acked - 1].time);
+            }
         }
         Ok(())
     }
@@ -541,11 +543,15 @@ impl<B: PartitionBackend> Federation<B> {
             .partition_of(sensor)
             .ok_or(FederationError::Unroutable { sensor })?;
         let state = &mut self.states[p];
-        let next = state.seq_next.entry(sensor).or_insert(0);
-        *next += 1;
+        let seq = {
+            let next = state.seq_next.entry(sensor).or_insert(0);
+            let seq = *next;
+            *next += 1;
+            seq
+        };
         state.routed.push(Routed {
             sensor,
-            seq: *next - 1,
+            seq,
             time,
             values: values.to_vec(),
         });
@@ -584,18 +590,18 @@ impl<B: PartitionBackend> Federation<B> {
         at: SensorId,
         after_routed: usize,
     ) -> Result<(), FederationError> {
-        let bad = |detail| {
-            Err(FederationError::Migration {
-                partition: p,
-                detail,
-            })
-        };
         if p >= self.map.len() {
-            return bad(format!("no such partition (map holds {})", self.map.len()));
+            return Err(FederationError::Migration {
+                partition: p,
+                detail: format!("no such partition (map holds {})", self.map.len()),
+            });
         }
         let range = self.map.range(p);
         if at.0 <= range.start || at.0 >= range.end {
-            return bad(format!("split point {at} not strictly inside {range}"));
+            return Err(FederationError::Migration {
+                partition: p,
+                detail: format!("split point {at} not strictly inside {range}"),
+            });
         }
         self.pending_migrations.push(PendingMigration {
             source: p,
@@ -653,15 +659,21 @@ impl<B: PartitionBackend> Federation<B> {
     fn drive(&mut self, p: PartitionId) -> Result<(), String> {
         let flush_every = self.config.flush_every.max(1);
         let state = &mut self.states[p];
-        if state.link.is_none() {
-            return Err("no link to a partition marked ok".into());
-        }
-        while let (Some(r), Some(link)) = (state.routed.get(state.sent), state.link.as_mut()) {
+        // The link is borrowed afresh for every reading: a pipelined
+        // window that fills is flushed through `PartitionState::flush`,
+        // which needs the whole state.
+        loop {
+            let Some(link) = state.link.as_mut() else {
+                return Err("no link to a partition marked ok".into());
+            };
+            let Some(r) = state.routed.get(state.sent) else {
+                return Ok(());
+            };
             match link.send(r.sensor, r.seq, r.time, &r.values) {
                 Ok(LinkReply::Acked) => {
-                    state.progress = Some(r.time);
                     state.sent += 1;
                     state.acked = state.sent;
+                    state.progress = Some(r.time);
                     state.strikes = 0;
                 }
                 Ok(LinkReply::Pipelined) => {
@@ -687,7 +699,6 @@ impl<B: PartitionBackend> Federation<B> {
                 Err(down) => return Err(down.to_string()),
             }
         }
-        Ok(())
     }
 
     /// Records one missed delivery on `p`: commits `Ok → Suspect`
@@ -695,9 +706,10 @@ impl<B: PartitionBackend> Federation<B> {
     /// misses accumulate (hysteresis — a single torn connection no
     /// longer triggers fencing churn).
     fn miss(&mut self, p: PartitionId, reason: String) {
+        let threshold = self.config.suspect_after.max(1);
         let state = &mut self.states[p];
         state.miss_streak += 1;
-        if state.miss_streak >= self.config.suspect_after.max(1) {
+        if state.miss_streak >= threshold {
             state.miss_streak = 0;
             self.suspect(p, reason);
         }
@@ -718,8 +730,10 @@ impl<B: PartitionBackend> Federation<B> {
             return;
         }
         state.since_heartbeat = 0;
-        if let Some((_epoch, cursor)) = state.link.as_mut().and_then(|link| link.heartbeat()) {
-            self.backend.prewarm(p, cursor);
+        if let Some(link) = state.link.as_mut() {
+            if let Some((_epoch, cursor)) = link.heartbeat() {
+                self.backend.prewarm(p, cursor);
+            }
         }
     }
 
@@ -767,12 +781,12 @@ impl<B: PartitionBackend> Federation<B> {
     /// progress by more than the silence deadline.
     fn check_liveness(&mut self) {
         for p in 0..self.map.len() {
-            let silent_for = self
-                .clock
-                .saturating_sub(self.states[p].progress.unwrap_or(0));
-            if self.map.health(p) == PartitionHealth::Suspect
-                && silent_for > self.config.silence_deadline
-            {
+            if self.map.health(p) != PartitionHealth::Suspect {
+                continue;
+            }
+            let last = self.states[p].progress;
+            let silent_for = self.clock.saturating_sub(last.unwrap_or(0));
+            if silent_for > self.config.silence_deadline {
                 self.declare_dead(p);
             }
         }
@@ -881,9 +895,9 @@ impl<B: PartitionBackend> Federation<B> {
                     return true;
                 }
                 PartitionHealth::Suspect => self.declare_dead(p),
-                // Orphaned is terminal; failover() never returns in
-                // Dead or HandingOff.
-                _ => return false,
+                PartitionHealth::Orphaned => return false,
+                // failover() never returns in these states.
+                PartitionHealth::Dead | PartitionHealth::HandingOff => return false,
             }
         }
     }
@@ -981,11 +995,17 @@ impl<B: PartitionBackend> Federation<B> {
         self.abort_migration(m, "destination exhausted every adopt attempt after the cut");
     }
 
-    /// Opens a migration: records `MigrationStarted`, then settles each
-    /// partition in `drain` (`None`: there is nothing to move). Returns
+    /// Opens a migration: records `MigrationStarted`, then, if the
+    /// range is `movable`, settles each partition in `drain`. Returns
     /// whether the cut may go ahead; if not, the abort is recorded with
     /// `why`.
-    fn open_migration(&mut self, m: RangeMove, drain: Option<&[PartitionId]>, why: &str) -> bool {
+    fn open_migration(
+        &mut self,
+        m: RangeMove,
+        movable: bool,
+        drain: &[PartitionId],
+        why: &str,
+    ) -> bool {
         self.events.push(FederationEvent::MigrationStarted {
             source: m.source,
             dest: m.dest,
@@ -993,11 +1013,10 @@ impl<B: PartitionBackend> Federation<B> {
             at: self.clock,
         });
         self.migrations_started += 1;
-        let drained = drain.is_some_and(|parts| {
-            parts
+        let drained = movable
+            && drain
                 .iter()
-                .all(|&q| self.settle(q, "unacked backlog at migration drain"))
-        });
+                .all(|&q| self.settle(q, "unacked backlog at migration drain"));
         if !drained {
             self.abort_migration(m, why);
         }
@@ -1038,12 +1057,15 @@ impl<B: PartitionBackend> Federation<B> {
             dest: self.map.len(),
             range: SensorRange { start: at.0, end },
         };
-        if !self.open_migration(m, Some(&[p]), "source could not drain its backlog") {
+        if !self.open_migration(m, true, &[p], "source could not drain its backlog") {
             return;
         }
         let q = match self.map.split_at(p, at) {
             Ok(q) => q,
-            Err(e) => return self.abort_migration(m, &e.to_string()),
+            Err(e) => {
+                self.abort_migration(m, &e.to_string());
+                return;
+            }
         };
         self.states.push(PartitionState::new());
         self.map.commit_health(q, PartitionHealth::HandingOff);
@@ -1108,10 +1130,8 @@ impl<B: PartitionBackend> Federation<B> {
             self.abort_migration(m, "no adjacent partition to rebalance into");
             return;
         };
-        let both = [p, d];
-        let drain = (!range.is_empty()).then_some(&both[..]);
         let why = "source or destination could not drain its backlog";
-        if !self.open_migration(m, drain, why) {
+        if !self.open_migration(m, !range.is_empty(), &[p, d], why) {
             return;
         }
         let Some((cursor, snapshot)) = self.cut_over(m) else {
