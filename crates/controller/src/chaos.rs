@@ -1,14 +1,14 @@
-//! Deterministic collector-fault drills, in the mould of the storage
-//! `FaultPlan`: a plan is plain replayable data naming which collector to break, when, and
-//! how. The same plan replayed over the same trace produces the same
-//! federation events, which is what lets the drill tests assert exact
-//! failover behaviour.
+//! Deterministic fleet drills, in the mould of the storage `FaultPlan`:
+//! a [`DrillPlan`] is plain replayable data naming which partition's
+//! owner breaks, when, and how — process, network and disk faults in
+//! one value. The same plan replayed over the same trace produces the
+//! same federation events, which is what lets the drill tests assert
+//! exact failover behaviour.
 
 use crate::partition::PartitionId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use sentinet_gateway::{FaultSpec, StorageFault, VfsOp};
 
-/// How a drilled collector misbehaves.
+/// How a drilled collector process misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectorFault {
     /// The collector process dies outright (SIGKILL shape): its link
@@ -17,9 +17,6 @@ pub enum CollectorFault {
     /// The collector wedges: it stops acking but holds its resources
     /// until the controller fences it.
     Hang,
-    /// The collector's storage poisons (injected `ENOSPC` on a WAL
-    /// append): it fail-stops and NACKs every subsequent reading.
-    Poison,
 }
 
 /// One fault at a chosen coordinate: break `partition`'s owning
@@ -34,9 +31,9 @@ pub struct DrillFault {
     pub fault: CollectorFault,
 }
 
-/// How a controller↔collector link misbehaves — the network half of a
-/// nemesis plan, distinct from [`CollectorFault`] (the process half)
-/// and the gateway's `FaultPlan` (the disk half).
+/// How a controller↔collector link misbehaves — the network family of
+/// a plan, beside [`CollectorFault`] (the process family) and
+/// [`DrillPlan::disk`] (the disk family).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFault {
     /// Symmetric partition: sends fail while the collector stays
@@ -73,13 +70,18 @@ pub struct NetDrill {
     pub fault: NetFault,
 }
 
-/// A replayable set of collector faults.
+/// A replayable set of fleet faults. Every entry targets one
+/// partition's epoch-1 owner and leaves the plan when that owner
+/// starts ([`DrillPlan::arm`]), so each fires at most once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DrillPlan {
-    /// The faults, in no particular order; each fires at most once.
+    /// Process faults; a partition's first one fires.
     pub faults: Vec<DrillFault>,
     /// Network fault windows on epoch-1 links.
     pub net: Vec<NetDrill>,
+    /// Storage faults: a partition's specs, in plan order, are the
+    /// `FaultPlan` its epoch-1 owner's WAL runs over.
+    pub disk: Vec<(PartitionId, FaultSpec)>,
 }
 
 impl DrillPlan {
@@ -90,7 +92,7 @@ impl DrillPlan {
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.net.is_empty()
+        self.faults.is_empty() && self.net.is_empty() && self.disk.is_empty()
     }
 
     /// Adds one fault (builder style).
@@ -107,47 +109,44 @@ impl DrillPlan {
         self
     }
 
-    /// A seeded random plan: `num_faults` faults spread over
-    /// `partitions` partitions, each firing within the first
-    /// `max_records` admitted readings. Same seed, same plan.
-    pub fn seeded(seed: u64, partitions: usize, max_records: u64, num_faults: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut plan = Self::new();
-        for _ in 0..num_faults {
-            let partition = rng.gen_range(0..partitions.max(1));
-            let after_records = rng.gen_range(1..max_records.max(2));
-            let fault = match rng.gen_range(0..3u32) {
-                0 => CollectorFault::Kill,
-                1 => CollectorFault::Hang,
-                _ => CollectorFault::Poison,
-            };
-            plan.faults.push(DrillFault {
-                partition,
-                after_records,
-                fault,
-            });
+    /// Adds one storage fault on `partition`'s epoch-1 owner (builder
+    /// style).
+    #[must_use]
+    pub fn with_disk(mut self, partition: PartitionId, spec: FaultSpec) -> Self {
+        self.disk.push((partition, spec));
+        self
+    }
+
+    /// Takes partition `p`'s share out of the plan, as a plan of its
+    /// own: every entry naming `p`, in plan order. A partition id starts
+    /// at epoch 1 once, so arming it at that start fires each of its
+    /// faults at most once; a second arm finds nothing.
+    pub fn arm(&mut self, p: PartitionId) -> DrillPlan {
+        DrillPlan {
+            faults: self.faults.extract_if(.., |f| f.partition == p).collect(),
+            net: self.net.extract_if(.., |d| d.partition == p).collect(),
+            disk: self.disk.extract_if(.., |(q, _)| *q == p).collect(),
         }
-        plan
+    }
+}
+
+/// The disk fault that poisons an owner's storage: `ENOSPC` on its
+/// `(after_records + 1)`th WAL append. The collector fail-stops and
+/// NACKs every later reading, so the failover runs on a storage NACK
+/// streak rather than a dead link.
+pub fn poison(after_records: u64) -> FaultSpec {
+    FaultSpec {
+        path: String::new(),
+        op: VfsOp::Append,
+        nth: after_records + 1,
+        kind: StorageFault::Enospc,
+        count: 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_plans_are_replayable() {
-        let a = DrillPlan::seeded(42, 3, 100, 5);
-        let b = DrillPlan::seeded(42, 3, 100, 5);
-        assert_eq!(a, b, "same seed must reproduce the same plan");
-        assert_eq!(a.faults.len(), 5);
-        for f in &a.faults {
-            assert!(f.partition < 3);
-            assert!((1..100).contains(&f.after_records));
-        }
-        let c = DrillPlan::seeded(43, 3, 100, 5);
-        assert_ne!(a, c, "different seeds should disagree somewhere");
-    }
 
     #[test]
     fn builder_accumulates_faults() {
@@ -158,5 +157,49 @@ mod tests {
         });
         assert!(!plan.is_empty());
         assert_eq!(plan.faults[0].after_records, 7);
+    }
+
+    #[test]
+    fn arming_a_partition_takes_its_entries_once() {
+        let kill = |partition, after_records| DrillFault {
+            partition,
+            after_records,
+            fault: CollectorFault::Kill,
+        };
+        let window = |partition, after_records| NetDrill {
+            partition,
+            after_records,
+            span: 2,
+            fault: NetFault::AckLoss,
+        };
+        let fsync = |nth| FaultSpec {
+            path: String::new(),
+            op: VfsOp::Fsync,
+            nth,
+            kind: StorageFault::FsyncFail,
+            count: 1,
+        };
+        let mut plan = DrillPlan::new()
+            .with_fault(kill(1, 5))
+            .with_fault(kill(0, 7))
+            .with_fault(kill(0, 9))
+            .with_net(window(0, 3))
+            .with_net(window(1, 4))
+            .with_disk(0, poison(15))
+            .with_disk(1, fsync(4))
+            .with_disk(0, fsync(10_000));
+        let p0 = DrillPlan::new()
+            .with_fault(kill(0, 7))
+            .with_fault(kill(0, 9))
+            .with_net(window(0, 3))
+            .with_disk(0, poison(15))
+            .with_disk(0, fsync(10_000));
+        assert_eq!(plan.arm(0), p0, "p0's entries, in plan order");
+        let p1 = DrillPlan::new()
+            .with_fault(kill(1, 5))
+            .with_net(window(1, 4))
+            .with_disk(1, fsync(4));
+        assert_eq!(plan, p1, "p1's entries stay");
+        assert!(plan.arm(0).is_empty(), "a second arm is empty");
     }
 }

@@ -6,11 +6,12 @@
 //! dead owner's WAL directory (checkpoint-v2 snapshot restore plus
 //! WAL-tail replay through the identical admission path).
 //!
-//! The nemesis campaign drives this backend through all three fault
-//! families: process faults ([`CollectorFault`]), network shaping
-//! ([`crate::chaos::NetFault`] windows on epoch-1 links), and disk
-//! faults (a gateway `FaultPlan` wrapped around an owner's storage).
-//! Two extra seams exist purely for the campaign's invariants:
+//! The drill plan carries all three fault families — process faults
+//! ([`CollectorFault`]), network shaping ([`NetFault`] windows on
+//! epoch-1 links) and disk faults (a gateway `FaultPlan` wrapped around
+//! an owner's storage) — and a partition's share is taken out of it in
+//! one step when its epoch-1 owner starts. Two extra seams exist purely
+//! for the nemesis campaign's invariants:
 //!
 //! - **Zombie stash**: `fence` normally drops the link (a crash), but
 //!   with the stash enabled a still-live collector is parked instead,
@@ -29,14 +30,14 @@
 //! shares the collector's single admission path, not the wire
 //! protocol; the socket backend is what exercises the core.
 
-use crate::chaos::{CollectorFault, DrillPlan, NetFault};
+use crate::chaos::{CollectorFault, DrillFault, DrillPlan, NetDrill, NetFault};
 use crate::federation::{
     replay_report, BackendError, LinkDown, LinkReply, PartitionBackend, PartitionLink,
 };
 use crate::partition::PartitionId;
 use sentinet_gateway::{
-    decode_collector, encode_collector, Collector, CutCheck, DeliverOutcome, FaultPlan, FaultSpec,
-    FaultyVfs, FenceCheck, GatewayConfig, RecoveryInfo, StorageFault, Vfs, VfsOp, CHECKPOINT_FILE,
+    decode_collector, encode_collector, Collector, CutCheck, DeliverOutcome, FaultPlan, FaultyVfs,
+    FenceCheck, GatewayConfig, RecoveryInfo, Vfs, CHECKPOINT_FILE,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::path::PathBuf;
@@ -61,11 +62,9 @@ pub struct InProcessBackend {
     template: GatewayConfig,
     wal_root: PathBuf,
     standbys: usize,
+    /// The faults not yet armed: a partition's leave at its epoch-1
+    /// start.
     drill: DrillPlan,
-    fired: Vec<bool>,
-    /// Per-partition disk fault plans, applied to the epoch-1 owner.
-    disk: Vec<(PartitionId, FaultPlan)>,
-    disk_fired: Vec<bool>,
     fence: FenceCheck,
     cut: CutCheck,
     pipelined: bool,
@@ -88,15 +87,11 @@ impl InProcessBackend {
         standbys: usize,
         drill: DrillPlan,
     ) -> Self {
-        let fired = vec![false; drill.faults.len()];
         Self {
             template,
             wal_root: wal_root.into(),
             standbys,
             drill,
-            fired,
-            disk: Vec::new(),
-            disk_fired: Vec::new(),
             fence: FenceCheck::Enforced,
             cut: CutCheck::Enforced,
             pipelined: false,
@@ -135,15 +130,6 @@ impl InProcessBackend {
         self
     }
 
-    /// Wraps the epoch-1 owner of `p` in a [`FaultyVfs`] running
-    /// `plan` — the disk-fault family of a nemesis episode.
-    #[must_use]
-    pub fn with_disk_fault(mut self, p: PartitionId, plan: FaultPlan) -> Self {
-        self.disk.push((p, plan));
-        self.disk_fired.push(false);
-        self
-    }
-
     /// Enables the zombie stash and returns its shared handle. The
     /// handle outlives the backend (which `Federation::finish`
     /// consumes), so the campaign can probe stashed collectors after
@@ -164,20 +150,15 @@ impl InProcessBackend {
     }
 }
 
-/// One armed network-shaping window on an epoch-1 link.
-struct ArmedNet {
-    after: u64,
-    remaining: u64,
-    fault: NetFault,
-}
-
 /// Link to an in-process collector, with the drill's kill/hang
 /// coordinate and any network-shaping windows armed.
 pub struct InProcessLink {
     collector: Option<Collector>,
     epoch: u64,
-    armed: Option<(u64, CollectorFault)>,
-    net: Vec<ArmedNet>,
+    armed: Option<DrillFault>,
+    /// Shaping windows; a window's `span` counts down the sends it has
+    /// left.
+    net: Vec<NetDrill>,
     /// Readings admitted (durable) through this link.
     delivered: u64,
     /// Readings handled (attempted) — the net-window clock.
@@ -236,17 +217,20 @@ impl InProcessLink {
         lost: &str,
     ) -> Result<(Option<NetFault>, &mut Collector), LinkDown> {
         let delivered = self.delivered;
-        if let Some((at, fault)) = self.armed.filter(|&(at, _)| drilled && delivered >= at) {
+        if let Some(f) = self
+            .armed
+            .filter(|f| drilled && delivered >= f.after_records)
+        {
             self.armed = None;
-            match fault {
+            match f.fault {
                 // Process death: in-memory state gone, WAL stays.
                 CollectorFault::Kill => self.collector = None,
                 // Wedged: alive but mute until fenced.
                 CollectorFault::Hang => self.wedged = true,
-                CollectorFault::Poison => {}
             }
             return Err(LinkDown(format!(
-                "drill {fault:?} after {at} admitted reading(s)"
+                "drill {:?} after {} admitted reading(s)",
+                f.fault, f.after_records
             )));
         }
         if self.wedged {
@@ -254,8 +238,8 @@ impl InProcessLink {
         }
         let handled = self.handled;
         let shaped = self.net.iter_mut().find_map(|d| {
-            if handled >= d.after && d.remaining > 0 {
-                d.remaining -= 1;
+            if handled >= d.after_records && d.span > 0 {
+                d.span -= 1;
                 Some(d.fault)
             } else {
                 None
@@ -454,54 +438,24 @@ impl PartitionBackend for InProcessBackend {
             self.prewarm_cache.push(None);
             self.recoveries.push(None);
         }
+        // The first process fault fires, every window opens, and the
+        // disk specs, in plan order, are one storage plan.
+        let mut armed = DrillPlan::new();
+        if epoch == 1 {
+            armed = self.drill.arm(p);
+            armed.net.iter_mut().for_each(|d| d.span = d.span.max(1));
+        }
         let mut config = self.template.clone();
         config.wal.dir = self.partition_dir(p);
-        config.wal.vfs = Arc::new(sentinet_gateway::RealVfs);
+        config.wal.vfs = if armed.disk.is_empty() {
+            Arc::new(sentinet_gateway::RealVfs)
+        } else {
+            let faults = armed.disk.into_iter().map(|(_, spec)| spec).collect();
+            Arc::new(FaultyVfs::new(FaultPlan { faults }))
+        };
         config.epoch = epoch;
         config.fence = self.fence;
         config.cut = self.cut;
-        let mut armed = None;
-        let mut net = Vec::new();
-        if epoch == 1 {
-            for (i, f) in self.drill.faults.iter().enumerate() {
-                if f.partition != p || self.fired[i] {
-                    continue;
-                }
-                self.fired[i] = true;
-                match f.fault {
-                    CollectorFault::Poison => {
-                        // ENOSPC on the (after_records + 1)th WAL
-                        // append: the collector fail-stops and NACKs.
-                        let plan = FaultPlan::new().with_fault(FaultSpec {
-                            path: String::new(),
-                            op: VfsOp::Append,
-                            nth: f.after_records + 1,
-                            kind: StorageFault::Enospc,
-                            count: 1,
-                        });
-                        config.wal.vfs = Arc::new(FaultyVfs::new(plan));
-                    }
-                    CollectorFault::Kill | CollectorFault::Hang => {
-                        armed = Some((f.after_records, f.fault));
-                    }
-                }
-                break;
-            }
-            for d in self.drill.net.iter().filter(|d| d.partition == p) {
-                net.push(ArmedNet {
-                    after: d.after_records,
-                    remaining: d.span.max(1),
-                    fault: d.fault,
-                });
-            }
-            for (i, (dp, plan)) in self.disk.iter().enumerate() {
-                if *dp == p && !self.disk_fired[i] {
-                    self.disk_fired[i] = true;
-                    config.wal.vfs = Arc::new(FaultyVfs::new(plan.clone()));
-                    break;
-                }
-            }
-        }
         let prewarm = if epoch > 1 {
             self.prewarm_cache[p].clone()
         } else {
@@ -513,8 +467,8 @@ impl PartitionBackend for InProcessBackend {
         Ok(InProcessLink {
             collector: Some(collector),
             epoch,
-            armed,
-            net,
+            armed: armed.faults.first().copied(),
+            net: armed.net,
             delivered: 0,
             handled: 0,
             wedged: false,

@@ -26,10 +26,10 @@
 //!   adopts it durably before the map commits; a kill at any protocol
 //!   step either rolls back (source keeps the range) or rolls forward
 //!   (destination owns it), never both and never neither.
-//! - **Drills** ([`chaos`]): seeded, replayable [`DrillPlan`]s kill,
-//!   hang or poison collectors at chosen admitted-record coordinates,
-//!   against in-process collectors ([`inproc`]) or real spawned
-//!   `sentinet serve` children fenced by SIGKILL ([`process`]).
+//! - **Drills** ([`chaos`]): replayable [`DrillPlan`]s kill, hang,
+//!   partition or poison collectors at chosen admitted-record
+//!   coordinates, against in-process collectors ([`inproc`]) or real
+//!   spawned `sentinet serve` children fenced by SIGKILL ([`process`]).
 //! - **Merging** ([`report`]): every partition's WAL replays into a
 //!   [`FleetReport`] whose diagnosis half is byte-identical between a
 //!   drilled run and an uninterrupted one.

@@ -1,10 +1,11 @@
 //! The nemesis harness: seeded, deterministic fault campaigns over
-//! the full federation stack. Each episode composes faults from three
-//! families — network ([`NetFault`] windows: partitions, one-way ack
-//! loss, duplication, delayed retransmits), process
-//! ([`CollectorFault`]: kill / hang / poison) and disk (a gateway
-//! [`FaultPlan`] wrapped around an owner's storage) — then checks
-//! three fleet invariants:
+//! the full federation stack. Each episode is one [`DrillPlan`]
+//! composing faults from three families — network ([`NetFault`]
+//! windows: partitions, one-way ack loss, duplication, delayed
+//! retransmits), process ([`CollectorFault`]: kill / hang) and disk
+//! (gateway `FaultSpec`s wrapped around an owner's storage: a poison,
+//! ENOSPC, fsync failure, torn writes) — then checks three fleet
+//! invariants:
 //!
 //! 1. **No acked reading lost**: every partition's merged report must
 //!    account for at least as many admitted readings as the
@@ -35,7 +36,7 @@
 //! fault matters. Same seed, same campaign — a failure report names
 //! the episode seed so one episode replays in isolation.
 
-use crate::chaos::{CollectorFault, DrillFault, DrillPlan, NetDrill, NetFault};
+use crate::chaos::{poison, CollectorFault, DrillFault, DrillPlan, NetDrill, NetFault};
 use crate::federation::{replay_report, Federation, FederationConfig};
 use crate::inproc::{InProcessBackend, Zombie};
 use crate::partition::{PartitionHealth, PartitionMap, SensorRange};
@@ -43,8 +44,8 @@ use crate::report::FederationEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sentinet_gateway::{
-    CutCheck, DeliverOutcome, FaultPlan, FaultSpec, FenceCheck, GatewayConfig, RejectCause,
-    StorageFault, VfsOp,
+    CutCheck, DeliverOutcome, FaultSpec, FenceCheck, GatewayConfig, RejectCause, StorageFault,
+    VfsOp,
 };
 use sentinet_sim::SensorId;
 use std::fmt;
@@ -204,11 +205,11 @@ impl std::error::Error for NemesisFailure {}
 pub struct CampaignSummary {
     /// Episodes completed.
     pub episodes: u32,
-    /// Process faults (kill / hang / poison) injected.
+    /// Process faults (kill / hang) injected.
     pub process_faults: u64,
     /// Network fault windows injected.
     pub net_faults: u64,
-    /// Disk fault plans injected.
+    /// Disk fault specs (poisons included) injected.
     pub disk_faults: u64,
     /// Episodes that composed a disk fault with the rest.
     pub disk_episodes: u32,
@@ -267,7 +268,6 @@ const SUSPECT_AFTER: u32 = 2;
 /// keeps it recoverable.
 struct EpisodePlan {
     drill: DrillPlan,
-    disk: Vec<(usize, FaultPlan)>,
     standbys: usize,
     pipelined: bool,
 }
@@ -310,8 +310,9 @@ fn episode_seed(seed: u64, episode: u32) -> u64 {
 /// Generates episode `i`'s plan. Recoverability rule: every fault
 /// that *can* force a failover (process, disk, and Partition/AckLoss
 /// net windows) reserves one standby, plus one spare. Disk faults
-/// target only delivery-path operations (`Append`/`Fsync`, `nth ≥ 3`)
-/// so an owner always survives bootstrap. Every third episode forces
+/// target only delivery-path operations (`Append`/`Fsync`: a poison
+/// the append after its coordinate, a drawn fault `nth ≥ 3`) so an
+/// owner always survives bootstrap. Every third episode forces
 /// a threshold-length network partition so the split-brain probe is
 /// exercised on a fixed cadence, not by luck.
 fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodePlan {
@@ -322,15 +323,19 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
     let mut drill = DrillPlan::new();
 
     if rng.gen_bool(0.5) {
-        drill = drill.with_fault(DrillFault {
-            partition: rng.gen_range(0..config.partitions),
-            after_records: rng.gen_range(1..max_after),
-            fault: match rng.gen_range(0..3u32) {
-                0 => CollectorFault::Kill,
-                1 => CollectorFault::Hang,
-                _ => CollectorFault::Poison,
-            },
-        });
+        let partition = rng.gen_range(0..config.partitions);
+        let after_records = rng.gen_range(1..max_after);
+        let fault = |fault| DrillFault {
+            partition,
+            after_records,
+            fault,
+        };
+        drill = match rng.gen_range(0..3u32) {
+            0 => drill.with_fault(fault(CollectorFault::Kill)),
+            1 => drill.with_fault(fault(CollectorFault::Hang)),
+            // A poisoned owner is a disk fault on its WAL appends.
+            _ => drill.with_disk(partition, poison(after_records)),
+        };
     }
 
     for _ in 0..rng.gen_range(0..=2u32) {
@@ -372,7 +377,6 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
         });
     }
 
-    let mut disk = Vec::new();
     if rng.gen_bool(0.25) || episode % 8 == 1 {
         let kind = match rng.gen_range(0..3u32) {
             0 => StorageFault::Enospc,
@@ -381,9 +385,9 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
                 bytes: rng.gen_range(0..8),
             },
         };
-        disk.push((
+        drill = drill.with_disk(
             rng.gen_range(0..config.partitions),
-            FaultPlan::new().with_fault(FaultSpec {
+            FaultSpec {
                 path: String::new(),
                 op: if rng.gen_bool(0.5) {
                     VfsOp::Append
@@ -393,8 +397,8 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
                 nth: rng.gen_range(3..20),
                 kind,
                 count: 1,
-            }),
-        ));
+            },
+        );
     }
 
     // With migration on, a Partition/AckLoss window can land on the
@@ -402,7 +406,7 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
     // partition through a fresh failover — budget the window's full
     // span instead of one.
     let failover_capable = drill.faults.len()
-        + disk.len()
+        + drill.disk.len()
         + drill
             .net
             .iter()
@@ -411,7 +415,6 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
             .sum::<usize>();
     EpisodePlan {
         drill,
-        disk,
         standbys: failover_capable + 1,
         pipelined: episode % 2 == 1,
     }
@@ -524,8 +527,8 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
         let plan = generate_plan(config, episode, ep_seed);
         summary.process_faults += plan.drill.faults.len() as u64;
         summary.net_faults += plan.drill.net.len() as u64;
-        summary.disk_faults += plan.disk.len() as u64;
-        if !plan.disk.is_empty() {
+        summary.disk_faults += plan.drill.disk.len() as u64;
+        if !plan.drill.disk.is_empty() {
             summary.disk_episodes += 1;
         }
         if plan.pipelined {
@@ -549,9 +552,6 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
         .with_fence(config.fence)
         .with_cut(config.cut)
         .with_pipelined(plan.pipelined);
-        for (p, disk_plan) in plan.disk {
-            backend = backend.with_disk_fault(p, disk_plan);
-        }
         let stash = backend.zombie_stash();
 
         let fed_config = FederationConfig {

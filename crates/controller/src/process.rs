@@ -36,7 +36,8 @@ pub struct ProcessConfig {
     pub binary: PathBuf,
     /// Root for per-partition WAL directories (`wal_root/p{N}`).
     pub wal_root: PathBuf,
-    /// Adoptions (epoch > 1 starts) allowed before partitions orphan.
+    /// Adoptions (epoch > 1 starts) allowed before partitions orphan;
+    /// each adoption spends one.
     pub standbys: usize,
     /// Wire protocol for every uplink.
     pub protocol: WireProtocol,
@@ -50,8 +51,8 @@ pub struct ProcessConfig {
     pub batch_size: usize,
     /// SIGKILL coordinates: `(partition, after)` kills the epoch-1
     /// owner of `partition` once `after` readings have been handed to
-    /// its uplink. Each fires at most once; adopted owners are never
-    /// re-killed.
+    /// its uplink. A coordinate leaves the list when its owner starts,
+    /// so each fires at most once; adopted owners are never re-killed.
     pub kills: Vec<(PartitionId, u64)>,
     /// Gateway config template for the final WAL replay merge.
     pub replay: GatewayConfig,
@@ -60,20 +61,12 @@ pub struct ProcessConfig {
 /// Backend spawning one `sentinet serve` child per partition owner.
 pub struct ProcessBackend {
     config: ProcessConfig,
-    standbys: usize,
-    kills: Vec<(PartitionId, u64)>,
 }
 
 impl ProcessBackend {
     /// A backend over `config`.
     pub fn new(config: ProcessConfig) -> Self {
-        let standbys = config.standbys;
-        let kills = config.kills.clone();
-        Self {
-            config,
-            standbys,
-            kills,
-        }
+        Self { config }
     }
 
     fn partition_dir(&self, p: PartitionId) -> PathBuf {
@@ -201,12 +194,12 @@ impl PartitionBackend for ProcessBackend {
 
     fn start(&mut self, p: PartitionId, epoch: u64) -> Result<ProcessLink, BackendError> {
         if epoch > 1 {
-            if self.standbys == 0 {
+            if self.config.standbys == 0 {
                 return Err(BackendError(format!(
                     "no standby available to adopt partition {p}"
                 )));
             }
-            self.standbys -= 1;
+            self.config.standbys -= 1;
         }
         let dir = self.partition_dir(p);
         let mut cmd = Command::new(&self.config.binary);
@@ -260,10 +253,11 @@ impl PartitionBackend for ProcessBackend {
             }
         };
         let kill_after = if epoch == 1 {
-            self.kills
+            self.config
+                .kills
                 .iter()
                 .position(|&(kp, _)| kp == p)
-                .map(|i| self.kills.swap_remove(i).1)
+                .map(|i| self.config.kills.swap_remove(i).1)
         } else {
             None
         };

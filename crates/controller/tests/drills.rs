@@ -8,13 +8,14 @@
 //! - with no standby, the partition orphans fail-stop: every acked
 //!   reading survives exactly once and every unacked reading is
 //!   counted as a NACK, never silently dropped;
-//! - seeded drill plans replay to identical event logs.
+//! - drill plans replay to identical event logs.
 
+use sentinet_controller::chaos::poison;
 use sentinet_controller::{
     CollectorFault, DrillFault, DrillPlan, Federation, FederationConfig, FederationEvent,
     InProcessBackend, NetDrill, NetFault, PartitionHealth, PartitionMap,
 };
-use sentinet_gateway::GatewayConfig;
+use sentinet_gateway::{FaultSpec, GatewayConfig, StorageFault, VfsOp};
 use sentinet_sim::SensorId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -181,16 +182,16 @@ fn dead_is_declared_within_the_silence_deadline() {
 #[test]
 fn hang_and_poison_failovers_match_the_baseline() {
     let base = baseline();
-    for (name, fault) in [
-        ("hang", CollectorFault::Hang),
-        ("poison", CollectorFault::Poison),
+    let hang = DrillFault {
+        partition: 0,
+        after_records: 15,
+        fault: CollectorFault::Hang,
+    };
+    for (name, drill) in [
+        ("hang", DrillPlan::new().with_fault(hang)),
+        ("poison", DrillPlan::new().with_disk(0, poison(15))),
     ] {
         let root = tmproot(name);
-        let drill = DrillPlan::new().with_fault(DrillFault {
-            partition: 0,
-            after_records: 15,
-            fault,
-        });
         let (fleet, _) = run_fleet(&root, 1, drill);
         assert_eq!(
             fleet.render_diagnosis(),
@@ -200,6 +201,31 @@ fn hang_and_poison_failovers_match_the_baseline() {
         assert_eq!(fleet.partitions[0].epoch, 2, "{name}: standby owns epoch 2");
         assert!(!fleet.degraded());
     }
+}
+
+/// A poison and a second disk fault on one owner are one storage plan:
+/// an fsync failure at an occurrence the stream never reaches leaves
+/// the poison (ENOSPC on append 16) to fire, and the owner fails over.
+#[test]
+fn a_poison_beside_another_disk_fault_still_fires() {
+    let base = baseline();
+    let unreached = FaultSpec {
+        path: String::new(),
+        op: VfsOp::Fsync,
+        nth: 10_000,
+        kind: StorageFault::FsyncFail,
+        count: 1,
+    };
+    let drill = DrillPlan::new()
+        .with_disk(0, poison(15))
+        .with_disk(0, unreached);
+    let (fleet, _) = run_fleet(&tmproot("poison-disk"), 1, drill);
+    assert_eq!(
+        fleet.partitions[0].epoch, 2,
+        "the poison fired: p0 failed over"
+    );
+    assert_eq!(fleet.render_diagnosis(), base.render_diagnosis());
+    assert!(!fleet.degraded());
 }
 
 #[test]
@@ -362,8 +388,14 @@ fn default_threshold_still_suspects_on_the_first_miss() {
 }
 
 #[test]
-fn seeded_drill_plans_replay_to_identical_runs() {
-    let plan = DrillPlan::seeded(9, 2, 60, 1);
+fn drill_plans_replay_to_identical_runs() {
+    let plan = DrillPlan::new()
+        .with_fault(DrillFault {
+            partition: 1,
+            after_records: 33,
+            fault: CollectorFault::Hang,
+        })
+        .with_disk(0, poison(25));
     assert!(!plan.is_empty());
     let (a, _) = run_fleet(&tmproot("seed-a"), 2, plan.clone());
     let (b, _) = run_fleet(&tmproot("seed-b"), 2, plan);

@@ -176,8 +176,6 @@ pub struct SensorUplink {
     conn: Option<(Stream, FrameBuffer)>,
     next_seq: BTreeMap<SensorId, u64>,
     rng: StdRng,
-    /// Frames retransmitted at least once (for harness assertions).
-    pub retransmits: u64,
     stats: UplinkStats,
     ever_connected: bool,
 }
@@ -186,7 +184,7 @@ impl fmt::Debug for SensorUplink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SensorUplink")
             .field("connect", &self.config.connect)
-            .field("retransmits", &self.retransmits)
+            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -200,7 +198,6 @@ impl SensorUplink {
             conn: None,
             next_seq: BTreeMap::new(),
             rng,
-            retransmits: 0,
             stats: UplinkStats::default(),
             ever_connected: false,
         }
@@ -208,9 +205,7 @@ impl SensorUplink {
 
     /// Transport counters so far (retransmits, timeouts, NACKs, …).
     pub fn stats(&self) -> UplinkStats {
-        let mut stats = self.stats;
-        stats.retransmits = self.retransmits;
-        stats
+        self.stats
     }
 
     /// Sends one reading, assigning the sensor's next sequence number;
@@ -257,7 +252,7 @@ impl SensorUplink {
         });
         for attempt in 0..self.config.max_attempts {
             if attempt > 0 {
-                self.retransmits += 1;
+                self.stats.retransmits += 1;
                 self.backoff(attempt);
             }
             if self.attempt(&frame, |msg| match msg {
@@ -279,38 +274,6 @@ impl SensorUplink {
             seq,
             attempts: self.config.max_attempts,
         })
-    }
-
-    /// Sends one `Heartbeat` probe (carrying the uplink's configured
-    /// fence epoch) and waits for the `HeartbeatAck`; returns the
-    /// server's committed fence epoch and last checkpointed WAL
-    /// cursor, or `None` when every attempt went unanswered. The
-    /// federation tier uses the pair as a liveness signal that
-    /// survives stream silence and as the pre-warm coordinate for
-    /// standbys.
-    pub fn heartbeat(&mut self) -> Option<(u64, u64)> {
-        let frame = encode_frame(&Message::Heartbeat {
-            epoch: self.config.epoch,
-        });
-        let mut reply = None;
-        for attempt in 0..self.config.max_attempts {
-            if attempt > 0 {
-                self.backoff(attempt);
-            }
-            if self.attempt(&frame, |msg| match msg {
-                Message::HeartbeatAck {
-                    epoch,
-                    checkpoint_cursor,
-                } => {
-                    reply = Some((epoch, checkpoint_cursor));
-                    Some(Reply::Acked)
-                }
-                _ => None,
-            }) {
-                return reply;
-            }
-        }
-        None
     }
 
     /// Ends the stream: sends `Fin` until `FinAck` arrives, then

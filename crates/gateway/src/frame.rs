@@ -803,6 +803,29 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
     out
 }
 
+/// Opens the `[u32 len][payload][u32 crc]` envelope at the head of
+/// `bytes`, the one parse the stream and the log share: the length cap,
+/// then completeness (`Ok(None)`), then the CRC. Returns the verified
+/// payload and the frame's length.
+pub(crate) fn open_envelope(bytes: &[u8]) -> Result<Option<(&[u8], usize)>, FrameError> {
+    let Some(&len) = bytes.first_chunk() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_PAYLOAD {
+        return Err(FrameError::TooLarge { len });
+    }
+    let Some(&carried) = bytes.get(4 + len..).and_then(<[u8]>::first_chunk) else {
+        return Ok(None);
+    };
+    let (payload, carried) = (&bytes[4..4 + len], u32::from_le_bytes(carried));
+    let computed = crc32(payload);
+    if computed != carried {
+        return Err(FrameError::BadCrc { computed, carried });
+    }
+    Ok(Some((payload, 4 + len + 4)))
+}
+
 /// Incremental frame decoder: feed raw stream bytes, pop messages.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
@@ -848,30 +871,11 @@ impl FrameBuffer {
     /// Any [`FrameError`]; after an error the stream offset is
     /// untrustworthy and the connection should be closed.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
+        let Some((payload, framed)) = open_envelope(&self.buf[self.start..])? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > MAX_PAYLOAD {
-            return Err(FrameError::TooLarge { len });
-        }
-        if avail.len() < 4 + len + 4 {
-            return Ok(None);
-        }
-        let payload = &avail[4..4 + len];
-        let carried = u32::from_le_bytes([
-            avail[4 + len],
-            avail[5 + len],
-            avail[6 + len],
-            avail[7 + len],
-        ]);
-        let computed = crc32(payload);
-        if computed != carried {
-            return Err(FrameError::BadCrc { computed, carried });
-        }
+        };
         let frame = decode_frame(payload)?;
-        self.start += 4 + len + 4;
+        self.start += framed;
         Ok(Some(frame))
     }
 }

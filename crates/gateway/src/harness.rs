@@ -8,7 +8,8 @@
 //! [`protocol::Core`](crate::protocol::Core) with every
 //! nondeterministic edge lifted out: the caller owns the "network" (it
 //! feeds raw frame bytes per connection and collects typed reply
-//! messages), the caller decides when the queue-dry group commit fires
+//! messages), the caller decides when the queue runs dry
+//! ([`StepServer::queue_dry`]), when the inline group commit fires
 //! ([`StepServer::commit`]) and when an overlapped sync starts and when
 //! it completes ([`StepServer::start_sync`],
 //! [`StepServer::complete_sync`] — the server's syncer thread, with the
@@ -155,8 +156,8 @@ impl StepServer {
         Ok(StepEvent::Replies(self.route(replies)))
     }
 
-    /// The queue-dry group commit; the caller (the model checker's
-    /// schedule) decides when the queue counts as dry.
+    /// The inline group commit (what `Fin` runs); the caller (the model
+    /// checker's schedule) decides when it fires.
     ///
     /// # Errors
     ///
@@ -166,6 +167,27 @@ impl StepServer {
         let mut replies = Vec::new();
         self.core.on_queue_dry(&mut self.collector, &mut replies)?;
         Ok(self.route(replies))
+    }
+
+    /// What the server does when its queue runs dry: queued acks behind
+    /// an idle syncer start an overlapped sync
+    /// ([`StepServer::start_sync`]) whatever the fsync policy, and only
+    /// a log that cannot start one is committed inline
+    /// ([`StepServer::commit`]). A busy syncer takes the flush later.
+    ///
+    /// # Errors
+    ///
+    /// As [`StepServer::commit`].
+    pub fn queue_dry(&mut self) -> Result<Vec<(usize, Message)>, GatewayError> {
+        let busy = self.sync_in_flight()
+            || matches!(
+                self.restore_step_ready(),
+                Some(RestoreStep::Write | RestoreStep::Rename)
+            );
+        if self.core.pending_acks().is_empty() || busy || self.start_sync() {
+            return Ok(Vec::new());
+        }
+        self.commit()
     }
 
     /// An overlapped sync starts: the WAL cursor it will cover is

@@ -128,9 +128,10 @@ impl Core {
         self.pending.retain(|p| p.conn != conn);
     }
 
-    /// The ingest queue ran dry — the flush interval: one group fsync
-    /// covers every batch admitted since the last one, and the acks it
-    /// unblocks are released together.
+    /// The group commit, inline: one fsync covers every batch admitted
+    /// since the last one, and the acks it unblocks are released
+    /// together. `Fin` runs it; a driver whose queue ran dry runs it
+    /// only when it cannot hand the flush to an overlapped sync.
     ///
     /// # Errors
     ///

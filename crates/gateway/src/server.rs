@@ -295,12 +295,15 @@ impl Server {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            // A momentarily dry queue is the core's flush interval —
-            // unless a sync is in flight: its completion is the next
-            // event, and a second fsync beside it would buy nothing.
+            // A momentarily dry queue is the group commit's flush
+            // interval: queued acks behind no sync in flight get one now,
+            // whatever the policy, on the syncer — the loop never waits
+            // on the disk. A log that cannot start one (poisoned, or a
+            // vfs without sync handles) takes the inline commit.
             let event = match self.events.try_recv() {
                 Ok(e) => e,
                 Err(TryRecvError::Empty) => {
+                    self.start_sync(collector, !self.core.pending_acks().is_empty());
                     if !collector.sync_in_flight() {
                         self.core.on_queue_dry(collector, &mut replies)?;
                         write_replies(&mut writers, &mut replies, &mut drain, stats);
@@ -326,7 +329,7 @@ impl Server {
                     if fin? {
                         return Ok(());
                     }
-                    self.start_due_sync(collector);
+                    self.start_sync(collector, false);
                 }
                 Event::Batch(id, sensor, seq, arena) => {
                     let done = self
@@ -334,16 +337,16 @@ impl Server {
                         .on_batch(collector, id, sensor, seq, &arena, &mut replies);
                     write_replies(&mut writers, &mut replies, &mut drain, stats);
                     done?;
-                    self.start_due_sync(collector);
+                    self.start_sync(collector, false);
                 }
                 Event::Synced(ticket, done) => {
                     self.core.on_synced(collector, ticket, done, &mut replies);
                     write_replies(&mut writers, &mut replies, &mut drain, stats);
-                    self.start_due_sync(collector);
+                    self.start_sync(collector, false);
                 }
                 Event::RestorePoint => {
                     collector.land_restore_point();
-                    self.start_due_sync(collector);
+                    self.start_sync(collector, false);
                 }
                 Event::BadFrame(id, e) => {
                     stats.bad_frames += 1;
@@ -364,15 +367,15 @@ impl Server {
 
 impl Server {
     /// Hands the syncer thread the next overlapped fsync if the WAL's
-    /// policy wants one (or a staged restore point is waiting for one)
-    /// and none is in flight — after every admitted message and every
-    /// completion, so the next sync starts the moment the previous one
-    /// lands.
-    fn start_due_sync(&mut self, collector: &mut Collector) {
+    /// policy wants one (or a staged restore point is waiting for one,
+    /// or `flush` asks for one) and none is in flight — after every
+    /// admitted message and every completion, so the next sync starts
+    /// the moment the previous one lands.
+    fn start_sync(&mut self, collector: &mut Collector, flush: bool) {
         let Some(events) = &self.events_tx else {
             return;
         };
-        if !collector.sync_due() {
+        if !flush && !collector.sync_due() {
             return;
         }
         let Some(start) = collector.begin_sync() else {

@@ -58,8 +58,8 @@
 
 use crate::collector::RestorePoint;
 use crate::frame::{
-    decode_readings, encode_batch_payload, encode_data_payload, frame_with, stated_readings,
-    FrameError, ReadingArena, MAX_BATCH_READINGS, MAX_PAYLOAD,
+    decode_readings, encode_batch_payload, encode_data_payload, frame_with, open_envelope,
+    stated_readings, FrameError, ReadingArena, MAX_BATCH_READINGS, MAX_PAYLOAD,
 };
 use crate::vfs::{RealVfs, StorageError, VFile, Vfs, VfsOp};
 use sentinet_sim::{SensorId, Timestamp};
@@ -333,37 +333,19 @@ enum SegmentScan {
 fn scan_segment(segment: &Path, bytes: &[u8], out: &mut WalLog) -> Result<SegmentScan, WalError> {
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < 4 {
-            return Ok(SegmentScan::Failed(pos as u64, FrameError::Truncated));
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_PAYLOAD {
-            return Ok(SegmentScan::Failed(
-                pos as u64,
-                FrameError::TooLarge { len },
-            ));
-        }
-        if rest.len() < 4 + len + 4 {
-            return Ok(SegmentScan::Failed(pos as u64, FrameError::Truncated));
-        }
-        let payload = &rest[4..4 + len];
-        let carried =
-            u32::from_le_bytes([rest[4 + len], rest[5 + len], rest[6 + len], rest[7 + len]]);
-        let computed = crate::crc::crc32(payload);
-        if computed != carried {
-            return Ok(SegmentScan::Failed(
-                pos as u64,
-                FrameError::BadCrc { computed, carried },
-            ));
-        }
-        match decode_readings(payload, &mut out.readings) {
-            Ok(Some((sensor, first_seq))) => {
+        // An incomplete frame is a torn tail here, not a wait for bytes.
+        let frame = open_envelope(&bytes[pos..]).and_then(|f| f.ok_or(FrameError::Truncated));
+        let decoded = frame.and_then(|(payload, framed)| {
+            Ok((decode_readings(payload, &mut out.readings)?, framed))
+        });
+        match decoded {
+            Ok((Some((sensor, first_seq)), framed)) => {
                 let count = (out.readings.len() - out.keys.len()) as u64;
                 out.keys
                     .extend((0..count).map(|i| (sensor, first_seq.wrapping_add(i))));
+                pos += framed;
             }
-            Ok(None) => {
+            Ok((None, _)) => {
                 return Err(WalError::ForeignRecord {
                     segment: segment.to_path_buf(),
                     offset: pos as u64,
@@ -371,7 +353,6 @@ fn scan_segment(segment: &Path, bytes: &[u8], out: &mut WalLog) -> Result<Segmen
             }
             Err(reason) => return Ok(SegmentScan::Failed(pos as u64, reason)),
         }
-        pos += 4 + len + 4;
     }
     Ok(SegmentScan::Clean)
 }

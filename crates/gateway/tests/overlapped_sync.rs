@@ -636,6 +636,61 @@ fn a_served_run_leaves_the_in_process_restore_point() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// (e) at the step seam, on the schedule a served run reaches only when
+/// the reader falls behind: the syncer's policy sync completes with
+/// fewer than `batch:64` readings left uncovered, and the queue runs
+/// dry. That flush rides the syncer too — no fsync on the event loop.
+#[test]
+fn a_dry_queue_behind_a_completed_sync_flushes_on_the_syncer() {
+    let dir = tmpdir("dry-flush");
+    let mut config = GatewayConfig::new(&dir);
+    config.wal.fsync = FsyncPolicy::Batch(64);
+    config.checkpoint_every = 0;
+    let (collector, _) = Collector::open(config).expect("open");
+    let mut server = StepServer::new(collector, 8, AckDiscipline::Durable);
+    let conn = server.connect();
+    let deliver = |server: &mut StepServer, frame: &[u8]| {
+        server.feed(conn, frame);
+        match server.step(conn) {
+            Ok(StepEvent::Replies(replies)) => replies,
+            other => panic!("{other:?}"),
+        }
+    };
+    // The cumulative ack of each batch in `batches`, in order.
+    let acks = |batches: std::ops::Range<u64>| -> Vec<(usize, Message)> {
+        let sensor = SensorId(0);
+        let ack = |index| Message::AckUpTo {
+            sensor,
+            seq: (index + 1) * BATCH - 1,
+        };
+        batches.map(|index| (conn, ack(index))).collect()
+    };
+    let hello = Message::Hello {
+        version: PROTOCOL_VERSION,
+        epoch: 0,
+    };
+    deliver(&mut server, &encode_frame(&hello));
+    for index in 0..4 {
+        assert_eq!(deliver(&mut server, &batch(index)), []);
+    }
+    assert!(server.start_sync(), "64 readings: the policy's sync");
+    assert_eq!(deliver(&mut server, &batch(4)), [], "admitted beside it");
+    assert_eq!(server.complete_sync(), acks(0..4));
+    assert!(!server.collector().sync_due(), "16 readings: none due");
+    let replies = server.queue_dry().expect("healthy storage");
+    assert!(
+        replies.is_empty() && server.sync_in_flight(),
+        "the flush rides the syncer: {replies:?}"
+    );
+    assert_eq!(
+        server.collector().stage_timings().sync_blocked_ns,
+        0,
+        "no fsync on the event loop"
+    );
+    assert_eq!(server.complete_sync(), acks(4..5));
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// (f) Kill between the tmp write and the rename, through the step
 /// seam: the reopened collector verifies the previous restore point,
 /// replays the whole log, and finishes to the uninterrupted report.

@@ -362,7 +362,7 @@ enum Action {
     Deliver(usize),
     /// Client puts its next batch on the wire (consumes a credit).
     Send(usize),
-    /// The queue runs dry: group commit + ack release.
+    /// The inline group commit (`Fin`, a forced flush) + ack release.
     Commit,
     /// An overlapped sync starts: the cursor it covers is captured.
     SyncStart,
