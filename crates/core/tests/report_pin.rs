@@ -11,6 +11,10 @@
 //! cell, alarm history and track is in the checkpoint text with floats
 //! verbatim, so an equal digest means the model state is bit-identical.
 //! On mismatch the test prints the report for diffing.
+//!
+//! A third digest pins every verdict's confidence: the FNV-1a of one
+//! `id diagnosis confidence-bits` line per sensor (and one sensor never
+//! seen), recorded by running this file at 28488e2.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +23,7 @@ use sentinet_inject::{
     inject_attacks, inject_faults, AttackInjection, AttackModel, FaultInjection, FaultModel,
 };
 use sentinet_sim::{gdi, simulate, SensorId, DAY_S};
+use std::fmt::Write;
 
 fn fnv(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -29,6 +34,8 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// Digests recorded at parent commit 568f592.
 const SNAPSHOT_DIGEST: u64 = 1_583_934_005_129_867_244;
 const REPORT_DIGEST: u64 = 424_754_040_791_017_449;
+/// Digest of every `classify_with_confidence` answer, recorded at 28488e2.
+const CONFIDENCE_DIGEST: u64 = 3_787_932_169_362_242_323;
 
 #[test]
 fn report_and_checkpoint_match_the_parent_commit() {
@@ -99,5 +106,20 @@ fn report_and_checkpoint_match_the_parent_commit() {
         (fnv(snapshot.as_bytes()), fnv(report.as_bytes())),
         (SNAPSHOT_DIGEST, REPORT_DIGEST),
         "pipeline output drifted from commit 568f592:\n{report}"
+    );
+
+    let never_seen = SensorId(999);
+    let mut verdicts = String::new();
+    for id in (0..cfg.num_sensors as u16)
+        .map(SensorId)
+        .chain([never_seen])
+    {
+        let (diagnosis, confidence) = p.classify_with_confidence(id);
+        writeln!(verdicts, "{id} {diagnosis} {:016x}", confidence.to_bits()).unwrap();
+    }
+    assert_eq!(
+        fnv(verdicts.as_bytes()),
+        CONFIDENCE_DIGEST,
+        "verdicts or confidences drifted from commit 28488e2:\n{verdicts}"
     );
 }
