@@ -9,6 +9,7 @@
 use sentinet_bench::{
     active_rows, print_matrix, run_pipeline, state_label, stuck_at_scenario, visible_columns,
 };
+use sentinet_core::classify::evidenced_rows;
 use sentinet_core::{Diagnosis, ErrorType};
 use sentinet_hmm::structure::{OrthoTolerance, OrthogonalityReport};
 use sentinet_sim::SensorId;
@@ -43,13 +44,7 @@ fn main() {
     // Table 3: B^CE for sensor 6 (⊥ is column 0).
     let m_ce = p.m_ce(sensor).expect("sensor 6 tracked");
     let b_ce = m_ce.observation();
-    let ce_rows: Vec<usize> = m_ce
-        .observation_evidence()
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c >= p.config().min_state_evidence)
-        .map(|(i, _)| i)
-        .collect();
+    let ce_rows: Vec<usize> = evidenced_rows(m_ce, p.config().min_state_evidence).collect();
     let mut ce_labels = vec!["⊥".to_string()];
     ce_labels.extend((0..b_ce.num_cols() - 1).map(|s| state_label(&p, s)));
     let ce_cols = visible_columns(b_ce, &ce_rows, 0.01);

@@ -9,6 +9,7 @@
 use sentinet_bench::{
     active_rows, calibration_scenario, print_matrix, run_pipeline, state_label, visible_columns,
 };
+use sentinet_core::classify::{carries_error, evidenced_rows};
 use sentinet_core::{Diagnosis, ErrorType};
 use sentinet_hmm::structure::{mean_var, OrthoTolerance, OrthogonalityReport};
 use sentinet_sim::SensorId;
@@ -41,13 +42,7 @@ fn main() {
 
     let m_ce = p.m_ce(sensor).expect("sensor 7 tracked");
     let b_ce = m_ce.observation();
-    let ce_rows: Vec<usize> = m_ce
-        .observation_evidence()
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c >= p.config().min_state_evidence)
-        .map(|(i, _)| i)
-        .collect();
+    let ce_rows: Vec<usize> = evidenced_rows(m_ce, p.config().min_state_evidence).collect();
     let mut ce_labels = vec!["⊥".to_string()];
     ce_labels.extend((0..b_ce.num_cols() - 1).map(|s| state_label(&p, s)));
     let ce_cols = visible_columns(b_ce, &ce_rows, 0.01);
@@ -84,7 +79,7 @@ fn main() {
             &ce_rows
                 .iter()
                 .copied()
-                .filter(|&i| b_ce[(i, 0)] <= 0.5)
+                .filter(|&i| carries_error(b_ce, i))
                 .collect::<Vec<_>>(),
         ),
     )

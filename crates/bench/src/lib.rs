@@ -8,6 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sentinet_core::classify::evidenced_rows;
 use sentinet_core::{Pipeline, PipelineConfig};
 use sentinet_inject::{
     first_k_sensors, inject_attacks, inject_faults, AttackInjection, AttackModel, FaultInjection,
@@ -236,16 +237,10 @@ pub fn visible_columns(
 
 /// Active `B` rows of the global `M_CO` given minimum evidence.
 pub fn active_rows(pipeline: &Pipeline) -> Vec<usize> {
+    let min_evidence = pipeline.config().min_state_evidence;
     pipeline
         .m_co()
-        .map(|m| {
-            m.observation_evidence()
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c >= pipeline.config().min_state_evidence)
-                .map(|(i, _)| i)
-                .collect()
-        })
+        .map(|m| evidenced_rows(m, min_evidence).collect())
         .unwrap_or_default()
 }
 

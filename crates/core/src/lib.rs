@@ -57,7 +57,6 @@
 
 pub mod checkpoint;
 pub mod classify;
-pub mod confidence;
 mod config;
 mod pipeline;
 pub mod recovery;

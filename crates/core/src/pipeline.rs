@@ -36,7 +36,7 @@
 //! a spawned state allocates its slot; `tests/steady_state_alloc.rs`
 //! counts allocator calls to hold this.
 
-use crate::classify::{AttackType, Diagnosis};
+use crate::classify::{carries_error, evidenced_rows, AttackType, Diagnosis};
 use crate::config::PipelineConfig;
 use crate::runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages};
 use crate::window::{ObservationWindow, WindowScratch, Windower};
@@ -457,7 +457,7 @@ impl Pipeline {
 
     /// Classifies one sensor and reports the confidence of the verdict
     /// — the normalized margin by which the deciding structural
-    /// statistic cleared its threshold (see [`crate::confidence`]).
+    /// statistic cleared its threshold (see [`crate::classify`]).
     pub fn classify_with_confidence(&self, sensor: SensorId) -> (Diagnosis, f64) {
         self.global().classify_with_confidence(self.sensor(sensor))
     }
@@ -485,14 +485,9 @@ impl Pipeline {
             return BTreeMap::new();
         };
         let b = state.m_ce().observation();
-        state
-            .m_ce()
-            .observation_evidence()
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c >= self.global().config().min_state_evidence)
-            .filter(|(i, _)| b[(*i, BOT_SYMBOL)] <= 0.5)
-            .filter_map(|(i, _)| {
+        evidenced_rows(state.m_ce(), self.global().config().min_state_evidence)
+            .filter(|&i| carries_error(b, i))
+            .filter_map(|i| {
                 let row = b.row(i);
                 let dominant = row
                     .iter()

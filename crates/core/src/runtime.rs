@@ -19,15 +19,16 @@
 //! way, which is what makes the engine's output bit-for-bit identical
 //! to the serial pipeline's.
 //!
-//! Classification queries are memoized: structural analyses are cached
+//! Classification queries are memoized: each verdict and its confidence
+//! come from one walk of the Fig. 5 tree ([`crate::classify`]), cached
 //! behind the estimators' update generations (see
 //! [`OnlineHmmEstimator::generation`]), so repeated
-//! `classify`/`network_attack`/confidence calls after unchanged windows
-//! are O(1).
+//! `classify`/`classify_with_confidence`/`network_attack` calls after
+//! unchanged windows are O(1).
 
 use crate::classify::{
-    classify_network_with_report, classify_sensor, AttackType, Diagnosis, NetworkEvidence,
-    SensorEvidence,
+    classify_network, classify_sensor, clean_margin, evidenced_rows, matured, AttackType,
+    Diagnosis, NetworkEvidence, SensorEvidence,
 };
 use crate::config::{FilterPolicy, PipelineConfig};
 use crate::pipeline::WindowOutcome;
@@ -36,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_cluster::{kmeans, ModelStates, StateEvent, UpdateScratch};
 use sentinet_filter::{AlarmFilter, KOfNFilter, Sprt, SprtAlarmFilter};
-use sentinet_hmm::structure::StructureCache;
+use sentinet_hmm::structure::{OrthogonalityReport, StructureCache};
 use sentinet_hmm::{MarkovChain, OnlineHmmEstimator, OnlineMarkovEstimator, StochasticMatrix};
 use sentinet_sim::SensorId;
 use std::cell::RefCell;
@@ -78,7 +79,7 @@ struct MemoKey {
 struct DiagnosisMemo {
     key: MemoKey,
     diagnosis: Diagnosis,
-    confidence: Option<f64>,
+    confidence: f64,
 }
 
 /// Per-sensor pipeline state: alarm filter, error/attack tracks, and
@@ -406,8 +407,23 @@ struct NetMemo {
     stamp: (u64, u64),
     active_rows: Vec<usize>,
     centroids: Vec<Option<Vec<f64>>>,
-    verdict: Option<AttackType>,
+    report: OrthogonalityReport,
+    /// The attack `B^CO` carries, with its confidence.
+    attack: Option<(AttackType, f64)>,
+    /// An `ErrorFree` verdict's confidence before [`matured`].
+    clean_margin: f64,
     structure: StructureCache,
+}
+
+impl NetMemo {
+    fn evidence<'a>(&'a self, b_co: &'a StochasticMatrix) -> NetworkEvidence<'a> {
+        NetworkEvidence {
+            b_co,
+            report: &self.report,
+            active_rows: &self.active_rows,
+            centroids: &self.centroids,
+        }
+    }
 }
 
 /// The global (coordinator-side) half of the pipeline: model states,
@@ -743,8 +759,8 @@ impl GlobalModel {
     }
 
     /// Runs `f` against the up-to-date network memo. Recomputes the
-    /// active rows, centroid table, orthogonality report, and network
-    /// verdict only when the network stamp moved.
+    /// active rows, centroid table, orthogonality report, network
+    /// verdict and clean margin only when the network stamp moved.
     fn with_net_memo<'a, R>(
         &'a self,
         f: impl FnOnce(&NetMemo, &'a OnlineHmmEstimator) -> R,
@@ -754,13 +770,8 @@ impl GlobalModel {
         let stamp = (m_co.generation(), states.generation());
         let mut memo = self.net_memo.borrow_mut();
         if !matches!(memo.as_ref(), Some(m) if m.stamp == stamp) {
-            let active_rows: Vec<usize> = m_co
-                .observation_evidence()
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c >= self.config.min_state_evidence)
-                .map(|(i, _)| i)
-                .collect();
+            let active_rows: Vec<usize> =
+                evidenced_rows(m_co, self.config.min_state_evidence).collect();
             let centroids: Vec<Option<Vec<f64>>> = (0..states.num_slots())
                 .map(|i| states.centroid_any(i).map(<[f64]>::to_vec))
                 .collect();
@@ -778,15 +789,19 @@ impl GlobalModel {
                 .clone();
             let evidence = NetworkEvidence {
                 b_co: m_co.observation(),
-                active_rows: active_rows.clone(),
-                centroids: centroids.clone(),
+                report: &report,
+                active_rows: &active_rows,
+                centroids: &centroids,
             };
-            let verdict = classify_network_with_report(&evidence, &report, &self.config);
+            let attack = classify_network(&evidence, &self.config);
+            let clean_margin = clean_margin(&evidence, &self.config);
             *memo = Some(NetMemo {
                 stamp,
                 active_rows,
                 centroids,
-                verdict,
+                report,
+                attack,
+                clean_margin,
                 structure,
             });
         }
@@ -794,36 +809,10 @@ impl GlobalModel {
         Some(f(memo.as_ref().expect("just filled"), m_co))
     }
 
-    /// Network-level evidence for classification, from the memo.
-    pub fn network_evidence(&self) -> Option<NetworkEvidence<'_>> {
-        self.with_net_memo(|memo, m_co| NetworkEvidence {
-            b_co: m_co.observation(),
-            active_rows: memo.active_rows.clone(),
-            centroids: memo.centroids.clone(),
-        })
-    }
-
     /// The memoized network-level verdict: `Some(attack)` when the
     /// `M_CO` structure carries an attack signature.
     pub fn network_attack(&self) -> Option<AttackType> {
-        self.with_net_memo(|memo, _| memo.verdict.clone())?
-    }
-
-    /// Assembles the sensor-level classification evidence.
-    pub fn sensor_evidence<'a>(&self, runtime: &'a SensorRuntime) -> SensorEvidence<'a> {
-        let active_rows: Vec<usize> = runtime
-            .m_ce
-            .observation_evidence()
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c >= self.config.min_state_evidence)
-            .map(|(i, _)| i)
-            .collect();
-        SensorEvidence {
-            b_ce: runtime.m_ce.observation(),
-            active_rows,
-            alarmed: runtime.ever_alarmed,
-        }
+        self.with_net_memo(|memo, _| memo.attack.as_ref().map(|(attack, _)| attack.clone()))?
     }
 
     fn memo_key(&self, runtime: &SensorRuntime) -> Option<MemoKey> {
@@ -834,74 +823,49 @@ impl GlobalModel {
         })
     }
 
-    /// Classifies one sensor per the paper's Fig. 5 tree, memoized on
-    /// the `(M_CE, network, window)` generations.
+    /// Classifies one sensor per the paper's Fig. 5 tree.
     ///
     /// `None` — a sensor never seen — is [`Diagnosis::ErrorFree`].
     pub fn classify(&self, runtime: Option<&SensorRuntime>) -> Diagnosis {
-        let Some(rt) = runtime else {
-            return Diagnosis::ErrorFree;
-        };
-        if !rt.ever_alarmed {
-            return Diagnosis::ErrorFree;
-        }
-        let Some(key) = self.memo_key(rt) else {
-            return Diagnosis::ErrorFree;
-        };
-        if let Some(memo) = rt.memo.borrow().as_ref() {
-            if memo.key == key {
-                return memo.diagnosis.clone();
-            }
-        }
-        let diagnosis = match self.network_attack() {
-            Some(attack) => Diagnosis::Attack(attack),
-            None => {
-                // sentinet-allow(expect-used): the generation stamp check guarantees the evidence entry exists
-                let net = self.network_evidence().expect("stamp checked");
-                let ev = self.sensor_evidence(rt);
-                classify_sensor(&net, &ev, &self.config)
-            }
-        };
-        *rt.memo.borrow_mut() = Some(DiagnosisMemo {
-            key,
-            diagnosis: diagnosis.clone(),
-            confidence: None,
-        });
-        diagnosis
+        self.classify_with_confidence(runtime).0
     }
 
     /// [`GlobalModel::classify`] plus the verdict's confidence (see
-    /// [`crate::confidence`]), memoized alongside the diagnosis.
+    /// [`crate::classify`]): one walk of the tree yields both, memoized
+    /// on the `(M_CE, network, window)` generations.
     pub fn classify_with_confidence(&self, runtime: Option<&SensorRuntime>) -> (Diagnosis, f64) {
-        let diagnosis = self.classify(runtime);
-        let key = runtime.and_then(|rt| self.memo_key(rt));
-        if let (Some(rt), Some(key)) = (runtime, key) {
-            if let Some(memo) = rt.memo.borrow().as_ref() {
-                if memo.key == key {
-                    if let Some(confidence) = memo.confidence {
-                        return (memo.diagnosis.clone(), confidence);
-                    }
-                }
-            }
-        }
-        let Some(net) = self.network_evidence() else {
-            return (diagnosis, 0.0);
+        let Some(rt) = runtime.filter(|rt| rt.ever_alarmed) else {
+            let clean =
+                self.with_net_memo(|memo, _| matured(memo.clean_margin, self.windows_processed));
+            return (Diagnosis::ErrorFree, clean.unwrap_or(0.0));
         };
-        let sensor_ev = runtime.map(|rt| self.sensor_evidence(rt));
-        let confidence = crate::confidence::diagnosis_confidence(
-            &net,
-            sensor_ev.as_ref(),
-            &diagnosis,
-            self.windows_processed,
-            &self.config,
-        );
-        if let (Some(rt), Some(key)) = (runtime, key) {
-            *rt.memo.borrow_mut() = Some(DiagnosisMemo {
-                key,
-                diagnosis: diagnosis.clone(),
-                confidence: Some(confidence),
-            });
+        let Some(key) = self.memo_key(rt) else {
+            return (Diagnosis::ErrorFree, 0.0);
+        };
+        if let Some(memo) = rt.memo.borrow().as_ref().filter(|m| m.key == key) {
+            return (memo.diagnosis.clone(), memo.confidence);
         }
+        let walked = self.with_net_memo(|memo, m_co| match &memo.attack {
+            Some((attack, confidence)) => (Diagnosis::Attack(attack.clone()), *confidence),
+            None => {
+                let rows: Vec<usize> =
+                    evidenced_rows(&rt.m_ce, self.config.min_state_evidence).collect();
+                let sensor = SensorEvidence {
+                    b_ce: rt.m_ce.observation(),
+                    active_rows: &rows,
+                };
+                let network = memo.evidence(m_co.observation());
+                let (error, confidence) = classify_sensor(&network, &sensor, &self.config);
+                (Diagnosis::Error(error), confidence)
+            }
+        });
+        // sentinet-allow(expect-used): memo_key found the network model, so the memo exists
+        let (diagnosis, confidence) = walked.expect("stamp checked");
+        *rt.memo.borrow_mut() = Some(DiagnosisMemo {
+            key,
+            diagnosis: diagnosis.clone(),
+            confidence,
+        });
         (diagnosis, confidence)
     }
 

@@ -1,7 +1,9 @@
 //! Every `cargo run|bench|test -p <pkg> --bin|--bench|--test|--example
 //! <name>` in the docs names a package and a target that exist: in the
 //! member's `Cargo.toml` tables, or where cargo finds them on its own
-//! (`src/main.rs`, `src/bin/`, `benches/`, `tests/`, `examples/`).
+//! (`src/main.rs`, `src/bin/`, `benches/`, `tests/`, `examples/`). And
+//! every experiment a doc names in backticks (`` `exp_…` ``) is a
+//! `sentinet-bench` bench target.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -117,6 +119,49 @@ fn stale(doc: &str) -> Vec<String> {
         stale.extend(found.map(|p| format!("{doc}:{line}: {p}: {}", command.trim())));
     }
     stale
+}
+
+/// Every backticked experiment name (`exp_` and an identifier) in
+/// `text` that `benches` lacks, each as `line: name`.
+fn unknown_experiments(text: &str, benches: &BTreeSet<String>) -> Vec<String> {
+    let mut unknown = Vec::new();
+    for (line, content) in text.lines().enumerate() {
+        let spans = content.split('`').skip(1).step_by(2);
+        let names = spans.filter(|s| {
+            let ident = s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+            s.starts_with("exp_") && ident
+        });
+        let missing = names.filter(|name| !benches.contains(&format!("bench {name}")));
+        unknown.extend(missing.map(|name| format!("{}: {name}", line + 1)));
+    }
+    unknown
+}
+
+/// Every experiment `doc` names that `sentinet-bench` does not have.
+fn stale_experiments(doc: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(root().join(doc)).expect("doc readable");
+    let found = unknown_experiments(&text, &workspace()["sentinet-bench"]);
+    found.into_iter().map(|u| format!("{doc}:{u}")).collect()
+}
+
+#[test]
+fn an_unknown_experiment_is_named_and_placeholders_pass() {
+    let benches = BTreeSet::from(["bench exp_fig6".to_string()]);
+    let doc = "`exp_fig6` and `exp_gone`\n`exp_*`, `exp_<name>`, exp_bare, `cargo bench exp_x`";
+    assert_eq!(unknown_experiments(doc, &benches), ["1: exp_gone"]);
+}
+
+#[test]
+fn docs_name_only_real_experiments() {
+    let stale: Vec<_> = ["README.md", "EXPERIMENTS.md", "DESIGN.md"]
+        .into_iter()
+        .flat_map(stale_experiments)
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "no such bench target:\n{}",
+        stale.join("\n")
+    );
 }
 
 #[test]
