@@ -43,8 +43,8 @@ impl MarkovDetector {
     ///
     /// # Errors
     ///
-    /// - [`HmmError::EmptySequence`] if no training data is given.
-    /// - [`HmmError::StateOutOfRange`] for bad symbols.
+    /// As [`MarkovChain::from_sequences`]: no training data, an empty
+    /// sequence or a bad symbol.
     ///
     /// # Panics
     ///
@@ -59,49 +59,7 @@ impl MarkovDetector {
             (0.0..=1.0).contains(&support) && (0.0..=1.0).contains(&miss_threshold),
             "support and miss threshold must be probabilities"
         );
-        if clean_sequences.is_empty() {
-            return Err(HmmError::EmptySequence);
-        }
-        // Concatenation would fabricate cross-sequence transitions, so
-        // count each sequence separately by chaining through the
-        // estimator: train on the concatenation minus the seams.
-        let mut counts = vec![vec![0.0f64; num_states]; num_states];
-        let mut visits = vec![0.0f64; num_states];
-        for seq in clean_sequences {
-            if seq.is_empty() {
-                return Err(HmmError::EmptySequence);
-            }
-            for &s in seq {
-                if s >= num_states {
-                    return Err(HmmError::StateOutOfRange {
-                        state: s,
-                        num_states,
-                    });
-                }
-                visits[s] += 1.0;
-            }
-            for w in seq.windows(2) {
-                counts[w[0]][w[1]] += 1.0;
-            }
-        }
-        let rows: Vec<Vec<f64>> = counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let s: f64 = row.iter().sum();
-                // sentinet-allow(float-eq): an exactly-zero row sum cannot be normalised; the guard falls back to uniform
-                if s == 0.0 {
-                    let mut r = vec![0.0; num_states];
-                    r[i] = 1.0;
-                    r
-                } else {
-                    row.into_iter().map(|x| x / s).collect()
-                }
-            })
-            .collect();
-        let total: f64 = visits.iter().sum();
-        let occupancy: Vec<f64> = visits.into_iter().map(|v| v / total).collect();
-        let chain = MarkovChain::new(sentinet_hmm::StochasticMatrix::from_rows(rows)?, occupancy)?;
+        let chain = MarkovChain::from_sequences(num_states, clean_sequences)?;
         let visited = chain.occupancy().iter().map(|&o| o > 0.0).collect();
         Ok(Self {
             chain,

@@ -66,15 +66,14 @@ pub struct WindowerSnapshot {
 }
 
 /// The bootstrapped portion of a [`GlobalSnapshot`]: the model states
-/// and the three estimators that are installed together at bootstrap.
+/// and the two estimators that are installed together at bootstrap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalStates {
     /// The evolving model-state set.
     pub states: StatesSnapshot,
-    /// The `M_CO` (correct → observable) estimator.
+    /// The `M_CO` (correct → observable) estimator; its transition
+    /// half is the `M_C` Markov model of the correct states.
     pub m_co: EstimatorState,
-    /// The `M_C` Markov model of the correct states.
-    pub m_c: MarkovState,
     /// The `M_O` Markov model of the observable states.
     pub m_o: MarkovState,
 }
@@ -235,7 +234,8 @@ pub fn put_opt<W: fmt::Write, T: fmt::Display>(out: &mut W, v: Option<T>) -> fmt
 /// The `tag` header line of one estimator, then its `a`/`b`/`counts`
 /// rows, each named with the `rows` prefix: the shard codec's `mce`
 /// rows are bare (`a …`), the pipeline codec's `mco` rows are
-/// `mco-a …`.
+/// `mco-a …`. The header's steps are the visits' sum, and `counts`
+/// holds the visits twice: as visits and as `B`'s row update counts.
 fn put_estimator<W: fmt::Write>(
     out: &mut W,
     tag: &str,
@@ -243,23 +243,28 @@ fn put_estimator<W: fmt::Write>(
     m: &EstimatorState,
 ) -> fmt::Result {
     write!(out, "{tag} ")?;
-    push_hex(out, m.beta)?;
+    push_hex(out, m.markov.beta)?;
     out.write_char(' ')?;
     push_hex(out, m.gamma)?;
     out.write_char(' ')?;
-    put_opt(out, m.prev_state)?;
-    writeln!(out, " {} {}", m.steps, m.generation)?;
-    for row in &m.a {
+    put_opt(out, m.markov.prev)?;
+    writeln!(out, " {} {}", steps(&m.markov.visits), m.generation)?;
+    for row in &m.markov.transition {
         put_hex_row(out, format_args!("{rows}a"), row)?;
     }
     for row in &m.b {
         put_hex_row(out, format_args!("{rows}b"), row)?;
     }
     write!(out, "{rows}counts ")?;
-    put_joined(out, &m.state_counts)?;
+    put_joined(out, &m.markov.visits)?;
     out.write_char(' ')?;
-    put_joined(out, &m.obs_counts)?;
+    put_joined(out, &m.markov.visits)?;
     out.write_char('\n')
+}
+
+/// One step a visit, wrapping: no count a text can state overflows.
+fn steps(visits: &[u64]) -> u64 {
+    visits.iter().fold(0, |sum, &v| sum.wrapping_add(v))
 }
 
 /// Encodes one shard's sensors as durable checkpoint text.
@@ -613,30 +618,33 @@ impl<'a> Fields<'a> {
 
 /// One estimator block: the `tag` header line, then `a`, `b` and
 /// `counts` rows named with the `rows` prefix — [`put_estimator`]'s
-/// inverse.
+/// inverse, counters not derived from the visits rejected.
 fn parse_estimator(
     r: &mut Reader<'_>,
     tag: &str,
     rows: &str,
 ) -> Result<EstimatorState, CheckpointError> {
     let mut f = r.tagged(tag)?;
-    let (beta, gamma, prev_state) = (f.hex()?, f.hex()?, f.opt()?);
-    let (steps, generation) = (f.num()?, f.num()?);
+    let (beta, gamma, prev) = (f.hex()?, f.hex()?, f.opt()?);
+    let (header_steps, generation) = (f.num::<u64>()?, f.num()?);
     f.end()?;
-    let a = r.rows(&format!("{rows}a"))?;
+    let transition = r.rows(&format!("{rows}a"))?;
     let b = r.rows(&format!("{rows}b"))?;
     let mut f = r.tagged(&format!("{rows}counts"))?;
-    let (state_counts, obs_counts) = (f.nums()?, f.nums()?);
+    let (visits, updates): (Vec<u64>, Vec<u64>) = (f.nums()?, f.nums()?);
     f.end()?;
+    if updates != visits || header_steps != steps(&visits) {
+        return f.fail("counts or steps other than the visits'");
+    }
     Ok(EstimatorState {
-        a,
+        markov: MarkovState {
+            transition,
+            beta,
+            prev,
+            visits,
+        },
         b,
-        beta,
         gamma,
-        prev_state,
-        state_counts,
-        obs_counts,
-        steps,
         generation,
     })
 }
@@ -786,7 +794,7 @@ pub fn write_pipeline<W: fmt::Write>(out: &mut W, snap: &PipelineSnapshot) -> fm
                 put_hex_row(out, format_args!("slot {}", u8::from(*active)), centroid)?;
             }
             put_estimator(out, "mco", "mco-", &gs.m_co)?;
-            put_markov(out, "mc", &gs.m_c)?;
+            put_markov(out, "mc", &gs.m_co.markov)?;
             put_markov(out, "mo", &gs.m_o)?;
         }
     }
@@ -867,6 +875,15 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
             active.push(f.flag()?);
             centroids.push(f.hex_row()?);
         }
+        let m_co = parse_estimator(r, "mco", "mco-")?;
+        // `mc` repeats `mco`'s transition half byte for byte (`M_C` is
+        // `M_CO`'s **A**); `fmt::Write for String` never fails.
+        let (mut read, mut derived) = (String::new(), String::new());
+        let _ = put_markov(&mut read, "mc", &parse_markov(r, "mc")?);
+        let _ = put_markov(&mut derived, "mc", &m_co.markov);
+        if read != derived {
+            return r.fail("`mc` is not `mco`'s transition half");
+        }
         Some(GlobalStates {
             states: StatesSnapshot {
                 centroids,
@@ -874,8 +891,7 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
                 config,
                 generation,
             },
-            m_co: parse_estimator(r, "mco", "mco-")?,
-            m_c: parse_markov(r, "mc")?,
+            m_co,
             m_o: parse_markov(r, "mo")?,
         })
     } else {
@@ -988,12 +1004,6 @@ mod tests {
                 est.observe(1, 1).unwrap();
                 est.export_state()
             },
-            m_c: {
-                let mut m = sentinet_hmm::OnlineMarkovEstimator::new(3, 0.9).unwrap();
-                m.observe(0).unwrap();
-                m.observe(2).unwrap();
-                m.export_state()
-            },
             m_o: sentinet_hmm::OnlineMarkovEstimator::new(3, 0.9)
                 .unwrap()
                 .export_state(),
@@ -1040,6 +1050,74 @@ mod tests {
         match err {
             CheckpointError::Malformed { line, .. } => assert!(line > 1),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    /// The first line of `text` that starts with `prefix`.
+    fn line_starting<'t>(text: &'t str, prefix: &str) -> &'t str {
+        text.split('\n')
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no line starting `{prefix}`"))
+    }
+
+    /// `M_C` is `M_CO`'s transition half: an `mc` block whose rows, β,
+    /// previous state or visits say otherwise is malformed, so
+    /// whatever decodes re-encodes to the bytes read.
+    #[test]
+    fn mc_block_differing_from_mcos_transition_half_is_malformed() {
+        let text = encode_pipeline(&sample_pipeline_snapshot(true));
+        let header = line_starting(&text, "mc ");
+        let [_, beta, prev, visits] = header.split(' ').collect::<Vec<_>>()[..] else {
+            panic!("mc header `{header}`");
+        };
+        let row = line_starting(&text, "mc-row ");
+        let block = line_of(&text, header)..line_of(&text, line_starting(&text, "mo "));
+        for damaged in [
+            text.replacen(header, &format!("mc 3fe0000000000000 {prev} {visits}"), 1),
+            text.replacen(header, &format!("mc {beta} - {visits}"), 1),
+            text.replacen(header, &format!("mc {beta} {prev} 9,9,9"), 1),
+            text.replacen(
+                row,
+                "mc-row 0000000000000000 3ff0000000000000 0000000000000000",
+                1,
+            ),
+            text.replacen(&format!("{row}\n"), "", 1),
+        ] {
+            assert_ne!(damaged, text);
+            let line = malformed_line(decode_pipeline(&damaged));
+            assert!(block.contains(&line), "line {line} outside {block:?}");
+        }
+    }
+
+    /// A `counts` line holds the visits twice and an estimator header's
+    /// steps are their sum; `mco` and `mce` blocks that say otherwise
+    /// are malformed.
+    #[test]
+    fn estimator_counters_other_than_the_visits_are_malformed() {
+        let text = encode_pipeline(&sample_pipeline_snapshot(true));
+        let bump_first = |list: &str| {
+            let first = list.split(',').next().unwrap_or(list);
+            let bumped = first.parse::<u64>().expect("a count") + 1;
+            format!("{bumped}{}", &list[first.len()..])
+        };
+        for counts in ["mco-counts ", "counts "] {
+            let line = line_starting(&text, counts);
+            let (head, updates) = line.rsplit_once(' ').expect("two vectors");
+            let bumped = format!("{head} {}", bump_first(updates));
+            let damaged = text.replacen(line, &bumped, 1);
+            let at = malformed_line(decode_pipeline(&damaged));
+            assert_eq!(at, line_of(&damaged, &bumped));
+        }
+        for tag in ["mco ", "mce "] {
+            let header = line_starting(&text, tag);
+            let mut fields: Vec<&str> = header.split(' ').collect();
+            let steps = bump_first(fields[4]);
+            fields[4] = &steps;
+            malformed_line(decode_pipeline(&text.replacen(
+                header,
+                &fields.join(" "),
+                1,
+            )));
         }
     }
 

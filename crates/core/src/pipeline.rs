@@ -16,7 +16,7 @@
 //!    `M_CE` estimators with `e_i = l_j` or ⊥;
 //! 7. **HMM estimation** — the global `M_CO` (correct → observable) and
 //!    per-sensor `M_CE` (correct → error) models, plus the Markov
-//!    models `M_C` and `M_O`;
+//!    model `M_O`; `M_C` is `M_CO`'s transition half;
 //! 8. **Classification** on demand via [`Pipeline::classify`].
 //!
 //! The stage order is written once, in the [`Coordinator`]'s window

@@ -7,7 +7,8 @@
 //!   estimation — which touches only one sensor's state and can run on
 //!   any shard ([`SensorRuntime`]);
 //! - **global** work — clustering, observable/correct state
-//!   identification, `M_CO`/`M_C`/`M_O` estimation, majority voting,
+//!   identification, `M_CO`/`M_O` estimation (`M_C` is `M_CO`'s
+//!   transition half), majority voting,
 //!   network-level classification — which needs *all* sensors' votes
 //!   and must run on a single coordinator ([`GlobalModel`]).
 //!
@@ -240,9 +241,7 @@ fn make_m_ce(config: &PipelineConfig, num_slots: usize) -> OnlineHmmEstimator {
         .collect();
     // sentinet-allow(expect-used): one-hot rows are stochastic by construction
     let b = StochasticMatrix::from_rows(rows).expect("rows are one-hot");
-    // sentinet-allow(expect-used): num_slots >= 1 is asserted at bootstrap
-    let a = StochasticMatrix::identity(num_slots).expect("num_slots > 0");
-    OnlineHmmEstimator::with_initial(a, b, config.beta, config.gamma)
+    OnlineHmmEstimator::with_initial(b, config.beta, config.gamma)
         // sentinet-allow(expect-used): learning factors were validated by PipelineConfig::validate
         .expect("validated learning factors")
 }
@@ -427,15 +426,15 @@ impl NetMemo {
 }
 
 /// The global (coordinator-side) half of the pipeline: model states,
-/// bootstrap accumulation, the `M_CO`/`M_C`/`M_O` estimators, the
-/// decisive-window history, and memoized network classification.
+/// bootstrap accumulation, the `M_CO` and `M_O` estimators (`M_C` is
+/// `M_CO`'s transition half), the decisive-window history, and
+/// memoized network classification.
 #[derive(Debug)]
 pub struct GlobalModel {
     config: PipelineConfig,
     rng: StdRng,
     states: Option<ModelStates>,
     m_co: Option<OnlineHmmEstimator>,
-    m_c: Option<OnlineMarkovEstimator>,
     m_o: Option<OnlineMarkovEstimator>,
     bootstrap_points: Vec<Vec<f64>>,
     windows_processed: u64,
@@ -463,7 +462,6 @@ impl GlobalModel {
             rng,
             states: None,
             m_co: None,
-            m_c: None,
             m_o: None,
             bootstrap_points: Vec::new(),
             windows_processed: 0,
@@ -485,10 +483,6 @@ impl GlobalModel {
                 // sentinet-allow(expect-used): learning factors were validated by PipelineConfig::validate
                 .expect("validated learning factors"),
         );
-        self.m_c = Some(
-            // sentinet-allow(expect-used): learning factors were validated by PipelineConfig::validate
-            OnlineMarkovEstimator::new(m, self.config.beta).expect("validated learning factors"),
-        );
         self.m_o = Some(
             // sentinet-allow(expect-used): learning factors were validated by PipelineConfig::validate
             OnlineMarkovEstimator::new(m, self.config.beta).expect("validated learning factors"),
@@ -504,9 +498,6 @@ impl GlobalModel {
         };
         if let Some(m_co) = self.m_co.as_mut() {
             m_co.grow(slots, slots);
-        }
-        if let Some(m_c) = self.m_c.as_mut() {
-            m_c.grow(slots);
         }
         if let Some(m_o) = self.m_o.as_mut() {
             m_o.grow(slots);
@@ -567,7 +558,7 @@ impl GlobalModel {
     }
 
     /// Records a decisive window's state pair into the history and the
-    /// global `M_CO`/`M_C`/`M_O` estimators.
+    /// global `M_CO`/`M_O` estimators.
     pub fn record_decisive(&mut self, correct: usize, observable: usize) {
         self.state_history
             .push((self.windows_processed, correct, observable));
@@ -578,13 +569,6 @@ impl GlobalModel {
             .observe(correct, observable)
             // sentinet-allow(expect-used): slots are grown in lockstep with the state set
             .expect("states within estimator dims");
-        self.m_c
-            .as_mut()
-            // sentinet-allow(expect-used): estimators are installed at bootstrap, before any decisive window
-            .expect("installed")
-            .observe(correct)
-            // sentinet-allow(expect-used): slots are grown in lockstep with the state set
-            .expect("state in range");
         self.m_o
             .as_mut()
             // sentinet-allow(expect-used): estimators are installed at bootstrap, before any decisive window
@@ -640,12 +624,13 @@ impl GlobalModel {
         self.m_co.as_ref()
     }
 
-    /// The error/attack-free Markov model `M_C` of the environment.
+    /// The error/attack-free Markov model `M_C` of the environment:
+    /// `M_CO`'s transition half, estimated from the same `c_i`.
     pub fn correct_model(&self) -> Option<MarkovChain> {
-        self.m_c
+        self.m_co
             .as_ref()
             // sentinet-allow(expect-used): online estimator rows stay row-stochastic, so to_chain cannot fail
-            .map(|m| m.to_chain().expect("valid chain"))
+            .map(|m| m.markov().to_chain().expect("valid chain"))
     }
 
     /// The Markov model `M_O` of the observable states.
@@ -669,19 +654,18 @@ impl GlobalModel {
 
     /// Captures the coordinator-side state for checkpointing: the
     /// bootstrap accumulator, decisive-window history, and — once
-    /// bootstrapped — the model states with all three global
-    /// estimators. The classification memo is a generation-keyed cache
-    /// and rebuilds on first use; the RNG is not captured because it is
+    /// bootstrapped — the model states with both global estimators.
+    /// The classification memo is a generation-keyed cache and
+    /// rebuilds on first use; the RNG is not captured because it is
     /// consumed only by the bootstrap k-means, which by construction
     /// has already run iff `states` is `Some` (and a restored
     /// pre-bootstrap model re-seeds from `config.seed`, replaying the
     /// identical draw sequence).
     pub fn snapshot(&self) -> crate::checkpoint::GlobalSnapshot {
-        let states = match (&self.states, &self.m_co, &self.m_c, &self.m_o) {
-            (Some(s), Some(m_co), Some(m_c), Some(m_o)) => Some(crate::checkpoint::GlobalStates {
+        let states = match (&self.states, &self.m_co, &self.m_o) {
+            (Some(s), Some(m_co), Some(m_o)) => Some(crate::checkpoint::GlobalStates {
                 states: s.snapshot(),
                 m_co: m_co.export_state(),
-                m_c: m_c.export_state(),
                 m_o: m_o.export_state(),
             }),
             _ => None,
@@ -715,16 +699,12 @@ impl GlobalModel {
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         config.validate();
         let invalid = crate::checkpoint::CheckpointError::Invalid;
-        let (states, m_co, m_c, m_o) = match snapshot.states {
-            None => (None, None, None, None),
+        let (states, m_co, m_o) = match snapshot.states {
+            None => (None, None, None),
             Some(gs) => (
                 Some(ModelStates::from_snapshot(gs.states).map_err(invalid)?),
                 Some(
                     OnlineHmmEstimator::import_state(gs.m_co)
-                        .map_err(|e| invalid(e.to_string()))?,
-                ),
-                Some(
-                    OnlineMarkovEstimator::import_state(gs.m_c)
                         .map_err(|e| invalid(e.to_string()))?,
                 ),
                 Some(
@@ -739,7 +719,6 @@ impl GlobalModel {
             rng,
             states,
             m_co,
-            m_c,
             m_o,
             bootstrap_points: snapshot.bootstrap_points,
             windows_processed: snapshot.windows_processed,

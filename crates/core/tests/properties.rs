@@ -356,15 +356,15 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// two k-of-n filters, and floats whose bit patterns a decimal codec
 /// would lose (NaN, ±∞, −0.0, a subnormal).
 fn golden_pipeline_snapshot() -> PipelineSnapshot {
-    let estimator = |prev_state, generation| EstimatorState {
-        a: vec![vec![0.75, 0.25], vec![f64::MIN_POSITIVE, 1.0]],
+    let estimator = |prev, generation| EstimatorState {
+        markov: MarkovState {
+            transition: vec![vec![0.75, 0.25], vec![f64::MIN_POSITIVE, 1.0]],
+            beta: 0.9,
+            prev,
+            visits: vec![17, 0],
+        },
         b: vec![vec![0.5, 0.25, 0.25], vec![0.0, -0.0, 1.0]],
-        beta: 0.9,
         gamma: 0.85,
-        prev_state,
-        state_counts: vec![17, 0],
-        obs_counts: vec![3, 14],
-        steps: 17,
         generation,
     };
     let sensor = |filter, tracks: Vec<TrackRecord>, raw_history: Vec<(u64, bool)>| SensorSnapshot {
@@ -392,12 +392,6 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
                     generation: 4,
                 },
                 m_co: estimator(Some(1), 9),
-                m_c: MarkovState {
-                    transition: vec![vec![0.5, 0.5], vec![0.125, 0.875]],
-                    beta: 0.9,
-                    prev: Some(0),
-                    visits: vec![1_300, 44],
-                },
                 m_o: MarkovState {
                     transition: vec![vec![1.0, 0.0], vec![0.0, 1.0]],
                     beta: 0.9,
@@ -473,11 +467,14 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
 }
 
 /// Digests of [`golden_pipeline_snapshot`] through `encode_pipeline`
-/// and of its sensors through `encode_shard`, recorded by running this
-/// test at commit 584aad4 — the last one whose encoders built a
-/// `String` per line and per float. `report_pin.rs` pins a large real
-/// snapshot; this one pins the branches a healthy run does not take.
-const GOLDEN_DIGESTS: (u64, u64) = (12_200_159_013_245_710_496, 13_871_323_684_382_502_547);
+/// and of its sensors through `encode_shard`. `report_pin.rs` pins a
+/// large real snapshot; this one pins the branches a healthy run does
+/// not take. Recorded by encoding this same snapshot at commit
+/// c9e5fe7, the last whose snapshot stored `M_C` and the `B`-update
+/// counts apart from `M_CO`'s **A** and visits (there spelled out equal
+/// to them): the format is unchanged, but the earlier golden snapshot,
+/// whose `mc` and update counts differed, no longer decodes.
+const GOLDEN_DIGESTS: (u64, u64) = (866_907_874_412_027_781, 4_076_390_086_112_296_981);
 
 #[test]
 fn golden_snapshot_encodes_to_the_recorded_bytes() {
@@ -513,7 +510,7 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
     assert_eq!(
         (fnv(pipeline.as_bytes()), fnv(shard.as_bytes())),
         GOLDEN_DIGESTS,
-        "checkpoint encoding drifted from commit 584aad4"
+        "checkpoint encoding drifted from commit c9e5fe7"
     );
 }
 

@@ -58,22 +58,6 @@ impl Forward {
     }
 }
 
-/// Reusable buffers for [`Hmm::log_likelihood_into`]: two state-sized
-/// vectors that persist across calls so repeated scoring allocates
-/// nothing after the first evaluation.
-#[derive(Debug, Clone, Default)]
-pub struct ForwardScratch {
-    alpha: Vec<f64>,
-    next: Vec<f64>,
-}
-
-impl ForwardScratch {
-    /// Creates empty scratch buffers (they size themselves on use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Result of Viterbi decoding: the maximum-probability state path and
 /// its log-probability.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,73 +282,6 @@ impl Hmm {
         Ok(self.forward(obs)?.log_likelihood())
     }
 
-    /// [`Hmm::log_likelihood`] with caller-provided scratch buffers:
-    /// after warm-up no allocation happens, which matters when scoring
-    /// thousands of sliding windows against the same model. The result
-    /// is bit-identical to the allocating path (same operation order).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Hmm::forward`].
-    pub fn log_likelihood_into(&self, obs: &[usize], scratch: &mut ForwardScratch) -> Result<f64> {
-        self.check_symbols(obs)?;
-        let m = self.num_states();
-        let alpha = &mut scratch.alpha;
-        let next = &mut scratch.next;
-        alpha.clear();
-        alpha.extend((0..m).map(|i| self.pi[i] * self.b[(i, obs[0])]));
-        let c0: f64 = alpha.iter().sum();
-        if c0 <= 0.0 {
-            return Err(HmmError::ImpossibleSequence { time: 0 });
-        }
-        alpha.iter_mut().for_each(|x| *x /= c0);
-        let mut ll = c0.ln();
-        for (t, &o) in obs.iter().enumerate().skip(1) {
-            next.clear();
-            next.resize(m, 0.0);
-            for (j, nx) in next.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (i, &ai) in alpha.iter().enumerate() {
-                    acc += ai * self.a[(i, j)];
-                }
-                *nx = acc * self.b[(j, o)];
-            }
-            let c: f64 = next.iter().sum();
-            if c <= 0.0 {
-                return Err(HmmError::ImpossibleSequence { time: t });
-            }
-            next.iter_mut().for_each(|x| *x /= c);
-            ll += c.ln();
-            std::mem::swap(alpha, next);
-        }
-        Ok(ll)
-    }
-
-    /// Posterior state marginals `γ[t][i] = Pr{s_t = S_i | O, λ}`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Hmm::forward`].
-    pub fn posteriors(&self, obs: &[usize]) -> Result<Vec<Vec<f64>>> {
-        let fwd = self.forward(obs)?;
-        let beta_hat = self.backward(obs, &fwd.scale)?;
-        let m = self.num_states();
-        let mut gamma = vec![vec![0.0; m]; obs.len()];
-        for t in 0..obs.len() {
-            let mut norm = 0.0;
-            for i in 0..m {
-                gamma[t][i] = fwd.alpha_hat[t][i] * beta_hat[t][i];
-                norm += gamma[t][i];
-            }
-            // alpha_hat * beta_hat is proportional to the posterior;
-            // normalize to remove the residual scaling constant.
-            for g in &mut gamma[t] {
-                *g /= norm;
-            }
-        }
-        Ok(gamma)
-    }
-
     /// Viterbi decoding: the single most probable hidden state path.
     ///
     /// Works in log space so it cannot underflow.
@@ -504,26 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_forward_matches_allocating_forward() {
-        let h = toy();
-        let mut scratch = ForwardScratch::new();
-        for obs in [vec![0], vec![0, 1], vec![1, 1, 0], vec![0, 1, 0, 1, 1]] {
-            let alloc = h.log_likelihood(&obs).unwrap();
-            let reused = h.log_likelihood_into(&obs, &mut scratch).unwrap();
-            assert_eq!(alloc.to_bits(), reused.to_bits(), "obs {obs:?}");
-        }
-        // Error paths behave the same.
-        assert!(matches!(
-            h.log_likelihood_into(&[], &mut scratch),
-            Err(HmmError::EmptySequence)
-        ));
-        assert!(matches!(
-            h.log_likelihood_into(&[9], &mut scratch),
-            Err(HmmError::SymbolOutOfRange { .. })
-        ));
-    }
-
-    #[test]
     fn backward_consistency() {
         // Likelihood computed from beta at t=0 must match forward.
         let h = toy();
@@ -531,25 +428,13 @@ mod tests {
         let fwd = h.forward(&obs).unwrap();
         let beta_hat = h.backward(&obs, &fwd.scale).unwrap();
         // Pr{O} = Σ_i π_i b_i(o_0) β_0(i); with scaling the identity
-        // becomes Σ_i π_i b_i(o_0) β̂_0(i) = 1 / c_0 · ... — easier to
-        // verify via posterior normalization below.
+        // becomes Σ_i π_i b_i(o_0) β̂_0(i) = 1.
         let mut s = 0.0;
         for i in 0..h.num_states() {
             s += h.initial()[i] * h.observation()[(i, obs[0])] * beta_hat[0][i];
         }
         // With Rabiner scaling, this sum equals exactly 1.
         assert!((s - 1.0).abs() < 1e-10, "sum {s}");
-    }
-
-    #[test]
-    fn posteriors_sum_to_one() {
-        let h = toy();
-        let obs = vec![0, 1, 0, 0, 1, 1];
-        let gamma = h.posteriors(&obs).unwrap();
-        for row in gamma {
-            let s: f64 = row.iter().sum();
-            assert!((s - 1.0).abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //!
 //! 1. [`StochasticMatrix`] — validated row-stochastic matrices with the
 //!    exponential simplex updates the paper's online estimation relies
-//!    on, plus Gram-matrix machinery for orthogonality analysis.
+//!    on, plus the row Gram matrix the orthogonality analysis reads.
 //! 2. [`Hmm`] — the classical `λ = (A, B, π)` model with scaled
 //!    forward/backward, [`Hmm::viterbi`] decoding, sampling, and batch
 //!    [`baum_welch()`] training (used by the Warrender–Forrest baseline).
-//! 3. [`OnlineHmmEstimator`] / [`OnlineMarkovEstimator`] — the paper's
+//! 3. [`OnlineMarkovEstimator`] / [`OnlineHmmEstimator`] — the paper's
 //!    §3.2 on-line procedure: cheap per-window exponential updates that
 //!    sidestep the classical HMM identification problem by exploiting
 //!    sensor redundancy (the hidden state is *estimated* each window).
+//!    An HMM estimator is a Markov estimator over the hidden states
+//!    (**A**) plus **B**, so `M_C` (a [`MarkovChain`]) is `M_CO`'s
+//!    transition half.
 //! 4. [`structure`] — row/column orthogonality reports, the stuck-at
 //!    column test (Eq. 7) and one-to-one association extraction (Eq. 8)
 //!    that drive the §3.4 error/attack classification tree.
@@ -55,14 +58,12 @@ pub mod baum_welch;
 pub mod markov;
 pub mod online;
 pub mod online_em;
-pub mod selection;
 pub mod structure;
 
 pub use baum_welch::{baum_welch, BaumWelchConfig, TrainedHmm};
 pub use error::{HmmError, Result};
-pub use hmm::{Forward, ForwardScratch, Hmm, ViterbiPath};
+pub use hmm::{Forward, Hmm, ViterbiPath};
 pub use markov::{MarkovChain, MarkovState, OnlineMarkovEstimator};
 pub use matrix::{validate_distribution, StochasticMatrix, STOCHASTIC_TOL};
 pub use online::{EstimatorState, OnlineHmmEstimator};
 pub use online_em::OnlineEmEstimator;
-pub use selection::{select_num_states, ModelSelection};

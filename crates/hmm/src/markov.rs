@@ -2,9 +2,11 @@
 //!
 //! The pipeline's final deliverable to the user is a Markov model `M_C`
 //! of the error/attack-free environment dynamics (paper Fig. 7),
-//! estimated from the sequence of correct environment states `c_i`. The
-//! same machinery also powers the Markov-chain baseline detector of
-//! `sentinet-baselines`.
+//! estimated from the sequence of correct environment states `c_i`:
+//! the [`OnlineMarkovEstimator`] that `M_CO`'s
+//! [`OnlineHmmEstimator`](crate::OnlineHmmEstimator) holds for its
+//! **A**. [`MarkovChain::from_sequences`] fits the Markov-chain
+//! baseline detector of `sentinet-baselines`.
 
 use crate::error::{HmmError, Result};
 use crate::matrix::StochasticMatrix;
@@ -18,7 +20,7 @@ use std::fmt;
 /// use sentinet_hmm::MarkovChain;
 ///
 /// # fn main() -> Result<(), sentinet_hmm::HmmError> {
-/// let mc = MarkovChain::from_sequence(3, &[0, 0, 1, 1, 2, 0])?;
+/// let mc = MarkovChain::from_sequences(3, &[vec![0, 0, 1, 1, 2, 0]])?;
 /// assert!(mc.transition()[(0, 0)] > 0.0);
 /// let pi = mc.stationary(1e-10, 10_000);
 /// assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -64,44 +66,50 @@ impl MarkovChain {
         })
     }
 
-    /// Estimates a chain from a state sequence by maximum likelihood with
-    /// add-zero counts (rows never left become self-loops).
+    /// Estimates a chain from state sequences by maximum likelihood with
+    /// add-zero counts (rows never left become self-loops). Each
+    /// sequence's transitions are counted on their own: concatenating
+    /// them would fabricate one at every seam.
     ///
     /// # Errors
     ///
     /// - [`HmmError::EmptyModel`] if `num_states == 0`.
-    /// - [`HmmError::EmptySequence`] if `seq` is empty.
-    /// - [`HmmError::StateOutOfRange`] if the sequence mentions a state
+    /// - [`HmmError::EmptySequence`] if there is no sequence or one is
+    ///   empty.
+    /// - [`HmmError::StateOutOfRange`] if a sequence mentions a state
     ///   `>= num_states`.
-    pub fn from_sequence(num_states: usize, seq: &[usize]) -> Result<Self> {
+    pub fn from_sequences(num_states: usize, sequences: &[Vec<usize>]) -> Result<Self> {
         if num_states == 0 {
             return Err(HmmError::EmptyModel);
         }
-        if seq.is_empty() {
+        if sequences.is_empty() {
             return Err(HmmError::EmptySequence);
-        }
-        for &s in seq {
-            if s >= num_states {
-                return Err(HmmError::StateOutOfRange {
-                    state: s,
-                    num_states,
-                });
-            }
         }
         let mut counts = vec![vec![0.0f64; num_states]; num_states];
         let mut visits = vec![0.0f64; num_states];
-        for &s in seq {
-            visits[s] += 1.0;
-        }
-        for w in seq.windows(2) {
-            counts[w[0]][w[1]] += 1.0;
+        for seq in sequences {
+            if seq.is_empty() {
+                return Err(HmmError::EmptySequence);
+            }
+            for &s in seq {
+                if s >= num_states {
+                    return Err(HmmError::StateOutOfRange {
+                        state: s,
+                        num_states,
+                    });
+                }
+                visits[s] += 1.0;
+            }
+            for w in seq.windows(2) {
+                counts[w[0]][w[1]] += 1.0;
+            }
         }
         let rows: Vec<Vec<f64>> = counts
             .into_iter()
             .enumerate()
             .map(|(i, row)| {
                 let s: f64 = row.iter().sum();
-                // sentinet-allow(float-eq): an exactly-zero row sum cannot be normalised; the guard falls back to uniform
+                // sentinet-allow(float-eq): an exactly-zero row sum cannot be normalised; the guard falls back to a self-loop
                 if s == 0.0 {
                     // Never-left state: model as an absorbing self-loop.
                     let mut r = vec![0.0; num_states];
@@ -216,15 +224,31 @@ impl fmt::Display for MarkovChain {
     }
 }
 
-/// Online Markov chain estimator mirroring the paper's transition update
-/// (same `β`-exponential rule as the HMM's **A**, applied on every step
-/// including self-transitions so the chain also learns dwell times).
+/// Online Markov chain estimator: the paper's `β`-exponential
+/// transition update, applied only when the state changes
+/// (`prev != state`), so a dwell leaves the row untouched. It is the
+/// **A** half of every [`OnlineHmmEstimator`](crate::OnlineHmmEstimator).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineMarkovEstimator {
-    transition: StochasticMatrix,
+    pub(crate) transition: StochasticMatrix,
     beta: f64,
     prev: Option<usize>,
-    visits: Vec<u64>,
+    /// Visits per state (an HMM estimator's **B** row update counts).
+    pub(crate) visits: Vec<u64>,
+}
+
+/// `value` when it lies in `(0, 1)`, as every learning factor must;
+/// otherwise [`HmmError::InvalidParameter`] naming it `name`.
+pub(crate) fn learning_factor(name: &'static str, value: f64) -> Result<f64> {
+    if value > 0.0 && value < 1.0 {
+        Ok(value)
+    } else {
+        Err(HmmError::InvalidParameter {
+            name,
+            value,
+            range: "(0, 1)",
+        })
+    }
 }
 
 impl OnlineMarkovEstimator {
@@ -236,13 +260,7 @@ impl OnlineMarkovEstimator {
     /// - [`HmmError::EmptyModel`] if `num_states == 0`.
     /// - [`HmmError::InvalidParameter`] if `beta` is outside `(0, 1)`.
     pub fn new(num_states: usize, beta: f64) -> Result<Self> {
-        if !(beta > 0.0 && beta < 1.0) {
-            return Err(HmmError::InvalidParameter {
-                name: "beta",
-                value: beta,
-                range: "(0, 1)",
-            });
-        }
+        let beta = learning_factor("beta", beta)?;
         Ok(Self {
             transition: StochasticMatrix::identity(num_states)?,
             beta,
@@ -314,13 +332,7 @@ impl OnlineMarkovEstimator {
     /// - [`HmmError::StateOutOfRange`] if `prev` is out of range.
     /// - [`HmmError::InvalidParameter`] for an out-of-range `beta`.
     pub fn import_state(state: MarkovState) -> Result<Self> {
-        if !(state.beta > 0.0 && state.beta < 1.0) {
-            return Err(HmmError::InvalidParameter {
-                name: "beta",
-                value: state.beta,
-                range: "(0, 1)",
-            });
-        }
+        let beta = learning_factor("beta", state.beta)?;
         let transition = StochasticMatrix::from_rows(state.transition)?;
         let m = transition.num_rows();
         if transition.num_cols() != m {
@@ -347,10 +359,24 @@ impl OnlineMarkovEstimator {
         }
         Ok(Self {
             transition,
-            beta: state.beta,
+            beta,
             prev: state.prev,
             visits: state.visits,
         })
+    }
+
+    /// Empirical occupancy distribution over states (uniform if
+    /// nothing has been observed yet).
+    pub(crate) fn occupancy(&self) -> Vec<f64> {
+        let total: u64 = self.visits.iter().sum();
+        if total == 0 {
+            vec![1.0 / self.num_states() as f64; self.num_states()]
+        } else {
+            self.visits
+                .iter()
+                .map(|&v| v as f64 / total as f64)
+                .collect()
+        }
     }
 
     /// Builds a [`MarkovChain`] snapshot with empirical occupancy.
@@ -359,16 +385,7 @@ impl OnlineMarkovEstimator {
     ///
     /// Propagates construction errors (cannot occur when invariants held).
     pub fn to_chain(&self) -> Result<MarkovChain> {
-        let total: u64 = self.visits.iter().sum();
-        let occ = if total == 0 {
-            vec![1.0 / self.num_states() as f64; self.num_states()]
-        } else {
-            self.visits
-                .iter()
-                .map(|&v| v as f64 / total as f64)
-                .collect()
-        };
-        MarkovChain::new(self.transition.clone(), occ)
+        MarkovChain::new(self.transition.clone(), self.occupancy())
     }
 }
 
@@ -394,7 +411,7 @@ mod tests {
 
     #[test]
     fn from_sequence_counts_correctly() {
-        let mc = MarkovChain::from_sequence(2, &[0, 0, 1, 0, 1, 1]).unwrap();
+        let mc = MarkovChain::from_sequences(2, &[vec![0, 0, 1, 0, 1, 1]]).unwrap();
         // Transitions from 0: 0→0 once, 0→1 twice.
         assert!((mc.transition()[(0, 0)] - 1.0 / 3.0).abs() < 1e-12);
         assert!((mc.transition()[(0, 1)] - 2.0 / 3.0).abs() < 1e-12);
@@ -404,24 +421,37 @@ mod tests {
 
     #[test]
     fn from_sequence_never_left_state_self_loops() {
-        let mc = MarkovChain::from_sequence(3, &[0, 1, 0, 1]).unwrap();
+        let mc = MarkovChain::from_sequences(3, &[vec![0, 1, 0, 1]]).unwrap();
         assert_eq!(mc.transition()[(2, 2)], 1.0);
     }
 
     #[test]
     fn from_sequence_validates() {
         assert_eq!(
-            MarkovChain::from_sequence(0, &[0]).unwrap_err(),
+            MarkovChain::from_sequences(0, &[vec![0]]).unwrap_err(),
             HmmError::EmptyModel
         );
-        assert_eq!(
-            MarkovChain::from_sequence(2, &[]).unwrap_err(),
-            HmmError::EmptySequence
-        );
+        for empty in [&[][..], &[vec![0, 1], vec![]]] {
+            assert_eq!(
+                MarkovChain::from_sequences(2, empty).unwrap_err(),
+                HmmError::EmptySequence
+            );
+        }
         assert!(matches!(
-            MarkovChain::from_sequence(2, &[0, 5]),
+            MarkovChain::from_sequences(2, &[vec![0, 1], vec![0, 5]]),
             Err(HmmError::StateOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn from_sequences_counts_no_seam_transition() {
+        // Concatenated, the two would add a 2 → 0 transition that
+        // occurs within neither.
+        let mc = MarkovChain::from_sequences(3, &[vec![0, 1, 2, 2], vec![0, 1, 2]]).unwrap();
+        assert_eq!(mc.transition()[(2, 0)], 0.0);
+        assert_eq!(mc.transition()[(2, 2)], 1.0);
+        assert!((mc.transition()[(0, 1)] - 1.0).abs() < 1e-12);
+        assert!((mc.occupancy()[2] - 3.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -443,7 +473,7 @@ mod tests {
 
     #[test]
     fn edges_and_dot_output() {
-        let mc = MarkovChain::from_sequence(2, &[0, 1, 0, 1]).unwrap();
+        let mc = MarkovChain::from_sequences(2, &[vec![0, 1, 0, 1]]).unwrap();
         let edges = mc.edges(0.5);
         assert!(edges.contains(&(0, 1, 1.0)));
         let dot = mc.to_dot(&["(12,94)".into(), "(17,84)".into()], 0.5);
@@ -454,7 +484,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one label per state")]
     fn to_dot_wrong_labels_panics() {
-        let mc = MarkovChain::from_sequence(2, &[0, 1]).unwrap();
+        let mc = MarkovChain::from_sequences(2, &[vec![0, 1]]).unwrap();
         mc.to_dot(&["a".into()], 0.0);
     }
 

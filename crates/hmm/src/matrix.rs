@@ -383,22 +383,6 @@ impl StochasticMatrix {
         g
     }
 
-    /// Computes the Gram matrix of the columns:
-    /// `G[i][j] = Σ_k m[k][i]·m[k][j]`.
-    pub fn col_gram(&self) -> Vec<Vec<f64>> {
-        let mut g = vec![vec![0.0; self.cols]; self.cols];
-        for i in 0..self.cols {
-            let ci = self.col(i);
-            for j in i..self.cols {
-                let cj = self.col(j);
-                let dot: f64 = ci.iter().zip(&cj).map(|(a, b)| a * b).sum();
-                g[i][j] = dot;
-                g[j][i] = dot;
-            }
-        }
-        g
-    }
-
     /// Returns a copy of the matrix with the listed columns removed and
     /// each row renormalized. Rows whose remaining mass is zero become
     /// uniform.
@@ -596,18 +580,6 @@ mod tests {
                 assert_eq!(g[i][j], if i == j { 1.0 } else { 0.0 });
             }
         }
-    }
-
-    #[test]
-    fn col_gram_detects_shared_column() {
-        // Two rows mapping to the same column ⇒ that column's diagonal
-        // Gram entry aggregates both, and rows are non-orthogonal.
-        let m = StochasticMatrix::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
-        let g = m.row_gram();
-        assert_eq!(g[0][1], 1.0); // rows not orthogonal
-        let cg = m.col_gram();
-        assert_eq!(cg[0][0], 2.0);
-        assert_eq!(cg[0][1], 0.0);
     }
 
     #[test]

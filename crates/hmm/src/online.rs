@@ -23,9 +23,12 @@
 
 use crate::error::{HmmError, Result};
 use crate::hmm::Hmm;
+use crate::markov::{learning_factor, MarkovState, OnlineMarkovEstimator};
 use crate::matrix::StochasticMatrix;
 
-/// Online estimator for an HMM driven by (hidden state, symbol) pairs.
+/// Online estimator for an HMM driven by (hidden state, symbol) pairs:
+/// an [`OnlineMarkovEstimator`] over the hidden states (**A**) beside
+/// the observation matrix **B**.
 ///
 /// # Examples
 ///
@@ -45,18 +48,12 @@ use crate::matrix::StochasticMatrix;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineHmmEstimator {
-    a: StochasticMatrix,
+    /// **A**, β, the previous hidden state and the visits per state —
+    /// which are also the update counts of **B**'s rows, since every
+    /// step updates the row of the state it visits.
+    markov: OnlineMarkovEstimator,
     b: StochasticMatrix,
-    beta: f64,
     gamma: f64,
-    prev_state: Option<usize>,
-    /// Visit counts per hidden state, used for the empirical initial
-    /// distribution and for pruning rarely visited states downstream.
-    state_counts: Vec<u64>,
-    /// Emission counts per (state), used to know which rows of `B` have
-    /// actually been updated (identity rows are priors, not evidence).
-    obs_counts: Vec<u64>,
-    steps: u64,
     /// Bumped on every update that can change `A`/`B`; see
     /// [`OnlineHmmEstimator::generation`].
     generation: u64,
@@ -77,88 +74,24 @@ impl OnlineHmmEstimator {
     /// - [`HmmError::InvalidParameter`] if `beta` or `gamma` is outside
     ///   the open interval `(0, 1)`.
     pub fn new(num_states: usize, num_symbols: usize, beta: f64, gamma: f64) -> Result<Self> {
-        if !(beta > 0.0 && beta < 1.0) {
-            return Err(HmmError::InvalidParameter {
-                name: "beta",
-                value: beta,
-                range: "(0, 1)",
-            });
-        }
-        if !(gamma > 0.0 && gamma < 1.0) {
-            return Err(HmmError::InvalidParameter {
-                name: "gamma",
-                value: gamma,
-                range: "(0, 1)",
-            });
-        }
-        Ok(Self {
-            a: StochasticMatrix::identity(num_states)?,
-            b: StochasticMatrix::diagonal_like(num_states, num_symbols)?,
-            beta,
-            gamma,
-            prev_state: None,
-            state_counts: vec![0; num_states],
-            obs_counts: vec![0; num_states],
-            steps: 0,
-            generation: 0,
-        })
+        let b = StochasticMatrix::diagonal_like(num_states, num_symbols)?;
+        Self::with_initial(b, beta, gamma)
     }
 
-    /// Creates an estimator from explicit initial matrices, e.g. when
-    /// the observation symbols are offset from the hidden states (the
-    /// pipeline's `M_CE` keeps its ⊥ symbol in column 0, so hidden
-    /// state `i`'s identity prior lives in column `i + 1`).
+    /// Creates an estimator from an explicit initial **B** (one row per
+    /// hidden state) and an identity **A**, e.g. when the observation
+    /// symbols are offset from the hidden states (the pipeline's `M_CE`
+    /// keeps its ⊥ symbol in column 0, so hidden state `i`'s identity
+    /// prior lives in column `i + 1`).
     ///
     /// # Errors
     ///
-    /// - [`HmmError::DimensionMismatch`] if `a` is not square or `b`'s
-    ///   rows disagree with `a`.
-    /// - [`HmmError::InvalidParameter`] for out-of-range learning
-    ///   factors.
-    pub fn with_initial(
-        a: StochasticMatrix,
-        b: StochasticMatrix,
-        beta: f64,
-        gamma: f64,
-    ) -> Result<Self> {
-        if !(beta > 0.0 && beta < 1.0) {
-            return Err(HmmError::InvalidParameter {
-                name: "beta",
-                value: beta,
-                range: "(0, 1)",
-            });
-        }
-        if !(gamma > 0.0 && gamma < 1.0) {
-            return Err(HmmError::InvalidParameter {
-                name: "gamma",
-                value: gamma,
-                range: "(0, 1)",
-            });
-        }
-        let m = a.num_rows();
-        if a.num_cols() != m {
-            return Err(HmmError::DimensionMismatch {
-                what: "transition matrix columns".into(),
-                expected: m,
-                actual: a.num_cols(),
-            });
-        }
-        if b.num_rows() != m {
-            return Err(HmmError::DimensionMismatch {
-                what: "observation matrix rows".into(),
-                expected: m,
-                actual: b.num_rows(),
-            });
-        }
+    /// [`HmmError::InvalidParameter`] for out-of-range learning factors.
+    pub fn with_initial(b: StochasticMatrix, beta: f64, gamma: f64) -> Result<Self> {
         Ok(Self {
-            state_counts: vec![0; m],
-            obs_counts: vec![0; m],
-            a,
+            markov: OnlineMarkovEstimator::new(b.num_rows(), beta)?,
+            gamma: learning_factor("gamma", gamma)?,
             b,
-            beta,
-            gamma,
-            prev_state: None,
-            steps: 0,
             generation: 0,
         })
     }
@@ -176,7 +109,7 @@ impl OnlineHmmEstimator {
 
     /// Number of hidden states currently tracked.
     pub fn num_states(&self) -> usize {
-        self.a.num_rows()
+        self.markov.num_states()
     }
 
     /// Number of observation symbols currently tracked.
@@ -184,20 +117,11 @@ impl OnlineHmmEstimator {
         self.b.num_cols()
     }
 
-    /// Total number of `observe` calls so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Visit counts per hidden state.
-    pub fn state_counts(&self) -> &[u64] {
-        &self.state_counts
-    }
-
-    /// Number of times row `i` of `B` received an update. Rows with a
-    /// zero count still hold their identity prior and carry no evidence.
+    /// Number of times row `i` of `B` received an update (the visits to
+    /// hidden state `i`). Rows with a zero count still hold their
+    /// identity prior and carry no evidence.
     pub fn observation_evidence(&self) -> &[u64] {
-        &self.obs_counts
+        &self.markov.visits
     }
 
     /// Feeds one time step: the estimated hidden state and the observed
@@ -208,28 +132,14 @@ impl OnlineHmmEstimator {
     /// - [`HmmError::StateOutOfRange`] / [`HmmError::SymbolOutOfRange`]
     ///   for indices beyond the current dimensions.
     pub fn observe(&mut self, state: usize, symbol: usize) -> Result<()> {
-        if state >= self.num_states() {
-            return Err(HmmError::StateOutOfRange {
-                state,
-                num_states: self.num_states(),
-            });
-        }
         if symbol >= self.num_symbols() {
             return Err(HmmError::SymbolOutOfRange {
                 symbol,
                 num_symbols: self.num_symbols(),
             });
         }
-        if let Some(prev) = self.prev_state {
-            if prev != state {
-                self.a.reinforce(prev, state, self.beta)?;
-            }
-        }
+        self.markov.observe(state)?;
         self.b.reinforce(state, symbol, self.gamma)?;
-        self.state_counts[state] += 1;
-        self.obs_counts[state] += 1;
-        self.prev_state = Some(state);
-        self.steps += 1;
         self.generation += 1;
         Ok(())
     }
@@ -241,20 +151,22 @@ impl OnlineHmmEstimator {
     pub fn grow(&mut self, num_states: usize, num_symbols: usize) {
         let add_s = num_states.saturating_sub(self.num_states());
         let add_y = num_symbols.saturating_sub(self.num_symbols());
-        if add_s > 0 {
-            self.a.grow(add_s, add_s);
-            self.state_counts.extend(std::iter::repeat_n(0, add_s));
-            self.obs_counts.extend(std::iter::repeat_n(0, add_s));
-        }
         if add_s > 0 || add_y > 0 {
+            self.markov.grow(num_states);
             self.b.grow(add_s, add_y);
             self.generation += 1;
         }
     }
 
+    /// The hidden chain's estimator: **A**, β, the previous state and
+    /// the visits. `M_CO`'s is the paper's `M_C` (Fig. 7).
+    pub fn markov(&self) -> &OnlineMarkovEstimator {
+        &self.markov
+    }
+
     /// The current transition matrix estimate **A**.
     pub fn transition(&self) -> &StochasticMatrix {
-        &self.a
+        &self.markov.transition
     }
 
     /// The current observation matrix estimate **B**.
@@ -265,15 +177,7 @@ impl OnlineHmmEstimator {
     /// Empirical initial/occupancy distribution over hidden states
     /// (uniform if nothing has been observed yet).
     pub fn occupancy(&self) -> Vec<f64> {
-        let total: u64 = self.state_counts.iter().sum();
-        if total == 0 {
-            vec![1.0 / self.num_states() as f64; self.num_states()]
-        } else {
-            self.state_counts
-                .iter()
-                .map(|&c| c as f64 / total as f64)
-                .collect()
-        }
+        self.markov.occupancy()
     }
 
     /// Builds a full [`Hmm`] snapshot from the current estimates, using
@@ -284,7 +188,7 @@ impl OnlineHmmEstimator {
     /// Propagates construction errors from [`Hmm::new`]; cannot occur for
     /// an estimator that has enforced its invariants.
     pub fn to_hmm(&self) -> Result<Hmm> {
-        Hmm::new(self.a.clone(), self.b.clone(), self.occupancy())
+        Hmm::new(self.transition().clone(), self.b.clone(), self.occupancy())
     }
 
     /// Captures the complete estimator state as plain data for
@@ -295,14 +199,9 @@ impl OnlineHmmEstimator {
     /// restore).
     pub fn export_state(&self) -> EstimatorState {
         EstimatorState {
-            a: self.a.iter_rows().map(<[f64]>::to_vec).collect(),
+            markov: self.markov.export_state(),
             b: self.b.iter_rows().map(<[f64]>::to_vec).collect(),
-            beta: self.beta,
             gamma: self.gamma,
-            prev_state: self.prev_state,
-            state_counts: self.state_counts.clone(),
-            obs_counts: self.obs_counts.clone(),
-            steps: self.steps,
             generation: self.generation,
         }
     }
@@ -313,38 +212,29 @@ impl OnlineHmmEstimator {
     ///
     /// # Errors
     ///
-    /// - Matrix construction errors if the rows are not stochastic or
+    /// - Every [`OnlineMarkovEstimator::import_state`] error, for the
+    ///   **A** half.
+    /// - Matrix construction errors if `b`'s rows are not stochastic or
     ///   are ragged.
-    /// - [`HmmError::DimensionMismatch`] if `b`/counts disagree with
-    ///   `a`'s state count, or `prev_state` is out of range.
-    /// - [`HmmError::InvalidParameter`] for out-of-range learning
-    ///   factors.
+    /// - [`HmmError::DimensionMismatch`] if `b` has a row count other
+    ///   than the state count.
+    /// - [`HmmError::InvalidParameter`] for an out-of-range `gamma`.
     pub fn import_state(state: EstimatorState) -> Result<Self> {
-        let a = StochasticMatrix::from_rows(state.a)?;
+        let markov = OnlineMarkovEstimator::import_state(state.markov)?;
         let b = StochasticMatrix::from_rows(state.b)?;
-        let mut est = Self::with_initial(a, b, state.beta, state.gamma)?;
-        let m = est.num_states();
-        if state.state_counts.len() != m || state.obs_counts.len() != m {
+        if b.num_rows() != markov.num_states() {
             return Err(HmmError::DimensionMismatch {
-                what: "checkpoint count vectors".into(),
-                expected: m,
-                actual: state.state_counts.len(),
+                what: "observation matrix rows".into(),
+                expected: markov.num_states(),
+                actual: b.num_rows(),
             });
         }
-        if let Some(prev) = state.prev_state {
-            if prev >= m {
-                return Err(HmmError::StateOutOfRange {
-                    state: prev,
-                    num_states: m,
-                });
-            }
-        }
-        est.prev_state = state.prev_state;
-        est.state_counts = state.state_counts;
-        est.obs_counts = state.obs_counts;
-        est.steps = state.steps;
-        est.generation = state.generation;
-        Ok(est)
+        Ok(Self {
+            markov,
+            b,
+            gamma: learning_factor("gamma", state.gamma)?,
+            generation: state.generation,
+        })
     }
 }
 
@@ -354,22 +244,13 @@ impl OnlineHmmEstimator {
 /// round-trip is bit-exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorState {
-    /// Rows of the transition matrix **A** (square).
-    pub a: Vec<Vec<f64>>,
-    /// Rows of the observation matrix **B** (`a.len()` rows).
+    /// The **A** half: transition rows, β, the previous hidden state
+    /// and the visits per state.
+    pub markov: MarkovState,
+    /// Rows of the observation matrix **B** (one per hidden state).
     pub b: Vec<Vec<f64>>,
-    /// Transition learning factor β.
-    pub beta: f64,
     /// Observation learning factor γ.
     pub gamma: f64,
-    /// Hidden state seen at the previous step, if any.
-    pub prev_state: Option<usize>,
-    /// Visit counts per hidden state.
-    pub state_counts: Vec<u64>,
-    /// Update counts per observation row.
-    pub obs_counts: Vec<u64>,
-    /// Total `observe` calls.
-    pub steps: u64,
     /// Update-generation counter at capture time.
     pub generation: u64,
 }
@@ -476,7 +357,7 @@ mod tests {
         est.observe(1, 1).unwrap();
         let occ = est.occupancy();
         assert!((occ[0] - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(est.steps(), 3);
+        assert_eq!(est.observation_evidence(), &[2, 1]);
     }
 
     #[test]
@@ -544,18 +425,18 @@ mod tests {
     fn import_rejects_corrupt_checkpoints() {
         let est = OnlineHmmEstimator::new(2, 2, 0.9, 0.9).unwrap();
         let mut bad = est.export_state();
-        bad.a[0][0] = 0.7; // row no longer sums to 1
+        bad.markov.transition[0][0] = 0.7; // row no longer sums to 1
         assert!(OnlineHmmEstimator::import_state(bad).is_err());
 
         let mut bad = est.export_state();
-        bad.state_counts.push(0);
+        bad.markov.visits.push(0);
         assert!(matches!(
             OnlineHmmEstimator::import_state(bad),
             Err(HmmError::DimensionMismatch { .. })
         ));
 
         let mut bad = est.export_state();
-        bad.prev_state = Some(9);
+        bad.markov.prev = Some(9);
         assert!(matches!(
             OnlineHmmEstimator::import_state(bad),
             Err(HmmError::StateOutOfRange { .. })

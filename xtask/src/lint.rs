@@ -155,6 +155,8 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
     ),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
+    // Every `M_CO`/`M_CE` step runs the Markov half's update.
+    ("hmm/src/markov.rs", &["observe"]),
     // The WAL's per-reading write path: where an extent's frames are
     // cut, and the two encoders that fill them — and the per-reading
     // read path: the arena's push (`push` is also the planner's in
