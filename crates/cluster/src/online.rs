@@ -176,19 +176,78 @@ impl ModelStates {
     /// Panics if `point` has the wrong dimensionality.
     pub fn nearest(&self, point: &[f64]) -> Option<(usize, f64)> {
         assert_eq!(point.len(), self.dims, "point dimension mismatch");
-        let mut best: Option<(usize, f64)> = None;
+        // (slot, squared distance, distance) of the nearest so far.
+        let mut best: Option<(usize, f64, f64)> = None;
+        for (i, centroid) in self.centroids.iter().enumerate() {
+            if !self.active[i] {
+                continue;
+            }
+            let d2 = dist2(centroid, point);
+            // `sqrt` is monotone, so a square no smaller than the best
+            // one cannot have a smaller root; a NaN on either side
+            // fails this test and is compared by its root as before.
+            if best.is_some_and(|(_, nearest2, _)| d2 >= nearest2) {
+                continue;
+            }
+            let d = d2.sqrt();
+            // Strictly-less keeps the first of several equidistant
+            // states: the lowest slot wins an exact tie.
+            if best.is_none_or(|(_, _, nearest)| d.total_cmp(&nearest).is_lt()) {
+                best = Some((i, d2, d));
+            }
+        }
+        best.map(|(i, _, d)| (i, d))
+    }
+
+    /// The slot [`ModelStates::nearest`] returns for *every* point
+    /// within `radius` (Euclidean, boundary included) of `point`, when
+    /// one slot wins them all and none of them would make
+    /// [`ModelStates::spawn_if_uncovered`] spawn; `None` otherwise.
+    ///
+    /// A caller that knows a value only to within `radius` — the Eq. 2
+    /// window mean before its exact summation order — learns both
+    /// answers without the value's bits. The test leaves room for
+    /// `nearest`'s own rounding: each computed distance is within
+    /// `(dims + 3)·u` of the true one relative, plus an absolute
+    /// `sqrt(dims · 2⁻¹⁰⁷⁴)` where squares underflow, and the slack
+    /// below is twice that and more. A non-finite point, radius or
+    /// distance, and a negative radius, give `None`: every comparison
+    /// is written so that NaN fails it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point` has the wrong dimensionality.
+    pub fn settled(&self, point: &[f64], radius: f64) -> Option<usize> {
+        assert_eq!(point.len(), self.dims, "point dimension mismatch");
+        let relative = 2.0 * (self.dims as f64 + 4.0) * f64::EPSILON;
+        let absolute = f64::MIN_POSITIVE.sqrt();
+        // The nearest slot and distance, and the runner-up's distance.
+        let mut nearest: Option<(usize, f64)> = None;
+        let mut runner_up = f64::INFINITY;
         for (i, centroid) in self.centroids.iter().enumerate() {
             if !self.active[i] {
                 continue;
             }
             let d = dist(centroid, point);
-            // Strictly-less keeps the first of several equidistant
-            // states: the lowest slot wins an exact tie.
-            if best.is_none_or(|(_, nearest)| d.total_cmp(&nearest).is_lt()) {
-                best = Some((i, d));
+            if !d.is_finite() {
+                return None;
+            }
+            match nearest {
+                Some((_, best)) if d >= best => runner_up = runner_up.min(d),
+                _ => {
+                    runner_up = nearest.map_or(runner_up, |(_, best)| best);
+                    nearest = Some((i, d));
+                }
             }
         }
-        best
+        let (slot, d) = nearest?;
+        // The farthest any point of the ball can compute to `slot`, and
+        // the nearest it can compute to any other state.
+        let far = (d + radius) * (1.0 + relative) + absolute;
+        let near_other = (runner_up - radius) * (1.0 - relative) - absolute;
+        let capped = self.active_count() >= self.config.max_states;
+        let covered = capped || far <= self.config.spawn_threshold;
+        (radius >= 0.0 && far < near_other && covered).then_some(slot)
     }
 
     /// Maps each observation to its nearest state — the `l_j` labels of
@@ -322,11 +381,17 @@ impl ModelStates {
         }
 
         // Spawn pass: points beyond the spawn threshold from every
-        // active state create new states (capped).
-        for point in points.chunks_exact(dims) {
+        // active state create new states (capped). A point's own state,
+        // if Eq. 6 and the merges left it active and within the
+        // threshold, settles it: `nearest`'s distance is then no larger.
+        let threshold = self.config.spawn_threshold;
+        for (point, &k) in points.chunks_exact(dims).zip(labels) {
+            if self.active[k] && dist(&self.centroids[k], point) <= threshold {
+                continue;
+            }
             // sentinet-allow(expect-used): merges always leave a survivor, so an active state exists
             let (_, d) = self.nearest(point).expect("at least one active state");
-            if d > self.config.spawn_threshold && self.active_count() < self.config.max_states {
+            if d > threshold && self.active_count() < self.config.max_states {
                 events.push(StateEvent::Spawned(self.push_slot(point)));
             }
         }
@@ -459,11 +524,12 @@ pub struct StatesSnapshot {
 }
 
 fn dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).powi(2))
-        .sum::<f64>()
-        .sqrt()
+    dist2(a, b).sqrt()
+}
+
+/// The squared Euclidean distance [`dist`] takes the root of.
+fn dist2(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum::<f64>()
 }
 
 #[cfg(test)]

@@ -5,8 +5,10 @@ mod seeded;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seeded::TestRng;
-use sentinet_cluster::{kmeans, ClusterConfig, ModelStates, StateEvent, UpdateScratch};
+use seeded::{Replay, TestRng};
+use sentinet_cluster::{
+    kmeans, ClusterConfig, ModelStates, StateEvent, StatesSnapshot, UpdateScratch,
+};
 
 fn cfg() -> ClusterConfig {
     ClusterConfig {
@@ -355,4 +357,210 @@ fn update_labeled_rejects_a_merged_away_label() {
     );
     states.update(&[vec![0.25]]); // merges slot 1 into slot 0
     states.update_labeled(&[0.3], &[1], &mut UpdateScratch::default());
+}
+
+/// `x` moved by `steps` ulps (toward +∞ for positive `steps`).
+fn nudge(mut x: f64, steps: i32) -> f64 {
+    let step = if steps > 0 {
+        f64::next_up
+    } else {
+        f64::next_down
+    };
+    for _ in 0..steps.unsigned_abs() {
+        x = step(x);
+    }
+    x
+}
+
+/// `a + b` as the rounded sum and its exact error (Knuth's TwoSum).
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
+    let s = a + b;
+    let bb = s - a;
+    (s, (a - (s - bb)) + (b - bb))
+}
+
+/// Whether `q` is provably within `radius` of `p`: each coordinate's
+/// difference is taken exactly (TwoSum), and the norm over several
+/// coordinates is bounded above with room for its own rounding. Exact
+/// along one axis, so the sphere's axis points count as inside.
+fn provably_within(p: &[f64], q: &[f64], radius: f64) -> bool {
+    let diffs: Vec<(f64, f64)> = p.iter().zip(q).map(|(&a, &b)| two_sum(b, -a)).collect();
+    if diffs.iter().any(|(s, e)| !s.is_finite() || !e.is_finite()) {
+        return false;
+    }
+    let moved: Vec<&(f64, f64)> = diffs.iter().filter(|(s, _)| *s != 0.0).collect();
+    match moved.as_slice() {
+        [] => true,
+        // |s + e| ≤ r exactly: |s| < r, or |s| = r with e not adding.
+        [(s, e)] => {
+            s.abs() < radius || (s.abs() == radius && (*e == 0.0 || e.signum() != s.signum()))
+        }
+        _ => {
+            let norm2: f64 = moved.iter().map(|(s, e)| (s.abs() + e.abs()).powi(2)).sum();
+            norm2 * (1.0 + 8.0 * moved.len() as f64 * f64::EPSILON) <= radius * radius
+        }
+    }
+}
+
+/// The points of `radius`'s sphere around `p` along each axis, the
+/// farthest floats within it, and interior points in random directions.
+fn ball_samples(rng: &mut TestRng, p: &[f64], radius: f64) -> Vec<Vec<f64>> {
+    let mut samples = vec![p.to_vec()];
+    for k in 0..p.len() {
+        for sign in [1.0, -1.0] {
+            let mut q = p.to_vec();
+            q[k] = p[k] + sign * radius;
+            for _ in 0..4 {
+                if provably_within(p, &q, radius) {
+                    break;
+                }
+                q[k] = nudge(q[k], -sign as i32);
+            }
+            samples.push(q);
+        }
+    }
+    for _ in 0..8 {
+        let dir: Vec<f64> = (0..p.len()).map(|_| rng.range(-1.0..1.0)).collect();
+        let len = dir.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let scale = radius * rng.pick(&[1.0, 0.999_999, 0.5]) / len;
+        samples.push(p.iter().zip(&dir).map(|(x, d)| x + d * scale).collect());
+    }
+    samples.retain(|q| provably_within(p, q, radius));
+    samples
+}
+
+/// A state set for the certificate: two to five centroids, some slots
+/// merged away, the spawn threshold anywhere from tight to loose, and
+/// the cap either at the active count (nothing may spawn) or above it.
+fn certificate_states(rng: &mut TestRng, dims: usize) -> ModelStates {
+    let slots = rng.usize_in(2, 6);
+    let centroids: Vec<Vec<f64>> = (0..slots)
+        .map(|_| (0..dims).map(|_| rng.range(-30.0..30.0)).collect())
+        .collect();
+    let mut active: Vec<bool> = (0..slots).map(|_| rng.usize_in(0, 4) > 0).collect();
+    active[rng.usize_in(0, slots)] = true;
+    let live = active.iter().filter(|&&a| a).count();
+    let snapshot = StatesSnapshot {
+        centroids,
+        active,
+        config: ClusterConfig {
+            alpha: 0.2,
+            merge_threshold: 0.5,
+            spawn_threshold: rng.pick(&[1.0, 8.0, 25.0]),
+            max_states: if rng.bool() { live } else { live + 2 },
+        },
+        generation: 0,
+    };
+    ModelStates::from_snapshot(snapshot).expect("valid snapshot")
+}
+
+/// A query point where certification is hard: on the bisector of two
+/// active states or on the spawn sphere of one, a few ulps either
+/// side, or a plain draw — and now and then a signed zero, a value
+/// whose squared distance overflows, or NaN in one coordinate.
+fn certificate_query(rng: &mut TestRng, states: &ModelStates) -> Vec<f64> {
+    let live = states.active_states();
+    let dims = states.dims();
+    let centroid = |i: usize| states.centroid(live[i % live.len()]).unwrap().to_vec();
+    let (a, b) = (centroid(rng.usize_in(0, 8)), centroid(rng.usize_in(0, 8)));
+    let mut p: Vec<f64> = match rng.usize_in(0, 3) {
+        0 => {
+            // The midpoint plus a step along the bisector (2-D and up).
+            let mut p: Vec<f64> = a.iter().zip(&b).map(|(x, y)| (x + y) / 2.0).collect();
+            if dims > 1 {
+                let t = rng.range(-10.0..10.0);
+                p[0] += t * (b[1] - a[1]);
+                p[1] -= t * (b[0] - a[0]);
+            }
+            p
+        }
+        1 => {
+            let dir: Vec<f64> = (0..dims).map(|_| rng.range(-1.0..1.0)).collect();
+            let len = dir.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let reach = states.snapshot().config.spawn_threshold / len;
+            a.iter().zip(&dir).map(|(x, d)| x + d * reach).collect()
+        }
+        _ => (0..dims).map(|_| rng.range(-40.0..40.0)).collect(),
+    };
+    for x in &mut p {
+        *x = nudge(*x, rng.usize_in(0, 7) as i32 - 3);
+    }
+    let k = rng.usize_in(0, dims);
+    match rng.usize_in(0, 12) {
+        0 => p[k] = 0.0,
+        1 => p[k] = -0.0,
+        2 => p[k] = 1e200,
+        3 => p[k] = f64::NAN,
+        _ => {}
+    }
+    p
+}
+
+/// Whatever `settled` certifies holds at every point of the ball it was
+/// asked about, the sphere included: `nearest` names the certified
+/// slot and `spawn_if_uncovered` spawns nothing. Radii run from zero
+/// through the gap to the next boundary (where the certificate is
+/// tightest) to huge, NaN and negative; a NaN anywhere must not be
+/// certified. Some queries must be certified, or the property is
+/// vacuous.
+#[test]
+fn a_settled_slot_holds_across_its_ball() {
+    let replay = Replay {
+        var: "CLUSTER_PROPS_SEED",
+        package: "sentinet-cluster",
+        target: "--test properties",
+        test: "a_settled_slot_holds_across_its_ball",
+    };
+    let mut certified = 0;
+    replay.for_each_seed(3_000, |seed| {
+        let rng = &mut TestRng::new(seed);
+        let dims = rng.usize_in(1, 4);
+        let states = certificate_states(rng, dims);
+        let p = certificate_query(rng, &states);
+        let gap = match states.nearest(&p) {
+            Some((i, d)) => {
+                let others = states.active_states().into_iter().filter(|&j| j != i);
+                let runner_up = others
+                    .map(|j| Oracle::dist(&p, states.centroid(j).unwrap()))
+                    .fold(f64::INFINITY, f64::min);
+                let spawn = states.snapshot().config.spawn_threshold;
+                ((runner_up - d) / 2.0).min(spawn - d)
+            }
+            None => 1.0,
+        };
+        let radius = match rng.usize_in(0, 10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => -1.0,
+            4 => 1e200,
+            5 => p.iter().fold(0.0, |m: f64, x| m.max(x.abs())) * 4.0 * f64::EPSILON,
+            6 => rng.range(0.0..1.0) * gap.abs(),
+            _ => nudge(gap.abs(), rng.usize_in(0, 9) as i32 - 6),
+        };
+        let Some(slot) = states.settled(&p, radius) else {
+            return Ok(());
+        };
+        if radius.is_nan() || p.iter().any(|x| x.is_nan()) {
+            return Err(format!("NaN certified: {p:?} radius {radius}"));
+        }
+        certified += 1;
+        for q in ball_samples(rng, &p, radius) {
+            let nearest = states.nearest(&q).map(|(i, _)| i);
+            let spawned = states.clone().spawn_if_uncovered(&q);
+            if nearest != Some(slot) || spawned.is_some() {
+                return Err(format!(
+                    "{p:?} radius {radius:e} settled on {slot}, but at {q:?} \
+                     nearest is {nearest:?} and spawn {spawned:?}"
+                ));
+            }
+        }
+        Ok(())
+    });
+    if replay.seed_from_env().is_none() {
+        assert!(
+            certified > 300,
+            "only {certified} of 3000 queries certified"
+        );
+    }
 }

@@ -39,7 +39,7 @@
 use crate::classify::{carries_error, evidenced_rows, AttackType, Diagnosis};
 use crate::config::PipelineConfig;
 use crate::runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages};
-use crate::window::{ObservationWindow, WindowScratch, Windower};
+use crate::window::{ObservationWindow, Observed, WindowScratch, Windower};
 use sentinet_cluster::{ModelStates, StateEvent};
 use sentinet_hmm::{MarkovChain, OnlineHmmEstimator};
 use sentinet_sim::{Reading, SensorId, Timestamp, Trace};
@@ -81,6 +81,9 @@ pub struct Coordinator {
     windower: Windower,
     scratch: WindowScratch,
     spare_outcomes: Vec<WindowOutcome>,
+    /// The attribute count every reading must have: the model states',
+    /// the bootstrap's or the open window's, else the first reading's.
+    dims: Option<usize>,
 }
 
 impl Coordinator {
@@ -99,6 +102,7 @@ impl Coordinator {
 
     fn resume(global: GlobalModel, windower: Windower) -> Self {
         Self {
+            dims: global.dims().or(windower.dims()),
             global,
             windower,
             scratch: WindowScratch::new(),
@@ -115,6 +119,10 @@ impl Coordinator {
     /// malformed packets never reach the collector's analysis, as in
     /// the paper) with `stages` running the per-sensor half, and
     /// flushes the final partial window.
+    ///
+    /// # Panics
+    ///
+    /// As [`Pipeline::process_trace`].
     pub fn process_trace<S: SensorStages>(
         &mut self,
         stages: &mut S,
@@ -135,6 +143,8 @@ impl Coordinator {
         sensor: SensorId,
         values: &[f64],
     ) -> Vec<WindowOutcome> {
+        let dims = *self.dims.get_or_insert(values.len());
+        assert_eq!(values.len(), dims, "inconsistent reading dimensions");
         let completed = self.windower.push(time, sensor, values);
         if completed.is_empty() {
             return Vec::new();
@@ -166,17 +176,22 @@ impl Coordinator {
             return None;
         }
 
-        // Eq. 2: the window aggregate, a model state to name it, and
-        // the observable state.
+        // Eq. 2: the observable state, certified from the selected
+        // readings; only a window the certificate does not settle pays
+        // for the exact aggregate, a model state spawned to cover it if
+        // none does, and its nearest state.
         let trim = self.global.config().observable_trim;
-        let mean = window.trimmed_mean_with(trim, &mut self.scratch);
-        if self.global.cover_window_mean(mean) {
-            stages.grow(self.global.num_slots());
-        }
-        let (Some(mean), Some(states)) = (mean, self.global.states()) else {
-            return None;
+        let states = self.global.states()?;
+        let observable = match window.observable_with(trim, states, &mut self.scratch)? {
+            Observed::Settled(slot) => slot,
+            Observed::Exact(mean) => {
+                if self.global.cover_window_mean(mean) {
+                    stages.grow(self.global.num_slots());
+                }
+                self.global.states()?.nearest(mean)?.0
+            }
         };
-        let (observable, _) = states.nearest(mean)?;
+        let states = self.global.states()?;
 
         // Eq. 3 is a per-sensor stage; Eq. 4 is the barrier every later
         // stage waits on.
@@ -267,7 +282,7 @@ impl Pipeline {
     ///
     /// # Panics
     ///
-    /// Panics if readings arrive out of time order.
+    /// As [`Pipeline::push_values`].
     pub fn push_reading(
         &mut self,
         time: Timestamp,
@@ -282,8 +297,11 @@ impl Pipeline {
     ///
     /// # Panics
     ///
-    /// Panics if readings arrive out of time order or `values` is
-    /// empty.
+    /// Panics if readings arrive out of time order, `values` is empty,
+    /// or `values` has another attribute count than the model states
+    /// (or, before there are any, the first reading): such a reading is
+    /// rejected with `inconsistent reading dimensions` before any
+    /// window or estimator moves.
     pub fn push_values(
         &mut self,
         time: Timestamp,
@@ -297,6 +315,11 @@ impl Pipeline {
     /// Processes an entire trace (delivered records only — lost and
     /// malformed packets never reach the collector's analysis, as in
     /// the paper) and flushes the final partial window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if readings arrive out of time order or disagree on
+    /// their attribute count, as [`Pipeline::push_values`].
     pub fn process_trace(&mut self, trace: &Trace) -> Vec<WindowOutcome> {
         self.coordinator.process_trace(&mut self.sensors, trace)
     }

@@ -540,10 +540,7 @@ impl GlobalModel {
     /// reading occupies; Eq. 2 must still be able to name it). Returns
     /// `true` when a state spawned — the caller must then grow every
     /// [`SensorRuntime`] to [`GlobalModel::num_slots`].
-    pub fn cover_window_mean(&mut self, mean: Option<&[f64]>) -> bool {
-        let Some(mean) = mean else {
-            return false;
-        };
+    pub fn cover_window_mean(&mut self, mean: &[f64]) -> bool {
         let spawned = self
             .states
             .as_mut()
@@ -607,6 +604,13 @@ impl GlobalModel {
     /// The current model states, once bootstrapped.
     pub fn states(&self) -> Option<&ModelStates> {
         self.states.as_ref()
+    }
+
+    /// The readings' attribute count, once states or bootstrap points
+    /// fix it.
+    pub(crate) fn dims(&self) -> Option<usize> {
+        let states = self.states.as_ref().map(ModelStates::dims);
+        states.or(self.bootstrap_points.first().map(Vec::len))
     }
 
     /// Current model-state slot count (0 before bootstrap).

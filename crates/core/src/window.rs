@@ -22,7 +22,7 @@
 //! sorted by sensor id (memory follows the sensors seen, not the
 //! largest id), each buffer one row-major `f64` run; the [`Windower`]
 //! recycles completed windows; and Eqs. 2–4 run out of a caller-owned
-//! [`WindowScratch`] ([`ObservationWindow::trimmed_mean_with`],
+//! [`WindowScratch`] ([`ObservationWindow::observable_with`],
 //! [`identify_states_into`]). What that guarantees in steady state —
 //! every sensor already seen, buffers warm: a reading pushed into a
 //! recycled window allocates nothing, and the Eqs. 2–4 pass over a
@@ -252,7 +252,9 @@ impl ObservationWindow {
 
     /// Allocation-free [`ObservationWindow::trimmed_mean`]: all
     /// intermediates live in `scratch`, and the returned slice borrows
-    /// `scratch.mean`. Bit-for-bit identical to the allocating path.
+    /// `scratch.mean`. Bit-for-bit identical to the allocating path:
+    /// the selection of [`ObservationWindow::observable_with`], then
+    /// its exact finish.
     ///
     /// # Panics
     ///
@@ -262,6 +264,45 @@ impl ObservationWindow {
         trim: f64,
         scratch: &'a mut WindowScratch,
     ) -> Option<&'a [f64]> {
+        let selected = self.select_kept(trim, scratch)?;
+        Some(scratch.exact_mean(selected))
+    }
+
+    /// The observable state `o_i` of Eq. 2 as the window pass needs
+    /// it: [`Observed::Settled`] when `states` certifies the one slot
+    /// every point within the selection's error bound of the exact
+    /// trimmed mean is nearest to, none of them far enough to spawn a
+    /// state ([`ModelStates::settled`]) — the mean's bits are then
+    /// never needed; otherwise [`Observed::Exact`] with the mean
+    /// [`ObservationWindow::trimmed_mean_with`] returns, bit for bit.
+    /// `None` for an empty window. With warm buffers nothing is
+    /// allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 ≤ trim < 0.5`, or if the readings' dimension
+    /// differs from the states'.
+    pub fn observable_with<'a>(
+        &self,
+        trim: f64,
+        states: &ModelStates,
+        scratch: &'a mut WindowScratch,
+    ) -> Option<Observed<'a>> {
+        let selected = self.select_kept(trim, scratch)?;
+        match states.settled(&scratch.mean, selected.radius) {
+            Some(slot) => Some(Observed::Settled(slot)),
+            None => Some(Observed::Exact(scratch.exact_mean(selected))),
+        }
+    }
+
+    /// Eq. 2's selection, O(*n*): flattens the readings into `scratch`,
+    /// picks the kept set and leaves its mean, summed in selection
+    /// order, in `scratch.mean`. The exact mean sums the same values in
+    /// (distance, arrival) order; both are recursive sums, so they
+    /// differ by at most 2·γ(keep)·Σ|x| before the division by `keep`
+    /// and a rounding each after it (Higham) — the returned radius,
+    /// with room to spare. `None` for an empty window.
+    fn select_kept(&self, trim: f64, scratch: &mut WindowScratch) -> Option<Selected> {
         assert!((0.0..0.5).contains(&trim), "trim must be in [0, 0.5)");
         // Flatten in canonical order: ascending sensor id, arrival order.
         scratch.flat.clear();
@@ -281,6 +322,7 @@ impl ObservationWindow {
         // sentinet-allow(float-eq): exact zero selects the untrimmed
         // fast path; any positive trim takes the median path below.
         if trim == 0.0 {
+            // Summed in canonical order: this is the exact mean.
             for point in scratch.flat.chunks_exact(dims) {
                 for (m, &v) in scratch.mean.iter_mut().zip(point) {
                     *m += v;
@@ -289,7 +331,10 @@ impl ObservationWindow {
             for m in &mut scratch.mean {
                 *m /= n as f64;
             }
-            return Some(&scratch.mean);
+            return Some(Selected {
+                radius: 0.0,
+                unsorted: 0,
+            });
         }
         // Coordinate-wise median: selection finds the same element a
         // full sort would place at index len/2.
@@ -322,24 +367,32 @@ impl ObservationWindow {
         if keep < n {
             scratch.keys.select_nth_unstable(keep);
         }
-        // Summation order matters for float reproducibility: sum the
-        // kept readings in (distance, arrival) order, as the previous
-        // sort-based implementation did. This sort is the one
-        // O(n log n) term of a window close and cannot be traded for a
-        // selection alone.
-        let kept = &mut scratch.keys[..keep];
-        kept.sort_unstable();
-        for &key in kept.iter() {
+        scratch.spread.clear();
+        scratch.spread.resize(dims, 0.0);
+        for &key in &scratch.keys[..keep] {
             let i = key as u32 as usize;
             let point = &scratch.flat[i * dims..(i + 1) * dims];
-            for (m, &v) in scratch.mean.iter_mut().zip(point) {
+            let sums = scratch.mean.iter_mut().zip(scratch.spread.iter_mut());
+            for ((m, spread), &v) in sums.zip(point) {
                 *m += v;
+                *spread += v.abs();
             }
         }
+        let count = keep as f64;
         for m in &mut scratch.mean {
-            *m /= keep as f64;
+            *m /= count;
         }
-        Some(&scratch.mean)
+        // The spreads' sum bounds the Euclidean norm of the
+        // per-attribute errors. Twice the bound, doubled first so that a
+        // spread past `f64::MAX / 2` (where a sum may overflow) makes
+        // the radius infinite; the last term covers a subnormal quotient.
+        let spread: f64 = scratch.spread.iter().sum();
+        let radius =
+            2.0 * spread * (count + 2.0) * f64::EPSILON / count + dims as f64 * f64::MIN_POSITIVE;
+        Some(Selected {
+            radius,
+            unsorted: keep,
+        })
     }
 
     /// Per-sensor window-mean readings (each sensor's representative).
@@ -367,6 +420,29 @@ fn order_key(distance: f64, arrival: u32) -> u128 {
     (u128::from(bits ^ flip) << 32) | u128::from(arrival)
 }
 
+/// Eq. 2 as the window pass consumes it
+/// ([`ObservationWindow::observable_with`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Observed<'a> {
+    /// The observable state, certified for every point within the
+    /// error bound of the exact trimmed mean; no state spawns there.
+    Settled(usize),
+    /// The exact trimmed mean, for a window the bound did not settle:
+    /// a state may spawn at it, two states nearly tie, or a value is
+    /// not finite.
+    Exact(&'a [f64]),
+}
+
+/// What Eq. 2's selection leaves for the exact finish: the distance
+/// from `scratch.mean` within which the exact mean lies, and how many
+/// kept keys the exact mean still has to sort and sum (0: the mean is
+/// already exact).
+#[derive(Debug, Clone, Copy)]
+struct Selected {
+    radius: f64,
+    unsorted: usize,
+}
+
 /// Reusable intermediates of the per-window statistics (Eqs. 2–4). One
 /// instance per pipeline. The trimmed-mean working set is meaningless
 /// between calls; the Eq. 3 results of the last
@@ -384,6 +460,8 @@ pub struct WindowScratch {
     keys: Vec<u128>,
     /// The resulting mean — borrowed by `trimmed_mean_with`'s return.
     mean: Vec<f64>,
+    /// The kept readings' Σ|x| per attribute: Eq. 2's error bound.
+    spread: Vec<f64>,
     /// Sensors that reported in the identified window, ascending.
     ids: Vec<SensorId>,
     /// Their window-mean representatives, flat (`ids.len() × dims`).
@@ -400,6 +478,32 @@ impl WindowScratch {
     /// Creates empty scratch buffers (they size themselves on use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Eq. 2's exact finish: sorts the kept keys the selection left
+    /// and sums their readings in (distance, arrival) order, the order
+    /// that makes the mean bit-identical run to run. The one
+    /// O(*n* · log *n*) step of a window close, taken only when the
+    /// mean's bits are used.
+    fn exact_mean(&mut self, selected: Selected) -> &[f64] {
+        let keep = selected.unsorted;
+        if keep > 0 {
+            let dims = self.mean.len();
+            let kept = &mut self.keys[..keep];
+            kept.sort_unstable();
+            self.mean.fill(0.0);
+            for &key in kept.iter() {
+                let i = key as u32 as usize;
+                let point = &self.flat[i * dims..(i + 1) * dims];
+                for (m, &v) in self.mean.iter_mut().zip(point) {
+                    *m += v;
+                }
+            }
+            for m in &mut self.mean {
+                *m /= keep as f64;
+            }
+        }
+        &self.mean
     }
 
     /// The sensors that reported in the last identified window, in
@@ -525,6 +629,12 @@ impl Windower {
     /// Window length in seconds.
     pub fn window_duration(&self) -> u64 {
         self.window_duration
+    }
+
+    /// The attribute count of the open window's readings, if it holds
+    /// any.
+    pub(crate) fn dims(&self) -> Option<usize> {
+        self.current.sensors().next().map(|(_, s)| s.dims())
     }
 
     /// Returns a processed window's buffers for reuse.

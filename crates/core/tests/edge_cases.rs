@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_core::{Diagnosis, Pipeline, PipelineConfig};
+use sentinet_core::{encode_pipeline, Diagnosis, Pipeline, PipelineConfig};
 use sentinet_sim::{
     gdi, simulate, EnvironmentModel, Payload, Reading, SensorId, Trace, TraceRecord,
 };
@@ -268,5 +268,64 @@ fn alternating_fast_environment_degrades_gracefully() {
     );
     for id in p.sensor_ids() {
         assert_eq!(p.classify(id), Diagnosis::ErrorFree, "{id}");
+    }
+}
+
+/// Five sensors sampled every 300 s for `instants` instants, sensor 3
+/// with a third attribute from `odd_from` on.
+fn mixed_dimension_trace(instants: u64, odd_from: u64) -> Trace {
+    let mut trace = Trace::new();
+    for i in 0..instants {
+        for s in 0..5u16 {
+            let mut values = vec![12.0 + f64::from(s) / 10.0, 94.0];
+            if s == 3 && i >= odd_from {
+                values.push(1.0);
+            }
+            trace.push(record(i * 300, s, values));
+        }
+    }
+    trace
+}
+
+#[test]
+#[should_panic(expected = "inconsistent reading dimensions")]
+fn a_trace_mixing_reading_dimensions_is_refused() {
+    let config = PipelineConfig {
+        initial_states: Some(vec![vec![12.0, 94.0], vec![31.0, 56.0]]),
+        ..PipelineConfig::default()
+    };
+    Pipeline::new(config, 300).process_trace(&mixed_dimension_trace(48, 0));
+}
+
+/// A reading with another attribute count than the states (or, before
+/// any, the first reading) is refused before it moves anything: the
+/// pipeline's checkpoint is byte-equal to what it was before the push.
+#[test]
+fn a_reading_of_another_dimension_moves_nothing() {
+    for initial_states in [Some(vec![vec![12.0, 94.0], vec![31.0, 56.0]]), None] {
+        let config = PipelineConfig {
+            initial_states,
+            ..PipelineConfig::default()
+        };
+        let mut p = Pipeline::new(config, 300);
+        let trace = mixed_dimension_trace(40, 36);
+        let mut delivered = trace.delivered();
+        for (time, sensor, reading) in delivered.by_ref().take(36 * 5 + 3) {
+            p.push_reading(time, sensor, reading);
+        }
+        let before = encode_pipeline(&p.snapshot());
+        let (time, sensor, reading) = delivered.next().expect("sensor 3's odd reading");
+        assert_eq!((sensor, reading.values().len()), (SensorId(3), 3));
+        let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.push_reading(time, sensor, reading);
+        }));
+        let message = pushed.expect_err("a 3-D reading among 2-D ones was accepted");
+        assert_eq!(
+            message
+                .downcast_ref::<String>()
+                .map(|m| m.contains("inconsistent reading dimensions")),
+            Some(true)
+        );
+        assert_eq!(encode_pipeline(&p.snapshot()), before);
     }
 }

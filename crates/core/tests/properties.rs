@@ -12,9 +12,9 @@ use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
     decode_pipeline, encode_pipeline, identify_states, identify_states_into, identify_states_with,
-    CheckpointError, GlobalSnapshot, GlobalStates, ObservationWindow, Pipeline, PipelineConfig,
-    PipelineSnapshot, SensorSnapshot, TrackRecord, WindowScratch, WindowStates, Windower,
-    WindowerSnapshot,
+    CheckpointError, GlobalSnapshot, GlobalStates, ObservationWindow, Observed, Pipeline,
+    PipelineConfig, PipelineSnapshot, SensorSnapshot, TrackRecord, WindowScratch, WindowStates,
+    Windower, WindowerSnapshot,
 };
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState};
@@ -610,6 +610,121 @@ fn trimmed_mean_matches_the_comparator_oracle_bit_for_bit() {
         }
         Ok(())
     });
+}
+
+/// A window whose trimmed mean depends on its summation order: up to
+/// 1 200 readings a few units around a large offset, so the selection
+/// order's sum and the (distance, arrival) order's differ in their last
+/// bits.
+fn near_boundary_window(rng: &mut TestRng) -> ObservationWindow {
+    let dims = rng.usize_in(1, 3);
+    let offset = rng.pick(&[0.0, 1e3, -5e4, 1e6]);
+    let (sensors, per_sensor) = (rng.usize_in(1, 40), rng.usize_in(1, 30));
+    let mut w = ObservationWindow::default();
+    for _ in 0..per_sensor {
+        for sensor in 0..sensors {
+            let values: Vec<f64> = (0..dims).map(|_| offset + rng.range(-10.0..10.0)).collect();
+            w.push(SensorId(sensor as u16), &values);
+        }
+    }
+    w
+}
+
+/// States that put a boundary at `mean`, shifted by 0 to 65 536 ulps:
+/// the bisector of two states, or the spawn sphere of the only state
+/// near it; the state cap sometimes forbids the spawn. A non-finite
+/// mean gets two plain states.
+fn states_around(rng: &mut TestRng, mean: &[f64]) -> ModelStates {
+    let dims = mean.len();
+    let spawn_threshold = rng.range(1.0..6.0);
+    let ulps = rng.pick(&[0.0, 1.0, 4.0, 16.0, 64.0, 1024.0, 65536.0]) * rng.pick(&[1.0, -1.0]);
+    let at: Vec<f64> = mean
+        .iter()
+        .map(|&x| x + ulps * (x.abs().next_up() - x.abs()))
+        .collect();
+    let dir: Vec<f64> = (0..dims).map(|_| rng.range(0.5..3.0)).collect();
+    let len = dir.iter().map(|d| d * d).sum::<f64>().sqrt();
+    let far: Vec<f64> = at.iter().map(|x| x + 100.0).collect();
+    let centroids = if !mean.iter().all(|x| x.is_finite()) {
+        vec![vec![0.0; dims], vec![1.0; dims]]
+    } else if rng.bool() {
+        let side =
+            |sign: f64| -> Vec<f64> { at.iter().zip(&dir).map(|(x, d)| x + sign * d).collect() };
+        vec![side(1.0), side(-1.0), far]
+    } else {
+        let reach = spawn_threshold / len;
+        vec![
+            at.iter().zip(&dir).map(|(x, d)| x + d * reach).collect(),
+            far,
+        ]
+    };
+    let max_states = centroids.len() + rng.usize_in(0, 2);
+    let config = ClusterConfig {
+        alpha: 0.2,
+        merge_threshold: 0.1,
+        spawn_threshold,
+        max_states,
+    };
+    ModelStates::new(centroids, config)
+}
+
+/// Eq. 2's certified decision against the exact one: a settled window
+/// names the state `nearest` gives the exact trimmed mean, and that
+/// mean would spawn nothing; an unsettled one hands back the exact mean
+/// bit for bit. Over `tie_heavy_window`s (ties, `±0.0`, overflowing
+/// squares) and near-boundary windows (order-dependent bits, a state
+/// boundary within ulps), both paths must run.
+#[test]
+fn the_certified_observable_state_is_the_exact_ones() {
+    let replay = Replay {
+        var: "OBSERVED_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "the_certified_observable_state_is_the_exact_ones",
+    };
+    let (mut settled, mut exact) = (0, 0);
+    replay.for_each_seed(3_000, |seed| {
+        let mut rng = TestRng::new(seed);
+        let w = if seed % 2 == 0 {
+            tie_heavy_window(&mut rng)
+        } else {
+            near_boundary_window(&mut rng)
+        };
+        let trim = rng.pick(&[0.0, 0.01, 0.15, 0.49]);
+        let want = w
+            .trimmed_mean_with(trim, &mut WindowScratch::new())
+            .expect("non-empty")
+            .to_vec();
+        let states = states_around(&mut rng, &want);
+        let mut scratch = WindowScratch::new();
+        match w.observable_with(trim, &states, &mut scratch) {
+            Some(Observed::Settled(slot)) => {
+                settled += 1;
+                let nearest = states.nearest(&want).map(|(i, _)| i);
+                let spawned = states.clone().spawn_if_uncovered(&want);
+                if nearest != Some(slot) || spawned.is_some() {
+                    return Err(format!(
+                        "trim {trim}: settled on {slot}, but the exact mean {want:?} \
+                         is nearest {nearest:?} and spawns {spawned:?}"
+                    ));
+                }
+            }
+            Some(Observed::Exact(mean)) => {
+                exact += 1;
+                if bits(mean) != bits(&want) {
+                    return Err(format!("trim {trim}: {mean:?}, exact {want:?}"));
+                }
+            }
+            None => return Err("a non-empty window observed nothing".into()),
+        }
+        Ok(())
+    });
+    if replay.seed_from_env().is_none() {
+        assert!(
+            settled > 300 && exact > 300,
+            "{settled} settled, {exact} exact"
+        );
+    }
 }
 
 fn is_malformed(e: &CheckpointError) -> bool {

@@ -5,8 +5,8 @@
 //!
 //! - `ModelStates::nearest` × 1000,
 //! - a reading pushed into a recycled window,
-//! - a warm-scratch Eqs. 2–4 pass (`trimmed_mean_with` +
-//!   `identify_states_into`),
+//! - a warm-scratch Eqs. 2–4 pass (`observable_with`, certified, and
+//!   `trimmed_mean_with`, exact, + `identify_states_into`),
 //! - a no-spawn `update_labeled`,
 //!
 //! for a window close through `Pipeline::push_values` exactly two
@@ -20,8 +20,8 @@
 
 use sentinet_cluster::{ClusterConfig, ModelStates, UpdateScratch};
 use sentinet_core::{
-    identify_states_into, Pipeline, PipelineConfig, SensorMap, SensorStages, WindowOutcome,
-    WindowScratch, Windower,
+    identify_states_into, Observed, Pipeline, PipelineConfig, SensorMap, SensorStages,
+    WindowOutcome, WindowScratch, Windower,
 };
 use sentinet_sim::SensorId;
 
@@ -86,6 +86,8 @@ fn window_close_kernels_do_not_allocate_once_warm() {
                     // Eqs. 2–4 and the clustering round, as the
                     // pipeline runs them on a completed window.
                     let (n, _) = allocations(|| {
+                        let observed = done.observable_with(0.1, &s, &mut scratch);
+                        assert_eq!(observed, Some(Observed::Settled(0)));
                         let mean = done.trimmed_mean_with(0.1, &mut scratch).map(|m| m[0]);
                         let vote = identify_states_into(&done, &s, 0.5, &mut scratch);
                         assert!(mean.is_some() && vote.is_some());

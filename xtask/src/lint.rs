@@ -131,7 +131,10 @@ const ACK_DOMINATORS: &[&str] = &["synced_cursor", "sync_wal", ".deliver("];
 /// suffix of the file that defines them. These are the PR-1 hot paths:
 /// the steady-state ingest/window/update code the benches measure.
 pub const HOT_PATHS: &[(&str, &[&str])] = &[
-    ("cluster/src/online.rs", &["nearest", "update_labeled"]),
+    (
+        "cluster/src/online.rs",
+        &["nearest", "settled", "update_labeled"],
+    ),
     (
         "core/src/window.rs",
         &[
@@ -139,6 +142,9 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "entry",
             "mean_into",
             "trimmed_mean_with",
+            "observable_with",
+            "select_kept",
+            "exact_mean",
             "order_key",
             "represent",
             "label_nearest",
