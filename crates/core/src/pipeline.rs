@@ -28,13 +28,16 @@
 //!
 //! In steady state — every sensor seen, buffers warm — a reading that
 //! completes no window allocates nothing (windows and their sample
-//! buffers are recycled), and one that completes a window allocates a
-//! constant two `Vec`s (the completed window's, the outcome's) whatever
-//! the sensor count: Eqs. 2–4 and the clustering round run out of the
+//! buffers are recycled, and `process_trace` appends outcomes to one
+//! list), and one that completes a window allocates a constant two
+//! `Vec`s (the completed window's, the outcome's) whatever the sensor
+//! count: Eqs. 2–4 and the clustering round run out of the
 //! coordinator's scratch, outcomes come from a pool when the caller
-//! hands them back. The per-sensor alarm histories grow (amortised) and
-//! a spawned state allocates its slot; `tests/steady_state_alloc.rs`
-//! counts allocator calls to hold this.
+//! hands them back. The per-sensor alarm histories grow (amortised). A
+//! spawned state is a counter bump for a sensor that never opened a
+//! track (its `M_CE` is built at the first one) and an amortised slot
+//! in a tracked sensor's `M_CE`; `tests/steady_state_alloc.rs` counts
+//! allocator calls to hold this.
 
 use crate::classify::{carries_error, evidenced_rows, AttackType, Diagnosis};
 use crate::config::PipelineConfig;
@@ -130,31 +133,29 @@ impl Coordinator {
     ) -> Vec<WindowOutcome> {
         let mut outcomes = Vec::new();
         for (time, sensor, reading) in trace.delivered() {
-            outcomes.extend(self.push_values(stages, time, sensor, reading.values()));
+            self.push_values(stages, time, sensor, reading.values(), &mut outcomes);
         }
         outcomes.extend(self.finalize(stages));
         outcomes
     }
 
+    /// Feeds one reading, appending the outcomes of the windows it
+    /// completes to `outcomes`: a reading inside the open window moves
+    /// nothing but its window's buffer.
     fn push_values<S: SensorStages>(
         &mut self,
         stages: &mut S,
         time: Timestamp,
         sensor: SensorId,
         values: &[f64],
-    ) -> Vec<WindowOutcome> {
+        outcomes: &mut Vec<WindowOutcome>,
+    ) {
         let dims = *self.dims.get_or_insert(values.len());
         assert_eq!(values.len(), dims, "inconsistent reading dimensions");
-        let completed = self.windower.push(time, sensor, values);
-        if completed.is_empty() {
-            return Vec::new();
-        }
-        let mut outcomes = Vec::new();
-        for window in completed {
+        for window in self.windower.push(time, sensor, values) {
             outcomes.extend(self.analyze_window(stages, &window));
             self.windower.recycle(window);
         }
-        outcomes
     }
 
     fn finalize<S: SensorStages>(&mut self, stages: &mut S) -> Option<WindowOutcome> {
@@ -228,6 +229,18 @@ impl Coordinator {
         outcome.cluster_events = cluster_events;
         Some(outcome)
     }
+}
+
+/// Whether two error signatures (hidden state → dominant error symbol)
+/// agree on at least half of the hidden states both have: a tie groups.
+/// Signatures sharing no state are not similar.
+fn similar_signatures(a: &BTreeMap<usize, usize>, b: &BTreeMap<usize, usize>) -> bool {
+    let shared: Vec<_> = a.keys().filter(|k| b.contains_key(k)).collect();
+    if shared.is_empty() {
+        return false;
+    }
+    let agree = shared.iter().filter(|&&&k| a[&k] == b[&k]).count();
+    2 * agree >= shared.len()
 }
 
 /// The full detection/diagnosis pipeline of the paper.
@@ -308,8 +321,10 @@ impl Pipeline {
         sensor: SensorId,
         values: &[f64],
     ) -> Vec<WindowOutcome> {
+        let mut outcomes = Vec::new();
         self.coordinator
-            .push_values(&mut self.sensors, time, sensor, values)
+            .push_values(&mut self.sensors, time, sensor, values, &mut outcomes);
+        outcomes
     }
 
     /// Processes an entire trace (delivered records only — lost and
@@ -526,8 +541,8 @@ impl Pipeline {
     /// Groups the sensors that ever raised a filtered alarm by the
     /// similarity of their error behaviour: two sensors belong to the
     /// same group when their `M_CE` signatures (hidden state → dominant
-    /// error symbol) agree on more than half of their shared hidden
-    /// states.
+    /// error symbol) agree on at least half of their shared hidden
+    /// states: one agreement in two shared states groups.
     ///
     /// Coordination is the hallmark of the paper's attack model — an
     /// adversary reprograms *several* nodes to forge the same values —
@@ -543,21 +558,13 @@ impl Pipeline {
             .collect();
         let signatures: Vec<BTreeMap<usize, usize>> =
             alarmed.iter().map(|&id| self.error_signature(id)).collect();
-        let similar = |a: &BTreeMap<usize, usize>, b: &BTreeMap<usize, usize>| -> bool {
-            let shared: Vec<_> = a.keys().filter(|k| b.contains_key(k)).collect();
-            if shared.is_empty() {
-                return false;
-            }
-            let agree = shared.iter().filter(|&&&k| a[&k] == b[&k]).count();
-            2 * agree >= shared.len()
-        };
         // Greedy agglomeration: join the first group containing any
         // similar member (single-linkage).
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, sig) in signatures.iter().enumerate() {
             match groups
                 .iter_mut()
-                .find(|g| g.iter().any(|&j| similar(&signatures[j], sig)))
+                .find(|g| g.iter().any(|&j| similar_signatures(&signatures[j], sig)))
             {
                 Some(g) => g.push(i),
                 None => groups.push(vec![i]),
@@ -927,5 +934,17 @@ mod tests {
             got.push(outcome);
         }
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn signatures_agreeing_on_exactly_half_their_shared_states_group() {
+        let sig = |pairs: &[(usize, usize)]| pairs.iter().copied().collect::<BTreeMap<_, _>>();
+        // Two shared states, one agreement: the tie groups.
+        let a = sig(&[(0, 1), (1, 2), (5, 3)]);
+        assert!(similar_signatures(&a, &sig(&[(0, 1), (1, 4)])));
+        // One agreement in three shared states does not; nor does none
+        // shared.
+        assert!(!similar_signatures(&a, &sig(&[(0, 1), (1, 4), (5, 4)])));
+        assert!(!similar_signatures(&a, &sig(&[(2, 1)])));
     }
 }

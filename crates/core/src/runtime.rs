@@ -39,9 +39,12 @@ use rand::SeedableRng;
 use sentinet_cluster::{kmeans, ModelStates, StateEvent, UpdateScratch};
 use sentinet_filter::{AlarmFilter, KOfNFilter, Sprt, SprtAlarmFilter};
 use sentinet_hmm::structure::{OrthogonalityReport, StructureCache};
-use sentinet_hmm::{MarkovChain, OnlineHmmEstimator, OnlineMarkovEstimator, StochasticMatrix};
+use sentinet_hmm::{
+    EstimatorState, MarkovChain, MarkovState, OnlineHmmEstimator, OnlineMarkovEstimator,
+    StochasticMatrix,
+};
 use sentinet_sim::SensorId;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -86,13 +89,25 @@ struct DiagnosisMemo {
 /// Per-sensor pipeline state: alarm filter, error/attack tracks, and
 /// the sensor's `M_CE` estimator.
 ///
+/// `M_CE` learns only while a track is open, so the paper estimates it
+/// per *suspect* sensor; until a sensor's first track it is the identity
+/// prior, and the runtime holds only what that prior needs: the slot
+/// count, a generation, β and γ. A spawn bumps the first two; the first
+/// observe with a track open builds the estimator, equal to one grown
+/// from the sensor's first window. Snapshots of an unbuilt sensor are
+/// written from the prior, so the checkpoint bytes do not tell the two
+/// apart.
+///
 /// A `SensorRuntime` touches no global state — every method depends
 /// only on its own fields and the per-window inputs — so disjoint sets
 /// of sensors can safely step on different threads.
 #[derive(Debug)]
 pub struct SensorRuntime {
     filter: Box<dyn AlarmFilter>,
-    m_ce: OnlineHmmEstimator,
+    /// Built at the first track (or on read); empty while `prior`
+    /// describes it. Once built, `prior` is stale and nothing reads it.
+    m_ce: OnceCell<OnlineHmmEstimator>,
+    prior: Prior,
     track_open: bool,
     tracks: Vec<TrackRecord>,
     raw_history: Vec<(u64, bool)>,
@@ -115,7 +130,13 @@ impl SensorRuntime {
         };
         Self {
             filter,
-            m_ce: make_m_ce(config, num_slots),
+            m_ce: OnceCell::new(),
+            prior: Prior {
+                slots: num_slots,
+                generation: 0,
+                beta: config.beta,
+                gamma: config.gamma,
+            },
             track_open: false,
             tracks: Vec::new(),
             raw_history: Vec::new(),
@@ -125,9 +146,13 @@ impl SensorRuntime {
     }
 
     /// Grows the `M_CE` estimator to `num_slots` model-state slots
-    /// (no-op when nothing spawned).
+    /// (no-op when nothing spawned); before the first track, a counter
+    /// bump.
     pub fn grow(&mut self, num_slots: usize) {
-        self.m_ce.grow(num_slots, num_slots + 1);
+        match self.m_ce.get_mut() {
+            Some(m_ce) => m_ce.grow(num_slots, num_slots + 1),
+            None => self.prior.grow(num_slots),
+        }
     }
 
     /// One per-sensor step for a *decisive* window: records the raw
@@ -158,12 +183,21 @@ impl SensorRuntime {
         }
         if self.track_open {
             let symbol = if raw { label + 1 } else { BOT_SYMBOL };
-            self.m_ce
+            self.m_ce_mut()
                 .observe(correct, symbol)
                 // sentinet-allow(expect-used): symbol and state counts are sized by grow before observe runs
                 .expect("state and symbol within estimator dims");
         }
         SensorStep { raw, filtered }
+    }
+
+    /// `M_CE` for an update, built from the prior the first time.
+    fn m_ce_mut(&mut self) -> &mut OnlineHmmEstimator {
+        if self.m_ce.get().is_none() {
+            self.m_ce = OnceCell::from(self.prior.build());
+        }
+        // sentinet-allow(expect-used): filled on the line above
+        self.m_ce.get_mut().expect("built")
     }
 
     /// Captures the complete per-sensor state for checkpointing. The
@@ -176,7 +210,10 @@ impl SensorRuntime {
     pub fn snapshot(&self) -> crate::checkpoint::SensorSnapshot {
         crate::checkpoint::SensorSnapshot {
             filter: self.filter.snapshot(),
-            m_ce: self.m_ce.export_state(),
+            m_ce: self
+                .m_ce
+                .get()
+                .map_or_else(|| self.prior.state(), OnlineHmmEstimator::export_state),
             track_open: self.track_open,
             tracks: self.tracks.clone(),
             raw_history: self.raw_history.clone(),
@@ -184,7 +221,9 @@ impl SensorRuntime {
         }
     }
 
-    /// Rebuilds a runtime from a checkpoint snapshot.
+    /// Rebuilds a runtime from a checkpoint snapshot. An `M_CE` whose
+    /// every bit is the identity prior of its shape stays unbuilt, as
+    /// it was when the snapshot was taken.
     ///
     /// # Errors
     ///
@@ -195,11 +234,18 @@ impl SensorRuntime {
         snapshot: crate::checkpoint::SensorSnapshot,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         let invalid = crate::checkpoint::CheckpointError::Invalid;
+        let prior = Prior::shaped_as(&snapshot.m_ce);
+        let unbuilt = prior.describes(&snapshot.m_ce);
         let m_ce =
             OnlineHmmEstimator::import_state(snapshot.m_ce).map_err(|e| invalid(e.to_string()))?;
         Ok(Self {
             filter: snapshot.filter.restore().map_err(invalid)?,
-            m_ce,
+            m_ce: if unbuilt {
+                OnceCell::new()
+            } else {
+                OnceCell::from(m_ce)
+            },
+            prior,
             track_open: snapshot.track_open,
             tracks: snapshot.tracks,
             raw_history: snapshot.raw_history,
@@ -208,9 +254,23 @@ impl SensorRuntime {
         })
     }
 
-    /// The sensor's `M_CE` estimator.
+    /// The sensor's `M_CE` estimator, built from its prior on first
+    /// read if no track has built it.
     pub fn m_ce(&self) -> &OnlineHmmEstimator {
-        &self.m_ce
+        self.m_ce.get_or_init(|| self.prior.build())
+    }
+
+    /// Whether the sensor's `M_CE` is built: a track opened, or
+    /// [`SensorRuntime::m_ce`] was read. An unbuilt one is its prior.
+    pub fn m_ce_built(&self) -> bool {
+        self.m_ce.get().is_some()
+    }
+
+    /// `M_CE`'s update generation, without building it.
+    fn m_ce_generation(&self) -> u64 {
+        self.m_ce
+            .get()
+            .map_or(self.prior.generation, OnlineHmmEstimator::generation)
     }
 
     /// The raw-alarm history as `(window, raw)` pairs.
@@ -229,21 +289,90 @@ impl SensorRuntime {
     }
 }
 
-/// Initial `M_CE` observation matrix: hidden state `i`'s identity
-/// prior sits on symbol `i + 1` (symbol 0 is ⊥).
-fn make_m_ce(config: &PipelineConfig, num_slots: usize) -> OnlineHmmEstimator {
-    let rows: Vec<Vec<f64>> = (0..num_slots)
-        .map(|i| {
-            let mut r = vec![0.0; num_slots + 1];
-            r[i + 1] = 1.0;
-            r
-        })
-        .collect();
-    // sentinet-allow(expect-used): one-hot rows are stochastic by construction
-    let b = StochasticMatrix::from_rows(rows).expect("rows are one-hot");
-    OnlineHmmEstimator::with_initial(b, config.beta, config.gamma)
-        // sentinet-allow(expect-used): learning factors were validated by PipelineConfig::validate
-        .expect("validated learning factors")
+/// An unbuilt `M_CE`: the identity prior over `slots` hidden states —
+/// **A** the identity, hidden state `i`'s **B** row one-hot on symbol
+/// `i + 1` (symbol 0 is ⊥), no visits, no previous state — with the
+/// generation an estimator grown alongside would have.
+#[derive(Debug, Clone, Copy)]
+struct Prior {
+    slots: usize,
+    /// Dimension-changing grows since the sensor was first seen.
+    generation: u64,
+    beta: f64,
+    gamma: f64,
+}
+
+impl Prior {
+    /// A spawn, counted as [`OnlineHmmEstimator::grow`] counts it: a
+    /// generation for a call that adds a slot.
+    fn grow(&mut self, slots: usize) {
+        if slots > self.slots {
+            self.slots = slots;
+            self.generation += 1;
+        }
+    }
+
+    /// The prior as an exported estimator.
+    fn state(&self) -> EstimatorState {
+        let n = self.slots;
+        let one_hot = |len: usize, at: usize| {
+            let mut row = vec![0.0; len];
+            row[at] = 1.0;
+            row
+        };
+        EstimatorState {
+            markov: MarkovState {
+                transition: (0..n).map(|i| one_hot(n, i)).collect(),
+                beta: self.beta,
+                prev: None,
+                visits: vec![0; n],
+            },
+            b: (0..n).map(|i| one_hot(n + 1, i + 1)).collect(),
+            gamma: self.gamma,
+            generation: self.generation,
+        }
+    }
+
+    /// The estimator the prior stands for: the one way an `M_CE` is
+    /// made.
+    fn build(&self) -> OnlineHmmEstimator {
+        OnlineHmmEstimator::import_state(self.state())
+            // sentinet-allow(expect-used): one-hot rows are stochastic and the learning factors were validated by PipelineConfig::validate or the checkpoint import
+            .expect("the identity prior imports")
+    }
+
+    /// The prior of `state`'s shape, learning factors and generation.
+    fn shaped_as(state: &EstimatorState) -> Self {
+        Self {
+            slots: state.b.len(),
+            generation: state.generation,
+            beta: state.markov.beta,
+            gamma: state.gamma,
+        }
+    }
+
+    /// Whether `state` is this prior, bit for bit (a `-0.0` cell is
+    /// not); its learning factors and generation are `state`'s own when
+    /// [`Prior::shaped_as`] made it.
+    fn describes(&self, state: &EstimatorState) -> bool {
+        let n = self.slots;
+        let one_hot = |rows: &[Vec<f64>], len: usize, shift: usize| {
+            rows.len() == n
+                && rows.iter().enumerate().all(|(i, row)| {
+                    row.len() == len
+                        && row.iter().enumerate().all(|(j, x)| {
+                            let want: f64 = if j == i + shift { 1.0 } else { 0.0 };
+                            x.to_bits() == want.to_bits()
+                        })
+                })
+        };
+        let markov = &state.markov;
+        markov.prev.is_none()
+            && markov.visits.len() == n
+            && markov.visits.iter().all(|&v| v == 0)
+            && one_hot(&markov.transition, n, 0)
+            && one_hot(&state.b, n + 1, 1)
+    }
 }
 
 /// Who runs the per-sensor stages of a window — Eq. 3 labelling, the
@@ -800,7 +929,7 @@ impl GlobalModel {
 
     fn memo_key(&self, runtime: &SensorRuntime) -> Option<MemoKey> {
         Some(MemoKey {
-            m_ce_generation: runtime.m_ce.generation(),
+            m_ce_generation: runtime.m_ce_generation(),
             network_stamp: self.network_stamp()?,
             windows_processed: self.windows_processed,
         })
@@ -832,9 +961,9 @@ impl GlobalModel {
             Some((attack, confidence)) => (Diagnosis::Attack(attack.clone()), *confidence),
             None => {
                 let rows: Vec<usize> =
-                    evidenced_rows(&rt.m_ce, self.config.min_state_evidence).collect();
+                    evidenced_rows(rt.m_ce(), self.config.min_state_evidence).collect();
                 let sensor = SensorEvidence {
-                    b_ce: rt.m_ce.observation(),
+                    b_ce: rt.m_ce().observation(),
                     active_rows: &rows,
                 };
                 let network = memo.evidence(m_co.observation());

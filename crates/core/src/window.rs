@@ -660,6 +660,7 @@ impl Windower {
     ///
     /// Panics if `time` precedes the current window (records must
     /// arrive in time order, as [`sentinet_sim::Trace`] guarantees).
+    #[inline]
     pub fn push(
         &mut self,
         time: Timestamp,
@@ -668,12 +669,26 @@ impl Windower {
     ) -> Vec<ObservationWindow> {
         // Nearly every reading lands in the open window: no division,
         // nothing to roll, nothing to return. One that precedes the
-        // window falls through to the assert below.
+        // window falls through to the assert in `push_rolling`.
         let into_open = time.checked_sub(self.current.start);
         if self.started && into_open.is_some_and(|t| t < self.window_duration) {
             self.current.push(sensor, values);
             return Vec::new();
         }
+        self.push_rolling(time, sensor, values)
+    }
+
+    /// [`Windower::push`] for a reading outside the open window: rolls
+    /// to the reading's window, returning the non-empty windows it
+    /// completes in a `Vec` of their own.
+    #[cold]
+    #[inline(never)]
+    fn push_rolling(
+        &mut self,
+        time: Timestamp,
+        sensor: SensorId,
+        values: &[f64],
+    ) -> Vec<ObservationWindow> {
         let target_index = time / self.window_duration;
         if !self.started {
             self.started = true;

@@ -13,11 +13,11 @@ use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
     decode_pipeline, encode_pipeline, identify_states, identify_states_into, identify_states_with,
     CheckpointError, GlobalSnapshot, GlobalStates, ObservationWindow, Observed, Pipeline,
-    PipelineConfig, PipelineSnapshot, SensorSnapshot, TrackRecord, WindowScratch, WindowStates,
-    Windower, WindowerSnapshot,
+    PipelineConfig, PipelineSnapshot, SensorRuntime, SensorSnapshot, TrackRecord, WindowScratch,
+    WindowStates, Windower, WindowerSnapshot, BOT_SYMBOL,
 };
 use sentinet_filter::FilterSnapshot;
-use sentinet_hmm::{EstimatorState, MarkovState};
+use sentinet_hmm::{EstimatorState, MarkovState, OnlineHmmEstimator, StochasticMatrix};
 use sentinet_sim::{Reading, SensorId, Trace, TraceRecord};
 use std::collections::BTreeMap;
 use totality::{check_total_and_exact, PeakAlloc};
@@ -787,4 +787,216 @@ fn every_single_bit_flip_is_rejected_or_reencodes_exactly() {
             }
         }
     }
+}
+
+/// `M_CE` as a sensor got it before the estimator was built at its
+/// first track: the identity prior at the sensor's birth — hidden state
+/// `i` one-hot on symbol `i + 1` — then grown at every spawn. Kept as
+/// the reference the built-on-demand estimator is held to.
+fn eager_m_ce(config: &PipelineConfig, slots: usize) -> OnlineHmmEstimator {
+    let rows = (0..slots)
+        .map(|i| {
+            let mut row = vec![0.0; slots + 1];
+            row[i + 1] = 1.0;
+            row
+        })
+        .collect();
+    let b = StochasticMatrix::from_rows(rows).expect("one-hot rows");
+    OnlineHmmEstimator::with_initial(b, config.beta, config.gamma).expect("valid factors")
+}
+
+/// Every bit of an exported estimator (`-0.0` is not `0.0`), its
+/// shape and counters included.
+fn state_bits(s: &EstimatorState) -> Vec<u64> {
+    let m = &s.markov;
+    let prev = m.prev.map_or(u64::MAX, |p| p as u64);
+    let mut out = vec![m.beta.to_bits(), s.gamma.to_bits(), s.generation, prev];
+    out.push(m.visits.len() as u64);
+    out.extend(&m.visits);
+    out.push(m.transition.len() as u64);
+    for row in m.transition.iter().chain(&s.b) {
+        out.push(row.len() as u64);
+        out.extend(bits(row));
+    }
+    out
+}
+
+/// A grow target from `slots`: as often none (the same count, or a
+/// smaller one) as one slot, sometimes a jump of several.
+fn grow_target(rng: &mut TestRng, slots: usize) -> usize {
+    match rng.usize_in(0, 6) {
+        0 => slots,
+        1 => slots.saturating_sub(1),
+        2 | 3 => slots + 1,
+        _ => slots + rng.usize_in(2, 6),
+    }
+}
+
+/// A sensor's `M_CE`, built at its first track from the prior it held
+/// until then, against [`eager_m_ce`] grown at every spawn since
+/// birth: after `k` grows (no-op and multi-slot ones among them) the
+/// first track opens, then steps and grows interleave. The snapshot,
+/// `m_ce()` and the generation agree bit for bit throughout, and the
+/// estimator is built exactly when the first track opens.
+#[test]
+fn an_m_ce_built_at_the_first_track_equals_one_grown_since_birth() {
+    let replay = Replay {
+        var: "LAZY_M_CE_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "an_m_ce_built_at_the_first_track_equals_one_grown_since_birth",
+    };
+    let mut late_builds = 0;
+    replay.for_each_seed(500, |seed| {
+        let mut rng = TestRng::new(seed);
+        let config = PipelineConfig {
+            beta: rng.pick(&[0.1, 0.5, 0.9]),
+            gamma: rng.pick(&[0.1, 0.3, 0.85]),
+            ..PipelineConfig::default()
+        };
+        let mut slots = rng.usize_in(1, 9);
+        let mut sensor = SensorRuntime::new(&config, slots);
+        let mut eager = eager_m_ce(&config, slots);
+        let same = |sensor: &SensorRuntime, eager: &OnlineHmmEstimator, at: &str| {
+            let want = state_bits(&eager.export_state());
+            if state_bits(&sensor.snapshot().m_ce) != want {
+                return Err(format!("{at}: snapshot differs from the eager M_CE"));
+            }
+            if sensor.m_ce_built() {
+                let built = sensor.m_ce();
+                if built != eager || state_bits(&built.export_state()) != want {
+                    return Err(format!("{at}: m_ce() differs from the eager M_CE"));
+                }
+                if built.generation() != eager.generation() {
+                    return Err(format!("{at}: generation differs"));
+                }
+            }
+            Ok(())
+        };
+        let k = rng.usize_in(0, 8);
+        for g in 0..k {
+            slots = slots.max(grow_target(&mut rng, slots));
+            sensor.grow(slots);
+            eager.grow(slots, slots + 1);
+            same(&sensor, &eager, &format!("grow {g} of {k}"))?;
+            if sensor.m_ce_built() {
+                return Err(format!("grow {g} built the M_CE of an untracked sensor"));
+            }
+        }
+        for window in 0..rng.usize_in(8, 40) as u64 {
+            if rng.usize_in(0, 5) == 0 {
+                slots = slots.max(grow_target(&mut rng, slots));
+                sensor.grow(slots);
+                eager.grow(slots, slots + 1);
+            }
+            let correct = rng.usize_in(0, slots);
+            // Disagree until the first track opens, then at random (a
+            // one-slot sensor cannot).
+            let disagree = slots > 1 && (sensor.tracks().is_empty() || rng.bool());
+            let label = if disagree {
+                (correct + rng.usize_in(1, slots)) % slots
+            } else {
+                correct
+            };
+            let (was_built, grown) = (sensor.m_ce_built(), eager.generation() > 0);
+            let step_out = sensor.step(window, label, correct);
+            if !was_built && sensor.m_ce_built() && grown {
+                late_builds += 1;
+            }
+            if step_out.filtered {
+                let symbol = if step_out.raw { label + 1 } else { BOT_SYMBOL };
+                eager.observe(correct, symbol).expect("within dims");
+            }
+            if sensor.m_ce_built() == sensor.tracks().is_empty() {
+                return Err(format!(
+                    "step {window}: built {} with {} tracks",
+                    sensor.m_ce_built(),
+                    sensor.tracks().len()
+                ));
+            }
+            same(&sensor, &eager, &format!("step {window}"))?;
+        }
+        Ok(())
+    });
+    if replay.seed_from_env().is_none() {
+        assert!(late_builds > 300, "{late_builds} sensors built after grows");
+    }
+}
+
+/// One sensor through `encode_shard` → `decode_shard` →
+/// `SensorRuntime::from_snapshot`, with the text it was encoded to.
+fn through_checkpoint(snapshot: SensorSnapshot) -> (String, SensorRuntime) {
+    let text = encode_shard(&[(SensorId(7), snapshot)]);
+    let (_, decoded) = decode_shard(&text)
+        .expect("decodes")
+        .pop()
+        .expect("one sensor");
+    let restored = SensorRuntime::from_snapshot(decoded).expect("restores");
+    (text, restored)
+}
+
+/// An unbuilt `M_CE` survives a checkpoint unbuilt and re-encodes to
+/// the same bytes; one that is not the identity prior — zero visits,
+/// but one **B** cell moved or one `0.0` written `-0.0` — comes back
+/// built and re-encodes to its own bytes, not to the prior's.
+#[test]
+fn only_the_exact_identity_prior_is_restored_unbuilt() {
+    let replay = Replay {
+        var: "PRIOR_RESTORE_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "only_the_exact_identity_prior_is_restored_unbuilt",
+    };
+    replay.for_each_seed(300, |seed| {
+        let mut rng = TestRng::new(seed);
+        let config = PipelineConfig::default();
+        let mut slots = rng.usize_in(1, 9);
+        let mut sensor = SensorRuntime::new(&config, slots);
+        for window in 0..rng.usize_in(0, 12) {
+            if rng.bool() {
+                slots = slots.max(grow_target(&mut rng, slots));
+                sensor.grow(slots);
+            }
+            // Agreeing steps: history and filter state, no track.
+            let correct = rng.usize_in(0, slots);
+            sensor.step(window as u64, correct, correct);
+        }
+        let (text, restored) = through_checkpoint(sensor.snapshot());
+        if restored.m_ce_built() {
+            return Err("the identity prior came back built".into());
+        }
+        if encode_shard(&[(SensorId(7), restored.snapshot())]) != text {
+            return Err("an unbuilt sensor re-encodes to other bytes".into());
+        }
+
+        let mut damaged = sensor.snapshot();
+        let row = rng.usize_in(0, slots);
+        if rng.bool() {
+            // Half of the row's mass onto ⊥: still stochastic.
+            damaged.m_ce.b[row][0] = 0.5;
+            damaged.m_ce.b[row][row + 1] = 0.5;
+        } else {
+            let a = rng.bool();
+            let cells = if a {
+                &mut damaged.m_ce.markov.transition[row]
+            } else {
+                &mut damaged.m_ce.b[row]
+            };
+            let zero = cells.iter().position(|&x| x == 0.0);
+            let Some(at) = zero else {
+                return Ok(()); // a one-slot A has no zero cell
+            };
+            cells[at] = -0.0;
+        }
+        let (text, restored) = through_checkpoint(damaged);
+        if !restored.m_ce_built() {
+            return Err(format!("a not-prior M_CE (row {row}) came back unbuilt"));
+        }
+        if encode_shard(&[(SensorId(7), restored.snapshot())]) != text {
+            return Err(format!(
+                "a not-prior M_CE (row {row}) re-encodes to other bytes"
+            ));
+        }
+        Ok(())
+    });
 }

@@ -4,16 +4,19 @@
 //! allocator calls for
 //!
 //! - `ModelStates::nearest` × 1000,
-//! - a reading pushed into a recycled window,
+//! - a reading pushed into a recycled window, through
+//!   `Pipeline::push_values` and through `process_trace` alike,
 //! - a warm-scratch Eqs. 2–4 pass (`observable_with`, certified, and
 //!   `trimmed_mean_with`, exact, + `identify_states_into`),
 //! - a no-spawn `update_labeled`,
+//! - a spawn, single or several slots at once, for sensors that never
+//!   opened a track (their `M_CE` is built at the first one),
 //!
 //! for a window close through `Pipeline::push_values` exactly two
 //! (the completed-window `Vec`, the outcome `Vec`) at 20 sensors and at
-//! 200, and for a spawned model state a number of calls per sensor that
-//! does not grow with the states it already has: eight spawns in a row
-//! within 16 calls a sensor.
+//! 200, and for a spawned model state a number of calls per tracked
+//! sensor that does not grow with the states it already has: eight
+//! spawns in a row within 16 calls a sensor.
 //!
 //! Counts are per thread, so the harness running the tests of this file
 //! side by side does not disturb them.
@@ -23,7 +26,7 @@ use sentinet_core::{
     identify_states_into, Observed, Pipeline, PipelineConfig, SensorMap, SensorStages,
     WindowOutcome, WindowScratch, Windower,
 };
-use sentinet_sim::SensorId;
+use sentinet_sim::{Payload, Reading, SensorId, Trace, TraceRecord};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -157,6 +160,48 @@ fn window_close_allocations(sensors: u16) -> u64 {
     closes[closes.len() / 2]
 }
 
+/// Allocator calls of a whole `process_trace` over 40 hours of a
+/// `sensors`-sensor field in a steady environment, `per_hour` sampling
+/// instants an hour from hour 30 on (12 before).
+fn process_trace_allocations(sensors: u16, per_hour: u64) -> u64 {
+    let mut records = Vec::new();
+    for hour in 0..40u64 {
+        let instants = if hour < 30 { 12 } else { per_hour };
+        for sample in 0..instants {
+            for (sensor, values) in instant(sensors, [12.5, 93.0]) {
+                records.push(TraceRecord {
+                    time: hour * 3_600 + sample * 300,
+                    sensor,
+                    payload: Payload::Delivered(Reading::new(values.to_vec())),
+                });
+            }
+        }
+    }
+    let trace = Trace::from_records(records);
+    let mut p = Pipeline::new(PipelineConfig::default(), 300);
+    let (n, outcomes) = allocations(|| p.process_trace(&trace));
+    assert_eq!(outcomes.len(), 40);
+    n
+}
+
+#[test]
+fn a_reading_that_closes_no_window_allocates_nothing_in_process_trace() {
+    // The two traces differ only by readings inside open windows of
+    // warm buffers: half the instants of the last ten hours, none the
+    // first of its hour. Dropping them drops no allocator call.
+    for sensors in [20, 200] {
+        let full = process_trace_allocations(sensors, 12);
+        let thinned = process_trace_allocations(sensors, 6);
+        assert_eq!(
+            full,
+            thinned,
+            "{sensors} sensors: {} readings inside open windows cost {} allocator calls",
+            u64::from(sensors) * 4 / 5 * 60,
+            full.abs_diff(thinned)
+        );
+    }
+}
+
 #[test]
 fn pipeline_window_close_allocates_a_constant_independent_of_sensor_count() {
     // The completed-window Vec and the outcome Vec; nothing per sensor.
@@ -164,22 +209,56 @@ fn pipeline_window_close_allocates_a_constant_independent_of_sensor_count() {
     assert_eq!(window_close_allocations(200), 2);
 }
 
+/// A map of `sensors` sensors first seen at `slots` model-state slots,
+/// every one stepped `windows` times with a label the correct state
+/// (0) disagrees with.
+fn disagreeing_sensors(sensors: u16, slots: usize, windows: u64) -> SensorMap {
+    let mut map = SensorMap::new(PipelineConfig::default());
+    let mut outcome = WindowOutcome::default();
+    for index in 0..windows {
+        outcome.index = index;
+        map.step(slots, (0..sensors).map(|s| (SensorId(s), 1)), &mut outcome);
+    }
+    map
+}
+
+#[test]
+fn an_untracked_sensors_spawn_is_a_counter_bump() {
+    // A sensor that never opened a track holds `M_CE` as its identity
+    // prior: a spawn, single or a jump of several slots, changes two
+    // counters and allocates nothing, whatever the sensor count.
+    for sensors in [20, 200, 2_000] {
+        let mut map = disagreeing_sensors(sensors, 4, 1);
+        let (n, ()) = allocations(|| {
+            for grown in [5, 6, 6, 9, 10, 14, 15, 16] {
+                map.grow(grown);
+            }
+        });
+        assert_eq!(n, 0, "{sensors} untracked sensors: {n} allocator calls");
+        let untracked = map.take().into_values().all(|rt| !rt.m_ce_built());
+        assert!(untracked, "a grow built an untracked sensor's M_CE");
+    }
+}
+
 #[test]
 fn a_spawn_grows_each_sensor_in_place() {
     // Eight single-slot spawns in a row, as a new regime or an attack
-    // produces them. Each grows both matrices of every sensor's `M_CE`
-    // by a row and a column, and its two count vectors by a cell: four
-    // buffers whose growth is amortised, so the whole run stays within
-    // 16 allocator calls a sensor wherever it starts. Reallocating both
-    // matrices per spawn costs six calls a sensor a spawn, 50 or so in
-    // all.
+    // produces them, on sensors whose track is open. Each grows both
+    // matrices of every sensor's `M_CE` by a row and a column, and its
+    // two count vectors by a cell: four buffers whose growth is
+    // amortised, so the whole run stays within 16 allocator calls a
+    // sensor wherever it starts. Reallocating both matrices per spawn
+    // costs six calls a sensor a spawn, 50 or so in all.
     const SENSORS: u16 = 200;
     const SPAWNS: usize = 8;
     for slots in [4, 6, 8, 13] {
-        let mut sensors = SensorMap::new(PipelineConfig::default());
-        let mut outcome = WindowOutcome::default();
-        let voted = (0..SENSORS).map(|s| (SensorId(s), 0));
-        sensors.step(slots, voted, &mut outcome);
+        // Six disagreements raise the default 6-of-10 filter.
+        let mut sensors = disagreeing_sensors(SENSORS, slots, 6);
+        let snapshots = sensors.snapshots();
+        assert!(
+            snapshots.iter().all(|(_, s)| s.track_open),
+            "every sensor must have opened a track, or this counts priors"
+        );
         let (n, ()) = allocations(|| {
             for grown in 1..=SPAWNS {
                 sensors.grow(slots + grown);
@@ -191,8 +270,21 @@ fn a_spawn_grows_each_sensor_in_place() {
             "{SPAWNS} spawns from {slots} slots: {per_sensor} allocator calls per sensor"
         );
         // And they grew: every sensor steps in the newest state.
-        let voted = (0..SENSORS).map(|s| (SensorId(s), slots + SPAWNS - 1));
+        let mut outcome = WindowOutcome {
+            index: 6,
+            correct: slots + SPAWNS - 1,
+            ..WindowOutcome::default()
+        };
+        let voted = (0..SENSORS).map(|s| (SensorId(s), 1));
         sensors.step(slots + SPAWNS, voted, &mut outcome);
-        assert_eq!(sensors.snapshots().len(), usize::from(SENSORS));
+        let grown = sensors
+            .take()
+            .into_values()
+            .all(|rt| rt.m_ce_built() && rt.m_ce().num_states() == slots + SPAWNS);
+        assert!(
+            grown,
+            "a tracked sensor did not grow to {} slots",
+            slots + SPAWNS
+        );
     }
 }

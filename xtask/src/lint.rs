@@ -135,6 +135,8 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         "cluster/src/online.rs",
         &["nearest", "settled", "update_labeled"],
     ),
+    // `Windower::push`'s out-of-line roll (`push_rolling`) returns the
+    // completed windows in a `Vec`: unregistered.
     (
         "core/src/window.rs",
         &[
@@ -155,6 +157,8 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
     ("core/src/pipeline.rs", &["push_values", "analyze_window"]),
+    // `M_CE`'s one-time build at a sensor's first track allocates: it
+    // is `Prior::build`'s, unregistered.
     (
         "core/src/runtime.rs",
         &["label", "step", "step_sensor", "grow"],
