@@ -75,6 +75,6 @@ pub use recovery::{RecoveryAction, RecoveryPlan};
 pub use report::{PipelineReport, SensorSummary, StateSummary};
 pub use runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages, SensorStep};
 pub use window::{
-    identify_states, identify_states_into, identify_states_with, ObservationWindow, Observed,
-    SensorSamples, WindowScratch, WindowStates, Windower,
+    identify_states, identify_states_into, ObservationWindow, Observed, SensorSamples,
+    WindowScratch, WindowStates, Windower,
 };

@@ -20,11 +20,12 @@
 //! 8. **Classification** on demand via [`Pipeline::classify`].
 //!
 //! The stage order is written once, in the [`Coordinator`]'s window
-//! pass, over the one seam that differs between execution modes: who
-//! runs the per-sensor stages ([`SensorStages`]: label, step, grow). A
-//! [`Pipeline`] is a coordinator plus the in-process [`SensorMap`] that
-//! runs them infallibly; `sentinet-engine` puts one sensor map per
-//! scoped thread behind the same seam, so both run this pass.
+//! pass, Eqs. 2–4 included, over the one seam that differs between
+//! execution modes: who runs the per-sensor stages ([`SensorStages`]:
+//! step, grow). A [`Pipeline`] is a coordinator plus the in-process
+//! [`SensorMap`] that runs them infallibly; `sentinet-engine` puts one
+//! sensor map per scoped thread behind the same seam, so both run this
+//! pass.
 //!
 //! In steady state — every sensor seen, buffers warm — a reading that
 //! completes no window allocates nothing (windows and their sample
@@ -42,7 +43,7 @@
 use crate::classify::{carries_error, evidenced_rows, AttackType, Diagnosis};
 use crate::config::PipelineConfig;
 use crate::runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages};
-use crate::window::{ObservationWindow, Observed, WindowScratch, Windower};
+use crate::window::{identify_states_into, ObservationWindow, Observed, WindowScratch, Windower};
 use sentinet_cluster::{ModelStates, StateEvent};
 use sentinet_hmm::{MarkovChain, OnlineHmmEstimator};
 use sentinet_sim::{Reading, SensorId, Timestamp, Trace};
@@ -166,8 +167,7 @@ impl Coordinator {
     }
 
     /// One window through the Fig. 1 stage order. `None` means the
-    /// window was dropped: consumed by the bootstrap, empty, or without
-    /// a single vote.
+    /// window was dropped: consumed by the bootstrap, or empty.
     fn analyze_window<S: SensorStages>(
         &mut self,
         stages: &mut S,
@@ -194,12 +194,11 @@ impl Coordinator {
         };
         let states = self.global.states()?;
 
-        // Eq. 3 is a per-sensor stage; Eq. 4 is the barrier every later
-        // stage waits on.
-        let (ids, representatives, votes) = self.scratch.represent(window);
-        stages.label(states, ids, representatives, votes);
+        // Eqs. 3–4: every sensor's label, and the vote every later stage
+        // waits on.
         let majority_fraction = self.global.config().majority_fraction;
-        let (correct, decisive) = self.scratch.elect(states, majority_fraction)?;
+        let (correct, decisive) =
+            identify_states_into(window, states, majority_fraction, &mut self.scratch)?;
         if decisive {
             self.global.record_decisive(correct, observable);
         }
@@ -403,15 +402,6 @@ impl Pipeline {
         self.sensors.runtimes.keys().copied().collect()
     }
 
-    /// Per-sensor runtime snapshots in sensor-id order, in the format
-    /// [`crate::checkpoint::encode_shard`] accepts. External recovery
-    /// layers (the gateway's WAL checkpointing) use this to fingerprint
-    /// pipeline state at a known ingest cursor and verify a replayed
-    /// run reproduces it bit-exactly.
-    pub fn sensor_snapshots(&self) -> Vec<(SensorId, crate::checkpoint::SensorSnapshot)> {
-        self.sensors.snapshots()
-    }
-
     /// Captures the complete pipeline state — global model, in-progress
     /// window, and every sensor runtime — as a restore-point
     /// [`PipelineSnapshot`](crate::checkpoint::PipelineSnapshot).
@@ -424,7 +414,7 @@ impl Pipeline {
         crate::checkpoint::PipelineSnapshot {
             global: self.global().snapshot(),
             windower: self.coordinator.windower.snapshot(),
-            sensors: self.sensor_snapshots(),
+            sensors: self.sensors.snapshots(),
         }
     }
 
@@ -818,45 +808,8 @@ mod tests {
         assert_eq!(p.network_attack(), p.network_attack());
     }
 
-    /// In-process stages that keep `abstainers` out of the label
-    /// stage.
-    struct Abstaining {
-        sensors: SensorMap,
-        abstainers: Vec<SensorId>,
-    }
-
-    impl SensorStages for Abstaining {
-        fn label(
-            &mut self,
-            states: &ModelStates,
-            ids: &[SensorId],
-            representatives: &[f64],
-            votes: &mut [Option<usize>],
-        ) {
-            self.sensors.label(states, ids, representatives, votes);
-            for (id, vote) in ids.iter().zip(votes) {
-                if self.abstainers.contains(id) {
-                    *vote = None;
-                }
-            }
-        }
-
-        fn step(
-            &mut self,
-            num_slots: usize,
-            voted: impl Iterator<Item = (SensorId, usize)>,
-            outcome: &mut WindowOutcome,
-        ) {
-            self.sensors.step(num_slots, voted, outcome);
-        }
-
-        fn grow(&mut self, num_slots: usize) {
-            self.sensors.grow(num_slots);
-        }
-    }
-
     #[test]
-    fn abstainers_sit_out_the_vote_but_still_train_the_states() {
+    fn every_reporting_sensor_votes_is_stepped_and_trains_the_states() {
         // Sensors 0 and 1 sit on state 0; 2, 3 and 4 near state 1, off
         // its centroid so that their readings move it.
         let config = PipelineConfig {
@@ -877,37 +830,19 @@ mod tests {
             }
         }
 
-        // Everybody votes: state 1 wins three to two.
-        let mut everybody = Pipeline::new(config.clone(), 1);
-        let all = everybody.process_trace(&trace);
-        assert_eq!((all.len(), all[0].correct), (1, 1));
-        assert_eq!(all[0].raw_alarms, [SensorId(0), SensorId(1)]);
+        // State 1 wins three to two, and the two on state 0 alarm.
+        let mut p = Pipeline::new(config, 1);
+        let outcomes = p.process_trace(&trace);
+        assert_eq!((outcomes.len(), outcomes[0].correct), (1, 1));
+        assert_eq!(outcomes[0].raw_alarms, [SensorId(0), SensorId(1)]);
+        let voted: Vec<(SensorId, usize)> = p.coordinator.scratch.voted().collect();
+        let labels = [0, 0, 1, 1, 1];
+        let all: Vec<(SensorId, usize)> = (0..5).map(SensorId).zip(labels).collect();
+        assert_eq!(voted, all);
+        assert_eq!(p.sensor_ids(), all.iter().map(|v| v.0).collect::<Vec<_>>());
 
-        // Sensors 3 and 4 abstain: state 0 wins two to one among the
-        // voters, and only the voters are stepped against it.
-        let mut coordinator = Coordinator::new(config.clone(), 1);
-        let mut stages = Abstaining {
-            sensors: SensorMap::new(config),
-            abstainers: vec![SensorId(3), SensorId(4)],
-        };
-        let outcomes = coordinator.process_trace(&mut stages, &trace);
-        assert_eq!((outcomes.len(), outcomes[0].correct), (1, 0));
-        assert_eq!(outcomes[0].raw_alarms, [SensorId(2)]);
-        let voted: Vec<(SensorId, usize)> = coordinator.scratch.voted().collect();
-        assert_eq!(
-            voted,
-            [(SensorId(0), 0), (SensorId(1), 0), (SensorId(2), 1)]
-        );
-        let stepped: Vec<SensorId> = stages.sensors.runtimes.keys().copied().collect();
-        assert_eq!(stepped, [SensorId(0), SensorId(1), SensorId(2)]);
-
-        // The clustering round still saw all five representatives,
-        // the abstainers' under the coordinator's own label: the model
-        // states moved exactly as they did when everybody voted.
-        assert_eq!(coordinator.scratch.labels(), [0, 0, 1, 1, 1]);
-        assert_eq!(coordinator.scratch.representatives().len(), 5);
-        assert_eq!(coordinator.global().states(), everybody.model_states());
-        let moved = everybody.model_states().unwrap().centroid(1).unwrap()[0];
+        // The clustering round trained state 1 on 9, 9 and 13.
+        let moved = p.model_states().unwrap().centroid(1).unwrap()[0];
         assert!(moved > 10.0, "state 1 trained on 9, 9 and 13: {moved}");
     }
 

@@ -6,16 +6,17 @@
 //! - **per-sensor** work — alarm filtering, track management, `M_CE`
 //!   estimation — which touches only one sensor's state and can run on
 //!   any shard ([`SensorRuntime`]);
-//! - **global** work — clustering, observable/correct state
-//!   identification, `M_CO`/`M_O` estimation (`M_C` is `M_CO`'s
-//!   transition half), majority voting,
-//!   network-level classification — which needs *all* sensors' votes
-//!   and must run on a single coordinator ([`GlobalModel`]).
+//! - **global** work — clustering, Eqs. 2–4 (the observable state,
+//!   every sensor's label, the majority vote), `M_CO`/`M_O` estimation
+//!   (`M_C` is `M_CO`'s transition half), network-level classification
+//!   — which needs *all* sensors' labels and must run on a single
+//!   coordinator ([`GlobalModel`]).
 //!
 //! One window pass ([`Coordinator`](crate::Coordinator)) drives the
-//! `GlobalModel` and hands the per-sensor half to whoever holds the
-//! sensors: [`Pipeline`](crate::Pipeline) keeps them in a [`SensorMap`]
-//! of its own, `sentinet-engine` in one `SensorMap` per scoped thread.
+//! `GlobalModel` and hands the per-sensor half (step, grow) to whoever
+//! holds the sensors: [`Pipeline`](crate::Pipeline) keeps them in a
+//! [`SensorMap`] of its own, `sentinet-engine` in one `SensorMap` per
+//! scoped thread.
 //! Every sensor is stepped by this exact code in the same order either
 //! way, which is what makes the engine's output bit-for-bit identical
 //! to the serial pipeline's.
@@ -33,7 +34,7 @@ use crate::classify::{
 };
 use crate::config::{FilterPolicy, PipelineConfig};
 use crate::pipeline::WindowOutcome;
-use crate::window::{label_nearest, ObservationWindow};
+use crate::window::ObservationWindow;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_cluster::{kmeans, ModelStates, StateEvent, UpdateScratch};
@@ -375,32 +376,17 @@ impl Prior {
     }
 }
 
-/// Who runs the per-sensor stages of a window — Eq. 3 labelling, the
-/// decisive-window step (alarm, filter, track, `M_CE`), estimator
-/// growth — for the window pass of a
-/// [`Coordinator`](crate::Coordinator): a [`SensorMap`] in process, the
-/// engine's shards across scoped threads.
+/// Who runs the per-sensor stages of a window — the decisive-window
+/// step (alarm, filter, track, `M_CE`) and estimator growth — for the
+/// window pass of a [`Coordinator`](crate::Coordinator), which keeps
+/// Eqs. 2–4 for itself: a [`SensorMap`] in process, the engine's shards
+/// across scoped threads.
 pub trait SensorStages {
-    /// Eq. 3 over the window's sensors — `ids` ascending, row `i` of
-    /// `representatives` (row-major) the window mean of `ids[i]`:
-    /// casts `votes[i] = Some(label)` for every sensor that votes, the
-    /// label naming the model state nearest its representative. A
-    /// sensor whose cell stays `None` abstains: Eq. 4 does not count it
-    /// and it is not stepped, but its representative still trains
-    /// Eqs. 5–6 under the label the pass gives it.
-    fn label(
-        &mut self,
-        states: &ModelStates,
-        ids: &[SensorId],
-        representatives: &[f64],
-        votes: &mut [Option<usize>],
-    );
-
     /// The per-sensor step of the decisive window `outcome` describes
     /// so far — window `outcome.index`, elected state `outcome.correct`
-    /// — for the sensors that `voted` (with their labels, ascending):
-    /// a sensor seen for the first time is sized to `num_slots`
-    /// model-state slots, every sensor takes its
+    /// — for every sensor of the window, `voted` with its Eq. 3 label,
+    /// ascending: a sensor seen for the first time is sized to
+    /// `num_slots` model-state slots, every sensor takes its
     /// [`SensorRuntime::step`], and those whose raw or filtered alarm
     /// is up are appended to `outcome.raw_alarms` /
     /// `outcome.filtered_alarms`, ascending.
@@ -465,16 +451,6 @@ impl SensorMap {
 }
 
 impl SensorStages for SensorMap {
-    fn label(
-        &mut self,
-        states: &ModelStates,
-        _ids: &[SensorId],
-        representatives: &[f64],
-        votes: &mut [Option<usize>],
-    ) {
-        label_nearest(states, representatives, votes);
-    }
-
     fn step(
         &mut self,
         num_slots: usize,

@@ -466,9 +466,7 @@ pub struct WindowScratch {
     ids: Vec<SensorId>,
     /// Their window-mean representatives, flat (`ids.len() × dims`).
     representatives: Vec<f64>,
-    /// The label each of them voted with; `None` for one that abstained.
-    votes: Vec<Option<usize>>,
-    /// Their Eq. 3 labels, abstainers' included.
+    /// Their Eq. 3 labels.
     labels: Vec<usize>,
     /// Eq. 4 vote tally, indexed by model-state slot.
     tally: Vec<usize>,
@@ -517,11 +515,10 @@ impl WindowScratch {
         &self.labels
     }
 
-    /// The sensors that put their label to the Eq. 4 vote, with that
-    /// label, ascending.
+    /// Every sensor of the last identified window with its Eq. 3
+    /// label, ascending: all of them vote in Eq. 4.
     pub(crate) fn voted(&self) -> impl Iterator<Item = (SensorId, usize)> + '_ {
-        let cast = self.ids.iter().zip(&self.votes);
-        cast.filter_map(|(&id, &vote)| Some((id, vote?)))
+        self.ids.iter().copied().zip(self.labels.iter().copied())
     }
 
     /// The window-mean representative of each of
@@ -529,65 +526,6 @@ impl WindowScratch {
     /// [`ModelStates::update_labeled`] takes.
     pub fn representatives(&self) -> &[f64] {
         &self.representatives
-    }
-
-    /// Loads `window`'s reporting sensors and their window-mean
-    /// representatives and returns what the label stage works on:
-    /// those two to read, and one vote per sensor to cast, none cast
-    /// yet.
-    pub(crate) fn represent(
-        &mut self,
-        window: &ObservationWindow,
-    ) -> (&[SensorId], &[f64], &mut [Option<usize>]) {
-        self.ids.clear();
-        self.representatives.clear();
-        for (id, samples) in window.sensors() {
-            self.ids.push(id);
-            samples.mean_into(&mut self.representatives);
-        }
-        self.votes.clear();
-        self.votes.resize(self.ids.len(), None);
-        (&self.ids, &self.representatives, &mut self.votes)
-    }
-
-    /// Eq. 4 over the votes cast, then a label for every sensor: a
-    /// voter keeps its vote, a sensor that abstained gets its nearest
-    /// state, so its representative still trains Eqs. 5–6 without
-    /// having been counted. Returns the correct state `c_i` and whether
-    /// it holds the required strict majority; `None` when nobody voted
-    /// or a representative lies outside every active state.
-    pub(crate) fn elect(
-        &mut self,
-        states: &ModelStates,
-        majority_fraction: f64,
-    ) -> Option<(usize, bool)> {
-        self.labels.clear();
-        let means = self.representatives.chunks_exact(states.dims());
-        for (vote, mean) in self.votes.iter().zip(means) {
-            let label = match vote {
-                Some(label) => *label,
-                None => states.nearest(mean)?.0,
-            };
-            self.labels.push(label);
-        }
-        tally_votes(
-            self.votes.iter().flatten().copied(),
-            majority_fraction,
-            &mut self.tally,
-        )
-    }
-}
-
-/// Eq. 3 over flat representatives (`votes.len() × dims`, row-major):
-/// every sensor votes for the model state nearest its window mean.
-pub(crate) fn label_nearest(
-    states: &ModelStates,
-    representatives: &[f64],
-    votes: &mut [Option<usize>],
-) {
-    let means = representatives.chunks_exact(states.dims());
-    for (vote, mean) in votes.iter_mut().zip(means) {
-        *vote = states.nearest(mean).map(|(label, _)| label);
     }
 }
 
@@ -825,28 +763,17 @@ pub fn identify_states(
     trim: f64,
     majority_fraction: f64,
 ) -> Option<WindowStates> {
-    let overall = window.trimmed_mean(trim)?;
-    identify_states_with(window, states, &overall, majority_fraction)
-}
-
-/// [`identify_states`] with the window aggregate (Eq. 2 robust mean)
-/// already computed — callers that also need the mean for coverage
-/// checks avoid computing it twice.
-pub fn identify_states_with(
-    window: &ObservationWindow,
-    states: &ModelStates,
-    overall: &[f64],
-    majority_fraction: f64,
-) -> Option<WindowStates> {
-    let observable = states.nearest(overall)?.0;
     let mut scratch = WindowScratch::new();
+    let observable = states
+        .nearest(window.trimmed_mean_with(trim, &mut scratch)?)?
+        .0;
     let (correct, decisive) =
         identify_states_into(window, states, majority_fraction, &mut scratch)?;
     let ids = scratch.ids.iter().copied();
     Some(WindowStates {
         observable,
         correct,
-        labels: ids.clone().zip(scratch.labels.iter().copied()).collect(),
+        labels: scratch.voted().collect(),
         representatives: ids
             .zip(scratch.representatives.chunks_exact(states.dims()))
             .map(|(id, mean)| (id, mean.to_vec()))
@@ -872,29 +799,35 @@ pub fn identify_states_into(
     majority_fraction: f64,
     scratch: &mut WindowScratch,
 ) -> Option<(usize, bool)> {
-    let (_, representatives, votes) = scratch.represent(window);
-    label_nearest(states, representatives, votes);
-    scratch.elect(states, majority_fraction)
+    scratch.ids.clear();
+    scratch.representatives.clear();
+    scratch.labels.clear();
+    for (id, samples) in window.sensors() {
+        let start = scratch.representatives.len();
+        samples.mean_into(&mut scratch.representatives);
+        let (label, _) = states.nearest(&scratch.representatives[start..])?;
+        scratch.ids.push(id);
+        scratch.labels.push(label);
+    }
+    tally_votes(&scratch.labels, majority_fraction, &mut scratch.tally)
 }
 
 /// Eq. 4: elects the state backed by the most sensor `labels`, counted
 /// in `votes` (one cell per model-state slot, grown to the highest
 /// label seen). Ties break toward the lower state index
 /// (deterministic). Returns the winner and whether it holds the
-/// required strict majority; `None` when no sensor voted.
+/// required strict majority; `None` when there are no labels.
 fn tally_votes(
-    labels: impl Iterator<Item = usize>,
+    labels: &[usize],
     majority_fraction: f64,
     votes: &mut Vec<usize>,
 ) -> Option<(usize, bool)> {
     votes.clear();
-    let mut voters = 0usize;
-    for label in labels {
+    for &label in labels {
         if label >= votes.len() {
             votes.resize(label + 1, 0);
         }
         votes[label] += 1;
-        voters += 1;
     }
     // First strict maximum: a tie goes to the lower slot.
     let mut winner: Option<(usize, usize)> = None;
@@ -904,7 +837,7 @@ fn tally_votes(
         }
     }
     let (correct, most) = winner?;
-    let decisive = most as f64 > majority_fraction * voters as f64;
+    let decisive = most as f64 > majority_fraction * labels.len() as f64;
     Some((correct, decisive))
 }
 

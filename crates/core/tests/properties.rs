@@ -11,10 +11,10 @@ use seeded::{mutate, Replay, TestRng};
 use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch};
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
-    decode_pipeline, encode_pipeline, identify_states, identify_states_into, identify_states_with,
-    CheckpointError, GlobalSnapshot, GlobalStates, ObservationWindow, Observed, Pipeline,
-    PipelineConfig, PipelineSnapshot, SensorRuntime, SensorSnapshot, TrackRecord, WindowScratch,
-    WindowStates, Windower, WindowerSnapshot, BOT_SYMBOL,
+    decode_pipeline, encode_pipeline, identify_states, identify_states_into, CheckpointError,
+    GlobalSnapshot, GlobalStates, ObservationWindow, Observed, Pipeline, PipelineConfig,
+    PipelineSnapshot, SensorRuntime, SensorSnapshot, TrackRecord, WindowScratch, WindowStates,
+    Windower, WindowerSnapshot, BOT_SYMBOL,
 };
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState, OnlineHmmEstimator, StochasticMatrix};
@@ -177,7 +177,6 @@ seeded::properties! {
             let want = oracle_identify(&w, &map_states, &overall, fraction);
             let got = identify_states_into(&w, &flat_states, fraction, &mut scratch);
             assert_flat_is(got, &scratch, &want);
-            assert_states_eq(&identify_states_with(&w, &flat_states, &overall, fraction), &want);
             assert_states_eq(&identify_states(&w, &flat_states, 0.1, fraction), &want);
             let want = want.expect("non-empty window, live states");
             let sensor_means = w.sensor_means();

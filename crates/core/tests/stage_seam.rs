@@ -6,7 +6,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_cluster::ModelStates;
 use sentinet_core::{Coordinator, PipelineConfig, SensorMap, SensorStages, WindowOutcome};
 use sentinet_inject::{first_k_sensors, inject_attacks, AttackInjection, AttackModel};
 use sentinet_sim::{
@@ -16,15 +15,6 @@ use sentinet_sim::{
 /// One stage call as the coordinator made it.
 #[derive(Debug)]
 enum Call {
-    /// The window's sensors, whether every vote cell arrived empty,
-    /// whether `representatives` held one row a sensor, and the votes
-    /// the map cast.
-    Label {
-        ids: Vec<SensorId>,
-        fresh: bool,
-        one_row_each: bool,
-        cast: Vec<(SensorId, usize)>,
-    },
     Step {
         num_slots: usize,
         voted: Vec<(SensorId, usize)>,
@@ -40,29 +30,6 @@ struct Recording {
 }
 
 impl SensorStages for Recording {
-    fn label(
-        &mut self,
-        states: &ModelStates,
-        ids: &[SensorId],
-        representatives: &[f64],
-        votes: &mut [Option<usize>],
-    ) {
-        let fresh = votes.iter().all(Option::is_none);
-        let one_row_each = representatives.len() == ids.len() * states.dims();
-        self.sensors.label(states, ids, representatives, votes);
-        let cast = ids
-            .iter()
-            .zip(votes.iter())
-            .filter_map(|(&id, vote)| Some((id, (*vote)?)))
-            .collect();
-        self.calls.push(Call::Label {
-            ids: ids.to_vec(),
-            fresh,
-            one_row_each,
-            cast,
-        });
-    }
-
     fn step(
         &mut self,
         num_slots: usize,
@@ -88,7 +55,7 @@ impl SensorStages for Recording {
 /// Three days of a ten-sensor network under a constant environment,
 /// three sensors forging a new state from day one: windows split and
 /// agree, and the forged state has to be spawned.
-fn recorded_run() -> (Coordinator, Vec<WindowOutcome>, Vec<Call>) {
+fn recorded_run() -> (Coordinator, Vec<WindowOutcome>, Recording) {
     let mut cfg = gdi::month_config();
     cfg.duration = 3 * DAY_S;
     cfg.environment = EnvironmentModel::Constant(vec![12.0, 80.0]);
@@ -109,53 +76,44 @@ fn recorded_run() -> (Coordinator, Vec<WindowOutcome>, Vec<Call>) {
     let mut coordinator = Coordinator::new(config, cfg.sample_period);
     let outcomes = coordinator.process_trace(&mut stages, &trace);
     assert!(!outcomes.is_empty(), "the run produced no window");
-    (coordinator, outcomes, stages.calls)
+    (coordinator, outcomes, stages)
 }
 
 #[test]
-fn a_label_call_hands_over_ascending_sensors_one_row_each_and_no_votes_yet() {
-    let (_, outcomes, calls) = recorded_run();
-    let mut labelled = 0;
-    for call in &calls {
-        if let Call::Label {
-            ids,
-            fresh,
-            one_row_each,
-            ..
+fn every_step_hands_over_ascending_sensors_labelled_within_its_slots() {
+    let (_, _, recording) = recorded_run();
+    let mut stepped = std::collections::BTreeSet::new();
+    for call in &recording.calls {
+        let Call::Step {
+            num_slots, voted, ..
         } = call
-        {
-            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
-            assert!(*fresh, "a vote was cast before the stage ran");
-            assert!(*one_row_each);
-            labelled += 1;
-        }
-    }
-    // Every outcome is a labelled window; a window can be labelled and
-    // still dropped (no majority to elect).
-    assert!(labelled >= outcomes.len());
-}
-
-#[test]
-fn only_the_voters_are_stepped_ascending_with_the_votes_they_cast() {
-    let (_, _, calls) = recorded_run();
-    let mut stepped = 0;
-    for pair in calls.windows(2) {
-        let Call::Step { voted, .. } = &pair[1] else {
+        else {
             continue;
         };
-        let Call::Label { cast, .. } = &pair[0] else {
-            panic!("a step without the label call of its window: {pair:?}");
-        };
-        assert_eq!(voted, cast);
-        stepped += 1;
+        assert!(voted.windows(2).all(|w| w[0].0 < w[1].0), "{voted:?}");
+        assert!(
+            voted.iter().all(|&(_, label)| label < *num_slots),
+            "{voted:?}"
+        );
+        stepped.extend(voted.iter().map(|v| v.0));
     }
-    assert!(stepped > 0, "no decisive window");
+    assert!(!stepped.is_empty(), "no decisive window");
+    let held: Vec<SensorId> = recording
+        .sensors
+        .snapshots()
+        .into_iter()
+        .map(|s| s.0)
+        .collect();
+    assert_eq!(stepped.into_iter().collect::<Vec<_>>(), held);
+    // No sensor sits a vote out: every one of the field's is stepped.
+    let field: Vec<SensorId> = (0..gdi::NUM_SENSORS).map(SensorId).collect();
+    assert_eq!(held, field);
 }
 
 #[test]
 fn every_stepped_window_is_an_outcome_under_the_state_it_elected() {
-    let (_, outcomes, calls) = recorded_run();
-    for call in &calls {
+    let (_, outcomes, recording) = recorded_run();
+    for call in &recording.calls {
         if let Call::Step {
             index,
             correct,
@@ -176,10 +134,10 @@ fn every_stepped_window_is_an_outcome_under_the_state_it_elected() {
 
 #[test]
 fn grow_only_raises_the_slot_count_and_every_later_step_sees_it() {
-    let (coordinator, _, calls) = recorded_run();
+    let (coordinator, _, recording) = recorded_run();
     let mut slots: Option<usize> = None;
     let mut grows = 0;
-    for call in &calls {
+    for call in &recording.calls {
         match *call {
             Call::Grow(n) => {
                 assert!(slots.is_none_or(|s| n > s), "grow to {n} after {slots:?}");
@@ -189,7 +147,6 @@ fn grow_only_raises_the_slot_count_and_every_later_step_sees_it() {
             Call::Step { num_slots, .. } => {
                 assert_eq!(*slots.get_or_insert(num_slots), num_slots);
             }
-            Call::Label { .. } => {}
         }
     }
     assert!(grows > 0, "the forged state was never spawned");

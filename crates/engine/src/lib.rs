@@ -1,14 +1,15 @@
 //! `sentinet-engine` — the detection pipeline with its per-sensor
 //! stages fanned out over scoped threads.
 //!
-//! The window pass is `sentinet-core`'s ([`Coordinator`]); the engine
-//! answers its per-sensor half ([`SensorStages`]) with one [`SensorMap`]
-//! per shard, sensor *s* on shard `s % num_shards`. The Eq. 4 majority
-//! vote between the label and step stages is a barrier, so windows never
-//! overlap. Every per-sensor float operation runs in serial order on one
-//! thread, so the output is **bit-for-bit identical** to the serial
-//! [`Pipeline`] at any shard count; at one shard the engine *is* that
-//! pipeline. A panic in a shard propagates to the caller.
+//! The window pass, Eqs. 2–4 included, is `sentinet-core`'s
+//! ([`Coordinator`]); the engine answers its per-sensor half
+//! ([`SensorStages`]: step, grow) with one [`SensorMap`] per shard,
+//! sensor *s* on shard `s % num_shards`. The Eq. 4 majority vote before
+//! the step stage is a barrier, so windows never overlap. Every
+//! per-sensor float operation runs in serial order on one thread, so
+//! the output is **bit-for-bit identical** to the serial [`Pipeline`]
+//! at any shard count; at one shard the engine *is* that pipeline. A
+//! panic in a shard propagates to the caller.
 //!
 //! The engine is slower than the pipeline; scaling out and crash
 //! isolation are the federation tier's. [`Engine::new`],
@@ -34,7 +35,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use sentinet_cluster::ModelStates;
 use sentinet_core::{
     Coordinator, Pipeline, PipelineConfig, PipelineReport, SensorMap, SensorStages, WindowOutcome,
 };
@@ -121,25 +121,6 @@ impl EngineRun {
 struct Shards(Vec<SensorMap>);
 
 impl SensorStages for Shards {
-    fn label(
-        &mut self,
-        states: &ModelStates,
-        ids: &[SensorId],
-        representatives: &[f64],
-        votes: &mut [Option<usize>],
-    ) {
-        // Eq. 3 reads nothing but a sensor's representative, so a shard
-        // may label sensors it does not own: one contiguous chunk each.
-        let per_shard = ids.len().div_ceil(self.0.len()).max(1);
-        let chunks = ids.chunks(per_shard).zip(votes.chunks_mut(per_shard));
-        let reps = representatives.chunks(per_shard * states.dims());
-        std::thread::scope(|scope| {
-            for (shard, ((ids, votes), reps)) in self.0.iter_mut().zip(chunks.zip(reps)) {
-                scope.spawn(move || shard.label(states, ids, reps, votes));
-            }
-        });
-    }
-
     fn step(
         &mut self,
         num_slots: usize,

@@ -234,7 +234,7 @@ fn deletion_attack_trace_is_shard_invariant() {
 }
 
 /// Sensor ids that are all multiples of the shard count land on shard
-/// 0 alone; the other shards still label their chunk and step nothing.
+/// 0 alone; the other shards step nothing.
 #[test]
 fn sensors_all_on_one_shard_are_shard_invariant() {
     let (trace, period) = stuck_at_scenario(21);

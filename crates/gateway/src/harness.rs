@@ -22,9 +22,7 @@
 //! dedup, real [`Wal`](crate::wal::Wal) appends over whatever
 //! [`Vfs`](crate::vfs::Vfs) the collector was opened with, real
 //! [`FrameBuffer`] decoding), so an invariant the checker proves holds
-//! for the code that runs in production. This mirrors how the
-//! shard-schedule checker drives the real window pass through
-//! `SensorStages`.
+//! for the code that runs in production.
 
 use crate::collector::{Collector, GatewayError, RestorePoint};
 use crate::frame::{Frame, FrameBuffer, FrameError, Message};

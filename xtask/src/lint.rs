@@ -148,10 +148,7 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "select_kept",
             "exact_mean",
             "order_key",
-            "represent",
-            "label_nearest",
             "voted",
-            "elect",
             "identify_states_into",
             "tally_votes",
         ],
@@ -159,10 +156,7 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
     ("core/src/pipeline.rs", &["push_values", "analyze_window"]),
     // `M_CE`'s one-time build at a sensor's first track allocates: it
     // is `Prior::build`'s, unregistered.
-    (
-        "core/src/runtime.rs",
-        &["label", "step", "step_sensor", "grow"],
-    ),
+    ("core/src/runtime.rs", &["step", "step_sensor", "grow"]),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
     // Every `M_CO`/`M_CE` step runs the Markov half's update.
@@ -1083,6 +1077,28 @@ mod tests {
             "fn push(&mut self) { let v = x.to_vec(); }\nfn other() { let w = y.to_vec(); }\n";
         let f = lint_source(Path::new("w.rs"), src, &c);
         assert_eq!(f.iter().filter(|f| f.lint == "hot-path-alloc").count(), 1);
+    }
+
+    /// A registry entry naming a file or a function that no longer
+    /// exists is a lint that silently never runs.
+    #[test]
+    fn every_registered_hot_path_and_codec_file_exists() {
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
+        for suffix in CODEC_FILES {
+            assert!(crates.join(suffix).is_file(), "codec file {suffix} is gone");
+        }
+        for (suffix, names) in HOT_PATHS {
+            let source = std::fs::read_to_string(crates.join(suffix))
+                .unwrap_or_else(|e| panic!("hot-path file {suffix}: {e}"));
+            let map = SourceMap::new(&source);
+            for name in *names {
+                let bodies = function_bodies(&map.masked, name);
+                assert!(
+                    bodies.iter().any(|&(open, _)| !map.in_test_region(open)),
+                    "hot-path fn `{name}` is not defined in {suffix}"
+                );
+            }
+        }
     }
 
     #[test]
