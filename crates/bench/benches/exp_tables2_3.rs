@@ -59,7 +59,7 @@ fn main() {
 
     // Figure 9 also shows the transition structure A of both models.
     println!("\n=== Figure 9: state transition matrix A^CO (rows = correct states) ===");
-    let a_co = p.m_co().unwrap().transition();
+    let a_co = p.m_co().unwrap().transition().expect("M_CO has a chain");
     let a_cols = visible_columns(a_co, &rows, 0.01);
     print_matrix("", a_co, &labels, &labels, &rows, &a_cols);
 

@@ -3,10 +3,10 @@
 //! A restore point carries every [`SensorRuntime`](crate::SensorRuntime)
 //! so a restarted collector resumes without losing model state. A
 //! [`SensorSnapshot`] is plain data — the alarm filter's
-//! [`FilterSnapshot`], the `M_CE` [`EstimatorState`] (which carries the
-//! estimator's generation counter, keeping memo caches coherent across
-//! a restore), and the track/alarm history — so it crosses thread
-//! boundaries freely and can be serialized.
+//! [`FilterSnapshot`], the `M_CE` as an [`MceSnapshot`] (its prior, or
+//! the estimator with its generation counter, keeping memo caches
+//! coherent across a restore), and the track/alarm history — so it
+//! crosses thread boundaries freely and can be serialized.
 //!
 //! The durable format is the line-based text of `DESIGN.md` §12.5, and
 //! this module holds the one kit every such text in the workspace is
@@ -20,9 +20,10 @@
 //! [`encode_pipeline`]/[`decode_pipeline`] are the two codecs defined
 //! here; the pipeline text ends in a shard section, read by the same
 //! reader. These codecs are the only serialization the snapshot types
-//! have.
+//! have. They write layout v2, only what the classification reads; the
+//! readers also take v1 text, checking and dropping its extra blocks.
 
-use crate::runtime::TrackRecord;
+use crate::runtime::{IdentityPrior, TrackRecord};
 use sentinet_cluster::StatesSnapshot;
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState};
@@ -35,8 +36,8 @@ use std::fmt;
 pub struct SensorSnapshot {
     /// Alarm-filter state.
     pub filter: FilterSnapshot,
-    /// `M_CE` estimator state (includes its generation counter).
-    pub m_ce: EstimatorState,
+    /// The `M_CE`: its prior, or the estimator.
+    pub m_ce: MceSnapshot,
     /// Whether an error/attack track is currently open.
     pub track_open: bool,
     /// All tracks opened so far.
@@ -45,6 +46,15 @@ pub struct SensorSnapshot {
     pub raw_history: Vec<(u64, bool)>,
     /// Whether a filtered alarm was ever raised.
     pub ever_alarmed: bool,
+}
+
+/// A sensor's `M_CE` in a checkpoint.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MceSnapshot {
+    /// An `M_CE` without visits.
+    Prior(IdentityPrior),
+    /// An estimator with at least one visit, and no chain.
+    Built(EstimatorState),
 }
 
 /// Plain-data image of the in-progress observation window, produced by
@@ -66,7 +76,7 @@ pub struct WindowerSnapshot {
 }
 
 /// The bootstrapped portion of a [`GlobalSnapshot`]: the model states
-/// and the two estimators that are installed together at bootstrap.
+/// and the estimator installed with them at bootstrap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalStates {
     /// The evolving model-state set.
@@ -74,8 +84,6 @@ pub struct GlobalStates {
     /// The `M_CO` (correct → observable) estimator; its transition
     /// half is the `M_C` Markov model of the correct states.
     pub m_co: EstimatorState,
-    /// The `M_O` Markov model of the observable states.
-    pub m_o: MarkovState,
 }
 
 /// Plain-data image of the [`GlobalModel`](crate::GlobalModel),
@@ -143,7 +151,17 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-const MAGIC: &str = "sentinet-checkpoint v1";
+const MAGIC: &str = "sentinet-checkpoint v2";
+/// Layout v1 also wrote `M_CE`'s **A**, β and previous state, `counts`
+/// twice and the `mc`/`mo` blocks; it is read, never written.
+const MAGIC_V1: &str = "sentinet-checkpoint v1";
+
+/// Consumes the `v2` or `v1` magic line: whether the text is v1.
+fn read_magic(r: &mut Reader<'_>, v2: &str, v1: &str) -> Result<bool, CheckpointError> {
+    let is_v1 = r.peek() == Some(v1);
+    r.marker(if is_v1 { v1 } else { v2 })?;
+    Ok(is_v1)
+}
 
 /// Appends `v` as the 16 lowercase hex digits of its IEEE-754 bit
 /// pattern — the one float encoding every sentinet text codec shares,
@@ -231,11 +249,10 @@ pub fn put_opt<W: fmt::Write, T: fmt::Display>(out: &mut W, v: Option<T>) -> fmt
     }
 }
 
-/// The `tag` header line of one estimator, then its `a`/`b`/`counts`
-/// rows, each named with the `rows` prefix: the shard codec's `mce`
-/// rows are bare (`a …`), the pipeline codec's `mco` rows are
-/// `mco-a …`. The header's steps are the visits' sum, and `counts`
-/// holds the visits twice: as visits and as `B`'s row update counts.
+/// One estimator: a `tag` header — β, γ and the previous state with a
+/// chain, γ alone without, then the steps (the visits' sum) and the
+/// generation — then `a` (with a chain), `b` and `counts` rows named
+/// with the `rows` prefix (`mce`'s bare, `mco`'s `mco-b …`).
 fn put_estimator<W: fmt::Write>(
     out: &mut W,
     tag: &str,
@@ -243,22 +260,24 @@ fn put_estimator<W: fmt::Write>(
     m: &EstimatorState,
 ) -> fmt::Result {
     write!(out, "{tag} ")?;
-    push_hex(out, m.markov.beta)?;
-    out.write_char(' ')?;
+    if let Some(chain) = &m.chain {
+        push_hex(out, chain.beta)?;
+        out.write_char(' ')?;
+    }
     push_hex(out, m.gamma)?;
-    out.write_char(' ')?;
-    put_opt(out, m.markov.prev)?;
-    writeln!(out, " {} {}", steps(&m.markov.visits), m.generation)?;
-    for row in &m.markov.transition {
+    if let Some(chain) = &m.chain {
+        out.write_char(' ')?;
+        put_opt(out, chain.prev)?;
+    }
+    writeln!(out, " {} {}", steps(&m.visits), m.generation)?;
+    for row in m.chain.iter().flat_map(|chain| &chain.transition) {
         put_hex_row(out, format_args!("{rows}a"), row)?;
     }
     for row in &m.b {
         put_hex_row(out, format_args!("{rows}b"), row)?;
     }
     write!(out, "{rows}counts ")?;
-    put_joined(out, &m.markov.visits)?;
-    out.write_char(' ')?;
-    put_joined(out, &m.markov.visits)?;
+    put_joined(out, &m.visits)?;
     out.write_char('\n')
 }
 
@@ -316,7 +335,13 @@ pub fn write_shard<W: fmt::Write>(
                 writeln!(out, " {steps} {}", u8::from(*raised))?;
             }
         }
-        put_estimator(out, "mce", "", &snap.m_ce)?;
+        match &snap.m_ce {
+            MceSnapshot::Prior(p) => {
+                let tag = format_args!("prior {} {}", p.slots, p.generation);
+                put_hex_row(out, tag, &[p.gamma])?;
+            }
+            MceSnapshot::Built(m) => put_estimator(out, "mce", "", m)?,
+        }
         writeln!(out, "track {}", u8::from(snap.track_open))?;
         out.write_str("tracks")?;
         if snap.tracks.is_empty() {
@@ -616,37 +641,98 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// One estimator block: the `tag` header line, then `a`, `b` and
-/// `counts` rows named with the `rows` prefix — [`put_estimator`]'s
-/// inverse, counters not derived from the visits rejected.
+/// One estimator block, [`put_estimator`]'s inverse: the header's
+/// chain fields and the `a` rows are read when `chained`, `counts`
+/// twice in v1, and counters not derived from the visits are rejected.
 fn parse_estimator(
     r: &mut Reader<'_>,
     tag: &str,
     rows: &str,
+    chained: bool,
+    v1: bool,
 ) -> Result<EstimatorState, CheckpointError> {
     let mut f = r.tagged(tag)?;
-    let (beta, gamma, prev) = (f.hex()?, f.hex()?, f.opt()?);
+    let beta = if chained { Some(f.hex()?) } else { None };
+    let gamma = f.hex()?;
+    let prev = if chained { f.opt()? } else { None };
     let (header_steps, generation) = (f.num::<u64>()?, f.num()?);
     f.end()?;
-    let transition = r.rows(&format!("{rows}a"))?;
+    let transition = if chained {
+        r.rows(&format!("{rows}a"))?
+    } else {
+        Vec::new()
+    };
+    let chain = beta.map(|beta| MarkovState {
+        transition,
+        beta,
+        prev,
+    });
     let b = r.rows(&format!("{rows}b"))?;
     let mut f = r.tagged(&format!("{rows}counts"))?;
-    let (visits, updates): (Vec<u64>, Vec<u64>) = (f.nums()?, f.nums()?);
+    let visits: Vec<u64> = f.nums()?;
+    // v1 wrote the visits a second time, as `B`'s row update counts.
+    let updates_differ = v1 && f.nums::<u64>()? != visits;
     f.end()?;
-    if updates != visits || header_steps != steps(&visits) {
+    if updates_differ || header_steps != steps(&visits) {
         return f.fail("counts or steps other than the visits'");
     }
     Ok(EstimatorState {
-        markov: MarkovState {
-            transition,
-            beta,
-            prev,
-            visits,
-        },
+        chain,
         b,
         gamma,
+        visits,
         generation,
     })
+}
+
+/// A sensor's `M_CE`: a `prior` line or an `mce` block with a visit. A
+/// v1 block has a chain, dropped here; without visits it must be the
+/// identity prior bit for bit, and is read as one.
+fn read_mce(r: &mut Reader<'_>, v1: bool) -> Result<MceSnapshot, CheckpointError> {
+    let (slots, generation, gamma) = match (!v1).then(|| r.tagged_if("prior")).flatten() {
+        Some(mut f) => {
+            let prior = (f.num()?, f.num()?, f.hex()?);
+            f.end()?;
+            prior
+        }
+        None => {
+            let mut m = parse_estimator(r, "mce", "", v1, v1)?;
+            if m.visits.iter().any(|&v| v > 0) {
+                m.chain = None;
+                return Ok(MceSnapshot::Built(m));
+            }
+            if !(v1 && is_identity_prior(&m)) {
+                return r.fail("an `mce` block without visits (v2 writes a `prior` line)");
+            }
+            (m.b.len(), m.generation, m.gamma)
+        }
+    };
+    let prior = IdentityPrior {
+        slots,
+        gamma,
+        generation,
+    };
+    Ok(MceSnapshot::Prior(prior))
+}
+
+/// Whether a v1 `M_CE` is the identity prior of its shape, bit for bit
+/// (a `-0.0` cell is not): no previous state, **A** the identity,
+/// hidden state `i`'s **B** row one-hot on symbol `i + 1`.
+fn is_identity_prior(m: &EstimatorState) -> bool {
+    let n = m.b.len();
+    let one_hot = |rows: &[Vec<f64>], len: usize, shift: usize| {
+        rows.len() == n
+            && rows.iter().enumerate().all(|(i, row)| {
+                row.len() == len
+                    && row.iter().enumerate().all(|(j, x)| {
+                        let want: f64 = if j == i + shift { 1.0 } else { 0.0 };
+                        x.to_bits() == want.to_bits()
+                    })
+            })
+    };
+    let chain = m.chain.as_ref();
+    chain.is_some_and(|c| c.prev.is_none() && one_hot(&c.transition, n, 0))
+        && one_hot(&m.b, n + 1, 1)
 }
 
 /// Decodes checkpoint text produced by [`encode_shard`].
@@ -658,15 +744,19 @@ fn parse_estimator(
 /// when the snapshot is restored into a runtime.
 pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
     let mut r = Reader::new(text);
-    let sensors = read_shard(&mut r)?;
+    let v1 = read_magic(&mut r, MAGIC, MAGIC_V1)?;
+    let sensors = read_shard(&mut r, v1)?;
     r.finish()?;
     Ok(sensors)
 }
 
-/// [`decode_shard`] from wherever `r` stands — the closing section of
-/// a pipeline snapshot — up to the first line that opens no sensor.
-fn read_shard(r: &mut Reader<'_>) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
-    r.marker(MAGIC)?;
+/// [`decode_shard`] after its magic line, from wherever `r` stands —
+/// the closing section of a pipeline snapshot — up to the first line
+/// that opens no sensor.
+fn read_shard(
+    r: &mut Reader<'_>,
+    v1: bool,
+) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
     let mut sensors = Vec::new();
     while let Some(mut f) = r.tagged_if("sensor") {
         let id = SensorId(f.num()?);
@@ -703,7 +793,7 @@ fn read_shard(r: &mut Reader<'_>) -> Result<Vec<(SensorId, SensorSnapshot)>, Che
         f.end()?;
         let snapshot = SensorSnapshot {
             filter,
-            m_ce: parse_estimator(r, "mce", "")?,
+            m_ce: read_mce(r, v1)?,
             track_open: r.single("track", Fields::flag)?,
             tracks: r.list("tracks", |t| {
                 Ok(TrackRecord {
@@ -720,21 +810,8 @@ fn read_shard(r: &mut Reader<'_>) -> Result<Vec<(SensorId, SensorSnapshot)>, Che
     Ok(sensors)
 }
 
-const PIPELINE_MAGIC: &str = "sentinet-pipeline v1";
-
-fn put_markov<W: fmt::Write>(out: &mut W, tag: &str, m: &MarkovState) -> fmt::Result {
-    write!(out, "{tag} ")?;
-    push_hex(out, m.beta)?;
-    out.write_char(' ')?;
-    put_opt(out, m.prev)?;
-    out.write_char(' ')?;
-    put_joined(out, &m.visits)?;
-    out.write_char('\n')?;
-    for row in &m.transition {
-        put_hex_row(out, format_args!("{tag}-row"), row)?;
-    }
-    Ok(())
-}
+const PIPELINE_MAGIC: &str = "sentinet-pipeline v2";
+const PIPELINE_MAGIC_V1: &str = "sentinet-pipeline v1";
 
 /// Encodes a whole pipeline's restore-point snapshot as durable
 /// checkpoint text. Floating-point fields use the same IEEE-754
@@ -794,8 +871,6 @@ pub fn write_pipeline<W: fmt::Write>(out: &mut W, snap: &PipelineSnapshot) -> fm
                 put_hex_row(out, format_args!("slot {}", u8::from(*active)), centroid)?;
             }
             put_estimator(out, "mco", "mco-", &gs.m_co)?;
-            put_markov(out, "mc", &gs.m_co.markov)?;
-            put_markov(out, "mo", &gs.m_o)?;
         }
     }
     let w = &snap.windower;
@@ -813,16 +888,26 @@ pub fn write_pipeline<W: fmt::Write>(out: &mut W, snap: &PipelineSnapshot) -> fm
     write_shard(out, &snap.sensors)
 }
 
-fn parse_markov(r: &mut Reader<'_>, tag: &str) -> Result<MarkovState, CheckpointError> {
-    let mut f = r.tagged(tag)?;
-    let (beta, prev, visits) = (f.hex()?, f.opt()?, f.nums()?);
-    f.end()?;
-    Ok(MarkovState {
-        transition: r.rows(&format!("{tag}-row"))?,
-        beta,
-        prev,
-        visits,
-    })
+/// v1's `mc` and `mo` blocks: `mc` repeats `mco`'s transition half and
+/// visits or is malformed; `mo`, which nothing read, is read past.
+fn read_v1_chains(r: &mut Reader<'_>, m_co: &EstimatorState) -> Result<(), CheckpointError> {
+    let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        let row_bits = |row: &Vec<f64>| row.iter().map(|x| x.to_bits()).collect();
+        rows.iter().map(row_bits).collect()
+    };
+    for tag in ["mc", "mo"] {
+        let mut f = r.tagged(tag)?;
+        let (beta, prev, visits) = (f.hex()?, f.opt::<usize>()?, f.nums::<u64>()?);
+        f.end()?;
+        let rows = r.rows(&format!("{tag}-row"))?;
+        let copies = |a: &MarkovState| {
+            (a.beta.to_bits(), a.prev, bits(&a.transition)) == (beta.to_bits(), prev, bits(&rows))
+        };
+        if tag == "mc" && !(m_co.chain.as_ref().is_some_and(copies) && visits == m_co.visits) {
+            return r.fail("`mc` is not `mco`'s transition half");
+        }
+    }
+    Ok(())
 }
 
 /// Decodes checkpoint text produced by [`encode_pipeline`].
@@ -847,7 +932,7 @@ pub fn decode_pipeline(text: &str) -> Result<PipelineSnapshot, CheckpointError> 
 /// As [`decode_pipeline`], with lines counted from the start of `r`'s
 /// text.
 pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointError> {
-    r.marker(PIPELINE_MAGIC)?;
+    let v1 = read_magic(r, PIPELINE_MAGIC, PIPELINE_MAGIC_V1)?;
     let windows_processed = r.single("windows", Fields::num)?;
     let state_history = r.list("history", |h| Ok((h.num()?, h.num()?, h.num()?)))?;
     // The declared count is checked against the rows actually read,
@@ -875,14 +960,9 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
             active.push(f.flag()?);
             centroids.push(f.hex_row()?);
         }
-        let m_co = parse_estimator(r, "mco", "mco-")?;
-        // `mc` repeats `mco`'s transition half byte for byte (`M_C` is
-        // `M_CO`'s **A**); `fmt::Write for String` never fails.
-        let (mut read, mut derived) = (String::new(), String::new());
-        let _ = put_markov(&mut read, "mc", &parse_markov(r, "mc")?);
-        let _ = put_markov(&mut derived, "mc", &m_co.markov);
-        if read != derived {
-            return r.fail("`mc` is not `mco`'s transition half");
+        let m_co = parse_estimator(r, "mco", "mco-", true, v1)?;
+        if v1 {
+            read_v1_chains(r, &m_co)?;
         }
         Some(GlobalStates {
             states: StatesSnapshot {
@@ -892,7 +972,6 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
                 generation,
             },
             m_co,
-            m_o: parse_markov(r, "mo")?,
         })
     } else {
         None
@@ -913,6 +992,7 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
         readings.push((id, dims, data));
     }
     r.marker("sensors")?;
+    r.marker(if v1 { MAGIC_V1 } else { MAGIC })?;
     Ok(PipelineSnapshot {
         global: GlobalSnapshot {
             windows_processed,
@@ -926,7 +1006,7 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
             start,
             readings,
         },
-        sensors: read_shard(r)?,
+        sensors: read_shard(r, v1)?,
     })
 }
 
@@ -1004,9 +1084,6 @@ mod tests {
                 est.observe(1, 1).unwrap();
                 est.export_state()
             },
-            m_o: sentinet_hmm::OnlineMarkovEstimator::new(3, 0.9)
-                .unwrap()
-                .export_state(),
         });
         PipelineSnapshot {
             global: GlobalSnapshot {
@@ -1060,27 +1137,27 @@ mod tests {
             .unwrap_or_else(|| panic!("no line starting `{prefix}`"))
     }
 
-    /// `M_C` is `M_CO`'s transition half: an `mc` block whose rows, β,
-    /// previous state or visits say otherwise is malformed, so
-    /// whatever decodes re-encodes to the bytes read.
+    /// The golden pipeline snapshot as layout v1 wrote it (pinned by
+    /// `tests/properties.rs`).
+    const GOLDEN_V1: &str = include_str!("../tests/fixtures/golden_pipeline_v1.txt");
+
+    /// `M_C` is `M_CO`'s transition half: a v1 `mc` block whose rows,
+    /// β, previous state or visits say otherwise is malformed.
     #[test]
     fn mc_block_differing_from_mcos_transition_half_is_malformed() {
-        let text = encode_pipeline(&sample_pipeline_snapshot(true));
-        let header = line_starting(&text, "mc ");
+        let text = GOLDEN_V1;
+        assert!(decode_pipeline(text).is_ok());
+        let header = line_starting(text, "mc ");
         let [_, beta, prev, visits] = header.split(' ').collect::<Vec<_>>()[..] else {
             panic!("mc header `{header}`");
         };
-        let row = line_starting(&text, "mc-row ");
-        let block = line_of(&text, header)..line_of(&text, line_starting(&text, "mo "));
+        let row = line_starting(text, "mc-row ");
+        let block = line_of(text, header)..line_of(text, line_starting(text, "mo "));
         for damaged in [
             text.replacen(header, &format!("mc 3fe0000000000000 {prev} {visits}"), 1),
             text.replacen(header, &format!("mc {beta} - {visits}"), 1),
-            text.replacen(header, &format!("mc {beta} {prev} 9,9,9"), 1),
-            text.replacen(
-                row,
-                "mc-row 0000000000000000 3ff0000000000000 0000000000000000",
-                1,
-            ),
+            text.replacen(header, &format!("mc {beta} {prev} 9,9"), 1),
+            text.replacen(row, "mc-row 0000000000000000 3ff0000000000000", 1),
             text.replacen(&format!("{row}\n"), "", 1),
         ] {
             assert_ne!(damaged, text);
@@ -1089,36 +1166,64 @@ mod tests {
         }
     }
 
-    /// A `counts` line holds the visits twice and an estimator header's
-    /// steps are their sum; `mco` and `mce` blocks that say otherwise
-    /// are malformed.
+    /// An estimator header's steps are the visits' sum, and v1's
+    /// `counts` lines held the visits twice; `mco` and `mce` blocks
+    /// that say otherwise are malformed.
     #[test]
     fn estimator_counters_other_than_the_visits_are_malformed() {
-        let text = encode_pipeline(&sample_pipeline_snapshot(true));
         let bump_first = |list: &str| {
             let first = list.split(',').next().unwrap_or(list);
             let bumped = first.parse::<u64>().expect("a count") + 1;
             format!("{bumped}{}", &list[first.len()..])
         };
         for counts in ["mco-counts ", "counts "] {
-            let line = line_starting(&text, counts);
+            let line = line_starting(GOLDEN_V1, counts);
             let (head, updates) = line.rsplit_once(' ').expect("two vectors");
             let bumped = format!("{head} {}", bump_first(updates));
-            let damaged = text.replacen(line, &bumped, 1);
+            let damaged = GOLDEN_V1.replacen(&format!("\n{line}\n"), &format!("\n{bumped}\n"), 1);
             let at = malformed_line(decode_pipeline(&damaged));
             assert_eq!(at, line_of(&damaged, &bumped));
         }
-        for tag in ["mco ", "mce "] {
+        let text = encode_pipeline(&sample_pipeline_snapshot(true));
+        for (tag, steps, counts) in [("mco ", 4, "mco-counts "), ("mce ", 2, "counts ")] {
             let header = line_starting(&text, tag);
             let mut fields: Vec<&str> = header.split(' ').collect();
-            let steps = bump_first(fields[4]);
-            fields[4] = &steps;
-            malformed_line(decode_pipeline(&text.replacen(
-                header,
-                &fields.join(" "),
-                1,
-            )));
+            let bumped = bump_first(fields[steps]);
+            fields[steps] = &bumped;
+            let damaged = text.replacen(header, &fields.join(" "), 1);
+            let counts = line_of(
+                &damaged,
+                line_starting(&damaged[damaged.find(tag).unwrap()..], counts),
+            );
+            assert_eq!(malformed_line(decode_pipeline(&damaged)), counts);
         }
+    }
+
+    /// An `M_CE` without visits is one `prior` line (slots, generation,
+    /// γ); the full block it used to be is malformed in v2.
+    #[test]
+    fn an_unbuilt_sensor_is_one_prior_line() {
+        let config = PipelineConfig::default();
+        let sensors = vec![(SensorId(3), SensorRuntime::new(&config, 4).snapshot())];
+        let text = encode_shard(&sensors);
+        let prior = line_starting(&text, "prior ");
+        assert_eq!(prior, "prior 4 0 3fb999999999999a");
+        assert_eq!(text.lines().count(), 9, "{text}");
+        assert_eq!(decode_shard(&text), Ok(sensors));
+        let one_hot = |i: usize| {
+            let mut row = ["0000000000000000"; 5];
+            row[i + 1] = "3ff0000000000000";
+            format!("b {}\n", row.join(" "))
+        };
+        let block = format!(
+            "mce 3fb999999999999a 0 0\n{}counts 0,0,0,0",
+            (0..4).map(one_hot).collect::<String>()
+        );
+        let full = text.replacen(prior, &block, 1);
+        assert_eq!(
+            malformed_line(decode_shard(&full)),
+            line_of(&full, "counts 0,0,0,0")
+        );
     }
 
     /// 1-based number of the first line of `text` that is `line`.

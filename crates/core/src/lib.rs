@@ -65,7 +65,7 @@ pub mod runtime;
 pub mod window;
 
 pub use checkpoint::{
-    decode_pipeline, encode_pipeline, CheckpointError, GlobalSnapshot, GlobalStates,
+    decode_pipeline, encode_pipeline, CheckpointError, GlobalSnapshot, GlobalStates, MceSnapshot,
     PipelineSnapshot, SensorSnapshot, WindowerSnapshot,
 };
 pub use classify::{AttackType, Diagnosis, ErrorType, NetworkEvidence, SensorEvidence};
@@ -73,7 +73,7 @@ pub use config::{FilterPolicy, PipelineConfig};
 pub use pipeline::{Coordinator, Pipeline, TrackRecord, WindowOutcome, BOT_SYMBOL};
 pub use recovery::{RecoveryAction, RecoveryPlan};
 pub use report::{PipelineReport, SensorSummary, StateSummary};
-pub use runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages, SensorStep};
+pub use runtime::{GlobalModel, IdentityPrior, SensorMap, SensorRuntime, SensorStages, SensorStep};
 pub use window::{
     identify_states, identify_states_into, ObservationWindow, Observed, SensorSamples,
     WindowScratch, WindowStates, Windower,

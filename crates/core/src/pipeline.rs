@@ -14,9 +14,9 @@
 //! 5. **Alarm Filtering** — k-of-n or SPRT per sensor;
 //! 6. **Error/Attack Track Management** — per-sensor tracks feeding the
 //!    `M_CE` estimators with `e_i = l_j` or ⊥;
-//! 7. **HMM estimation** — the global `M_CO` (correct → observable) and
-//!    per-sensor `M_CE` (correct → error) models, plus the Markov
-//!    model `M_O`; `M_C` is `M_CO`'s transition half;
+//! 7. **HMM estimation** — the global `M_CO` (correct → observable)
+//!    model, whose transition half is `M_C`, and the per-sensor `M_CE`
+//!    (correct → error) models, **B** alone;
 //! 8. **Classification** on demand via [`Pipeline::classify`].
 //!
 //! The stage order is written once, in the [`Coordinator`]'s window
@@ -40,6 +40,7 @@
 //! in a tracked sensor's `M_CE`; `tests/steady_state_alloc.rs` counts
 //! allocator calls to hold this.
 
+use crate::checkpoint::{CheckpointError, PipelineSnapshot};
 use crate::classify::{carries_error, evidenced_rows, AttackType, Diagnosis};
 use crate::config::PipelineConfig;
 use crate::runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages};
@@ -386,12 +387,6 @@ impl Pipeline {
         self.global().correct_model()
     }
 
-    /// The Markov model `M_O` of the observable states (useful for the
-    /// random-noise discussion of §3.4).
-    pub fn observable_model(&self) -> Option<MarkovChain> {
-        self.global().observable_model()
-    }
-
     /// Builds the operator-facing snapshot of the pipeline's findings.
     pub fn report(&self) -> crate::PipelineReport {
         crate::PipelineReport::build(self.global(), &self.sensors.runtimes)
@@ -410,8 +405,8 @@ impl Pipeline {
     /// bit-identically, which is what lets the gateway's WAL retention
     /// delete replayed log prefixes without weakening its recovery
     /// proof.
-    pub fn snapshot(&self) -> crate::checkpoint::PipelineSnapshot {
-        crate::checkpoint::PipelineSnapshot {
+    pub fn snapshot(&self) -> PipelineSnapshot {
+        PipelineSnapshot {
             global: self.global().snapshot(),
             windower: self.coordinator.windower.snapshot(),
             sensors: self.sensors.snapshots(),
@@ -424,7 +419,8 @@ impl Pipeline {
     /// # Errors
     ///
     /// [`crate::checkpoint::CheckpointError::Invalid`] if any embedded
-    /// model state fails re-validation (corrupt checkpoint).
+    /// model state fails re-validation (corrupt checkpoint), or `M_CO`
+    /// or an `M_CE` is not sized to the model-state slots.
     ///
     /// # Panics
     ///
@@ -433,15 +429,25 @@ impl Pipeline {
     pub fn from_snapshot(
         config: PipelineConfig,
         sample_period: u64,
-        snapshot: crate::checkpoint::PipelineSnapshot,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
+        snapshot: PipelineSnapshot,
+    ) -> Result<Self, CheckpointError> {
         assert!(sample_period > 0, "sample period must be positive");
         let duration = config.window_samples as u64 * sample_period;
         let windower = Windower::from_snapshot(duration, &snapshot.windower)?;
         let global = GlobalModel::from_snapshot(config.clone(), snapshot.global)?;
+        let sensors = SensorMap::restore(config, snapshot.sensors)?;
+        let slots = global.num_slots();
+        let m_co =
+            (global.m_co()).map(|m| (m.transition().is_some(), m.num_states(), m.num_symbols()));
+        if m_co.is_some_and(|shape| shape != (true, slots, slots))
+            || sensors.runtimes.values().any(|s| s.m_ce_slots() != slots)
+        {
+            let why = format!("an estimator not sized to the {slots} model-state slots");
+            return Err(CheckpointError::Invalid(why));
+        }
         Ok(Self {
             coordinator: Coordinator::resume(global, windower),
-            sensors: SensorMap::restore(config, snapshot.sensors)?,
+            sensors,
         })
     }
 

@@ -7,9 +7,9 @@
 //!   estimation — which touches only one sensor's state and can run on
 //!   any shard ([`SensorRuntime`]);
 //! - **global** work — clustering, Eqs. 2–4 (the observable state,
-//!   every sensor's label, the majority vote), `M_CO`/`M_O` estimation
-//!   (`M_C` is `M_CO`'s transition half), network-level classification
-//!   — which needs *all* sensors' labels and must run on a single
+//!   every sensor's label, the majority vote), `M_CO` estimation (`M_C`
+//!   is `M_CO`'s transition half), network-level classification —
+//!   which needs *all* sensors' labels and must run on a single
 //!   coordinator ([`GlobalModel`]).
 //!
 //! One window pass ([`Coordinator`](crate::Coordinator)) drives the
@@ -28,6 +28,7 @@
 //! `classify`/`classify_with_confidence`/`network_attack` calls after
 //! unchanged windows are O(1).
 
+use crate::checkpoint::MceSnapshot;
 use crate::classify::{
     classify_network, classify_sensor, clean_margin, evidenced_rows, matured, AttackType,
     Diagnosis, NetworkEvidence, SensorEvidence,
@@ -40,10 +41,7 @@ use rand::SeedableRng;
 use sentinet_cluster::{kmeans, ModelStates, StateEvent, UpdateScratch};
 use sentinet_filter::{AlarmFilter, KOfNFilter, Sprt, SprtAlarmFilter};
 use sentinet_hmm::structure::{OrthogonalityReport, StructureCache};
-use sentinet_hmm::{
-    EstimatorState, MarkovChain, MarkovState, OnlineHmmEstimator, OnlineMarkovEstimator,
-    StochasticMatrix,
-};
+use sentinet_hmm::{EstimatorState, MarkovChain, OnlineHmmEstimator, StochasticMatrix};
 use sentinet_sim::SensorId;
 use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
@@ -90,14 +88,14 @@ struct DiagnosisMemo {
 /// Per-sensor pipeline state: alarm filter, error/attack tracks, and
 /// the sensor's `M_CE` estimator.
 ///
-/// `M_CE` learns only while a track is open, so the paper estimates it
-/// per *suspect* sensor; until a sensor's first track it is the identity
-/// prior, and the runtime holds only what that prior needs: the slot
-/// count, a generation, β and γ. A spawn bumps the first two; the first
-/// observe with a track open builds the estimator, equal to one grown
-/// from the sensor's first window. Snapshots of an unbuilt sensor are
-/// written from the prior, so the checkpoint bytes do not tell the two
-/// apart.
+/// `M_CE` is **B** alone: the classification never reads its **A**, so
+/// it is built without a chain. It learns only while a track is open,
+/// so the paper estimates it per *suspect* sensor; until a sensor's
+/// first track it is the [`IdentityPrior`], and the runtime holds only
+/// that: the slot count, a generation and γ. A spawn bumps the first
+/// two; the first observe with a track open builds the estimator, equal
+/// to one grown from the sensor's first window. An `M_CE` without
+/// visits — unbuilt, or built by a read — is checkpointed as its prior.
 ///
 /// A `SensorRuntime` touches no global state — every method depends
 /// only on its own fields and the per-window inputs — so disjoint sets
@@ -106,9 +104,10 @@ struct DiagnosisMemo {
 pub struct SensorRuntime {
     filter: Box<dyn AlarmFilter>,
     /// Built at the first track (or on read); empty while `prior`
-    /// describes it. Once built, `prior` is stale and nothing reads it.
+    /// describes it.
     m_ce: OnceCell<OnlineHmmEstimator>,
-    prior: Prior,
+    /// Grown with the sensor, built or not: its slots are `M_CE`'s.
+    prior: IdentityPrior,
     track_open: bool,
     tracks: Vec<TrackRecord>,
     raw_history: Vec<(u64, bool)>,
@@ -132,11 +131,10 @@ impl SensorRuntime {
         Self {
             filter,
             m_ce: OnceCell::new(),
-            prior: Prior {
+            prior: IdentityPrior {
                 slots: num_slots,
-                generation: 0,
-                beta: config.beta,
                 gamma: config.gamma,
+                generation: 0,
             },
             track_open: false,
             tracks: Vec::new(),
@@ -150,9 +148,9 @@ impl SensorRuntime {
     /// (no-op when nothing spawned); before the first track, a counter
     /// bump.
     pub fn grow(&mut self, num_slots: usize) {
-        match self.m_ce.get_mut() {
-            Some(m_ce) => m_ce.grow(num_slots, num_slots + 1),
-            None => self.prior.grow(num_slots),
+        self.prior.grow(num_slots);
+        if let Some(m_ce) = self.m_ce.get_mut() {
+            m_ce.grow(num_slots, num_slots + 1);
         }
     }
 
@@ -209,12 +207,13 @@ impl SensorRuntime {
     /// captured: it is a cache keyed on generation counters and
     /// rebuilds on first use.
     pub fn snapshot(&self) -> crate::checkpoint::SensorSnapshot {
+        let visited =
+            (self.m_ce.get()).filter(|m_ce| m_ce.observation_evidence().iter().any(|&v| v > 0));
         crate::checkpoint::SensorSnapshot {
             filter: self.filter.snapshot(),
-            m_ce: self
-                .m_ce
-                .get()
-                .map_or_else(|| self.prior.state(), OnlineHmmEstimator::export_state),
+            m_ce: visited.map_or(MceSnapshot::Prior(self.prior), |m_ce| {
+                MceSnapshot::Built(m_ce.export_state())
+            }),
             track_open: self.track_open,
             tracks: self.tracks.clone(),
             raw_history: self.raw_history.clone(),
@@ -222,30 +221,43 @@ impl SensorRuntime {
         }
     }
 
-    /// Rebuilds a runtime from a checkpoint snapshot. An `M_CE` whose
-    /// every bit is the identity prior of its shape stays unbuilt, as
-    /// it was when the snapshot was taken.
+    /// Rebuilds a runtime from a checkpoint snapshot. An `M_CE` written
+    /// as its prior stays unbuilt, as it was when the snapshot was
+    /// taken.
     ///
     /// # Errors
     ///
     /// [`crate::checkpoint::CheckpointError::Invalid`] if the embedded
     /// estimator state or alarm-filter bounds fail re-validation
-    /// (corrupt checkpoint).
+    /// (corrupt checkpoint), or if the `M_CE` is no prior or estimator
+    /// a sensor could hold.
     pub fn from_snapshot(
         snapshot: crate::checkpoint::SensorSnapshot,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         let invalid = crate::checkpoint::CheckpointError::Invalid;
-        let prior = Prior::shaped_as(&snapshot.m_ce);
-        let unbuilt = prior.describes(&snapshot.m_ce);
-        let m_ce =
-            OnlineHmmEstimator::import_state(snapshot.m_ce).map_err(|e| invalid(e.to_string()))?;
+        let (m_ce, prior) = match snapshot.m_ce {
+            // What `IdentityPrior::build` needs to succeed.
+            MceSnapshot::Prior(p) if p.slots > 0 && p.gamma > 0.0 && p.gamma < 1.0 => (None, p),
+            // The `M_CE` a track builds: no chain, a visit, a symbol per
+            // slot and ⊥.
+            MceSnapshot::Built(m)
+                if m.chain.is_none()
+                    && m.visits.iter().any(|&v| v > 0)
+                    && m.b.iter().all(|row| row.len() == m.b.len() + 1) =>
+            {
+                let prior = IdentityPrior {
+                    slots: m.b.len(),
+                    gamma: m.gamma,
+                    generation: m.generation,
+                };
+                let m_ce = OnlineHmmEstimator::import_state(m);
+                (Some(m_ce.map_err(|e| invalid(e.to_string()))?), prior)
+            }
+            _ => return Err(invalid("an M_CE unlike any a sensor writes".into())),
+        };
         Ok(Self {
             filter: snapshot.filter.restore().map_err(invalid)?,
-            m_ce: if unbuilt {
-                OnceCell::new()
-            } else {
-                OnceCell::from(m_ce)
-            },
+            m_ce: m_ce.map_or_else(OnceCell::new, OnceCell::from),
             prior,
             track_open: snapshot.track_open,
             tracks: snapshot.tracks,
@@ -265,6 +277,11 @@ impl SensorRuntime {
     /// [`SensorRuntime::m_ce`] was read. An unbuilt one is its prior.
     pub fn m_ce_built(&self) -> bool {
         self.m_ce.get().is_some()
+    }
+
+    /// `M_CE`'s model-state slots, without building it.
+    pub(crate) fn m_ce_slots(&self) -> usize {
+        self.prior.slots
     }
 
     /// `M_CE`'s update generation, without building it.
@@ -290,20 +307,21 @@ impl SensorRuntime {
     }
 }
 
-/// An unbuilt `M_CE`: the identity prior over `slots` hidden states —
-/// **A** the identity, hidden state `i`'s **B** row one-hot on symbol
-/// `i + 1` (symbol 0 is ⊥), no visits, no previous state — with the
-/// generation an estimator grown alongside would have.
-#[derive(Debug, Clone, Copy)]
-struct Prior {
-    slots: usize,
+/// An `M_CE` without visits: the identity prior over `slots` hidden
+/// states — hidden state `i`'s **B** row one-hot on symbol `i + 1`
+/// (symbol 0 is ⊥) — with its γ and the generation an estimator grown
+/// alongside would have.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IdentityPrior {
+    /// Model-state slots.
+    pub slots: usize,
+    /// Observation learning factor γ.
+    pub gamma: f64,
     /// Dimension-changing grows since the sensor was first seen.
-    generation: u64,
-    beta: f64,
-    gamma: f64,
+    pub generation: u64,
 }
 
-impl Prior {
+impl IdentityPrior {
     /// A spawn, counted as [`OnlineHmmEstimator::grow`] counts it: a
     /// generation for a call that adds a slot.
     fn grow(&mut self, slots: usize) {
@@ -313,66 +331,27 @@ impl Prior {
         }
     }
 
-    /// The prior as an exported estimator.
-    fn state(&self) -> EstimatorState {
-        let n = self.slots;
-        let one_hot = |len: usize, at: usize| {
-            let mut row = vec![0.0; len];
-            row[at] = 1.0;
-            row
-        };
-        EstimatorState {
-            markov: MarkovState {
-                transition: (0..n).map(|i| one_hot(n, i)).collect(),
-                beta: self.beta,
-                prev: None,
-                visits: vec![0; n],
-            },
-            b: (0..n).map(|i| one_hot(n + 1, i + 1)).collect(),
-            gamma: self.gamma,
-            generation: self.generation,
-        }
-    }
-
     /// The estimator the prior stands for: the one way an `M_CE` is
     /// made.
     fn build(&self) -> OnlineHmmEstimator {
-        OnlineHmmEstimator::import_state(self.state())
-            // sentinet-allow(expect-used): one-hot rows are stochastic and the learning factors were validated by PipelineConfig::validate or the checkpoint import
-            .expect("the identity prior imports")
-    }
-
-    /// The prior of `state`'s shape, learning factors and generation.
-    fn shaped_as(state: &EstimatorState) -> Self {
-        Self {
-            slots: state.b.len(),
-            generation: state.generation,
-            beta: state.markov.beta,
-            gamma: state.gamma,
-        }
-    }
-
-    /// Whether `state` is this prior, bit for bit (a `-0.0` cell is
-    /// not); its learning factors and generation are `state`'s own when
-    /// [`Prior::shaped_as`] made it.
-    fn describes(&self, state: &EstimatorState) -> bool {
         let n = self.slots;
-        let one_hot = |rows: &[Vec<f64>], len: usize, shift: usize| {
-            rows.len() == n
-                && rows.iter().enumerate().all(|(i, row)| {
-                    row.len() == len
-                        && row.iter().enumerate().all(|(j, x)| {
-                            let want: f64 = if j == i + shift { 1.0 } else { 0.0 };
-                            x.to_bits() == want.to_bits()
-                        })
-                })
+        let b = (0..n)
+            .map(|i| {
+                let mut row = vec![0.0; n + 1];
+                row[i + 1] = 1.0;
+                row
+            })
+            .collect();
+        let state = EstimatorState {
+            chain: None,
+            b,
+            gamma: self.gamma,
+            visits: vec![0; n],
+            generation: self.generation,
         };
-        let markov = &state.markov;
-        markov.prev.is_none()
-            && markov.visits.len() == n
-            && markov.visits.iter().all(|&v| v == 0)
-            && one_hot(&markov.transition, n, 0)
-            && one_hot(&state.b, n + 1, 1)
+        OnlineHmmEstimator::import_state(state)
+            // sentinet-allow(expect-used): one-hot rows are stochastic, and γ and the slot count were validated by PipelineConfig::validate or SensorRuntime::from_snapshot
+            .expect("the identity prior imports")
     }
 }
 
@@ -531,16 +510,15 @@ impl NetMemo {
 }
 
 /// The global (coordinator-side) half of the pipeline: model states,
-/// bootstrap accumulation, the `M_CO` and `M_O` estimators (`M_C` is
-/// `M_CO`'s transition half), the decisive-window history, and
-/// memoized network classification.
+/// bootstrap accumulation, the `M_CO` estimator (`M_C` is its
+/// transition half), the decisive-window history, and memoized network
+/// classification.
 #[derive(Debug)]
 pub struct GlobalModel {
     config: PipelineConfig,
     rng: StdRng,
     states: Option<ModelStates>,
     m_co: Option<OnlineHmmEstimator>,
-    m_o: Option<OnlineMarkovEstimator>,
     bootstrap_points: Vec<Vec<f64>>,
     windows_processed: u64,
     /// Per processed decisive window: (window index, correct state,
@@ -567,7 +545,6 @@ impl GlobalModel {
             rng,
             states: None,
             m_co: None,
-            m_o: None,
             bootstrap_points: Vec::new(),
             windows_processed: 0,
             state_history: Vec::new(),
@@ -588,24 +565,14 @@ impl GlobalModel {
                 // sentinet-allow(expect-used): learning factors were validated by PipelineConfig::validate
                 .expect("validated learning factors"),
         );
-        self.m_o = Some(
-            // sentinet-allow(expect-used): learning factors were validated by PipelineConfig::validate
-            OnlineMarkovEstimator::new(m, self.config.beta).expect("validated learning factors"),
-        );
     }
 
-    /// Grows the global estimators to the current model-state slot
-    /// count (no-op when nothing spawned).
+    /// Grows `M_CO` to the current model-state slot count (no-op when
+    /// nothing spawned).
     fn grow_global(&mut self) {
-        let slots = match &self.states {
-            Some(s) => s.num_slots(),
-            None => return,
-        };
+        let slots = self.num_slots();
         if let Some(m_co) = self.m_co.as_mut() {
             m_co.grow(slots, slots);
-        }
-        if let Some(m_o) = self.m_o.as_mut() {
-            m_o.grow(slots);
         }
     }
 
@@ -659,8 +626,8 @@ impl GlobalModel {
         spawned
     }
 
-    /// Records a decisive window's state pair into the history and the
-    /// global `M_CO`/`M_O` estimators.
+    /// Records a decisive window's state pair into the history and
+    /// `M_CO`.
     pub fn record_decisive(&mut self, correct: usize, observable: usize) {
         self.state_history
             .push((self.windows_processed, correct, observable));
@@ -671,13 +638,6 @@ impl GlobalModel {
             .observe(correct, observable)
             // sentinet-allow(expect-used): slots are grown in lockstep with the state set
             .expect("states within estimator dims");
-        self.m_o
-            .as_mut()
-            // sentinet-allow(expect-used): estimators are installed at bootstrap, before any decisive window
-            .expect("installed")
-            .observe(observable)
-            // sentinet-allow(expect-used): slots are grown in lockstep with the state set
-            .expect("state in range");
     }
 
     /// Ends the window: one clustering round (Eqs. 5–6 + merge/spawn)
@@ -736,18 +696,7 @@ impl GlobalModel {
     /// The error/attack-free Markov model `M_C` of the environment:
     /// `M_CO`'s transition half, estimated from the same `c_i`.
     pub fn correct_model(&self) -> Option<MarkovChain> {
-        self.m_co
-            .as_ref()
-            // sentinet-allow(expect-used): online estimator rows stay row-stochastic, so to_chain cannot fail
-            .map(|m| m.markov().to_chain().expect("valid chain"))
-    }
-
-    /// The Markov model `M_O` of the observable states.
-    pub fn observable_model(&self) -> Option<MarkovChain> {
-        self.m_o
-            .as_ref()
-            // sentinet-allow(expect-used): online estimator rows stay row-stochastic, so to_chain cannot fail
-            .map(|m| m.to_chain().expect("valid chain"))
+        self.m_co.as_ref()?.markov_chain()
     }
 
     /// The `(window, correct, observable)` sequence of every decisive
@@ -763,7 +712,7 @@ impl GlobalModel {
 
     /// Captures the coordinator-side state for checkpointing: the
     /// bootstrap accumulator, decisive-window history, and — once
-    /// bootstrapped — the model states with both global estimators.
+    /// bootstrapped — the model states with `M_CO`.
     /// The classification memo is a generation-keyed cache and
     /// rebuilds on first use; the RNG is not captured because it is
     /// consumed only by the bootstrap k-means, which by construction
@@ -771,11 +720,10 @@ impl GlobalModel {
     /// pre-bootstrap model re-seeds from `config.seed`, replaying the
     /// identical draw sequence).
     pub fn snapshot(&self) -> crate::checkpoint::GlobalSnapshot {
-        let states = match (&self.states, &self.m_co, &self.m_o) {
-            (Some(s), Some(m_co), Some(m_o)) => Some(crate::checkpoint::GlobalStates {
+        let states = match (&self.states, &self.m_co) {
+            (Some(s), Some(m_co)) => Some(crate::checkpoint::GlobalStates {
                 states: s.snapshot(),
                 m_co: m_co.export_state(),
-                m_o: m_o.export_state(),
             }),
             _ => None,
         };
@@ -808,16 +756,12 @@ impl GlobalModel {
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         config.validate();
         let invalid = crate::checkpoint::CheckpointError::Invalid;
-        let (states, m_co, m_o) = match snapshot.states {
-            None => (None, None, None),
+        let (states, m_co) = match snapshot.states {
+            None => (None, None),
             Some(gs) => (
                 Some(ModelStates::from_snapshot(gs.states).map_err(invalid)?),
                 Some(
                     OnlineHmmEstimator::import_state(gs.m_co)
-                        .map_err(|e| invalid(e.to_string()))?,
-                ),
-                Some(
-                    OnlineMarkovEstimator::import_state(gs.m_o)
                         .map_err(|e| invalid(e.to_string()))?,
                 ),
             ),
@@ -828,7 +772,6 @@ impl GlobalModel {
             rng,
             states,
             m_co,
-            m_o,
             bootstrap_points: snapshot.bootstrap_points,
             windows_processed: snapshot.windows_processed,
             state_history: snapshot.state_history,
@@ -966,7 +909,7 @@ impl GlobalModel {
             return None;
         }
         let observables: Vec<usize> = self.state_history.iter().map(|&(_, _, o)| o).collect();
-        let hmm = m_co.to_hmm().ok()?;
+        let hmm = m_co.to_hmm()?;
         hmm.viterbi(&observables).ok().map(|v| v.states)
     }
 }

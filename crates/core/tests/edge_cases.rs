@@ -3,9 +3,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_core::{encode_pipeline, Diagnosis, Pipeline, PipelineConfig};
+use sentinet_core::{
+    encode_pipeline, CheckpointError, Diagnosis, IdentityPrior, MceSnapshot, Pipeline,
+    PipelineConfig,
+};
+use sentinet_hmm::{OnlineHmmEstimator, StochasticMatrix};
 use sentinet_sim::{
-    gdi, simulate, EnvironmentModel, Payload, Reading, SensorId, Trace, TraceRecord,
+    gdi, simulate, EnvironmentModel, Payload, Reading, SensorId, Trace, TraceRecord, DAY_S,
 };
 
 fn record(t: u64, s: u16, values: Vec<f64>) -> TraceRecord {
@@ -122,11 +126,13 @@ fn sensor_joining_late_is_tracked() {
     }
     // The state the run ends in — every sensor's raw history, tracks
     // and `M_CE` — as recorded at 62a0109 by this same test, where every
-    // sensor of every window was looked up by id.
+    // sensor of every window was looked up by id, and re-recorded in
+    // checkpoint layout v2 (that text, read back by the v2 reader,
+    // re-encodes to this one).
     let state = sentinet_core::encode_pipeline(&p.snapshot());
     assert_eq!(
         fnv(state.as_bytes()),
-        0x9a28_f64b_1bc1_53b3,
+        0x0c30_a793_88eb_fe38,
         "a mid-stream joiner changed the run"
     );
 }
@@ -327,5 +333,57 @@ fn a_reading_of_another_dimension_moves_nothing() {
             Some(true)
         );
         assert_eq!(encode_pipeline(&p.snapshot()), before);
+    }
+}
+
+/// A restore point whose estimators disagree with its slot count used
+/// to restore, then panic at the first decisive window
+/// (`SymbolOutOfRange` from `M_CO`'s observe). `Pipeline::from_snapshot`
+/// takes outside input — a peer's migration snapshot — so the shape is
+/// checked there: a one-state `M_CO`, or a sensor's one-slot `M_CE`,
+/// prior or built, is `Invalid`.
+#[test]
+fn a_restore_point_sized_off_its_slots_is_invalid_not_a_panic() {
+    let mut cfg = gdi::month_config();
+    cfg.num_sensors = 10;
+    cfg.duration = 4 * DAY_S;
+    let trace = simulate(&cfg, &mut StdRng::seed_from_u64(7));
+    let mut p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
+    for (time, sensor, reading) in trace.delivered().filter(|(t, _, _)| *t < DAY_S) {
+        p.push_reading(time, sensor, reading);
+    }
+    assert_eq!(p.model_states().expect("bootstrapped").num_slots(), 9);
+    let snap = p.snapshot();
+    let restore =
+        |snap| Pipeline::from_snapshot(PipelineConfig::default(), cfg.sample_period, snap);
+    assert!(restore(snap.clone()).is_ok());
+
+    let mut one_state_m_co = snap.clone();
+    if let Some(states) = one_state_m_co.global.states.as_mut() {
+        states.m_co = OnlineHmmEstimator::new(1, 1, 0.1, 0.1)
+            .expect("valid")
+            .export_state();
+    }
+    let mut built = OnlineHmmEstimator::without_chain(
+        StochasticMatrix::from_rows(vec![vec![0.0, 1.0]]).expect("one-hot"),
+        0.1,
+    )
+    .expect("valid");
+    built.observe(0, 1).expect("within dims");
+    let one_slot_m_ce = |m_ce: MceSnapshot| {
+        let mut bad = snap.clone();
+        bad.sensors[0].1.m_ce = m_ce;
+        bad
+    };
+    for bad in [
+        one_state_m_co,
+        one_slot_m_ce(MceSnapshot::Prior(IdentityPrior {
+            slots: 1,
+            gamma: 0.1,
+            generation: 0,
+        })),
+        one_slot_m_ce(MceSnapshot::Built(built.export_state())),
+    ] {
+        assert!(matches!(restore(bad), Err(CheckpointError::Invalid(_))));
     }
 }

@@ -12,9 +12,9 @@ use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
     decode_pipeline, encode_pipeline, identify_states, identify_states_into, CheckpointError,
-    GlobalSnapshot, GlobalStates, ObservationWindow, Observed, Pipeline, PipelineConfig,
-    PipelineSnapshot, SensorRuntime, SensorSnapshot, TrackRecord, WindowScratch, WindowStates,
-    Windower, WindowerSnapshot, BOT_SYMBOL,
+    GlobalSnapshot, GlobalStates, MceSnapshot, ObservationWindow, Observed, Pipeline,
+    PipelineConfig, PipelineSnapshot, SensorRuntime, SensorSnapshot, TrackRecord, WindowScratch,
+    WindowStates, Windower, WindowerSnapshot, BOT_SYMBOL,
 };
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState, OnlineHmmEstimator, StochasticMatrix};
@@ -355,20 +355,16 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// two k-of-n filters, and floats whose bit patterns a decimal codec
 /// would lose (NaN, ±∞, −0.0, a subnormal).
 fn golden_pipeline_snapshot() -> PipelineSnapshot {
-    let estimator = |prev, generation| EstimatorState {
-        markov: MarkovState {
-            transition: vec![vec![0.75, 0.25], vec![f64::MIN_POSITIVE, 1.0]],
-            beta: 0.9,
-            prev,
-            visits: vec![17, 0],
-        },
+    let estimator = |generation| EstimatorState {
+        chain: None,
         b: vec![vec![0.5, 0.25, 0.25], vec![0.0, -0.0, 1.0]],
         gamma: 0.85,
+        visits: vec![17, 0],
         generation,
     };
     let sensor = |filter, tracks: Vec<TrackRecord>, raw_history: Vec<(u64, bool)>| SensorSnapshot {
         filter,
-        m_ce: estimator(tracks.len().checked_sub(1), 40 + raw_history.len() as u64),
+        m_ce: MceSnapshot::Built(estimator(40 + raw_history.len() as u64)),
         track_open: tracks.last().is_some_and(|t| t.closed.is_none()),
         ever_alarmed: !tracks.is_empty(),
         tracks,
@@ -390,12 +386,13 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
                     config: ClusterConfig::default(),
                     generation: 4,
                 },
-                m_co: estimator(Some(1), 9),
-                m_o: MarkovState {
-                    transition: vec![vec![1.0, 0.0], vec![0.0, 1.0]],
-                    beta: 0.9,
-                    prev: None,
-                    visits: vec![0, 0],
+                m_co: EstimatorState {
+                    chain: Some(MarkovState {
+                        transition: vec![vec![0.75, 0.25], vec![f64::MIN_POSITIVE, 1.0]],
+                        beta: 0.9,
+                        prev: Some(1),
+                    }),
+                    ..estimator(9)
                 },
             }),
         },
@@ -468,12 +465,14 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
 /// Digests of [`golden_pipeline_snapshot`] through `encode_pipeline`
 /// and of its sensors through `encode_shard`. `report_pin.rs` pins a
 /// large real snapshot; this one pins the branches a healthy run does
-/// not take. Recorded by encoding this same snapshot at commit
-/// c9e5fe7, the last whose snapshot stored `M_C` and the `B`-update
-/// counts apart from `M_CO`'s **A** and visits (there spelled out equal
-/// to them): the format is unchanged, but the earlier golden snapshot,
-/// whose `mc` and update counts differed, no longer decodes.
-const GOLDEN_DIGESTS: (u64, u64) = (866_907_874_412_027_781, 4_076_390_086_112_296_981);
+/// not take. Recorded when layout v2 replaced v1; [`GOLDEN_V1`], the
+/// same snapshot's v1 bytes, decodes to it and re-encodes to these.
+const GOLDEN_DIGESTS: (u64, u64) = (14_284_555_493_552_554_435, 14_405_166_864_770_547_563);
+
+/// [`golden_pipeline_snapshot`] as layout v1 wrote it, byte for byte:
+/// `M_CE` with its **A**, β and previous state, every `counts` line
+/// twice, and the `mc` and `mo` blocks.
+const GOLDEN_V1: &str = include_str!("fixtures/golden_pipeline_v1.txt");
 
 #[test]
 fn golden_snapshot_encodes_to_the_recorded_bytes() {
@@ -488,7 +487,8 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
         "\nhistory 3:2:2 4:3:2 1343:0:11\n",
         "\nbootstrap 2\nbp 3ff0000000000000 4000000000000000\n",
         "\nslot 0 7ff8000000000000 7ff0000000000000\n",
-        "\nmo 3feccccccccccccd - 0,0\n",
+        "\nmco-counts 17,0\nwindower ",
+        "\nmce 3feb333333333333 17 44\nb ",
         "\nwsensor 65535 1 fff0000000000000\nsensors\n",
         "\nfilter kofn 6 10 1011\n",
         "\nfilter kofn 2 4 -\n",
@@ -509,8 +509,43 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
     assert_eq!(
         (fnv(pipeline.as_bytes()), fnv(shard.as_bytes())),
         GOLDEN_DIGESTS,
-        "checkpoint encoding drifted from commit c9e5fe7"
+        "checkpoint encoding drifted from layout v2"
     );
+}
+
+/// The one reader still reads v1: the golden v1 text decodes to the
+/// golden snapshot — it loses `M_CE`'s **A** rows, the `mc` and `mo`
+/// blocks, `M_CE`'s β and previous state and the second `counts`
+/// vector, and nothing else — and re-encodes to the v2 golden text.
+#[test]
+fn the_v1_golden_text_reads_as_the_golden_snapshot() {
+    let snap = golden_pipeline_snapshot();
+    let v2 = encode_pipeline(&snap);
+    // `Debug`, not `==`: the golden snapshot holds a NaN centroid.
+    let debug = |s: &PipelineSnapshot| format!("{s:?}");
+    assert_eq!(
+        decode_pipeline(GOLDEN_V1).map(|s| debug(&s)),
+        Ok(debug(&snap))
+    );
+    assert_eq!(
+        decode_pipeline(GOLDEN_V1).map(|s| encode_pipeline(&s)),
+        Ok(v2.clone())
+    );
+    let shard_v1 = &GOLDEN_V1[GOLDEN_V1.find("sentinet-checkpoint v1\n").expect("a shard")..];
+    assert_eq!(decode_shard(shard_v1), Ok(snap.sensors.clone()));
+    let dropped = ["a ", "mc ", "mc-row ", "mo ", "mo-row "];
+    let kept: Vec<&str> = GOLDEN_V1
+        .lines()
+        .filter(|line| !dropped.iter().any(|tag| line.starts_with(tag)))
+        .collect();
+    assert_eq!(kept.len(), v2.lines().count());
+    let rewritten = ["sentinet-", "mce ", "counts ", "mco-counts "];
+    for (v1, v2) in kept.iter().zip(v2.lines()) {
+        assert!(
+            *v1 == v2 || rewritten.iter().any(|tag| v1.starts_with(tag)),
+            "v1 `{v1}` became `{v2}`"
+        );
+    }
 }
 
 /// Eq. 2's robust mean as it ordered readings before the integer keys:
@@ -760,12 +795,14 @@ fn damaged_checkpoint_text_is_rejected_or_reencodes_exactly() {
     });
 }
 
-/// Every single-bit flip of the golden texts, exhaustively: the seeded
+/// Every single-bit flip of the golden texts (and of an unbuilt
+/// sensor's `prior` line, which they lack), exhaustively: the seeded
 /// property above samples this space, and a codec that reads `raw 5:3`
 /// as "not raised", `07` as 7 or `3FF0…` as 1.0 survives a sample.
 #[test]
 fn every_single_bit_flip_is_rejected_or_reencodes_exactly() {
     let snap = golden_pipeline_snapshot();
+    let unbuilt = SensorRuntime::new(&PipelineConfig::default(), 4).snapshot();
     type Check = fn(&[u8]) -> Result<(), String>;
     for (name, text, total_and_exact) in [
         (
@@ -774,6 +811,11 @@ fn every_single_bit_flip_is_rejected_or_reencodes_exactly() {
             shard_total_and_exact as Check,
         ),
         ("pipeline", encode_pipeline(&snap), pipeline_total_and_exact),
+        (
+            "unbuilt sensor",
+            encode_shard(&[(SensorId(3), unbuilt)]),
+            shard_total_and_exact,
+        ),
     ] {
         for at in 0..text.len() {
             for bit in 0..8 {
@@ -801,23 +843,45 @@ fn eager_m_ce(config: &PipelineConfig, slots: usize) -> OnlineHmmEstimator {
         })
         .collect();
     let b = StochasticMatrix::from_rows(rows).expect("one-hot rows");
-    OnlineHmmEstimator::with_initial(b, config.beta, config.gamma).expect("valid factors")
+    OnlineHmmEstimator::without_chain(b, config.gamma).expect("valid factors")
 }
 
 /// Every bit of an exported estimator (`-0.0` is not `0.0`), its
 /// shape and counters included.
 fn state_bits(s: &EstimatorState) -> Vec<u64> {
-    let m = &s.markov;
-    let prev = m.prev.map_or(u64::MAX, |p| p as u64);
-    let mut out = vec![m.beta.to_bits(), s.gamma.to_bits(), s.generation, prev];
-    out.push(m.visits.len() as u64);
-    out.extend(&m.visits);
-    out.push(m.transition.len() as u64);
-    for row in m.transition.iter().chain(&s.b) {
+    let mut out = vec![s.gamma.to_bits(), s.generation];
+    out.push(s.visits.len() as u64);
+    out.extend(&s.visits);
+    if let Some(chain) = &s.chain {
+        let prev = chain.prev.map_or(u64::MAX, |p| p as u64);
+        out.extend([chain.beta.to_bits(), prev, chain.transition.len() as u64]);
+    }
+    for row in s.chain.iter().flat_map(|c| &c.transition).chain(&s.b) {
         out.push(row.len() as u64);
         out.extend(bits(row));
     }
     out
+}
+
+/// [`state_bits`] of the estimator a checkpointed `M_CE` stands for:
+/// a prior is the identity over its slots, without visits.
+fn m_ce_bits(m: &MceSnapshot) -> Vec<u64> {
+    match m {
+        MceSnapshot::Built(state) => state_bits(state),
+        MceSnapshot::Prior(p) => state_bits(&EstimatorState {
+            chain: None,
+            b: (0..p.slots)
+                .map(|i| {
+                    (0..=p.slots)
+                        .map(|j| f64::from(u8::from(j == i + 1)))
+                        .collect()
+                })
+                .collect(),
+            gamma: p.gamma,
+            visits: vec![0; p.slots],
+            generation: p.generation,
+        }),
+    }
 }
 
 /// A grow target from `slots`: as often none (the same count, or a
@@ -858,8 +922,13 @@ fn an_m_ce_built_at_the_first_track_equals_one_grown_since_birth() {
         let mut eager = eager_m_ce(&config, slots);
         let same = |sensor: &SensorRuntime, eager: &OnlineHmmEstimator, at: &str| {
             let want = state_bits(&eager.export_state());
-            if state_bits(&sensor.snapshot().m_ce) != want {
+            let snapshot = sensor.snapshot().m_ce;
+            if m_ce_bits(&snapshot) != want {
                 return Err(format!("{at}: snapshot differs from the eager M_CE"));
+            }
+            let visited = eager.observation_evidence().iter().any(|&v| v > 0);
+            if matches!(snapshot, MceSnapshot::Prior(_)) == visited {
+                return Err(format!("{at}: checkpointed as a prior iff without visits"));
             }
             if sensor.m_ce_built() {
                 let built = sensor.m_ce();
@@ -934,10 +1003,151 @@ fn through_checkpoint(snapshot: SensorSnapshot) -> (String, SensorRuntime) {
     (text, restored)
 }
 
-/// An unbuilt `M_CE` survives a checkpoint unbuilt and re-encodes to
-/// the same bytes; one that is not the identity prior — zero visits,
-/// but one **B** cell moved or one `0.0` written `-0.0` — comes back
-/// built and re-encodes to its own bytes, not to the prior's.
+/// The estimator shapes `Pipeline::from_snapshot` requires: `M_CO`
+/// chained and square over the model-state slots, every `M_CE` over
+/// the slots and their symbols plus ⊥, and no sensor before bootstrap.
+fn sized_to_the_slots(snap: &PipelineSnapshot) -> Result<(), String> {
+    let states = snap.global.states.as_ref();
+    let slots = states.map_or(0, |gs| gs.states.centroids.len());
+    let sized = |rows: &[Vec<f64>], symbols: usize| {
+        rows.len() == slots && rows.iter().all(|row| row.len() == symbols)
+    };
+    if states.is_some_and(|gs| gs.m_co.chain.is_none() || !sized(&gs.m_co.b, slots)) {
+        return Err(format!("M_CO is not chained {slots} x {slots}"));
+    }
+    for (id, sensor) in &snap.sensors {
+        let fits = match &sensor.m_ce {
+            MceSnapshot::Prior(p) => p.slots == slots,
+            MceSnapshot::Built(m) => m.chain.is_none() && sized(&m.b, slots + 1),
+        };
+        if !fits {
+            return Err(format!("{id}'s M_CE is not sized to {slots} slots"));
+        }
+    }
+    Ok(())
+}
+
+/// Every snapshot a live pipeline takes — before bootstrap, at every
+/// window close, across spawns from a fault and an attack — already
+/// has the shapes the restore check demands, so the check refuses only
+/// restore points no pipeline wrote.
+#[test]
+fn every_live_snapshot_sizes_its_estimators_to_the_slots() {
+    use sentinet_inject::{
+        inject_attacks, inject_faults, AttackInjection, AttackModel, FaultInjection, FaultModel,
+    };
+    use sentinet_sim::{gdi, simulate, DAY_S};
+    let replay = Replay {
+        var: "LIVE_SHAPE_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "every_live_snapshot_sizes_its_estimators_to_the_slots",
+    };
+    let (mut spawned, mut prebootstrap) = (0, 0);
+    replay.for_each_seed(12, |seed| {
+        let mut rng = TestRng::new(seed);
+        let mut cfg = gdi::month_config();
+        cfg.num_sensors = rng.usize_in(4, 13) as u16;
+        cfg.duration = 2 * DAY_S;
+        let clean = simulate(&cfg, &mut StdRng::seed_from_u64(seed));
+        let onset = rng.usize_in(1, 40) as u64 * 3_600;
+        let fault = FaultInjection::from_onset(
+            SensorId(0),
+            FaultModel::StuckAt {
+                value: vec![15.0, 1.0],
+            },
+            onset,
+        );
+        let faulty = inject_faults(
+            &clean,
+            &[fault],
+            &cfg.ranges,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let attack = AttackInjection::from_onset(
+            (1..=cfg.num_sensors / 3).map(SensorId).collect(),
+            AttackModel::DynamicCreation {
+                target: vec![25.0, 69.0],
+            },
+            DAY_S,
+        );
+        let trace = inject_attacks(&faulty, &[attack], &cfg.ranges);
+        let mut p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
+        let mut first_slots = None;
+        for (time, sensor, reading) in trace.delivered() {
+            let closed = !p.push_reading(time, sensor, reading).is_empty();
+            if closed || p.model_states().is_none() {
+                let snap = p.snapshot();
+                sized_to_the_slots(&snap).map_err(|why| format!("at {time}: {why}"))?;
+                if snap.global.states.is_none() {
+                    prebootstrap += 1;
+                }
+            }
+            first_slots = first_slots.or(p.model_states().map(ModelStates::num_slots));
+        }
+        if p.model_states().map(ModelStates::num_slots) > first_slots {
+            spawned += 1;
+        }
+        Ok(())
+    });
+    if replay.seed_from_env().is_none() {
+        assert!(
+            spawned > 0 && prebootstrap > 0,
+            "{spawned} spawns, {prebootstrap} early"
+        );
+    }
+}
+
+/// The v1 text of `shard`'s one sensor, whose `M_CE` is a prior: the
+/// prior written out in full as v1 wrote every `M_CE` — identity **A**,
+/// one-hot **B**, zero counts twice — after `damage` has had its rows.
+fn v1_prior_text(
+    shard: &str,
+    beta: f64,
+    damage: impl FnOnce(&mut [Vec<f64>], &mut [Vec<f64>]),
+) -> String {
+    let line = shard
+        .lines()
+        .find(|l| l.starts_with("prior "))
+        .expect("an unbuilt sensor");
+    let [_, slots, generation, gamma] = line.split(' ').collect::<Vec<_>>()[..] else {
+        panic!("prior line `{line}`");
+    };
+    let n: usize = slots.parse().expect("a slot count");
+    let one_hot = |len: usize, shift: usize| -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                (0..len)
+                    .map(|j| f64::from(u8::from(j == i + shift)))
+                    .collect()
+            })
+            .collect()
+    };
+    let (mut a, mut b) = (one_hot(n, 0), one_hot(n + 1, 1));
+    damage(&mut a, &mut b);
+    let mut block = format!("mce {:016x} {gamma} - 0 {generation}\n", beta.to_bits());
+    for (tag, rows) in [("a", &a), ("b", &b)] {
+        for row in rows {
+            block.push_str(tag);
+            for x in row {
+                block.push_str(&format!(" {:016x}", x.to_bits()));
+            }
+            block.push('\n');
+        }
+    }
+    let zeros = vec!["0"; n].join(",");
+    block.push_str(&format!("counts {zeros} {zeros}"));
+    shard
+        .replace("sentinet-checkpoint v2", "sentinet-checkpoint v1")
+        .replace(line, &block)
+}
+
+/// An unbuilt `M_CE` is checkpointed as one `prior` line, survives a
+/// checkpoint unbuilt and re-encodes to the same bytes. v1 wrote it in
+/// full: a v1 block without visits that is the identity prior bit for
+/// bit reads as that prior and re-encodes to the line; one that is
+/// not — one **B** cell moved, or one `0.0` of **A** or **B** written
+/// `-0.0` — is malformed.
 #[test]
 fn only_the_exact_identity_prior_is_restored_unbuilt() {
     let replay = Replay {
@@ -967,35 +1177,40 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
         if encode_shard(&[(SensorId(7), restored.snapshot())]) != text {
             return Err("an unbuilt sensor re-encodes to other bytes".into());
         }
+        if text.lines().filter(|l| l.starts_with("prior ")).count() != 1 || text.contains("\nmce ")
+        {
+            return Err(format!("an unbuilt sensor is not one prior line:\n{text}"));
+        }
 
-        let mut damaged = sensor.snapshot();
+        let exact = v1_prior_text(&text, config.beta, |_, _| {});
+        match decode_shard(&exact).map(|s| encode_shard(&s)) {
+            Ok(v2) if v2 == text => {}
+            other => return Err(format!("the exact v1 prior reads as {other:?}")),
+        }
         let row = rng.usize_in(0, slots);
-        if rng.bool() {
-            // Half of the row's mass onto ⊥: still stochastic.
-            damaged.m_ce.b[row][0] = 0.5;
-            damaged.m_ce.b[row][row + 1] = 0.5;
-        } else {
-            let a = rng.bool();
-            let cells = if a {
-                &mut damaged.m_ce.markov.transition[row]
-            } else {
-                &mut damaged.m_ce.b[row]
-            };
-            let zero = cells.iter().position(|&x| x == 0.0);
-            let Some(at) = zero else {
-                return Ok(()); // a one-slot A has no zero cell
-            };
-            cells[at] = -0.0;
+        let (moved, in_a) = (rng.bool(), rng.bool());
+        let mut zeroless = false;
+        let damaged = v1_prior_text(&text, config.beta, |a, b| {
+            if moved {
+                // Half of the row's mass onto ⊥: still stochastic.
+                b[row][0] = 0.5;
+                b[row][row + 1] = 0.5;
+                return;
+            }
+            let cells = if in_a { &mut a[row] } else { &mut b[row] };
+            match cells.iter().position(|&x| x == 0.0) {
+                Some(at) => cells[at] = -0.0,
+                None => zeroless = true, // a one-slot A has no zero cell
+            }
+        });
+        if zeroless {
+            return Ok(());
         }
-        let (text, restored) = through_checkpoint(damaged);
-        if !restored.m_ce_built() {
-            return Err(format!("a not-prior M_CE (row {row}) came back unbuilt"));
+        match decode_shard(&damaged) {
+            Err(CheckpointError::Malformed { .. }) => Ok(()),
+            other => Err(format!(
+                "a not-prior v1 M_CE (row {row}) reads as {other:?}"
+            )),
         }
-        if encode_shard(&[(SensorId(7), restored.snapshot())]) != text {
-            return Err(format!(
-                "a not-prior M_CE (row {row}) re-encodes to other bytes"
-            ));
-        }
-        Ok(())
     });
 }

@@ -10,13 +10,13 @@
 //! 2. [`Hmm`] — the classical `λ = (A, B, π)` model with scaled
 //!    forward/backward, [`Hmm::viterbi`] decoding, sampling, and batch
 //!    [`baum_welch()`] training (used by the Warrender–Forrest baseline).
-//! 3. [`OnlineMarkovEstimator`] / [`OnlineHmmEstimator`] — the paper's
-//!    §3.2 on-line procedure: cheap per-window exponential updates that
-//!    sidestep the classical HMM identification problem by exploiting
-//!    sensor redundancy (the hidden state is *estimated* each window).
-//!    An HMM estimator is a Markov estimator over the hidden states
-//!    (**A**) plus **B**, so `M_C` (a [`MarkovChain`]) is `M_CO`'s
-//!    transition half.
+//! 3. [`OnlineHmmEstimator`] — the paper's §3.2 on-line procedure:
+//!    cheap per-window exponential updates that sidestep the classical
+//!    HMM identification problem by exploiting sensor redundancy (the
+//!    hidden state is *estimated* each window). It holds **B** and its
+//!    visits, plus the Markov half over the hidden states (**A**) when
+//!    built with one: `M_CO` has it, so `M_C` (a [`MarkovChain`]) is
+//!    `M_CO`'s transition half; `M_CE` does not.
 //! 4. [`structure`] — row/column orthogonality reports, the stuck-at
 //!    column test (Eq. 7) and one-to-one association extraction (Eq. 8)
 //!    that drive the §3.4 error/attack classification tree.
@@ -63,7 +63,7 @@ pub mod structure;
 pub use baum_welch::{baum_welch, BaumWelchConfig, TrainedHmm};
 pub use error::{HmmError, Result};
 pub use hmm::{Forward, Hmm, ViterbiPath};
-pub use markov::{MarkovChain, MarkovState, OnlineMarkovEstimator};
+pub use markov::{MarkovChain, MarkovState};
 pub use matrix::{validate_distribution, StochasticMatrix, STOCHASTIC_TOL};
 pub use online::{EstimatorState, OnlineHmmEstimator};
 pub use online_em::OnlineEmEstimator;

@@ -2,11 +2,11 @@
 //!
 //! The pipeline's final deliverable to the user is a Markov model `M_C`
 //! of the error/attack-free environment dynamics (paper Fig. 7),
-//! estimated from the sequence of correct environment states `c_i`:
-//! the [`OnlineMarkovEstimator`] that `M_CO`'s
+//! estimated from the sequence of correct environment states `c_i`: the
+//! Markov half that `M_CO`'s
 //! [`OnlineHmmEstimator`](crate::OnlineHmmEstimator) holds for its
-//! **A**. [`MarkovChain::from_sequences`] fits the Markov-chain
-//! baseline detector of `sentinet-baselines`.
+//! **A**, read out as a [`MarkovChain`]. [`MarkovChain::from_sequences`]
+//! fits the Markov-chain baseline detector of `sentinet-baselines`.
 
 use crate::error::{HmmError, Result};
 use crate::matrix::StochasticMatrix;
@@ -224,17 +224,17 @@ impl fmt::Display for MarkovChain {
     }
 }
 
-/// Online Markov chain estimator: the paper's `β`-exponential
-/// transition update, applied only when the state changes
-/// (`prev != state`), so a dwell leaves the row untouched. It is the
-/// **A** half of every [`OnlineHmmEstimator`](crate::OnlineHmmEstimator).
+/// The Markov half of a chained
+/// [`OnlineHmmEstimator`](crate::OnlineHmmEstimator): **A**, β and the
+/// previous state, with the paper's `β`-exponential transition update
+/// applied only when the state changes (`prev != state`), so a dwell
+/// leaves the row untouched. The visits live beside **B**, whose row
+/// update counts they are.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OnlineMarkovEstimator {
+pub(crate) struct OnlineMarkovEstimator {
     pub(crate) transition: StochasticMatrix,
-    beta: f64,
-    prev: Option<usize>,
-    /// Visits per state (an HMM estimator's **B** row update counts).
-    pub(crate) visits: Vec<u64>,
+    pub(crate) beta: f64,
+    pub(crate) prev: Option<usize>,
 }
 
 /// `value` when it lies in `(0, 1)`, as every learning factor must;
@@ -252,34 +252,25 @@ pub(crate) fn learning_factor(name: &'static str, value: f64) -> Result<f64> {
 }
 
 impl OnlineMarkovEstimator {
-    /// Creates an estimator over `num_states` states with learning factor
-    /// `beta`; the transition matrix starts at the identity.
-    ///
-    /// # Errors
-    ///
-    /// - [`HmmError::EmptyModel`] if `num_states == 0`.
-    /// - [`HmmError::InvalidParameter`] if `beta` is outside `(0, 1)`.
-    pub fn new(num_states: usize, beta: f64) -> Result<Self> {
+    /// An estimator over `num_states` states with learning factor
+    /// `beta`, **A** at the identity: `EmptyModel` without states,
+    /// `InvalidParameter` for `beta` outside `(0, 1)`.
+    pub(crate) fn new(num_states: usize, beta: f64) -> Result<Self> {
         let beta = learning_factor("beta", beta)?;
         Ok(Self {
             transition: StochasticMatrix::identity(num_states)?,
             beta,
             prev: None,
-            visits: vec![0; num_states],
         })
     }
 
     /// Number of states currently tracked.
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         self.transition.num_rows()
     }
 
-    /// Feeds the next observed state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HmmError::StateOutOfRange`] for an invalid index.
-    pub fn observe(&mut self, state: usize) -> Result<()> {
+    /// Feeds the next observed state (`StateOutOfRange` past the last).
+    pub(crate) fn observe(&mut self, state: usize) -> Result<()> {
         if state >= self.num_states() {
             return Err(HmmError::StateOutOfRange {
                 state,
@@ -291,108 +282,23 @@ impl OnlineMarkovEstimator {
                 self.transition.reinforce(prev, state, self.beta)?;
             }
         }
-        self.visits[state] += 1;
         self.prev = Some(state);
         Ok(())
     }
 
     /// Grows the estimator to at least `num_states` states.
-    pub fn grow(&mut self, num_states: usize) {
+    pub(crate) fn grow(&mut self, num_states: usize) {
         let add = num_states.saturating_sub(self.num_states());
         if add > 0 {
             self.transition.grow(add, add);
-            self.visits.extend(std::iter::repeat_n(0, add));
         }
-    }
-
-    /// Captures the complete estimator state as plain data for
-    /// checkpointing. [`OnlineMarkovEstimator::import_state`] rebuilds
-    /// an estimator that is `==` to this one (all floats verbatim), the
-    /// same contract as the HMM estimator's
-    /// [`export_state`](crate::OnlineHmmEstimator::export_state).
-    pub fn export_state(&self) -> MarkovState {
-        MarkovState {
-            transition: self.transition.iter_rows().map(<[f64]>::to_vec).collect(),
-            beta: self.beta,
-            prev: self.prev,
-            visits: self.visits.clone(),
-        }
-    }
-
-    /// Rebuilds an estimator from an exported state, re-validating the
-    /// matrix invariants (a corrupt checkpoint must fail loudly, not
-    /// poison the estimates).
-    ///
-    /// # Errors
-    ///
-    /// - Matrix construction errors if the rows are not stochastic or
-    ///   are ragged.
-    /// - [`HmmError::DimensionMismatch`] if `visits` disagrees with the
-    ///   transition matrix's state count.
-    /// - [`HmmError::StateOutOfRange`] if `prev` is out of range.
-    /// - [`HmmError::InvalidParameter`] for an out-of-range `beta`.
-    pub fn import_state(state: MarkovState) -> Result<Self> {
-        let beta = learning_factor("beta", state.beta)?;
-        let transition = StochasticMatrix::from_rows(state.transition)?;
-        let m = transition.num_rows();
-        if transition.num_cols() != m {
-            return Err(HmmError::DimensionMismatch {
-                what: "markov transition columns".into(),
-                expected: m,
-                actual: transition.num_cols(),
-            });
-        }
-        if state.visits.len() != m {
-            return Err(HmmError::DimensionMismatch {
-                what: "markov visit counts".into(),
-                expected: m,
-                actual: state.visits.len(),
-            });
-        }
-        if let Some(prev) = state.prev {
-            if prev >= m {
-                return Err(HmmError::StateOutOfRange {
-                    state: prev,
-                    num_states: m,
-                });
-            }
-        }
-        Ok(Self {
-            transition,
-            beta,
-            prev: state.prev,
-            visits: state.visits,
-        })
-    }
-
-    /// Empirical occupancy distribution over states (uniform if
-    /// nothing has been observed yet).
-    pub(crate) fn occupancy(&self) -> Vec<f64> {
-        let total: u64 = self.visits.iter().sum();
-        if total == 0 {
-            vec![1.0 / self.num_states() as f64; self.num_states()]
-        } else {
-            self.visits
-                .iter()
-                .map(|&v| v as f64 / total as f64)
-                .collect()
-        }
-    }
-
-    /// Builds a [`MarkovChain`] snapshot with empirical occupancy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors (cannot occur when invariants held).
-    pub fn to_chain(&self) -> Result<MarkovChain> {
-        MarkovChain::new(self.transition.clone(), self.occupancy())
     }
 }
 
-/// Plain-data image of an [`OnlineMarkovEstimator`], produced by
-/// [`OnlineMarkovEstimator::export_state`] for checkpoint/restore.
-/// Matrix rows are stored verbatim (row-major `Vec<Vec<f64>>`), so a
-/// round-trip is bit-exact.
+/// Plain-data image of the Markov half of an
+/// [`OnlineHmmEstimator`](crate::OnlineHmmEstimator), inside its
+/// [`EstimatorState`](crate::EstimatorState). Matrix rows are stored
+/// verbatim (row-major `Vec<Vec<f64>>`), so a round-trip is bit-exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkovState {
     /// Rows of the transition matrix (square).
@@ -401,8 +307,6 @@ pub struct MarkovState {
     pub beta: f64,
     /// State seen at the previous step, if any.
     pub prev: Option<usize>,
-    /// Visit counts per state.
-    pub visits: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -494,9 +398,8 @@ mod tests {
         for t in 0..40 {
             est.observe(t % 2).unwrap();
         }
-        let mc = est.to_chain().unwrap();
-        assert!(mc.transition()[(0, 1)] > 0.99);
-        assert!(mc.transition()[(1, 0)] > 0.99);
+        assert!(est.transition[(0, 1)] > 0.99);
+        assert!(est.transition[(1, 0)] > 0.99);
     }
 
     #[test]
@@ -506,7 +409,7 @@ mod tests {
         est.grow(4);
         assert_eq!(est.num_states(), 4);
         est.observe(3).unwrap();
-        est.to_chain().unwrap().transition().check(1e-9).unwrap();
+        est.transition.check(1e-9).unwrap();
     }
 
     #[test]
@@ -524,53 +427,71 @@ mod tests {
 
     #[test]
     fn empty_estimator_chain_is_uniform() {
-        let est = OnlineMarkovEstimator::new(4, 0.5).unwrap();
-        let mc = est.to_chain().unwrap();
+        let est = crate::OnlineHmmEstimator::new(4, 4, 0.5, 0.5).unwrap();
+        let mc = est.markov_chain().unwrap();
         assert_eq!(mc.occupancy(), &[0.25, 0.25, 0.25, 0.25]);
+        assert_eq!(mc.transition(), &StochasticMatrix::identity(4).unwrap());
     }
 
     #[test]
     fn export_import_round_trips_bit_exactly() {
-        let mut est = OnlineMarkovEstimator::new(3, 0.9).unwrap();
+        let mut est = crate::OnlineHmmEstimator::new(3, 3, 0.9, 0.5).unwrap();
         for s in [0usize, 1, 1, 2, 0, 2, 1] {
-            est.observe(s).unwrap();
+            est.observe(s, s).unwrap();
         }
         let state = est.export_state();
-        let restored = OnlineMarkovEstimator::import_state(state).unwrap();
+        let half = state.chain.clone().unwrap();
+        assert_eq!(half.beta, 0.9);
+        assert_eq!(half.prev, Some(1));
+        let a = est.transition().unwrap();
+        for (row, saved) in a.iter_rows().zip(&half.transition) {
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(row), bits(saved));
+        }
+        let restored = crate::OnlineHmmEstimator::import_state(state).unwrap();
         assert_eq!(est, restored);
         // Continuing both yields identical estimates.
         let mut a = est;
         let mut b = restored;
         for s in [2usize, 0, 1, 2] {
-            a.observe(s).unwrap();
-            b.observe(s).unwrap();
+            a.observe(s, s).unwrap();
+            b.observe(s, s).unwrap();
         }
         assert_eq!(a, b);
     }
 
     #[test]
     fn import_state_validates() {
-        let good = OnlineMarkovEstimator::new(2, 0.5).unwrap().export_state();
+        let import = |chain: MarkovState| {
+            let mut state = crate::OnlineHmmEstimator::new(2, 2, 0.5, 0.5)
+                .unwrap()
+                .export_state();
+            state.chain = Some(chain);
+            crate::OnlineHmmEstimator::import_state(state)
+        };
+        let good = MarkovState {
+            transition: vec![vec![1.0, 0.0], vec![0.0, 1.0]],
+            beta: 0.5,
+            prev: None,
+        };
+        assert!(import(good.clone()).is_ok());
         let mut bad = good.clone();
         bad.beta = 1.5;
         assert!(matches!(
-            OnlineMarkovEstimator::import_state(bad),
-            Err(HmmError::InvalidParameter { .. })
+            import(bad),
+            Err(HmmError::InvalidParameter { name: "beta", .. })
         ));
         let mut bad = good.clone();
-        bad.visits = vec![0; 3];
+        bad.transition = vec![vec![1.0, 0.0, 0.0]; 3];
         assert!(matches!(
-            OnlineMarkovEstimator::import_state(bad),
+            import(bad),
             Err(HmmError::DimensionMismatch { .. })
         ));
         let mut bad = good.clone();
         bad.prev = Some(9);
-        assert!(matches!(
-            OnlineMarkovEstimator::import_state(bad),
-            Err(HmmError::StateOutOfRange { .. })
-        ));
+        assert!(matches!(import(bad), Err(HmmError::StateOutOfRange { .. })));
         let mut bad = good;
         bad.transition[0][0] = 0.7; // row no longer sums to 1
-        assert!(OnlineMarkovEstimator::import_state(bad).is_err());
+        assert!(import(bad).is_err());
     }
 }

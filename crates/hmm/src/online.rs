@@ -19,16 +19,21 @@
 //!
 //! Matrices are initialized to (rectangular) identities as the paper
 //! recommends, and the estimator can *grow* when the online clustering
-//! module spawns new model states.
+//! module spawns new model states. The **A** update runs only in an
+//! estimator built with a chain: `M_CO`'s **A** is the paper's `M_C`,
+//! while the classification (Fig. 5) reads `M_CE`'s **B** alone, so
+//! `M_CE` is built without one.
 
 use crate::error::{HmmError, Result};
 use crate::hmm::Hmm;
-use crate::markov::{learning_factor, MarkovState, OnlineMarkovEstimator};
+use crate::markov::{learning_factor, MarkovChain, MarkovState, OnlineMarkovEstimator};
 use crate::matrix::StochasticMatrix;
 
 /// Online estimator for an HMM driven by (hidden state, symbol) pairs:
-/// an [`OnlineMarkovEstimator`] over the hidden states (**A**) beside
-/// the observation matrix **B**.
+/// the observation matrix **B** with its visits, and — when built with
+/// one — the Markov half over the hidden states (**A**). `M_CO` has
+/// the chain (its **A** is the paper's `M_C`); `M_CE`, whose **A** the
+/// classification never reads, does not.
 ///
 /// # Examples
 ///
@@ -48,25 +53,26 @@ use crate::matrix::StochasticMatrix;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineHmmEstimator {
-    /// **A**, β, the previous hidden state and the visits per state —
-    /// which are also the update counts of **B**'s rows, since every
-    /// step updates the row of the state it visits.
-    markov: OnlineMarkovEstimator,
+    /// **A**, β and the previous hidden state, for an estimator built
+    /// with a chain.
+    chain: Option<OnlineMarkovEstimator>,
     b: StochasticMatrix,
     gamma: f64,
+    /// Visits per hidden state: the update counts of **B**'s rows,
+    /// since every step updates the row of the state it visits.
+    visits: Vec<u64>,
     /// Bumped on every update that can change `A`/`B`; see
     /// [`OnlineHmmEstimator::generation`].
     generation: u64,
 }
 
 impl OnlineHmmEstimator {
-    /// Creates an estimator over `num_states` hidden states and
-    /// `num_symbols` observation symbols with learning factors
-    /// `beta` (transitions) and `gamma` (observations).
+    /// Creates an estimator with a chain over `num_states` hidden
+    /// states and `num_symbols` observation symbols with learning
+    /// factors `beta` (transitions) and `gamma` (observations).
     ///
     /// `A` is initialized to the identity; `B` to a rectangular identity
-    /// (`num_symbols` may exceed `num_states`, e.g. to host the ⊥ column
-    /// of an error track).
+    /// (`num_symbols` may exceed `num_states`).
     ///
     /// # Errors
     ///
@@ -75,22 +81,26 @@ impl OnlineHmmEstimator {
     ///   the open interval `(0, 1)`.
     pub fn new(num_states: usize, num_symbols: usize, beta: f64, gamma: f64) -> Result<Self> {
         let b = StochasticMatrix::diagonal_like(num_states, num_symbols)?;
-        Self::with_initial(b, beta, gamma)
+        let chain = Some(OnlineMarkovEstimator::new(num_states, beta)?);
+        Ok(Self {
+            chain,
+            ..Self::without_chain(b, gamma)?
+        })
     }
 
-    /// Creates an estimator from an explicit initial **B** (one row per
-    /// hidden state) and an identity **A**, e.g. when the observation
-    /// symbols are offset from the hidden states (the pipeline's `M_CE`
-    /// keeps its ⊥ symbol in column 0, so hidden state `i`'s identity
-    /// prior lives in column `i + 1`).
+    /// Creates an estimator of **B** alone, without a chain, from an
+    /// explicit initial **B** (one row per hidden state) — the
+    /// pipeline's `M_CE`, which keeps its ⊥ symbol in column 0, so
+    /// hidden state `i`'s identity prior lives in column `i + 1`.
     ///
     /// # Errors
     ///
-    /// [`HmmError::InvalidParameter`] for out-of-range learning factors.
-    pub fn with_initial(b: StochasticMatrix, beta: f64, gamma: f64) -> Result<Self> {
+    /// [`HmmError::InvalidParameter`] for an out-of-range `gamma`.
+    pub fn without_chain(b: StochasticMatrix, gamma: f64) -> Result<Self> {
         Ok(Self {
-            markov: OnlineMarkovEstimator::new(b.num_rows(), beta)?,
+            chain: None,
             gamma: learning_factor("gamma", gamma)?,
+            visits: vec![0; b.num_rows()],
             b,
             generation: 0,
         })
@@ -109,7 +119,7 @@ impl OnlineHmmEstimator {
 
     /// Number of hidden states currently tracked.
     pub fn num_states(&self) -> usize {
-        self.markov.num_states()
+        self.b.num_rows()
     }
 
     /// Number of observation symbols currently tracked.
@@ -121,7 +131,7 @@ impl OnlineHmmEstimator {
     /// hidden state `i`). Rows with a zero count still hold their
     /// identity prior and carry no evidence.
     pub fn observation_evidence(&self) -> &[u64] {
-        &self.markov.visits
+        &self.visits
     }
 
     /// Feeds one time step: the estimated hidden state and the observed
@@ -138,8 +148,17 @@ impl OnlineHmmEstimator {
                 num_symbols: self.num_symbols(),
             });
         }
-        self.markov.observe(state)?;
+        if state >= self.num_states() {
+            return Err(HmmError::StateOutOfRange {
+                state,
+                num_states: self.num_states(),
+            });
+        }
+        if let Some(chain) = &mut self.chain {
+            chain.observe(state)?;
+        }
         self.b.reinforce(state, symbol, self.gamma)?;
+        self.visits[state] += 1;
         self.generation += 1;
         Ok(())
     }
@@ -152,21 +171,28 @@ impl OnlineHmmEstimator {
         let add_s = num_states.saturating_sub(self.num_states());
         let add_y = num_symbols.saturating_sub(self.num_symbols());
         if add_s > 0 || add_y > 0 {
-            self.markov.grow(num_states);
+            if let Some(chain) = &mut self.chain {
+                chain.grow(num_states);
+            }
             self.b.grow(add_s, add_y);
+            self.visits.resize(self.b.num_rows(), 0);
             self.generation += 1;
         }
     }
 
-    /// The hidden chain's estimator: **A**, β, the previous state and
-    /// the visits. `M_CO`'s is the paper's `M_C` (Fig. 7).
-    pub fn markov(&self) -> &OnlineMarkovEstimator {
-        &self.markov
+    /// The current transition matrix estimate **A**; `None` without a
+    /// chain.
+    pub fn transition(&self) -> Option<&StochasticMatrix> {
+        self.chain.as_ref().map(|chain| &chain.transition)
     }
 
-    /// The current transition matrix estimate **A**.
-    pub fn transition(&self) -> &StochasticMatrix {
-        &self.markov.transition
+    /// The hidden chain — **A** with the visits' occupancy — as a
+    /// [`MarkovChain`]; `None` without a chain. `M_CO`'s is the paper's
+    /// `M_C` (Fig. 7).
+    pub fn markov_chain(&self) -> Option<MarkovChain> {
+        let a = self.transition()?.clone();
+        // sentinet-allow(expect-used): A is square over the hidden states and the occupancy is a distribution of the same length
+        Some(MarkovChain::new(a, self.occupancy()).expect("a valid chain"))
     }
 
     /// The current observation matrix estimate **B**.
@@ -177,18 +203,24 @@ impl OnlineHmmEstimator {
     /// Empirical initial/occupancy distribution over hidden states
     /// (uniform if nothing has been observed yet).
     pub fn occupancy(&self) -> Vec<f64> {
-        self.markov.occupancy()
+        let total: u64 = self.visits.iter().sum();
+        if total == 0 {
+            vec![1.0 / self.num_states() as f64; self.num_states()]
+        } else {
+            self.visits
+                .iter()
+                .map(|&v| v as f64 / total as f64)
+                .collect()
+        }
     }
 
     /// Builds a full [`Hmm`] snapshot from the current estimates, using
-    /// the empirical occupancy as the initial distribution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from [`Hmm::new`]; cannot occur for
-    /// an estimator that has enforced its invariants.
-    pub fn to_hmm(&self) -> Result<Hmm> {
-        Hmm::new(self.transition().clone(), self.b.clone(), self.occupancy())
+    /// the empirical occupancy as the initial distribution; `None`
+    /// without a chain, which has no **A**.
+    pub fn to_hmm(&self) -> Option<Hmm> {
+        let a = self.transition()?.clone();
+        // sentinet-allow(expect-used): A and B share the hidden states, their rows stay stochastic and the occupancy is a distribution
+        Some(Hmm::new(a, self.b.clone(), self.occupancy()).expect("a valid model"))
     }
 
     /// Captures the complete estimator state as plain data for
@@ -199,9 +231,14 @@ impl OnlineHmmEstimator {
     /// restore).
     pub fn export_state(&self) -> EstimatorState {
         EstimatorState {
-            markov: self.markov.export_state(),
+            chain: self.chain.as_ref().map(|a| MarkovState {
+                transition: a.transition.iter_rows().map(<[f64]>::to_vec).collect(),
+                beta: a.beta,
+                prev: a.prev,
+            }),
             b: self.b.iter_rows().map(<[f64]>::to_vec).collect(),
             gamma: self.gamma,
+            visits: self.visits.clone(),
             generation: self.generation,
         }
     }
@@ -212,28 +249,49 @@ impl OnlineHmmEstimator {
     ///
     /// # Errors
     ///
-    /// - Every [`OnlineMarkovEstimator::import_state`] error, for the
-    ///   **A** half.
-    /// - Matrix construction errors if `b`'s rows are not stochastic or
-    ///   are ragged.
-    /// - [`HmmError::DimensionMismatch`] if `b` has a row count other
-    ///   than the state count.
-    /// - [`HmmError::InvalidParameter`] for an out-of-range `gamma`.
+    /// - Matrix construction errors if a matrix's rows are not
+    ///   stochastic or are ragged.
+    /// - [`HmmError::DimensionMismatch`] if the visits or **A** cover
+    ///   another state count than `b`'s rows.
+    /// - [`HmmError::StateOutOfRange`] if the previous state is out of
+    ///   range.
+    /// - [`HmmError::InvalidParameter`] for an out-of-range β or γ.
     pub fn import_state(state: EstimatorState) -> Result<Self> {
-        let markov = OnlineMarkovEstimator::import_state(state.markov)?;
         let b = StochasticMatrix::from_rows(state.b)?;
-        if b.num_rows() != markov.num_states() {
-            return Err(HmmError::DimensionMismatch {
-                what: "observation matrix rows".into(),
-                expected: markov.num_states(),
-                actual: b.num_rows(),
+        let n = b.num_rows();
+        let chain = match state.chain {
+            Some(a) => Some(OnlineMarkovEstimator {
+                transition: StochasticMatrix::from_rows(a.transition)?,
+                beta: learning_factor("beta", a.beta)?,
+                prev: a.prev,
+            }),
+            None => None,
+        };
+        let a = chain.as_ref().map(|a| &a.transition);
+        for (what, actual) in [
+            ("visit counts", state.visits.len()),
+            ("A rows", a.map_or(n, StochasticMatrix::num_rows)),
+            ("A columns", a.map_or(n, StochasticMatrix::num_cols)),
+        ] {
+            if actual != n {
+                return Err(HmmError::DimensionMismatch {
+                    what: what.into(),
+                    expected: n,
+                    actual,
+                });
+            }
+        }
+        if let Some(state) = chain.as_ref().and_then(|a| a.prev).filter(|&p| p >= n) {
+            return Err(HmmError::StateOutOfRange {
+                state,
+                num_states: n,
             });
         }
         Ok(Self {
-            markov,
-            b,
-            gamma: learning_factor("gamma", state.gamma)?,
+            chain,
+            visits: state.visits,
             generation: state.generation,
+            ..Self::without_chain(b, state.gamma)?
         })
     }
 }
@@ -244,13 +302,15 @@ impl OnlineHmmEstimator {
 /// round-trip is bit-exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorState {
-    /// The **A** half: transition rows, β, the previous hidden state
-    /// and the visits per state.
-    pub markov: MarkovState,
+    /// The Markov half — transition rows, β and the previous hidden
+    /// state — of an estimator built with a chain.
+    pub chain: Option<MarkovState>,
     /// Rows of the observation matrix **B** (one per hidden state).
     pub b: Vec<Vec<f64>>,
     /// Observation learning factor γ.
     pub gamma: f64,
+    /// Visits per hidden state (**B**'s row update counts).
+    pub visits: Vec<u64>,
     /// Update-generation counter at capture time.
     pub generation: u64,
 }
@@ -278,7 +338,7 @@ mod tests {
     #[test]
     fn starts_at_identity() {
         let est = OnlineHmmEstimator::new(3, 4, 0.9, 0.9).unwrap();
-        assert_eq!(est.transition()[(1, 1)], 1.0);
+        assert_eq!(est.transition().unwrap()[(1, 1)], 1.0);
         assert_eq!(est.observation()[(2, 2)], 1.0);
         assert_eq!(est.observation()[(2, 3)], 0.0);
     }
@@ -288,10 +348,11 @@ mod tests {
         let mut est = OnlineHmmEstimator::new(2, 2, 0.5, 0.5).unwrap();
         est.observe(0, 0).unwrap();
         est.observe(0, 0).unwrap(); // no state change: A untouched
-        assert_eq!(est.transition()[(0, 0)], 1.0);
+        assert_eq!(est.transition().unwrap()[(0, 0)], 1.0);
         est.observe(1, 1).unwrap(); // change 0 → 1
-        assert!((est.transition()[(0, 1)] - 0.5).abs() < 1e-12);
-        assert!((est.transition()[(0, 0)] - 0.5).abs() < 1e-12);
+        let a = est.transition().unwrap();
+        assert!((a[(0, 1)] - 0.5).abs() < 1e-12);
+        assert!((a[(0, 0)] - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -319,7 +380,7 @@ mod tests {
         for t in 0..10_000usize {
             est.observe(t % 4, (t * 7) % 5).unwrap();
         }
-        est.transition().check(1e-6).unwrap();
+        est.transition().unwrap().check(1e-6).unwrap();
         est.observation().check(1e-6).unwrap();
     }
 
@@ -336,7 +397,7 @@ mod tests {
         // New state row emits the new symbol.
         assert_eq!(est.observation()[(2, 3)], 1.0);
         est.observe(2, 3).unwrap();
-        est.transition().check(1e-9).unwrap();
+        est.transition().unwrap().check(1e-9).unwrap();
         est.observation().check(1e-9).unwrap();
     }
 
@@ -421,25 +482,63 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Without a chain, **B**, the visits and the generation move
+    /// exactly as a chained estimator's do; there is no **A** to read.
+    #[test]
+    fn an_estimator_without_a_chain_is_the_chained_one_minus_a() {
+        let mut chained = OnlineHmmEstimator::new(3, 4, 0.9, 0.7).unwrap();
+        let b = chained.observation().clone();
+        let mut plain = OnlineHmmEstimator::without_chain(b, 0.7).unwrap();
+        for t in 0..23usize {
+            chained.observe(t % 3, (t * 5) % 4).unwrap();
+            plain.observe(t % 3, (t * 5) % 4).unwrap();
+        }
+        chained.grow(4, 5);
+        plain.grow(4, 5);
+        let mut want = chained.export_state();
+        want.chain = None;
+        assert_eq!(plain.export_state(), want);
+        assert_eq!(plain.transition(), None);
+        assert_eq!(plain.markov_chain(), None);
+        assert!(plain.to_hmm().is_none());
+        let restored = OnlineHmmEstimator::import_state(plain.export_state()).unwrap();
+        assert_eq!(restored, plain);
+    }
+
     #[test]
     fn import_rejects_corrupt_checkpoints() {
         let est = OnlineHmmEstimator::new(2, 2, 0.9, 0.9).unwrap();
         let mut bad = est.export_state();
-        bad.markov.transition[0][0] = 0.7; // row no longer sums to 1
+        bad.chain.as_mut().unwrap().transition[0][0] = 0.7; // row no longer sums to 1
         assert!(OnlineHmmEstimator::import_state(bad).is_err());
 
         let mut bad = est.export_state();
-        bad.markov.visits.push(0);
+        bad.visits.push(0);
         assert!(matches!(
             OnlineHmmEstimator::import_state(bad),
             Err(HmmError::DimensionMismatch { .. })
         ));
 
         let mut bad = est.export_state();
-        bad.markov.prev = Some(9);
+        bad.chain.as_mut().unwrap().prev = Some(9);
         assert!(matches!(
             OnlineHmmEstimator::import_state(bad),
             Err(HmmError::StateOutOfRange { .. })
+        ));
+
+        let mut bad = est.export_state();
+        bad.chain.as_mut().unwrap().beta = 1.5;
+        assert!(matches!(
+            OnlineHmmEstimator::import_state(bad),
+            Err(HmmError::InvalidParameter { name: "beta", .. })
+        ));
+
+        let mut bad = est.export_state();
+        let a = &mut bad.chain.as_mut().unwrap().transition;
+        a.iter_mut().for_each(|row| row.push(0.0)); // no longer square
+        assert!(matches!(
+            OnlineHmmEstimator::import_state(bad),
+            Err(HmmError::DimensionMismatch { .. })
         ));
     }
 }

@@ -8,8 +8,7 @@ mod seeded;
 use seeded::{Replay, TestRng};
 use sentinet_hmm::structure::{OrthoTolerance, OrthogonalityReport};
 use sentinet_hmm::{
-    baum_welch, BaumWelchConfig, Hmm, MarkovChain, OnlineHmmEstimator, OnlineMarkovEstimator,
-    StochasticMatrix,
+    baum_welch, BaumWelchConfig, Hmm, MarkovChain, OnlineHmmEstimator, StochasticMatrix,
 };
 
 /// A random probability distribution of length `n`.
@@ -85,7 +84,7 @@ seeded::properties! {
         for (s, y) in pairs {
             est.observe(s, y).unwrap();
         }
-        assert!(est.transition().check(1e-6).is_ok());
+        assert!(est.transition().expect("a chain").check(1e-6).is_ok());
         assert!(est.observation().check(1e-6).is_ok());
         let occ: f64 = est.occupancy().iter().sum();
         assert!((occ - 1.0).abs() < 1e-9);
@@ -93,11 +92,11 @@ seeded::properties! {
 
     fn online_markov_snapshot_is_valid(rng) {
         let states = rng.vec(1..200, |r| r.range(0usize..3));
-        let mut est = OnlineMarkovEstimator::new(3, rng.range(0.05..0.95)).unwrap();
+        let mut est = OnlineHmmEstimator::new(3, 3, rng.range(0.05..0.95), 0.5).unwrap();
         for s in states {
-            est.observe(s).unwrap();
+            est.observe(s, s).unwrap();
         }
-        let chain = est.to_chain().unwrap();
+        let chain = est.markov_chain().expect("a chain");
         assert!(chain.transition().check(1e-6).is_ok());
         let pi = chain.stationary(1e-10, 10_000);
         assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-6);
