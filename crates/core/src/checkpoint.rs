@@ -4,9 +4,9 @@
 //! so a restarted collector resumes without losing model state. A
 //! [`SensorSnapshot`] is plain data — the alarm filter's
 //! [`FilterSnapshot`], the `M_CE` as an [`MceSnapshot`] (its prior, or
-//! the estimator with its generation counter, keeping memo caches
-//! coherent across a restore), and the track/alarm history — so it
-//! crosses thread boundaries freely and can be serialized.
+//! the estimator with its generation counter), the tracks and the
+//! raw-alarm history — so it crosses thread boundaries freely and can
+//! be serialized.
 //!
 //! The durable format is the line-based text of `DESIGN.md` §12.5, and
 //! this module holds the one kit every such text in the workspace is
@@ -20,8 +20,10 @@
 //! [`encode_pipeline`]/[`decode_pipeline`] are the two codecs defined
 //! here; the pipeline text ends in a shard section, read by the same
 //! reader. These codecs are the only serialization the snapshot types
-//! have. They write layout v2, only what the classification reads; the
-//! readers also take v1 text, checking and dropping its extra blocks.
+//! have. They write layout v3: the state, and nothing derived from it.
+//! The readers also take v1 and v2 text by its magic, reading what
+//! those layouts also wrote for syntax and dropping it; a derived
+//! field that disagrees with the state it copies is malformed.
 
 use crate::runtime::{IdentityPrior, TrackRecord};
 use sentinet_cluster::StatesSnapshot;
@@ -38,14 +40,10 @@ pub struct SensorSnapshot {
     pub filter: FilterSnapshot,
     /// The `M_CE`: its prior, or the estimator.
     pub m_ce: MceSnapshot,
-    /// Whether an error/attack track is currently open.
-    pub track_open: bool,
-    /// All tracks opened so far.
+    /// All tracks opened so far; the last one may be open.
     pub tracks: Vec<TrackRecord>,
     /// Raw-alarm history as `(window, raw)` pairs.
     pub raw_history: Vec<(u64, bool)>,
-    /// Whether a filtered alarm was ever raised.
-    pub ever_alarmed: bool,
 }
 
 /// A sensor's `M_CE` in a checkpoint.
@@ -98,8 +96,6 @@ pub struct GlobalStates {
 pub struct GlobalSnapshot {
     /// Decisive windows processed so far.
     pub windows_processed: u64,
-    /// The `(window, correct, observable)` decisive-window history.
-    pub state_history: Vec<(u64, usize, usize)>,
     /// Window means accumulated toward the bootstrap k-means (empty
     /// once states are installed).
     pub bootstrap_points: Vec<Vec<f64>>,
@@ -151,16 +147,23 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-const MAGIC: &str = "sentinet-checkpoint v2";
-/// Layout v1 also wrote `M_CE`'s **A**, β and previous state, `counts`
-/// twice and the `mc`/`mo` blocks; it is read, never written.
-const MAGIC_V1: &str = "sentinet-checkpoint v1";
+/// The shard magic of layouts v1, v2 and v3; only v3 is written. v2
+/// also wrote the decisive-window `history` and each sensor's `track`
+/// and `alarmed` flags; v1 on top of that `M_CE`'s **A**, β and
+/// previous state, `counts` twice and the `mc`/`mo` blocks.
+const MAGICS: [&str; 3] = [
+    "sentinet-checkpoint v1",
+    "sentinet-checkpoint v2",
+    "sentinet-checkpoint v3",
+];
 
-/// Consumes the `v2` or `v1` magic line: whether the text is v1.
-fn read_magic(r: &mut Reader<'_>, v2: &str, v1: &str) -> Result<bool, CheckpointError> {
-    let is_v1 = r.peek() == Some(v1);
-    r.marker(if is_v1 { v1 } else { v2 })?;
-    Ok(is_v1)
+/// Consumes a magic line, one of `magics` (layouts v1 to v3): the
+/// layout it names.
+fn read_magic(r: &mut Reader<'_>, magics: &[&str; 3]) -> Result<u8, CheckpointError> {
+    let at = magics.iter().position(|m| r.peek() == Some(*m));
+    let at = at.unwrap_or(magics.len() - 1);
+    r.marker(magics[at])?;
+    Ok(at as u8 + 1)
 }
 
 /// Appends `v` as the 16 lowercase hex digits of its IEEE-754 bit
@@ -304,7 +307,7 @@ pub fn write_shard<W: fmt::Write>(
     out: &mut W,
     sensors: &[(SensorId, SensorSnapshot)],
 ) -> fmt::Result {
-    writeln!(out, "{MAGIC}")?;
+    writeln!(out, "{}", MAGICS[2])?;
     for (id, snap) in sensors {
         writeln!(out, "sensor {}", id.0)?;
         match &snap.filter {
@@ -342,7 +345,6 @@ pub fn write_shard<W: fmt::Write>(
             }
             MceSnapshot::Built(m) => put_estimator(out, "mce", "", m)?,
         }
-        writeln!(out, "track {}", u8::from(snap.track_open))?;
         out.write_str("tracks")?;
         if snap.tracks.is_empty() {
             out.write_str(" -")?;
@@ -360,7 +362,7 @@ pub fn write_shard<W: fmt::Write>(
             push_dec(out, *w)?;
             out.write_str(if *raw { ":1" } else { ":0" })?;
         }
-        writeln!(out, "\nalarmed {}\nend", u8::from(snap.ever_alarmed))?;
+        out.write_str("\nend\n")?;
     }
     Ok(())
 }
@@ -744,8 +746,8 @@ fn is_identity_prior(m: &EstimatorState) -> bool {
 /// when the snapshot is restored into a runtime.
 pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
     let mut r = Reader::new(text);
-    let v1 = read_magic(&mut r, MAGIC, MAGIC_V1)?;
-    let sensors = read_shard(&mut r, v1)?;
+    let layout = read_magic(&mut r, &MAGICS)?;
+    let sensors = read_shard(&mut r, layout)?;
     r.finish()?;
     Ok(sensors)
 }
@@ -755,8 +757,9 @@ pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, Check
 /// that opens no sensor.
 fn read_shard(
     r: &mut Reader<'_>,
-    v1: bool,
+    layout: u8,
 ) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
+    let v1 = layout == 1;
     let mut sensors = Vec::new();
     while let Some(mut f) = r.tagged_if("sensor") {
         let id = SensorId(f.num()?);
@@ -791,27 +794,42 @@ fn read_shard(
             other => return f.fail(format!("unknown filter kind `{other}`")),
         };
         f.end()?;
+        let m_ce = read_mce(r, v1)?;
+        // v1 and v2 wrote `track` (a track is open) and `alarmed` (one
+        // ever opened) beside the tracks they copy.
+        let track = flag_line(r, "track", layout < 3)?;
+        let tracks = r.list("tracks", |t| {
+            Ok(TrackRecord {
+                opened: t.num()?,
+                closed: t.opt()?,
+            })
+        })?;
+        let raw_history = r.list("raw", |w| Ok((w.num()?, w.flag()?)))?;
+        let alarmed = flag_line(r, "alarmed", layout < 3)?;
+        let open = tracks.last().is_some_and(|t| t.closed.is_none());
+        for (copied, derived) in [(track, open), (alarmed, !tracks.is_empty())] {
+            if let Some((f, _)) = copied.filter(|&(_, flag)| flag != derived) {
+                return f.fail("a flag other than what `tracks` implies");
+            }
+        }
+        r.marker("end")?;
         let snapshot = SensorSnapshot {
             filter,
-            m_ce: read_mce(r, v1)?,
-            track_open: r.single("track", Fields::flag)?,
-            tracks: r.list("tracks", |t| {
-                Ok(TrackRecord {
-                    opened: t.num()?,
-                    closed: t.opt()?,
-                })
-            })?,
-            raw_history: r.list("raw", |w| Ok((w.num()?, w.flag()?)))?,
-            ever_alarmed: r.single("alarmed", Fields::flag)?,
+            m_ce,
+            tracks,
+            raw_history,
         };
-        r.marker("end")?;
         sensors.push((id, snapshot));
     }
     Ok(sensors)
 }
 
-const PIPELINE_MAGIC: &str = "sentinet-pipeline v2";
-const PIPELINE_MAGIC_V1: &str = "sentinet-pipeline v1";
+/// The pipeline magic of layouts v1, v2 and v3, as [`MAGICS`].
+const PIPELINE_MAGICS: [&str; 3] = [
+    "sentinet-pipeline v1",
+    "sentinet-pipeline v2",
+    "sentinet-pipeline v3",
+];
 
 /// Encodes a whole pipeline's restore-point snapshot as durable
 /// checkpoint text. Floating-point fields use the same IEEE-754
@@ -833,23 +851,13 @@ pub fn encode_pipeline(snap: &PipelineSnapshot) -> String {
 /// Whatever `out` reports; a `String` never fails.
 pub fn write_pipeline<W: fmt::Write>(out: &mut W, snap: &PipelineSnapshot) -> fmt::Result {
     let g = &snap.global;
-    write!(
+    writeln!(
         out,
-        "{PIPELINE_MAGIC}\nwindows {}\nhistory",
-        g.windows_processed
+        "{}\nwindows {}\nbootstrap {}",
+        PIPELINE_MAGICS[2],
+        g.windows_processed,
+        g.bootstrap_points.len()
     )?;
-    if g.state_history.is_empty() {
-        out.write_str(" -")?;
-    }
-    for (w, c, o) in &g.state_history {
-        out.write_char(' ')?;
-        push_dec(out, *w)?;
-        out.write_char(':')?;
-        push_dec(out, *c as u64)?;
-        out.write_char(':')?;
-        push_dec(out, *o as u64)?;
-    }
-    writeln!(out, "\nbootstrap {}", g.bootstrap_points.len())?;
     for point in &g.bootstrap_points {
         put_hex_row(out, format_args!("bp"), point)?;
     }
@@ -932,9 +940,15 @@ pub fn decode_pipeline(text: &str) -> Result<PipelineSnapshot, CheckpointError> 
 /// As [`decode_pipeline`], with lines counted from the start of `r`'s
 /// text.
 pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointError> {
-    let v1 = read_magic(r, PIPELINE_MAGIC, PIPELINE_MAGIC_V1)?;
+    let layout = read_magic(r, &PIPELINE_MAGICS)?;
+    let v1 = layout == 1;
     let windows_processed = r.single("windows", Fields::num)?;
-    let state_history = r.list("history", |h| Ok((h.num()?, h.num()?, h.num()?)))?;
+    if layout < 3 {
+        // The decisive-window history, which nothing read.
+        r.list("history", |h| {
+            Ok((h.num::<u64>()?, h.num::<u64>()?, h.num::<u64>()?))
+        })?;
+    }
     // The declared count is checked against the rows actually read,
     // never used to size anything.
     let declared: usize = r.single("bootstrap", Fields::num)?;
@@ -992,11 +1006,10 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
         readings.push((id, dims, data));
     }
     r.marker("sensors")?;
-    r.marker(if v1 { MAGIC_V1 } else { MAGIC })?;
+    r.marker(MAGICS[usize::from(layout) - 1])?;
     Ok(PipelineSnapshot {
         global: GlobalSnapshot {
             windows_processed,
-            state_history,
             bootstrap_points,
             states,
         },
@@ -1006,8 +1019,23 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
             start,
             readings,
         },
-        sensors: read_shard(r, v1)?,
+        sensors: read_shard(r, layout)?,
     })
+}
+
+/// A `tag <flag>` line with its fields, when the layout `wrote` it.
+fn flag_line<'a>(
+    r: &mut Reader<'a>,
+    tag: &str,
+    wrote: bool,
+) -> Result<Option<(Fields<'a>, bool)>, CheckpointError> {
+    if !wrote {
+        return Ok(None);
+    }
+    let mut f = r.tagged(tag)?;
+    let flag = f.flag()?;
+    f.end()?;
+    Ok(Some((f, flag)))
 }
 
 #[cfg(test)]
@@ -1055,7 +1083,7 @@ mod tests {
         let config = PipelineConfig::default();
         let shard = vec![(SensorId(1), runtime_with_history(&config).snapshot())];
         let mut text = encode_shard(&shard);
-        text = text.replace("alarmed", "alarme");
+        text = text.replace("\nraw ", "\nrow ");
         let err = decode_shard(&text).expect_err("corrupted");
         match err {
             CheckpointError::Malformed { line, .. } => assert!(line > 1),
@@ -1088,7 +1116,6 @@ mod tests {
         PipelineSnapshot {
             global: GlobalSnapshot {
                 windows_processed: 17,
-                state_history: vec![(3, 2, 2), (4, 3, 2)],
                 bootstrap_points: vec![vec![1.0, 2.0], vec![-0.5, f64::MIN_POSITIVE]],
                 states,
             },
@@ -1208,7 +1235,7 @@ mod tests {
         let text = encode_shard(&sensors);
         let prior = line_starting(&text, "prior ");
         assert_eq!(prior, "prior 4 0 3fb999999999999a");
-        assert_eq!(text.lines().count(), 9, "{text}");
+        assert_eq!(text.lines().count(), 7, "{text}");
         assert_eq!(decode_shard(&text), Ok(sensors));
         let one_hot = |i: usize| {
             let mut row = ["0000000000000000"; 5];
@@ -1284,17 +1311,26 @@ mod tests {
             },
             ..PipelineConfig::default()
         };
-        let text = encode_shard(&[(SensorId(0), runtime_with_history(&config).snapshot())]);
+        let snap = runtime_with_history(&config).snapshot();
+        let text = encode_shard(&[(SensorId(0), snap.clone())]);
         assert!(decode_shard(&text).is_ok());
         let raw = text.replace("\nraw 0:0 ", "\nraw 0:3 ");
-        assert_eq!(malformed_line(decode_shard(&raw)), line_of(&raw, "end") - 2);
+        assert_eq!(malformed_line(decode_shard(&raw)), line_of(&raw, "end") - 1);
         let filter = text.lines().nth(2).expect("filter line");
         assert!(filter.starts_with("filter sprt "));
         let raised = text.replace(filter, &format!("{}3", &filter[..filter.len() - 1]));
         assert_eq!(malformed_line(decode_shard(&raised)), 3);
-        for (flag, bad) in [("track 1", "track 2"), ("alarmed 1", "alarmed yes")] {
-            let bad = text.replace(flag, bad);
-            assert!(text.contains(flag), "{flag}");
+        // The flags v2 also wrote: a track is open, one ever opened.
+        let open = u8::from(snap.tracks.last().is_some_and(|t| t.closed.is_none()));
+        let alarmed = u8::from(!snap.tracks.is_empty());
+        let v2 = text
+            .replace(MAGICS[2], MAGICS[1])
+            .replace("\ntracks ", &format!("\ntrack {open}\ntracks "))
+            .replace("\nend", &format!("\nalarmed {alarmed}\nend"));
+        assert_eq!(decode_shard(&v2), Ok(vec![(SensorId(0), snap)]));
+        for (flag, bad) in [("track ", "2"), ("alarmed ", "yes")] {
+            let at = v2.find(&format!("\n{flag}")).expect("a flag") + 1 + flag.len();
+            let bad = format!("{}{bad}{}", &v2[..at], &v2[at + 1..]);
             assert!(decode_shard(&bad).is_err(), "{flag}");
         }
     }

@@ -483,8 +483,8 @@ impl Pipeline {
     /// [`Diagnosis::ErrorFree`]; if the network-level `M_CO` shows an
     /// attack signature, every alarmed sensor reports that attack;
     /// otherwise the sensor's own `M_CE` decides the error type. The
-    /// verdict is memoized on the estimator generations — repeated
-    /// calls after unchanged windows are O(1).
+    /// network half of the walk is memoized on the `M_CO` and
+    /// model-state generations; the sensor's half is walked each call.
     pub fn classify(&self, sensor: SensorId) -> Diagnosis {
         self.global().classify(self.sensor(sensor))
     }
@@ -502,12 +502,6 @@ impl Pipeline {
         sensors
             .map(|(&id, rt)| (id, self.global().classify(Some(rt))))
             .collect()
-    }
-
-    /// The `(window, correct, observable)` state sequence of every
-    /// decisive window — the paper's `c_i` and `o_i` series.
-    pub fn state_history(&self) -> &[(u64, usize, usize)] {
-        self.global().state_history()
     }
 
     /// The error signature of one sensor: for each hidden state with
@@ -570,20 +564,6 @@ impl Pipeline {
             .into_iter()
             .map(|g| g.into_iter().map(|i| alarmed[i]).collect())
             .collect()
-    }
-
-    /// Offline Viterbi smoothing: decodes the most likely hidden-state
-    /// path for the recorded observable sequence under the learned
-    /// `M_CO`. On clean data this agrees with the majority-voted
-    /// correct states; large disagreements flag windows whose majority
-    /// estimate the temporal model considers implausible.
-    ///
-    /// Returns `None` before bootstrap or when no decisive window has
-    /// been processed; also `None` if the learned model assigns the
-    /// observed sequence zero probability (possible after structural
-    /// growth mid-stream).
-    pub fn smoothed_correct_states(&self) -> Option<Vec<usize>> {
-        self.global().smoothed_correct_states()
     }
 
     /// The pipeline configuration.
@@ -759,54 +739,13 @@ mod tests {
     }
 
     #[test]
-    fn state_history_covers_decisive_windows() {
-        let (trace, period) = quiet_day_trace();
-        let mut p = Pipeline::new(PipelineConfig::default(), period);
-        let outcomes = p.process_trace(&trace);
-        assert!(!p.state_history().is_empty());
-        assert!(p.state_history().len() <= outcomes.len());
-        for &(w, c, o) in p.state_history() {
-            assert!(w < p.windows_processed());
-            let slots = p.model_states().unwrap().num_slots();
-            assert!(c < slots && o < slots);
-        }
-    }
-
-    #[test]
-    fn viterbi_smoothing_agrees_with_majority_on_clean_data() {
-        let (trace, period) = quiet_day_trace();
-        let mut p = Pipeline::new(PipelineConfig::default(), period);
-        p.process_trace(&trace);
-        let smoothed = p.smoothed_correct_states().expect("model available");
-        let majority: Vec<usize> = p.state_history().iter().map(|&(_, c, _)| c).collect();
-        assert_eq!(smoothed.len(), majority.len());
-        let agree = smoothed
-            .iter()
-            .zip(&majority)
-            .filter(|(a, b)| a == b)
-            .count();
-        assert!(
-            agree * 10 >= majority.len() * 8,
-            "smoothing agreement {agree}/{}",
-            majority.len()
-        );
-    }
-
-    #[test]
-    fn smoothing_without_data_is_none() {
-        let p = Pipeline::new(PipelineConfig::default(), 300);
-        assert!(p.smoothed_correct_states().is_none());
-        assert!(p.state_history().is_empty());
-    }
-
-    #[test]
     fn classification_memo_matches_fresh_computation() {
         let (trace, period) = quiet_day_trace();
         let mut p = Pipeline::new(PipelineConfig::default(), period);
         p.process_trace(&trace);
         for id in p.sensor_ids() {
             let first = p.classify_with_confidence(id);
-            // Second call must hit the memo and agree exactly.
+            // A second walk must agree exactly.
             let second = p.classify_with_confidence(id);
             assert_eq!(first.0, second.0);
             assert_eq!(first.1.to_bits(), second.1.to_bits());

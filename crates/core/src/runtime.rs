@@ -21,12 +21,13 @@
 //! way, which is what makes the engine's output bit-for-bit identical
 //! to the serial pipeline's.
 //!
-//! Classification queries are memoized: each verdict and its confidence
-//! come from one walk of the Fig. 5 tree ([`crate::classify`]), cached
-//! behind the estimators' update generations (see
-//! [`OnlineHmmEstimator::generation`]), so repeated
-//! `classify`/`classify_with_confidence`/`network_attack` calls after
-//! unchanged windows are O(1).
+//! Each verdict and its confidence come from one walk of the Fig. 5
+//! tree ([`crate::classify`]). The network half of that walk — `M_CO`'s
+//! active rows, orthogonality report and attack verdict — is cached
+//! behind the `M_CO` and model-state generations (see
+//! [`OnlineHmmEstimator::generation`]), so every sensor of one
+//! `classify_all` shares one network walk; a sensor's own half reads
+//! its `M_CE` afresh on every call.
 
 use crate::checkpoint::MceSnapshot;
 use crate::classify::{
@@ -69,24 +70,9 @@ pub struct SensorStep {
     pub filtered: bool,
 }
 
-/// Cache key for a sensor's memoized diagnosis: invalidated whenever
-/// its `M_CE`, the network model, or the window count changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MemoKey {
-    m_ce_generation: u64,
-    network_stamp: (u64, u64),
-    windows_processed: u64,
-}
-
-#[derive(Debug, Clone)]
-struct DiagnosisMemo {
-    key: MemoKey,
-    diagnosis: Diagnosis,
-    confidence: f64,
-}
-
 /// Per-sensor pipeline state: alarm filter, error/attack tracks, and
-/// the sensor's `M_CE` estimator.
+/// the sensor's `M_CE` estimator. Whether a track is open, and whether
+/// a filtered alarm was ever raised, are read off the tracks.
 ///
 /// `M_CE` is **B** alone: the classification never reads its **A**, so
 /// it is built without a chain. It learns only while a track is open,
@@ -108,11 +94,9 @@ pub struct SensorRuntime {
     m_ce: OnceCell<OnlineHmmEstimator>,
     /// Grown with the sensor, built or not: its slots are `M_CE`'s.
     prior: IdentityPrior,
-    track_open: bool,
+    /// Strictly ascending windows; only the last track may be open.
     tracks: Vec<TrackRecord>,
     raw_history: Vec<(u64, bool)>,
-    ever_alarmed: bool,
-    memo: RefCell<Option<DiagnosisMemo>>,
 }
 
 impl SensorRuntime {
@@ -136,11 +120,8 @@ impl SensorRuntime {
                 gamma: config.gamma,
                 generation: 0,
             },
-            track_open: false,
             tracks: Vec::new(),
             raw_history: Vec::new(),
-            ever_alarmed: false,
-            memo: RefCell::new(None),
         }
     }
 
@@ -161,26 +142,18 @@ impl SensorRuntime {
         let raw = label != correct;
         self.raw_history.push((window_index, raw));
         let filtered = self.filter.push(raw);
-        if filtered {
-            self.ever_alarmed = true;
-        }
-        match (self.track_open, filtered) {
-            (false, true) => {
-                self.track_open = true;
-                self.tracks.push(TrackRecord {
-                    opened: window_index,
-                    closed: None,
-                });
-            }
-            (true, false) => {
-                self.track_open = false;
-                if let Some(t) = self.tracks.last_mut() {
-                    t.closed = Some(window_index);
-                }
-            }
+        let open = self.tracks.last_mut().filter(|t| t.closed.is_none());
+        match (open, filtered) {
+            (None, true) => self.tracks.push(TrackRecord {
+                opened: window_index,
+                closed: None,
+            }),
+            (Some(track), false) => track.closed = Some(window_index),
             _ => {}
         }
-        if self.track_open {
+        // A track is open after this window exactly when the filtered
+        // alarm is up.
+        if filtered {
             let symbol = if raw { label + 1 } else { BOT_SYMBOL };
             self.m_ce_mut()
                 .observe(correct, symbol)
@@ -203,9 +176,7 @@ impl SensorRuntime {
     /// snapshot is plain data (see [`crate::checkpoint`]); restoring it
     /// with [`SensorRuntime::from_snapshot`] yields a runtime whose
     /// behaviour — filter outputs, `M_CE` updates, diagnoses — is
-    /// bit-identical from this point on. The diagnosis memo is not
-    /// captured: it is a cache keyed on generation counters and
-    /// rebuilds on first use.
+    /// bit-identical from this point on.
     pub fn snapshot(&self) -> crate::checkpoint::SensorSnapshot {
         let visited =
             (self.m_ce.get()).filter(|m_ce| m_ce.observation_evidence().iter().any(|&v| v > 0));
@@ -214,10 +185,8 @@ impl SensorRuntime {
             m_ce: visited.map_or(MceSnapshot::Prior(self.prior), |m_ce| {
                 MceSnapshot::Built(m_ce.export_state())
             }),
-            track_open: self.track_open,
             tracks: self.tracks.clone(),
             raw_history: self.raw_history.clone(),
-            ever_alarmed: self.ever_alarmed,
         }
     }
 
@@ -229,8 +198,10 @@ impl SensorRuntime {
     ///
     /// [`crate::checkpoint::CheckpointError::Invalid`] if the embedded
     /// estimator state or alarm-filter bounds fail re-validation
-    /// (corrupt checkpoint), or if the `M_CE` is no prior or estimator
-    /// a sensor could hold.
+    /// (corrupt checkpoint), if the `M_CE` is no prior or estimator a
+    /// sensor could hold, or if the tracks are no list a sensor could
+    /// write: windows not strictly ascending (opened < closed < next
+    /// opened), or a track open before the last.
     pub fn from_snapshot(
         snapshot: crate::checkpoint::SensorSnapshot,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
@@ -255,15 +226,20 @@ impl SensorRuntime {
             }
             _ => return Err(invalid("an M_CE unlike any a sensor writes".into())),
         };
+        let tracks = snapshot.tracks;
+        let closed_before_last = tracks.iter().rev().skip(1).all(|t| t.closed.is_some());
+        let marks = tracks
+            .iter()
+            .flat_map(|t| std::iter::once(t.opened).chain(t.closed));
+        if !(closed_before_last && marks.is_sorted_by(|a, b| a < b)) {
+            return Err(invalid("tracks unlike any a sensor writes".into()));
+        }
         Ok(Self {
             filter: snapshot.filter.restore().map_err(invalid)?,
             m_ce: m_ce.map_or_else(OnceCell::new, OnceCell::from),
             prior,
-            track_open: snapshot.track_open,
-            tracks: snapshot.tracks,
+            tracks,
             raw_history: snapshot.raw_history,
-            ever_alarmed: snapshot.ever_alarmed,
-            memo: RefCell::new(None),
         })
     }
 
@@ -284,13 +260,6 @@ impl SensorRuntime {
         self.prior.slots
     }
 
-    /// `M_CE`'s update generation, without building it.
-    fn m_ce_generation(&self) -> u64 {
-        self.m_ce
-            .get()
-            .map_or(self.prior.generation, OnlineHmmEstimator::generation)
-    }
-
     /// The raw-alarm history as `(window, raw)` pairs.
     pub fn raw_history(&self) -> &[(u64, bool)] {
         &self.raw_history
@@ -301,9 +270,10 @@ impl SensorRuntime {
         &self.tracks
     }
 
-    /// Whether a filtered alarm was ever raised.
+    /// Whether a filtered alarm was ever raised: the first one opened
+    /// a track.
     pub fn ever_alarmed(&self) -> bool {
-        self.ever_alarmed
+        !self.tracks.is_empty()
     }
 }
 
@@ -511,8 +481,7 @@ impl NetMemo {
 
 /// The global (coordinator-side) half of the pipeline: model states,
 /// bootstrap accumulation, the `M_CO` estimator (`M_C` is its
-/// transition half), the decisive-window history, and memoized network
-/// classification.
+/// transition half), and memoized network classification.
 #[derive(Debug)]
 pub struct GlobalModel {
     config: PipelineConfig,
@@ -521,9 +490,6 @@ pub struct GlobalModel {
     m_co: Option<OnlineHmmEstimator>,
     bootstrap_points: Vec<Vec<f64>>,
     windows_processed: u64,
-    /// Per processed decisive window: (window index, correct state,
-    /// observable state) — the `c_i`/`o_i` sequences of §3.
-    state_history: Vec<(u64, usize, usize)>,
     net_memo: RefCell<Option<NetMemo>>,
     /// Eq. 6 accumulators, reused by every window's clustering round.
     update_scratch: UpdateScratch,
@@ -547,7 +513,6 @@ impl GlobalModel {
             m_co: None,
             bootstrap_points: Vec::new(),
             windows_processed: 0,
-            state_history: Vec::new(),
             net_memo: RefCell::new(None),
             update_scratch: UpdateScratch::default(),
         };
@@ -626,11 +591,8 @@ impl GlobalModel {
         spawned
     }
 
-    /// Records a decisive window's state pair into the history and
-    /// `M_CO`.
+    /// Records a decisive window's state pair into `M_CO`.
     pub fn record_decisive(&mut self, correct: usize, observable: usize) {
-        self.state_history
-            .push((self.windows_processed, correct, observable));
         self.m_co
             .as_mut()
             // sentinet-allow(expect-used): estimators are installed at bootstrap, before any decisive window
@@ -699,19 +661,13 @@ impl GlobalModel {
         self.m_co.as_ref()?.markov_chain()
     }
 
-    /// The `(window, correct, observable)` sequence of every decisive
-    /// window.
-    pub fn state_history(&self) -> &[(u64, usize, usize)] {
-        &self.state_history
-    }
-
     /// The pipeline configuration.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
     }
 
     /// Captures the coordinator-side state for checkpointing: the
-    /// bootstrap accumulator, decisive-window history, and — once
+    /// window count, the bootstrap accumulator, and — once
     /// bootstrapped — the model states with `M_CO`.
     /// The classification memo is a generation-keyed cache and
     /// rebuilds on first use; the RNG is not captured because it is
@@ -729,7 +685,6 @@ impl GlobalModel {
         };
         crate::checkpoint::GlobalSnapshot {
             windows_processed: self.windows_processed,
-            state_history: self.state_history.clone(),
             bootstrap_points: self.bootstrap_points.clone(),
             states,
         }
@@ -774,19 +729,9 @@ impl GlobalModel {
             m_co,
             bootstrap_points: snapshot.bootstrap_points,
             windows_processed: snapshot.windows_processed,
-            state_history: snapshot.state_history,
             net_memo: RefCell::new(None),
             update_scratch: UpdateScratch::default(),
         })
-    }
-
-    /// Identity of the current network model: changes exactly when
-    /// `M_CO` or the model states change.
-    fn network_stamp(&self) -> Option<(u64, u64)> {
-        Some((
-            self.m_co.as_ref()?.generation(),
-            self.states.as_ref()?.generation(),
-        ))
     }
 
     /// Runs `f` against the up-to-date network memo. Recomputes the
@@ -846,14 +791,6 @@ impl GlobalModel {
         self.with_net_memo(|memo, _| memo.attack.as_ref().map(|(attack, _)| attack.clone()))?
     }
 
-    fn memo_key(&self, runtime: &SensorRuntime) -> Option<MemoKey> {
-        Some(MemoKey {
-            m_ce_generation: runtime.m_ce_generation(),
-            network_stamp: self.network_stamp()?,
-            windows_processed: self.windows_processed,
-        })
-    }
-
     /// Classifies one sensor per the paper's Fig. 5 tree.
     ///
     /// `None` — a sensor never seen — is [`Diagnosis::ErrorFree`].
@@ -862,20 +799,14 @@ impl GlobalModel {
     }
 
     /// [`GlobalModel::classify`] plus the verdict's confidence (see
-    /// [`crate::classify`]): one walk of the tree yields both, memoized
-    /// on the `(M_CE, network, window)` generations.
+    /// [`crate::classify`]): one walk of the tree yields both, its
+    /// network half memoized on the `(M_CO, model states)` generations.
     pub fn classify_with_confidence(&self, runtime: Option<&SensorRuntime>) -> (Diagnosis, f64) {
-        let Some(rt) = runtime.filter(|rt| rt.ever_alarmed) else {
+        let Some(rt) = runtime.filter(|rt| rt.ever_alarmed()) else {
             let clean =
                 self.with_net_memo(|memo, _| matured(memo.clean_margin, self.windows_processed));
             return (Diagnosis::ErrorFree, clean.unwrap_or(0.0));
         };
-        let Some(key) = self.memo_key(rt) else {
-            return (Diagnosis::ErrorFree, 0.0);
-        };
-        if let Some(memo) = rt.memo.borrow().as_ref().filter(|m| m.key == key) {
-            return (memo.diagnosis.clone(), memo.confidence);
-        }
         let walked = self.with_net_memo(|memo, m_co| match &memo.attack {
             Some((attack, confidence)) => (Diagnosis::Attack(attack.clone()), *confidence),
             None => {
@@ -890,26 +821,7 @@ impl GlobalModel {
                 (Diagnosis::Error(error), confidence)
             }
         });
-        // sentinet-allow(expect-used): memo_key found the network model, so the memo exists
-        let (diagnosis, confidence) = walked.expect("stamp checked");
-        *rt.memo.borrow_mut() = Some(DiagnosisMemo {
-            key,
-            diagnosis: diagnosis.clone(),
-            confidence,
-        });
-        (diagnosis, confidence)
-    }
-
-    /// Offline Viterbi smoothing of the recorded observable sequence
-    /// under the learned `M_CO` (see
-    /// [`Pipeline::smoothed_correct_states`](crate::Pipeline::smoothed_correct_states)).
-    pub fn smoothed_correct_states(&self) -> Option<Vec<usize>> {
-        let m_co = self.m_co.as_ref()?;
-        if self.state_history.is_empty() {
-            return None;
-        }
-        let observables: Vec<usize> = self.state_history.iter().map(|&(_, _, o)| o).collect();
-        let hmm = m_co.to_hmm()?;
-        hmm.viterbi(&observables).ok().map(|v| v.states)
+        // Before bootstrap there is no network model to walk.
+        walked.unwrap_or((Diagnosis::ErrorFree, 0.0))
     }
 }

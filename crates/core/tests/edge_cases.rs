@@ -4,8 +4,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_core::{
-    encode_pipeline, CheckpointError, Diagnosis, IdentityPrior, MceSnapshot, Pipeline,
-    PipelineConfig,
+    decode_pipeline, encode_pipeline, CheckpointError, Diagnosis, IdentityPrior, MceSnapshot,
+    Pipeline, PipelineConfig,
 };
 use sentinet_hmm::{OnlineHmmEstimator, StochasticMatrix};
 use sentinet_sim::{
@@ -127,12 +127,12 @@ fn sensor_joining_late_is_tracked() {
     // The state the run ends in — every sensor's raw history, tracks
     // and `M_CE` — as recorded at 62a0109 by this same test, where every
     // sensor of every window was looked up by id, and re-recorded in
-    // checkpoint layout v2 (that text, read back by the v2 reader,
-    // re-encodes to this one).
+    // checkpoint layouts v2 and v3 (the older text, read back by the
+    // newer reader, re-encodes to this one).
     let state = sentinet_core::encode_pipeline(&p.snapshot());
     assert_eq!(
         fnv(state.as_bytes()),
-        0x0c30_a793_88eb_fe38,
+        0x0655_611d_b739_8e38,
         "a mid-stream joiner changed the run"
     );
 }
@@ -385,5 +385,57 @@ fn a_restore_point_sized_off_its_slots_is_invalid_not_a_panic() {
         one_slot_m_ce(MceSnapshot::Built(built.export_state())),
     ] {
         assert!(matches!(restore(bad), Err(CheckpointError::Invalid(_))));
+    }
+}
+
+/// A restore point whose track list no sensor writes — windows not
+/// strictly ascending (opened < closed < next opened), or a track open
+/// before the last — used to restore: `Pipeline::from_snapshot`, which
+/// also adopts a peer's migration snapshot, took every list below in
+/// layout v2 text at 42a00a9. Such a list is `Invalid` now. Layout v2
+/// also wrote each sensor's `track` and `alarmed` flags, so two more
+/// shapes could be written there: an open track where the list has
+/// none, and none where it has one; those flags are malformed.
+#[test]
+fn a_restore_point_with_an_impossible_track_list_is_invalid() {
+    let mut cfg = gdi::day_config();
+    cfg.num_sensors = 4;
+    cfg.duration = 2 * DAY_S;
+    let trace = simulate(&cfg, &mut StdRng::seed_from_u64(3));
+    let mut p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
+    p.process_trace(&trace);
+    let text = encode_pipeline(&p.snapshot());
+    assert_eq!(text.matches("\ntracks -\n").count(), 4, "{text}");
+    let restore = |tracks: &str| {
+        let text = text.replacen("\ntracks -\n", &format!("\ntracks {tracks}\n"), 1);
+        let snap = decode_pipeline(&text).expect("a well-formed list");
+        Pipeline::from_snapshot(PipelineConfig::default(), cfg.sample_period, snap).map(|_| ())
+    };
+    for possible in ["3:4", "3:-", "3:4 5:6", "3:4 5:-"] {
+        assert_eq!(restore(possible), Ok(()), "{possible}");
+    }
+    for impossible in ["9:3", "3:3", "3:- 5:-", "3:5 5:7", "5:6 3:4", "5:- 3:4"] {
+        assert!(
+            matches!(restore(impossible), Err(CheckpointError::Invalid(_))),
+            "{impossible}"
+        );
+    }
+
+    let v2 = text
+        .replace("sentinet-pipeline v3", "sentinet-pipeline v2")
+        .replace("sentinet-checkpoint v3", "sentinet-checkpoint v2")
+        .replacen("\nbootstrap ", "\nhistory -\nbootstrap ", 1)
+        .replace("\ntracks -\n", "\ntrack 0\ntracks -\n")
+        .replace("\nend\n", "\nalarmed 0\nend\n");
+    assert_eq!(decode_pipeline(&v2).map(|s| encode_pipeline(&s)), Ok(text));
+    for flags in ["track 1\ntracks -", "track 0\ntracks 3:-"] {
+        let damaged = v2.replacen("track 0\ntracks -", flags, 1);
+        assert!(
+            matches!(
+                decode_pipeline(&damaged),
+                Err(CheckpointError::Malformed { .. })
+            ),
+            "{flags}"
+        );
     }
 }

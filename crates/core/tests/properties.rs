@@ -365,15 +365,12 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
     let sensor = |filter, tracks: Vec<TrackRecord>, raw_history: Vec<(u64, bool)>| SensorSnapshot {
         filter,
         m_ce: MceSnapshot::Built(estimator(40 + raw_history.len() as u64)),
-        track_open: tracks.last().is_some_and(|t| t.closed.is_none()),
-        ever_alarmed: !tracks.is_empty(),
         tracks,
         raw_history,
     };
     PipelineSnapshot {
         global: GlobalSnapshot {
             windows_processed: 1_344,
-            state_history: vec![(3, 2, 2), (4, 3, 2), (1_343, 0, 11)],
             bootstrap_points: vec![vec![1.0, 2.0], vec![-0.5, 5e-324]],
             states: Some(GlobalStates {
                 states: StatesSnapshot {
@@ -465,14 +462,20 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
 /// Digests of [`golden_pipeline_snapshot`] through `encode_pipeline`
 /// and of its sensors through `encode_shard`. `report_pin.rs` pins a
 /// large real snapshot; this one pins the branches a healthy run does
-/// not take. Recorded when layout v2 replaced v1; [`GOLDEN_V1`], the
-/// same snapshot's v1 bytes, decodes to it and re-encodes to these.
-const GOLDEN_DIGESTS: (u64, u64) = (14_284_555_493_552_554_435, 14_405_166_864_770_547_563);
+/// not take. Recorded when layout v3 replaced v2; [`GOLDEN_V1`] and
+/// [`GOLDEN_V2`], the same snapshot's older bytes, decode to it and
+/// re-encode to these.
+const GOLDEN_DIGESTS: (u64, u64) = (8_364_944_834_249_613_682, 12_823_211_874_686_927_270);
 
 /// [`golden_pipeline_snapshot`] as layout v1 wrote it, byte for byte:
-/// `M_CE` with its **A**, β and previous state, every `counts` line
-/// twice, and the `mc` and `mo` blocks.
+/// what v2 wrote, plus `M_CE`'s **A**, β and previous state, every
+/// `counts` line twice, and the `mc` and `mo` blocks.
 const GOLDEN_V1: &str = include_str!("fixtures/golden_pipeline_v1.txt");
+
+/// [`golden_pipeline_snapshot`] as layout v2 wrote it, byte for byte:
+/// the decisive-window `history` line and each sensor's `track` and
+/// `alarmed` flags on top of what v3 writes.
+const GOLDEN_V2: &str = include_str!("fixtures/golden_pipeline_v2.txt");
 
 #[test]
 fn golden_snapshot_encodes_to_the_recorded_bytes() {
@@ -484,16 +487,15 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
         "the shard section closes the pipeline text"
     );
     for marker in [
-        "\nhistory 3:2:2 4:3:2 1343:0:11\n",
-        "\nbootstrap 2\nbp 3ff0000000000000 4000000000000000\n",
+        "\nwindows 1344\nbootstrap 2\nbp 3ff0000000000000 4000000000000000\n",
         "\nslot 0 7ff8000000000000 7ff0000000000000\n",
         "\nmco-counts 17,0\nwindower ",
         "\nmce 3feb333333333333 17 44\nb ",
         "\nwsensor 65535 1 fff0000000000000\nsensors\n",
         "\nfilter kofn 6 10 1011\n",
         "\nfilter kofn 2 4 -\n",
-        "\ntracks 12:40 1300:-\nraw 11:1 12:1 13:0 1343:1\nalarmed 1\nend\n",
-        "\ntrack 0\ntracks -\nraw -\nalarmed 0\nend\n",
+        "\ncounts 17,0\ntracks 12:40 1300:-\nraw 11:1 12:1 13:0 1343:1\nend\n",
+        "\ncounts 17,0\ntracks -\nraw -\nend\n",
         " 8000000000000000 7 1\n",
     ] {
         assert!(pipeline.contains(marker), "golden snapshot lost {marker:?}");
@@ -509,42 +511,106 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
     assert_eq!(
         (fnv(pipeline.as_bytes()), fnv(shard.as_bytes())),
         GOLDEN_DIGESTS,
-        "checkpoint encoding drifted from layout v2"
+        "checkpoint encoding drifted from layout v3"
     );
 }
 
-/// The one reader still reads v1: the golden v1 text decodes to the
-/// golden snapshot — it loses `M_CE`'s **A** rows, the `mc` and `mo`
-/// blocks, `M_CE`'s β and previous state and the second `counts`
-/// vector, and nothing else — and re-encodes to the v2 golden text.
-#[test]
-fn the_v1_golden_text_reads_as_the_golden_snapshot() {
+/// What v2 wrote beside the state, and v3 drops: lines with these tags.
+const V2_ONLY: [&str; 3] = ["history ", "track ", "alarmed "];
+
+/// `older`, the golden text as an older layout wrote it, decodes to the
+/// golden snapshot and re-encodes to the v3 golden text; so does its
+/// shard section. Line for line, it is that text plus the lines with a
+/// `dropped` tag, with only the lines with a `rewritten` tag changed.
+fn reads_as_the_golden_snapshot(older: &str, dropped: &[&str], rewritten: &[&str]) {
     let snap = golden_pipeline_snapshot();
-    let v2 = encode_pipeline(&snap);
+    let v3 = encode_pipeline(&snap);
     // `Debug`, not `==`: the golden snapshot holds a NaN centroid.
     let debug = |s: &PipelineSnapshot| format!("{s:?}");
+    assert_eq!(decode_pipeline(older).map(|s| debug(&s)), Ok(debug(&snap)));
     assert_eq!(
-        decode_pipeline(GOLDEN_V1).map(|s| debug(&s)),
-        Ok(debug(&snap))
+        decode_pipeline(older).map(|s| encode_pipeline(&s)),
+        Ok(v3.clone())
     );
-    assert_eq!(
-        decode_pipeline(GOLDEN_V1).map(|s| encode_pipeline(&s)),
-        Ok(v2.clone())
-    );
-    let shard_v1 = &GOLDEN_V1[GOLDEN_V1.find("sentinet-checkpoint v1\n").expect("a shard")..];
-    assert_eq!(decode_shard(shard_v1), Ok(snap.sensors.clone()));
-    let dropped = ["a ", "mc ", "mc-row ", "mo ", "mo-row "];
-    let kept: Vec<&str> = GOLDEN_V1
+    let shard = &older[older.find("sentinet-checkpoint v").expect("a shard")..];
+    assert_eq!(decode_shard(shard), Ok(snap.sensors.clone()));
+    let kept: Vec<&str> = older
         .lines()
         .filter(|line| !dropped.iter().any(|tag| line.starts_with(tag)))
         .collect();
-    assert_eq!(kept.len(), v2.lines().count());
-    let rewritten = ["sentinet-", "mce ", "counts ", "mco-counts "];
-    for (v1, v2) in kept.iter().zip(v2.lines()) {
+    assert_eq!(kept.len(), v3.lines().count());
+    for (old, new) in kept.iter().zip(v3.lines()) {
         assert!(
-            *v1 == v2 || rewritten.iter().any(|tag| v1.starts_with(tag)),
-            "v1 `{v1}` became `{v2}`"
+            *old == new || rewritten.iter().any(|tag| old.starts_with(tag)),
+            "`{old}` became `{new}`"
         );
+    }
+}
+
+/// The one reader still reads v1: the golden v1 text loses what v2
+/// dropped — `M_CE`'s **A** rows, the `mc` and `mo` blocks, `M_CE`'s β
+/// and previous state and the second `counts` vector — and what v3
+/// dropped, and nothing else.
+#[test]
+fn the_v1_golden_text_reads_as_the_golden_snapshot() {
+    let dropped = [&["a ", "mc ", "mc-row ", "mo ", "mo-row "][..], &V2_ONLY].concat();
+    let rewritten = ["sentinet-", "mce ", "counts ", "mco-counts "];
+    reads_as_the_golden_snapshot(GOLDEN_V1, &dropped, &rewritten);
+}
+
+/// The one reader still reads v2: the golden v2 text, as the last
+/// binary to write v2 encoded it, loses the `history` line and each
+/// sensor's `track` and `alarmed` flags, and nothing else.
+#[test]
+fn the_v2_golden_text_reads_as_the_golden_snapshot() {
+    reads_as_the_golden_snapshot(GOLDEN_V2, &V2_ONLY, &["sentinet-"]);
+}
+
+/// A `track` or `alarmed` flag in v1 or v2 text copies the tracks: a
+/// track is open, one ever opened. A flag that says otherwise is
+/// malformed at its line, whatever the tracks.
+#[test]
+fn a_v2_flag_other_than_its_tracks_imply_is_malformed() {
+    let older = [GOLDEN_V1, GOLDEN_V2];
+    for text in older {
+        assert!(decode_pipeline(text).is_ok());
+        // Sensor 0 has an open track, 3 none, 65535 a closed one.
+        for (sensor, flag) in [(0, "track 1"), (0, "alarmed 1"), (1, "track 0")]
+            .into_iter()
+            .chain([(1, "alarmed 0"), (2, "track 0"), (2, "alarmed 1")])
+        {
+            let block = text
+                .match_indices("\nsensor ")
+                .nth(sensor)
+                .expect("a sensor")
+                .0;
+            let at = block
+                + text[block..]
+                    .find(&format!("\n{flag}\n"))
+                    .expect("the flag")
+                + 1;
+            let flipped = if flag.ends_with('1') { "0" } else { "1" };
+            let mut damaged = text.to_string();
+            damaged.replace_range(at + flag.len() - 1..at + flag.len(), flipped);
+            let line = text[..at].matches('\n').count() + 1;
+            assert_eq!(
+                malformed_line(decode_pipeline(&damaged)),
+                line,
+                "sensor {sensor}'s `{flag}` flipped"
+            );
+            let shard = &damaged[damaged.find("sentinet-checkpoint v").expect("a shard")..];
+            assert!(matches!(
+                decode_shard(shard),
+                Err(CheckpointError::Malformed { .. })
+            ));
+        }
+    }
+}
+
+fn malformed_line<T: std::fmt::Debug>(outcome: Result<T, CheckpointError>) -> usize {
+    match outcome {
+        Err(CheckpointError::Malformed { line, .. }) => line,
+        other => panic!("expected a malformed-line error, got {other:?}"),
     }
 }
 
@@ -1098,9 +1164,95 @@ fn every_live_snapshot_sizes_its_estimators_to_the_slots() {
     }
 }
 
-/// The v1 text of `shard`'s one sensor, whose `M_CE` is a prior: the
-/// prior written out in full as v1 wrote every `M_CE` — identity **A**,
-/// one-hot **B**, zero counts twice — after `damage` has had its rows.
+/// What a sensor's two flags were before they became reads of its
+/// tracks, from the window outcomes alone: a filtered alarm was ever
+/// raised (`ever_alarmed`), and its last step raised one (a track is
+/// open). After every reading of two faulted fields a seed — the
+/// four error models each, from two onsets — every sensor's tracks say
+/// the same.
+#[test]
+fn a_sensors_flags_are_what_its_tracks_say() {
+    use sentinet_inject::{inject_faults, FaultInjection, FaultModel};
+    use sentinet_sim::{gdi, simulate, DAY_S};
+    let replay = Replay {
+        var: "TRACK_FLAGS_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "a_sensors_flags_are_what_its_tracks_say",
+    };
+    let (mut checked, mut tracked, mut closed) = (0, 0, 0);
+    replay.for_each_seed(6, |seed| {
+        let mut rng = TestRng::new(seed);
+        for field in 0..2u64 {
+            let mut cfg = gdi::month_config();
+            cfg.num_sensors = rng.usize_in(6, 11) as u16;
+            cfg.duration = 3 * DAY_S;
+            let clean = simulate(&cfg, &mut StdRng::seed_from_u64(seed * 2 + field));
+            let models = [
+                FaultModel::DriftToStuck {
+                    target: vec![15.0, 1.0],
+                    drift_duration: DAY_S / 4,
+                },
+                FaultModel::Calibration {
+                    gain: vec![1.15, 1.15],
+                },
+                FaultModel::Additive {
+                    offset: vec![-9.0, -4.5],
+                },
+                FaultModel::RandomNoise {
+                    std: vec![10.0, 10.0],
+                },
+            ];
+            let faults: Vec<FaultInjection> = (models.into_iter().enumerate())
+                .map(|(i, model)| {
+                    let onset = rng.usize_in(1, 60) as u64 * 3_600;
+                    FaultInjection::from_onset(SensorId(i as u16 + 1), model, onset)
+                })
+                .collect();
+            let trace = inject_faults(
+                &clean,
+                &faults,
+                &cfg.ranges,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let mut p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
+            let (mut alarmed, mut up_at) = (Vec::new(), BTreeMap::new());
+            for (time, sensor, reading) in trace.delivered() {
+                for outcome in p.push_reading(time, sensor, reading) {
+                    alarmed.extend(&outcome.filtered_alarms);
+                    up_at.insert(outcome.index, outcome.filtered_alarms);
+                }
+                for id in p.sensor_ids() {
+                    let last_step = p.raw_alarm_history(id).and_then(|h| h.last());
+                    let raised = |w: &u64| up_at.get(w).is_some_and(|up| up.contains(&id));
+                    let up = last_step.is_some_and(|(w, _)| raised(w));
+                    let tracks = p.tracks(id).unwrap_or_default();
+                    let open = tracks.last().is_some_and(|t| t.closed.is_none());
+                    if (alarmed.contains(&id), up) != (p.ever_alarmed(id), open) {
+                        return Err(format!(
+                            "field {field}, {id} at {time}: flags other than its tracks say"
+                        ));
+                    }
+                    checked += 1;
+                    tracked += usize::from(!tracks.is_empty());
+                    closed += usize::from(tracks.iter().any(|t| t.closed.is_some()));
+                }
+            }
+        }
+        Ok(())
+    });
+    if replay.seed_from_env().is_none() {
+        assert!(
+            tracked > 1_000 && closed > 100,
+            "{checked} checked, {tracked} with tracks, {closed} with a closed one"
+        );
+    }
+}
+
+/// The v1 text of `shard`'s one sensor, whose `M_CE` is a prior and
+/// who never opened a track: the prior written out in full as v1 wrote
+/// every `M_CE` — identity **A**, one-hot **B**, zero counts twice —
+/// after `damage` has had its rows, and both flags down.
 fn v1_prior_text(
     shard: &str,
     beta: f64,
@@ -1138,8 +1290,10 @@ fn v1_prior_text(
     let zeros = vec!["0"; n].join(",");
     block.push_str(&format!("counts {zeros} {zeros}"));
     shard
-        .replace("sentinet-checkpoint v2", "sentinet-checkpoint v1")
+        .replace("sentinet-checkpoint v3", "sentinet-checkpoint v1")
         .replace(line, &block)
+        .replace("\ntracks -\n", "\ntrack 0\ntracks -\n")
+        .replace("\nend", "\nalarmed 0\nend")
 }
 
 /// An unbuilt `M_CE` is checkpointed as one `prior` line, survives a
@@ -1184,7 +1338,7 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
 
         let exact = v1_prior_text(&text, config.beta, |_, _| {});
         match decode_shard(&exact).map(|s| encode_shard(&s)) {
-            Ok(v2) if v2 == text => {}
+            Ok(v3) if v3 == text => {}
             other => return Err(format!("the exact v1 prior reads as {other:?}")),
         }
         let row = rng.usize_in(0, slots);

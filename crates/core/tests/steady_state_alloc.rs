@@ -256,7 +256,9 @@ fn a_spawn_grows_each_sensor_in_place() {
         let mut sensors = disagreeing_sensors(SENSORS, slots, 6);
         let snapshots = sensors.snapshots();
         assert!(
-            snapshots.iter().all(|(_, s)| s.track_open),
+            snapshots
+                .iter()
+                .all(|(_, s)| s.tracks.last().is_some_and(|t| t.closed.is_none())),
             "every sensor must have opened a track, or this counts priors"
         );
         let (n, ()) = allocations(|| {

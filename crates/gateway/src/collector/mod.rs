@@ -648,9 +648,10 @@ impl Collector {
             collector.replay(&records, run);
             if let Some(ck) = checkpoint.as_ref().filter(|ck| ck.cursor == end) {
                 let now = encode_collector(&collector.snapshot());
-                // An older binary's (layout v1) matches once re-encoded.
-                let v1 = || ck.snapshot().is_ok_and(|s| encode_collector(&s) == now);
-                if now != ck.body() && !v1() {
+                // An older binary's (layout v1 or v2) matches once
+                // re-encoded.
+                let older = || ck.snapshot().is_ok_and(|s| encode_collector(&s) == now);
+                if now != ck.body() && !older() {
                     return Err(GatewayError::CheckpointMismatch { cursor: ck.cursor });
                 }
                 verified_cursor = Some(ck.cursor);

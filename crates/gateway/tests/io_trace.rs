@@ -303,9 +303,10 @@ fn v1_crash_after_aborts_at_the_exact_append() {
 
 // Recorded at the parent of the fold (commit bcd44bd) by running this
 // file there unchanged. The hashes were re-recorded when checkpoint
-// layout v2 replaced v1, which changes every checkpoint write's bytes
-// and nothing else: each v1 checkpoint, read back by the v2 reader,
-// re-encodes to the v2 one, and the four counts did not move.
-const V1_BATCH8: Digest = (163, 22, 8, 11, 1_624_369_125_885_954_442);
-const V1_ALWAYS: Digest = (249, 108, 8, 11, 14_499_964_868_659_376_065);
-const SIDECARS: Digest = (155, 4, 6, 7, 17_991_092_476_924_784_849);
+// layouts v2 and then v3 replaced the one before, which changes every
+// checkpoint write's bytes and nothing else: each older checkpoint,
+// read back by the newer reader, re-encodes to the newer one, and the
+// four counts did not move.
+const V1_BATCH8: Digest = (163, 22, 8, 11, 2_391_016_079_275_933_173);
+const V1_ALWAYS: Digest = (249, 108, 8, 11, 15_652_429_058_404_113_260);
+const SIDECARS: Digest = (155, 4, 6, 7, 13_058_417_531_494_796_040);

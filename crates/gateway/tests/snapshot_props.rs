@@ -284,9 +284,10 @@ fn driven_pipeline(filter: FilterPolicy, ticks: u64) -> Pipeline {
 /// Digests of [`golden_snapshot`]'s encoding with one silent sensor and
 /// with none, recorded by running this test at parent commit 584aad4 —
 /// before the encoder stopped building a `String` per line and per
-/// float — and re-recorded when checkpoint layout v2 replaced v1 (the
-/// v1 texts, read back by the v2 reader, re-encode to these).
-const GOLDEN_DIGESTS: (u64, u64) = (499_761_728_072_759_372, 5_405_658_186_346_978_589);
+/// float — and re-recorded when checkpoint layouts v2 and then v3
+/// replaced the one before (the older texts, read back by the newer
+/// reader, re-encode to these).
+const GOLDEN_DIGESTS: (u64, u64) = (10_925_331_079_193_120_758, 12_760_854_422_440_088_347);
 
 /// A fixed snapshot that takes every branch of the collector encoder:
 /// no watermark (`reorder -`), non-finite and signed-zero floats in the

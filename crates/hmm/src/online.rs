@@ -25,7 +25,6 @@
 //! `M_CE` is built without one.
 
 use crate::error::{HmmError, Result};
-use crate::hmm::Hmm;
 use crate::markov::{learning_factor, MarkovChain, MarkovState, OnlineMarkovEstimator};
 use crate::matrix::StochasticMatrix;
 
@@ -212,15 +211,6 @@ impl OnlineHmmEstimator {
                 .map(|&v| v as f64 / total as f64)
                 .collect()
         }
-    }
-
-    /// Builds a full [`Hmm`] snapshot from the current estimates, using
-    /// the empirical occupancy as the initial distribution; `None`
-    /// without a chain, which has no **A**.
-    pub fn to_hmm(&self) -> Option<Hmm> {
-        let a = self.transition()?.clone();
-        // sentinet-allow(expect-used): A and B share the hidden states, their rows stay stochastic and the occupancy is a distribution
-        Some(Hmm::new(a, self.b.clone(), self.occupancy()).expect("a valid model"))
     }
 
     /// Captures the complete estimator state as plain data for
@@ -422,15 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn to_hmm_is_valid_model() {
-        let mut est = OnlineHmmEstimator::new(2, 2, 0.9, 0.9).unwrap();
-        est.observe(0, 0).unwrap();
-        est.observe(1, 1).unwrap();
-        let hmm = est.to_hmm().unwrap();
-        assert!(hmm.log_likelihood(&[0, 1]).is_ok());
-    }
-
-    #[test]
     fn out_of_range_rejected() {
         let mut est = OnlineHmmEstimator::new(2, 2, 0.9, 0.9).unwrap();
         assert!(matches!(
@@ -500,7 +481,6 @@ mod tests {
         assert_eq!(plain.export_state(), want);
         assert_eq!(plain.transition(), None);
         assert_eq!(plain.markov_chain(), None);
-        assert!(plain.to_hmm().is_none());
         let restored = OnlineHmmEstimator::import_state(plain.export_state()).unwrap();
         assert_eq!(restored, plain);
     }

@@ -155,11 +155,11 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
     ),
     ("core/src/pipeline.rs", &["push_values", "analyze_window"]),
     // `M_CE`'s one-time build at a sensor's first track allocates: it
-    // is `Prior::build`'s, unregistered.
+    // is `IdentityPrior::build`'s, unregistered.
     ("core/src/runtime.rs", &["step", "step_sensor", "grow"]),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
-    // Every `M_CO`/`M_CE` step runs the Markov half's update.
+    // `M_CO`'s steps run the Markov half's update; `M_CE` has none.
     ("hmm/src/markov.rs", &["observe"]),
     // The WAL's per-reading write path: where an extent's frames are
     // cut, and the two encoders that fill them — and the per-reading
