@@ -105,12 +105,6 @@ pub struct FederateArgs {
     pub split: Option<(usize, u16, usize)>,
     /// `--rebalance P@N`: partition, readings routed first.
     pub rebalance: Option<(usize, usize)>,
-    /// Run the seeded in-process nemesis campaign instead of the trace.
-    pub nemesis_seed: Option<u64>,
-    /// Run the live-migration schedule inside every nemesis episode.
-    pub nemesis_migration: bool,
-    /// Episodes per nemesis campaign.
-    pub episodes: u32,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
 }
@@ -304,8 +298,8 @@ trait Args: Sized + 'static {
     /// The defaults, around the operand (empty when it takes none).
     fn new(operand: String) -> Self;
 
-    /// Cross-flag checks, given the flags that were seen.
-    fn check(&mut self, _seen: &[&str]) -> Set {
+    /// Cross-flag checks, once every flag has landed.
+    fn check(&mut self) -> Set {
         Ok(())
     }
 }
@@ -464,13 +458,6 @@ impl Args for FederateArgs {
             positive(v, &mut a.process.batch_size)
         }),
         Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
-        Flag::new("--nemesis-seed", "S", |a, v| {
-            num(v, a.nemesis_seed.insert(0))
-        }),
-        Flag::new("--episodes", "N", |a, v| positive(v, &mut a.episodes)),
-        Flag::new("--nemesis-migration", "", |a, _| {
-            on(&mut a.nemesis_migration)
-        }),
     ];
 
     fn new(input: String) -> Self {
@@ -491,14 +478,11 @@ impl Args for FederateArgs {
             federation: FederationConfig::default(),
             split: None,
             rebalance: None,
-            nemesis_seed: None,
-            nemesis_migration: false,
-            episodes: 50,
             quiet: false,
         }
     }
 
-    fn check(&mut self, seen: &[&str]) -> Set {
+    fn check(&mut self) -> Set {
         let partitions = self.partitions;
         let in_range = |flag: &str, p: usize, limit: usize| {
             if p < limit {
@@ -520,14 +504,6 @@ impl Args for FederateArgs {
                 p,
                 partitions + usize::from(self.split.is_some()),
             )?;
-        }
-        if self.nemesis_seed.is_none() {
-            if let Some(flag) = ["--nemesis-migration", "--episodes"]
-                .iter()
-                .find(|flag| seen.contains(flag))
-            {
-                return Err(format!("{flag} needs --nemesis-seed"));
-            }
         }
         // The children serve under exactly the collector configuration
         // the merge replays their logs with.
@@ -581,7 +557,7 @@ fn parse_as<T: Args>(it: &mut dyn Iterator<Item = &str>) -> Result<Command, Pars
     if let Some((_, shape)) = T::SHARED {
         check_shape(shape(&mut target))?;
     }
-    target.check(&seen)?;
+    target.check()?;
     Ok(T::COMMAND(target))
 }
 
@@ -709,17 +685,6 @@ FEDERATION (federate):
   partition the same way once P has routed N readings; P may name the
   partition a --split creates (id = --partitions). Ingest never stops;
   a crash mid-handoff rolls the migration back or forward, never both.
-  --nemesis-seed S skips the trace entirely and runs the seeded
-  in-process nemesis campaign instead: --episodes N randomized
-  episodes (default 50) composing network, process and disk faults
-  against the full federation stack, checking that no acked reading
-  is lost, the fleet diagnosis stays byte-identical to an
-  uninterrupted baseline, and fencing keeps a single writer per
-  partition. Exit status 3 reports an invariant violation.
-  --nemesis-migration additionally runs a live split and a
-  rebalance-back inside every episode, so the fault plan lands on the
-  handoff ladder itself, and probes fenced former owners of migrated
-  ranges to prove the cut cannot resurrect.
   serve --epoch N starts the collector fenced at owner epoch N: the
   fence token persists beside the WAL, a stale restart fail-stops,
   and a client announcing a newer epoch turns the running collector
@@ -1080,8 +1045,6 @@ mod tests {
                 assert_eq!(a.process.replay.wal.fsync.to_string(), "batch:64");
                 assert_eq!(a.federation.silence_deadline, 3600);
                 assert_eq!(a.process.kills, vec![]);
-                assert_eq!(a.nemesis_seed, None);
-                assert_eq!(a.episodes, 50);
                 assert_eq!(a.federation.handoff_attempts, 4);
                 assert_eq!(a.process.uplink.jitter_pct, 50);
             }
@@ -1240,46 +1203,6 @@ mod tests {
     }
 
     #[test]
-    fn federate_nemesis_flags() {
-        match parse([
-            "federate",
-            "t.csv",
-            "--wal-root",
-            "w",
-            "--nemesis-seed",
-            "42",
-            "--episodes",
-            "200",
-            "--nemesis-migration",
-        ])
-        .unwrap()
-        {
-            Command::Federate(a) => {
-                assert_eq!(a.nemesis_seed, Some(42));
-                assert_eq!(a.episodes, 200);
-                assert!(a.nemesis_migration);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(
-            parse(["federate", "t.csv", "--wal-root", "w", "--episodes", "0"])
-                .unwrap_err()
-                .to_string()
-                .contains("episodes")
-        );
-        assert!(parse([
-            "federate",
-            "t.csv",
-            "--wal-root",
-            "w",
-            "--nemesis-migration"
-        ])
-        .unwrap_err()
-        .to_string()
-        .contains("--nemesis-seed"));
-    }
-
-    #[test]
     fn federate_validation_is_descriptive() {
         assert!(parse(["federate"])
             .unwrap_err()
@@ -1366,18 +1289,6 @@ mod tests {
         assert!(e.to_string().contains("unknown command"));
         let e = parse(["analyze", "x", "--trim", "0.9"]).unwrap_err();
         assert!(e.to_string().contains("trim"));
-    }
-
-    #[test]
-    fn nemesis_only_flags_need_the_seed() {
-        for flag in [&["--episodes", "9"][..], &["--nemesis-migration"]] {
-            let mut args = vec!["federate", "t.csv", "--wal-root", "w"];
-            args.extend(flag);
-            let e = parse(args.iter().copied()).unwrap_err();
-            assert_eq!(e, format!("{} needs --nemesis-seed", flag[0]));
-            args.extend(["--nemesis-seed", "1"]);
-            parse(args).unwrap();
-        }
     }
 
     #[test]
@@ -1593,11 +1504,20 @@ mod tests {
 
     /// `help` names exactly the flags the hand-written synopsis named,
     /// metavars included, plus `replay-wal`'s `--silence-deadline` and
-    /// less the sharded engine's flags — and both agree with the tables.
+    /// less the sharded engine's flags and `federate`'s nemesis flags
+    /// (the campaign runs from `xtask nemesis`) — and both agree with
+    /// the tables.
     #[test]
     fn table_synopsis_names_the_parents_flags() {
         let mut expected = synopsis_flags(HAND_WRITTEN_SYNOPSIS);
-        let gone = ["--shards", "--chaos-seed", "--max-shard-restarts"];
+        let gone = [
+            "--shards",
+            "--chaos-seed",
+            "--max-shard-restarts",
+            "--nemesis-seed",
+            "--episodes",
+            "--nemesis-migration",
+        ];
         for (_, flags) in &mut expected {
             flags.retain(|(name, _)| !gone.contains(&name.as_str()));
         }

@@ -14,15 +14,14 @@
 //!   from the log alone;
 //! - `sentinet federate trace.csv --wal-root r` partitions the sensors
 //!   over several `serve` children behind a controller that fails a
-//!   dead one over to a standby, and prints the merged fleet diagnosis
-//!   (or runs a seeded nemesis campaign against an in-process fleet).
+//!   dead one over to a standby, and prints the merged fleet diagnosis.
 
 mod args;
 
 use args::{AnalyzeArgs, Command, FederateArgs, ReplayWalArgs, ServeArgs, SimulateArgs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_controller::{run_campaign, Federation, NemesisConfig, PartitionMap, ProcessBackend};
+use sentinet_controller::{Federation, PartitionMap, ProcessBackend};
 use sentinet_core::{Pipeline, PipelineReport, RecoveryPlan};
 use sentinet_gateway::{Collector, GatewayReport, Server};
 use sentinet_inject::{inject_attacks, inject_faults, AttackInjection, FaultInjection};
@@ -246,24 +245,6 @@ fn run_serve(a: ServeArgs) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run_federate(mut a: FederateArgs) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(seed) = a.nemesis_seed {
-        // Nemesis mode ignores the trace: every episode generates its
-        // own deterministic stream and fault plan from the seed.
-        let mut config = NemesisConfig::new(seed, a.episodes, &a.process.wal_root);
-        if a.nemesis_migration {
-            config = config.with_migration();
-        }
-        match run_campaign(&config) {
-            Ok(summary) => {
-                eprintln!("nemesis: {summary}");
-                return Ok(());
-            }
-            Err(failure) => {
-                eprintln!("nemesis: {failure}");
-                std::process::exit(3);
-            }
-        }
-    }
     let file = File::open(&a.input)?;
     let (trace, ingest) = read_trace_sanitized(BufReader::new(file))?;
     if !ingest.is_clean() {

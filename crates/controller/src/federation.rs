@@ -27,8 +27,8 @@
 //!   counted, never silently dropped.
 
 use crate::partition::{PartitionHealth, PartitionId, PartitionMap, SensorRange};
-use crate::report::{FederationEvent, FleetReport, PartitionStatus};
-use sentinet_gateway::{Collector, ReportCounters, UplinkStats};
+use crate::report::{FederationEvent, FleetReport, PartitionStatus, ReportCounters};
+use sentinet_gateway::{Collector, UplinkStats};
 use sentinet_gateway::{GatewayConfig, GatewayReport, RecoveryInfo};
 use sentinet_sim::{SensorId, Timestamp};
 use std::collections::BTreeMap;
@@ -99,11 +99,6 @@ pub trait PartitionLink {
     fn stats(&self) -> UplinkStats {
         UplinkStats::default()
     }
-
-    /// One liveness/pre-warm probe: the owner's committed fence epoch
-    /// and last checkpointed WAL cursor, or `None` when the owner is
-    /// unreachable (a missed beat, never an error).
-    fn heartbeat(&mut self) -> Option<(u64, u64)>;
 
     /// Source half of a live range migration (`MigrateOffer` →
     /// `MigrateAccept` on the wire): the owner durably retires
@@ -180,11 +175,6 @@ pub trait PartitionBackend {
     ///
     /// [`BackendError`] when the replay fails.
     fn merge_report(&mut self, p: PartitionId) -> Result<GatewayReport, BackendError>;
-
-    /// A heartbeat advertised `checkpoint_cursor` for `p`: stage the
-    /// owner's latest checkpoint snapshot so a standby can adopt warm
-    /// instead of cold. Default: no staging (adoption stays cold).
-    fn prewarm(&mut self, _p: PartitionId, _checkpoint_cursor: u64) {}
 }
 
 /// First handoff retry delay; each further retry doubles it, up to
@@ -212,11 +202,6 @@ pub struct FederationConfig {
     /// values let a single torn connection or delay spike heal in
     /// place — the recovery is counted as a flap, not a failover.
     pub suspect_after: u32,
-    /// Drive the link's heartbeat channel every N routed readings per
-    /// partition (0 disables). Each answered beat hands the owner's
-    /// checkpoint cursor to [`PartitionBackend::prewarm`] so standbys
-    /// stage the latest snapshot before any failover needs it.
-    pub heartbeat_every: usize,
     /// Attempts at each handoff step (a standby start, a migration cut
     /// or adopt) before the partition orphans or the migration aborts.
     pub handoff_attempts: u32,
@@ -228,7 +213,6 @@ impl Default for FederationConfig {
             silence_deadline: 3600,
             flush_every: 32,
             suspect_after: 1,
-            heartbeat_every: 0,
             handoff_attempts: 4,
         }
     }
@@ -389,8 +373,6 @@ struct PartitionState<L> {
     /// Miss streaks that healed in place before reaching the
     /// threshold (suspicion hysteresis absorbed them).
     flaps: u32,
-    /// Routed readings since the last heartbeat probe.
-    since_heartbeat: usize,
     orphan_nacks: u64,
     failovers: u32,
     redelivered: u64,
@@ -411,7 +393,6 @@ impl<L: PartitionLink> PartitionState<L> {
             strikes: 0,
             miss_streak: 0,
             flaps: 0,
-            since_heartbeat: 0,
             orphan_nacks: 0,
             failovers: 0,
             redelivered: 0,
@@ -558,10 +539,7 @@ impl<B: PartitionBackend> Federation<B> {
         match self.map.health(p) {
             PartitionHealth::Ok => match self.drive(p) {
                 Err(reason) => self.miss(p, reason),
-                Ok(()) => {
-                    self.states[p].heal();
-                    self.heartbeat(p);
-                }
+                Ok(()) => self.states[p].heal(),
             },
             PartitionHealth::Orphaned => self.states[p].orphan_nacks += 1,
             // Suspect readings buffer; Dead/HandingOff never outlive
@@ -712,28 +690,6 @@ impl<B: PartitionBackend> Federation<B> {
         if state.miss_streak >= threshold {
             state.miss_streak = 0;
             self.suspect(p, reason);
-        }
-    }
-
-    /// Drives the heartbeat cadence for `p`: every
-    /// [`FederationConfig::heartbeat_every`] routed readings, probe
-    /// the link and stage the advertised checkpoint cursor with the
-    /// backend so standbys pre-warm before any failover needs them.
-    fn heartbeat(&mut self, p: PartitionId) {
-        let every = self.config.heartbeat_every;
-        if every == 0 {
-            return;
-        }
-        let state = &mut self.states[p];
-        state.since_heartbeat += 1;
-        if state.since_heartbeat < every {
-            return;
-        }
-        state.since_heartbeat = 0;
-        if let Some(link) = state.link.as_mut() {
-            if let Some((_epoch, cursor)) = link.heartbeat() {
-                self.backend.prewarm(p, cursor);
-            }
         }
     }
 

@@ -37,7 +37,7 @@ use crate::federation::{
 use crate::partition::PartitionId;
 use sentinet_gateway::{
     decode_collector, encode_collector, Collector, CutCheck, DeliverOutcome, FaultPlan, FaultyVfs,
-    FenceCheck, GatewayConfig, RecoveryInfo, Vfs, CHECKPOINT_FILE,
+    FenceCheck, GatewayConfig, RecoveryInfo,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::path::PathBuf;
@@ -69,8 +69,6 @@ pub struct InProcessBackend {
     cut: CutCheck,
     pipelined: bool,
     zombies: Option<Arc<Mutex<Vec<Zombie>>>>,
-    /// Checkpoint images staged by heartbeat-driven `prewarm` calls.
-    prewarm_cache: Vec<Option<Vec<u8>>>,
     recoveries: Vec<Option<RecoveryInfo>>,
 }
 
@@ -96,7 +94,6 @@ impl InProcessBackend {
             cut: CutCheck::Enforced,
             pipelined: false,
             zombies: None,
-            prewarm_cache: (0..partitions).map(|_| None).collect(),
             recoveries: (0..partitions).map(|_| None).collect(),
         }
     }
@@ -140,7 +137,7 @@ impl InProcessBackend {
 
     /// The [`RecoveryInfo`] of the most recent `start` for `p` —
     /// drills assert an adoption actually restored from a checkpoint
-    /// snapshot (and, with heartbeats on, that it adopted pre-warmed).
+    /// snapshot.
     pub fn recovery(&self, p: PartitionId) -> Option<&RecoveryInfo> {
         self.recoveries.get(p).and_then(Option::as_ref)
     }
@@ -375,15 +372,6 @@ impl PartitionLink for InProcessLink {
         Ok(())
     }
 
-    fn heartbeat(&mut self) -> Option<(u64, u64)> {
-        if self.wedged {
-            return None;
-        }
-        self.collector
-            .as_ref()
-            .map(|c| (c.epoch(), c.checkpoint_cursor()))
-    }
-
     fn migrate_cut(&mut self, start: u16, end: u16) -> Result<(u64, Vec<u8>), LinkDown> {
         // Drills and shaping windows apply to migration steps exactly
         // as to sends: a kill armed between two sends lands here, a
@@ -433,10 +421,9 @@ impl PartitionBackend for InProcessBackend {
             self.standbys -= 1;
         }
         // Migration-created partitions arrive with ids past the
-        // initial layout; grow the per-partition caches to match.
-        while self.prewarm_cache.len() <= p {
-            self.prewarm_cache.push(None);
-            self.recoveries.push(None);
+        // initial layout; grow the recovery list to match.
+        if self.recoveries.len() <= p {
+            self.recoveries.resize(p + 1, None);
         }
         // The first process fault fires, every window opens, and the
         // disk specs, in plan order, are one storage plan.
@@ -456,13 +443,7 @@ impl PartitionBackend for InProcessBackend {
         config.epoch = epoch;
         config.fence = self.fence;
         config.cut = self.cut;
-        let prewarm = if epoch > 1 {
-            self.prewarm_cache[p].clone()
-        } else {
-            None
-        };
-        let (collector, info) = Collector::open_prewarmed(config, prewarm.as_deref())
-            .map_err(|e| BackendError(e.to_string()))?;
+        let (collector, info) = Collector::open(config).map_err(|e| BackendError(e.to_string()))?;
         self.recoveries[p] = Some(info);
         Ok(InProcessLink {
             collector: Some(collector),
@@ -517,19 +498,5 @@ impl PartitionBackend for InProcessBackend {
     ) -> Result<sentinet_gateway::GatewayReport, BackendError> {
         let dir = self.partition_dir(p);
         replay_report(&self.template, &dir).map(|(report, _)| report)
-    }
-
-    fn prewarm(&mut self, p: PartitionId, checkpoint_cursor: u64) {
-        if checkpoint_cursor == 0 {
-            return;
-        }
-        while self.prewarm_cache.len() <= p {
-            self.prewarm_cache.push(None);
-            self.recoveries.push(None);
-        }
-        let path = self.partition_dir(p).join(CHECKPOINT_FILE);
-        if let Ok(bytes) = sentinet_gateway::RealVfs.read(&path) {
-            self.prewarm_cache[p] = Some(bytes);
-        }
     }
 }

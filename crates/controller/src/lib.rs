@@ -54,4 +54,4 @@ pub use inproc::{InProcessBackend, InProcessLink, Zombie};
 pub use nemesis::{run_campaign, CampaignSummary, NemesisConfig, NemesisFailure, NemesisViolation};
 pub use partition::{PartitionHealth, PartitionId, PartitionMap, PartitionMapError, SensorRange};
 pub use process::{ProcessBackend, ProcessConfig, ProcessLink, WireProtocol};
-pub use report::{FederationEvent, FleetReport, PartitionStatus};
+pub use report::{FederationEvent, FleetReport, PartitionStatus, ReportCounters};

@@ -223,8 +223,6 @@ pub struct CampaignSummary {
     pub zombie_probes: u64,
     /// Zombie appends rejected with [`RejectCause::Fenced`].
     pub fence_probe_rejects: u64,
-    /// Adoptions that started from a pre-warmed checkpoint image.
-    pub prewarmed_adoptions: u64,
     /// Live migrations completed across all episodes.
     pub migrations: u64,
     /// Fenced old owners poked with a migrated-range sensor — the
@@ -240,7 +238,7 @@ impl fmt::Display for CampaignSummary {
             f,
             "{} episode(s): {} process / {} net / {} disk fault(s) ({} disk episode(s), \
              {} pipelined), {} failover(s), {} flap(s), {} zombie probe(s) \
-             ({} fence-rejected), {} pre-warmed adoption(s), {} migration(s), \
+             ({} fence-rejected), {} migration(s), \
              {} cut probe(s) ({} fence-rejected)",
             self.episodes,
             self.process_faults,
@@ -252,7 +250,6 @@ impl fmt::Display for CampaignSummary {
             self.flaps,
             self.zombie_probes,
             self.fence_probe_rejects,
-            self.prewarmed_adoptions,
             self.migrations,
             self.cut_probes,
             self.cut_probe_rejects
@@ -286,8 +283,8 @@ fn stream(sensors: u16, ticks: u64) -> Vec<(SensorId, u64, Vec<f64>)> {
     out
 }
 
-/// Gateway template: checkpoint every 8 records so adoptions and
-/// pre-warm caches genuinely exercise the snapshot path.
+/// Gateway template: checkpoint every 8 records so adoptions
+/// genuinely exercise the snapshot path.
 fn template() -> GatewayConfig {
     let mut config = GatewayConfig::new("overwritten-per-partition");
     config.checkpoint_every = 8;
@@ -556,7 +553,6 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
 
         let fed_config = FederationConfig {
             suspect_after: SUSPECT_AFTER,
-            heartbeat_every: 8,
             ..FederationConfig::default()
         };
         let mut fed = Federation::new(map, fed_config, backend)
@@ -565,11 +561,6 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
         for (sensor, time, values) in stream(config.sensors, config.ticks) {
             fed.route(sensor, time, &values)
                 .map_err(|e| fail(episode, ep_seed, NemesisViolation::Error(e.to_string())))?;
-        }
-        for p in 0..config.partitions {
-            if fed.backend().recovery(p).is_some_and(|r| r.prewarmed) {
-                summary.prewarmed_adoptions += 1;
-            }
         }
         let mut fleet = fed
             .finish()

@@ -10,8 +10,8 @@ use crate::federation::{
 };
 use crate::partition::PartitionId;
 use sentinet_gateway::{
-    probe_heartbeat, probe_migrate_adopt, probe_migrate_cut, probe_migrate_done, GatewayConfig,
-    GatewayReport, PipelinedConfig, PipelinedUplink, SensorUplink, UplinkConfig, UplinkStats,
+    probe_migrate_adopt, probe_migrate_cut, probe_migrate_done, GatewayConfig, GatewayReport,
+    PipelinedConfig, PipelinedUplink, SensorUplink, UplinkConfig, UplinkStats,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::io::{BufRead, BufReader};
@@ -87,7 +87,6 @@ pub struct ProcessLink {
     _stdout: BufReader<ChildStdout>,
     uplink: ChildUplink,
     addr: String,
-    epoch: u64,
     ack_timeout: std::time::Duration,
     kill_after: Option<u64>,
     handed: u64,
@@ -144,20 +143,14 @@ impl PartitionLink for ProcessLink {
         }
     }
 
-    fn heartbeat(&mut self) -> Option<(u64, u64)> {
-        // A dedicated probe connection: the v2 uplink's data socket may
-        // be mid-batch, and the v1 socket is request/response framed,
-        // so the heartbeat never rides the data path.
-        probe_heartbeat(&self.addr, self.epoch, self.ack_timeout)
-    }
-
     fn migrate_cut(&mut self, start: u16, end: u16) -> Result<(u64, Vec<u8>), LinkDown> {
         // A kill coordinate reached between two sends lands on the cut
         // — the kill-source-mid-handoff drill.
         self.hand_step();
-        // Like the heartbeat, migration steps ride dedicated probe
-        // connections: the data socket may be mid-batch, and a dead
-        // child simply times the probe out.
+        // Migration steps ride dedicated probe connections: the v2
+        // uplink's data socket may be mid-batch, the v1 socket is
+        // request/response framed, and a dead child simply times the
+        // probe out.
         probe_migrate_cut(&self.addr, start, end, self.ack_timeout)
             .ok_or_else(|| LinkDown("migrate cut probe got no durable answer".into()))
     }
@@ -266,7 +259,6 @@ impl PartitionBackend for ProcessBackend {
             _stdout: stdout,
             uplink,
             addr,
-            epoch,
             ack_timeout,
             kill_after,
             handed: 0,

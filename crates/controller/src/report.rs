@@ -8,7 +8,7 @@
 //! and merged wire counters — facts about *this* run, not the data.
 
 use crate::partition::{PartitionHealth, PartitionId, SensorRange};
-use sentinet_gateway::{GatewayReport, ReportCounters};
+use sentinet_gateway::GatewayReport;
 use sentinet_sim::Timestamp;
 use std::fmt;
 
@@ -198,13 +198,156 @@ pub struct PartitionStatus {
     pub report: GatewayReport,
 }
 
+/// The mergeable accounting of one gateway run.
+///
+/// Everything here is additive across collectors (the `poisoned` flag
+/// merges as a count: how many collectors reported a poisoned WAL), so
+/// a fleet-wide roll-up is `merge` over the parts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReportCounters {
+    /// Readings admitted through the full path.
+    pub accepted: u64,
+    /// Sanitizer rejections.
+    pub sanitizer_rejects: u64,
+    /// Transport-level duplicates absorbed.
+    pub duplicates: u64,
+    /// Readings refused as late by the reorder buffer.
+    pub late: u64,
+    /// Readings shed by bounded reorder occupancy.
+    pub shed: u64,
+    /// Readings NACKed on an exhausted WAL budget.
+    pub budget_shed: u64,
+    /// Readings NACKed while the WAL was poisoned.
+    pub storage_rejects: u64,
+    /// Checkpoint writes that failed.
+    pub checkpoint_failures: u64,
+    /// Reclaims whose deletion failed.
+    pub reclaim_failures: u64,
+    /// WAL segments reclaimed by retention.
+    pub reclaimed_segments: u64,
+    /// Collectors whose WAL ended the run poisoned.
+    pub poisoned: u64,
+    /// Sensors silent at end of run.
+    pub silent_sensors: u64,
+    /// Silence episodes over the whole run.
+    pub silence_episodes: u64,
+    /// Uplink frames written, retransmissions included.
+    pub frames_sent: u64,
+    /// Uplink frames re-sent.
+    pub retransmits: u64,
+    /// Uplink ack waits that hit the deadline.
+    pub timeouts: u64,
+    /// NACKs the uplink received.
+    pub nacks: u64,
+    /// Uplink reconnections after a failure.
+    pub reconnects: u64,
+    /// Uplink frames/batches fully acknowledged.
+    pub uplink_acked: u64,
+    /// Deliveries NACKed by epoch fencing — a stale owner fail-stopped
+    /// instead of racing its successor.
+    pub fence_rejects: u64,
+    /// Suspect streaks that recovered before the hysteresis threshold
+    /// — transient link blips that did *not* trigger fencing churn.
+    /// Counted by the federation tier.
+    pub flaps: u64,
+    /// Live range migrations the controller began.
+    pub migrations_started: u64,
+    /// Migrations that committed the new owner.
+    pub migrations_completed: u64,
+    /// Migrations rolled back before the cut committed.
+    pub migrations_aborted: u64,
+}
+
+impl ReportCounters {
+    /// Extracts the mergeable counters of one finished run; the
+    /// federation-tier counters start at zero.
+    pub fn from_report(report: &GatewayReport) -> Self {
+        let uplink = report.uplink.unwrap_or_default();
+        Self {
+            accepted: report.ingest.accepted as u64,
+            sanitizer_rejects: report.ingest.rejected.len() as u64,
+            duplicates: report.ingest.duplicates as u64,
+            late: report.ingest.late as u64,
+            shed: report.ingest.shed as u64,
+            budget_shed: report.storage.budget_shed as u64,
+            storage_rejects: report.storage.storage_rejects as u64,
+            checkpoint_failures: report.storage.checkpoint_failures as u64,
+            reclaim_failures: report.storage.reclaim_failures as u64,
+            reclaimed_segments: report.storage.reclaimed_segments as u64,
+            poisoned: u64::from(report.storage.error.is_some()),
+            silent_sensors: report.liveness.silent.len() as u64,
+            silence_episodes: report.liveness.episodes as u64,
+            frames_sent: uplink.frames_sent,
+            retransmits: uplink.retransmits,
+            timeouts: uplink.timeouts,
+            nacks: uplink.nacks,
+            reconnects: uplink.reconnects,
+            uplink_acked: uplink.acked,
+            fence_rejects: report.storage.fence_rejects as u64,
+            ..Self::default()
+        }
+    }
+
+    /// Adds `other` into `self`, saturating — the fleet roll-up.
+    pub fn merge(&mut self, other: &Self) {
+        let (a, b) = (*self, other);
+        // A struct literal without `..`: a counter not summed here
+        // does not compile.
+        *self = Self {
+            accepted: a.accepted.saturating_add(b.accepted),
+            sanitizer_rejects: a.sanitizer_rejects.saturating_add(b.sanitizer_rejects),
+            duplicates: a.duplicates.saturating_add(b.duplicates),
+            late: a.late.saturating_add(b.late),
+            shed: a.shed.saturating_add(b.shed),
+            budget_shed: a.budget_shed.saturating_add(b.budget_shed),
+            storage_rejects: a.storage_rejects.saturating_add(b.storage_rejects),
+            checkpoint_failures: a.checkpoint_failures.saturating_add(b.checkpoint_failures),
+            reclaim_failures: a.reclaim_failures.saturating_add(b.reclaim_failures),
+            reclaimed_segments: a.reclaimed_segments.saturating_add(b.reclaimed_segments),
+            poisoned: a.poisoned.saturating_add(b.poisoned),
+            silent_sensors: a.silent_sensors.saturating_add(b.silent_sensors),
+            silence_episodes: a.silence_episodes.saturating_add(b.silence_episodes),
+            frames_sent: a.frames_sent.saturating_add(b.frames_sent),
+            retransmits: a.retransmits.saturating_add(b.retransmits),
+            timeouts: a.timeouts.saturating_add(b.timeouts),
+            nacks: a.nacks.saturating_add(b.nacks),
+            reconnects: a.reconnects.saturating_add(b.reconnects),
+            uplink_acked: a.uplink_acked.saturating_add(b.uplink_acked),
+            fence_rejects: a.fence_rejects.saturating_add(b.fence_rejects),
+            flaps: a.flaps.saturating_add(b.flaps),
+            migrations_started: a.migrations_started.saturating_add(b.migrations_started),
+            migrations_completed: a
+                .migrations_completed
+                .saturating_add(b.migrations_completed),
+            migrations_aborted: a.migrations_aborted.saturating_add(b.migrations_aborted),
+        };
+    }
+}
+
+impl fmt::Display for ReportCounters {
+    /// One human-oriented summary line (the stderr roll-up format).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} accepted, {} duplicate(s), {} late, {} shed, {} budget-shed, \
+             {} storage-reject(s), {} silence episode(s)",
+            self.accepted,
+            self.duplicates,
+            self.late,
+            self.shed,
+            self.budget_shed,
+            self.storage_rejects,
+            self.silence_episodes
+        )
+    }
+}
+
 /// The fleet-wide merge of every partition's report.
 #[derive(Debug)]
 pub struct FleetReport {
     /// Per-partition status, in partition order.
     pub partitions: Vec<PartitionStatus>,
-    /// Every partition's counters summed (stable text-codec names —
-    /// see `sentinet_gateway::report_codec`).
+    /// Every partition's counters summed.
     pub counters: ReportCounters,
     /// The federation event log, in commit order.
     pub events: Vec<FederationEvent>,
@@ -272,5 +415,52 @@ impl FleetReport {
             ));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample() -> ReportCounters {
+        ReportCounters {
+            accepted: 240,
+            sanitizer_rejects: 3,
+            duplicates: 7,
+            late: 1,
+            shed: 2,
+            budget_shed: 4,
+            storage_rejects: 5,
+            checkpoint_failures: 0,
+            reclaim_failures: 0,
+            reclaimed_segments: 6,
+            poisoned: 1,
+            silent_sensors: 2,
+            silence_episodes: 3,
+            frames_sent: 260,
+            retransmits: 11,
+            timeouts: 8,
+            nacks: 5,
+            reconnects: 3,
+            uplink_acked: 240,
+            fence_rejects: 2,
+            flaps: 1,
+            migrations_started: 4,
+            migrations_completed: 3,
+            migrations_aborted: 1,
+        }
+    }
+
+    #[test]
+    fn merge_sums_every_counter() {
+        let mut a = sample();
+        let b = sample();
+        a.merge(&b);
+        assert_eq!(a.accepted, 480);
+        assert_eq!(a.poisoned, 2);
+        assert_eq!(a.uplink_acked, 480);
+        assert_eq!(a.migrations_started, 8);
+        assert_eq!(a.migrations_completed, 6);
+        assert_eq!(a.migrations_aborted, 2);
     }
 }

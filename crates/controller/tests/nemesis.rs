@@ -47,10 +47,6 @@ fn enforced_campaign_passes_and_exercises_every_fault_family() {
         summary.fence_probe_rejects, summary.zombie_probes,
         "every zombie append must be fence-rejected"
     );
-    assert!(
-        summary.prewarmed_adoptions > 0,
-        "the heartbeat channel never pre-warmed an adoption"
-    );
 }
 
 #[test]
@@ -58,6 +54,14 @@ fn campaigns_replay_deterministically() {
     let a = run_campaign(&NemesisConfig::new(77, 9, tmproot("det-a"))).expect("campaign a");
     let b = run_campaign(&NemesisConfig::new(77, 9, tmproot("det-b"))).expect("campaign b");
     assert_eq!(a, b, "same seed must reproduce the same campaign");
+    // The whole summary line is pinned, so a change to what a short
+    // campaign exercises shows here, not only in the 200-episode run.
+    assert_eq!(
+        a.to_string(),
+        "9 episode(s): 5 process / 11 net / 2 disk fault(s) (2 disk episode(s), 4 pipelined), \
+         7 failover(s), 2 flap(s), 4 zombie probe(s) (4 fence-rejected), 0 migration(s), \
+         0 cut probe(s) (0 fence-rejected)"
+    );
 }
 
 #[test]

@@ -19,9 +19,8 @@ use std::sync::{Arc, Mutex};
 
 /// Marker line opening a gateway checkpoint file.
 const CHECKPOINT_MAGIC: &str = "sentinet-gateway-checkpoint v2";
-/// Checkpoint file name inside the WAL directory. Public so pre-warm
-/// caches (federation standbys staging the owner's latest snapshot)
-/// can read the same bytes [`Collector::open_prewarmed`] will compare.
+/// Checkpoint file name inside the WAL directory. Public so tests and
+/// fault plans can name it.
 pub const CHECKPOINT_FILE: &str = "checkpoint.ck";
 /// Scratch name the checkpoint is written under before rename-commit.
 pub(super) const CHECKPOINT_TMP: &str = "checkpoint.tmp";
@@ -36,8 +35,7 @@ const FENCE_TMP: &str = "fence.tmp";
 
 impl Collector {
     /// WAL cursor of the last committed checkpoint (0: none yet) —
-    /// advertised in heartbeat replies so standbys can pre-warm from
-    /// the freshest snapshot.
+    /// advertised in heartbeat replies.
     pub fn checkpoint_cursor(&self) -> u64 {
         self.last_checkpoint_cursor
     }

@@ -103,11 +103,12 @@ impl Collector {
     /// source's abort path. Idempotent under retry.
     ///
     /// Only sound while the adopter shares the exporter's pipeline
-    /// lineage (a fresh destination restores via
-    /// [`Collector::install_snapshot`] instead, which keeps the
-    /// shipped global model) and no window barrier has advanced past
-    /// the cut — the federation aborts a migration before routing
-    /// anything new to the moved range.
+    /// lineage (a live migration's fresh destination takes the
+    /// snapshot wholesale through [`Collector::adopt_range`]'s
+    /// pristine branch instead, which keeps the shipped global model)
+    /// and no window barrier has advanced past the cut — the
+    /// federation aborts a migration before routing anything new to
+    /// the moved range.
     ///
     /// # Errors
     ///

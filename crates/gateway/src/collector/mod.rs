@@ -324,10 +324,6 @@ pub struct RecoveryInfo {
     /// WAL cursor of the restore-point snapshot state was rebuilt
     /// from, when retention had reclaimed the replay prefix.
     pub restored_from: Option<u64>,
-    /// Whether a pre-warmed checkpoint image (staged from a heartbeat
-    /// before adoption) matched the on-disk checkpoint byte-for-byte
-    /// — the standby adopted from a snapshot it had already validated.
-    pub prewarmed: bool,
 }
 
 /// Current silence accounting (the gateway's degraded-mode surface).
@@ -392,7 +388,7 @@ pub struct StorageStatus {
     /// values than a frame's count field states, or seq `u64::MAX`). A
     /// property of the reading, not of the disk — like fencing it
     /// leaves [`StorageStatus::is_clean`] alone — and local to this
-    /// report: the fleet counters (`report_codec`) do not carry it.
+    /// report: the fleet counters (`controller::report`) do not carry it.
     pub unframable_rejects: usize,
 }
 
@@ -455,7 +451,7 @@ pub struct Collector {
     /// retired-ranges file, sorted by range start.
     retired: Vec<(u16, u16)>,
     /// WAL cursor of the last committed checkpoint (0: none yet) —
-    /// what heartbeats advertise so standbys can pre-warm.
+    /// what heartbeat replies advertise.
     last_checkpoint_cursor: u64,
     /// Wall time spent in batch admission (dedup/budget probes plus
     /// reorder/sanitize/pipeline), for the bench stage breakdown.
@@ -535,23 +531,6 @@ impl Collector {
     /// naming a newer epoch ([`GatewayError::Fenced`]) are loud
     /// failures, never silent data loss.
     pub fn open(config: GatewayConfig) -> Result<(Self, RecoveryInfo), GatewayError> {
-        Self::open_prewarmed(config, None)
-    }
-
-    /// [`Collector::open`] with an optional pre-warmed checkpoint
-    /// image: the raw bytes of the partition's checkpoint file, staged
-    /// by a standby from heartbeat advertisements before adoption. The
-    /// on-disk checkpoint stays authoritative — the cached image is
-    /// compared against it and [`RecoveryInfo::prewarmed`] records
-    /// whether the standby's staged snapshot was already current.
-    ///
-    /// # Errors
-    ///
-    /// As [`Collector::open`].
-    pub fn open_prewarmed(
-        config: GatewayConfig,
-        prewarm: Option<&[u8]>,
-    ) -> Result<(Self, RecoveryInfo), GatewayError> {
         // Fence gate first: a directory committed to a newer epoch
         // must never be opened by a stale owner, and a newly adopting
         // owner commits its claim before any append can happen.
@@ -570,15 +549,6 @@ impl Collector {
                 write_fence(&config.wal, config.epoch)?;
             }
         }
-        let prewarmed = match prewarm {
-            Some(cached) => config
-                .wal
-                .vfs
-                .read(&config.wal.dir.join(CHECKPOINT_FILE))
-                .map(|disk| disk == cached)
-                .unwrap_or(false),
-            None => false,
-        };
         let checkpoint = read_checkpoint(&config.wal)?;
         let checkpoint_cursor = checkpoint.as_ref().map_or(0, |c| c.cursor);
         let retired = read_retired(&config.wal)?;
@@ -630,7 +600,6 @@ impl Collector {
                 replayed,
                 verified_cursor: None,
                 restored_from: Some(ck.cursor),
-                prewarmed,
             };
             return Ok((collector, info));
         }
@@ -661,7 +630,6 @@ impl Collector {
             replayed,
             verified_cursor,
             restored_from: None,
-            prewarmed,
         };
         Ok((collector, info))
     }
@@ -971,38 +939,5 @@ mod tests {
             );
             fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    /// Pre-warm: a standby that cached the latest checkpoint bytes
-    /// opens with `RecoveryInfo::prewarmed` set; stale or absent cache
-    /// bytes fall back to a cold open with the same end state.
-    #[test]
-    fn prewarmed_open_matches_cold_open() {
-        let dir = tmpdir("prewarm");
-        let mut cfg = config(&dir);
-        cfg.checkpoint_every = 4;
-        let (mut c, _) = Collector::open(cfg).unwrap();
-        let records = stream(8);
-        for (s, seq, t, v) in records.iter().cloned() {
-            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
-        }
-        drop(c);
-        let snapshot = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
-
-        let (cold, cold_rec) = Collector::open(config(&dir)).unwrap();
-        assert!(!cold_rec.prewarmed);
-        let cold_cursor = cold.checkpoint_cursor();
-        drop(cold);
-
-        let (warm, warm_rec) = Collector::open_prewarmed(config(&dir), Some(&snapshot)).unwrap();
-        assert!(warm_rec.prewarmed, "matching cache bytes count as warm");
-        assert_eq!(warm_rec.replayed, cold_rec.replayed);
-        assert_eq!(warm.checkpoint_cursor(), cold_cursor);
-        drop(warm);
-
-        let (_, stale_rec) =
-            Collector::open_prewarmed(config(&dir), Some(b"sentinet-checkpoint stale")).unwrap();
-        assert!(!stale_rec.prewarmed, "stale cache bytes are a cold open");
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

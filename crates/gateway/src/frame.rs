@@ -160,8 +160,7 @@ pub enum Message {
         epoch: u64,
     },
     /// Server reply to [`Message::Heartbeat`]: the server's own epoch
-    /// plus the WAL cursor of its last committed checkpoint, so
-    /// standbys can pre-warm from the freshest snapshot.
+    /// plus the WAL cursor of its last committed checkpoint.
     HeartbeatAck {
         /// The server's configured owner epoch.
         epoch: u64,

@@ -42,7 +42,6 @@ mod net;
 pub mod netsim;
 pub mod protocol;
 pub mod reorder;
-pub mod report_codec;
 pub mod server;
 pub mod snapshot;
 pub mod vfs;
@@ -69,7 +68,6 @@ pub use protocol::{AckDiscipline, QueuedAck};
 pub use reorder::{
     AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats, RETAINED_VALUES,
 };
-pub use report_codec::{CountersError, ReportCounters, COUNTERS_MAGIC};
 pub use server::{Server, ServerConfig, ServerStats};
 pub use snapshot::{
     decode_collector, encode_collector, merge_snapshot, split_snapshot, CollectorSnapshot,

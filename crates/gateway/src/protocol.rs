@@ -263,8 +263,8 @@ impl Core {
             }
             Message::Heartbeat { epoch } => {
                 // Liveness probe: reply with our epoch and the last
-                // committed checkpoint cursor (the pre-warm
-                // coordinate). A newer carried epoch fences us.
+                // committed checkpoint cursor. A newer carried epoch
+                // fences us.
                 if epoch > 0 {
                     collector.observe_epoch(epoch);
                 }

@@ -17,7 +17,7 @@ use sentinet_core::{CheckpointError, FilterPolicy, Pipeline, PipelineConfig};
 use sentinet_gateway::snapshot::{decode_collector, encode_collector};
 use sentinet_gateway::{
     merge_snapshot, split_snapshot, Collector, CollectorSnapshot, GatewayConfig, GatewayError,
-    ReorderSnapshot, ReorderStats, ReportCounters,
+    ReorderSnapshot, ReorderStats,
 };
 use sentinet_sim::{IngestError, SanitizerSnapshot, SensorId};
 use totality::{check_total_and_exact, PeakAlloc};
@@ -427,31 +427,6 @@ fn damaged_collector_text_is_rejected_or_reencodes_exactly() {
             check_total_and_exact(&bytes, decode_collector, encode_collector, |e| {
                 matches!(e, CheckpointError::Malformed { .. })
             })
-            .map_err(|why| format!("{what}: {why}"))
-        },
-    );
-}
-
-/// The same for the report counters' `name value` text.
-#[test]
-fn damaged_counters_text_is_rejected_or_reencodes_exactly() {
-    let valid = ReportCounters {
-        accepted: 240,
-        late: u64::MAX,
-        migrations_aborted: 7,
-        ..ReportCounters::default()
-    }
-    .encode();
-    totality("damaged_counters_text_is_rejected_or_reencodes_exactly").for_each_seed(
-        3_000,
-        |seed| {
-            let (what, bytes) = mutate(&mut TestRng::new(seed), &valid);
-            check_total_and_exact(
-                &bytes,
-                ReportCounters::decode,
-                ReportCounters::encode,
-                |e| e.to_string().starts_with("report counters: "),
-            )
             .map_err(|why| format!("{what}: {why}"))
         },
     );

@@ -69,8 +69,8 @@
 //! allocates one per field — both are what `push_hex`/`push_dec` and
 //! `write!` into the buffer replaced. The `pub fn encode_* -> String`
 //! entry points, which allocate the one buffer, are not helpers. The
-//! decode side of the same files (plus `gateway/src/report_codec.rs`
-//! and `gateway/src/collector/migration.rs`) reads untrusted bytes
+//! decode side of the same files (plus
+//! `gateway/src/collector/migration.rs`) reads untrusted bytes
 //! through the one line reader in `core/src/checkpoint.rs`, so outside
 //! its `impl Reader`/`impl Fields` blocks the lint also flags a second
 //! line splitter (`.lines()`), a second hex-float parser
@@ -113,7 +113,6 @@ pub const LINTS: &[&str] = &[
 const CODEC_FILES: &[&str] = &[
     "core/src/checkpoint.rs",
     "gateway/src/snapshot.rs",
-    "gateway/src/report_codec.rs",
     "gateway/src/collector/checkpoint.rs",
     "gateway/src/collector/migration.rs",
 ];
@@ -1279,7 +1278,6 @@ mod tests {
         assert_eq!(lines, vec![1, 2, 5], "{f:?}");
         assert!(run(src).iter().all(|x| x.lint != "codec-alloc"));
         assert!(FileContext::for_path(Path::new("crates/gateway/src/snapshot.rs")).codec_file);
-        assert!(FileContext::for_path(Path::new("crates/gateway/src/report_codec.rs")).codec_file);
         assert!(
             FileContext::for_path(Path::new("crates/gateway/src/collector/migration.rs"))
                 .codec_file
