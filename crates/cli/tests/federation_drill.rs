@@ -273,3 +273,71 @@ fn no_standby_orphan_is_fail_stop_and_visible() {
         "{stdout}"
     );
 }
+
+/// The processes whose command line names `needle` among its arguments.
+fn processes_naming(needle: &str) -> Vec<(u32, String)> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir("/proc").expect("procfs") {
+        let entry = entry.expect("proc entry");
+        let Some(pid) = entry.file_name().to_str().and_then(|s| s.parse().ok()) else {
+            continue;
+        };
+        // A process may exit between the listing and the read.
+        let Ok(cmdline) = std::fs::read(entry.path().join("cmdline")) else {
+            continue;
+        };
+        let args: Vec<String> = cmdline
+            .split(|&b| b == 0)
+            .map(|arg| String::from_utf8_lossy(arg).into_owned())
+            .collect();
+        if args.iter().any(|arg| arg.contains(needle)) {
+            found.push((pid, args.join(" ")));
+        }
+    }
+    found
+}
+
+#[test]
+fn a_refused_run_leaves_no_child_running() {
+    let root = tmpdir("refused");
+    std::fs::create_dir_all(&root).expect("root");
+    let trace = root.join("t.csv");
+    let trace = trace.to_str().expect("utf8 path");
+    let out = sentinet(&["simulate", trace, "--days", "1", "--sensors", "10"]);
+    assert!(out.status.success(), "simulate failed: {out:?}");
+    let wal_root = root.join("fleet");
+    let wal_root = wal_root.to_str().expect("utf8 path");
+    let fsync = fsync_policy();
+    let mut args = vec![
+        "federate",
+        trace,
+        "--wal-root",
+        wal_root,
+        "--partitions",
+        "2",
+        "--fsync",
+        &fsync,
+        // Partition 1 owns sensors 5..10: sensor 5 is its first, not
+        // a point strictly inside, so the split is refused after both
+        // children started.
+        "--split",
+        "1:5@100",
+    ];
+    if pipelined() {
+        args.extend(["--protocol", "v2"]);
+    }
+    let out = sentinet(&args);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("split point sensor5 not strictly inside 5..10"),
+        "{}",
+        stderr_of(&out)
+    );
+    let left = processes_naming(wal_root);
+    for (pid, _) in &left {
+        // Leave the machine as it was even when the assertion fails.
+        let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+    }
+    assert!(left.is_empty(), "children left running: {left:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}

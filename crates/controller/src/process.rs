@@ -79,9 +79,22 @@ enum ChildUplink {
     V2(PipelinedUplink),
 }
 
+/// A `sentinet serve` child, killed and reaped when dropped: whatever
+/// path drops its link — a fence, or an error that drops the whole
+/// federation — leaves no child running.
+struct Serve(Child);
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        // Once reaped, `kill` signals nothing (the pid may be reused).
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Link to one `sentinet serve` child.
 pub struct ProcessLink {
-    child: Child,
+    child: Serve,
     // Held open for the child's lifetime: dropping the pipe would
     // EPIPE the child's final report print.
     _stdout: BufReader<ChildStdout>,
@@ -99,8 +112,8 @@ impl ProcessLink {
     fn hand_step(&mut self) {
         if self.kill_after == Some(self.handed) {
             self.kill_after = None;
-            let _ = self.child.kill();
-            let _ = self.child.wait();
+            let _ = self.child.0.kill();
+            let _ = self.child.0.wait();
         }
         self.handed += 1;
     }
@@ -209,8 +222,10 @@ impl PartitionBackend for ProcessBackend {
             .stderr(Stdio::null());
         let mut child = cmd
             .spawn()
+            .map(Serve)
             .map_err(|e| BackendError(format!("spawn {}: {e}", self.config.binary.display())))?;
         let stdout = child
+            .0
             .stdout
             .take()
             .ok_or_else(|| BackendError("child stdout not captured".into()))?;
@@ -219,16 +234,12 @@ impl PartitionBackend for ProcessBackend {
         stdout
             .read_line(&mut line)
             .map_err(|e| BackendError(format!("reading child banner: {e}")))?;
-        let addr = match line.trim().strip_prefix("listening on ") {
-            Some(addr) => addr.to_string(),
-            None => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(BackendError(format!(
-                    "child did not announce its address (got {line:?})"
-                )));
-            }
+        let Some(addr) = line.trim().strip_prefix("listening on ") else {
+            return Err(BackendError(format!(
+                "child did not announce its address (got {line:?})"
+            )));
         };
+        let addr = addr.to_string();
         let mut transport = self.config.uplink.clone();
         transport.connect = addr.clone();
         // The uplink announces the owner epoch in its Hello, so a
@@ -265,9 +276,8 @@ impl PartitionBackend for ProcessBackend {
         })
     }
 
-    fn fence(&mut self, _p: PartitionId, mut link: ProcessLink) {
-        let _ = link.child.kill();
-        let _ = link.child.wait();
+    fn fence(&mut self, _p: PartitionId, link: ProcessLink) {
+        drop(link);
     }
 
     fn finish(&mut self, _p: PartitionId, mut link: ProcessLink) -> Result<(), BackendError> {
@@ -276,13 +286,12 @@ impl PartitionBackend for ProcessBackend {
             ChildUplink::V2(uplink) => uplink.finish().map(|_| ()),
         };
         if let Err(e) = closed {
-            let _ = link.child.kill();
-            let _ = link.child.wait();
             return Err(BackendError(format!("close handshake failed: {e}")));
         }
         // The child prints its report (exit 3 when flagged) and
         // exits; either way the WAL is complete for the merge.
         link.child
+            .0
             .wait()
             .map(|_| ())
             .map_err(|e| BackendError(format!("waiting for child: {e}")))

@@ -235,7 +235,7 @@ impl Collector {
         let mut pass_start = timed.then(std::time::Instant::now);
         // The run is one sensor's: its tracker is looked up once, and
         // again only after the (at most one) reclaim borrowed `self`.
-        let mut tracker = self.seqs.get(&sensor);
+        let mut tracker = self.state.seqs.get(&sensor);
         for (i, (time, values)) in readings.enumerate() {
             // Saturating: a batch that runs off the end of the seq
             // space is refused at `u64::MAX`, the first seq without a
@@ -275,7 +275,7 @@ impl Collector {
                     self.reclaim_for_budget(budget.saturating_sub(next.bytes()))?;
                     reclaimed = true;
                     pass_start = timed.then(std::time::Instant::now);
-                    tracker = self.seqs.get(&sensor);
+                    tracker = self.state.seqs.get(&sensor);
                     // The reclaim may have sealed the active segment:
                     // cut the prefix again against the log as it is now.
                     plan = self.wal.planner();
@@ -326,7 +326,7 @@ impl Collector {
             }
             out.accepted = fresh.len();
             let pass_start = timed.then(std::time::Instant::now);
-            let tracker = self.seqs.entry(sensor).or_default();
+            let tracker = self.state.seqs.entry(sensor).or_default();
             let (first, count) = (fresh[0].seq, fresh.len() as u64);
             if fresh[fresh.len() - 1].seq - first + 1 == count {
                 tracker.observe_run(first, count);
@@ -335,7 +335,8 @@ impl Collector {
                     tracker.observe(record.seq);
                 }
             }
-            self.admit_run(sensor, fresh.iter().map(|r| (r.time, r.values)));
+            self.state
+                .admit_run(sensor, fresh.iter().map(|r| (r.time, r.values)));
             self.charge_admission(pass_start);
             let logged = self.wal.records_logged();
             let every = self.config.checkpoint_every;
@@ -354,7 +355,7 @@ impl Collector {
             }
         }
         out.ack_cursor = self.wal.records_logged();
-        out.ack_up_to = self.seqs.get(&sensor).and_then(|t| t.watermark());
+        out.ack_up_to = self.state.seqs.get(&sensor).and_then(|t| t.watermark());
         Ok(out)
     }
 
@@ -494,7 +495,9 @@ impl Collector {
             Err(e) => Err(e.into()),
         }
     }
+}
 
+impl State {
     /// Runs one sensor's logged run through reorder → sanitize →
     /// pipeline, the released readings borrowed from the reorder slabs,
     /// and brings liveness up to date once. That leaves the state an

@@ -429,6 +429,7 @@ mod tests {
     use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault, VfsOp};
     use crate::wal::FsyncPolicy;
     use std::fs;
+    use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
     /// Runs `stream(4)` through a collector configured by `tweak` on a
@@ -510,6 +511,228 @@ mod tests {
             Err(GatewayError::CheckpointMismatch { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log of `stream(100)` in `name`'s directory whose prefix
+    /// retention reclaimed below a restore point.
+    fn retained(name: &str) -> (PathBuf, GatewayConfig) {
+        let dir = tmpdir(name);
+        let frame = 21 + 8 * 2 + 8;
+        let mut cfg = config(&dir);
+        cfg.wal.segment_max_bytes = 16 * frame;
+        cfg.wal.retain_bytes = Some(4 * 16 * frame);
+        let (mut c, _) = Collector::open(cfg.clone()).unwrap();
+        for (s, seq, t, v) in stream(100) {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
+        }
+        assert!(c.storage_status().reclaimed_segments > 0, "a restore point");
+        drop(c);
+        (dir, cfg)
+    }
+
+    /// A full log of `stream(40)` — 80 lone frames, 16 a segment, a
+    /// checkpoint every `every` readings — in `name`'s directory.
+    fn segmented(name: &str, every: u64) -> (PathBuf, GatewayConfig) {
+        let dir = tmpdir(name);
+        let mut cfg = config(&dir);
+        cfg.checkpoint_every = every;
+        cfg.wal.segment_max_bytes = 16 * (21 + 8 * 2 + 8);
+        let (mut c, _) = Collector::open(cfg.clone()).unwrap();
+        for (s, seq, t, v) in stream(40) {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
+        }
+        drop(c);
+        (dir, cfg)
+    }
+
+    /// The WAL segments in `dir`, oldest first.
+    fn segments(dir: &Path) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+            .collect();
+        paths.sort();
+        paths
+    }
+
+    /// Cuts `path` to its first `len` bytes.
+    fn cut(path: &Path, len: u64) {
+        let file = fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(len).unwrap();
+    }
+
+    /// Flips one byte in the middle of `path`.
+    fn flip(path: &Path) {
+        let mut bytes = fs::read(path).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0xFF;
+        fs::write(path, bytes).unwrap();
+    }
+
+    /// Replaces the checkpoint body's reorder line with garbage.
+    fn break_body(dir: &Path) {
+        let path = dir.join(CHECKPOINT_FILE);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, text.replacen("\nreorder ", "\nreorder x", 1)).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_beyond_the_recovered_full_log_is_refused() {
+        let (dir, cfg) = segmented("ahead-full", 16);
+        // Power loss under `fsync=never`: the checkpoint at cursor 80
+        // saw readings the log no longer holds.
+        let paths = segments(&dir);
+        assert_eq!(paths.len(), 5);
+        for path in &paths[1..] {
+            fs::remove_file(path).unwrap();
+        }
+        cut(&paths[0], 10 * 45);
+        match Collector::open(cfg) {
+            Err(GatewayError::CheckpointAhead { cursor, recovered }) => {
+                assert_eq!((cursor, recovered), (80, 10));
+            }
+            other => panic!("expected CheckpointAhead, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_restore_point_beyond_the_recovered_retained_log_is_refused() {
+        let (dir, cfg) = retained("ahead-retained");
+        for path in segments(&dir) {
+            cut(&path, 0);
+        }
+        // Only the reclaimed prefix is left to count, and a restore
+        // point whose body is unreadable still refuses as ahead first.
+        for damaged in [false, true] {
+            if damaged {
+                break_body(&dir);
+            }
+            match Collector::open(cfg.clone()) {
+                Err(GatewayError::CheckpointAhead { cursor, recovered }) => {
+                    assert!(
+                        0 < recovered && recovered < cursor,
+                        "{recovered} < {cursor}"
+                    );
+                }
+                other => panic!("expected CheckpointAhead, got {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_retained_log_without_its_checkpoint_is_refused() {
+        let (dir, cfg) = retained("missing");
+        let first = segments(&dir)[0].clone();
+        fs::remove_file(dir.join(CHECKPOINT_FILE)).unwrap();
+        match Collector::open(cfg) {
+            Err(GatewayError::CheckpointMissing { first_segment }) => {
+                assert!(first_segment > 1);
+                assert!(first.ends_with(format!("wal-{first_segment:08}.seg")));
+            }
+            other => panic!("expected CheckpointMissing, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_segment_before_the_last_is_refused() {
+        let (dir, cfg) = segmented("corrupt-earlier", 16);
+        let second = segments(&dir)[1].clone();
+        flip(&second);
+        match Collector::open(cfg) {
+            Err(GatewayError::Wal(WalError::Corrupt { segment, .. })) => {
+                assert_eq!(segment, second);
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory with several defects refuses with the scan's error
+    /// first, whatever the checkpoint's body says.
+    #[test]
+    fn a_corrupt_earlier_segment_outranks_a_bad_checkpoint_body() {
+        // Full log: the body no longer matches the replay at cursor 48,
+        // the end of the third segment; the fourth is corrupt.
+        let (dir, cfg) = segmented("corrupt-and-tampered", 48);
+        let path = dir.join(CHECKPOINT_FILE);
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(&format!("{CHECKPOINT_MAGIC}\ncursor 48\n")));
+        fs::write(&path, text.replace("sensor 0", "sensor 9")).unwrap();
+        assert!(matches!(
+            Collector::open(cfg.clone()),
+            Err(GatewayError::CheckpointMismatch { cursor: 48 })
+        ));
+        flip(&segments(&dir)[3]);
+        assert!(matches!(
+            Collector::open(cfg),
+            Err(GatewayError::Wal(WalError::Corrupt { .. }))
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+        // Retained log: the restore point's body does not decode.
+        let (dir, cfg) = retained("corrupt-and-malformed");
+        break_body(&dir);
+        flip(&segments(&dir)[0]);
+        assert!(matches!(
+            Collector::open(cfg),
+            Err(GatewayError::Wal(WalError::Corrupt { .. }))
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint cursor need not fall on a frame boundary: a full
+    /// log replays the frame holding it up to the cursor, checks the
+    /// snapshot there, and replays the rest.
+    #[test]
+    fn a_checkpoint_inside_a_batch_frame_is_verified_there() {
+        let readings = |sensor: u16| -> Vec<(Timestamp, Vec<f64>)> {
+            let of = |(s, _, t, v): (SensorId, u64, Timestamp, Vec<f64>)| {
+                (s.0 == sensor).then_some((t, v))
+            };
+            stream(40).into_iter().filter_map(of).collect()
+        };
+        // Two batch frames of 40 readings, no checkpoint of their own.
+        let dir = tmpdir("mid-frame");
+        let mut cfg = config(&dir);
+        cfg.checkpoint_every = 0;
+        let (mut c, _) = Collector::open(cfg.clone()).unwrap();
+        for sensor in [0, 1] {
+            let out = c
+                .deliver_batch(SensorId(sensor), 0, &readings(sensor))
+                .unwrap();
+            assert_eq!(out.accepted, 40);
+        }
+        drop(c);
+        // The same readings one frame each, cut off at cursor 20 — the
+        // middle of the first batch frame — where a checkpoint lands.
+        let lone = tmpdir("mid-frame-lone");
+        let mut lone_cfg = config(&lone);
+        lone_cfg.checkpoint_every = 20;
+        let (mut c, _) = Collector::open(lone_cfg).unwrap();
+        for (seq, (t, v)) in readings(0).into_iter().take(20).enumerate() {
+            let out = c.deliver(SensorId(0), seq as u64, t, v).unwrap();
+            assert_eq!(out, DeliverOutcome::Accepted);
+        }
+        drop(c);
+        let text = fs::read_to_string(lone.join(CHECKPOINT_FILE)).unwrap();
+        assert!(text.starts_with(&format!("{CHECKPOINT_MAGIC}\ncursor 20\n")));
+        fs::write(dir.join(CHECKPOINT_FILE), &text).unwrap();
+        let (_, info) = Collector::open(cfg.clone()).unwrap();
+        assert_eq!((info.replayed, info.verified_cursor), (80, Some(20)));
+        fs::write(
+            dir.join(CHECKPOINT_FILE),
+            text.replace("sensor 0", "sensor 9"),
+        )
+        .unwrap();
+        assert!(matches!(
+            Collector::open(cfg),
+            Err(GatewayError::CheckpointMismatch { cursor: 20 })
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&lone).unwrap();
     }
 
     #[test]

@@ -60,9 +60,6 @@ impl Collector {
                 range.start, range.end
             )));
         }
-        if let Some(e) = self.wal.poisoned() {
-            return Err(WalError::Storage(e.clone()).into());
-        }
         self.sync_wal()?;
         if let Some(e) = self.wal.poisoned() {
             return Err(WalError::Storage(e.clone()).into());
@@ -90,7 +87,7 @@ impl Collector {
             }
         };
         let (_, outside) = split_snapshot(&self.snapshot(), range);
-        self.rebase(outside)?;
+        self.state = State::restore(&self.config, outside)?;
         self.seal_rebased_checkpoint()?;
         Ok((inside, cursor))
     }
@@ -119,15 +116,12 @@ impl Collector {
         range: std::ops::Range<u16>,
         inside: &CollectorSnapshot,
     ) -> Result<(), GatewayError> {
-        if let Some(e) = self.wal.poisoned() {
-            return Err(WalError::Storage(e.clone()).into());
-        }
         self.sync_wal()?;
         if let Some(e) = self.wal.poisoned() {
             return Err(WalError::Storage(e.clone()).into());
         }
         let merged = merge_snapshot(&self.snapshot(), inside);
-        self.rebase(merged)?;
+        self.state = State::restore(&self.config, merged)?;
         self.seal_rebased_checkpoint()?;
         let key = (range.start, range.end);
         if self.retired.contains(&key) {
@@ -163,9 +157,9 @@ impl Collector {
         inside: &CollectorSnapshot,
     ) -> Result<(), GatewayError> {
         let pristine = self.wal.records_logged() == self.wal.base_records()
-            && self.seqs.is_empty()
-            && self.down.accepted == 0
-            && self.down.rejected.is_empty();
+            && self.state.seqs.is_empty()
+            && self.state.down.accepted == 0
+            && self.state.down.rejected.is_empty();
         if !pristine {
             return self.import_range(range, inside);
         }
@@ -175,7 +169,7 @@ impl Collector {
                 self.wal.base_records()
             )));
         }
-        self.rebase(inside.clone())?;
+        self.state = State::restore(&self.config, inside.clone())?;
         self.seal_rebased_checkpoint()
     }
 
@@ -246,41 +240,6 @@ impl Collector {
         self.retired
             .iter()
             .any(|&(a, b)| a <= sensor.0 && sensor.0 < b)
-    }
-
-    /// Replaces the live per-sensor machinery with `snap`, keeping the
-    /// WAL handle and the process-local transport counters. The
-    /// snapshot carries the accounting ledger (accepted count,
-    /// rejection log, silence episodes), so rebasing onto a split half
-    /// follows the split's keep-the-ledger-outside convention.
-    pub(super) fn rebase(&mut self, snap: CollectorSnapshot) -> Result<(), GatewayError> {
-        let pipeline = Pipeline::from_snapshot(
-            self.config.pipeline.clone(),
-            self.config.sample_period,
-            snap.pipeline,
-        )
-        .map_err(|e| GatewayError::CheckpointMalformed(e.to_string()))?;
-        self.down.pipeline = pipeline;
-        self.reorder = ReorderBuffer::from_snapshot(self.config.reorder.clone(), snap.reorder);
-        self.down.sanitizer = Sanitizer::from_snapshot(snap.sanitizer);
-        self.seqs = snap
-            .seqs
-            .into_iter()
-            .map(|(sensor, next, above)| {
-                (
-                    sensor,
-                    SeqTracker {
-                        next,
-                        above: above.into_iter().collect(),
-                    },
-                )
-            })
-            .collect();
-        self.down.accepted = snap.accepted;
-        self.down.rejected = snap.rejected;
-        let deadline = self.config.silence_deadline;
-        self.liveness = Liveness::restore(deadline, snap.last_heard, snap.silent, snap.episodes);
-        Ok(())
     }
 
     /// Commits a restore-point checkpoint of the just-rebased state at

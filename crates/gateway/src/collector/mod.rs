@@ -59,7 +59,7 @@ use crate::snapshot::{
 };
 use crate::vfs::StorageError;
 use crate::wal::{
-    PolicySync, SyncDone, SyncStart, SyncTicket, Wal, WalConfig, WalError, WalLog, WalRecord,
+    PolicySync, SyncDone, SyncStart, SyncTicket, Wal, WalConfig, WalError, WalRecord,
 };
 use checkpoint::{read_checkpoint, read_fence, write_fence};
 use migration::read_retired;
@@ -68,6 +68,7 @@ use sentinet_sim::{IngestError, IngestReport, Sanitizer, SensorId, Timestamp};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -300,7 +301,7 @@ impl SeqTracker {
         match first.checked_add(count) {
             Some(end) if first == self.next && self.above.is_empty() => self.next = end,
             _ => (0..count).for_each(|i| {
-                self.observe(first + i);
+                self.observe(first.wrapping_add(i));
             }),
         }
     }
@@ -430,11 +431,8 @@ pub struct GatewayReport {
 pub struct Collector {
     config: GatewayConfig,
     wal: Wal,
-    reorder: ReorderBuffer,
-    down: Downstream,
-    seqs: BTreeMap<SensorId, SeqTracker>,
+    state: State,
     seq_duplicates: usize,
-    liveness: Liveness,
     budget_shed: usize,
     storage_rejects: usize,
     checkpoint_failures: usize,
@@ -474,9 +472,19 @@ impl fmt::Debug for Collector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Collector")
             .field("wal", &self.wal)
-            .field("accepted", &self.down.accepted)
+            .field("accepted", &self.state.down.accepted)
             .finish()
     }
+}
+
+/// What replay rebuilds and a restore point's [`CollectorSnapshot`]
+/// carries: the dedup trackers, the reorder buffer, everything behind
+/// it and the silence accounting.
+struct State {
+    seqs: BTreeMap<SensorId, SeqTracker>,
+    reorder: ReorderBuffer,
+    down: Downstream,
+    liveness: Liveness,
 }
 
 /// Everything behind the reorder buffer — sanitizer, window pipeline,
@@ -550,116 +558,74 @@ impl Collector {
             }
         }
         let checkpoint = read_checkpoint(&config.wal)?;
-        let checkpoint_cursor = checkpoint.as_ref().map_or(0, |c| c.cursor);
         let retired = read_retired(&config.wal)?;
         let base = checkpoint
             .as_ref()
             .map(|c| (c.base_segment, c.base_records));
-        let (wal, records) = match Wal::open(config.wal.clone(), base) {
-            Ok(opened) => opened,
+        // Restore mode (the prefix below the cursor was reclaimed)
+        // replays from the snapshot at the cursor; full-log mode replays
+        // everything, verifying the snapshot where the cursor falls.
+        let restore = checkpoint.as_ref().filter(|c| c.base_records > 0);
+        let mut state = match restore {
+            Some(ck) => ck
+                .snapshot()
+                .map_err(checkpoint::malformed(CHECKPOINT_FILE))
+                .and_then(|snap| State::restore(&config, snap)),
+            None => Ok(State::new(&config)),
+        };
+        let from = restore.map_or(0, |ck| ck.cursor);
+        let verify = checkpoint.as_ref().filter(|_| restore.is_none());
+        // Every refusal waits for the scan: its errors come first.
+        let mut matched = None;
+        let mut at = base.map_or(0, |(_, records)| records);
+        let mut replay = |sensor, seq, run: &ReadingArena| {
+            let (start, len) = (at, run.len());
+            at += len as u64;
+            let Ok(state) = &mut state else { return };
+            let skip = from.saturating_sub(start).min(len as u64) as usize;
+            let cut = verify.filter(|ck| start < ck.cursor && ck.cursor <= at);
+            let mid = cut.map_or(len, |ck| (ck.cursor - start) as usize);
+            state.replay(sensor, seq, run, skip..mid);
+            if let Some(ck) = cut {
+                let now = encode_collector(&state.snapshot());
+                // An older binary's (layout v1 or v2) matches once
+                // re-encoded.
+                let older = || ck.snapshot().is_ok_and(|s| encode_collector(&s) == now);
+                matched = Some(now == ck.body() || older());
+                state.replay(sensor, seq, run, mid..len);
+            }
+        };
+        let wal = match Wal::open_with(config.wal.clone(), base, &mut replay) {
+            Ok(wal) => wal,
             Err(WalError::MissingPrefix { first_segment, .. }) if checkpoint.is_none() => {
                 return Err(GatewayError::CheckpointMissing { first_segment })
             }
             Err(e) => return Err(e.into()),
         };
-        let base_records = wal.base_records();
-        let recovered = base_records + records.len() as u64;
-        if let Some(ck) = &checkpoint {
-            if ck.cursor > recovered {
-                return Err(GatewayError::CheckpointAhead {
-                    cursor: ck.cursor,
-                    recovered,
-                });
-            }
-            if ck.cursor < ck.base_records {
-                return Err(GatewayError::CheckpointMalformed(format!(
-                    "cursor {} below base {}",
-                    ck.cursor, ck.base_records
-                )));
-            }
+        let recovered = wal.records_logged();
+        let cursor = checkpoint.as_ref().map_or(0, |c| c.cursor);
+        if cursor > recovered {
+            return Err(GatewayError::CheckpointAhead { cursor, recovered });
         }
-
-        if let Some(ck) = checkpoint.as_ref().filter(|c| c.base_records > 0) {
-            // Restore mode: the prefix below the cursor was reclaimed;
-            // rebuild state from the snapshot, replay only the tail.
-            let snap = ck
-                .snapshot()
-                .map_err(checkpoint::malformed(CHECKPOINT_FILE))?;
-            // Counters excluded from the snapshot (retransmissions,
-            // storage health, the released-trace log) start fresh.
-            let mut collector = Self::fresh(config, wal);
-            collector.rebase(snap)?;
-            collector.retired = retired;
-            collector.last_checkpoint_cursor = checkpoint_cursor;
-            let skip = (ck.cursor - base_records) as usize;
-            let replayed = (records.len() - skip) as u64;
-            for run in records.runs(skip, None) {
-                collector.replay(&records, run);
-            }
-            let info = RecoveryInfo {
-                replayed,
-                verified_cursor: None,
-                restored_from: Some(ck.cursor),
-            };
-            return Ok((collector, info));
+        if let Some(base) = restore.map(|ck| ck.base_records).filter(|&b| cursor < b) {
+            let below = format!("cursor {cursor} below base {base}");
+            return Err(GatewayError::CheckpointMalformed(below));
         }
-
-        // Full-log mode: replay everything, verifying the checkpoint
-        // snapshot byte-exactly as the cursor goes by.
-        let mut collector = Self::fresh(config, wal);
-        collector.retired = retired;
-        collector.last_checkpoint_cursor = checkpoint_cursor;
-        let mut verified_cursor = None;
-        let replayed = records.len() as u64;
-        let cut = checkpoint.as_ref().map(|ck| ck.cursor as usize);
-        for run in records.runs(0, cut) {
-            let end = run.end as u64;
-            collector.replay(&records, run);
-            if let Some(ck) = checkpoint.as_ref().filter(|ck| ck.cursor == end) {
-                let now = encode_collector(&collector.snapshot());
-                // An older binary's (layout v1 or v2) matches once
-                // re-encoded.
-                let older = || ck.snapshot().is_ok_and(|s| encode_collector(&s) == now);
-                if now != ck.body() && !older() {
-                    return Err(GatewayError::CheckpointMismatch { cursor: ck.cursor });
-                }
-                verified_cursor = Some(ck.cursor);
-            }
+        let state = state?;
+        if matched == Some(false) {
+            return Err(GatewayError::CheckpointMismatch { cursor });
         }
         let info = RecoveryInfo {
-            replayed,
-            verified_cursor,
-            restored_from: None,
+            replayed: recovered - from,
+            verified_cursor: matched.map(|_| cursor),
+            restored_from: restore.map(|_| cursor),
         };
-        Ok((collector, info))
-    }
-
-    /// Replays one logged run: seen by the dedup tracker, then admitted
-    /// through the live path's run admission.
-    fn replay(&mut self, log: &WalLog, run: std::ops::Range<usize>) {
-        let (sensor, first_seq) = log.keys[run.start];
-        let tracker = self.seqs.entry(sensor).or_default();
-        tracker.observe_run(first_seq, run.len() as u64);
-        self.admit_run(sensor, log.readings.range(run));
-    }
-
-    /// A collector with empty state over an opened WAL.
-    fn fresh(config: GatewayConfig, wal: Wal) -> Self {
-        let deadline = config.silence_deadline;
-        let down = Downstream {
-            sanitizer: Sanitizer::new(),
-            pipeline: Pipeline::new(config.pipeline.clone(), config.sample_period),
-            accepted: 0,
-            rejected: Vec::new(),
-        };
-        Self {
-            reorder: ReorderBuffer::new(config.reorder.clone()),
+        // What no snapshot carries (storage health, timings) starts fresh.
+        let collector = Self {
             config,
             wal,
-            down,
-            seqs: BTreeMap::new(),
+            state,
             seq_duplicates: 0,
-            liveness: Liveness::restore(deadline, Vec::new(), Vec::new(), 0),
             budget_shed: 0,
             storage_rejects: 0,
             checkpoint_failures: 0,
@@ -668,14 +634,15 @@ impl Collector {
             observed_epoch: 0,
             fence_rejects: 0,
             unframable_rejects: 0,
-            retired: Vec::new(),
-            last_checkpoint_cursor: 0,
+            retired,
+            last_checkpoint_cursor: cursor,
             admission_ns: 0,
             checkpoint_ns: 0,
             checkpoint_overlapped_ns: 0,
             restore_staged: None,
             restore_in_flight: None,
-        }
+        };
+        Ok((collector, info))
     }
 
     /// The replay-deterministic image of this collector (everything a
@@ -688,29 +655,15 @@ impl Collector {
     /// snapshot restore plus WAL-tail replay, the identical admission
     /// path.
     pub fn snapshot(&self) -> CollectorSnapshot {
-        CollectorSnapshot {
-            pipeline: self.down.pipeline.snapshot(),
-            reorder: self.reorder.snapshot(),
-            sanitizer: self.down.sanitizer.snapshot(),
-            seqs: self
-                .seqs
-                .iter()
-                .map(|(&s, t)| (s, t.next, t.above.iter().copied().collect()))
-                .collect(),
-            accepted: self.down.accepted,
-            rejected: self.down.rejected.clone(),
-            last_heard: self.liveness.heard.iter().map(|(&s, &t)| (s, t)).collect(),
-            silent: self.liveness.silent.iter().copied().collect(),
-            episodes: self.liveness.episodes,
-        }
+        self.state.snapshot()
     }
 
     /// Ingest accounting so far (transport counters merged in).
     pub fn ingest_report(&self) -> IngestReport {
-        let stats = self.reorder.stats();
+        let stats = self.state.reorder.stats();
         IngestReport {
-            accepted: self.down.accepted,
-            rejected: self.down.rejected.clone(),
+            accepted: self.state.down.accepted,
+            rejected: self.state.down.rejected.clone(),
             duplicates: self.seq_duplicates + stats.duplicates,
             late: stats.late,
             shed: stats.shed,
@@ -719,13 +672,13 @@ impl Collector {
 
     /// Current silence accounting.
     pub fn liveness(&self) -> LivenessStatus {
-        let Liveness { heard, silent, .. } = &self.liveness;
+        let Liveness { heard, silent, .. } = &self.state.liveness;
         LivenessStatus {
             silent: silent
                 .iter()
                 .map(|s| (*s, heard.get(s).copied().unwrap_or(0)))
                 .collect(),
-            episodes: self.liveness.episodes,
+            episodes: self.state.liveness.episodes,
         }
     }
 
@@ -770,11 +723,10 @@ impl Collector {
     ///
     /// [`GatewayError`] on non-storage failures only.
     pub fn finish(mut self) -> Result<GatewayReport, GatewayError> {
-        let down = &mut self.down;
-        self.reorder
-            .release_all(|time, sensor, values| down.take(time, sensor, values));
-        for outcome in self.down.pipeline.finalize() {
-            self.down.pipeline.recycle_outcome(outcome);
+        let State { reorder, down, .. } = &mut self.state;
+        reorder.release_all(|time, sensor, values| down.take(time, sensor, values));
+        for outcome in down.pipeline.finalize() {
+            down.pipeline.recycle_outcome(outcome);
         }
         self.flush_restore_points()?;
         if self.wal.poisoned().is_none() {
@@ -785,7 +737,7 @@ impl Collector {
         let ingest = self.ingest_report();
         let liveness = self.liveness();
         let storage = self.storage_status();
-        let pipeline = self.down.pipeline.report();
+        let pipeline = self.state.down.pipeline.report();
         let plan = RecoveryPlan::from_report(&pipeline);
         Ok(GatewayReport {
             pipeline,
@@ -795,6 +747,79 @@ impl Collector {
             plan,
             uplink: None,
         })
+    }
+}
+
+impl State {
+    /// Empty state for a fresh collector.
+    fn new(config: &GatewayConfig) -> Self {
+        Self {
+            seqs: BTreeMap::new(),
+            reorder: ReorderBuffer::new(config.reorder.clone()),
+            down: Downstream {
+                sanitizer: Sanitizer::new(),
+                pipeline: Pipeline::new(config.pipeline.clone(), config.sample_period),
+                accepted: 0,
+                rejected: Vec::new(),
+            },
+            liveness: Liveness::restore(config.silence_deadline, Vec::new(), Vec::new(), 0),
+        }
+    }
+
+    /// The state `snap` describes, accounting ledger (accepted count,
+    /// rejection log, silence episodes) included: rebasing onto a split
+    /// half keeps the ledger where the split left it.
+    fn restore(config: &GatewayConfig, snap: CollectorSnapshot) -> Result<Self, GatewayError> {
+        let pipeline =
+            Pipeline::from_snapshot(config.pipeline.clone(), config.sample_period, snap.pipeline)
+                .map_err(|e| GatewayError::CheckpointMalformed(e.to_string()))?;
+        let deadline = config.silence_deadline;
+        let seqs = snap.seqs.into_iter().map(|(sensor, next, above)| {
+            let above = above.into_iter().collect();
+            (sensor, SeqTracker { next, above })
+        });
+        Ok(Self {
+            seqs: seqs.collect(),
+            reorder: ReorderBuffer::from_snapshot(config.reorder.clone(), snap.reorder),
+            down: Downstream {
+                sanitizer: Sanitizer::from_snapshot(snap.sanitizer),
+                pipeline,
+                accepted: snap.accepted,
+                rejected: snap.rejected,
+            },
+            liveness: Liveness::restore(deadline, snap.last_heard, snap.silent, snap.episodes),
+        })
+    }
+
+    /// See [`Collector::snapshot`].
+    fn snapshot(&self) -> CollectorSnapshot {
+        CollectorSnapshot {
+            pipeline: self.down.pipeline.snapshot(),
+            reorder: self.reorder.snapshot(),
+            sanitizer: self.down.sanitizer.snapshot(),
+            seqs: self
+                .seqs
+                .iter()
+                .map(|(&s, t)| (s, t.next, t.above.iter().copied().collect()))
+                .collect(),
+            accepted: self.down.accepted,
+            rejected: self.down.rejected.clone(),
+            last_heard: self.liveness.heard.iter().map(|(&s, &t)| (s, t)).collect(),
+            silent: self.liveness.silent.iter().copied().collect(),
+            episodes: self.liveness.episodes,
+        }
+    }
+
+    /// Replays readings `at` of one logged frame from seq `seq` on: seen
+    /// by the dedup tracker, then admitted through the live path's run
+    /// admission.
+    fn replay(&mut self, sensor: SensorId, seq: u64, frame: &ReadingArena, at: Range<usize>) {
+        if at.is_empty() {
+            return;
+        }
+        let tracker = self.seqs.entry(sensor).or_default();
+        tracker.observe_run(seq.wrapping_add(at.start as u64), at.len() as u64);
+        self.admit_run(sensor, frame.range(at));
     }
 }
 

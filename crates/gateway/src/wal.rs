@@ -18,20 +18,20 @@
 //! [`SegmentInfo::records`], reclaim plans — is in readings, and a
 //! cursor need not fall on a frame boundary.
 //!
-//! Opening scans all segments in order into one [`WalLog`], a values
-//! arena replay reads borrowed records out of just as an append reads
-//! them out of a decoded batch's. A decode failure in the *last*
-//! segment is treated as a torn tail — the segment is truncated at the
-//! start of the frame that failed and every frame before it is
-//! recovered exactly. Recovery is therefore frame-granular: a tear
-//! inside a batch frame loses the whole frame. No acknowledged reading
-//! can be in it, because an ack is released only by an fsync started
-//! after the whole extent was appended. (A mid-file bit flip in the
-//! last segment is indistinguishable from a torn tail by construction,
-//! so later frames are discarded with it; the client retry protocol
-//! re-delivers anything that lost its ack.) A decode failure in an
-//! *earlier* segment cannot be a torn tail and is reported as
-//! corruption instead of being silently dropped.
+//! Opening scans the segments in order, one segment's bytes at a time,
+//! handing each frame's run on as soon as it checks out: the collector
+//! replays it, [`Wal::open`] collects a [`WalLog`]. A decode failure in
+//! the *last* segment is treated as a torn tail — the segment is
+//! truncated at the start of the frame that failed and every frame
+//! before it is recovered exactly. Recovery is therefore
+//! frame-granular: a tear inside a batch frame loses the whole frame.
+//! No acknowledged reading can be in it, because an ack is released
+//! only by an fsync started after the whole extent was appended. (A
+//! mid-file bit flip in the last segment is indistinguishable from a
+//! torn tail by construction, so later frames are discarded with it;
+//! the client retry protocol re-delivers anything that lost its ack.)
+//! A decode failure in an *earlier* segment cannot be a torn tail and
+//! is reported as corruption instead of being silently dropped.
 //!
 //! Durability against power loss is governed by [`FsyncPolicy`]. Note
 //! that a `kill -9` does not lose page-cache writes — only the machine
@@ -64,7 +64,6 @@ use crate::frame::{
 use crate::vfs::{RealVfs, StorageError, VFile, Vfs, VfsOp};
 use sentinet_sim::{SensorId, Timestamp};
 use std::fmt;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -84,8 +83,9 @@ pub struct WalRecord<V = Vec<f64>> {
     pub values: V,
 }
 
-/// What a reopen scanned: every on-disk reading in log order, its
-/// sensor and sequence number beside one values arena.
+/// What [`Wal::open`] collects for tools and tests (a collector's
+/// reopen holds none): every on-disk reading in log order, its sensor
+/// and sequence number beside one values arena.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WalLog {
     pub(crate) keys: Vec<(SensorId, u64)>,
@@ -114,24 +114,6 @@ impl WalLog {
         })
     }
 
-    /// Index ranges of the records from `from` on, a run each — one
-    /// sensor's consecutive seqs, as a batch frame logs them — cut also
-    /// at `cut`.
-    pub(crate) fn runs(
-        &self,
-        from: usize,
-        cut: Option<usize>,
-    ) -> impl Iterator<Item = Range<usize>> + '_ {
-        let mut start = from;
-        std::iter::from_fn(move || {
-            let &(sensor, first) = self.keys.get(start)?;
-            let run = self.keys[start..].iter().zip(first..=u64::MAX);
-            let len = run.take_while(|&(&k, seq)| k == (sensor, seq)).count();
-            let end = (start + len).min(cut.filter(|&c| c > start).unwrap_or(usize::MAX));
-            Some(std::mem::replace(&mut start, end)..end)
-        })
-    }
-
     /// The records as owned values, for tests and tools.
     pub fn to_records(&self) -> Vec<WalRecord> {
         let owned = |r: WalRecord<&[f64]>| WalRecord {
@@ -141,6 +123,40 @@ impl WalLog {
             values: r.values.to_vec(),
         };
         self.iter().map(owned).collect()
+    }
+}
+
+/// What [`Wal::open_with`] hands a log to: each segment's bytes as
+/// read, then each CRC-verified frame's run in them — sensor, first
+/// sequence number, readings.
+pub(crate) trait Scan {
+    fn segment(&mut self, _bytes: &[u8]) {}
+    fn run(&mut self, sensor: SensorId, first_seq: u64, readings: &ReadingArena);
+}
+
+impl<F: FnMut(SensorId, u64, &ReadingArena)> Scan for F {
+    fn run(&mut self, sensor: SensorId, first_seq: u64, readings: &ReadingArena) {
+        self(sensor, first_seq, readings);
+    }
+}
+
+impl Scan for WalLog {
+    fn segment(&mut self, bytes: &[u8]) {
+        // Sized once a segment from the frame heads, not doubled into:
+        // ten bytes a reading, what is left bounds the values.
+        let stated = count_readings(bytes);
+        self.keys.reserve(stated);
+        self.readings
+            .reserve(stated, (bytes.len() - 10 * stated) / 8);
+    }
+
+    fn run(&mut self, sensor: SensorId, first_seq: u64, readings: &ReadingArena) {
+        let seqs = (0..readings.len() as u64).map(|i| (sensor, first_seq.wrapping_add(i)));
+        self.keys.extend(seqs);
+        // One copy of the frame's values, its ends moved past the log's.
+        let (marks, at) = (&mut self.readings.marks, self.readings.values.len());
+        marks.extend(readings.marks.iter().map(|&(time, end)| (time, at + end)));
+        self.readings.values.extend_from_slice(&readings.values);
     }
 }
 
@@ -316,33 +332,28 @@ fn io_err(path: &Path, e: std::io::Error) -> WalError {
     WalError::Io(path.to_path_buf(), e)
 }
 
-/// How far a scan of one segment's bytes got.
-enum SegmentScan {
-    /// Every byte decoded.
-    Clean,
-    /// Decoding failed at this offset for this reason.
-    Failed(u64, FrameError),
-}
-
-/// Decodes the frames in `bytes` onto the end of `out` — a frame's
-/// readings go straight from its payload into the log's arena. Returns
-/// where the scan stopped; a frame that fails leaves none of its
-/// readings behind. `ForeignRecord` (a syntactically valid payload that
-/// carries no readings) is real corruption even in the last segment,
-/// so it is returned as a hard error directly.
-fn scan_segment(segment: &Path, bytes: &[u8], out: &mut WalLog) -> Result<SegmentScan, WalError> {
-    let mut pos = 0usize;
+/// Decodes the frames in `bytes` one at a time into `frame` and hands
+/// each CRC-verified frame's run to `visit` before decoding the next.
+/// Returns the readings handed on, and the offset of the first frame
+/// that fails to decode and why, if one does; it reaches no visitor.
+/// `ForeignRecord` (a syntactically valid payload that carries no
+/// readings) is real corruption even in the last segment, so it is
+/// returned as a hard error directly.
+fn scan_segment(
+    segment: &Path,
+    bytes: &[u8],
+    frame: &mut ReadingArena,
+    visit: &mut impl Scan,
+) -> Result<(u64, Option<(u64, FrameError)>), WalError> {
+    let (mut pos, mut readings) = (0, 0);
     while pos < bytes.len() {
+        frame.truncate(0);
         // An incomplete frame is a torn tail here, not a wait for bytes.
-        let frame = open_envelope(&bytes[pos..]).and_then(|f| f.ok_or(FrameError::Truncated));
-        let decoded = frame.and_then(|(payload, framed)| {
-            Ok((decode_readings(payload, &mut out.readings)?, framed))
-        });
-        match decoded {
+        let opened = open_envelope(&bytes[pos..]).and_then(|f| f.ok_or(FrameError::Truncated));
+        match opened.and_then(|(payload, framed)| Ok((decode_readings(payload, frame)?, framed))) {
             Ok((Some((sensor, first_seq)), framed)) => {
-                let count = (out.readings.len() - out.keys.len()) as u64;
-                out.keys
-                    .extend((0..count).map(|i| (sensor, first_seq.wrapping_add(i))));
+                readings += frame.len() as u64;
+                visit.run(sensor, first_seq, frame);
                 pos += framed;
             }
             Ok((None, _)) => {
@@ -351,24 +362,23 @@ fn scan_segment(segment: &Path, bytes: &[u8], out: &mut WalLog) -> Result<Segmen
                     offset: pos as u64,
                 })
             }
-            Err(reason) => return Ok(SegmentScan::Failed(pos as u64, reason)),
+            Err(reason) => return Ok((readings, Some((pos as u64, reason)))),
         }
     }
-    Ok(SegmentScan::Clean)
+    Ok((readings, None))
 }
 
 /// How many readings the frames in `bytes` state they hold, read off
-/// the envelopes and payload heads alone — no CRC, no decode — so the
-/// scan sizes its output once instead of doubling into it (the
-/// doubling, not the records, used to set a reopen's peak memory).
+/// the envelopes and payload heads alone — no CRC, no decode — so
+/// [`Wal::open`] sizes its log once a segment instead of doubling into
+/// it.
 /// Nothing here is trusted further than that: the walk stops at the
 /// first frame that does not fit, and the answer is held to what
 /// `bytes` could possibly back (a reading takes ten bytes at least).
 fn count_readings(bytes: &[u8]) -> usize {
-    let mut count = 0usize;
-    let mut pos = 0usize;
-    while let Some([l0, l1, l2, l3]) = bytes.get(pos..).and_then(|rest| rest.first_chunk()) {
-        let len = u32::from_le_bytes([*l0, *l1, *l2, *l3]) as usize;
+    let (mut count, mut pos) = (0, 0);
+    while let Some(&len) = bytes.get(pos..).and_then(|rest| rest.first_chunk()) {
+        let len = u32::from_le_bytes(len) as usize;
         let Some(payload) = bytes[pos + 4..].get(..len) else {
             break;
         };
@@ -698,20 +708,31 @@ impl Wal {
     /// above the expected base (a retained log opened without its
     /// checkpoint).
     pub fn open(config: WalConfig, base: Option<(u64, u64)>) -> Result<(Self, WalLog), WalError> {
+        let mut log = WalLog::default();
+        let wal = Self::open_with(config, base, &mut log)?;
+        Ok((wal, log))
+    }
+
+    /// [`Wal::open`], handing each recovered frame's run to `visit` as
+    /// the scan verifies it instead of collecting the log: a reopen
+    /// holds one segment's bytes and one frame's readings at a time.
+    pub(crate) fn open_with(
+        config: WalConfig,
+        base: Option<(u64, u64)>,
+        visit: &mut impl Scan,
+    ) -> Result<Self, WalError> {
         let vfs = Arc::clone(&config.vfs);
         vfs.create_dir_all(&config.dir)
             .map_err(|e| io_err(&config.dir, e))?;
         let (base_segment, base_records) = base.unwrap_or((1, 0));
-        let mut indices: Vec<u64> = Vec::new();
-        for name in vfs.list(&config.dir).map_err(|e| io_err(&config.dir, e))? {
-            if let Some(idx) = name
-                .strip_prefix("wal-")
-                .and_then(|r| r.strip_suffix(".seg"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                indices.push(idx);
-            }
-        }
+        let names = vfs.list(&config.dir).map_err(|e| io_err(&config.dir, e))?;
+        let index = |name: &String| {
+            name.strip_prefix("wal-")?
+                .strip_suffix(".seg")?
+                .parse()
+                .ok()
+        };
+        let mut indices: Vec<u64> = names.iter().filter_map(index).collect();
         indices.sort_unstable();
         // Segments below the base are leftovers of an interrupted
         // reclaim: the checkpoint superseding them committed (that is
@@ -721,13 +742,11 @@ impl Wal {
             vfs.remove_file(&path).map_err(|e| io_err(&path, e))?;
         }
         indices.retain(|&i| i >= base_segment);
-        if let Some(&first) = indices.first() {
-            if first > base_segment {
-                return Err(WalError::MissingPrefix {
-                    first_segment: first,
-                    expected: base_segment,
-                });
-            }
+        if let Some(&first_segment) = indices.first().filter(|&&first| first > base_segment) {
+            return Err(WalError::MissingPrefix {
+                first_segment,
+                expected: base_segment,
+            });
         }
         if indices.is_empty() {
             indices.push(base_segment);
@@ -735,21 +754,17 @@ impl Wal {
             drop(vfs.create(&path).map_err(|e| io_err(&path, e))?);
         }
 
-        let mut records = WalLog::default();
         let mut segments = Vec::with_capacity(indices.len());
+        let mut frame = ReadingArena::default();
         let last = indices.len() - 1;
         for (i, &idx) in indices.iter().enumerate() {
             let path = config.dir.join(segment_name(idx));
             let bytes = vfs.read(&path).map_err(|e| io_err(&path, e))?;
-            // Ten bytes a reading; what is left bounds the values.
-            let stated = count_readings(&bytes);
-            records.keys.reserve(stated);
-            let values = (bytes.len() - 10 * stated) / 8;
-            records.readings.reserve(stated, values);
-            let before = records.len() as u64;
-            let seg_bytes = match scan_segment(&path, &bytes, &mut records)? {
-                SegmentScan::Clean => bytes.len() as u64,
-                SegmentScan::Failed(offset, reason) => {
+            visit.segment(&bytes);
+            let (records, failed) = scan_segment(&path, &bytes, &mut frame, visit)?;
+            let seg_bytes = match failed {
+                None => bytes.len() as u64,
+                Some((offset, reason)) => {
                     if i == last {
                         // Torn tail: keep the clean prefix, drop the rest.
                         vfs.truncate(&path, offset).map_err(|e| io_err(&path, e))?;
@@ -766,7 +781,7 @@ impl Wal {
             segments.push(SegmentInfo {
                 index: idx,
                 bytes: seg_bytes,
-                records: records.len() as u64 - before,
+                records,
             });
         }
 
@@ -776,30 +791,27 @@ impl Wal {
         let file = vfs
             .open_append(&segment_path)
             .map_err(|e| io_err(&segment_path, e))?;
-        let records_logged = base_records + records.len() as u64;
-        Ok((
-            Self {
-                config,
-                file,
-                segment_path,
-                appended_this_process: 0,
-                records_logged,
-                // Everything recovered was read back from disk, so the
-                // whole recovered prefix counts as covered.
-                synced_records: records_logged,
-                in_flight: None,
-                handle_segment: None,
-                encode_ns: 0,
-                append_ns: 0,
-                fsync_ns: 0,
-                sync_blocked_ns: 0,
-                extent: Vec::new(),
-                segments,
-                base_records,
-                poisoned: None,
-            },
-            records,
-        ))
+        let records_logged = base_records + segments.iter().map(|s| s.records).sum::<u64>();
+        Ok(Self {
+            config,
+            file,
+            segment_path,
+            appended_this_process: 0,
+            records_logged,
+            // Everything recovered was read back from disk, so the
+            // whole recovered prefix counts as covered.
+            synced_records: records_logged,
+            in_flight: None,
+            handle_segment: None,
+            encode_ns: 0,
+            append_ns: 0,
+            fsync_ns: 0,
+            sync_blocked_ns: 0,
+            extent: Vec::new(),
+            segments,
+            base_records,
+            poisoned: None,
+        })
     }
 
     /// Total records ever logged (reclaimed + on disk + appended) —
@@ -1473,9 +1485,9 @@ mod tests {
         assert_eq!((segments[6].records, segments[6].bytes), (4, 125));
         for seg in &segments {
             let path = dir.join(segment_name(seg.index));
-            let mut out = WalLog::default();
-            let scan = scan_segment(&path, &fs::read(&path).unwrap(), &mut out).unwrap();
-            assert!(matches!(scan, SegmentScan::Clean), "segment {}", seg.index);
+            let (mut frame, mut out) = (ReadingArena::default(), WalLog::default());
+            let scan = scan_segment(&path, &fs::read(&path).unwrap(), &mut frame, &mut out);
+            assert!(matches!(scan, Ok((_, None))), "segment {}", seg.index);
             assert_eq!(out.len() as u64, seg.records);
         }
         let (wal, recovered) = Wal::open(config, None).unwrap();

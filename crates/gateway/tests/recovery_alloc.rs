@@ -1,13 +1,21 @@
-//! The recovery end of the allocation budget: a reopen scans every
-//! segment into one arena log and replays borrowed records out of it,
-//! so what [`Wal::open`] and [`Collector::open`] allocate follows the
-//! number of segments, not the number of readings. Measured over two
-//! logs of N and 2N readings, one segment each: the scans must agree
-//! to within a few allocator calls (the log's three vectors are sized
-//! once from the frame heads, whatever they hold), and the replays may
-//! differ only by what the replayed windows themselves allocate — the
-//! slope `admission_alloc.rs` holds the live path to — where a vector a
-//! record (what the scan used to make) put a whole N between them.
+//! The recovery end of the allocation budget. A reopen reads one
+//! segment at a time and replays each frame as the scan verifies it,
+//! out of one reused frame arena, so what [`Collector::open`] allocates
+//! and holds follows the segments, not the readings; [`Wal::open`]
+//! collects the same scan into one arena log sized once a segment from
+//! the frame heads.
+//!
+//! Calls, over two logs of N and 2N readings, one segment each: the
+//! scans must agree to within a few allocator calls, and the replays
+//! may differ only by what the replayed windows themselves allocate —
+//! the slope `admission_alloc.rs` holds the live path to — where a
+//! vector a record (what the scan once made) put a whole N between them.
+//!
+//! Bytes, over two logs of N and 4N readings in 64 KiB segments: what a
+//! reopen holds only while it runs (its peak above what the opened
+//! collector keeps) may differ by less than a segment, where decoding
+//! the whole log before replaying it put ≈ 48 bytes a reading between
+//! them.
 //!
 //! A counting `#[global_allocator]` (this test binary only) does the
 //! measuring; counts are per thread.
@@ -19,7 +27,7 @@ use std::path::PathBuf;
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{allocations, Counting};
+use counting_alloc::{allocations, live_bytes, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -41,10 +49,9 @@ fn config(name: &str) -> (PathBuf, GatewayConfig) {
     (dir, config)
 }
 
-/// Writes a log of `n` readings of one sensor in 96-reading batches and
-/// returns the allocator calls of the bare scan and of the full reopen.
-fn reopen_costs(name: &str, n: u64) -> (u64, u64) {
-    let (dir, config) = config(name);
+/// Writes a log of `n` readings of one sensor in 96-reading batches
+/// through `config` and crashes.
+fn write_log(config: &GatewayConfig, n: u64) {
     let (mut collector, _) = Collector::open(config.clone()).expect("fresh directory");
     for first in (0..n).step_by(96) {
         let readings: Vec<(Timestamp, Vec<f64>)> = (first..(first + 96).min(n))
@@ -62,6 +69,13 @@ fn reopen_costs(name: &str, n: u64) -> (u64, u64) {
         assert_eq!(out.accepted, readings.len());
     }
     drop(collector); // no finish: a crash
+}
+
+/// Writes a log of `n` readings in one segment and returns the
+/// allocator calls of the bare scan and of the full reopen.
+fn reopen_costs(name: &str, n: u64) -> (u64, u64) {
+    let (dir, config) = config(name);
+    write_log(&config, n);
     assert_eq!(
         fs::read_dir(&dir).expect("wal dir").count(),
         1,
@@ -96,5 +110,41 @@ fn a_reopen_allocates_by_the_segment_not_by_the_reading() {
         "Collector::open: {per_reading:.3} allocations per extra replayed reading \
          ({N}: {reopen_short}, {}: {reopen_long})",
         2 * N
+    );
+}
+
+/// Writes a log of `n` readings in 64 KiB segments and returns its
+/// segment count and what the reopen did to this thread's live bytes.
+fn reopen_bytes(name: &str, n: u64) -> (usize, counting_alloc::LiveBytes) {
+    let (dir, mut config) = config(name);
+    config.wal.segment_max_bytes = SEGMENT;
+    write_log(&config, n);
+    let segments = fs::read_dir(&dir).expect("wal dir").count();
+    let (bytes, opened) = live_bytes(|| Collector::open(config).expect("reopen"));
+    assert_eq!(opened.1.replayed, n);
+    drop(opened);
+    fs::remove_dir_all(&dir).ok();
+    (segments, bytes)
+}
+
+/// The segment size of the byte measurement.
+const SEGMENT: u64 = 64 << 10;
+
+#[test]
+fn a_reopen_holds_a_segment_not_the_log() {
+    let (segments_short, short) = reopen_bytes("bytes-short", N);
+    let (segments_long, long) = reopen_bytes("bytes-long", 4 * N);
+    assert!(
+        segments_short == 1 && segments_long > 3,
+        "{segments_short} and {segments_long} segments"
+    );
+    let grown = long.transient() - short.transient();
+    assert!(
+        grown < SEGMENT as i64,
+        "Collector::open held {} bytes beyond what it kept for {N} readings, \
+         {} for {} ({grown} more; a segment is {SEGMENT})",
+        short.transient(),
+        long.transient(),
+        4 * N
     );
 }
