@@ -42,7 +42,7 @@ fn main() {
 
     let m_ce = p.m_ce(sensor).expect("sensor 7 tracked");
     let b_ce = m_ce.observation();
-    let ce_rows: Vec<usize> = evidenced_rows(m_ce, p.config().min_state_evidence).collect();
+    let ce_rows: Vec<usize> = evidenced_rows(m_ce).collect();
     let mut ce_labels = vec!["⊥".to_string()];
     ce_labels.extend((0..b_ce.num_cols() - 1).map(|s| state_label(&p, s)));
     let ce_cols = visible_columns(b_ce, &ce_rows, 0.01);

@@ -237,11 +237,8 @@ pub fn visible_columns(
 
 /// Active `B` rows of the global `M_CO` given minimum evidence.
 pub fn active_rows(pipeline: &Pipeline) -> Vec<usize> {
-    let min_evidence = pipeline.config().min_state_evidence;
-    pipeline
-        .m_co()
-        .map(|m| evidenced_rows(m, min_evidence).collect())
-        .unwrap_or_default()
+    let rows = pipeline.m_co().map(|m| evidenced_rows(m).collect());
+    rows.unwrap_or_default()
 }
 
 #[cfg(test)]

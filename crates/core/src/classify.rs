@@ -4,49 +4,66 @@
 //! *structure* of the observation matrices of the two HMMs.
 //!
 //! ```text
-//! malfunction detected (filtered alarm on sensor j)
-//! ├─ B^CO rows ⊥ AND columns ⊥ ?
-//! │   ├─ no → ATTACK:
-//! │   │   ├─ only column pairs non-⊥ → Dynamic Creation
-//! │   │   ├─ only row pairs non-⊥    → Dynamic Deletion
-//! │   │   └─ both                    → Mixed
-//! │   └─ yes →
-//! │       ├─ correct↔observable association non-identity,
-//! │       │  attributes differ on every dimension → Dynamic Change
-//! │       └─ identity → ERROR — inspect sensor j's B^CE (⊥ dropped):
-//! │           ├─ single dominant column (Eq. 7)  → Stuck-at(state)
-//! │           ├─ one-to-one association (Eq. 8):
-//! │           │   ├─ ratio  x^c/x^e const per dim → Calibration
-//! │           │   ├─ diff   x^c−x^e const per dim → Additive
-//! │           │   └─ attrs all differ, 1-1        → Dynamic Change
-//! │           └─ otherwise                        → Unknown
+//! filtered alarm ever raised on sensor j?
+//! ├─ no → Error/attack-free
+//! └─ yes → B^CO rows ⊥ AND columns ⊥ ?
+//!     ├─ no → ATTACK:
+//!     │   ├─ only column pairs non-⊥ → Dynamic Creation
+//!     │   ├─ only row pairs non-⊥    → Dynamic Deletion
+//!     │   └─ both                    → Mixed
+//!     └─ yes →
+//!         ├─ correct↔observable association non-identity,
+//!         │  attributes differ on every dimension → Dynamic Change
+//!         └─ identity → ERROR — inspect sensor j's B^CE (⊥ dropped):
+//!             ├─ single dominant column (Eq. 7)  → Stuck-at(state)
+//!             ├─ one-to-one association (Eq. 8):
+//!             │   ├─ ratio  x^c/x^e const per dim → Calibration
+//!             │   └─ diff   x^c−x^e const per dim → Additive
+//!             └─ otherwise                        → Unknown
 //! ```
 //!
-//! Every verdict comes with its confidence, taken at the leaf that
-//! decided it: the distance between the deciding statistic and its
-//! threshold, normalized into `[0, 1]`. A verdict whose statistic
-//! barely cleared its threshold deserves less trust than one far past
-//! it.
+//! The walk returns the leaf with a `Decision` for each test that
+//! decided it: the statistic read, its threshold, and the value at
+//! which the statistic means full confidence. Confidence is one rule,
+//! the `margin` `unit((statistic − threshold) / (full − threshold))`,
+//! multiplied over the records (see `confidence`): a verdict whose
+//! statistic barely cleared its threshold deserves less trust.
 
 use crate::config::PipelineConfig;
-use crate::runtime::BOT_SYMBOL;
+use crate::runtime::{NetMemo, SensorRuntime, BOT_SYMBOL};
 use sentinet_hmm::structure::{
     mean_var, one_to_one_association, stuck_at_column, MeanVar, OrthogonalityReport,
 };
 use sentinet_hmm::{OnlineHmmEstimator, StochasticMatrix};
 use std::fmt;
 
-/// Minimum observable-symbol mass a hidden state must spread onto an
-/// unclaimed column before it counts as a Dynamic Creation signature.
-/// Below this, stray mass is indistinguishable from one or two windows
-/// of estimation noise.
+// The threshold table: every number the walk compares against but the
+// `PipelineConfig` fields `ortho`, `stuck_at_threshold` (Eq. 7),
+// `association_threshold` (Eq. 8) and `cluster.spawn_threshold`.
+
+/// Mass a hidden state must spread onto an unclaimed column to be a
+/// Dynamic Creation signature; less is one or two windows of noise.
 pub const CREATION_SPREAD_FLOOR: f64 = 0.15;
+/// The most ⊥ mass a row of `B^CE` holds and still carries error.
+const BOT_DOMINANCE: f64 = 0.5;
+/// Two centroids differ on an attribute when further apart than this.
+const ATTRIBUTE_RESOLUTION: f64 = f64::EPSILON;
+/// An attribute this small divides nothing (no ratio or gain over it),
+/// and a ratio's spread is judged against a mean no smaller.
+const ZERO_ATTRIBUTE: f64 = 1e-9;
+/// The coefficient of variation at or below which a statistic is constant.
+const CONSTANCY_CV: f64 = 0.15;
+/// The associated pairs the calibration/additive test needs.
+const MIN_ASSOCIATION_PAIRS: usize = 2;
+/// The updates a row of **B** needs to take part in the analysis.
+const MIN_STATE_EVIDENCE: u64 = 3;
+/// The windows after which an `ErrorFree` verdict is not damped.
+const MATURITY_WINDOWS: f64 = 48.0;
 
 /// The specific accidental-error type (paper §3.3 fault model).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ErrorType {
-    /// Sensor constantly reports one model state (the stuck state's
-    /// slot index is attached).
+    /// Sensor constantly reports one model state.
     StuckAt {
         /// Model-state slot the sensor is stuck reporting.
         state: usize,
@@ -70,22 +87,17 @@ pub enum ErrorType {
 /// The specific attack type (paper §3.3 attack model).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttackType {
-    /// The adversary fabricated spurious environment state(s): the
-    /// observable-state columns that absorb mass from a shared hidden
-    /// state are attached.
+    /// The adversary fabricated spurious environment state(s).
     DynamicCreation {
-        /// Observable states involved in the creation signature.
+        /// Observable-state columns absorbing mass from a shared hidden state.
         created: Vec<usize>,
     },
-    /// The adversary suppressed environment state(s): the hidden-state
-    /// rows that collapse onto a shared observable state are attached.
+    /// The adversary suppressed environment state(s).
     DynamicDeletion {
-        /// Hidden states involved in the deletion signature.
+        /// Hidden-state rows collapsing onto a shared observable state.
         deleted: Vec<usize>,
     },
-    /// The adversary remapped state attributes without changing the
-    /// temporal structure; the non-identity hidden→observable pairs are
-    /// attached.
+    /// The adversary remapped state attributes, keeping the temporal structure.
     DynamicChange {
         /// `(correct state, observable state)` pairs, all non-identity.
         pairs: Vec<(usize, usize)>,
@@ -107,91 +119,156 @@ pub enum Diagnosis {
 
 impl fmt::Display for Diagnosis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use {AttackType as A, Diagnosis as D, ErrorType as E};
         match self {
-            Diagnosis::ErrorFree => write!(f, "error/attack-free"),
-            Diagnosis::Error(ErrorType::StuckAt { state }) => {
-                write!(f, "error: stuck-at state {state}")
-            }
-            Diagnosis::Error(ErrorType::Calibration { gains }) => {
-                write!(f, "error: calibration, gains {gains:?}")
-            }
-            Diagnosis::Error(ErrorType::Additive { offsets }) => {
-                write!(f, "error: additive, offsets {offsets:?}")
-            }
-            Diagnosis::Error(ErrorType::Unknown) => write!(f, "error: unknown type"),
-            Diagnosis::Attack(AttackType::DynamicCreation { created }) => {
+            D::ErrorFree => write!(f, "error/attack-free"),
+            D::Error(E::StuckAt { state }) => write!(f, "error: stuck-at state {state}"),
+            D::Error(E::Calibration { gains }) => write!(f, "error: calibration, gains {gains:?}"),
+            D::Error(E::Additive { offsets }) => write!(f, "error: additive, offsets {offsets:?}"),
+            D::Error(E::Unknown) => write!(f, "error: unknown type"),
+            D::Attack(A::DynamicCreation { created }) => {
                 write!(f, "attack: dynamic creation of states {created:?}")
             }
-            Diagnosis::Attack(AttackType::DynamicDeletion { deleted }) => {
+            D::Attack(A::DynamicDeletion { deleted }) => {
                 write!(f, "attack: dynamic deletion of states {deleted:?}")
             }
-            Diagnosis::Attack(AttackType::DynamicChange { pairs }) => {
+            D::Attack(A::DynamicChange { pairs }) => {
                 write!(f, "attack: dynamic change over pairs {pairs:?}")
             }
-            Diagnosis::Attack(AttackType::Mixed) => write!(f, "attack: mixed"),
+            D::Attack(A::Mixed) => write!(f, "attack: mixed"),
         }
     }
 }
 
-/// Everything the classifier needs about the network-level model
-/// `M_CO`, computed once per model generation.
-#[derive(Debug, Clone)]
-pub struct NetworkEvidence<'a> {
-    /// `B^CO`: observation matrix of the network HMM.
-    pub b_co: &'a StochasticMatrix,
-    /// Orthogonality of `B^CO` over `active_rows`.
-    pub report: &'a OrthogonalityReport,
-    /// Hidden-state rows of `B^CO` with enough evidence to analyze.
-    pub active_rows: &'a [usize],
-    /// Current model-state centroids by slot (inactive slots `None`).
-    pub centroids: &'a [Option<Vec<f64>>],
+/// A test of the walk, by the leaf it decides and the statistic it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Node {
+    /// Deletion, Mixed: the largest row-Gram mass two active `B^CO` rows share.
+    RowOverlap,
+    /// Creation: the largest mass an active row places on a created column.
+    Creation,
+    /// Change: the weakest remapped `B^CO` mass.
+    Change,
+    /// `ErrorFree`: the largest active off-diagonal `B^CO` row-Gram entry.
+    Clean,
+    /// `ErrorFree`: the windows the model has processed.
+    Maturity,
+    /// Stuck-at (Eq. 7): the weakest `B^CE` row's mass on the column.
+    StuckAt,
+    /// Calibration, Additive (Eq. 8): the weakest associated `B^CE` mass.
+    Association,
+    /// Calibration, Additive: the association's pair count.
+    Breadth,
 }
 
-/// Per-sensor evidence: the sensor's `M_CE` observation matrix.
-#[derive(Debug, Clone)]
-pub struct SensorEvidence<'a> {
-    /// `B^CE` for the sensor, *including* the ⊥ column at index 0.
-    pub b_ce: &'a StochasticMatrix,
-    /// Hidden-state rows of `B^CE` with enough evidence.
-    pub active_rows: &'a [usize],
+/// One test the walk took to reach its leaf.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Decision {
+    /// The test.
+    pub(crate) node: Node,
+    /// The statistic it read.
+    pub(crate) statistic: f64,
+    /// The threshold the statistic was held against.
+    pub(crate) threshold: f64,
+    /// The statistic's value of full confidence.
+    pub(crate) full: f64,
+}
+
+fn record(node: Node, statistic: f64, threshold: f64, full: f64) -> Decision {
+    Decision {
+        node,
+        statistic,
+        threshold,
+        full,
+    }
+}
+
+/// How far a decision's statistic sits past its threshold, as a share
+/// of the way to full confidence, clamped into `[0, 1]`.
+pub(crate) fn margin(d: &Decision) -> f64 {
+    let share = (d.statistic - d.threshold) / (d.full - d.threshold);
+    // A statistic exactly at a threshold above `full` gives −0; `+ 0.0`
+    // makes it 0 and leaves every other value as it is.
+    share.clamp(0.0, 1.0) + 0.0
+}
+
+/// The records that decided a leaf, its own test first: none for an
+/// `Unknown` error, or for an `ErrorFree` no clean `B^CO` backs.
+pub(crate) type Decisions = [Option<Decision>; 2];
+
+/// A leaf's confidence in `[0, 1]`: its own margin, times the second
+/// record's (an association's breadth at half weight).
+pub(crate) fn confidence(decisions: &Decisions) -> f64 {
+    let [Some(leaf), second] = decisions else {
+        return 0.0;
+    };
+    let damping = second.map_or(1.0, |d| match d.node {
+        Node::Breadth => 0.5 + 0.5 * margin(&d),
+        _ => margin(&d),
+    });
+    margin(leaf) * damping
 }
 
 /// The hidden-state rows of `estimator`'s **B** with at least
-/// `min_evidence` updates: an identity-prior row nothing has updated
-/// would otherwise pass every structural test as perfect.
-pub fn evidenced_rows(
-    estimator: &OnlineHmmEstimator,
-    min_evidence: u64,
-) -> impl Iterator<Item = usize> + '_ {
+/// `MIN_STATE_EVIDENCE` updates: an identity-prior row nothing has
+/// updated would otherwise pass every structural test as perfect.
+pub fn evidenced_rows(estimator: &OnlineHmmEstimator) -> impl Iterator<Item = usize> + '_ {
     let evidence = estimator.observation_evidence().iter().enumerate();
     evidence
-        .filter(move |&(_, &count)| count >= min_evidence)
+        .filter(|&(_, &count)| count >= MIN_STATE_EVIDENCE)
         .map(|(i, _)| i)
 }
 
-/// Whether row `i` of a `B^CE` carries error signal: at most half of
-/// its mass sits on ⊥. A ⊥-dominated row describes windows where the
-/// tracked sensor *agreed* with the correct state, and renormalizing
-/// its residue would fabricate a signature.
+/// Whether row `i` of a `B^CE` carries error signal: at most
+/// `BOT_DOMINANCE` of its mass sits on ⊥. A ⊥-dominated row describes
+/// windows where the tracked sensor *agreed* with the correct state,
+/// and renormalizing its residue would fabricate a signature.
 pub fn carries_error(b_ce: &StochasticMatrix, i: usize) -> bool {
-    b_ce[(i, BOT_SYMBOL)] <= 0.5
+    b_ce[(i, BOT_SYMBOL)] <= BOT_DOMINANCE
 }
 
-/// Clamps a raw margin ratio into `[0, 1]`.
-fn unit(x: f64) -> f64 {
-    x.clamp(0.0, 1.0)
-}
-
-/// Classifies the network-level matrix: is an attack reshaping the
-/// hidden↔observable correspondence?
-///
-/// Returns the attack with its confidence when `B^CO` carries an attack
-/// signature, `None` when it is structurally clean (the error path
-/// applies).
-pub fn classify_network(
-    evidence: &NetworkEvidence<'_>,
+/// The Fig. 5 walk for one sensor (its runtime, if ever seen) over the
+/// network half `net` holds: the leaf and the records that decided it.
+pub(crate) fn walk(
+    net: &NetMemo,
+    sensor: Option<&SensorRuntime>,
+    windows_processed: u64,
     config: &PipelineConfig,
-) -> Option<(AttackType, f64)> {
+) -> (Diagnosis, Decisions) {
+    match (sensor.filter(|rt| rt.ever_alarmed()), &net.attack) {
+        (None, _) => {
+            // As clean as `B^CO`, damped while the model is young.
+            let windows = windows_processed as f64;
+            let maturity = Some(record(Node::Maturity, windows, 0.0, MATURITY_WINDOWS));
+            (Diagnosis::ErrorFree, [net.clean, net.clean.and(maturity)])
+        }
+        (Some(_), Some((attack, d))) => (Diagnosis::Attack(attack.clone()), [Some(*d), None]),
+        (Some(rt), None) => classify_sensor(&net.centroids, rt.m_ce(), config),
+    }
+}
+
+/// The network half of the walk over `B^CO`'s active (`claimed`) rows:
+/// the attack reshaping the hidden↔observable correspondence, if any,
+/// and what backs an `ErrorFree` verdict — the largest active
+/// off-diagonal row-Gram entry, unless `B^CO` is not orthogonal — each
+/// with its record.
+pub(crate) fn network(
+    b: &StochasticMatrix,
+    claimed: &[usize],
+    report: &OrthogonalityReport,
+    centroids: &[Option<Vec<f64>>],
+    tol: f64,
+) -> (Option<(AttackType, Decision)>, Option<Decision>) {
+    let clean = (!claimed.is_empty() && report.is_orthogonal()).then(|| {
+        let g = b.row_gram();
+        let mut max_off: f64 = 0.0;
+        for &i in claimed {
+            for &j in claimed.iter().filter(|&&j| j > i) {
+                max_off = max_off.max(g[i][j]);
+            }
+        }
+        record(Node::Clean, max_off, tol, 0.0)
+    });
     // Each active hidden row is summarized by its *substantial*
     // emissions (mass ≥ the spread floor). Hidden states and observable
     // symbols share the model-state space, so three shapes arise:
@@ -205,52 +282,30 @@ pub fn classify_network(
     //   fabricated: Dynamic Creation. Splits onto columns claimed by
     //   other hidden states are boundary/deletion artifacts, which the
     //   row-pair orthogonality test catches instead.
-    let b = evidence.b_co;
-    let claimed = evidence.active_rows;
     let mut created: Vec<usize> = Vec::new();
     let mut change_pairs: Vec<(usize, usize)> = Vec::new();
     for &r in claimed {
-        let substantial: Vec<usize> = b
-            .row(r)
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m >= CREATION_SPREAD_FLOOR)
-            .map(|(c, _)| c)
-            .collect();
-        match substantial.as_slice() {
+        let substantial = (0..b.num_cols()).filter(|&c| b[(r, c)] >= CREATION_SPREAD_FLOOR);
+        match substantial.collect::<Vec<usize>>().as_slice() {
             [only] if *only == r => {}
             [only] => change_pairs.push((r, *only)),
-            many => {
-                for &col in many {
-                    if col != r && !claimed.contains(&col) {
-                        created.push(col);
-                    }
-                }
-            }
+            many => created.extend(many.iter().filter(|&&c| c != r && !claimed.contains(&c))),
         }
     }
     created.sort_unstable();
     created.dedup();
-    let violations = &evidence.report.row_violations;
-    // A deletion is as strong as the largest shared row-Gram mass past
-    // the orthogonality tolerance.
-    let tol = config.ortho.max_offdiag;
-    let deletion_margin = || {
-        let margins = violations
-            .iter()
-            .map(|v| unit((v.mass - tol) / (1.0 - tol)));
-        margins.fold(0.0, f64::max)
-    };
-    match (!created.is_empty(), !violations.is_empty()) {
-        (true, true) => Some((AttackType::Mixed, deletion_margin())),
+    let violations = &report.row_violations;
+    let overlap = violations.iter().map(|v| v.mass).fold(0.0, f64::max);
+    let overlap = record(Node::RowOverlap, overlap, tol, 1.0);
+    let attack = match (!created.is_empty(), !violations.is_empty()) {
+        (true, true) => Some((AttackType::Mixed, overlap)),
         (true, false) => {
-            // A creation is as strong as the largest mass any active row
-            // places on a created column.
             let masses = claimed
                 .iter()
                 .flat_map(|&r| created.iter().map(move |&c| b[(r, c)]));
-            let confidence = unit(masses.fold(0.0, f64::max));
-            Some((AttackType::DynamicCreation { created }, confidence))
+            let mass = masses.fold(0.0, f64::max);
+            let creation = AttackType::DynamicCreation { created };
+            Some((creation, record(Node::Creation, mass, 0.0, 1.0)))
         }
         (false, true) => {
             let mut deleted: Vec<usize> = violations
@@ -259,80 +314,49 @@ pub fn classify_network(
                 .collect();
             deleted.sort_unstable();
             deleted.dedup();
-            Some((AttackType::DynamicDeletion { deleted }, deletion_margin()))
+            Some((AttackType::DynamicDeletion { deleted }, overlap))
         }
         (false, false) => {
             // Dynamic Change: one-to-one non-identity remapping whose
             // state attributes differ in every dimension (the paper's
             // ∀i: x_i^c ≠ x_i^o condition).
-            let all_dims_differ = change_pairs.iter().all(|&(c, o)| {
-                match (&evidence.centroids[c], &evidence.centroids[o]) {
-                    (Some(cc), Some(oc)) => {
-                        cc.iter().zip(oc).all(|(a, b)| (a - b).abs() > f64::EPSILON)
-                    }
-                    _ => false,
+            let differ = |c: usize, o: usize| match (&centroids[c], &centroids[o]) {
+                (Some(cc), Some(oc)) => {
+                    (cc.iter().zip(oc)).all(|(a, b)| (a - b).abs() > ATTRIBUTE_RESOLUTION)
                 }
-            });
-            if change_pairs.is_empty() || !all_dims_differ {
-                return None;
-            }
-            // A change is as strong as its weakest remapped association.
-            let masses = change_pairs.iter().map(|&(c, o)| b[(c, o)]);
-            let confidence = masses.fold(1.0, f64::min);
-            let change = AttackType::DynamicChange {
-                pairs: change_pairs,
+                _ => false,
             };
-            Some((change, confidence))
+            let remapped = change_pairs.iter().all(|&(c, o)| differ(c, o));
+            (remapped && !change_pairs.is_empty()).then(|| {
+                let masses = change_pairs.iter().map(|&(c, o)| b[(c, o)]);
+                let weakest = masses.fold(1.0, f64::min);
+                let change = AttackType::DynamicChange {
+                    pairs: change_pairs,
+                };
+                (change, record(Node::Change, weakest, 0.0, 1.0))
+            })
         }
-    }
+    };
+    (attack, clean)
 }
 
-/// The confidence a structurally clean `B^CO` lends an `ErrorFree`
-/// verdict before [`matured`]: how far the largest active off-diagonal
-/// row-Gram entry sits below the orthogonality tolerance, or zero when
-/// the matrix is not orthogonal.
-pub(crate) fn clean_margin(evidence: &NetworkEvidence<'_>, config: &PipelineConfig) -> f64 {
-    let rows = evidence.active_rows;
-    if rows.is_empty() || !evidence.report.is_orthogonal() {
-        return 0.0;
-    }
-    let g = evidence.b_co.row_gram();
-    let mut max_off: f64 = 0.0;
-    for &i in rows {
-        for &j in rows.iter().filter(|&&j| j > i) {
-            max_off = max_off.max(g[i][j]);
-        }
-    }
-    let tol = config.ortho.max_offdiag;
-    unit((tol - max_off) / tol)
-}
-
-/// An `ErrorFree` verdict's confidence: the [`clean_margin`], damped
-/// while the pipeline has processed fewer than 48 windows.
-pub(crate) fn matured(clean_margin: f64, windows_processed: u64) -> f64 {
-    clean_margin * unit(windows_processed as f64 / 48.0)
-}
-
-/// Classifies one sensor's error type from its `M_CE` evidence, given
-/// that the network-level matrix showed no attack signature; returns
-/// the error with its confidence.
-pub fn classify_sensor(
-    network: &NetworkEvidence<'_>,
-    sensor: &SensorEvidence<'_>,
+/// The error half of the walk, taken when `B^CO` showed no attack:
+/// the sensor's `M_CE` names its error type.
+fn classify_sensor(
+    centroids: &[Option<Vec<f64>>],
+    m_ce: &OnlineHmmEstimator,
     config: &PipelineConfig,
-) -> (ErrorType, f64) {
-    const UNKNOWN: (ErrorType, f64) = (ErrorType::Unknown, 0.0);
+) -> (Diagnosis, Decisions) {
+    const UNKNOWN: (Diagnosis, Decisions) = (Diagnosis::Error(ErrorType::Unknown), [None; 2]);
     // Drop the ⊥ column (index 0) as the paper prescribes: column k of
     // what remains is model-state slot k. Rows ⊥ dominates sit the
     // analysis out along with the ⊥ column itself (see [`carries_error`]).
-    let Ok(b) = sensor.b_ce.drop_columns(&[0]) else {
+    let b_ce = m_ce.observation();
+    let Ok(b) = b_ce.drop_columns(&[0]) else {
         return UNKNOWN;
     };
-    let rows: Vec<usize> = sensor
-        .active_rows
-        .iter()
-        .copied()
-        .filter(|&i| carries_error(sensor.b_ce, i))
+    let rows: Vec<usize> = evidenced_rows(m_ce)
+        .filter(|&i| carries_error(b_ce, i))
         .collect();
 
     // Eq. 7: stuck-at — one column dominates every active row, as
@@ -340,66 +364,43 @@ pub fn classify_sensor(
     let thr = config.stuck_at_threshold;
     if let Some(state) = stuck_at_column(&b, thr, Some(&rows)) {
         let weakest = rows.iter().map(|&i| b[(i, state)]).fold(1.0, f64::min);
-        return (
-            ErrorType::StuckAt { state },
-            unit((weakest - thr) / (1.0 - thr)),
-        );
+        let stuck = [Some(record(Node::StuckAt, weakest, thr, 1.0)), None];
+        return (Diagnosis::Error(ErrorType::StuckAt { state }), stuck);
     }
 
     // Eq. 8: one-to-one correct↔error association.
-    let Some(assoc) = one_to_one_association(&b, config.association_threshold, Some(&rows)) else {
+    let thr = config.association_threshold;
+    let Some(assoc) = one_to_one_association(&b, thr, Some(&rows)) else {
         return UNKNOWN;
     };
 
     // Resolve centroids: hidden row i ↔ slot i; error column k ↔ slot k
     // (the ⊥ drop re-aligned columns with slots).
+    let slot = |s: usize| centroids.get(s)?.as_deref();
     let pairs: Vec<(&[f64], &[f64])> = assoc
         .iter()
-        .filter_map(
-            |&(c, e)| match (&network.centroids.get(c), &network.centroids.get(e)) {
-                (Some(Some(cc)), Some(Some(ec))) => Some((cc.as_slice(), ec.as_slice())),
-                _ => None,
-            },
-        )
+        .filter_map(|&(c, e)| Some((slot(c)?, slot(e)?)))
         .collect();
-    let min_pairs = config.min_association_pairs;
-    if pairs.len() < min_pairs {
+    if pairs.len() < MIN_ASSOCIATION_PAIRS {
         return UNKNOWN;
     }
-    let dims = pairs[0].0.len();
-    let cv = config.constancy_cv;
 
     // Ratio constancy (per attribute): x^c / x^e ≈ const ⇒ calibration.
-    let ratio_stats: Option<Vec<MeanVar>> = (0..dims)
-        .map(|d| {
-            let ratios: Vec<f64> = pairs
-                .iter()
-                .filter(|(_, e)| e[d].abs() > 1e-9)
-                .map(|(c, e)| c[d] / e[d])
-                .collect();
-            mean_var(&ratios).filter(|_| ratios.len() >= min_pairs)
-        })
+    let ratios = per_attribute(&pairs, |c, e| (e.abs() > ZERO_ATTRIBUTE).then(|| c / e));
+    let ratio_stats: Option<Vec<MeanVar>> = ratios
+        .map(|r| mean_var(&r).filter(|_| r.len() >= MIN_ASSOCIATION_PAIRS))
         .collect();
-    let ratio_stats = ratio_stats.filter(|stats| {
-        stats
-            .iter()
-            .all(|mv| mv.var.sqrt() <= cv * mv.mean.abs().max(1e-9))
-    });
+    let constant =
+        |mv: &MeanVar, scale: f64| mv.var.sqrt() <= CONSTANCY_CV * mv.mean.abs().max(scale);
+    let ratio_stats = ratio_stats.filter(|s| s.iter().all(|mv| constant(mv, ZERO_ATTRIBUTE)));
     // Difference constancy: x^c − x^e ≈ const ⇒ additive. The spread
     // is judged relative to max(|mean|, state spacing): an attribute
     // the fault leaves untouched has a ≈ 0 mean difference, and its
     // centroid-estimation noise must not fail the test.
     let diff_scale = config.cluster.spawn_threshold.max(1.0);
-    let diff_stats: Vec<MeanVar> = (0..dims)
-        .map(|d| {
-            let diffs: Vec<f64> = pairs.iter().map(|(c, e)| c[d] - e[d]).collect();
-            // sentinet-allow(expect-used): windows handed to mean_var are non-empty by construction
-            mean_var(&diffs).expect("non-empty")
-        })
-        .collect();
-    let diff_const = diff_stats
-        .iter()
-        .all(|mv| mv.var.sqrt() <= cv * mv.mean.abs().max(diff_scale));
+    let diffs = per_attribute(&pairs, |c, e| Some(c - e));
+    let diff_stats: Vec<MeanVar> = diffs.filter_map(|d| mean_var(&d)).collect();
+    let diff_const = diff_stats.iter().all(|mv| constant(mv, diff_scale));
 
     // When both tests pass (e.g. a pure shift over nearly collinear
     // states), prefer the model with the tighter relative spread on its
@@ -414,40 +415,37 @@ pub fn classify_sensor(
         (Some(ratio), true) => max_cv(ratio) <= max_cv(&diff_stats),
     };
     // Either verdict is as strong as the weakest associated row's mass
-    // past the threshold, scaled by the evidence breadth (pairs beyond
+    // past the threshold, damped by the evidence breadth (pairs beyond
     // the minimum).
-    let thr = config.association_threshold;
     let weakest = assoc.iter().map(|&(i, k)| b[(i, k)]).fold(1.0, f64::min);
-    let breadth = unit((assoc.len() as f64 - min_pairs as f64 + 1.0) / (min_pairs as f64 + 1.0));
-    let confidence = unit((weakest - thr) / (1.0 - thr)) * (0.5 + 0.5 * breadth);
+    let (breadth, min) = (assoc.len() as f64, MIN_ASSOCIATION_PAIRS as f64);
+    let decisions = [
+        Some(record(Node::Association, weakest, thr, 1.0)),
+        Some(record(Node::Breadth, breadth, min - 1.0, 2.0 * min)),
+    ];
     let error = if calibration {
+        // The faulty sensor's gain x^e / x^c, averaged over the pairs.
+        let gains = per_attribute(&pairs, |c, e| (c.abs() > ZERO_ATTRIBUTE).then(|| e / c));
+        let gains = gains.map(|g| mean_var(&g).map_or(1.0, |mv| mv.mean));
         ErrorType::Calibration {
-            gains: estimate_gains(&pairs, dims),
+            gains: gains.collect(),
         }
     } else {
         ErrorType::Additive {
             offsets: diff_stats.iter().map(|mv| -mv.mean).collect(),
         }
     };
-    (error, confidence)
+    (Diagnosis::Error(error), decisions)
 }
 
-fn estimate_gains(pairs: &[(&[f64], &[f64])], dims: usize) -> Vec<f64> {
-    // Gain of the faulty sensor = x^e / x^c averaged over pairs.
-    (0..dims)
-        .map(|d| {
-            let gains: Vec<f64> = pairs
-                .iter()
-                .filter(|(c, _)| c[d].abs() > 1e-9)
-                .map(|(c, e)| e[d] / c[d])
-                .collect();
-            if gains.is_empty() {
-                1.0
-            } else {
-                gains.iter().sum::<f64>() / gains.len() as f64
-            }
-        })
-        .collect()
+/// `f(x^c_d, x^e_d)` over the pairs where it is defined, for each
+/// attribute `d`.
+fn per_attribute<'a>(
+    pairs: &'a [(&[f64], &[f64])],
+    f: impl Fn(f64, f64) -> Option<f64> + 'a,
+) -> impl Iterator<Item = Vec<f64>> + 'a {
+    let dims = pairs[0].0.len();
+    (0..dims).map(move |d| pairs.iter().filter_map(|(c, e)| f(c[d], e[d])).collect())
 }
 
 /// The largest relative spread `σ / max(|μ|, 1)` over the attributes.
@@ -459,9 +457,16 @@ fn max_cv(stats: &[MeanVar]) -> f64 {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{GlobalModel, SensorRuntime};
+    use crate::checkpoint::{GlobalSnapshot, GlobalStates, MceSnapshot, SensorSnapshot};
+    use crate::runtime::{GlobalModel, SensorRuntime, TrackRecord};
+    use sentinet_cluster::ModelStates;
+    use sentinet_hmm::EstimatorState;
 
     fn cfg() -> PipelineConfig {
         PipelineConfig::default()
@@ -485,46 +490,101 @@ mod tests {
         StochasticMatrix::from_rows(rows).unwrap()
     }
 
-    /// Runs `f` on the network evidence of `b` over `rows`.
-    fn with_net<R>(
-        b: &StochasticMatrix,
-        rows: &[usize],
-        centroids: &[Option<Vec<f64>>],
-        f: impl FnOnce(&NetworkEvidence<'_>) -> R,
-    ) -> R {
-        let report = OrthogonalityReport::analyze(b, cfg().ortho, Some(rows));
-        f(&NetworkEvidence {
-            b_co: b,
-            report: &report,
-            active_rows: rows,
-            centroids,
-        })
+    /// An estimator of `b`'s rows (no chain), row `i` updated
+    /// `visits[i]` times.
+    fn estimator(b: &StochasticMatrix, visits: Vec<u64>) -> EstimatorState {
+        EstimatorState {
+            chain: None,
+            b: (0..b.num_rows()).map(|i| b.row(i).to_vec()).collect(),
+            gamma: 0.1,
+            visits,
+            generation: 0,
+        }
     }
 
+    /// Visits that make exactly `rows` of an `n`-row **B** evidenced.
+    fn evidencing(n: usize, rows: &[usize]) -> Vec<u64> {
+        let visits = |i| {
+            if rows.contains(&i) {
+                MIN_STATE_EVIDENCE
+            } else {
+                0
+            }
+        };
+        (0..n).map(visits).collect()
+    }
+
+    /// The network half on `b` over `rows`, with the attack's margin.
     fn network(b: &StochasticMatrix, rows: &[usize]) -> Option<(AttackType, f64)> {
-        with_net(b, rows, &centroids(), |ev| classify_network(ev, &cfg()))
+        let report = OrthogonalityReport::analyze(b, cfg().ortho, Some(rows));
+        let tol = cfg().ortho.max_offdiag;
+        let (attack, _) = super::network(b, rows, &report, &centroids(), tol);
+        attack.map(|(attack, d)| (attack, margin(&d)))
     }
 
     fn verdict(b: &StochasticMatrix) -> Option<AttackType> {
         network(b, &[0, 1, 2, 3]).map(|(attack, _)| attack)
     }
 
-    /// The sensor walk on `b_ce` over `rows`, against an identity
-    /// `B^CO` with `centroids`.
+    /// The error half on `b_ce` over its evidenced `rows`, with the
+    /// verdict's confidence.
     fn sensor(
         b_ce: &StochasticMatrix,
         rows: &[usize],
         centroids: &[Option<Vec<f64>>],
     ) -> (ErrorType, f64) {
-        let b_co = identity_b(centroids.len());
-        let active: Vec<usize> = (0..centroids.len()).collect();
-        let ev = SensorEvidence {
-            b_ce,
-            active_rows: rows,
+        let visits = evidencing(b_ce.num_rows(), rows);
+        let m_ce = OnlineHmmEstimator::import_state(estimator(b_ce, visits)).unwrap();
+        match classify_sensor(centroids, &m_ce, &cfg()) {
+            (Diagnosis::Error(error), decisions) => (error, confidence(&decisions)),
+            other => panic!("the error half returned {other:?}"),
+        }
+    }
+
+    /// A global model restored with `M_CO` = `b_co` (row `i` updated
+    /// `visits[i]` times) over model states at `centroids`, `inactive`
+    /// slots retired, after `windows` windows.
+    fn global(
+        config: &PipelineConfig,
+        b_co: &StochasticMatrix,
+        visits: Vec<u64>,
+        centroids: Vec<Vec<f64>>,
+        inactive: &[usize],
+        windows: u64,
+    ) -> GlobalModel {
+        let mut states = ModelStates::new(centroids, config.cluster.clone()).snapshot();
+        for &slot in inactive {
+            states.active[slot] = false;
+        }
+        let snapshot = GlobalSnapshot {
+            windows_processed: windows,
+            bootstrap_points: Vec::new(),
+            states: Some(GlobalStates {
+                states,
+                m_co: estimator(b_co, visits),
+            }),
         };
-        with_net(&b_co, &active, centroids, |net| {
-            classify_sensor(net, &ev, &cfg())
+        GlobalModel::from_snapshot(config.clone(), snapshot).unwrap()
+    }
+
+    /// A sensor with one track open whose `M_CE` is `b_ce`, row `i`
+    /// updated `visits[i]` times.
+    fn alarmed(
+        config: &PipelineConfig,
+        b_ce: &StochasticMatrix,
+        visits: Vec<u64>,
+    ) -> SensorRuntime {
+        let fresh = SensorRuntime::new(config, b_ce.num_rows()).snapshot();
+        let track = TrackRecord {
+            opened: 0,
+            closed: None,
+        };
+        SensorRuntime::from_snapshot(SensorSnapshot {
+            m_ce: MceSnapshot::Built(estimator(b_ce, visits)),
+            tracks: vec![track],
+            ..fresh
         })
+        .unwrap()
     }
 
     fn identity_rows(n: usize) -> Vec<Vec<f64>> {
@@ -657,17 +717,28 @@ mod tests {
 
     #[test]
     fn clean_confidence_needs_maturity_and_orthogonality() {
-        let margin = with_net(&identity_b(3), &[0, 1, 2], &centroids(), |ev| {
-            clean_margin(ev, &cfg())
-        });
-        let young = matured(margin, 2);
-        let mature = matured(margin, 200);
+        // An unalarmed sensor's confidence after `windows` windows of a
+        // model whose `B^CO` is `b`, every row evidenced.
+        let clean = |b: &StochasticMatrix, windows| {
+            let n = b.num_rows();
+            let cents = centroids().into_iter().flatten().take(n).collect();
+            let model = global(&cfg(), b, evidencing(n, &[0, 1, 2]), cents, &[], windows);
+            let runtime = SensorRuntime::new(&cfg(), n);
+            let (verdict, confidence) = model.classify_with_confidence(Some(&runtime));
+            assert_eq!(verdict, Diagnosis::ErrorFree);
+            confidence
+        };
+        let young = clean(&identity_b(3), 2);
+        let mature = clean(&identity_b(3), 200);
         assert!(mature > 0.9, "{mature}");
         assert!(young < 0.1, "{young}");
         // Non-orthogonal matrix: zero clean confidence.
         let bad = StochasticMatrix::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
-        let margin = with_net(&bad, &[0, 1], &centroids(), |ev| clean_margin(ev, &cfg()));
-        assert_eq!(matured(margin, 200), 0.0);
+        assert_eq!(clean(&bad, 200), 0.0);
+        // Disjoint rows too spread to be states are not orthogonal
+        // either, though no two of them overlap.
+        let thin = bce(vec![vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 0.5, 0.5]]);
+        assert_eq!(clean(&thin, 200), 0.0);
     }
 
     #[test]
@@ -834,5 +905,81 @@ mod tests {
         assert!(Diagnosis::Attack(AttackType::Mixed)
             .to_string()
             .contains("mixed"));
+    }
+
+    #[test]
+    fn a_sensor_whose_b_ce_rows_are_all_bot_dominated_is_unknown() {
+        // Every evidenced row sits mostly on ⊥: no row carries error, so
+        // no association has the pairs the calibration/additive test
+        // needs.
+        let b_co = identity_b(2);
+        let cents = vec![vec![12.0, 94.0], vec![24.0, 70.0]];
+        let model = global(&cfg(), &b_co, vec![5, 5], cents, &[], 60);
+        let b_ce = bce(vec![vec![0.75, 0.25, 0.0], vec![0.75, 0.0, 0.25]]);
+        let sensor = alarmed(&cfg(), &b_ce, vec![5, 5]);
+        let walked = model.walk(Some(&sensor));
+        assert_eq!(walked, (Diagnosis::Error(ErrorType::Unknown), [None; 2]));
+        assert_eq!(confidence(&walked.1).to_bits(), 0.0f64.to_bits());
+    }
+
+    /// `B` rows of `cols` columns on the quarter grid.
+    fn quarter_rows(rng: &mut seeded::TestRng, rows: usize, cols: usize) -> StochasticMatrix {
+        let row = |rng: &mut seeded::TestRng| {
+            let mut row = vec![0.0; cols];
+            for _ in 0..4 {
+                row[rng.usize_in(0, cols)] += 0.25;
+            }
+            row
+        };
+        bce(rng.vec(rows, row))
+    }
+
+    seeded::properties! {
+        var: "WALK_TOTALITY_SEED", package: "sentinet-core", target: "--lib", cases: 3000;
+
+        /// Over 2–3-state `B^CO` and `B^CE` on a quarter grid, with
+        /// thresholds on that grid, centroids collinear or scattered
+        /// (zero, repeated and retired ones among them) and any visit
+        /// counts, the walk never panics; every confidence and every
+        /// record's margin is finite, in `[0, 1]` and not `-0`; and
+        /// walking again, through the memo or through a model restored
+        /// from the same snapshot, takes the same leaf and records.
+        fn the_walk_is_total_and_repeatable(rng) {
+            let n = rng.usize_in(2, 4);
+            let quarters = [0.0, 0.25, 0.5, 0.75];
+            let mut config = cfg();
+            config.stuck_at_threshold = rng.pick(&quarters);
+            config.association_threshold = rng.pick(&quarters);
+            config.ortho.max_offdiag = rng.pick(&quarters[1..]);
+            let values = [0.0, 1.0, 2.0, 4.0, 12.0, 94.0, -3.0];
+            let collinear = rng.bool();
+            let cents: Vec<Vec<f64>> = rng.vec(n, |rng| {
+                let x = rng.pick(&values);
+                vec![x, if collinear { 2.0 * x } else { rng.pick(&values) }]
+            });
+            let inactive: Vec<usize> = (1..n).filter(|_| rng.usize_in(0, 4) == 0).collect();
+            let visits = |rng: &mut seeded::TestRng| rng.vec(n, |rng| rng.pick(&[0, 1, 3, 7]));
+            let b_co = quarter_rows(rng, n, n);
+            let co_visits = visits(rng);
+            let windows = rng.range(0u64..100);
+            let model = global(&config, &b_co, co_visits.clone(), cents.clone(), &inactive, windows);
+            let twin = global(&config, &b_co, co_visits, cents, &inactive, windows);
+            let b_ce = quarter_rows(rng, n, n + 1);
+            let mut ce_visits = visits(rng);
+            ce_visits[0] = ce_visits[0].max(1);
+            let suspect = alarmed(&config, &b_ce, ce_visits);
+            let quiet = SensorRuntime::new(&config, n);
+            for runtime in [None, Some(&quiet), Some(&suspect)] {
+                let walked = model.walk(runtime);
+                let unit = |x: f64| x.is_finite() && (0.0..=1.0).contains(&x) && x.is_sign_positive();
+                for d in walked.1.iter().flatten() {
+                    assert!(unit(margin(d)), "{d:?}: margin {}", margin(d));
+                }
+                let c = confidence(&walked.1);
+                assert!(unit(c), "{walked:?}: confidence {c}");
+                assert_eq!(model.walk(runtime), walked);
+                assert_eq!(twin.walk(runtime), walked);
+            }
+        }
     }
 }

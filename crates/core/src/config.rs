@@ -62,11 +62,14 @@ pub struct PipelineConfig {
     pub gamma: f64,
     /// Alarm filter policy.
     pub filter: FilterPolicy,
-    /// Orthogonality tolerances for classification.
+    /// Orthogonality tolerances for classification; `max_offdiag` in
+    /// (0, 1).
     pub ortho: OrthoTolerance,
-    /// Minimum per-row mass for the Eq. 7 stuck-at column test.
+    /// Minimum per-row mass for the Eq. 7 stuck-at column test, in
+    /// [0, 1).
     pub stuck_at_threshold: f64,
-    /// Minimum per-row mass for a one-to-one association (Eq. 8).
+    /// Minimum per-row mass for a one-to-one association (Eq. 8), in
+    /// [0, 1).
     pub association_threshold: f64,
     /// Fraction of reporting sensors the winning label must exceed for
     /// a window to be *decisive* (Eq. 4's majority assumption). The ⅔
@@ -74,15 +77,6 @@ pub struct PipelineConfig {
     /// split across two states — from training the models with
     /// ambiguous correct states.
     pub majority_fraction: f64,
-    /// Coefficient-of-variation bound below which per-attribute ratios
-    /// or differences count as "constant" (calibration vs additive).
-    pub constancy_cv: f64,
-    /// Minimum associated-state pairs required before attempting the
-    /// calibration/additive distinction.
-    pub min_association_pairs: usize,
-    /// Minimum evidence (update count) before a hidden state's row in
-    /// **B** participates in structural analysis.
-    pub min_state_evidence: u64,
     /// Minimum occupancy for a state to appear in the user-facing
     /// Markov model `M_C` (the paper drops its (16, 27) fluctuation
     /// state this way).
@@ -110,9 +104,6 @@ impl Default for PipelineConfig {
             stuck_at_threshold: 0.5,
             association_threshold: 0.4,
             majority_fraction: 0.65,
-            constancy_cv: 0.15,
-            min_association_pairs: 2,
-            min_state_evidence: 3,
             key_state_occupancy: 0.02,
             observable_trim: 0.15,
             seed: 0xD51_2006,
@@ -146,12 +137,17 @@ impl PipelineConfig {
                 "explicit initial states must be non-empty"
             );
         }
+        // A threshold of 1 leaves no room past it: its margin is 0 / 0.
         assert!(
-            (0.0..=1.0).contains(&self.stuck_at_threshold)
-                && (0.0..=1.0).contains(&self.association_threshold),
-            "thresholds must be probabilities"
+            (0.0..1.0).contains(&self.stuck_at_threshold)
+                && (0.0..1.0).contains(&self.association_threshold),
+            "thresholds must be in [0, 1)"
         );
-        assert!(self.constancy_cv > 0.0, "constancy CV must be positive");
+        let tol = self.ortho.max_offdiag;
+        assert!(
+            tol > 0.0 && tol < 1.0,
+            "orthogonality tolerance must be in (0, 1)"
+        );
         assert!(
             (0.5..1.0).contains(&self.majority_fraction),
             "majority fraction must be in [0.5, 1)"
@@ -240,6 +236,42 @@ mod tests {
             },
             ..Default::default()
         };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "thresholds must be in [0, 1)")]
+    fn a_stuck_at_threshold_of_one_panics() {
+        let c = PipelineConfig {
+            stuck_at_threshold: 1.0,
+            ..Default::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "thresholds must be in [0, 1)")]
+    fn an_association_threshold_of_one_panics() {
+        let c = PipelineConfig {
+            association_threshold: 1.0,
+            ..Default::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "orthogonality tolerance must be in (0, 1)")]
+    fn a_zero_orthogonality_tolerance_panics() {
+        let mut c = PipelineConfig::default();
+        c.ortho.max_offdiag = 0.0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "orthogonality tolerance must be in (0, 1)")]
+    fn an_orthogonality_tolerance_of_one_panics() {
+        let mut c = PipelineConfig::default();
+        c.ortho.max_offdiag = 1.0;
         c.validate();
     }
 

@@ -68,7 +68,7 @@ pub use checkpoint::{
     decode_pipeline, encode_pipeline, CheckpointError, GlobalSnapshot, GlobalStates, MceSnapshot,
     PipelineSnapshot, SensorSnapshot, WindowerSnapshot,
 };
-pub use classify::{AttackType, Diagnosis, ErrorType, NetworkEvidence, SensorEvidence};
+pub use classify::{AttackType, Diagnosis, ErrorType};
 pub use config::{FilterPolicy, PipelineConfig};
 pub use pipeline::{Coordinator, Pipeline, TrackRecord, WindowOutcome, BOT_SYMBOL};
 pub use recovery::{RecoveryAction, RecoveryPlan};

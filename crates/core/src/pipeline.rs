@@ -513,7 +513,7 @@ impl Pipeline {
             return BTreeMap::new();
         };
         let b = state.m_ce().observation();
-        evidenced_rows(state.m_ce(), self.global().config().min_state_evidence)
+        evidenced_rows(state.m_ce())
             .filter(|&i| carries_error(b, i))
             .filter_map(|i| {
                 let row = b.row(i);

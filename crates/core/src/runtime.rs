@@ -21,18 +21,17 @@
 //! way, which is what makes the engine's output bit-for-bit identical
 //! to the serial pipeline's.
 //!
-//! Each verdict and its confidence come from one walk of the Fig. 5
-//! tree ([`crate::classify`]). The network half of that walk — `M_CO`'s
-//! active rows, orthogonality report and attack verdict — is cached
-//! behind the `M_CO` and model-state generations (see
+//! Each verdict comes from one walk of the Fig. 5 tree
+//! ([`crate::classify`]), with the records that decided it. The network
+//! half of that walk — the centroids, `B^CO`'s attack and clean records
+//! — is cached behind the `M_CO` and model-state generations (see
 //! [`OnlineHmmEstimator::generation`]), so every sensor of one
 //! `classify_all` shares one network walk; a sensor's own half reads
 //! its `M_CE` afresh on every call.
 
 use crate::checkpoint::MceSnapshot;
 use crate::classify::{
-    classify_network, classify_sensor, clean_margin, evidenced_rows, matured, AttackType,
-    Diagnosis, NetworkEvidence, SensorEvidence,
+    confidence, evidenced_rows, network, walk, AttackType, Decision, Decisions, Diagnosis,
 };
 use crate::config::{FilterPolicy, PipelineConfig};
 use crate::pipeline::WindowOutcome;
@@ -41,8 +40,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_cluster::{kmeans, ModelStates, StateEvent, UpdateScratch};
 use sentinet_filter::{AlarmFilter, KOfNFilter, Sprt, SprtAlarmFilter};
-use sentinet_hmm::structure::{OrthogonalityReport, StructureCache};
-use sentinet_hmm::{EstimatorState, MarkovChain, OnlineHmmEstimator, StochasticMatrix};
+use sentinet_hmm::structure::StructureCache;
+use sentinet_hmm::{EstimatorState, MarkovChain, OnlineHmmEstimator};
 use sentinet_sim::SensorId;
 use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
@@ -453,30 +452,18 @@ fn step_sensor(
     }
 }
 
-/// Memoized network-level products, keyed on the `(M_CO, model states)`
-/// generation pair.
+/// The network half of the walk, memoized on the `(M_CO, model
+/// states)` generation pair.
 #[derive(Debug)]
-struct NetMemo {
+pub(crate) struct NetMemo {
     stamp: (u64, u64),
-    active_rows: Vec<usize>,
-    centroids: Vec<Option<Vec<f64>>>,
-    report: OrthogonalityReport,
-    /// The attack `B^CO` carries, with its confidence.
-    attack: Option<(AttackType, f64)>,
-    /// An `ErrorFree` verdict's confidence before [`matured`].
-    clean_margin: f64,
     structure: StructureCache,
-}
-
-impl NetMemo {
-    fn evidence<'a>(&'a self, b_co: &'a StochasticMatrix) -> NetworkEvidence<'a> {
-        NetworkEvidence {
-            b_co,
-            report: &self.report,
-            active_rows: &self.active_rows,
-            centroids: &self.centroids,
-        }
-    }
+    /// Current model-state centroids by slot (inactive slots `None`).
+    pub(crate) centroids: Vec<Option<Vec<f64>>>,
+    /// The attack `B^CO` carries, with its deciding record.
+    pub(crate) attack: Option<(AttackType, Decision)>,
+    /// `B^CO`'s clean record, which backs an `ErrorFree` verdict.
+    pub(crate) clean: Option<Decision>,
 }
 
 /// The global (coordinator-side) half of the pipeline: model states,
@@ -734,20 +721,16 @@ impl GlobalModel {
         })
     }
 
-    /// Runs `f` against the up-to-date network memo. Recomputes the
-    /// active rows, centroid table, orthogonality report, network
-    /// verdict and clean margin only when the network stamp moved.
-    fn with_net_memo<'a, R>(
-        &'a self,
-        f: impl FnOnce(&NetMemo, &'a OnlineHmmEstimator) -> R,
-    ) -> Option<R> {
+    /// Runs `f` against the up-to-date network memo, walking the
+    /// network half again only when the network stamp moved.
+    fn with_net_memo<R>(&self, f: impl FnOnce(&NetMemo) -> R) -> Option<R> {
         let m_co = self.m_co.as_ref()?;
         let states = self.states.as_ref()?;
         let stamp = (m_co.generation(), states.generation());
         let mut memo = self.net_memo.borrow_mut();
         if !matches!(memo.as_ref(), Some(m) if m.stamp == stamp) {
-            let active_rows: Vec<usize> =
-                evidenced_rows(m_co, self.config.min_state_evidence).collect();
+            let b = m_co.observation();
+            let rows: Vec<usize> = evidenced_rows(m_co).collect();
             let centroids: Vec<Option<Vec<f64>>> = (0..states.num_slots())
                 .map(|i| states.centroid_any(i).map(<[f64]>::to_vec))
                 .collect();
@@ -755,73 +738,48 @@ impl GlobalModel {
             // analysis stays valid when only the cluster generation
             // moved (centroid drift without an M_CO update).
             let mut structure = memo.take().map(|m| m.structure).unwrap_or_default();
-            let report = structure
-                .orthogonality(
-                    m_co.generation(),
-                    m_co.observation(),
-                    self.config.ortho,
-                    Some(&active_rows),
-                )
-                .clone();
-            let evidence = NetworkEvidence {
-                b_co: m_co.observation(),
-                report: &report,
-                active_rows: &active_rows,
-                centroids: &centroids,
-            };
-            let attack = classify_network(&evidence, &self.config);
-            let clean_margin = clean_margin(&evidence, &self.config);
+            let ortho = self.config.ortho;
+            let report = structure.orthogonality(m_co.generation(), b, ortho, Some(&rows));
+            let (attack, clean) = network(b, &rows, report, &centroids, ortho.max_offdiag);
             *memo = Some(NetMemo {
                 stamp,
-                active_rows,
-                centroids,
-                report,
-                attack,
-                clean_margin,
                 structure,
+                centroids,
+                attack,
+                clean,
             });
         }
         // sentinet-allow(expect-used): the memo entry is filled on the line above
-        Some(f(memo.as_ref().expect("just filled"), m_co))
+        Some(f(memo.as_ref().expect("just filled")))
     }
 
     /// The memoized network-level verdict: `Some(attack)` when the
     /// `M_CO` structure carries an attack signature.
     pub fn network_attack(&self) -> Option<AttackType> {
-        self.with_net_memo(|memo, _| memo.attack.as_ref().map(|(attack, _)| attack.clone()))?
+        self.with_net_memo(|memo| memo.attack.as_ref().map(|(attack, _)| attack.clone()))?
     }
 
     /// Classifies one sensor per the paper's Fig. 5 tree.
     ///
     /// `None` — a sensor never seen — is [`Diagnosis::ErrorFree`].
     pub fn classify(&self, runtime: Option<&SensorRuntime>) -> Diagnosis {
-        self.classify_with_confidence(runtime).0
+        self.walk(runtime).0
     }
 
     /// [`GlobalModel::classify`] plus the verdict's confidence (see
-    /// [`crate::classify`]): one walk of the tree yields both, its
-    /// network half memoized on the `(M_CO, model states)` generations.
+    /// [`crate::classify`]).
     pub fn classify_with_confidence(&self, runtime: Option<&SensorRuntime>) -> (Diagnosis, f64) {
-        let Some(rt) = runtime.filter(|rt| rt.ever_alarmed()) else {
-            let clean =
-                self.with_net_memo(|memo, _| matured(memo.clean_margin, self.windows_processed));
-            return (Diagnosis::ErrorFree, clean.unwrap_or(0.0));
-        };
-        let walked = self.with_net_memo(|memo, m_co| match &memo.attack {
-            Some((attack, confidence)) => (Diagnosis::Attack(attack.clone()), *confidence),
-            None => {
-                let rows: Vec<usize> =
-                    evidenced_rows(rt.m_ce(), self.config.min_state_evidence).collect();
-                let sensor = SensorEvidence {
-                    b_ce: rt.m_ce().observation(),
-                    active_rows: &rows,
-                };
-                let network = memo.evidence(m_co.observation());
-                let (error, confidence) = classify_sensor(&network, &sensor, &self.config);
-                (Diagnosis::Error(error), confidence)
-            }
-        });
-        // Before bootstrap there is no network model to walk.
-        walked.unwrap_or((Diagnosis::ErrorFree, 0.0))
+        let (diagnosis, decisions) = self.walk(runtime);
+        (diagnosis, confidence(&decisions))
+    }
+
+    /// The Fig. 5 walk for one sensor: the leaf and the records that
+    /// decided it, the network half memoized on the `(M_CO, model
+    /// states)` generations. Before bootstrap there is no network model
+    /// to walk, and nothing backs the `ErrorFree` leaf.
+    pub(crate) fn walk(&self, runtime: Option<&SensorRuntime>) -> (Diagnosis, Decisions) {
+        let walked =
+            self.with_net_memo(|net| walk(net, runtime, self.windows_processed, &self.config));
+        walked.unwrap_or((Diagnosis::ErrorFree, [None; 2]))
     }
 }
