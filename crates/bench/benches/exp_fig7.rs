@@ -7,6 +7,7 @@
 //! states, their occupancies, and the transition edges.
 
 use sentinet_bench::{clean_scenario, run_pipeline, state_label};
+use sentinet_core::KEY_STATE_OCCUPANCY;
 
 fn main() {
     let (trace, cfg) = clean_scenario(30, 7);
@@ -14,10 +15,10 @@ fn main() {
     let m_c = p.correct_model().expect("bootstrapped");
 
     println!("=== Figure 7: correct Markov model M_C ===");
-    let key = m_c.key_states(p.config().key_state_occupancy);
+    let key = m_c.key_states(KEY_STATE_OCCUPANCY);
     println!(
         "key states (occupancy ≥ {:.0}%):",
-        100.0 * p.config().key_state_occupancy
+        100.0 * KEY_STATE_OCCUPANCY
     );
     for &s in &key {
         println!(

@@ -375,7 +375,6 @@ impl Args for ServeArgs {
         Flag::new("--credit-window", "N", |a, v| {
             positive(v, &mut a.server.credit_window)
         }),
-        Flag::new("--v1-only", "", |a, _| on(&mut a.server.v1_only)),
         Flag::new("--epoch", "N", |a, v| num(v, &mut a.gateway.epoch)),
         Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
     ];
@@ -946,7 +945,6 @@ mod tests {
                 );
                 assert_eq!(a.gateway.wal.crash_after, None);
                 assert_eq!(a.server.credit_window, 32);
-                assert!(!a.server.v1_only);
             }
             other => panic!("{other:?}"),
         }
@@ -970,7 +968,6 @@ mod tests {
             "40",
             "--credit-window",
             "8",
-            "--v1-only",
             "--quiet",
         ])
         .unwrap()
@@ -984,7 +981,6 @@ mod tests {
                 assert_eq!(a.gateway.wal.segment_max_bytes, 4096);
                 assert_eq!(a.gateway.wal.crash_after, Some(40));
                 assert_eq!(a.server.credit_window, 8);
-                assert!(a.server.v1_only);
                 assert_eq!(a.gateway.epoch, 0);
                 assert!(a.quiet);
             }
@@ -1504,9 +1500,10 @@ mod tests {
 
     /// `help` names exactly the flags the hand-written synopsis named,
     /// metavars included, plus `replay-wal`'s `--silence-deadline` and
-    /// less the sharded engine's flags and `federate`'s nemesis flags
-    /// (the campaign runs from `xtask nemesis`) — and both agree with
-    /// the tables.
+    /// less the sharded engine's flags, `federate`'s nemesis flags
+    /// (the campaign runs from `xtask nemesis`) and `serve --v1-only`
+    /// (the server speaks both versions) — and both agree with the
+    /// tables.
     #[test]
     fn table_synopsis_names_the_parents_flags() {
         let mut expected = synopsis_flags(HAND_WRITTEN_SYNOPSIS);
@@ -1517,6 +1514,7 @@ mod tests {
             "--nemesis-seed",
             "--episodes",
             "--nemesis-migration",
+            "--v1-only",
         ];
         for (_, flags) in &mut expected {
             flags.retain(|(name, _)| !gone.contains(&name.as_str()));

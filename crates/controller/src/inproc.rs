@@ -36,8 +36,8 @@ use crate::federation::{
 };
 use crate::partition::PartitionId;
 use sentinet_gateway::{
-    decode_collector, encode_collector, Collector, CutCheck, DeliverOutcome, FaultPlan, FaultyVfs,
-    FenceCheck, GatewayConfig, RecoveryInfo,
+    decode_collector, encode_collector, Collector, DeliverOutcome, FaultPlan, FaultyVfs,
+    GatewayConfig, RecoveryInfo,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::path::PathBuf;
@@ -65,8 +65,6 @@ pub struct InProcessBackend {
     /// The faults not yet armed: a partition's leave at its epoch-1
     /// start.
     drill: DrillPlan,
-    fence: FenceCheck,
-    cut: CutCheck,
     pipelined: bool,
     zombies: Option<Arc<Mutex<Vec<Zombie>>>>,
     recoveries: Vec<Option<RecoveryInfo>>,
@@ -75,7 +73,8 @@ pub struct InProcessBackend {
 impl InProcessBackend {
     /// A backend over `partitions` WAL directories
     /// (`wal_root/p{N}`), cloned from `template` (its `wal.dir` is
-    /// ignored). `standbys` bounds how many adoptions (epoch > 1
+    /// ignored; its `fence` and `cut` mutation seams reach every
+    /// owner). `standbys` bounds how many adoptions (epoch > 1
     /// starts) can ever succeed; `drill` breaks epoch-1 owners at the
     /// planned coordinates.
     pub fn new(
@@ -90,33 +89,10 @@ impl InProcessBackend {
             wal_root: wal_root.into(),
             standbys,
             drill,
-            fence: FenceCheck::Enforced,
-            cut: CutCheck::Enforced,
             pipelined: false,
             zombies: None,
             recoveries: (0..partitions).map(|_| None).collect(),
         }
-    }
-
-    /// Sets the deliver-path fence-check mode stamped into every
-    /// owner's config. [`FenceCheck::Skip`] is the mutation seam: the
-    /// nemesis self-test flips it to prove the campaign catches the
-    /// split-brain fencing prevents.
-    #[must_use]
-    pub fn with_fence(mut self, fence: FenceCheck) -> Self {
-        self.fence = fence;
-        self
-    }
-
-    /// Sets the migration-cut mode stamped into every owner's
-    /// config. [`CutCheck::Skip`] is the mutation seam: the nemesis
-    /// self-test flips it to prove the migration campaign catches a
-    /// cut that ships an empty snapshot (acked readings vanishing in
-    /// the handoff).
-    #[must_use]
-    pub fn with_cut(mut self, cut: CutCheck) -> Self {
-        self.cut = cut;
-        self
     }
 
     /// Switches links to the pipelined mode: readings buffer on the
@@ -441,8 +417,6 @@ impl PartitionBackend for InProcessBackend {
             Arc::new(FaultyVfs::new(FaultPlan { faults }))
         };
         config.epoch = epoch;
-        config.fence = self.fence;
-        config.cut = self.cut;
         let (collector, info) = Collector::open(config).map_err(|e| BackendError(e.to_string()))?;
         self.recoveries[p] = Some(info);
         Ok(InProcessLink {

@@ -59,12 +59,6 @@ pub struct NemesisConfig {
     pub seed: u64,
     /// Episodes to run.
     pub episodes: u32,
-    /// Partitions in the fleet.
-    pub partitions: usize,
-    /// Sensors across the fleet.
-    pub sensors: u16,
-    /// Sampling ticks per episode (stream length = `ticks × sensors`).
-    pub ticks: u64,
     /// Deliver-path fence mode. [`FenceCheck::Skip`] is the mutation
     /// self-test: the campaign MUST fail under it.
     pub fence: FenceCheck,
@@ -85,15 +79,12 @@ pub struct NemesisConfig {
 }
 
 impl NemesisConfig {
-    /// A campaign over the default small fleet: two partitions, four
-    /// sensors, sixty ticks, fencing enforced.
+    /// A campaign over the fixed small fleet (two partitions, four
+    /// sensors, sixty ticks), fencing enforced.
     pub fn new(seed: u64, episodes: u32, root: impl Into<PathBuf>) -> Self {
         Self {
             seed,
             episodes,
-            partitions: 2,
-            sensors: 4,
-            ticks: 60,
             fence: FenceCheck::Enforced,
             cut: CutCheck::Enforced,
             migration: false,
@@ -261,6 +252,21 @@ impl fmt::Display for CampaignSummary {
 /// as a flap, two consecutive misses commit suspicion.
 const SUSPECT_AFTER: u32 = 2;
 
+/// Partitions in every campaign's fleet.
+const PARTITIONS: usize = 2;
+
+/// Sensors across the fleet.
+const SENSORS: u16 = 4;
+
+/// Sampling ticks per episode (stream length = `TICKS × SENSORS`).
+const TICKS: u64 = 60;
+
+/// Sensors a partition owns at the start.
+const WIDTH: u16 = SENSORS / PARTITIONS as u16;
+
+/// Readings a partition receives per episode.
+const PER_PARTITION: u64 = TICKS * WIDTH as u64;
+
 /// One generated episode: the fault plan plus the standby budget that
 /// keeps it recoverable.
 struct EpisodePlan {
@@ -270,12 +276,12 @@ struct EpisodePlan {
 }
 
 /// The deterministic episode stream, the same shape the federation
-/// drills use: `ticks` sampling rounds over `sensors` sensors.
-fn stream(sensors: u16, ticks: u64) -> Vec<(SensorId, u64, Vec<f64>)> {
+/// drills use: [`TICKS`] sampling rounds over [`SENSORS`] sensors.
+fn stream() -> Vec<(SensorId, u64, Vec<f64>)> {
     let mut out = Vec::new();
-    for i in 0..ticks {
+    for i in 0..TICKS {
         let t = 300 * (i + 1);
-        for s in 0..sensors {
+        for s in 0..SENSORS {
             let v = 20.0 + (i % 7) as f64 + f64::from(s);
             out.push((SensorId(s), t, vec![v, v + 30.0]));
         }
@@ -314,13 +320,11 @@ fn episode_seed(seed: u64, episode: u32) -> u64 {
 /// exercised on a fixed cadence, not by luck.
 fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodePlan {
     let mut rng = StdRng::seed_from_u64(ep_seed);
-    let per_partition =
-        config.ticks * u64::from(config.sensors / config.partitions.max(1) as u16).max(1);
-    let max_after = (per_partition * 2 / 3).max(3);
+    let max_after = PER_PARTITION * 2 / 3;
     let mut drill = DrillPlan::new();
 
     if rng.gen_bool(0.5) {
-        let partition = rng.gen_range(0..config.partitions);
+        let partition = rng.gen_range(0..PARTITIONS);
         let after_records = rng.gen_range(1..max_after);
         let fault = |fault| DrillFault {
             partition,
@@ -337,7 +341,7 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
 
     for _ in 0..rng.gen_range(0..=2u32) {
         drill = drill.with_net(NetDrill {
-            partition: rng.gen_range(0..config.partitions),
+            partition: rng.gen_range(0..PARTITIONS),
             after_records: rng.gen_range(1..max_after),
             span: rng.gen_range(1..=3),
             fault: match rng.gen_range(0..4u32) {
@@ -353,7 +357,7 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
         // the controller fails over, and the old owner becomes the
         // zombie the post-run probe fences.
         drill = drill.with_net(NetDrill {
-            partition: episode as usize % config.partitions,
+            partition: episode as usize % PARTITIONS,
             after_records: rng.gen_range(4..max_after),
             span: u64::from(SUSPECT_AFTER),
             fault: NetFault::Partition,
@@ -364,11 +368,11 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
         // (partition 0): its fenced-but-live old owner holds the
         // rebalanced-back range, so the post-run cut probe gets a
         // zombie that adopted migrated sensors. The coordinate lands
-        // after the rebalance trigger (≈ `per_partition/2` of its own
+        // after the rebalance trigger (≈ `PER_PARTITION / 2` of its own
         // deliveries plus the migrated share).
         drill = drill.with_net(NetDrill {
             partition: 0,
-            after_records: per_partition * 2 / 3,
+            after_records: PER_PARTITION * 2 / 3,
             span: u64::from(SUSPECT_AFTER),
             fault: NetFault::Partition,
         });
@@ -383,7 +387,7 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
             },
         };
         drill = drill.with_disk(
-            rng.gen_range(0..config.partitions),
+            rng.gen_range(0..PARTITIONS),
             FaultSpec {
                 path: String::new(),
                 op: if rng.gen_bool(0.5) {
@@ -420,21 +424,19 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
 /// Applies the fixed live-migration schedule when the campaign runs
 /// with migrations: split partition 0 at the midpoint of its range a
 /// third of the way into its stream, then rebalance the split-off
-/// partition (id = `config.partitions`) back into it. Triggers key on
+/// partition (id = [`PARTITIONS`]) back into it. Triggers key on
 /// routed counts, which faults cannot perturb, so the cut lands at
 /// one stream coordinate in the baseline and every episode alike.
 fn schedule_migrations(fed: &mut Federation<InProcessBackend>, config: &NemesisConfig) {
     if !config.migration {
         return;
     }
-    let width = config.sensors / config.partitions.max(1) as u16;
-    let per_partition = config.ticks * u64::from(width.max(1));
-    fed.schedule_split(0, SensorId(width / 2), (per_partition / 3) as usize)
+    fed.schedule_split(0, SensorId(WIDTH / 2), (PER_PARTITION / 3) as usize)
         // sentinet-allow(expect-used): the schedule is fixed — partition 0
-        // exists and `width / 2` is strictly inside its range for every
-        // campaign geometry; a failure here is a harness bug worth a panic.
+        // exists and `WIDTH / 2` is strictly inside its range; a failure
+        // here is a harness bug worth a panic.
         .expect("the fixed migration schedule is non-degenerate");
-    fed.schedule_rebalance(config.partitions, (per_partition / 6) as usize);
+    fed.schedule_rebalance(PARTITIONS, (PER_PARTITION / 6) as usize);
 }
 
 /// Pokes a fenced old owner with one fresh append. `Ok(true)`: epoch
@@ -482,6 +484,14 @@ fn first_diff(baseline: &str, got: &str) -> String {
 /// invariant.
 pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFailure> {
     let template = template();
+    // The mutation seams ride the gateway config of every drilled
+    // owner; the baseline and the probe re-merge keep them enforced.
+    let mut drilled = template.clone();
+    drilled.fence = config.fence;
+    drilled.cut = config.cut;
+    // sentinet-allow(expect-used): the fleet geometry is fixed with
+    // sensors >= partitions, never a degenerate split.
+    let map = PartitionMap::split_even(SENSORS, PARTITIONS).expect("the nemesis fleet splits");
     let fail = |episode: u32, episode_seed: u64, violation: NemesisViolation| NemesisFailure {
         episode,
         episode_seed,
@@ -495,21 +505,17 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
     // durable-path mutation — fault injection has nothing to cover.
     let _ = std::fs::remove_dir_all(&baseline_dir);
     let baseline = {
-        let map = PartitionMap::split_even(config.sensors, config.partitions)
-            // sentinet-allow(expect-used): campaign geometry is fixed with
-            // sensors >= partitions, never a degenerate split.
-            .expect("nemesis fleets are non-degenerate");
         let backend = InProcessBackend::new(
             template.clone(),
             &baseline_dir,
-            config.partitions,
+            PARTITIONS,
             0,
             DrillPlan::new(),
         );
-        let mut fed = Federation::new(map, FederationConfig::default(), backend)
+        let mut fed = Federation::new(map.clone(), FederationConfig::default(), backend)
             .map_err(|e| fail(0, config.seed, NemesisViolation::Error(e.to_string())))?;
         schedule_migrations(&mut fed, config);
-        for (sensor, time, values) in stream(config.sensors, config.ticks) {
+        for (sensor, time, values) in stream() {
             fed.route(sensor, time, &values)
                 .map_err(|e| fail(0, config.seed, NemesisViolation::Error(e.to_string())))?;
         }
@@ -535,30 +541,19 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
         let dir = config.root.join(format!("ep{episode}"));
         // sentinet-allow(io-outside-vfs): scratch-directory cleanup.
         let _ = std::fs::remove_dir_all(&dir);
-        let map = PartitionMap::split_even(config.sensors, config.partitions)
-            // sentinet-allow(expect-used): campaign geometry is fixed with
-            // sensors >= partitions, never a degenerate split.
-            .expect("nemesis fleets are non-degenerate");
-        let mut backend = InProcessBackend::new(
-            template.clone(),
-            &dir,
-            config.partitions,
-            plan.standbys,
-            plan.drill,
-        )
-        .with_fence(config.fence)
-        .with_cut(config.cut)
-        .with_pipelined(plan.pipelined);
+        let mut backend =
+            InProcessBackend::new(drilled.clone(), &dir, PARTITIONS, plan.standbys, plan.drill)
+                .with_pipelined(plan.pipelined);
         let stash = backend.zombie_stash();
 
         let fed_config = FederationConfig {
             suspect_after: SUSPECT_AFTER,
             ..FederationConfig::default()
         };
-        let mut fed = Federation::new(map, fed_config, backend)
+        let mut fed = Federation::new(map.clone(), fed_config, backend)
             .map_err(|e| fail(episode, ep_seed, NemesisViolation::Error(e.to_string())))?;
         schedule_migrations(&mut fed, config);
-        for (sensor, time, values) in stream(config.sensors, config.ticks) {
+        for (sensor, time, values) in stream() {
             fed.route(sensor, time, &values)
                 .map_err(|e| fail(episode, ep_seed, NemesisViolation::Error(e.to_string())))?;
         }
@@ -624,8 +619,8 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
             }
             summary.zombie_probes += 1;
             let range = fleet.partitions[z.partition].range;
-            let seq = config.ticks + 1000 + i as u64;
-            let time = 300 * (config.ticks + 50);
+            let seq = TICKS + 1000 + i as u64;
+            let time = 300 * (TICKS + 50);
             let reading = (SensorId(range.start), seq, time, vec![21.0, 55.0]);
             if probe(&mut z, owner_epoch, reading).map_err(|v| fail(episode, ep_seed, v))? {
                 summary.fence_probe_rejects += 1;
@@ -640,8 +635,8 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
                     continue;
                 }
                 summary.cut_probes += 1;
-                let seq = config.ticks + 2000 + i as u64 * 16 + j as u64;
-                let time = 300 * (config.ticks + 60);
+                let seq = TICKS + 2000 + i as u64 * 16 + j as u64;
+                let time = 300 * (TICKS + 60);
                 let reading = (SensorId(moved_range.start), seq, time, vec![22.0, 57.0]);
                 if probe(&mut z, owner_epoch, reading).map_err(|v| fail(episode, ep_seed, v))? {
                     summary.cut_probe_rejects += 1;

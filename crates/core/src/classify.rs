@@ -247,11 +247,11 @@ pub(crate) fn walk(
     }
 }
 
-/// The network half of the walk over `B^CO`'s active (`claimed`) rows:
-/// the attack reshaping the hidden↔observable correspondence, if any,
-/// and what backs an `ErrorFree` verdict — the largest active
-/// off-diagonal row-Gram entry, unless `B^CO` is not orthogonal — each
-/// with its record.
+/// The network half of the walk over `B^CO`'s active (`claimed`) rows,
+/// which `report` analysed: the attack reshaping the
+/// hidden↔observable correspondence, if any, and what backs an
+/// `ErrorFree` verdict — the report's largest off-diagonal row-Gram
+/// entry, unless `B^CO` is not orthogonal — each with its record.
 pub(crate) fn network(
     b: &StochasticMatrix,
     claimed: &[usize],
@@ -259,16 +259,8 @@ pub(crate) fn network(
     centroids: &[Option<Vec<f64>>],
     tol: f64,
 ) -> (Option<(AttackType, Decision)>, Option<Decision>) {
-    let clean = (!claimed.is_empty() && report.is_orthogonal()).then(|| {
-        let g = b.row_gram();
-        let mut max_off: f64 = 0.0;
-        for &i in claimed {
-            for &j in claimed.iter().filter(|&&j| j > i) {
-                max_off = max_off.max(g[i][j]);
-            }
-        }
-        record(Node::Clean, max_off, tol, 0.0)
-    });
+    let clean = (!claimed.is_empty() && report.is_orthogonal())
+        .then(|| record(Node::Clean, report.max_row_offdiag, tol, 0.0));
     // Each active hidden row is summarized by its *substantial*
     // emissions (mass ≥ the spread floor). Hidden states and observable
     // symbols share the model-state space, so three shapes arise:
@@ -466,7 +458,7 @@ mod tests {
     use crate::checkpoint::{GlobalSnapshot, GlobalStates, MceSnapshot, SensorSnapshot};
     use crate::runtime::{GlobalModel, SensorRuntime, TrackRecord};
     use sentinet_cluster::ModelStates;
-    use sentinet_hmm::EstimatorState;
+    use sentinet_hmm::{EstimatorState, MarkovState};
 
     fn cfg() -> PipelineConfig {
         PipelineConfig::default()
@@ -542,8 +534,8 @@ mod tests {
     }
 
     /// A global model restored with `M_CO` = `b_co` (row `i` updated
-    /// `visits[i]` times) over model states at `centroids`, `inactive`
-    /// slots retired, after `windows` windows.
+    /// `visits[i]` times, identity transitions) over model states at
+    /// `centroids`, `inactive` slots retired, after `windows` windows.
     fn global(
         config: &PipelineConfig,
         b_co: &StochasticMatrix,
@@ -561,7 +553,14 @@ mod tests {
             bootstrap_points: Vec::new(),
             states: Some(GlobalStates {
                 states,
-                m_co: estimator(b_co, visits),
+                m_co: EstimatorState {
+                    chain: Some(MarkovState {
+                        transition: identity_rows(b_co.num_rows()),
+                        beta: config.beta,
+                        prev: None,
+                    }),
+                    ..estimator(b_co, visits)
+                },
             }),
         };
         GlobalModel::from_snapshot(config.clone(), snapshot).unwrap()
@@ -736,8 +735,15 @@ mod tests {
         let bad = StochasticMatrix::from_rows(vec![vec![1.0, 0.0], vec![1.0, 0.0]]).unwrap();
         assert_eq!(clean(&bad, 200), 0.0);
         // Disjoint rows too spread to be states are not orthogonal
-        // either, though no two of them overlap.
-        let thin = bce(vec![vec![0.5, 0.5, 0.0, 0.0], vec![0.0, 0.0, 0.5, 0.5]]);
+        // either, though no two of them overlap (rows 3 and 4 carry no
+        // evidence).
+        let thin = bce(vec![
+            vec![0.5, 0.5, 0.0, 0.0, 0.0],
+            vec![0.0, 0.0, 0.5, 0.5, 0.0],
+            vec![0.0, 0.0, 0.0, 0.0, 1.0],
+            vec![0.0, 0.0, 0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 0.0, 0.0, 1.0],
+        ]);
         assert_eq!(clean(&thin, 200), 0.0);
     }
 

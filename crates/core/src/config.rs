@@ -77,10 +77,6 @@ pub struct PipelineConfig {
     /// split across two states — from training the models with
     /// ambiguous correct states.
     pub majority_fraction: f64,
-    /// Minimum occupancy for a state to appear in the user-facing
-    /// Markov model `M_C` (the paper drops its (16, 27) fluctuation
-    /// state this way).
-    pub key_state_occupancy: f64,
     /// Trim fraction for the robust observable-state mean (Eq. 2):
     /// `0` reproduces the paper's plain mean; the default `0.15` keeps
     /// one wildly faulty sensor of ten from dragging the observable
@@ -104,7 +100,6 @@ impl Default for PipelineConfig {
             stuck_at_threshold: 0.5,
             association_threshold: 0.4,
             majority_fraction: 0.65,
-            key_state_occupancy: 0.02,
             observable_trim: 0.15,
             seed: 0xD51_2006,
         }

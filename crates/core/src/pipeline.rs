@@ -437,12 +437,8 @@ impl Pipeline {
         let global = GlobalModel::from_snapshot(config.clone(), snapshot.global)?;
         let sensors = SensorMap::restore(config, snapshot.sensors)?;
         let slots = global.num_slots();
-        let m_co =
-            (global.m_co()).map(|m| (m.transition().is_some(), m.num_states(), m.num_symbols()));
-        if m_co.is_some_and(|shape| shape != (true, slots, slots))
-            || sensors.runtimes.values().any(|s| s.m_ce_slots() != slots)
-        {
-            let why = format!("an estimator not sized to the {slots} model-state slots");
+        if sensors.runtimes.values().any(|s| s.m_ce_slots() != slots) {
+            let why = format!("an M_CE not sized to the {slots} model-state slots");
             return Err(CheckpointError::Invalid(why));
         }
         Ok(Self {

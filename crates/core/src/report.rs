@@ -13,6 +13,10 @@ use sentinet_sim::SensorId;
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Minimum occupancy for a state to appear in the user-facing `M_C`
+/// (the paper drops its (16, 27) fluctuation state this way).
+pub const KEY_STATE_OCCUPANCY: f64 = 0.02;
+
 /// One model state in the report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateSummary {
@@ -104,7 +108,7 @@ impl PipelineReport {
     pub(crate) fn build(global: &GlobalModel, sensors: &BTreeMap<SensorId, SensorRuntime>) -> Self {
         let key_states = match (global.states(), global.correct_model()) {
             (Some(states), Some(m_c)) => m_c
-                .key_states(global.config().key_state_occupancy)
+                .key_states(KEY_STATE_OCCUPANCY)
                 .into_iter()
                 .filter_map(|slot| {
                     states.centroid_any(slot).map(|c| StateSummary {

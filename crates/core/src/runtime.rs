@@ -687,7 +687,8 @@ impl GlobalModel {
     /// # Errors
     ///
     /// [`crate::checkpoint::CheckpointError::Invalid`] if an embedded
-    /// model state fails re-validation (corrupt checkpoint).
+    /// model state fails re-validation (corrupt checkpoint), or `M_CO`
+    /// is not a chain over the model-state slots.
     ///
     /// # Panics
     ///
@@ -700,13 +701,24 @@ impl GlobalModel {
         let invalid = crate::checkpoint::CheckpointError::Invalid;
         let (states, m_co) = match snapshot.states {
             None => (None, None),
-            Some(gs) => (
-                Some(ModelStates::from_snapshot(gs.states).map_err(invalid)?),
-                Some(
-                    OnlineHmmEstimator::import_state(gs.m_co)
-                        .map_err(|e| invalid(e.to_string()))?,
-                ),
-            ),
+            Some(gs) => {
+                let states = ModelStates::from_snapshot(gs.states).map_err(invalid)?;
+                let m_co = OnlineHmmEstimator::import_state(gs.m_co)
+                    .map_err(|e| invalid(e.to_string()))?;
+                // `M_CO` is a chain over the slots emitting one symbol a
+                // slot: any other shape would panic at the next window.
+                let slots = states.num_slots();
+                let shape = (
+                    m_co.transition().is_some(),
+                    m_co.num_states(),
+                    m_co.num_symbols(),
+                );
+                if shape != (true, slots, slots) {
+                    let why = format!("an M_CO not sized to the {slots} model-state slots");
+                    return Err(invalid(why));
+                }
+                (Some(states), Some(m_co))
+            }
         };
         let rng = StdRng::seed_from_u64(config.seed);
         Ok(Self {

@@ -3,9 +3,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sentinet_cluster::{ClusterConfig, StatesSnapshot};
 use sentinet_core::{
-    decode_pipeline, encode_pipeline, CheckpointError, Diagnosis, IdentityPrior, MceSnapshot,
-    Pipeline, PipelineConfig,
+    decode_pipeline, encode_pipeline, CheckpointError, Diagnosis, GlobalModel, GlobalSnapshot,
+    GlobalStates, IdentityPrior, MceSnapshot, Pipeline, PipelineConfig,
 };
 use sentinet_hmm::{OnlineHmmEstimator, StochasticMatrix};
 use sentinet_sim::{
@@ -438,4 +439,31 @@ fn a_restore_point_with_an_impossible_track_list_is_invalid() {
             "{flags}"
         );
     }
+}
+
+/// `GlobalModel::from_snapshot` refuses an `M_CO` that is not a chain
+/// over the model-state slots on its own, not only when a whole
+/// pipeline restores: a `B^CO` of 2 × 4 over 2 slots is `Invalid`,
+/// where the 2 × 2 one beside it restores.
+#[test]
+fn a_global_snapshot_whose_m_co_is_sized_off_its_slots_is_invalid() {
+    let snapshot = |symbols| GlobalSnapshot {
+        windows_processed: 0,
+        bootstrap_points: Vec::new(),
+        states: Some(GlobalStates {
+            states: StatesSnapshot {
+                centroids: vec![vec![20.0, 50.0], vec![25.0, 60.0]],
+                active: vec![true, true],
+                config: ClusterConfig::default(),
+                generation: 0,
+            },
+            m_co: OnlineHmmEstimator::new(2, symbols, 0.1, 0.1)
+                .expect("valid")
+                .export_state(),
+        }),
+    };
+    let restore =
+        |symbols| GlobalModel::from_snapshot(PipelineConfig::default(), snapshot(symbols));
+    assert!(restore(2).is_ok());
+    assert!(matches!(restore(4), Err(CheckpointError::Invalid(_))));
 }

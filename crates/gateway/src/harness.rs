@@ -80,16 +80,10 @@ impl StepServer {
     /// Wraps an opened collector; `credit_window` is granted in every
     /// v2 `HelloAck`.
     pub fn new(collector: Collector, credit_window: u32, discipline: AckDiscipline) -> Self {
-        Self::with_core(collector, Core::new(credit_window, false, discipline))
-    }
-
-    /// Wraps an opened collector around an explicitly configured core
-    /// (e.g. one pinned to protocol v1).
-    pub fn with_core(collector: Collector, core: Core) -> Self {
         Self {
             collector,
             conns: Vec::new(),
-            core,
+            core: Core::new(credit_window, discipline),
             sync_handle: None,
             in_flight: None,
             restore: None,
@@ -310,11 +304,5 @@ impl StepServer {
     /// The underlying collector (for invariant probes).
     pub fn collector(&self) -> &Collector {
         &self.collector
-    }
-
-    /// Tears the harness down, returning the collector (e.g. to
-    /// finish it for a report).
-    pub fn into_collector(self) -> Collector {
-        self.collector
     }
 }

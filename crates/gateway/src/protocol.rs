@@ -91,19 +91,16 @@ impl Reply {
 pub struct Core {
     pending: Vec<QueuedAck>,
     credit_window: u32,
-    v1_only: bool,
     discipline: AckDiscipline,
     version_rejects: u64,
 }
 
 impl Core {
-    /// A core granting `credit_window` batches in every v2 `HelloAck`;
-    /// `v1_only` answers a v2 `Hello` like an unknown version.
-    pub fn new(credit_window: u32, v1_only: bool, discipline: AckDiscipline) -> Self {
+    /// A core granting `credit_window` batches in every v2 `HelloAck`.
+    pub fn new(credit_window: u32, discipline: AckDiscipline) -> Self {
         Self {
             pending: Vec::new(),
             credit_window,
-            v1_only,
             discipline,
             version_rejects: 0,
         }
@@ -235,27 +232,24 @@ impl Core {
                     // Legacy stop-and-wait: no reply, exactly as
                     // version 1 of the server behaved.
                     PROTOCOL_V1 => {}
-                    PROTOCOL_VERSION if !self.v1_only => out.push(Reply::keep(
+                    PROTOCOL_VERSION => out.push(Reply::keep(
                         conn,
                         Message::HelloAck {
                             version: PROTOCOL_VERSION,
                             credits: self.credit_window,
                         },
                     )),
-                    // Unknown version — or v2 on a core pinned to v1 —
-                    // gets a typed reject naming the highest version
-                    // spoken here, and the connection is dropped.
+                    // An unknown version gets a typed reject naming the
+                    // highest version spoken here, and the connection is
+                    // dropped.
                     _ => {
                         self.version_rejects += 1;
                         self.on_closed(conn);
-                        let supported = if self.v1_only {
-                            PROTOCOL_V1
-                        } else {
-                            PROTOCOL_VERSION
-                        };
                         out.push(Reply {
                             conn,
-                            message: Message::HelloReject { supported },
+                            message: Message::HelloReject {
+                                supported: PROTOCOL_VERSION,
+                            },
                             close: true,
                         });
                     }

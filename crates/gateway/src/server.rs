@@ -63,26 +63,16 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Endpoint to bind: `"127.0.0.1:0"` or `"unix:/path"`.
     pub bind: String,
-    /// Per-read socket timeout (also the shutdown poll interval for
-    /// reader threads).
-    pub read_timeout: Duration,
     /// Batches a v2 connection may keep in flight (granted in the
     /// `HelloAck`).
     pub credit_window: u32,
-    /// Speak only protocol v1: a v2 `Hello` is answered with a typed
-    /// `HelloReject { supported: 1 }` and the connection is dropped,
-    /// exactly like an unknown version. Lets an operator pin a fleet
-    /// to stop-and-wait (and gives tests a live rejection path).
-    pub v1_only: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             bind: "127.0.0.1:0".into(),
-            read_timeout: Duration::from_millis(200),
             credit_window: 32,
-            v1_only: false,
         }
     }
 }
@@ -131,6 +121,10 @@ enum Event {
 
 /// Capacity of the bounded ingest event queue.
 const EVENT_QUEUE: usize = 1024;
+
+/// Per-read socket timeout, also the reader threads' shutdown poll
+/// interval.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// The syncer thread and its job queue. A job is what
 /// [`Collector::begin_sync`] returned: the ticket, a fresh sync handle
@@ -205,21 +199,14 @@ impl Server {
         let (tx, rx) = sync_channel(EVENT_QUEUE);
         let events_tx = tx.clone();
         let accept_shutdown = Arc::clone(&shutdown);
-        let read_timeout = config.read_timeout;
         let decode_ns = Arc::new(AtomicU64::new(0));
         let accept_decode_ns = Arc::clone(&decode_ns);
         let accept_thread = std::thread::spawn(move || {
-            accept_loop(
-                listener,
-                tx,
-                accept_shutdown,
-                read_timeout,
-                accept_decode_ns,
-            );
+            accept_loop(listener, tx, accept_shutdown, accept_decode_ns);
         });
         Ok(Self {
             addr,
-            core: Core::new(config.credit_window, config.v1_only, AckDiscipline::Durable),
+            core: Core::new(config.credit_window, AckDiscipline::Durable),
             shutdown,
             events: rx,
             events_tx: Some(events_tx),
@@ -464,7 +451,6 @@ fn accept_loop(
     listener: Listener,
     events: SyncSender<Event>,
     shutdown: Arc<AtomicBool>,
-    read_timeout: Duration,
     decode_ns: Arc<AtomicU64>,
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
@@ -477,7 +463,7 @@ fn accept_loop(
             Ok(stream) => {
                 let id = next_id;
                 next_id += 1;
-                let ok = stream.set_read_timeout(Some(read_timeout)).is_ok()
+                let ok = stream.set_read_timeout(Some(READ_TIMEOUT)).is_ok()
                     && stream
                         .set_write_timeout(Some(Duration::from_secs(5)))
                         .is_ok();

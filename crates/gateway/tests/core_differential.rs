@@ -11,7 +11,6 @@
 //! frame; the step driver mirrors that with a `commit()` per step.
 
 use sentinet_gateway::frame::encode_frame;
-use sentinet_gateway::protocol::Core;
 use sentinet_gateway::{
     AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs, FrameBuffer, FsyncPolicy,
     GatewayConfig, Message, Server, ServerConfig, StepEvent, StepServer, StorageFault, VfsOp,
@@ -78,10 +77,9 @@ fn last_accept(seen: &[StepReplies]) -> Message {
 }
 
 /// The script through [`StepServer`]: the reference reply sequence.
-fn run_steps(config: GatewayConfig, v1_only: bool, script: &[Step]) -> Vec<StepReplies> {
+fn run_steps(config: GatewayConfig, script: &[Step]) -> Vec<StepReplies> {
     let (collector, _) = Collector::open(config).expect("open");
-    let core = Core::new(CREDITS, v1_only, AckDiscipline::Durable);
-    let mut server = StepServer::with_core(collector, core);
+    let mut server = StepServer::new(collector, CREDITS, AckDiscipline::Durable);
     let mut conns: Vec<usize> = Vec::new();
     let mut seen: Vec<StepReplies> = Vec::new();
     for step in script {
@@ -116,11 +114,10 @@ fn run_steps(config: GatewayConfig, v1_only: bool, script: &[Step]) -> Vec<StepR
 
 /// The script over loopback TCP against a real [`Server`], checked
 /// step by step against `expected`.
-fn run_server(config: GatewayConfig, v1_only: bool, script: &[Step], expected: &[StepReplies]) {
+fn run_server(config: GatewayConfig, script: &[Step], expected: &[StepReplies]) {
     let (mut collector, _) = Collector::open(config).expect("open");
     let server = Server::start(ServerConfig {
         credit_window: CREDITS,
-        v1_only,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -187,7 +184,7 @@ fn read_frame(sock: &mut TcpStream, fb: &mut FrameBuffer) -> Option<Message> {
     }
 }
 
-fn differential(name: &str, v1_only: bool, tweak: impl Fn(&mut GatewayConfig), script: &[Step]) {
+fn differential(name: &str, tweak: impl Fn(&mut GatewayConfig), script: &[Step]) {
     let config = |side: &str| {
         let dir = tmpdir(&format!("{name}-{side}"));
         let mut config = GatewayConfig::new(&dir);
@@ -197,9 +194,9 @@ fn differential(name: &str, v1_only: bool, tweak: impl Fn(&mut GatewayConfig), s
         (dir, config)
     };
     let (step_dir, step_config) = config("step");
-    let expected = run_steps(step_config, v1_only, script);
+    let expected = run_steps(step_config, script);
     let (server_dir, server_config) = config("server");
-    run_server(server_config, v1_only, script, &expected);
+    run_server(server_config, script, &expected);
     assert!(
         matches!(
             expected.last(),
@@ -276,7 +273,6 @@ fn data_paths_negotiation_and_fencing_match() {
     ];
     differential(
         "data",
-        false,
         |config| {
             // Checkpoints never commit, so retention can never reclaim
             // and the budget (6 two-value frames) really fills.
@@ -332,19 +328,5 @@ fn migration_arms_match() {
         Send(0, batch(1, 4, 2)), // the range is home again
         Send(0, Message::Fin),
     ];
-    differential("migrate", false, |_| {}, &script);
-}
-
-/// A core pinned to v1 refuses a v2 hello by naming v1, and keeps
-/// serving stop-and-wait.
-#[test]
-fn v1_only_negotiation_matches() {
-    use Step::Send;
-    let script = [
-        Send(0, hello(PROTOCOL_VERSION)),
-        Send(1, hello(PROTOCOL_V1)),
-        Send(1, data(0, 0)),
-        Send(1, Message::Fin),
-    ];
-    differential("v1only", true, |_| {}, &script);
+    differential("migrate", |_| {}, &script);
 }

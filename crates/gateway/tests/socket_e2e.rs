@@ -13,7 +13,7 @@ use sentinet_gateway::server::hello_frame;
 use sentinet_gateway::{
     delivery_schedule, drive_uplink, trace_to_raw, Collector, FrameBuffer, FrameError, FsyncPolicy,
     GatewayConfig, GatewayReport, Message, NetsimConfig, PipelinedConfig, PipelinedUplink,
-    SensorUplink, Server, ServerConfig, UplinkConfig, PROTOCOL_V1, PROTOCOL_VERSION,
+    SensorUplink, Server, ServerConfig, UplinkConfig, PROTOCOL_VERSION,
 };
 use sentinet_sim::{gdi, simulate, RawRecord, SensorId, DAY_S};
 use std::collections::BTreeMap;
@@ -365,27 +365,23 @@ fn unknown_protocol_version_is_rejected_typed() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// A server pinned to protocol v1 rejects a current (v2) `Hello` with
-/// a typed `HelloReject { supported: 1 }`: the counter classifies it
-/// as a version reject and the reply is byte-for-byte the encoded
-/// reject frame — nothing more — before the socket closes. A legacy
-/// stop-and-wait client on the same server is still served.
+/// A `Hello` of an unknown version is answered with a typed
+/// `HelloReject { supported: PROTOCOL_VERSION }`: the counter
+/// classifies it as a version reject and the reply is byte-for-byte the
+/// encoded reject frame — nothing more — before the socket closes. A
+/// legacy stop-and-wait client on the same server is still served.
 #[test]
-fn v1_only_server_rejects_v2_hello_with_exact_wire_bytes() {
-    let dir = tmpdir("v1-only");
+fn unknown_version_hello_gets_exactly_one_reject_frame() {
+    let dir = tmpdir("reject-wire");
     let (mut collector, _) = Collector::open(GatewayConfig::new(&dir)).expect("open");
-    let server = Server::start(ServerConfig {
-        v1_only: true,
-        ..ServerConfig::default()
-    })
-    .expect("bind server");
+    let server = Server::start(ServerConfig::default()).expect("bind server");
     let addr = server.addr().to_string();
     let client = std::thread::spawn(move || {
         let mut conn = TcpStream::connect(&addr).expect("connect");
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
         conn.write_all(&encode_frame(&Message::Hello {
-            version: PROTOCOL_VERSION,
+            version: 99,
             epoch: 0,
         }))
         .expect("hello");
@@ -400,8 +396,8 @@ fn v1_only_server_rejects_v2_hello_with_exact_wire_bytes() {
                 Err(e) => panic!("read: {e}"),
             }
         }
-        // The pinned server still speaks v1: a stop-and-wait client
-        // lands a record and terminates the run with Fin/FinAck.
+        // The server still speaks v1: a stop-and-wait client lands a
+        // record and terminates the run with Fin/FinAck.
         let mut uplink = SensorUplink::new(UplinkConfig::new(addr));
         uplink
             .send_at(SensorId(1), 0, 300, &[20.0, 45.0])
@@ -414,7 +410,7 @@ fn v1_only_server_rejects_v2_hello_with_exact_wire_bytes() {
     assert_eq!(
         wire,
         encode_frame(&Message::HelloReject {
-            supported: PROTOCOL_V1
+            supported: PROTOCOL_VERSION
         }),
         "reject reply must be exactly one encoded HelloReject frame"
     );

@@ -75,6 +75,9 @@ pub struct OrthogonalityReport {
     /// Rows whose diagonal Gram entry falls below the tolerance, i.e.
     /// rows spread over several symbols.
     pub weak_rows: Vec<usize>,
+    /// The largest off-diagonal row-Gram entry between analysed rows
+    /// (`0` with fewer than two).
+    pub max_row_offdiag: f64,
 }
 
 impl OrthogonalityReport {
@@ -93,11 +96,13 @@ impl OrthogonalityReport {
         let rg = b.row_gram();
         let mut row_violations = Vec::new();
         let mut weak_rows = Vec::new();
+        let mut max_row_offdiag: f64 = 0.0;
         for (ai, &i) in rows.iter().enumerate() {
             if rg[i][i] < tol.min_diag {
                 weak_rows.push(i);
             }
             for &j in rows.iter().skip(ai + 1) {
+                max_row_offdiag = max_row_offdiag.max(rg[i][j]);
                 if rg[i][j] > tol.max_offdiag {
                     row_violations.push(NonOrthogonalPair {
                         first: i,
@@ -148,6 +153,7 @@ impl OrthogonalityReport {
             row_violations,
             col_violations,
             weak_rows,
+            max_row_offdiag,
         }
     }
 

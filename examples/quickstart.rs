@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_core::{Pipeline, PipelineConfig};
+use sentinet_core::{Pipeline, PipelineConfig, KEY_STATE_OCCUPANCY};
 use sentinet_sim::{gdi, simulate};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     let m_c = pipeline.correct_model().expect("pipeline bootstrapped");
     let states = pipeline.model_states().expect("pipeline bootstrapped");
     println!("\nrecovered environment model M_C (key states):");
-    for slot in m_c.key_states(pipeline.config().key_state_occupancy) {
+    for slot in m_c.key_states(KEY_STATE_OCCUPANCY) {
         if let Some(c) = states.centroid(slot) {
             println!(
                 "  state {slot}: temperature {:>5.1} °C, humidity {:>5.1} %RH (occupancy {:.2})",

@@ -14,7 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_core::{Pipeline, PipelineConfig};
+use sentinet_core::{Pipeline, PipelineConfig, KEY_STATE_OCCUPANCY};
 use sentinet_inject::{
     inject_attacks, inject_faults, AttackInjection, AttackModel, FaultInjection, FaultModel,
 };
@@ -104,7 +104,7 @@ fn main() {
     let states = pipeline.model_states().expect("bootstrapped");
     println!("learned farm states (CPU%, p99 ms, mem%):");
     let m_c = pipeline.correct_model().expect("bootstrapped");
-    for slot in m_c.key_states(pipeline.config().key_state_occupancy) {
+    for slot in m_c.key_states(KEY_STATE_OCCUPANCY) {
         if let Some(c) = states.centroid(slot) {
             println!(
                 "  state {slot}: ({:>5.1}, {:>5.1}, {:>5.1})  occupancy {:.2}",

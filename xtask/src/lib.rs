@@ -6,6 +6,8 @@
 //!   RNG, crate-header hygiene, hot-path allocation, stray thread
 //!   spawns), suppressible inline with
 //!   `// sentinet-allow(lint-name): reason`;
+//! - [`surface`] — the public-surface audit: `pub` items no other
+//!   file names, their count pinned;
 //! - [`protocol_check`] — a loom-style exhaustive explorer of the
 //!   pipelined uplink's interleavings against the durability
 //!   invariants;
@@ -22,3 +24,4 @@
 pub mod lexer;
 pub mod lint;
 pub mod protocol_check;
+pub mod surface;

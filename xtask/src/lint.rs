@@ -776,7 +776,7 @@ pub fn lint_workspace(repo_root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {

@@ -4,15 +4,16 @@ use sentinet_gateway::AckDiscipline;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xtask::protocol_check::RestoreMutation;
-use xtask::{lint, protocol_check};
+use xtask::{lint, protocol_check, surface};
 
 const USAGE: &str = "\
 Usage: cargo run -p xtask -- <command>
 
 Commands:
-  analyze [--skip-invariants]  run lints, the protocol/durability checker
-                               and (unless skipped) the test suite under
-                               the check-invariants feature
+  analyze [--skip-invariants]  run lints, the public-surface audit, the
+                               protocol/durability checker and (unless
+                               skipped) the test suite under the
+                               check-invariants feature
   lint [PATH...]               run the lint engine over the workspace, or
                                over the given files only
   protocol-check               exhaustively explore v2 uplink interleavings
@@ -69,6 +70,27 @@ fn run_lint(paths: &[String]) -> Result<(), String> {
         findings
     };
     report_findings(&findings)
+}
+
+/// The public-surface audit: lists every `pub` item no other file
+/// names and fails if there are more than [`surface::PINNED`].
+fn run_surface() -> Result<(), String> {
+    let unused =
+        surface::audit_workspace(&repo_root()).map_err(|e| format!("surface walk failed: {e}"))?;
+    for item in &unused {
+        println!("surface: {item}");
+    }
+    let summary = format!(
+        "surface: {} pub item(s) no other file names (pinned at {})",
+        unused.len(),
+        surface::PINNED
+    );
+    if unused.len() > surface::PINNED {
+        Err(format!("{summary}: use, narrow or delete the new ones"))
+    } else {
+        println!("{summary}");
+        Ok(())
+    }
 }
 
 fn run_protocol_check() -> Result<(), String> {
@@ -282,6 +304,7 @@ fn main() -> ExitCode {
             let mut failures = Vec::new();
             for step in [
                 run_lint(&[]),
+                run_surface(),
                 run_protocol_check(),
                 if skip_invariants {
                     Ok(())
