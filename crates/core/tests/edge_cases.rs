@@ -340,9 +340,11 @@ fn a_reading_of_another_dimension_moves_nothing() {
 /// A restore point whose estimators disagree with its slot count used
 /// to restore, then panic at the first decisive window
 /// (`SymbolOutOfRange` from `M_CO`'s observe). `Pipeline::from_snapshot`
-/// takes outside input — a peer's migration snapshot — so the shape is
-/// checked there: a one-state `M_CO`, or a sensor's one-slot `M_CE`,
-/// prior or built, is `Invalid`.
+/// takes outside input — a peer's migration snapshot — so each shape is
+/// checked by the owner it restores: `GlobalModel::from_snapshot`
+/// refuses a one-state `M_CO`, `Pipeline::from_snapshot` a sensor's
+/// one-slot `M_CE`, prior or built; through `Pipeline::from_snapshot`
+/// each is `Invalid`.
 #[test]
 fn a_restore_point_sized_off_its_slots_is_invalid_not_a_panic() {
     let mut cfg = gdi::month_config();

@@ -235,7 +235,7 @@ impl Collector {
         let mut pass_start = timed.then(std::time::Instant::now);
         // The run is one sensor's: its tracker is looked up once, and
         // again only after the (at most one) reclaim borrowed `self`.
-        let mut tracker = self.state.seqs.get(&sensor);
+        let mut tracker = self.state.intake.seqs.get(&sensor);
         for (i, (time, values)) in readings.enumerate() {
             // Saturating: a batch that runs off the end of the seq
             // space is refused at `u64::MAX`, the first seq without a
@@ -275,7 +275,7 @@ impl Collector {
                     self.reclaim_for_budget(budget.saturating_sub(next.bytes()))?;
                     reclaimed = true;
                     pass_start = timed.then(std::time::Instant::now);
-                    tracker = self.state.seqs.get(&sensor);
+                    tracker = self.state.intake.seqs.get(&sensor);
                     // The reclaim may have sealed the active segment:
                     // cut the prefix again against the log as it is now.
                     plan = self.wal.planner();
@@ -326,7 +326,7 @@ impl Collector {
             }
             out.accepted = fresh.len();
             let pass_start = timed.then(std::time::Instant::now);
-            let tracker = self.state.seqs.entry(sensor).or_default();
+            let tracker = self.state.intake.seqs.entry(sensor).or_default();
             let (first, count) = (fresh[0].seq, fresh.len() as u64);
             if fresh[fresh.len() - 1].seq - first + 1 == count {
                 tracker.observe_run(first, count);
@@ -335,8 +335,9 @@ impl Collector {
                     tracker.observe(record.seq);
                 }
             }
-            self.state
-                .admit_run(sensor, fresh.iter().map(|r| (r.time, r.values)));
+            let State { intake, down } = &mut self.state;
+            let release = |time, sensor, values: &[f64]| down.take(time, sensor, values);
+            intake.admit_run(sensor, fresh.iter().map(|r| (r.time, r.values)), release);
             self.charge_admission(pass_start);
             let logged = self.wal.records_logged();
             let every = self.config.checkpoint_every;
@@ -355,7 +356,8 @@ impl Collector {
             }
         }
         out.ack_cursor = self.wal.records_logged();
-        out.ack_up_to = self.state.seqs.get(&sensor).and_then(|t| t.watermark());
+        let seqs = &self.state.intake.seqs;
+        out.ack_up_to = seqs.get(&sensor).and_then(|t| t.watermark());
         Ok(out)
     }
 
@@ -497,24 +499,25 @@ impl Collector {
     }
 }
 
-impl State {
-    /// Runs one sensor's logged run through reorder → sanitize →
-    /// pipeline, the released readings borrowed from the reorder slabs,
-    /// and brings liveness up to date once. That leaves the state an
-    /// admission, drain and liveness update a reading would: once one
-    /// of its readings is admitted the sensor cannot fall silent within
-    /// the run, and the others' silence only grows with the watermark.
-    /// A refused reading leading the run updates first, as it would
-    /// alone: after a restore, that may silence the run's own sensor.
+impl Intake {
+    /// Offers one sensor's logged run to the reorder buffer, hands
+    /// `release` what it frees in order, its values borrowed from the
+    /// reorder slabs, and brings liveness up to date once. That leaves
+    /// the state an admission, drain and liveness update a reading
+    /// would: once one of its readings is admitted the sensor cannot
+    /// fall silent within the run, and the others' silence only grows
+    /// with the watermark. A refused reading leading the run updates
+    /// first, as it would alone: after a restore, that may silence the
+    /// run's own sensor. The live path releases into [`Downstream::take`],
+    /// a reopen's replay into a batch for it.
     pub(super) fn admit_run<'a>(
         &mut self,
         sensor: SensorId,
         run: impl IntoIterator<Item = (Timestamp, &'a [f64])>,
+        mut release: impl FnMut(Timestamp, SensorId, &[f64]),
     ) {
         let before = self.reorder.watermark();
         let (mut led_by_refusal, mut newest) = (None, None);
-        let down = &mut self.down;
-        let mut release = |time, sensor, values: &[f64]| down.take(time, sensor, values);
         let outcome = |time, outcome| {
             let admitted = outcome == AdmitOutcome::Admitted;
             led_by_refusal.get_or_insert(!admitted);

@@ -157,7 +157,7 @@ impl Collector {
         inside: &CollectorSnapshot,
     ) -> Result<(), GatewayError> {
         let pristine = self.wal.records_logged() == self.wal.base_records()
-            && self.state.seqs.is_empty()
+            && self.state.intake.seqs.is_empty()
             && self.state.down.accepted == 0
             && self.state.down.rejected.is_empty();
         if !pristine {

@@ -47,13 +47,14 @@
 mod admission;
 mod checkpoint;
 mod migration;
+mod replay;
 
 pub use admission::{BatchOutcome, DeliverOutcome, RejectCause, StageTimings};
 pub(crate) use checkpoint::RestorePoint;
 pub use checkpoint::CHECKPOINT_FILE;
 
 use crate::frame::ReadingArena;
-use crate::reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig};
+use crate::reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot};
 use crate::snapshot::{
     encode_collector, merge_snapshot, split_snapshot, write_collector, CollectorSnapshot,
 };
@@ -63,12 +64,12 @@ use crate::wal::{
 };
 use checkpoint::{read_checkpoint, read_fence, write_fence};
 use migration::read_retired;
+use replay::Replay;
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
 use sentinet_sim::{IngestError, IngestReport, Sanitizer, SensorId, Timestamp};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt::{self, Write as _};
-use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -478,13 +479,29 @@ impl fmt::Debug for Collector {
 }
 
 /// What replay rebuilds and a restore point's [`CollectorSnapshot`]
-/// carries: the dedup trackers, the reorder buffer, everything behind
-/// it and the silence accounting.
+/// carries: the intake in front of the release and the consumer behind
+/// it.
 struct State {
+    intake: Intake,
+    down: Downstream,
+}
+
+/// Everything up to the release: the dedup trackers, the reorder buffer
+/// and the silence accounting — what a reopen's replay worker runs.
+struct Intake {
     seqs: BTreeMap<SensorId, SeqTracker>,
     reorder: ReorderBuffer,
-    down: Downstream,
     liveness: Liveness,
+}
+
+/// [`Intake`]'s half of a [`CollectorSnapshot`]
+/// ([`Downstream::snapshot`] completes it).
+struct IntakeSnapshot {
+    reorder: ReorderSnapshot,
+    seqs: Vec<(SensorId, u64, Vec<u64>)>,
+    last_heard: Vec<(SensorId, Timestamp)>,
+    silent: Vec<SensorId>,
+    episodes: usize,
 }
 
 /// Everything behind the reorder buffer — sanitizer, window pipeline,
@@ -532,6 +549,13 @@ impl Collector {
     /// surviving tail is replayed — the result is byte-equal either
     /// way.
     ///
+    /// Once 256 KiB of log have been read, the rest of the replay runs on
+    /// two threads: a scoped worker scans the segments this thread reads
+    /// and lends it, and dedups, re-sequences and tracks liveness, while
+    /// this thread sanitizes and runs the pipeline on the readings it
+    /// releases, in batches. Every storage call stays on this thread,
+    /// and the worker is joined before `open` returns.
+    ///
     /// # Errors
     ///
     /// Any [`GatewayError`]; corruption, checkpoint divergence, a
@@ -576,27 +600,17 @@ impl Collector {
         let from = restore.map_or(0, |ck| ck.cursor);
         let verify = checkpoint.as_ref().filter(|_| restore.is_none());
         // Every refusal waits for the scan: its errors come first.
-        let mut matched = None;
-        let mut at = base.map_or(0, |(_, records)| records);
-        let mut replay = |sensor, seq, run: &ReadingArena| {
-            let (start, len) = (at, run.len());
-            at += len as u64;
-            let Ok(state) = &mut state else { return };
-            let skip = from.saturating_sub(start).min(len as u64) as usize;
-            let cut = verify.filter(|ck| start < ck.cursor && ck.cursor <= at);
-            let mid = cut.map_or(len, |ck| (ck.cursor - start) as usize);
-            state.replay(sensor, seq, run, skip..mid);
-            if let Some(ck) = cut {
-                let now = encode_collector(&state.snapshot());
-                // An older binary's (layout v1 or v2) matches once
-                // re-encoded.
-                let older = || ck.snapshot().is_ok_and(|s| encode_collector(&s) == now);
-                matched = Some(now == ck.body() || older());
-                state.replay(sensor, seq, run, mid..len);
-            }
+        let replay = Replay {
+            at: base.map_or(0, |(_, records)| records),
+            from,
+            verify,
         };
-        let wal = match Wal::open_with(config.wal.clone(), base, &mut replay) {
-            Ok(wal) => wal,
+        let opened = match &mut state {
+            Ok(state) => replay.run(config.wal.clone(), base, state),
+            Err(_) => replay.discard(config.wal.clone(), base),
+        };
+        let (wal, matched) = match opened {
+            Ok(opened) => opened,
             Err(WalError::MissingPrefix { first_segment, .. }) if checkpoint.is_none() => {
                 return Err(GatewayError::CheckpointMissing { first_segment })
             }
@@ -660,7 +674,7 @@ impl Collector {
 
     /// Ingest accounting so far (transport counters merged in).
     pub fn ingest_report(&self) -> IngestReport {
-        let stats = self.state.reorder.stats();
+        let stats = self.state.intake.reorder.stats();
         IngestReport {
             accepted: self.state.down.accepted,
             rejected: self.state.down.rejected.clone(),
@@ -672,13 +686,13 @@ impl Collector {
 
     /// Current silence accounting.
     pub fn liveness(&self) -> LivenessStatus {
-        let Liveness { heard, silent, .. } = &self.state.liveness;
+        let Liveness { heard, silent, .. } = &self.state.intake.liveness;
         LivenessStatus {
             silent: silent
                 .iter()
                 .map(|s| (*s, heard.get(s).copied().unwrap_or(0)))
                 .collect(),
-            episodes: self.state.liveness.episodes,
+            episodes: self.state.intake.liveness.episodes,
         }
     }
 
@@ -723,8 +737,9 @@ impl Collector {
     ///
     /// [`GatewayError`] on non-storage failures only.
     pub fn finish(mut self) -> Result<GatewayReport, GatewayError> {
-        let State { reorder, down, .. } = &mut self.state;
-        reorder.release_all(|time, sensor, values| down.take(time, sensor, values));
+        let State { intake, down } = &mut self.state;
+        let release = |time, sensor, values: &[f64]| down.take(time, sensor, values);
+        intake.reorder.release_all(release);
         for outcome in down.pipeline.finalize() {
             down.pipeline.recycle_outcome(outcome);
         }
@@ -754,15 +769,17 @@ impl State {
     /// Empty state for a fresh collector.
     fn new(config: &GatewayConfig) -> Self {
         Self {
-            seqs: BTreeMap::new(),
-            reorder: ReorderBuffer::new(config.reorder.clone()),
+            intake: Intake {
+                seqs: BTreeMap::new(),
+                reorder: ReorderBuffer::new(config.reorder.clone()),
+                liveness: Liveness::restore(config.silence_deadline, Vec::new(), Vec::new(), 0),
+            },
             down: Downstream {
                 sanitizer: Sanitizer::new(),
                 pipeline: Pipeline::new(config.pipeline.clone(), config.sample_period),
                 accepted: 0,
                 rejected: Vec::new(),
             },
-            liveness: Liveness::restore(config.silence_deadline, Vec::new(), Vec::new(), 0),
         }
     }
 
@@ -779,47 +796,71 @@ impl State {
             (sensor, SeqTracker { next, above })
         });
         Ok(Self {
-            seqs: seqs.collect(),
-            reorder: ReorderBuffer::from_snapshot(config.reorder.clone(), snap.reorder),
+            intake: Intake {
+                seqs: seqs.collect(),
+                reorder: ReorderBuffer::from_snapshot(config.reorder.clone(), snap.reorder),
+                liveness: Liveness::restore(deadline, snap.last_heard, snap.silent, snap.episodes),
+            },
             down: Downstream {
                 sanitizer: Sanitizer::from_snapshot(snap.sanitizer),
                 pipeline,
                 accepted: snap.accepted,
                 rejected: snap.rejected,
             },
-            liveness: Liveness::restore(deadline, snap.last_heard, snap.silent, snap.episodes),
         })
     }
 
     /// See [`Collector::snapshot`].
     fn snapshot(&self) -> CollectorSnapshot {
-        CollectorSnapshot {
-            pipeline: self.down.pipeline.snapshot(),
+        self.down.snapshot(self.intake.snapshot())
+    }
+}
+
+impl Intake {
+    /// This half of [`Collector::snapshot`].
+    fn snapshot(&self) -> IntakeSnapshot {
+        let Liveness {
+            heard,
+            silent,
+            episodes,
+            ..
+        } = &self.liveness;
+        IntakeSnapshot {
             reorder: self.reorder.snapshot(),
-            sanitizer: self.down.sanitizer.snapshot(),
             seqs: self
                 .seqs
                 .iter()
                 .map(|(&s, t)| (s, t.next, t.above.iter().copied().collect()))
                 .collect(),
-            accepted: self.down.accepted,
-            rejected: self.down.rejected.clone(),
-            last_heard: self.liveness.heard.iter().map(|(&s, &t)| (s, t)).collect(),
-            silent: self.liveness.silent.iter().copied().collect(),
-            episodes: self.liveness.episodes,
+            last_heard: heard.iter().map(|(&s, &t)| (s, t)).collect(),
+            silent: silent.iter().copied().collect(),
+            episodes: *episodes,
         }
     }
+}
 
-    /// Replays readings `at` of one logged frame from seq `seq` on: seen
-    /// by the dedup tracker, then admitted through the live path's run
-    /// admission.
-    fn replay(&mut self, sensor: SensorId, seq: u64, frame: &ReadingArena, at: Range<usize>) {
-        if at.is_empty() {
-            return;
+impl Downstream {
+    /// [`Collector::snapshot`]: the intake's half completed with this
+    /// one's.
+    fn snapshot(&self, intake: IntakeSnapshot) -> CollectorSnapshot {
+        let IntakeSnapshot {
+            reorder,
+            seqs,
+            last_heard,
+            silent,
+            episodes,
+        } = intake;
+        CollectorSnapshot {
+            pipeline: self.pipeline.snapshot(),
+            reorder,
+            sanitizer: self.sanitizer.snapshot(),
+            seqs,
+            accepted: self.accepted,
+            rejected: self.rejected.clone(),
+            last_heard,
+            silent,
+            episodes,
         }
-        let tracker = self.seqs.entry(sensor).or_default();
-        tracker.observe_run(seq.wrapping_add(at.start as u64), at.len() as u64);
-        self.admit_run(sensor, frame.range(at));
     }
 }
 

@@ -31,7 +31,12 @@
 //!   encodes, writes and renames the checkpoint, then posts a second
 //!   completion on which the loop lands it (cursor advertised,
 //!   segments reclaimed). The loop itself only takes the snapshot.
-//!   Under `fsync=never` the tail is the thread's only work.
+//!   Under `fsync=never` the tail is the thread's only work;
+//! * before any of these, [`Collector::open`] may run a **replay
+//!   worker**: once a reopen has read 256 KiB of log it scans and
+//!   re-sequences the rest on one scoped thread while the opening thread
+//!   runs the detector on what it releases, and it is joined before
+//!   `open` returns.
 //!
 //! A frame-level error (bad CRC, oversized length) is
 //! connection-fatal: the stream offset can no longer be trusted, so

@@ -18,9 +18,10 @@
 //! [`SegmentInfo::records`], reclaim plans — is in readings, and a
 //! cursor need not fall on a frame boundary.
 //!
-//! Opening scans the segments in order, one segment's bytes at a time,
-//! handing each frame's run on as soon as it checks out: the collector
-//! replays it, [`Wal::open`] collects a [`WalLog`]. A decode failure in
+//! Opening reads the segments in order, one segment's bytes at a time,
+//! and scans each, handing each frame's run on as soon as it checks out:
+//! the collector replays it (on a worker thread, for a large log),
+//! [`Wal::open`] collects a [`WalLog`]. A decode failure in
 //! the *last* segment is treated as a torn tail — the segment is
 //! truncated at the start of the frame that failed and every frame
 //! before it is recovered exactly. Recovery is therefore
@@ -114,6 +115,16 @@ impl WalLog {
         })
     }
 
+    /// Appends one frame's run from `first_seq` on: one copy of its
+    /// values, their ends moved past the log's.
+    fn push_run(&mut self, sensor: SensorId, first_seq: u64, run: &ReadingArena) {
+        let seqs = (0..run.len() as u64).map(|i| (sensor, first_seq.wrapping_add(i)));
+        self.keys.extend(seqs);
+        let (marks, at) = (&mut self.readings.marks, self.readings.values.len());
+        marks.extend(run.marks.iter().map(|&(time, end)| (time, at + end)));
+        self.readings.values.extend_from_slice(&run.values);
+    }
+
     /// The records as owned values, for tests and tools.
     pub fn to_records(&self) -> Vec<WalRecord> {
         let owned = |r: WalRecord<&[f64]>| WalRecord {
@@ -126,39 +137,9 @@ impl WalLog {
     }
 }
 
-/// What [`Wal::open_with`] hands a log to: each segment's bytes as
-/// read, then each CRC-verified frame's run in them — sensor, first
-/// sequence number, readings.
-pub(crate) trait Scan {
-    fn segment(&mut self, _bytes: &[u8]) {}
-    fn run(&mut self, sensor: SensorId, first_seq: u64, readings: &ReadingArena);
-}
-
-impl<F: FnMut(SensorId, u64, &ReadingArena)> Scan for F {
-    fn run(&mut self, sensor: SensorId, first_seq: u64, readings: &ReadingArena) {
-        self(sensor, first_seq, readings);
-    }
-}
-
-impl Scan for WalLog {
-    fn segment(&mut self, bytes: &[u8]) {
-        // Sized once a segment from the frame heads, not doubled into:
-        // ten bytes a reading, what is left bounds the values.
-        let stated = count_readings(bytes);
-        self.keys.reserve(stated);
-        self.readings
-            .reserve(stated, (bytes.len() - 10 * stated) / 8);
-    }
-
-    fn run(&mut self, sensor: SensorId, first_seq: u64, readings: &ReadingArena) {
-        let seqs = (0..readings.len() as u64).map(|i| (sensor, first_seq.wrapping_add(i)));
-        self.keys.extend(seqs);
-        // One copy of the frame's values, its ends moved past the log's.
-        let (marks, at) = (&mut self.readings.marks, self.readings.values.len());
-        marks.extend(readings.marks.iter().map(|&(time, end)| (time, at + end)));
-        self.readings.values.extend_from_slice(&readings.values);
-    }
-}
+/// What one segment's scan found: the readings handed on, and the
+/// offset of the first frame that failed to decode and why, if one did.
+pub(crate) type Scanned = (u64, Option<(u64, FrameError)>);
 
 /// When the log forces data to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,12 +320,12 @@ fn io_err(path: &Path, e: std::io::Error) -> WalError {
 /// `ForeignRecord` (a syntactically valid payload that carries no
 /// readings) is real corruption even in the last segment, so it is
 /// returned as a hard error directly.
-fn scan_segment(
+pub(crate) fn scan_segment(
     segment: &Path,
     bytes: &[u8],
     frame: &mut ReadingArena,
-    visit: &mut impl Scan,
-) -> Result<(u64, Option<(u64, FrameError)>), WalError> {
+    visit: &mut impl FnMut(SensorId, u64, &ReadingArena),
+) -> Result<Scanned, WalError> {
     let (mut pos, mut readings) = (0, 0);
     while pos < bytes.len() {
         frame.truncate(0);
@@ -353,7 +334,7 @@ fn scan_segment(
         match opened.and_then(|(payload, framed)| Ok((decode_readings(payload, frame)?, framed))) {
             Ok((Some((sensor, first_seq)), framed)) => {
                 readings += frame.len() as u64;
-                visit.run(sensor, first_seq, frame);
+                visit(sensor, first_seq, frame);
                 pos += framed;
             }
             Ok((None, _)) => {
@@ -708,18 +689,33 @@ impl Wal {
     /// above the expected base (a retained log opened without its
     /// checkpoint).
     pub fn open(config: WalConfig, base: Option<(u64, u64)>) -> Result<(Self, WalLog), WalError> {
-        let mut log = WalLog::default();
-        let wal = Self::open_with(config, base, &mut log)?;
+        let (mut log, mut frame) = (WalLog::default(), ReadingArena::default());
+        let mut collect = |path: &Path, bytes: Vec<u8>| {
+            // Sized once a segment from the frame heads, not doubled
+            // into: ten bytes a reading, what is left bounds the values.
+            let stated = count_readings(&bytes);
+            log.keys.reserve(stated);
+            log.readings
+                .reserve(stated, (bytes.len() - 10 * stated) / 8);
+            scan_segment(path, &bytes, &mut frame, &mut |sensor, seq, run| {
+                log.push_run(sensor, seq, run);
+            })
+        };
+        let wal = Self::open_with(config, base, &mut collect)?;
         Ok((wal, log))
     }
 
-    /// [`Wal::open`], handing each recovered frame's run to `visit` as
-    /// the scan verifies it instead of collecting the log: a reopen
-    /// holds one segment's bytes and one frame's readings at a time.
+    /// [`Wal::open`], handing each segment's bytes to `scan` as they are
+    /// read instead of collecting the log: `scan` verifies the segment's
+    /// frames one at a time, hands each one's run on, and returns what
+    /// [`scan_segment`] does, so a reopen holds one segment's bytes at a
+    /// time. Every storage call stays on the calling thread, in the
+    /// order [`Wal::open`] makes them: a segment's scan result is in
+    /// before the next one is read, or the log truncated.
     pub(crate) fn open_with(
         config: WalConfig,
         base: Option<(u64, u64)>,
-        visit: &mut impl Scan,
+        scan: &mut impl FnMut(&Path, Vec<u8>) -> Result<Scanned, WalError>,
     ) -> Result<Self, WalError> {
         let vfs = Arc::clone(&config.vfs);
         vfs.create_dir_all(&config.dir)
@@ -755,15 +751,14 @@ impl Wal {
         }
 
         let mut segments = Vec::with_capacity(indices.len());
-        let mut frame = ReadingArena::default();
         let last = indices.len() - 1;
         for (i, &idx) in indices.iter().enumerate() {
             let path = config.dir.join(segment_name(idx));
             let bytes = vfs.read(&path).map_err(|e| io_err(&path, e))?;
-            visit.segment(&bytes);
-            let (records, failed) = scan_segment(&path, &bytes, &mut frame, visit)?;
+            let len = bytes.len() as u64;
+            let (records, failed) = scan(&path, bytes)?;
             let seg_bytes = match failed {
-                None => bytes.len() as u64,
+                None => len,
                 Some((offset, reason)) => {
                     if i == last {
                         // Torn tail: keep the clean prefix, drop the rest.
@@ -1485,10 +1480,11 @@ mod tests {
         assert_eq!((segments[6].records, segments[6].bytes), (4, 125));
         for seg in &segments {
             let path = dir.join(segment_name(seg.index));
-            let (mut frame, mut out) = (ReadingArena::default(), WalLog::default());
-            let scan = scan_segment(&path, &fs::read(&path).unwrap(), &mut frame, &mut out);
+            let (mut frame, mut out) = (ReadingArena::default(), 0);
+            let mut count = |_, _, run: &ReadingArena| out += run.len() as u64;
+            let scan = scan_segment(&path, &fs::read(&path).unwrap(), &mut frame, &mut count);
             assert!(matches!(scan, Ok((_, None))), "segment {}", seg.index);
-            assert_eq!(out.len() as u64, seg.records);
+            assert_eq!(out, seg.records);
         }
         let (wal, recovered) = Wal::open(config, None).unwrap();
         assert_eq!(recovered.to_records(), records);

@@ -18,16 +18,27 @@
 //! them.
 //!
 //! A counting `#[global_allocator]` (this test binary only) does the
-//! measuring; counts are per thread.
+//! measuring. A reopen of a large enough log replays on a worker thread
+//! as well as its own, so the counts are the whole process's, and the
+//! two tests take turns under [`SERIAL`].
 
 use sentinet_gateway::{Collector, GatewayConfig, Wal};
 use sentinet_sim::{SensorId, Timestamp};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{allocations, live_bytes, Counting};
+use counting_alloc::{process_allocations, process_live_bytes, Counting};
+
+/// Held by each test for its whole run: process-wide counts see every
+/// thread, the other test's included.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -82,11 +93,11 @@ fn reopen_costs(name: &str, n: u64) -> (u64, u64) {
         "one segment"
     );
 
-    let (scan, opened) = allocations(|| Wal::open(config.wal.clone(), None));
+    let (scan, opened) = process_allocations(|| Wal::open(config.wal.clone(), None));
     let (wal, log) = opened.expect("scan");
     assert_eq!(log.len() as u64, n);
     drop((wal, log));
-    let (reopen, opened) = allocations(|| Collector::open(config));
+    let (reopen, opened) = process_allocations(|| Collector::open(config));
     let (_, info) = opened.expect("reopen");
     assert_eq!(info.replayed, n);
     fs::remove_dir_all(&dir).ok();
@@ -95,6 +106,7 @@ fn reopen_costs(name: &str, n: u64) -> (u64, u64) {
 
 #[test]
 fn a_reopen_allocates_by_the_segment_not_by_the_reading() {
+    let _serial = serial();
     let (scan_short, reopen_short) = reopen_costs("short", N);
     let (scan_long, reopen_long) = reopen_costs("long", 2 * N);
     assert!(
@@ -114,13 +126,13 @@ fn a_reopen_allocates_by_the_segment_not_by_the_reading() {
 }
 
 /// Writes a log of `n` readings in 64 KiB segments and returns its
-/// segment count and what the reopen did to this thread's live bytes.
+/// segment count and what the reopen did to the process's live bytes.
 fn reopen_bytes(name: &str, n: u64) -> (usize, counting_alloc::LiveBytes) {
     let (dir, mut config) = config(name);
     config.wal.segment_max_bytes = SEGMENT;
     write_log(&config, n);
     let segments = fs::read_dir(&dir).expect("wal dir").count();
-    let (bytes, opened) = live_bytes(|| Collector::open(config).expect("reopen"));
+    let (bytes, opened) = process_live_bytes(|| Collector::open(config).expect("reopen"));
     assert_eq!(opened.1.replayed, n);
     drop(opened);
     fs::remove_dir_all(&dir).ok();
@@ -132,6 +144,7 @@ const SEGMENT: u64 = 64 << 10;
 
 #[test]
 fn a_reopen_holds_a_segment_not_the_log() {
+    let _serial = serial();
     let (segments_short, short) = reopen_bytes("bytes-short", N);
     let (segments_long, long) = reopen_bytes("bytes-long", 4 * N);
     assert!(

@@ -362,27 +362,6 @@ impl StochasticMatrix {
         self.data = data;
     }
 
-    /// Computes the Gram matrix of the rows: `G[i][j] = Σ_k m[i][k]·m[j][k]`.
-    ///
-    /// The paper's orthogonality tests (§3.4) inspect the off-diagonal
-    /// and diagonal entries of this matrix for **B**.
-    pub fn row_gram(&self) -> Vec<Vec<f64>> {
-        let mut g = vec![vec![0.0; self.rows]; self.rows];
-        for i in 0..self.rows {
-            for j in i..self.rows {
-                let dot: f64 = self
-                    .row(i)
-                    .iter()
-                    .zip(self.row(j))
-                    .map(|(a, b)| a * b)
-                    .sum();
-                g[i][j] = dot;
-                g[j][i] = dot;
-            }
-        }
-        g
-    }
-
     /// Returns a copy of the matrix with the listed columns removed and
     /// each row renormalized. Rows whose remaining mass is zero become
     /// uniform.
@@ -462,6 +441,32 @@ impl fmt::Display for StochasticMatrix {
             writeln!(f)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl StochasticMatrix {
+    /// Computes the Gram matrix of the rows: `G[i][j] = Σ_k m[i][k]·m[j][k]`.
+    ///
+    /// The paper's orthogonality tests (§3.4) inspect the off-diagonal
+    /// and diagonal entries of this matrix for **B**;
+    /// `OrthogonalityReport::analyze` takes only the entries it reads,
+    /// and this whole matrix is its tests' oracle.
+    pub(crate) fn row_gram(&self) -> Vec<Vec<f64>> {
+        let mut g = vec![vec![0.0; self.rows]; self.rows];
+        for i in 0..self.rows {
+            for j in i..self.rows {
+                let dot: f64 = self
+                    .row(i)
+                    .iter()
+                    .zip(self.row(j))
+                    .map(|(a, b)| a * b)
+                    .sum();
+                g[i][j] = dot;
+                g[j][i] = dot;
+            }
+        }
+        g
     }
 }
 

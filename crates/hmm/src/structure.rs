@@ -93,55 +93,52 @@ impl OrthogonalityReport {
             Some(r) => r.to_vec(),
             None => (0..b.num_rows()).collect(),
         };
-        let rg = b.row_gram();
+        // Only the analysed rows' Gram entries are read, each summed in
+        // the order `row_gram` sums it, so the bits match.
+        let dot =
+            |i: usize, j: usize| -> f64 { b.row(i).iter().zip(b.row(j)).map(|(x, y)| x * y).sum() };
         let mut row_violations = Vec::new();
         let mut weak_rows = Vec::new();
         let mut max_row_offdiag: f64 = 0.0;
         for (ai, &i) in rows.iter().enumerate() {
-            if rg[i][i] < tol.min_diag {
+            if dot(i, i) < tol.min_diag {
                 weak_rows.push(i);
             }
             for &j in rows.iter().skip(ai + 1) {
-                max_row_offdiag = max_row_offdiag.max(rg[i][j]);
-                if rg[i][j] > tol.max_offdiag {
+                let mass = dot(i, j);
+                max_row_offdiag = max_row_offdiag.max(mass);
+                if mass > tol.max_offdiag {
                     row_violations.push(NonOrthogonalPair {
                         first: i,
                         second: j,
-                        mass: rg[i][j],
+                        mass,
                     });
                 }
             }
         }
 
         // Columns: only columns receiving mass from active rows matter.
-        let cg = {
-            // Build a reduced matrix of the active rows to compute the
-            // column Gram restricted to evidence-bearing rows.
-            let reduced: Vec<Vec<f64>> = rows.iter().map(|&i| b.row(i).to_vec()).collect();
-            let ncols = b.num_cols();
-            let mut g = vec![vec![0.0; ncols]; ncols];
-            for r in &reduced {
-                for i in 0..ncols {
-                    for j in i..ncols {
-                        g[i][j] += r[i] * r[j];
-                    }
+        // The upper triangle of their Gram, accumulated row by row in
+        // one flat buffer.
+        let ncols = b.num_cols();
+        let mut cg = vec![0.0; ncols * ncols];
+        for &r in &rows {
+            let row = b.row(r);
+            for (i, &x) in row.iter().enumerate() {
+                for (j, &y) in row.iter().enumerate().skip(i) {
+                    cg[i * ncols + j] += x * y;
                 }
             }
-            for i in 0..ncols {
-                for j in 0..i {
-                    g[i][j] = g[j][i];
-                }
-            }
-            g
-        };
+        }
         let mut col_violations = Vec::new();
-        for i in 0..b.num_cols() {
-            for j in i + 1..b.num_cols() {
-                if cg[i][j] > tol.max_offdiag {
+        for i in 0..ncols {
+            for j in i + 1..ncols {
+                let mass = cg[i * ncols + j];
+                if mass > tol.max_offdiag {
                     col_violations.push(NonOrthogonalPair {
                         first: i,
                         second: j,
-                        mass: cg[i][j],
+                        mass,
                     });
                 }
             }
@@ -399,6 +396,10 @@ pub fn mean_var(xs: &[f64]) -> Option<MeanVar> {
     let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
     Some(MeanVar { mean, var })
 }
+
+#[cfg(test)]
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
 #[cfg(test)]
 mod tests {
@@ -681,5 +682,139 @@ mod tests {
         .unwrap();
         let r = OrthogonalityReport::analyze(&b, OrthoTolerance::default(), None);
         assert!(!r.cols_orthogonal);
+    }
+
+    /// The analysis as it was before it took only the Gram entries it
+    /// reads: the full row Gram, a copy of each active row, and a
+    /// column Gram of nested vectors.
+    fn full_gram_report(
+        b: &StochasticMatrix,
+        tol: OrthoTolerance,
+        active_rows: Option<&[usize]>,
+    ) -> OrthogonalityReport {
+        let rows: Vec<usize> = match active_rows {
+            Some(r) => r.to_vec(),
+            None => (0..b.num_rows()).collect(),
+        };
+        let rg = b.row_gram();
+        let (mut row_violations, mut weak_rows) = (Vec::new(), Vec::new());
+        let mut max_row_offdiag: f64 = 0.0;
+        for (ai, &i) in rows.iter().enumerate() {
+            if rg[i][i] < tol.min_diag {
+                weak_rows.push(i);
+            }
+            for &j in rows.iter().skip(ai + 1) {
+                max_row_offdiag = max_row_offdiag.max(rg[i][j]);
+                if rg[i][j] > tol.max_offdiag {
+                    let mass = rg[i][j];
+                    row_violations.push(NonOrthogonalPair {
+                        first: i,
+                        second: j,
+                        mass,
+                    });
+                }
+            }
+        }
+        let reduced: Vec<Vec<f64>> = rows.iter().map(|&i| b.row(i).to_vec()).collect();
+        let ncols = b.num_cols();
+        let mut cg = vec![vec![0.0; ncols]; ncols];
+        for r in &reduced {
+            for i in 0..ncols {
+                for j in i..ncols {
+                    cg[i][j] += r[i] * r[j];
+                }
+            }
+        }
+        let mut col_violations = Vec::new();
+        for i in 0..ncols {
+            for j in i + 1..ncols {
+                if cg[i][j] > tol.max_offdiag {
+                    let mass = cg[i][j];
+                    col_violations.push(NonOrthogonalPair {
+                        first: i,
+                        second: j,
+                        mass,
+                    });
+                }
+            }
+        }
+        OrthogonalityReport {
+            rows_orthogonal: row_violations.is_empty() && weak_rows.is_empty(),
+            cols_orthogonal: col_violations.is_empty(),
+            row_violations,
+            col_violations,
+            weak_rows,
+            max_row_offdiag,
+        }
+    }
+
+    /// A report's every field, floats by their bits.
+    fn bits(r: &OrthogonalityReport) -> impl PartialEq + std::fmt::Debug {
+        let pairs = |v: &[NonOrthogonalPair]| -> Vec<(usize, usize, u64)> {
+            v.iter()
+                .map(|p| (p.first, p.second, p.mass.to_bits()))
+                .collect()
+        };
+        (
+            (r.rows_orthogonal, r.cols_orthogonal, r.weak_rows.clone()),
+            (pairs(&r.row_violations), pairs(&r.col_violations)),
+            r.max_row_offdiag.to_bits(),
+        )
+    }
+
+    /// Over seeded stochastic matrices (rows of sparse random weights,
+    /// point masses and near-ties among them), every tolerance on a grid
+    /// and active rows absent, in order, shuffled or repeated, the
+    /// analysis equals the full-Gram one bit for bit.
+    #[test]
+    fn only_the_read_gram_entries_give_the_full_gram_report() {
+        let case = |seed: u64| -> Result<(), String> {
+            let mut rng = seeded::TestRng::new(seed);
+            let (m, n) = (rng.usize_in(1, 8), rng.usize_in(1, 8));
+            let rows: Vec<Vec<f64>> = (0..m)
+                .map(|_| {
+                    let mut row = rng.vec(n, |rng| match rng.usize_in(0, 4) {
+                        0 => 0.0,
+                        1 => 0.25 * rng.usize_in(1, 5) as f64,
+                        _ => rng.next_f64(),
+                    });
+                    if row.iter().sum::<f64>() == 0.0 {
+                        row[rng.usize_in(0, n)] = 1.0;
+                    }
+                    let sum: f64 = row.iter().sum();
+                    row.iter_mut().for_each(|x| *x /= sum);
+                    row
+                })
+                .collect();
+            let b = StochasticMatrix::from_rows(rows).map_err(|e| e.to_string())?;
+            let mut active: Vec<usize> = (0..m).filter(|_| rng.bool()).collect();
+            for i in (1..active.len()).rev() {
+                active.swap(i, rng.usize_in(0, i + 1));
+            }
+            if rng.usize_in(0, 4) == 0 {
+                active.push(rng.usize_in(0, m));
+            }
+            let tol = OrthoTolerance {
+                max_offdiag: 0.05 * rng.usize_in(0, 21) as f64,
+                min_diag: 0.05 * rng.usize_in(0, 21) as f64,
+            };
+            for rows in [None, Some(&active[..])] {
+                let (got, want) = (
+                    OrthogonalityReport::analyze(&b, tol, rows),
+                    full_gram_report(&b, tol, rows),
+                );
+                if bits(&got) != bits(&want) {
+                    return Err(format!("rows {rows:?}: {got:?}, full Gram {want:?}"));
+                }
+            }
+            Ok(())
+        };
+        let replay = seeded::Replay {
+            var: "ORTHO_GRAM_SEED",
+            package: "sentinet-hmm",
+            target: "--lib",
+            test: "only_the_read_gram_entries_give_the_full_gram_report",
+        };
+        replay.for_each_seed(2_000, case);
     }
 }
