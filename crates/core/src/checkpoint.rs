@@ -20,10 +20,11 @@
 //! [`encode_pipeline`]/[`decode_pipeline`] are the two codecs defined
 //! here; the pipeline text ends in a shard section, read by the same
 //! reader. These codecs are the only serialization the snapshot types
-//! have. They write layout v3: the state, and nothing derived from it.
-//! The readers also take v1 and v2 text by its magic, reading what
-//! those layouts also wrote for syntax and dropping it; a derived
-//! field that disagrees with the state it copies is malformed.
+//! have. They write layout v4: the state, and nothing derived from it,
+//! each raw-alarm history as runs of equal flags. The readers also take
+//! v1 to v3 text by its magic, reading what those layouts also wrote
+//! for syntax and dropping it; a derived field that disagrees with the
+//! state it copies is malformed.
 
 use crate::runtime::{IdentityPrior, TrackRecord};
 use sentinet_cluster::StatesSnapshot;
@@ -147,19 +148,21 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// The shard magic of layouts v1, v2 and v3; only v3 is written. v2
-/// also wrote the decisive-window `history` and each sensor's `track`
-/// and `alarmed` flags; v1 on top of that `M_CE`'s **A**, β and
-/// previous state, `counts` twice and the `mc`/`mo` blocks.
-const MAGICS: [&str; 3] = [
+/// The shard magic of layouts v1 to v4; only v4 is written. v3 wrote
+/// each raw-alarm window as a token of its own; v2 also the
+/// decisive-window `history` and each sensor's `track` and `alarmed`
+/// flags; v1 on top of that `M_CE`'s **A**, β and previous state,
+/// `counts` twice and the `mc`/`mo` blocks.
+const MAGICS: [&str; 4] = [
     "sentinet-checkpoint v1",
     "sentinet-checkpoint v2",
     "sentinet-checkpoint v3",
+    "sentinet-checkpoint v4",
 ];
 
-/// Consumes a magic line, one of `magics` (layouts v1 to v3): the
+/// Consumes a magic line, one of `magics` (layouts v1 to v4): the
 /// layout it names.
-fn read_magic(r: &mut Reader<'_>, magics: &[&str; 3]) -> Result<u8, CheckpointError> {
+fn read_magic(r: &mut Reader<'_>, magics: &[&str; 4]) -> Result<u8, CheckpointError> {
     let at = magics.iter().position(|m| r.peek() == Some(*m));
     let at = at.unwrap_or(magics.len() - 1);
     r.marker(magics[at])?;
@@ -307,7 +310,7 @@ pub fn write_shard<W: fmt::Write>(
     out: &mut W,
     sensors: &[(SensorId, SensorSnapshot)],
 ) -> fmt::Result {
-    writeln!(out, "{}", MAGICS[2])?;
+    writeln!(out, "{}", MAGICS[3])?;
     for (id, snap) in sensors {
         writeln!(out, "sensor {}", id.0)?;
         match &snap.filter {
@@ -357,12 +360,31 @@ pub fn write_shard<W: fmt::Write>(
         if snap.raw_history.is_empty() {
             out.write_str(" -")?;
         }
-        for (w, raw) in &snap.raw_history {
-            out.write_char(' ')?;
-            push_dec(out, *w)?;
-            out.write_str(if *raw { ":1" } else { ":0" })?;
-        }
+        put_runs(out, &snap.raw_history)?;
         out.write_str("\nend\n")?;
+    }
+    Ok(())
+}
+
+/// A raw-alarm history as ` w:f:n` runs: `n` consecutive windows from
+/// `w`, all with flag `f`, each run as long as it goes; `:n` is left
+/// out for a run of one.
+fn put_runs<W: fmt::Write>(out: &mut W, history: &[(u64, bool)]) -> fmt::Result {
+    let mut rest = history;
+    while let Some(&(w, raw)) = rest.first() {
+        let n = rest
+            .iter()
+            .zip(0..)
+            .take_while(|&(&(v, f), i)| f == raw && w.checked_add(i) == Some(v))
+            .count();
+        out.write_char(' ')?;
+        push_dec(out, w)?;
+        out.write_str(if raw { ":1" } else { ":0" })?;
+        if n > 1 {
+            out.write_char(':')?;
+            push_dec(out, n as u64)?;
+        }
+        rest = &rest[n..];
     }
     Ok(())
 }
@@ -737,17 +759,23 @@ fn is_identity_prior(m: &EstimatorState) -> bool {
         && one_hot(&m.b, n + 1, 1)
 }
 
-/// Decodes checkpoint text produced by [`encode_shard`].
+/// Decodes checkpoint text produced by [`encode_shard`]. Each sensor's
+/// raw-alarm history may hold at most `windows` windows: the count a
+/// pipeline text states before its sensors, which a bare shard does
+/// not, and what its runs are checked against before they are expanded.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Malformed`] on any syntax problem, with the
 /// offending line. Semantic validation (stochastic rows etc.) happens
 /// when the snapshot is restored into a runtime.
-pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
+pub fn decode_shard(
+    text: &str,
+    windows: u64,
+) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
     let mut r = Reader::new(text);
     let layout = read_magic(&mut r, &MAGICS)?;
-    let sensors = read_shard(&mut r, layout)?;
+    let sensors = read_shard(&mut r, layout, windows)?;
     r.finish()?;
     Ok(sensors)
 }
@@ -758,6 +786,7 @@ pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, Check
 fn read_shard(
     r: &mut Reader<'_>,
     layout: u8,
+    windows: u64,
 ) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
     let v1 = layout == 1;
     let mut sensors = Vec::new();
@@ -804,7 +833,7 @@ fn read_shard(
                 closed: t.opt()?,
             })
         })?;
-        let raw_history = r.list("raw", |w| Ok((w.num()?, w.flag()?)))?;
+        let raw_history = read_runs(r, layout, windows)?;
         let alarmed = flag_line(r, "alarmed", layout < 3)?;
         let open = tracks.last().is_some_and(|t| t.closed.is_none());
         for (copied, derived) in [(track, open), (alarmed, !tracks.is_empty())] {
@@ -824,11 +853,62 @@ fn read_shard(
     Ok(sensors)
 }
 
-/// The pipeline magic of layouts v1, v2 and v3, as [`MAGICS`].
-const PIPELINE_MAGICS: [&str; 3] = [
+/// [`put_runs`]'s inverse, the `raw` line of layout `layout`: before
+/// v4 every token is a run of one. Each run is checked before it is
+/// expanded — at least one window, none past `u64::MAX`, after the run
+/// before it, a v4 run not the continuation of the one before it, and
+/// at most `windows` windows in all — so the line's length, not a
+/// number it states, bounds what the expansion allocates.
+fn read_runs(
+    r: &mut Reader<'_>,
+    layout: u8,
+    windows: u64,
+) -> Result<Vec<(u64, bool)>, CheckpointError> {
+    // The first window the next run may start at, the flag of the run
+    // before it and the windows so far.
+    let (mut next, mut last, mut total) = (0u64, None, 0u64);
+    let runs = r.list("raw", |t| {
+        let (w, raw) = (t.num::<u64>()?, t.flag()?);
+        let n: u64 = match t.rest {
+            Some(_) if layout > 3 => match t.num()? {
+                0 => return t.fail("a run of no windows"),
+                1 => return t.fail("a run of one window with its length written"),
+                n => n,
+            },
+            _ => 1,
+        };
+        let Some(end) = w.checked_add(n) else {
+            return t.fail(format!("a run of {n} windows from {w} ends past the last"));
+        };
+        if w < next {
+            return t.fail(format!(
+                "a run from {w} before the end {next} of the one before"
+            ));
+        }
+        if layout > 3 && w == next && last == Some(raw) {
+            return t.fail(format!("a run from {w} continues the one before"));
+        }
+        // Disjoint runs below `u64::MAX` sum to at most that.
+        total += n;
+        if total > windows {
+            return t.fail(format!("{total} raw-alarm windows of {windows} processed"));
+        }
+        (next, last) = (end, Some(raw));
+        Ok((w, raw, n))
+    })?;
+    let mut history = Vec::new();
+    for (w, raw, n) in runs {
+        history.extend((w..w + n).map(|v| (v, raw)));
+    }
+    Ok(history)
+}
+
+/// The pipeline magic of layouts v1 to v4, as [`MAGICS`].
+const PIPELINE_MAGICS: [&str; 4] = [
     "sentinet-pipeline v1",
     "sentinet-pipeline v2",
     "sentinet-pipeline v3",
+    "sentinet-pipeline v4",
 ];
 
 /// Encodes a whole pipeline's restore-point snapshot as durable
@@ -854,7 +934,7 @@ pub fn write_pipeline<W: fmt::Write>(out: &mut W, snap: &PipelineSnapshot) -> fm
     writeln!(
         out,
         "{}\nwindows {}\nbootstrap {}",
-        PIPELINE_MAGICS[2],
+        PIPELINE_MAGICS[3],
         g.windows_processed,
         g.bootstrap_points.len()
     )?;
@@ -1019,7 +1099,7 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
             start,
             readings,
         },
-        sensors: read_shard(r, layout)?,
+        sensors: read_shard(r, layout, windows_processed)?,
     })
 }
 
@@ -1044,9 +1124,12 @@ mod tests {
     use crate::config::{FilterPolicy, PipelineConfig};
     use crate::runtime::SensorRuntime;
 
+    /// The windows [`runtime_with_history`] steps through.
+    const WINDOWS: u64 = 12;
+
     fn runtime_with_history(config: &PipelineConfig) -> SensorRuntime {
         let mut rt = SensorRuntime::new(config, 3);
-        for w in 0..12u64 {
+        for w in 0..WINDOWS {
             // Disagreements on a burst so tracks open, close, reopen.
             let label = if (3..7).contains(&w) || w >= 10 { 2 } else { 1 };
             rt.step(w, label, 1);
@@ -1073,7 +1156,7 @@ mod tests {
                 (SensorId(0), runtime_with_history(&config).snapshot()),
                 (SensorId(7), SensorRuntime::new(&config, 2).snapshot()),
             ];
-            let decoded = decode_shard(&encode_shard(&shard)).expect("round trip");
+            let decoded = decode_shard(&encode_shard(&shard), WINDOWS).expect("round trip");
             assert_eq!(decoded, shard);
         }
     }
@@ -1084,7 +1167,7 @@ mod tests {
         let shard = vec![(SensorId(1), runtime_with_history(&config).snapshot())];
         let mut text = encode_shard(&shard);
         text = text.replace("\nraw ", "\nrow ");
-        let err = decode_shard(&text).expect_err("corrupted");
+        let err = decode_shard(&text, WINDOWS).expect_err("corrupted");
         match err {
             CheckpointError::Malformed { line, .. } => assert!(line > 1),
             other => panic!("unexpected error {other:?}"),
@@ -1093,8 +1176,8 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_magic_and_empty() {
-        assert!(decode_shard("").is_err());
-        assert!(decode_shard("not a checkpoint\n").is_err());
+        assert!(decode_shard("", WINDOWS).is_err());
+        assert!(decode_shard("not a checkpoint\n", WINDOWS).is_err());
     }
 
     fn sample_pipeline_snapshot(with_states: bool) -> PipelineSnapshot {
@@ -1236,7 +1319,7 @@ mod tests {
         let prior = line_starting(&text, "prior ");
         assert_eq!(prior, "prior 4 0 3fb999999999999a");
         assert_eq!(text.lines().count(), 7, "{text}");
-        assert_eq!(decode_shard(&text), Ok(sensors));
+        assert_eq!(decode_shard(&text, WINDOWS), Ok(sensors));
         let one_hot = |i: usize| {
             let mut row = ["0000000000000000"; 5];
             row[i + 1] = "3ff0000000000000";
@@ -1248,7 +1331,7 @@ mod tests {
         );
         let full = text.replacen(prior, &block, 1);
         assert_eq!(
-            malformed_line(decode_shard(&full)),
+            malformed_line(decode_shard(&full, WINDOWS)),
             line_of(&full, "counts 0,0,0,0")
         );
     }
@@ -1289,7 +1372,7 @@ mod tests {
         let snap = sample_pipeline_snapshot(true);
         let shard = encode_shard(&snap.sensors).replace("sensor 3", "sensor x");
         assert_eq!(
-            malformed_line(decode_shard(&shard)),
+            malformed_line(decode_shard(&shard, WINDOWS)),
             line_of(&shard, "sensor x")
         );
         let pipeline = encode_pipeline(&snap).replace("sensor 3", "sensor x");
@@ -1313,25 +1396,34 @@ mod tests {
         };
         let snap = runtime_with_history(&config).snapshot();
         let text = encode_shard(&[(SensorId(0), snap.clone())]);
-        assert!(decode_shard(&text).is_ok());
-        let raw = text.replace("\nraw 0:0 ", "\nraw 0:3 ");
-        assert_eq!(malformed_line(decode_shard(&raw)), line_of(&raw, "end") - 1);
+        assert!(decode_shard(&text, WINDOWS).is_ok());
+        let raw = text.replace("\nraw 0:0:3 ", "\nraw 0:3:3 ");
+        assert_eq!(
+            malformed_line(decode_shard(&raw, WINDOWS)),
+            line_of(&raw, "end") - 1
+        );
         let filter = text.lines().nth(2).expect("filter line");
         assert!(filter.starts_with("filter sprt "));
         let raised = text.replace(filter, &format!("{}3", &filter[..filter.len() - 1]));
-        assert_eq!(malformed_line(decode_shard(&raised)), 3);
+        assert_eq!(malformed_line(decode_shard(&raised, WINDOWS)), 3);
         // The flags v2 also wrote: a track is open, one ever opened.
         let open = u8::from(snap.tracks.last().is_some_and(|t| t.closed.is_none()));
         let alarmed = u8::from(!snap.tracks.is_empty());
+        let per_window: String = snap
+            .raw_history
+            .iter()
+            .map(|&(w, raw)| format!(" {w}:{}", u8::from(raw)))
+            .collect();
         let v2 = text
-            .replace(MAGICS[2], MAGICS[1])
+            .replace(MAGICS[3], MAGICS[1])
+            .replacen(line_starting(&text, "raw "), &format!("raw{per_window}"), 1)
             .replace("\ntracks ", &format!("\ntrack {open}\ntracks "))
             .replace("\nend", &format!("\nalarmed {alarmed}\nend"));
-        assert_eq!(decode_shard(&v2), Ok(vec![(SensorId(0), snap)]));
+        assert_eq!(decode_shard(&v2, WINDOWS), Ok(vec![(SensorId(0), snap)]));
         for (flag, bad) in [("track ", "2"), ("alarmed ", "yes")] {
             let at = v2.find(&format!("\n{flag}")).expect("a flag") + 1 + flag.len();
             let bad = format!("{}{bad}{}", &v2[..at], &v2[at + 1..]);
-            assert!(decode_shard(&bad).is_err(), "{flag}");
+            assert!(decode_shard(&bad, WINDOWS).is_err(), "{flag}");
         }
     }
 
@@ -1343,7 +1435,7 @@ mod tests {
         let config = PipelineConfig::default();
         let text = encode_shard(&[(SensorId(0), SensorRuntime::new(&config, 2).snapshot())]);
         let scaled = text.replace("filter kofn 6 10 ", "filter kofn 60 10 ");
-        let decoded = decode_shard(&scaled).expect("syntactically fine");
+        let decoded = decode_shard(&scaled, WINDOWS).expect("syntactically fine");
         assert!(matches!(
             SensorRuntime::from_snapshot(decoded[0].1.clone()),
             Err(CheckpointError::Invalid(_))
@@ -1384,8 +1476,8 @@ mod tests {
     fn restored_runtime_continues_bit_identically() {
         let config = PipelineConfig::default();
         let mut original = runtime_with_history(&config);
-        let decoded =
-            decode_shard(&encode_shard(&[(SensorId(0), original.snapshot())])).expect("round trip");
+        let text = encode_shard(&[(SensorId(0), original.snapshot())]);
+        let decoded = decode_shard(&text, WINDOWS).expect("round trip");
         let mut restored =
             SensorRuntime::from_snapshot(decoded[0].1.clone()).expect("valid snapshot");
         for w in 12..30u64 {

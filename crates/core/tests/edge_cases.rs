@@ -1,6 +1,11 @@
 //! Harness-robustness tests: degenerate and hostile input shapes the
 //! collector must survive without panicking or mis-diagnosing.
 
+#[path = "../../../tests/support/runs.rs"]
+mod runs;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sentinet_cluster::{ClusterConfig, StatesSnapshot};
@@ -133,7 +138,7 @@ fn sensor_joining_late_is_tracked() {
     let state = sentinet_core::encode_pipeline(&p.snapshot());
     assert_eq!(
         fnv(state.as_bytes()),
-        0x0655_611d_b739_8e38,
+        0xb4ba_b7e5_d2c1_9901,
         "a mid-stream joiner changed the run"
     );
 }
@@ -424,7 +429,7 @@ fn a_restore_point_with_an_impossible_track_list_is_invalid() {
         );
     }
 
-    let v2 = text
+    let v2 = runs::as_v3(&text)
         .replace("sentinet-pipeline v3", "sentinet-pipeline v2")
         .replace("sentinet-checkpoint v3", "sentinet-checkpoint v2")
         .replacen("\nbootstrap ", "\nhistory -\nbootstrap ", 1)

@@ -1,5 +1,7 @@
 //! Property-based tests for the core pipeline's invariants.
 
+#[path = "../../../tests/support/runs.rs"]
+mod runs;
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
 #[path = "../../../tests/support/totality.rs"]
@@ -20,7 +22,7 @@ use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState, OnlineHmmEstimator, StochasticMatrix};
 use sentinet_sim::{Reading, SensorId, Trace, TraceRecord};
 use std::collections::BTreeMap;
-use totality::{check_total_and_exact, PeakAlloc};
+use totality::{check_total_and_exact, check_total_bytes, PeakAlloc};
 
 #[global_allocator]
 static ALLOCATOR: PeakAlloc = PeakAlloc;
@@ -462,10 +464,10 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
 /// Digests of [`golden_pipeline_snapshot`] through `encode_pipeline`
 /// and of its sensors through `encode_shard`. `report_pin.rs` pins a
 /// large real snapshot; this one pins the branches a healthy run does
-/// not take. Recorded when layout v3 replaced v2; [`GOLDEN_V1`] and
-/// [`GOLDEN_V2`], the same snapshot's older bytes, decode to it and
-/// re-encode to these.
-const GOLDEN_DIGESTS: (u64, u64) = (8_364_944_834_249_613_682, 12_823_211_874_686_927_270);
+/// not take. Recorded when layout v4 replaced v3; [`GOLDEN_V1`],
+/// [`GOLDEN_V2`] and [`GOLDEN_V3`], the same snapshot's older bytes,
+/// decode to it and re-encode to these.
+const GOLDEN_DIGESTS: (u64, u64) = (9_693_272_002_388_484_484, 11_404_805_983_958_410_123);
 
 /// [`golden_pipeline_snapshot`] as layout v1 wrote it, byte for byte:
 /// what v2 wrote, plus `M_CE`'s **A**, β and previous state, every
@@ -476,6 +478,14 @@ const GOLDEN_V1: &str = include_str!("fixtures/golden_pipeline_v1.txt");
 /// the decisive-window `history` line and each sensor's `track` and
 /// `alarmed` flags on top of what v3 writes.
 const GOLDEN_V2: &str = include_str!("fixtures/golden_pipeline_v2.txt");
+
+/// [`golden_pipeline_snapshot`] as layout v3 wrote it, byte for byte:
+/// every raw-alarm window a token of its own.
+const GOLDEN_V3: &str = include_str!("fixtures/golden_pipeline_v3.txt");
+
+/// The windows [`golden_pipeline_snapshot`] states: the bound on each
+/// of its sensors' raw-alarm windows.
+const GOLDEN_WINDOWS: u64 = 1_344;
 
 #[test]
 fn golden_snapshot_encodes_to_the_recorded_bytes() {
@@ -494,7 +504,7 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
         "\nwsensor 65535 1 fff0000000000000\nsensors\n",
         "\nfilter kofn 6 10 1011\n",
         "\nfilter kofn 2 4 -\n",
-        "\ncounts 17,0\ntracks 12:40 1300:-\nraw 11:1 12:1 13:0 1343:1\nend\n",
+        "\ncounts 17,0\ntracks 12:40 1300:-\nraw 11:1:2 13:0 1343:1\nend\n",
         "\ncounts 17,0\ntracks -\nraw -\nend\n",
         " 8000000000000000 7 1\n",
     ] {
@@ -505,13 +515,13 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
         Ok(pipeline.clone())
     );
     assert_eq!(
-        decode_shard(&shard).map(|s| encode_shard(&s)),
+        decode_shard(&shard, GOLDEN_WINDOWS).map(|s| encode_shard(&s)),
         Ok(shard.clone())
     );
     assert_eq!(
         (fnv(pipeline.as_bytes()), fnv(shard.as_bytes())),
         GOLDEN_DIGESTS,
-        "checkpoint encoding drifted from layout v3"
+        "checkpoint encoding drifted from layout v4"
     );
 }
 
@@ -519,27 +529,30 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
 const V2_ONLY: [&str; 3] = ["history ", "track ", "alarmed "];
 
 /// `older`, the golden text as an older layout wrote it, decodes to the
-/// golden snapshot and re-encodes to the v3 golden text; so does its
+/// golden snapshot and re-encodes to the v4 golden text; so does its
 /// shard section. Line for line, it is that text plus the lines with a
 /// `dropped` tag, with only the lines with a `rewritten` tag changed.
 fn reads_as_the_golden_snapshot(older: &str, dropped: &[&str], rewritten: &[&str]) {
     let snap = golden_pipeline_snapshot();
-    let v3 = encode_pipeline(&snap);
+    let v4 = encode_pipeline(&snap);
     // `Debug`, not `==`: the golden snapshot holds a NaN centroid.
     let debug = |s: &PipelineSnapshot| format!("{s:?}");
     assert_eq!(decode_pipeline(older).map(|s| debug(&s)), Ok(debug(&snap)));
     assert_eq!(
         decode_pipeline(older).map(|s| encode_pipeline(&s)),
-        Ok(v3.clone())
+        Ok(v4.clone())
     );
     let shard = &older[older.find("sentinet-checkpoint v").expect("a shard")..];
-    assert_eq!(decode_shard(shard), Ok(snap.sensors.clone()));
+    assert_eq!(
+        decode_shard(shard, GOLDEN_WINDOWS),
+        Ok(snap.sensors.clone())
+    );
     let kept: Vec<&str> = older
         .lines()
         .filter(|line| !dropped.iter().any(|tag| line.starts_with(tag)))
         .collect();
-    assert_eq!(kept.len(), v3.lines().count());
-    for (old, new) in kept.iter().zip(v3.lines()) {
+    assert_eq!(kept.len(), v4.lines().count());
+    for (old, new) in kept.iter().zip(v4.lines()) {
         assert!(
             *old == new || rewritten.iter().any(|tag| old.starts_with(tag)),
             "`{old}` became `{new}`"
@@ -550,20 +563,134 @@ fn reads_as_the_golden_snapshot(older: &str, dropped: &[&str], rewritten: &[&str
 /// The one reader still reads v1: the golden v1 text loses what v2
 /// dropped — `M_CE`'s **A** rows, the `mc` and `mo` blocks, `M_CE`'s β
 /// and previous state and the second `counts` vector — and what v3
-/// dropped, and nothing else.
+/// dropped, and its `raw` lines become runs.
 #[test]
 fn the_v1_golden_text_reads_as_the_golden_snapshot() {
     let dropped = [&["a ", "mc ", "mc-row ", "mo ", "mo-row "][..], &V2_ONLY].concat();
-    let rewritten = ["sentinet-", "mce ", "counts ", "mco-counts "];
+    let rewritten = ["sentinet-", "mce ", "counts ", "mco-counts ", "raw "];
     reads_as_the_golden_snapshot(GOLDEN_V1, &dropped, &rewritten);
 }
 
 /// The one reader still reads v2: the golden v2 text, as the last
 /// binary to write v2 encoded it, loses the `history` line and each
-/// sensor's `track` and `alarmed` flags, and nothing else.
+/// sensor's `track` and `alarmed` flags, and its `raw` lines become
+/// runs.
 #[test]
 fn the_v2_golden_text_reads_as_the_golden_snapshot() {
-    reads_as_the_golden_snapshot(GOLDEN_V2, &V2_ONLY, &["sentinet-"]);
+    reads_as_the_golden_snapshot(GOLDEN_V2, &V2_ONLY, &["sentinet-", "raw "]);
+}
+
+/// The one reader still reads v3: the golden v3 text, as the last
+/// binary to write v3 encoded it, changes its magics and its `raw`
+/// lines, and nothing else.
+#[test]
+fn the_v3_golden_text_reads_as_the_golden_snapshot() {
+    reads_as_the_golden_snapshot(GOLDEN_V3, &[], &["sentinet-", "raw "]);
+}
+
+/// [`golden_pipeline_snapshot`] with sensor 0's raw-alarm history
+/// drawn from `rng` — runs of one, a few or hundreds of windows,
+/// adjacent or after a gap, either flag, or no history at all — and a
+/// window count at or just past the golden one and the history's end.
+fn with_seeded_history(rng: &mut TestRng) -> PipelineSnapshot {
+    let mut history = Vec::new();
+    let mut next = rng.range(0u64..50);
+    for _ in 0..rng.usize_in(0, 16) {
+        let n = match rng.usize_in(0, 4) {
+            0 | 1 => 1,
+            2 => rng.range(2u64..6),
+            _ => rng.range(6u64..400),
+        };
+        let raw = rng.bool();
+        history.extend((next..next + n).map(|w| (w, raw)));
+        next += n;
+        if rng.bool() {
+            next += rng.range(1u64..30);
+        }
+    }
+    let mut snap = golden_pipeline_snapshot();
+    snap.global.windows_processed = next.max(GOLDEN_WINDOWS) + rng.range(0u64..3);
+    snap.sensors[0].1.raw_history = history;
+    snap
+}
+
+/// Seeded raw-alarm histories — gaps, alternating flags, long runs,
+/// none — encode as maximal runs (a token per gap or change of flag)
+/// and decode to themselves, and the same snapshot as v3 wrote it, a
+/// token a window, decodes to the same snapshot.
+#[test]
+fn raw_alarm_histories_round_trip_as_runs_and_as_v3_tokens() {
+    let replay = Replay {
+        var: "RUNS_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "raw_alarm_histories_round_trip_as_runs_and_as_v3_tokens",
+    };
+    // `Debug`, not `==`: the golden snapshot holds a NaN centroid.
+    let debug = |s: &PipelineSnapshot| format!("{s:?}");
+    replay.for_each_seed(500, |seed| {
+        let snap = with_seeded_history(&mut TestRng::new(seed));
+        let text = encode_pipeline(&snap);
+        if decode_pipeline(&text).map(|s| debug(&s)) != Ok(debug(&snap)) {
+            return Err("the runs decode to another snapshot".into());
+        }
+        if decode_pipeline(&runs::as_v3(&text)).map(|s| debug(&s)) != Ok(debug(&snap)) {
+            return Err("the v3 tokens decode to another snapshot".into());
+        }
+        let history = &snap.sensors[0].1.raw_history;
+        let joined = |p: &[(u64, bool)]| p[1] == (p[0].0 + 1, p[0].1);
+        let runs = history.len() - history.windows(2).filter(|p| joined(p)).count();
+        let line = text.lines().find(|l| l.starts_with("raw ")).expect("raw");
+        let tokens = if line == "raw -" {
+            0
+        } else {
+            line.split(' ').count() - 1
+        };
+        if tokens != runs {
+            return Err(format!("{runs} runs written as `{line}`"));
+        }
+        Ok(())
+    });
+}
+
+/// Seeded damage to the run tokens of seeded histories (see
+/// `runs::damage_runs`: a run of no windows or of `u64::MAX`, past the
+/// last window, out of order, overlapping, of one with its length, split
+/// in two, more windows than processed, a three-part token under a v3
+/// magic) is `Malformed` at its `raw` line, in the pipeline text and in
+/// its shard section, and allocates within the totality bound.
+#[test]
+fn damaged_run_tokens_are_malformed_at_their_line() {
+    let replay = Replay {
+        var: "TEXT_TOTALITY_SEED",
+        package: "sentinet-core",
+        target: "--test properties",
+        test: "damaged_run_tokens_are_malformed_at_their_line",
+    };
+    replay.for_each_seed(2_000, |seed| {
+        let mut rng = TestRng::new(seed);
+        let snap = with_seeded_history(&mut rng);
+        let text = encode_pipeline(&snap);
+        let (what, damaged, line) = runs::damage_runs(&mut rng, &text);
+        let shard_at = damaged.find("sentinet-checkpoint v").expect("a shard");
+        let shard_line = line - damaged[..shard_at].matches('\n').count();
+        let windows = snap.global.windows_processed;
+        for (outcome, want) in [
+            check_total_bytes(damaged.len(), || decode_pipeline(&damaged).map(|_| ())),
+            check_total_bytes(damaged.len(), || {
+                decode_shard(&damaged[shard_at..], windows).map(|_| ())
+            }),
+        ]
+        .into_iter()
+        .zip([line, shard_line])
+        {
+            match outcome.map_err(|why| format!("{what}: {why}"))? {
+                Err(CheckpointError::Malformed { line, .. }) if line == want => {}
+                other => return Err(format!("{what}: {other:?}, not malformed at {want}")),
+            }
+        }
+        Ok(())
+    });
 }
 
 /// A `track` or `alarmed` flag in v1 or v2 text copies the tracks: a
@@ -600,7 +727,7 @@ fn a_v2_flag_other_than_its_tracks_imply_is_malformed() {
             );
             let shard = &damaged[damaged.find("sentinet-checkpoint v").expect("a shard")..];
             assert!(matches!(
-                decode_shard(shard),
+                decode_shard(shard, GOLDEN_WINDOWS),
                 Err(CheckpointError::Malformed { .. })
             ));
         }
@@ -832,7 +959,8 @@ fn is_malformed(e: &CheckpointError) -> bool {
 }
 
 fn shard_total_and_exact(input: &[u8]) -> Result<(), String> {
-    check_total_and_exact(input, decode_shard, |s| encode_shard(s), is_malformed)
+    let decode = |text: &str| decode_shard(text, GOLDEN_WINDOWS);
+    check_total_and_exact(input, decode, |s| encode_shard(s), is_malformed)
 }
 
 fn pipeline_total_and_exact(input: &[u8]) -> Result<(), String> {
@@ -1061,7 +1189,8 @@ fn an_m_ce_built_at_the_first_track_equals_one_grown_since_birth() {
 /// `SensorRuntime::from_snapshot`, with the text it was encoded to.
 fn through_checkpoint(snapshot: SensorSnapshot) -> (String, SensorRuntime) {
     let text = encode_shard(&[(SensorId(7), snapshot)]);
-    let (_, decoded) = decode_shard(&text)
+    // The encoder's own text: no window count to hold it to.
+    let (_, decoded) = decode_shard(&text, u64::MAX)
         .expect("decodes")
         .pop()
         .expect("one sensor");
@@ -1289,7 +1418,7 @@ fn v1_prior_text(
     }
     let zeros = vec!["0"; n].join(",");
     block.push_str(&format!("counts {zeros} {zeros}"));
-    shard
+    runs::as_v3(shard)
         .replace("sentinet-checkpoint v3", "sentinet-checkpoint v1")
         .replace(line, &block)
         .replace("\ntracks -\n", "\ntrack 0\ntracks -\n")
@@ -1337,8 +1466,8 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
         }
 
         let exact = v1_prior_text(&text, config.beta, |_, _| {});
-        match decode_shard(&exact).map(|s| encode_shard(&s)) {
-            Ok(v3) if v3 == text => {}
+        match decode_shard(&exact, u64::MAX).map(|s| encode_shard(&s)) {
+            Ok(v4) if v4 == text => {}
             other => return Err(format!("the exact v1 prior reads as {other:?}")),
         }
         let row = rng.usize_in(0, slots);
@@ -1360,7 +1489,7 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
         if zeroless {
             return Ok(());
         }
-        match decode_shard(&damaged) {
+        match decode_shard(&damaged, u64::MAX) {
             Err(CheckpointError::Malformed { .. }) => Ok(()),
             other => Err(format!(
                 "a not-prior v1 M_CE (row {row}) reads as {other:?}"

@@ -308,7 +308,7 @@ impl Back<'_, '_> {
     fn check(&mut self, half: IntakeSnapshot) {
         let Some(ck) = self.verify else { return };
         let now = encode_collector(&self.down.snapshot(half));
-        // An older binary's (layout v1 or v2) matches once re-encoded.
+        // An older binary's (layout v1 to v3) matches once re-encoded.
         let older = || ck.snapshot().is_ok_and(|s| encode_collector(&s) == now);
         self.matched = Some(now == ck.body() || older());
     }

@@ -7,6 +7,8 @@
 //! re-encodes to exactly the mutated bytes. Never a panic, never a
 //! silent reinterpretation.
 
+#[path = "../../../tests/support/runs.rs"]
+mod runs;
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
 #[path = "../../../tests/support/totality.rs"]
@@ -20,7 +22,7 @@ use sentinet_gateway::{
     ReorderSnapshot, ReorderStats,
 };
 use sentinet_sim::{IngestError, SanitizerSnapshot, SensorId};
-use totality::{check_total_and_exact, PeakAlloc};
+use totality::{check_total_and_exact, check_total_bytes, PeakAlloc};
 
 #[global_allocator]
 static ALLOCATOR: PeakAlloc = PeakAlloc;
@@ -287,7 +289,7 @@ fn driven_pipeline(filter: FilterPolicy, ticks: u64) -> Pipeline {
 /// float — and re-recorded when checkpoint layouts v2 and then v3
 /// replaced the one before (the older texts, read back by the newer
 /// reader, re-encode to these).
-const GOLDEN_DIGESTS: (u64, u64) = (10_925_331_079_193_120_758, 12_760_854_422_440_088_347);
+const GOLDEN_DIGESTS: (u64, u64) = (16_931_048_232_602_192_418, 2_869_537_763_013_899_227);
 
 /// A fixed snapshot that takes every branch of the collector encoder:
 /// no watermark (`reorder -`), non-finite and signed-zero floats in the
@@ -430,6 +432,29 @@ fn damaged_collector_text_is_rejected_or_reencodes_exactly() {
             .map_err(|why| format!("{what}: {why}"))
         },
     );
+}
+
+/// The raw-alarm runs of the collector text's pipeline section: the
+/// golden text as v3 wrote it, a token a window, reads as the same
+/// snapshot, and seeded damage to a run token (`runs::damage_runs`) is
+/// `Malformed` at its `raw` line, within the allocation bound.
+#[test]
+fn damaged_run_tokens_in_a_collector_text_are_malformed_at_their_line() {
+    let valid = encode_collector(&golden_snapshot(vec![SensorId(2)]));
+    assert!(valid.contains(":1:") || valid.contains(":0:"), "no run");
+    assert_eq!(
+        decode_collector(&runs::as_v3(&valid)).map(|s| encode_collector(&s)),
+        Ok(valid.clone())
+    );
+    let test = "damaged_run_tokens_in_a_collector_text_are_malformed_at_their_line";
+    totality(test).for_each_seed(1_000, |seed| {
+        let (what, damaged, line) = runs::damage_runs(&mut TestRng::new(seed), &valid);
+        let decoded = check_total_bytes(damaged.len(), || decode_collector(&damaged).map(|_| ()));
+        match decoded.map_err(|why| format!("{what}: {why}"))? {
+            Err(CheckpointError::Malformed { line: at, .. }) if at == line => Ok(()),
+            other => Err(format!("{what}: {other:?}, not malformed at {line}")),
+        }
+    });
 }
 
 /// The four sidecar readers (`checkpoint.ck`, `fence.tk`, `retired.tk`,
