@@ -26,7 +26,7 @@
 //! for syntax and dropping it; a derived field that disagrees with the
 //! state it copies is malformed.
 
-use crate::runtime::{IdentityPrior, TrackRecord};
+use crate::runtime::{AlarmRun, IdentityPrior, TrackRecord};
 use sentinet_cluster::StatesSnapshot;
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState};
@@ -43,8 +43,8 @@ pub struct SensorSnapshot {
     pub m_ce: MceSnapshot,
     /// All tracks opened so far; the last one may be open.
     pub tracks: Vec<TrackRecord>,
-    /// Raw-alarm history as `(window, raw)` pairs.
-    pub raw_history: Vec<(u64, bool)>,
+    /// Raw-alarm history as maximal runs, strictly ascending.
+    pub raw_runs: Vec<AlarmRun>,
 }
 
 /// A sensor's `M_CE` in a checkpoint.
@@ -357,34 +357,19 @@ pub fn write_shard<W: fmt::Write>(
             put_opt(out, t.closed)?;
         }
         out.write_str("\nraw")?;
-        if snap.raw_history.is_empty() {
+        if snap.raw_runs.is_empty() {
             out.write_str(" -")?;
         }
-        put_runs(out, &snap.raw_history)?;
-        out.write_str("\nend\n")?;
-    }
-    Ok(())
-}
-
-/// A raw-alarm history as ` w:f:n` runs: `n` consecutive windows from
-/// `w`, all with flag `f`, each run as long as it goes; `:n` is left
-/// out for a run of one.
-fn put_runs<W: fmt::Write>(out: &mut W, history: &[(u64, bool)]) -> fmt::Result {
-    let mut rest = history;
-    while let Some(&(w, raw)) = rest.first() {
-        let n = rest
-            .iter()
-            .zip(0..)
-            .take_while(|&(&(v, f), i)| f == raw && w.checked_add(i) == Some(v))
-            .count();
-        out.write_char(' ')?;
-        push_dec(out, w)?;
-        out.write_str(if raw { ":1" } else { ":0" })?;
-        if n > 1 {
-            out.write_char(':')?;
-            push_dec(out, n as u64)?;
+        for run in &snap.raw_runs {
+            out.write_char(' ')?;
+            push_dec(out, run.first)?;
+            out.write_str(if run.raw { ":1" } else { ":0" })?;
+            if run.windows > 1 {
+                out.write_char(':')?;
+                push_dec(out, run.windows)?;
+            }
         }
-        rest = &rest[n..];
+        out.write_str("\nend\n")?;
     }
     Ok(())
 }
@@ -759,30 +744,26 @@ fn is_identity_prior(m: &EstimatorState) -> bool {
         && one_hot(&m.b, n + 1, 1)
 }
 
-/// Decodes checkpoint text produced by [`encode_shard`]. Each sensor's
-/// raw-alarm history may hold at most `windows` windows: the count a
-/// pipeline text states before its sensors, which a bare shard does
-/// not, and what its runs are checked against before they are expanded.
+/// Decodes checkpoint text produced by [`encode_shard`].
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Malformed`] on any syntax problem, with the
 /// offending line. Semantic validation (stochastic rows etc.) happens
 /// when the snapshot is restored into a runtime.
-pub fn decode_shard(
-    text: &str,
-    windows: u64,
-) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
+pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
     let mut r = Reader::new(text);
     let layout = read_magic(&mut r, &MAGICS)?;
-    let sensors = read_shard(&mut r, layout, windows)?;
+    // A bare shard states no window count to hold its runs to.
+    let sensors = read_shard(&mut r, layout, u64::MAX)?;
     r.finish()?;
     Ok(sensors)
 }
 
 /// [`decode_shard`] after its magic line, from wherever `r` stands —
 /// the closing section of a pipeline snapshot — up to the first line
-/// that opens no sensor.
+/// that opens no sensor, each sensor's runs spanning at most `windows`
+/// windows in all.
 fn read_shard(
     r: &mut Reader<'_>,
     layout: u8,
@@ -833,7 +814,7 @@ fn read_shard(
                 closed: t.opt()?,
             })
         })?;
-        let raw_history = read_runs(r, layout, windows)?;
+        let raw_runs = read_runs(r, layout, windows)?;
         let alarmed = flag_line(r, "alarmed", layout < 3)?;
         let open = tracks.last().is_some_and(|t| t.closed.is_none());
         for (copied, derived) in [(track, open), (alarmed, !tracks.is_empty())] {
@@ -846,28 +827,29 @@ fn read_shard(
             filter,
             m_ce,
             tracks,
-            raw_history,
+            raw_runs,
         };
         sensors.push((id, snapshot));
     }
     Ok(sensors)
 }
 
-/// [`put_runs`]'s inverse, the `raw` line of layout `layout`: before
-/// v4 every token is a run of one. Each run is checked before it is
-/// expanded — at least one window, none past `u64::MAX`, after the run
-/// before it, a v4 run not the continuation of the one before it, and
-/// at most `windows` windows in all — so the line's length, not a
-/// number it states, bounds what the expansion allocates.
+/// The `raw` line of layout `layout` as the maximal runs [`write_shard`]
+/// writes: ` w:f:n`, `n` windows from `w` all with flag `f`, `:n` left
+/// out for one. Before v4 every token is a run of one, joined here to
+/// the run it continues. Each run holds at least one window, none past
+/// `u64::MAX`, starts after the run before it (in v4, not as its
+/// continuation) and keeps the total within `windows`. The runs stay
+/// runs: no number the line states sizes anything, one run a token.
 fn read_runs(
     r: &mut Reader<'_>,
     layout: u8,
     windows: u64,
-) -> Result<Vec<(u64, bool)>, CheckpointError> {
+) -> Result<Vec<AlarmRun>, CheckpointError> {
     // The first window the next run may start at, the flag of the run
     // before it and the windows so far.
     let (mut next, mut last, mut total) = (0u64, None, 0u64);
-    let runs = r.list("raw", |t| {
+    let mut runs = r.list("raw", |t| {
         let (w, raw) = (t.num::<u64>()?, t.flag()?);
         let n: u64 = match t.rest {
             Some(_) if layout > 3 => match t.num()? {
@@ -894,13 +876,14 @@ fn read_runs(
             return t.fail(format!("{total} raw-alarm windows of {windows} processed"));
         }
         (next, last) = (end, Some(raw));
-        Ok((w, raw, n))
+        Ok(AlarmRun {
+            first: w,
+            windows: n,
+            raw,
+        })
     })?;
-    let mut history = Vec::new();
-    for (w, raw, n) in runs {
-        history.extend((w..w + n).map(|v| (v, raw)));
-    }
-    Ok(history)
+    runs.dedup_by(|run, kept| kept.join(run));
+    Ok(runs)
 }
 
 /// The pipeline magic of layouts v1 to v4, as [`MAGICS`].
@@ -1124,12 +1107,9 @@ mod tests {
     use crate::config::{FilterPolicy, PipelineConfig};
     use crate::runtime::SensorRuntime;
 
-    /// The windows [`runtime_with_history`] steps through.
-    const WINDOWS: u64 = 12;
-
     fn runtime_with_history(config: &PipelineConfig) -> SensorRuntime {
         let mut rt = SensorRuntime::new(config, 3);
-        for w in 0..WINDOWS {
+        for w in 0..12u64 {
             // Disagreements on a burst so tracks open, close, reopen.
             let label = if (3..7).contains(&w) || w >= 10 { 2 } else { 1 };
             rt.step(w, label, 1);
@@ -1156,7 +1136,7 @@ mod tests {
                 (SensorId(0), runtime_with_history(&config).snapshot()),
                 (SensorId(7), SensorRuntime::new(&config, 2).snapshot()),
             ];
-            let decoded = decode_shard(&encode_shard(&shard), WINDOWS).expect("round trip");
+            let decoded = decode_shard(&encode_shard(&shard)).expect("round trip");
             assert_eq!(decoded, shard);
         }
     }
@@ -1167,7 +1147,7 @@ mod tests {
         let shard = vec![(SensorId(1), runtime_with_history(&config).snapshot())];
         let mut text = encode_shard(&shard);
         text = text.replace("\nraw ", "\nrow ");
-        let err = decode_shard(&text, WINDOWS).expect_err("corrupted");
+        let err = decode_shard(&text).expect_err("corrupted");
         match err {
             CheckpointError::Malformed { line, .. } => assert!(line > 1),
             other => panic!("unexpected error {other:?}"),
@@ -1176,8 +1156,8 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_magic_and_empty() {
-        assert!(decode_shard("", WINDOWS).is_err());
-        assert!(decode_shard("not a checkpoint\n", WINDOWS).is_err());
+        assert!(decode_shard("").is_err());
+        assert!(decode_shard("not a checkpoint\n").is_err());
     }
 
     fn sample_pipeline_snapshot(with_states: bool) -> PipelineSnapshot {
@@ -1319,7 +1299,7 @@ mod tests {
         let prior = line_starting(&text, "prior ");
         assert_eq!(prior, "prior 4 0 3fb999999999999a");
         assert_eq!(text.lines().count(), 7, "{text}");
-        assert_eq!(decode_shard(&text, WINDOWS), Ok(sensors));
+        assert_eq!(decode_shard(&text), Ok(sensors));
         let one_hot = |i: usize| {
             let mut row = ["0000000000000000"; 5];
             row[i + 1] = "3ff0000000000000";
@@ -1331,7 +1311,7 @@ mod tests {
         );
         let full = text.replacen(prior, &block, 1);
         assert_eq!(
-            malformed_line(decode_shard(&full, WINDOWS)),
+            malformed_line(decode_shard(&full)),
             line_of(&full, "counts 0,0,0,0")
         );
     }
@@ -1372,7 +1352,7 @@ mod tests {
         let snap = sample_pipeline_snapshot(true);
         let shard = encode_shard(&snap.sensors).replace("sensor 3", "sensor x");
         assert_eq!(
-            malformed_line(decode_shard(&shard, WINDOWS)),
+            malformed_line(decode_shard(&shard)),
             line_of(&shard, "sensor x")
         );
         let pipeline = encode_pipeline(&snap).replace("sensor 3", "sensor x");
@@ -1396,34 +1376,30 @@ mod tests {
         };
         let snap = runtime_with_history(&config).snapshot();
         let text = encode_shard(&[(SensorId(0), snap.clone())]);
-        assert!(decode_shard(&text, WINDOWS).is_ok());
+        assert!(decode_shard(&text).is_ok());
         let raw = text.replace("\nraw 0:0:3 ", "\nraw 0:3:3 ");
-        assert_eq!(
-            malformed_line(decode_shard(&raw, WINDOWS)),
-            line_of(&raw, "end") - 1
-        );
+        assert_eq!(malformed_line(decode_shard(&raw)), line_of(&raw, "end") - 1);
         let filter = text.lines().nth(2).expect("filter line");
         assert!(filter.starts_with("filter sprt "));
         let raised = text.replace(filter, &format!("{}3", &filter[..filter.len() - 1]));
-        assert_eq!(malformed_line(decode_shard(&raised, WINDOWS)), 3);
+        assert_eq!(malformed_line(decode_shard(&raised)), 3);
         // The flags v2 also wrote: a track is open, one ever opened.
         let open = u8::from(snap.tracks.last().is_some_and(|t| t.closed.is_none()));
         let alarmed = u8::from(!snap.tracks.is_empty());
-        let per_window: String = snap
-            .raw_history
-            .iter()
-            .map(|&(w, raw)| format!(" {w}:{}", u8::from(raw)))
+        let per_window: String = (snap.raw_runs.iter())
+            .flat_map(|r| (r.first..r.first + r.windows).map(move |w| (w, r.raw)))
+            .map(|(w, raw)| format!(" {w}:{}", u8::from(raw)))
             .collect();
         let v2 = text
             .replace(MAGICS[3], MAGICS[1])
             .replacen(line_starting(&text, "raw "), &format!("raw{per_window}"), 1)
             .replace("\ntracks ", &format!("\ntrack {open}\ntracks "))
             .replace("\nend", &format!("\nalarmed {alarmed}\nend"));
-        assert_eq!(decode_shard(&v2, WINDOWS), Ok(vec![(SensorId(0), snap)]));
+        assert_eq!(decode_shard(&v2), Ok(vec![(SensorId(0), snap)]));
         for (flag, bad) in [("track ", "2"), ("alarmed ", "yes")] {
             let at = v2.find(&format!("\n{flag}")).expect("a flag") + 1 + flag.len();
             let bad = format!("{}{bad}{}", &v2[..at], &v2[at + 1..]);
-            assert!(decode_shard(&bad, WINDOWS).is_err(), "{flag}");
+            assert!(decode_shard(&bad).is_err(), "{flag}");
         }
     }
 
@@ -1435,7 +1411,7 @@ mod tests {
         let config = PipelineConfig::default();
         let text = encode_shard(&[(SensorId(0), SensorRuntime::new(&config, 2).snapshot())]);
         let scaled = text.replace("filter kofn 6 10 ", "filter kofn 60 10 ");
-        let decoded = decode_shard(&scaled, WINDOWS).expect("syntactically fine");
+        let decoded = decode_shard(&scaled).expect("syntactically fine");
         assert!(matches!(
             SensorRuntime::from_snapshot(decoded[0].1.clone()),
             Err(CheckpointError::Invalid(_))
@@ -1476,15 +1452,53 @@ mod tests {
     fn restored_runtime_continues_bit_identically() {
         let config = PipelineConfig::default();
         let mut original = runtime_with_history(&config);
-        let text = encode_shard(&[(SensorId(0), original.snapshot())]);
-        let decoded = decode_shard(&text, WINDOWS).expect("round trip");
+        let decoded =
+            decode_shard(&encode_shard(&[(SensorId(0), original.snapshot())])).expect("round trip");
         let mut restored =
             SensorRuntime::from_snapshot(decoded[0].1.clone()).expect("valid snapshot");
+        // Expanded before the steps on one side, after them on the other.
+        assert_eq!(original.raw_history().len(), 12);
         for w in 12..30u64 {
             let label = if w % 3 == 0 { 2 } else { 1 };
             assert_eq!(original.step(w, label, 1), restored.step(w, label, 1));
         }
         assert_eq!(original.m_ce(), restored.m_ce());
         assert_eq!(original.tracks(), restored.tracks());
+        assert_eq!(original.raw_history(), restored.raw_history());
+        assert_eq!(original.snapshot().raw_runs, restored.snapshot().raw_runs);
+    }
+
+    /// Raw-alarm runs no sensor writes — of no windows, ending past
+    /// `u64::MAX`, out of order, overlapping or not maximal — are
+    /// refused at restore; maximal ones with a gap are not.
+    #[test]
+    fn raw_alarm_runs_no_sensor_writes_are_invalid() {
+        let snap = runtime_with_history(&PipelineConfig::default()).snapshot();
+        let run = |first, windows, raw| AlarmRun {
+            first,
+            windows,
+            raw,
+        };
+        let with = |raw_runs| {
+            SensorRuntime::from_snapshot(SensorSnapshot {
+                raw_runs,
+                ..snap.clone()
+            })
+        };
+        for runs in [
+            vec![run(0, 0, false)],
+            vec![run(u64::MAX, 1, true)],
+            vec![run(5, 2, false), run(3, 1, true)],
+            vec![run(0, 4, false), run(3, 2, true)],
+            vec![run(0, 4, false), run(4, 2, false)],
+        ] {
+            let restored = with(runs.clone()).map(|_| ());
+            assert!(
+                matches!(restored, Err(CheckpointError::Invalid(_))),
+                "{runs:?}"
+            );
+        }
+        let gap = vec![run(0, 4, false), run(4, 2, true), run(9, 1, true)];
+        assert!(with(gap).is_ok());
     }
 }

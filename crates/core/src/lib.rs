@@ -73,7 +73,9 @@ pub use config::{FilterPolicy, PipelineConfig};
 pub use pipeline::{Coordinator, Pipeline, TrackRecord, WindowOutcome, BOT_SYMBOL};
 pub use recovery::{RecoveryAction, RecoveryPlan};
 pub use report::{PipelineReport, SensorSummary, StateSummary, KEY_STATE_OCCUPANCY};
-pub use runtime::{GlobalModel, IdentityPrior, SensorMap, SensorRuntime, SensorStages, SensorStep};
+pub use runtime::{
+    AlarmRun, GlobalModel, IdentityPrior, SensorMap, SensorRuntime, SensorStages, SensorStep,
+};
 pub use window::{
     identify_states, identify_states_into, ObservationWindow, Observed, SensorSamples,
     WindowScratch, WindowStates, Windower,

@@ -123,11 +123,13 @@ impl PipelineReport {
         let sensors = sensors
             .iter()
             .map(|(&sensor, rt)| {
-                let hist = rt.raw_history();
-                let raw_alarm_rate = if hist.is_empty() {
+                let runs = rt.raw_runs();
+                let windows: u64 = runs.iter().map(|r| r.windows).sum();
+                let raw_alarm_rate = if windows == 0 {
                     0.0
                 } else {
-                    hist.iter().filter(|(_, r)| *r).count() as f64 / hist.len() as f64
+                    let raised: u64 = runs.iter().filter(|r| r.raw).map(|r| r.windows).sum();
+                    raised as f64 / windows as f64
                 };
                 SensorSummary {
                     sensor,

@@ -60,6 +60,35 @@ pub struct TrackRecord {
     pub closed: Option<u64>,
 }
 
+/// A run of a sensor's raw-alarm history: `windows` consecutive
+/// windows from `first`, each with the raw alarm `raw`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AlarmRun {
+    /// The run's first window.
+    pub first: u64,
+    /// How many windows it spans, at least one.
+    pub windows: u64,
+    /// Whether the sensor disagreed with the correct state in them.
+    pub raw: bool,
+}
+
+impl AlarmRun {
+    /// The window after the run's last; `None` past `u64::MAX`.
+    pub(crate) fn end(&self) -> Option<u64> {
+        self.first.checked_add(self.windows)
+    }
+
+    /// Takes `next` into this run when it continues it: the same flag
+    /// from the window after this run's last.
+    pub(crate) fn join(&mut self, next: &AlarmRun) -> bool {
+        let joins = self.raw == next.raw && self.end() == Some(next.first);
+        if joins {
+            self.windows = self.windows.saturating_add(next.windows);
+        }
+        joins
+    }
+}
+
 /// What one [`SensorRuntime::step`] produced for the window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SensorStep {
@@ -95,7 +124,12 @@ pub struct SensorRuntime {
     prior: IdentityPrior,
     /// Strictly ascending windows; only the last track may be open.
     tracks: Vec<TrackRecord>,
-    raw_history: Vec<(u64, bool)>,
+    /// The raw-alarm history as maximal runs, strictly ascending: what
+    /// the runtime holds and a restore point writes.
+    raw_runs: Vec<AlarmRun>,
+    /// The same history a `(window, raw)` pair a window, expanded at
+    /// its first read and kept up to date from then on.
+    raw_history: OnceCell<Vec<(u64, bool)>>,
 }
 
 impl SensorRuntime {
@@ -120,7 +154,8 @@ impl SensorRuntime {
                 generation: 0,
             },
             tracks: Vec::new(),
-            raw_history: Vec::new(),
+            raw_runs: Vec::new(),
+            raw_history: OnceCell::new(),
         }
     }
 
@@ -139,7 +174,17 @@ impl SensorRuntime {
     /// feeds `M_CE` while a track is open.
     pub fn step(&mut self, window_index: u64, label: usize, correct: usize) -> SensorStep {
         let raw = label != correct;
-        self.raw_history.push((window_index, raw));
+        let run = AlarmRun {
+            first: window_index,
+            windows: 1,
+            raw,
+        };
+        if !self.raw_runs.last_mut().is_some_and(|last| last.join(&run)) {
+            self.raw_runs.push(run);
+        }
+        if let Some(history) = self.raw_history.get_mut() {
+            history.push((window_index, raw));
+        }
         let filtered = self.filter.push(raw);
         let open = self.tracks.last_mut().filter(|t| t.closed.is_none());
         match (open, filtered) {
@@ -185,7 +230,7 @@ impl SensorRuntime {
                 MceSnapshot::Built(m_ce.export_state())
             }),
             tracks: self.tracks.clone(),
-            raw_history: self.raw_history.clone(),
+            raw_runs: self.raw_runs.clone(),
         }
     }
 
@@ -200,7 +245,9 @@ impl SensorRuntime {
     /// (corrupt checkpoint), if the `M_CE` is no prior or estimator a
     /// sensor could hold, or if the tracks are no list a sensor could
     /// write: windows not strictly ascending (opened < closed < next
-    /// opened), or a track open before the last.
+    /// opened), or a track open before the last; or if the raw-alarm
+    /// runs are not maximal and strictly ascending, each of at least
+    /// one window and ending by `u64::MAX`.
     pub fn from_snapshot(
         snapshot: crate::checkpoint::SensorSnapshot,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
@@ -233,12 +280,22 @@ impl SensorRuntime {
         if !(closed_before_last && marks.is_sorted_by(|a, b| a < b)) {
             return Err(invalid("tracks unlike any a sensor writes".into()));
         }
+        let runs = snapshot.raw_runs;
+        let after = |p: &[AlarmRun]| {
+            p[0].end()
+                .is_some_and(|end| end < p[1].first || end == p[1].first && p[0].raw != p[1].raw)
+        };
+        if !(runs.iter().all(|r| r.windows > 0 && r.end().is_some()) && runs.windows(2).all(after))
+        {
+            return Err(invalid("raw-alarm runs unlike any a sensor writes".into()));
+        }
         Ok(Self {
             filter: snapshot.filter.restore().map_err(invalid)?,
             m_ce: m_ce.map_or_else(OnceCell::new, OnceCell::from),
             prior,
             tracks,
-            raw_history: snapshot.raw_history,
+            raw_runs: runs,
+            raw_history: OnceCell::new(),
         })
     }
 
@@ -259,9 +316,19 @@ impl SensorRuntime {
         self.prior.slots
     }
 
-    /// The raw-alarm history as `(window, raw)` pairs.
+    /// The raw-alarm history as `(window, raw)` pairs, expanded from
+    /// its runs at the first read and held from then on.
     pub fn raw_history(&self) -> &[(u64, bool)] {
-        &self.raw_history
+        self.raw_history.get_or_init(|| {
+            let runs = self.raw_runs.iter();
+            runs.flat_map(|r| (0..r.windows).map(move |i| (r.first + i, r.raw)))
+                .collect()
+        })
+    }
+
+    /// The raw-alarm history as its maximal runs.
+    pub(crate) fn raw_runs(&self) -> &[AlarmRun] {
+        &self.raw_runs
     }
 
     /// The error/attack tracks opened for this sensor.

@@ -13,10 +13,10 @@ use seeded::{mutate, Replay, TestRng};
 use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch};
 use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
-    decode_pipeline, encode_pipeline, identify_states, identify_states_into, CheckpointError,
-    GlobalSnapshot, GlobalStates, MceSnapshot, ObservationWindow, Observed, Pipeline,
-    PipelineConfig, PipelineSnapshot, SensorRuntime, SensorSnapshot, TrackRecord, WindowScratch,
-    WindowStates, Windower, WindowerSnapshot, BOT_SYMBOL,
+    decode_pipeline, encode_pipeline, identify_states, identify_states_into, AlarmRun,
+    CheckpointError, GlobalSnapshot, GlobalStates, MceSnapshot, ObservationWindow, Observed,
+    Pipeline, PipelineConfig, PipelineSnapshot, SensorRuntime, SensorSnapshot, TrackRecord,
+    WindowScratch, WindowStates, Windower, WindowerSnapshot, BOT_SYMBOL,
 };
 use sentinet_filter::FilterSnapshot;
 use sentinet_hmm::{EstimatorState, MarkovState, OnlineHmmEstimator, StochasticMatrix};
@@ -364,11 +364,18 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
         visits: vec![17, 0],
         generation,
     };
-    let sensor = |filter, tracks: Vec<TrackRecord>, raw_history: Vec<(u64, bool)>| SensorSnapshot {
+    let sensor = |filter, tracks: Vec<TrackRecord>, raw: &[(u64, bool, u64)]| SensorSnapshot {
         filter,
-        m_ce: MceSnapshot::Built(estimator(40 + raw_history.len() as u64)),
+        m_ce: MceSnapshot::Built(estimator(40 + raw.iter().map(|r| r.2).sum::<u64>())),
         tracks,
-        raw_history,
+        raw_runs: raw
+            .iter()
+            .map(|&(first, raw, windows)| AlarmRun {
+                first,
+                windows,
+                raw,
+            })
+            .collect(),
     };
     PipelineSnapshot {
         global: GlobalSnapshot {
@@ -423,7 +430,7 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
                             closed: None,
                         },
                     ],
-                    vec![(11, true), (12, true), (13, false), (1_343, true)],
+                    &[(11, true, 2), (13, false, 1), (1_343, true, 1)],
                 ),
             ),
             (
@@ -435,7 +442,7 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
                         window: Vec::new(),
                     },
                     Vec::new(),
-                    Vec::new(),
+                    &[],
                 ),
             ),
             (
@@ -454,7 +461,7 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
                         opened: 5,
                         closed: Some(6),
                     }],
-                    vec![(5, true)],
+                    &[(5, true, 1)],
                 ),
             ),
         ],
@@ -483,8 +490,7 @@ const GOLDEN_V2: &str = include_str!("fixtures/golden_pipeline_v2.txt");
 /// every raw-alarm window a token of its own.
 const GOLDEN_V3: &str = include_str!("fixtures/golden_pipeline_v3.txt");
 
-/// The windows [`golden_pipeline_snapshot`] states: the bound on each
-/// of its sensors' raw-alarm windows.
+/// The windows [`golden_pipeline_snapshot`] states.
 const GOLDEN_WINDOWS: u64 = 1_344;
 
 #[test]
@@ -515,7 +521,7 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
         Ok(pipeline.clone())
     );
     assert_eq!(
-        decode_shard(&shard, GOLDEN_WINDOWS).map(|s| encode_shard(&s)),
+        decode_shard(&shard).map(|s| encode_shard(&s)),
         Ok(shard.clone())
     );
     assert_eq!(
@@ -543,10 +549,7 @@ fn reads_as_the_golden_snapshot(older: &str, dropped: &[&str], rewritten: &[&str
         Ok(v4.clone())
     );
     let shard = &older[older.find("sentinet-checkpoint v").expect("a shard")..];
-    assert_eq!(
-        decode_shard(shard, GOLDEN_WINDOWS),
-        Ok(snap.sensors.clone())
-    );
+    assert_eq!(decode_shard(shard), Ok(snap.sensors.clone()));
     let kept: Vec<&str> = older
         .lines()
         .filter(|line| !dropped.iter().any(|tag| line.starts_with(tag)))
@@ -593,7 +596,7 @@ fn the_v3_golden_text_reads_as_the_golden_snapshot() {
 /// adjacent or after a gap, either flag, or no history at all — and a
 /// window count at or just past the golden one and the history's end.
 fn with_seeded_history(rng: &mut TestRng) -> PipelineSnapshot {
-    let mut history = Vec::new();
+    let mut runs: Vec<AlarmRun> = Vec::new();
     let mut next = rng.range(0u64..50);
     for _ in 0..rng.usize_in(0, 16) {
         let n = match rng.usize_in(0, 4) {
@@ -602,7 +605,14 @@ fn with_seeded_history(rng: &mut TestRng) -> PipelineSnapshot {
             _ => rng.range(6u64..400),
         };
         let raw = rng.bool();
-        history.extend((next..next + n).map(|w| (w, raw)));
+        match runs.last_mut() {
+            Some(last) if last.raw == raw && last.first + last.windows == next => last.windows += n,
+            _ => runs.push(AlarmRun {
+                first: next,
+                windows: n,
+                raw,
+            }),
+        }
         next += n;
         if rng.bool() {
             next += rng.range(1u64..30);
@@ -610,14 +620,14 @@ fn with_seeded_history(rng: &mut TestRng) -> PipelineSnapshot {
     }
     let mut snap = golden_pipeline_snapshot();
     snap.global.windows_processed = next.max(GOLDEN_WINDOWS) + rng.range(0u64..3);
-    snap.sensors[0].1.raw_history = history;
+    snap.sensors[0].1.raw_runs = runs;
     snap
 }
 
 /// Seeded raw-alarm histories — gaps, alternating flags, long runs,
-/// none — encode as maximal runs (a token per gap or change of flag)
-/// and decode to themselves, and the same snapshot as v3 wrote it, a
-/// token a window, decodes to the same snapshot.
+/// none — encode a token a run (one per gap or change of flag) and
+/// decode to themselves, and the same snapshot as v3 wrote it, a token
+/// a window, decodes to the same snapshot.
 #[test]
 fn raw_alarm_histories_round_trip_as_runs_and_as_v3_tokens() {
     let replay = Replay {
@@ -637,9 +647,7 @@ fn raw_alarm_histories_round_trip_as_runs_and_as_v3_tokens() {
         if decode_pipeline(&runs::as_v3(&text)).map(|s| debug(&s)) != Ok(debug(&snap)) {
             return Err("the v3 tokens decode to another snapshot".into());
         }
-        let history = &snap.sensors[0].1.raw_history;
-        let joined = |p: &[(u64, bool)]| p[1] == (p[0].0 + 1, p[0].1);
-        let runs = history.len() - history.windows(2).filter(|p| joined(p)).count();
+        let runs = snap.sensors[0].1.raw_runs.len();
         let line = text.lines().find(|l| l.starts_with("raw ")).expect("raw");
         let tokens = if line == "raw -" {
             0
@@ -657,40 +665,92 @@ fn raw_alarm_histories_round_trip_as_runs_and_as_v3_tokens() {
 /// `runs::damage_runs`: a run of no windows or of `u64::MAX`, past the
 /// last window, out of order, overlapping, of one with its length, split
 /// in two, more windows than processed, a three-part token under a v3
-/// magic) is `Malformed` at its `raw` line, in the pipeline text and in
-/// its shard section, and allocates within the totality bound.
+/// magic) is `Malformed` at its `raw` line, in the pipeline text and —
+/// unless only the `windows` line rules it out — in its shard section.
+/// A `windows` line raised to a huge count with a run as long reads and
+/// re-encodes exactly. Each within the totality bound: no stated number
+/// sizes an allocation.
 #[test]
-fn damaged_run_tokens_are_malformed_at_their_line() {
+fn damaged_run_tokens_are_malformed_at_their_line_or_read_exactly() {
     let replay = Replay {
         var: "TEXT_TOTALITY_SEED",
         package: "sentinet-core",
         target: "--test properties",
-        test: "damaged_run_tokens_are_malformed_at_their_line",
+        test: "damaged_run_tokens_are_malformed_at_their_line_or_read_exactly",
+    };
+    let malformed = |e: CheckpointError| match e {
+        CheckpointError::Malformed { line, .. } => Some(line),
+        CheckpointError::Invalid(_) => None,
     };
     replay.for_each_seed(2_000, |seed| {
         let mut rng = TestRng::new(seed);
-        let snap = with_seeded_history(&mut rng);
-        let text = encode_pipeline(&snap);
-        let (what, damaged, line) = runs::damage_runs(&mut rng, &text);
+        let text = encode_pipeline(&with_seeded_history(&mut rng));
+        let damage = runs::damage_runs(&mut rng, &text);
+        let damaged = damage.text.as_str();
+        let bounded = |why| format!("{}: {why}", damage.what);
+        let pipeline = check_total_bytes(damaged.len(), || {
+            decode_pipeline(damaged).map(|s| encode_pipeline(&s))
+        });
+        let answer = pipeline.map_err(bounded)?.map_err(malformed);
+        damage.check(damaged, damage.refused, damage.line, answer)?;
         let shard_at = damaged.find("sentinet-checkpoint v").expect("a shard");
-        let shard_line = line - damaged[..shard_at].matches('\n').count();
-        let windows = snap.global.windows_processed;
-        for (outcome, want) in [
-            check_total_bytes(damaged.len(), || decode_pipeline(&damaged).map(|_| ())),
-            check_total_bytes(damaged.len(), || {
-                decode_shard(&damaged[shard_at..], windows).map(|_| ())
-            }),
-        ]
-        .into_iter()
-        .zip([line, shard_line])
-        {
-            match outcome.map_err(|why| format!("{what}: {why}"))? {
-                Err(CheckpointError::Malformed { line, .. }) if line == want => {}
-                other => return Err(format!("{what}: {other:?}, not malformed at {want}")),
-            }
-        }
-        Ok(())
+        let shard = &damaged[shard_at..];
+        let line = damage.line - damaged[..shard_at].matches('\n').count();
+        let decoded = check_total_bytes(shard.len(), || {
+            decode_shard(shard).map(|s| encode_shard(&s))
+        });
+        let answer = decoded.map_err(bounded)?.map_err(malformed);
+        damage.check(shard, damage.shard_refused, line, answer)
     });
+}
+
+/// A restore point whose `windows` line and one raw-alarm run claim
+/// nearly `u64::MAX` windows, a few bytes more than an honest one,
+/// decodes, restores, reports and re-encodes without an allocation
+/// sized by what it claims: the runtime holds runs, and the report's
+/// raw-alarm rate is read off them.
+#[test]
+fn a_run_of_nearly_u64_max_windows_restores_and_reports_within_the_bound() {
+    let mut cfg = sentinet_sim::gdi::day_config();
+    cfg.duration = 6 * 3600;
+    let trace = sentinet_sim::simulate(&cfg, &mut StdRng::seed_from_u64(3));
+    let mut p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
+    p.process_trace(&trace);
+    let text = encode_pipeline(&p.snapshot());
+    // A sensor whose history ends quiet: its last run becomes one of
+    // `u64::MAX - w` windows from the same `w`.
+    let (raw, w) = text
+        .lines()
+        .filter_map(|l| Some((l, l.strip_prefix("raw ")?.rsplit(' ').next()?)))
+        .find_map(|(l, last)| {
+            let mut parts = last.split(':');
+            let w = parts.next()?;
+            (parts.next() == Some("0")).then_some((l, w))
+        })
+        .expect("a history ending quiet");
+    let first: u64 = w.parse().expect("a window");
+    let at = raw.rfind(' ').expect("a run") + 1;
+    let long = format!("{}{first}:0:{}", &raw[..at], u64::MAX - first);
+    let windows = text
+        .lines()
+        .find(|l| l.starts_with("windows "))
+        .expect("windows");
+    let hostile =
+        (text.replacen(raw, &long, 1)).replacen(windows, &format!("windows {}", u64::MAX), 1);
+    let (restored, report) = check_total_bytes(hostile.len(), || {
+        let snap = decode_pipeline(&hostile)?;
+        let p = Pipeline::from_snapshot(PipelineConfig::default(), cfg.sample_period, snap)?;
+        Ok::<_, CheckpointError>((encode_pipeline(&p.snapshot()), p.report()))
+    })
+    .expect("no allocation sized by the claim")
+    .expect("a valid restore point");
+    assert_eq!(restored, hostile);
+    let rate = report
+        .sensors
+        .iter()
+        .map(|s| s.raw_alarm_rate)
+        .find(|&r| r < 1e-12);
+    assert!(rate.is_some(), "no sensor's rate reads the long quiet run");
 }
 
 /// A `track` or `alarmed` flag in v1 or v2 text copies the tracks: a
@@ -727,7 +787,7 @@ fn a_v2_flag_other_than_its_tracks_imply_is_malformed() {
             );
             let shard = &damaged[damaged.find("sentinet-checkpoint v").expect("a shard")..];
             assert!(matches!(
-                decode_shard(shard, GOLDEN_WINDOWS),
+                decode_shard(shard),
                 Err(CheckpointError::Malformed { .. })
             ));
         }
@@ -959,8 +1019,7 @@ fn is_malformed(e: &CheckpointError) -> bool {
 }
 
 fn shard_total_and_exact(input: &[u8]) -> Result<(), String> {
-    let decode = |text: &str| decode_shard(text, GOLDEN_WINDOWS);
-    check_total_and_exact(input, decode, |s| encode_shard(s), is_malformed)
+    check_total_and_exact(input, decode_shard, |s| encode_shard(s), is_malformed)
 }
 
 fn pipeline_total_and_exact(input: &[u8]) -> Result<(), String> {
@@ -1189,8 +1248,7 @@ fn an_m_ce_built_at_the_first_track_equals_one_grown_since_birth() {
 /// `SensorRuntime::from_snapshot`, with the text it was encoded to.
 fn through_checkpoint(snapshot: SensorSnapshot) -> (String, SensorRuntime) {
     let text = encode_shard(&[(SensorId(7), snapshot)]);
-    // The encoder's own text: no window count to hold it to.
-    let (_, decoded) = decode_shard(&text, u64::MAX)
+    let (_, decoded) = decode_shard(&text)
         .expect("decodes")
         .pop()
         .expect("one sensor");
@@ -1466,7 +1524,7 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
         }
 
         let exact = v1_prior_text(&text, config.beta, |_, _| {});
-        match decode_shard(&exact, u64::MAX).map(|s| encode_shard(&s)) {
+        match decode_shard(&exact).map(|s| encode_shard(&s)) {
             Ok(v4) if v4 == text => {}
             other => return Err(format!("the exact v1 prior reads as {other:?}")),
         }
@@ -1489,7 +1547,7 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
         if zeroless {
             return Ok(());
         }
-        match decode_shard(&damaged, u64::MAX) {
+        match decode_shard(&damaged) {
             Err(CheckpointError::Malformed { .. }) => Ok(()),
             other => Err(format!(
                 "a not-prior v1 M_CE (row {row}) reads as {other:?}"

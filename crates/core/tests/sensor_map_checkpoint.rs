@@ -41,12 +41,10 @@ fn run(config: &PipelineConfig, trace: &Trace, period: u64) -> (Coordinator, Sen
     (coordinator, sensors)
 }
 
-/// `sensors`, after `coordinator`'s windows, rebuilt from their
-/// checkpoint text.
-fn round_trip(config: PipelineConfig, coordinator: &Coordinator, sensors: &SensorMap) -> SensorMap {
+/// `sensors` rebuilt from their checkpoint text.
+fn round_trip(config: PipelineConfig, sensors: &SensorMap) -> SensorMap {
     let shard: Vec<(SensorId, SensorSnapshot)> = sensors.snapshots();
-    let windows = coordinator.global().windows_processed();
-    let decoded = decode_shard(&encode_shard(&shard), windows).expect("codec round trip");
+    let decoded = decode_shard(&encode_shard(&shard)).expect("codec round trip");
     assert_eq!(decoded, shard, "codec changed the snapshot");
     SensorMap::restore(config, decoded).expect("snapshots are valid")
 }
@@ -62,7 +60,7 @@ fn restore_preserves_classification_and_alarm_outputs() {
 
     let (coordinator, mut sensors) = run(&config, &trace, period);
     let global = coordinator.global();
-    let mut twin = round_trip(config, &coordinator, &sensors);
+    let mut twin = round_trip(config, &sensors);
     let originals = sensors.take();
     let restored = twin.take();
     assert_eq!(
@@ -98,11 +96,11 @@ fn restore_preserves_classification_and_alarm_outputs() {
 fn restored_sensor_map_continues_bit_identically_mid_run() {
     let (trace, period) = scenario();
     let config = PipelineConfig::default();
-    let (coordinator, mut sensors) = run(&config, &trace, period);
+    let (_, mut sensors) = run(&config, &trace, period);
 
     // Restore mid-state, then step both maps through the same
     // additional windows: every alarm list must match.
-    let mut twin = round_trip(config, &coordinator, &sensors);
+    let mut twin = round_trip(config, &sensors);
     let ids: Vec<SensorId> = sensors.snapshots().iter().map(|(id, _)| *id).collect();
     let start = 1000u64;
     for w in 0..8u64 {

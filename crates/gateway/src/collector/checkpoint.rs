@@ -109,7 +109,6 @@ impl Collector {
             plan: self.wal.plan_reclaim(cursor, budget),
             commit: Mutex::new(Commit {
                 snapshot: Some(self.snapshot()),
-                text: std::mem::take(&mut self.checkpoint_text),
                 committed: None,
                 overlapped_ns: 0,
             }),
@@ -154,7 +153,6 @@ impl Collector {
     /// advertise moves and the planned segments are deleted — strictly
     /// after the rename — or the failure is counted.
     fn land(&mut self, rp: &RestorePoint) -> bool {
-        rp.hand_back_text(&mut self.checkpoint_text);
         let (committed, overlapped_ns) = rp.result();
         self.checkpoint_overlapped_ns = self.checkpoint_overlapped_ns.saturating_add(overlapped_ns);
         if committed != Some(true) {
@@ -219,9 +217,6 @@ pub(crate) struct RestorePoint {
 struct Commit {
     /// Taken by the write step; the rename step finds it gone.
     snapshot: Option<CollectorSnapshot>,
-    /// The collector's text buffer, lent for the encode and handed
-    /// back, cleared, at the landing.
-    text: String,
     /// Whether the rename happened; `None` until there is an outcome.
     committed: Option<bool>,
     /// Wall time of the steps run beside admission.
@@ -244,12 +239,11 @@ impl RestorePoint {
         }
         let start = std::time::Instant::now();
         let tmp = wal.dir.join(CHECKPOINT_TMP);
-        let commit = &mut *commit;
         commit.committed = match commit.snapshot.take() {
             Some(snap) => {
                 let (base_segment, base_records) = (self.plan.base_segment, self.plan.base_records);
-                let text = &mut commit.text;
-                checkpoint_text(text, self.cursor, base_segment, base_records, &snap);
+                let mut text = String::new();
+                checkpoint_text(&mut text, self.cursor, base_segment, base_records, &snap);
                 let written = wal.vfs.write_file(&tmp, text.as_bytes());
                 written.err().map(|_| false)
             }
@@ -259,15 +253,6 @@ impl RestorePoint {
             commit.overlapped_ns += start.elapsed().as_nanos() as u64;
         }
         commit.committed.is_some()
-    }
-
-    /// Swaps the text buffer, cleared, into `spare`: what the collector
-    /// keeps at the landing for the next restore point.
-    fn hand_back_text(&self, spare: &mut String) {
-        if let Ok(mut commit) = self.commit.lock() {
-            std::mem::swap(spare, &mut commit.text);
-            spare.clear();
-        }
     }
 
     /// Whether the write step has run (for the step harness).

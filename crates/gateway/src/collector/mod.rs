@@ -467,10 +467,6 @@ pub struct Collector {
     restore_staged: Option<Arc<RestorePoint>>,
     /// The one restore point handed to the syncer and not yet landed.
     restore_in_flight: Option<Arc<RestorePoint>>,
-    /// The buffer restore points encode into: lent to each at its
-    /// stage, kept back at its landing, so the text stops regrowing
-    /// from empty every time.
-    checkpoint_text: String,
 }
 
 impl fmt::Debug for Collector {
@@ -659,7 +655,6 @@ impl Collector {
             checkpoint_overlapped_ns: 0,
             restore_staged: None,
             restore_in_flight: None,
-            checkpoint_text: String::new(),
         };
         Ok((collector, info))
     }
