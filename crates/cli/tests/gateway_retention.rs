@@ -74,9 +74,12 @@ impl TestUplink {
 }
 
 /// One data frame of this stream is 45 bytes on the wire-log:
-/// 21 header + 2×8 values + 8 trailer.
+/// 21 header + 2×8 values + 8 trailer. Under `v2` a batch of 8 is one
+/// run frame instead: 8 envelope + 15 head + 8 × (2-byte time step +
+/// 2×8 values) = 167 bytes (168 once its first time passes 8 192 s and
+/// that step takes three), four to a segment.
 const FRAME: u64 = 45;
-/// 16 records per sealed segment.
+/// 16 records per sealed segment (32 under `v2`).
 const SEGMENT: u64 = 16 * FRAME;
 /// Four segments of headroom.
 const BUDGET: u64 = 4 * SEGMENT;
@@ -211,8 +214,9 @@ fn retention_budget_holds_and_restart_matches_unretained_baseline() {
     child.kill().expect("SIGKILL serve");
     assert!(!child.wait().expect("wait killed serve").success());
 
-    // 200 × 45 B = 9000 B were appended, but the budget held: retention
-    // reclaimed checkpointed segments as it went.
+    // 200 × 45 B = 9000 B were appended (25 run frames, ≈ 4.2 KB, under
+    // `v2`), but the budget held: retention reclaimed checkpointed
+    // segments as it went.
     let footprint = wal_footprint(&dir);
     assert!(
         footprint <= BUDGET,

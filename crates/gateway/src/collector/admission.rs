@@ -265,7 +265,7 @@ impl Collector {
                 break;
             }
             if let Some(budget) = self.config.wal.retain_bytes {
-                let mut next = plan.with(sensor, seq, record.values.len());
+                let mut next = plan.with(sensor, seq, time, record.values.len());
                 if self.wal.total_bytes() + next.bytes() > budget && !reclaimed {
                     // One reclaim attempt per run, before anything is
                     // appended (the checkpoint it writes covers only
@@ -280,9 +280,9 @@ impl Collector {
                     // cut the prefix again against the log as it is now.
                     plan = self.wal.planner();
                     for r in &fresh {
-                        plan.push(r.sensor, r.seq, r.values.len());
+                        plan.push(r.sensor, r.seq, r.time, r.values.len());
                     }
-                    next = plan.with(sensor, seq, record.values.len());
+                    next = plan.with(sensor, seq, time, record.values.len());
                 }
                 if self.wal.poisoned().is_some() {
                     self.storage_rejects += total - i;
@@ -904,8 +904,9 @@ mod tests {
         let dir = tmpdir("budget-frame");
         let mut cfg = config(&dir);
         // Eight two-value readings: 8 * 45 = 360 bytes logged alone,
-        // 21 + 8 * 26 = 229 as one frame.
-        cfg.wal.retain_bytes = Some(229);
+        // 8 + 15 + 8 * (2 + 16) = 167 as one run frame (every 300 s step
+        // a two-byte varint).
+        cfg.wal.retain_bytes = Some(167);
         cfg.checkpoint_every = 0;
         let (mut c, _) = Collector::open(cfg).unwrap();
         let readings: Vec<(Timestamp, Vec<f64>)> =
@@ -913,7 +914,7 @@ mod tests {
         let out = c.deliver_batch(SensorId(0), 0, &readings).unwrap();
         assert_eq!((out.accepted, out.rejected), (8, 1));
         assert_eq!(out.nack, Some((8, RejectCause::WalBudget)));
-        assert_eq!(c.wal_footprint(), 229, "projected bytes are written bytes");
+        assert_eq!(c.wal_footprint(), 167, "projected bytes are written bytes");
         fs::remove_dir_all(&dir).unwrap();
     }
 

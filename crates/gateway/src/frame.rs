@@ -1,8 +1,6 @@
 //! Length-prefixed, CRC-framed wire protocol.
 //!
-//! Every frame on the socket (and every frame in the WAL, which logs
-//! `Data` and `DataBatch` payloads exactly as they travel) has the
-//! shape
+//! Every frame on the socket and every frame in the WAL has the shape
 //!
 //! ```text
 //! [u32 payload_len LE] [payload bytes] [u32 crc32(payload) LE]
@@ -13,6 +11,16 @@
 //! reading round-trips bit-exactly — including the NaN/∞ payloads a
 //! broken ADC produces, which must reach the sanitizer unchanged for
 //! its accounting to be faithful.
+//!
+//! The log shares the envelope and the `Data` payload with the wire,
+//! but a run of two or more readings is logged in a payload of its own
+//! (tag 16, written only by the WAL): after the head — sensor, first
+//! sequence number, reading count and the one value count every
+//! reading shares — each reading is the zig-zag LEB128 varint of the
+//! wrapping difference between its time and the previous reading's
+//! (the first one's from 0), then its values. A socket decoder refuses
+//! that tag as unknown; the log still reads the `DataBatch` frames
+//! older binaries wrote.
 //!
 //! Decoding is incremental: a [`FrameBuffer`] is fed raw socket bytes
 //! as they arrive (reads use short timeouts, never blocking forever)
@@ -60,6 +68,8 @@ const TAG_HEARTBEAT_ACK: u8 = 12;
 const TAG_MIGRATE_OFFER: u8 = 13;
 const TAG_MIGRATE_ACCEPT: u8 = 14;
 const TAG_MIGRATE_DONE: u8 = 15;
+/// The log's run payload ([`encode_run_payload`]); no wire message.
+const TAG_LOG_RUN: u8 = 16;
 
 /// Hard cap on readings per [`Message::DataBatch`] frame (the frame
 /// must also fit [`MAX_PAYLOAD`]). Enforced where frames enter:
@@ -354,6 +364,17 @@ pub enum FrameError {
     },
     /// The stream ended in the middle of a frame.
     Truncated,
+    /// A log run's time delta is not a varint of at most ten bytes, in
+    /// its shortest form, within `u64`.
+    BadVarint,
+    /// A log run states fewer than two readings, or no values a
+    /// reading.
+    BadRun {
+        /// The stated reading count.
+        count: usize,
+        /// The stated value count.
+        dims: usize,
+    },
 }
 
 impl fmt::Display for FrameError {
@@ -379,6 +400,11 @@ impl fmt::Display for FrameError {
                 )
             }
             FrameError::Truncated => write!(f, "stream ended mid-frame"),
+            FrameError::BadVarint => write!(f, "malformed time delta in a log run"),
+            FrameError::BadRun { count, dims } => write!(
+                f,
+                "log run of {count} readings of {dims} values (two readings and one value at least)"
+            ),
         }
     }
 }
@@ -395,6 +421,27 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// The zig-zag image of the wrapping step from `prev` to `time`: small
+/// steps either way are small numbers.
+fn zigzag(prev: Timestamp, time: Timestamp) -> u64 {
+    let step = time.wrapping_sub(prev);
+    (step << 1) ^ (step as i64 >> 63) as u64
+}
+
+/// Bytes of the LEB128 varint of the step from `prev` to `time` in a
+/// log run — how the WAL's planner prices a reading's time.
+pub(crate) fn step_len(prev: Timestamp, time: Timestamp) -> u64 {
+    u64::from(64 - (zigzag(prev, time) | 1).leading_zeros()).div_ceil(7)
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
 /// Cursor over a payload slice with typed underrun errors.
@@ -442,12 +489,65 @@ impl<'a> Cursor<'a> {
     /// a count the payload cannot back allocates nothing.
     fn value_bits(&mut self) -> Result<impl Iterator<Item = f64> + 'a, FrameError> {
         let n = self.u16()? as usize;
+        self.values(n)
+    }
+
+    /// The bytes of `n` IEEE-754 bit patterns, as values.
+    fn values(&mut self, n: usize) -> Result<impl Iterator<Item = f64> + 'a, FrameError> {
         let bits = self.take(8 * n)?;
         Ok(bits.chunks_exact(8).map(|b| {
             f64::from_bits(u64::from_le_bytes([
                 b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
             ]))
         }))
+    }
+
+    /// One zig-zag LEB128 varint, undone: at most ten bytes, in its
+    /// shortest form, within `u64` — so every step decodes from exactly
+    /// the bytes [`put_varint`] writes for it.
+    fn step(&mut self) -> Result<u64, FrameError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.take(1)?[0];
+            let bits = u64::from(byte & 0x7F);
+            if shift == 63 && bits > 1 {
+                break;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    break;
+                }
+                return Ok((v >> 1) ^ (v & 1).wrapping_neg());
+            }
+        }
+        Err(FrameError::BadVarint)
+    }
+
+    /// A log run's readings onto the end of `arena`: the value count
+    /// every reading shares, then `count` times a time step and that
+    /// many values. Both counts are held to what the rest of the
+    /// payload can back — a byte of step and the values a reading —
+    /// before room is made for them.
+    fn log_run(&mut self, count: usize, arena: &mut ReadingArena) -> Result<(), FrameError> {
+        let dims = self.u16()? as usize;
+        if count < 2 || dims == 0 {
+            return Err(FrameError::BadRun { count, dims });
+        }
+        if self.bytes.len() - self.pos < count * (1 + 8 * dims) {
+            return Err(FrameError::ShortPayload {
+                tag: self.tag,
+                len: self.bytes.len(),
+            });
+        }
+        arena.reserve(count, count * dims);
+        let mut time: Timestamp = 0;
+        for _ in 0..count {
+            time = time.wrapping_add(self.step()?);
+            arena.values.extend(self.values(dims)?);
+            arena.marks.push((time, arena.values.len()));
+        }
+        Ok(())
     }
 
     /// One reading — time, value count, values — onto the end of
@@ -460,11 +560,12 @@ impl<'a> Cursor<'a> {
     }
 
     /// The one data decoder: sensor and first sequence number, then the
-    /// readings — one for `Data`, for `DataBatch` the count the head
-    /// states, held to [`MAX_BATCH_READINGS`] — onto the end of
-    /// `arena`. Room is made once, for what the rest of the payload can
-    /// back: ten bytes a reading, and what is left over is values.
-    /// Readings decoded before an error are the caller's to discard.
+    /// readings — one for `Data`, for `DataBatch` and a log run the
+    /// count the head states, held to [`MAX_BATCH_READINGS`] — onto the
+    /// end of `arena`. Room is made once, for what the rest of the
+    /// payload can back: for a batch ten bytes a reading, and what is
+    /// left over is values. Readings decoded before an error are the
+    /// caller's to discard.
     fn run(&mut self, arena: &mut ReadingArena) -> Result<(SensorId, u64), FrameError> {
         let run = (SensorId(self.u16()?), self.u64()?);
         let count = match self.tag {
@@ -473,6 +574,10 @@ impl<'a> Cursor<'a> {
         };
         if count > MAX_BATCH_READINGS {
             return Err(FrameError::BatchTooLong { count });
+        }
+        if self.tag == TAG_LOG_RUN {
+            self.log_run(count, arena)?;
+            return Ok(run);
         }
         if let Some(values) = (self.bytes.len() - self.pos).checked_sub(10 * count) {
             arena.reserve(count, values / 8);
@@ -505,8 +610,8 @@ fn open_payload(payload: &[u8]) -> Result<Cursor<'_>, FrameError> {
 }
 
 /// Appends the payload of a `Data` message (tag included) to `out`.
-/// The WAL logs a lone reading as exactly this payload, so wire and
-/// log bytes share one codec.
+/// The WAL logs a lone reading as exactly this payload, so every byte
+/// a stop-and-wait client causes is a wire byte.
 pub fn encode_data_payload(
     sensor: SensorId,
     seq: u64,
@@ -525,8 +630,7 @@ pub fn encode_data_payload(
 }
 
 /// Appends the payload of a `DataBatch` message (tag included) to
-/// `out`: reading `i` of `readings` travels under `first_seq + i`. The
-/// WAL logs a run of consecutive readings as exactly this payload.
+/// `out`: reading `i` of `readings` travels under `first_seq + i`.
 /// Callers keep the run within [`MAX_BATCH_READINGS`] and every value
 /// count within `u16`.
 pub fn encode_batch_payload<'a>(
@@ -542,6 +646,35 @@ pub fn encode_batch_payload<'a>(
     for (time, values) in readings {
         put_u64(out, time);
         put_u16(out, values.len() as u16);
+        for v in values {
+            put_u64(out, v.to_bits());
+        }
+    }
+}
+
+/// Appends the log's payload for a run (tag included) to `out`: reading
+/// `i` of `readings` is logged under `first_seq + i`, its time as the
+/// step from the reading before (the first one's from 0), then its
+/// `dims` values. The WAL is its one writer and keeps the run to two
+/// readings or more, within [`MAX_BATCH_READINGS`], every reading
+/// carrying `dims` values, `dims` between 1 and `u16::MAX`.
+pub(crate) fn encode_run_payload<'a>(
+    sensor: SensorId,
+    first_seq: u64,
+    dims: usize,
+    readings: impl ExactSizeIterator<Item = (Timestamp, &'a [f64])>,
+    out: &mut Vec<u8>,
+) {
+    out.push(TAG_LOG_RUN);
+    put_u16(out, sensor.0);
+    put_u64(out, first_seq);
+    put_u16(out, readings.len() as u16);
+    put_u16(out, dims as u16);
+    let mut prev = 0;
+    for (time, values) in readings {
+        debug_assert_eq!(values.len(), dims, "a log run shares one value count");
+        put_varint(out, zigzag(prev, time));
+        prev = time;
         for v in values {
             put_u64(out, v.to_bits());
         }
@@ -730,26 +863,29 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, FrameError> {
             end: cur.u16()?,
             cursor: cur.u64()?,
         },
+        // A log run (`TAG_LOG_RUN`) included: no peer may send one.
         other => return Err(FrameError::UnknownTag(other)),
     };
     cur.end()?;
     Ok(Frame::Message(msg))
 }
 
-/// Decodes the readings of a `Data` or `DataBatch` payload onto the
-/// end of `arena` and returns the run's sensor and first sequence
-/// number — how the WAL scan reads either kind of log frame. `Ok(None)`
-/// is a well-formed payload of any other kind.
+/// Decodes the readings of a `Data`, `DataBatch` or log-run payload
+/// onto the end of `arena` and returns the run's sensor and first
+/// sequence number — how the WAL scan reads every kind of log frame,
+/// the `DataBatch` frames older binaries logged included. `Ok(None)` is
+/// a well-formed payload of any other kind.
 ///
 /// # Errors
 ///
-/// As [`decode_frame`]; `arena` is left as it was.
+/// As [`decode_frame`], and for a log run [`FrameError::BadVarint`] /
+/// [`FrameError::BadRun`]; `arena` is left as it was.
 pub fn decode_readings(
     payload: &[u8],
     arena: &mut ReadingArena,
 ) -> Result<Option<(SensorId, u64)>, FrameError> {
     let mut cur = open_payload(payload)?;
-    if !matches!(cur.tag, TAG_DATA | TAG_DATA_BATCH) {
+    if !matches!(cur.tag, TAG_DATA | TAG_DATA_BATCH | TAG_LOG_RUN) {
         return decode_frame(payload).map(|_| None);
     }
     let before = arena.len();
@@ -760,20 +896,26 @@ pub fn decode_readings(
     run.map(Some)
 }
 
-/// How many readings a payload *states* it carries, from its tag and
-/// — for a batch — its count field alone: one for `Data`, the count
-/// for `DataBatch`, none otherwise. Nothing is validated; this sizes a
-/// buffer ahead of a decode that checks every byte.
-pub fn stated_readings(payload: &[u8]) -> usize {
-    match payload {
-        [TAG_DATA, ..] => 1,
-        // Sensor (2) and first seq (8) precede the count.
-        [TAG_DATA_BATCH, head @ ..] => match head.get(10..12) {
-            Some(&[c0, c1]) => usize::from(u16::from_le_bytes([c0, c1])),
-            _ => 0,
-        },
+/// How many readings and values a payload *states* it carries, from
+/// its tag and head alone: one reading for `Data`, the count for
+/// `DataBatch` and a log run, none otherwise; the values a `Data` or
+/// log-run head names, for a `DataBatch` what its bytes leave after the
+/// heads. Nothing is validated; this sizes a buffer ahead of a decode
+/// that checks every byte, so the values are held to what the payload
+/// could back.
+pub fn stated_readings(payload: &[u8]) -> (usize, usize) {
+    let u16_at = |at: usize| match payload.get(at..at + 2) {
+        Some(&[b0, b1]) => usize::from(u16::from_le_bytes([b0, b1])),
         _ => 0,
-    }
+    };
+    // Tag (1), sensor (2) and first seq (8) precede a batch's count.
+    let (readings, values, head) = match payload.first() {
+        Some(&TAG_DATA) => (1, u16_at(19), 21),
+        Some(&TAG_DATA_BATCH) => (u16_at(11), usize::MAX, 13 + 10 * u16_at(11)),
+        Some(&TAG_LOG_RUN) => (u16_at(11), u16_at(11) * u16_at(13), 15 + u16_at(11)),
+        _ => return (0, 0),
+    };
+    (readings, values.min(payload.len().saturating_sub(head) / 8))
 }
 
 /// Wraps already-encoded payload bytes in the frame envelope
@@ -1329,18 +1471,229 @@ mod tests {
     fn stated_readings_reads_the_head_and_nothing_else() {
         let mut payload = Vec::new();
         encode_payload(&data(1, 2, 300, vec![1.5]), &mut payload);
-        assert_eq!(stated_readings(&payload), 1);
-        assert_eq!(stated_readings(&batch_payload(40)), 40);
+        assert_eq!(stated_readings(&payload), (1, 1));
+        assert_eq!(stated_readings(&payload[..20]), (1, 0), "values cut off");
+        assert_eq!(stated_readings(&batch_payload(40)), (40, 40));
         assert_eq!(
             stated_readings(&batch_payload(40)[..12]),
-            0,
+            (0, 0),
             "count cut off"
         );
-        assert_eq!(stated_readings(&batch_payload(u16::MAX)[..13]), 65_535);
+        assert_eq!(stated_readings(&batch_payload(u16::MAX)[..13]), (65_535, 0));
+        let run = log_run_payload(&[(300, &[1.0, 2.0]), (600, &[3.0, 4.0]), (900, &[5.0, 6.0])]);
+        assert_eq!(stated_readings(&run), (3, 6));
+        assert_eq!(
+            stated_readings(&run[..15]),
+            (3, 0),
+            "values held to the bytes"
+        );
         payload.clear();
         encode_payload(&Message::Fin, &mut payload);
-        assert_eq!(stated_readings(&payload), 0);
-        assert_eq!(stated_readings(&[]), 0);
+        assert_eq!(stated_readings(&payload), (0, 0));
+        assert_eq!(stated_readings(&[]), (0, 0));
+    }
+
+    /// A log run of sensor 4 from seq 100, as the WAL writes it.
+    fn log_run_payload(readings: &[(Timestamp, &[f64])]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        let dims = readings[0].1.len();
+        encode_run_payload(
+            SensorId(4),
+            100,
+            dims,
+            readings.iter().copied(),
+            &mut payload,
+        );
+        payload
+    }
+
+    #[test]
+    fn a_log_run_round_trips_any_time_sequence_bit_exactly() {
+        // Steps across every varint length, both ways, through 0 and
+        // `u64::MAX` and wrapping past them.
+        let steps: [i64; 14] = [
+            0,
+            63,
+            64,
+            -64,
+            -65,
+            8_191,
+            8_192,
+            -(1 << 20),
+            1 << 40,
+            i64::MAX,
+            i64::MIN,
+            -1,
+            1,
+            300,
+        ];
+        let pool = [
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0xFFF0_0000_DEAD_BEEF),
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            f64::NEG_INFINITY,
+        ];
+        let mut time = 0u64;
+        let mut times: Vec<Timestamp> = steps
+            .iter()
+            .map(|step| {
+                time = time.wrapping_add(*step as u64);
+                time
+            })
+            .collect();
+        times.extend([u64::MAX, 0, u64::MAX, 1 << 63]);
+        let owned: Vec<(Timestamp, Vec<f64>)> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, (0..3).map(|d| pool[(i + d) % pool.len()]).collect()))
+            .collect();
+        let readings: Vec<(Timestamp, &[f64])> =
+            owned.iter().map(|(t, v)| (*t, v.as_slice())).collect();
+        let payload = log_run_payload(&readings);
+        let (mut prev, mut lengths, mut priced) = (0, Vec::new(), 15);
+        for (time, values) in &readings {
+            lengths.push(step_len(prev, *time));
+            priced += step_len(prev, *time) + 8 * values.len() as u64;
+            prev = *time;
+        }
+        for want in [1, 2, 3, 10] {
+            assert!(
+                lengths.contains(&want),
+                "no {want}-byte step in {lengths:?}"
+            );
+        }
+        assert_eq!(payload.len() as u64, priced, "priced as written");
+        let mut arena = ReadingArena::default();
+        arena.push(7, &[9.0]);
+        assert_eq!(
+            decode_readings(&payload, &mut arena),
+            Ok(Some((SensorId(4), 100)))
+        );
+        assert_eq!(arena.len(), 1 + readings.len());
+        for ((time, values), (want_time, want)) in arena.iter().skip(1).zip(&readings) {
+            assert_eq!(time, *want_time);
+            assert_eq!(bits(values), bits(want));
+        }
+        // The wire has no such message.
+        assert_eq!(decode_frame(&payload), Err(FrameError::UnknownTag(16)));
+        let mut fb = FrameBuffer::new();
+        frame_payload(&payload, &mut fb.buf);
+        assert_eq!(fb.next_frame(), Err(FrameError::UnknownTag(16)));
+    }
+
+    #[test]
+    fn damaged_log_runs_are_typed_errors_that_leave_the_arena_as_it_was() {
+        // Count at byte 11, dims at 13, readings from 15 on.
+        let honest = log_run_payload(&[(300, &[1.0, 2.0]), (600, &[3.0, 4.0]), (900, &[5.0, 6.0])]);
+        let with = |at: usize, field: u16| {
+            let mut p = honest.clone();
+            p[at..at + 2].copy_from_slice(&field.to_le_bytes());
+            p
+        };
+        // A one-value run whose second step is cut inside its varint.
+        let long = log_run_payload(&[(1 << 62, &[1.0]), (0, &[2.0])]);
+        let (head, value) = (15, 8);
+        assert_eq!(long.len(), head + 10 + value + 9 + value);
+        let cut_varint = long[..head + 10 + value + 4].to_vec();
+        // Two one-value readings with a hand-made first step.
+        let stepped = |step: &[u8]| {
+            let mut p = with(11, 2);
+            p[13..15].copy_from_slice(&1u16.to_le_bytes());
+            p.truncate(head);
+            p.extend_from_slice(step);
+            p.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+            p.extend_from_slice(&[0xD8, 0x04]);
+            p.extend_from_slice(&2.0f64.to_bits().to_le_bytes());
+            p
+        };
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0x01);
+        let mut wide = vec![0xFF; 9];
+        wide.push(0x02);
+        let mut trailing = honest.clone();
+        trailing.push(0);
+        let short = |p: &[u8]| FrameError::ShortPayload {
+            tag: TAG_LOG_RUN,
+            len: p.len() - 1,
+        };
+        let cases: Vec<(&str, Vec<u8>, FrameError)> = vec![
+            ("truncated varint", cut_varint.clone(), short(&cut_varint)),
+            (
+                "eleven-byte varint",
+                stepped(&eleven),
+                FrameError::BadVarint,
+            ),
+            ("varint past u64", stepped(&wide), FrameError::BadVarint),
+            (
+                "padded varint",
+                stepped(&[0xD8, 0x84, 0x00]),
+                FrameError::BadVarint,
+            ),
+            ("count 40 of 3", with(11, 40), short(&honest)),
+            (
+                "count past the cap",
+                with(11, 4097),
+                FrameError::BatchTooLong { count: 4097 },
+            ),
+            (
+                "count u16::MAX",
+                with(11, u16::MAX),
+                FrameError::BatchTooLong { count: 65_535 },
+            ),
+            ("dims 3 of 2", with(13, 3), short(&honest)),
+            ("dims u16::MAX", with(13, u16::MAX), short(&honest)),
+            (
+                "trailing byte",
+                trailing.clone(),
+                FrameError::ShortPayload {
+                    tag: TAG_LOG_RUN,
+                    len: trailing.len(),
+                },
+            ),
+            (
+                "count 1",
+                with(11, 1),
+                FrameError::BadRun { count: 1, dims: 2 },
+            ),
+            (
+                "count 0",
+                with(11, 0),
+                FrameError::BadRun { count: 0, dims: 2 },
+            ),
+            (
+                "dims 0",
+                with(13, 0),
+                FrameError::BadRun { count: 3, dims: 0 },
+            ),
+            ("head cut", honest[..14].to_vec(), short(&honest[..14])),
+        ];
+        // The one shortest form decodes; every case below is refused.
+        assert!(decode_readings(&stepped(&[0xD8, 0x04]), &mut ReadingArena::default()).is_ok());
+        assert!(decode_readings(&long, &mut ReadingArena::default()).is_ok());
+        for (what, payload, want) in cases {
+            let mut arena = ReadingArena::default();
+            arena.push(1, &[9.0]);
+            let kept = arena.clone();
+            assert_eq!(decode_readings(&payload, &mut arena), Err(want), "{what}");
+            assert_eq!(format!("{arena:?}"), format!("{kept:?}"), "{what}");
+            let mut fresh = ReadingArena::default();
+            let _ = decode_readings(&payload, &mut fresh);
+            assert!(
+                9 * fresh.marks.capacity() <= payload.len()
+                    && 8 * fresh.values.capacity() <= payload.len(),
+                "{what}: room for {} readings and {} values in {} bytes",
+                fresh.marks.capacity(),
+                fresh.values.capacity(),
+                payload.len()
+            );
+            assert_eq!(
+                decode_frame(&payload),
+                Err(FrameError::UnknownTag(16)),
+                "{what}"
+            );
+        }
     }
 
     #[test]

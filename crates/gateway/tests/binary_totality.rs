@@ -310,9 +310,11 @@ fn forged_length_fields_allocate_nothing_the_input_cannot_back() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A two-segment log holding both frame kinds: lone readings (`Data`
-/// frames) between runs (`DataBatch` frames) of one to three values a
-/// reading. Returns the records, and each segment's bytes.
+/// A two-segment log holding both frame kinds the writer makes: lone
+/// readings (`Data` frames, of one to three values) between runs (the
+/// log's run frames). A changing value count cuts a run, so sensor 4's
+/// ragged readings are lone. Returns the records, and each segment's
+/// bytes.
 fn two_segment_wal(dir: &Path) -> (Vec<WalRecord>, Vec<Vec<u8>>) {
     let rec = |sensor: u16, seq: u64, dims: usize| WalRecord {
         sensor: SensorId(sensor),
@@ -439,5 +441,170 @@ fn every_bit_flip_of_a_wal_is_a_torn_tail_or_corruption() {
             (_, Err(e)) => Err(format!("{where_}: a torn tail must open, got {e}")),
         }
     });
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The variant of a frame error, for comparing against what a forgery
+/// must be refused with (a short payload's length is the forgery's).
+fn kind(e: &FrameError) -> &'static str {
+    match e {
+        FrameError::TooLarge { .. } => "TooLarge",
+        FrameError::BadCrc { .. } => "BadCrc",
+        FrameError::UnknownTag(_) => "UnknownTag",
+        FrameError::ShortPayload { .. } => "ShortPayload",
+        FrameError::BatchTooLong { .. } => "BatchTooLong",
+        FrameError::Truncated => "Truncated",
+        FrameError::BadVarint => "BadVarint",
+        FrameError::BadRun { .. } => "BadRun",
+    }
+}
+
+/// One seeded forgery of a log run's payload — the reading count, the
+/// value count, one reading's time step, its end — and the error a
+/// decoder must refuse it with. The fixture's steps are all two-byte
+/// varints (times below 8 192 s), so every reading is 2 + 8 × dims
+/// bytes and no forgery here can happen to decode.
+fn forge_run(rng: &mut TestRng, payload: &[u8]) -> (String, Vec<u8>, &'static str) {
+    let field = |at: usize| usize::from(u16::from_le_bytes([payload[at], payload[at + 1]]));
+    let (count, dims) = (field(11), field(13));
+    let reading = 2 + 8 * dims;
+    assert_eq!(
+        payload.len(),
+        15 + count * reading,
+        "a run of two-byte steps"
+    );
+    let mut forged = payload.to_vec();
+    let step = 15 + rng.usize_in(0, count) * reading;
+    let what = match rng.usize_in(0, 6) {
+        0 => {
+            let claim = rng.pick(&[0u16, 1, 2, 3, 5, 8, 4096, 4097, u16::MAX]);
+            let claim = if usize::from(claim) == count {
+                0
+            } else {
+                claim
+            };
+            forged[11..13].copy_from_slice(&claim.to_le_bytes());
+            let want = match usize::from(claim) {
+                0 | 1 => "BadRun",
+                c if c > MAX_BATCH_READINGS => "BatchTooLong",
+                _ => "ShortPayload",
+            };
+            return (format!("count {count} forged to {claim}"), forged, want);
+        }
+        1 => {
+            let claim = rng.pick(&[0, dims as u16 + 1, u16::MAX]);
+            forged[13..15].copy_from_slice(&claim.to_le_bytes());
+            let want = if claim == 0 { "BadRun" } else { "ShortPayload" };
+            return (format!("dims {dims} forged to {claim}"), forged, want);
+        }
+        2 => {
+            let mut eleven = vec![0x80; 10];
+            eleven.push(0x01);
+            forged.splice(step..step + 2, eleven);
+            "an eleven-byte step"
+        }
+        3 => {
+            let mut wide = vec![0xFF; 9];
+            wide.push(0x02);
+            forged.splice(step..step + 2, wide);
+            "a step past u64"
+        }
+        4 => {
+            forged[step + 1] |= 0x80;
+            forged.insert(step + 2, 0x00);
+            "a step padded to three bytes"
+        }
+        _ => {
+            let extra = rng.usize_in(1, 4);
+            forged.extend((0..extra).map(|_| rng.range(0u8..255)));
+            return (format!("{extra} trailing byte(s)"), forged, "ShortPayload");
+        }
+    };
+    (
+        format!("{what} at payload byte {step}"),
+        forged,
+        "BadVarint",
+    )
+}
+
+/// The log's run payload forged *under a valid CRC*, which random
+/// damage never produces — a wrong reading count (below two, past the
+/// cap, over or under the bytes), a wrong value count (none, too many),
+/// a time step of eleven bytes, past `u64` or not in its shortest form,
+/// bytes after the last reading, a payload cut inside a step. Each is a
+/// typed error inside the allocation bound: through [`Wal::open`] a
+/// torn tail in the last segment — the records in front of the frame
+/// come back and the file is cut where it starts — and corruption at
+/// the frame's offset in an earlier one; on the wire an unknown tag,
+/// before anything is decoded.
+#[test]
+fn forged_log_runs_are_torn_tails_or_corruption_and_never_wire_frames() {
+    let root = scratch("forged-runs");
+    let (records, segments) = two_segment_wal(&root.join("pristine"));
+    let in_first: usize = frame_ends(&segments[0]).iter().map(|f| f.1).sum();
+    replay("forged_log_runs_are_torn_tails_or_corruption_and_never_wire_frames").for_each_seed(
+        600,
+        |seed| {
+            let mut rng = TestRng::new(seed);
+            let damaged = rng.usize_in(0, segments.len());
+            let bytes = &segments[damaged];
+            let ends = frame_ends(bytes);
+            let starts = std::iter::once(0).chain(ends.iter().map(|f| f.0));
+            // (start, end, readings in front of it) of each run frame.
+            let mut runs = Vec::new();
+            let mut before = 0;
+            for (start, &(end, readings)) in starts.zip(&ends) {
+                if bytes[start + 4] == 16 {
+                    runs.push((start, end, before));
+                }
+                before += readings;
+            }
+            let (start, end, before) = rng.pick(&runs);
+            let payload = &bytes[start + 4..end - 4];
+            let (what, forged, want) = if rng.usize_in(0, 7) == 0 {
+                let last =
+                    payload.len() - 8 * usize::from(u16::from_le_bytes([payload[13], payload[14]]));
+                let cut = payload[..last - 1].to_vec();
+                ("cut inside the last step".to_string(), cut, "ShortPayload")
+            } else {
+                forge_run(&mut rng, payload)
+            };
+            let what = format!("segment {} frame at {start}: {what}", damaged + 1);
+            let mut frame = Vec::new();
+            frame_payload(&forged, &mut frame);
+            let (popped, wire_end) = drain_both(&frame).map_err(|why| format!("{what}: {why}"))?;
+            if !popped.is_empty() || wire_end != Err(FrameError::UnknownTag(16)) {
+                return Err(format!(
+                    "{what}: the wire decoded {popped:?} ending {wire_end:?}"
+                ));
+            }
+            let mut segment = bytes[..start].to_vec();
+            segment.extend_from_slice(&frame);
+            segment.extend_from_slice(&bytes[end..]);
+            let case = root.join("case");
+            let outcome = open_damaged(&case, &segments, damaged, &segment)?;
+            match (damaged, outcome) {
+                (0, Err(WalError::Corrupt { offset, reason, .. }))
+                    if offset == start as u64 && kind(&reason) == want =>
+                {
+                    Ok(())
+                }
+                (1, Ok(recovered)) if recovered == records[..in_first + before] => {
+                    let len = std::fs::metadata(case.join("wal-00000002.seg"))
+                        .map_err(|e| e.to_string())?
+                        .len();
+                    if len == start as u64 {
+                        Ok(())
+                    } else {
+                        Err(format!("{what}: the tail was cut at {len}, not {start}"))
+                    }
+                }
+                (_, outcome) => Err(format!(
+                    "{what}: wanted {want} there, got {:?}",
+                    outcome.map(|r| r.len())
+                )),
+            }
+        },
+    );
     std::fs::remove_dir_all(&root).ok();
 }

@@ -11,11 +11,11 @@
 //! the slope `admission_alloc.rs` holds the live path to — where a
 //! vector a record (what the scan once made) put a whole N between them.
 //!
-//! Bytes, over two logs of N and 4N readings in 64 KiB segments: what a
-//! reopen holds only while it runs (its peak above what the opened
-//! collector keeps) may differ by less than a segment, where decoding
-//! the whole log before replaying it put ≈ 48 bytes a reading between
-//! them.
+//! Bytes, over two logs of N and 6N readings in 64 KiB segments (one
+//! segment and four: ≈ 18 log bytes a reading): what a reopen holds
+//! only while it runs (its peak above what the opened collector keeps)
+//! may differ by less than a segment, where decoding the whole log
+//! before replaying it put ≈ 48 bytes a reading between them.
 //!
 //! A counting `#[global_allocator]` (this test binary only) does the
 //! measuring. A reopen of a large enough log replays on a worker thread
@@ -146,7 +146,7 @@ const SEGMENT: u64 = 64 << 10;
 fn a_reopen_holds_a_segment_not_the_log() {
     let _serial = serial();
     let (segments_short, short) = reopen_bytes("bytes-short", N);
-    let (segments_long, long) = reopen_bytes("bytes-long", 4 * N);
+    let (segments_long, long) = reopen_bytes("bytes-long", 6 * N);
     assert!(
         segments_short == 1 && segments_long > 3,
         "{segments_short} and {segments_long} segments"
@@ -158,6 +158,6 @@ fn a_reopen_holds_a_segment_not_the_log() {
          {} for {} ({grown} more; a segment is {SEGMENT})",
         short.transient(),
         long.transient(),
-        4 * N
+        6 * N
     );
 }

@@ -421,6 +421,62 @@ fn unknown_version_hello_gets_exactly_one_reject_frame() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The log's run frame is no wire message: a peer that sends one — the
+/// exact bytes a WAL segment holds for a run — is dropped with a typed
+/// frame error (an unknown tag) and none of its readings is admitted,
+/// while a clean client on the same server is served.
+#[test]
+fn a_peer_sending_a_log_run_frame_is_dropped_typed() {
+    let dir = tmpdir("log-run-wire");
+    let log = tmpdir("log-run-segment");
+    let (mut wal, _) = sentinet_gateway::Wal::open(sentinet_gateway::WalConfig::new(&log), None)
+        .expect("fresh wal");
+    let run: Vec<sentinet_gateway::WalRecord> = (0..3u64)
+        .map(|seq| sentinet_gateway::WalRecord {
+            sensor: SensorId(2),
+            seq,
+            time: 300 * (seq + 1),
+            values: vec![20.0, 45.0],
+        })
+        .collect();
+    wal.append_many(&run).expect("append");
+    drop(wal);
+    let frame = fs::read(log.join("wal-00000001.seg")).expect("segment");
+    assert_eq!(frame[4], 16, "one log-run frame");
+    fs::remove_dir_all(&log).ok();
+
+    let (mut collector, _) = Collector::open(GatewayConfig::new(&dir)).expect("open");
+    let server = Server::start(ServerConfig::default()).expect("bind server");
+    let addr = server.addr().to_string();
+    let client = std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(&addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        conn.write_all(&hello_frame()).expect("hello");
+        conn.write_all(&frame).expect("log-run frame");
+        let mut sink = [0u8; 256];
+        loop {
+            match conn.read(&mut sink) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+        let mut uplink = SensorUplink::new(UplinkConfig::new(addr));
+        uplink
+            .send_at(SensorId(1), 0, 300, &[20.0, 45.0])
+            .expect("send");
+        uplink.finish().expect("fin/finack");
+    });
+    let stats = server.run(&mut collector).expect("serve");
+    client.join().expect("client thread");
+    assert_eq!(stats.bad_frames, 1);
+    assert_eq!(stats.frame_errors, vec![FrameError::UnknownTag(16)]);
+    let report = collector.finish().expect("finish");
+    assert_eq!(report.ingest.accepted, 1, "nothing of the run was admitted");
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// The frame corrupter feeds the gateway's decoder directly:
 /// a duplicated frame decodes twice, a torn frame stays pending (never
 /// a phantom message), and a flipped CRC byte is rejected loudly.

@@ -215,7 +215,7 @@ fn extent(rng: &mut TestRng, first_seq: u64, budget: usize) -> Vec<WalRecord> {
 /// Pushes `records` through `plan`; the bytes it projects for them.
 fn project(mut plan: RunPlanner, records: &[WalRecord]) -> u64 {
     for r in records {
-        plan.push(r.sensor, r.seq, r.values.len());
+        plan.push(r.sensor, r.seq, r.time, r.values.len());
     }
     plan.bytes()
 }
@@ -328,7 +328,7 @@ fn the_crash_coordinate_cuts_the_frame_where_the_abort_lands() {
             let mut plan = wal.planner();
             let placed: Vec<Placement> = records
                 .iter()
-                .map(|r| plan.push(r.sensor, r.seq, r.values.len()))
+                .map(|r| plan.push(r.sensor, r.seq, r.time, r.values.len()))
                 .collect();
             let unwritten = placed.iter().filter(|&&p| p == Placement::Unwritten).count();
             if unwritten != records.len() - coordinate
@@ -413,6 +413,185 @@ fn a_tear_at_every_byte_costs_exactly_the_frames_it_touches() {
     });
 }
 
+/// Values a log run must carry bit-exactly: the shared pool, NaNs with
+/// payloads of both signs, and subnormals.
+const STEP_POOL_VALUES: [f64; 4] = [
+    f64::from_bits(0x7FF8_0000_0000_0001),
+    f64::from_bits(0xFFF4_0000_0000_0ABC),
+    5e-324,
+    -2.2e-310,
+];
+
+/// Time steps a log run must price and round-trip: every varint length
+/// from one byte to ten, either way across each boundary, and the two
+/// extremes.
+const STEPS: [i64; 18] = [
+    0,
+    1,
+    -1,
+    63,
+    64,
+    -64,
+    -65,
+    300,
+    8_191,
+    8_192,
+    -8_193,
+    1 << 20,
+    -(1 << 20),
+    1 << 27,
+    1 << 40,
+    -(1 << 55),
+    i64::MAX,
+    i64::MIN,
+];
+
+/// A seeded extent of runs over `sensors` sensors whose times walk
+/// [`STEPS`] — backwards, across every varint length, wrapping past 0
+/// and `u64::MAX` — with now and then a jump to exactly 0 or
+/// `u64::MAX`, lone readings of other sensors between the runs, and now
+/// and then a value count changing inside a run.
+fn stepped_extent(rng: &mut TestRng, budget: usize, sensors: usize) -> Vec<WalRecord> {
+    let mut out = Vec::new();
+    let mut next = vec![0u64; sensors];
+    let mut time = rng.next_u64();
+    let pool: Vec<f64> = BIT_EXACT_POOL
+        .iter()
+        .chain(&STEP_POOL_VALUES)
+        .copied()
+        .collect();
+    while out.len() < budget {
+        let sensor = rng.usize_in(0, sensors);
+        let run = rng.usize_in(1, 60).min(budget - out.len());
+        let mut dims = rng.usize_in(1, 4);
+        for _ in 0..run {
+            time = match rng.usize_in(0, 12) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => time.wrapping_add(rng.pick(&STEPS) as u64),
+            };
+            if rng.usize_in(0, 10) == 0 {
+                dims = rng.usize_in(1, 4);
+            }
+            let seq = next[sensor];
+            next[sensor] += 1;
+            out.push(WalRecord {
+                sensor: SensorId(sensor as u16),
+                seq,
+                time,
+                values: (0..dims).map(|_| rng.pick(&pool)).collect(),
+            });
+        }
+    }
+    out
+}
+
+/// One sensor's readings for a collector, whose window pass visits
+/// every window up to the newest reading: time stays within a few
+/// hundred windows of `u64::MAX` from the first reading on and reaches
+/// it, while readings at 0 or anywhere below arrive late — so the steps still cross every varint
+/// length both ways, ten bytes included. Value counts change now and
+/// then.
+fn collector_steps(rng: &mut TestRng, size: usize) -> Vec<WalRecord> {
+    let pool: Vec<f64> = BIT_EXACT_POOL
+        .iter()
+        .chain(&STEP_POOL_VALUES)
+        .copied()
+        .collect();
+    let mut high = u64::MAX - 2_000_000;
+    let mut dims = rng.usize_in(1, 4);
+    (0..size as u64)
+        .map(|seq| {
+            // The first reading opens the window pass up high.
+            let time = match rng.usize_in(0, 10) {
+                _ if seq == 0 => high,
+                0 => 0,
+                1 => rng.next_u64() % high,
+                2 => u64::MAX,
+                _ => {
+                    high = high.saturating_add(rng.pick(&[0, 1, 63, 64, 300, 8_191, 8_192]));
+                    high
+                }
+            };
+            if rng.usize_in(0, 10) == 0 {
+                dims = rng.usize_in(1, 4);
+            }
+            WalRecord {
+                sensor: SensorId(0),
+                seq,
+                time,
+                values: (0..dims).map(|_| rng.pick(&pool)).collect(),
+            }
+        })
+        .collect()
+}
+
+/// Any time sequence round-trips through the log run bit for bit, and
+/// the planner's price is what the append writes and what the
+/// directory holds, over segment sizes from a frame to the default.
+#[test]
+fn any_time_steps_reopen_bit_exactly_and_price_as_written() {
+    replay("any_time_steps_reopen_bit_exactly_and_price_as_written").for_each_seed(48, |seed| {
+        let mut rng = TestRng::new(seed);
+        let size = rng.usize_in(2, 400);
+        let records = stepped_extent(&mut rng, size, 3);
+        let dir = tmpdir("stepped");
+        let mut config = WalConfig::new(&dir);
+        config.segment_max_bytes = 64u64 << rng.usize_in(0, 17);
+        let (mut wal, _) = Wal::open(config.clone(), None).map_err(|e| e.to_string())?;
+        let projected = project(wal.planner(), &records);
+        wal.append_many(&records).map_err(|e| e.to_string())?;
+        if projected != wal.total_bytes() || projected != dir_bytes(&dir) {
+            return Err(format!(
+                "projected {projected} bytes, wrote {}, the directory holds {}",
+                wal.total_bytes(),
+                dir_bytes(&dir)
+            ));
+        }
+        drop(wal);
+        let (_, recovered) = Wal::open(config, None).map_err(|e| e.to_string())?;
+        assert_same(&recovered.to_records(), &records)?;
+        fs::remove_dir_all(&dir).map_err(|e| e.to_string())
+    });
+}
+
+/// Admission's retention budget, set to what the planner prices a
+/// prefix of a batch at, admits exactly that prefix and the log holds
+/// exactly those bytes — whatever the batch's time steps and value
+/// counts.
+#[test]
+fn the_budget_projection_is_what_lands_for_any_time_steps() {
+    replay("the_budget_projection_is_what_lands_for_any_time_steps").for_each_seed(48, |seed| {
+        let mut rng = TestRng::new(seed);
+        let size = rng.usize_in(2, 120);
+        let records = collector_steps(&mut rng, size);
+        let readings: Vec<(u64, Vec<f64>)> =
+            records.iter().map(|r| (r.time, r.values.clone())).collect();
+        let kept = rng.usize_in(1, readings.len() + 1);
+        let budget = project(RunPlanner::default(), &records[..kept]);
+        let dir = tmpdir("stepped-budget");
+        let mut config = GatewayConfig::new(&dir);
+        config.checkpoint_every = 0;
+        config.wal.retain_bytes = Some(budget);
+        let (mut c, _) = Collector::open(config).map_err(|e| e.to_string())?;
+        let out = c
+            .deliver_batch(SensorId(0), 0, &readings)
+            .map_err(|e| e.to_string())?;
+        if out.accepted != kept || c.wal_footprint() != budget {
+            return Err(format!(
+                "a budget of {budget} bytes for {kept} of {} readings: {} accepted, {} bytes logged",
+                readings.len(),
+                out.accepted,
+                c.wal_footprint()
+            ));
+        }
+        drop(c);
+        let (_, recovered) = Wal::open(WalConfig::new(&dir), None).map_err(|e| e.to_string())?;
+        assert_same(&recovered.to_records(), &records[..kept])?;
+        fs::remove_dir_all(&dir).map_err(|e| e.to_string())
+    });
+}
+
 /// 70 000 consecutive readings of one sensor in one `append_many`: cut
 /// at the per-frame caps, not wrapped at the count field's `u16`.
 #[test]
@@ -430,9 +609,11 @@ fn a_run_longer_than_any_frame_is_cut_at_the_cap() {
     let projected = project(wal.planner(), &records);
     wal.append_many(&records).expect("append");
     assert_eq!(wal.total_bytes(), projected);
-    // 17 full frames and a remainder, 26 bytes a reading inside them.
+    // 17 full frames and a remainder: 23 bytes a frame, 2 + 16 a
+    // reading inside them, and two more for the first step of every
+    // frame but the first (from 0 to 1 228 800 s on, a four-byte varint).
     let frames = 70_000usize.div_ceil(MAX_BATCH_READINGS) as u64;
-    assert_eq!(projected, 70_000 * 26 + frames * 21);
+    assert_eq!(projected, 70_000 * 18 + frames * 23 + (frames - 1) * 2);
     drop(wal);
     let bytes = fs::read(dir.join("wal-00000001.seg")).expect("one 4 MiB segment holds it");
     let cut: Vec<usize> = frame_ends(&bytes).iter().map(|f| f.1).collect();
@@ -556,6 +737,140 @@ fn a_log_of_per_record_frames_reopens_and_continues() {
     assert_eq!(expect.ingest.accepted, resumed.ingest.accepted);
     assert_eq!(format!("{:?}", expect.plan), format!("{:?}", resumed.plan));
     for dir in [uninterrupted, today, old] {
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Upgrade in place. A log an older binary wrote — the committed
+/// `v3_wal/full` fixture (a stop-and-wait client's stream, one `Data`
+/// frame a reading) and a first half logged in the `DataBatch` frames
+/// older binaries wrote batches in — reopens under this binary, takes
+/// a further stream in batches (log runs behind the old frames, in the
+/// same segment), and a reopen whose replay crosses that boundary
+/// finishes with the report of a run that never stopped.
+#[test]
+fn an_older_binarys_log_is_appended_to_in_place() {
+    const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v3_wal/full");
+    /// The fixture's stream (`gateway_retention`'s), tick `i` of it.
+    fn tick(i: u64) -> [(SensorId, u64, u64, Vec<f64>); 2] {
+        [0u16, 1].map(|s| {
+            let v = 20.0 + (i % 7) as f64 + f64::from(s);
+            (SensorId(s), i, 300 * (i + 1), vec![v, v + 30.0])
+        })
+    }
+    /// One `DataBatch` worth of input: sensor, first seq, readings.
+    type Batch = (SensorId, u64, Vec<(u64, Vec<f64>)>);
+    /// Ticks `from..to` as batches of eight readings a sensor.
+    fn batches(from: u64, to: u64) -> Vec<Batch> {
+        let mut out = Vec::new();
+        for first in (from..to).step_by(8) {
+            for s in 0..2 {
+                let readings = (first..first + 8).map(|i| {
+                    let (_, _, time, values) = tick(i)[s].clone();
+                    (time, values)
+                });
+                out.push((SensorId(s as u16), first, readings.collect()));
+            }
+        }
+        out
+    }
+    let config = |dir: &Path| {
+        let mut c = GatewayConfig::new(dir);
+        c.reorder.watermark_delay = 600;
+        c.checkpoint_every = 32;
+        c
+    };
+    let feed = |c: &mut Collector, part: &[Batch]| {
+        for (sensor, first_seq, readings) in part {
+            let out = c
+                .deliver_batch(*sensor, *first_seq, readings)
+                .expect("deliver");
+            assert_eq!(out.accepted, readings.len());
+        }
+    };
+    let report = |c: Collector| {
+        let run = c.finish().expect("finish");
+        (
+            format!("{}", run.pipeline),
+            run.ingest.accepted,
+            format!("{:?}", run.plan),
+        )
+    };
+    let segment = |dir: &Path| fs::read(dir.join("wal-00000001.seg")).expect("segment");
+    let rest = batches(120, 240);
+
+    // The fixture: 240 `Data` frames beside a checkpoint at 224.
+    let fixture = tmpdir("upgrade-fixture");
+    fs::create_dir_all(&fixture).unwrap();
+    for entry in fs::read_dir(FIXTURE).expect("fixture") {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), fixture.join(entry.file_name())).unwrap();
+    }
+    let old = segment(&fixture);
+    assert!(
+        frame_ends(&old).iter().all(|f| f.1 == 1),
+        "one frame a reading"
+    );
+    let (_, log) = Wal::open(WalConfig::new(&fixture), None).unwrap();
+    let straight = tmpdir("upgrade-fixture-straight");
+    let (mut c, _) = Collector::open(config(&straight)).unwrap();
+    for r in log.to_records() {
+        c.deliver(r.sensor, r.seq, r.time, r.values).unwrap();
+    }
+    feed(&mut c, &rest);
+    let want = report(c);
+
+    // A first half in `DataBatch` frames: this binary's log of the same
+    // batches, each run frame re-framed as an older binary framed it.
+    let batched = tmpdir("upgrade-batched");
+    let (mut c, _) = Collector::open(config(&batched)).unwrap();
+    feed(&mut c, &batches(0, 120));
+    drop(c);
+    let (_, log) = Wal::open(WalConfig::new(&batched), None).unwrap();
+    let records = log.to_records();
+    let mut older = Vec::new();
+    let mut at = 0;
+    for (_, n) in frame_ends(&segment(&batched)) {
+        let run = &records[at..at + n];
+        at += n;
+        older.extend(encode_frame(&Message::DataBatch {
+            sensor: run[0].sensor,
+            first_seq: run[0].seq,
+            readings: run.iter().map(|r| (r.time, r.values.clone())).collect(),
+        }));
+    }
+    assert_eq!(at, 240);
+    assert!(frame_ends(&older).iter().all(|f| f.1 == 8));
+    fs::write(batched.join("wal-00000001.seg"), &older).unwrap();
+    let straight_batched = tmpdir("upgrade-batched-straight");
+    let (mut c, _) = Collector::open(config(&straight_batched)).unwrap();
+    feed(&mut c, &batches(0, 240));
+    let want_batched = report(c);
+
+    for (dir, old, want) in [(&fixture, &old, &want), (&batched, &older, &want_batched)] {
+        let (mut c, info) = Collector::open(config(dir)).expect("an older log opens");
+        assert_eq!(info.replayed, 240);
+        assert!(
+            info.verified_cursor.is_some(),
+            "checkpoint verified in passing"
+        );
+        feed(&mut c, &rest);
+        drop(c); // no finish: a crash
+        let mixed = segment(dir);
+        assert_eq!(mixed[..old.len()], old[..], "the old frames are untouched");
+        let appended = &mixed[old.len()..];
+        let frames = frame_ends(appended);
+        assert_eq!(frames.len(), rest.len(), "one frame a batch behind them");
+        let mut start = 0;
+        for (end, n) in frames {
+            assert_eq!((appended[start + 4], n), (16, 8), "a log run");
+            start = end;
+        }
+        let (c, info) = Collector::open(config(dir)).expect("a mixed log opens");
+        assert_eq!(info.replayed, 480);
+        assert_eq!(&report(c), want);
+    }
+    for dir in [fixture, straight, batched, straight_batched] {
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -161,18 +161,23 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
     // `M_CO`'s steps run the Markov half's update; `M_CE` has none.
     ("hmm/src/markov.rs", &["observe"]),
     // The WAL's per-reading write path: where an extent's frames are
-    // cut, and the two encoders that fill them — and the per-reading
-    // read path: the arena's push (`push` is also the planner's in
-    // `wal.rs`) and the decoders' per-reading step.
+    // cut, and the encoders that fill them (a log run's time steps
+    // included) — and the per-reading read path: the arena's push
+    // (`push` is also the planner's in `wal.rs`) and the decoders'
+    // per-reading steps.
     (
         "gateway/src/frame.rs",
         &[
             "encode_data_payload",
             "encode_batch_payload",
+            "encode_run_payload",
+            "put_varint",
             "frame_with",
             "push",
             "value_bits",
+            "values",
             "reading",
+            "step",
         ],
     ),
     ("gateway/src/wal.rs", &["push", "encode_run"]),

@@ -88,9 +88,9 @@
 //!   lost (the watermark never falls inside a frame), and no
 //!   `(sensor, seq)` is ever logged twice (retransmissions of the torn
 //!   tail are absorbed by dedup). The mirror sizes each frame with the
-//!   wire codec — a run of fresh consecutive readings is one
-//!   `DataBatch` frame, a lone one a `Data` frame — so the real log
-//!   is also held to "logged as it travels", byte for byte.
+//!   WAL's planner — a run of fresh consecutive readings is one run
+//!   frame, a lone one a `Data` frame — so the real log is also held
+//!   to one frame a run, byte for byte.
 //! * **I5 poisoned-never-acks** — after storage poisons the WAL, no
 //!   further ack is released (subsumed by I2, asserted directly too).
 //! * **I6 restore-durability** — whatever a crash leaves behind,
@@ -112,8 +112,8 @@
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
     AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs, FsyncPolicy, GatewayConfig, Message,
-    QueuedAck, RestoreStep, SeqTracker, StepEvent, StepServer, StorageFault, VfsOp, Wal,
-    PROTOCOL_VERSION,
+    QueuedAck, RestoreStep, RunPlanner, SeqTracker, StepEvent, StepServer, StorageFault, VfsOp,
+    Wal, PROTOCOL_VERSION,
 };
 use sentinet_sim::SensorId;
 use std::collections::{BTreeSet, VecDeque};
@@ -435,15 +435,14 @@ fn gateway_config(dir: &Path, space: &SpaceCfg) -> (GatewayConfig, Arc<FaultyVfs
     cfg.wal.fsync = FsyncPolicy::Batch(1_000_000);
     cfg.wal.segment_max_bytes = 1 << 30;
     if space.restore {
-        // Every batch is one frame of this size: two to a segment, a
+        // Every batch is one frame of this size (the first batch's; a
+        // later one's steps take as many bytes): two to a segment, a
         // budget of four, so the fifth frame of an episode meets a
         // budget tick with a segment to reclaim.
-        let frame = encode_frame(&Message::DataBatch {
-            sensor: SensorId(0),
-            first_seq: 0,
-            readings: vec![(300, vec![0.0]); READINGS_PER_BATCH as usize],
-        })
-        .len() as u64;
+        let first: Vec<(u64, Vec<f64>)> = (0..READINGS_PER_BATCH)
+            .map(|seq| ((seq + 1) * 300, vec![0.0]))
+            .collect();
+        let frame = log_frame_len(SensorId(0), 0, &first);
         cfg.checkpoint_every = READINGS_PER_BATCH;
         cfg.wal.segment_max_bytes = 2 * frame;
         cfg.wal.retain_bytes = Some(4 * frame);
@@ -451,6 +450,16 @@ fn gateway_config(dir: &Path, space: &SpaceCfg) -> (GatewayConfig, Arc<FaultyVfs
     let vfs = Arc::new(FaultyVfs::new(plan));
     cfg.wal.vfs = vfs.clone();
     (cfg, vfs)
+}
+
+/// The log bytes of `run` (readings from `first_seq` on) written as one
+/// frame of its own, priced by the WAL's planner.
+fn log_frame_len(sensor: SensorId, first_seq: u64, run: &[(u64, Vec<f64>)]) -> u64 {
+    let mut plan = RunPlanner::default();
+    for (seq, (time, values)) in (first_seq..).zip(run) {
+        plan.push(sensor, seq, *time, values.len());
+    }
+    plan.bytes()
 }
 
 fn harness_err(detail: String) -> EpisodeError {
@@ -801,29 +810,14 @@ impl<'a> Episode<'a> {
     }
 
     /// Closes the mirror's open run — the readings just below `end` —
-    /// as one frame, sized by the wire codec.
+    /// as one frame, priced as the log writes it.
     fn log_frame(&mut self, sensor: SensorId, end: u64, run: &mut Vec<(u64, Vec<f64>)>) {
-        let first_seq = end - run.len() as u64;
-        let message = match run.len() {
-            0 => return,
-            1 => {
-                let (time, values) = run.remove(0);
-                Message::Data {
-                    sensor,
-                    seq: first_seq,
-                    time,
-                    values,
-                }
-            }
-            _ => Message::DataBatch {
-                sensor,
-                first_seq,
-                readings: std::mem::take(run),
-            },
-        };
-        let records = (end - first_seq) as usize;
-        self.frames
-            .push((records, encode_frame(&message).len() as u64));
+        if !run.is_empty() {
+            let first_seq = end - run.len() as u64;
+            self.frames
+                .push((run.len(), log_frame_len(sensor, first_seq, run)));
+            run.clear();
+        }
     }
 
     fn do_deliver(&mut self, s: usize) -> Result<(), EpisodeError> {
@@ -832,8 +826,8 @@ impl<'a> Episode<'a> {
         let logged_before = self.logged.len();
         // Advance the mirror spec exactly as deliver_batch will: each
         // unseen seq is appended then observed, and each run of unseen
-        // consecutive seqs is logged as the one frame the wire codec
-        // gives it; the poisoned WAL appends nothing.
+        // consecutive seqs is logged as the one frame the planner
+        // prices; the poisoned WAL appends nothing.
         if !self.poisoned {
             let mut run: Vec<(u64, Vec<f64>)> = Vec::new();
             for (i, reading) in batch.readings.iter().enumerate() {
