@@ -912,7 +912,11 @@ pub fn stated_readings(payload: &[u8]) -> (usize, usize) {
     let (readings, values, head) = match payload.first() {
         Some(&TAG_DATA) => (1, u16_at(19), 21),
         Some(&TAG_DATA_BATCH) => (u16_at(11), usize::MAX, 13 + 10 * u16_at(11)),
-        Some(&TAG_LOG_RUN) => (u16_at(11), u16_at(11) * u16_at(13), 15 + u16_at(11)),
+        Some(&TAG_LOG_RUN) => (
+            u16_at(11),
+            u16_at(11).saturating_mul(u16_at(13)),
+            15 + u16_at(11),
+        ),
         _ => return (0, 0),
     };
     (readings, values.min(payload.len().saturating_sub(head) / 8))

@@ -444,27 +444,21 @@ fn every_bit_flip_of_a_wal_is_a_torn_tail_or_corruption() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// The variant of a frame error, for comparing against what a forgery
-/// must be refused with (a short payload's length is the forgery's).
-fn kind(e: &FrameError) -> &'static str {
-    match e {
-        FrameError::TooLarge { .. } => "TooLarge",
-        FrameError::BadCrc { .. } => "BadCrc",
-        FrameError::UnknownTag(_) => "UnknownTag",
-        FrameError::ShortPayload { .. } => "ShortPayload",
-        FrameError::BatchTooLong { .. } => "BatchTooLong",
-        FrameError::Truncated => "Truncated",
-        FrameError::BadVarint => "BadVarint",
-        FrameError::BadRun { .. } => "BadRun",
-    }
+/// Whether `got` is the kind of error `want` is (a short payload's
+/// length is the forgery's own).
+fn same_kind(got: &FrameError, want: &FrameError) -> bool {
+    std::mem::discriminant(got) == std::mem::discriminant(want)
 }
+
+/// A short payload, of whatever length.
+const SHORT: FrameError = FrameError::ShortPayload { tag: 16, len: 0 };
 
 /// One seeded forgery of a log run's payload — the reading count, the
 /// value count, one reading's time step, its end — and the error a
 /// decoder must refuse it with. The fixture's steps are all two-byte
 /// varints (times below 8 192 s), so every reading is 2 + 8 × dims
 /// bytes and no forgery here can happen to decode.
-fn forge_run(rng: &mut TestRng, payload: &[u8]) -> (String, Vec<u8>, &'static str) {
+fn forge_run(rng: &mut TestRng, payload: &[u8]) -> (String, Vec<u8>, FrameError) {
     let field = |at: usize| usize::from(u16::from_le_bytes([payload[at], payload[at + 1]]));
     let (count, dims) = (field(11), field(13));
     let reading = 2 + 8 * dims;
@@ -485,16 +479,19 @@ fn forge_run(rng: &mut TestRng, payload: &[u8]) -> (String, Vec<u8>, &'static st
             };
             forged[11..13].copy_from_slice(&claim.to_le_bytes());
             let want = match usize::from(claim) {
-                0 | 1 => "BadRun",
-                c if c > MAX_BATCH_READINGS => "BatchTooLong",
-                _ => "ShortPayload",
+                c @ (0 | 1) => FrameError::BadRun { count: c, dims },
+                c if c > MAX_BATCH_READINGS => FrameError::BatchTooLong { count: c },
+                _ => SHORT,
             };
             return (format!("count {count} forged to {claim}"), forged, want);
         }
         1 => {
             let claim = rng.pick(&[0, dims as u16 + 1, u16::MAX]);
             forged[13..15].copy_from_slice(&claim.to_le_bytes());
-            let want = if claim == 0 { "BadRun" } else { "ShortPayload" };
+            let want = match claim {
+                0 => FrameError::BadRun { count, dims: 0 },
+                _ => SHORT,
+            };
             return (format!("dims {dims} forged to {claim}"), forged, want);
         }
         2 => {
@@ -517,14 +514,11 @@ fn forge_run(rng: &mut TestRng, payload: &[u8]) -> (String, Vec<u8>, &'static st
         _ => {
             let extra = rng.usize_in(1, 4);
             forged.extend((0..extra).map(|_| rng.range(0u8..255)));
-            return (format!("{extra} trailing byte(s)"), forged, "ShortPayload");
+            return (format!("{extra} trailing byte(s)"), forged, SHORT);
         }
     };
-    (
-        format!("{what} at payload byte {step}"),
-        forged,
-        "BadVarint",
-    )
+    let what = format!("{what} at payload byte {step}");
+    (what, forged, FrameError::BadVarint)
 }
 
 /// The log's run payload forged *under a valid CRC*, which random
@@ -565,7 +559,7 @@ fn forged_log_runs_are_torn_tails_or_corruption_and_never_wire_frames() {
                 let last =
                     payload.len() - 8 * usize::from(u16::from_le_bytes([payload[13], payload[14]]));
                 let cut = payload[..last - 1].to_vec();
-                ("cut inside the last step".to_string(), cut, "ShortPayload")
+                ("cut inside the last step".to_string(), cut, SHORT)
             } else {
                 forge_run(&mut rng, payload)
             };
@@ -585,7 +579,7 @@ fn forged_log_runs_are_torn_tails_or_corruption_and_never_wire_frames() {
             let outcome = open_damaged(&case, &segments, damaged, &segment)?;
             match (damaged, outcome) {
                 (0, Err(WalError::Corrupt { offset, reason, .. }))
-                    if offset == start as u64 && kind(&reason) == want =>
+                    if offset == start as u64 && same_kind(&reason, &want) =>
                 {
                     Ok(())
                 }
@@ -600,7 +594,7 @@ fn forged_log_runs_are_torn_tails_or_corruption_and_never_wire_frames() {
                     }
                 }
                 (_, outcome) => Err(format!(
-                    "{what}: wanted {want} there, got {:?}",
+                    "{what}: wanted {want:?} there, got {:?}",
                     outcome.map(|r| r.len())
                 )),
             }

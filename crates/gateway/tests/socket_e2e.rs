@@ -454,22 +454,28 @@ fn a_peer_sending_a_log_run_frame_is_dropped_typed() {
             .expect("timeout");
         conn.write_all(&hello_frame()).expect("hello");
         conn.write_all(&frame).expect("log-run frame");
+        // Dropped: EOF. A timeout instead still ends the run below, so
+        // a server that kept the connection fails the test, not hangs.
         let mut sink = [0u8; 256];
-        loop {
+        let dropped = loop {
             match conn.read(&mut sink) {
-                Ok(0) => break,
+                Ok(0) => break true,
                 Ok(_) => continue,
-                Err(e) => panic!("read: {e}"),
+                Err(_) => break false,
             }
-        }
+        };
         let mut uplink = SensorUplink::new(UplinkConfig::new(addr));
         uplink
             .send_at(SensorId(1), 0, 300, &[20.0, 45.0])
             .expect("send");
         uplink.finish().expect("fin/finack");
+        dropped
     });
     let stats = server.run(&mut collector).expect("serve");
-    client.join().expect("client thread");
+    assert!(
+        client.join().expect("client thread"),
+        "the connection was kept"
+    );
     assert_eq!(stats.bad_frames, 1);
     assert_eq!(stats.frame_errors, vec![FrameError::UnknownTag(16)]);
     let report = collector.finish().expect("finish");
