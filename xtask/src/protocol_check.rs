@@ -90,7 +90,7 @@
 //!   tail are absorbed by dedup). The mirror sizes each frame with the
 //!   WAL's planner — a run of fresh consecutive readings is one run
 //!   frame, a lone one a `Data` frame — so the real log is also held
-//!   to one frame a run, byte for byte.
+//!   to one frame a run at the planner's price, byte for byte.
 //! * **I5 poisoned-never-acks** — after storage poisons the WAL, no
 //!   further ack is released (subsumed by I2, asserted directly too).
 //! * **I6 restore-durability** — whatever a crash leaves behind,
