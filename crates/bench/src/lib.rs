@@ -179,12 +179,7 @@ pub fn mixed_scenario(days: u64, seed: u64) -> (Trace, SimConfig) {
 
 /// Runs the default pipeline over a trace.
 pub fn run_pipeline(trace: &Trace, cfg: &SimConfig) -> Pipeline {
-    run_pipeline_with(trace, cfg, PipelineConfig::default())
-}
-
-/// Runs a custom-configured pipeline over a trace.
-pub fn run_pipeline_with(trace: &Trace, cfg: &SimConfig, pipeline_cfg: PipelineConfig) -> Pipeline {
-    let mut p = Pipeline::new(pipeline_cfg, cfg.sample_period);
+    let mut p = Pipeline::new(PipelineConfig::default(), cfg.sample_period);
     p.process_trace(trace);
     p
 }

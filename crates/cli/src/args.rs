@@ -10,7 +10,7 @@
 //! from the same tables. Hand-rolled: no CLI crate is on the approved
 //! dependency list.
 
-use sentinet_controller::{FederationConfig, ProcessConfig, WireProtocol};
+use sentinet_controller::{FederationConfig, ProcessConfig};
 use sentinet_gateway::{FsyncPolicy, GatewayConfig, ServerConfig, UplinkConfig};
 use sentinet_inject::{AttackModel, FaultModel};
 use sentinet_sim::SensorId;
@@ -69,7 +69,7 @@ pub struct AnalyzeArgs {
 pub struct ServeArgs {
     /// The collector: WAL, pipeline shape, liveness, retention, epoch.
     pub gateway: GatewayConfig,
-    /// The socket server: endpoint, credit window, protocol pin.
+    /// The socket server: endpoint and credit window.
     pub server: ServerConfig,
     /// Emit the report as one summary line per sensor only.
     pub quiet: bool,
@@ -414,9 +414,6 @@ impl Args for FederateArgs {
         Flag::required("--wal-root", "DIR", |a, v| text(v, &mut a.process.wal_root)),
         Flag::new("--partitions", "N", |a, v| positive(v, &mut a.partitions)),
         Flag::new("--standbys", "N", |a, v| num(v, &mut a.process.standbys)),
-        Flag::new("--protocol", "v1|v2", |a, v| {
-            put(&mut a.process.protocol, parse_protocol(v))
-        }),
         Flag::new("--fsync", "never|batch:N|always", |a, v| {
             fsync(v, &mut a.process.replay.wal.fsync)
         }),
@@ -453,9 +450,6 @@ impl Args for FederateArgs {
         Flag::new("--jitter-pct", "N", |a, v| {
             num(v, &mut a.process.uplink.jitter_pct)
         }),
-        Flag::new("--batch-size", "N", |a, v| {
-            positive(v, &mut a.process.batch_size)
-        }),
         Flag::new("--quiet", "", |a, _| on(&mut a.quiet)),
     ];
 
@@ -467,10 +461,8 @@ impl Args for FederateArgs {
                 binary: Default::default(),
                 wal_root: Default::default(),
                 standbys: 1,
-                protocol: WireProtocol::V1,
                 serve_flags: Vec::new(),
                 uplink: UplinkConfig::new(""),
-                batch_size: 8,
                 kills: Vec::new(),
                 replay: durable_collector(),
             },
@@ -715,14 +707,6 @@ where
 fn halves<'a>(spec: &'a str, sep: char, shape: &str) -> Result<(&'a str, &'a str), ParseError> {
     spec.split_once(sep)
         .ok_or_else(|| format!("spec {spec:?} needs {shape}"))
-}
-
-fn parse_protocol(name: &str) -> Result<WireProtocol, ParseError> {
-    match name {
-        "v1" => Ok(WireProtocol::V1),
-        "v2" => Ok(WireProtocol::V2),
-        other => Err(format!("unknown protocol {other:?} (v1|v2)")),
-    }
 }
 
 /// Parses a comma-separated `--kill` list `P:N[,P:N...]` onto `kills`,
@@ -1037,7 +1021,6 @@ mod tests {
                 assert_eq!(a.process.wal_root, Path::new("/tmp/fleet"));
                 assert_eq!(a.partitions, 2);
                 assert_eq!(a.process.standbys, 1);
-                assert_eq!(a.process.protocol, WireProtocol::V1);
                 assert_eq!(a.process.replay.wal.fsync.to_string(), "batch:64");
                 assert_eq!(a.federation.silence_deadline, 3600);
                 assert_eq!(a.process.kills, vec![]);
@@ -1055,8 +1038,6 @@ mod tests {
             "3",
             "--standbys",
             "0",
-            "--protocol",
-            "v2",
             "--fsync",
             "never",
             "--silence-deadline",
@@ -1075,8 +1056,6 @@ mod tests {
             "50",
             "--jitter-pct",
             "0",
-            "--batch-size",
-            "16",
             "--quiet",
         ])
         .unwrap()
@@ -1084,7 +1063,6 @@ mod tests {
             Command::Federate(a) => {
                 assert_eq!(a.partitions, 3);
                 assert_eq!(a.process.standbys, 0);
-                assert_eq!(a.process.protocol, WireProtocol::V2);
                 assert_eq!(a.process.replay.wal.fsync.to_string(), "never");
                 assert_eq!(a.federation.silence_deadline, 900);
                 assert_eq!(a.process.kills, vec![(1, 40)]);
@@ -1094,7 +1072,6 @@ mod tests {
                 assert_eq!(a.process.uplink.backoff_base.as_millis(), 5);
                 assert_eq!(a.process.uplink.backoff_cap.as_millis(), 50);
                 assert_eq!(a.process.uplink.jitter_pct, 0);
-                assert_eq!(a.process.batch_size, 16);
                 assert!(a.quiet);
             }
             other => panic!("{other:?}"),
@@ -1214,12 +1191,12 @@ mod tests {
                 .to_string()
                 .contains("partitions")
         );
-        assert!(
-            parse(["federate", "t.csv", "--wal-root", "w", "--protocol", "v3"])
+        for gone in ["--protocol", "--batch-size"] {
+            assert!(parse(["federate", "t.csv", "--wal-root", "w", gone, "1"])
                 .unwrap_err()
                 .to_string()
-                .contains("protocol")
-        );
+                .contains(&format!("unknown flag \"{gone}\"")));
+        }
         assert!(
             parse(["federate", "t.csv", "--wal-root", "w", "--kill", "7:10"])
                 .unwrap_err()
@@ -1501,9 +1478,10 @@ mod tests {
     /// `help` names exactly the flags the hand-written synopsis named,
     /// metavars included, plus `replay-wal`'s `--silence-deadline` and
     /// less the sharded engine's flags, `federate`'s nemesis flags
-    /// (the campaign runs from `xtask nemesis`) and `serve --v1-only`
-    /// (the server speaks both versions) — and both agree with the
-    /// tables.
+    /// (the campaign runs from `xtask nemesis`), `serve --v1-only`
+    /// (the server speaks both versions) and `federate`'s `--protocol`
+    /// and `--batch-size` (its links send one reading a v2 frame) — and
+    /// both agree with the tables.
     #[test]
     fn table_synopsis_names_the_parents_flags() {
         let mut expected = synopsis_flags(HAND_WRITTEN_SYNOPSIS);
@@ -1515,6 +1493,8 @@ mod tests {
             "--episodes",
             "--nemesis-migration",
             "--v1-only",
+            "--protocol",
+            "--batch-size",
         ];
         for (_, flags) in &mut expected {
             flags.retain(|(name, _)| !gone.contains(&name.as_str()));

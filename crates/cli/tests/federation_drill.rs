@@ -7,19 +7,17 @@
 //! standby the partition must orphan fail-stop: visible, NACK-counted,
 //! exit status 3.
 //!
-//! The same CI knobs as the gateway crash tests sweep the matrix:
-//! `SENTINET_TEST_FSYNC` picks the children's fsync policy and
-//! `SENTINET_TEST_PROTOCOL=v2` drives the pipelined uplink.
+//! Every link is a pipelined v2 uplink sending one reading a frame, so
+//! the children admit readings in routed order: a run at `federate`'s
+//! own defaults admits every reading of the trace and prints the
+//! recorded fleet diagnosis. `SENTINET_TEST_FSYNC` picks the
+//! children's fsync policy, as in the gateway crash tests.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn fsync_policy() -> String {
     std::env::var("SENTINET_TEST_FSYNC").unwrap_or_else(|_| "never".into())
-}
-
-fn pipelined() -> bool {
-    std::env::var("SENTINET_TEST_PROTOCOL").as_deref() == Ok("v2")
 }
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -62,9 +60,6 @@ fn simulate_trace(dir: &Path) -> String {
 /// (fast timeouts, deterministic backoff).
 fn federate(trace: &str, wal_root: &Path, extra: &[&str]) -> Output {
     let wal_root = wal_root.to_str().expect("utf8 path");
-    // The v2 reorder watermark is co-tuned with the batch span, same
-    // as the gateway crash tests (DESIGN.md §14.4).
-    let watermark = if pipelined() { "4800" } else { "1800" };
     let mut args = vec![
         "federate",
         trace,
@@ -74,8 +69,6 @@ fn federate(trace: &str, wal_root: &Path, extra: &[&str]) -> Output {
         "3",
         "--checkpoint-every",
         "16",
-        "--watermark",
-        watermark,
         "--ack-timeout-ms",
         "150",
         "--max-attempts",
@@ -89,9 +82,6 @@ fn federate(trace: &str, wal_root: &Path, extra: &[&str]) -> Output {
     ];
     let fsync = fsync_policy();
     args.extend(["--fsync", &fsync]);
-    if pipelined() {
-        args.extend(["--protocol", "v2"]);
-    }
     args.extend(extra);
     sentinet(&args)
 }
@@ -102,6 +92,34 @@ fn stdout_of(out: &Output) -> String {
 
 fn stderr_of(out: &Output) -> String {
     String::from_utf8(out.stderr.clone()).expect("utf8 stderr")
+}
+
+/// `federate`'s stdout at its own defaults over three partitions,
+/// recorded from the stop-and-wait links the fleet used to speak.
+const DEFAULT_STDOUT: &str = include_str!("fixtures/federate_default.stdout");
+
+#[test]
+fn the_default_run_admits_every_reading_and_prints_the_recorded_diagnosis() {
+    let root = tmpdir("defaults");
+    let trace = simulate_trace(&root);
+    let wal_root = root.join("fleet");
+    let out = sentinet(&[
+        "federate",
+        &trace,
+        "--wal-root",
+        wal_root.to_str().expect("utf8 path"),
+        "--partitions",
+        "3",
+    ]);
+    let stderr = stderr_of(&out);
+    assert!(out.status.success(), "default run failed: {stderr}");
+    // No reorder window to tune: nothing arrives behind the watermark.
+    assert!(
+        stderr.contains("fleet counters: 2853 accepted, 0 duplicate(s), 0 late,"),
+        "the default run lost readings:\n{stderr}"
+    );
+    assert_eq!(stdout_of(&out), DEFAULT_STDOUT);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -145,9 +163,9 @@ fn sigkill_failover_reproduces_the_baseline_byte_for_byte() {
     // Detection honours the silence deadline on the stream clock:
     // death is declared only after the deadline elapsed, and not
     // unboundedly later. The ack watermark lags the kill by at most
-    // one flush span (v2: flush_every 32 readings over 2 sensors at
-    // 300 s period = 4800 stream-seconds; v1 acks every reading), so
-    // that span plus one sampling tick bounds the declaration.
+    // one flush span (flush_every 32 readings over 2 sensors at 300 s
+    // period = 4800 stream-seconds), so that span plus one sampling
+    // tick bounds the declaration.
     let dead = events
         .lines()
         .find(|l| l.contains("partition 1 dead at"))
@@ -167,7 +185,7 @@ fn sigkill_failover_reproduces_the_baseline_byte_for_byte() {
         at - last > deadline,
         "death declared before the deadline elapsed: {dead}"
     );
-    let ack_lag = if pipelined() { 4800 } else { 0 };
+    let ack_lag = 4800;
     assert!(
         at - last <= deadline + ack_lag + 300,
         "death declared late: {dead}"
@@ -308,7 +326,7 @@ fn a_refused_run_leaves_no_child_running() {
     let wal_root = root.join("fleet");
     let wal_root = wal_root.to_str().expect("utf8 path");
     let fsync = fsync_policy();
-    let mut args = vec![
+    let out = sentinet(&[
         "federate",
         trace,
         "--wal-root",
@@ -322,11 +340,7 @@ fn a_refused_run_leaves_no_child_running() {
         // children started.
         "--split",
         "1:5@100",
-    ];
-    if pipelined() {
-        args.extend(["--protocol", "v2"]);
-    }
-    let out = sentinet(&args);
+    ]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
     assert!(
         stderr_of(&out).contains("split point sensor5 not strictly inside 5..10"),

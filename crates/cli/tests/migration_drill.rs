@@ -9,13 +9,12 @@
 //! destination at the adopt step.
 //!
 //! A moved sensor's sequence numbers continue from the source's, so
-//! the v2 uplink must carry the routed numbers: a v2 migration admits
-//! every reading and prints what the v1 run of the same schedule
-//! prints.
+//! the uplink must carry the routed numbers: a migration admits every
+//! reading and prints the fleet diagnosis recorded from the
+//! stop-and-wait links the fleet used to speak.
 //!
 //! `SENTINET_TEST_FSYNC` sweeps the children's fsync policy as in the
-//! other federation drills; the kill drills pin the protocol to v2
-//! because their point is a handoff racing live pipelined ingest.
+//! other federation drills.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -60,10 +59,9 @@ fn simulate_trace(dir: &Path) -> String {
     trace
 }
 
-/// Runs `federate` over three partitions speaking `protocol` with the
-/// drill-tuned uplink (fast timeouts, deterministic backoff, v2
-/// watermark).
-fn federate(trace: &str, wal_root: &Path, protocol: &str, extra: &[&str]) -> Output {
+/// Runs `federate` over three partitions with the drill-tuned uplink
+/// (fast timeouts, deterministic backoff).
+fn federate(trace: &str, wal_root: &Path, extra: &[&str]) -> Output {
     let wal_root = wal_root.to_str().expect("utf8 path");
     let mut args = vec![
         "federate",
@@ -72,12 +70,8 @@ fn federate(trace: &str, wal_root: &Path, protocol: &str, extra: &[&str]) -> Out
         wal_root,
         "--partitions",
         "3",
-        "--protocol",
-        protocol,
         "--checkpoint-every",
         "16",
-        "--watermark",
-        "4800",
         "--ack-timeout-ms",
         "150",
         "--max-attempts",
@@ -125,7 +119,7 @@ fn sigkill_at_the_cut_of_a_live_v2_split_matches_the_baseline() {
     // (~tick 50 of 576) it splits at sensor 3, the upper half moving
     // to a freshly spawned partition 3 — squarely mid-stream.
     let schedule = ["--split", "1:3@100"];
-    let base = federate(&trace, &root.join("base"), "v2", &schedule);
+    let base = federate(&trace, &root.join("base"), &schedule);
     assert!(
         base.status.success(),
         "baseline migration run failed: {}",
@@ -144,7 +138,6 @@ fn sigkill_at_the_cut_of_a_live_v2_split_matches_the_baseline() {
     let drill = federate(
         &trace,
         &root.join("drill"),
-        "v2",
         &["--split", "1:3@100", "--kill", "1:100"],
     );
     assert!(
@@ -185,7 +178,7 @@ fn sigkill_at_the_adopt_of_a_live_rebalance_matches_the_baseline() {
     // Partition 1's whole range rebalances into left-adjacent
     // partition 0 once it has routed 100 readings.
     let schedule = ["--rebalance", "1@100"];
-    let base = federate(&trace, &root.join("base"), "v2", &schedule);
+    let base = federate(&trace, &root.join("base"), &schedule);
     assert!(
         base.status.success(),
         "baseline rebalance run failed: {}",
@@ -206,7 +199,6 @@ fn sigkill_at_the_adopt_of_a_live_rebalance_matches_the_baseline() {
     let drill = federate(
         &trace,
         &root.join("drill"),
-        "v2",
         &["--rebalance", "1@100", "--kill", "0:100"],
     );
     assert!(
@@ -234,29 +226,34 @@ fn sigkill_at_the_adopt_of_a_live_rebalance_matches_the_baseline() {
 }
 
 #[test]
-fn a_v2_migration_admits_and_prints_what_v1_does() {
-    let root = tmpdir("v2-admits");
+fn a_migration_admits_every_reading_and_prints_the_recorded_diagnosis() {
+    let root = tmpdir("admits");
     let trace = simulate_trace(&root);
-    for (name, schedule) in [
-        ("split", ["--split", "1:3@100"]),
-        ("rebalance", ["--rebalance", "1@100"]),
+    for (name, schedule, recorded) in [
+        (
+            "split",
+            ["--split", "1:3@100"],
+            include_str!("fixtures/federate_split.stdout"),
+        ),
+        (
+            "rebalance",
+            ["--rebalance", "1@100"],
+            include_str!("fixtures/federate_rebalance.stdout"),
+        ),
     ] {
-        let v1 = federate(&trace, &root.join(format!("{name}-v1")), "v1", &schedule);
-        let v2 = federate(&trace, &root.join(format!("{name}-v2")), "v2", &schedule);
-        for (protocol, out) in [("v1", &v1), ("v2", &v2)] {
-            let stderr = stderr_of(out);
-            assert!(out.status.success(), "{name} {protocol} failed: {stderr}");
-            // Every reading of the trace; none deduplicated away as
-            // already seen by the adopting collector.
-            assert!(
-                stderr.contains("fleet counters: 2853 accepted,"),
-                "{name} {protocol} lost readings in the handoff:\n{stderr}"
-            );
-        }
+        let out = federate(&trace, &root.join(name), &schedule);
+        let stderr = stderr_of(&out);
+        assert!(out.status.success(), "{name} failed: {stderr}");
+        // Every reading of the trace; none deduplicated away as
+        // already seen by the adopting collector, none late.
+        assert!(
+            stderr.contains("fleet counters: 2853 accepted, 0 duplicate(s), 0 late,"),
+            "{name} lost readings in the handoff:\n{stderr}"
+        );
         assert_eq!(
-            stdout_of(&v1),
-            stdout_of(&v2),
-            "{name}: the v2 migration must reach v1's diagnosis"
+            stdout_of(&out),
+            recorded,
+            "{name}: the migration must reach the recorded diagnosis"
         );
     }
 }

@@ -60,7 +60,7 @@ impl fmt::Display for BackendError {
 /// What a link did with one reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkReply {
-    /// Durably admitted (v1 stop-and-wait, or in-process deliver).
+    /// Durably admitted (the in-process link's deliver).
     Acked,
     /// Accepted into a pipelined window; durable only after the next
     /// successful [`PartitionLink::flush`].
@@ -309,7 +309,7 @@ fn add_wire(total: &mut UplinkStats, s: UplinkStats) {
 
 /// What a scheduled live migration moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationKind {
+enum MigrationKind {
     /// Split the source's range at `at`: the source keeps
     /// `[start, at)`, a new partition appended to the map adopts
     /// `[at, end)` on a fresh collector.

@@ -29,7 +29,8 @@
 //! - **Drills** ([`chaos`]): replayable [`DrillPlan`]s kill, hang,
 //!   partition or poison collectors at chosen admitted-record
 //!   coordinates, against in-process collectors ([`inproc`]) or real
-//!   spawned `sentinet serve` children fenced by SIGKILL ([`process`]).
+//!   spawned `sentinet serve` children fenced by SIGKILL ([`process`]),
+//!   fed one reading a v2 frame in the order the controller routes.
 //! - **Merging** ([`report`]): every partition's WAL replays into a
 //!   [`FleetReport`] whose diagnosis half is byte-identical between a
 //!   drilled run and an uninterrupted one.
@@ -48,10 +49,10 @@ pub mod report;
 pub use chaos::{CollectorFault, DrillFault, DrillPlan, NetDrill, NetFault};
 pub use federation::{
     replay_report, BackendError, Federation, FederationConfig, FederationError, LinkDown,
-    LinkReply, MigrationKind, PartitionBackend, PartitionLink,
+    LinkReply, PartitionBackend, PartitionLink,
 };
 pub use inproc::{InProcessBackend, InProcessLink, Zombie};
 pub use nemesis::{run_campaign, CampaignSummary, NemesisConfig, NemesisFailure, NemesisViolation};
 pub use partition::{PartitionHealth, PartitionId, PartitionMap, PartitionMapError, SensorRange};
-pub use process::{ProcessBackend, ProcessConfig, ProcessLink, WireProtocol};
+pub use process::{ProcessBackend, ProcessConfig, ProcessLink};
 pub use report::{FederationEvent, FleetReport, PartitionStatus, ReportCounters};

@@ -1,6 +1,11 @@
 //! Whole-process backend: each partition owner is a spawned
-//! `sentinet serve` child, reached over the real socket transport
-//! (stop-and-wait v1 or pipelined v2). Fencing is a real SIGKILL;
+//! `sentinet serve` child, reached over the real socket transport as
+//! a pipelined v2 uplink. Each frame carries one reading, so frames
+//! leave in the order the controller routes them and the child's
+//! reorder window never sees one sensor's readings overtake
+//! another's; the credit window and
+//! [`FederationConfig::flush_every`](crate::FederationConfig::flush_every)
+//! keep the link pipelined. Fencing is a real SIGKILL;
 //! the drill coordinates SIGKILL the child mid-stream, which is what
 //! the federation integration tests use to prove that kill + failover
 //! reproduces the uninterrupted run byte for byte.
@@ -11,21 +16,12 @@ use crate::federation::{
 use crate::partition::PartitionId;
 use sentinet_gateway::{
     probe_migrate_adopt, probe_migrate_cut, probe_migrate_done, GatewayConfig, GatewayReport,
-    PipelinedConfig, PipelinedUplink, SensorUplink, UplinkConfig, UplinkStats,
+    PipelinedConfig, PipelinedUplink, UplinkConfig, UplinkStats,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
-
-/// Which wire protocol the uplinks speak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireProtocol {
-    /// Stop-and-wait `Data`/`Ack`.
-    V1,
-    /// Pipelined `DataBatch`/`AckUpTo` under a credit window.
-    V2,
-}
 
 /// Configuration for [`ProcessBackend`].
 #[derive(Debug, Clone)]
@@ -39,16 +35,12 @@ pub struct ProcessConfig {
     /// Adoptions (epoch > 1 starts) allowed before partitions orphan;
     /// each adoption spends one.
     pub standbys: usize,
-    /// Wire protocol for every uplink.
-    pub protocol: WireProtocol,
     /// Extra flags appended to `serve --wal-dir … --bind 127.0.0.1:0`
     /// — fsync policy, pipeline shape, … Must match `replay` on every
     /// report-shaping knob.
     pub serve_flags: Vec<String>,
     /// Uplink template; `connect` is overwritten per child.
     pub uplink: UplinkConfig,
-    /// Readings per v2 batch.
-    pub batch_size: usize,
     /// SIGKILL coordinates: `(partition, after)` kills the epoch-1
     /// owner of `partition` once `after` readings have been handed to
     /// its uplink. A coordinate leaves the list when its owner starts,
@@ -74,11 +66,6 @@ impl ProcessBackend {
     }
 }
 
-enum ChildUplink {
-    V1(SensorUplink),
-    V2(PipelinedUplink),
-}
-
 /// A `sentinet serve` child, killed and reaped when dropped: whatever
 /// path drops its link — a fence, or an error that drops the whole
 /// federation — leaves no child running.
@@ -98,7 +85,7 @@ pub struct ProcessLink {
     // Held open for the child's lifetime: dropping the pipe would
     // EPIPE the child's final report print.
     _stdout: BufReader<ChildStdout>,
-    uplink: ChildUplink,
+    uplink: PipelinedUplink,
     addr: String,
     ack_timeout: std::time::Duration,
     kill_after: Option<u64>,
@@ -130,40 +117,27 @@ impl PartitionLink for ProcessLink {
         // The send below (or a later flush) exhausts its retries
         // against a drilled dead endpoint and reports the link down.
         self.hand_step();
-        match &mut self.uplink {
-            ChildUplink::V1(uplink) => match uplink.send_at(sensor, seq, time, values) {
-                Ok(()) => Ok(LinkReply::Acked),
-                Err(e) => Err(LinkDown(e.to_string())),
-            },
-            ChildUplink::V2(uplink) => match uplink.send_at(sensor, seq, time, values) {
-                Ok(()) => Ok(LinkReply::Pipelined),
-                Err(e) => Err(LinkDown(e.to_string())),
-            },
-        }
+        self.uplink
+            .send_at(sensor, seq, time, values)
+            .map(|()| LinkReply::Pipelined)
+            .map_err(|e| LinkDown(e.to_string()))
     }
 
     fn flush(&mut self) -> Result<(), LinkDown> {
-        match &mut self.uplink {
-            ChildUplink::V1(_) => Ok(()),
-            ChildUplink::V2(uplink) => uplink.flush().map_err(|e| LinkDown(e.to_string())),
-        }
+        self.uplink.flush().map_err(|e| LinkDown(e.to_string()))
     }
 
     fn stats(&self) -> UplinkStats {
-        match &self.uplink {
-            ChildUplink::V1(uplink) => uplink.stats(),
-            ChildUplink::V2(uplink) => uplink.stats(),
-        }
+        self.uplink.stats()
     }
 
     fn migrate_cut(&mut self, start: u16, end: u16) -> Result<(u64, Vec<u8>), LinkDown> {
         // A kill coordinate reached between two sends lands on the cut
         // — the kill-source-mid-handoff drill.
         self.hand_step();
-        // Migration steps ride dedicated probe connections: the v2
-        // uplink's data socket may be mid-batch, the v1 socket is
-        // request/response framed, and a dead child simply times the
-        // probe out.
+        // Migration steps ride dedicated probe connections: the
+        // uplink's data socket may have frames in flight, and a dead
+        // child simply times the probe out.
         probe_migrate_cut(&self.addr, start, end, self.ack_timeout)
             .ok_or_else(|| LinkDown("migrate cut probe got no durable answer".into()))
     }
@@ -247,15 +221,11 @@ impl PartitionBackend for ProcessBackend {
         // accepting writes behind the new owner's back.
         transport.epoch = epoch;
         let ack_timeout = transport.ack_timeout;
-        let uplink = match self.config.protocol {
-            WireProtocol::V1 => ChildUplink::V1(SensorUplink::new(transport)),
-            WireProtocol::V2 => {
-                let mut pc = PipelinedConfig::new("");
-                pc.transport = transport;
-                pc.batch_size = self.config.batch_size.max(1);
-                ChildUplink::V2(PipelinedUplink::new(pc))
-            }
-        };
+        let mut pc = PipelinedConfig::new("");
+        pc.transport = transport;
+        // One reading a frame: arrival order is routed order.
+        pc.batch_size = 1;
+        let uplink = PipelinedUplink::new(pc);
         let kill_after = if epoch == 1 {
             self.config
                 .kills
@@ -281,11 +251,7 @@ impl PartitionBackend for ProcessBackend {
     }
 
     fn finish(&mut self, _p: PartitionId, mut link: ProcessLink) -> Result<(), BackendError> {
-        let closed = match link.uplink {
-            ChildUplink::V1(uplink) => uplink.finish().map(|_| ()),
-            ChildUplink::V2(uplink) => uplink.finish().map(|_| ()),
-        };
-        if let Err(e) = closed {
+        if let Err(e) = link.uplink.finish() {
             return Err(BackendError(format!("close handshake failed: {e}")));
         }
         // The child prints its report (exit 3 when flagged) and

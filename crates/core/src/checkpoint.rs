@@ -306,10 +306,7 @@ pub fn encode_shard(sensors: &[(SensorId, SensorSnapshot)]) -> String {
 /// # Errors
 ///
 /// Whatever `out` reports; a `String` never fails.
-pub fn write_shard<W: fmt::Write>(
-    out: &mut W,
-    sensors: &[(SensorId, SensorSnapshot)],
-) -> fmt::Result {
+fn write_shard<W: fmt::Write>(out: &mut W, sensors: &[(SensorId, SensorSnapshot)]) -> fmt::Result {
     writeln!(out, "{}", MAGICS[3])?;
     for (id, snap) in sensors {
         writeln!(out, "sensor {}", id.0)?;

@@ -587,7 +587,9 @@ impl Windower {
         let mut fresh = self.spare.pop().unwrap_or_default();
         fresh.reset();
         fresh.index = index;
-        fresh.start = index * self.window_duration;
+        // Only `finish` past the last whole window (a reading stamped
+        // near `u64::MAX`) can pass an index whose start overflows.
+        fresh.start = index.saturating_mul(self.window_duration);
         std::mem::replace(&mut self.current, fresh)
     }
 
@@ -639,8 +641,11 @@ impl Windower {
             self.current.index
         );
         let mut completed = Vec::new();
-        while target_index > self.current.index {
-            let done = self.roll_to(self.current.index + 1);
+        // Only the open window can hold readings: the ones between it
+        // and the target are empty, so the roll jumps straight there,
+        // however far ahead the reading is stamped.
+        if target_index > self.current.index {
+            let done = self.roll_to(target_index);
             // Skip emitting windows in which nothing arrived at all;
             // they carry no information (the paper requires w "large
             // enough to create nonempty sets").
@@ -650,8 +655,6 @@ impl Windower {
                 completed.push(done);
             }
         }
-        self.current.index = target_index;
-        self.current.start = target_index * self.window_duration;
         self.current.push(sensor, values);
         completed
     }
@@ -889,6 +892,26 @@ mod tests {
         // Only the non-empty window 0 is emitted; windows 1..9 had no data.
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].index, 0);
+    }
+
+    #[test]
+    fn a_reading_stamped_far_ahead_rolls_in_one_step() {
+        let mut w = Windower::new(300);
+        w.push(0, SensorId(0), &[1.0]);
+        let ahead = (1u64 << 40) * 300;
+        let done = w.push(ahead, SensorId(1), &[2.0]);
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].index, done[0].num_readings()), (0, 1));
+        assert_eq!(w.snapshot().index, 1 << 40);
+        assert_eq!(w.snapshot().start, ahead);
+
+        let done = w.push(u64::MAX, SensorId(0), &[3.0]);
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].index, done[0].start), (1 << 40, ahead));
+        let last = u64::MAX / 300;
+        let tail = w.finish().expect("the last window holds a reading");
+        assert_eq!((tail.index, tail.start), (last, last * 300));
+        assert_eq!(tail.num_readings(), 1);
     }
 
     #[test]

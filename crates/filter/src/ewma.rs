@@ -71,14 +71,14 @@ impl EwmaChart {
     }
 
     /// Current half-width of the control band.
-    pub fn control_halfwidth(&self) -> f64 {
+    fn control_halfwidth(&self) -> f64 {
         let lam = self.lambda;
         let var_factor = lam / (2.0 - lam) * (1.0 - (1.0 - lam).powi(2 * self.t as i32));
         self.l * self.sigma * var_factor.sqrt()
     }
 
     /// Whether the statistic currently violates the limits.
-    pub fn is_out_of_control(&self) -> bool {
+    fn is_out_of_control(&self) -> bool {
         self.t > 0 && (self.z - self.mu0).abs() > self.control_halfwidth()
     }
 

@@ -32,7 +32,7 @@
 //! A run of readings lives in one [`ReadingArena`] from the client's
 //! open batch to the window and from the log back in; one decoder
 //! (`Cursor::run`) fills it for the server's reader, the WAL scan and
-//! [`decode_payload`] alike. [`Message::DataBatch`]'s vectors are what
+//! [`decode_frame`] alike. [`Message::DataBatch`]'s vectors are what
 //! tests and the benchmark build frames from.
 
 use crate::crc::crc32;
@@ -73,7 +73,7 @@ const TAG_LOG_RUN: u8 = 16;
 
 /// Hard cap on readings per [`Message::DataBatch`] frame (the frame
 /// must also fit [`MAX_PAYLOAD`]). Enforced where frames enter:
-/// [`decode_payload`] refuses a longer batch with
+/// [`decode_frame`] refuses a longer batch with
 /// [`FrameError::BatchTooLong`], and neither the pipelined client nor
 /// the WAL writer ever builds one.
 pub const MAX_BATCH_READINGS: usize = 4096;
@@ -776,12 +776,6 @@ pub fn encode_payload(msg: &Message, out: &mut Vec<u8>) {
     }
 }
 
-/// [`decode_frame`] as a [`Message`] (a batch copied out of its arena),
-/// failing as it does.
-pub fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
-    decode_frame(payload).map(Frame::into_message)
-}
-
 /// Decodes one payload (tag byte first) into a [`Frame`].
 ///
 /// # Errors
@@ -1196,7 +1190,7 @@ mod tests {
         let len_at = 1 + 2 + 2 + 8;
         payload[len_at] = 5;
         assert!(matches!(
-            decode_payload(&payload),
+            decode_frame(&payload),
             Err(FrameError::ShortPayload {
                 tag: TAG_MIGRATE_ACCEPT,
                 ..
@@ -1284,7 +1278,7 @@ mod tests {
     #[test]
     fn batch_reading_cap_is_enforced_where_frames_enter() {
         let at_cap = batch_payload(MAX_BATCH_READINGS as u16);
-        match decode_payload(&at_cap) {
+        match decode_frame(&at_cap).map(Frame::into_message) {
             Ok(Message::DataBatch { readings, .. }) => {
                 assert_eq!(readings.len(), MAX_BATCH_READINGS)
             }
@@ -1295,7 +1289,6 @@ mod tests {
         let too_long = FrameError::BatchTooLong {
             count: MAX_BATCH_READINGS + 1,
         };
-        assert_eq!(decode_payload(&over), Err(too_long.clone()));
         assert_eq!(decode_frame(&over), Err(too_long.clone()));
         assert_eq!(
             decode_readings(&over, &mut ReadingArena::default()),
@@ -1466,7 +1459,7 @@ mod tests {
         let count_at = 1 + 2 + 8 + 8;
         payload[count_at..count_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         assert!(matches!(
-            decode_payload(&payload),
+            decode_frame(&payload),
             Err(FrameError::ShortPayload { tag: TAG_DATA, .. })
         ));
     }

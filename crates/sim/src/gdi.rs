@@ -52,11 +52,6 @@ pub fn day_config() -> SimConfig {
     base_config(DAY_S)
 }
 
-/// One simulated week — the Fig. 8 workload.
-pub fn week_config() -> SimConfig {
-    base_config(7 * DAY_S)
-}
-
 /// One simulated month (30 days) — the workload behind Fig. 7, the
 /// fault-classification study (Tables 2–5), and the attack studies.
 pub fn month_config() -> SimConfig {
@@ -103,6 +98,6 @@ mod tests {
     #[test]
     fn day_and_week_durations() {
         assert_eq!(day_config().duration, 86_400);
-        assert_eq!(week_config().duration, 7 * 86_400);
+        assert_eq!(base_config(7 * DAY_S).duration, 7 * 86_400);
     }
 }

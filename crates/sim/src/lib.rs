@@ -39,5 +39,5 @@ pub use network::{ground_truth, simulate, AttributeRange, BurstLoss, SimConfig};
 pub use sanitize::{
     sanitize_records, IngestError, IngestReport, RawRecord, Sanitizer, SanitizerSnapshot,
 };
-pub use stats::{clamp, standard_normal, Gaussian};
+pub use stats::{clamp, Gaussian};
 pub use types::{Payload, Reading, SensorId, Timestamp, Trace, TraceRecord};

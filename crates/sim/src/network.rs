@@ -55,7 +55,7 @@ pub struct BurstLoss {
 
 impl BurstLoss {
     /// Stationary fraction of time the link spends in the Bad state.
-    pub fn bad_fraction(&self) -> f64 {
+    fn bad_fraction(&self) -> f64 {
         self.p_enter_bad / (self.p_enter_bad + self.p_exit_bad)
     }
 

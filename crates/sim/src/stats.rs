@@ -59,7 +59,7 @@ impl Gaussian {
 
 /// Draws a standard normal `N(0, 1)` variate via the Box–Muller
 /// transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 ∈ (0, 1] so that ln(u1) is finite.
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
