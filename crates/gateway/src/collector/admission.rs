@@ -337,7 +337,8 @@ impl Collector {
             }
             let State { intake, down } = &mut self.state;
             let release = |time, sensor, values: &[f64]| down.take(time, sensor, values);
-            intake.admit_run(sensor, fresh.iter().map(|r| (r.time, r.values)), release);
+            let run = fresh.iter().map(|r| (r.time, r.values));
+            intake.admit_run(sensor, Some(logged_before), run, release);
             self.charge_admission(pass_start);
             let logged = self.wal.records_logged();
             let every = self.config.checkpoint_every;
@@ -509,10 +510,12 @@ impl Intake {
     /// with the watermark. A refused reading leading the run updates
     /// first, as it would alone: after a restore, that may silence the
     /// run's own sensor. The live path releases into [`Downstream::take`],
-    /// a reopen's replay into a batch for it.
+    /// a reopen's replay into a batch for it. `logged` is the log index
+    /// of the run's first reading.
     pub(super) fn admit_run<'a>(
         &mut self,
         sensor: SensorId,
+        logged: Option<u64>,
         run: impl IntoIterator<Item = (Timestamp, &'a [f64])>,
         mut release: impl FnMut(Timestamp, SensorId, &[f64]),
     ) {
@@ -525,7 +528,8 @@ impl Intake {
                 newest = newest.max(Some(time));
             }
         };
-        self.reorder.offer_run(sensor, run, outcome, &mut release);
+        self.reorder
+            .offer_run(sensor, logged, run, outcome, &mut release);
         self.reorder.release_ready(&mut release);
         if led_by_refusal == Some(true) {
             self.liveness.update(before);
@@ -616,14 +620,10 @@ impl Liveness {
 }
 
 #[cfg(test)]
-#[path = "../../../../tests/support/seeded.rs"]
-mod seeded;
-
-#[cfg(test)]
 mod tests {
     use super::super::tests::{baseline, config, stream, tmpdir};
-    use super::seeded::{Replay, TestRng};
     use super::*;
+    use crate::seeded::{Replay, TestRng};
     use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault, VfsOp};
     use crate::wal::FsyncPolicy;
     use std::fs;

@@ -99,16 +99,34 @@ impl Collector {
         self.commit_now(rp)
     }
 
+    /// Mutation seam for the model checker's self-test: from now on a
+    /// restore point names by log position every buffered reading of
+    /// this log, those below its base included — which the reclaim it
+    /// plans deletes. Reached only through
+    /// [`StepServer::name_below_base`](crate::harness::StepServer::name_below_base).
+    pub(crate) fn name_below_base(&mut self) {
+        self.name_below_base = true;
+    }
+
     /// Stage: the only part of a restore point that needs the live
     /// state — the reclaim plan and the snapshot *value* at exactly
-    /// `cursor`, on the admitting thread. No IO.
+    /// `cursor`, on the admitting thread. No IO. The snapshot names by
+    /// log position the buffered readings logged at or above the plan's
+    /// base, which the log keeps as long as this restore point is the
+    /// committed one; it copies the rest by value.
     pub(super) fn stage_restore_point(&mut self, cursor: u64, budget: u64) -> Arc<RestorePoint> {
         let start = std::time::Instant::now();
+        let plan = self.wal.plan_reclaim(cursor, budget);
+        let base = if self.name_below_base {
+            0
+        } else {
+            plan.base_records
+        };
         let rp = Arc::new(RestorePoint {
             cursor,
-            plan: self.wal.plan_reclaim(cursor, budget),
+            plan,
             commit: Mutex::new(Commit {
-                snapshot: Some(self.snapshot()),
+                snapshot: Some(self.state.restore_point(base)),
                 committed: None,
                 overlapped_ns: 0,
             }),
@@ -410,7 +428,9 @@ impl CheckpointData {
     }
 
     /// Decodes the snapshot body with a reader that has walked the
-    /// header first, so a malformed line is numbered as the file's.
+    /// header first, so a malformed line is numbered as the file's. A
+    /// redo cursor must fall in `[base, cursor)`: the log keeps nothing
+    /// below the base, and names nothing at or above the cursor.
     pub(super) fn snapshot(&self) -> Result<CollectorSnapshot, CheckpointError> {
         let mut r = Reader::new(&self.text);
         while r.rest().len() > self.text.len() - self.body_at {
@@ -418,6 +438,14 @@ impl CheckpointData {
         }
         let snap = read_collector(&mut r)?;
         r.finish()?;
+        if let Some(named) = &snap.reorder.by_position {
+            if !(self.base_records..self.cursor).contains(&named.redo) {
+                return Err(CheckpointError::Invalid(format!(
+                    "redo cursor {} outside [base {}, cursor {})",
+                    named.redo, self.base_records, self.cursor
+                )));
+            }
+        }
         Ok(snap)
     }
 }

@@ -87,7 +87,7 @@ impl Collector {
             }
         };
         let (_, outside) = split_snapshot(&self.snapshot(), range);
-        self.state = State::restore(&self.config, outside)?;
+        self.state = State::restore(&self.config, outside, self.wal.records_logged())?;
         self.seal_rebased_checkpoint()?;
         Ok((inside, cursor))
     }
@@ -121,7 +121,7 @@ impl Collector {
             return Err(WalError::Storage(e.clone()).into());
         }
         let merged = merge_snapshot(&self.snapshot(), inside);
-        self.state = State::restore(&self.config, merged)?;
+        self.state = State::restore(&self.config, merged, self.wal.records_logged())?;
         self.seal_rebased_checkpoint()?;
         let key = (range.start, range.end);
         if self.retired.contains(&key) {
@@ -169,7 +169,7 @@ impl Collector {
                 self.wal.base_records()
             )));
         }
-        self.state = State::restore(&self.config, inside.clone())?;
+        self.state = State::restore(&self.config, inside.clone(), self.wal.records_logged())?;
         self.seal_rebased_checkpoint()
     }
 
@@ -201,6 +201,11 @@ impl Collector {
         let names = vfs
             .list(dir)
             .map_err(|e| GatewayError::Io(dir.clone(), e))?;
+        if snap.reorder.by_position.is_some() {
+            return Err(GatewayError::MigrationCut(
+                "a shipped snapshot names readings by a log the destination lacks".into(),
+            ));
+        }
         if names
             .iter()
             .any(|n| n == CHECKPOINT_FILE || (n.starts_with("wal-") && n.ends_with(".seg")))

@@ -20,7 +20,8 @@
 //! Periodic checkpoints are *restore points*: a checkpoint records the
 //! WAL cursor plus a full [`CollectorSnapshot`] (pipeline, reorder
 //! buffer, sanitizer, dedup state, liveness accounting) at that
-//! cursor. While the full log is present, replay re-derives the
+//! cursor — the buffered readings the log still holds named by their
+//! log position, the rest copied by value. While the full log is present, replay re-derives the
 //! snapshot when it passes the cursor and fails loudly on mismatch, so
 //! silent WAL corruption (or a non-deterministic code change) cannot
 //! masquerade as a clean recovery. Once **checkpoint-gated retention**
@@ -54,7 +55,7 @@ pub(crate) use checkpoint::RestorePoint;
 pub use checkpoint::CHECKPOINT_FILE;
 
 use crate::frame::ReadingArena;
-use crate::reorder::{AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot};
+use crate::reorder::{AdmitOutcome, ByPosition, ReorderBuffer, ReorderConfig, ReorderSnapshot};
 use crate::snapshot::{
     encode_collector, merge_snapshot, split_snapshot, write_collector, CollectorSnapshot,
 };
@@ -64,7 +65,7 @@ use crate::wal::{
 };
 use checkpoint::{read_checkpoint, read_fence, write_fence};
 use migration::read_retired;
-use replay::Replay;
+use replay::{Check, Replay};
 use sentinet_core::{Pipeline, PipelineConfig, PipelineReport, RecoveryPlan};
 use sentinet_sim::{IngestError, IngestReport, Sanitizer, SensorId, Timestamp};
 use std::cmp::Reverse;
@@ -467,6 +468,9 @@ pub struct Collector {
     restore_staged: Option<Arc<RestorePoint>>,
     /// The one restore point handed to the syncer and not yet landed.
     restore_in_flight: Option<Arc<RestorePoint>>,
+    /// Mutation seam: restore points name by position readings below
+    /// their base too (see [`Collector::name_below_base`]).
+    name_below_base: bool,
 }
 
 impl fmt::Debug for Collector {
@@ -587,29 +591,38 @@ impl Collector {
             .as_ref()
             .map(|c| (c.base_segment, c.base_records));
         // Restore mode (the prefix below the cursor was reclaimed)
-        // replays from the snapshot at the cursor; full-log mode replays
+        // replays from the snapshot at the cursor, refilling on the way
+        // there the readings it names by position; full-log mode replays
         // everything, verifying the snapshot where the cursor falls.
         let restore = checkpoint.as_ref().filter(|c| c.base_records > 0);
+        let mut named = None;
         let mut state = match restore {
             Some(ck) => ck
                 .snapshot()
                 .map_err(checkpoint::malformed(CHECKPOINT_FILE))
-                .and_then(|snap| State::restore(&config, snap)),
+                .and_then(|mut snap| {
+                    named = snap.reorder.by_position.take();
+                    State::restore(&config, snap, ck.cursor)
+                }),
             None => Ok(State::new(&config)),
         };
         let from = restore.map_or(0, |ck| ck.cursor);
-        let verify = checkpoint.as_ref().filter(|_| restore.is_none());
+        let check = match (restore, &named) {
+            (Some(ck), Some(named)) => Some(Check::Refill(named, ck.cursor)),
+            (Some(_), None) => None,
+            (None, _) => checkpoint.as_ref().map(Check::Verify),
+        };
         // Every refusal waits for the scan: its errors come first.
         let replay = Replay {
             at: base.map_or(0, |(_, records)| records),
             from,
-            verify,
+            check,
         };
         let opened = match &mut state {
             Ok(state) => replay.run(config.wal.clone(), base, state),
             Err(_) => replay.discard(config.wal.clone(), base),
         };
-        let (wal, matched) = match opened {
+        let (wal, verdict) = match opened {
             Ok(opened) => opened,
             Err(WalError::MissingPrefix { first_segment, .. }) if checkpoint.is_none() => {
                 return Err(GatewayError::CheckpointMissing { first_segment })
@@ -626,12 +639,13 @@ impl Collector {
             return Err(GatewayError::CheckpointMalformed(below));
         }
         let state = state?;
-        if matched == Some(false) {
-            return Err(GatewayError::CheckpointMismatch { cursor });
+        let verified = verdict.is_some() && restore.is_none();
+        if let Some(Err(refused)) = verdict {
+            return Err(refused);
         }
         let info = RecoveryInfo {
             replayed: recovered - from,
-            verified_cursor: matched.map(|_| cursor),
+            verified_cursor: verified.then_some(cursor),
             restored_from: restore.map(|_| cursor),
         };
         // What no snapshot carries (storage health, timings) starts fresh.
@@ -655,6 +669,7 @@ impl Collector {
             checkpoint_overlapped_ns: 0,
             restore_staged: None,
             restore_in_flight: None,
+            name_below_base: false,
         };
         Ok((collector, info))
     }
@@ -783,10 +798,20 @@ impl State {
         }
     }
 
-    /// The state `snap` describes, accounting ledger (accepted count,
-    /// rejection log, silence episodes) included: rebasing onto a split
-    /// half keeps the ledger where the split left it.
-    fn restore(config: &GatewayConfig, snap: CollectorSnapshot) -> Result<Self, GatewayError> {
+    /// The state `snap` describes, taken at log index `cursor`,
+    /// accounting ledger (accepted count, rejection log, silence
+    /// episodes) included: rebasing onto a split half keeps the ledger
+    /// where the split left it. Readings named by position are the
+    /// caller's to refill; a snapshot still naming any is refused.
+    fn restore(
+        config: &GatewayConfig,
+        snap: CollectorSnapshot,
+        cursor: u64,
+    ) -> Result<Self, GatewayError> {
+        if snap.reorder.by_position.is_some() {
+            let named = "a snapshot naming readings by log position restores only over its own log";
+            return Err(GatewayError::CheckpointMalformed(named.into()));
+        }
         let pipeline =
             Pipeline::from_snapshot(config.pipeline.clone(), config.sample_period, snap.pipeline)
                 .map_err(|e| GatewayError::CheckpointMalformed(e.to_string()))?;
@@ -795,10 +820,12 @@ impl State {
             let above = above.into_iter().collect();
             (sensor, SeqTracker { next, above })
         });
+        let mut reorder = ReorderBuffer::from_snapshot(config.reorder.clone(), snap.reorder);
+        reorder.restored_at(cursor);
         Ok(Self {
             intake: Intake {
                 seqs: seqs.collect(),
-                reorder: ReorderBuffer::from_snapshot(config.reorder.clone(), snap.reorder),
+                reorder,
                 liveness: Liveness::restore(deadline, snap.last_heard, snap.silent, snap.episodes),
             },
             down: Downstream {
@@ -814,11 +841,26 @@ impl State {
     fn snapshot(&self) -> CollectorSnapshot {
         self.down.snapshot(self.intake.snapshot())
     }
+
+    /// The snapshot a restore point with base `base` carries
+    /// ([`ReorderBuffer::restore_point`]).
+    fn restore_point(&self, base: u64) -> CollectorSnapshot {
+        self.down.snapshot(self.intake.restore_point(base))
+    }
 }
 
 impl Intake {
     /// This half of [`Collector::snapshot`].
     fn snapshot(&self) -> IntakeSnapshot {
+        self.with_reorder(self.reorder.snapshot())
+    }
+
+    /// This half of [`State::restore_point`].
+    fn restore_point(&self, base: u64) -> IntakeSnapshot {
+        self.with_reorder(self.reorder.restore_point(base))
+    }
+
+    fn with_reorder(&self, reorder: ReorderSnapshot) -> IntakeSnapshot {
         let Liveness {
             heard,
             silent,
@@ -826,7 +868,7 @@ impl Intake {
             ..
         } = &self.liveness;
         IntakeSnapshot {
-            reorder: self.reorder.snapshot(),
+            reorder,
             seqs: self
                 .seqs
                 .iter()

@@ -18,11 +18,19 @@
 //! too, so every byte of it is allocated there — then compares bytes
 //! while the replay goes on.
 //!
+//! A restored snapshot that names buffered readings by log position is
+//! completed on the way to its cursor: from its redo cursor on, each
+//! logged reading only refills the reorder buffer
+//! ([`ReorderBuffer::refill`]) — no dedup, liveness or downstream — and
+//! at the cursor the opening thread checks that every named front was
+//! reached before the replay proper starts.
+//!
 //! Until [`WORKER_BYTES`] of log are read the same two halves run
 //! inline, batch by batch: on a small log a thread costs more than the
 //! overlap saves.
 
 use super::*;
+use crate::snapshot::is_current_layout;
 use crate::wal::{scan_segment, Scanned};
 use std::ops::Range;
 use std::path::Path;
@@ -74,20 +82,38 @@ pub(super) struct Replay<'c> {
     pub(super) at: u64,
     /// Readings below this index are the restored snapshot's.
     pub(super) from: u64,
-    /// The checkpoint to verify where its cursor falls.
-    pub(super) verify: Option<&'c CheckpointData>,
+    /// What happens at the checkpoint's cursor.
+    pub(super) check: Option<Check<'c>>,
+}
+
+/// What a reopen does at its checkpoint's cursor.
+pub(super) enum Check<'c> {
+    /// Compare the replayed state with the checkpoint, byte for byte.
+    Verify(&'c CheckpointData),
+    /// The restored snapshot names readings by position: refill them
+    /// from the redo cursor up to `cursor`, then check the fronts.
+    Refill(&'c ByPosition, u64),
+}
+
+impl Check<'_> {
+    fn cursor(&self) -> u64 {
+        match self {
+            Check::Verify(ck) => ck.cursor,
+            Check::Refill(_, cursor) => *cursor,
+        }
+    }
 }
 
 impl Replay<'_> {
     /// Opens the log and replays each record from `from` on into
     /// `state`, returning the log and, once the replay passed the
-    /// verified checkpoint's cursor, whether the state there matched it.
+    /// checkpoint's cursor, the verdict of the check there.
     pub(super) fn run(
         self,
         config: WalConfig,
         base: Option<(u64, u64)>,
         state: &mut State,
-    ) -> Result<(Wal, Option<bool>), WalError> {
+    ) -> Result<(Wal, Verdict), WalError> {
         let State { intake, down } = state;
         let shared = Mutex::new(intake);
         let front = Front {
@@ -96,13 +122,17 @@ impl Replay<'_> {
             batch: batch(),
             at: self.at,
             from: self.from,
-            cut: self.verify.map(|ck| ck.cursor),
+            cut: self.check.as_ref().map(Check::cursor),
+            refill: match self.check {
+                Some(Check::Refill(named, _)) => Some(named),
+                _ => None,
+            },
         };
         let back = Back {
             intake: &shared,
             down,
-            verify: self.verify,
-            matched: None,
+            check: self.check,
+            verdict: None,
         };
         // The worker, if one started, ends when the opener (and with it
         // the segment queue) is dropped, before the scope joins it.
@@ -115,7 +145,7 @@ impl Replay<'_> {
                 read: 0,
             };
             let wal = Wal::open_with(config, base, &mut |path, bytes| opener.segment(path, bytes))?;
-            Ok((wal, opener.back.matched))
+            Ok((wal, opener.back.verdict))
         })
     }
 
@@ -126,7 +156,7 @@ impl Replay<'_> {
         self,
         config: WalConfig,
         base: Option<(u64, u64)>,
-    ) -> Result<(Wal, Option<bool>), WalError> {
+    ) -> Result<(Wal, Verdict), WalError> {
         let mut frame = ReadingArena::default();
         let mut scan = |path: &Path, bytes: Vec<u8>| {
             scan_segment(path, &bytes, &mut frame, &mut |_, _, _: &ReadingArena| {})
@@ -166,6 +196,10 @@ impl Opener<'_, '_, '_> {
     }
 }
 
+/// What the check at the cursor found, once the replay passed it: `Ok`,
+/// or the refusal [`Collector::open`] returns.
+pub(super) type Verdict = Option<Result<(), GatewayError>>;
+
 /// The intake half: scans a segment and replays each verified frame
 /// through dedup, reorder and liveness, releasing into its batch.
 struct Front<'s> {
@@ -180,6 +214,9 @@ struct Front<'s> {
     from: u64,
     /// The cursor at which the snapshot is checked.
     cut: Option<u64>,
+    /// The readings the restored snapshot names by position, refilled
+    /// from the redo cursor up to `cut`.
+    refill: Option<&'s ByPosition>,
 }
 
 impl Front<'_> {
@@ -199,22 +236,33 @@ impl Front<'_> {
             at,
             from,
             cut,
+            refill,
         } = self;
         let mut out = Batcher { batch, hand };
         let scanned = scan_segment(path, bytes, frame, &mut |sensor, seq, run| {
             let (start, len) = (*at, run.len());
             *at += len as u64;
-            let skip = from.saturating_sub(start).min(len as u64) as usize;
+            let offset = |index: u64| index.saturating_sub(start).min(len as u64) as usize;
+            let mut held = lock(intake);
+            if let (Some(named), Some(cursor)) = (*refill, *cut) {
+                held.refill(
+                    sensor,
+                    named,
+                    start,
+                    run,
+                    offset(named.redo)..offset(cursor),
+                );
+            }
+            let skip = offset(*from);
             let cut = cut.filter(|&cursor| start < cursor && cursor <= *at);
             let mid = cut.map_or(len, |cursor| (cursor - start) as usize);
-            let mut held = lock(intake);
-            held.replay(sensor, seq, run, skip..mid, &mut out);
+            held.replay(sensor, seq, start, run, skip..mid, &mut out);
             if cut.is_some() {
                 out.flush();
                 drop(held);
                 out.hand.cut();
                 held = lock(intake);
-                held.replay(sensor, seq, run, mid..len, &mut out);
+                held.replay(sensor, seq, start, run, mid..len, &mut out);
             }
         });
         out.flush();
@@ -223,13 +271,31 @@ impl Front<'_> {
 }
 
 impl Intake {
-    /// Replays readings `at` of one logged frame from seq `seq` on:
-    /// seen by the dedup tracker, then admitted through the live path's
-    /// run admission, released into `out`.
+    /// Refills the reorder buffer with readings `at` of one logged frame
+    /// whose first reading is log index `start`, when `named` names the
+    /// sensor's buffered readings by position.
+    fn refill(
+        &mut self,
+        sensor: SensorId,
+        named: &ByPosition,
+        start: u64,
+        frame: &ReadingArena,
+        at: Range<usize>,
+    ) {
+        if let Some(front) = named.front(sensor).filter(|_| !at.is_empty()) {
+            let logged = start + at.start as u64;
+            self.reorder.refill(sensor, front, logged, frame.range(at));
+        }
+    }
+
+    /// Replays readings `at` of one logged frame from seq `seq` and log
+    /// index `start` on: seen by the dedup tracker, then admitted
+    /// through the live path's run admission, released into `out`.
     fn replay(
         &mut self,
         sensor: SensorId,
         seq: u64,
+        start: u64,
         frame: &ReadingArena,
         at: Range<usize>,
         out: &mut Batcher<'_, impl Hand>,
@@ -239,7 +305,8 @@ impl Intake {
         }
         let tracker = self.seqs.entry(sensor).or_default();
         tracker.observe_run(seq.wrapping_add(at.start as u64), at.len() as u64);
-        self.admit_run(sensor, frame.range(at), |time, sensor, values| {
+        let logged = Some(start + at.start as u64);
+        self.admit_run(sensor, logged, frame.range(at), |time, sensor, values| {
             out.push(time, sensor, values);
         });
     }
@@ -281,12 +348,21 @@ impl<H: Hand> Batcher<'_, H> {
 }
 
 /// The downstream half, on the opening thread: applies the released
-/// readings in order and checks the snapshot at the cursor.
+/// readings in order and runs the check at the cursor.
 struct Back<'s, 'c> {
     intake: &'s Shared<'s>,
     down: &'s mut Downstream,
-    verify: Option<&'c CheckpointData>,
-    matched: Option<bool>,
+    check: Option<Check<'c>>,
+    verdict: Verdict,
+}
+
+/// What the check at the cursor takes from the intake while the replay
+/// waits there.
+enum AtCut {
+    /// The intake's half of the snapshot to compare.
+    Half(IntakeSnapshot),
+    /// Whether the refill reached every front.
+    Refilled(Result<(), String>),
 }
 
 impl Hand for Back<'_, '_> {
@@ -298,19 +374,49 @@ impl Hand for Back<'_, '_> {
     }
 
     fn cut(&mut self) {
-        let half = lock(self.intake).snapshot();
-        self.check(half);
+        let taken = self.take();
+        self.settle(taken);
     }
 }
 
 impl Back<'_, '_> {
-    /// Compares the snapshot `half` completes with the checkpoint body.
-    fn check(&mut self, half: IntakeSnapshot) {
-        let Some(ck) = self.verify else { return };
-        let now = encode_collector(&self.down.snapshot(half));
-        // An older binary's (layout v1 to v3) matches once re-encoded.
-        let older = || ck.snapshot().is_ok_and(|s| encode_collector(&s) == now);
-        self.matched = Some(now == ck.body() || older());
+    /// The intake's part of the check, under its lock. A full log's
+    /// restore point names readings by position from base 0; an older
+    /// layout's wrote them all by value.
+    fn take(&self) -> Option<AtCut> {
+        let mut intake = lock(self.intake);
+        Some(match self.check.as_ref()? {
+            Check::Verify(ck) if is_current_layout(ck.body()) => {
+                AtCut::Half(intake.restore_point(0))
+            }
+            Check::Verify(_) => AtCut::Half(intake.snapshot()),
+            Check::Refill(named, _) => AtCut::Refilled(intake.reorder.check_refill(named)),
+        })
+    }
+
+    /// Completes the check with what [`Back::take`] took: the snapshot
+    /// `half` completes is compared with the checkpoint body — an older
+    /// layout's once re-encoded.
+    fn settle(&mut self, taken: Option<AtCut>) {
+        let verdict = match (taken, &self.check) {
+            (Some(AtCut::Half(half)), Some(Check::Verify(ck))) => {
+                let now = encode_collector(&self.down.snapshot(half));
+                let matched = if is_current_layout(ck.body()) {
+                    now == ck.body()
+                } else {
+                    ck.snapshot().is_ok_and(|s| encode_collector(&s) == now)
+                };
+                let cursor = ck.cursor;
+                matched
+                    .then_some(())
+                    .ok_or(GatewayError::CheckpointMismatch { cursor })
+            }
+            (Some(AtCut::Refilled(refilled)), _) => {
+                refilled.map_err(GatewayError::CheckpointMalformed)
+            }
+            _ => return,
+        };
+        self.verdict = Some(verdict);
     }
 }
 
@@ -417,9 +523,9 @@ impl Link {
                         let _ = self.free.send(batch);
                     }
                     Post::Cut => {
-                        let half = lock(back.intake).snapshot();
+                        let taken = back.take();
                         let _ = self.resume.send(());
-                        back.check(half);
+                        back.settle(taken);
                     }
                     Post::Segment(lent, scanned) => {
                         drop(lent);

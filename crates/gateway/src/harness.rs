@@ -256,6 +256,13 @@ impl StepServer {
         self.restore_waits = false;
     }
 
+    /// Mutation seam for the model checker's self-test: from now on a
+    /// restore point names by log position buffered readings below its
+    /// base too — readings its own reclaim deletes.
+    pub fn name_below_base(&mut self) {
+        self.collector.name_below_base();
+    }
+
     /// Whether a started sync has not completed yet.
     pub fn sync_in_flight(&self) -> bool {
         self.in_flight.is_some()

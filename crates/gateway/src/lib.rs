@@ -47,6 +47,10 @@ pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 
+#[cfg(test)]
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 pub use client::{
     probe_heartbeat, probe_migrate_adopt, probe_migrate_cut, probe_migrate_done, PipelinedConfig,
     PipelinedUplink, SensorUplink, UplinkConfig, UplinkError, UplinkStats,
@@ -66,7 +70,8 @@ pub use netsim::{
 };
 pub use protocol::{AckDiscipline, QueuedAck};
 pub use reorder::{
-    AdmitOutcome, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats, RETAINED_VALUES,
+    AdmitOutcome, ByPosition, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats,
+    RETAINED_VALUES,
 };
 pub use server::{Server, ServerConfig, ServerStats};
 pub use snapshot::{

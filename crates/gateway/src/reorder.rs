@@ -40,6 +40,23 @@
 //! capacity, a record the drain had released, and count a repeat of a
 //! released slot as a duplicate instead of late. `offer`, `drain_ready`
 //! and `flush` are owned-record adapters.
+//!
+//! Every slot also records its record's log index, or none (a record
+//! restored by value, or offered through an adapter). That lets a
+//! restore point ([`ReorderBuffer::restore_point`]) name the records
+//! logged at or above its base **by log position** — per sensor, the
+//! time of the first one, plus one redo cursor for the whole buffer —
+//! instead of copying their values. At rest every buffered record lies
+//! above the watermark and above its sensor's release mark, so a logged
+//! record of that sensor at or after its named front, from the redo
+//! cursor on, was admitted and is still buffered — unless its queue
+//! shed a record, or refused a duplicate of one, since the redo cursor:
+//! a straggler can land ahead of a shed record, and a refused duplicate
+//! repeats a held slot. A queue therefore remembers the newest log index
+//! at which it did either, and such a queue is written by value. A
+//! reopen puts the named records back with [`ReorderBuffer::refill`],
+//! where a slot met twice is damage, and checks the fronts with
+//! [`ReorderBuffer::check_refill`].
 
 use crate::frame::ReadingArena;
 use sentinet_sim::{RawRecord, SensorId, Timestamp};
@@ -93,24 +110,45 @@ pub struct ReorderStats {
     pub shed: usize,
 }
 
+/// A slot's key: the record's time and its log index, if it has one.
+type Slot = (Timestamp, Option<u64>);
+
 /// One sensor's buffered records, oldest first from `head`, with
 /// strictly increasing times (a same-slot arrival is a duplicate,
 /// never a second entry).
 #[derive(Debug, Default)]
 struct SensorQueue {
     sensor: SensorId,
-    slab: ReadingArena,
+    slab: ReadingArena<Slot>,
     head: usize,
     last_released: Option<Timestamp>,
+    /// The newest log index at which this queue may have shed a record
+    /// or refused a duplicate (`u64::MAX`: anywhere, for a queue whose
+    /// history is unknown).
+    disturbed_at: Option<u64>,
 }
 
 impl SensorQueue {
-    fn live(&self) -> &[(Timestamp, usize)] {
+    fn live(&self) -> &[(Slot, usize)] {
         &self.slab.marks[self.head..]
     }
 
     fn front_time(&self) -> Option<Timestamp> {
-        self.live().first().map(|&(time, _)| time)
+        self.live().first().map(|&((time, _), _)| time)
+    }
+
+    /// The lowest log index among the live records logged at or above
+    /// `base`.
+    fn lowest_logged(&self, base: u64) -> Option<u64> {
+        let live = self.live().iter();
+        live.filter_map(|&((_, at), _)| at.filter(|&at| at >= base))
+            .min()
+    }
+
+    /// Notes that the record at log index `at` shed a record or was
+    /// refused as a duplicate.
+    fn disturb(&mut self, at: Option<u64>) {
+        self.disturbed_at = self.disturbed_at.max(Some(at.unwrap_or(u64::MAX)));
     }
 
     /// Where a record at `time` belongs among the live records:
@@ -120,21 +158,23 @@ impl SensorQueue {
     fn position(&self, time: Timestamp) -> Result<usize, usize> {
         let live = self.live();
         match live.last() {
-            Some(&(back, _)) if back >= time => live.binary_search_by_key(&time, |&(t, _)| t),
+            Some(&((back, _), _)) if back >= time => {
+                live.binary_search_by_key(&time, |&((t, _), _)| t)
+            }
             _ => Err(live.len()),
         }
     }
 
     /// Copies a record in at live `position`: onto the slab's end, or
     /// spliced in front of the records it precedes.
-    fn insert(&mut self, position: usize, time: Timestamp, values: &[f64]) {
+    fn insert(&mut self, position: usize, slot: Slot, values: &[f64]) {
         let (at, slab) = (self.head + position, &mut self.slab);
         if at == slab.len() {
-            return slab.push(time, values);
+            return slab.push(slot, values);
         }
         let start = slab.start(at);
         slab.values.splice(start..start, values.iter().copied());
-        slab.marks.insert(at, (time, start));
+        slab.marks.insert(at, (slot, start));
         slab.marks[at..]
             .iter_mut()
             .for_each(|(_, end)| *end += values.len());
@@ -200,20 +240,47 @@ pub struct ReorderBuffer {
     fronts: BinaryHeap<Reverse<(Timestamp, SensorId)>>,
     watermark: Option<Timestamp>,
     stats: ReorderStats,
+    /// The first slot a refill met held already.
+    named_twice: Option<(SensorId, Timestamp)>,
 }
 
 /// Plain-data image of a [`ReorderBuffer`], for checkpointing the
 /// transport layer alongside the pipeline it feeds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReorderSnapshot {
-    /// Buffered records keyed `(time, sensor)`, in release order.
+    /// Buffered records written by value, keyed `(time, sensor)`, in
+    /// release order.
     pub buffer: ReadingArena<(Timestamp, SensorId)>,
+    /// The buffered records a restore point names by log position
+    /// instead ([`ReorderBuffer::restore_point`]); `None` when every
+    /// record is in `buffer`.
+    pub by_position: Option<ByPosition>,
     /// Per-sensor last released timestamp.
     pub last_released: Vec<(SensorId, Timestamp)>,
     /// The release watermark, if any record has been admitted.
     pub watermark: Option<Timestamp>,
     /// Drop accounting so far.
     pub stats: ReorderStats,
+}
+
+/// The buffered records a restore point names by log position: every
+/// record of each listed sensor logged from `redo` up to the restore
+/// point's cursor at or after the sensor's front.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ByPosition {
+    /// The smallest log index among them.
+    pub redo: u64,
+    /// Each named sensor's front — the time of its first record named
+    /// by position — in ascending sensor order; never empty.
+    pub fronts: Vec<(SensorId, Timestamp)>,
+}
+
+impl ByPosition {
+    /// `sensor`'s front, if the restore point names it by position.
+    pub fn front(&self, sensor: SensorId) -> Option<Timestamp> {
+        let at = self.fronts.binary_search_by_key(&sensor, |&(s, _)| s);
+        at.ok().map(|at| self.fronts[at].1)
+    }
 }
 
 impl ReorderBuffer {
@@ -226,6 +293,7 @@ impl ReorderBuffer {
             fronts: BinaryHeap::new(),
             watermark: None,
             stats: ReorderStats::default(),
+            named_twice: None,
         }
     }
 
@@ -249,9 +317,12 @@ impl ReorderBuffer {
     /// reading after the first, whatever the one before freed. Follow
     /// it with [`release_ready`](Self::release_ready) for what the last
     /// one freed; the module header says why releases interleave.
+    /// `logged` is the log index of the run's first reading, the rest
+    /// following it one by one; `None` for a run not logged.
     pub fn offer_run<'v>(
         &mut self,
         sensor: SensorId,
+        logged: Option<u64>,
         run: impl IntoIterator<Item = (Timestamp, &'v [f64])>,
         mut outcome: impl FnMut(Timestamp, AdmitOutcome),
         mut release: impl FnMut(Timestamp, SensorId, &[f64]),
@@ -261,7 +332,8 @@ impl ReorderBuffer {
             if i > 0 {
                 self.release_ready(&mut release);
             }
-            outcome(time, self.admit(at, time, values));
+            let slot = (time, logged.map(|first| first + i as u64));
+            outcome(time, self.admit(at, slot, values));
         }
     }
 
@@ -284,7 +356,7 @@ impl ReorderBuffer {
     pub fn offer(&mut self, record: RawRecord) -> AdmitOutcome {
         let mut admitted = AdmitOutcome::Late;
         let run = [(record.time, record.values.as_slice())];
-        self.offer_run(record.sensor, run, |_, o| admitted = o, |_, _, _| {});
+        self.offer_run(record.sensor, None, run, |_, o| admitted = o, |_, _, _| {});
         admitted
     }
 
@@ -301,19 +373,59 @@ impl ReorderBuffer {
     /// Captures the buffer's contents and accounting for checkpointing:
     /// the slabs' live records in release order, copied flat.
     pub fn snapshot(&self) -> ReorderSnapshot {
-        let live = self.queues.iter().map(|q| q.live().len()).sum();
-        let mut buffer = Vec::with_capacity(live);
-        for q in &self.queues {
+        self.snapshot_naming(&vec![None; self.queues.len()], 0)
+    }
+
+    /// [`snapshot`](Self::snapshot) as a restore point with base `base`
+    /// writes it: a sensor's records logged at or above `base` are named
+    /// by position, unless its queue shed or refused a duplicate at or
+    /// above the lowest log index among all such records; every other
+    /// record is copied by value.
+    pub fn restore_point(&self, base: u64) -> ReorderSnapshot {
+        let lowest: Vec<Option<u64>> = self.queues.iter().map(|q| q.lowest_logged(base)).collect();
+        let floor = lowest.iter().flatten().min();
+        let named = self.queues.iter().zip(&lowest).map(|(q, &low)| {
+            let settled = floor.is_some_and(|&floor| q.disturbed_at.is_none_or(|at| at < floor));
+            low.filter(|_| settled)
+        });
+        self.snapshot_naming(&named.collect::<Vec<_>>(), base)
+    }
+
+    /// The snapshot naming by position queue `i`'s records logged at or
+    /// above `base` when `named[i]` holds the lowest log index among
+    /// them, copying every other record by value.
+    fn snapshot_naming(&self, named: &[Option<u64>], base: u64) -> ReorderSnapshot {
+        let by_value =
+            |&((_, at), _): &(Slot, &[f64]), named: bool| !named || at.is_none_or(|at| at < base);
+        let mut buffer = Vec::new();
+        for (q, n) in self.queues.iter().zip(named) {
             let records = q.slab.range(q.head..q.slab.len());
-            buffer.extend(records.map(|(time, values)| ((time, q.sensor), values)));
+            let kept = records.filter(|record| by_value(record, n.is_some()));
+            buffer.extend(kept.map(|((time, _), values)| ((time, q.sensor), values)));
         }
         // One sorted run per slab: the stable sort merges runs.
         buffer.sort_by_key(|&(key, _)| key);
         let mut flat = ReadingArena::default();
-        flat.reserve(live, buffer.iter().map(|(_, values)| values.len()).sum());
+        flat.reserve(
+            buffer.len(),
+            buffer.iter().map(|(_, values)| values.len()).sum(),
+        );
         flat.extend(buffer);
+        let fronts = self.queues.iter().zip(named).filter(|(_, n)| n.is_some());
+        let fronts: Vec<_> = fronts
+            .filter_map(|(q, _)| {
+                let mut records = q.slab.range(q.head..q.slab.len());
+                let front = records.find(|record| !by_value(record, true));
+                front.map(|((time, _), _)| (q.sensor, time))
+            })
+            .collect();
         ReorderSnapshot {
             buffer: flat,
+            by_position: named
+                .iter()
+                .flatten()
+                .min()
+                .map(|&redo| ByPosition { redo, fronts }),
             last_released: self
                 .queues
                 .iter()
@@ -326,10 +438,13 @@ impl ReorderBuffer {
 
     /// Rebuilds a buffer from a snapshot taken under the same config;
     /// admit/release decisions continue exactly as the captured
-    /// instance's would. The parts are untrusted: a record that cannot
-    /// stay is dropped, counted, by the rule an offer would have used —
-    /// late at or behind its sensor's release mark (the newest, if
-    /// marked twice), duplicate in a taken slot, shed over capacity.
+    /// instance's would once [`refill`](Self::refill) has put back the
+    /// records it names by position. The parts are untrusted: a record
+    /// that cannot stay is dropped, counted, by the rule an offer would
+    /// have used — late at or behind its sensor's release mark (the
+    /// newest, if marked twice), duplicate in a taken slot, shed over
+    /// capacity. No restored queue is named by position again until
+    /// [`restored_at`](Self::restored_at) says where its history starts.
     pub fn from_snapshot(config: ReorderConfig, snapshot: ReorderSnapshot) -> Self {
         let mut restored = Self::new(config);
         restored.watermark = snapshot.watermark;
@@ -347,7 +462,7 @@ impl ReorderBuffer {
                 continue;
             }
             match queue.position(time) {
-                Err(position) => queue.insert(position, time, values),
+                Err(position) => queue.insert(position, (time, None), values),
                 Ok(_) => restored.stats.duplicates += 1,
             }
         }
@@ -357,13 +472,94 @@ impl ReorderBuffer {
             let over = queue.live().len().saturating_sub(capacity);
             (0..over).for_each(|_| queue.pop_front());
             restored.stats.shed += over;
+            queue.disturbed_at = Some(u64::MAX);
         }
         restored.rebuild_fronts();
         restored
     }
 
+    /// A restored buffer's queues may have shed or refused a duplicate
+    /// anywhere below `cursor`, the log index its snapshot was taken at,
+    /// and nowhere above it.
+    pub(crate) fn restored_at(&mut self, cursor: u64) {
+        for queue in &mut self.queues {
+            queue.disturbed_at = cursor.checked_sub(1);
+        }
+    }
+
+    /// Puts back `sensor`'s logged `run`, its first reading at log index
+    /// `logged`, for a restore point that named the sensor's records
+    /// from `front` on by position: each reading at or after the front
+    /// takes its slot. Nothing else — watermark, marks, counters —
+    /// moves. A slot already held was named twice, which no restore
+    /// point does; the first is noted for [`check_refill`](Self::check_refill)
+    /// and the reading dropped.
+    pub(crate) fn refill<'v>(
+        &mut self,
+        sensor: SensorId,
+        front: Timestamp,
+        logged: u64,
+        run: impl IntoIterator<Item = (Timestamp, &'v [f64])>,
+    ) {
+        let at = self.queue_of(sensor);
+        let queue = &mut self.queues[at];
+        for (i, (time, values)) in run.into_iter().enumerate() {
+            if time >= front {
+                match queue.position(time) {
+                    Err(position) => {
+                        queue.insert(position, (time, Some(logged + i as u64)), values)
+                    }
+                    Ok(_) => {
+                        self.named_twice.get_or_insert((sensor, time));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ends a refill: no slot was named twice, and every named sensor's
+    /// first logged record is its front, its queue within its capacity.
+    ///
+    /// # Errors
+    ///
+    /// What the log failed to give back.
+    pub(crate) fn check_refill(&mut self, named: &ByPosition) -> Result<(), String> {
+        self.rebuild_fronts();
+        if let Some((sensor, time)) = self.named_twice.take() {
+            return Err(format!(
+                "sensor {}'s reading at {time} is named both by value and by position",
+                sensor.0
+            ));
+        }
+        let capacity = self.config.per_sensor_capacity.max(1);
+        for &(sensor, front) in &named.fronts {
+            let queue = locate(&self.queues, &mut self.cursor, sensor)
+                .ok()
+                .map(|at| &self.queues[at]);
+            let logged = |q: &SensorQueue| {
+                let first = q.live().iter().find(|((_, at), _)| at.is_some());
+                first.map(|&((time, _), _)| time)
+            };
+            let (found, held) = queue.map_or((None, 0), |q| (logged(q), q.live().len()));
+            if found != Some(front) {
+                return Err(format!(
+                    "no logged reading of sensor {} from log index {} reaches its front {front}",
+                    sensor.0, named.redo
+                ));
+            }
+            if held > capacity {
+                return Err(format!(
+                    "sensor {} refills {held} readings, over its capacity {capacity}",
+                    sensor.0
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Offers one reading to queue `at`.
-    fn admit(&mut self, at: usize, time: Timestamp, values: &[f64]) -> AdmitOutcome {
+    fn admit(&mut self, at: usize, slot: Slot, values: &[f64]) -> AdmitOutcome {
+        let time = slot.0;
         if self.watermark.is_some_and(|w| time < w) {
             self.stats.late += 1;
             return AdmitOutcome::Late;
@@ -375,6 +571,7 @@ impl ReorderBuffer {
         }
         let Err(mut position) = queue.position(time) else {
             self.stats.duplicates += 1;
+            queue.disturb(slot.1);
             return AdmitOutcome::Duplicate;
         };
         let front_before = queue.front_time();
@@ -382,9 +579,10 @@ impl ReorderBuffer {
             // Shed this sensor's oldest buffered record to make room.
             queue.pop_front();
             self.stats.shed += 1;
+            queue.disturb(slot.1);
             position = position.saturating_sub(1);
         }
-        queue.insert(position, time, values);
+        queue.insert(position, slot, values);
         if queue.front_time() != front_before {
             self.note_front(at);
         }
@@ -484,6 +682,7 @@ fn owned(time: Timestamp, sensor: SensorId, values: &[f64]) -> RawRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seeded::{Replay, TestRng};
     use std::collections::BTreeMap;
 
     fn raw(time: u64, sensor: u16, v: f64) -> RawRecord {
@@ -617,6 +816,7 @@ mod tests {
             .iter()
             .map(|(t, s, v)| ((*t, *s), v.as_slice()))
             .collect(),
+            by_position: None,
             last_released: vec![(SensorId(1), 1200), (SensorId(1), 600)],
             watermark: Some(1000),
             stats: ReorderStats {
@@ -684,7 +884,7 @@ mod tests {
         let (mut seen, mut got) = (Vec::new(), Vec::new());
         let mut release = |time, sensor, values: &[f64]| got.push(owned(time, sensor, values));
         let slices = run.iter().map(|(t, v)| (*t, v.as_slice()));
-        by_run.offer_run(SensorId(4), slices, |_, o| seen.push(o), &mut release);
+        by_run.offer_run(SensorId(4), None, slices, |_, o| seen.push(o), &mut release);
         by_run.release_ready(&mut release);
         assert_eq!(seen, outcomes);
         assert_eq!(got, expect);
@@ -706,6 +906,7 @@ mod tests {
             let run = [(t, values.as_slice())];
             rb.offer_run(
                 SensorId(1),
+                None,
                 run,
                 |_, o| assert_eq!(o, AdmitOutcome::Admitted),
                 |_, _, _| {},
@@ -728,6 +929,7 @@ mod tests {
         for i in 0..40u64 {
             rb.offer_run(
                 SensorId(1),
+                None,
                 [(2000 + i, wide.as_slice())],
                 |_, _| {},
                 |_, _, _| {},
@@ -766,6 +968,99 @@ mod tests {
                 assert!(r.time > prev, "per-sensor order violated");
             }
             last.insert(r.sensor, r.time);
+        }
+    }
+
+    /// The buffer `restore_point(base)` describes, rebuilt the way a
+    /// reopen rebuilds it over `log` (every reading offered, in order:
+    /// sensor, time, value): the by-value records restored, then the
+    /// named sensors' logged readings refilled from the redo cursor on.
+    fn rebuilt(
+        live: &ReorderBuffer,
+        log: &[(SensorId, Timestamp, f64)],
+        base: u64,
+    ) -> Result<ReorderBuffer, String> {
+        let mut snapshot = live.restore_point(base);
+        let named = snapshot.by_position.take();
+        let mut rebuilt = ReorderBuffer::from_snapshot(live.config.clone(), snapshot);
+        rebuilt.restored_at(log.len() as u64);
+        if let Some(named) = named {
+            for (at, &(sensor, time, value)) in log.iter().enumerate().skip(named.redo as usize) {
+                if let Some(front) = named.front(sensor) {
+                    rebuilt.refill(sensor, front, at as u64, [(time, &[value][..])]);
+                }
+            }
+            rebuilt.check_refill(&named)?;
+        }
+        Ok(rebuilt)
+    }
+
+    /// A restore point names by position only what its log gives back:
+    /// over seeded runs of in-order, jittered, repeated, straggling and
+    /// overflowing offers, at random steps and bases, the buffer rebuilt
+    /// from a restore point has the live buffer's snapshot, and half
+    /// the time carries on in its place, as after a reopen.
+    #[test]
+    fn a_restore_point_refills_to_the_buffer_it_named() {
+        const PERIOD: u64 = 300;
+        let replay = Replay {
+            var: "REFILL_PROPS_SEED",
+            package: "sentinet-gateway",
+            target: "--lib",
+            test: "a_restore_point_refills_to_the_buffer_it_named",
+        };
+        let (mut named, mut checks) = (0, 0);
+        replay.for_each_seed(3_000, |seed| {
+            let mut rng = TestRng::new(seed);
+            let delay = rng.usize_in(1, 30);
+            let mut live =
+                ReorderBuffer::new(cfg(PERIOD * delay as u64, rng.pick(&[1, 2, 3, 5, 64])));
+            let mut log: Vec<(SensorId, Timestamp, f64)> = Vec::new();
+            let mut clock = 100 * PERIOD;
+            for step in 0..rng.usize_in(10, 200) {
+                let sensor = SensorId(rng.usize_in(0, 3) as u16);
+                let mut run = Vec::new();
+                for _ in 0..rng.usize_in(1, 5) {
+                    let time = match rng.usize_in(0, 20) {
+                        0..=2 if !log.is_empty() => rng.pick(&log).1,
+                        3..=5 => clock - PERIOD * rng.usize_in(1, delay + 3) as u64,
+                        6 => clock + PERIOD * rng.usize_in(1, 8) as u64,
+                        _ => {
+                            clock += PERIOD * rng.usize_in(0, 2) as u64;
+                            clock - PERIOD * rng.usize_in(0, 3) as u64
+                        }
+                    };
+                    run.push((time, [log.len() as f64 + run.len() as f64]));
+                }
+                let first = log.len() as u64;
+                let slices = run.iter().map(|(t, v)| (*t, &v[..]));
+                live.offer_run(sensor, Some(first), slices, |_, _| {}, |_, _, _| {});
+                live.release_ready(|_, _, _| {});
+                log.extend(run.iter().map(|&(t, [v])| (sensor, t, v)));
+                if rng.usize_in(0, 4) == 0 {
+                    let base = rng.usize_in(0, log.len() + 1) as u64;
+                    named += usize::from(live.restore_point(base).by_position.is_some());
+                    checks += 1;
+                    let back =
+                        rebuilt(&live, &log, base).map_err(|e| format!("step {step}: {e}"))?;
+                    if back.snapshot() != live.snapshot() {
+                        return Err(format!(
+                            "step {step}, base {base}: rebuilt to another buffer"
+                        ));
+                    }
+                    // A reopen: the rebuilt buffer carries on.
+                    if rng.bool() {
+                        live = back;
+                    }
+                }
+            }
+            Ok(())
+        });
+        if replay.seed_from_env().is_none() {
+            assert!(
+                8 * named > checks,
+                "{named} of {checks} restore points named anything"
+            );
         }
     }
 }

@@ -24,9 +24,22 @@
 //! [`Reader`] from top to bottom so errors name absolute lines. The
 //! round-trip is bit-exact and encoding a live collector equals
 //! encoding its restored twin.
+//!
+//! Layout v2 (`sentinet-collector v2`, the one written) may name the
+//! reorder buffer's records by log position: a `redo` line with the
+//! smallest log index among them and a `front` list with each named
+//! sensor's first named time stand for them, and `rbuf` lines carry
+//! only the records written by value ([`ByPosition`]). The reader
+//! refuses a naming no writer produces: fronts out of sensor order or
+//! repeated, a front for a sensor that never logged a reading (no `seq`
+//! line), or one not above the watermark or its sensor's release mark.
+//! What only the log can refute — a redo cursor outside `[base,
+//! cursor)`, a front no logged reading reaches, a slot named both ways
+//! — the reopen refuses. Layout v1 has no `redo` or `front` line; it is
+//! read, every record by value.
 
 use crate::frame::ReadingArena;
-use crate::reorder::{ReorderSnapshot, ReorderStats};
+use crate::reorder::{ByPosition, ReorderSnapshot, ReorderStats};
 use sentinet_core::checkpoint::{
     push_dec, push_hex, put_joined, put_opt, read_pipeline, write_pipeline, CheckpointError,
     Fields, Reader,
@@ -35,7 +48,8 @@ use sentinet_core::{PipelineSnapshot, WindowerSnapshot};
 use sentinet_sim::{IngestError, SanitizerSnapshot, SensorId, Timestamp};
 use std::fmt;
 
-const MAGIC: &str = "sentinet-collector v1";
+/// The collector magic of layouts v1 and v2; only v2 is written.
+const MAGICS: [&str; 2] = ["sentinet-collector v1", "sentinet-collector v2"];
 
 /// Plain-data image of a `Collector` at a WAL cursor.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,7 +139,7 @@ pub fn encode_collector(snap: &CollectorSnapshot) -> String {
 ///
 /// Whatever `out` reports; a `String` never fails.
 pub fn write_collector<W: fmt::Write>(out: &mut W, snap: &CollectorSnapshot) -> fmt::Result {
-    write!(out, "{MAGIC}\nsanitizer ")?;
+    write!(out, "{}\nsanitizer ", MAGICS[1])?;
     put_opt(out, snap.sanitizer.dims)?;
     out.write_char('\n')?;
     put_pairs(out, "slatest", &snap.sanitizer.latest)?;
@@ -157,6 +171,11 @@ pub fn write_collector<W: fmt::Write>(out: &mut W, snap: &CollectorSnapshot) -> 
         put_joined(out, above)?;
         out.write_char('\n')?;
     }
+    let by_position = snap.reorder.by_position.as_ref();
+    out.write_str("redo ")?;
+    put_opt(out, by_position.map(|named| named.redo))?;
+    out.write_char('\n')?;
+    put_pairs(out, "front", by_position.map_or(&[], |named| &named.fronts))?;
     writeln!(out, "accepted {}", snap.accepted)?;
     for e in &snap.rejected {
         put_ingest_error(out, e)?;
@@ -214,51 +233,66 @@ pub fn split_snapshot(
         .iter()
         .partition(|((_, s), _)| inside(*s));
     let (rr_in, rr_out) = part(&snap.reorder.last_released, |(s, _)| inside(*s));
+    let fronts = snap
+        .reorder
+        .by_position
+        .as_ref()
+        .map_or(&[][..], |n| &n.fronts);
+    let (fr_in, fr_out) = part(fronts, |(s, _)| inside(*s));
     let (sq_in, sq_out) = part(&snap.seqs, |(s, _, _)| inside(*s));
     let (lh_in, lh_out) = part(&snap.last_heard, |(s, _)| inside(*s));
     let (si_in, si_out) = part(&snap.silent, |s| inside(*s));
-    let half = |sensors, readings, latest, buffer, released, seqs, heard, silent, keep_ledger| {
-        CollectorSnapshot {
-            pipeline: PipelineSnapshot {
-                global: snap.pipeline.global.clone(),
-                windower: WindowerSnapshot {
-                    started: snap.pipeline.windower.started,
-                    index: snap.pipeline.windower.index,
-                    start: snap.pipeline.windower.start,
-                    readings,
-                },
-                sensors,
-            },
-            reorder: ReorderSnapshot {
-                buffer,
-                last_released: released,
-                watermark: snap.reorder.watermark,
-                stats: if keep_ledger {
-                    snap.reorder.stats
-                } else {
-                    ReorderStats::default()
-                },
-            },
-            sanitizer: SanitizerSnapshot {
-                latest,
-                dims: snap.sanitizer.dims,
-            },
-            seqs,
-            accepted: if keep_ledger { snap.accepted } else { 0 },
-            rejected: if keep_ledger {
-                snap.rejected.clone()
-            } else {
-                Vec::new()
-            },
-            last_heard: heard,
-            silent,
-            episodes: if keep_ledger { snap.episodes } else { 0 },
-        }
+    let named = |fronts: Vec<_>| {
+        let redo = snap.reorder.by_position.as_ref().map(|n| n.redo);
+        redo.filter(|_| !fronts.is_empty())
+            .map(|redo| ByPosition { redo, fronts })
     };
+    let half =
+        |sensors, readings, latest, buffer, fronts, released, seqs, heard, silent, keep_ledger| {
+            CollectorSnapshot {
+                pipeline: PipelineSnapshot {
+                    global: snap.pipeline.global.clone(),
+                    windower: WindowerSnapshot {
+                        started: snap.pipeline.windower.started,
+                        index: snap.pipeline.windower.index,
+                        start: snap.pipeline.windower.start,
+                        readings,
+                    },
+                    sensors,
+                },
+                reorder: ReorderSnapshot {
+                    buffer,
+                    by_position: named(fronts),
+                    last_released: released,
+                    watermark: snap.reorder.watermark,
+                    stats: if keep_ledger {
+                        snap.reorder.stats
+                    } else {
+                        ReorderStats::default()
+                    },
+                },
+                sanitizer: SanitizerSnapshot {
+                    latest,
+                    dims: snap.sanitizer.dims,
+                },
+                seqs,
+                accepted: if keep_ledger { snap.accepted } else { 0 },
+                rejected: if keep_ledger {
+                    snap.rejected.clone()
+                } else {
+                    Vec::new()
+                },
+                last_heard: heard,
+                silent,
+                episodes: if keep_ledger { snap.episodes } else { 0 },
+            }
+        };
     (
-        half(p_in, w_in, sl_in, rb_in, rr_in, sq_in, lh_in, si_in, false),
         half(
-            p_out, w_out, sl_out, rb_out, rr_out, sq_out, lh_out, si_out, true,
+            p_in, w_in, sl_in, rb_in, fr_in, rr_in, sq_in, lh_in, si_in, false,
+        ),
+        half(
+            p_out, w_out, sl_out, rb_out, fr_out, rr_out, sq_out, lh_out, si_out, true,
         ),
     )
 }
@@ -266,8 +300,9 @@ pub fn split_snapshot(
 /// Merges two [`split_snapshot`] halves back into one snapshot — the
 /// exact inverse of the split. Per-sensor lists merge by ascending
 /// sensor id (the canonical order every collector structure keeps),
-/// the reorder buffer by its `(time, sensor)` release order; lineage
-/// fields come from `outside`, and the accounting ledgers add.
+/// the reorder buffer by its `(time, sensor)` release order, the redo
+/// cursor is the lower of the two; lineage fields come from `outside`,
+/// and the accounting ledgers add.
 pub fn merge_snapshot(
     outside: &CollectorSnapshot,
     inside: &CollectorSnapshot,
@@ -310,6 +345,13 @@ pub fn merge_snapshot(
             buffer: merge_by(&buffers[0], &buffers[1], |&(key, _)| key)
                 .into_iter()
                 .collect(),
+            by_position: match (&o.reorder.by_position, &n.reorder.by_position) {
+                (Some(a), Some(b)) => Some(ByPosition {
+                    redo: a.redo.min(b.redo),
+                    fronts: merge_by(&a.fronts, &b.fronts, |(s, _)| *s),
+                }),
+                (a, b) => a.clone().or_else(|| b.clone()),
+            },
             last_released: merge_by(
                 &o.reorder.last_released,
                 &n.reorder.last_released,
@@ -375,6 +417,60 @@ fn read_ingest_error(mut f: Fields<'_>) -> Result<IngestError, CheckpointError> 
     Ok(error)
 }
 
+/// Refuses a naming by position no writer produces (see the module
+/// header); `redo` and `front` were read as `named`.
+fn check_named(
+    named: Option<&ByPosition>,
+    released: &[(SensorId, Timestamp)],
+    watermark: Option<Timestamp>,
+    seqs: &[(SensorId, u64, Vec<u64>)],
+) -> Result<(), String> {
+    let Some(named) = named else {
+        return Ok(());
+    };
+    if named.fronts.is_empty() {
+        return Err("a redo cursor names no sensor's front".into());
+    }
+    let mut before = None;
+    for &(sensor, front) in &named.fronts {
+        if before.is_some_and(|b| b >= sensor) {
+            return Err(format!(
+                "front of sensor {} out of order or repeated",
+                sensor.0
+            ));
+        }
+        before = Some(sensor);
+        if !seqs.iter().any(|(s, ..)| *s == sensor) {
+            return Err(format!(
+                "front of sensor {}, which logged nothing",
+                sensor.0
+            ));
+        }
+        let mark = released
+            .iter()
+            .filter(|(s, _)| *s == sensor)
+            .map(|(_, t)| *t);
+        if watermark
+            .into_iter()
+            .chain(mark)
+            .any(|floor| front <= floor)
+        {
+            return Err(format!(
+                "front {front} of sensor {} not above the watermark and its release mark",
+                sensor.0
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Whether `text` opens with the collector layout [`encode_collector`]
+/// writes.
+pub(crate) fn is_current_layout(text: &str) -> bool {
+    text.strip_prefix(MAGICS[1])
+        .is_some_and(|rest| rest.starts_with('\n'))
+}
+
 /// Decodes checkpoint text produced by [`encode_collector`].
 ///
 /// # Errors
@@ -392,7 +488,8 @@ pub fn decode_collector(text: &str) -> Result<CollectorSnapshot, CheckpointError
 /// [`decode_collector`] from wherever `r` stands — the body of an
 /// outbox file, after its header lines.
 pub(crate) fn read_collector(r: &mut Reader<'_>) -> Result<CollectorSnapshot, CheckpointError> {
-    r.marker(MAGIC)?;
+    let v1 = r.peek() == Some(MAGICS[0]);
+    r.marker(MAGICS[usize::from(!v1)])?;
     let dims = r.single("sanitizer", Fields::opt)?;
     let latest = r.list("slatest", read_pair)?;
     let mut f = r.tagged("reorder")?;
@@ -414,6 +511,17 @@ pub(crate) fn read_collector(r: &mut Reader<'_>) -> Result<CollectorSnapshot, Ch
         seqs.push((SensorId(f.num()?), f.num()?, f.opt_nums()?));
         f.end()?;
     }
+    let by_position = if v1 {
+        None
+    } else {
+        let redo = r.single("redo", Fields::opt)?;
+        let fronts = r.list("front", read_pair)?;
+        let named = redo.map(|redo| ByPosition { redo, fronts });
+        if let Err(why) = check_named(named.as_ref(), &last_released, watermark, &seqs) {
+            return r.fail(why);
+        }
+        named
+    };
     let accepted = r.single("accepted", Fields::num)?;
     let mut rejected = Vec::new();
     while let Some(f) = r.tagged_if("rej") {
@@ -427,6 +535,7 @@ pub(crate) fn read_collector(r: &mut Reader<'_>) -> Result<CollectorSnapshot, Ch
         pipeline: read_pipeline(r)?,
         reorder: ReorderSnapshot {
             buffer,
+            by_position,
             last_released,
             watermark,
             stats,
@@ -460,6 +569,10 @@ mod tests {
                 buffer: [((9300, SensorId(1)), &[24.5, 54.5][..])]
                     .into_iter()
                     .collect(),
+                by_position: Some(ByPosition {
+                    redo: 41,
+                    fronts: vec![(SensorId(0), 9300)],
+                }),
                 last_released: vec![(SensorId(0), 9000), (SensorId(1), 9000)],
                 watermark: Some(8700),
                 stats: ReorderStats {

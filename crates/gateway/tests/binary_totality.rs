@@ -12,7 +12,9 @@
 //! damage is contained: a frame stream yields exactly the messages in
 //! front of the damaged frame; a flip in the WAL's last segment
 //! recovers exactly the records of the whole frames in front of it, a
-//! flip in an earlier segment is [`WalError::Corrupt`].
+//! flip in an earlier segment is [`WalError::Corrupt`]. A restore point
+//! that names buffered readings by log position is held to its log: a
+//! naming the log cannot back is `CheckpointMalformed` at the reopen.
 
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
@@ -23,9 +25,9 @@ mod totality;
 use seeded::{mutate, Replay, TestRng};
 use sentinet_gateway::frame::{encode_frame, frame_payload};
 use sentinet_gateway::{
-    AckDiscipline, Collector, Frame, FrameBuffer, FrameError, FsyncPolicy, GatewayConfig, Message,
-    StepEvent, StepServer, Wal, WalConfig, WalError, WalRecord, MAX_BATCH_READINGS,
-    PROTOCOL_VERSION,
+    AckDiscipline, Collector, Frame, FrameBuffer, FrameError, FsyncPolicy, GatewayConfig,
+    GatewayError, Message, StepEvent, StepServer, Wal, WalConfig, WalError, WalRecord,
+    CHECKPOINT_FILE, MAX_BATCH_READINGS, PROTOCOL_VERSION,
 };
 use sentinet_sim::SensorId;
 use std::path::{Path, PathBuf};
@@ -601,4 +603,107 @@ fn forged_log_runs_are_torn_tails_or_corruption_and_never_wire_frames() {
         },
     );
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A retained log in `dir` whose last restore point names buffered
+/// readings by log position, its configuration and the restore point.
+fn named_restore_point(dir: &Path) -> (GatewayConfig, String) {
+    let mut config = GatewayConfig::new(dir);
+    config.reorder.watermark_delay = 900;
+    config.checkpoint_every = 12;
+    config.wal.segment_max_bytes = 400;
+    config.wal.retain_bytes = Some(1_600);
+    let (mut c, _) = Collector::open(config.clone()).expect("fresh directory");
+    for i in 0..60u64 {
+        for s in 0..2u16 {
+            let values = vec![20.0 + (i % 5) as f64, 50.0];
+            c.deliver(SensorId(s), i, 300 * (i + 1), values)
+                .expect("healthy storage");
+        }
+    }
+    drop(c);
+    let text = std::fs::read_to_string(dir.join(CHECKPOINT_FILE)).expect("a restore point");
+    assert!(!text.contains("\nbase 0\n"), "the prefix was reclaimed");
+    assert!(!text.contains("\nredo -\n"), "readings named by position");
+    (config, text)
+}
+
+/// The number on `text`'s `tag` line.
+fn header(text: &str, tag: &str) -> u64 {
+    let line = text.lines().find_map(|l| l.strip_prefix(tag)).expect(tag);
+    line.parse().expect("a number")
+}
+
+/// Every damage to a restore point's naming by position that only its
+/// log can expose, and the ones its reader refuses alone: a redo cursor
+/// at or above the cursor or below the base, a front no logged reading
+/// reaches, a duplicated front, a front for a sensor with no queue and
+/// an `rbuf` line for a reading the log names. Each reopen is a typed
+/// `CheckpointMalformed`, inside the allocation bound.
+#[test]
+fn a_restore_point_naming_what_its_log_cannot_back_is_malformed() {
+    let dir = scratch("named-restore-point");
+    let (config, valid) = named_restore_point(&dir);
+    let (cursor, base) = (header(&valid, "cursor "), header(&valid, "base "));
+    let redo = valid
+        .lines()
+        .find(|l| l.starts_with("redo "))
+        .expect("redo");
+    let front = valid
+        .lines()
+        .find(|l| l.starts_with("front "))
+        .expect("front");
+    let first: Vec<&str> = front["front ".len()..].split(' ').collect();
+    let (sensor, time) = first[0].split_once(':').expect("sensor:time");
+    let time: u64 = time.parse().expect("a time");
+    let cases = [
+        (
+            "a redo cursor at the cursor",
+            redo,
+            format!("redo {cursor}"),
+        ),
+        (
+            "a redo cursor below the base",
+            redo,
+            format!("redo {}", base - 1),
+        ),
+        (
+            "a front no logged reading reaches",
+            front,
+            front.replacen(first[0], &format!("{sensor}:{}", time + 1), 1),
+        ),
+        (
+            "a duplicated front",
+            front,
+            front.replacen(first[0], &format!("{0} {0}", first[0]), 1),
+        ),
+        (
+            "a front for a sensor with no queue",
+            front,
+            format!("{front} 9:{time}"),
+        ),
+        (
+            "an rbuf line for a reading the log names",
+            "rrel",
+            format!("rbuf {time} {sensor} 4034000000000000 4049000000000000\nrrel"),
+        ),
+    ];
+    for (what, line, damaged) in cases {
+        let text = valid.replacen(&format!("\n{line}"), &format!("\n{damaged}"), 1);
+        assert_ne!(text, valid, "{what}: nothing damaged");
+        std::fs::write(dir.join(CHECKPOINT_FILE), &text).expect("writable");
+        let opened = check_total_bytes(text.len(), || Collector::open(config.clone()))
+            .unwrap_or_else(|why| panic!("{what}: {why}"));
+        match opened {
+            Err(GatewayError::CheckpointMalformed(_)) => {}
+            other => panic!(
+                "{what}: expected CheckpointMalformed, got {:?}",
+                other.map(|o| o.1)
+            ),
+        }
+    }
+    std::fs::write(dir.join(CHECKPOINT_FILE), &valid).expect("writable");
+    let (_, info) = Collector::open(config).expect("the undamaged restore point");
+    assert_eq!(info.restored_from, Some(cursor));
+    let _ = std::fs::remove_dir_all(&dir);
 }

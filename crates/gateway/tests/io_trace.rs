@@ -306,7 +306,11 @@ fn v1_crash_after_aborts_at_the_exact_append() {
 // layouts v2 and then v3 replaced the one before, which changes every
 // checkpoint write's bytes and nothing else: each older checkpoint,
 // read back by the newer reader, re-encodes to the newer one, and the
-// four counts did not move.
-const V1_BATCH8: Digest = (163, 22, 8, 11, 14_222_247_420_137_859_399);
-const V1_ALWAYS: Digest = (249, 108, 8, 11, 9_868_836_428_018_140_134);
-const SIDECARS: Digest = (155, 4, 6, 7, 16_838_464_694_124_172_716);
+// four counts did not move. Collector layout v2 re-recorded them once
+// more: every by-value checkpoint and outbox of the older run re-encodes
+// to the newer bytes, and a checkpoint naming readings by log position
+// is the older one's with exactly its named sensors' `rbuf` lines (each
+// sensor's from its front on) traded for `redo` and `front`.
+const V1_BATCH8: Digest = (163, 22, 8, 11, 2_933_840_930_673_984_016);
+const V1_ALWAYS: Digest = (249, 108, 8, 11, 6_197_346_999_602_157_433);
+const SIDECARS: Digest = (155, 4, 6, 7, 586_823_513_653_741_648);

@@ -16,12 +16,21 @@
 //! where the worker takes over part way, and in one 4 MiB segment).
 //! A retained log — reclaimed prefix, restore point restored, tail
 //! replayed — is held to the same bytes on both sides of the size.
+//!
+//! A seeded property crashes a writer at a random delivery of a stream
+//! with reordered, retransmitted, slot-duplicated, late and shed
+//! readings, under retention and a random restore-point cadence: the
+//! reopen must hold the snapshot an uncrashed twin held there, and
+//! finish with its report — whether the restore point named the
+//! buffered readings by log position, by value, or both. The same
+//! property with the refill skipped (the restore point's `redo` and
+//! `front` lines blanked, so nothing is put back) must fail.
 
 #[path = "../../../tests/support/seeded.rs"]
 mod seeded;
 mod support;
 
-use seeded::TestRng;
+use seeded::{Replay, TestRng};
 use sentinet_gateway::{
     encode_collector, Collector, DeliverOutcome, GatewayConfig, GatewayError, GatewayReport, Wal,
     CHECKPOINT_FILE,
@@ -290,4 +299,169 @@ fn a_retained_log_restores_to_the_writers_state() {
         assert_eq!(render(&reopened.finish().unwrap()), report);
         fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A stream of `n` fresh readings from three sensors as delivery runs
+/// of 1 to 8, with one run in ten a retransmission of an earlier one,
+/// and one reading in six stepping back up to `reach` periods (a
+/// straggler, a repeat of a taken slot, or too late) or one in twelve
+/// ahead of its sensor's clock.
+fn shuffled_runs(rng: &mut TestRng, n: usize, reach: usize) -> Vec<Run> {
+    const SENSORS: usize = 3;
+    let (mut seqs, mut clocks) = ([0u64; SENSORS], [0u64; SENSORS]);
+    let (mut out, mut total): (Vec<Run>, usize) = (Vec::new(), 0);
+    while total < n {
+        if !out.is_empty() && rng.usize_in(0, 10) == 0 {
+            let again = out[rng.usize_in(0, out.len())].clone();
+            out.push(again);
+            continue;
+        }
+        let s = rng.usize_in(0, SENSORS);
+        let len = rng.usize_in(1, 9);
+        let readings = (0..len)
+            .map(|_| {
+                clocks[s] += PERIOD;
+                let time = match rng.usize_in(0, 12) {
+                    0 | 1 => clocks[s].saturating_sub(PERIOD * rng.usize_in(1, reach + 1) as u64),
+                    2 => clocks[s] + PERIOD * rng.usize_in(1, 4) as u64,
+                    _ => clocks[s],
+                };
+                let v = 15.0 + (time / 3600 % 24) as f64 / 2.0 + rng.usize_in(0, 8) as f64 / 8.0;
+                (time, vec![v + s as f64])
+            })
+            .collect();
+        out.push((SensorId(s as u16), seqs[s], readings));
+        seqs[s] += len as u64;
+        total += len;
+    }
+    out
+}
+
+/// What the seeded restore property saw over its cases.
+#[derive(Debug, Default)]
+struct Seen {
+    /// Reopens that restored a restore point naming readings by position.
+    named: usize,
+    /// Reopens that restored readings written by value.
+    by_value: usize,
+    /// Runs whose reorder buffer shed.
+    shed: usize,
+}
+
+/// One case of the seeded restore property: a writer crashed after a
+/// random delivery reopens to the snapshot its uncrashed twin held
+/// there and ends with the twin's report. `skip_refill` blanks the
+/// restore point's naming by position before the reopen.
+fn crash_and_reopen(seed: u64, skip_refill: bool, seen: &mut Seen) -> Result<(), String> {
+    let mut rng = TestRng::new(seed);
+    let delay = rng.usize_in(2, 20);
+    let readings = rng.usize_in(100, 600);
+    let runs = shuffled_runs(&mut rng, readings, delay + 2);
+    let crash = rng.usize_in(1, runs.len());
+    let root = dir(&format!("crash-{seed}-{skip_refill}"));
+    let mut config = config(&root.join("twin"), 512);
+    config.reorder.watermark_delay = PERIOD * delay as u64;
+    config.reorder.per_sensor_capacity = rng.usize_in(2, 10);
+    config.checkpoint_every = rng.usize_in(4, 40) as u64;
+    config.wal.retain_bytes = Some(512 * rng.usize_in(3, 8) as u64);
+
+    let (mut twin, _) = Collector::open(config.clone()).map_err(|e| e.to_string())?;
+    let mut at_crash = String::new();
+    for (i, (sensor, first, readings)) in runs.iter().enumerate() {
+        twin.deliver_batch(*sensor, *first, readings).unwrap();
+        if i + 1 == crash {
+            at_crash = encode_collector(&twin.snapshot());
+        }
+    }
+    let expect = twin.finish().unwrap();
+    seen.shed += usize::from(expect.ingest.shed > 0);
+
+    config.wal.dir = root.join("writer");
+    let (mut writer, _) = Collector::open(config.clone()).map_err(|e| e.to_string())?;
+    for (sensor, first, readings) in &runs[..crash] {
+        writer.deliver_batch(*sensor, *first, readings).unwrap();
+    }
+    drop(writer);
+    let path = config.wal.dir.join(CHECKPOINT_FILE);
+    let checkpoint = fs::read_to_string(&path).unwrap_or_default();
+    let restores = !checkpoint.is_empty() && !checkpoint.contains("\nbase 0\n");
+    if restores && checkpoint.contains("\nrbuf ") {
+        seen.by_value += 1;
+    }
+    if restores && !checkpoint.contains("\nredo -\n") {
+        seen.named += 1;
+        if skip_refill {
+            fn blank(line: &str) -> &str {
+                match line.split(' ').next() {
+                    Some("redo") => "redo -",
+                    Some("front") => "front -",
+                    _ => line,
+                }
+            }
+            let lines: Vec<&str> = checkpoint.split('\n').map(blank).collect();
+            fs::write(&path, lines.join("\n")).unwrap();
+        }
+    }
+    let (mut reopened, info) = Collector::open(config.clone())
+        .map_err(|e| format!("crash after delivery {crash}: reopen refused: {e}"))?;
+    if restores && info.restored_from.is_none() {
+        return Err(format!(
+            "crash after delivery {crash}: no restore point restored"
+        ));
+    }
+    if encode_collector(&reopened.snapshot()) != at_crash {
+        return Err(format!(
+            "crash after delivery {crash} ({info:?}): the reopened snapshot differs from the twin's"
+        ));
+    }
+    for (sensor, first, readings) in &runs[crash..] {
+        reopened.deliver_batch(*sensor, *first, readings).unwrap();
+    }
+    // Retransmissions counted before the crash are the one thing a
+    // restart forgets.
+    let kept = |report: &GatewayReport| {
+        let mut report = report.clone();
+        report.ingest.duplicates = 0;
+        render(&report)
+    };
+    let resumed = reopened.finish().unwrap();
+    if kept(&resumed) != kept(&expect) {
+        return Err(format!("crash after delivery {crash}: the report differs"));
+    }
+    if (resumed.storage.budget_shed, expect.storage.budget_shed) != (0, 0) {
+        return Err("the budget shed readings".into());
+    }
+    fs::remove_dir_all(&root).map_err(|e| e.to_string())
+}
+
+/// Restore points under retention name buffered readings by position,
+/// by value or both, and a reopen at any delivery puts every one back.
+#[test]
+fn a_reopen_after_any_delivery_refills_what_the_restore_point_named() {
+    let replay = Replay {
+        var: "RESTORE_REFILL_SEED",
+        package: "sentinet-gateway",
+        target: "--test reopen_equivalence",
+        test: "a_reopen_after_any_delivery_refills_what_the_restore_point_named",
+    };
+    let mut seen = Seen::default();
+    replay.for_each_seed(200, |seed| crash_and_reopen(seed, false, &mut seen));
+    if replay.seed_from_env().is_none() {
+        assert!(
+            seen.named >= 10 && seen.by_value >= 10 && seen.shed >= 20,
+            "the cases exercise too little: {seen:?}"
+        );
+    }
+}
+
+/// The must-fail mutant of the property above: a reopen that skips the
+/// refill loses the readings the restore point named by position.
+#[test]
+fn a_reopen_that_skips_the_refill_is_caught() {
+    let mut seen = Seen::default();
+    let caught = (0..200).find(|&seed| crash_and_reopen(seed, true, &mut seen).is_err());
+    assert!(
+        caught.is_some(),
+        "no case caught the skipped refill: {seen:?}"
+    );
 }

@@ -159,6 +159,7 @@ impl ModelReorder {
                 .iter()
                 .map(|(&key, v)| (key, v.as_slice()))
                 .collect(),
+            by_position: None,
             last_released: self.last_released.iter().map(|(&s, &t)| (s, t)).collect(),
             watermark: self.watermark,
             stats: self.stats,
@@ -569,7 +570,8 @@ fn offer_both(
         })
     };
     let readings = run.iter().map(|(t, v)| (*t, v.as_slice()));
-    shipped.offer_run(sensor, readings, |_, o| outcomes.push(o), &mut release);
+    let outcome = |_, o| outcomes.push(o);
+    shipped.offer_run(sensor, None, readings, outcome, &mut release);
     shipped.release_ready(&mut release);
     if outcomes != expect_outcomes {
         return Err(format!(
@@ -783,6 +785,7 @@ fn hostile_case(seed: u64) -> Result<(), String> {
             .iter()
             .map(|(t, s, v)| ((*t, *s), v.as_slice()))
             .collect(),
+        by_position: None,
         last_released,
         watermark,
         stats,

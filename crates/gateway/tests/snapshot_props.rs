@@ -18,8 +18,8 @@ use seeded::{mutate, Replay, TestRng, BIT_EXACT_POOL};
 use sentinet_core::{CheckpointError, FilterPolicy, Pipeline, PipelineConfig};
 use sentinet_gateway::snapshot::{decode_collector, encode_collector};
 use sentinet_gateway::{
-    merge_snapshot, split_snapshot, Collector, CollectorSnapshot, GatewayConfig, GatewayError,
-    ReorderSnapshot, ReorderStats,
+    merge_snapshot, split_snapshot, ByPosition, Collector, CollectorSnapshot, GatewayConfig,
+    GatewayError, ReorderSnapshot, ReorderStats,
 };
 use sentinet_sim::{IngestError, SanitizerSnapshot, SensorId};
 use totality::{check_total_and_exact, check_total_bytes, PeakAlloc};
@@ -90,11 +90,12 @@ fn snapshot(rng: &mut TestRng) -> CollectorSnapshot {
             values(r),
         )
     });
-    let reorder = ReorderSnapshot {
+    let mut reorder = ReorderSnapshot {
         buffer: buffer
             .iter()
             .map(|(t, s, vs)| ((*t, *s), vs.as_slice()))
             .collect(),
+        by_position: None,
         last_released: pairs(rng),
         watermark: rng.bool().then_some(rng.range(0u64..100_000)),
         stats: ReorderStats {
@@ -105,6 +106,11 @@ fn snapshot(rng: &mut TestRng) -> CollectorSnapshot {
     };
     let latest = pairs(rng);
     let dims = rng.range(0usize..5);
+    let seqs = rng.vec(0..4, |r| {
+        let (sensor, next) = (SensorId(r.range(0u16..6)), r.range(0u64..1_000));
+        (sensor, next, r.vec(0..3, |r| r.range(0u64..1_000)))
+    });
+    reorder.by_position = by_position(rng, &reorder, &seqs);
     CollectorSnapshot {
         pipeline,
         reorder,
@@ -112,16 +118,38 @@ fn snapshot(rng: &mut TestRng) -> CollectorSnapshot {
             latest,
             dims: (dims > 0).then_some(dims),
         },
-        seqs: rng.vec(0..4, |r| {
-            let (sensor, next) = (SensorId(r.range(0u16..6)), r.range(0u64..1_000));
-            (sensor, next, r.vec(0..3, |r| r.range(0u64..1_000)))
-        }),
+        seqs,
         accepted: rng.range(0usize..10_000),
         rejected: rng.vec(0..4, ingest_error),
         last_heard: pairs(rng),
         silent: rng.vec(0..3, |r| SensorId(r.range(0u16..6))),
         episodes: rng.range(0usize..20),
     }
+}
+
+/// A naming by position a writer could produce for `reorder`: fronts
+/// for some of the sensors with a `seq` line and no record by value,
+/// each above the watermark and its sensor's release marks.
+fn by_position(
+    rng: &mut TestRng,
+    reorder: &ReorderSnapshot,
+    seqs: &[(SensorId, u64, Vec<u64>)],
+) -> Option<ByPosition> {
+    let mut free: Vec<SensorId> = seqs.iter().map(|(s, ..)| *s).collect();
+    free.sort();
+    free.dedup();
+    free.retain(|s| !reorder.buffer.iter().any(|((_, b), _)| b == *s));
+    let mut fronts = Vec::new();
+    for sensor in free {
+        if rng.bool() {
+            let marks = reorder.last_released.iter().filter(|(s, _)| *s == sensor);
+            let floor = marks.map(|(_, t)| *t).chain(reorder.watermark).max();
+            let front = floor.map_or(0, |f| f + 1) + rng.range(0u64..1_000);
+            fronts.push((sensor, front));
+        }
+    }
+    let redo = rng.range(0u64..1_000_000);
+    (!fronts.is_empty()).then_some(ByPosition { redo, fronts })
 }
 
 seeded::properties! {
@@ -286,10 +314,10 @@ fn driven_pipeline(filter: FilterPolicy, ticks: u64) -> Pipeline {
 /// Digests of [`golden_snapshot`]'s encoding with one silent sensor and
 /// with none, recorded by running this test at parent commit 584aad4 —
 /// before the encoder stopped building a `String` per line and per
-/// float — and re-recorded when checkpoint layouts v2 and then v3
-/// replaced the one before (the older texts, read back by the newer
-/// reader, re-encode to these).
-const GOLDEN_DIGESTS: (u64, u64) = (16_931_048_232_602_192_418, 2_869_537_763_013_899_227);
+/// float — and re-recorded when checkpoint layouts v2 and then v3, and
+/// collector layout v2, replaced the one before (the older texts, read
+/// back by the newer reader, re-encode to these).
+const GOLDEN_DIGESTS: (u64, u64) = (427_241_891_255_801_544, 17_694_445_738_651_147_565);
 
 /// A fixed snapshot that takes every branch of the collector encoder:
 /// no watermark (`reorder -`), non-finite and signed-zero floats in the
@@ -316,6 +344,7 @@ fn golden_snapshot(silent: Vec<SensorId>) -> CollectorSnapshot {
             .iter()
             .map(|(t, s, v)| ((*t, *s), v.as_slice()))
             .collect(),
+            by_position: None,
             last_released: vec![(SensorId(0), 180_000), (SensorId(2), 179_700)],
             watermark: None,
             stats: ReorderStats {
@@ -367,6 +396,17 @@ fn golden_snapshot(silent: Vec<SensorId>) -> CollectorSnapshot {
     }
 }
 
+/// [`golden_snapshot`] as a restore point writes it when the log names
+/// sensor 65 535's buffered readings by position.
+fn golden_named() -> CollectorSnapshot {
+    let mut snap = golden_snapshot(vec![SensorId(2)]);
+    snap.reorder.by_position = Some(ByPosition {
+        redo: 1_790,
+        fronts: vec![(SensorId(65_535), 180_900)],
+    });
+    snap
+}
+
 /// Encoder byte-identity across the allocation-free rewrite is pinned,
 /// not assumed: the round-trip properties above would pass for any
 /// self-consistent codec, this digest only for the parent's bytes.
@@ -377,6 +417,7 @@ fn golden_snapshot_encodes_to_the_parent_commits_bytes() {
         "\nsanitizer 2\n",
         "\nreorder - 3 14 159\n",
         "\nrbuf 180300 2 7ff8000000000000 8000000000000000\n",
+        "\nredo -\nfront -\n",
         "\nseq 0 601 -\n",
         "\nseq 1 600 602,603,700\n",
         "\nrej empty ",
@@ -421,17 +462,72 @@ fn totality(test: &'static str) -> Replay {
 /// an allocation sized by a number the input states.
 #[test]
 fn damaged_collector_text_is_rejected_or_reencodes_exactly() {
-    let valid = encode_collector(&golden_snapshot(vec![SensorId(2)]));
+    let valid = [golden_snapshot(vec![SensorId(2)]), golden_named()].map(|s| encode_collector(&s));
     totality("damaged_collector_text_is_rejected_or_reencodes_exactly").for_each_seed(
         1_500,
         |seed| {
-            let (what, bytes) = mutate(&mut TestRng::new(seed), &valid);
+            let valid = &valid[seed as usize % 2];
+            let (what, bytes) = mutate(&mut TestRng::new(seed), valid);
             check_total_and_exact(&bytes, decode_collector, encode_collector, |e| {
                 matches!(e, CheckpointError::Malformed { .. })
             })
             .map_err(|why| format!("{what}: {why}"))
         },
     );
+}
+
+/// A layout-v2 naming by position no writer produces is `Malformed` at
+/// its `front` line, inside the allocation bound: a duplicated front,
+/// fronts out of sensor order, a front for a sensor with no queue (no
+/// `seq` line), one at its sensor's release mark, and a redo cursor
+/// naming no front. (An `rbuf` line for a reading the log names takes
+/// the log to refute: `binary_totality`.)
+#[test]
+fn a_naming_by_position_no_writer_produces_is_malformed() {
+    let valid = encode_collector(&golden_named());
+    assert!(valid.contains("\nredo 1790\nfront 65535:180900\n"));
+    assert_eq!(
+        decode_collector(&valid).map(|s| encode_collector(&s)),
+        Ok(valid.clone())
+    );
+    let front = "\nfront 65535:180900";
+    let cases = [
+        (
+            "a duplicated front",
+            front,
+            "\nfront 65535:180900 65535:180900",
+        ),
+        (
+            "fronts out of order",
+            front,
+            "\nfront 65535:180900 1:180900",
+        ),
+        (
+            "a front for a sensor with no queue",
+            front,
+            "\nfront 7:180900",
+        ),
+        ("a redo cursor naming no front", front, "\nfront -"),
+        (
+            "a front at its release mark",
+            "\nrrel 0:180000",
+            "\nrrel 0:180000 65535:180900",
+        ),
+    ];
+    for (what, from, to) in cases {
+        let text = valid.replacen(from, to, 1);
+        assert_ne!(text, valid, "{what}: nothing damaged");
+        let decoded = check_total_bytes(text.len(), || decode_collector(&text))
+            .unwrap_or_else(|why| panic!("{what}: {why}"));
+        let front_line = 1 + text
+            .split('\n')
+            .position(|l| l.starts_with("front "))
+            .unwrap();
+        match decoded {
+            Err(CheckpointError::Malformed { line, .. }) => assert_eq!(line, front_line, "{what}"),
+            other => panic!("{what}: expected Malformed, got {other:?}"),
+        }
+    }
 }
 
 /// The raw-alarm runs of the collector text's pipeline section: the

@@ -19,6 +19,7 @@ Commands:
   protocol-check               exhaustively explore v2 uplink interleavings
                                (loss, reorder, reconnect, crash, poisoned
                                WAL) against the durability invariants
+  doc-size                     fail when DESIGN.md is over its byte budget
   nemesis [--seed S] [--episodes N]
                                run the seeded nemesis campaign (default
                                seed 12648430, 200 episodes) composing
@@ -93,6 +94,24 @@ fn run_surface() -> Result<(), String> {
     }
 }
 
+/// DESIGN.md's byte budget. The design document is meant to be read
+/// whole, so a change that adds to it cuts elsewhere first.
+const DESIGN_BYTES: u64 = 70_000;
+
+fn run_doc_size() -> Result<(), String> {
+    let path = repo_root().join("DESIGN.md");
+    let len = std::fs::metadata(&path)
+        .map_err(|e| format!("doc-size: {}: {e}", path.display()))?
+        .len();
+    if len > DESIGN_BYTES {
+        return Err(format!(
+            "doc-size: DESIGN.md is {len} B, over its {DESIGN_BYTES} B budget; cut before adding"
+        ));
+    }
+    println!("doc-size: DESIGN.md is {len} B of {DESIGN_BYTES} B");
+    Ok(())
+}
+
 fn run_protocol_check() -> Result<(), String> {
     match protocol_check::check(protocol_check::Scale::Full) {
         Ok(report) => {
@@ -141,11 +160,13 @@ fn run_protocol_check() -> Result<(), String> {
         }
     }
     // The restore space's own self-tests: I6 must reject a restore
-    // point committed before its covering fsync, and the disk a
-    // delete-before-rename reclaim could leave behind.
+    // point committed before its covering fsync, the disk a
+    // delete-before-rename reclaim could leave behind, and a restore
+    // point naming by position readings below its own base.
     for (label, mutation) in [
         ("commit-before-sync", RestoreMutation::CommitBeforeSync),
         ("delete-before-rename", RestoreMutation::DeleteBeforeRename),
+        ("position-below-base", RestoreMutation::PositionBelowBase),
     ] {
         match protocol_check::check_restore_mutation(protocol_check::Scale::Full, mutation) {
             Err(v) if v.invariant == "I6 restore-durability" => println!(
@@ -326,6 +347,7 @@ fn main() -> ExitCode {
         }
         Some("lint") => run_lint(&args[1..]),
         Some("protocol-check") => run_protocol_check(),
+        Some("doc-size") => run_doc_size(),
         Some("nemesis") => run_nemesis(&args[1..]),
         _ => {
             eprint!("{USAGE}");

@@ -227,7 +227,7 @@ struct SpaceCfg {
     discipline: AckDiscipline,
 }
 
-/// The two restore-point orders I6 must reject (self-tests; neither
+/// The three broken restore points I6 must reject (self-tests; none
 /// is reachable through any production configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreMutation {
@@ -238,6 +238,9 @@ pub enum RestoreMutation {
     /// is renamed: emulated in the crash model, by killing the process
     /// inside a reclaim with `checkpoint.ck` as it was before it.
     DeleteBeforeRename,
+    /// A restore point names by log position buffered readings below
+    /// its base, which the reclaim it plans deletes.
+    PositionBelowBase,
 }
 
 /// A violated invariant plus everything needed to reproduce it: the
@@ -529,8 +532,10 @@ impl<'a> Episode<'a> {
 
     fn serve(cfg: &SpaceCfg, collector: Collector) -> StepServer {
         let mut server = StepServer::new(collector, CREDITS, cfg.discipline);
-        if cfg.mutation == Some(RestoreMutation::CommitBeforeSync) {
-            server.commit_restore_unsynced();
+        match cfg.mutation {
+            Some(RestoreMutation::CommitBeforeSync) => server.commit_restore_unsynced(),
+            Some(RestoreMutation::PositionBelowBase) => server.name_below_base(),
+            _ => {}
         }
         server
     }
@@ -1646,6 +1651,7 @@ pub fn check_restore_mutation(
     let name = match mutation {
         RestoreMutation::CommitBeforeSync => "restore-commit-before-sync",
         RestoreMutation::DeleteBeforeRename => "restore-delete-before-rename",
+        RestoreMutation::PositionBelowBase => "restore-position-below-base",
     };
     explore_alone(&restore_space(name, scale, Some(mutation)))
 }
@@ -1760,10 +1766,11 @@ mod tests {
     }
 
     #[test]
-    fn both_restore_point_mutations_trip_i6() {
+    fn every_restore_point_mutation_trips_i6() {
         for mutation in [
             RestoreMutation::CommitBeforeSync,
             RestoreMutation::DeleteBeforeRename,
+            RestoreMutation::PositionBelowBase,
         ] {
             let v = match check_restore_mutation(Scale::Quick, mutation) {
                 Ok(report) => panic!(
