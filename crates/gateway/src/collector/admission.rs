@@ -436,15 +436,20 @@ impl Collector {
         }
     }
 
-    /// Whether an overlapped sync should be started now: the fsync
-    /// policy wants one (see [`Wal::sync_due`]), or a staged restore
-    /// point is waiting for one to ride and the syncer is free.
+    /// Whether an overlapped sync should be started now: the syncer is
+    /// idle, and the fsync policy wants one (see [`Wal::sync_due`]) or
+    /// a staged restore point is waiting for one to ride.
     pub fn sync_due(&self) -> bool {
-        self.wal.sync_due()
-            || (self.restore_staged.is_some()
-                && self.restore_in_flight.is_none()
-                && !self.wal.sync_in_flight()
-                && self.wal.poisoned().is_none())
+        let staged = self.restore_staged.is_some() && self.restore_in_flight.is_none();
+        self.syncer_idle() && self.wal.poisoned().is_none() && (staged || self.wal.sync_due())
+    }
+
+    /// The one rule for when a sync may start: the syncer is idle — no
+    /// sync in flight, and no dispatched restore point whose commit
+    /// (which the syncer runs after its fsync) has no outcome yet.
+    pub fn syncer_idle(&self) -> bool {
+        let restore = self.restore_in_flight.as_ref();
+        !self.wal.sync_in_flight() && restore.is_none_or(|rp| rp.settled())
     }
 
     /// Whether an overlapped sync is in flight.
@@ -453,13 +458,16 @@ impl Collector {
     }
 
     /// Starts an overlapped sync covering every record logged so far
-    /// (see [`Wal::begin_sync`]) and attaches the staged restore point,
-    /// unless one is still in flight. With nothing left to sync the
-    /// restore point goes alone: a completed fsync covers its cursor.
+    /// (see [`Wal::begin_sync`]) if the syncer is idle, and attaches the
+    /// staged restore point unless one is still in flight. With nothing
+    /// left to sync the restore point goes alone: a completed fsync
+    /// covers its cursor.
     pub(crate) fn begin_sync(&mut self) -> Option<SyncStart> {
+        if !self.syncer_idle() {
+            return None;
+        }
         let mut start = self.wal.begin_sync();
-        let idle = !self.wal.sync_in_flight() && self.wal.poisoned().is_none();
-        if (start.is_some() || idle) && self.restore_in_flight.is_none() {
+        if self.wal.poisoned().is_none() && self.restore_in_flight.is_none() {
             if let Some(rp) = self.restore_staged.take() {
                 start.get_or_insert_with(SyncStart::default).restore = Some(Arc::clone(&rp));
                 self.restore_in_flight = Some(rp);

@@ -15,7 +15,7 @@ use super::*;
 use crate::snapshot::read_collector;
 use crate::wal::ReclaimPlan;
 use sentinet_core::checkpoint::{CheckpointError, Fields, Reader};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 
 /// Marker line opening a gateway checkpoint file.
 const CHECKPOINT_MAGIC: &str = "sentinet-gateway-checkpoint v2";
@@ -281,6 +281,15 @@ impl RestorePoint {
     /// Whether the rename happened; `None` while there is no outcome.
     pub(crate) fn committed(&self) -> Option<bool> {
         self.result().0
+    }
+
+    /// Whether the commit has its outcome; `false`, without waiting,
+    /// while the syncer is in a step.
+    pub(crate) fn settled(&self) -> bool {
+        match self.commit.try_lock() {
+            Ok(commit) => commit.committed.is_some(),
+            Err(e) => matches!(e, TryLockError::Poisoned(_)),
+        }
     }
 
     /// [`RestorePoint::committed`] and the time the overlapped steps

@@ -4,32 +4,23 @@
 //!
 //! [`Server`](crate::server::Server) is built around threads, sockets
 //! and wall-clock timeouts, none of which an exhaustive state-space
-//! explorer can schedule. [`StepServer`] drives the same
-//! [`protocol::Core`](crate::protocol::Core) with every
-//! nondeterministic edge lifted out: the caller owns the "network" (it
-//! feeds raw frame bytes per connection and collects typed reply
-//! messages), the caller decides when the queue runs dry
-//! ([`StepServer::queue_dry`]), when the inline group commit fires
-//! ([`StepServer::commit`]) and when an overlapped sync starts and when
-//! it completes ([`StepServer::start_sync`],
-//! [`StepServer::complete_sync`] — the server's syncer thread, with the
-//! fsync itself held back until the schedule says it returned), when
-//! the restore point that rode it is written, renamed and landed
-//! ([`StepServer::step_restore`]), and every step decodes exactly one
-//! message. It is **not** a model of
-//! the server: the protocol is the shipped core, and admission, durability and ack release run through
-//! the real [`Collector`] (real [`SeqTracker`](crate::collector::SeqTracker)
-//! dedup, real [`Wal`](crate::wal::Wal) appends over whatever
+//! explorer can schedule. [`StepServer`] runs the same core, loop rule
+//! and sync job (see [`protocol`](crate::protocol)) with every
+//! nondeterministic edge lifted out: the caller owns the "network"
+//! (raw frame bytes in, typed replies out, one message a step) and
+//! decides when the queue runs dry, when the inline group commit fires,
+//! when a sync starts and when each step of its job runs. It is **not**
+//! a model of the server: admission, durability and ack release run
+//! through the real [`Collector`] (real
+//! [`SeqTracker`](crate::collector::SeqTracker) dedup, real
+//! [`Wal`](crate::wal::Wal) appends over whatever
 //! [`Vfs`](crate::vfs::Vfs) the collector was opened with, real
 //! [`FrameBuffer`] decoding), so an invariant the checker proves holds
 //! for the code that runs in production.
 
-use crate::collector::{Collector, GatewayError, RestorePoint};
+use crate::collector::{Collector, GatewayError};
 use crate::frame::{Frame, FrameBuffer, FrameError, Message};
-use crate::protocol::{AckDiscipline, Core, QueuedAck, Reply};
-use crate::vfs::VFile;
-use crate::wal::{SyncDone, SyncTicket};
-use std::sync::Arc;
+use crate::protocol::{AckDiscipline, Core, QueuedAck, Reply, RestoreStep, Syncer};
 
 /// What one [`StepServer::step`] call did.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,19 +36,6 @@ pub enum StepEvent {
     BadFrame(FrameError),
 }
 
-/// The step of a dispatched restore point that
-/// [`StepServer::step_restore`] runs next, in the order the syncer
-/// thread and the event loop take them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestoreStep {
-    /// The syncer encodes the checkpoint and writes `checkpoint.tmp`.
-    Write,
-    /// The syncer renames it over `checkpoint.ck`.
-    Rename,
-    /// The event loop lands it on the collector.
-    Land,
-}
-
 /// The single-stepped driver of the protocol core over a real
 /// [`Collector`]. See the module docs for what it is (a seam) and is
 /// not (a model).
@@ -65,12 +43,8 @@ pub struct StepServer {
     collector: Collector,
     conns: Vec<Option<FrameBuffer>>,
     core: Core,
-    /// The syncer's handle on the active WAL segment.
-    sync_handle: Option<Box<dyn VFile>>,
-    /// The overlapped sync that has started and not yet completed.
-    in_flight: Option<SyncTicket>,
-    /// The restore point the last started sync carried, until landed.
-    restore: Option<Arc<RestorePoint>>,
+    /// The sync job, run one step at a time.
+    syncer: Syncer,
     /// Mutation seam: whether a restore point's commit waits for its
     /// covering fsync (see [`StepServer::commit_restore_unsynced`]).
     restore_waits: bool,
@@ -84,9 +58,7 @@ impl StepServer {
             collector,
             conns: Vec::new(),
             core: Core::new(credit_window, discipline),
-            sync_handle: None,
-            in_flight: None,
-            restore: None,
+            syncer: Syncer::default(),
             restore_waits: true,
         }
     }
@@ -157,94 +129,48 @@ impl StepServer {
     /// poisons the WAL and is absorbed, exactly like the server.
     pub fn commit(&mut self) -> Result<Vec<(usize, Message)>, GatewayError> {
         let mut replies = Vec::new();
-        self.core.on_queue_dry(&mut self.collector, &mut replies)?;
+        self.core.commit(&mut self.collector, &mut replies)?;
         Ok(self.route(replies))
     }
 
-    /// What the server does when its queue runs dry: queued acks behind
-    /// an idle syncer start an overlapped sync
-    /// ([`StepServer::start_sync`]) whatever the fsync policy, and only
-    /// a log that cannot start one is committed inline
-    /// ([`StepServer::commit`]). A busy syncer takes the flush later.
+    /// The queue runs dry: [`Core::on_queue_dry`], the rule the server
+    /// follows on every dry tick.
     ///
     /// # Errors
     ///
     /// As [`StepServer::commit`].
     pub fn queue_dry(&mut self) -> Result<Vec<(usize, Message)>, GatewayError> {
-        let busy = self.sync_in_flight()
-            || matches!(
-                self.restore_step_ready(),
-                Some(RestoreStep::Write | RestoreStep::Rename)
-            );
-        if self.core.pending_acks().is_empty() || busy || self.start_sync() {
-            return Ok(Vec::new());
+        let mut replies = Vec::new();
+        if let Some(job) = self.core.on_queue_dry(&mut self.collector, &mut replies)? {
+            self.syncer.take(job);
         }
-        self.commit()
+        Ok(self.route(replies))
     }
 
-    /// An overlapped sync starts: the WAL cursor it will cover is
-    /// captured now, and nothing touches the disk until
-    /// [`StepServer::complete_sync`]. Returns `false` (and does
-    /// nothing) when there is nothing to cover, a sync is already in
-    /// flight, or the WAL is poisoned. The server starts one only when
-    /// the fsync policy is due; the checker may start one at any point
-    /// with unsynced records, which covers every point the policy
-    /// could pick. A staged restore point rides the sync as its tail
-    /// (or goes alone when nothing is unsynced); like the one syncer
-    /// thread, the harness takes no new job while a commit is unrun.
+    /// An overlapped sync starts, its cursor captured now; nothing
+    /// touches the disk until [`StepServer::complete_sync`]. `false`
+    /// when [`Collector::begin_sync`] has no job to give. The server
+    /// starts one when the policy is due; the checker may start one
+    /// whenever records are unsynced, which covers every such point.
     pub fn start_sync(&mut self) -> bool {
-        if matches!(
-            self.restore_step_ready(),
-            Some(RestoreStep::Write | RestoreStep::Rename)
-        ) {
-            return false;
-        }
-        let Some(start) = self.collector.begin_sync() else {
-            return false;
-        };
-        if start.handle.is_some() {
-            self.sync_handle = start.handle;
-        }
-        self.in_flight = start.ticket;
-        if start.restore.is_some() {
-            self.restore = start.restore;
-        }
-        true
+        let job = self.collector.begin_sync();
+        job.map(|job| self.syncer.take(job)).is_some()
     }
 
     /// What [`StepServer::step_restore`] would do: `None` — nothing
     /// (no restore point dispatched, or its covering fsync has not
     /// completed).
     pub fn restore_step_ready(&self) -> Option<RestoreStep> {
-        let rp = self.restore.as_ref()?;
-        if rp.committed().is_some() {
-            return Some(RestoreStep::Land);
-        }
-        if self.in_flight.is_some() && self.restore_waits {
-            return None;
-        }
-        Some(if rp.written() {
-            RestoreStep::Rename
-        } else {
-            RestoreStep::Write
-        })
+        self.syncer.restore_step(self.restore_waits)
     }
 
-    /// The dispatched restore point's next step, one of the three the
-    /// syncer thread and the event loop run in this order: write the
-    /// tmp file, rename it over the checkpoint, land it on the
-    /// collector. A synchronous writer may have run the rest already,
-    /// in which case the step left is the (empty) landing.
+    /// The dispatched restore point's next step: tmp written, renamed
+    /// over the checkpoint, landed — or only the (empty) landing, when
+    /// a synchronous writer ran the rest.
     pub fn step_restore(&mut self) {
-        match (self.restore_step_ready(), &self.restore) {
-            (Some(RestoreStep::Land), _) => {
-                self.collector.land_restore_point();
-                self.restore = None;
-            }
-            (Some(_), Some(rp)) => {
-                rp.step(self.collector.wal_config(), true);
-            }
-            _ => {}
+        let wal = self.collector.wal_config();
+        if self.syncer.step_restore(wal, self.restore_waits) == Some(RestoreStep::Land) {
+            self.collector.land_restore_point();
         }
     }
 
@@ -265,7 +191,7 @@ impl StepServer {
 
     /// Whether a started sync has not completed yet.
     pub fn sync_in_flight(&self) -> bool {
-        self.in_flight.is_some()
+        self.collector.sync_in_flight()
     }
 
     /// The sync in flight completes: its fsync runs on the sync handle
@@ -274,15 +200,9 @@ impl StepServer {
     /// the WAL, and the acks it covers are released. Returns no
     /// replies when no sync is in flight.
     pub fn complete_sync(&mut self) -> Vec<(usize, Message)> {
-        let (Some(ticket), Some(handle)) = (self.in_flight.take(), self.sync_handle.as_mut())
-        else {
+        let Some((ticket, done)) = self.syncer.fsync() else {
             return Vec::new();
         };
-        let done = SyncDone::run(handle.as_mut());
-        if !done.is_ok() {
-            // Nothing is committed past a cursor whose fsync failed.
-            self.restore = None;
-        }
         let mut replies = Vec::new();
         self.core
             .on_synced(&mut self.collector, ticket, done, &mut replies);
@@ -301,11 +221,6 @@ impl StepServer {
     /// Acks admitted but not yet released (awaiting fsync coverage).
     pub fn pending_acks(&self) -> &[QueuedAck] {
         self.core.pending_acks()
-    }
-
-    /// Hellos refused for an unknown protocol version.
-    pub fn version_rejects(&self) -> u64 {
-        self.core.version_rejects()
     }
 
     /// The underlying collector (for invariant probes).

@@ -64,11 +64,11 @@ pub use frame::{
     Frame, FrameBuffer, FrameError, Message, ReadingArena, MAX_BATCH_READINGS, MAX_PAYLOAD,
     PROTOCOL_V1, PROTOCOL_VERSION,
 };
-pub use harness::{RestoreStep, StepEvent, StepServer};
+pub use harness::{StepEvent, StepServer};
 pub use netsim::{
     deliver_schedule, delivery_schedule, drive_uplink, trace_to_raw, Emission, NetsimConfig,
 };
-pub use protocol::{AckDiscipline, QueuedAck};
+pub use protocol::{AckDiscipline, QueuedAck, RestoreStep};
 pub use reorder::{
     AdmitOutcome, ByPosition, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats,
     RETAINED_VALUES,

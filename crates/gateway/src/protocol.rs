@@ -1,5 +1,6 @@
 //! The sans-IO protocol core: the one implementation of the gateway's
-//! v1/v2 wire protocol, shared by its two drivers.
+//! v1/v2 wire protocol and of the loop rule around it, shared by its
+//! two drivers.
 //!
 //! [`Core`] consumes one decoded [`Message`] (a batch in the arena it
 //! was decoded into: [`Core::on_batch`]) for a connection id, a
@@ -8,21 +9,25 @@
 //! everything protocol-shaped — the pending-ack queue and its ack-after-durable release rule, version
 //! negotiation, the epoch-fence observation on `Hello`/`Heartbeat`,
 //! the NACK rules and the three migration arms — and touches no
-//! socket, thread or clock. [`Server`](crate::server::Server) drives it
-//! from its event queue and writes each reply as one frame;
-//! [`StepServer`](crate::harness::StepServer) drives it one message at
-//! a time for the protocol model checker. An invariant
-//! `xtask protocol-check` proves therefore holds for the loop that
-//! ships, because both run this code.
+//! socket, thread or clock. The loop rule is stated once too: a sync
+//! starts only while [`Collector::syncer_idle`], a dry queue flushes by
+//! [`Core::on_queue_dry`], and a sync job runs by [`Syncer`].
+//! [`Server`](crate::server::Server) is threads and sockets around
+//! them, [`StepServer`](crate::harness::StepServer) single steps for
+//! the protocol model checker. An invariant `xtask protocol-check`
+//! proves therefore holds for the loop that ships, because both run
+//! this code.
 //!
 //! This is the only non-test gateway code that constructs an
 //! `Ack`/`AckUpTo` (the `ack-ordering` lint enforces it).
 
-use crate::collector::{Collector, DeliverOutcome, GatewayError};
+use crate::collector::{Collector, DeliverOutcome, GatewayError, RestorePoint};
 use crate::frame::{Message, ReadingArena, PROTOCOL_V1, PROTOCOL_VERSION};
 use crate::snapshot::{decode_collector, encode_collector};
-use crate::wal::{SyncDone, SyncTicket};
+use crate::vfs::VFile;
+use crate::wal::{SyncDone, SyncStart, SyncTicket, WalConfig};
 use sentinet_sim::SensorId;
+use std::sync::Arc;
 
 /// When a queued cumulative ack may be written to the client.
 ///
@@ -127,14 +132,14 @@ impl Core {
 
     /// The group commit, inline: one fsync covers every batch admitted
     /// since the last one, and the acks it unblocks are released
-    /// together. `Fin` runs it; a driver whose queue ran dry runs it
-    /// only when it cannot hand the flush to an overlapped sync.
+    /// together. `Fin` runs it, and [`Core::on_queue_dry`] when no
+    /// fsync can start.
     ///
     /// # Errors
     ///
     /// [`GatewayError`] on non-storage failures; a storage failure
     /// poisons the WAL and is absorbed (deliveries NACK from then on).
-    pub fn on_queue_dry(
+    pub fn commit(
         &mut self,
         collector: &mut Collector,
         out: &mut Vec<Reply>,
@@ -144,6 +149,27 @@ impl Core {
             self.release_ready(collector, out);
         }
         Ok(())
+    }
+
+    /// The event queue ran dry, the group commit's flush interval:
+    /// queued acks behind an idle syncer start an overlapped sync
+    /// whatever the policy, its job returned for the driver's
+    /// [`Syncer`]; only a log that cannot start an fsync (poisoned, or
+    /// a vfs without sync handles) commits inline; a busy syncer takes
+    /// the flush later. Fails as [`Core::commit`] does.
+    pub(crate) fn on_queue_dry(
+        &mut self,
+        collector: &mut Collector,
+        out: &mut Vec<Reply>,
+    ) -> Result<Option<SyncStart>, GatewayError> {
+        if self.pending.is_empty() || !collector.syncer_idle() {
+            return Ok(None);
+        }
+        let job = collector.begin_sync();
+        if job.as_ref().is_none_or(|job| job.ticket.is_none()) {
+            self.commit(collector, out)?;
+        }
+        Ok(job)
     }
 
     /// An overlapped sync completed: its outcome lands on the WAL (the
@@ -215,7 +241,7 @@ impl Core {
                 // End of stream: flush the group commit so every
                 // queued ack is released before the FinAck, and leave
                 // no restore point half-way behind it.
-                self.on_queue_dry(collector, out)?;
+                self.commit(collector, out)?;
                 collector.flush_restore_points()?;
                 out.push(Reply::keep(conn, Message::FinAck));
                 return Ok(true);
@@ -400,5 +426,80 @@ impl Core {
             out.push(Reply::keep(p.conn, ack));
             false
         });
+    }
+}
+
+/// A dispatched restore point's next step, in the order they run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestoreStep {
+    /// The syncer encodes the checkpoint and writes `checkpoint.tmp`.
+    Write,
+    /// The syncer renames it over `checkpoint.ck`.
+    Rename,
+    /// The event loop lands it on the collector.
+    Land,
+}
+
+/// The syncer's one job routine, over what [`Collector::begin_sync`]
+/// hands out: the job's fsync runs first and is reported on its own —
+/// no ack waits on a commit — and the restore point riding it is
+/// written and renamed only after that fsync succeeded; the loop lands
+/// it. The server's syncer thread runs a job's steps back to back,
+/// [`StepServer`](crate::harness::StepServer) one at a time.
+#[derive(Default)]
+pub(crate) struct Syncer {
+    /// The sync handle on the active WAL segment.
+    handle: Option<Box<dyn VFile>>,
+    /// The job's fsync, until it has run.
+    ticket: Option<SyncTicket>,
+    /// The restore point riding the job, until landed.
+    restore: Option<Arc<RestorePoint>>,
+}
+
+impl Syncer {
+    /// Takes the next job (the first of every segment has a handle).
+    pub(crate) fn take(&mut self, job: SyncStart) {
+        self.handle = job.handle.or(self.handle.take());
+        self.ticket = job.ticket;
+        self.restore = job.restore.or(self.restore.take());
+    }
+
+    /// Runs the job's fsync, if it has one left, for
+    /// [`Core::on_synced`]. Nothing is committed past a cursor whose
+    /// fsync failed.
+    pub(crate) fn fsync(&mut self) -> Option<(SyncTicket, SyncDone)> {
+        let ticket = self.ticket.take()?;
+        let done = match self.handle.as_mut() {
+            Some(file) => SyncDone::run(file.as_mut()),
+            None => SyncDone::failed("sync job without a handle"),
+        };
+        if !done.is_ok() {
+            self.restore = None;
+        }
+        Some((ticket, done))
+    }
+
+    /// The restore point's next step; none while its fsync has not run
+    /// and `waits` (false only for the checker's commit-before-sync
+    /// mutant).
+    pub(crate) fn restore_step(&self, waits: bool) -> Option<RestoreStep> {
+        let rp = self.restore.as_ref()?;
+        Some(match (rp.committed(), rp.written()) {
+            (Some(_), _) => RestoreStep::Land,
+            _ if self.ticket.is_some() && waits => return None,
+            (None, false) => RestoreStep::Write,
+            (None, true) => RestoreStep::Rename,
+        })
+    }
+
+    /// Runs [`Syncer::restore_step`] and returns it: a commit step
+    /// here, or `Land`, which hands the restore point to the loop.
+    pub(crate) fn step_restore(&mut self, wal: &WalConfig, waits: bool) -> Option<RestoreStep> {
+        let step = self.restore_step(waits)?;
+        match step {
+            RestoreStep::Land => self.restore = None,
+            _ => _ = self.restore.as_ref()?.step(wal, true),
+        }
+        Some(step)
     }
 }

@@ -17,21 +17,17 @@
 //!   the replies it emits back on a cloned write half — the protocol
 //!   itself lives there, shared with the model checker's
 //!   [`StepServer`](crate::harness::StepServer);
-//! * a **syncer thread**, started by the first policy fsync a v2 batch
-//!   makes due, runs that fsync on a second open of the active WAL
-//!   segment while the event loop admits the next batches, and posts
-//!   the outcome back on the event queue. At most one sync is in
-//!   flight; its acks are released when it completes, against the
-//!   cursor captured before it started, and the next one starts then —
-//!   so a group is as many batches as were admitted meanwhile (the
-//!   completion queues behind messages already waiting), at most the
-//!   credit window. A restore point staged at a `checkpoint_every`
-//!   tick rides the next sync as its tail: the syncer reports the
-//!   fsync first — no ack waits on a commit — and only if it succeeded
-//!   encodes, writes and renames the checkpoint, then posts a second
-//!   completion on which the loop lands it (cursor advertised,
-//!   segments reclaimed). The loop itself only takes the snapshot.
-//!   Under `fsync=never` the tail is the thread's only work;
+//! * a **syncer thread**, started by the first sync the loop rule
+//!   starts (see [`protocol`](crate::protocol)), runs each job with
+//!   [`Syncer`] — the policy fsync on a second open of the active WAL
+//!   segment while the event loop admits the next batches, then the
+//!   commit of a restore point riding it — and posts each outcome back
+//!   on the event queue. Its acks are released when the fsync
+//!   completes, against the cursor captured before it started, so a
+//!   group is as many batches as were admitted meanwhile, at most the
+//!   credit window. The loop lands the restore point (cursor
+//!   advertised, segments reclaimed); it only takes the snapshot.
+//!   Under `fsync=never` the commit is the thread's only work;
 //! * before any of these, [`Collector::open`] may run a **replay
 //!   worker**: once a reopen has read 256 KiB of log it scans and
 //!   re-sequences the rest on one scoped thread while the opening thread
@@ -47,12 +43,10 @@
 
 use crate::collector::{Collector, GatewayError};
 use crate::frame::{
-    encode_frame, encode_payload, frame_with, Frame, FrameBuffer, FrameError, Message,
-    ReadingArena, PROTOCOL_V1,
+    encode_payload, frame_with, Frame, FrameBuffer, FrameError, Message, ReadingArena,
 };
 use crate::net::{is_timeout, Listener, Stream};
-use crate::protocol::{AckDiscipline, Core, Reply};
-use crate::vfs::VFile;
+use crate::protocol::{AckDiscipline, Core, Reply, RestoreStep, Syncer};
 use crate::wal::{SyncDone, SyncStart, SyncTicket, WalConfig};
 use sentinet_sim::SensorId;
 use std::collections::BTreeMap;
@@ -131,42 +125,27 @@ const EVENT_QUEUE: usize = 1024;
 /// interval.
 const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
-/// The syncer thread and its job queue. A job is what
-/// [`Collector::begin_sync`] returned: the ticket, a fresh sync handle
-/// whenever the WAL moved to a new segment, and the restore point
-/// riding the sync, if one was staged.
-struct Syncer {
+/// The syncer thread and its job queue (one slot: the loop hands it a
+/// job only while it is idle).
+struct SyncThread {
     jobs: SyncSender<SyncStart>,
     thread: JoinHandle<()>,
 }
 
-impl Syncer {
+impl SyncThread {
     fn spawn(events: SyncSender<Event>, wal: WalConfig) -> Self {
-        // One slot: the WAL never has a second sync in flight.
         let (jobs, queue) = sync_channel::<SyncStart>(1);
         let thread = std::thread::spawn(move || {
-            let mut handle: Option<Box<dyn VFile>> = None;
+            let mut syncer = Syncer::default();
             for job in queue.iter() {
-                if job.handle.is_some() {
-                    handle = job.handle;
-                }
-                let mut covered = true;
-                if let Some(ticket) = job.ticket {
-                    // The first job of every segment carries its handle.
-                    let done = match handle.as_mut() {
-                        Some(file) => SyncDone::run(file.as_mut()),
-                        None => SyncDone::failed("sync job without a handle"),
-                    };
-                    covered = done.is_ok();
+                syncer.take(job);
+                if let Some((ticket, done)) = syncer.fsync() {
                     if events.send(Event::Synced(ticket, done)).is_err() {
                         return;
                     }
                 }
-                // The acks went first; nothing is committed past a
-                // cursor whose fsync failed.
-                if let (true, Some(restore)) = (covered, job.restore) {
-                    while !restore.step(&wal, true) {}
-                    if events.send(Event::RestorePoint).is_err() {
+                while let Some(step) = syncer.step_restore(&wal, true) {
+                    if step == RestoreStep::Land && events.send(Event::RestorePoint).is_err() {
                         return;
                     }
                 }
@@ -187,7 +166,7 @@ pub struct Server {
     /// The event queue's sending side, for the syncer's completions;
     /// dropped at teardown so the queue can disconnect.
     events_tx: Option<SyncSender<Event>>,
-    syncer: Option<Syncer>,
+    syncer: Option<SyncThread>,
     decode_ns: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -287,19 +266,14 @@ impl Server {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            // A momentarily dry queue is the group commit's flush
-            // interval: queued acks behind no sync in flight get one now,
-            // whatever the policy, on the syncer — the loop never waits
-            // on the disk. A log that cannot start one (poisoned, or a
-            // vfs without sync handles) takes the inline commit.
             let event = match self.events.try_recv() {
                 Ok(e) => e,
                 Err(TryRecvError::Empty) => {
-                    self.start_sync(collector, !self.core.pending_acks().is_empty());
-                    if !collector.sync_in_flight() {
-                        self.core.on_queue_dry(collector, &mut replies)?;
-                        write_replies(&mut writers, &mut replies, &mut drain, stats);
-                    }
+                    // A momentarily dry queue is the group commit's
+                    // flush interval.
+                    let job = self.core.on_queue_dry(collector, &mut replies)?;
+                    self.start_sync(collector, job);
+                    write_replies(&mut writers, &mut replies, &mut drain, stats);
                     match self.events.recv_timeout(Duration::from_millis(100)) {
                         Ok(e) => e,
                         Err(RecvTimeoutError::Timeout) => continue,
@@ -321,7 +295,7 @@ impl Server {
                     if fin? {
                         return Ok(());
                     }
-                    self.start_sync(collector, false);
+                    self.start_sync(collector, None);
                 }
                 Event::Batch(id, sensor, seq, arena) => {
                     let done = self
@@ -329,16 +303,16 @@ impl Server {
                         .on_batch(collector, id, sensor, seq, &arena, &mut replies);
                     write_replies(&mut writers, &mut replies, &mut drain, stats);
                     done?;
-                    self.start_sync(collector, false);
+                    self.start_sync(collector, None);
                 }
                 Event::Synced(ticket, done) => {
                     self.core.on_synced(collector, ticket, done, &mut replies);
                     write_replies(&mut writers, &mut replies, &mut drain, stats);
-                    self.start_sync(collector, false);
+                    self.start_sync(collector, None);
                 }
                 Event::RestorePoint => {
                     collector.land_restore_point();
-                    self.start_sync(collector, false);
+                    self.start_sync(collector, None);
                 }
                 Event::BadFrame(id, e) => {
                     stats.bad_frames += 1;
@@ -358,26 +332,27 @@ impl Server {
 }
 
 impl Server {
-    /// Hands the syncer thread the next overlapped fsync if the WAL's
-    /// policy wants one (or a staged restore point is waiting for one,
-    /// or `flush` asks for one) and none is in flight — after every
-    /// admitted message and every completion, so the next sync starts
-    /// the moment the previous one lands.
-    fn start_sync(&mut self, collector: &mut Collector, flush: bool) {
+    /// Hands the syncer thread `job` (the dry queue's), or else the next
+    /// sync if one is due — after every message and completion, so a
+    /// sync starts once the syncer is idle. Spawns the thread on the first.
+    fn start_sync(&mut self, collector: &mut Collector, job: Option<SyncStart>) {
         let Some(events) = &self.events_tx else {
             return;
         };
-        if !flush && !collector.sync_due() {
-            return;
-        }
-        let Some(start) = collector.begin_sync() else {
+        let job = job.or_else(|| {
+            collector
+                .sync_due()
+                .then(|| collector.begin_sync())
+                .flatten()
+        });
+        let Some(job) = job else {
             return;
         };
-        let ticket = start.ticket;
-        let syncer = self
-            .syncer
-            .get_or_insert_with(|| Syncer::spawn(events.clone(), collector.wal_config().clone()));
-        if let (Err(_), Some(ticket)) = (syncer.jobs.send(start), ticket) {
+        let ticket = job.ticket;
+        let syncer = self.syncer.get_or_insert_with(|| {
+            SyncThread::spawn(events.clone(), collector.wal_config().clone())
+        });
+        if let (Err(_), Some(ticket)) = (syncer.jobs.send(job), ticket) {
             // The syncer is gone (its thread panicked): nothing will
             // ever cover this ticket, so fail it and fail-stop.
             collector.complete_sync(ticket, SyncDone::failed("syncer thread is gone"));
@@ -559,19 +534,10 @@ fn reader_loop(
     }
 }
 
-/// A legacy (v1) Hello frame for raw-socket clients to open with
-/// (re-exported convenience). The server sends no reply to a v1
-/// Hello, so a raw connection can stream Data frames immediately.
-pub fn hello_frame() -> Vec<u8> {
-    encode_frame(&Message::Hello {
-        version: PROTOCOL_V1,
-        epoch: 0,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{encode_frame, PROTOCOL_V1};
 
     /// Two frames arrive in one `read` while the event queue is full,
     /// so both sends stall until the test drains it. The decode clock
@@ -582,8 +548,12 @@ mod tests {
         const STALL: Duration = Duration::from_millis(120);
         let (listener, addr) = Listener::bind("127.0.0.1:0").unwrap();
         let mut client = Stream::connect(&addr).unwrap();
-        let mut wire = hello_frame();
-        wire.extend(hello_frame());
+        let hello = encode_frame(&Message::Hello {
+            version: PROTOCOL_V1,
+            epoch: 0,
+        });
+        let mut wire = hello.clone();
+        wire.extend(hello);
         client.write_all(&wire).unwrap();
         let served = listener.accept().unwrap();
         served

@@ -691,6 +691,66 @@ fn a_dry_queue_behind_a_completed_sync_flushes_on_the_syncer() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// The one syncer runs a job's restore commit after its fsync, so a
+/// restore point whose sync completed keeps the syncer busy until its
+/// commit has an outcome: with the policy's next sync due, the check
+/// the server makes after every event, the step seam and a dry queue
+/// all refuse to start one, and the sync starts once the restore point
+/// has landed — with the next staged one riding it.
+#[test]
+fn no_sync_starts_while_a_restore_commit_is_unrun() {
+    let dir = tmpdir("restore-busy");
+    let mut config = GatewayConfig::new(&dir);
+    config.wal.fsync = FsyncPolicy::Batch(32);
+    config.checkpoint_every = 2 * BATCH;
+    let (collector, _) = Collector::open(config).expect("open");
+    let mut server = StepServer::new(collector, 8, AckDiscipline::Durable);
+    let conn = server.connect();
+    let deliver = |server: &mut StepServer, frame: &[u8]| {
+        server.feed(conn, frame);
+        match server.step(conn) {
+            Ok(StepEvent::Replies(replies)) => replies,
+            other => panic!("{other:?}"),
+        }
+    };
+    let acks = |batches: std::ops::Range<u64>| -> Vec<(usize, Message)> {
+        let ack = |index| Message::AckUpTo {
+            sensor: SensorId(0),
+            seq: (index + 1) * BATCH - 1,
+        };
+        batches.map(|index| (conn, ack(index))).collect()
+    };
+    let hello = Message::Hello {
+        version: PROTOCOL_VERSION,
+        epoch: 0,
+    };
+    deliver(&mut server, &encode_frame(&hello));
+    for index in 0..2 {
+        assert_eq!(deliver(&mut server, &batch(index)), []);
+    }
+    assert!(server.start_sync(), "32 readings: a restore point rides it");
+    for index in 2..4 {
+        assert_eq!(deliver(&mut server, &batch(index)), []);
+    }
+    assert_eq!(server.complete_sync(), acks(0..2));
+    assert_eq!(server.restore_step_ready(), Some(RestoreStep::Write));
+    assert!(!server.collector().sync_due(), "the syncer is busy");
+    assert!(!server.start_sync());
+    assert_eq!(server.queue_dry().expect("healthy storage"), []);
+    assert!(!server.sync_in_flight(), "the flush waits for the syncer");
+    for step in [RestoreStep::Write, RestoreStep::Rename, RestoreStep::Land] {
+        assert_eq!(server.restore_step_ready(), Some(step));
+        server.step_restore();
+    }
+    assert_eq!(server.collector().checkpoint_cursor(), 2 * BATCH);
+    assert!(server.collector().sync_due(), "idle: the policy's sync");
+    assert!(server.start_sync());
+    assert_eq!(server.restore_step_ready(), None, "the next one rides it");
+    assert_eq!(server.complete_sync(), acks(2..4));
+    assert_eq!(server.restore_step_ready(), Some(RestoreStep::Write));
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// (f) Kill between the tmp write and the rename, through the step
 /// seam: the reopened collector verifies the previous restore point,
 /// replays the whole log, and finishes to the uninterrupted report.

@@ -9,11 +9,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sentinet_gateway::frame::encode_frame;
-use sentinet_gateway::server::hello_frame;
 use sentinet_gateway::{
     delivery_schedule, drive_uplink, trace_to_raw, Collector, FrameBuffer, FrameError, FsyncPolicy,
     GatewayConfig, GatewayReport, Message, NetsimConfig, PipelinedConfig, PipelinedUplink,
-    SensorUplink, Server, ServerConfig, UplinkConfig, PROTOCOL_VERSION,
+    SensorUplink, Server, ServerConfig, UplinkConfig, PROTOCOL_V1, PROTOCOL_VERSION,
 };
 use sentinet_sim::{gdi, simulate, RawRecord, SensorId, DAY_S};
 use std::collections::BTreeMap;
@@ -22,6 +21,15 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// A legacy (v1) Hello: the server sends no reply to it, so a raw
+/// connection can stream frames right after.
+fn hello_frame() -> Vec<u8> {
+    encode_frame(&Message::Hello {
+        version: PROTOCOL_V1,
+        epoch: 0,
+    })
+}
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sentinet-e2e-{name}-{}", std::process::id()));

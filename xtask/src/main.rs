@@ -19,7 +19,8 @@ Commands:
   protocol-check               exhaustively explore v2 uplink interleavings
                                (loss, reorder, reconnect, crash, poisoned
                                WAL) against the durability invariants
-  doc-size                     fail when DESIGN.md is over its byte budget
+  doc-size                     fail when DESIGN.md or the newest CHANGES.md
+                               row is over its byte budget
   nemesis [--seed S] [--episodes N]
                                run the seeded nemesis campaign (default
                                seed 12648430, 200 episodes) composing
@@ -96,20 +97,42 @@ fn run_surface() -> Result<(), String> {
 
 /// DESIGN.md's byte budget. The design document is meant to be read
 /// whole, so a change that adds to it cuts elsewhere first.
-const DESIGN_BYTES: u64 = 70_000;
+const DESIGN_BYTES: usize = 70_000;
+
+/// The newest CHANGES.md row's byte budget: a row states the claim,
+/// the protocol, the medians and what was not met.
+const CHANGES_ROW_BYTES: usize = 8_000;
 
 fn run_doc_size() -> Result<(), String> {
-    let path = repo_root().join("DESIGN.md");
-    let len = std::fs::metadata(&path)
-        .map_err(|e| format!("doc-size: {}: {e}", path.display()))?
-        .len();
-    if len > DESIGN_BYTES {
+    let read = |name: &str| {
+        std::fs::read_to_string(repo_root().join(name))
+            .map_err(|e| format!("doc-size: {name}: {e}"))
+    };
+    let design = read("DESIGN.md")?.len();
+    if design > DESIGN_BYTES {
         return Err(format!(
-            "doc-size: DESIGN.md is {len} B, over its {DESIGN_BYTES} B budget; cut before adding"
+            "doc-size: DESIGN.md is {design} B, over its {DESIGN_BYTES} B budget; cut before adding"
         ));
     }
-    println!("doc-size: DESIGN.md is {len} B of {DESIGN_BYTES} B");
+    let changes = read("CHANGES.md")?;
+    let row = newest_row(&changes).ok_or("doc-size: CHANGES.md has no `PR ` row")?;
+    let name = row.split(':').next().unwrap_or(row);
+    if row.len() > CHANGES_ROW_BYTES {
+        return Err(format!(
+            "doc-size: CHANGES.md's newest row ({name}) is {} B, over its {CHANGES_ROW_BYTES} B budget",
+            row.len()
+        ));
+    }
+    println!(
+        "doc-size: DESIGN.md is {design} B of {DESIGN_BYTES} B; CHANGES.md's newest row ({name}) is {} B of {CHANGES_ROW_BYTES} B",
+        row.len()
+    );
     Ok(())
+}
+
+/// The last line of CHANGES.md that opens a PR's row.
+fn newest_row(changes: &str) -> Option<&str> {
+    changes.lines().rev().find(|line| line.starts_with("PR "))
 }
 
 fn run_protocol_check() -> Result<(), String> {
@@ -360,5 +383,17 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::newest_row;
+
+    #[test]
+    fn the_newest_changes_row_is_the_last_line_opening_a_pr() {
+        let changes = "# Changes\nPR 1 (a): first\nFOUND: x\nPR 2 (b): second\nFOUND: y\n";
+        assert_eq!(newest_row(changes), Some("PR 2 (b): second"));
+        assert_eq!(newest_row("# Changes\nFOUND: x\n"), None);
     }
 }

@@ -635,20 +635,19 @@ impl<'a> Episode<'a> {
     }
 
     /// The syncer thread's schedule points: the sync in flight
-    /// completes or the next one starts, and the dispatched restore
+    /// completes, or the next one starts where the loop rule
+    /// (`Collector::syncer_idle`) lets one, and the dispatched restore
     /// point takes its next step.
     fn push_syncer_actions(&self, actions: &mut Vec<Action>) {
         let server = self.server.as_ref().expect("server alive");
         if server.restore_step_ready().is_some() {
             actions.push(Action::RestoreStep);
         }
+        let collector = server.collector();
         if server.sync_in_flight() {
             actions.push(Action::SyncComplete);
-        } else if (server.collector().unsynced_records() > 0 || server.collector().sync_due())
-            && !matches!(
-                server.restore_step_ready(),
-                Some(RestoreStep::Write | RestoreStep::Rename)
-            )
+        } else if (collector.unsynced_records() > 0 || collector.sync_due())
+            && collector.syncer_idle()
             && !self.poisoned
         {
             actions.push(Action::SyncStart);
