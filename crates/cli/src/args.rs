@@ -1370,6 +1370,38 @@ mod tests {
         });
     }
 
+    /// No flag plants a checker's mutant: the collector configuration
+    /// of every command, `federate`'s children included, runs the
+    /// shipped code.
+    #[test]
+    fn no_command_plants_a_mutant() {
+        fn collectors(argv: &[&str]) -> Vec<GatewayConfig> {
+            match parse(argv.iter().copied()).unwrap() {
+                Command::Analyze(a) => vec![a.shape],
+                Command::Serve(a) => vec![a.gateway],
+                Command::ReplayWal(a) => vec![a.gateway],
+                Command::Federate(a) => {
+                    let mut child = vec!["serve", "--wal-dir", "w"];
+                    child.extend(a.process.serve_flags.iter().map(String::as_str));
+                    let mut all = collectors(&child);
+                    all.push(a.process.replay);
+                    all
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        for argv in [
+            &["analyze", "t.csv"][..],
+            &["serve", "--wal-dir", "w", "--epoch", "2"],
+            &["replay-wal", "--wal-dir", "w"],
+            &["federate", "t.csv", "--wal-root", "w", "--partitions", "2"],
+        ] {
+            for config in collectors(argv) {
+                assert_eq!(config.mutant, None, "{argv:?}");
+            }
+        }
+    }
+
     /// The rows whose value is free text: a path or an endpoint.
     const FREE_TEXT: [&str; 3] = ["--wal-dir", "--bind", "--wal-root"];
 

@@ -19,7 +19,7 @@
 //!    split-brain. The probed partitions are then re-merged so any
 //!    landed append also surfaces as a diagnosis divergence —
 //!    invariant 3 failing loudly through invariant 2 is exactly what
-//!    the [`FenceCheck::Skip`] mutation self-test relies on.
+//!    the [`Mutant::SkipFence`] self-test relies on.
 //!
 //! With the migration schedule enabled ([`NemesisConfig::migration`])
 //! every episode also runs a live split plus rebalance-back while the
@@ -35,6 +35,12 @@
 //! to delivery-path operations so bootstrap never dies before the
 //! fault matters. Same seed, same campaign — a failure report names
 //! the episode seed so one episode replays in isolation.
+//!
+//! A campaign's [`NemesisConfig::mutant`] is planted in the gateway
+//! config of every drilled owner (the baseline and the probe re-merge
+//! run the shipped code), so the must-fail self-tests —
+//! [`Mutant::SkipFence`] and, with migration, [`Mutant::SkipCut`] —
+//! break the shipped branch itself, not a copy of it.
 
 use crate::chaos::{poison, CollectorFault, DrillFault, DrillPlan, NetDrill, NetFault};
 use crate::federation::{replay_report, Federation, FederationConfig};
@@ -44,8 +50,7 @@ use crate::report::FederationEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sentinet_gateway::{
-    CutCheck, DeliverOutcome, FaultSpec, FenceCheck, GatewayConfig, RejectCause, StorageFault,
-    VfsOp,
+    DeliverOutcome, FaultSpec, GatewayConfig, Mutant, RejectCause, StorageFault, VfsOp,
 };
 use sentinet_sim::SensorId;
 use std::fmt;
@@ -59,14 +64,11 @@ pub struct NemesisConfig {
     pub seed: u64,
     /// Episodes to run.
     pub episodes: u32,
-    /// Deliver-path fence mode. [`FenceCheck::Skip`] is the mutation
-    /// self-test: the campaign MUST fail under it.
-    pub fence: FenceCheck,
-    /// Migration-cut mode. [`CutCheck::Skip`] is the migration
-    /// mutation self-test: a cut that ships an empty snapshot makes
-    /// acked readings vanish in the handoff, and the campaign MUST
-    /// catch it.
-    pub cut: CutCheck,
+    /// The bug planted in every drilled owner; the campaign MUST fail
+    /// under [`Mutant::SkipFence`], and under [`Mutant::SkipCut`] with
+    /// [`NemesisConfig::migration`] on (acked readings vanish in the
+    /// handoff). `None` runs the shipped code.
+    pub mutant: Option<Mutant>,
     /// Run the live-migration schedule in every episode (and the
     /// baseline): split partition 0 at its midpoint mid-stream, then
     /// rebalance the split-off range back, with faults free to land
@@ -85,8 +87,7 @@ impl NemesisConfig {
         Self {
             seed,
             episodes,
-            fence: FenceCheck::Enforced,
-            cut: CutCheck::Enforced,
+            mutant: None,
             migration: false,
             root: root.into(),
         }
@@ -484,11 +485,10 @@ fn first_diff(baseline: &str, got: &str) -> String {
 /// invariant.
 pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFailure> {
     let template = template();
-    // The mutation seams ride the gateway config of every drilled
-    // owner; the baseline and the probe re-merge keep them enforced.
+    // The mutant rides the gateway config of every drilled owner; the
+    // baseline and the probe re-merge run the shipped code.
     let mut drilled = template.clone();
-    drilled.fence = config.fence;
-    drilled.cut = config.cut;
+    drilled.mutant = config.mutant;
     // sentinet-allow(expect-used): the fleet geometry is fixed with
     // sensors >= partitions, never a degenerate split.
     let map = PartitionMap::split_even(SENSORS, PARTITIONS).expect("the nemesis fleet splits");

@@ -3,10 +3,10 @@
 //! enforced fencing, exercise all three fault families (a degenerate
 //! campaign that injects nothing must not pass as green), replay
 //! deterministically, and — the mutation self-test — FAIL when the
-//! deliver-path fence check is compiled out via [`FenceCheck::Skip`].
+//! deliver-path fence check is skipped via [`Mutant::SkipFence`].
 
 use sentinet_controller::{run_campaign, NemesisConfig, NemesisViolation};
-use sentinet_gateway::{CutCheck, FenceCheck};
+use sentinet_gateway::Mutant;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -100,7 +100,7 @@ fn migration_campaigns_replay_deterministically() {
 fn cut_check_skip_mutation_makes_the_migration_campaign_fail() {
     let root = tmproot("cut-skip");
     let mut config = NemesisConfig::new(0xC0FFEE, 8, &root).with_migration();
-    config.cut = CutCheck::Skip;
+    config.mutant = Some(Mutant::SkipCut);
     let failure =
         run_campaign(&config).expect_err("with the cut check compiled out, the campaign MUST fail");
     assert!(
@@ -119,7 +119,7 @@ fn cut_check_skip_mutation_makes_the_migration_campaign_fail() {
 fn fence_check_skip_mutation_makes_the_campaign_fail() {
     let root = tmproot("skip");
     let mut config = NemesisConfig::new(0xC0FFEE, 24, &root);
-    config.fence = FenceCheck::Skip;
+    config.mutant = Some(Mutant::SkipFence);
     let failure = run_campaign(&config)
         .expect_err("with the fence check compiled out, the campaign MUST fail");
     assert!(

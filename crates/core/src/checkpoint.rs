@@ -599,12 +599,12 @@ impl<'a> Fields<'a> {
     }
 
     /// The next field as a comma-joined vector of at least one number.
-    pub fn nums<T: std::str::FromStr>(&mut self) -> Result<Vec<T>, CheckpointError> {
+    fn nums<T: std::str::FromStr>(&mut self) -> Result<Vec<T>, CheckpointError> {
         let token = self.token()?;
         token.split(',').map(|n| self.parse_num(n)).collect()
     }
 
-    /// The closing field as [`Fields::nums`], or empty for `-`.
+    /// The closing field as `Fields::nums`, or empty for `-`.
     pub fn opt_nums<T: std::str::FromStr>(&mut self) -> Result<Vec<T>, CheckpointError> {
         match self.rest {
             Some("-") => self.token().map(|_| Vec::new()),

@@ -43,7 +43,7 @@ pub enum RecoveryAction {
 impl RecoveryAction {
     /// Selects the action for a diagnosis — the paper's "correct
     /// recovery action" decision.
-    pub fn for_diagnosis(diagnosis: &Diagnosis) -> Self {
+    fn for_diagnosis(diagnosis: &Diagnosis) -> Self {
         match diagnosis {
             Diagnosis::ErrorFree => RecoveryAction::None,
             Diagnosis::Error(ErrorType::Calibration { gains }) => RecoveryAction::Recalibrate {
@@ -68,7 +68,7 @@ impl RecoveryAction {
 
     /// Whether the sensor's data stream remains usable under this
     /// action (possibly after correction).
-    pub fn keeps_sensor(&self) -> bool {
+    fn keeps_sensor(&self) -> bool {
         matches!(
             self,
             RecoveryAction::None

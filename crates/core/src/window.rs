@@ -564,11 +564,6 @@ impl Windower {
         }
     }
 
-    /// Window length in seconds.
-    pub fn window_duration(&self) -> u64 {
-        self.window_duration
-    }
-
     /// The attribute count of the open window's readings, if it holds
     /// any.
     pub(crate) fn dims(&self) -> Option<usize> {

@@ -374,12 +374,12 @@ impl Collector {
 
     /// Whether a newer committed owner epoch fences this collector's
     /// appends. Unfenced collectors (`epoch == 0`) and the
-    /// [`FenceCheck::Skip`] mutation pay nothing; fenced collectors
+    /// [`Mutant::SkipFence`] mutant pay nothing; fenced collectors
     /// re-read the persisted token so a successor's rename-committed
     /// claim is observed before the next append, with a wire-observed
     /// epoch ([`Collector::observe_epoch`]) short-circuiting the read.
     fn fence_breached(&mut self) -> bool {
-        if self.config.epoch == 0 || self.config.fence == FenceCheck::Skip {
+        if self.config.epoch == 0 || self.config.mutant == Some(Mutant::SkipFence) {
             return false;
         }
         if self.observed_epoch > self.config.epoch {
@@ -474,6 +474,12 @@ impl Collector {
             }
         }
         start
+    }
+
+    /// The bug planted for a checker's self-test, if any (see
+    /// [`GatewayConfig::mutant`]).
+    pub(crate) fn mutant(&self) -> Option<Mutant> {
+        self.config.mutant
     }
 
     /// Where this collector's WAL and its sidecar files live — what a
@@ -1084,10 +1090,10 @@ mod tests {
         replay.for_each_seed(1_000, case);
     }
 
-    /// `FenceCheck::Skip` is the mutation seam: with the check
+    /// `Mutant::SkipFence` is the fence's mutant: with the check
     /// disabled, a stale collector reopens and appends straight past a
     /// newer committed epoch — exactly the split-brain the nemesis
-    /// campaign must catch (see `xtask nemesis --mutate`).
+    /// campaign must catch (see `xtask nemesis`).
     #[test]
     fn fence_check_skip_admits_split_brain() {
         let dir = tmpdir("fence-skip");
@@ -1097,7 +1103,7 @@ mod tests {
         drop(c);
         let mut cfg = config(&dir);
         cfg.epoch = 1;
-        cfg.fence = FenceCheck::Skip;
+        cfg.mutant = Some(Mutant::SkipFence);
         let (mut zombie, _) = Collector::open(cfg).expect("skip must admit the stale epoch");
         zombie.observe_epoch(2);
         assert_eq!(

@@ -99,15 +99,6 @@ impl Collector {
         self.commit_now(rp)
     }
 
-    /// Mutation seam for the model checker's self-test: from now on a
-    /// restore point names by log position every buffered reading of
-    /// this log, those below its base included — which the reclaim it
-    /// plans deletes. Reached only through
-    /// [`StepServer::name_below_base`](crate::harness::StepServer::name_below_base).
-    pub(crate) fn name_below_base(&mut self) {
-        self.name_below_base = true;
-    }
-
     /// Stage: the only part of a restore point that needs the live
     /// state — the reclaim plan and the snapshot *value* at exactly
     /// `cursor`, on the admitting thread. No IO. The snapshot names by
@@ -117,14 +108,15 @@ impl Collector {
     pub(super) fn stage_restore_point(&mut self, cursor: u64, budget: u64) -> Arc<RestorePoint> {
         let start = std::time::Instant::now();
         let plan = self.wal.plan_reclaim(cursor, budget);
-        let base = if self.name_below_base {
-            0
-        } else {
-            plan.base_records
+        let mutant = self.config.mutant;
+        let base = match mutant {
+            Some(Mutant::NameBelowBase) => 0,
+            _ => plan.base_records,
         };
         let rp = Arc::new(RestorePoint {
             cursor,
             plan,
+            mutant,
             commit: Mutex::new(Commit {
                 snapshot: Some(self.state.restore_point(base)),
                 committed: None,
@@ -229,6 +221,9 @@ pub(crate) struct RestorePoint {
     /// The reclaim to run once the rename has landed; its base is the
     /// one the checkpoint names.
     plan: ReclaimPlan,
+    /// The staging collector's [`GatewayConfig::mutant`], for the
+    /// syncer's commit gate.
+    pub(crate) mutant: Option<Mutant>,
     commit: Mutex<Commit>,
 }
 

@@ -76,12 +76,13 @@ impl Collector {
             Some(staged) => staged,
             None => {
                 let cursor = self.wal.records_logged();
-                let inside = match self.config.cut {
-                    CutCheck::Enforced => split_snapshot(&self.snapshot(), range.clone()).0,
-                    // Mutation seam: retire and rebase as usual but
-                    // ship nothing — the acked inside readings vanish.
-                    CutCheck::Skip => split_snapshot(&self.snapshot(), range.end..range.end).0,
+                // The cut's mutant retires and rebases as usual but
+                // ships nothing: the acked inside readings vanish.
+                let shipped = match self.config.mutant {
+                    Some(Mutant::SkipCut) => range.end..range.end,
+                    _ => range.clone(),
                 };
+                let inside = split_snapshot(&self.snapshot(), shipped).0;
                 self.write_outbox(key, cursor, &inside)?;
                 (inside, cursor)
             }
@@ -541,7 +542,7 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The cut mutation seam: under [`CutCheck::Skip`] the export
+    /// The cut's mutant: under [`Mutant::SkipCut`] the export
     /// still retires the range and rebases onto the outside half, but
     /// the shipped snapshot is empty — the admitted inside readings
     /// vanish. The nemesis migration campaign must catch exactly this.
@@ -549,7 +550,7 @@ mod tests {
     fn cut_check_skip_ships_an_empty_inside_snapshot() {
         let dir = tmpdir("migrate-cut-skip");
         let mut cfg = config(&dir);
-        cfg.cut = CutCheck::Skip;
+        cfg.mutant = Some(Mutant::SkipCut);
         let (mut c, _) = Collector::open(cfg).unwrap();
         for (s, seq, t, v) in stream(20) {
             assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);

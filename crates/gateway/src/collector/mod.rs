@@ -98,56 +98,39 @@ pub struct GatewayConfig {
     /// [`RejectCause::Fenced`] once a newer committed epoch is
     /// observed — on disk or via the wire handshake.
     pub epoch: u64,
-    /// Whether the deliver-path fence check runs. Production is always
-    /// [`FenceCheck::Enforced`]; see [`FenceCheck::Skip`] for the
-    /// mutation seam.
-    pub fence: FenceCheck,
-    /// Whether a migration cut actually ships the moved sub-range.
-    /// Production is always [`CutCheck::Enforced`]; see
-    /// [`CutCheck::Skip`] for the mutation seam.
-    pub cut: CutCheck,
+    /// The bug a checker's must-fail self-test plants; `None` runs the
+    /// shipped code, and nothing but those self-tests sets it.
+    pub mutant: Option<Mutant>,
 }
 
-/// Whether a fenced collector actually checks for a newer committed
-/// epoch on the deliver path.
-///
-/// The shipped rule is [`FenceCheck::Enforced`]. [`FenceCheck::Skip`]
-/// deliberately re-creates the split-brain the fence exists to prevent
-/// — a partitioned-but-alive owner keeps appending to a WAL its
-/// successor now owns — so the nemesis campaign can prove it *detects*
-/// the violation (a mutation-style self-test mirroring
-/// [`AckDiscipline::Eager`](crate::protocol::AckDiscipline)). Production
-/// code must never use it.
+/// A deliberately broken rule, planted so a checker can prove it
+/// *detects* the violation: a checker that stays green under its own
+/// mutant proves nothing. Each variant is read at the one branch it
+/// breaks, and no flag, option or environment variable selects one
+/// (the `mutant-seam` lint keeps every other library file from naming
+/// one). Production code must never set it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FenceCheck {
-    /// Check the persisted fence token (and any wire-observed epoch)
-    /// before every append; fail-stop on a newer committed epoch.
-    Enforced,
-    /// Never check — the deliberately broken mode the nemesis
-    /// campaign's mutation self-test must catch.
-    Skip,
-}
-
-/// Whether [`Collector::export_range`] actually stages the moved
-/// sub-range's state into the migration outbox.
-///
-/// The shipped rule is [`CutCheck::Enforced`]. [`CutCheck::Skip`]
-/// deliberately re-creates the bug the durable-cut step exists to
-/// prevent — the source retires the range and rebases onto the outside
-/// half, but ships an *empty* inside snapshot, so every reading acked
-/// below the cut cursor silently vanishes from the fleet — so the
-/// nemesis migration campaign can prove it *detects* the loss (a
-/// mutation-style self-test mirroring [`FenceCheck::Skip`]).
-/// Production code must never use it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CutCheck {
-    /// Stage the real inside half of the snapshot before the rebase —
-    /// the shipped cut-then-ship rule.
-    Enforced,
-    /// Ship an empty inside snapshot while still retiring the range
-    /// and rebasing (the deliberately broken mode the migration
-    /// campaign's mutation self-test must catch).
-    Skip,
+pub enum Mutant {
+    /// Never check the fence token, on open or on the deliver path: a
+    /// partitioned-but-alive owner keeps appending to a WAL its
+    /// successor now owns (split-brain; the nemesis campaign).
+    SkipFence,
+    /// [`Collector::export_range`] retires the range and rebases onto
+    /// the outside half but ships an *empty* inside snapshot, so every
+    /// reading acked below the cut vanishes (the migration campaign).
+    SkipCut,
+    /// Release an `AckUpTo` on admission, before a completed fsync
+    /// covers its WAL extent (I2 of `xtask protocol-check`).
+    EagerAck,
+    /// Credit a completed overlapped fsync with the WAL cursor read
+    /// *after* it returned, covering batches appended while it ran (I2).
+    LateCapture,
+    /// The syncer writes and renames a restore point before the fsync
+    /// covering its cursor has completed (I6).
+    CommitBeforeSync,
+    /// A restore point names by log position buffered readings below
+    /// its base too — readings its own reclaim deletes (I6).
+    NameBelowBase,
 }
 
 impl GatewayConfig {
@@ -162,8 +145,7 @@ impl GatewayConfig {
             silence_deadline: Some(3600),
             checkpoint_every: 256,
             epoch: 0,
-            fence: FenceCheck::Enforced,
-            cut: CutCheck::Enforced,
+            mutant: None,
         }
     }
 }
@@ -468,9 +450,6 @@ pub struct Collector {
     restore_staged: Option<Arc<RestorePoint>>,
     /// The one restore point handed to the syncer and not yet landed.
     restore_in_flight: Option<Arc<RestorePoint>>,
-    /// Mutation seam: restore points name by position readings below
-    /// their base too (see [`Collector::name_below_base`]).
-    name_below_base: bool,
 }
 
 impl fmt::Debug for Collector {
@@ -570,10 +549,10 @@ impl Collector {
         // Fence gate first: a directory committed to a newer epoch
         // must never be opened by a stale owner, and a newly adopting
         // owner commits its claim before any append can happen.
-        // `FenceCheck::Skip` bypasses the gate entirely — the mutation
-        // build must be able to resurrect a stale owner to prove the
-        // nemesis campaign catches the resulting split-brain.
-        if config.epoch > 0 && config.fence == FenceCheck::Enforced {
+        // `Mutant::SkipFence` bypasses the gate entirely — it must be
+        // able to resurrect a stale owner to prove the nemesis campaign
+        // catches the resulting split-brain.
+        if config.epoch > 0 && config.mutant != Some(Mutant::SkipFence) {
             let persisted = read_fence(&config.wal)?;
             if persisted > config.epoch {
                 return Err(GatewayError::Fenced {
@@ -669,7 +648,6 @@ impl Collector {
             checkpoint_overlapped_ns: 0,
             restore_staged: None,
             restore_in_flight: None,
-            name_below_base: false,
         };
         Ok((collector, info))
     }

@@ -16,11 +16,14 @@
 //! [`Wal`](crate::wal::Wal) appends over whatever
 //! [`Vfs`](crate::vfs::Vfs) the collector was opened with, real
 //! [`FrameBuffer`] decoding), so an invariant the checker proves holds
-//! for the code that runs in production.
+//! for the code that runs in production. Nor does it carry a seam of
+//! its own: a self-test plants its bug in the collector's
+//! [`GatewayConfig::mutant`](crate::GatewayConfig::mutant), which the
+//! server reads at the same branches.
 
 use crate::collector::{Collector, GatewayError};
 use crate::frame::{Frame, FrameBuffer, FrameError, Message};
-use crate::protocol::{AckDiscipline, Core, QueuedAck, Reply, RestoreStep, Syncer};
+use crate::protocol::{Core, QueuedAck, Reply, RestoreStep, Syncer};
 
 /// What one [`StepServer::step`] call did.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,21 +48,17 @@ pub struct StepServer {
     core: Core,
     /// The sync job, run one step at a time.
     syncer: Syncer,
-    /// Mutation seam: whether a restore point's commit waits for its
-    /// covering fsync (see [`StepServer::commit_restore_unsynced`]).
-    restore_waits: bool,
 }
 
 impl StepServer {
     /// Wraps an opened collector; `credit_window` is granted in every
     /// v2 `HelloAck`.
-    pub fn new(collector: Collector, credit_window: u32, discipline: AckDiscipline) -> Self {
+    pub fn new(collector: Collector, credit_window: u32) -> Self {
         Self {
             collector,
             conns: Vec::new(),
-            core: Core::new(credit_window, discipline),
+            core: Core::new(credit_window),
             syncer: Syncer::default(),
-            restore_waits: true,
         }
     }
 
@@ -161,7 +160,7 @@ impl StepServer {
     /// (no restore point dispatched, or its covering fsync has not
     /// completed).
     pub fn restore_step_ready(&self) -> Option<RestoreStep> {
-        self.syncer.restore_step(self.restore_waits)
+        self.syncer.restore_step()
     }
 
     /// The dispatched restore point's next step: tmp written, renamed
@@ -169,24 +168,9 @@ impl StepServer {
     /// a synchronous writer ran the rest.
     pub fn step_restore(&mut self) {
         let wal = self.collector.wal_config();
-        if self.syncer.step_restore(wal, self.restore_waits) == Some(RestoreStep::Land) {
+        if self.syncer.step_restore(wal) == Some(RestoreStep::Land) {
             self.collector.land_restore_point();
         }
-    }
-
-    /// Mutation seam for the model checker's self-test: from now on a
-    /// restore point is committed without waiting for the fsync that
-    /// covers its cursor. Lives here so that no production
-    /// configuration can select it.
-    pub fn commit_restore_unsynced(&mut self) {
-        self.restore_waits = false;
-    }
-
-    /// Mutation seam for the model checker's self-test: from now on a
-    /// restore point names by log position buffered readings below its
-    /// base too — readings its own reclaim deletes.
-    pub fn name_below_base(&mut self) {
-        self.collector.name_below_base();
     }
 
     /// Whether a started sync has not completed yet.

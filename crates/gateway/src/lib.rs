@@ -56,9 +56,9 @@ pub use client::{
     PipelinedUplink, SensorUplink, UplinkConfig, UplinkError, UplinkStats,
 };
 pub use collector::{
-    BatchOutcome, Collector, CutCheck, DeliverOutcome, FenceCheck, GatewayConfig, GatewayError,
-    GatewayReport, LivenessStatus, RecoveryInfo, RejectCause, SeqTracker, StageTimings,
-    StorageStatus, CHECKPOINT_FILE,
+    BatchOutcome, Collector, DeliverOutcome, GatewayConfig, GatewayError, GatewayReport,
+    LivenessStatus, Mutant, RecoveryInfo, RejectCause, SeqTracker, StageTimings, StorageStatus,
+    CHECKPOINT_FILE,
 };
 pub use frame::{
     Frame, FrameBuffer, FrameError, Message, ReadingArena, MAX_BATCH_READINGS, MAX_PAYLOAD,
@@ -68,7 +68,7 @@ pub use harness::{StepEvent, StepServer};
 pub use netsim::{
     deliver_schedule, delivery_schedule, drive_uplink, trace_to_raw, Emission, NetsimConfig,
 };
-pub use protocol::{AckDiscipline, QueuedAck, RestoreStep};
+pub use protocol::{QueuedAck, RestoreStep};
 pub use reorder::{
     AdmitOutcome, ByPosition, ReorderBuffer, ReorderConfig, ReorderSnapshot, ReorderStats,
     RETAINED_VALUES,

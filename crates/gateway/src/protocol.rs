@@ -16,43 +16,23 @@
 //! them, [`StepServer`](crate::harness::StepServer) single steps for
 //! the protocol model checker. An invariant `xtask protocol-check`
 //! proves therefore holds for the loop that ships, because both run
-//! this code.
+//! this code. So do the checker's must-fail self-tests: the three
+//! mutants that break this file ([`Mutant::EagerAck`],
+//! [`Mutant::LateCapture`], [`Mutant::CommitBeforeSync`]) are read from
+//! the collector's [`GatewayConfig::mutant`](crate::GatewayConfig::mutant)
+//! at the branch each one breaks, and neither driver has a seam of its
+//! own.
 //!
 //! This is the only non-test gateway code that constructs an
 //! `Ack`/`AckUpTo` (the `ack-ordering` lint enforces it).
 
-use crate::collector::{Collector, DeliverOutcome, GatewayError, RestorePoint};
+use crate::collector::{Collector, DeliverOutcome, GatewayError, Mutant, RestorePoint};
 use crate::frame::{Message, ReadingArena, PROTOCOL_V1, PROTOCOL_VERSION};
 use crate::snapshot::{decode_collector, encode_collector};
 use crate::vfs::VFile;
 use crate::wal::{SyncDone, SyncStart, SyncTicket, WalConfig};
 use sentinet_sim::SensorId;
 use std::sync::Arc;
-
-/// When a queued cumulative ack may be written to the client.
-///
-/// The shipped rule is [`AckDiscipline::Durable`]. The other two
-/// deliberately re-create bugs the group-commit release gate exists to
-/// prevent, so the model checker can prove it *detects* each violation
-/// (mutation-style self-tests; see `xtask/src/protocol_check.rs`):
-/// [`AckDiscipline::Eager`] acks on admission, before a completed
-/// fsync covers the batch's WAL extent; [`AckDiscipline::LateCapture`]
-/// credits an overlapped fsync with the WAL cursor read *after* it
-/// returned, covering batches appended while it ran. Production code
-/// must never use either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckDiscipline {
-    /// Release an `AckUpTo` only once [`Collector::synced_cursor`]
-    /// covers its WAL cursor — the shipped ack-after-durable rule.
-    Durable,
-    /// Release on admission without consulting the synced cursor (the
-    /// deliberately broken discipline the checker must catch).
-    Eager,
-    /// Release on the synced cursor, but let a completed overlapped
-    /// sync raise that cursor to the records logged *at completion*
-    /// instead of at its start (deliberately broken as well).
-    LateCapture,
-}
 
 /// An `AckUpTo` the collector has admitted but whose WAL extent is not
 /// yet covered by a completed fsync. Released only once
@@ -96,17 +76,15 @@ impl Reply {
 pub struct Core {
     pending: Vec<QueuedAck>,
     credit_window: u32,
-    discipline: AckDiscipline,
     version_rejects: u64,
 }
 
 impl Core {
     /// A core granting `credit_window` batches in every v2 `HelloAck`.
-    pub fn new(credit_window: u32, discipline: AckDiscipline) -> Self {
+    pub fn new(credit_window: u32) -> Self {
         Self {
             pending: Vec::new(),
             credit_window,
-            discipline,
             version_rejects: 0,
         }
     }
@@ -183,7 +161,7 @@ impl Core {
         done: SyncDone,
         out: &mut Vec<Reply>,
     ) {
-        if self.discipline == AckDiscipline::LateCapture {
+        if collector.mutant() == Some(Mutant::LateCapture) {
             ticket.cursor = collector.wal_records();
         }
         collector.complete_sync(ticket, done);
@@ -414,7 +392,7 @@ impl Core {
     /// now covers, in queue order; the rest stay queued.
     fn release_ready(&mut self, collector: &Collector, out: &mut Vec<Reply>) {
         let synced = collector.synced_cursor();
-        let eager = self.discipline == AckDiscipline::Eager;
+        let eager = collector.mutant() == Some(Mutant::EagerAck);
         self.pending.retain(|p| {
             if p.cursor > synced && !eager {
                 return true;
@@ -480,10 +458,10 @@ impl Syncer {
     }
 
     /// The restore point's next step; none while its fsync has not run
-    /// and `waits` (false only for the checker's commit-before-sync
-    /// mutant).
-    pub(crate) fn restore_step(&self, waits: bool) -> Option<RestoreStep> {
+    /// (unless [`Mutant::CommitBeforeSync`] is planted).
+    pub(crate) fn restore_step(&self) -> Option<RestoreStep> {
         let rp = self.restore.as_ref()?;
+        let waits = rp.mutant != Some(Mutant::CommitBeforeSync);
         Some(match (rp.committed(), rp.written()) {
             (Some(_), _) => RestoreStep::Land,
             _ if self.ticket.is_some() && waits => return None,
@@ -494,8 +472,8 @@ impl Syncer {
 
     /// Runs [`Syncer::restore_step`] and returns it: a commit step
     /// here, or `Land`, which hands the restore point to the loop.
-    pub(crate) fn step_restore(&mut self, wal: &WalConfig, waits: bool) -> Option<RestoreStep> {
-        let step = self.restore_step(waits)?;
+    pub(crate) fn step_restore(&mut self, wal: &WalConfig) -> Option<RestoreStep> {
+        let step = self.restore_step()?;
         match step {
             RestoreStep::Land => self.restore = None,
             _ => _ = self.restore.as_ref()?.step(wal, true),

@@ -46,7 +46,7 @@ use crate::frame::{
     encode_payload, frame_with, Frame, FrameBuffer, FrameError, Message, ReadingArena,
 };
 use crate::net::{is_timeout, Listener, Stream};
-use crate::protocol::{AckDiscipline, Core, Reply, RestoreStep, Syncer};
+use crate::protocol::{Core, Reply, RestoreStep, Syncer};
 use crate::wal::{SyncDone, SyncStart, SyncTicket, WalConfig};
 use sentinet_sim::SensorId;
 use std::collections::BTreeMap;
@@ -144,7 +144,7 @@ impl SyncThread {
                         return;
                     }
                 }
-                while let Some(step) = syncer.step_restore(&wal, true) {
+                while let Some(step) = syncer.step_restore(&wal) {
                     if step == RestoreStep::Land && events.send(Event::RestorePoint).is_err() {
                         return;
                     }
@@ -190,7 +190,7 @@ impl Server {
         });
         Ok(Self {
             addr,
-            core: Core::new(config.credit_window, AckDiscipline::Durable),
+            core: Core::new(config.credit_window),
             shutdown,
             events: rx,
             events_tx: Some(events_tx),

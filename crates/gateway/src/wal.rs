@@ -915,13 +915,6 @@ impl Wal {
         self.poisoned.as_ref()
     }
 
-    /// Exact on-disk footprint of `record` logged on its own (frame
-    /// header + `Data` payload + CRC trailer). Inside a run of an
-    /// extent it costs less; [`RunPlanner`] prices those.
-    pub fn framed_len(record: &WalRecord) -> u64 {
-        DATA_FRAME_HEAD + 8 * record.values.len() as u64
-    }
-
     /// Whether a reading with `values` values fits a frame at all: the
     /// value count travels as a `u16`, and the payload must fit
     /// [`MAX_PAYLOAD`]. An unframable reading is refused before it is
@@ -1344,6 +1337,13 @@ mod tests {
     use crate::vfs::{FaultPlan, FaultSpec, FaultyVfs, StorageFault};
     use std::fs;
 
+    /// Exact on-disk footprint of `record` logged on its own (frame
+    /// header + `Data` payload + CRC trailer). Inside a run of an
+    /// extent it costs less; [`RunPlanner`] prices those.
+    fn framed_len(record: &WalRecord) -> u64 {
+        DATA_FRAME_HEAD + 8 * record.values.len() as u64
+    }
+
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sentinet-wal-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -1371,7 +1371,7 @@ mod tests {
             for r in &originals {
                 wal.append(r).unwrap();
             }
-            assert_eq!(wal.total_bytes(), 50 * Wal::framed_len(&originals[0]));
+            assert_eq!(wal.total_bytes(), 50 * framed_len(&originals[0]));
         }
         let (wal, recovered) = Wal::open(WalConfig::new(&dir), None).unwrap();
         assert_eq!(recovered.to_records(), originals);
@@ -1726,7 +1726,7 @@ mod tests {
         })));
         let mut config = WalConfig::new(&dir);
         config.fsync = FsyncPolicy::Always;
-        config.segment_max_bytes = 2 * Wal::framed_len(&rec(1, 0, 300, 1.0));
+        config.segment_max_bytes = 2 * framed_len(&rec(1, 0, 300, 1.0));
         config.vfs = vfs.clone();
         let (mut wal, _) = Wal::open(config, None).unwrap();
         wal.append_extent(&recs(0..2), PolicySync::Deferred)

@@ -29,8 +29,7 @@
 
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
-    AckDiscipline, Collector, FsyncPolicy, GatewayConfig, Message, StepEvent, StepServer,
-    PROTOCOL_VERSION,
+    Collector, FsyncPolicy, GatewayConfig, Message, StepEvent, StepServer, PROTOCOL_VERSION,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::fs;
@@ -80,7 +79,7 @@ fn an_admitted_v2_reading_allocates_nothing_of_its_own() {
     config.checkpoint_every = 0;
     config.reorder.watermark_delay = HELD * SAMPLE_PERIOD;
     let (collector, _) = Collector::open(config).expect("open");
-    let mut server = StepServer::new(collector, 4, AckDiscipline::Durable);
+    let mut server = StepServer::new(collector, 4);
     let conn = server.connect();
     server.feed(
         conn,

@@ -25,9 +25,9 @@ mod totality;
 use seeded::{mutate, Replay, TestRng};
 use sentinet_gateway::frame::{encode_frame, frame_payload};
 use sentinet_gateway::{
-    AckDiscipline, Collector, Frame, FrameBuffer, FrameError, FsyncPolicy, GatewayConfig,
-    GatewayError, Message, StepEvent, StepServer, Wal, WalConfig, WalError, WalRecord,
-    CHECKPOINT_FILE, MAX_BATCH_READINGS, PROTOCOL_VERSION,
+    Collector, Frame, FrameBuffer, FrameError, FsyncPolicy, GatewayConfig, GatewayError, Message,
+    StepEvent, StepServer, Wal, WalConfig, WalError, WalRecord, CHECKPOINT_FILE,
+    MAX_BATCH_READINGS, PROTOCOL_VERSION,
 };
 use sentinet_sim::SensorId;
 use std::path::{Path, PathBuf};
@@ -202,7 +202,7 @@ fn an_oversized_batch_kills_only_its_own_connection() {
     let mut config = GatewayConfig::new(&dir);
     config.wal.fsync = FsyncPolicy::Batch(64);
     let (collector, _) = Collector::open(config).expect("fresh directory");
-    let mut server = StepServer::new(collector, 4, AckDiscipline::Durable);
+    let mut server = StepServer::new(collector, 4);
     let hello = encode_frame(&Message::Hello {
         version: PROTOCOL_VERSION,
         epoch: 0,

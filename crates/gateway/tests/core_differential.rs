@@ -12,9 +12,9 @@
 
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
-    AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs, FrameBuffer, FsyncPolicy,
-    GatewayConfig, Message, Server, ServerConfig, StepEvent, StepServer, StorageFault, VfsOp,
-    CHECKPOINT_FILE, PROTOCOL_V1, PROTOCOL_VERSION,
+    Collector, FaultPlan, FaultSpec, FaultyVfs, FrameBuffer, FsyncPolicy, GatewayConfig, Message,
+    Server, ServerConfig, StepEvent, StepServer, StorageFault, VfsOp, CHECKPOINT_FILE, PROTOCOL_V1,
+    PROTOCOL_VERSION,
 };
 use sentinet_sim::SensorId;
 use std::fs;
@@ -79,7 +79,7 @@ fn last_accept(seen: &[StepReplies]) -> Message {
 /// The script through [`StepServer`]: the reference reply sequence.
 fn run_steps(config: GatewayConfig, script: &[Step]) -> Vec<StepReplies> {
     let (collector, _) = Collector::open(config).expect("open");
-    let mut server = StepServer::new(collector, CREDITS, AckDiscipline::Durable);
+    let mut server = StepServer::new(collector, CREDITS);
     let mut conns: Vec<usize> = Vec::new();
     let mut seen: Vec<StepReplies> = Vec::new();
     for step in script {

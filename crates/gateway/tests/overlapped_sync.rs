@@ -17,10 +17,9 @@
 
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
-    probe_heartbeat, probe_migrate_cut, AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs,
-    FrameBuffer, FsyncPolicy, GatewayConfig, GatewayReport, Message, RestoreStep, Server,
-    ServerConfig, StepEvent, StepServer, StorageFault, VfsOp, Wal, WalConfig, CHECKPOINT_FILE,
-    PROTOCOL_VERSION,
+    probe_heartbeat, probe_migrate_cut, Collector, FaultPlan, FaultSpec, FaultyVfs, FrameBuffer,
+    FsyncPolicy, GatewayConfig, GatewayReport, Message, RestoreStep, Server, ServerConfig,
+    StepEvent, StepServer, StorageFault, VfsOp, Wal, WalConfig, CHECKPOINT_FILE, PROTOCOL_VERSION,
 };
 use sentinet_sim::SensorId;
 use std::fs;
@@ -647,7 +646,7 @@ fn a_dry_queue_behind_a_completed_sync_flushes_on_the_syncer() {
     config.wal.fsync = FsyncPolicy::Batch(64);
     config.checkpoint_every = 0;
     let (collector, _) = Collector::open(config).expect("open");
-    let mut server = StepServer::new(collector, 8, AckDiscipline::Durable);
+    let mut server = StepServer::new(collector, 8);
     let conn = server.connect();
     let deliver = |server: &mut StepServer, frame: &[u8]| {
         server.feed(conn, frame);
@@ -704,7 +703,7 @@ fn no_sync_starts_while_a_restore_commit_is_unrun() {
     config.wal.fsync = FsyncPolicy::Batch(32);
     config.checkpoint_every = 2 * BATCH;
     let (collector, _) = Collector::open(config).expect("open");
-    let mut server = StepServer::new(collector, 8, AckDiscipline::Durable);
+    let mut server = StepServer::new(collector, 8);
     let conn = server.connect();
     let deliver = |server: &mut StepServer, frame: &[u8]| {
         server.feed(conn, frame);
@@ -766,7 +765,7 @@ fn a_kill_between_tmp_write_and_rename_recovers_from_the_previous_restore_point(
     let mut config = GatewayConfig::new(&dir);
     tweak(&mut config);
     let (collector, _) = Collector::open(config.clone()).expect("open");
-    let mut server = StepServer::new(collector, 4, AckDiscipline::Durable);
+    let mut server = StepServer::new(collector, 4);
     let conn = server.connect();
     let deliver = |server: &mut StepServer, frame: &[u8]| {
         server.feed(conn, frame);

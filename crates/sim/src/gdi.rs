@@ -25,10 +25,10 @@ pub const KEY_STATES: [(f64, f64); 4] = [(12.0, 94.0), (17.0, 84.0), (24.0, 70.0
 pub const LOSS_PROB: f64 = 0.12;
 
 /// Malformed packet probability (delivered but discarded).
-pub const MALFORMED_PROB: f64 = 0.05;
+const MALFORMED_PROB: f64 = 0.05;
 
 /// Per-attribute measurement noise (°C, %RH).
-pub const NOISE_STD: [f64; 2] = [0.6, 1.5];
+const NOISE_STD: [f64; 2] = [0.6, 1.5];
 
 fn base_config(duration: u64) -> SimConfig {
     SimConfig {

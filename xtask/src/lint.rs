@@ -1,6 +1,6 @@
 //! The project lint engine.
 //!
-//! Nineteen textual lints over the workspace's library crates, built
+//! Twenty textual lints over the workspace's library crates, built
 //! on the masked source view of [`crate::lexer`] — no rustc plugin,
 //! fully offline. Findings are suppressed inline with
 //! `// sentinet-allow(lint-name): reason` on the same line or on the
@@ -26,6 +26,7 @@
 //! | `ack-ordering` | `Ack`/`AckUpTo` built with no durability check first, or built in gateway code outside `protocol.rs` |
 //! | `partition-map-mutation` | `.commit_owner(` / `.commit_health(` / `.split_at(` / `.transfer(` outside the federation commit path |
 //! | `codec-alloc` | in a text codec file: `push_str(&format!(…))`, a non-`pub` `fn … -> String` helper, or — outside the one `Reader`/`Fields` kit — `.lines()`, `from_str_radix`, a non-literal `with_capacity` |
+//! | `mutant-seam` | `Mutant::` outside the files whose branch a mutant selects and `controller/src/nemesis.rs` |
 //! | `stale-suppression` | `sentinet-allow` comment that no longer suppresses any finding |
 //!
 //! Test code (`#[cfg(test)] mod`s and `#[test]` fns) is exempt from
@@ -76,6 +77,11 @@
 //! line splitter (`.lines()`), a second hex-float parser
 //! (`from_str_radix`) and a `with_capacity` whose argument is not a
 //! literal — the shape of the `bootstrap <n>` capacity-overflow panic.
+//! The checkers' must-fail self-tests plant their bugs through one
+//! value, `GatewayConfig::mutant`, read at the branch each mutant
+//! breaks (`mutant-seam`): naming a `Mutant::` variant anywhere else in
+//! library code — a CLI setter, a server option — would let a
+//! production configuration select a planted bug.
 //! And suppression hygiene is enforced by `stale-suppression`: a
 //! well-formed `sentinet-allow`
 //! comment that no longer silences any actual finding is itself a
@@ -106,6 +112,7 @@ pub const LINTS: &[&str] = &[
     "ack-ordering",
     "partition-map-mutation",
     "codec-alloc",
+    "mutant-seam",
     "stale-suppression",
 ];
 
@@ -115,6 +122,17 @@ const CODEC_FILES: &[&str] = &[
     "gateway/src/snapshot.rs",
     "gateway/src/collector/checkpoint.rs",
     "gateway/src/collector/migration.rs",
+];
+
+/// The files whose branch a `Mutant` selects, and the nemesis campaign
+/// that plants two (`mutant-seam`).
+const MUTANT_FILES: &[&str] = &[
+    "gateway/src/collector/mod.rs",
+    "gateway/src/collector/admission.rs",
+    "gateway/src/collector/checkpoint.rs",
+    "gateway/src/collector/migration.rs",
+    "gateway/src/protocol.rs",
+    "controller/src/nemesis.rs",
 ];
 
 /// Needles whose word-bounded occurrence in a fn body marks an ack
@@ -288,6 +306,8 @@ pub struct FileContext {
     /// caller's buffer instead of allocating per line or field, and its
     /// decoder reads through the one line reader.
     pub codec_file: bool,
+    /// The file may name a `Mutant::` variant (`mutant-seam`).
+    pub mutant_file: bool,
     /// Hot-path function names registered for this file.
     pub hot_functions: Vec<String>,
 }
@@ -318,6 +338,7 @@ impl FileContext {
             protocol_core_file: p.ends_with("gateway/src/protocol.rs"),
             wire_codec_file: p.ends_with("gateway/src/frame.rs"),
             codec_file: CODEC_FILES.iter().any(|suffix| p.ends_with(suffix)),
+            mutant_file: MUTANT_FILES.iter().any(|suffix| p.ends_with(suffix)),
             hot_functions,
         }
     }
@@ -707,6 +728,20 @@ pub fn lint_source(path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding>
         }
     }
 
+    // A planted bug is selected only where its branch lives.
+    if !ctx.mutant_file {
+        for offset in find_macro(&map.masked, "Mutant::") {
+            if !map.in_test_region(offset) {
+                push(
+                    &map,
+                    offset,
+                    "mutant-seam",
+                    "`Mutant::` outside the files whose branch it selects; only a self-test sets `GatewayConfig::mutant`".into(),
+                );
+            }
+        }
+    }
+
     // Malformed or unknown suppressions are findings themselves, so a
     // typo cannot silently disable a lint.
     for sup in &map.suppressions {
@@ -1088,8 +1123,11 @@ mod tests {
     #[test]
     fn every_registered_hot_path_and_codec_file_exists() {
         let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("../crates");
-        for suffix in CODEC_FILES {
-            assert!(crates.join(suffix).is_file(), "codec file {suffix} is gone");
+        for suffix in CODEC_FILES.iter().chain(MUTANT_FILES) {
+            assert!(
+                crates.join(suffix).is_file(),
+                "registered file {suffix} is gone"
+            );
         }
         for (suffix, names) in HOT_PATHS {
             let source = std::fs::read_to_string(crates.join(suffix))
@@ -1313,6 +1351,28 @@ mod tests {
             .collect();
         assert_eq!(lines, vec![5, 6, 7], "{f:?}");
         assert!(run(src).iter().all(|x| x.lint != "codec-alloc"));
+    }
+
+    /// A mutant named outside its branch's file is a finding — a CLI
+    /// setter planting one, say — while its own files, doc comments and
+    /// tests may name it.
+    #[test]
+    fn mutant_seam_flags_a_mutant_named_outside_its_files() {
+        let seams = |path: &str, src: &str| {
+            let f = lint_source(
+                Path::new(path),
+                src,
+                &FileContext::for_path(Path::new(path)),
+            );
+            f.iter().filter(|f| f.lint == "mutant-seam").count()
+        };
+        let setter = "fn set(c: &mut GatewayConfig) { c.mutant = Some(Mutant::EagerAck); }\n";
+        assert_eq!(seams("crates/cli/src/args.rs", setter), 1);
+        assert_eq!(seams("crates/gateway/src/server.rs", setter), 1);
+        assert_eq!(seams("crates/gateway/src/protocol.rs", setter), 0);
+        assert_eq!(seams("crates/controller/src/nemesis.rs", setter), 0);
+        let quiet = "/// See [`Mutant::SkipFence`].\nfn a() {}\n#[cfg(test)]\nmod t { fn b() { Some(Mutant::SkipCut); } }\n";
+        assert_eq!(seams("crates/gateway/src/server.rs", quiet), 0);
     }
 
     #[test]

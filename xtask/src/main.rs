@@ -1,9 +1,8 @@
 //! `cargo run -p xtask -- <command>` — workspace automation CLI.
 
-use sentinet_gateway::AckDiscipline;
+use sentinet_gateway::Mutant;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use xtask::protocol_check::RestoreMutation;
 use xtask::{lint, protocol_check, surface};
 
 const USAGE: &str = "\
@@ -29,8 +28,8 @@ Commands:
                                migration campaign (a live split and a
                                rebalance-back inside every episode, cut
                                probes against fenced former owners),
-                               then prove the fence-check and cut-check
-                               Skip mutations are caught
+                               then prove the fence-skip and cut-skip
+                               mutants are caught
 ";
 
 fn repo_root() -> PathBuf {
@@ -160,39 +159,12 @@ fn run_protocol_check() -> Result<(), String> {
         }
         Err(v) => return Err(format!("protocol-check: invariant violated\n{v}")),
     }
-    // Self-tests: the checker must catch each deliberately broken ack
-    // discipline (acks released before the WAL is synced; an
-    // overlapped sync credited with the cursor read after its fsync
-    // returned — six scheduled choices deep, hence the full budget). If
-    // a mutation survives, the checker is blind and its green run
-    // above proves nothing.
-    for (label, discipline) in [
-        ("eager-ack", AckDiscipline::Eager),
-        ("late-capture", AckDiscipline::LateCapture),
-    ] {
-        match protocol_check::check_mutation(protocol_check::Scale::Full, discipline) {
-            Err(v) => println!(
-                "protocol-check: {label} mutation caught as expected ({} in space `{}`)",
-                v.invariant, v.space
-            ),
-            Ok(_) => {
-                return Err(format!(
-                    "protocol-check: {label} mutation survived undetected; checker is blind"
-                ))
-            }
-        }
-    }
-    // The restore space's own self-tests: I6 must reject a restore
-    // point committed before its covering fsync, the disk a
-    // delete-before-rename reclaim could leave behind, and a restore
-    // point naming by position readings below its own base.
-    for (label, mutation) in [
-        ("commit-before-sync", RestoreMutation::CommitBeforeSync),
-        ("delete-before-rename", RestoreMutation::DeleteBeforeRename),
-        ("position-below-base", RestoreMutation::PositionBelowBase),
-    ] {
-        match protocol_check::check_restore_mutation(protocol_check::Scale::Full, mutation) {
-            Err(v) if v.invariant == "I6 restore-durability" => println!(
+    // The self-tests: the checker must catch each planted bug with the
+    // invariant that guards against it.
+    for test in &protocol_check::SELF_TESTS {
+        let label = test.label;
+        match protocol_check::check_mutation(protocol_check::Scale::Full, test) {
+            Err(v) if v.invariant == test.invariant => println!(
                 "protocol-check: {label} mutation caught as expected ({} in space `{}`)",
                 v.invariant, v.space
             ),
@@ -207,17 +179,22 @@ fn run_protocol_check() -> Result<(), String> {
     Ok(())
 }
 
+/// The nemesis self-tests: label, the mutant planted in every drilled
+/// owner, episodes at most, and whether the migration schedule runs.
+const NEMESIS_SELF_TESTS: [(&str, Mutant, u32, bool); 2] = [
+    ("fence-skip", Mutant::SkipFence, 12, false),
+    ("cut-skip", Mutant::SkipCut, 8, true),
+];
+
 /// The nemesis campaign runner: a pinned-seed randomized campaign over
 /// the in-process federation, then the migration campaign (the same
 /// fault families landing on live split/rebalance handoffs), followed
-/// by the mutation self-tests — re-running short campaigns with the
-/// deliver-path fence check ([`FenceCheck::Skip`]) and the migration
-/// cut check ([`CutCheck::Skip`]) compiled out and requiring both to
-/// FAIL. A checker that stays green under its own mutation proves
-/// nothing.
+/// by the [`NEMESIS_SELF_TESTS`] — re-running short campaigns with the
+/// deliver-path fence check ([`Mutant::SkipFence`]) or the migration
+/// cut ([`Mutant::SkipCut`]) broken and requiring each to FAIL. A
+/// checker that stays green under its own mutant proves nothing.
 fn run_nemesis(args: &[String]) -> Result<(), String> {
     use sentinet_controller::{run_campaign, NemesisConfig};
-    use sentinet_gateway::{CutCheck, FenceCheck};
 
     let mut seed: u64 = 0xC0_FFEE;
     let mut episodes: u32 = 200;
@@ -278,38 +255,24 @@ fn run_nemesis(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    let mut mutated = NemesisConfig::new(seed, episodes.min(12), scratch.join("fence-skip"));
-    mutated.fence = FenceCheck::Skip;
-    let fence_verdict: Result<(), String> = match run_campaign(&mutated) {
-        Err(failure) => {
-            println!("nemesis: fence-skip mutation caught as expected ({failure})");
-            Ok(())
+    let mut verdict = Ok(());
+    for (label, mutant, most, migration) in NEMESIS_SELF_TESTS {
+        let mut config = NemesisConfig::new(seed, episodes.min(most), scratch.join(label));
+        config.migration = migration;
+        config.mutant = Some(mutant);
+        match run_campaign(&config) {
+            Err(failure) => println!("nemesis: {label} mutation caught as expected ({failure})"),
+            Ok(_) => {
+                verdict = verdict.and(Err(format!(
+                    "nemesis: {label} mutation survived undetected; the campaign is blind"
+                )))
+            }
         }
-        Ok(_) => {
-            Err("nemesis: fence-skip mutation survived undetected; the campaign is blind".into())
-        }
-    };
-
-    // The cut-check mutation ships an empty snapshot for the moved
-    // range while still retiring it on the source; the migration
-    // campaign must catch the loss.
-    let mut cut =
-        NemesisConfig::new(seed, episodes.min(8), scratch.join("cut-skip")).with_migration();
-    cut.cut = CutCheck::Skip;
-    let cut_verdict: Result<(), String> = match run_campaign(&cut) {
-        Err(failure) => {
-            println!("nemesis: cut-skip mutation caught as expected ({failure})");
-            Ok(())
-        }
-        Ok(_) => Err(
-            "nemesis: cut-skip mutation survived undetected; the migration campaign is blind"
-                .into(),
-        ),
-    };
+    }
     // The mutated runs fail by design; their debris is not a debugging
     // artifact worth keeping.
     let _ = std::fs::remove_dir_all(&scratch);
-    fence_verdict.and(cut_verdict)
+    verdict
 }
 
 fn run_invariant_tests() -> Result<(), String> {

@@ -77,8 +77,8 @@
 //! * **I2 ack-durability** — every released `AckUpTo` covers only
 //!   records a completed fsync covers, and the WAL's synced cursor
 //!   never claims more than that (this is the invariant
-//!   [`AckDiscipline::Eager`] and [`AckDiscipline::LateCapture`]
-//!   deliberately break).
+//!   [`Mutant::EagerAck`] and [`Mutant::LateCapture`] deliberately
+//!   break).
 //! * **I3 ack-coherence** — every queued cumulative ack equals the
 //!   mirror `SeqTracker` watermark, and its WAL cursor equals the
 //!   records logged.
@@ -98,20 +98,25 @@
 //!   `CheckpointMissing`, `CheckpointMismatch` or a missing segment at
 //!   or above the committed base — and rebuilds exactly the mirror
 //!   log: its length and every sensor's set of seen sequence numbers.
-//!   Two mutants must trip it: the step seam committing a restore
-//!   point before its covering fsync
-//!   ([`StepServer::commit_restore_unsynced`]), and a crash model that
-//!   admits the disk a delete-before-rename implementation could leave
-//!   (the last reclaim's segments gone, `checkpoint.ck` one version
-//!   behind).
+//!   Three mutants must trip it: the syncer committing a restore point
+//!   before its covering fsync ([`Mutant::CommitBeforeSync`]), a
+//!   restore point naming by position readings below its own base
+//!   ([`Mutant::NameBelowBase`]), and a crash model that admits the
+//!   disk a delete-before-rename implementation could leave (the last
+//!   reclaim's segments gone, `checkpoint.ck` one version behind).
 //! * **Completion** — every fault-free episode ends with every reading
 //!   durable, every batch acked, and the final on-disk log containing
 //!   each reading exactly once (verified by re-opening the real WAL
 //!   and walking its records).
+//!
+//! [`SELF_TESTS`] lists the must-fail self-tests: each plants one bug
+//! through the collector's `GatewayConfig::mutant` — the shipped
+//! branch itself breaks, in the [`StepServer`] the checker drives — or
+//! in the crash model, and re-explores one space under it.
 
 use sentinet_gateway::frame::encode_frame;
 use sentinet_gateway::{
-    AckDiscipline, Collector, FaultPlan, FaultSpec, FaultyVfs, FsyncPolicy, GatewayConfig, Message,
+    Collector, FaultPlan, FaultSpec, FaultyVfs, FsyncPolicy, GatewayConfig, Message, Mutant,
     QueuedAck, RestoreStep, RunPlanner, SeqTracker, StepEvent, StepServer, StorageFault, VfsOp,
     Wal, PROTOCOL_VERSION,
 };
@@ -222,26 +227,76 @@ struct SpaceCfg {
     poison: bool,
     /// Restore points, small segments and a retention budget on.
     restore: bool,
-    /// The deliberately broken restore-point order to catch, if any.
-    mutation: Option<RestoreMutation>,
-    discipline: AckDiscipline,
+    /// The bug a self-test planted, if any.
+    planted: Option<Planted>,
 }
 
-/// The three broken restore points I6 must reject (self-tests; none
-/// is reachable through any production configuration).
+/// A bug a must-fail self-test plants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestoreMutation {
-    /// The step seam writes and renames a restore point before the
-    /// fsync covering its cursor has completed.
-    CommitBeforeSync,
+pub enum Planted {
+    /// A deliberately broken branch of the shipped code.
+    Code(Mutant),
     /// Segments are deleted before the checkpoint naming the new base
-    /// is renamed: emulated in the crash model, by killing the process
-    /// inside a reclaim with `checkpoint.ck` as it was before it.
+    /// is renamed: the crash model's own mutant (the shipped reclaim
+    /// has no such branch), emulated by killing the process inside a
+    /// reclaim with `checkpoint.ck` as it was before it.
     DeleteBeforeRename,
-    /// A restore point names by log position buffered readings below
-    /// its base, which the reclaim it plans deletes.
-    PositionBelowBase,
 }
+
+/// One must-fail self-test: the space named `space` — shaped as
+/// `interleave` for I2, as `restore` for I6 — re-explored with a bug
+/// planted, which `invariant` must catch.
+#[derive(Debug, Clone, Copy)]
+pub struct SelfTest {
+    /// The name `protocol-check` prints.
+    pub label: &'static str,
+    /// The bug.
+    pub planted: Planted,
+    /// The space explored under it.
+    pub space: &'static str,
+    /// The invariant that must trip.
+    pub invariant: &'static str,
+}
+
+const I2: &str = "I2 ack-durability";
+const I6: &str = "I6 restore-durability";
+
+/// Every self-test, in the order `protocol-check` runs them. A bug
+/// that survives means the checker is blind and its green run proves
+/// nothing; late-capture is six scheduled choices deep, hence the full
+/// budget.
+pub const SELF_TESTS: [SelfTest; 5] = [
+    SelfTest {
+        label: "eager-ack",
+        planted: Planted::Code(Mutant::EagerAck),
+        space: "interleave-eager",
+        invariant: I2,
+    },
+    SelfTest {
+        label: "late-capture",
+        planted: Planted::Code(Mutant::LateCapture),
+        space: "interleave-late-capture",
+        invariant: I2,
+    },
+    SelfTest {
+        label: "commit-before-sync",
+        planted: Planted::Code(Mutant::CommitBeforeSync),
+        space: "restore-commit-before-sync",
+        invariant: I6,
+    },
+    SelfTest {
+        label: "delete-before-rename",
+        planted: Planted::DeleteBeforeRename,
+        space: "restore-delete-before-rename",
+        invariant: I6,
+    },
+    SelfTest {
+        label: "position-below-base",
+        planted: Planted::Code(Mutant::NameBelowBase),
+        space: "restore-position-below-base",
+        invariant: I6,
+    },
+];
 
 /// A violated invariant plus everything needed to reproduce it: the
 /// exploration is deterministic, so the choice vector is a seed-free
@@ -428,6 +483,9 @@ fn gateway_config(dir: &Path, space: &SpaceCfg) -> (GatewayConfig, Arc<FaultyVfs
         });
     }
     let mut cfg = GatewayConfig::new(dir);
+    if let Some(Planted::Code(mutant)) = space.planted {
+        cfg.mutant = Some(mutant);
+    }
     // Checkpoints off: crash recovery must come from the log alone,
     // and the checkpoint fsync would blur the Batch-policy watermark.
     cfg.checkpoint_every = 0;
@@ -475,7 +533,7 @@ impl<'a> Episode<'a> {
         let (gw_cfg, vfs) = gateway_config(dir, cfg);
         let (collector, _) = Collector::open(gw_cfg.clone())
             .map_err(|e| harness_err(format!("fresh open failed: {e}")))?;
-        let server = Self::serve(cfg, collector);
+        let server = StepServer::new(collector, CREDITS);
         let clients = (0..SENSORS)
             .map(|s| {
                 let mut to_send = VecDeque::new();
@@ -528,16 +586,6 @@ impl<'a> Episode<'a> {
             ep.handshake(s)?;
         }
         Ok(ep)
-    }
-
-    fn serve(cfg: &SpaceCfg, collector: Collector) -> StepServer {
-        let mut server = StepServer::new(collector, CREDITS, cfg.discipline);
-        match cfg.mutation {
-            Some(RestoreMutation::CommitBeforeSync) => server.commit_restore_unsynced(),
-            Some(RestoreMutation::PositionBelowBase) => server.name_below_base(),
-            _ => {}
-        }
-        server
     }
 
     fn server_mut(&mut self) -> &mut StepServer {
@@ -1049,10 +1097,10 @@ impl<'a> Episode<'a> {
         names
     }
 
-    /// Under [`RestoreMutation::DeleteBeforeRename`], the segments and
+    /// Under [`Planted::DeleteBeforeRename`], the segments and
     /// the `checkpoint.ck` bytes a step is about to start from.
     fn disk_before_reclaim(&self) -> Option<(Vec<String>, Option<Vec<u8>>)> {
-        (self.cfg.mutation == Some(RestoreMutation::DeleteBeforeRename)).then(|| {
+        (self.cfg.planted == Some(Planted::DeleteBeforeRename)).then(|| {
             let checkpoint = std::fs::read(self.gw_cfg.wal.dir.join("checkpoint.ck")).ok();
             (self.segments_on_disk(), checkpoint)
         })
@@ -1264,7 +1312,7 @@ impl<'a> Episode<'a> {
         }
         self.trace
             .push(format!("recover: replayed {} record(s)", recovery.replayed));
-        self.server = Some(Self::serve(self.cfg, collector));
+        self.server = Some(StepServer::new(collector, CREDITS));
         for s in 0..SENSORS {
             // Nothing a client was acked may have fallen out of the log.
             if let Some(acked) = self.clients[s].acked {
@@ -1502,64 +1550,63 @@ fn explore_window(
 }
 
 fn spaces(scale: Scale) -> Vec<SpaceCfg> {
-    let (interleave, reconnect, crash, poison) = match scale {
-        Scale::Quick => (3, 3, 3, 3),
-        Scale::Full => (6, 5, 5, 5),
+    let (reconnect, crash, poison) = match scale {
+        Scale::Quick => (3, 3, 3),
+        Scale::Full => (5, 5, 5),
+    };
+    let base = SpaceCfg {
+        name: "",
+        choice_budget: 0,
+        windows: &[0],
+        timeout_budget: 0,
+        reset_budget: 0,
+        crash_budget: 0,
+        poison: false,
+        restore: false,
+        planted: None,
     };
     vec![
-        SpaceCfg {
-            name: "interleave",
-            choice_budget: interleave,
-            windows: &[0],
-            timeout_budget: 1,
-            reset_budget: 0,
-            crash_budget: 0,
-            poison: false,
-            restore: false,
-            mutation: None,
-            discipline: AckDiscipline::Durable,
-        },
+        interleave_space("interleave", scale),
         SpaceCfg {
             name: "reconnect",
             choice_budget: reconnect,
-            windows: &[0],
-            timeout_budget: 0,
             reset_budget: 1,
-            crash_budget: 0,
-            poison: false,
-            restore: false,
-            mutation: None,
-            discipline: AckDiscipline::Durable,
+            ..base
         },
         SpaceCfg {
             name: "crash",
             choice_budget: crash,
-            windows: &[0],
-            timeout_budget: 0,
-            reset_budget: 0,
             crash_budget: 1,
-            poison: false,
-            restore: false,
-            mutation: None,
-            discipline: AckDiscipline::Durable,
+            ..base
         },
         SpaceCfg {
             name: "poison",
             choice_budget: poison,
-            windows: &[0],
-            timeout_budget: 0,
-            reset_budget: 0,
-            crash_budget: 0,
             poison: true,
-            restore: false,
-            mutation: None,
-            discipline: AckDiscipline::Durable,
+            ..base
         },
-        restore_space("restore", scale, None),
+        restore_space("restore", scale),
     ]
 }
 
-fn restore_space(name: &'static str, scale: Scale, mutation: Option<RestoreMutation>) -> SpaceCfg {
+fn interleave_space(name: &'static str, scale: Scale) -> SpaceCfg {
+    SpaceCfg {
+        name,
+        choice_budget: match scale {
+            Scale::Quick => 3,
+            Scale::Full => 6,
+        },
+        windows: &[0],
+        timeout_budget: 1,
+        reset_budget: 0,
+        crash_budget: 0,
+        poison: false,
+        restore: false,
+        planted: None,
+    }
+}
+
+fn restore_space(name: &'static str, scale: Scale) -> SpaceCfg {
     SpaceCfg {
         name,
         choice_budget: match scale {
@@ -1580,13 +1627,11 @@ fn restore_space(name: &'static str, scale: Scale, mutation: Option<RestoreMutat
         crash_budget: 1,
         poison: false,
         restore: true,
-        mutation,
-        discipline: AckDiscipline::Durable,
+        planted: None,
     }
 }
 
-/// Explores every sub-space under the shipped (durable) ack
-/// discipline.
+/// Explores every sub-space of the shipped code.
 ///
 /// # Errors
 ///
@@ -1600,64 +1645,21 @@ pub fn check(scale: Scale) -> Result<ProtocolReport, Box<Violation>> {
     Ok(report)
 }
 
-/// Mutation self-test: re-explores the interleave space with a
-/// deliberately broken `discipline` — [`AckDiscipline::Eager`] (ack
-/// released before the covering fsync) or [`AckDiscipline::LateCapture`]
-/// (an overlapped fsync credited with the cursor read after it
-/// returned). The checker MUST catch each — a clean pass here means
-/// the checker itself is broken.
+/// Runs one self-test: re-explores its space with its bug planted. The
+/// checker MUST catch it — a clean pass means the checker itself is
+/// broken.
 ///
 /// # Errors
 ///
-/// The expected outcome: the I2 violation with its trace.
-pub fn check_mutation(
-    scale: Scale,
-    discipline: AckDiscipline,
-) -> Result<ProtocolReport, Box<Violation>> {
-    let cfg = SpaceCfg {
-        name: match discipline {
-            AckDiscipline::Eager => "interleave-eager",
-            AckDiscipline::LateCapture => "interleave-late-capture",
-            AckDiscipline::Durable => "interleave",
-        },
-        choice_budget: match scale {
-            Scale::Quick => 3,
-            Scale::Full => 6,
-        },
-        windows: &[0],
-        timeout_budget: 1,
-        reset_budget: 0,
-        crash_budget: 0,
-        poison: false,
-        restore: false,
-        mutation: None,
-        discipline,
+/// The expected outcome: the violation, with its trace.
+pub fn check_mutation(scale: Scale, test: &SelfTest) -> Result<ProtocolReport, Box<Violation>> {
+    let mut cfg = match test.invariant {
+        I6 => restore_space(test.space, scale),
+        _ => interleave_space(test.space, scale),
     };
-    explore_alone(&cfg)
-}
-
-/// Mutation self-test of I6: re-explores the restore space under a
-/// deliberately broken restore-point order. The checker MUST catch
-/// each.
-///
-/// # Errors
-///
-/// The expected outcome: the I6 violation with its trace.
-pub fn check_restore_mutation(
-    scale: Scale,
-    mutation: RestoreMutation,
-) -> Result<ProtocolReport, Box<Violation>> {
-    let name = match mutation {
-        RestoreMutation::CommitBeforeSync => "restore-commit-before-sync",
-        RestoreMutation::DeleteBeforeRename => "restore-delete-before-rename",
-        RestoreMutation::PositionBelowBase => "restore-position-below-base",
-    };
-    explore_alone(&restore_space(name, scale, Some(mutation)))
-}
-
-fn explore_alone(cfg: &SpaceCfg) -> Result<ProtocolReport, Box<Violation>> {
+    cfg.planted = Some(test.planted);
     let mut report = ProtocolReport::default();
-    let space = explore_space(cfg, cfg.name)?;
+    let space = explore_space(&cfg, cfg.name)?;
     report.spaces.push((cfg.name, space));
     Ok(report)
 }
@@ -1740,11 +1742,16 @@ mod tests {
         }
     }
 
-    /// The violation `discipline` must produce, with its trace.
-    fn caught(scale: Scale, discipline: AckDiscipline) -> Box<Violation> {
-        let v = match check_mutation(scale, discipline) {
+    /// The table's self-test that plants `planted`.
+    fn self_test(planted: Planted) -> &'static SelfTest {
+        SELF_TESTS.iter().find(|t| t.planted == planted).unwrap()
+    }
+
+    /// The violation `mutant` must produce, with its trace.
+    fn caught(scale: Scale, mutant: Mutant) -> Box<Violation> {
+        let v = match check_mutation(scale, self_test(Planted::Code(mutant))) {
             Ok(report) => panic!(
-                "checker failed to catch the {discipline:?} mutation across {} episodes",
+                "checker failed to catch the {mutant:?} mutation across {} episodes",
                 report.episodes()
             ),
             Err(v) => v,
@@ -1761,17 +1768,17 @@ mod tests {
 
     #[test]
     fn eager_ack_mutation_is_caught_with_a_trace() {
-        caught(Scale::Quick, AckDiscipline::Eager);
+        caught(Scale::Quick, Mutant::EagerAck);
     }
 
     #[test]
     fn every_restore_point_mutation_trips_i6() {
         for mutation in [
-            RestoreMutation::CommitBeforeSync,
-            RestoreMutation::DeleteBeforeRename,
-            RestoreMutation::PositionBelowBase,
+            Planted::Code(Mutant::CommitBeforeSync),
+            Planted::DeleteBeforeRename,
+            Planted::Code(Mutant::NameBelowBase),
         ] {
-            let v = match check_restore_mutation(Scale::Quick, mutation) {
+            let v = match check_mutation(Scale::Quick, self_test(mutation)) {
                 Ok(report) => panic!(
                     "checker failed to catch {mutation:?} across {} episodes",
                     report.episodes()
@@ -1786,7 +1793,7 @@ mod tests {
     fn late_capture_mutation_is_caught_with_a_trace() {
         // A batch must be admitted between a sync's start and its
         // completion: six scheduled choices deep, so the full budget.
-        let v = caught(Scale::Full, AckDiscipline::LateCapture);
+        let v = caught(Scale::Full, Mutant::LateCapture);
         let at = |prefix: &str| v.trace.iter().position(|l| l.starts_with(prefix));
         let started = at("sync-start").expect("a sync started");
         assert!(

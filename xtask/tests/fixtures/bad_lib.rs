@@ -43,6 +43,10 @@ pub fn chatty_codec(out: &mut String, n: u64) {
     out.push_str(&format!("n {n}\n"));
 }
 
+pub fn planted(config: &mut GatewayConfig) {
+    config.mutant = Some(Mutant::EagerAck);
+}
+
 // sentinet-allow(float-eq): stale — the comparison this excused was rewritten
 pub fn formerly_fuzzy(x: f64) -> f64 {
     x.max(0.0)

@@ -59,6 +59,11 @@ pub fn chatty_codec(out: &mut String, n: u64) {
     out.push_str(&format!("n {n}\n"));
 }
 
+pub fn planted(config: &mut GatewayConfig) {
+    // sentinet-allow(mutant-seam): fixture exercises suppression
+    config.mutant = Some(Mutant::EagerAck);
+}
+
 // sentinet-allow(stale-suppression): fixture exercises suppression
 // sentinet-allow(float-eq): intentionally stale for the fixture
 pub fn formerly_fuzzy(x: f64) -> f64 {

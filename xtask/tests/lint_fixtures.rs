@@ -35,6 +35,7 @@ fn full_ctx() -> FileContext {
         protocol_core_file: false,
         wire_codec_file: false,
         codec_file: true,
+        mutant_file: false,
         hot_functions: vec!["hot".into()],
     }
 }
