@@ -16,15 +16,14 @@
 //! IEEE-754 bit pattern, so a round-trip is bit-exact — the property
 //! the engine's kill-anywhere determinism proof rests on — and the
 //! reader accepts only what the writers emit, so whatever decodes
-//! re-encodes to the bytes read. [`encode_shard`]/[`decode_shard`] and
-//! [`encode_pipeline`]/[`decode_pipeline`] are the two codecs defined
-//! here; the pipeline text ends in a shard section, read by the same
-//! reader. These codecs are the only serialization the snapshot types
-//! have. They write layout v4: the state, and nothing derived from it,
-//! each raw-alarm history as runs of equal flags. The readers also take
-//! v1 to v3 text by its magic, reading what those layouts also wrote
-//! for syntax and dropping it; a derived field that disagrees with the
-//! state it copies is malformed.
+//! re-encodes to the bytes read. [`encode_pipeline`]/[`decode_pipeline`]
+//! is the codec defined here, and the only serialization the snapshot
+//! types have; the pipeline text ends in a shard section of every
+//! sensor, read by the same reader. It writes layout v4: the state, and
+//! nothing derived from it, each raw-alarm history as runs of equal
+//! flags. The reader also takes v1 to v3 text by its magic, reading
+//! what those layouts also wrote for syntax and dropping it; a derived
+//! field that disagrees with the state it copies is malformed.
 
 use crate::runtime::{AlarmRun, IdentityPrior, TrackRecord};
 use sentinet_cluster::StatesSnapshot;
@@ -160,15 +159,6 @@ const MAGICS: [&str; 4] = [
     "sentinet-checkpoint v4",
 ];
 
-/// Consumes a magic line, one of `magics` (layouts v1 to v4): the
-/// layout it names.
-fn read_magic(r: &mut Reader<'_>, magics: &[&str; 4]) -> Result<u8, CheckpointError> {
-    let at = magics.iter().position(|m| r.peek() == Some(*m));
-    let at = at.unwrap_or(magics.len() - 1);
-    r.marker(magics[at])?;
-    Ok(at as u8 + 1)
-}
-
 /// Appends `v` as the 16 lowercase hex digits of its IEEE-754 bit
 /// pattern — the one float encoding every sentinet text codec shares,
 /// so a round-trip is bit-exact for NaN payloads, signed zeros and
@@ -292,16 +282,8 @@ fn steps(visits: &[u64]) -> u64 {
     visits.iter().fold(0, |sum, &v| sum.wrapping_add(v))
 }
 
-/// Encodes one shard's sensors as durable checkpoint text.
-pub fn encode_shard(sensors: &[(SensorId, SensorSnapshot)]) -> String {
-    let mut out = String::new();
-    // `fmt::Write for String` never fails.
-    let _ = write_shard(&mut out, sensors);
-    out
-}
-
-/// [`encode_shard`] appended to a caller-supplied buffer, every field
-/// written in place.
+/// Appends the shard section closing a pipeline text: its magic, then
+/// each sensor, every field written in place.
 ///
 /// # Errors
 ///
@@ -741,26 +723,9 @@ fn is_identity_prior(m: &EstimatorState) -> bool {
         && one_hot(&m.b, n + 1, 1)
 }
 
-/// Decodes checkpoint text produced by [`encode_shard`].
-///
-/// # Errors
-///
-/// [`CheckpointError::Malformed`] on any syntax problem, with the
-/// offending line. Semantic validation (stochastic rows etc.) happens
-/// when the snapshot is restored into a runtime.
-pub fn decode_shard(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
-    let mut r = Reader::new(text);
-    let layout = read_magic(&mut r, &MAGICS)?;
-    // A bare shard states no window count to hold its runs to.
-    let sensors = read_shard(&mut r, layout, u64::MAX)?;
-    r.finish()?;
-    Ok(sensors)
-}
-
-/// [`decode_shard`] after its magic line, from wherever `r` stands —
-/// the closing section of a pipeline snapshot — up to the first line
-/// that opens no sensor, each sensor's runs spanning at most `windows`
-/// windows in all.
+/// The shard section [`write_shard`] writes, after its magic line, from
+/// wherever `r` stands up to the first line that opens no sensor, each
+/// sensor's runs spanning at most `windows` windows in all.
 fn read_shard(
     r: &mut Reader<'_>,
     layout: u8,
@@ -892,9 +857,9 @@ const PIPELINE_MAGICS: [&str; 4] = [
 ];
 
 /// Encodes a whole pipeline's restore-point snapshot as durable
-/// checkpoint text. Floating-point fields use the same IEEE-754
-/// bit-pattern encoding as [`encode_shard`] (whose output forms the
-/// final section), so a round-trip is bit-exact and the encoding of a
+/// checkpoint text, closed by the shard section of its sensors.
+/// Floating-point fields use the IEEE-754 bit-pattern encoding
+/// ([`push_hex`]), so a round-trip is bit-exact and the encoding of a
 /// live pipeline equals the encoding of its restored twin.
 pub fn encode_pipeline(snap: &PipelineSnapshot) -> String {
     let mut out = String::new();
@@ -1000,7 +965,11 @@ pub fn decode_pipeline(text: &str) -> Result<PipelineSnapshot, CheckpointError> 
 /// As [`decode_pipeline`], with lines counted from the start of `r`'s
 /// text.
 pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointError> {
-    let layout = read_magic(r, &PIPELINE_MAGICS)?;
+    // The layout the magic line names; any other line fails as v4's.
+    let at = PIPELINE_MAGICS.iter().position(|m| r.peek() == Some(*m));
+    let at = at.unwrap_or(PIPELINE_MAGICS.len() - 1);
+    r.marker(PIPELINE_MAGICS[at])?;
+    let layout = at as u8 + 1;
     let v1 = layout == 1;
     let windows_processed = r.single("windows", Fields::num)?;
     if layout < 3 {
@@ -1114,6 +1083,31 @@ mod tests {
         rt
     }
 
+    /// `sensors` in the text production writes them in: the shard
+    /// section closing a pipeline text, here behind a header with no
+    /// model states and no window bound.
+    fn with_sensors(sensors: Vec<(SensorId, SensorSnapshot)>) -> PipelineSnapshot {
+        PipelineSnapshot {
+            global: GlobalSnapshot {
+                windows_processed: u64::MAX,
+                bootstrap_points: Vec::new(),
+                states: None,
+            },
+            windower: WindowerSnapshot {
+                started: false,
+                index: 0,
+                start: 0,
+                readings: Vec::new(),
+            },
+            sensors,
+        }
+    }
+
+    /// The sensors `text`, a pipeline text, decodes to.
+    fn sensors_of(text: &str) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
+        decode_pipeline(text).map(|p| p.sensors)
+    }
+
     #[test]
     fn shard_codec_round_trips_kofn_and_sprt() {
         for filter in [
@@ -1133,7 +1127,8 @@ mod tests {
                 (SensorId(0), runtime_with_history(&config).snapshot()),
                 (SensorId(7), SensorRuntime::new(&config, 2).snapshot()),
             ];
-            let decoded = decode_shard(&encode_shard(&shard)).expect("round trip");
+            let text = encode_pipeline(&with_sensors(shard.clone()));
+            let decoded = sensors_of(&text).expect("round trip");
             assert_eq!(decoded, shard);
         }
     }
@@ -1142,19 +1137,23 @@ mod tests {
     fn decode_reports_offending_line() {
         let config = PipelineConfig::default();
         let shard = vec![(SensorId(1), runtime_with_history(&config).snapshot())];
-        let mut text = encode_shard(&shard);
+        let mut text = encode_pipeline(&with_sensors(shard));
         text = text.replace("\nraw ", "\nrow ");
-        let err = decode_shard(&text).expect_err("corrupted");
+        let err = sensors_of(&text).expect_err("corrupted");
         match err {
             CheckpointError::Malformed { line, .. } => assert!(line > 1),
             other => panic!("unexpected error {other:?}"),
         }
     }
 
+    /// The shard section opens with its magic: an empty or foreign
+    /// line in its place is malformed.
     #[test]
     fn decode_rejects_bad_magic_and_empty() {
-        assert!(decode_shard("").is_err());
-        assert!(decode_shard("not a checkpoint\n").is_err());
+        let text = encode_pipeline(&with_sensors(Vec::new()));
+        assert_eq!(sensors_of(&text), Ok(Vec::new()));
+        assert!(sensors_of(&text.replace(MAGICS[3], "")).is_err());
+        assert!(sensors_of(&text.replace(MAGICS[3], "not a checkpoint")).is_err());
     }
 
     fn sample_pipeline_snapshot(with_states: bool) -> PipelineSnapshot {
@@ -1292,11 +1291,12 @@ mod tests {
     fn an_unbuilt_sensor_is_one_prior_line() {
         let config = PipelineConfig::default();
         let sensors = vec![(SensorId(3), SensorRuntime::new(&config, 4).snapshot())];
-        let text = encode_shard(&sensors);
+        let text = encode_pipeline(&with_sensors(sensors.clone()));
         let prior = line_starting(&text, "prior ");
         assert_eq!(prior, "prior 4 0 3fb999999999999a");
-        assert_eq!(text.lines().count(), 7, "{text}");
-        assert_eq!(decode_shard(&text), Ok(sensors));
+        let shard = &text[text.find(MAGICS[3]).expect("a shard section")..];
+        assert_eq!(shard.lines().count(), 7, "{shard}");
+        assert_eq!(sensors_of(&text), Ok(sensors));
         let one_hot = |i: usize| {
             let mut row = ["0000000000000000"; 5];
             row[i + 1] = "3ff0000000000000";
@@ -1308,7 +1308,7 @@ mod tests {
         );
         let full = text.replacen(prior, &block, 1);
         assert_eq!(
-            malformed_line(decode_shard(&full)),
+            malformed_line(sensors_of(&full)),
             line_of(&full, "counts 0,0,0,0")
         );
     }
@@ -1341,17 +1341,11 @@ mod tests {
     }
 
     /// One reader runs through every nested section, so the reported
-    /// line is the line in the text that was handed in — at the shard
-    /// level and one level up, where the shard section used to restart
-    /// at 1.
+    /// line is the line in the text that was handed in, inside the
+    /// shard section too.
     #[test]
     fn nested_sections_report_absolute_lines() {
         let snap = sample_pipeline_snapshot(true);
-        let shard = encode_shard(&snap.sensors).replace("sensor 3", "sensor x");
-        assert_eq!(
-            malformed_line(decode_shard(&shard)),
-            line_of(&shard, "sensor x")
-        );
         let pipeline = encode_pipeline(&snap).replace("sensor 3", "sensor x");
         let at = line_of(&pipeline, "sensor x");
         assert!(at > line_of(&pipeline, "sensors") + 2, "inside the section");
@@ -1372,14 +1366,14 @@ mod tests {
             ..PipelineConfig::default()
         };
         let snap = runtime_with_history(&config).snapshot();
-        let text = encode_shard(&[(SensorId(0), snap.clone())]);
-        assert!(decode_shard(&text).is_ok());
+        let text = encode_pipeline(&with_sensors(vec![(SensorId(0), snap.clone())]));
+        assert!(sensors_of(&text).is_ok());
         let raw = text.replace("\nraw 0:0:3 ", "\nraw 0:3:3 ");
-        assert_eq!(malformed_line(decode_shard(&raw)), line_of(&raw, "end") - 1);
-        let filter = text.lines().nth(2).expect("filter line");
+        assert_eq!(malformed_line(sensors_of(&raw)), line_of(&raw, "end") - 1);
+        let filter = line_starting(&text, "filter ");
         assert!(filter.starts_with("filter sprt "));
         let raised = text.replace(filter, &format!("{}3", &filter[..filter.len() - 1]));
-        assert_eq!(malformed_line(decode_shard(&raised)), 3);
+        assert_eq!(malformed_line(sensors_of(&raised)), line_of(&text, filter));
         // The flags v2 also wrote: a track is open, one ever opened.
         let open = u8::from(snap.tracks.last().is_some_and(|t| t.closed.is_none()));
         let alarmed = u8::from(!snap.tracks.is_empty());
@@ -1388,15 +1382,17 @@ mod tests {
             .map(|(w, raw)| format!(" {w}:{}", u8::from(raw)))
             .collect();
         let v2 = text
+            .replace(PIPELINE_MAGICS[3], PIPELINE_MAGICS[1])
+            .replace("\nbootstrap ", "\nhistory -\nbootstrap ")
             .replace(MAGICS[3], MAGICS[1])
             .replacen(line_starting(&text, "raw "), &format!("raw{per_window}"), 1)
             .replace("\ntracks ", &format!("\ntrack {open}\ntracks "))
             .replace("\nend", &format!("\nalarmed {alarmed}\nend"));
-        assert_eq!(decode_shard(&v2), Ok(vec![(SensorId(0), snap)]));
+        assert_eq!(sensors_of(&v2), Ok(vec![(SensorId(0), snap)]));
         for (flag, bad) in [("track ", "2"), ("alarmed ", "yes")] {
             let at = v2.find(&format!("\n{flag}")).expect("a flag") + 1 + flag.len();
             let bad = format!("{}{bad}{}", &v2[..at], &v2[at + 1..]);
-            assert!(decode_shard(&bad).is_err(), "{flag}");
+            assert!(sensors_of(&bad).is_err(), "{flag}");
         }
     }
 
@@ -1406,9 +1402,10 @@ mod tests {
     #[test]
     fn out_of_bounds_filter_parts_are_invalid_not_a_panic() {
         let config = PipelineConfig::default();
-        let text = encode_shard(&[(SensorId(0), SensorRuntime::new(&config, 2).snapshot())]);
+        let unbuilt = SensorRuntime::new(&config, 2).snapshot();
+        let text = encode_pipeline(&with_sensors(vec![(SensorId(0), unbuilt)]));
         let scaled = text.replace("filter kofn 6 10 ", "filter kofn 60 10 ");
-        let decoded = decode_shard(&scaled).expect("syntactically fine");
+        let decoded = sensors_of(&scaled).expect("syntactically fine");
         assert!(matches!(
             SensorRuntime::from_snapshot(decoded[0].1.clone()),
             Err(CheckpointError::Invalid(_))
@@ -1449,8 +1446,8 @@ mod tests {
     fn restored_runtime_continues_bit_identically() {
         let config = PipelineConfig::default();
         let mut original = runtime_with_history(&config);
-        let decoded =
-            decode_shard(&encode_shard(&[(SensorId(0), original.snapshot())])).expect("round trip");
+        let text = encode_pipeline(&with_sensors(vec![(SensorId(0), original.snapshot())]));
+        let decoded = sensors_of(&text).expect("round trip");
         let mut restored =
             SensorRuntime::from_snapshot(decoded[0].1.clone()).expect("valid snapshot");
         // Expanded before the steps on one side, after them on the other.

@@ -11,7 +11,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seeded::{mutate, Replay, TestRng};
 use sentinet_cluster::{ClusterConfig, ModelStates, StatesSnapshot, UpdateScratch};
-use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
     decode_pipeline, encode_pipeline, identify_states, identify_states_into, AlarmRun,
     CheckpointError, GlobalSnapshot, GlobalStates, MceSnapshot, ObservationWindow, Observed,
@@ -469,7 +468,7 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
 }
 
 /// Digests of [`golden_pipeline_snapshot`] through `encode_pipeline`
-/// and of its sensors through `encode_shard`. `report_pin.rs` pins a
+/// and of that text's shard section, its sensors. `report_pin.rs` pins a
 /// large real snapshot; this one pins the branches a healthy run does
 /// not take. Recorded when layout v4 replaced v3; [`GOLDEN_V1`],
 /// [`GOLDEN_V2`] and [`GOLDEN_V3`], the same snapshot's older bytes,
@@ -497,11 +496,7 @@ const GOLDEN_WINDOWS: u64 = 1_344;
 fn golden_snapshot_encodes_to_the_recorded_bytes() {
     let snap = golden_pipeline_snapshot();
     let pipeline = encode_pipeline(&snap);
-    let shard = encode_shard(&snap.sensors);
-    assert!(
-        pipeline.ends_with(&shard),
-        "the shard section closes the pipeline text"
-    );
+    let shard = &pipeline[pipeline.find("sentinet-checkpoint v").expect("a shard")..];
     for marker in [
         "\nwindows 1344\nbootstrap 2\nbp 3ff0000000000000 4000000000000000\n",
         "\nslot 0 7ff8000000000000 7ff0000000000000\n",
@@ -521,10 +516,6 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
         Ok(pipeline.clone())
     );
     assert_eq!(
-        decode_shard(&shard).map(|s| encode_shard(&s)),
-        Ok(shard.clone())
-    );
-    assert_eq!(
         (fnv(pipeline.as_bytes()), fnv(shard.as_bytes())),
         GOLDEN_DIGESTS,
         "checkpoint encoding drifted from layout v4"
@@ -535,8 +526,7 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
 const V2_ONLY: [&str; 3] = ["history ", "track ", "alarmed "];
 
 /// `older`, the golden text as an older layout wrote it, decodes to the
-/// golden snapshot and re-encodes to the v4 golden text; so does its
-/// shard section. Line for line, it is that text plus the lines with a
+/// golden snapshot and re-encodes to the v4 golden text. Line for line, it is that text plus the lines with a
 /// `dropped` tag, with only the lines with a `rewritten` tag changed.
 fn reads_as_the_golden_snapshot(older: &str, dropped: &[&str], rewritten: &[&str]) {
     let snap = golden_pipeline_snapshot();
@@ -548,8 +538,6 @@ fn reads_as_the_golden_snapshot(older: &str, dropped: &[&str], rewritten: &[&str
         decode_pipeline(older).map(|s| encode_pipeline(&s)),
         Ok(v4.clone())
     );
-    let shard = &older[older.find("sentinet-checkpoint v").expect("a shard")..];
-    assert_eq!(decode_shard(shard), Ok(snap.sensors.clone()));
     let kept: Vec<&str> = older
         .lines()
         .filter(|line| !dropped.iter().any(|tag| line.starts_with(tag)))
@@ -665,8 +653,7 @@ fn raw_alarm_histories_round_trip_as_runs_and_as_v3_tokens() {
 /// `runs::damage_runs`: a run of no windows or of `u64::MAX`, past the
 /// last window, out of order, overlapping, of one with its length, split
 /// in two, more windows than processed, a three-part token under a v3
-/// magic) is `Malformed` at its `raw` line, in the pipeline text and —
-/// unless only the `windows` line rules it out — in its shard section.
+/// magic) is `Malformed` at its `raw` line in the pipeline text.
 /// A `windows` line raised to a huge count with a run as long reads and
 /// re-encodes exactly. Each within the totality bound: no stated number
 /// sizes an allocation.
@@ -692,15 +679,7 @@ fn damaged_run_tokens_are_malformed_at_their_line_or_read_exactly() {
             decode_pipeline(damaged).map(|s| encode_pipeline(&s))
         });
         let answer = pipeline.map_err(bounded)?.map_err(malformed);
-        damage.check(damaged, damage.refused, damage.line, answer)?;
-        let shard_at = damaged.find("sentinet-checkpoint v").expect("a shard");
-        let shard = &damaged[shard_at..];
-        let line = damage.line - damaged[..shard_at].matches('\n').count();
-        let decoded = check_total_bytes(shard.len(), || {
-            decode_shard(shard).map(|s| encode_shard(&s))
-        });
-        let answer = decoded.map_err(bounded)?.map_err(malformed);
-        damage.check(shard, damage.shard_refused, line, answer)
+        damage.check(answer)
     });
 }
 
@@ -785,11 +764,6 @@ fn a_v2_flag_other_than_its_tracks_imply_is_malformed() {
                 line,
                 "sensor {sensor}'s `{flag}` flipped"
             );
-            let shard = &damaged[damaged.find("sentinet-checkpoint v").expect("a shard")..];
-            assert!(matches!(
-                decode_shard(shard),
-                Err(CheckpointError::Malformed { .. })
-            ));
         }
     }
 }
@@ -1018,21 +992,17 @@ fn is_malformed(e: &CheckpointError) -> bool {
     matches!(e, CheckpointError::Malformed { .. })
 }
 
-fn shard_total_and_exact(input: &[u8]) -> Result<(), String> {
-    check_total_and_exact(input, decode_shard, |s| encode_shard(s), is_malformed)
-}
-
 fn pipeline_total_and_exact(input: &[u8]) -> Result<(), String> {
     check_total_and_exact(input, decode_pipeline, encode_pipeline, is_malformed)
 }
 
-/// Decoder totality for the shard and pipeline codecs (ROADMAP 4c):
-/// torn, bit-flipped, count-inflated and arbitrary input is rejected
-/// with a typed `Malformed` or decodes to exactly what it says.
+/// Decoder totality for the pipeline codec, its shard section included
+/// (ROADMAP 4c): torn, bit-flipped, count-inflated and arbitrary input
+/// is rejected with a typed `Malformed` or decodes to exactly what it
+/// says.
 #[test]
 fn damaged_checkpoint_text_is_rejected_or_reencodes_exactly() {
-    let snap = golden_pipeline_snapshot();
-    let (shard, pipeline) = (encode_shard(&snap.sensors), encode_pipeline(&snap));
+    let pipeline = encode_pipeline(&golden_pipeline_snapshot());
     let replay = Replay {
         var: "TEXT_TOTALITY_SEED",
         package: "sentinet-core",
@@ -1041,8 +1011,6 @@ fn damaged_checkpoint_text_is_rejected_or_reencodes_exactly() {
     };
     replay.for_each_seed(4_000, |seed| {
         let mut rng = TestRng::new(seed);
-        let (what, damaged) = mutate(&mut rng, &shard);
-        shard_total_and_exact(&damaged).map_err(|why| format!("shard {what}: {why}"))?;
         let (what, damaged) = mutate(&mut rng, &pipeline);
         pipeline_total_and_exact(&damaged).map_err(|why| format!("pipeline {what}: {why}"))
     });
@@ -1054,27 +1022,19 @@ fn damaged_checkpoint_text_is_rejected_or_reencodes_exactly() {
 /// as "not raised", `07` as 7 or `3FF0…` as 1.0 survives a sample.
 #[test]
 fn every_single_bit_flip_is_rejected_or_reencodes_exactly() {
-    let snap = golden_pipeline_snapshot();
     let unbuilt = SensorRuntime::new(&PipelineConfig::default(), 4).snapshot();
-    type Check = fn(&[u8]) -> Result<(), String>;
-    for (name, text, total_and_exact) in [
-        (
-            "shard",
-            encode_shard(&snap.sensors),
-            shard_total_and_exact as Check,
-        ),
-        ("pipeline", encode_pipeline(&snap), pipeline_total_and_exact),
+    for (name, text) in [
+        ("pipeline", encode_pipeline(&golden_pipeline_snapshot())),
         (
             "unbuilt sensor",
-            encode_shard(&[(SensorId(3), unbuilt)]),
-            shard_total_and_exact,
+            encode_pipeline(&with_sensors(vec![(SensorId(3), unbuilt)])),
         ),
     ] {
         for at in 0..text.len() {
             for bit in 0..8 {
                 let mut damaged = text.clone().into_bytes();
                 damaged[at] ^= 1 << bit;
-                if let Err(why) = total_and_exact(&damaged) {
+                if let Err(why) = pipeline_total_and_exact(&damaged) {
                     let line = text[..at].matches('\n').count() + 1;
                     panic!("{name}: bit {bit} of byte {at} (line {line}) flipped: {why}");
                 }
@@ -1244,12 +1204,33 @@ fn an_m_ce_built_at_the_first_track_equals_one_grown_since_birth() {
     }
 }
 
-/// One sensor through `encode_shard` → `decode_shard` →
+/// `sensors` in the text production writes them in: the shard section
+/// closing a pipeline text, here behind a header with no model states
+/// and no window bound.
+fn with_sensors(sensors: Vec<(SensorId, SensorSnapshot)>) -> PipelineSnapshot {
+    PipelineSnapshot {
+        global: GlobalSnapshot {
+            windows_processed: u64::MAX,
+            bootstrap_points: Vec::new(),
+            states: None,
+        },
+        windower: WindowerSnapshot {
+            started: false,
+            index: 0,
+            start: 0,
+            readings: Vec::new(),
+        },
+        sensors,
+    }
+}
+
+/// One sensor through `encode_pipeline` → `decode_pipeline` →
 /// `SensorRuntime::from_snapshot`, with the text it was encoded to.
 fn through_checkpoint(snapshot: SensorSnapshot) -> (String, SensorRuntime) {
-    let text = encode_shard(&[(SensorId(7), snapshot)]);
-    let (_, decoded) = decode_shard(&text)
+    let text = encode_pipeline(&with_sensors(vec![(SensorId(7), snapshot)]));
+    let (_, decoded) = decode_pipeline(&text)
         .expect("decodes")
+        .sensors
         .pop()
         .expect("one sensor");
     let restored = SensorRuntime::from_snapshot(decoded).expect("restores");
@@ -1436,16 +1417,16 @@ fn a_sensors_flags_are_what_its_tracks_say() {
     }
 }
 
-/// The v1 text of `shard`'s one sensor, whose `M_CE` is a prior and
+/// The v1 text of the pipeline `text`'s one sensor, whose `M_CE` is a prior and
 /// who never opened a track: the prior written out in full as v1 wrote
 /// every `M_CE` — identity **A**, one-hot **B**, zero counts twice —
 /// after `damage` has had its rows, and both flags down.
 fn v1_prior_text(
-    shard: &str,
+    text: &str,
     beta: f64,
     damage: impl FnOnce(&mut [Vec<f64>], &mut [Vec<f64>]),
 ) -> String {
-    let line = shard
+    let line = text
         .lines()
         .find(|l| l.starts_with("prior "))
         .expect("an unbuilt sensor");
@@ -1476,7 +1457,9 @@ fn v1_prior_text(
     }
     let zeros = vec!["0"; n].join(",");
     block.push_str(&format!("counts {zeros} {zeros}"));
-    runs::as_v3(shard)
+    runs::as_v3(text)
+        .replace("sentinet-pipeline v3", "sentinet-pipeline v1")
+        .replace("\nbootstrap ", "\nhistory -\nbootstrap ")
         .replace("sentinet-checkpoint v3", "sentinet-checkpoint v1")
         .replace(line, &block)
         .replace("\ntracks -\n", "\ntrack 0\ntracks -\n")
@@ -1515,7 +1498,7 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
         if restored.m_ce_built() {
             return Err("the identity prior came back built".into());
         }
-        if encode_shard(&[(SensorId(7), restored.snapshot())]) != text {
+        if encode_pipeline(&with_sensors(vec![(SensorId(7), restored.snapshot())])) != text {
             return Err("an unbuilt sensor re-encodes to other bytes".into());
         }
         if text.lines().filter(|l| l.starts_with("prior ")).count() != 1 || text.contains("\nmce ")
@@ -1524,7 +1507,7 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
         }
 
         let exact = v1_prior_text(&text, config.beta, |_, _| {});
-        match decode_shard(&exact).map(|s| encode_shard(&s)) {
+        match decode_pipeline(&exact).map(|s| encode_pipeline(&s)) {
             Ok(v4) if v4 == text => {}
             other => return Err(format!("the exact v1 prior reads as {other:?}")),
         }
@@ -1547,7 +1530,7 @@ fn only_the_exact_identity_prior_is_restored_unbuilt() {
         if zeroless {
             return Ok(());
         }
-        match decode_shard(&damaged) {
+        match decode_pipeline(&damaged) {
             Err(CheckpointError::Malformed { .. }) => Ok(()),
             other => Err(format!(
                 "a not-prior v1 M_CE (row {row}) reads as {other:?}"

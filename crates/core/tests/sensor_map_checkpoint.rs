@@ -6,9 +6,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_core::checkpoint::{decode_shard, encode_shard};
 use sentinet_core::{
-    Coordinator, Pipeline, PipelineConfig, SensorMap, SensorSnapshot, SensorStages, WindowOutcome,
+    decode_pipeline, encode_pipeline, Coordinator, GlobalSnapshot, Pipeline, PipelineConfig,
+    PipelineSnapshot, SensorMap, SensorSnapshot, SensorStages, WindowOutcome, WindowerSnapshot,
 };
 use sentinet_inject::{inject_faults, FaultInjection, FaultModel};
 use sentinet_sim::{gdi, simulate, SensorId, Trace, DAY_S};
@@ -41,10 +41,25 @@ fn run(config: &PipelineConfig, trace: &Trace, period: u64) -> (Coordinator, Sen
     (coordinator, sensors)
 }
 
-/// `sensors` rebuilt from their checkpoint text.
+/// `sensors` rebuilt from their checkpoint text: the shard section
+/// closing a pipeline text, here one with no window bound.
 fn round_trip(config: PipelineConfig, sensors: &SensorMap) -> SensorMap {
     let shard: Vec<(SensorId, SensorSnapshot)> = sensors.snapshots();
-    let decoded = decode_shard(&encode_shard(&shard)).expect("codec round trip");
+    let text = encode_pipeline(&PipelineSnapshot {
+        global: GlobalSnapshot {
+            windows_processed: u64::MAX,
+            bootstrap_points: Vec::new(),
+            states: None,
+        },
+        windower: WindowerSnapshot {
+            started: false,
+            index: 0,
+            start: 0,
+            readings: Vec::new(),
+        },
+        sensors: shard.clone(),
+    });
+    let decoded = decode_pipeline(&text).expect("codec round trip").sensors;
     assert_eq!(decoded, shard, "codec changed the snapshot");
     SensorMap::restore(config, decoded).expect("snapshots are valid")
 }

@@ -437,7 +437,7 @@ impl Collector {
     }
 
     /// Whether an overlapped sync should be started now: the syncer is
-    /// idle, and the fsync policy wants one (see [`Wal::sync_due`]) or
+    /// idle, and the fsync policy wants one (see `Wal::sync_due`) or
     /// a staged restore point is waiting for one to ride.
     pub fn sync_due(&self) -> bool {
         let staged = self.restore_staged.is_some() && self.restore_in_flight.is_none();

@@ -254,9 +254,17 @@ impl RestorePoint {
         let tmp = wal.dir.join(CHECKPOINT_TMP);
         commit.committed = match commit.snapshot.take() {
             Some(snap) => {
+                // Magic, the three header coordinates, then the snapshot
+                // body: one buffer, written once.
                 let (base_segment, base_records) = (self.plan.base_segment, self.plan.base_records);
                 let mut text = String::new();
-                checkpoint_text(&mut text, self.cursor, base_segment, base_records, &snap);
+                // `fmt::Write for String` never fails.
+                let _ = writeln!(
+                    text,
+                    "{CHECKPOINT_MAGIC}\ncursor {}\nbase-segment {base_segment}\nbase {base_records}",
+                    self.cursor
+                );
+                let _ = write_collector(&mut text, &snap);
                 let written = wal.vfs.write_file(&tmp, text.as_bytes());
                 written.err().map(|_| false)
             }
@@ -294,24 +302,6 @@ impl RestorePoint {
             .lock()
             .map_or((Some(false), 0), |c| (c.committed, c.overlapped_ns))
     }
-}
-
-/// Appends the checkpoint file's bytes to `out`: magic, the three
-/// header coordinates, then the snapshot body — one buffer, written
-/// once, handed to [`commit_sidecar`] as is.
-pub(super) fn checkpoint_text(
-    out: &mut String,
-    cursor: u64,
-    base_segment: u64,
-    base_records: u64,
-    snap: &CollectorSnapshot,
-) {
-    // `fmt::Write for String` never fails.
-    let _ = writeln!(
-        out,
-        "{CHECKPOINT_MAGIC}\ncursor {cursor}\nbase-segment {base_segment}\nbase {base_records}"
-    );
-    let _ = write_collector(out, snap);
 }
 
 /// Rename-commits `text` as sidecar file `name` in the WAL directory

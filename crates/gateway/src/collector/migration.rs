@@ -2,9 +2,7 @@
 //! the retired-ranges and outbox files that make each step durable
 //! and idempotent.
 
-use super::checkpoint::{
-    checkpoint_text, commit_sidecar, malformed, read_sidecar, read_token, CHECKPOINT_TMP,
-};
+use super::checkpoint::{commit_sidecar, malformed, read_sidecar, read_token};
 use super::*;
 use crate::snapshot::read_collector;
 use sentinet_core::checkpoint::{CheckpointError, Fields, Reader};
@@ -112,7 +110,7 @@ impl Collector {
     ///
     /// [`GatewayError::MigrationCut`] when a step cannot be made
     /// durable; the staged snapshot stays authoritative elsewhere.
-    pub fn import_range(
+    fn import_range(
         &mut self,
         range: std::ops::Range<u16>,
         inside: &CollectorSnapshot,
@@ -142,9 +140,9 @@ impl Collector {
     /// commits speaks the same cursor coordinates as the shipped
     /// payload. A destination that already holds state — a retried
     /// adoption after a crash-restart, or the source taking its own
-    /// range back — merges through [`Collector::import_range`], which
-    /// is sound there because both sides share one lineage. Idempotent
-    /// under retry either way.
+    /// range back — merges through `import_range`, which is sound there
+    /// because both sides share one lineage. Idempotent under retry
+    /// either way.
     ///
     /// # Errors
     ///
@@ -164,61 +162,18 @@ impl Collector {
         if !pristine {
             return self.import_range(range, inside);
         }
-        if !self.wal.advance_base(cursor.max(1)) {
+        // A refused snapshot leaves the destination as it found it: the
+        // state is built before the log's base moves.
+        let at = cursor.max(1);
+        let state = State::restore(&self.config, inside.clone(), at)?;
+        if !self.wal.advance_base(at) {
             return Err(GatewayError::MigrationCut(format!(
                 "cannot adopt cut cursor {cursor} below existing base {}",
                 self.wal.base_records()
             )));
         }
-        self.state = State::restore(&self.config, inside.clone(), self.wal.records_logged())?;
+        self.state = state;
         self.seal_rebased_checkpoint()
-    }
-
-    /// Stages a migrated sub-range snapshot into a fresh WAL directory
-    /// as a restore-point checkpoint, so [`Collector::open`] — live
-    /// adoption and every later report replay alike — rebuilds the
-    /// shipped state through the identical restore-plus-tail path a
-    /// retention-reclaimed log uses. `base` is the WAL cursor the
-    /// destination's accounting starts at (conventionally the source's
-    /// cut cursor; clamped to at least 1 so the checkpoint is
-    /// unambiguously a restore point).
-    ///
-    /// # Errors
-    ///
-    /// [`GatewayError::MigrationCut`] if the directory already holds a
-    /// checkpoint or WAL segments — installing over live state would
-    /// silently discard it — and [`GatewayError::Io`] on filesystem
-    /// failure.
-    pub fn install_snapshot(
-        config: &GatewayConfig,
-        snap: &CollectorSnapshot,
-        base: u64,
-    ) -> Result<(), GatewayError> {
-        let base = base.max(1);
-        let vfs = &config.wal.vfs;
-        let dir = &config.wal.dir;
-        vfs.create_dir_all(dir)
-            .map_err(|e| GatewayError::Io(dir.clone(), e))?;
-        let names = vfs
-            .list(dir)
-            .map_err(|e| GatewayError::Io(dir.clone(), e))?;
-        if snap.reorder.by_position.is_some() {
-            return Err(GatewayError::MigrationCut(
-                "a shipped snapshot names readings by a log the destination lacks".into(),
-            ));
-        }
-        if names
-            .iter()
-            .any(|n| n == CHECKPOINT_FILE || (n.starts_with("wal-") && n.ends_with(".seg")))
-        {
-            return Err(GatewayError::MigrationCut(format!(
-                "destination {} already holds collector state",
-                dir.display()
-            )));
-        }
-        let mut text = String::new();
-        checkpoint_text(&mut text, base, 1, base, snap);
-        commit_sidecar(&config.wal, CHECKPOINT_TMP, CHECKPOINT_FILE, &text)
     }
 
     /// Drops the staged outbox payload for `range` — called once the
@@ -474,12 +429,12 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The migration landing, destination side: installing the shipped
-    /// snapshot into a fresh directory and opening it rebuilds the
+    /// The migration landing, destination side: adopting the shipped
+    /// snapshot on a fresh directory and reopening it rebuilds the
     /// moved range's state — dedup history included, so a retransmitted
     /// pre-cut record re-acks as a duplicate instead of double-counting.
     #[test]
-    fn install_snapshot_restores_the_moved_range_on_a_fresh_dir() {
+    fn adopt_range_restores_the_moved_range_on_a_fresh_dir() {
         let src = tmpdir("migrate-src");
         let dst = tmpdir("migrate-dst");
         let (mut c, _) = Collector::open(config(&src)).unwrap();
@@ -490,7 +445,9 @@ mod tests {
         let (inside, cursor) = c.export_range(1..2).unwrap();
         drop(c);
 
-        Collector::install_snapshot(&config(&dst), &inside, cursor).unwrap();
+        let (mut d, _) = Collector::open(config(&dst)).unwrap();
+        d.adopt_range(1..2, cursor, &inside).unwrap();
+        drop(d);
         let (mut d, info) = Collector::open(config(&dst)).unwrap();
         assert_eq!(info.restored_from, Some(cursor));
         assert_eq!(encode_collector(&d.snapshot()), encode_collector(&inside));
@@ -506,11 +463,43 @@ mod tests {
             d.deliver(SensorId(1), 20, 6300, vec![20.0, 50.0]).unwrap(),
             DeliverOutcome::Accepted
         );
-        // Installing over existing state must refuse loudly.
-        match Collector::install_snapshot(&config(&dst), &inside, cursor) {
-            Err(GatewayError::MigrationCut(_)) => {}
-            other => panic!("install over live state must fail, got {other:?}"),
+        fs::remove_dir_all(&src).unwrap();
+        fs::remove_dir_all(&dst).unwrap();
+    }
+
+    /// A refused adoption changes nothing: a shipped snapshot naming
+    /// readings by log position (which only the source's log can
+    /// refill) leaves a fresh destination at cursor 0, and the good
+    /// snapshot adopts after it.
+    #[test]
+    fn a_refused_adoption_leaves_a_fresh_destination_untouched() {
+        let src = tmpdir("migrate-refused-src");
+        let dst = tmpdir("migrate-refused-dst");
+        let (mut c, _) = Collector::open(config(&src)).unwrap();
+        for (s, seq, t, v) in stream(20) {
+            assert_eq!(c.deliver(s, seq, t, v).unwrap(), DeliverOutcome::Accepted);
         }
+        let (inside, cursor) = c.export_range(1..2).unwrap();
+        assert_eq!(cursor, 40);
+        drop(c);
+
+        let mut named = inside.clone();
+        named.reorder.by_position = Some(crate::reorder::ByPosition {
+            redo: 1,
+            fronts: vec![(SensorId(1), 300)],
+        });
+        let (mut d, _) = Collector::open(config(&dst)).unwrap();
+        match d.adopt_range(1..2, cursor, &named) {
+            Err(GatewayError::CheckpointMalformed(_)) => {}
+            other => panic!("a by-position snapshot must be refused, got {other:?}"),
+        }
+        assert_eq!(d.wal_records(), 0, "the refusal moved the cursor");
+        d.adopt_range(1..2, cursor, &inside).unwrap();
+        assert_eq!(d.wal_records(), cursor);
+        drop(d);
+        let (d, info) = Collector::open(config(&dst)).unwrap();
+        assert_eq!(info.restored_from, Some(cursor));
+        assert_eq!(encode_collector(&d.snapshot()), encode_collector(&inside));
         fs::remove_dir_all(&src).unwrap();
         fs::remove_dir_all(&dst).unwrap();
     }

@@ -132,7 +132,7 @@ impl StepServer {
         Ok(self.route(replies))
     }
 
-    /// The queue runs dry: [`Core::on_queue_dry`], the rule the server
+    /// The queue runs dry: `Core::on_queue_dry`, the rule the server
     /// follows on every dry tick.
     ///
     /// # Errors
@@ -148,7 +148,7 @@ impl StepServer {
 
     /// An overlapped sync starts, its cursor captured now; nothing
     /// touches the disk until [`StepServer::complete_sync`]. `false`
-    /// when [`Collector::begin_sync`] has no job to give. The server
+    /// when `Collector::begin_sync` has no job to give. The server
     /// starts one when the policy is due; the checker may start one
     /// whenever records are unsynced, which covers every such point.
     pub fn start_sync(&mut self) -> bool {

@@ -11,7 +11,7 @@
 //! the NACK rules and the three migration arms — and touches no
 //! socket, thread or clock. The loop rule is stated once too: a sync
 //! starts only while [`Collector::syncer_idle`], a dry queue flushes by
-//! [`Core::on_queue_dry`], and a sync job runs by [`Syncer`].
+//! `Core::on_queue_dry`, and a sync job runs by `Syncer`.
 //! [`Server`](crate::server::Server) is threads and sockets around
 //! them, [`StepServer`](crate::harness::StepServer) single steps for
 //! the protocol model checker. An invariant `xtask protocol-check`
@@ -110,7 +110,7 @@ impl Core {
 
     /// The group commit, inline: one fsync covers every batch admitted
     /// since the last one, and the acks it unblocks are released
-    /// together. `Fin` runs it, and [`Core::on_queue_dry`] when no
+    /// together. `Fin` runs it, and `Core::on_queue_dry` when no
     /// fsync can start.
     ///
     /// # Errors

@@ -38,8 +38,8 @@
 //! each one freed, so a run is its readings offered one at a time with
 //! a drain after each. Releasing only at the end would shed, at
 //! capacity, a record the drain had released, and count a repeat of a
-//! released slot as a duplicate instead of late. `offer`, `drain_ready`
-//! and `flush` are owned-record adapters.
+//! released slot as a duplicate instead of late. `offer` and
+//! `drain_ready` are owned-record adapters.
 //!
 //! Every slot also records its record's log index, or none (a record
 //! restored by value, or offered through an adapter). That lets a
@@ -54,9 +54,9 @@
 //! a straggler can land ahead of a shed record, and a refused duplicate
 //! repeats a held slot. A queue therefore remembers the newest log index
 //! at which it did either, and such a queue is written by value. A
-//! reopen puts the named records back with [`ReorderBuffer::refill`],
+//! reopen puts the named records back with `ReorderBuffer::refill`,
 //! where a slot met twice is damage, and checks the fronts with
-//! [`ReorderBuffer::check_refill`].
+//! `ReorderBuffer::check_refill`.
 
 use crate::frame::ReadingArena;
 use sentinet_sim::{RawRecord, SensorId, Timestamp};
@@ -365,11 +365,6 @@ impl ReorderBuffer {
         self.release_ready(|time, sensor, values| out.push(owned(time, sensor, values)));
     }
 
-    /// [`release_all`](Self::release_all) into owned records.
-    pub fn flush(&mut self, out: &mut Vec<RawRecord>) {
-        self.release_all(|time, sensor, values| out.push(owned(time, sensor, values)));
-    }
-
     /// Captures the buffer's contents and accounting for checkpointing:
     /// the slabs' live records in release order, copied flat.
     pub fn snapshot(&self) -> ReorderSnapshot {
@@ -438,13 +433,13 @@ impl ReorderBuffer {
 
     /// Rebuilds a buffer from a snapshot taken under the same config;
     /// admit/release decisions continue exactly as the captured
-    /// instance's would once [`refill`](Self::refill) has put back the
+    /// instance's would once `refill` has put back the
     /// records it names by position. The parts are untrusted: a record
     /// that cannot stay is dropped, counted, by the rule an offer would
     /// have used — late at or behind its sensor's release mark (the
     /// newest, if marked twice), duplicate in a taken slot, shed over
     /// capacity. No restored queue is named by position again until
-    /// [`restored_at`](Self::restored_at) says where its history starts.
+    /// `restored_at` says where its history starts.
     pub fn from_snapshot(config: ReorderConfig, snapshot: ReorderSnapshot) -> Self {
         let mut restored = Self::new(config);
         restored.watermark = snapshot.watermark;
@@ -707,7 +702,7 @@ mod tests {
             assert_eq!(rb.offer(raw(t, 1, t as f64)), AdmitOutcome::Admitted);
         }
         let mut out = Vec::new();
-        rb.flush(&mut out);
+        rb.release_all(|t, s, v| out.push(owned(t, s, v)));
         let times: Vec<u64> = out.iter().map(|r| r.time).collect();
         assert_eq!(times, vec![300, 600, 900, 1200, 1500]);
         assert_eq!(rb.stats(), ReorderStats::default());
@@ -743,7 +738,7 @@ mod tests {
         rb.offer(raw(300, 1, 1.0));
         assert_eq!(rb.offer(raw(300, 1, 99.0)), AdmitOutcome::Duplicate);
         let mut out = Vec::new();
-        rb.flush(&mut out);
+        rb.release_all(|t, s, v| out.push(owned(t, s, v)));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].values, vec![1.0]);
         assert_eq!(rb.stats().duplicates, 1);
@@ -757,7 +752,7 @@ mod tests {
         }
         assert_eq!(rb.stats().shed, 1);
         let mut out = Vec::new();
-        rb.flush(&mut out);
+        rb.release_all(|t, s, v| out.push(owned(t, s, v)));
         assert_eq!(
             out.iter().map(|r| r.time).collect::<Vec<_>>(),
             vec![600, 900, 1200],
@@ -788,8 +783,8 @@ mod tests {
             rb.drain_ready(&mut a);
             restored.drain_ready(&mut b);
         }
-        rb.flush(&mut a);
-        restored.flush(&mut b);
+        rb.release_all(|t, s, v| a.push(owned(t, s, v)));
+        restored.release_all(|t, s, v| b.push(owned(t, s, v)));
         assert_eq!(a, b);
         assert_eq!(rb.stats(), restored.stats());
     }
@@ -840,7 +835,7 @@ mod tests {
             "the newest mark holds"
         );
         let mut out = Vec::new();
-        rb.flush(&mut out);
+        rb.release_all(|t, s, v| out.push(owned(t, s, v)));
         let released: Vec<(u64, u16, f64)> = out
             .iter()
             .map(|r| (r.time, r.sensor.0, r.values[0]))
@@ -913,7 +908,7 @@ mod tests {
             );
         }
         let mut out = Vec::new();
-        rb.flush(&mut out);
+        rb.release_all(|t, s, v| out.push(owned(t, s, v)));
         let released: Vec<(u64, Vec<f64>)> = out.into_iter().map(|r| (r.time, r.values)).collect();
         assert_eq!(
             released,
@@ -958,7 +953,7 @@ mod tests {
             rb.offer(raw(t, s, 1.0));
             rb.drain_ready(&mut out);
         }
-        rb.flush(&mut out);
+        rb.release_all(|t, s, v| out.push(owned(t, s, v)));
         let mut last: BTreeMap<SensorId, u64> = BTreeMap::new();
         let mut last_global = 0u64;
         for r in &out {

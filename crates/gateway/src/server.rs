@@ -19,7 +19,7 @@
 //!   [`StepServer`](crate::harness::StepServer);
 //! * a **syncer thread**, started by the first sync the loop rule
 //!   starts (see [`protocol`](crate::protocol)), runs each job with
-//!   [`Syncer`] — the policy fsync on a second open of the active WAL
+//!   `Syncer` — the policy fsync on a second open of the active WAL
 //!   segment while the event loop admits the next batches, then the
 //!   commit of a restore point riding it — and posts each outcome back
 //!   on the event queue. Its acks are released when the fsync

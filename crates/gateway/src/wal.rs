@@ -195,7 +195,9 @@ pub struct WalConfig {
     /// Durability policy.
     pub fsync: FsyncPolicy,
     /// Chaos hook: abort the whole process (as if `kill -9`) right
-    /// after the Nth append of this process's lifetime.
+    /// after the write that logs this process's Nth reading — the Nth
+    /// append under v1; under v2 the batch that crosses N is logged
+    /// whole first (up to a segment roll inside it).
     pub crash_after: Option<u64>,
     /// The storage layer all I/O goes through ([`RealVfs`] by
     /// default; tests inject a `FaultyVfs`).
@@ -430,9 +432,6 @@ pub enum Placement {
     /// As [`Placement::Opened`], but the active segment has no room
     /// for the new frame: it is sealed first.
     Rolled,
-    /// It lies past the `crash_after` coordinate: the process aborts
-    /// before writing it, and it costs no bytes.
-    Unwritten,
 }
 
 /// Cuts an extent into frames — the one place that decides how
@@ -452,15 +451,12 @@ pub enum Placement {
 /// written. The state is a few words and `Copy`: a caller probes "what
 /// if this reading were appended too" on a copy ([`RunPlanner::with`])
 /// and keeps it or not. [`RunPlanner::default`] prices frames on their
-/// own: an empty segment without a size cap, no abort ahead.
+/// own: an empty segment without a size cap.
 #[derive(Debug, Clone, Copy)]
 pub struct RunPlanner {
     segment_max: u64,
     /// Bytes in the active segment below the open frame.
     filled: u64,
-    /// Readings the process may still write before the `crash_after`
-    /// abort.
-    until_abort: Option<u64>,
     /// Bytes of every frame closed so far.
     closed: u64,
     /// Sensor of the open frame.
@@ -482,7 +478,6 @@ impl Default for RunPlanner {
         Self {
             segment_max: u64::MAX,
             filled: 0,
-            until_abort: None,
             closed: 0,
             sensor: SensorId(0),
             next_seq: None,
@@ -503,11 +498,6 @@ impl RunPlanner {
         time: Timestamp,
         values: usize,
     ) -> Placement {
-        match &mut self.until_abort {
-            Some(0) => return Placement::Unwritten,
-            Some(left) => *left -= 1,
-            None => {}
-        }
         let bits = 8 * values as u64;
         let joined = step_len(self.last_time, time) + bits;
         let payload = RUN_PAYLOAD_HEAD + self.body + joined;
@@ -924,16 +914,11 @@ impl Wal {
     }
 
     /// A planner positioned where the next append would start: the
-    /// active segment as it is filled now, the `crash_after` coordinate
-    /// as far away as it is now.
+    /// active segment as it is filled now.
     pub fn planner(&self) -> RunPlanner {
         RunPlanner {
             segment_max: self.config.segment_max_bytes,
             filled: self.active().bytes,
-            until_abort: self
-                .config
-                .crash_after
-                .map(|at| at.saturating_sub(self.appended_this_process).max(1)),
             ..RunPlanner::default()
         }
     }
@@ -965,10 +950,9 @@ impl Wal {
     /// the group-commit fast path: one fsync covers every record
     /// admitted in the flush interval.
     ///
-    /// A frame never spans a segment roll, and the `crash_after` chaos
-    /// coordinate still fires with exactly that many records appended
-    /// — a frame is cut at the coordinate so mid-batch aborts land
-    /// where per-record appends would put them.
+    /// A frame never spans a segment roll. The `crash_after` chaos
+    /// coordinate fires after the write that logs this process's Nth
+    /// record.
     ///
     /// # Errors
     ///
@@ -997,7 +981,7 @@ impl Wal {
             .iter()
             .position(|r| !Self::framable(r.values.as_ref().len()));
         let all = records;
-        let mut records = &all[..refused.unwrap_or(all.len())];
+        let records = &all[..refused.unwrap_or(all.len())];
         let mut extent = std::mem::take(&mut self.extent);
         extent.clear();
         let mut plan = self.planner();
@@ -1012,21 +996,13 @@ impl Wal {
             }
             encode_run(&records[framed..i], &mut extent);
             framed = i;
-            match placement {
-                Placement::Rolled => {
-                    // The extent so far fills the active segment: write
-                    // it, seal, and carry on in the fresh one.
-                    self.write_extent(&mut extent, framed - written, policy_sync, clock)?;
-                    written = framed;
-                    self.roll_segment()?;
-                    clock = std::time::Instant::now();
-                }
-                Placement::Unwritten => {
-                    // The write below reaches the chaos coordinate.
-                    records = &records[..i];
-                    break;
-                }
-                Placement::Joined | Placement::Opened => {}
+            if placement == Placement::Rolled {
+                // The extent so far fills the active segment: write it,
+                // seal, and carry on in the fresh one.
+                self.write_extent(&mut extent, framed - written, policy_sync, clock)?;
+                written = framed;
+                self.roll_segment()?;
+                clock = std::time::Instant::now();
             }
         }
         encode_run(&records[framed..], &mut extent);

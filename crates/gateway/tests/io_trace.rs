@@ -228,7 +228,7 @@ fn v1_deliver_storage_trace_is_pinned_under_always() {
 /// open, periodic checkpoints, a migration cut (retired ranges, outbox,
 /// restore-point checkpoint), a retried cut (outbox read back), the
 /// abort path (import + un-retire + outbox removal), a reopen (all four
-/// readers), and `install_snapshot` into a fresh directory.
+/// readers), and an adoption on a fresh directory, reopened.
 #[test]
 fn sidecar_storage_trace_is_pinned() {
     let dir = tmpdir("sidecar");
@@ -247,7 +247,7 @@ fn sidecar_storage_trace_is_pinned() {
         sentinet_gateway::encode_collector(&inside),
         sentinet_gateway::encode_collector(&again)
     );
-    c.import_range(1..2, &inside).expect("abort path");
+    c.adopt_range(1..2, cursor, &inside).expect("abort path");
     let (inside, cursor) = c.export_range(1..2).expect("second cut");
     drop(c);
     let (c, _) = Collector::open(cfg.clone()).expect("reopen");
@@ -258,8 +258,10 @@ fn sidecar_storage_trace_is_pinned() {
     let dest = tmpdir("sidecar-dest");
     let mut dest_cfg = cfg;
     dest_cfg.wal.dir = dest.clone();
-    Collector::install_snapshot(&dest_cfg, &inside, cursor).expect("install");
-    let (d, info) = Collector::open(dest_cfg).expect("open destination");
+    let (mut d, _) = Collector::open(dest_cfg.clone()).expect("open destination");
+    d.adopt_range(1..2, cursor, &inside).expect("adopt");
+    drop(d);
+    let (d, info) = Collector::open(dest_cfg).expect("reopen destination");
     assert_eq!(info.restored_from, Some(cursor.max(1)));
     drop(d);
 
@@ -301,6 +303,51 @@ fn v1_crash_after_aborts_at_the_exact_append() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The `crash_after` chaos coordinate on the v2 path: the write that
+/// logs the Nth reading is a whole batch, so the batch that crosses the
+/// coordinate is logged whole and the process aborts right after it.
+/// As the v1 test above: a child delivers past the coordinate, and the
+/// parent asserts it aborted and what the log holds.
+#[test]
+fn v2_crash_after_logs_the_crossing_batch_whole() {
+    const VAR: &str = "SENTINET_IO_TRACE_CRASH_V2_DIR";
+    const AT: u64 = 11;
+    const BATCH: u64 = 4;
+    if let Ok(dir) = std::env::var(VAR) {
+        let mut cfg = GatewayConfig::new(dir);
+        cfg.wal.fsync = FsyncPolicy::Batch(8);
+        cfg.wal.crash_after = Some(AT);
+        let (mut c, _) = Collector::open(cfg).expect("open");
+        for round in 0..5 {
+            for s in 0..2u16 {
+                let first = round * BATCH;
+                let batch: Vec<(u64, Vec<f64>)> = (first..first + BATCH)
+                    .map(|i| (300 * (i + 1), vec![20.0 + f64::from(s), 50.0]))
+                    .collect();
+                c.deliver_batch(SensorId(s), first, &batch)
+                    .expect("deliver batch");
+            }
+        }
+        unreachable!("crash_after must abort the process before the stream ends");
+    }
+    let dir = tmpdir("crash-after-v2");
+    let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["--exact", "v2_crash_after_logs_the_crossing_batch_whole"])
+        .env(VAR, &dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("spawn child");
+    assert!(!status.success(), "child must die at the chaos coordinate");
+    let (_, records) = Wal::open(WalConfig::new(&dir), None).expect("reopen");
+    assert_eq!(
+        records.len() as u64,
+        AT.div_ceil(BATCH) * BATCH,
+        "the batch crossing the coordinate is not logged whole"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // Recorded at the parent of the fold (commit bcd44bd) by running this
 // file there unchanged. The hashes were re-recorded when checkpoint
 // layouts v2 and then v3 replaced the one before, which changes every
@@ -311,6 +358,12 @@ fn v1_crash_after_aborts_at_the_exact_append() {
 // to the newer bytes, and a checkpoint naming readings by log position
 // is the older one's with exactly its named sensors' `rbuf` lines (each
 // sensor's from its front on) traded for `redo` and `front`.
+// `SIDECARS` was re-recorded once the destination adopted through
+// `Collector::open` and `adopt_range` instead of a standalone installer:
+// the first 140 operations are unchanged, and the installer's four
+// (mkdir, list, the checkpoint write and its rename) became the open of
+// the empty directory, the same 740-byte checkpoint write and rename,
+// and a reopen.
 const V1_BATCH8: Digest = (163, 22, 8, 11, 2_933_840_930_673_984_016);
 const V1_ALWAYS: Digest = (249, 108, 8, 11, 6_197_346_999_602_157_433);
-const SIDECARS: Digest = (155, 4, 6, 7, 586_823_513_653_741_648);
+const SIDECARS: Digest = (160, 4, 6, 7, 5_325_072_956_716_507_308);

@@ -286,7 +286,8 @@ impl Pair {
         let (mut expect, mut got) = (Vec::new(), Vec::new());
         if flush {
             self.model.flush(&mut expect);
-            self.flat.flush(&mut got);
+            (self.flat)
+                .release_all(|time, sensor, values| got.push(raw(time, sensor.0, values.to_vec())));
         } else {
             self.model.drain_ready(&mut expect);
             self.flat.drain_ready(&mut got);
@@ -535,7 +536,7 @@ fn a_drained_burst_leaves_the_stated_room() {
         room.iter().all(|&r| r <= RETAINED_VALUES.max(2 * live)),
         "{room:?}"
     );
-    buffer.flush(&mut released);
+    buffer.release_all(|time, sensor, values| released.push(raw(time, sensor.0, values.to_vec())));
     assert!(buffer.retained_values().all(|r| r <= RETAINED_VALUES));
 }
 
@@ -825,7 +826,9 @@ fn hostile_case(seed: u64) -> Result<(), String> {
     for step in 0..=steps {
         let what = match (step == steps, rng.usize_in(0, 10)) {
             (true, _) | (_, 0) => {
-                restored.flush(&mut released);
+                restored.release_all(|time, sensor, values| {
+                    released.push(raw(time, sensor.0, values.to_vec()))
+                });
                 "flush"
             }
             (_, 1..=3) => {

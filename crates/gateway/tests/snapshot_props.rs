@@ -556,7 +556,7 @@ fn damaged_run_tokens_in_a_collector_text_are_malformed_at_their_line_or_read_ex
             CheckpointError::Malformed { line, .. } => Some(line),
             CheckpointError::Invalid(_) => None,
         });
-        damage.check(damaged, damage.refused, damage.line, answer)
+        damage.check(answer)
     });
 }
 

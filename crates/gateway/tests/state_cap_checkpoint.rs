@@ -77,9 +77,12 @@ fn checkpoint_with_more_slots_than_max_states_reopens() {
         .expect("pipeline restores its own snapshot");
     assert_eq!(encode_pipeline(&restored.snapshot()), text);
 
-    // Through a checkpoint-v2 restore point and `Collector::open`.
+    // Adopted on a fresh directory, then through the checkpoint-v2
+    // restore point that commits and `Collector::open`.
     let dst = tmpdir("dst");
-    Collector::install_snapshot(&config(&dst), &snap, cursor).expect("install");
+    let (mut d, _) = Collector::open(config(&dst)).expect("open destination");
+    d.adopt_range(0..3, cursor, &snap).expect("adopt");
+    drop(d);
     let (d, info) = Collector::open(config(&dst)).expect("collector reopens its own checkpoint");
     assert_eq!(info.restored_from, Some(cursor));
     assert_eq!(encode_collector(&d.snapshot()), encode_collector(&snap));

@@ -20,8 +20,8 @@ mod support;
 use seeded::{Replay, TestRng, BIT_EXACT_POOL};
 use sentinet_gateway::frame::{encode_frame, frame_payload};
 use sentinet_gateway::{
-    Collector, GatewayConfig, Message, Placement, RunPlanner, Wal, WalConfig, WalRecord,
-    CHECKPOINT_FILE, MAX_BATCH_READINGS,
+    Collector, GatewayConfig, Message, RunPlanner, Wal, WalConfig, WalRecord, CHECKPOINT_FILE,
+    MAX_BATCH_READINGS,
 };
 use sentinet_sim::SensorId;
 use std::fs;
@@ -304,58 +304,6 @@ fn planned_bytes_are_written_bytes_are_directory_bytes() {
             ));
         }
         fs::remove_dir_all(&dir).map_err(|e| e.to_string())
-    });
-}
-
-/// The `crash_after` coordinate: a planner that knows the process dies
-/// after N more records projects exactly what appending the first N
-/// writes — the frame is cut at the coordinate, and nothing past it
-/// costs a byte. (The abort itself is driven end to end by the CLI's
-/// `gateway_crash` suite; in-process it would take the test with it.)
-#[test]
-fn the_crash_coordinate_cuts_the_frame_where_the_abort_lands() {
-    replay("the_crash_coordinate_cuts_the_frame_where_the_abort_lands").for_each_seed(24, |seed| {
-        let mut rng = TestRng::new(seed);
-        let size = rng.usize_in(2, 40);
-        let records = extent(&mut rng, 0, size);
-        let segment_max = 64u64 << rng.usize_in(0, 8);
-        for coordinate in 1..=records.len() {
-            let doomed = tmpdir("crash-plan");
-            let mut config = WalConfig::new(&doomed);
-            config.segment_max_bytes = segment_max;
-            config.crash_after = Some(coordinate as u64);
-            let (wal, _) = Wal::open(config, None).map_err(|e| e.to_string())?;
-            let mut plan = wal.planner();
-            let placed: Vec<Placement> = records
-                .iter()
-                .map(|r| plan.push(r.sensor, r.seq, r.time, r.values.len()))
-                .collect();
-            let unwritten = placed.iter().filter(|&&p| p == Placement::Unwritten).count();
-            if unwritten != records.len() - coordinate
-                || placed[..coordinate].contains(&Placement::Unwritten)
-            {
-                return Err(format!("coordinate {coordinate}: placements {placed:?}"));
-            }
-            drop(wal);
-
-            let dir = tmpdir("crash-disk");
-            let mut config = WalConfig::new(&dir);
-            config.segment_max_bytes = segment_max;
-            let (mut survivor, _) = Wal::open(config, None).map_err(|e| e.to_string())?;
-            survivor
-                .append_many(&records[..coordinate])
-                .map_err(|e| e.to_string())?;
-            if plan.bytes() != survivor.total_bytes() || plan.bytes() != dir_bytes(&dir) {
-                return Err(format!(
-                    "coordinate {coordinate}: projected {} bytes, the first {coordinate} records take {}",
-                    plan.bytes(),
-                    survivor.total_bytes()
-                ));
-            }
-            fs::remove_dir_all(&doomed).ok();
-            fs::remove_dir_all(&dir).ok();
-        }
-        Ok(())
     });
 }
 

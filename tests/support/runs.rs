@@ -56,27 +56,17 @@ pub struct Damage {
     /// Whether the text is to be refused, `Malformed` at [`Damage::line`];
     /// otherwise it is valid and re-encodes to itself.
     pub refused: bool,
-    /// Whether its shard section alone, which states no window count,
-    /// is to be refused.
-    pub shard_refused: bool,
 }
 
 impl Damage {
-    /// Whether a reader's `answer` to `input` — this text or its shard
-    /// section, to be refused at `line` when `refused` — is right:
-    /// given as the text it re-encodes to, or the line of the
-    /// `Malformed` it returned (`None` for any other error).
-    pub fn check(
-        &self,
-        input: &str,
-        refused: bool,
-        line: usize,
-        answer: Result<String, Option<usize>>,
-    ) -> Result<(), String> {
-        let what = &self.what;
+    /// Whether a reader's `answer` to this text is right: given as the
+    /// text it re-encodes to, or the line of the `Malformed` it
+    /// returned (`None` for any other error).
+    pub fn check(&self, answer: Result<String, Option<usize>>) -> Result<(), String> {
+        let (what, line, refused) = (&self.what, self.line, self.refused);
         match answer {
             Err(Some(at)) if refused && at == line => Ok(()),
-            Ok(text) if !refused && text == input => Ok(()),
+            Ok(text) if !refused && text == self.text => Ok(()),
             Ok(_) if refused => Err(format!("{what}: read, not refused at line {line}")),
             Ok(_) => Err(format!("{what}: re-encoded to other bytes")),
             Err(at) if refused => Err(format!("{what}: refused at {at:?}, not at line {line}")),
@@ -119,7 +109,7 @@ pub fn damage_runs(rng: &mut TestRng, text: &str) -> Damage {
         let mut tokens: Vec<String> = runs.iter().map(|&r| self::token(r)).collect();
         tokens[i] = token;
         lines[at] = format!("raw {}", tokens.join(" "));
-        finish(lines, at, what, true, true)
+        finish(lines, at, what, true)
     };
     let what = match kind {
         0 => {
@@ -191,12 +181,11 @@ pub fn damage_runs(rng: &mut TestRng, text: &str) -> Damage {
             "the windows line raised and the last run as long as it allows"
         }
     };
-    let refused_as_shard = !well_formed(&runs);
     let total = runs.iter().try_fold(0u64, |sum, r| sum.checked_add(r.2));
-    let refused = refused_as_shard || total.is_none_or(|total| total > windows);
+    let refused = !well_formed(&runs) || total.is_none_or(|total| total > windows);
     let tokens: Vec<String> = runs.iter().map(|&r| token(r)).collect();
     lines[at] = format!("raw {}", tokens.join(" "));
-    finish(lines, at, what, refused, refused_as_shard)
+    finish(lines, at, what, refused)
 }
 
 /// Whether `runs` are runs a sensor writes: each of at least one
@@ -210,12 +199,11 @@ fn well_formed(runs: &[(u64, bool, u64)]) -> bool {
             .all(|p| end(&p[0]).is_some_and(|e| e < p[1].0 || e == p[1].0 && p[0].1 != p[1].1))
 }
 
-fn finish(lines: Vec<String>, at: usize, what: &str, refused: bool, shard_refused: bool) -> Damage {
+fn finish(lines: Vec<String>, at: usize, what: &str, refused: bool) -> Damage {
     Damage {
         what: format!("{what} at line {}: `{}`", at + 1, lines[at]),
         text: lines.join("\n"),
         line: at + 1,
         refused,
-        shard_refused,
     }
 }

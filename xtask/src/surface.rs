@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 /// Unused `pub` items in the workspace at the last audit. Lower it when
 /// an item goes; an item added with no user fails `analyze`.
-pub const PINNED: usize = 90;
+pub const PINNED: usize = 86;
 
 /// One source file the audit reads.
 struct Source {
