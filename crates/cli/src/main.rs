@@ -184,6 +184,12 @@ fn finish_gateway_report(report: &GatewayReport, quiet: bool) {
             storage.unframable_rejects
         );
     }
+    if storage.horizon_rejects > 0 {
+        eprintln!(
+            "warning: {} reading(s) NACKed as stamped past the stream horizon",
+            storage.horizon_rejects
+        );
+    }
     if storage.reclaimed_segments > 0 {
         eprintln!(
             "retention: reclaimed {} checkpointed segment(s)",

@@ -19,11 +19,12 @@
 //! re-encodes to the bytes read. [`encode_pipeline`]/[`decode_pipeline`]
 //! is the codec defined here, and the only serialization the snapshot
 //! types have; the pipeline text ends in a shard section of every
-//! sensor, read by the same reader. It writes layout v4: the state, and
+//! sensor, read by the same reader. It writes layout v5: the state, and
 //! nothing derived from it, each raw-alarm history as runs of equal
-//! flags. The reader also takes v1 to v3 text by its magic, reading
-//! what those layouts also wrote for syntax and dropping it; a derived
-//! field that disagrees with the state it copies is malformed.
+//! flags, a row's `+0.0` cell as `0`. The reader also takes v1 to v4
+//! text by its magic, reading what those layouts also wrote for syntax
+//! and dropping it; a derived field that disagrees with the state it
+//! copies is malformed.
 
 use crate::runtime::{AlarmRun, IdentityPrior, TrackRecord};
 use sentinet_cluster::StatesSnapshot;
@@ -147,16 +148,18 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// The shard magic of layouts v1 to v4; only v4 is written. v3 wrote
-/// each raw-alarm window as a token of its own; v2 also the
+/// The shard magic of layouts v1 to v5; only v5 is written. v4 wrote
+/// a row's `+0.0` cell as 16 digits; v3 also each raw-alarm window as a
+/// token of its own; v2 also the
 /// decisive-window `history` and each sensor's `track` and `alarmed`
 /// flags; v1 on top of that `M_CE`'s **A**, β and previous state,
 /// `counts` twice and the `mc`/`mo` blocks.
-const MAGICS: [&str; 4] = [
+const MAGICS: [&str; 5] = [
     "sentinet-checkpoint v1",
     "sentinet-checkpoint v2",
     "sentinet-checkpoint v3",
     "sentinet-checkpoint v4",
+    "sentinet-checkpoint v5",
 ];
 
 /// Appends `v` as the 16 lowercase hex digits of its IEEE-754 bit
@@ -208,12 +211,18 @@ fn write_ascii<W: fmt::Write>(out: &mut W, digits: &[u8]) -> fmt::Result {
     }
 }
 
-/// `tag`, then every value of `row` as ` <hex>`, then a newline.
+/// `tag`, then every value of `row` as ` <cell>`, then a newline: a
+/// cell whose bits are `+0.0` as `0`, any other as [`push_hex`] writes
+/// it (`-0.0` and NaN payloads keep their 16 digits).
 fn put_hex_row<W: fmt::Write>(out: &mut W, tag: fmt::Arguments<'_>, row: &[f64]) -> fmt::Result {
     out.write_fmt(tag)?;
     for v in row {
         out.write_char(' ')?;
-        push_hex(out, *v)?;
+        if v.to_bits() == 0 {
+            out.write_char('0')?;
+        } else {
+            push_hex(out, *v)?;
+        }
     }
     out.write_char('\n')
 }
@@ -289,7 +298,7 @@ fn steps(visits: &[u64]) -> u64 {
 ///
 /// Whatever `out` reports; a `String` never fails.
 fn write_shard<W: fmt::Write>(out: &mut W, sensors: &[(SensorId, SensorSnapshot)]) -> fmt::Result {
-    writeln!(out, "{}", MAGICS[3])?;
+    writeln!(out, "{}", MAGICS[4])?;
     for (id, snap) in sensors {
         writeln!(out, "sensor {}", id.0)?;
         match &snap.filter {
@@ -471,15 +480,6 @@ impl<'a> Reader<'a> {
         Ok(value)
     }
 
-    /// Consumes every consecutive `tag <hex>…` line, one row each.
-    pub fn rows(&mut self, tag: &str) -> Result<Vec<Vec<f64>>, CheckpointError> {
-        let mut rows = Vec::new();
-        while let Some(fields) = self.tagged_if(tag) {
-            rows.push(fields.hex_row()?);
-        }
-        Ok(rows)
-    }
-
     /// Consumes a `tag item item…` line (`tag -` when there are none),
     /// each item's `:`-separated parts read by `item`: `3:7 10:-`.
     pub fn list<T>(
@@ -629,16 +629,53 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// The next cell of a row [`put_hex_row`] wrote in layout `layout`: as
+/// [`Fields::hex`], but from v5 on `+0.0` is `0` and only `0`.
+fn cell(f: &mut Fields<'_>, layout: u8) -> Result<f64, CheckpointError> {
+    if layout < 5 {
+        return f.hex();
+    }
+    if f.rest
+        .is_some_and(|rest| rest.starts_with("0 ") || rest == "0")
+    {
+        f.token()?;
+        return Ok(0.0);
+    }
+    match f.hex()? {
+        zero if zero.to_bits() == 0 => f.fail("a `+0.0` cell written in 16 digits (v5 writes `0`)"),
+        v => Ok(v),
+    }
+}
+
+/// Every remaining field as a [`cell`].
+fn cells(mut f: Fields<'_>, layout: u8) -> Result<Vec<f64>, CheckpointError> {
+    let mut row = Vec::new();
+    while f.rest.is_some() {
+        row.push(cell(&mut f, layout)?);
+    }
+    Ok(row)
+}
+
+/// Every consecutive `tag <cell>…` line, one row each.
+fn rows(r: &mut Reader<'_>, tag: &str, layout: u8) -> Result<Vec<Vec<f64>>, CheckpointError> {
+    let mut rows = Vec::new();
+    while let Some(fields) = r.tagged_if(tag) {
+        rows.push(cells(fields, layout)?);
+    }
+    Ok(rows)
+}
+
 /// One estimator block, [`put_estimator`]'s inverse: the header's
 /// chain fields and the `a` rows are read when `chained`, `counts`
 /// twice in v1, and counters not derived from the visits are rejected.
 fn parse_estimator(
     r: &mut Reader<'_>,
     tag: &str,
-    rows: &str,
+    prefix: &str,
     chained: bool,
-    v1: bool,
+    layout: u8,
 ) -> Result<EstimatorState, CheckpointError> {
+    let v1 = layout == 1;
     let mut f = r.tagged(tag)?;
     let beta = if chained { Some(f.hex()?) } else { None };
     let gamma = f.hex()?;
@@ -646,7 +683,7 @@ fn parse_estimator(
     let (header_steps, generation) = (f.num::<u64>()?, f.num()?);
     f.end()?;
     let transition = if chained {
-        r.rows(&format!("{rows}a"))?
+        rows(r, &format!("{prefix}a"), layout)?
     } else {
         Vec::new()
     };
@@ -655,8 +692,8 @@ fn parse_estimator(
         beta,
         prev,
     });
-    let b = r.rows(&format!("{rows}b"))?;
-    let mut f = r.tagged(&format!("{rows}counts"))?;
+    let b = rows(r, &format!("{prefix}b"), layout)?;
+    let mut f = r.tagged(&format!("{prefix}counts"))?;
     let visits: Vec<u64> = f.nums()?;
     // v1 wrote the visits a second time, as `B`'s row update counts.
     let updates_differ = v1 && f.nums::<u64>()? != visits;
@@ -676,15 +713,16 @@ fn parse_estimator(
 /// A sensor's `M_CE`: a `prior` line or an `mce` block with a visit. A
 /// v1 block has a chain, dropped here; without visits it must be the
 /// identity prior bit for bit, and is read as one.
-fn read_mce(r: &mut Reader<'_>, v1: bool) -> Result<MceSnapshot, CheckpointError> {
+fn read_mce(r: &mut Reader<'_>, layout: u8) -> Result<MceSnapshot, CheckpointError> {
+    let v1 = layout == 1;
     let (slots, generation, gamma) = match (!v1).then(|| r.tagged_if("prior")).flatten() {
         Some(mut f) => {
-            let prior = (f.num()?, f.num()?, f.hex()?);
+            let prior = (f.num()?, f.num()?, cell(&mut f, layout)?);
             f.end()?;
             prior
         }
         None => {
-            let mut m = parse_estimator(r, "mce", "", v1, v1)?;
+            let mut m = parse_estimator(r, "mce", "", v1, layout)?;
             if m.visits.iter().any(|&v| v > 0) {
                 m.chain = None;
                 return Ok(MceSnapshot::Built(m));
@@ -731,7 +769,6 @@ fn read_shard(
     layout: u8,
     windows: u64,
 ) -> Result<Vec<(SensorId, SensorSnapshot)>, CheckpointError> {
-    let v1 = layout == 1;
     let mut sensors = Vec::new();
     while let Some(mut f) = r.tagged_if("sensor") {
         let id = SensorId(f.num()?);
@@ -766,7 +803,7 @@ fn read_shard(
             other => return f.fail(format!("unknown filter kind `{other}`")),
         };
         f.end()?;
-        let m_ce = read_mce(r, v1)?;
+        let m_ce = read_mce(r, layout)?;
         // v1 and v2 wrote `track` (a track is open) and `alarmed` (one
         // ever opened) beside the tracks they copy.
         let track = flag_line(r, "track", layout < 3)?;
@@ -848,12 +885,13 @@ fn read_runs(
     Ok(runs)
 }
 
-/// The pipeline magic of layouts v1 to v4, as [`MAGICS`].
-const PIPELINE_MAGICS: [&str; 4] = [
+/// The pipeline magic of layouts v1 to v5, as [`MAGICS`].
+const PIPELINE_MAGICS: [&str; 5] = [
     "sentinet-pipeline v1",
     "sentinet-pipeline v2",
     "sentinet-pipeline v3",
     "sentinet-pipeline v4",
+    "sentinet-pipeline v5",
 ];
 
 /// Encodes a whole pipeline's restore-point snapshot as durable
@@ -879,7 +917,7 @@ pub fn write_pipeline<W: fmt::Write>(out: &mut W, snap: &PipelineSnapshot) -> fm
     writeln!(
         out,
         "{}\nwindows {}\nbootstrap {}",
-        PIPELINE_MAGICS[3],
+        PIPELINE_MAGICS[4],
         g.windows_processed,
         g.bootstrap_points.len()
     )?;
@@ -932,7 +970,7 @@ fn read_v1_chains(r: &mut Reader<'_>, m_co: &EstimatorState) -> Result<(), Check
         let mut f = r.tagged(tag)?;
         let (beta, prev, visits) = (f.hex()?, f.opt::<usize>()?, f.nums::<u64>()?);
         f.end()?;
-        let rows = r.rows(&format!("{tag}-row"))?;
+        let rows = rows(r, &format!("{tag}-row"), 1)?;
         let copies = |a: &MarkovState| {
             (a.beta.to_bits(), a.prev, bits(&a.transition)) == (beta.to_bits(), prev, bits(&rows))
         };
@@ -965,7 +1003,7 @@ pub fn decode_pipeline(text: &str) -> Result<PipelineSnapshot, CheckpointError> 
 /// As [`decode_pipeline`], with lines counted from the start of `r`'s
 /// text.
 pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointError> {
-    // The layout the magic line names; any other line fails as v4's.
+    // The layout the magic line names; any other line fails as v5's.
     let at = PIPELINE_MAGICS.iter().position(|m| r.peek() == Some(*m));
     let at = at.unwrap_or(PIPELINE_MAGICS.len() - 1);
     r.marker(PIPELINE_MAGICS[at])?;
@@ -981,7 +1019,7 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
     // The declared count is checked against the rows actually read,
     // never used to size anything.
     let declared: usize = r.single("bootstrap", Fields::num)?;
-    let bootstrap_points = r.rows("bp")?;
+    let bootstrap_points = rows(r, "bp", layout)?;
     if bootstrap_points.len() != declared {
         return r.fail(format!(
             "bootstrap declares {declared} points, {} follow",
@@ -1001,9 +1039,9 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
         let (mut centroids, mut active) = (Vec::new(), Vec::new());
         while let Some(mut f) = r.tagged_if("slot") {
             active.push(f.flag()?);
-            centroids.push(f.hex_row()?);
+            centroids.push(cells(f, layout)?);
         }
-        let m_co = parse_estimator(r, "mco", "mco-", true, v1)?;
+        let m_co = parse_estimator(r, "mco", "mco-", true, layout)?;
         if v1 {
             read_v1_chains(r, &m_co)?;
         }
@@ -1025,7 +1063,7 @@ pub fn read_pipeline(r: &mut Reader<'_>) -> Result<PipelineSnapshot, CheckpointE
     let mut readings = Vec::new();
     while let Some(mut f) = r.tagged_if("wsensor") {
         let (id, dims) = (SensorId(f.num()?), f.num::<usize>()?);
-        let data = f.hex_row()?;
+        let data = cells(f, layout)?;
         if dims == 0 || !data.len().is_multiple_of(dims) {
             return r.fail(format!(
                 "wsensor data length {} not a multiple of dims {dims}",
@@ -1068,7 +1106,15 @@ fn flag_line<'a>(
 }
 
 #[cfg(test)]
+use crate::classify::seeded;
+
+#[cfg(test)]
+#[path = "../../../tests/support/runs.rs"]
+mod runs;
+
+#[cfg(test)]
 mod tests {
+    use super::runs::as_v4;
     use super::*;
     use crate::config::{FilterPolicy, PipelineConfig};
     use crate::runtime::SensorRuntime;
@@ -1152,8 +1198,8 @@ mod tests {
     fn decode_rejects_bad_magic_and_empty() {
         let text = encode_pipeline(&with_sensors(Vec::new()));
         assert_eq!(sensors_of(&text), Ok(Vec::new()));
-        assert!(sensors_of(&text.replace(MAGICS[3], "")).is_err());
-        assert!(sensors_of(&text.replace(MAGICS[3], "not a checkpoint")).is_err());
+        assert!(sensors_of(&text.replace(MAGICS[4], "")).is_err());
+        assert!(sensors_of(&text.replace(MAGICS[4], "not a checkpoint")).is_err());
     }
 
     fn sample_pipeline_snapshot(with_states: bool) -> PipelineSnapshot {
@@ -1294,11 +1340,11 @@ mod tests {
         let text = encode_pipeline(&with_sensors(sensors.clone()));
         let prior = line_starting(&text, "prior ");
         assert_eq!(prior, "prior 4 0 3fb999999999999a");
-        let shard = &text[text.find(MAGICS[3]).expect("a shard section")..];
+        let shard = &text[text.find(MAGICS[4]).expect("a shard section")..];
         assert_eq!(shard.lines().count(), 7, "{shard}");
         assert_eq!(sensors_of(&text), Ok(sensors));
         let one_hot = |i: usize| {
-            let mut row = ["0000000000000000"; 5];
+            let mut row = ["0"; 5];
             row[i + 1] = "3ff0000000000000";
             format!("b {}\n", row.join(" "))
         };
@@ -1310,6 +1356,46 @@ mod tests {
         assert_eq!(
             malformed_line(sensors_of(&full)),
             line_of(&full, "counts 0,0,0,0")
+        );
+    }
+
+    /// Layout v5 writes a row's `+0.0` cell as `0`, and every other
+    /// float (`-0.0` too) as 16 digits. A v5 row refuses the 16-digit
+    /// zero, a v4 row refuses `0`, `00` and `-0` are refused in both,
+    /// and `0` outside a row is refused: whatever decodes re-encodes
+    /// to the bytes read.
+    #[test]
+    fn a_zero_cell_is_0_in_a_v5_row_and_nowhere_else() {
+        let mut snap = sample_pipeline_snapshot(true);
+        snap.global.bootstrap_points[0][0] = -0.0;
+        let text = encode_pipeline(&snap);
+        assert!(text.contains("\nbp 8000000000000000 4000000000000000\n"));
+        assert!(text.contains("\nslot 0 0 0\n"));
+        let v4 = as_v4(&text);
+        let v4_slot = "\nslot 0 0000000000000000 0000000000000000\n";
+        assert!(v4.contains(v4_slot));
+        assert_eq!(
+            decode_pipeline(&v4).map(|s| encode_pipeline(&s)),
+            Ok(text.clone())
+        );
+        assert_eq!(decode_pipeline(&text), Ok(snap));
+        let at = line_of(&text, "slot 0 0 0");
+        let wide = text.replace("\nslot 0 0 0\n", "\nslot 0 0000000000000000 0\n");
+        assert_eq!(malformed_line(decode_pipeline(&wide)), at);
+        let short = v4.replace(v4_slot, "\nslot 0 0 0000000000000000\n");
+        assert_eq!(malformed_line(decode_pipeline(&short)), at);
+        for bad in ["00", "-0", "+0", "0.0", "0x0"] {
+            let v5 = text.replace("\nslot 0 0 0\n", &format!("\nslot 0 {bad} 0\n"));
+            assert_eq!(malformed_line(decode_pipeline(&v5)), at, "{bad}");
+            let v4 = v4.replace(v4_slot, &format!("\nslot 0 {bad} 0000000000000000\n"));
+            assert_eq!(malformed_line(decode_pipeline(&v4)), at, "{bad}");
+        }
+        let cluster = line_starting(&text, "cluster ");
+        let zeroed = format!("cluster 0{}", &cluster["cluster ".len() + 16..]);
+        let outside = text.replacen(cluster, &zeroed, 1);
+        assert_eq!(
+            malformed_line(decode_pipeline(&outside)),
+            line_of(&text, cluster)
         );
     }
 
@@ -1381,7 +1467,7 @@ mod tests {
             .flat_map(|r| (r.first..r.first + r.windows).map(move |w| (w, r.raw)))
             .map(|(w, raw)| format!(" {w}:{}", u8::from(raw)))
             .collect();
-        let v2 = text
+        let v2 = as_v4(&text)
             .replace(PIPELINE_MAGICS[3], PIPELINE_MAGICS[1])
             .replace("\nbootstrap ", "\nhistory -\nbootstrap ")
             .replace(MAGICS[3], MAGICS[1])

@@ -450,7 +450,7 @@ fn max_cv(stats: &[MeanVar]) -> f64 {
 
 #[cfg(test)]
 #[path = "../../../tests/support/seeded.rs"]
-mod seeded;
+pub(crate) mod seeded;
 
 #[cfg(test)]
 mod tests {

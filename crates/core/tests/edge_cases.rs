@@ -133,14 +133,19 @@ fn sensor_joining_late_is_tracked() {
     // The state the run ends in — every sensor's raw history, tracks
     // and `M_CE` — as recorded at 62a0109 by this same test, where every
     // sensor of every window was looked up by id, and re-recorded in
-    // checkpoint layouts v2 and v3 (the older text, read back by the
-    // newer reader, re-encodes to this one).
+    // checkpoint layouts v2, v3 and v5 (the older text, read back by the
+    // newer reader, re-encodes to this one). Its v4 bytes are the v4
+    // digest, and read back re-encode to these.
     let state = sentinet_core::encode_pipeline(&p.snapshot());
     assert_eq!(
         fnv(state.as_bytes()),
-        0xb4ba_b7e5_d2c1_9901,
+        0x1c37_32f0_35ac_2cbf,
         "a mid-stream joiner changed the run"
     );
+    let v4 = runs::as_v4(&state);
+    assert_eq!(fnv(v4.as_bytes()), 0xb4ba_b7e5_d2c1_9901, "the v4 bytes");
+    let reread = sentinet_core::decode_pipeline(&v4).map(|s| sentinet_core::encode_pipeline(&s));
+    assert_eq!(reread, Ok(state));
 }
 
 #[test]

@@ -470,10 +470,10 @@ fn golden_pipeline_snapshot() -> PipelineSnapshot {
 /// Digests of [`golden_pipeline_snapshot`] through `encode_pipeline`
 /// and of that text's shard section, its sensors. `report_pin.rs` pins a
 /// large real snapshot; this one pins the branches a healthy run does
-/// not take. Recorded when layout v4 replaced v3; [`GOLDEN_V1`],
-/// [`GOLDEN_V2`] and [`GOLDEN_V3`], the same snapshot's older bytes,
-/// decode to it and re-encode to these.
-const GOLDEN_DIGESTS: (u64, u64) = (9_693_272_002_388_484_484, 11_404_805_983_958_410_123);
+/// not take. Recorded when layout v5 replaced v4; [`GOLDEN_V1`] to
+/// [`GOLDEN_V4`], the same snapshot's older bytes, decode to it and
+/// re-encode to these.
+const GOLDEN_DIGESTS: (u64, u64) = (14_695_396_120_250_121_706, 1_887_531_640_002_050_752);
 
 /// [`golden_pipeline_snapshot`] as layout v1 wrote it, byte for byte:
 /// what v2 wrote, plus `M_CE`'s **A**, β and previous state, every
@@ -489,6 +489,13 @@ const GOLDEN_V2: &str = include_str!("fixtures/golden_pipeline_v2.txt");
 /// every raw-alarm window a token of its own.
 const GOLDEN_V3: &str = include_str!("fixtures/golden_pipeline_v3.txt");
 
+/// [`golden_pipeline_snapshot`] as layout v4 wrote it, byte for byte:
+/// a row's `+0.0` cell in 16 digits.
+const GOLDEN_V4: &str = include_str!("fixtures/golden_pipeline_v4.txt");
+
+/// The tags of the rows whose `+0.0` cells v5 writes as `0`.
+const ROWS: [&str; 6] = ["bp ", "slot ", "mco-a ", "mco-b ", "b ", "wsensor "];
+
 /// The windows [`golden_pipeline_snapshot`] states.
 const GOLDEN_WINDOWS: u64 = 1_344;
 
@@ -502,6 +509,8 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
         "\nslot 0 7ff8000000000000 7ff0000000000000\n",
         "\nmco-counts 17,0\nwindower ",
         "\nmce 3feb333333333333 17 44\nb ",
+        "\nb 0 8000000000000000 3ff0000000000000\n",
+        "\nslot 1 0 8000000000000000\n",
         "\nwsensor 65535 1 fff0000000000000\nsensors\n",
         "\nfilter kofn 6 10 1011\n",
         "\nfilter kofn 2 4 -\n",
@@ -518,7 +527,12 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
     assert_eq!(
         (fnv(pipeline.as_bytes()), fnv(shard.as_bytes())),
         GOLDEN_DIGESTS,
-        "checkpoint encoding drifted from layout v4"
+        "checkpoint encoding drifted from layout v5"
+    );
+    assert_eq!(
+        runs::as_v4(&pipeline),
+        GOLDEN_V4,
+        "v5 is v4 but for zero cells"
     );
 }
 
@@ -526,26 +540,28 @@ fn golden_snapshot_encodes_to_the_recorded_bytes() {
 const V2_ONLY: [&str; 3] = ["history ", "track ", "alarmed "];
 
 /// `older`, the golden text as an older layout wrote it, decodes to the
-/// golden snapshot and re-encodes to the v4 golden text. Line for line, it is that text plus the lines with a
-/// `dropped` tag, with only the lines with a `rewritten` tag changed.
+/// golden snapshot and re-encodes to the v5 golden text. Line for line,
+/// it is that text plus the lines with a `dropped` tag, with only the
+/// lines with a `rewritten` tag, or a row tag, changed.
 fn reads_as_the_golden_snapshot(older: &str, dropped: &[&str], rewritten: &[&str]) {
     let snap = golden_pipeline_snapshot();
-    let v4 = encode_pipeline(&snap);
+    let v5 = encode_pipeline(&snap);
     // `Debug`, not `==`: the golden snapshot holds a NaN centroid.
     let debug = |s: &PipelineSnapshot| format!("{s:?}");
     assert_eq!(decode_pipeline(older).map(|s| debug(&s)), Ok(debug(&snap)));
     assert_eq!(
         decode_pipeline(older).map(|s| encode_pipeline(&s)),
-        Ok(v4.clone())
+        Ok(v5.clone())
     );
     let kept: Vec<&str> = older
         .lines()
         .filter(|line| !dropped.iter().any(|tag| line.starts_with(tag)))
         .collect();
-    assert_eq!(kept.len(), v4.lines().count());
-    for (old, new) in kept.iter().zip(v4.lines()) {
+    assert_eq!(kept.len(), v5.lines().count());
+    for (old, new) in kept.iter().zip(v5.lines()) {
+        let row = ROWS.iter().any(|tag| old.starts_with(tag));
         assert!(
-            *old == new || rewritten.iter().any(|tag| old.starts_with(tag)),
+            *old == new || row || rewritten.iter().any(|tag| old.starts_with(tag)),
             "`{old}` became `{new}`"
         );
     }
@@ -577,6 +593,16 @@ fn the_v2_golden_text_reads_as_the_golden_snapshot() {
 #[test]
 fn the_v3_golden_text_reads_as_the_golden_snapshot() {
     reads_as_the_golden_snapshot(GOLDEN_V3, &[], &["sentinet-", "raw "]);
+}
+
+/// The one reader still reads v4: the golden v4 text, as the last
+/// binary to write v4 encoded it, changes its magics and its rows'
+/// `+0.0` cells from 16 digits to `0`, and nothing else.
+#[test]
+fn the_v4_golden_text_reads_as_the_golden_snapshot() {
+    // The digest v4's `GOLDEN_DIGESTS` recorded for the whole text.
+    assert_eq!(fnv(GOLDEN_V4.as_bytes()), 9_693_272_002_388_484_484);
+    reads_as_the_golden_snapshot(GOLDEN_V4, &[], &["sentinet-"]);
 }
 
 /// [`golden_pipeline_snapshot`] with sensor 0's raw-alarm history

@@ -16,9 +16,14 @@
 //! `id diagnosis confidence-bits` line per sensor (and one sensor never
 //! seen), recorded by running this file at 28488e2.
 
+#[path = "../../../tests/support/runs.rs"]
+mod runs;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sentinet_core::{encode_pipeline, Pipeline, PipelineConfig};
+use sentinet_core::{decode_pipeline, encode_pipeline, Pipeline, PipelineConfig};
 use sentinet_inject::{
     inject_attacks, inject_faults, AttackInjection, AttackModel, FaultInjection, FaultModel,
 };
@@ -32,9 +37,12 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 /// Digests recorded at parent commit 568f592; the checkpoint's again
-/// when layouts v2 and then v3 replaced the one before (the older
+/// when layouts v2, v3 and then v5 replaced the one before (the older
 /// text, read back by the newer reader, re-encodes to it).
-const SNAPSHOT_DIGEST: u64 = 15_568_705_410_992_743_732;
+const SNAPSHOT_DIGEST: u64 = 12_900_146_222_873_494_986;
+/// The checkpoint's digest in layout v4, which the v5 text written
+/// back as v4 (`runs::as_v4`) still hashes to.
+const SNAPSHOT_DIGEST_V4: u64 = 15_568_705_410_992_743_732;
 const REPORT_DIGEST: u64 = 424_754_040_791_017_449;
 /// Digest of every `classify_with_confidence` answer, recorded at 28488e2.
 const CONFIDENCE_DIGEST: u64 = 3_787_932_169_362_242_323;
@@ -108,6 +116,12 @@ fn report_and_checkpoint_match_the_parent_commit() {
         (fnv(snapshot.as_bytes()), fnv(report.as_bytes())),
         (SNAPSHOT_DIGEST, REPORT_DIGEST),
         "pipeline output drifted from commit 568f592:\n{report}"
+    );
+    let v4 = runs::as_v4(&snapshot);
+    assert_eq!(fnv(v4.as_bytes()), SNAPSHOT_DIGEST_V4, "the v4 bytes");
+    assert_eq!(
+        decode_pipeline(&v4).map(|s| encode_pipeline(&s)),
+        Ok(snapshot)
     );
 
     let never_seen = SensorId(999);

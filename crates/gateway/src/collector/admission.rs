@@ -32,7 +32,21 @@ pub enum RejectCause {
     /// record no reopen could decode (or count), so it is refused
     /// before the append — and would be again on retry.
     Unframable,
+    /// The reading is stamped past the stream horizon, 2 048 watermark
+    /// delays (one sampling period at least) past the stream clock —
+    /// the reorder watermark plus its delay: admitting it would raise
+    /// the watermark so far that every other sensor's next readings
+    /// arrive late. A stream's first reading has no clock and no
+    /// horizon. Refused before the append, so replay never sees
+    /// it; a retransmission is refused again until the stream clock
+    /// comes within reach of its time.
+    Horizon,
 }
+
+/// How far ahead of the stream clock a reading may be stamped, in
+/// watermark delays — a delay under one sampling period counting as
+/// one period: ≈ 43 days at the defaults (1 800 s).
+const HORIZON_DELAYS: u64 = 2_048;
 
 /// What the server should tell the client about a delivered frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,6 +250,11 @@ impl Collector {
         // The run is one sensor's: its tracker is looked up once, and
         // again only after the (at most one) reclaim borrowed `self`.
         let mut tracker = self.state.intake.seqs.get(&sensor);
+        // The reorder watermark as it will stand once the readings in
+        // front of this one are admitted: the stream horizon's base.
+        let mut watermark = self.state.intake.reorder.watermark();
+        let delay = self.config.reorder.watermark_delay;
+        let skip_horizon = self.config.mutant == Some(Mutant::SkipHorizon);
         for (i, (time, values)) in readings.enumerate() {
             // Saturating: a batch that runs off the end of the seq
             // space is refused at `u64::MAX`, the first seq without a
@@ -262,6 +281,12 @@ impl Collector {
                 self.unframable_rejects += total - i;
                 out.rejected = total - i;
                 out.nack = Some((seq, RejectCause::Unframable));
+                break;
+            }
+            if self.horizon(watermark).is_some_and(|h| time > h) && !skip_horizon {
+                self.horizon_rejects += total - i;
+                out.rejected = total - i;
+                out.nack = Some((seq, RejectCause::Horizon));
                 break;
             }
             if let Some(budget) = self.config.wal.retain_bytes {
@@ -298,6 +323,8 @@ impl Collector {
                 }
                 plan = next;
             }
+            let floor = time.saturating_sub(delay);
+            watermark = Some(watermark.map_or(floor, |w| w.max(floor)));
             fresh.push(record);
         }
         self.charge_admission(pass_start);
@@ -360,6 +387,19 @@ impl Collector {
         let seqs = &self.state.intake.seqs;
         out.ack_up_to = seqs.get(&sensor).and_then(|t| t.watermark());
         Ok(out)
+    }
+
+    /// The latest time a reading may be stamped and still be admitted
+    /// over reorder watermark `watermark`: `HORIZON_DELAYS` delays past
+    /// the stream clock, state the log replays, never the wall clock.
+    /// `None` before the first reading: nothing bounds a stream's
+    /// first time but the frame.
+    fn horizon(&self, watermark: Option<Timestamp>) -> Option<Timestamp> {
+        let delay = self.config.reorder.watermark_delay;
+        let reach = delay
+            .max(self.config.sample_period)
+            .saturating_mul(HORIZON_DELAYS);
+        watermark.map(|w| w.saturating_add(delay).saturating_add(reach))
     }
 
     /// Adds the time since `start` (when the run is timed at all) to

@@ -131,6 +131,10 @@ pub enum Mutant {
     /// A restore point names by log position buffered readings below
     /// its base too — readings its own reclaim deletes (I6).
     NameBelowBase,
+    /// Admit a reading stamped past the stream horizon, so one bad
+    /// clock turns every other sensor's later readings late
+    /// (`run_admission`'s non-interference property).
+    SkipHorizon,
 }
 
 impl GatewayConfig {
@@ -375,6 +379,10 @@ pub struct StorageStatus {
     /// leaves [`StorageStatus::is_clean`] alone — and local to this
     /// report: the fleet counters (`controller::report`) do not carry it.
     pub unframable_rejects: usize,
+    /// Deliveries NACKed as stamped past the stream horizon
+    /// ([`RejectCause::Horizon`]): like `unframable_rejects`, a
+    /// property of the reading, local to this report.
+    pub horizon_rejects: usize,
 }
 
 impl StorageStatus {
@@ -427,6 +435,7 @@ pub struct Collector {
     observed_epoch: u64,
     fence_rejects: usize,
     unframable_rejects: usize,
+    horizon_rejects: usize,
     /// Half-open sensor ranges migrated away from this collector
     /// ([`Collector::export_range`]); deliveries inside any of them
     /// NACK with [`RejectCause::Fenced`]. Mirrors the persisted
@@ -641,6 +650,7 @@ impl Collector {
             observed_epoch: 0,
             fence_rejects: 0,
             unframable_rejects: 0,
+            horizon_rejects: 0,
             retired,
             last_checkpoint_cursor: cursor,
             admission_ns: 0,
@@ -703,6 +713,7 @@ impl Collector {
             fenced_by: (self.config.epoch > 0 && self.observed_epoch > self.config.epoch)
                 .then_some(self.observed_epoch),
             unframable_rejects: self.unframable_rejects,
+            horizon_rejects: self.horizon_rejects,
         }
     }
 

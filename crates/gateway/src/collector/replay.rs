@@ -395,17 +395,17 @@ impl Back<'_, '_> {
     }
 
     /// Completes the check with what [`Back::take`] took: the snapshot
-    /// `half` completes is compared with the checkpoint body — an older
-    /// layout's once re-encoded.
+    /// `half` completes is compared with the checkpoint body, or — for
+    /// a body an older layout wrote, a nested pipeline's included —
+    /// with its re-encoding.
     fn settle(&mut self, taken: Option<AtCut>) {
         let verdict = match (taken, &self.check) {
             (Some(AtCut::Half(half)), Some(Check::Verify(ck))) => {
                 let now = encode_collector(&self.down.snapshot(half));
-                let matched = if is_current_layout(ck.body()) {
-                    now == ck.body()
-                } else {
-                    ck.snapshot().is_ok_and(|s| encode_collector(&s) == now)
-                };
+                // Current text re-encodes to itself, so a mismatch
+                // decodes only to be confirmed.
+                let matched =
+                    now == ck.body() || ck.snapshot().is_ok_and(|s| encode_collector(&s) == now);
                 let cursor = ck.cursor;
                 matched
                     .then_some(())

@@ -13,6 +13,17 @@
 //! coordinates `FaultPlan`s aim at are all functions of that trace, so
 //! an equal digest means fault plans and crash drills replay unchanged.
 //! On mismatch the test prints the trace for diffing.
+//!
+//! Each scenario is also pinned as pipeline layout v4 wrote it: the
+//! same trace with every whole-file write's bytes taken back to v4
+//! (`runs::as_v4`: a row's `+0.0` cell in 16 digits) hashes to the
+//! digest recorded before layout v5, so v5 moved those writes' bytes
+//! and nothing else.
+
+#[path = "../../../tests/support/runs.rs"]
+mod runs;
+#[path = "../../../tests/support/seeded.rs"]
+mod seeded;
 
 use sentinet_gateway::{
     Collector, DeliverOutcome, FsyncPolicy, GatewayConfig, RealVfs, VFile, Vfs, Wal, WalConfig,
@@ -42,10 +53,23 @@ fn leaf(path: &Path) -> String {
         .unwrap_or_default()
 }
 
-/// A pass-through [`Vfs`] that records every operation it sees.
+/// A pass-through [`Vfs`] that records every operation it sees, and
+/// each whole-file write's line as its layout-v4 bytes would read.
 #[derive(Debug, Default)]
 struct TraceVfs {
     log: Log,
+    v4_writes: Mutex<Vec<(usize, String)>>,
+}
+
+/// A recorded trace, and the same trace with every whole-file write
+/// as its layout-v4 bytes.
+struct Trace {
+    ops: Vec<String>,
+    v4: Vec<String>,
+}
+
+fn write_line(path: &Path, bytes: &[u8]) -> String {
+    format!("write {} {} {:016x}", leaf(path), bytes.len(), fnv(bytes))
 }
 
 fn note(log: &Log, line: String) {
@@ -57,8 +81,13 @@ impl TraceVfs {
         note(&self.log, line);
     }
 
-    fn take(&self) -> Vec<String> {
-        std::mem::take(&mut *self.log.lock().expect("trace lock"))
+    fn take(&self) -> Trace {
+        let ops = std::mem::take(&mut *self.log.lock().expect("trace lock"));
+        let mut v4 = ops.clone();
+        for (at, line) in std::mem::take(&mut *self.v4_writes.lock().expect("trace lock")) {
+            v4[at] = line;
+        }
+        Trace { ops, v4 }
     }
 }
 
@@ -116,12 +145,15 @@ impl Vfs for TraceVfs {
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        self.note(format!(
-            "write {} {} {:016x}",
-            leaf(path),
-            bytes.len(),
-            fnv(bytes)
-        ));
+        let v4 = match std::str::from_utf8(bytes) {
+            Ok(text) => write_line(path, runs::as_v4(text).as_bytes()),
+            Err(_) => write_line(path, bytes),
+        };
+        let mut log = self.log.lock().expect("trace lock");
+        let at = log.len();
+        log.push(write_line(path, bytes));
+        drop(log);
+        self.v4_writes.lock().expect("trace lock").push((at, v4));
         RealVfs.write_file(path, bytes)
     }
 
@@ -159,13 +191,20 @@ fn digest(trace: &[String]) -> Digest {
     )
 }
 
-fn assert_digest(what: &str, trace: &[String], expected: Digest) {
-    let got = digest(trace);
+/// `trace` hashes to `expected`, and as layout v4 wrote it to
+/// `expected_v4`.
+fn assert_digest(what: &str, trace: &Trace, expected: Digest, expected_v4: Digest) {
     assert_eq!(
-        got,
+        digest(&trace.ops),
         expected,
         "{what}: storage trace diverged from the pre-fold commit\n{}",
-        trace.join("\n")
+        trace.ops.join("\n")
+    );
+    assert_eq!(
+        digest(&trace.v4),
+        expected_v4,
+        "{what}: as layout v4, the trace diverged from v4's\n{}",
+        trace.v4.join("\n")
     );
 }
 
@@ -193,7 +232,7 @@ fn stream(n: u64) -> impl Iterator<Item = (SensorId, u64, u64, Vec<f64>)> {
 
 /// v1 `deliver`×100 (with every fifth reading redelivered, so the
 /// duplicate path is in the trace) under `policy`, through `finish`.
-fn v1_trace(name: &str, policy: FsyncPolicy) -> Vec<String> {
+fn v1_trace(name: &str, policy: FsyncPolicy) -> Trace {
     let dir = tmpdir(name);
     let vfs = Arc::new(TraceVfs::default());
     let mut cfg = config(&dir, &vfs);
@@ -215,13 +254,13 @@ fn v1_trace(name: &str, policy: FsyncPolicy) -> Vec<String> {
 #[test]
 fn v1_deliver_storage_trace_is_pinned_under_batch_8() {
     let trace = v1_trace("batch8", FsyncPolicy::Batch(8));
-    assert_digest("v1 batch:8", &trace, V1_BATCH8);
+    assert_digest("v1 batch:8", &trace, V1_BATCH8, V1_BATCH8_V4);
 }
 
 #[test]
 fn v1_deliver_storage_trace_is_pinned_under_always() {
     let trace = v1_trace("always", FsyncPolicy::Always);
-    assert_digest("v1 always", &trace, V1_ALWAYS);
+    assert_digest("v1 always", &trace, V1_ALWAYS, V1_ALWAYS_V4);
 }
 
 /// Every sidecar writer and reader in one run: fence token commit on
@@ -268,7 +307,7 @@ fn sidecar_storage_trace_is_pinned() {
     let trace = vfs.take();
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&dest);
-    assert_digest("sidecars", &trace, SIDECARS);
+    assert_digest("sidecars", &trace, SIDECARS, SIDECARS_V4);
 }
 
 /// The `crash_after` chaos coordinate on the v1 path: the process dies
@@ -363,7 +402,12 @@ fn v2_crash_after_logs_the_crossing_batch_whole() {
 // the first 140 operations are unchanged, and the installer's four
 // (mkdir, list, the checkpoint write and its rename) became the open of
 // the empty directory, the same 740-byte checkpoint write and rename,
-// and a reopen.
-const V1_BATCH8: Digest = (163, 22, 8, 11, 2_933_840_930_673_984_016);
-const V1_ALWAYS: Digest = (249, 108, 8, 11, 6_197_346_999_602_157_433);
-const SIDECARS: Digest = (160, 4, 6, 7, 5_325_072_956_716_507_308);
+// and a reopen. Pipeline layout v5 re-recorded the hashes: the `_V4`
+// digests are the ones recorded before it, which each trace still reads
+// with its writes taken back to v4.
+const V1_BATCH8: Digest = (163, 22, 8, 11, 13_560_635_758_969_829_421);
+const V1_ALWAYS: Digest = (249, 108, 8, 11, 11_361_765_663_545_195_278);
+const SIDECARS: Digest = (160, 4, 6, 7, 584_272_243_355_728_532);
+const V1_BATCH8_V4: Digest = (163, 22, 8, 11, 2_933_840_930_673_984_016);
+const V1_ALWAYS_V4: Digest = (249, 108, 8, 11, 6_197_346_999_602_157_433);
+const SIDECARS_V4: Digest = (160, 4, 6, 7, 5_325_072_956_716_507_308);

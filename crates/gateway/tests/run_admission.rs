@@ -14,7 +14,9 @@
 mod seeded;
 
 use seeded::{Replay, TestRng};
-use sentinet_gateway::{encode_collector, Collector, FsyncPolicy, GatewayConfig, GatewayReport};
+use sentinet_gateway::{
+    encode_collector, Collector, FsyncPolicy, GatewayConfig, GatewayReport, Mutant,
+};
 use sentinet_sim::{SensorId, Timestamp};
 use std::fs;
 use std::path::PathBuf;
@@ -187,5 +189,111 @@ fn a_batch_admits_what_its_readings_admit_one_by_one() {
     if EQUIVALENCE.seed_from_env().is_none() {
         let silences = SILENCES.load(std::sync::atomic::Ordering::Relaxed);
         assert!(silences > 40, "only {silences} silence episode(s)");
+    }
+}
+
+const NON_INTERFERENCE: Replay = Replay {
+    var: "HORIZON_SEED",
+    package: "sentinet-gateway",
+    target: "--test run_admission",
+    test: "a_rogue_clock_leaves_every_other_sensor_as_it_was",
+};
+
+/// The seeded stream delivered twice, once with a rogue sensor's
+/// readings between its runs — stamped `u64::MAX`, `2⁴⁰` s past the
+/// newest reading, and one second past the stream horizon — and once
+/// without. Every rogue reading is refused before the append, so after
+/// every run both collectors encode to the same bytes, and both finish
+/// to the same report over the same windows: the step budget.
+fn rogue_case(seed: u64, mutant: Option<Mutant>) -> Result<(), String> {
+    let mut rng = TestRng::new(seed);
+    let dirs = [dir("rogue", seed), dir("clean", seed)];
+    let delay = PERIOD * rng.usize_in(0, 5) as u64;
+    let configs = dirs.clone().map(|d| {
+        let mut c = GatewayConfig::new(d);
+        c.wal.fsync = FsyncPolicy::Never;
+        c.checkpoint_every = 0;
+        c.reorder.watermark_delay = delay;
+        c.mutant = mutant;
+        c
+    });
+    let open = |c: &GatewayConfig| Collector::open(c.clone()).map_err(|e| e.to_string());
+    let (mut rogue, _) = open(&configs[0])?;
+    let (mut clean, _) = open(&configs[1])?;
+    let runs = stream(&mut rng);
+    let newest = runs.iter().flat_map(|r| &r.readings).map(|r| r.0).max();
+    // The stream clock (watermark plus delay) and its horizon, as
+    // `RejectCause::Horizon` states them.
+    let reach = delay.max(PERIOD) * HORIZON_DELAYS;
+    let mut clock: Option<Timestamp> = None;
+    let mut rogue_seq = 0;
+    for (i, run) in runs.into_iter().enumerate() {
+        if let Some(clock) = clock.filter(|_| rng.usize_in(0, 3) == 0) {
+            let newest = newest.unwrap_or(0);
+            let past = clock.max(delay) + reach + 1;
+            let times = [u64::MAX, newest.saturating_add(1 << 40), past];
+            let time = rng.pick(&times);
+            let out = rogue
+                .deliver_batch(SensorId(999), rogue_seq, &[(time, vec![20.0, 50.0])])
+                .map_err(|e| e.to_string())?;
+            if out.accepted > 0 {
+                rogue_seq += 1;
+            }
+        }
+        for c in [&mut rogue, &mut clean] {
+            c.deliver_batch(run.sensor, run.first_seq, &run.readings)
+                .map_err(|e| e.to_string())?;
+        }
+        let times = run.readings.iter().map(|r| r.0);
+        clock = clock.into_iter().chain(times).max();
+        let (a, b) = (
+            encode_collector(&rogue.snapshot()),
+            encode_collector(&clean.snapshot()),
+        );
+        if a != b {
+            return Err(format!("run {i}: the rogue clock moved the collector"));
+        }
+    }
+    let refused = rogue.storage_status().horizon_rejects;
+    let reports = [rogue, clean].map(|c| c.finish().map_err(|e| e.to_string()));
+    let [a, b] = reports;
+    let (a, b) = (a?, b?);
+    // Rendered, not `==`: a refused reading may hold a NaN.
+    if render(&a).replace(&format!("horizon_rejects: {refused}"), "")
+        != render(&b).replace("horizon_rejects: 0", "")
+    {
+        return Err("the reports differ".into());
+    }
+    REFUSED.fetch_add(refused, std::sync::atomic::Ordering::Relaxed);
+    for d in &dirs {
+        let _ = fs::remove_dir_all(d);
+    }
+    Ok(())
+}
+
+/// `RejectCause::Horizon`'s reach, in watermark delays.
+const HORIZON_DELAYS: u64 = 2_048;
+
+/// Rogue readings the non-interference cases refused, summed.
+static REFUSED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+#[test]
+fn a_rogue_clock_leaves_every_other_sensor_as_it_was() {
+    NON_INTERFERENCE.for_each_seed(40, |seed| rogue_case(seed, None));
+    if NON_INTERFERENCE.seed_from_env().is_none() {
+        let refused = REFUSED.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(refused > 100, "only {refused} rogue reading(s) refused");
+    }
+}
+
+/// The must-fail self-test: with the horizon check skipped
+/// (`Mutant::SkipHorizon`) the property fails at every seed.
+#[test]
+fn the_rogue_clock_property_fails_without_the_horizon() {
+    for seed in 0..8 {
+        assert!(
+            rogue_case(seed, Some(Mutant::SkipHorizon)).is_err(),
+            "seed {seed}: the property passed with the horizon skipped"
+        );
     }
 }

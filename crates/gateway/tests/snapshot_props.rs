@@ -314,10 +314,13 @@ fn driven_pipeline(filter: FilterPolicy, ticks: u64) -> Pipeline {
 /// Digests of [`golden_snapshot`]'s encoding with one silent sensor and
 /// with none, recorded by running this test at parent commit 584aad4 —
 /// before the encoder stopped building a `String` per line and per
-/// float — and re-recorded when checkpoint layouts v2 and then v3, and
-/// collector layout v2, replaced the one before (the older texts, read
-/// back by the newer reader, re-encode to these).
-const GOLDEN_DIGESTS: (u64, u64) = (427_241_891_255_801_544, 17_694_445_738_651_147_565);
+/// float — and re-recorded when checkpoint layouts v2 and then v3,
+/// collector layout v2 and pipeline layout v5 replaced the one before
+/// (the older texts, read back by the newer reader, re-encode to these).
+const GOLDEN_DIGESTS: (u64, u64) = (7_687_402_337_714_227_188, 15_035_977_271_021_199_499);
+/// [`GOLDEN_DIGESTS`] as recorded before pipeline layout v5, which the
+/// texts taken back to v4 (`runs::as_v4`) still hash to.
+const GOLDEN_DIGESTS_V4: (u64, u64) = (427_241_891_255_801_544, 17_694_445_738_651_147_565);
 
 /// A fixed snapshot that takes every branch of the collector encoder:
 /// no watermark (`reorder -`), non-finite and signed-zero floats in the
@@ -443,6 +446,16 @@ fn golden_snapshot_encodes_to_the_parent_commits_bytes() {
         (fnv(text.as_bytes()), fnv(quiet.as_bytes())),
         GOLDEN_DIGESTS,
         "collector encoding drifted from the recorded bytes"
+    );
+    let (text_v4, quiet_v4) = (runs::as_v4(&text), runs::as_v4(&quiet));
+    assert_eq!(
+        (fnv(text_v4.as_bytes()), fnv(quiet_v4.as_bytes())),
+        GOLDEN_DIGESTS_V4,
+        "v5 is v4 but for zero cells"
+    );
+    assert_eq!(
+        decode_collector(&text_v4).map(|snap| encode_collector(&snap)),
+        Ok(text)
     );
 }
 

@@ -1,14 +1,16 @@
 //! An upgraded collector opens the WAL directory an older binary
-//! wrote. The fixtures are three generations of two directories each,
+//! wrote. The fixtures are four generations of two directories each,
 //! written by `sentinet serve --watermark 600 --checkpoint-every 32`
 //! for the same 240-reading stream: `v1_wal` before checkpoint layout
 //! v2, so its `checkpoint.ck` nests layout v1 text, `v2_wal` before
-//! layout v3, nesting v2 text, and `v3_wal` before layout v4, nesting
-//! v3 text (every raw-alarm window a token of its own). In each,
+//! layout v3, nesting v2 text, `v3_wal` before layout v4, nesting
+//! v3 text (every raw-alarm window a token of its own), and `v4_wal`
+//! before pipeline layout v5, nesting v4 text (a row's `+0.0` cell in
+//! 16 digits). In each,
 //! `full` keeps every segment (the checkpoint is verified as the
 //! full-log replay passes its cursor), `retained` ran under a
 //! `--wal-retain-bytes` budget (the checkpoint is the restore point,
-//! the only copy of the state below it). All six must reopen and
+//! the only copy of the state below it). All eight must reopen and
 //! finish with the report that binary printed, `report.txt`.
 
 use sentinet_gateway::{Collector, GatewayConfig};
@@ -70,4 +72,9 @@ fn a_wal_directory_with_a_v2_checkpoint_reopens_with_its_report() {
 #[test]
 fn a_wal_directory_with_a_v3_checkpoint_reopens_with_its_report() {
     reopens_with_its_report("v3_wal");
+}
+
+#[test]
+fn a_wal_directory_with_a_v4_checkpoint_reopens_with_its_report() {
+    reopens_with_its_report("v4_wal");
 }

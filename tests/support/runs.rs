@@ -1,6 +1,7 @@
 //! The raw-alarm runs of checkpoint layout v4 — `w:f:n`, `n` windows
 //! from `w` all with flag `f`, `:n` left out for one — as the suites
-//! that read checkpoint text damage and rewrite them. Included by path
+//! that read checkpoint text damage and rewrite them, and v5's zero
+//! cells (`0` for a row's `+0.0`) as v4 wrote them. Included by path
 //! (`#[path = "…/tests/support/runs.rs"] mod runs;`) beside
 //! `seeded.rs`.
 
@@ -8,11 +9,43 @@
 
 use super::seeded::TestRng;
 
-/// `text`, a pipeline, shard or collector text of layout v4, as layout
-/// v3 wrote it: v3 magics, and every run its `n` one-window tokens.
-pub fn as_v3(text: &str) -> String {
+/// `text`, a pipeline or collector text of layout v5, as layout v4
+/// wrote it: v4 magics, and every `0` cell of a row (`bp`, `slot`,
+/// `mco-a`, `mco-b`, `b`, `wsensor`, `prior`) in 16 digits.
+pub fn as_v4(text: &str) -> String {
     let mut out = String::new();
     for line in text.split_inclusive('\n') {
+        let body = line.trim_end_matches('\n');
+        let mut fields = body.split(' ');
+        let tag = fields.next().unwrap_or("");
+        // The fields between the tag and the first cell.
+        let fixed = match tag {
+            "bp" | "b" | "mco-a" | "mco-b" => 0,
+            "slot" => 1,
+            "wsensor" | "prior" => 2,
+            _ => {
+                out.push_str(line);
+                continue;
+            }
+        };
+        out.push_str(tag);
+        for (i, field) in fields.enumerate() {
+            out.push(' ');
+            let wide = i >= fixed && field == "0";
+            out.push_str(if wide { "0000000000000000" } else { field });
+        }
+        out.push_str(&line[body.len()..]);
+    }
+    out.replace("sentinet-pipeline v5\n", "sentinet-pipeline v4\n")
+        .replace("sentinet-checkpoint v5\n", "sentinet-checkpoint v4\n")
+}
+
+/// `text`, a pipeline or collector text of layout v5, as layout v3
+/// wrote it: [`as_v4`], v3 magics, and every run its `n` one-window
+/// tokens.
+pub fn as_v3(text: &str) -> String {
+    let mut out = String::new();
+    for line in as_v4(text).split_inclusive('\n') {
         match line.strip_prefix("raw ") {
             Some(runs) if runs.trim_end() != "-" => {
                 out.push_str("raw");
@@ -76,7 +109,7 @@ impl Damage {
 }
 
 /// One damaged variant of `text` (a pipeline or collector text of
-/// layout v4 with at least one non-empty `raw` line): a run of no
+/// layout v5 with at least one non-empty `raw` line): a run of no
 /// windows or of `u64::MAX`, a run past the last window, runs out of
 /// order or overlapping, a run of one written with its length, a run
 /// split in two, more windows than the text's `windows` line states, a
