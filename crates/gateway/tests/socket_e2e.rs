@@ -790,3 +790,67 @@ fn live_range_migration_moves_a_sensor_between_servers() {
     fs::remove_dir_all(&src_dir).ok();
     fs::remove_dir_all(&dst_dir).ok();
 }
+
+/// A peer whose clock is wrong sends a `DataBatch` stamped `u64::MAX`
+/// once the stream has a clock: it is NACKed (`RejectCause::Horizon`),
+/// nothing of it is admitted, and a second client is still served.
+#[test]
+fn a_peer_stamping_past_the_horizon_is_nacked_and_others_are_served() {
+    let dir = tmpdir("horizon-wire");
+    let (mut collector, _) = Collector::open(GatewayConfig::new(&dir)).expect("open");
+    let server = Server::start(ServerConfig::default()).expect("bind server");
+    let addr = server.addr().to_string();
+    let client = std::thread::spawn(move || {
+        let mut first = SensorUplink::new(UplinkConfig::new(addr.clone()));
+        first
+            .send_at(SensorId(1), 0, 300, &[20.0, 45.0])
+            .expect("send");
+        let mut conn = TcpStream::connect(&addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let hello = Message::Hello {
+            version: PROTOCOL_VERSION,
+            epoch: 0,
+        };
+        conn.write_all(&encode_frame(&hello)).expect("hello");
+        let rogue = Message::DataBatch {
+            sensor: SensorId(7),
+            first_seq: 0,
+            readings: vec![(u64::MAX, vec![20.0, 45.0]), (600, vec![20.0, 45.0])],
+        };
+        conn.write_all(&encode_frame(&rogue)).expect("rogue batch");
+        let nack = encode_frame(&Message::Nack {
+            sensor: SensorId(7),
+            seq: 0,
+        });
+        let mut got = Vec::new();
+        let mut buf = [0u8; 256];
+        let nacked = loop {
+            if got.windows(nack.len()).any(|w| w == nack.as_slice()) {
+                break true;
+            }
+            match conn.read(&mut buf) {
+                Ok(n) if n > 0 => got.extend_from_slice(&buf[..n]),
+                _ => break false,
+            }
+        };
+        let mut second = SensorUplink::new(UplinkConfig::new(addr));
+        second
+            .send_at(SensorId(2), 0, 600, &[21.0, 46.0])
+            .expect("served");
+        second.finish().expect("fin/finack");
+        nacked
+    });
+    server.run(&mut collector).expect("serve");
+    assert!(
+        client.join().expect("client thread"),
+        "no NACK for the batch"
+    );
+    let report = collector.finish().expect("finish");
+    assert_eq!(report.ingest.accepted, 2, "only the two honest readings");
+    assert_eq!(
+        report.storage.horizon_rejects, 2,
+        "the batch from its NACK on"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
