@@ -36,10 +36,15 @@ pub enum RejectCause {
     /// delays (one sampling period at least) past the stream clock —
     /// the reorder watermark plus its delay: admitting it would raise
     /// the watermark so far that every other sensor's next readings
-    /// arrive late. A stream's first reading has no clock and no
-    /// horizon. Refused before the append, so replay never sees
-    /// it; a retransmission is refused again until the stream clock
-    /// comes within reach of its time.
+    /// arrive late. Refused before the append, so replay never sees
+    /// it. The horizon stops one clock, not the stream: a reading past
+    /// it is admitted — and moves the clock — when a second sensor was
+    /// refused past the horizon within reach of its time, or when no
+    /// other sensor has been admitted, so honest traffic resuming
+    /// after a gap longer than the reach gets through once two sensors
+    /// send. A retransmission of a refused reading is refused again
+    /// until one of those holds. A stream's first reading has no clock
+    /// and no horizon.
     Horizon,
 }
 
@@ -47,6 +52,32 @@ pub enum RejectCause {
 /// watermark delays — a delay under one sampling period counting as
 /// one period: ≈ 43 days at the defaults (1 800 s).
 const HORIZON_DELAYS: u64 = 2_048;
+
+/// Whether `sensor`'s reading stamped `time`, past the stream horizon,
+/// is a jump of the stream clock rather than one bad clock: a second
+/// sensor was refused past the horizon within `reach` of it, or no
+/// sensor other than `sensor` has been admitted (`seqs`). A jump clears
+/// `witnesses`; a refusal records `time` as `sensor`'s. The witnesses
+/// are held in memory only — refusals are never logged — so a restart
+/// forgets them and the next refusals gather them again.
+fn witnessed(
+    witnesses: &mut BTreeMap<SensorId, Timestamp>,
+    seqs: &BTreeMap<SensorId, SeqTracker>,
+    sensor: SensorId,
+    time: Timestamp,
+    reach: u64,
+) -> bool {
+    let lone = seqs.keys().all(|&s| s == sensor);
+    let seen = witnesses
+        .iter()
+        .any(|(&s, &t)| s != sensor && t.abs_diff(time) <= reach);
+    if lone || seen {
+        witnesses.clear();
+    } else {
+        witnesses.insert(sensor, time);
+    }
+    lone || seen
+}
 
 /// What the server should tell the client about a delivered frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,10 +281,13 @@ impl Collector {
         // The run is one sensor's: its tracker is looked up once, and
         // again only after the (at most one) reclaim borrowed `self`.
         let mut tracker = self.state.intake.seqs.get(&sensor);
-        // The reorder watermark as it will stand once the readings in
-        // front of this one are admitted: the stream horizon's base.
-        let mut watermark = self.state.intake.reorder.watermark();
+        // The stream horizon (`None` before the stream's first
+        // reading), raised as the readings in front of this one will
+        // raise the reorder watermark once admitted.
         let delay = self.config.reorder.watermark_delay;
+        let reach = self.horizon_reach();
+        let mut limit = (self.state.intake.reorder.watermark())
+            .map(|w| w.saturating_add(delay).saturating_add(reach));
         let skip_horizon = self.config.mutant == Some(Mutant::SkipHorizon);
         for (i, (time, values)) in readings.enumerate() {
             // Saturating: a batch that runs off the end of the seq
@@ -283,7 +317,16 @@ impl Collector {
                 out.nack = Some((seq, RejectCause::Unframable));
                 break;
             }
-            if self.horizon(watermark).is_some_and(|h| time > h) && !skip_horizon {
+            if limit.is_some_and(|l| time > l)
+                && !skip_horizon
+                && !witnessed(
+                    &mut self.witnesses,
+                    &self.state.intake.seqs,
+                    sensor,
+                    time,
+                    reach,
+                )
+            {
                 self.horizon_rejects += total - i;
                 out.rejected = total - i;
                 out.nack = Some((seq, RejectCause::Horizon));
@@ -323,8 +366,9 @@ impl Collector {
                 }
                 plan = next;
             }
-            let floor = time.saturating_sub(delay);
-            watermark = Some(watermark.map_or(floor, |w| w.max(floor)));
+            // The watermark rises to `time − delay` (saturating).
+            let clock = time.max(delay).saturating_add(reach);
+            limit = Some(limit.map_or(clock, |l| l.max(clock)));
             fresh.push(record);
         }
         self.charge_admission(pass_start);
@@ -389,17 +433,14 @@ impl Collector {
         Ok(out)
     }
 
-    /// The latest time a reading may be stamped and still be admitted
-    /// over reorder watermark `watermark`: `HORIZON_DELAYS` delays past
-    /// the stream clock, state the log replays, never the wall clock.
-    /// `None` before the first reading: nothing bounds a stream's
-    /// first time but the frame.
-    fn horizon(&self, watermark: Option<Timestamp>) -> Option<Timestamp> {
+    /// How far past the stream clock a reading may be stamped:
+    /// `HORIZON_DELAYS` watermark delays, a delay under one sampling
+    /// period counting as one period.
+    fn horizon_reach(&self) -> u64 {
         let delay = self.config.reorder.watermark_delay;
-        let reach = delay
+        delay
             .max(self.config.sample_period)
-            .saturating_mul(HORIZON_DELAYS);
-        watermark.map(|w| w.saturating_add(delay).saturating_add(reach))
+            .saturating_mul(HORIZON_DELAYS)
     }
 
     /// Adds the time since `start` (when the run is timed at all) to

@@ -436,6 +436,9 @@ pub struct Collector {
     fence_rejects: usize,
     unframable_rejects: usize,
     horizon_rejects: usize,
+    /// Per sensor, the last time refused past the stream horizon since
+    /// the clock last jumped (`admission::witnessed`).
+    witnesses: BTreeMap<SensorId, Timestamp>,
     /// Half-open sensor ranges migrated away from this collector
     /// ([`Collector::export_range`]); deliveries inside any of them
     /// NACK with [`RejectCause::Fenced`]. Mirrors the persisted
@@ -651,6 +654,7 @@ impl Collector {
             fence_rejects: 0,
             unframable_rejects: 0,
             horizon_rejects: 0,
+            witnesses: BTreeMap::new(),
             retired,
             last_checkpoint_cursor: cursor,
             admission_ns: 0,

@@ -297,3 +297,93 @@ fn the_rogue_clock_property_fails_without_the_horizon() {
         );
     }
 }
+
+/// A client resending from each NACK: at each of `sends`, sensor `s`
+/// sends its refused readings again and then a new one stamped `t`;
+/// a last round resends what is still refused. Returns how many
+/// deliveries were refused past the horizon, or an error when a
+/// reading is refused still, when one arrived late, or when the
+/// directory replays to other bytes.
+fn resending_client(name: &str, delay: u64, sends: &[(u16, Timestamp)]) -> Result<usize, String> {
+    let d = dir(name, delay * 1_000 + sends.len() as u64);
+    let mut config = GatewayConfig::new(&d);
+    config.wal.fsync = FsyncPolicy::Never;
+    config.checkpoint_every = 0;
+    config.reorder.watermark_delay = delay;
+    let (mut c, _) = Collector::open(config.clone()).map_err(|e| e.to_string())?;
+    let sensors = sends
+        .iter()
+        .map(|&(s, _)| usize::from(s) + 1)
+        .max()
+        .unwrap_or(0);
+    let mut pending: Vec<Vec<(Timestamp, Vec<f64>)>> = vec![Vec::new(); sensors];
+    let mut next = vec![0u64; sensors];
+    let last = (0..sensors).map(|s| (s, None));
+    let all = sends.iter().map(|&(s, t)| (usize::from(s), Some(t)));
+    for (s, time) in all.chain(last) {
+        let queue = &mut pending[s];
+        queue.extend(time.map(|t| (t, vec![21.0, 55.0])));
+        let first = next[s];
+        let out = (c.deliver_batch(SensorId(s as u16), first, queue)).map_err(|e| e.to_string())?;
+        let kept = out.nack.map_or(queue.len() as u64, |(seq, _)| seq - first);
+        queue.drain(..kept as usize);
+        next[s] = first + kept;
+    }
+    if let Some(s) = pending.iter().position(|q| !q.is_empty()) {
+        return Err(format!(
+            "sensor {s}: {} reading(s) still refused",
+            pending[s].len()
+        ));
+    }
+    let refused = c.storage_status().horizon_rejects;
+    let image = encode_collector(&c.snapshot());
+    let report = c.finish().map_err(|e| e.to_string())?;
+    if report.ingest.late > 0 {
+        return Err(format!("{} reading(s) arrived late", report.ingest.late));
+    }
+    let (reopened, _) = Collector::open(config).map_err(|e| e.to_string())?;
+    if encode_collector(&reopened.snapshot()) != image {
+        return Err("the directory replays to other bytes".into());
+    }
+    drop(reopened);
+    let _ = fs::remove_dir_all(&d);
+    Ok(refused)
+}
+
+/// Every sensor falls silent for longer than the horizon's reach — a
+/// network down for twice that — and resumes: the first sensor back is
+/// refused once, the second is its witness and moves the clock, and
+/// from then on every reading is admitted, none late. A lone sensor
+/// has no one to shield and is admitted at once.
+#[test]
+fn every_sensor_resuming_after_a_gap_past_the_reach_is_admitted() {
+    for delay in [0, PERIOD, 4 * PERIOD] {
+        let reach = delay.max(PERIOD) * HORIZON_DELAYS;
+        let resume = 100 * PERIOD + 2 * reach;
+        for sensors in 1..=4 {
+            let round = |t: Timestamp| (0..sensors).map(move |s| (s, t));
+            let before = (0..20).flat_map(|i| round(100 * PERIOD + i * PERIOD));
+            let after = (0..20).flat_map(|i| round(resume + i * PERIOD));
+            let sends: Vec<_> = before.chain(after).collect();
+            let refused = resending_client("gap", delay, &sends);
+            let want = usize::from(sensors > 1);
+            assert_eq!(refused, Ok(want), "{sensors} sensor(s), delay {delay}");
+        }
+    }
+}
+
+/// A mote with an unset clock stamps the stream's first reading 0;
+/// every later reading — its own and the others' — carries real Unix
+/// time, the mote's last in each round. The first real reading is
+/// refused, the second sensor's is its witness, and the stream runs
+/// on real time. Alone, the mote is admitted at once.
+#[test]
+fn a_stream_stamped_0_first_then_real_time_keeps_admitting() {
+    for sensors in 1..=3 {
+        let round = |t: Timestamp| (0..sensors).rev().map(move |s| (s, t));
+        let real = (0..30).flat_map(|i| round(1_700_000_000 + i * PERIOD));
+        let sends: Vec<_> = [(0, 0)].into_iter().chain(real).collect();
+        let refused = resending_client("unset", PERIOD, &sends);
+        assert_eq!(refused, Ok(usize::from(sensors > 1)), "{sensors} sensor(s)");
+    }
+}

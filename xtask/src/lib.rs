@@ -11,6 +11,8 @@
 //! - [`protocol_check`] — a loom-style exhaustive explorer of the
 //!   pipelined uplink's interleavings against the durability
 //!   invariants;
+//! - [`trajectory`] — `BENCH_trajectory.json`'s rows and their check,
+//!   and `xtask ab`, the paired A/B runs that measure them;
 //! - the `analyze` command additionally re-runs the numeric test
 //!   suites with the `check-invariants` feature, turning every HMM
 //!   matrix mutation and cluster update into a checked invariant.
@@ -25,3 +27,4 @@ pub mod lexer;
 pub mod lint;
 pub mod protocol_check;
 pub mod surface;
+pub mod trajectory;

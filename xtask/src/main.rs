@@ -3,6 +3,7 @@
 use sentinet_gateway::Mutant;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use xtask::trajectory::{self, AbPlan};
 use xtask::{lint, protocol_check, surface};
 
 const USAGE: &str = "\
@@ -30,6 +31,19 @@ Commands:
                                probes against fenced former owners),
                                then prove the fence-skip and cut-skip
                                mutants are caught
+  ab <parent-rev> [--workload W] [--pairs N] [--seconds S] [--seeds A,B,..]
+     [--aligned] [--record PR]
+                               run benchmark/run.sh alternately in a copy
+                               of <parent-rev> (under target/ab) and in
+                               the working tree, parent first in odd
+                               pairs (default ingest-saturate, 10 pairs,
+                               55 s, seed 42); print per-pair values,
+                               medians, pairs won and the parent's IQR;
+                               with --record, append the rows to
+                               BENCH_trajectory.json as that PR's
+  trajectory                   check BENCH_trajectory.json's rows, and
+                               that a \"claim met\" in the newest
+                               CHANGES.md row has one
 ";
 
 fn repo_root() -> PathBuf {
@@ -132,6 +146,70 @@ fn run_doc_size() -> Result<(), String> {
 /// The last line of CHANGES.md that opens a PR's row.
 fn newest_row(changes: &str) -> Option<&str> {
     changes.lines().rev().find(|line| line.starts_with("PR "))
+}
+
+fn run_trajectory() -> Result<(), String> {
+    let read = |name: &str| {
+        std::fs::read_to_string(repo_root().join(name))
+            .map_err(|e| format!("trajectory: {name}: {e}"))
+    };
+    let (file, benchmark, changes) = (
+        read(trajectory::TRAJECTORY)?,
+        read("BENCHMARK.json")?,
+        read("CHANGES.md")?,
+    );
+    match trajectory::check(&file, &benchmark, &changes) {
+        Ok(rows) => {
+            println!("trajectory: {rows} row(s), all well formed");
+            Ok(())
+        }
+        Err(problems) => {
+            for p in &problems {
+                eprintln!("trajectory: {p}");
+            }
+            Err(format!("trajectory: {} problem(s)", problems.len()))
+        }
+    }
+}
+
+fn run_ab(args: &[String]) -> Result<(), String> {
+    let mut it = args.iter();
+    let parent = it.next().filter(|a| !a.starts_with("--"));
+    let parent = parent.ok_or("ab: name the parent revision first")?;
+    let mut plan = AbPlan {
+        parent: parent.clone(),
+        workload: "ingest-saturate".into(),
+        pairs: 10,
+        seconds: 55,
+        seeds: vec![42],
+        aligned: false,
+        record: None,
+    };
+    while let Some(flag) = it.next() {
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("ab: {flag} needs a value"));
+        let number = |flag: &str, v: &str| -> Result<u64, String> {
+            v.parse().map_err(|e| format!("ab: bad {flag} `{v}`: {e}"))
+        };
+        match flag.as_str() {
+            "--workload" => plan.workload = value(flag)?.clone(),
+            "--pairs" => plan.pairs = number(flag, value(flag)?)? as usize,
+            "--seconds" => plan.seconds = number(flag, value(flag)?)?,
+            "--seeds" => {
+                let list = value(flag)?;
+                plan.seeds = list
+                    .split(',')
+                    .map(|s| number(flag, s))
+                    .collect::<Result<_, _>>()?;
+            }
+            "--record" => plan.record = Some(number(flag, value(flag)?)?),
+            "--aligned" => plan.aligned = true,
+            other => return Err(format!("ab: unknown flag {other:?}")),
+        }
+    }
+    if plan.pairs == 0 || plan.seconds == 0 {
+        return Err("ab: --pairs and --seconds must be at least 1".into());
+    }
+    trajectory::run_ab(&repo_root(), &plan)
 }
 
 fn run_protocol_check() -> Result<(), String> {
@@ -335,6 +413,8 @@ fn main() -> ExitCode {
         Some("protocol-check") => run_protocol_check(),
         Some("doc-size") => run_doc_size(),
         Some("nemesis") => run_nemesis(&args[1..]),
+        Some("ab") => run_ab(&args[1..]),
+        Some("trajectory") => run_trajectory(),
         _ => {
             eprint!("{USAGE}");
             return ExitCode::from(2);
