@@ -53,6 +53,11 @@ pub enum NetFault {
     /// lands just before the current one — the reorder/dedup path must
     /// absorb it without perturbing the report.
     Delay,
+    /// Rogue clock: a copy of the current reading, stamped 2⁴⁰ s ahead,
+    /// lands just before it — one mis-clocked mote. The stream horizon
+    /// must refuse the copy; the link swallows that NACK, so the report
+    /// must not move.
+    RogueClock,
 }
 
 /// One network fault window on `partition`'s epoch-1 link: starting at

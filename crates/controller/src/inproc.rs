@@ -18,6 +18,8 @@
 //!   tagged with the epoch it owned. After the run the campaign pokes
 //!   each zombie with a fresh append — epoch fencing must reject it,
 //!   or the fleet split-brained.
+//! - **Rogue tally**: how many [`NetFault::RogueClock`] copies the
+//!   links sent and how many the stream horizon refused.
 //! - **Pipelined mode**: links buffer readings and flush them as
 //!   coalesced `deliver_batch` calls with an explicit `sync_wal` —
 //!   batch admission and group commit without the wire — so one
@@ -37,11 +39,35 @@ use crate::federation::{
 use crate::partition::PartitionId;
 use sentinet_gateway::{
     decode_collector, encode_collector, Collector, DeliverOutcome, FaultPlan, FaultyVfs,
-    GatewayConfig, RecoveryInfo,
+    GatewayConfig, RecoveryInfo, RejectCause,
 };
 use sentinet_sim::{SensorId, Timestamp};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// How far ahead of its reading a [`NetFault::RogueClock`] copy is
+/// stamped: 2⁴⁰ s, past any stream horizon.
+const ROGUE_AHEAD: u64 = 1 << 40;
+
+/// The [`NetFault::RogueClock`] copies a backend's links delivered (a
+/// copy whose seq is already taken is a retransmission, not counted),
+/// and how many of them the collector refused with
+/// [`RejectCause::Horizon`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RogueTally {
+    /// Copies delivered.
+    pub sent: u64,
+    /// Copies refused past the stream horizon.
+    pub horizon_rejected: u64,
+}
+
+/// Counts one rogue-clock copy whose seq was not taken, refused with
+/// `cause` if any.
+fn tally_rogue(tally: &Mutex<RogueTally>, cause: Option<RejectCause>) {
+    let mut tally = tally.lock().unwrap_or_else(PoisonError::into_inner);
+    tally.sent += 1;
+    tally.horizon_rejected += u64::from(cause == Some(RejectCause::Horizon));
+}
 
 /// A fenced-but-alive collector, parked by the zombie stash: the
 /// in-process stand-in for a partitioned old owner that never heard it
@@ -67,6 +93,7 @@ pub struct InProcessBackend {
     drill: DrillPlan,
     pipelined: bool,
     zombies: Option<Arc<Mutex<Vec<Zombie>>>>,
+    rogue: Arc<Mutex<RogueTally>>,
     recoveries: Vec<Option<RecoveryInfo>>,
 }
 
@@ -91,6 +118,7 @@ impl InProcessBackend {
             drill,
             pipelined: false,
             zombies: None,
+            rogue: Arc::default(),
             recoveries: (0..partitions).map(|_| None).collect(),
         }
     }
@@ -109,6 +137,12 @@ impl InProcessBackend {
     /// the run.
     pub fn zombie_stash(&mut self) -> Arc<Mutex<Vec<Zombie>>> {
         self.zombies.get_or_insert_with(Arc::default).clone()
+    }
+
+    /// The shared [`RogueTally`] of every link this backend starts; like
+    /// the zombie stash, it outlives the backend.
+    pub fn rogue_tally(&self) -> Arc<Mutex<RogueTally>> {
+        self.rogue.clone()
     }
 
     /// The [`RecoveryInfo`] of the most recent `start` for `p` —
@@ -147,6 +181,9 @@ pub struct InProcessLink {
     /// An ack-path fault deferred to the next flush (pipelined mode
     /// has no per-reading ack to lose or duplicate).
     flush_fault: Option<NetFault>,
+    /// The window's rogue-clock copies, by position.
+    rogue_at: Vec<usize>,
+    rogue: Arc<Mutex<RogueTally>>,
 }
 
 impl InProcessLink {
@@ -256,6 +293,11 @@ impl PartitionLink for InProcessLink {
                         self.window.push(stale);
                     }
                 }
+                Some(NetFault::RogueClock) => {
+                    self.rogue_at.push(self.window.len());
+                    let ahead = time.saturating_add(ROGUE_AHEAD);
+                    self.window.push((sensor, seq, ahead, values.to_vec()));
+                }
                 _ => {}
             }
             let r = (sensor, seq, time, values.to_vec());
@@ -267,6 +309,20 @@ impl PartitionLink for InProcessLink {
             // Stale retransmit first; dedup absorbs it.
             if let Some((s, q, t, v)) = self.last.clone() {
                 let _ = self.deliver_one(s, q, t, &v)?;
+            }
+        }
+        if shaped == Some(NetFault::RogueClock) {
+            // The rogue copy first; the horizon refuses it, and its
+            // NACK never reaches the controller.
+            let Some(collector) = self.collector.as_mut() else {
+                return Err(LinkDown("collector process is gone".into()));
+            };
+            let ahead = time.saturating_add(ROGUE_AHEAD);
+            let outcome = collector.deliver(sensor, seq, ahead, values.to_vec());
+            match outcome.map_err(|e| LinkDown(e.to_string()))? {
+                DeliverOutcome::Rejected(cause) => tally_rogue(&self.rogue, Some(cause)),
+                DeliverOutcome::Accepted => tally_rogue(&self.rogue, None),
+                DeliverOutcome::Duplicate => {}
             }
         }
         let reply = self.deliver_one(sensor, seq, time, values)?;
@@ -301,6 +357,7 @@ impl PartitionLink for InProcessLink {
             return Ok(());
         }
         let window = std::mem::take(&mut self.window);
+        let rogue_at = std::mem::take(&mut self.rogue_at);
         let Some(collector) = self.collector.as_mut() else {
             return Err(LinkDown("collector process is gone".into()));
         };
@@ -317,8 +374,12 @@ impl PartitionLink for InProcessLink {
             while i < window.len() {
                 let sensor = window[i].0;
                 let first_seq = window[i].1;
+                // A rogue-clock copy is a run of its own.
+                let rogue = rogue_at.contains(&i);
                 let mut j = i + 1;
-                while j < window.len()
+                while !rogue
+                    && j < window.len()
+                    && !rogue_at.contains(&j)
                     && window[j].0 == sensor
                     && window[j].1 == first_seq + (j - i) as u64
                 {
@@ -329,7 +390,14 @@ impl PartitionLink for InProcessLink {
                 let out = collector
                     .deliver_batch(sensor, first_seq, &readings)
                     .map_err(|e| LinkDown(e.to_string()))?;
-                if let Some((seq, cause)) = out.nack {
+                if rogue {
+                    // Its NACK is swallowed. A copy whose seq is taken
+                    // (a duplicated window's second pass) is a
+                    // retransmission, not a second rogue reading.
+                    if out.duplicates == 0 {
+                        tally_rogue(&self.rogue, out.nack.map(|(_, cause)| cause));
+                    }
+                } else if let Some((seq, cause)) = out.nack {
                     return Err(LinkDown(format!(
                         "batch NACK at sensor {sensor} seq {seq}: {cause:?}"
                     )));
@@ -338,7 +406,7 @@ impl PartitionLink for InProcessLink {
             }
         }
         collector.sync_wal().map_err(|e| LinkDown(e.to_string()))?;
-        self.delivered += window.len() as u64;
+        self.delivered += (window.len() - rogue_at.len()) as u64;
         if fault == Some(NetFault::AckLoss) {
             // Everything above is durable, but the cumulative AckUpTo
             // was lost in flight; the controller must treat the whole
@@ -431,6 +499,8 @@ impl PartitionBackend for InProcessBackend {
             window: Vec::new(),
             last: None,
             flush_fault: None,
+            rogue_at: Vec::new(),
+            rogue: self.rogue.clone(),
         })
     }
 

@@ -2,10 +2,10 @@
 //! the full federation stack. Each episode is one [`DrillPlan`]
 //! composing faults from three families — network ([`NetFault`]
 //! windows: partitions, one-way ack loss, duplication, delayed
-//! retransmits), process ([`CollectorFault`]: kill / hang) and disk
-//! (gateway `FaultSpec`s wrapped around an owner's storage: a poison,
-//! ENOSPC, fsync failure, torn writes) — then checks three fleet
-//! invariants:
+//! retransmits, rogue clocks), process ([`CollectorFault`]: kill /
+//! hang) and disk (gateway `FaultSpec`s wrapped around an owner's
+//! storage: a poison, ENOSPC, fsync failure, torn writes) — then checks
+//! three fleet invariants:
 //!
 //! 1. **No acked reading lost**: every partition's merged report must
 //!    account for at least as many admitted readings as the
@@ -39,12 +39,18 @@
 //! A campaign's [`NemesisConfig::mutant`] is planted in the gateway
 //! config of every drilled owner (the baseline and the probe re-merge
 //! run the shipped code), so the must-fail self-tests —
-//! [`Mutant::SkipFence`] and, with migration, [`Mutant::SkipCut`] —
-//! break the shipped branch itself, not a copy of it.
+//! [`Mutant::SkipFence`], [`Mutant::SkipHorizon`] and, with migration,
+//! [`Mutant::SkipCut`] — break the shipped branch itself, not a copy of
+//! it.
+//!
+//! Out of scope: two rogue clocks that agree. The stream horizon admits
+//! a reading a second sensor witnessed past it (so honest traffic
+//! resuming after a long gap gets through), so each episode sends at
+//! most one rogue copy.
 
 use crate::chaos::{poison, CollectorFault, DrillFault, DrillPlan, NetDrill, NetFault};
 use crate::federation::{replay_report, Federation, FederationConfig};
-use crate::inproc::{InProcessBackend, Zombie};
+use crate::inproc::{InProcessBackend, RogueTally, Zombie};
 use crate::partition::{PartitionHealth, PartitionMap, SensorRange};
 use crate::report::FederationEvent;
 use rand::rngs::StdRng;
@@ -55,6 +61,7 @@ use sentinet_gateway::{
 use sentinet_sim::SensorId;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::PoisonError;
 
 /// Campaign parameters. Everything that shapes an episode derives
 /// from `seed`, so a campaign is one replayable value.
@@ -65,7 +72,8 @@ pub struct NemesisConfig {
     /// Episodes to run.
     pub episodes: u32,
     /// The bug planted in every drilled owner; the campaign MUST fail
-    /// under [`Mutant::SkipFence`], and under [`Mutant::SkipCut`] with
+    /// under [`Mutant::SkipFence`] and [`Mutant::SkipHorizon`] (a rogue
+    /// copy moves the stream clock), and under [`Mutant::SkipCut`] with
     /// [`NemesisConfig::migration`] on (acked readings vanish in the
     /// handoff). `None` runs the shipped code.
     pub mutant: Option<Mutant>,
@@ -222,6 +230,10 @@ pub struct CampaignSummary {
     pub cut_probes: u64,
     /// Cut probes rejected with [`RejectCause::Fenced`].
     pub cut_probe_rejects: u64,
+    /// [`NetFault::RogueClock`] copies delivered.
+    pub rogue_clocks: u64,
+    /// Rogue copies refused with [`RejectCause::Horizon`].
+    pub horizon_rejects: u64,
 }
 
 impl fmt::Display for CampaignSummary {
@@ -231,7 +243,8 @@ impl fmt::Display for CampaignSummary {
             "{} episode(s): {} process / {} net / {} disk fault(s) ({} disk episode(s), \
              {} pipelined), {} failover(s), {} flap(s), {} zombie probe(s) \
              ({} fence-rejected), {} migration(s), \
-             {} cut probe(s) ({} fence-rejected)",
+             {} cut probe(s) ({} fence-rejected), \
+             {} rogue clock(s) ({} horizon-rejected)",
             self.episodes,
             self.process_faults,
             self.net_faults,
@@ -244,7 +257,9 @@ impl fmt::Display for CampaignSummary {
             self.fence_probe_rejects,
             self.migrations,
             self.cut_probes,
-            self.cut_probe_rejects
+            self.cut_probe_rejects,
+            self.rogue_clocks,
+            self.horizon_rejects
         )
     }
 }
@@ -267,6 +282,10 @@ const WIDTH: u16 = SENSORS / PARTITIONS as u16;
 
 /// Readings a partition receives per episode.
 const PER_PARTITION: u64 = TICKS * WIDTH as u64;
+
+/// Salt of the rogue-clock draws' own generator: they leave every other
+/// draw of a plan where it is.
+const ROGUE_SALT: u64 = 0x0C10_C4A7;
 
 /// One generated episode: the fault plan plus the standby budget that
 /// keeps it recoverable.
@@ -376,6 +395,16 @@ fn generate_plan(config: &NemesisConfig, episode: u32, ep_seed: u64) -> EpisodeP
             after_records: PER_PARTITION * 2 / 3,
             span: u64::from(SUSPECT_AFTER),
             fault: NetFault::Partition,
+        });
+    }
+
+    if episode % 3 == 2 {
+        let mut rng = StdRng::seed_from_u64(ep_seed ^ ROGUE_SALT);
+        drill = drill.with_net(NetDrill {
+            partition: PARTITIONS - 1,
+            after_records: rng.gen_range(2..max_after),
+            span: 1,
+            fault: NetFault::RogueClock,
         });
     }
 
@@ -545,6 +574,7 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
             InProcessBackend::new(drilled.clone(), &dir, PARTITIONS, plan.standbys, plan.drill)
                 .with_pipelined(plan.pipelined);
         let stash = backend.zombie_stash();
+        let rogue = backend.rogue_tally();
 
         let fed_config = FederationConfig {
             suspect_after: SUSPECT_AFTER,
@@ -560,6 +590,12 @@ pub fn run_campaign(config: &NemesisConfig) -> Result<CampaignSummary, NemesisFa
         let mut fleet = fed
             .finish()
             .map_err(|e| fail(episode, ep_seed, NemesisViolation::Error(e.to_string())))?;
+        let RogueTally {
+            sent,
+            horizon_rejected,
+        } = *rogue.lock().unwrap_or_else(PoisonError::into_inner);
+        summary.rogue_clocks += sent;
+        summary.horizon_rejects += horizon_rejected;
 
         // Invariant: a recoverable plan never orphans, and no acked
         // reading goes missing from the merged replay.

@@ -2,8 +2,9 @@
 //! process and disk faults must pass every fleet invariant under
 //! enforced fencing, exercise all three fault families (a degenerate
 //! campaign that injects nothing must not pass as green), replay
-//! deterministically, and — the mutation self-test — FAIL when the
-//! deliver-path fence check is skipped via [`Mutant::SkipFence`].
+//! deterministically, and — the mutation self-tests — FAIL when the
+//! deliver-path fence check is skipped via [`Mutant::SkipFence`], or
+//! the stream horizon via [`Mutant::SkipHorizon`].
 
 use sentinet_controller::{run_campaign, NemesisConfig, NemesisViolation};
 use sentinet_gateway::Mutant;
@@ -47,6 +48,11 @@ fn enforced_campaign_passes_and_exercises_every_fault_family() {
         summary.fence_probe_rejects, summary.zombie_probes,
         "every zombie append must be fence-rejected"
     );
+    assert!(summary.rogue_clocks > 0, "no rogue clock fired");
+    assert_eq!(
+        summary.horizon_rejects, summary.rogue_clocks,
+        "every rogue copy must be horizon-rejected"
+    );
 }
 
 #[test]
@@ -58,9 +64,9 @@ fn campaigns_replay_deterministically() {
     // campaign exercises shows here, not only in the 200-episode run.
     assert_eq!(
         a.to_string(),
-        "9 episode(s): 5 process / 11 net / 2 disk fault(s) (2 disk episode(s), 4 pipelined), \
+        "9 episode(s): 5 process / 14 net / 2 disk fault(s) (2 disk episode(s), 4 pipelined), \
          7 failover(s), 2 flap(s), 4 zombie probe(s) (4 fence-rejected), 0 migration(s), \
-         0 cut probe(s) (0 fence-rejected)"
+         0 cut probe(s) (0 fence-rejected), 3 rogue clock(s) (3 horizon-rejected)"
     );
 }
 
@@ -128,6 +134,23 @@ fn fence_check_skip_mutation_makes_the_campaign_fail() {
             NemesisViolation::SplitBrain { .. } | NemesisViolation::DiagnosisDiverged { .. }
         ),
         "the mutation must surface as split-brain or diagnosis divergence, got: {failure}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn horizon_skip_mutation_makes_the_campaign_fail() {
+    let root = tmproot("horizon-skip");
+    let mut config = NemesisConfig::new(0xC0FFEE, 12, &root);
+    config.mutant = Some(Mutant::SkipHorizon);
+    let failure = run_campaign(&config)
+        .expect_err("with the stream horizon compiled out, a rogue clock MUST break the run");
+    assert!(
+        matches!(
+            failure.violation,
+            NemesisViolation::AckedLost { .. } | NemesisViolation::DiagnosisDiverged { .. }
+        ),
+        "an admitted rogue copy must surface as acked loss or divergence, got: {failure}"
     );
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -113,7 +113,7 @@ pub struct GlobalSnapshot {
 /// fingerprint into a restore point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSnapshot {
-    /// The coordinator-side global model.
+    /// The global model.
     pub global: GlobalSnapshot,
     /// The in-progress observation window.
     pub windower: WindowerSnapshot,

@@ -70,12 +70,10 @@ pub use checkpoint::{
 };
 pub use classify::{AttackType, Diagnosis, ErrorType};
 pub use config::{FilterPolicy, PipelineConfig};
-pub use pipeline::{Coordinator, Pipeline, TrackRecord, WindowOutcome, BOT_SYMBOL};
+pub use pipeline::{Pipeline, TrackRecord, WindowOutcome, BOT_SYMBOL};
 pub use recovery::{RecoveryAction, RecoveryPlan};
 pub use report::{PipelineReport, SensorSummary, StateSummary, KEY_STATE_OCCUPANCY};
-pub use runtime::{
-    AlarmRun, GlobalModel, IdentityPrior, SensorMap, SensorRuntime, SensorStages, SensorStep,
-};
+pub use runtime::{AlarmRun, GlobalModel, IdentityPrior, SensorRuntime, SensorStep};
 pub use window::{
     identify_states, identify_states_into, ObservationWindow, Observed, SensorSamples,
     WindowScratch, WindowStates, Windower,

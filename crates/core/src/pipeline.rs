@@ -19,13 +19,10 @@
 //!    (correct → error) models, **B** alone;
 //! 8. **Classification** on demand via [`Pipeline::classify`].
 //!
-//! The stage order is written once, in the [`Coordinator`]'s window
-//! pass, Eqs. 2–4 included, over the one seam that differs between
-//! execution modes: who runs the per-sensor stages ([`SensorStages`]:
-//! step, grow). A [`Pipeline`] is a coordinator plus the in-process
-//! [`SensorMap`] that runs them infallibly; `sentinet-engine` puts one
-//! sensor map per scoped thread behind the same seam, so both run this
-//! pass.
+//! The stage order is written once, in one serial window pass
+//! (`analyze_window`), Eqs. 2–4 included: the majority vote is a
+//! barrier between every sensor's label and its step, so windows never
+//! overlap and there is no second execution mode to keep bit-equal.
 //!
 //! In steady state — every sensor seen, buffers warm — a reading that
 //! completes no window allocates nothing (windows and their sample
@@ -33,7 +30,7 @@
 //! list), and one that completes a window allocates a constant two
 //! `Vec`s (the completed window's, the outcome's) whatever the sensor
 //! count: Eqs. 2–4 and the clustering round run out of the
-//! coordinator's scratch, outcomes come from a pool when the caller
+//! pipeline's scratch, outcomes come from a pool when the caller
 //! hands them back. The per-sensor alarm histories grow (amortised). A
 //! spawned state is a counter bump for a sensor that never opened a
 //! track (its `M_CE` is built at the first one) and an amortised slot
@@ -43,12 +40,13 @@
 use crate::checkpoint::{CheckpointError, PipelineSnapshot};
 use crate::classify::{carries_error, evidenced_rows, AttackType, Diagnosis};
 use crate::config::PipelineConfig;
-use crate::runtime::{GlobalModel, SensorMap, SensorRuntime, SensorStages};
+use crate::runtime::{GlobalModel, SensorRuntime};
 use crate::window::{identify_states_into, ObservationWindow, Observed, WindowScratch, Windower};
 use sentinet_cluster::{ModelStates, StateEvent};
 use sentinet_hmm::{MarkovChain, OnlineHmmEstimator};
 use sentinet_sim::{Reading, SensorId, Timestamp, Trace};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 pub use crate::runtime::{TrackRecord, BOT_SYMBOL};
 
@@ -74,160 +72,55 @@ pub struct WindowOutcome {
     pub cluster_events: Vec<StateEvent>,
 }
 
-/// The collector's side of Fig. 1: the window pass and all it keeps
-/// between windows — global model, windower, scratch, outcome pool —
-/// except the sensors, which live behind [`SensorStages`]. A
-/// [`Pipeline`] pairs one with a [`SensorMap`]; a run whose sensors
-/// live elsewhere drives one directly and can hand it to
-/// [`Pipeline::from_parts`] once the sensors come home.
-#[derive(Debug)]
-pub struct Coordinator {
-    global: GlobalModel,
-    windower: Windower,
-    scratch: WindowScratch,
-    spare_outcomes: Vec<WindowOutcome>,
-    /// The attribute count every reading must have: the model states',
-    /// the bootstrap's or the open window's, else the first reading's.
-    dims: Option<usize>,
+/// Steps every sensor of a decisive window, `voted` with its Eq. 3
+/// label, ascending, for the window `outcome` describes so far — window
+/// `outcome.index`, elected state `outcome.correct`: a sensor seen for
+/// the first time is sized to `num_slots` model-state slots, and those
+/// whose raw or filtered alarm is up are appended to `outcome`'s lists,
+/// which therefore ascend too.
+fn step_voted(
+    sensors: &mut BTreeMap<SensorId, SensorRuntime>,
+    config: &PipelineConfig,
+    num_slots: usize,
+    voted: impl Iterator<Item = (SensorId, usize)>,
+    outcome: &mut WindowOutcome,
+) {
+    // `voted` and the map both ascend by sensor id: walk them together.
+    // Only a sensor's first appearance pays for a lookup.
+    let mut known = sensors.range_mut(..).peekable();
+    for (id, label) in voted {
+        while known.next_if(|(k, _)| **k < id).is_some() {}
+        if let Some((_, sensor)) = known.next_if(|(k, _)| **k == id) {
+            step_sensor(sensor, id, label, outcome);
+            continue;
+        }
+        let sensor = (sensors.entry(id)).or_insert_with(|| SensorRuntime::new(config, num_slots));
+        step_sensor(sensor, id, label, outcome);
+        known = (sensors.range_mut((Bound::Excluded(id), Bound::Unbounded))).peekable();
+    }
 }
 
-impl Coordinator {
-    /// Creates a coordinator; `config` and `sample_period` as in
-    /// [`Pipeline::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`PipelineConfig::validate`]) or `sample_period == 0`.
-    pub fn new(config: PipelineConfig, sample_period: u64) -> Self {
-        assert!(sample_period > 0, "sample period must be positive");
-        let windower = Windower::new(config.window_samples as u64 * sample_period);
-        Self::resume(GlobalModel::new(config), windower)
+/// One sensor's [`SensorRuntime::step`] for the window `outcome`
+/// describes, its alarms appended to `outcome`'s lists.
+fn step_sensor(
+    sensor: &mut SensorRuntime,
+    id: SensorId,
+    label: usize,
+    outcome: &mut WindowOutcome,
+) {
+    let step = sensor.step(outcome.index, label, outcome.correct);
+    if step.raw {
+        outcome.raw_alarms.push(id);
     }
-
-    fn resume(global: GlobalModel, windower: Windower) -> Self {
-        Self {
-            dims: global.dims().or(windower.dims()),
-            global,
-            windower,
-            scratch: WindowScratch::new(),
-            spare_outcomes: Vec::new(),
-        }
+    if step.filtered {
+        outcome.filtered_alarms.push(id);
     }
+}
 
-    /// The global model (states, `M_CO`, histories).
-    pub fn global(&self) -> &GlobalModel {
-        &self.global
-    }
-
-    /// Processes an entire trace (delivered records only — lost and
-    /// malformed packets never reach the collector's analysis, as in
-    /// the paper) with `stages` running the per-sensor half, and
-    /// flushes the final partial window.
-    ///
-    /// # Panics
-    ///
-    /// As [`Pipeline::process_trace`].
-    pub fn process_trace<S: SensorStages>(
-        &mut self,
-        stages: &mut S,
-        trace: &Trace,
-    ) -> Vec<WindowOutcome> {
-        let mut outcomes = Vec::new();
-        for (time, sensor, reading) in trace.delivered() {
-            self.push_values(stages, time, sensor, reading.values(), &mut outcomes);
-        }
-        outcomes.extend(self.finalize(stages));
-        outcomes
-    }
-
-    /// Feeds one reading, appending the outcomes of the windows it
-    /// completes to `outcomes`: a reading inside the open window moves
-    /// nothing but its window's buffer.
-    fn push_values<S: SensorStages>(
-        &mut self,
-        stages: &mut S,
-        time: Timestamp,
-        sensor: SensorId,
-        values: &[f64],
-        outcomes: &mut Vec<WindowOutcome>,
-    ) {
-        let dims = *self.dims.get_or_insert(values.len());
-        assert_eq!(values.len(), dims, "inconsistent reading dimensions");
-        for window in self.windower.push(time, sensor, values) {
-            outcomes.extend(self.analyze_window(stages, &window));
-            self.windower.recycle(window);
-        }
-    }
-
-    fn finalize<S: SensorStages>(&mut self, stages: &mut S) -> Option<WindowOutcome> {
-        let window = self.windower.finish()?;
-        let outcome = self.analyze_window(stages, &window);
-        self.windower.recycle(window);
-        outcome
-    }
-
-    /// One window through the Fig. 1 stage order. `None` means the
-    /// window was dropped: consumed by the bootstrap, or empty.
-    fn analyze_window<S: SensorStages>(
-        &mut self,
-        stages: &mut S,
-        window: &ObservationWindow,
-    ) -> Option<WindowOutcome> {
-        if !self.global.absorb_bootstrap(window) {
-            return None;
-        }
-
-        // Eq. 2: the observable state, certified from the selected
-        // readings; only a window the certificate does not settle pays
-        // for the exact aggregate, a model state spawned to cover it if
-        // none does, and its nearest state.
-        let trim = self.global.config().observable_trim;
-        let states = self.global.states()?;
-        let observable = match window.observable_with(trim, states, &mut self.scratch)? {
-            Observed::Settled(slot) => slot,
-            Observed::Exact(mean) => {
-                if self.global.cover_window_mean(mean) {
-                    stages.grow(self.global.num_slots());
-                }
-                self.global.states()?.nearest(mean)?.0
-            }
-        };
-        let states = self.global.states()?;
-
-        // Eqs. 3–4: every sensor's label, and the vote every later stage
-        // waits on.
-        let majority_fraction = self.global.config().majority_fraction;
-        let (correct, decisive) =
-            identify_states_into(window, states, majority_fraction, &mut self.scratch)?;
-        if decisive {
-            self.global.record_decisive(correct, observable);
-        }
-
-        // Per-sensor alarms, filtering, tracks, M_CE updates.
-        let mut outcome = self.spare_outcomes.pop().unwrap_or_default();
-        outcome.raw_alarms.clear();
-        outcome.filtered_alarms.clear();
-        outcome.index = self.global.windows_processed();
-        outcome.start = window.start;
-        outcome.observable = observable;
-        outcome.correct = correct;
-        if decisive {
-            let num_slots = self.global.num_slots();
-            stages.step(num_slots, self.scratch.voted(), &mut outcome);
-        }
-
-        // Model-state maintenance (Eqs. 5–6 + merge/spawn) on the
-        // representatives and labels Eq. 3 left in the scratch, then
-        // grow every estimator to the new slot count.
-        let (cluster_events, grew) = self
-            .global
-            .finish_window_labeled(self.scratch.representatives(), self.scratch.labels());
-        if grew {
-            stages.grow(self.global.num_slots());
-        }
-        outcome.cluster_events = cluster_events;
-        Some(outcome)
+/// Grows every sensor's estimators to `num_slots` model-state slots.
+fn grow(sensors: &mut BTreeMap<SensorId, SensorRuntime>, num_slots: usize) {
+    for sensor in sensors.values_mut() {
+        sensor.grow(num_slots);
     }
 }
 
@@ -260,8 +153,14 @@ fn similar_signatures(a: &BTreeMap<usize, usize>, b: &BTreeMap<usize, usize>) ->
 /// ```
 #[derive(Debug)]
 pub struct Pipeline {
-    coordinator: Coordinator,
-    sensors: SensorMap,
+    global: GlobalModel,
+    windower: Windower,
+    scratch: WindowScratch,
+    spare_outcomes: Vec<WindowOutcome>,
+    /// The attribute count every reading must have: the model states',
+    /// the bootstrap's or the open window's, else the first reading's.
+    dims: Option<usize>,
+    sensors: BTreeMap<SensorId, SensorRuntime>,
 }
 
 impl Pipeline {
@@ -274,19 +173,23 @@ impl Pipeline {
     /// Panics if the configuration is invalid (see
     /// [`PipelineConfig::validate`]) or `sample_period == 0`.
     pub fn new(config: PipelineConfig, sample_period: u64) -> Self {
-        Self::from_parts(Coordinator::new(config, sample_period), BTreeMap::new())
+        assert!(sample_period > 0, "sample period must be positive");
+        let windower = Windower::new(config.window_samples as u64 * sample_period);
+        Self::resume(GlobalModel::new(config), windower, BTreeMap::new())
     }
 
-    /// The pipeline a run ends as when its sensors lived elsewhere:
-    /// the `coordinator` that drove it and the `sensors` it stepped.
-    pub fn from_parts(
-        coordinator: Coordinator,
-        runtimes: BTreeMap<SensorId, SensorRuntime>,
+    fn resume(
+        global: GlobalModel,
+        windower: Windower,
+        sensors: BTreeMap<SensorId, SensorRuntime>,
     ) -> Self {
-        let config = coordinator.global.config().clone();
         Self {
-            coordinator,
-            sensors: SensorMap { config, runtimes },
+            dims: global.dims().or(windower.dims()),
+            global,
+            windower,
+            scratch: WindowScratch::new(),
+            spare_outcomes: Vec::new(),
+            sensors,
         }
     }
 
@@ -322,9 +225,26 @@ impl Pipeline {
         values: &[f64],
     ) -> Vec<WindowOutcome> {
         let mut outcomes = Vec::new();
-        self.coordinator
-            .push_values(&mut self.sensors, time, sensor, values, &mut outcomes);
+        self.push_into(time, sensor, values, &mut outcomes);
         outcomes
+    }
+
+    /// [`Pipeline::push_values`], appending the outcomes of the windows
+    /// the reading completes to `outcomes`: a reading inside the open
+    /// window moves nothing but its window's buffer.
+    fn push_into(
+        &mut self,
+        time: Timestamp,
+        sensor: SensorId,
+        values: &[f64],
+        outcomes: &mut Vec<WindowOutcome>,
+    ) {
+        let dims = *self.dims.get_or_insert(values.len());
+        assert_eq!(values.len(), dims, "inconsistent reading dimensions");
+        for window in self.windower.push(time, sensor, values) {
+            outcomes.extend(self.analyze_window(&window));
+            self.windower.recycle(window);
+        }
     }
 
     /// Processes an entire trace (delivered records only — lost and
@@ -336,44 +256,112 @@ impl Pipeline {
     /// Panics if readings arrive out of time order or disagree on
     /// their attribute count, as [`Pipeline::push_values`].
     pub fn process_trace(&mut self, trace: &Trace) -> Vec<WindowOutcome> {
-        self.coordinator.process_trace(&mut self.sensors, trace)
+        let mut outcomes = Vec::new();
+        for (time, sensor, reading) in trace.delivered() {
+            self.push_into(time, sensor, reading.values(), &mut outcomes);
+        }
+        outcomes.extend(self.flush());
+        outcomes
     }
 
     /// Flushes the in-progress window at end of stream.
     pub fn finalize(&mut self) -> Vec<WindowOutcome> {
-        Vec::from_iter(self.coordinator.finalize(&mut self.sensors))
+        Vec::from_iter(self.flush())
+    }
+
+    fn flush(&mut self) -> Option<WindowOutcome> {
+        let window = self.windower.finish()?;
+        let outcome = self.analyze_window(&window);
+        self.windower.recycle(window);
+        outcome
+    }
+
+    /// One window through the Fig. 1 stage order. `None` means the
+    /// window was dropped: consumed by the bootstrap, or empty.
+    fn analyze_window(&mut self, window: &ObservationWindow) -> Option<WindowOutcome> {
+        if !self.global.absorb_bootstrap(window) {
+            return None;
+        }
+
+        // Eq. 2: the observable state, certified from the selected
+        // readings; only a window the certificate does not settle pays
+        // for the exact aggregate, a model state spawned to cover it if
+        // none does, and its nearest state.
+        let trim = self.global.config().observable_trim;
+        let states = self.global.states()?;
+        let observable = match window.observable_with(trim, states, &mut self.scratch)? {
+            Observed::Settled(slot) => slot,
+            Observed::Exact(mean) => {
+                if self.global.cover_window_mean(mean) {
+                    grow(&mut self.sensors, self.global.num_slots());
+                }
+                self.global.states()?.nearest(mean)?.0
+            }
+        };
+        let states = self.global.states()?;
+
+        // Eqs. 3–4: every sensor's label, and the vote every later stage
+        // waits on.
+        let majority_fraction = self.global.config().majority_fraction;
+        let (correct, decisive) =
+            identify_states_into(window, states, majority_fraction, &mut self.scratch)?;
+        if decisive {
+            self.global.record_decisive(correct, observable);
+        }
+
+        // Per-sensor alarms, filtering, tracks, M_CE updates.
+        let mut outcome = self.spare_outcomes.pop().unwrap_or_default();
+        outcome.raw_alarms.clear();
+        outcome.filtered_alarms.clear();
+        outcome.index = self.global.windows_processed();
+        outcome.start = window.start;
+        outcome.observable = observable;
+        outcome.correct = correct;
+        if decisive {
+            let (config, slots) = (self.global.config(), self.global.num_slots());
+            let voted = self.scratch.voted();
+            step_voted(&mut self.sensors, config, slots, voted, &mut outcome);
+        }
+
+        // Model-state maintenance (Eqs. 5–6 + merge/spawn) on the
+        // representatives and labels Eq. 3 left in the scratch, then
+        // grow every estimator to the new slot count.
+        let (cluster_events, grew) = self
+            .global
+            .finish_window_labeled(self.scratch.representatives(), self.scratch.labels());
+        if grew {
+            grow(&mut self.sensors, self.global.num_slots());
+        }
+        outcome.cluster_events = cluster_events;
+        Some(outcome)
     }
 
     /// Returns a consumed outcome to the pipeline's pool so its alarm
     /// vectors are reused by later windows (optional; capped).
     pub fn recycle_outcome(&mut self, outcome: WindowOutcome) {
-        let spare = &mut self.coordinator.spare_outcomes;
+        let spare = &mut self.spare_outcomes;
         if spare.len() < MAX_SPARE_OUTCOMES {
             spare.push(outcome);
         }
     }
 
-    fn global(&self) -> &GlobalModel {
-        &self.coordinator.global
-    }
-
     fn sensor(&self, sensor: SensorId) -> Option<&SensorRuntime> {
-        self.sensors.runtimes.get(&sensor)
+        self.sensors.get(&sensor)
     }
 
     /// Number of windows fully processed (post-bootstrap).
     pub fn windows_processed(&self) -> u64 {
-        self.global().windows_processed()
+        self.global.windows_processed()
     }
 
     /// The current model states, once bootstrapped.
     pub fn model_states(&self) -> Option<&ModelStates> {
-        self.global().states()
+        self.global.states()
     }
 
     /// The global `M_CO` estimator, once bootstrapped.
     pub fn m_co(&self) -> Option<&OnlineHmmEstimator> {
-        self.global().m_co()
+        self.global.m_co()
     }
 
     /// The per-sensor `M_CE` estimator.
@@ -384,17 +372,17 @@ impl Pipeline {
     /// The error/attack-free Markov model `M_C` of the environment —
     /// the pipeline's user-facing deliverable (paper Fig. 7).
     pub fn correct_model(&self) -> Option<MarkovChain> {
-        self.global().correct_model()
+        self.global.correct_model()
     }
 
     /// Builds the operator-facing snapshot of the pipeline's findings.
     pub fn report(&self) -> crate::PipelineReport {
-        crate::PipelineReport::build(self.global(), &self.sensors.runtimes)
+        crate::PipelineReport::build(&self.global, &self.sensors)
     }
 
     /// Sensors seen so far.
     pub fn sensor_ids(&self) -> Vec<SensorId> {
-        self.sensors.runtimes.keys().copied().collect()
+        self.sensors.keys().copied().collect()
     }
 
     /// Captures the complete pipeline state — global model, in-progress
@@ -407,9 +395,11 @@ impl Pipeline {
     /// proof.
     pub fn snapshot(&self) -> PipelineSnapshot {
         PipelineSnapshot {
-            global: self.global().snapshot(),
-            windower: self.coordinator.windower.snapshot(),
-            sensors: self.sensors.snapshots(),
+            global: self.global.snapshot(),
+            windower: self.windower.snapshot(),
+            sensors: (self.sensors.iter())
+                .map(|(&id, sensor)| (id, sensor.snapshot()))
+                .collect(),
         }
     }
 
@@ -434,17 +424,17 @@ impl Pipeline {
         assert!(sample_period > 0, "sample period must be positive");
         let duration = config.window_samples as u64 * sample_period;
         let windower = Windower::from_snapshot(duration, &snapshot.windower)?;
-        let global = GlobalModel::from_snapshot(config.clone(), snapshot.global)?;
-        let sensors = SensorMap::restore(config, snapshot.sensors)?;
+        let global = GlobalModel::from_snapshot(config, snapshot.global)?;
+        let mut sensors = BTreeMap::new();
+        for (id, sensor) in snapshot.sensors {
+            sensors.insert(id, SensorRuntime::from_snapshot(sensor)?);
+        }
         let slots = global.num_slots();
-        if sensors.runtimes.values().any(|s| s.m_ce_slots() != slots) {
+        if sensors.values().any(|s| s.m_ce_slots() != slots) {
             let why = format!("an M_CE not sized to the {slots} model-state slots");
             return Err(CheckpointError::Invalid(why));
         }
-        Ok(Self {
-            coordinator: Coordinator::resume(global, windower),
-            sensors,
-        })
+        Ok(Self::resume(global, windower, sensors))
     }
 
     /// The raw-alarm history of a sensor as `(window, raw)` pairs
@@ -470,7 +460,7 @@ impl Pipeline {
     /// model generations — repeated calls after unchanged windows are
     /// O(1).
     pub fn network_attack(&self) -> Option<AttackType> {
-        self.global().network_attack()
+        self.global.network_attack()
     }
 
     /// Classifies one sensor per the paper's Fig. 5 tree.
@@ -482,21 +472,21 @@ impl Pipeline {
     /// network half of the walk is memoized on the `M_CO` and
     /// model-state generations; the sensor's half is walked each call.
     pub fn classify(&self, sensor: SensorId) -> Diagnosis {
-        self.global().classify(self.sensor(sensor))
+        self.global.classify(self.sensor(sensor))
     }
 
     /// Classifies one sensor and reports the confidence of the verdict
     /// — the normalized margin by which the deciding structural
     /// statistic cleared its threshold (see [`crate::classify`]).
     pub fn classify_with_confidence(&self, sensor: SensorId) -> (Diagnosis, f64) {
-        self.global().classify_with_confidence(self.sensor(sensor))
+        self.global.classify_with_confidence(self.sensor(sensor))
     }
 
     /// Classifies every sensor seen so far.
     pub fn classify_all(&self) -> BTreeMap<SensorId, Diagnosis> {
-        let sensors = self.sensors.runtimes.iter();
+        let sensors = self.sensors.iter();
         sensors
-            .map(|(&id, rt)| (id, self.global().classify(Some(rt))))
+            .map(|(&id, rt)| (id, self.global.classify(Some(rt))))
             .collect()
     }
 
@@ -564,7 +554,7 @@ impl Pipeline {
 
     /// The pipeline configuration.
     pub fn config(&self) -> &PipelineConfig {
-        self.global().config()
+        self.global.config()
     }
 }
 
@@ -776,7 +766,7 @@ mod tests {
         let outcomes = p.process_trace(&trace);
         assert_eq!((outcomes.len(), outcomes[0].correct), (1, 1));
         assert_eq!(outcomes[0].raw_alarms, [SensorId(0), SensorId(1)]);
-        let voted: Vec<(SensorId, usize)> = p.coordinator.scratch.voted().collect();
+        let voted: Vec<(SensorId, usize)> = p.scratch.voted().collect();
         let labels = [0, 0, 1, 1, 1];
         let all: Vec<(SensorId, usize)> = (0..5).map(SensorId).zip(labels).collect();
         assert_eq!(voted, all);

@@ -1,25 +1,15 @@
-//! Shared building blocks of the detection pipeline, split along the
-//! parallelization boundary.
+//! The two halves of the detection pipeline's state:
 //!
-//! The paper's per-window computation factors into two halves:
+//! - **per-sensor** — alarm filtering, track management, `M_CE`
+//!   estimation — which touches only one sensor's state
+//!   ([`SensorRuntime`]);
+//! - **global** — clustering, `M_CO` estimation (`M_C` is `M_CO`'s
+//!   transition half), network-level classification
+//!   ([`GlobalModel`]).
 //!
-//! - **per-sensor** work — alarm filtering, track management, `M_CE`
-//!   estimation — which touches only one sensor's state and can run on
-//!   any shard ([`SensorRuntime`]);
-//! - **global** work — clustering, Eqs. 2–4 (the observable state,
-//!   every sensor's label, the majority vote), `M_CO` estimation (`M_C`
-//!   is `M_CO`'s transition half), network-level classification —
-//!   which needs *all* sensors' labels and must run on a single
-//!   coordinator ([`GlobalModel`]).
-//!
-//! One window pass ([`Coordinator`](crate::Coordinator)) drives the
-//! `GlobalModel` and hands the per-sensor half (step, grow) to whoever
-//! holds the sensors: [`Pipeline`](crate::Pipeline) keeps them in a
-//! [`SensorMap`] of its own, `sentinet-engine` in one `SensorMap` per
-//! scoped thread.
-//! Every sensor is stepped by this exact code in the same order either
-//! way, which is what makes the engine's output bit-for-bit identical
-//! to the serial pipeline's.
+//! The [`Pipeline`](crate::Pipeline)'s window pass drives both: Eqs.
+//! 2–4 need every sensor's label, then every voter takes its
+//! [`SensorRuntime::step`] in ascending id order.
 //!
 //! Each verdict comes from one walk of the Fig. 5 tree
 //! ([`crate::classify`]), with the records that decided it. The network
@@ -34,7 +24,6 @@ use crate::classify::{
     confidence, evidenced_rows, network, walk, AttackType, Decision, Decisions, Diagnosis,
 };
 use crate::config::{FilterPolicy, PipelineConfig};
-use crate::pipeline::WindowOutcome;
 use crate::window::ObservationWindow;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,10 +31,7 @@ use sentinet_cluster::{kmeans, ModelStates, StateEvent, UpdateScratch};
 use sentinet_filter::{AlarmFilter, KOfNFilter, Sprt, SprtAlarmFilter};
 use sentinet_hmm::structure::StructureCache;
 use sentinet_hmm::{EstimatorState, MarkovChain, OnlineHmmEstimator};
-use sentinet_sim::SensorId;
 use std::cell::{OnceCell, RefCell};
-use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// Symbol index reserved for the fictitious ⊥ state of `M_CE`
 /// (the sensor agrees with the correct state while its track is open).
@@ -110,10 +96,6 @@ pub struct SensorStep {
 /// two; the first observe with a track open builds the estimator, equal
 /// to one grown from the sensor's first window. An `M_CE` without
 /// visits — unbuilt, or built by a read — is checkpointed as its prior.
-///
-/// A `SensorRuntime` touches no global state — every method depends
-/// only on its own fields and the per-window inputs — so disjoint sets
-/// of sensors can safely step on different threads.
 #[derive(Debug)]
 pub struct SensorRuntime {
     filter: Box<dyn AlarmFilter>,
@@ -391,134 +373,6 @@ impl IdentityPrior {
     }
 }
 
-/// Who runs the per-sensor stages of a window — the decisive-window
-/// step (alarm, filter, track, `M_CE`) and estimator growth — for the
-/// window pass of a [`Coordinator`](crate::Coordinator), which keeps
-/// Eqs. 2–4 for itself: a [`SensorMap`] in process, the engine's shards
-/// across scoped threads.
-pub trait SensorStages {
-    /// The per-sensor step of the decisive window `outcome` describes
-    /// so far — window `outcome.index`, elected state `outcome.correct`
-    /// — for every sensor of the window, `voted` with its Eq. 3 label,
-    /// ascending: a sensor seen for the first time is sized to
-    /// `num_slots` model-state slots, every sensor takes its
-    /// [`SensorRuntime::step`], and those whose raw or filtered alarm
-    /// is up are appended to `outcome.raw_alarms` /
-    /// `outcome.filtered_alarms`, ascending.
-    fn step(
-        &mut self,
-        num_slots: usize,
-        voted: impl Iterator<Item = (SensorId, usize)>,
-        outcome: &mut WindowOutcome,
-    );
-
-    /// Grows every sensor's estimators to `num_slots` model-state
-    /// slots.
-    fn grow(&mut self, num_slots: usize);
-}
-
-/// The sensors one thread owns, by id, and the per-sensor stages over
-/// them: the serial pipeline holds every sensor in one map, a shard of
-/// the engine its share in another.
-#[derive(Debug)]
-pub struct SensorMap {
-    pub(crate) config: PipelineConfig,
-    pub(crate) runtimes: BTreeMap<SensorId, SensorRuntime>,
-}
-
-impl SensorMap {
-    /// Creates an empty map; a sensor appears at its first step.
-    pub fn new(config: PipelineConfig) -> Self {
-        let runtimes = BTreeMap::new();
-        Self { config, runtimes }
-    }
-
-    /// Rebuilds a map from the checkpoints [`SensorMap::snapshots`]
-    /// took.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::checkpoint::CheckpointError`] if any snapshot is
-    /// internally inconsistent (see [`SensorRuntime::from_snapshot`]).
-    pub fn restore(
-        config: PipelineConfig,
-        snapshots: Vec<(SensorId, crate::checkpoint::SensorSnapshot)>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let mut runtimes = BTreeMap::new();
-        for (id, snapshot) in snapshots {
-            runtimes.insert(id, SensorRuntime::from_snapshot(snapshot)?);
-        }
-        Ok(Self { config, runtimes })
-    }
-
-    /// Checkpoints every sensor, in ascending sensor order.
-    pub fn snapshots(&self) -> Vec<(SensorId, crate::checkpoint::SensorSnapshot)> {
-        self.runtimes
-            .iter()
-            .map(|(&id, rt)| (id, rt.snapshot()))
-            .collect()
-    }
-
-    /// Hands the sensors over, leaving the map empty.
-    pub fn take(&mut self) -> BTreeMap<SensorId, SensorRuntime> {
-        std::mem::take(&mut self.runtimes)
-    }
-}
-
-impl SensorStages for SensorMap {
-    fn step(
-        &mut self,
-        num_slots: usize,
-        voted: impl Iterator<Item = (SensorId, usize)>,
-        outcome: &mut WindowOutcome,
-    ) {
-        // `voted` and the map both ascend by sensor id: walk them
-        // together. Only a sensor's first appearance pays for a lookup,
-        // and it is stepped in its turn, so the alarm lists ascend.
-        let mut known = self.runtimes.range_mut(..).peekable();
-        for (id, label) in voted {
-            while known.next_if(|(k, _)| **k < id).is_some() {}
-            if let Some((_, sensor)) = known.next_if(|(k, _)| **k == id) {
-                step_sensor(sensor, id, label, outcome);
-                continue;
-            }
-            let config = &self.config;
-            let sensor = self
-                .runtimes
-                .entry(id)
-                .or_insert_with(|| SensorRuntime::new(config, num_slots));
-            step_sensor(sensor, id, label, outcome);
-            known = self
-                .runtimes
-                .range_mut((Bound::Excluded(id), Bound::Unbounded))
-                .peekable();
-        }
-    }
-
-    fn grow(&mut self, num_slots: usize) {
-        for sensor in self.runtimes.values_mut() {
-            sensor.grow(num_slots);
-        }
-    }
-}
-
-/// One sensor's [`SensorRuntime::step`] for the window `outcome`
-/// describes, its alarms appended to `outcome`'s lists.
-fn step_sensor(
-    sensor: &mut SensorRuntime,
-    id: SensorId,
-    label: usize,
-    outcome: &mut WindowOutcome,
-) {
-    let step = sensor.step(outcome.index, label, outcome.correct);
-    if step.raw {
-        outcome.raw_alarms.push(id);
-    }
-    if step.filtered {
-        outcome.filtered_alarms.push(id);
-    }
-}
-
 /// The network half of the walk, memoized on the `(M_CO, model
 /// states)` generation pair.
 #[derive(Debug)]
@@ -533,7 +387,7 @@ pub(crate) struct NetMemo {
     pub(crate) clean: Option<Decision>,
 }
 
-/// The global (coordinator-side) half of the pipeline: model states,
+/// The global half of the pipeline: model states,
 /// bootstrap accumulation, the `M_CO` estimator (`M_C` is its
 /// transition half), and memoized network classification.
 #[derive(Debug)]
@@ -599,7 +453,7 @@ impl GlobalModel {
     /// states are not yet installed. Returns `true` once states exist
     /// (so the window should be processed), `false` while still
     /// accumulating (the window is consumed by the bootstrap only).
-    pub fn absorb_bootstrap(&mut self, window: &ObservationWindow) -> bool {
+    pub(crate) fn absorb_bootstrap(&mut self, window: &ObservationWindow) -> bool {
         if self.states.is_some() {
             return true;
         }
@@ -631,7 +485,7 @@ impl GlobalModel {
     /// reading occupies; Eq. 2 must still be able to name it). Returns
     /// `true` when a state spawned — the caller must then grow every
     /// [`SensorRuntime`] to [`GlobalModel::num_slots`].
-    pub fn cover_window_mean(&mut self, mean: &[f64]) -> bool {
+    pub(crate) fn cover_window_mean(&mut self, mean: &[f64]) -> bool {
         let spawned = self
             .states
             .as_mut()
@@ -646,7 +500,7 @@ impl GlobalModel {
     }
 
     /// Records a decisive window's state pair into `M_CO`.
-    pub fn record_decisive(&mut self, correct: usize, observable: usize) {
+    pub(crate) fn record_decisive(&mut self, correct: usize, observable: usize) {
         self.m_co
             .as_mut()
             // sentinet-allow(expect-used): estimators are installed at bootstrap, before any decisive window
@@ -665,7 +519,7 @@ impl GlobalModel {
     /// label the points a second time. Returns the clustering events
     /// and whether the slot count grew — the caller must then grow
     /// every [`SensorRuntime`] to [`GlobalModel::num_slots`].
-    pub fn finish_window_labeled(
+    pub(crate) fn finish_window_labeled(
         &mut self,
         points: &[f64],
         labels: &[usize],
@@ -720,7 +574,7 @@ impl GlobalModel {
         &self.config
     }
 
-    /// Captures the coordinator-side state for checkpointing: the
+    /// Captures the global state for checkpointing: the
     /// window count, the bootstrap accumulator, and — once
     /// bootstrapped — the model states with `M_CO`.
     /// The classification memo is a generation-keyed cache and

@@ -23,8 +23,8 @@
 
 use sentinet_cluster::{ClusterConfig, ModelStates, UpdateScratch};
 use sentinet_core::{
-    identify_states_into, Observed, Pipeline, PipelineConfig, SensorMap, SensorStages,
-    WindowOutcome, WindowScratch, Windower,
+    identify_states_into, Observed, Pipeline, PipelineConfig, SensorRuntime, WindowScratch,
+    Windower,
 };
 use sentinet_sim::{Payload, Reading, SensorId, Trace, TraceRecord};
 
@@ -209,17 +209,20 @@ fn pipeline_window_close_allocates_a_constant_independent_of_sensor_count() {
     assert_eq!(window_close_allocations(200), 2);
 }
 
-/// A map of `sensors` sensors first seen at `slots` model-state slots,
-/// every one stepped `windows` times with a label the correct state
-/// (0) disagrees with.
-fn disagreeing_sensors(sensors: u16, slots: usize, windows: u64) -> SensorMap {
-    let mut map = SensorMap::new(PipelineConfig::default());
-    let mut outcome = WindowOutcome::default();
+/// `sensors` sensors first seen at `slots` model-state slots, every
+/// one stepped `windows` times with a label the correct state (0)
+/// disagrees with.
+fn disagreeing_sensors(sensors: u16, slots: usize, windows: u64) -> Vec<SensorRuntime> {
+    let config = PipelineConfig::default();
+    let mut runtimes: Vec<_> = (0..sensors)
+        .map(|_| SensorRuntime::new(&config, slots))
+        .collect();
     for index in 0..windows {
-        outcome.index = index;
-        map.step(slots, (0..sensors).map(|s| (SensorId(s), 1)), &mut outcome);
+        for sensor in &mut runtimes {
+            sensor.step(index, 1, 0);
+        }
     }
-    map
+    runtimes
 }
 
 #[test]
@@ -228,14 +231,16 @@ fn an_untracked_sensors_spawn_is_a_counter_bump() {
     // prior: a spawn, single or a jump of several slots, changes two
     // counters and allocates nothing, whatever the sensor count.
     for sensors in [20, 200, 2_000] {
-        let mut map = disagreeing_sensors(sensors, 4, 1);
+        let mut runtimes = disagreeing_sensors(sensors, 4, 1);
         let (n, ()) = allocations(|| {
             for grown in [5, 6, 6, 9, 10, 14, 15, 16] {
-                map.grow(grown);
+                for sensor in &mut runtimes {
+                    sensor.grow(grown);
+                }
             }
         });
         assert_eq!(n, 0, "{sensors} untracked sensors: {n} allocator calls");
-        let untracked = map.take().into_values().all(|rt| !rt.m_ce_built());
+        let untracked = runtimes.iter().all(|rt| !rt.m_ce_built());
         assert!(untracked, "a grow built an untracked sensor's M_CE");
     }
 }
@@ -254,16 +259,17 @@ fn a_spawn_grows_each_sensor_in_place() {
     for slots in [4, 6, 8, 13] {
         // Six disagreements raise the default 6-of-10 filter.
         let mut sensors = disagreeing_sensors(SENSORS, slots, 6);
-        let snapshots = sensors.snapshots();
         assert!(
-            snapshots
+            sensors
                 .iter()
-                .all(|(_, s)| s.tracks.last().is_some_and(|t| t.closed.is_none())),
+                .all(|rt| rt.tracks().last().is_some_and(|t| t.closed.is_none())),
             "every sensor must have opened a track, or this counts priors"
         );
         let (n, ()) = allocations(|| {
             for grown in 1..=SPAWNS {
-                sensors.grow(slots + grown);
+                for sensor in &mut sensors {
+                    sensor.grow(slots + grown);
+                }
             }
         });
         let per_sensor = n as f64 / f64::from(SENSORS);
@@ -272,17 +278,11 @@ fn a_spawn_grows_each_sensor_in_place() {
             "{SPAWNS} spawns from {slots} slots: {per_sensor} allocator calls per sensor"
         );
         // And they grew: every sensor steps in the newest state.
-        let mut outcome = WindowOutcome {
-            index: 6,
-            correct: slots + SPAWNS - 1,
-            ..WindowOutcome::default()
-        };
-        let voted = (0..SENSORS).map(|s| (SensorId(s), 1));
-        sensors.step(slots + SPAWNS, voted, &mut outcome);
-        let grown = sensors
-            .take()
-            .into_values()
-            .all(|rt| rt.m_ce_built() && rt.m_ce().num_states() == slots + SPAWNS);
+        for sensor in &mut sensors {
+            sensor.step(6, 1, slots + SPAWNS - 1);
+        }
+        let grown =
+            (sensors.iter()).all(|rt| rt.m_ce_built() && rt.m_ce().num_states() == slots + SPAWNS);
         assert!(
             grown,
             "a tracked sensor did not grow to {} slots",

@@ -30,8 +30,9 @@ pub struct RawRecord {
     pub values: Vec<f64>,
 }
 
-/// Why the sanitizer rejected a record.
-#[derive(Debug, Clone, PartialEq)]
+/// Why the sanitizer rejected a record. Equal refusals compare equal,
+/// a NaN's included: a `NonFinite` value compares by its bits.
+#[derive(Debug, Clone)]
 pub enum IngestError {
     /// A delivered record carried no values.
     EmptyReading {
@@ -116,6 +117,42 @@ impl fmt::Display for IngestError {
         }
     }
 }
+
+impl IngestError {
+    /// The refusal as plain integers, a value by its bits: what
+    /// equality compares.
+    fn key(&self) -> (u8, Timestamp, SensorId, usize, usize, u64) {
+        match *self {
+            Self::EmptyReading { time, sensor } => (0, time, sensor, 0, 0, 0),
+            Self::NonFinite {
+                time,
+                sensor,
+                index,
+                value,
+            } => (1, time, sensor, index, 0, value.to_bits()),
+            Self::DuplicateTimestamp { time, sensor } => (2, time, sensor, 0, 0, 0),
+            Self::OutOfOrder {
+                time,
+                sensor,
+                latest,
+            } => (3, time, sensor, 0, 0, latest),
+            Self::DimensionMismatch {
+                time,
+                sensor,
+                expected,
+                actual,
+            } => (4, time, sensor, expected, actual, 0),
+        }
+    }
+}
+
+impl PartialEq for IngestError {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for IngestError {}
 
 impl std::error::Error for IngestError {}
 
@@ -307,6 +344,19 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.accepted, 3);
         assert_eq!(trace.delivered().count(), 3);
+    }
+
+    #[test]
+    fn equal_refusals_of_the_same_nan_payload_compare_equal() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let refuse = || sanitize_records(vec![raw(300, 0, vec![nan]), raw(600, 0, vec![1.0])]).1;
+        let (a, b) = (refuse(), refuse());
+        assert!(matches!(a.rejected[..], [IngestError::NonFinite { .. }]));
+        assert_eq!(a, b);
+        // Another payload is another refusal.
+        let other = f64::from_bits(nan.to_bits() ^ 1);
+        let (_, c) = sanitize_records(vec![raw(300, 0, vec![other]), raw(600, 0, vec![1.0])]);
+        assert_ne!(a, c);
     }
 
     #[test]

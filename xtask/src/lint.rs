@@ -170,10 +170,20 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "tally_votes",
         ],
     ),
-    ("core/src/pipeline.rs", &["push_values", "analyze_window"]),
+    (
+        "core/src/pipeline.rs",
+        &[
+            "push_values",
+            "push_into",
+            "analyze_window",
+            "step_voted",
+            "step_sensor",
+            "grow",
+        ],
+    ),
     // `M_CE`'s one-time build at a sensor's first track allocates: it
     // is `IdentityPrior::build`'s, unregistered.
-    ("core/src/runtime.rs", &["step", "step_sensor", "grow"]),
+    ("core/src/runtime.rs", &["step", "grow"]),
     ("hmm/src/matrix.rs", &["reinforce"]),
     ("hmm/src/online.rs", &["observe"]),
     // `M_CO`'s steps run the Markov half's update; `M_CE` has none.

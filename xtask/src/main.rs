@@ -29,8 +29,8 @@ Commands:
                                migration campaign (a live split and a
                                rebalance-back inside every episode, cut
                                probes against fenced former owners),
-                               then prove the fence-skip and cut-skip
-                               mutants are caught
+                               then prove the fence-skip, cut-skip and
+                               horizon-skip mutants are caught
   ab <parent-rev> [--workload W] [--pairs N] [--seconds S] [--seeds A,B,..]
      [--aligned] [--record PR]
                                run benchmark/run.sh alternately in a copy
@@ -90,10 +90,16 @@ fn run_lint(paths: &[String]) -> Result<(), String> {
 /// The public-surface audit: lists every `pub` item no other file
 /// names and fails if there are more than [`surface::PINNED`].
 fn run_surface() -> Result<(), String> {
-    let unused =
+    let audited =
         surface::audit_workspace(&repo_root()).map_err(|e| format!("surface walk failed: {e}"))?;
+    let (shims, unused): (Vec<_>, Vec<_>) =
+        audited.into_iter().partition(|u| u.shim_caller().is_some());
     for item in &unused {
         println!("surface: {item}");
+    }
+    for shim in &shims {
+        let caller = shim.shim_caller().unwrap_or_default();
+        println!("surface: ruler shim (kept for {caller}): {shim}");
     }
     let summary = format!(
         "surface: {} pub item(s) no other file names (pinned at {})",
@@ -259,18 +265,20 @@ fn run_protocol_check() -> Result<(), String> {
 
 /// The nemesis self-tests: label, the mutant planted in every drilled
 /// owner, episodes at most, and whether the migration schedule runs.
-const NEMESIS_SELF_TESTS: [(&str, Mutant, u32, bool); 2] = [
+const NEMESIS_SELF_TESTS: [(&str, Mutant, u32, bool); 3] = [
     ("fence-skip", Mutant::SkipFence, 12, false),
     ("cut-skip", Mutant::SkipCut, 8, true),
+    ("horizon-skip", Mutant::SkipHorizon, 12, false),
 ];
 
 /// The nemesis campaign runner: a pinned-seed randomized campaign over
 /// the in-process federation, then the migration campaign (the same
 /// fault families landing on live split/rebalance handoffs), followed
 /// by the [`NEMESIS_SELF_TESTS`] — re-running short campaigns with the
-/// deliver-path fence check ([`Mutant::SkipFence`]) or the migration
-/// cut ([`Mutant::SkipCut`]) broken and requiring each to FAIL. A
-/// checker that stays green under its own mutant proves nothing.
+/// deliver-path fence check ([`Mutant::SkipFence`]), the migration cut
+/// ([`Mutant::SkipCut`]) or the stream horizon ([`Mutant::SkipHorizon`])
+/// broken and requiring each to FAIL. A checker that stays green under
+/// its own mutant proves nothing.
 fn run_nemesis(args: &[String]) -> Result<(), String> {
     use sentinet_controller::{run_campaign, NemesisConfig};
 
@@ -308,11 +316,15 @@ fn run_nemesis(args: &[String]) -> Result<(), String> {
     ))
     .map_err(|f| format!("nemesis: {f}"))?;
     println!("nemesis: {summary}");
-    if summary.failovers == 0 || summary.zombie_probes == 0 || summary.disk_episodes == 0 {
+    if summary.failovers == 0
+        || summary.zombie_probes == 0
+        || summary.disk_episodes == 0
+        || summary.rogue_clocks == 0
+    {
         return Err(format!(
-            "nemesis: degenerate campaign (failovers {}, zombie probes {}, disk episodes {}); \
-             a run that forces nothing proves nothing",
-            summary.failovers, summary.zombie_probes, summary.disk_episodes
+            "nemesis: degenerate campaign (failovers {}, zombie probes {}, disk episodes {}, \
+             rogue clocks {}); a run that forces nothing proves nothing",
+            summary.failovers, summary.zombie_probes, summary.disk_episodes, summary.rogue_clocks
         ));
     }
 
@@ -331,6 +343,15 @@ fn run_nemesis(args: &[String]) -> Result<(), String> {
              {} cut probe(s)); a run that moves nothing proves nothing",
             migration.migrations, migration.episodes, migration.cut_probes
         ));
+    }
+    for (label, s) in [("", &summary), ("migration campaign: ", &migration)] {
+        if s.horizon_rejects != s.rogue_clocks {
+            return Err(format!(
+                "nemesis: {label}{} of {} rogue clock(s) got past the stream horizon",
+                s.rogue_clocks - s.horizon_rejects,
+                s.rogue_clocks
+            ));
+        }
     }
 
     let mut verdict = Ok(());
@@ -366,10 +387,8 @@ fn run_invariant_tests() -> Result<(), String> {
             "sentinet-cluster",
             "-p",
             "sentinet-core",
-            "-p",
-            "sentinet-engine",
             "--features",
-            "sentinet-core/check-invariants,sentinet-engine/check-invariants",
+            "sentinet-core/check-invariants",
         ])
         .status()
         .map_err(|e| format!("invariants: failed to spawn cargo: {e}"))?;
